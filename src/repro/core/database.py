@@ -43,7 +43,8 @@ class KDatabase:
     # (see repro.plan.circuit_exec.circuit_database)
     # _encoded_cache: lazily-attached dictionary encodings of the stored
     # relations for the machine-scalar execution tier, revalidated per
-    # table by relation identity (see repro.plan.encoded.encoded_scan)
+    # table by relation identity (see repro.plan.encoded.encoded_scan) and
+    # carried across pure inserts by update()
     __slots__ = (
         "semiring",
         "_relations",
@@ -112,6 +113,12 @@ class KDatabase:
         writer lock, so a reader never observes some relations updated
         and others not.  Any non-empty update leaves :attr:`version`
         strictly larger (one bump per batch).
+
+        A delta *is* the update — ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)`` — so a
+        table the encoded tier has cached keeps its encoding across a
+        pure insert: the old image followed by the encoded delta
+        (:func:`repro.plan.encoded.carry_forward`), not a re-encode of
+        the whole table on the next read.
         """
         from repro.core.operators import union  # local: operators import relation only
 
@@ -120,8 +127,16 @@ class KDatabase:
             if not items:
                 return
             relations = dict(self._relations)
+            # only a database the encoded tier has scanned holds the cache
+            # (an N[X] database never does and never imports repro.plan)
+            cache = getattr(self, "_encoded_cache", None)
+            if cache is not None:
+                from repro.plan.encoded import carry_forward
             for name, delta in items.items():
-                relations[name] = union(relations[name], delta)
+                old = relations[name]
+                new = relations[name] = union(old, delta)
+                if cache is not None:
+                    carry_forward(cache, name, old, delta, new, self._version + 1)
             self._relations = relations
             self._version += 1
 

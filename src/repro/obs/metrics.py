@@ -37,6 +37,7 @@ __all__ = [
     "Histogram",
     "Registry",
     "REGISTRY",
+    "ENCODED_CACHE_EVENTS",
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
     "SERVE_REQUESTS",
@@ -398,6 +399,18 @@ TIER_EXECUTIONS = REGISTRY.counter(
     ("tier",),
 )
 
+#: The non-hit outcomes of the per-table encoding cache
+#: (:mod:`repro.plan.encoded`); a hit records nothing.
+ENCODED_CACHE_EVENT_NAMES = ("extend", "rebuild", "disqualify")
+
+ENCODED_CACHE_EVENTS = REGISTRY.counter(
+    "repro_encoded_cache_events_total",
+    "Encoding-cache outcomes other than a hit: an insert carried the entry "
+    "forward (extend), a scan encoded the table from scratch (rebuild), an "
+    "inserted annotation disqualified the table (disqualify).",
+    ("event",),
+)
+
 #: The resilience ledger (was ``repro.faults.counters()``).  The event
 #: names mirror ``faults._COUNTER_NAMES`` — kept in lockstep by
 #: ``tests/unit/obs/test_metrics.py``.
@@ -481,6 +494,8 @@ for _tier in ("object", "encoded", "parallel"):
     TIER_EXECUTIONS.labels(_tier)
 for _event in RESILIENCE_EVENT_NAMES:
     RESILIENCE_EVENTS.labels(_event)
+for _event in ENCODED_CACHE_EVENT_NAMES:
+    ENCODED_CACHE_EVENTS.labels(_event)
 for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one

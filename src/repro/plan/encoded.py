@@ -12,7 +12,10 @@ tier:
   values become dense integer codes (``codes[i]`` indexes a per-column
   dictionary of distinct values), cached on the :class:`KDatabase` and
   revalidated by relation identity, so repeated plan executions and every
-  IVM apply reuse the encoding;
+  IVM apply reuse the encoding — and an insert carries it forward:
+  ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)``, so the image of the table after the
+  write is the old image followed by the encoded delta
+  (:func:`carry_forward`);
 * annotations of semirings declaring a
   :class:`~repro.semirings.base.MachineRepr` are stored as a flat numeric
   array (NumPy when importable, a plain list of machine scalars
@@ -42,6 +45,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schema import Schema
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan import kernels
 from repro.plan.columnar import ColumnarKRelation
@@ -52,6 +56,7 @@ __all__ = [
     "EncodedFallback",
     "encode_relation",
     "encoded_scan",
+    "carry_forward",
     "slice_batch",
 ]
 
@@ -229,6 +234,25 @@ class EncodedBatch:
 # ---------------------------------------------------------------------------
 
 
+def _scan_annotations(semiring, annotations, anns_one: bool, bound: int):
+    """Fold ``annotations`` into a batch's ``(anns_one, ann_bound)`` pair,
+    or ``None`` if one does not round-trip through the machine dtype."""
+    machine = semiring.machine_repr
+    fits = machine.fits
+    one = semiring.one
+    integral = machine.dtype == "int64"
+    for annotation in annotations:
+        if not fits(annotation):
+            return None
+        if annotation != one:
+            anns_one = False
+        if integral:
+            magnitude = -annotation if annotation < 0 else annotation
+            if magnitude > bound:
+                bound = magnitude
+    return anns_one, bound
+
+
 def encode_batch(
     semiring,
     schema: Schema,
@@ -244,20 +268,10 @@ def encode_batch(
     machine = semiring.machine_repr
     if machine is None:
         return None
-    fits = machine.fits
-    one = semiring.one
-    anns_one = True
-    integral = machine.dtype == "int64"
-    bound = 1
-    for annotation in annotations:
-        if not fits(annotation):
-            return None
-        if annotation != one:
-            anns_one = False
-        if integral:
-            magnitude = -annotation if annotation < 0 else annotation
-            if magnitude > bound:
-                bound = magnitude
+    scanned = _scan_annotations(semiring, annotations, True, 1)
+    if scanned is None:
+        return None
+    anns_one, bound = scanned
     np = kernels.numpy_or_none()
     try:
         cols: Dict[str, Any] = {
@@ -282,26 +296,33 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
     """The encoding of base table ``name``, cached on the database.
 
     The cache lives on the :class:`KDatabase` (one entry per table,
-    holding the relation object it was built from) and is revalidated by
-    relation identity — the same contract as the scan column cache and
-    the circuit gate image, keyed off the database's monotonic ``version``
-    discipline: ``db.add``/``db.update`` replace relation objects, so a
-    mutated table re-encodes while every untouched table (and therefore
-    every repeated plan execution and IVM apply against it) reuses its
-    encoding.  A ``None`` entry records that the table's contents
-    disqualify the tier, so the O(rows) qualification scan runs once, not
-    per execution.  Backend switches (tests, benchmarks) reset the cache.
+    holding the relation object it was built from and the database
+    version it was built at) and is revalidated by relation identity —
+    the same contract as the scan column cache and the circuit gate
+    image.  ``db.update`` carries the entry of a table across a pure
+    insert (:func:`carry_forward`: the old batch followed by the encoded
+    delta), so the read after such a write is a hit; any other mutation
+    (``db.add``, a delta that collides with a stored key, a ``Z``-deletion)
+    replaces the relation object and leaves the entry stale, and the
+    mutated table re-encodes from scratch here while every untouched
+    table (and therefore every repeated plan execution and IVM apply
+    against it) reuses its encoding.  A ``None`` batch records that the
+    table's contents disqualify the tier, so the O(rows) qualification
+    scan runs once, not per execution.  Backend switches (tests,
+    benchmarks) reset the cache.
 
     Thread safety (the cache is shared across server workers, and by
     every :class:`~repro.core.database.DatabaseSnapshot` of one lineage):
     the *attach* — creating or replacing the whole cache dict — runs
     under the database's lock, so racing readers converge on one shared
-    cache instead of each publishing its own.  The per-table read path is
-    deliberately lock-free: entries are immutable ``(relation, batch)``
-    pairs revalidated by relation identity, single dict reads/writes are
-    atomic under the GIL, and the worst race outcome is two readers
-    encoding the same table once each — duplicate work, never a wrong or
-    torn batch.
+    cache instead of each publishing its own.  The per-table hit path is
+    deliberately lock-free: entries are immutable ``(relation, batch,
+    version)`` triples revalidated by relation identity, and single dict
+    reads are atomic under the GIL.  A miss encodes outside the lock (two
+    readers may encode the same table once each — duplicate work, never
+    a wrong or torn batch) and stores under it, never over an entry of a
+    later version: a reader pinned on an old snapshot must not evict the
+    entry the writer's carry chain continues from.
     """
     backend = kernels.active_backend()
     cache = getattr(db, "_encoded_cache", None)
@@ -330,8 +351,125 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
             nbytes = getattr(batch.anns, "nbytes", None)
             if nbytes is not None:
                 span.attrs["ann_bytes"] = int(nbytes)
-    tables[name] = (rel, batch)
+    _metrics.ENCODED_CACHE_EVENTS.inc(1, "rebuild")
+    version = db.version
+    with db._lock:
+        entry = tables.get(name)
+        if entry is None or entry[2] <= version:
+            tables[name] = (rel, batch, version)
     return batch
+
+
+class _ColumnTail:
+    """Column thunk of a carried-forward batch: an earlier column plus the
+    value lists appended since.
+
+    ``_state`` is ``(earlier, values)`` — ``earlier`` an
+    :class:`EncodedColumn` or the tail of the batch this one extends —
+    until the first call, then the materialised column.  It is one slot
+    read and written whole because lock-free readers may call the same
+    tail concurrently (both build equal columns, either may win).  A
+    column nobody reads costs each write one node; the first read folds
+    the whole chain, iteratively, onto the nearest materialised column.
+    """
+
+    __slots__ = ("_state", "_np")
+
+    def __init__(self, earlier, values: List[Any], np):
+        self._state = (earlier, values)
+        self._np = np
+
+    def __call__(self) -> EncodedColumn:
+        pending: List[List[Any]] = []
+        node = self
+        while not isinstance(node, EncodedColumn):
+            state = node._state
+            if isinstance(state, EncodedColumn):
+                node = state
+            else:
+                node, values = state
+                pending.append(values)
+        if not pending:
+            return node
+        # the base column is shared with older batches, cached join build
+        # structs and derived batches that captured ``len(values)``: the
+        # dictionary is copied before its first new value, never grown
+        index, values = node.index, node.values
+        codes: List[int] = []
+        append = codes.append
+        for chunk in reversed(pending):
+            for value in chunk:
+                code = index.get(value, -1)
+                if code < 0:
+                    if index is node.index:
+                        index, values = dict(index), list(values)
+                    code = index[value] = len(values)
+                    values.append(value)
+                append(code)
+        np = self._np
+        if np is not None:
+            codes = np.concatenate((node.codes, np.asarray(codes, dtype=np.int64)))
+        else:
+            codes = node.codes + codes
+        column = self._state = EncodedColumn(codes, values, index)
+        return column
+
+
+def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
+    """``batch`` followed by the rows of ``delta`` as a new batch sharing
+    nothing mutable with ``batch``, or ``None`` if a delta annotation
+    disqualifies the table.  (Delta values need no hashability check: a
+    :class:`~repro.core.tuples.Tup` hashes its values at construction.)"""
+    rows = ColumnarKRelation.from_krelation(delta)
+    scanned = _scan_annotations(
+        batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
+    )
+    if scanned is None:
+        return None
+    np = batch.np
+    if np is not None:
+        tail = np.asarray(rows.annotations, dtype=batch.anns.dtype)
+        anns = np.concatenate((batch.anns, tail))
+    else:
+        anns = batch.anns + rows.annotations
+    cols = {
+        a: _ColumnTail(batch.cols[a], rows.columns[a], np)
+        for a in batch.schema.attributes
+    }
+    return EncodedBatch(batch.semiring, batch.schema, np, cols, anns, *scanned)
+
+
+def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
+    """Carry table ``name``'s cached encoding across ``new = old ∪ delta``.
+
+    Called by :meth:`KDatabase.update` under the writer lock, before
+    ``new`` is published at ``version``.  Applies when the entry was
+    built from ``old`` and the delta is a pure insert whose rows ``union``
+    stored after ``old``'s (no key collided and the operands were not
+    swapped), so the from-scratch encoding of ``new`` would be
+    positionally the old batch followed by the encoded delta.  In every
+    other case the entry is left to go stale and the next scan rebuilds.
+    A table recorded as disqualified stays so: its unfit row is still
+    there.  The old batch is never mutated — pinned snapshots, cached
+    join build structs and lock-free readers keep using it.
+    """
+    tables = cache["tables"]
+    entry = tables.get(name)
+    if (
+        entry is None
+        or entry[0] is not old
+        or len(delta) > len(old)
+        or len(new) != len(old) + len(delta)
+    ):
+        return
+    batch = entry[1]
+    event = "extend"
+    if batch is not None:
+        batch = _extend_batch(batch, delta)
+        if batch is None:
+            event = "disqualify"
+    tables[name] = (new, batch, version)
+    _metrics.ENCODED_CACHE_EVENTS.inc(1, event)
 
 
 def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:

@@ -17,6 +17,7 @@ tensors) are rendered with ``str()`` on output; they are display-only.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping
 
 from repro.core.database import KDatabase
@@ -187,15 +188,28 @@ def _json_value(value: Any) -> Any:
 
 
 def relation_to_json(rel: KRelation) -> Dict[str, Any]:
-    """Render a result relation in the wire format (support order)."""
+    """Render a result relation in the wire format.
+
+    Each value is rendered once (a tensor reads back once and is never
+    stringified when it has a plain readback).  Rows sort on the text
+    :meth:`KRelation.items` sorts on — ``str(tup)`` — taken over the
+    *rendered* values, so a plain-valued result keeps the support order
+    and aggregate rows order by the value the client sees.
+    """
     columns: List[str] = list(rel.schema.attributes)
-    rows = [
-        {
-            "values": [_json_value(tup[a]) for a in columns],
+    stored = sorted(columns)  # a Tup holds its values in sorted-attribute order
+    places = [stored.index(c) for c in columns]
+    keyed = []
+    for tup, annotation in rel.rows():
+        values = [_json_value(v) for v in tup._values]
+        text = ", ".join(f"{a}={v}" for a, v in zip(stored, values))
+        row = {
+            "values": [values[i] for i in places],
             "annotation": _json_value(annotation),
         }
-        for tup, annotation in rel.items()
-    ]
+        keyed.append((f"⟨{text}⟩", row))
+    keyed.sort(key=itemgetter(0))
+    rows = [row for _text, row in keyed]
     return {
         "semiring": rel.semiring.name,
         "columns": columns,

@@ -604,12 +604,16 @@ class ProvenanceServer:
             return 404, {"error": f"no view named {name!r}"}
 
         def work():
-            with view.db._lock:  # a consistent read against concurrent apply
+            # the lock covers only fetching a consistent (result, version)
+            # pair; the result is immutable, so lowering and JSON rendering
+            # run outside it and a writer's view.apply never waits on them
+            with view.db._lock:
                 result = view.result()
-                if hasattr(result, "lower"):
-                    result = result.lower()
-                encoded = relation_to_json(result)
-                encoded["view_version"] = view.version
+                version = view.version
+            if hasattr(result, "lower"):
+                result = result.lower()
+            encoded = relation_to_json(result)
+            encoded["view_version"] = version
             return encoded
 
         response = await self.pool.run(work)

@@ -82,6 +82,8 @@ def test_metrics_endpoint_serves_prometheus_text(server):
     # the engine families render with their pre-seeded label sets
     for tier in ("object", "encoded", "parallel"):
         assert f'repro_tier_executions_total{{tier="{tier}"}}' in samples
+    for event in ("extend", "rebuild", "disqualify"):
+        assert f'repro_encoded_cache_events_total{{event="{event}"}}' in samples
     assert "# HELP repro_query_seconds " in text
     assert "# TYPE repro_query_seconds histogram" in text
     assert 'repro_query_seconds_bucket{le="+Inf"}' in samples
@@ -103,6 +105,40 @@ def test_query_traffic_moves_the_serve_counters(server):
     assert after[series] >= before.get(series, 0) + 3
     assert (after["repro_query_seconds_count"]
             >= before.get("repro_query_seconds_count", 0) + 3)
+
+
+def test_write_loop_extends_the_encoding_and_never_rebuilds(server):
+    """Insert → query → view read, as the ``serve_write`` workload does:
+    once the tables and the view are loaded, every acknowledged write
+    carries the encodings forward (the root's and the view catalog's —
+    the counter is process-wide) and no read re-encodes a table."""
+
+    def post(path, payload, expect):
+        status, _headers, body = request_with_headers(
+            server.address, "POST", path, json.dumps(payload))
+        assert status == expect, body
+        return body
+
+    def events():
+        samples = parse_samples(scrape(server.address)[2])
+        return {event: samples[f'repro_encoded_cache_events_total{{event="{event}"}}']
+                for event in ("extend", "rebuild")}
+
+    sql = "SELECT K, SUM(V) FROM R GROUP BY K"
+    post("/views", {"name": "by_k", "sql": sql}, 201)
+    post("/query", {"sql": sql}, 200)
+    loaded = last = events()
+    for k in range(10):
+        write = post("/update", {"relations": {"R": {"rows": [
+            {"values": [f"new{k}", k % 7], "annotation": 1}]}}}, 200)
+        read = post("/query", {"sql": sql}, 200)
+        assert read["version"] == write["version"]
+        status, _headers, view = request_with_headers(server.address, "GET", "/views/by_k")
+        assert status == 200 and view["rows"] == read["rows"]
+        now = events()
+        assert now["extend"] > last["extend"]
+        assert now["rebuild"] == loaded["rebuild"]
+        last = now
 
 
 def test_scrape_under_concurrent_query_load(server):

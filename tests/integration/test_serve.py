@@ -263,6 +263,77 @@ def test_http_view_is_maintained_through_updates(server):
         client.close()
 
 
+def test_view_read_renders_json_outside_the_view_lock(server, monkeypatch):
+    """A writer's ``view.apply`` takes ``view.db._lock``: rendering the
+    response must not hold it."""
+    from repro.serve import server as server_module
+
+    client = Client(server.address)
+    try:
+        status, _ = client.request(
+            "POST", "/views", {"name": "totals", "sql": "SELECT SUM(V) FROM A"})
+        assert status == 201
+        lock = server.server._views["totals"].db._lock
+        free_while_rendering = []
+
+        def probe():
+            acquired = lock.acquire(timeout=5)
+            free_while_rendering.append(acquired)
+            if acquired:
+                lock.release()
+
+        def rendering(rel):
+            other = threading.Thread(target=probe)  # an RLock re-enters on this one
+            other.start()
+            other.join(timeout=10)
+            return real(rel)
+
+        real = server_module.relation_to_json
+        monkeypatch.setattr(server_module, "relation_to_json", rendering)
+        status, view = client.request("GET", "/views/totals")
+        assert status == 200 and view["rows"][0]["values"] == [sum(range(BASE))]
+        assert free_while_rendering == [True]
+    finally:
+        client.close()
+
+
+def test_relation_to_json_renders_each_value_once_in_support_order(monkeypatch):
+    from repro.semimodules import compatibility
+    from repro.semimodules.tensor import Tensor
+    from repro.serve.schema import relation_to_json
+
+    # plain values, column order unlike the sorted attribute order: the
+    # rows come out in KRelation.items() order
+    plain = KRelation.from_rows(
+        NAT, ("Z", "A"), [((z, a), 1 + a) for z in ("x", "y") for a in (10, 9, 1)]
+    )
+    assert [(r["values"], r["annotation"]) for r in relation_to_json(plain)["rows"]] == [
+        ([t["Z"], t["A"]], k) for t, k in plain.items()
+    ]
+
+    # aggregate values: one readback per tensor, no Tensor.__str__, rows
+    # ordered by the value the client sees
+    emp = KRelation.from_rows(
+        NAT, ("Dept", "Sal"), [((f"d{i % 5}", 10 * i), 1) for i in range(25)]
+    )
+    grouped = compile_sql("SELECT Dept, SUM(Sal) FROM Emp GROUP BY Dept").evaluate(
+        KDatabase(NAT, {"Emp": emp})
+    )
+    readbacks = []
+    real = compatibility.readback
+    monkeypatch.setattr(
+        compatibility, "readback", lambda t: readbacks.append(t) or real(t)
+    )
+    monkeypatch.setattr(
+        Tensor, "__str__", lambda self: pytest.fail("a read-back tensor was stringified")
+    )
+    rows = relation_to_json(grouped)["rows"]
+    assert len(readbacks) == 5
+    assert [r["values"] for r in rows] == [
+        [f"d{j}", sum(10 * i for i in range(j, 25, 5))] for j in range(5)
+    ]
+
+
 def test_http_symbolic_round_trip():
     """Polynomial annotations survive JSON: string in, string out."""
     emp = KRelation.from_rows(

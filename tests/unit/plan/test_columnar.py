@@ -30,6 +30,21 @@ class TestRoundTrip:
         for tup, annotation in rel.items():
             assert back.annotation(tup) == annotation
 
+    def test_columns_follow_schema_order_and_storage_order(self):
+        """The one-``zip`` transpose must place every value exactly where
+        the per-row ``values_by`` decomposition does, for a schema that is
+        not in sorted attribute order."""
+        rel = KRelation.from_rows(
+            NAT, ("z", "a", "m"), [((i, f"a{i % 3}", -i), 1 + i) for i in range(7)]
+        )
+        batch = ColumnarKRelation.from_krelation(rel)
+        stored = list(rel.rows())
+        assert list(batch.columns) == ["z", "a", "m"]
+        assert batch.key_rows(("z", "a", "m")) == [
+            t.values_by(rel.schema) for t, _k in stored
+        ]
+        assert batch.annotations == [k for _t, k in stored]
+
     def test_empty_relation_round_trips(self):
         rel = KRelation.empty(NAT, ("x", "y"))
         batch = ColumnarKRelation.from_krelation(rel)

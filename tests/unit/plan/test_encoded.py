@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.exceptions import QueryError
 from repro.monoids import MAX, MIN, SUM
+from repro.obs.metrics import ENCODED_CACHE_EVENTS
 from repro.plan import compile_plan, set_backend
 from repro.plan.encoded import EncodedBatch, encode_relation, encoded_scan
 from repro.plan.kernels import HAVE_NUMPY, available_backends
@@ -53,6 +54,19 @@ def bag_db(n=60):
         [((f"d{j}", "EU" if j % 2 else "US"), 1) for j in range(4)],
     )
     return KDatabase(NAT, {"Emp": emp, "Dept": dept})
+
+
+def emp_delta(key, annotation=1):
+    return KRelation.from_rows(
+        NAT, ("EmpId", "Dept", "Sal"), [((key, f"d{key % 4}", 10), annotation)]
+    )
+
+
+def cache_events():
+    return {
+        event: ENCODED_CACHE_EVENTS.value(event)
+        for event in ("extend", "rebuild", "disqualify")
+    }
 
 
 JOIN_GROUP = GroupBy(
@@ -164,6 +178,54 @@ class TestEncodingCache:
         db = KDatabase(NAT, {"R": rel})
         assert encoded_scan(db, "R", rel) is None
         assert encoded_scan(db, "R", rel) is None  # cached, not re-scanned
+
+    def test_insert_query_rounds_extend_and_never_rebuild(self, backend):
+        """The deterministic guard on O(Δ) read-after-write: on a warmed
+        table every insert carries the encoding forward, so no read after
+        a write re-encodes the table."""
+        db = bag_db()
+        expected = JOIN_GROUP.evaluate(db, engine="planned")  # warms both tables
+        before = cache_events()
+        for k in range(50):
+            db.update({"Emp": emp_delta(1000 + k)})
+            expected = JOIN_GROUP.evaluate(db.snapshot(), engine="planned")
+        after = cache_events()
+        assert after["extend"] - before["extend"] == 50
+        assert after["rebuild"] == before["rebuild"]
+        assert after["disqualify"] == before["disqualify"]
+        assert expected == JOIN_GROUP.evaluate(db, engine="interpreted")
+
+    def test_disqualifying_insert_is_decided_at_write_time(self, backend):
+        db = bag_db()
+        assert encoded_scan(db, "Emp", db.relation("Emp")) is not None
+        before = cache_events()
+        db.update({"Emp": emp_delta(1000, annotation=1 << 40)})
+        db.update({"Emp": emp_delta(1001)})  # stays disqualified in O(1)
+        assert encoded_scan(db, "Emp", db.relation("Emp")) is None
+        after = cache_events()
+        assert after["disqualify"] - before["disqualify"] == 1
+        assert after["extend"] - before["extend"] == 1
+        assert after["rebuild"] == before["rebuild"]
+
+    def test_stale_reader_does_not_evict_the_newer_entry(self, backend):
+        """A reader pinned on an older snapshot that misses must not store
+        its rebuilt batch over the newer entry: the writer's next insert
+        would find a foreign entry and the read after it would pay a full
+        rebuild."""
+        db = bag_db()
+        pinned = db.snapshot()  # an old version, never scanned
+        db.update({"Emp": emp_delta(1000)})
+        current = encoded_scan(db, "Emp", db.relation("Emp"))
+        stale = encoded_scan(pinned, "Emp", pinned.relation("Emp"))
+        assert len(stale) == len(current) - 1
+        assert encoded_scan(db, "Emp", db.relation("Emp")) is current
+        before = cache_events()
+        db.update({"Emp": emp_delta(1001)})  # the writer
+        second = db.snapshot()  # the second reader
+        assert len(encoded_scan(second, "Emp", second.relation("Emp"))) == len(current) + 1
+        after = cache_events()
+        assert after["extend"] - before["extend"] == 1
+        assert after["rebuild"] == before["rebuild"]
 
     def test_int64_growth_falls_back_before_wrapping(self, backend):
         """Annotations of 2^31 pass the scan-level fits() bound, but their
