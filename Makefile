@@ -14,8 +14,8 @@ test:
 
 # the fault-injection gate: every seeded fault (worker kills, kernel
 # errors, latency, shm damage, torn snapshot writes) must recover to the
-# interpreter's exact answer with zero leaked shm segments, across both
-# kernel backends, plus the recovery-latency smoke run
+# interpreter's exact answer with zero leaked shm segments, plus the
+# recovery-latency smoke run
 chaos:
 	$(PYPATH) $(PY) -m pytest tests/chaos -x -q
 	$(PYPATH) $(PY) benchmarks/bench_resilience.py --smoke
@@ -42,8 +42,7 @@ bench-ivm:
 	$(PYPATH) $(PY) benchmarks/bench_ivm.py
 
 # the encoded-tier gate: on the 100k-row join + group-by in N, the
-# dictionary-encoded kernels must beat the boxed object path >= 3x with
-# numpy and >= 2x with the pure-python fallback
+# dictionary-encoded NumPy kernels must beat the boxed object path >= 3x
 bench-vectorized:
 	$(PYPATH) $(PY) benchmarks/bench_vectorized.py
 

@@ -2,24 +2,25 @@
 
 The workload the encoded tier exists for: the 100k-row join + group-by in
 ``N`` (bag semantics — machine-scalar annotations), run through the same
-physical plan three ways:
+physical plan two ways:
 
 * ``object`` — the boxed Python-value path (``compile_plan(tier="object")``),
-  the pre-encoded-tier planned engine and the baseline;
-* ``encoded/numpy`` — dictionary codes + NumPy array kernels;
-* ``encoded/python`` — dictionary codes + the pure-Python list kernels
-  (what a NumPy-less deployment runs).
+  the baseline and what a NumPy-less deployment runs;
+* ``encoded/numpy`` — dictionary codes + NumPy array kernels.
+
+Without NumPy there is no encoded tier to measure and the script exits 0
+after saying so.
 
 Run modes:
 
 ``pytest benchmarks/bench_vectorized.py``
-    correctness (all tiers equal the interpreter at small n) plus a
+    correctness (both tiers equal the interpreter at small n) plus a
     conservative no-regression gate (encoded must not lose to object).
 
 ``python benchmarks/bench_vectorized.py [--smoke]``
     the perf gate ``make bench-vectorized`` runs: at 100k rows the
-    encoded tier must beat the object path ≥ 3× with NumPy and ≥ 2× with
-    the pure-Python fallback (``--smoke``: 10k rows, ≥ 1× both).
+    encoded tier must beat the object path ≥ 3× (``--smoke``: 10k rows,
+    ≥ 1×).
 
 ``python benchmarks/bench_vectorized.py --json [PATH]``
     run the gate workload and write per-tier seconds + speedups to
@@ -35,73 +36,54 @@ from typing import Dict, Tuple
 
 from bench_planner import best_of, join_group_db, join_group_query
 
-from repro.plan import compile_plan, set_backend
+import pytest
+
+from repro.plan import compile_plan
 from repro.plan.kernels import HAVE_NUMPY
 
 NUMPY_BAR = 3.0
-PYTHON_BAR = 2.0
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the encoded tier exists only with NumPy"
+)
 
 
 def measure(n: int) -> Dict[str, float]:
     """Seconds per execution for each tier on the n-row workload.
 
-    Every tier executes a *prepared* plan against the same database (scan
+    Both tiers execute a *prepared* plan against the same database (scan
     decompositions / encodings warm after the first run — steady-state
-    serving, matching the other planner benchmarks), and every tier's
-    result is asserted equal before anything is timed.
+    serving, matching the other planner benchmarks), and the results are
+    asserted equal before anything is timed.
     """
     db = join_group_db(n)
     query = join_group_query()
     object_plan = compile_plan(query, db, tier="object")
     reference = object_plan.execute()
-    timings: Dict[str, float] = {}
-    timings["object"] = best_of(lambda: object_plan.execute())
-    backends = ("numpy", "python") if HAVE_NUMPY else ("python",)
-    for backend in backends:
-        set_backend(backend)
-        try:
-            # pinned: above the parallel tier's row threshold the
-            # auto-selector would shard on multi-core machines, and this
-            # benchmark isolates the *serial* encoded kernels
-            plan = compile_plan(query, db, tier="encoded")
-            assert plan.tier == "encoded"
-            assert plan.execute() == reference, (
-                f"{backend} tier disagrees — do not trust the timings"
-            )
-            timings[backend] = best_of(lambda: plan.execute())
-        finally:
-            set_backend(None)
-    return timings
+    # pinned: above the parallel tier's row threshold the auto-selector
+    # would shard on multi-core machines, and this benchmark isolates the
+    # *serial* encoded kernels
+    plan = compile_plan(query, db, tier="encoded")
+    assert plan.execute() == reference, (
+        "encoded tier disagrees — do not trust the timings"
+    )
+    return {
+        "object": best_of(lambda: object_plan.execute()),
+        "numpy": best_of(lambda: plan.execute()),
+    }
 
 
-def measure_encoded(n: int, repeats: int = 3) -> Dict[str, float]:
-    """Encoded-tier seconds per backend, without the object baseline.
+def measure_encoded(n: int, repeats: int = 3) -> float:
+    """Encoded-tier seconds, without the object baseline.
 
     The ``--json`` trajectory extends to 1M rows, where timing the boxed
     object path (and ``best_of``'s five repeats) would dominate the run
     for a number the smaller sizes already pin — so the scale point
     measures the encoded kernels only.
     """
-    db = join_group_db(n)
-    query = join_group_query()
-    timings: Dict[str, float] = {}
-    reference = None
-    backends = ("numpy", "python") if HAVE_NUMPY else ("python",)
-    for backend in backends:
-        set_backend(backend)
-        try:
-            plan = compile_plan(query, db, tier="encoded")
-            result = plan.execute()
-            if reference is None:
-                reference = result
-            else:
-                assert result == reference, (
-                    f"{backend} tier disagrees — do not trust the timings"
-                )
-            timings[backend] = best_of(lambda: plan.execute(), repeats)
-        finally:
-            set_backend(None)
-    return timings
+    plan = compile_plan(join_group_query(), join_group_db(n), tier="encoded")
+    plan.execute()
+    return best_of(lambda: plan.execute(), repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +91,26 @@ def measure_encoded(n: int, repeats: int = 3) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+@needs_numpy
 def test_tiers_agree_with_interpreter():
     db = join_group_db(512)
     query = join_group_query()
     reference = query.evaluate(db)
     assert compile_plan(query, db, tier="object").execute() == reference
-    for backend in ("numpy", "python") if HAVE_NUMPY else ("python",):
-        set_backend(backend)
-        try:
-            assert compile_plan(query, db).execute() == reference
-        finally:
-            set_backend(None)
+    assert compile_plan(query, db, tier="encoded").execute() == reference
 
 
+@needs_numpy
 def test_encoded_tier_gates_regressions():
     """Conservative in-suite gate: encoded must not lose to object (the
-    real 3×/2× bars run on the 100k fixture via `make bench-vectorized`)."""
+    real 3× bar runs on the 100k fixture via `make bench-vectorized`)."""
     timings = measure(10000)
-    for backend in timings:
-        if backend == "object":
-            continue
-        speedup = timings["object"] / timings[backend]
-        print(f"\nencoded/{backend} n=10000: {speedup:.1f}x "
-              f"({timings[backend]*1e3:.1f} ms)")
-        assert speedup > 1.0, (
-            f"encoded tier ({backend}) slower than object path ({speedup:.2f}x)"
-        )
+    speedup = timings["object"] / timings["numpy"]
+    print(f"\nencoded/numpy n=10000: {speedup:.1f}x "
+          f"({timings['numpy']*1e3:.1f} ms)")
+    assert speedup > 1.0, (
+        f"encoded tier slower than object path ({speedup:.2f}x)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,39 +118,33 @@ def test_encoded_tier_gates_regressions():
 # ---------------------------------------------------------------------------
 
 
-def run(n: int, numpy_bar: float, python_bar: float) -> Tuple[Dict[str, dict], bool]:
+def run(n: int, bar: float) -> Tuple[Dict[str, dict], bool]:
     timings = measure(n)
-    object_s = timings["object"]
+    object_s, seconds = timings["object"], timings["numpy"]
+    speedup = object_s / seconds
     workloads: Dict[str, dict] = {
         f"join_group_nat_{n}_object": {
             "rows": n,
             "seconds": round(object_s, 6),
-        }
-    }
-    print(f"== vectorized-tier benchmark: join + group-by (NAT bags, n={n}) ==")
-    print(f"  object           {object_s*1e3:>8.1f}ms")
-    ok = True
-    for backend, bar in (("numpy", numpy_bar), ("python", python_bar)):
-        if backend not in timings:
-            print(f"  encoded/{backend}: numpy not importable, skipped")
-            continue
-        seconds = timings[backend]
-        speedup = object_s / seconds
-        workloads[f"join_group_nat_{n}_encoded_{backend}"] = {
+        },
+        f"join_group_nat_{n}_encoded_numpy": {
             "rows": n,
             "seconds": round(seconds, 6),
             "speedup_vs_object": round(speedup, 2),
-        }
-        print(f"  encoded/{backend:<7} {seconds*1e3:>8.1f}ms  ({speedup:.1f}x)")
-        if speedup < bar:
-            print(
-                f"FAIL: encoded/{backend} speedup {speedup:.2f}x below the "
-                f"{bar:.0f}x gate",
-                file=sys.stderr,
-            )
-            ok = False
+        },
+    }
+    print(f"== vectorized-tier benchmark: join + group-by (NAT bags, n={n}) ==")
+    print(f"  object           {object_s*1e3:>8.1f}ms")
+    print(f"  encoded/numpy    {seconds*1e3:>8.1f}ms  ({speedup:.1f}x)")
+    ok = speedup >= bar
     if ok:
-        print("OK: vectorized-tier gates met")
+        print("OK: vectorized-tier gate met")
+    else:
+        print(
+            f"FAIL: encoded/numpy speedup {speedup:.2f}x below the "
+            f"{bar:.0f}x gate",
+            file=sys.stderr,
+        )
     return workloads, ok
 
 
@@ -196,26 +166,30 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=None, help="fact-table rows")
     args = parser.parse_args(argv)
 
+    if not HAVE_NUMPY:
+        print("numpy not importable: no encoded tier to measure "
+              "(every plan runs the object tier)")
+        return 0
+
     n = args.n if args.n is not None else (10000 if args.smoke else 100000)
-    numpy_bar, python_bar = (1.0, 1.0) if args.smoke else (NUMPY_BAR, PYTHON_BAR)
-    workloads, ok = run(n, numpy_bar, python_bar)
+    bar = 1.0 if args.smoke else NUMPY_BAR
+    workloads, ok = run(n, bar)
 
     if args.json is not None and not args.smoke:
         scale = 1_000_000
         print(f"== scale point: encoded tier only (n={scale}) ==")
-        for backend, seconds in measure_encoded(scale).items():
-            workloads[f"join_group_nat_{scale}_encoded_{backend}"] = {
-                "rows": scale,
-                "seconds": round(seconds, 6),
-            }
-            print(f"  encoded/{backend:<7} {seconds*1e3:>8.1f}ms")
+        seconds = measure_encoded(scale)
+        workloads[f"join_group_nat_{scale}_encoded_numpy"] = {
+            "rows": scale,
+            "seconds": round(seconds, 6),
+        }
+        print(f"  encoded/numpy    {seconds*1e3:>8.1f}ms")
 
     if args.json is not None:
         report = {
             "benchmark": "bench_vectorized",
             "gates": {
-                "encoded_numpy_speedup_min": numpy_bar,
-                "encoded_python_speedup_min": python_bar,
+                "encoded_numpy_speedup_min": bar,
                 "passed": ok,
             },
             "workloads": workloads,

@@ -131,10 +131,12 @@ def main() -> None:
     # -- 8. the encoded tier: machine-scalar semirings at array speed -----
     # For concrete semirings (N, B, Z, tropical, Viterbi) the planner
     # dictionary-encodes columns into integer codes and runs annotations
-    # as flat numeric arrays (NumPy when importable, pure-Python lists
-    # otherwise) — same results, selected automatically, reported by
-    # explain()'s "tier:" line.  On the 100k-row join + group-by this is
-    # ~5x the boxed object path (make bench-vectorized gates it >= 3x).
+    # as flat NumPy arrays — same results, selected automatically,
+    # reported by explain()'s "tier:" line.  NumPy is the optional
+    # accelerator that buys this tier: without it compile_plan selects
+    # the object tier here and the answer is identical.  On the 100k-row
+    # join + group-by the encoded tier is ~5x the boxed object path
+    # (make bench-vectorized gates it >= 3x).
     import random
 
     from repro import GroupBy as GB, NaturalJoin, Select, AttrEq

@@ -13,7 +13,7 @@ from repro.apps.probabilistic import (
     tuple_probabilities,
 )
 from repro.apps.security_views import credential_hom, credential_hom_bag, view_for
-from repro.apps.view_maintenance import IncrementalView, delta_evaluate
+from repro.apps.view_maintenance import delta_evaluate
 
 __all__ = [
     "propagate_deletions",
@@ -25,7 +25,6 @@ __all__ = [
     "tuple_probabilities",
     "aggregate_expectation",
     "delta_evaluate",
-    "IncrementalView",
     "minimal_witnesses",
     "cheapest_derivation",
     "responsibility",

@@ -1,39 +1,33 @@
-"""Incremental view maintenance — deprecated shim over :mod:`repro.ivm`.
+"""The view delta of an SPJU query — the historical entry point over
+:mod:`repro.ivm`.
 
 This module was the original interpreted-only SPJU delta evaluator.  The
 engine now lives in :mod:`repro.ivm`: compiled delta *physical* plans
 (hash joins building on the delta side, columnar batches, n-ary semiring
-kernels) and stateful aggregate heads maintained group-by-group.  The two
-entry points below keep their historical signatures and semantics:
+kernels) and stateful aggregate heads maintained group-by-group.  One
+entry point keeps its historical signature and semantics here:
 
 ``delta_evaluate(query, db, deltas)``
     the view delta of an SPJU query under base-relation insertions —
     still raises :class:`QueryError` for aggregate nodes, which need the
-    stateful maintenance of :class:`repro.ivm.MaterializedView`;
+    stateful maintenance of :class:`repro.ivm.MaterializedView`.
 
-``IncrementalView``
-    a thin, ``DeprecationWarning``-emitting wrapper around
-    :class:`~repro.ivm.view.MaterializedView` with the old
-    ``insert``/``result``/``check`` surface.
-
-New code should use :class:`repro.ivm.MaterializedView` directly — it
-additionally maintains grouped/whole aggregates, supports deletions
+To *maintain* a view use :class:`repro.ivm.MaterializedView` — it
+maintains grouped/whole aggregates, supports deletions
 (``Z``-annotations and token zeroing), circuit-backed annotations, and
 ``explain_delta()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict
 
 from repro.core.database import KDatabase
 from repro.core.query import Query
 from repro.core.relation import KRelation
 from repro.ivm.delta import compile_delta_plan
-from repro.ivm.view import MaterializedView
 
-__all__ = ["delta_evaluate", "IncrementalView"]
+__all__ = ["delta_evaluate"]
 
 
 def delta_evaluate(
@@ -48,37 +42,3 @@ def delta_evaluate(
     """
     plan = compile_delta_plan(query, db, deltas.keys(), engine="interpreted")
     return plan.execute(db, deltas)
-
-
-class IncrementalView:
-    """Deprecated: use :class:`repro.ivm.MaterializedView`.
-
-    A materialised SPJU view maintained under insertions, with the
-    original public surface (``insert``, ``result``, ``check``).  The
-    maintenance itself is delegated to :class:`MaterializedView` (planned
-    delta engine), which also accepts aggregate queries — a superset of
-    what this class historically supported.
-    """
-
-    def __init__(self, query: Query, db: KDatabase):
-        warnings.warn(
-            "repro.apps.view_maintenance.IncrementalView is deprecated; "
-            "use repro.ivm.MaterializedView.create(db, query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.query = query
-        self.db = db
-        self._view = MaterializedView.create(db, query)
-
-    def insert(self, name: str, delta: KRelation) -> None:
-        """Apply a batch of insertions to base relation ``name``."""
-        self._view.apply({name: delta})
-
-    def result(self) -> KRelation:
-        """The maintained view contents."""
-        return self._view.result()
-
-    def check(self) -> bool:
-        """Does the maintained view equal re-evaluation from scratch?"""
-        return self._view.check()

@@ -28,8 +28,8 @@ reproduce.  This module is the single switchboard:
   breaker trip, deadline expiry and snapshot rebuild increments the
   ``repro_resilience_events_total`` family in the process-wide metrics
   registry (:mod:`repro.obs.metrics`); the serving layer exports it
-  cumulatively under ``/stats`` and ``/metrics``.  :func:`counters`
-  remains as a deprecated read shim over the registry.
+  cumulatively under ``/stats`` and ``/metrics``; read it in-process
+  with :func:`repro.obs.metrics.resilience_counters`.
 
 The injection points this build wires up:
 
@@ -61,7 +61,6 @@ import os
 import random
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -72,7 +71,6 @@ __all__ = [
     "InjectedFault",
     "active",
     "bump",
-    "counters",
     "inject",
     "install_from_env",
     "reset_counters",
@@ -275,23 +273,6 @@ def _bump_locked(name: str, n: int = 1) -> None:
 def bump(name: str, n: int = 1) -> None:
     """Increment a resilience counter (thread-safe)."""
     _metrics.RESILIENCE_EVENTS.inc(n, name)
-
-
-def counters() -> Dict[str, int]:
-    """A snapshot of every resilience counter.
-
-    .. deprecated::
-        Read :func:`repro.obs.metrics.resilience_counters` (or scrape
-        ``repro_resilience_events_total``) instead; this shim survives
-        for older callers and will go away.
-    """
-    warnings.warn(
-        "faults.counters() is deprecated; use "
-        "repro.obs.metrics.resilience_counters()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _metrics.resilience_counters()
 
 
 def reset_counters() -> None:

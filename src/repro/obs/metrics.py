@@ -3,10 +3,10 @@
 One process-wide :data:`REGISTRY` replaces the ad-hoc ledgers that grew
 alongside the engine — the per-tier execution counts that lived in
 ``plan.compiler`` and the resilience counters that lived in
-``repro.faults`` both write here now (their old read APIs survive as
-``DeprecationWarning`` shims).  The serving layer exports the whole
-registry in Prometheus text exposition format at ``GET /metrics`` and as
-cumulative counters under ``/stats``.
+``repro.faults`` both write here now (read them back with
+:func:`tier_executions` and :func:`resilience_counters`).  The serving
+layer exports the whole registry in Prometheus text exposition format at
+``GET /metrics`` and as cumulative counters under ``/stats``.
 
 Design constraints (this is on the query hot path):
 
@@ -391,8 +391,7 @@ REGISTRY = Registry()
 # the engine's own metric families
 # ---------------------------------------------------------------------------
 
-#: Which execution tier served each plan execution (was
-#: ``plan.compiler.tier_counts()``).
+#: Which execution tier served each plan execution.
 TIER_EXECUTIONS = REGISTRY.counter(
     "repro_tier_executions_total",
     "Plan executions served, by execution tier.",
@@ -411,7 +410,7 @@ ENCODED_CACHE_EVENTS = REGISTRY.counter(
     ("event",),
 )
 
-#: The resilience ledger (was ``repro.faults.counters()``).  The event
+#: The resilience ledger (written by :mod:`repro.faults`).  The event
 #: names mirror ``faults._COUNTER_NAMES`` — kept in lockstep by
 #: ``tests/unit/obs/test_metrics.py``.
 RESILIENCE_EVENT_NAMES = (
@@ -506,8 +505,8 @@ WAL_LAG_RECORDS._child(())
 
 
 def tier_executions() -> Dict[str, int]:
-    """Cumulative per-tier plan-execution counts (the registry read the
-    deprecated ``plan.compiler.tier_counts()`` shim delegates to)."""
+    """Cumulative per-tier plan-execution counts (which tier actually
+    served each ``execute_batch`` call)."""
     values = TIER_EXECUTIONS.values()
     return {
         tier: int(values.get((tier,), 0))
@@ -516,8 +515,8 @@ def tier_executions() -> Dict[str, int]:
 
 
 def resilience_counters() -> Dict[str, int]:
-    """Cumulative resilience-event counts (the registry read the
-    deprecated ``faults.counters()`` shim delegates to)."""
+    """Cumulative resilience-event counts (faults injected, morsel
+    retries, pool rebuilds, breaker trips, deadline expiries, ...)."""
     values = RESILIENCE_EVENTS.values()
     return {
         name: int(values.get((name,), 0))

@@ -23,10 +23,10 @@ Entry point for users: ``query.evaluate(db, engine="planned")`` — see
 
 from repro.plan.circuit_exec import CircuitResult, circuit_database, evaluate_circuit_backed
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.compiler import PhysicalPlan, compile_plan, tier_counts
+from repro.plan.compiler import PhysicalPlan, compile_plan
 from repro.plan.encoded import EncodedBatch, encoded_scan
 from repro.plan.explain import explain
-from repro.plan.kernels import active_backend, available_backends, set_backend
+from repro.plan.kernels import active_backend
 from repro.plan.parallel import (
     ParallelCrash,
     ParallelFallback,
@@ -46,11 +46,8 @@ __all__ = [
     "encoded_scan",
     "PhysicalPlan",
     "compile_plan",
-    "tier_counts",
     "explain",
     "active_backend",
-    "available_backends",
-    "set_backend",
     "ParallelCrash",
     "ParallelFallback",
     "breaker_state",

@@ -30,7 +30,6 @@ exception types with near-identical messages.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.core.query import (
@@ -54,8 +53,8 @@ from repro.core.rewrites import optimize
 from repro.core.schema import Schema
 from repro.deadline import Deadline
 from repro.exceptions import QueryError, ReproError, SchemaError
-from repro.plan import kernels
 from repro.plan.encoded import EncodedBatch
+from repro.plan.kernels import HAVE_NUMPY
 from repro.plan.physical import (
     AvgAggregate,
     CountAggregate,
@@ -79,7 +78,7 @@ from repro.core.relation import KRelation
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-__all__ = ["PhysicalPlan", "compile_plan", "tier_counts"]
+__all__ = ["PhysicalPlan", "compile_plan"]
 
 
 def _note_tier(tier: str) -> None:
@@ -87,23 +86,6 @@ def _note_tier(tier: str) -> None:
     # repro_tier_executions_total counter family, exported cumulatively
     # by the serving layer under /stats and /metrics
     _metrics.TIER_EXECUTIONS.inc(1, tier)
-
-
-def tier_counts() -> Dict[str, int]:
-    """Snapshot of how many plan executions each tier has served.
-
-    .. deprecated::
-        Read :func:`repro.obs.metrics.tier_executions` (or scrape
-        ``repro_tier_executions_total``) instead; this shim survives for
-        older callers and will go away.
-    """
-    warnings.warn(
-        "plan.compiler.tier_counts() is deprecated; use "
-        "repro.obs.metrics.tier_executions()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _metrics.tier_executions()
 
 
 class PhysicalPlan:
@@ -117,7 +99,8 @@ class PhysicalPlan:
     plans scan base tables as dictionary-encoded batches with
     machine-scalar annotation arrays (:mod:`repro.plan.encoded`) and fall
     back per table / per operator when the data disqualifies;
-    ``"object"`` plans run the boxed Python-value path throughout.
+    ``"object"`` plans run the boxed Python-value path throughout — the
+    only tier there is when NumPy did not import.
     """
 
     def __init__(self, root: PhysicalOp, db, query: Query, tier: str = "object"):
@@ -210,12 +193,10 @@ class PhysicalPlan:
                 _trace.add_attrs(fallback=str(exc))
             else:
                 self._last_tier = (
-                    f"parallel ({info.workers} workers × {info.morsels} "
-                    f"morsels, {info.backend})"
+                    f"parallel ({info.workers} workers × {info.morsels} morsels)"
                 )
                 _note_tier("parallel")
-                _trace.add_attrs(workers=info.workers, morsels=info.morsels,
-                                 backend=info.backend)
+                _trace.add_attrs(workers=info.workers, morsels=info.morsels)
                 return result
         ctx = ExecutionContext(
             run_db,
@@ -257,13 +238,13 @@ class PhysicalPlan:
         if self.tier == "parallel":
             tier = (
                 "tier: parallel (morsel-driven workers over dictionary "
-                f"codes + {kernels.active_backend()} kernels; whole-query "
-                "fallback to serial encoded)"
+                "codes + numpy kernels; whole-query fallback to serial "
+                "encoded)"
             )
         elif self.tier == "encoded":
             tier = (
-                f"tier: encoded (dictionary codes + {kernels.active_backend()} "
-                "kernels; per-operator object fallback)"
+                "tier: encoded (dictionary codes + numpy kernels; "
+                "per-operator object fallback)"
             )
         else:
             tier = "tier: object (boxed Python values)"
@@ -339,18 +320,24 @@ def compile_plan(
     the compiled budget.
 
     ``tier`` selects the execution tier: ``None`` (default) auto-selects —
-    the morsel-driven parallel tier when the semiring declares a
-    :class:`~repro.semirings.base.MachineRepr`, the query shards
+    the morsel-driven parallel tier when the database is encodable (its
+    semiring declares a :class:`~repro.semirings.base.MachineRepr` *and*
+    NumPy imported — see :mod:`repro.plan.kernels`), the query shards
     (:func:`repro.plan.parallel.analyze_plan`), at least two workers are
     configured and some base table reaches
     :data:`repro.plan.parallel.PARALLEL_MIN_ROWS`; else the
-    dictionary-encoded machine-scalar tier whenever the semiring
-    qualifies and the query compiled statically (no interpreter
-    fallback); the boxed object path otherwise.  Pass ``"object"`` to pin
+    dictionary-encoded machine-scalar tier whenever the database is
+    encodable and the query compiled statically (no interpreter
+    fallback); the boxed object path otherwise — so an interpreter
+    without NumPy runs every plan on the object tier, to the identical
+    answer.  Pass ``"object"`` to pin
     the boxed path (benchmark baselines, A/B tests), ``"encoded"`` to
     insist on the serial encoded path, or ``"parallel"`` to insist on
     sharded execution regardless of size (executions that cannot shard
-    fall back to serial encoded per query, honestly reported).
+    fall back to serial encoded per query, honestly reported).  Insisting
+    on ``"encoded"`` or ``"parallel"`` against a database that is not
+    encodable raises :class:`~repro.exceptions.QueryError` naming what is
+    missing.
     """
     if tier not in (None, "object", "encoded", "parallel"):
         raise QueryError(f"unknown execution tier {tier!r}")
@@ -366,13 +353,25 @@ def compile_plan(
         root = _compile(working, catalog, sizes)
     except _CannotCompile:
         root = Fallback(working, None, 0)
-    machine_ok = db.semiring.machine_repr is not None
-    qualifies = machine_ok and not isinstance(root, Fallback)
+    if db.semiring.machine_repr is None:
+        unencodable = (
+            f"semiring {db.semiring.name} declares no machine representation"
+        )
+    elif not HAVE_NUMPY:
+        unencodable = "NumPy is not importable"
+    else:
+        unencodable = None
+    if unencodable is not None and tier in ("encoded", "parallel"):
+        raise QueryError(
+            f"the {tier} tier is unavailable: {unencodable} "
+            "(omit tier to auto-select)"
+        )
+    qualifies = unencodable is None and not isinstance(root, Fallback)
     parallel_spec = None
     parallel_reason: "str | None" = None
     if tier in (None, "parallel"):
-        if not machine_ok:
-            parallel_reason = "semiring declares no machine representation"
+        if unencodable is not None:
+            parallel_reason = unencodable
         elif not qualifies:
             parallel_reason = "query needs the interpreter fallback"
         else:
@@ -394,16 +393,6 @@ def compile_plan(
                 tier = "parallel"
         if tier is None:
             tier = "encoded" if qualifies else "object"
-    elif tier == "encoded" and not machine_ok:
-        raise QueryError(
-            f"semiring {db.semiring.name} declares no machine representation; "
-            "the encoded tier needs one (omit tier to auto-select)"
-        )
-    elif tier == "parallel" and not machine_ok:
-        raise QueryError(
-            f"semiring {db.semiring.name} declares no machine representation; "
-            "the parallel tier runs encoded kernels (omit tier to auto-select)"
-        )
     plan = PhysicalPlan(root, db, query, tier)
     plan._working = working
     plan._parallel_spec = parallel_spec

@@ -17,9 +17,8 @@ tier:
   write is the old image followed by the encoded delta
   (:func:`carry_forward`);
 * annotations of semirings declaring a
-  :class:`~repro.semirings.base.MachineRepr` are stored as a flat numeric
-  array (NumPy when importable, a plain list of machine scalars
-  otherwise — see :mod:`repro.plan.kernels`);
+  :class:`~repro.semirings.base.MachineRepr` are stored as a flat NumPy
+  array of the declared dtype;
 * the physical operators then run as array kernels over codes: selection
   decides each *distinct* value once and filters by code, joins translate
   probe codes to build codes through the dictionaries (per distinct value,
@@ -34,10 +33,16 @@ single annotation.  For ``int64`` semirings every batch additionally
 carries an exact magnitude bound on its annotations
 (:attr:`EncodedBatch.ann_bound`), and any product or reduction that could
 leave int64 falls back *before* computing — NumPy overflow is silent
-wraparound; the pure-Python backend is arbitrary-precision and needs no
-bound.  Output columns are gathered **lazily** (a column of a join result
-is materialised only when a downstream operator reads it), so
+wraparound.  Output columns are gathered **lazily** (a column of a join
+result is materialised only when a downstream operator reads it), so
 carried-along attributes cost nothing until something looks at them.
+
+NumPy is the optional accelerator that buys this tier (and the parallel
+tier on top of it): the arrays here are NumPy arrays and nothing else.
+Where NumPy did not import, :func:`~repro.plan.compiler.compile_plan`
+never selects the tier, :func:`encode_batch` disqualifies every table,
+and each plan runs the object tier to the identical answer (see
+:mod:`repro.plan.kernels`).
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.schema import Schema
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.plan import kernels
 from repro.plan.columnar import ColumnarKRelation
+from repro.plan.kernels import HAVE_NUMPY, np, reduce_by_key
 
 __all__ = [
     "EncodedColumn",
@@ -87,11 +92,11 @@ class EncodedFallback(Exception):
 class EncodedColumn:
     """One dictionary-encoded column.
 
-    ``codes`` is the per-row code array (int64 NumPy array or list of
-    ints); ``values[code]`` is the first-seen value for that code and
-    ``index`` the inverse ``value -> code`` map.  Distinct codes hold
-    non-equal values (dict equality), so any per-code decision stands for
-    every row carrying the code.
+    ``codes`` is the per-row int64 code array; ``values[code]`` is the
+    first-seen value for that code and ``index`` the inverse
+    ``value -> code`` map.  Distinct codes hold non-equal values (dict
+    equality), so any per-code decision stands for every row carrying
+    the code.
     """
 
     __slots__ = ("codes", "values", "index")
@@ -102,7 +107,7 @@ class EncodedColumn:
         self.index = index
 
     @classmethod
-    def encode(cls, column: List[Any], np) -> "EncodedColumn":
+    def encode(cls, column: List[Any]) -> "EncodedColumn":
         """Dictionary-encode ``column`` (raises ``TypeError`` on an
         unhashable value — the caller treats that as disqualification)."""
         index: Dict[Any, int] = {}
@@ -115,33 +120,24 @@ class EncodedColumn:
                 code = index[value] = len(values)
                 values.append(value)
             append(code)
-        if np is not None:
-            return cls(np.asarray(codes, dtype=np.int64), values, index)
-        return cls(codes, values, index)
+        return cls(np.asarray(codes, dtype=np.int64), values, index)
 
-    def gather(self, idx, np) -> "EncodedColumn":
+    def gather(self, idx) -> "EncodedColumn":
         """The column restricted to the rows in ``idx`` (dictionary shared)."""
-        if np is not None:
-            return EncodedColumn(self.codes[idx], self.values, self.index)
-        codes = self.codes
-        return EncodedColumn(list(map(codes.__getitem__, idx)), self.values, self.index)
+        return EncodedColumn(self.codes[idx], self.values, self.index)
 
-    def translate_to(self, other: "EncodedColumn", np):
+    def translate_to(self, other: "EncodedColumn"):
         """Per-*distinct-value* code translation into ``other``'s dictionary
         (``-1`` = value absent there) — the join trick that replaces per-row
         value hashing with one array lookup."""
         get = other.index.get
-        if np is not None:
-            return np.fromiter(
-                (get(v, -1) for v in self.values), np.int64, len(self.values)
-            )
-        return [get(v, -1) for v in self.values]
+        return np.fromiter(
+            (get(v, -1) for v in self.values), np.int64, len(self.values)
+        )
 
-    def decode(self, np) -> List[Any]:
+    def decode(self) -> List[Any]:
         """The boxed value list this column encodes."""
-        values = self.values
-        codes = self.codes.tolist() if np is not None else self.codes
-        return list(map(values.__getitem__, codes))
+        return list(map(self.values.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -150,16 +146,13 @@ class EncodedColumn:
 class EncodedBatch:
     """A batch of machine-annotated rows over dictionary-encoded columns.
 
-    ``anns`` is the machine annotation array (dtype per the semiring's
+    ``anns`` is the NumPy annotation array (dtype per the semiring's
     :class:`~repro.semirings.base.MachineRepr`); ``anns_one`` records that
     every annotation equals ``1_K`` (join outputs then skip the multiply
     entirely — the common shape for dimension tables and set semantics).
     Columns are stored either materialised (:class:`EncodedColumn`) or as
     0-arg thunks evaluated on first access, so operators that never read a
-    carried-along attribute never pay its gather.  ``np`` is the NumPy
-    module the batch was built with (``None`` = pure-Python backend);
-    kernels dispatch on it per batch, so a backend switch mid-session can
-    never mix representations.
+    carried-along attribute never pay its gather.
 
     ``ann_bound`` is an exact upper bound on ``|annotation|`` as a Python
     int — the overflow guard for int64 arithmetic (see
@@ -172,7 +165,6 @@ class EncodedBatch:
         "semiring",
         "machine",
         "schema",
-        "np",
         "cols",
         "anns",
         "anns_one",
@@ -183,7 +175,6 @@ class EncodedBatch:
         self,
         semiring,
         schema: Schema,
-        np,
         cols: Dict[str, Any],
         anns,
         anns_one: bool,
@@ -192,7 +183,6 @@ class EncodedBatch:
         self.semiring = semiring
         self.machine = semiring.machine_repr
         self.schema = schema
-        self.np = np
         self.cols = cols
         self.anns = anns
         self.anns_one = anns_one
@@ -215,17 +205,15 @@ class EncodedBatch:
         scalars, so nothing downstream can tell the batch ever left the
         object tier.
         """
-        columns = {a: self.col(a).decode(self.np) for a in self.schema.attributes}
-        anns = self.anns.tolist() if self.np is not None else list(self.anns)
+        columns = {a: self.col(a).decode() for a in self.schema.attributes}
         return ColumnarKRelation._from_clean(
-            self.semiring, self.schema, columns, anns
+            self.semiring, self.schema, columns, self.anns.tolist()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        backend = "numpy" if self.np is not None else "python"
         return (
             f"<EncodedBatch {self.schema} over {self.semiring.name}, "
-            f"{len(self)} rows, {backend}>"
+            f"{len(self)} rows>"
         )
 
 
@@ -264,26 +252,23 @@ def encode_batch(
     Disqualification is exactness-driven: the semiring must declare a
     machine repr, every annotation must round-trip through its dtype
     (:meth:`MachineRepr.fits`), and every column value must be hashable.
+    Without NumPy nothing qualifies, so every scan takes the object path.
     """
     machine = semiring.machine_repr
-    if machine is None:
+    if machine is None or not HAVE_NUMPY:
         return None
     scanned = _scan_annotations(semiring, annotations, True, 1)
     if scanned is None:
         return None
     anns_one, bound = scanned
-    np = kernels.numpy_or_none()
     try:
         cols: Dict[str, Any] = {
-            a: EncodedColumn.encode(columns[a], np) for a in schema.attributes
+            a: EncodedColumn.encode(columns[a]) for a in schema.attributes
         }
     except TypeError:  # unhashable column value
         return None
-    if np is not None:
-        anns = np.asarray(annotations, dtype=np.dtype(machine.dtype))
-    else:
-        anns = list(annotations)
-    return EncodedBatch(semiring, schema, np, cols, anns, anns_one, bound)
+    anns = np.asarray(annotations, dtype=np.dtype(machine.dtype))
+    return EncodedBatch(semiring, schema, cols, anns, anns_one, bound)
 
 
 def encode_relation(rel) -> Optional[EncodedBatch]:
@@ -308,8 +293,7 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
     table (and therefore every repeated plan execution and IVM apply
     against it) reuses its encoding.  A ``None`` batch records that the
     table's contents disqualify the tier, so the O(rows) qualification
-    scan runs once, not per execution.  Backend switches (tests,
-    benchmarks) reset the cache.
+    scan runs once, not per execution.
 
     Thread safety (the cache is shared across server workers, and by
     every :class:`~repro.core.database.DatabaseSnapshot` of one lineage):
@@ -324,16 +308,15 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
     later version: a reader pinned on an old snapshot must not evict the
     entry the writer's carry chain continues from.
     """
-    backend = kernels.active_backend()
     cache = getattr(db, "_encoded_cache", None)
-    if cache is None or cache["backend"] != backend:
+    if cache is None:
         lock = getattr(db, "_lock", None)
         if lock is None:  # a db-like object without the slot
             return encode_relation(rel)
         with lock:
             cache = getattr(db, "_encoded_cache", None)
-            if cache is None or cache["backend"] != backend:
-                cache = {"backend": backend, "tables": {}}
+            if cache is None:
+                cache = {"tables": {}}
                 try:
                     db._encoded_cache = cache
                 except AttributeError:
@@ -348,9 +331,7 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
         batch = encode_relation(rel)
         if span is not None and batch is not None:
             span.attrs["rows"] = len(batch)
-            nbytes = getattr(batch.anns, "nbytes", None)
-            if nbytes is not None:
-                span.attrs["ann_bytes"] = int(nbytes)
+            span.attrs["ann_bytes"] = int(batch.anns.nbytes)
     _metrics.ENCODED_CACHE_EVENTS.inc(1, "rebuild")
     version = db.version
     with db._lock:
@@ -373,11 +354,10 @@ class _ColumnTail:
     the whole chain, iteratively, onto the nearest materialised column.
     """
 
-    __slots__ = ("_state", "_np")
+    __slots__ = ("_state",)
 
-    def __init__(self, earlier, values: List[Any], np):
+    def __init__(self, earlier, values: List[Any]):
         self._state = (earlier, values)
-        self._np = np
 
     def __call__(self) -> EncodedColumn:
         pending: List[List[Any]] = []
@@ -406,11 +386,7 @@ class _ColumnTail:
                     code = index[value] = len(values)
                     values.append(value)
                 append(code)
-        np = self._np
-        if np is not None:
-            codes = np.concatenate((node.codes, np.asarray(codes, dtype=np.int64)))
-        else:
-            codes = node.codes + codes
+        codes = np.concatenate((node.codes, np.asarray(codes, dtype=np.int64)))
         column = self._state = EncodedColumn(codes, values, index)
         return column
 
@@ -426,17 +402,13 @@ def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
     )
     if scanned is None:
         return None
-    np = batch.np
-    if np is not None:
-        tail = np.asarray(rows.annotations, dtype=batch.anns.dtype)
-        anns = np.concatenate((batch.anns, tail))
-    else:
-        anns = batch.anns + rows.annotations
+    tail = np.asarray(rows.annotations, dtype=batch.anns.dtype)
+    anns = np.concatenate((batch.anns, tail))
     cols = {
-        a: _ColumnTail(batch.cols[a], rows.columns[a], np)
+        a: _ColumnTail(batch.cols[a], rows.columns[a])
         for a in batch.schema.attributes
     }
-    return EncodedBatch(batch.semiring, batch.schema, np, cols, anns, *scanned)
+    return EncodedBatch(batch.semiring, batch.schema, cols, anns, *scanned)
 
 
 def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
@@ -477,9 +449,8 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
 
     This is the morsel cut of the parallel tier: every column keeps its
     *dictionary* (values + index) untouched and only the code array is
-    sliced — a NumPy view, or an O(rows) list slice on the pure-Python
-    backend — so morsels never re-encode anything and codes stay
-    translatable against batches sliced from the same table.
+    sliced — a NumPy view — so morsels never re-encode anything and codes
+    stay translatable against batches sliced from the same table.
     ``anns_one`` and ``ann_bound`` remain valid for any subset of rows.
     """
     cols: Dict[str, Any] = {}
@@ -489,7 +460,6 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
     return EncodedBatch(
         batch.semiring,
         batch.schema,
-        batch.np,
         cols,
         batch.anns[start:stop],
         batch.anns_one,
@@ -502,7 +472,7 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
 # ---------------------------------------------------------------------------
 
 
-def combine_codes(cols: List[EncodedColumn], np, idx=None):
+def combine_codes(cols: List[EncodedColumn], idx=None):
     """Mixed-radix combination of per-column codes into one int64 key per
     row (``idx`` optionally restricts to those rows).  Distinct keys
     correspond exactly to distinct value tuples.  Raises
@@ -515,63 +485,34 @@ def combine_codes(cols: List[EncodedColumn], np, idx=None):
         if radix > _RADIX_LIMIT:
             raise EncodedFallback("code space overflow")
     first = cols[0]
-    if np is not None:
-        keys = first.codes if idx is None else first.codes[idx]
-        for col in cols[1:]:
-            codes = col.codes if idx is None else col.codes[idx]
-            keys = keys * len(col.values) + codes
-        if len(cols) == 1 and idx is None:
-            keys = keys.copy()  # callers may sort in place downstream
-        return keys
-    keys = first.codes if idx is None else [first.codes[i] for i in idx]
-    if len(cols) == 1:
-        return list(keys) if keys is first.codes else keys
+    keys = first.codes if idx is None else first.codes[idx]
     for col in cols[1:]:
-        size = len(col.values)
-        codes = col.codes
-        if idx is None:
-            keys = [k * size + c for k, c in zip(keys, codes)]
-        else:
-            keys = [k * size + codes[i] for k, i in zip(keys, idx)]
+        codes = col.codes if idx is None else col.codes[idx]
+        keys = keys * len(col.values) + codes
+    if len(cols) == 1 and idx is None:
+        keys = keys.copy()  # callers may sort in place downstream
     return keys
 
 
-def gather_anns(anns, idx, np):
-    """Annotations restricted to the rows in ``idx``."""
-    if np is not None:
-        return anns[idx]
-    return list(map(anns.__getitem__, idx))
-
-
-def ones_anns(semiring, n: int, np):
+def ones_anns(semiring, n: int):
     """An all-``1_K`` annotation array of length ``n``."""
     machine = semiring.machine_repr
-    if np is not None:
-        return np.full(n, semiring.one, dtype=np.dtype(machine.dtype))
-    return [semiring.one] * n
+    return np.full(n, semiring.one, dtype=np.dtype(machine.dtype))
 
 
-def delta_anns(semiring, anns, np):
-    """Vectorized ``delta``: the support indicator ``a == 0 ? 0 : 1``.
-
-    Every machine semiring's delta is the support indicator (the
-    :class:`MachineRepr` contract); the pure-Python path calls the
-    semiring's own ``delta`` per element.
-    """
-    if np is not None:
-        zero = anns.dtype.type(semiring.zero)
-        one = anns.dtype.type(semiring.one)
-        return np.where(anns == zero, zero, one)
-    return list(map(semiring.delta, anns))
+def delta_anns(semiring, anns):
+    """Vectorized ``delta``: the support indicator ``a == 0 ? 0 : 1``
+    (every machine semiring's delta is — the :class:`MachineRepr`
+    contract)."""
+    zero = anns.dtype.type(semiring.zero)
+    one = anns.dtype.type(semiring.one)
+    return np.where(anns == zero, zero, one)
 
 
-def all_one(semiring, anns, np) -> bool:
-    """Does every annotation equal ``1_K``?  (Cheap for NumPy; the python
-    backend answers ``False`` conservatively — the flag is a fast-path
-    hint, never a correctness requirement.)"""
-    if np is not None:
-        return bool((anns == semiring.one).all())
-    return False
+def all_one(semiring, anns) -> bool:
+    """Does every annotation equal ``1_K``?  (A fast-path hint for join
+    outputs, never a correctness requirement.)"""
+    return bool((anns == semiring.one).all())
 
 
 def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
@@ -586,7 +527,7 @@ def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
     unchecked — their kernel arithmetic is bit-identical to the object
     path's.
     """
-    if batch.np is None or batch.machine.dtype != "int64":
+    if batch.machine.dtype != "int64":
         return batch.ann_bound
     bound = max(1, rows) * batch.ann_bound
     if bound > _INT64_MAX:
@@ -597,7 +538,7 @@ def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
 def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     """Guard the elementwise annotation product of a join (int64 only);
     returns the exact output bound or falls back before NumPy could wrap."""
-    if left.np is None or left.machine.dtype != "int64":
+    if left.machine.dtype != "int64":
         return max(left.ann_bound, right.ann_bound)
     bound = left.ann_bound * right.ann_bound
     if bound > _INT64_MAX:
@@ -605,32 +546,16 @@ def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     return bound
 
 
-def consolidate_keys(semiring, keys, anns, np):
+def consolidate_keys(semiring, keys, anns):
     """Merge duplicate keys with ``+_K``: returns ``(rep_idx, sums)``.
 
     ``rep_idx`` indexes a representative input row per distinct key (the
-    first occurrence under the python backend, the first in key order
-    under NumPy — both sound: equal keys carry equal value tuples);
+    first in key order — sound: equal keys carry equal value tuples);
     ``sums`` is the per-key annotation reduction, aligned with
     ``rep_idx``.
     """
-    machine = semiring.machine_repr
-    if np is not None:
-        ufunc = getattr(np, machine.np_plus)
-        _keys, rep_idx, sums = kernels.reduce_by_key(np, keys, anns, ufunc)
-        return rep_idx, sums
-    plus = machine.py_plus
-    positions: Dict[int, int] = {}
-    rep_idx: List[int] = []
-    sums: List[Any] = []
-    for i, key in enumerate(keys):
-        j = positions.get(key, -1)
-        if j < 0:
-            positions[key] = len(sums)
-            rep_idx.append(i)
-            sums.append(anns[i])
-        else:
-            sums[j] = plus(sums[j], anns[i])
+    ufunc = getattr(np, semiring.machine_repr.np_plus)
+    _keys, rep_idx, sums = reduce_by_key(keys, anns, ufunc)
     return rep_idx, sums
 
 

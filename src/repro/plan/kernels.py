@@ -1,113 +1,43 @@
-"""Array-kernel backend selection for the dictionary-encoded tier.
+"""NumPy, the optional accelerator behind the encoded and parallel tiers.
 
-The encoded execution tier (:mod:`repro.plan.encoded`) stores column
-codes and machine-semiring annotations in flat arrays and runs the hot
-operators as array kernels.  Two backends implement those arrays:
-
-``"numpy"``
-    NumPy ``int64``/``float64``/``bool`` arrays; kernels are ufunc calls
-    (``take``, ``argsort`` + ``reduceat``, boolean masks).  Chosen
-    automatically when NumPy imports.
-``"python"``
-    plain Python lists of machine scalars; kernels are tight
-    ``map``/comprehension loops over integer codes.  The always-available
-    fallback — NumPy is an *optional* accelerator, never a dependency.
-
-The active backend is decided per *batch* at encode time (each
-:class:`~repro.plan.encoded.EncodedBatch` carries the module it was built
-with), so switching backends mid-session can never hand a NumPy array to
-the list kernels or vice versa.  Force a backend for benchmarking or
-testing with :func:`set_backend` (or the ``REPRO_ENCODED_BACKEND``
-environment variable read at import).
+The contract, stated once: *NumPy is the optional accelerator that buys
+the encoded and parallel tiers; without it every plan runs the object
+tier and every answer is identical.*  The encoded tier
+(:mod:`repro.plan.encoded`) stores column codes and machine-semiring
+annotations in NumPy ``int64``/``float64``/``bool`` arrays and runs the
+hot operators as ufunc kernels (``take``, ``argsort`` + ``reduceat``,
+boolean masks); the parallel tier (:mod:`repro.plan.parallel`) ships
+those arrays to workers through shared memory.  There is no second array
+representation and no selector: this module is the one place NumPy is
+imported, the other plan modules take :data:`np` from here, and
+:func:`~repro.plan.compiler.compile_plan` reads :data:`HAVE_NUMPY` to
+decide whether a database is encodable at all.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 try:  # optional accelerator — the engine is complete without it
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via set_backend("python")
-    _numpy = None
+    import numpy as np
 
-__all__ = [
-    "HAVE_NUMPY",
-    "active_backend",
-    "available_backends",
-    "forced_backend",
-    "numpy_or_none",
-    "set_backend",
-    "reduce_by_key",
-]
+    HAVE_NUMPY = True
+except ImportError:
+    np = None
+    HAVE_NUMPY = False
 
-HAVE_NUMPY = _numpy is not None
-
-#: None = auto (numpy when importable); "numpy" / "python" = forced.
-_FORCED: Optional[str] = None
-
-
-def _validate(name: Optional[str]) -> Optional[str]:
-    if name not in (None, "numpy", "python"):
-        raise ValueError(f"unknown encoded-tier backend {name!r}")
-    if name == "numpy" and not HAVE_NUMPY:
-        raise ValueError("numpy backend requested but numpy is not importable")
-    return name
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force the encoded-tier backend: ``"numpy"``, ``"python"`` or ``None``
-    (auto).  Affects batches encoded *after* the call; batches already
-    encoded keep the backend they were built with."""
-    global _FORCED
-    _FORCED = _validate(name)
-
-
-def available_backends() -> Tuple[str, ...]:
-    return ("numpy", "python") if HAVE_NUMPY else ("python",)
-
-
-def forced_backend() -> Optional[str]:
-    """The forced backend (``set_backend``/env), or ``None`` when auto.
-
-    Spawned worker processes re-import this module from scratch, so a
-    parent's :func:`set_backend` call would otherwise be lost — the
-    parallel tier snapshots this and replays it in its pool initializer.
-    """
-    return _FORCED
+__all__ = ["HAVE_NUMPY", "active_backend", "np", "reduce_by_key"]
 
 
 def active_backend() -> str:
-    if _FORCED is not None:
-        return _FORCED
-    return "numpy" if HAVE_NUMPY else "python"
+    """What runs the array kernels in this process: ``"numpy"``, or
+    ``"none"`` when NumPy did not import and every plan runs the object
+    tier.  A per-process constant (benchmarks stamp it into their
+    environment record)."""
+    return "numpy" if HAVE_NUMPY else "none"
 
 
-def numpy_or_none():
-    """The numpy module when the active backend is numpy, else ``None``."""
-    return _numpy if active_backend() == "numpy" else None
-
-
-_env = os.environ.get("REPRO_ENCODED_BACKEND")
-if _env:
-    try:
-        set_backend(_env)
-    except ValueError as exc:
-        # never let a stale env var (typo, or "numpy" in a numpy-less
-        # interpreter) make the library unimportable — the backend is an
-        # accelerator knob, not a dependency
-        import warnings
-
-        warnings.warn(f"ignoring REPRO_ENCODED_BACKEND: {exc}", stacklevel=1)
-del _env
-
-
-# ---------------------------------------------------------------------------
-# shared numpy kernels
-# ---------------------------------------------------------------------------
-
-
-def reduce_by_key(np, keys, values, ufunc) -> Tuple[Any, Any, Any]:
+def reduce_by_key(keys, values, ufunc) -> Tuple[Any, Any, Any]:
     """Group ``values`` by ``keys`` and reduce each group with ``ufunc``.
 
     The sort-based grouped reduction behind consolidation and grouped

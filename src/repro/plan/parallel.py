@@ -19,8 +19,8 @@ construction:
   (:meth:`~repro.plan.physical.GroupedAggregate.finish_groups`).
 
 What actually crosses the process boundary is *flat arrays, never
-tuples*: under the NumPy backend each base table's code arrays and
-annotation array are published once into
+tuples*: each base table's code arrays and annotation array are
+published once into
 :mod:`multiprocessing.shared_memory` blocks (cached on the database next
 to the encoding cache, invalidated by relation identity), the driver
 pre-ordered by ``hash(partition-key codes) % morsels`` so each morsel is
@@ -32,8 +32,10 @@ attributes, everything decoded at the root) and only those value lists
 travel in the (per-plan cached) job spec; unmarked high-cardinality
 dictionaries are replaced by opaque placeholders that abort the worker —
 and the whole query falls back to serial — if the analysis ever missed a
-read.  The pure-Python backend ships chunked code/annotation lists in
-the job spec instead; same protocol, no shared memory.
+read.  Shared memory is the only transport: the tier stands on the
+encoded tier's NumPy arrays, so without NumPy it does not exist (the
+compiler never selects it, ``tier="parallel"`` raises, and the object
+tier answers identically — see :mod:`repro.plan.kernels`).
 
 Fallback is **whole-query and honest**: anything the analysis rejects
 (difference, nested or whole aggregation, δ on the driver path), a table
@@ -97,8 +99,8 @@ from repro.faults import InjectedFault
 from repro.core.schema import Schema
 from repro.obs import trace as _trace
 from repro.plan import encoded as enc
-from repro.plan import kernels
 from repro.plan.columnar import ColumnarKRelation
+from repro.plan.kernels import HAVE_NUMPY, np
 from repro.plan.physical import (
     DistinctStage,
     ExecutionContext,
@@ -147,19 +149,17 @@ MORSELS_PER_WORKER = 2
 #: Worker-crash recovery budget: how many times the unfinished morsels
 #: of one execution are redispatched after a pool break before the query
 #: degrades to the serial encoded tier.
-PARALLEL_MAX_RETRIES = int(os.environ.get("REPRO_PARALLEL_RETRIES", "2") or 2)
+PARALLEL_MAX_RETRIES = 2
 
 #: Base of the exponential backoff between redispatches (seconds):
 #: attempt ``k`` sleeps ``PARALLEL_RETRY_BACKOFF_S * 2**k``.
-PARALLEL_RETRY_BACKOFF_S = float(
-    os.environ.get("REPRO_PARALLEL_BACKOFF_S", "0.05") or 0.05
-)
+PARALLEL_RETRY_BACKOFF_S = 0.05
 
 #: Consecutive crash degradations before the circuit breaker opens.
-BREAKER_THRESHOLD = int(os.environ.get("REPRO_BREAKER_THRESHOLD", "3") or 3)
+BREAKER_THRESHOLD = 3
 
 #: Seconds the breaker stays open before admitting one half-open trial.
-BREAKER_COOLDOWN_S = float(os.environ.get("REPRO_BREAKER_COOLDOWN_S", "30") or 30)
+BREAKER_COOLDOWN_S = 30.0
 
 #: Process-wide override set by :func:`set_default_workers` (tests,
 #: benchmarks); ``None`` defers to ``REPRO_PARALLEL_WORKERS`` / cores.
@@ -414,7 +414,7 @@ def _collect_keys(node, acc: Set[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_merged_reduction_bound(np, machine, total_rows: int, bound: int) -> None:
+def check_merged_reduction_bound(machine, total_rows: int, bound: int) -> None:
     """Refuse the sharded grouped reduction when the *serial* encoded tier
     would have refused it.
 
@@ -426,17 +426,17 @@ def check_merged_reduction_bound(np, machine, total_rows: int, bound: int) -> No
     would leave int64.  (The merge itself runs in exact Python ints, so
     this guard exists for tier-decision parity, not correctness.)
     """
-    if np is None or machine is None or machine.dtype != "int64":
+    if machine is None or machine.dtype != "int64":
         return
     if max(1, total_rows) * max(1, bound) > enc._INT64_MAX:
         raise ParallelFallback("int64 reduction bound exceeded across morsels")
 
 
 # ---------------------------------------------------------------------------
-# worker pools (spawned once per (workers, backend), kept warm)
+# worker pools (spawned once per worker count, kept warm)
 # ---------------------------------------------------------------------------
 
-_POOLS: Dict[Tuple[int, str], Any] = {}
+_POOLS: Dict[int, Any] = {}
 _POOL_LOCK = threading.Lock()
 _JOB_IDS = itertools.count(1)
 _SHM_BLOCKS: List[Any] = []
@@ -446,43 +446,24 @@ _SHM_BLOCKS: List[Any] = []
 _SHM_CREATED: Set[str] = set()
 
 
-def _pool_init(backend: str) -> None:
-    """Runs in each spawned worker before any task: re-pin the parent's
-    kernel backend.  Spawned children re-import :mod:`repro.plan.kernels`
-    from scratch, so a parent's ``set_backend("python")`` (or env
-    override) would otherwise silently revert to NumPy auto-detection."""
-    kernels.set_backend(backend)
-
-
-def _worker_backend() -> str:
-    """Probe used by tests: the backend a pool worker actually runs."""
-    return kernels.active_backend()
-
-
-def _get_pool(workers: int, backend: str):
-    key = (workers, backend)
-    pool = _POOLS.get(key)
+def _get_pool(workers: int):
+    pool = _POOLS.get(workers)
     if pool is None:
         with _POOL_LOCK:
-            pool = _POOLS.get(key)
+            pool = _POOLS.get(workers)
             if pool is None:
                 import multiprocessing as mp
                 from concurrent.futures import ProcessPoolExecutor
 
                 ctx = mp.get_context("spawn")
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=ctx,
-                    initializer=_pool_init,
-                    initargs=(backend,),
-                )
-                _POOLS[key] = pool
+                pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+                _POOLS[workers] = pool
     return pool
 
 
-def _drop_pool(workers: int, backend: str) -> None:
+def _drop_pool(workers: int) -> None:
     with _POOL_LOCK:
-        pool = _POOLS.pop((workers, backend), None)
+        pool = _POOLS.pop(workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -493,7 +474,7 @@ def _pool_warmup() -> None:
     return None
 
 
-def _warm_pool_async(workers: int, backend: str) -> None:
+def _warm_pool_async(workers: int) -> None:
     """Respawn a dropped pool off the critical path.
 
     A worker crash drops the whole ProcessPoolExecutor; respawning it
@@ -505,7 +486,7 @@ def _warm_pool_async(workers: int, backend: str) -> None:
 
     def warm() -> None:
         try:
-            pool = _get_pool(workers, backend)
+            pool = _get_pool(workers)
             for fut in [pool.submit(_pool_warmup) for _ in range(workers)]:
                 fut.result(timeout=60)
         except Exception:
@@ -667,7 +648,7 @@ def _breaker_release() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _publish_array(np, arr) -> Tuple[Any, Dict[str, Any]]:
+def _publish_array(arr) -> Tuple[Any, Dict[str, Any]]:
     from multiprocessing import shared_memory
 
     arr = np.ascontiguousarray(arr)
@@ -720,69 +701,36 @@ def _partition_order(batch, attrs: Tuple[str, ...], morsels: int):
     place (no usable key: contiguous chunking, equally exact because any
     row partition is)."""
     n = len(batch)
-    np = batch.np
     if n == 0 or morsels <= 1 or not attrs:
         return None, _chunk_bounds(n, morsels)
     try:
-        keys = enc.combine_codes([batch.col(a) for a in attrs], np)
+        keys = enc.combine_codes([batch.col(a) for a in attrs])
     except enc.EncodedFallback:
         return None, _chunk_bounds(n, morsels)
-    if np is not None:
-        assign = keys % morsels
-        order = np.argsort(assign, kind="stable")
-        sorted_assign = assign[order]
-        edges = np.searchsorted(sorted_assign, np.arange(morsels + 1))
-        bounds = [
-            (int(edges[i]), int(edges[i + 1])) for i in range(morsels)
-        ]
-        return order, bounds
-    assign = [k % morsels for k in keys]
-    counts = [0] * morsels
-    for a in assign:
-        counts[a] += 1
-    starts = [0] * morsels
-    pos = 0
-    bounds = []
-    for m in range(morsels):
-        starts[m] = pos
-        bounds.append((pos, pos + counts[m]))
-        pos += counts[m]
-    order = [0] * n
-    for i, a in enumerate(assign):
-        order[starts[a]] = i
-        starts[a] += 1
+    assign = keys % morsels
+    order = np.argsort(assign, kind="stable")
+    sorted_assign = assign[order]
+    edges = np.searchsorted(sorted_assign, np.arange(morsels + 1))
+    bounds = [
+        (int(edges[i]), int(edges[i + 1])) for i in range(morsels)
+    ]
     return order, bounds
 
 
-def _table_payload(batch, np, order=None):
-    """The shippable form of one table: shm refs (NumPy) or plain lists
-    (pure Python) for codes + annotations; values attach at job build."""
+def _table_payload(batch, order=None):
+    """The shippable form of one table: shm refs for codes + annotations;
+    values attach at job build."""
     blocks: List[Any] = []
     cols: Dict[str, Dict[str, Any]] = {}
     for attr in batch.schema.attributes:
         col = batch.col(attr)
-        if np is not None:
-            codes = col.codes if order is None else col.codes[order]
-            shm, ref = _publish_array(np, codes)
-            blocks.append(shm)
-        else:
-            codes = (
-                list(col.codes)
-                if order is None
-                else list(map(col.codes.__getitem__, order))
-            )
-            ref = codes
-        cols[attr] = {"codes": ref, "n_values": len(col.values)}
-    if np is not None:
-        anns = batch.anns if order is None else batch.anns[order]
-        shm, aref = _publish_array(np, anns)
+        codes = col.codes if order is None else col.codes[order]
+        shm, ref = _publish_array(codes)
         blocks.append(shm)
-    else:
-        aref = (
-            list(batch.anns)
-            if order is None
-            else list(map(batch.anns.__getitem__, order))
-        )
+        cols[attr] = {"codes": ref, "n_values": len(col.values)}
+    anns = batch.anns if order is None else batch.anns[order]
+    shm, aref = _publish_array(anns)
+    blocks.append(shm)
     spec = {
         "attrs": tuple(batch.schema.attributes),
         "cols": cols,
@@ -793,25 +741,17 @@ def _table_payload(batch, np, order=None):
     return spec, blocks
 
 
-def _cached_table_payload(db, name, rel, batch, np, partition):
-    """Per-database cache of published tables (NumPy backend), living next
-    to the encoding cache so every snapshot of one lineage shares it and
+def _cached_table_payload(db, name, rel, batch, partition):
+    """Per-database cache of published tables, living next to the
+    encoding cache so every snapshot of one lineage shares it and
     relation identity invalidates it.  ``partition`` is ``None`` for
     replicated tables or ``(morsels, attrs)`` for the driver's
     pre-partitioned image.  Returns ``(spec, bounds, order)``; ``order``
     is kept so in-process salvage can reproduce the exact morsel slices
     without republishing anything."""
-    if np is None:
-        order = None
-        if partition is not None:
-            order, bounds = _partition_order(batch, partition[1], partition[0])
-        else:
-            bounds = None
-        spec, _blocks = _table_payload(batch, np, order)
-        return spec, bounds, order
     cache = getattr(db, "_encoded_cache", None)
     images = None
-    if isinstance(cache, dict) and cache.get("backend") == "numpy":
+    if isinstance(cache, dict):
         images = cache.setdefault("parallel_images", {})
     key = (name, partition)
     if images is not None:
@@ -822,7 +762,7 @@ def _cached_table_payload(db, name, rel, batch, np, partition):
     bounds = None
     if partition is not None:
         order, bounds = _partition_order(batch, partition[1], partition[0])
-    spec, blocks = _table_payload(batch, np, order)
+    spec, blocks = _table_payload(batch, order)
     if images is not None:
         entry = images.get(key)
         if entry is not None:
@@ -899,34 +839,32 @@ def _attach_shm(name: str):
             resource_tracker.register = original
 
 
-def _attach_array(ref, np, shms: List[Any]):
-    if isinstance(ref, dict):
-        try:
-            shm = _attach_shm(ref["shm"])
-        except FileNotFoundError as exc:
+def _attach_array(ref, shms: List[Any]):
+    try:
+        shm = _attach_shm(ref["shm"])
+    except FileNotFoundError as exc:
+        raise _ShmIntegrityError(
+            f"segment {ref['shm']!r} is gone (dropped before the worker "
+            "mapped it)"
+        ) from exc
+    shms.append(shm)
+    nbytes = ref.get("nbytes")
+    expected = ref.get("adler32")
+    if nbytes is not None and expected is not None:
+        actual = zlib.adler32(shm.buf[:nbytes]) & 0xFFFFFFFF
+        if actual != expected:
             raise _ShmIntegrityError(
-                f"segment {ref['shm']!r} is gone (dropped before the worker "
-                "mapped it)"
-            ) from exc
-        shms.append(shm)
-        nbytes = ref.get("nbytes")
-        expected = ref.get("adler32")
-        if nbytes is not None and expected is not None:
-            actual = zlib.adler32(shm.buf[:nbytes]) & 0xFFFFFFFF
-            if actual != expected:
-                raise _ShmIntegrityError(
-                    f"segment {ref['shm']!r} failed its integrity check "
-                    f"(adler32 {actual:#010x} != published {expected:#010x})"
-                )
-        return np.ndarray((ref["n"],), dtype=np.dtype(ref["dtype"]), buffer=shm.buf)
-    return ref
+                f"segment {ref['shm']!r} failed its integrity check "
+                f"(adler32 {actual:#010x} != published {expected:#010x})"
+            )
+    return np.ndarray((ref["n"],), dtype=np.dtype(ref["dtype"]), buffer=shm.buf)
 
 
-def _rebuild_batch(semiring, tspec, values_by_attr, np, shms):
+def _rebuild_batch(semiring, tspec, values_by_attr, shms):
     cols: Dict[str, Any] = {}
     for attr in tspec["attrs"]:
         cspec = tspec["cols"][attr]
-        codes = _attach_array(cspec["codes"], np, shms)
+        codes = _attach_array(cspec["codes"], shms)
         values = values_by_attr.get(attr)
         if values is None:
             values = _OpaqueValues(cspec["n_values"])
@@ -934,11 +872,10 @@ def _rebuild_batch(semiring, tspec, values_by_attr, np, shms):
         else:
             index = {v: i for i, v in enumerate(values)}
         cols[attr] = enc.EncodedColumn(codes, values, index)
-    anns = _attach_array(tspec["anns"], np, shms)
+    anns = _attach_array(tspec["anns"], shms)
     return enc.EncodedBatch(
         semiring,
         Schema(tspec["attrs"]),
-        np,
         cols,
         anns,
         tspec["anns_one"],
@@ -958,17 +895,11 @@ def _load_job(blob: bytes) -> Dict[str, Any]:
     from repro.plan.compiler import _compile
 
     job = pickle.loads(blob)
-    np = kernels.numpy_or_none()
-    if (job["backend"] == "numpy") != (np is not None):
-        raise RuntimeError(
-            f"worker backend {kernels.active_backend()!r} does not match "
-            f"job backend {job['backend']!r}"
-        )
     semiring = job["semiring"]
     shms: List[Any] = []
     try:
         batches = {
-            name: _rebuild_batch(semiring, tspec, job["values"].get(name, {}), np, shms)
+            name: _rebuild_batch(semiring, tspec, job["values"].get(name, {}), shms)
             for name, tspec in job["tables"].items()
         }
     except BaseException:
@@ -1052,8 +983,8 @@ def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None)
 
 
 def _run_morsel(task):
-    """One morsel in a pool worker.  Returns ``("ok", backend, payload)``
-    or ``("err", kind, message)`` where ``kind`` classifies recoverability:
+    """One morsel in a pool worker.  Returns ``("ok", payload)`` or
+    ``("err", kind, message)`` where ``kind`` classifies recoverability:
 
     ``"transient"``
         an injected/transient crash class — the parent may retry the morsel;
@@ -1063,8 +994,8 @@ def _run_morsel(task):
     ``"deadline"``
         the cooperative deadline expired inside the worker;
     ``"deterministic"``
-        everything else (unshipped dictionaries, backend mismatch, real
-        kernel bugs) — retrying cannot help, the query falls back serial.
+        everything else (unshipped dictionaries, real kernel bugs) —
+        retrying cannot help, the query falls back serial.
     """
     key, blob, morsel_index, start, stop, deadline_s, directives, traced = task
     try:
@@ -1090,7 +1021,7 @@ def _run_morsel(task):
             payload["spans"] = root.to_dict()
         else:
             payload = _exec_morsel(state, morsel_index, start, stop, deadline)
-        return ("ok", kernels.active_backend(), payload)
+        return ("ok", payload)
     except InjectedFault as exc:
         return ("err", "transient", f"{type(exc).__name__}: {exc}")
     except _ShmIntegrityError as exc:
@@ -1106,11 +1037,11 @@ def _run_morsel(task):
 # ---------------------------------------------------------------------------
 
 
-def _merge_group_payloads(gagg, semiring, payloads, np):
+def _merge_group_payloads(gagg, semiring, payloads):
     machine = semiring.machine_repr
     total_rows = sum(p["rows"] for p in payloads)
     worst = max((p["bound"] for p in payloads), default=0)
-    check_merged_reduction_bound(np, machine, total_rows, worst)
+    check_merged_reduction_bound(machine, total_rows, worst)
     plus = semiring.plus
     is_zero = semiring.is_zero
     index: Dict[Tuple[Any, ...], int] = {}
@@ -1164,15 +1095,14 @@ def _merge_spju_payloads(schema, semiring, payloads):
 
 
 class ParallelRunInfo:
-    __slots__ = ("workers", "morsels", "backend")
+    __slots__ = ("workers", "morsels")
 
-    def __init__(self, workers: int, morsels: int, backend: str):
+    def __init__(self, workers: int, morsels: int):
         self.workers = workers
         self.morsels = morsels
-        self.backend = backend
 
 
-def _build_job(plan, db, spec, batches, workers, morsels, backend, np):
+def _build_job(plan, db, spec, batches, morsels):
     driver_scan = spec.scans[spec.driver_pos]
     tables: Dict[str, Any] = {}
     values: Dict[str, Dict[str, Any]] = {}
@@ -1187,7 +1117,7 @@ def _build_job(plan, db, spec, batches, workers, morsels, backend, np):
             (morsels, spec.partition_attrs) if name == driver_scan.name else None
         )
         tspec, tbounds, torder = _cached_table_payload(
-            db, name, rel, batch, np, partition
+            db, name, rel, batch, partition
         )
         tables[name] = tspec
         if partition is not None:
@@ -1200,7 +1130,6 @@ def _build_job(plan, db, spec, batches, workers, morsels, backend, np):
     if bounds is None:  # pragma: no cover - driver is always in spec.scans
         raise ParallelFallback("driver table missing from payload")
     job = {
-        "backend": backend,
         "semiring": db.semiring,
         "query": plan._working,
         "catalog": {name: batches[name][1].schema for name in tables},
@@ -1241,9 +1170,9 @@ def _arm_worker_directives(morsel_index: int, n_morsels: int) -> List[Dict[str, 
 def _inject_shm_faults() -> bool:
     """The parent-side shm fault points: unlink (``drop_shm``) or
     byte-flip (``corrupt_shm``) one published segment, chosen by the
-    firing's seeded rng.  Only fires when segments exist (the pure-Python
-    backend publishes none), so an armed spec waits for a real target
-    instead of burning its budget on a no-op.  Returns True if anything
+    firing's seeded rng.  Only fires when segments exist, so an armed
+    spec waits for a real target instead of burning its budget on a
+    no-op.  Returns True if anything
     fired — the caller then rotates the job key so warm workers re-attach
     (and therefore *detect* the damage) instead of computing over their
     cached, still-valid mappings.
@@ -1312,8 +1241,6 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
     from concurrent.futures import TimeoutError as _FuturesTimeout
 
     workers = max(1, effective_workers())
-    backend = kernels.active_backend()
-    np = kernels.numpy_or_none()
     morsels = max(2, workers * MORSELS_PER_WORKER)
     if deadline is not None:
         deadline.check("parallel dispatch")
@@ -1327,22 +1254,17 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
             raise ParallelFallback(
                 f"table {scan.name!r} disqualifies the encoded tier"
             )
-        if (batch.np is None) != (np is None):
-            raise ParallelFallback("backend changed since the table was encoded")
         batches[scan.name] = (rel, batch)
 
     sig = (
         tuple(sorted((name, id(rel)) for name, (rel, _b) in batches.items())),
         morsels,
-        backend,
     )
     cached = plan._parallel_job
     if cached is not None and cached[0] == sig:
         _sig, rels, key, blob, bounds, order = cached
     else:
-        key, blob, bounds, order = _build_job(
-            plan, db, spec, batches, workers, morsels, backend, np
-        )
+        key, blob, bounds, order = _build_job(plan, db, spec, batches, morsels)
         # hold the relations so their ids stay unambiguous while cached
         rels = [rel for rel, _b in batches.values()]
         plan._parallel_job = (sig, rels, key, blob, bounds, order)
@@ -1353,7 +1275,7 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
         key = next(_JOB_IDS)
         plan._parallel_job = (sig, rels, key, blob, bounds, order)
 
-    pool = _get_pool(workers, backend)
+    pool = _get_pool(workers)
     n_morsels = len(bounds)
     payloads: List[Any] = [None] * n_morsels
     pending = [(i, int(start), int(stop)) for i, (start, stop) in enumerate(bounds)]
@@ -1375,9 +1297,9 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
         try:
             futures = [pool.submit(_run_morsel, t) for t in tasks]
         except Exception as exc:  # pool already broken/shut down
-            _drop_pool(workers, backend)
+            _drop_pool(workers)
             faults.bump("pool_rebuilds")
-            pool = _get_pool(workers, backend)
+            pool = _get_pool(workers)
             futures = [pool.submit(_run_morsel, t) for t in tasks]
         retry: List[Tuple[int, int, int]] = []
         broken = False
@@ -1404,11 +1326,7 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
                     retry.append((i, start, stop))
                     continue
                 if r[0] == "ok":
-                    if r[1] != backend:
-                        raise ParallelFallback(
-                            f"worker ran backend {r[1]!r}, parent expected {backend!r}"
-                        )
-                    payloads[i] = r[2]
+                    payloads[i] = r[1]
                     continue
                 kind, msg = r[1], r[2]
                 failure_msg = msg
@@ -1434,7 +1352,7 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
                 )
             republished = True
             key, blob, bounds, order = _republish_job(
-                plan, db, spec, batches, workers, morsels, backend, np, sig
+                plan, db, spec, batches, morsels, sig
             )
             # same batches, deterministic partition: bounds are unchanged,
             # so completed payloads stay valid and only `retry` redispatches
@@ -1450,13 +1368,13 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
             # query.  Transient worker errors below keep the redispatch
             # path: the pool there is alive and the retry budget / breaker
             # semantics depend on it.
-            _drop_pool(workers, backend)
+            _drop_pool(workers)
             faults.bump("pool_rebuilds")
             faults.bump("morsel_retries", len(retry))
             _salvage_morsels(
                 plan, spec, batches, order, retry, payloads, deadline
             )
-            _warm_pool_async(workers, backend)
+            _warm_pool_async(workers)
             pending = []
             continue
         if attempt >= PARALLEL_MAX_RETRIES:
@@ -1483,10 +1401,10 @@ def _execute_attempts(plan, db, spec, deadline: Optional[Deadline]):
         if spans is not None:
             _trace.graft(spans, morsel=i)
     if spec.kind == "group":
-        result = _merge_group_payloads(plan.root, db.semiring, payloads, np)
+        result = _merge_group_payloads(plan.root, db.semiring, payloads)
     else:
         result = _merge_spju_payloads(plan.root.schema, db.semiring, payloads)
-    return result, ParallelRunInfo(workers, n_morsels, backend)
+    return result, ParallelRunInfo(workers, n_morsels)
 
 
 def _reorder_batch(batch, order):
@@ -1496,27 +1414,15 @@ def _reorder_batch(batch, order):
     annotations are gathered."""
     if order is None:
         return batch
-    np = batch.np
     cols: Dict[str, Any] = {}
     for attr in batch.schema.attributes:
         col = batch.col(attr)
-        codes = (
-            col.codes[order]
-            if np is not None
-            else list(map(col.codes.__getitem__, order))
-        )
-        cols[attr] = enc.EncodedColumn(codes, col.values, col.index)
-    anns = (
-        batch.anns[order]
-        if np is not None
-        else list(map(batch.anns.__getitem__, order))
-    )
+        cols[attr] = enc.EncodedColumn(col.codes[order], col.values, col.index)
     return enc.EncodedBatch(
         batch.semiring,
         batch.schema,
-        np,
         cols,
-        anns,
+        batch.anns[order],
         batch.anns_one,
         batch.ann_bound,
     )
@@ -1559,7 +1465,7 @@ def _salvage_morsels(plan, spec, batches, order, lost, payloads, deadline):
         raise ParallelFallback(f"in-process salvage failed: {exc}") from exc
 
 
-def _republish_job(plan, db, spec, batches, workers, morsels, backend, np, sig):
+def _republish_job(plan, db, spec, batches, morsels, sig):
     """Throw away every published table image (they are copies; the
     in-process batches stay intact) and publish fresh segments, giving
     the plan a fresh job key so workers re-attach and re-verify."""
@@ -1570,9 +1476,7 @@ def _republish_job(plan, db, spec, batches, workers, morsels, backend, np, sig):
             for entry in images.values():
                 _release_blocks(entry[4])
             images.clear()
-    key, blob, bounds, order = _build_job(
-        plan, db, spec, batches, workers, morsels, backend, np
-    )
+    key, blob, bounds, order = _build_job(plan, db, spec, batches, morsels)
     plan._parallel_job = (
         sig, [rel for rel, _b in batches.values()], key, blob, bounds, order
     )
@@ -1593,7 +1497,7 @@ def admission_weight(db) -> int:
         workers = effective_workers()
         if workers < 2:
             return 1
-        if db.semiring.machine_repr is None:
+        if not HAVE_NUMPY or db.semiring.machine_repr is None:
             return 1
         biggest = 0
         for _name, rel in db:

@@ -50,10 +50,10 @@ from repro.exceptions import QueryError
 from repro.monoids.counting import AVG
 from repro.monoids.numeric import SUM
 from repro.plan import encoded as enc
-from repro.plan import kernels
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan
+from repro.plan.kernels import np, reduce_by_key
 from repro.semimodules.tensor import Tensor, tensor_space
 
 __all__ = [
@@ -327,29 +327,22 @@ def _consolidate_encoded(
     out_attrs = out_schema.attributes
     if not out_attrs:
         raise EncodedFallback("empty projection")
-    np = batch.np
     cols = [batch.col(a) for a in out_attrs]
-    keys = enc.combine_codes(cols, np, keep)
+    keys = enc.combine_codes(cols, keep)
     out_bound = enc.check_reduction_bound(batch, len(keys))
-    anns = batch.anns if keep is None else enc.gather_anns(batch.anns, keep, np)
-    rep, sums = enc.consolidate_keys(batch.semiring, keys, anns, np)
-    if keep is None:
-        rep_rows = rep
-    elif np is not None:
-        rep_rows = keep[rep]
-    else:
-        rep_rows = list(map(keep.__getitem__, rep))
+    anns = batch.anns if keep is None else batch.anns[keep]
+    rep, sums = enc.consolidate_keys(batch.semiring, keys, anns)
+    rep_rows = rep if keep is None else keep[rep]
     out_cols = {
-        a: (lambda col=col, rep_rows=rep_rows, np=np: col.gather(rep_rows, np))
+        a: (lambda col=col, rep_rows=rep_rows: col.gather(rep_rows))
         for a, col in zip(out_attrs, cols)
     }
     return EncodedBatch(
         batch.semiring,
         out_schema,
-        np,
         out_cols,
         sums,
-        enc.all_one(batch.semiring, sums, np),
+        enc.all_one(batch.semiring, sums),
         out_bound,
     )
 
@@ -424,45 +417,8 @@ class SelectStage:
         _encoded_guard_plain(
             batch, [a for c in self.conditions for a in c.attributes()]
         )
-        np = batch.np
         n = len(batch)
-        if np is not None:
-            mask = None
-            for condition in self.conditions:
-                if isinstance(condition, AttrEq):
-                    col = batch.col(condition.attribute)
-                    try:
-                        code = col.index.get(condition.value, -1)
-                    except TypeError:
-                        raise EncodedFallback("unhashable comparison value") from None
-                    m = col.codes == code if code >= 0 else np.zeros(n, dtype=bool)
-                elif isinstance(condition, AttrCompare):
-                    col = batch.col(condition.attribute)
-                    cmp = _ORDER_TESTS[condition.op]
-                    value = condition.value
-                    try:
-                        ok = np.fromiter(
-                            (bool(cmp(v, value)) for v in col.values),
-                            bool,
-                            len(col.values),
-                        )
-                    except TypeError:
-                        # incomparable types: the object path raises the
-                        # interpreter's row-order error
-                        raise EncodedFallback("incomparable values") from None
-                    m = ok[col.codes]
-                elif isinstance(condition, AttrEqAttr):
-                    c1 = batch.col(condition.attribute1)
-                    c2 = batch.col(condition.attribute2)
-                    trans = c1.translate_to(c2, np)
-                    m = trans[c1.codes] == c2.codes
-                else:
-                    raise EncodedFallback("unknown condition class")
-                mask = m if mask is None else mask & m
-            if mask is None:
-                return np.arange(n, dtype=np.int64)
-            return np.flatnonzero(mask)
-        tests = []
+        mask = None
         for condition in self.conditions:
             if isinstance(condition, AttrEq):
                 col = batch.col(condition.attribute)
@@ -470,64 +426,45 @@ class SelectStage:
                     code = col.index.get(condition.value, -1)
                 except TypeError:
                     raise EncodedFallback("unhashable comparison value") from None
-                tests.append(("code", col.codes, code))
+                m = col.codes == code if code >= 0 else np.zeros(n, dtype=bool)
             elif isinstance(condition, AttrCompare):
                 col = batch.col(condition.attribute)
                 cmp = _ORDER_TESTS[condition.op]
                 value = condition.value
                 try:
-                    ok = [bool(cmp(v, value)) for v in col.values]
+                    ok = np.fromiter(
+                        (bool(cmp(v, value)) for v in col.values),
+                        bool,
+                        len(col.values),
+                    )
                 except TypeError:
+                    # incomparable types: the object path raises the
+                    # interpreter's row-order error
                     raise EncodedFallback("incomparable values") from None
-                tests.append(("table", col.codes, ok))
+                m = ok[col.codes]
             elif isinstance(condition, AttrEqAttr):
                 c1 = batch.col(condition.attribute1)
                 c2 = batch.col(condition.attribute2)
-                tests.append(("pair", c1.codes, c1.translate_to(c2, None), c2.codes))
+                trans = c1.translate_to(c2)
+                m = trans[c1.codes] == c2.codes
             else:
                 raise EncodedFallback("unknown condition class")
-        if len(tests) == 1:
-            kind, codes, *rest = tests[0]
-            if kind == "code":
-                target = rest[0]
-                return [i for i, c in enumerate(codes) if c == target]
-            if kind == "table":
-                ok = rest[0]
-                return [i for i, c in enumerate(codes) if ok[c]]
-            trans, codes2 = rest
-            return [
-                i for i, (a, b) in enumerate(zip(codes, codes2)) if trans[a] == b
-            ]
-        keep = []
-        for i in range(n):
-            for test in tests:
-                kind = test[0]
-                if kind == "code":
-                    if test[1][i] != test[2]:
-                        break
-                elif kind == "table":
-                    if not test[2][test[1][i]]:
-                        break
-                elif test[2][test[1][i]] != test[3][i]:
-                    break
-            else:
-                keep.append(i)
-        return keep
+            mask = m if mask is None else mask & m
+        if mask is None:
+            return np.arange(n, dtype=np.int64)
+        return np.flatnonzero(mask)
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
         keep = self.encoded_keep(batch)
-        np = batch.np
         cols = {
-            a: (lambda a=a, keep=keep, np=np: batch.col(a).gather(keep, np))
+            a: (lambda a=a, keep=keep: batch.col(a).gather(keep))
             for a in batch.schema.attributes
         }
-        anns = enc.gather_anns(batch.anns, keep, np)
         return EncodedBatch(
             batch.semiring,
             batch.schema,
-            np,
             cols,
-            anns,
+            batch.anns[keep],
             batch.anns_one,
             batch.ann_bound,
         )
@@ -593,7 +530,6 @@ class RenameStage:
         return EncodedBatch(
             batch.semiring,
             out_schema,
-            batch.np,
             cols,
             batch.anns,
             batch.anns_one,
@@ -621,14 +557,13 @@ class DistinctStage:
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
         merged = _consolidate_encoded(batch, batch.schema)
-        anns = enc.delta_anns(batch.semiring, merged.anns, batch.np)
+        anns = enc.delta_anns(batch.semiring, merged.anns)
         return EncodedBatch(
             batch.semiring,
             batch.schema,
-            batch.np,
             merged.cols,
             anns,
-            enc.all_one(batch.semiring, anns, batch.np),
+            enc.all_one(batch.semiring, anns),
             1,  # delta outputs are 0_K or 1_K
         )
 
@@ -765,11 +700,7 @@ class HashJoin(PhysicalOp):
     def _run(self, ctx: ExecutionContext):
         left = self.children[0].execute(ctx)
         right = self.children[1].execute(ctx)
-        if (
-            isinstance(left, EncodedBatch)
-            and isinstance(right, EncodedBatch)
-            and left.np is right.np
-        ):
+        if isinstance(left, EncodedBatch) and isinstance(right, EncodedBatch):
             try:
                 return self._run_encoded(left, right)
             except EncodedFallback:
@@ -826,42 +757,29 @@ class HashJoin(PhysicalOp):
         self, build: EncodedBatch, keys: Tuple[str, ...], cacheable: bool
     ):
         """The encoded build structure, cached per build batch like the
-        object bucket table.
-
-        NumPy: a stable argsort of the combined build key codes plus
-        per-distinct-key ``(starts, counts)`` — each probe match gathers
-        its matching build rows as one slice of the order array.  Python:
-        an int-keyed bucket dict.
+        object bucket table: a stable argsort of the combined build key
+        codes plus per-distinct-key ``(starts, counts)`` — each probe
+        match gathers its matching build rows as one slice of the order
+        array.
         """
         cached = self._build_cache.get("encoded")
         if cached is not None and cached[0] is build:
             return cached[1]
-        np = build.np
         cols = [build.col(a) for a in keys]
-        bkeys = enc.combine_codes(cols, np)
-        if np is not None:
-            order = np.argsort(bkeys, kind="stable")
-            sorted_keys = bkeys[order]
-            n = len(sorted_keys)
-            if n:
-                head = np.empty(n, dtype=bool)
-                head[0] = True
-                np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-                starts = np.flatnonzero(head)
-                unique = sorted_keys[starts]
-                counts = np.diff(np.append(starts, n))
-            else:
-                unique = starts = counts = np.empty(0, dtype=np.int64)
-            struct = (cols, unique, order, starts, counts)
+        bkeys = enc.combine_codes(cols)
+        order = np.argsort(bkeys, kind="stable")
+        sorted_keys = bkeys[order]
+        n = len(sorted_keys)
+        if n:
+            head = np.empty(n, dtype=bool)
+            head[0] = True
+            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            unique = sorted_keys[starts]
+            counts = np.diff(np.append(starts, n))
         else:
-            buckets: Dict[int, List[int]] = {}
-            for i, key in enumerate(bkeys):
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [i]
-                else:
-                    bucket.append(i)
-            struct = (cols, buckets)
+            unique = starts = counts = np.empty(0, dtype=np.int64)
+        struct = (cols, unique, order, starts, counts)
         # same policy as the object path: only scan batches outlive the
         # execution, so anything else would pin memory at a 100% miss rate
         if cacheable:
@@ -875,42 +793,21 @@ class HashJoin(PhysicalOp):
     ):
         """Per-probe-row combined key in the *build* code space (-1 = a key
         value absent from the build dictionary, i.e. statically no match).
-        The translation runs per distinct probe value, never per row.
-        (Single-key python-backend joins never come here — they take the
-        fused lookup path in :meth:`_run_encoded`.)"""
-        np = probe.np
-        if np is not None:
-            pkeys = None
-            invalid = None
-            for bcol, attr in zip(bcols, probe_keys):
-                pcol = probe.col(attr)
-                translated = pcol.translate_to(bcol, np)[pcol.codes]
-                bad = translated < 0
-                invalid = bad if invalid is None else invalid | bad
-                if pkeys is None:
-                    pkeys = translated
-                else:
-                    pkeys = pkeys * len(bcol.values) + translated
-            return np.where(invalid, np.int64(-1), pkeys)
-        translations = [
-            (probe.col(a).codes, probe.col(a).translate_to(bcol, None), len(bcol.values))
-            for a, bcol in zip(probe_keys, bcols)
-        ]
-        n = len(probe)
-        pkeys = [0] * n
-        for i in range(n):
-            key = 0
-            for codes, trans, size in translations:
-                code = trans[codes[i]]
-                if code < 0:
-                    key = -1
-                    break
-                key = key * size + code
-            pkeys[i] = key
-        return pkeys
+        The translation runs per distinct probe value, never per row."""
+        pkeys = None
+        invalid = None
+        for bcol, attr in zip(bcols, probe_keys):
+            pcol = probe.col(attr)
+            translated = pcol.translate_to(bcol)[pcol.codes]
+            bad = translated < 0
+            invalid = bad if invalid is None else invalid | bad
+            if pkeys is None:
+                pkeys = translated
+            else:
+                pkeys = pkeys * len(bcol.values) + translated
+        return np.where(invalid, np.int64(-1), pkeys)
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
-        np = left.np
         semiring = left.semiring
         if self.kind != "cross":
             _encoded_guard_plain(left, self.left_keys)
@@ -926,77 +823,31 @@ class HashJoin(PhysicalOp):
 
         if self.kind == "cross":
             nb, npr = len(build), len(probe)
-            if np is not None:
-                build_idx = np.repeat(np.arange(nb, dtype=np.int64), npr)
-                probe_idx = np.tile(np.arange(npr, dtype=np.int64), nb)
-            else:
-                build_idx = [i for i in range(nb) for _ in range(npr)]
-                probe_idx = list(range(npr)) * nb
+            build_idx = np.repeat(np.arange(nb, dtype=np.int64), npr)
+            probe_idx = np.tile(np.arange(npr, dtype=np.int64), nb)
         else:
             struct = self._encoded_buckets(
                 build, build_keys, isinstance(build_child, Scan)
             )
-            if np is not None:
-                pkeys = self._encoded_probe_keys(probe, probe_keys, struct[0])
-                _cols, unique, order, starts, counts = struct
-                pos = np.searchsorted(unique, pkeys)
-                if len(unique):
-                    found = (
-                        (pkeys >= 0)
-                        & (pos < len(unique))
-                        & (unique[np.minimum(pos, len(unique) - 1)] == pkeys)
-                    )
-                else:
-                    found = np.zeros(len(probe), dtype=bool)
-                probe_rows = np.flatnonzero(found)
-                buckets = pos[probe_rows]
-                cnt = counts[buckets]
-                probe_idx = np.repeat(probe_rows, cnt)
-                total = int(cnt.sum())
-                ends = np.cumsum(cnt)
-                offsets = np.repeat(starts[buckets] - (ends - cnt), cnt)
-                build_idx = order[np.arange(total, dtype=np.int64) + offsets]
+            pkeys = self._encoded_probe_keys(probe, probe_keys, struct[0])
+            _cols, unique, order, starts, counts = struct
+            pos = np.searchsorted(unique, pkeys)
+            if len(unique):
+                found = (
+                    (pkeys >= 0)
+                    & (pos < len(unique))
+                    & (unique[np.minimum(pos, len(unique) - 1)] == pkeys)
+                )
             else:
-                _cols, buckets = struct
-                probe_idx: List[int] = []
-                build_idx: List[int] = []
-                extend_probe = probe_idx.extend
-                extend_build = build_idx.extend
-                repeat = itertools.repeat
-                if len(build_keys) == 1:
-                    # fuse translation and bucket lookup into one
-                    # per-distinct-value table: the per-row work is a
-                    # single list index, no hashing at all
-                    pcol = probe.col(probe_keys[0])
-                    lookup = [
-                        buckets.get(code)
-                        for code in pcol.translate_to(struct[0][0], None)
-                    ]
-                    if all(b is None or len(b) == 1 for b in lookup):
-                        # unique build keys (the FK-join shape): plain
-                        # appends beat per-row repeat() allocation
-                        rows = [-1 if b is None else b[0] for b in lookup]
-                        append_probe = probe_idx.append
-                        append_build = build_idx.append
-                        for i, code in enumerate(pcol.codes):
-                            row = rows[code]
-                            if row >= 0:
-                                append_probe(i)
-                                append_build(row)
-                    else:
-                        for i, code in enumerate(pcol.codes):
-                            bucket = lookup[code]
-                            if bucket is not None:
-                                extend_build(bucket)
-                                extend_probe(repeat(i, len(bucket)))
-                else:
-                    pkeys = self._encoded_probe_keys(probe, probe_keys, struct[0])
-                    for i, key in enumerate(pkeys):
-                        if key >= 0:
-                            bucket = buckets.get(key)
-                            if bucket is not None:
-                                extend_build(bucket)
-                                extend_probe(repeat(i, len(bucket)))
+                found = np.zeros(len(probe), dtype=bool)
+            probe_rows = np.flatnonzero(found)
+            buckets = pos[probe_rows]
+            cnt = counts[buckets]
+            probe_idx = np.repeat(probe_rows, cnt)
+            total = int(cnt.sum())
+            ends = np.cumsum(cnt)
+            offsets = np.repeat(starts[buckets] - (ends - cnt), cnt)
+            build_idx = order[np.arange(total, dtype=np.int64) + offsets]
 
         if self.build_side == "left":
             left_idx, right_idx = build_idx, probe_idx
@@ -1006,44 +857,32 @@ class HashJoin(PhysicalOp):
         cols: Dict[str, Any] = {}
         for attr in left.schema.attributes:
             cols[attr] = (
-                lambda attr=attr, idx=left_idx: left.col(attr).gather(idx, np)
+                lambda attr=attr, idx=left_idx: left.col(attr).gather(idx)
             )
         for attr in right.schema.attributes:
             if attr not in cols:
                 cols[attr] = (
-                    lambda attr=attr, idx=right_idx: right.col(attr).gather(idx, np)
+                    lambda attr=attr, idx=right_idx: right.col(attr).gather(idx)
                 )
 
         if left.anns_one and right.anns_one:
-            anns = enc.ones_anns(semiring, len(left_idx), np)
+            anns = enc.ones_anns(semiring, len(left_idx))
             anns_one = True
             bound = 1
         elif left.anns_one:
-            anns = enc.gather_anns(right.anns, right_idx, np)
+            anns = right.anns[right_idx]
             anns_one = False
             bound = right.ann_bound
         elif right.anns_one:
-            anns = enc.gather_anns(left.anns, left_idx, np)
+            anns = left.anns[left_idx]
             anns_one = False
             bound = left.ann_bound
         else:
             bound = enc.check_product_bound(left, right)
-            machine = left.machine
-            if np is not None:
-                times = getattr(np, machine.np_times)
-                anns = times(left.anns[left_idx], right.anns[right_idx])
-            else:
-                times = machine.py_times
-                l_anns, r_anns = left.anns, right.anns
-                anns = list(
-                    map(
-                        times,
-                        map(l_anns.__getitem__, left_idx),
-                        map(r_anns.__getitem__, right_idx),
-                    )
-                )
+            times = getattr(np, left.machine.np_times)
+            anns = times(left.anns[left_idx], right.anns[right_idx])
             anns_one = False
-        return EncodedBatch(semiring, self.schema, np, cols, anns, anns_one, bound)
+        return EncodedBatch(semiring, self.schema, cols, anns, anns_one, bound)
 
     def label(self) -> str:
         if self.kind == "cross":
@@ -1066,11 +905,7 @@ class UnionAll(PhysicalOp):
     def _run(self, ctx: ExecutionContext):
         left = self.children[0].execute(ctx)
         right = self.children[1].execute(ctx)
-        if (
-            isinstance(left, EncodedBatch)
-            and isinstance(right, EncodedBatch)
-            and left.np is right.np
-        ):
+        if isinstance(left, EncodedBatch) and isinstance(right, EncodedBatch):
             return self._run_encoded(left, right)
         left = _as_columnar(left, ctx)
         right = _as_columnar(right, ctx)
@@ -1085,7 +920,7 @@ class UnionAll(PhysicalOp):
         )
 
     @staticmethod
-    def _merge_columns(lcol, rcol, np):
+    def _merge_columns(lcol, rcol):
         """Concatenate two encoded columns under one merged dictionary
         (the right side's codes are translated per distinct value)."""
         index = dict(lcol.index)
@@ -1097,36 +932,26 @@ class UnionAll(PhysicalOp):
                 code = index[value] = len(values)
                 values.append(value)
             translation.append(code)
-        if np is not None:
-            table = np.asarray(translation, dtype=np.int64)
-            if len(table):
-                right_codes = table[rcol.codes]
-            else:
-                right_codes = rcol.codes
-            codes = np.concatenate([lcol.codes, right_codes])
+        table = np.asarray(translation, dtype=np.int64)
+        if len(table):
+            right_codes = table[rcol.codes]
         else:
-            codes = list(lcol.codes)
-            codes.extend(map(translation.__getitem__, rcol.codes))
+            right_codes = rcol.codes
+        codes = np.concatenate([lcol.codes, right_codes])
         return enc.EncodedColumn(codes, values, index)
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
-        np = left.np
         cols = {
             a: (
-                lambda a=a: self._merge_columns(left.col(a), right.col(a), np)
+                lambda a=a: self._merge_columns(left.col(a), right.col(a))
             )
             for a in left.schema.attributes
         }
-        if np is not None:
-            anns = np.concatenate([left.anns, right.anns])
-        else:
-            anns = list(left.anns) + list(right.anns)
         return EncodedBatch(
             left.semiring,
             left.schema,
-            np,
             cols,
-            anns,
+            np.concatenate([left.anns, right.anns]),
             left.anns_one and right.anns_one,
             max(left.ann_bound, right.ann_bound),
         )
@@ -1259,8 +1084,6 @@ class GroupedAggregate(PhysicalOp):
         total that is zero in one morsel may be nonzero in another.
         """
         semiring = batch.semiring
-        np = batch.np
-        machine = batch.machine
         group_attrs = self.group_attributes
         if not group_attrs:
             raise EncodedFallback("empty grouping key")
@@ -1282,7 +1105,7 @@ class GroupedAggregate(PhysicalOp):
             attr: tensor_space(semiring, monoid) for attr, monoid in specs.items()
         }
         gcols = [batch.col(a) for a in group_attrs]
-        gkeys = enc.combine_codes(gcols, np)
+        gkeys = enc.combine_codes(gcols)
         radix = 1
         for col in gcols:
             radix *= max(1, len(col.values))
@@ -1290,127 +1113,35 @@ class GroupedAggregate(PhysicalOp):
         is_zero = semiring.is_zero
         enc.check_reduction_bound(batch, len(batch))
 
-        if np is not None:
-            plus = getattr(np, machine.np_plus)
-            unique, rep, totals = kernels.reduce_by_key(np, gkeys, anns, plus)
-            rep_list = rep.tolist()
-            totals_list = totals.tolist()
-            n_groups = len(rep_list)
-            entries = {
-                attr: [{} for _ in range(n_groups)] for attr in self.aggregations
-            }
-            for attr in self.aggregations:
-                col = agg_cols[attr]
-                size = max(1, len(col.values))
-                if radix * size > enc._RADIX_LIMIT:
-                    raise EncodedFallback("code space overflow")
-                pair_keys = gkeys * size + col.codes
-                pkeys, _rep, sums = kernels.reduce_by_key(np, pair_keys, anns, plus)
-                positions = np.searchsorted(unique, pkeys // size)
-                values = col.values
-                identity = spaces[attr].monoid.identity
-                target = entries[attr]
-                for pos, code, scalar in zip(
-                    positions.tolist(), (pkeys % size).tolist(), sums.tolist()
-                ):
-                    value = values[code]
-                    if value == identity or is_zero(scalar):
-                        continue
-                    target[pos][value] = scalar
-        else:
-            plus = machine.py_plus
-            n_rows = len(batch)
-            dense_bound = max(4096, 2 * n_rows)
-            if radix <= dense_bound:
-                # dense slot accumulation: the whole group-key space fits a
-                # flat list, so the per-row work is one list index — no
-                # hashing, no dict churn
-                slot_first = [None] * radix
-                slot_total = [None] * radix
-                for i, key in enumerate(gkeys):
-                    total = slot_total[key]
-                    if total is None:
-                        slot_first[key] = i
-                        slot_total[key] = anns[i]
-                    else:
-                        slot_total[key] = plus(total, anns[i])
-                slot_pos = [0] * radix
-                rep_list = []
-                totals_list = []
-                for key in range(radix):
-                    first = slot_first[key]
-                    if first is not None:
-                        slot_pos[key] = len(rep_list)
-                        rep_list.append(first)
-                        totals_list.append(slot_total[key])
-                group_pos = None
-            else:
-                positions: Dict[int, int] = {}
-                rep_list = []
-                totals_list = []
-                group_pos = [0] * n_rows
-                for i, key in enumerate(gkeys):
-                    j = positions.get(key, -1)
-                    if j < 0:
-                        j = positions[key] = len(rep_list)
-                        rep_list.append(i)
-                        totals_list.append(anns[i])
-                    else:
-                        totals_list[j] = plus(totals_list[j], anns[i])
-                    group_pos[i] = j
-            n_groups = len(rep_list)
-            entries = {}
-            for attr in self.aggregations:
-                col = agg_cols[attr]
-                codes = col.codes
-                size = max(1, len(col.values))
-                target = [{} for _ in range(n_groups)]
-                values = col.values
-                identity = spaces[attr].monoid.identity
-                if group_pos is None and radix * size <= 4 * dense_bound:
-                    # dense (group, value-code) pairs: flat accumulator,
-                    # touched slots tracked to skip the empty code space
-                    acc = [None] * (radix * size)
-                    touched: List[int] = []
-                    note = touched.append
-                    for i, key in enumerate(gkeys):
-                        k = key * size + codes[i]
-                        scalar = acc[k]
-                        if scalar is None:
-                            acc[k] = anns[i]
-                            note(k)
-                        else:
-                            acc[k] = plus(scalar, anns[i])
-                    for k in touched:
-                        scalar = acc[k]
-                        value = values[k % size]
-                        if value == identity or is_zero(scalar):
-                            continue
-                        target[slot_pos[k // size]][value] = scalar
-                else:
-                    pairs: Dict[int, Any] = {}
-                    if group_pos is None:
-                        keys_iter = (key * size + c for key, c in zip(gkeys, codes))
-                    else:
-                        keys_iter = (j * size + c for j, c in zip(group_pos, codes))
-                    for i, k in enumerate(keys_iter):
-                        scalar = pairs.get(k)
-                        pairs[k] = anns[i] if scalar is None else plus(scalar, anns[i])
-                    for k, scalar in pairs.items():
-                        value = values[k % size]
-                        if value == identity or is_zero(scalar):
-                            continue
-                        pos = slot_pos[k // size] if group_pos is None else k // size
-                        target[pos][value] = scalar
-                entries[attr] = target
+        plus = getattr(np, batch.machine.np_plus)
+        unique, rep, totals = reduce_by_key(gkeys, anns, plus)
+        totals_list = totals.tolist()
+        n_groups = len(totals_list)
+        entries = {
+            attr: [{} for _ in range(n_groups)] for attr in self.aggregations
+        }
+        for attr in self.aggregations:
+            col = agg_cols[attr]
+            size = max(1, len(col.values))
+            if radix * size > enc._RADIX_LIMIT:
+                raise EncodedFallback("code space overflow")
+            pair_keys = gkeys * size + col.codes
+            pkeys, _rep, sums = reduce_by_key(pair_keys, anns, plus)
+            positions = np.searchsorted(unique, pkeys // size)
+            values = col.values
+            identity = spaces[attr].monoid.identity
+            target = entries[attr]
+            for pos, code, scalar in zip(
+                positions.tolist(), (pkeys % size).tolist(), sums.tolist()
+            ):
+                value = values[code]
+                if value == identity or is_zero(scalar):
+                    continue
+                target[pos][value] = scalar
 
         decoded = []
         for col in gcols:
-            codes = (
-                col.codes[rep].tolist()
-                if np is not None
-                else list(map(col.codes.__getitem__, rep_list))
-            )
+            codes = col.codes[rep].tolist()
             decoded.append(list(map(col.values.__getitem__, codes)))
         group_rows = list(zip(*decoded))
         return group_rows, totals_list, entries
@@ -1418,9 +1149,10 @@ class GroupedAggregate(PhysicalOp):
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.
 
-        The pure-Python-backend twin of :meth:`encoded_group_states` for
-        the parallel tier's workers when a morsel fell back to the object
-        path: the accumulation *is* ``TensorSpace.set_agg`` (identical to
+        The per-morsel *object* fallback of :meth:`encoded_group_states`,
+        run by the parallel tier's workers when an operator inside the
+        morsel raised :class:`EncodedFallback` and handed on a boxed
+        batch: the accumulation *is* ``TensorSpace.set_agg`` (identical to
         the serial object path), with the tensors decomposed back into
         their ``value -> scalar`` entry dicts so partial states stay
         mergeable scalars, never boxed result objects.
@@ -1546,7 +1278,6 @@ class WholeAggregate(PhysicalOp):
         of the annotations per distinct value code is exactly the tensor's
         ``value -> scalar`` normal form."""
         semiring = batch.semiring
-        np = batch.np
         col = batch.col(self.attribute)
         if not all(map(self.monoid.contains, col.values)):
             raise EncodedFallback("foreign value in aggregated column")
@@ -1555,19 +1286,9 @@ class WholeAggregate(PhysicalOp):
         is_zero = semiring.is_zero
         enc.check_reduction_bound(batch, len(batch))
         entries: Dict[Any, Any] = {}
-        if np is not None:
-            plus = getattr(np, batch.machine.np_plus)
-            codes, _rep, sums = kernels.reduce_by_key(np, col.codes, batch.anns, plus)
-            pairs = zip(codes.tolist(), sums.tolist())
-        else:
-            merged: Dict[int, Any] = {}
-            plus = batch.machine.py_plus
-            anns = batch.anns
-            for i, code in enumerate(col.codes):
-                scalar = merged.get(code)
-                merged[code] = anns[i] if scalar is None else plus(scalar, anns[i])
-            pairs = merged.items()
-        for code, scalar in pairs:
+        plus = getattr(np, batch.machine.np_plus)
+        codes, _rep, sums = reduce_by_key(col.codes, batch.anns, plus)
+        for code, scalar in zip(codes.tolist(), sums.tolist()):
             value = col.values[code]
             if value == identity or is_zero(scalar):
                 continue

@@ -56,15 +56,17 @@ class MachineRepr:
     The capability contract behind the dictionary-encoded execution tier
     (:mod:`repro.plan.encoded`): a semiring carrying a ``MachineRepr`` can
     have its annotations stored in flat numeric arrays and its ``+``/``*``
-    executed as array kernels.  The descriptor names
+    executed as array kernels.  NumPy is the optional accelerator that
+    buys that tier (and the parallel tier on top of it); without it the
+    descriptor is inert, every plan runs the object tier, and every
+    answer is identical.  The descriptor names
 
     * ``dtype`` — the array element type (``"int64"``, ``"float64"`` or
-      ``"bool"``), used verbatim as the NumPy dtype when NumPy is present;
+      ``"bool"``), used verbatim as the NumPy dtype;
     * ``np_plus`` / ``np_times`` — NumPy ufunc *names* (``"add"``,
       ``"minimum"``, ``"logical_or"``, ...) implementing ``+_K`` / ``*_K``
-      elementwise (looked up lazily so the dependency stays optional);
-    * ``py_plus`` / ``py_times`` — C-implemented scalar callables
-      (``operator.add``, ``min``, ...) for the pure-Python array fallback.
+      elementwise (names, looked up lazily, so declaring a repr never
+      imports NumPy).
 
     ``fits`` is the per-value qualification test: a value that does not
     round-trip *exactly and type-identically* through the dtype
@@ -84,23 +86,14 @@ class MachineRepr:
     delta must not declare a machine repr.
     """
 
-    __slots__ = ("dtype", "np_plus", "np_times", "py_plus", "py_times")
+    __slots__ = ("dtype", "np_plus", "np_times")
 
-    def __init__(
-        self,
-        dtype: str,
-        np_plus: str,
-        np_times: str,
-        py_plus: Callable[[Any, Any], Any],
-        py_times: Callable[[Any, Any], Any],
-    ):
+    def __init__(self, dtype: str, np_plus: str, np_times: str):
         if dtype not in ("int64", "float64", "bool"):
             raise SemiringError(f"unsupported machine dtype {dtype!r}")
         self.dtype = dtype
         self.np_plus = np_plus
         self.np_times = np_times
-        self.py_plus = py_plus
-        self.py_times = py_times
 
     def fits(self, value: Any) -> bool:
         """Is ``value`` exactly *and type-identically* representable?"""

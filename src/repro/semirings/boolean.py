@@ -8,7 +8,6 @@ unique homomorphism-like support map onto ``B`` when positive, which is how
 
 from __future__ import annotations
 
-import operator
 from typing import Any
 
 from repro.semirings.base import MachineRepr, Semiring
@@ -32,9 +31,7 @@ class BooleanSemiring(Semiring):
     has_hom_to_nat = False
     has_delta = True
     is_booleans = True
-    machine_repr = MachineRepr(
-        "bool", "logical_or", "logical_and", operator.or_, operator.and_
-    )
+    machine_repr = MachineRepr("bool", "logical_or", "logical_and")
 
     @property
     def zero(self) -> bool:

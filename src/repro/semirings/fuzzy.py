@@ -9,7 +9,6 @@ standard specialisations of the semiring framework.
 
 from __future__ import annotations
 
-import operator
 from typing import Any
 
 from repro.semirings.base import MachineRepr, Semiring
@@ -26,9 +25,7 @@ class FuzzySemiring(Semiring):
     positive = True
     has_hom_to_nat = False
     has_delta = True
-    machine_repr = MachineRepr(
-        "float64", "maximum", "multiply", max, operator.mul
-    )
+    machine_repr = MachineRepr("float64", "maximum", "multiply")
 
     @property
     def zero(self) -> float:

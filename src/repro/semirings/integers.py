@@ -14,7 +14,6 @@ aggregation baseline (Figure 2 / ``repro.naive``).
 
 from __future__ import annotations
 
-import operator
 from typing import Any
 
 from repro.semirings.base import MachineRepr, Semiring
@@ -31,9 +30,7 @@ class IntegerRing(Semiring):
     positive = False
     has_hom_to_nat = False
     has_delta = True
-    machine_repr = MachineRepr(
-        "int64", "add", "multiply", operator.add, operator.mul
-    )
+    machine_repr = MachineRepr("int64", "add", "multiply")
 
     @property
     def zero(self) -> int:

@@ -9,7 +9,6 @@ existence of a homomorphism *into* ``N`` is the paper's sufficient condition
 
 from __future__ import annotations
 
-import operator
 from typing import Any
 
 from repro.exceptions import SemiringError
@@ -28,9 +27,7 @@ class NaturalSemiring(Semiring):
     has_hom_to_nat = True
     has_delta = True
     is_naturals = True
-    machine_repr = MachineRepr(
-        "int64", "add", "multiply", operator.add, operator.mul
-    )
+    machine_repr = MachineRepr("int64", "add", "multiply")
 
     @property
     def zero(self) -> int:

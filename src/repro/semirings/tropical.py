@@ -10,7 +10,6 @@ factor through (Section 1 of the paper lists cost among the applications).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Any
 
 from repro.semirings.base import MachineRepr, Semiring
@@ -27,9 +26,7 @@ class TropicalSemiring(Semiring):
     positive = True
     has_hom_to_nat = False
     has_delta = True
-    machine_repr = MachineRepr(
-        "float64", "minimum", "add", min, operator.add
-    )
+    machine_repr = MachineRepr("float64", "minimum", "add")
 
     @property
     def zero(self) -> float:

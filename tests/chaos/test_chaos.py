@@ -1,23 +1,23 @@
-"""The chaos suite: exactness under every injected fault, on both backends.
+"""The chaos suite: exactness under every injected fault.
 
 The resilience contract is absolute — recovery may cost wall-clock,
 never an annotation.  Each test arms one fault class from
 :mod:`repro.faults` across several seeds, forces the parallel tier, and
 compares the recovered answer bit-for-bit against the interpreter (the
 paper-faithful oracle that shares no code with the tiers under test).
-Both kernel backends run: the pure-Python backend ships chunked lists
-(no shared memory), NumPy publishes checksummed shm segments — their
-failure surfaces differ, their answers must not.
+Workers map checksummed shared-memory segments, so the shm faults
+(dropped and byte-flipped segments) run against the real transport.
 
 The suite ends by auditing ``/dev/shm``: after :func:`parallel.cleanup`
 not one segment this process created may survive, *including* those
 whose jobs died mid-flight.
 
-Run directly via ``make chaos`` (both backends, hard per-test timeouts
-on CI); the tier-1 suite collects it too.
+Run directly via ``make chaos``; the tier-1 suite collects it too.
 """
 
 import pytest
+
+pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
@@ -34,23 +34,13 @@ from repro.core import (
 )
 from repro.exceptions import DeadlineExceeded, SnapshotCorrupt
 from repro.monoids import MAX, SUM
-from repro.plan import compile_plan, set_backend, set_default_workers
+from repro.plan import compile_plan, set_default_workers
 from repro.plan import parallel
-from repro.plan.kernels import available_backends
 from repro.semirings import INT, NAT
 
 SEEDS = [0, 1, 7]
 
 ROWS = 240  # enough for 4+ non-trivial morsels at 2 workers
-
-
-@pytest.fixture(params=list(available_backends()))
-def backend(request):
-    set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_backend(None)
 
 
 @pytest.fixture(autouse=True)
@@ -106,32 +96,32 @@ def assert_exact(query, db, point, seed, times=1, **params):
 
 
 # ---------------------------------------------------------------------------
-# worker-side chaos (both backends)
+# worker-side chaos
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", WORKER_FAULTS)
-def test_grouped_aggregate_survives_worker_faults(backend, point, seed):
+def test_grouped_aggregate_survives_worker_faults(point, seed):
     assert_exact(GROUP_QUERY, chaos_db(), point, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", WORKER_FAULTS)
-def test_spju_with_union_once_survives_worker_faults(backend, point, seed):
+def test_spju_with_union_once_survives_worker_faults(point, seed):
     """The union-once seeding (non-driver branch contributes exactly one
     morsel) must survive that morsel's worker dying and being retried."""
     assert_exact(SPJU_QUERY, chaos_db(), point, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_signed_cancellation_survives_a_kill(backend, seed):
+def test_signed_cancellation_survives_a_kill(seed):
     """Over Z, cross-morsel merges cancel annotations to zero; a retried
     morsel must not double-count its contribution."""
     assert_exact(GROUP_QUERY, chaos_db(INT), "kill_worker", seed)
 
 
-def test_double_fault_kill_then_kernel_error(backend):
+def test_double_fault_kill_then_kernel_error():
     db = chaos_db()
     oracle = GROUP_QUERY.evaluate(db, engine="interpreted")
     plan = compile_plan(GROUP_QUERY, db, tier="parallel")
@@ -142,15 +132,13 @@ def test_double_fault_kill_then_kernel_error(backend):
 
 
 # ---------------------------------------------------------------------------
-# shared-memory chaos (NumPy backend only — Python ships no segments)
+# shared-memory chaos
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", SHM_FAULTS)
-def test_damaged_segments_never_damage_answers(backend, point, seed):
-    if backend != "numpy":
-        pytest.skip("the pure-Python backend publishes no shared memory")
+def test_damaged_segments_never_damage_answers(point, seed):
     parallel.cleanup()
     assert_exact(GROUP_QUERY, chaos_db(), point, seed)
     assert obs_metrics.resilience_counters()["shm_integrity_failures"] >= 1
@@ -161,7 +149,7 @@ def test_damaged_segments_never_damage_answers(backend, point, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_exhaustion_degrades_serially_and_exactly(backend):
+def test_exhaustion_degrades_serially_and_exactly():
     db = chaos_db()
     oracle = GROUP_QUERY.evaluate(db, engine="interpreted")
     plan = compile_plan(GROUP_QUERY, db, tier="parallel")
@@ -171,7 +159,7 @@ def test_exhaustion_degrades_serially_and_exactly(backend):
     assert obs_metrics.resilience_counters()["parallel_exhausted"] == 1
 
 
-def test_tight_deadline_under_latency_cancels_or_answers_exactly(backend):
+def test_tight_deadline_under_latency_cancels_or_answers_exactly():
     """A racing deadline has exactly two legal outcomes: the exact answer
     in time, or DeadlineExceeded — never a partial or wrong result."""
     db = chaos_db()

@@ -4,10 +4,9 @@ Randomized SPJUA queries over databases annotated in every
 machine-representable semiring (``N``, ``B``, ``Z``, tropical, Viterbi)
 are evaluated three ways — the interpreter, the planned object tier
 (``compile_plan(..., tier="object")``) and the planned encoded tier — and
-the *annotated* results compared for equality, under both the NumPy and
-the pure-Python array backends.  A separate property injects data that
-disqualifies the tier (annotations outside the machine dtype) and checks
-the runtime fallback is transparent.
+the *annotated* results compared for equality.  A separate property
+injects data that disqualifies the tier (annotations outside the machine
+dtype) and checks the runtime fallback is transparent.
 
 Unlike the free-semiring planner suite (one ``N[X]`` run certifies every
 homomorphic image), concrete semirings must each be exercised directly:
@@ -17,7 +16,10 @@ the encoded tier specialises per dtype and per ``+``/``*`` kernel pair.
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+
+pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregate,
@@ -38,8 +40,7 @@ from repro.core import (
     ValueJoin,
 )
 from repro.monoids import MAX, MIN, SUM
-from repro.plan import compile_plan, set_backend
-from repro.plan.kernels import available_backends
+from repro.plan import compile_plan
 from repro.semirings import BOOL, FUZZY, INT, NAT, TROPICAL
 
 GROUPS = ["g1", "g2", "g3"]
@@ -56,18 +57,6 @@ SEMIRINGS = [
     (TROPICAL, [0.0, 1.5, 2.5, math.inf], [MIN, MAX]),
     (FUZZY, [0.25, 0.5, 1.0], [MIN, MAX]),
 ]
-
-BACKENDS = list(available_backends())
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_backend(None)
-
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -210,10 +199,9 @@ def workload(draw):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_encoded_tier_equals_object_path_and_interpreter(backend, data):
+def test_encoded_tier_equals_object_path_and_interpreter(data):
     semiring, pool, query = data.draw(workload())
     db = concrete_database(data.draw, semiring, pool)
     interpreted = query.evaluate(db, engine="interpreted")
@@ -224,10 +212,9 @@ def test_encoded_tier_equals_object_path_and_interpreter(backend, data):
     assert encoded_plan.execute() == interpreted
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_encoded_plan_is_stable_across_reexecution(backend, data):
+def test_encoded_plan_is_stable_across_reexecution(data):
     """Cached scan encodings, join build structures and key-row memos must
     not leak state between executions of a prepared plan."""
     semiring, pool, query = data.draw(workload())
@@ -238,10 +225,9 @@ def test_encoded_plan_is_stable_across_reexecution(backend, data):
     assert first == second == query.evaluate(db)
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_disqualifying_annotations_fall_back_transparently(backend, data):
+def test_disqualifying_annotations_fall_back_transparently(data):
     """Annotations outside the machine dtype (a > 2^31 multiplicity) must
     route the batch through the object path with identical results."""
     _semiring, _pool, query = data.draw(workload())

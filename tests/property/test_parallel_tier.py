@@ -4,11 +4,10 @@ The same randomized SPJUA workload that certifies the encoded tier
 (:mod:`test_encoded_tier`) is evaluated a fourth way — forced through
 ``compile_plan(..., tier="parallel")`` — and compared against the
 interpreter, the object tier and the serial encoded tier, across worker
-counts {1, 2, 4} and both array backends.  The parallel tier must be
-*invisible* semantically: whether a query shards cleanly, hits the
-union-once path, or cannot shard at all (δ on the driver, operators
-outside the morsel fragment) and falls back to serial execution, the
-annotated result is identical.
+counts {1, 2, 4}.  The parallel tier must be *invisible* semantically:
+whether a query shards cleanly, hits the union-once path, or cannot
+shard at all (δ on the driver, operators outside the morsel fragment)
+and falls back to serial execution, the annotated result is identical.
 
 A separate property injects annotations outside the machine dtype
 (``1 << 40`` in ``N``): encoding disqualifies at scan time, the parallel
@@ -17,17 +16,13 @@ whole query degrades through serial encoded to the object path — still
 bit-for-bit equal to the interpreter.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Query, Table
 from repro.plan import compile_plan, set_default_workers
 from repro.semirings import NAT
 
-from test_encoded_tier import (  # noqa: F401  (backend is a fixture)
-    backend,
-    concrete_database,
-    workload,
-)
+from test_encoded_tier import concrete_database, workload  # skips without NumPy
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -40,10 +35,9 @@ def _scanned_tables(query):
             yield from _scanned_tables(value)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_parallel_tier_equals_interpreter_and_serial_tiers(backend, data):
+def test_parallel_tier_equals_interpreter_and_serial_tiers(data):
     semiring, pool, query = data.draw(workload())
     db = concrete_database(data.draw, semiring, pool)
     set_default_workers(data.draw(st.sampled_from(WORKER_COUNTS)))
@@ -60,10 +54,9 @@ def test_parallel_tier_equals_interpreter_and_serial_tiers(backend, data):
         set_default_workers(None)
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_oversized_annotations_degrade_through_every_fallback(backend, data):
+def test_oversized_annotations_degrade_through_every_fallback(data):
     """Annotations outside the machine dtype disqualify encoding at scan
     time: the parallel run falls back to serial encoded, which falls back
     to the object path — transparently."""

@@ -5,7 +5,6 @@ import pytest
 
 from repro.apps import (
     DeletionTracker,
-    IncrementalView,
     aggregate_expectation,
     credential_hom,
     credential_hom_bag,
@@ -26,6 +25,7 @@ from repro.core import (
     aggregate,
 )
 from repro.exceptions import QueryError
+from repro.ivm import MaterializedView
 from repro.monoids import MAX, SUM
 from repro.semirings import (
     CONFIDENTIAL,
@@ -165,13 +165,13 @@ class TestViewMaintenance:
 
     def test_incremental_view_equals_reevaluation(self):
         db = self.make_db()
-        view = IncrementalView(NaturalJoin(Table("R"), Table("S")), db)
-        view.insert(
-            "R", KRelation.from_rows(NX, ("k", "v"), [((1, "c"), NX.variable("r2"))])
+        view = MaterializedView.create(db, NaturalJoin(Table("R"), Table("S")))
+        view.apply(
+            {"R": KRelation.from_rows(NX, ("k", "v"), [((1, "c"), NX.variable("r2"))])}
         )
         assert view.check()
-        view.insert(
-            "S", KRelation.from_rows(NX, ("k", "w"), [((1, "d"), NX.variable("s2"))])
+        view.apply(
+            {"S": KRelation.from_rows(NX, ("k", "w"), [((1, "d"), NX.variable("s2"))])}
         )
         assert view.check()
         assert len(view.result()) == 4  # 2 x 2 combinations on k=1
@@ -181,23 +181,3 @@ class TestViewMaintenance:
         q = GroupBy(Table("R"), ["k"], {"v": SUM})
         with pytest.raises(QueryError):
             delta_evaluate(q, db, {"R": KRelation.empty(NX, ("k", "v"))})
-
-    def test_incremental_view_is_a_deprecated_shim(self):
-        db = self.make_db()
-        with pytest.warns(DeprecationWarning):
-            view = IncrementalView(NaturalJoin(Table("R"), Table("S")), db)
-        view.insert(
-            "R", KRelation.from_rows(NX, ("k", "v"), [((1, "c"), NX.variable("r2"))])
-        )
-        assert view.check()
-
-    def test_shim_now_accepts_aggregate_views(self):
-        # the historical class refused aggregates; the repro.ivm engine
-        # underneath maintains them group-by-group
-        db = self.make_db()
-        with pytest.warns(DeprecationWarning):
-            view = IncrementalView(GroupBy(Table("R"), ["v"], {"k": MAX}), db)
-        view.insert(
-            "R", KRelation.from_rows(NX, ("k", "v"), [((7, "a"), NX.variable("r3"))])
-        )
-        assert view.check()

@@ -23,6 +23,7 @@ from repro.exceptions import SnapshotCorrupt
 from repro.io.serialize import SNAPSHOT_MAGIC, dump_file, load_file
 from repro.ivm import MaterializedView, load_view, save_view
 from repro.monoids import SUM
+from repro.obs.metrics import resilience_counters
 from repro.semirings import NAT
 
 
@@ -162,7 +163,7 @@ def test_injected_torn_write_models_a_crash_before_rename(tmp_path):
     path = tmp_path / "r.snap"
     with faults.inject("truncate_snapshot", keep=25):
         dump_file(sales_db().relation("R"), path)
-    assert faults.counters()["faults_injected"] == 1
+    assert resilience_counters()["faults_injected"] == 1
     assert os.path.exists(path)  # installed — that's the point
     with pytest.raises(SnapshotCorrupt):
         load_file(path)
@@ -188,7 +189,7 @@ def test_save_load_view_round_trip(tmp_path):
     path = save_view(view, tmp_path / "totals.snap")
     restored = load_view(db, QUERY, path)
     assert restored.result() == view.result() == QUERY.evaluate(db)
-    assert faults.counters()["snapshot_rebuilds"] == 0
+    assert resilience_counters()["snapshot_rebuilds"] == 0
 
 
 def test_corrupt_view_snapshot_rebuilds_from_the_database(tmp_path):
@@ -198,7 +199,7 @@ def test_corrupt_view_snapshot_rebuilds_from_the_database(tmp_path):
     _write(path, header + b"\n" + body[:-7])
     restored = load_view(db, QUERY, path)
     assert restored.result() == QUERY.evaluate(db)
-    assert faults.counters()["snapshot_rebuilds"] == 1
+    assert resilience_counters()["snapshot_rebuilds"] == 1
 
 
 def test_corrupt_view_snapshot_can_surface_instead(tmp_path):
@@ -207,7 +208,7 @@ def test_corrupt_view_snapshot_can_surface_instead(tmp_path):
     _write(path, b"garbage")
     with pytest.raises(SnapshotCorrupt):
         load_view(db, QUERY, path, rebuild_on_corrupt=False)
-    assert faults.counters()["snapshot_rebuilds"] == 0
+    assert resilience_counters()["snapshot_rebuilds"] == 0
 
 
 def test_snapshot_holding_the_wrong_object_is_corruption(tmp_path):
@@ -215,4 +216,4 @@ def test_snapshot_holding_the_wrong_object_is_corruption(tmp_path):
     path = dump_file(db.relation("R"), tmp_path / "notaview.snap")
     restored = load_view(db, QUERY, path)  # rebuilds: relation ≠ view state
     assert restored.result() == QUERY.evaluate(db)
-    assert faults.counters()["snapshot_rebuilds"] == 1
+    assert resilience_counters()["snapshot_rebuilds"] == 1

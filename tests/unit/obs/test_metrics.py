@@ -3,7 +3,6 @@ rendering contract, thread-safety under hammering, and the deprecated
 read shims that keep the pre-registry APIs alive."""
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -205,7 +204,7 @@ def test_concurrent_child_creation_yields_one_cell_per_label_set():
 
 
 # ---------------------------------------------------------------------------
-# the deprecated read shims (and their lockstep with the registry)
+# the faults ledger and the registry stay in lockstep
 # ---------------------------------------------------------------------------
 
 
@@ -213,30 +212,15 @@ def test_resilience_event_names_match_the_faults_ledger():
     assert metrics.RESILIENCE_EVENT_NAMES == faults._COUNTER_NAMES
 
 
-def test_faults_counters_shim_warns_and_agrees_with_the_registry():
+def test_faults_bump_is_read_back_from_the_registry():
     faults.reset_counters()
     try:
         faults.bump("breaker_trips", 3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ledger = faults.counters()
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert ledger == metrics.resilience_counters()
+        ledger = metrics.resilience_counters()
+        assert set(ledger) == set(faults._COUNTER_NAMES)
         assert ledger["breaker_trips"] == 3
     finally:
         faults.reset_counters()
-
-
-def test_tier_counts_shim_warns_and_agrees_with_the_registry():
-    from repro.plan import compiler
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        counts = compiler.tier_counts()
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert counts == metrics.tier_executions()
-    assert set(counts) == {"object", "encoded", "parallel"}
 
 
 def test_reset_resilience_keeps_the_pre_seeded_zeros():

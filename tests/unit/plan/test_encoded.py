@@ -11,6 +11,8 @@ import math
 
 import pytest
 
+pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+
 from repro.caching import LRUDict
 from repro.core import (
     AttrCompare,
@@ -27,19 +29,9 @@ from repro.core import (
 from repro.exceptions import QueryError
 from repro.monoids import MAX, MIN, SUM
 from repro.obs.metrics import ENCODED_CACHE_EVENTS
-from repro.plan import compile_plan, set_backend
+from repro.plan import compile_plan
 from repro.plan.encoded import EncodedBatch, encode_relation, encoded_scan
-from repro.plan.kernels import HAVE_NUMPY, available_backends
 from repro.semirings import BOOL, NAT, NX, TROPICAL
-
-
-@pytest.fixture(params=list(available_backends()))
-def backend(request):
-    set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_backend(None)
 
 
 def bag_db(n=60):
@@ -95,14 +87,13 @@ class TestTierSelection:
         plan = compile_plan(Table("Missing"), bag_db())
         assert plan.tier == "object"
 
-    def test_explain_reports_last_run_tier(self, backend):
+    def test_explain_reports_last_run_tier(self):
         db = bag_db()
         plan = compile_plan(JOIN_GROUP, db)
         assert "last run" not in plan.explain()
         plan.execute()
         assert "[last run: encoded]" in plan.explain()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="int64 bound fallback is numpy-only")
     def test_explain_reports_partial_fallback(self):
         """Scans encode but the projection's annotation sum would leave
         int64 → the run is reported as encoded+object fallback, not as a
@@ -111,15 +102,11 @@ class TestTierSelection:
         r = KRelation.from_rows(NAT, ("g", "a"), [(("x", 1), big), (("x", 2), big)])
         s = KRelation.from_rows(NAT, ("g",), [(("x",), big)])
         db = KDatabase(NAT, {"R": r, "S": s})
-        set_backend("numpy")
-        try:
-            plan = compile_plan(Project(NaturalJoin(Table("R"), Table("S")), ("g",)), db)
-            plan.execute()
-        finally:
-            set_backend(None)
+        plan = compile_plan(Project(NaturalJoin(Table("R"), Table("S")), ("g",)), db)
+        plan.execute()
         assert "[last run: encoded+object fallback]" in plan.explain()
 
-    def test_delta_plans_pin_object_tier_for_tiny_deltas(self, backend):
+    def test_delta_plans_pin_object_tier_for_tiny_deltas(self):
         """Single-row applies must not pay encoded fixed costs; bulk
         deltas above the threshold run encoded.  Both must maintain the
         view exactly."""
@@ -156,13 +143,13 @@ class TestTierSelection:
 
 
 class TestEncodingCache:
-    def test_encoding_cached_on_database_by_relation_identity(self, backend):
+    def test_encoding_cached_on_database_by_relation_identity(self):
         db = bag_db()
         first = encoded_scan(db, "Emp", db.relation("Emp"))
         again = encoded_scan(db, "Emp", db.relation("Emp"))
         assert first is again
 
-    def test_mutated_table_reencodes_others_survive(self, backend):
+    def test_mutated_table_reencodes_others_survive(self):
         db = bag_db()
         emp = encoded_scan(db, "Emp", db.relation("Emp"))
         dept = encoded_scan(db, "Dept", db.relation("Dept"))
@@ -173,13 +160,13 @@ class TestEncodingCache:
         assert encoded_scan(db, "Emp", db.relation("Emp")) is not emp
         assert encoded_scan(db, "Dept", db.relation("Dept")) is dept
 
-    def test_disqualified_table_is_cached_as_none(self, backend):
+    def test_disqualified_table_is_cached_as_none(self):
         rel = KRelation.from_rows(NAT, ("a",), [((1,), 1 << 40)])
         db = KDatabase(NAT, {"R": rel})
         assert encoded_scan(db, "R", rel) is None
         assert encoded_scan(db, "R", rel) is None  # cached, not re-scanned
 
-    def test_insert_query_rounds_extend_and_never_rebuild(self, backend):
+    def test_insert_query_rounds_extend_and_never_rebuild(self):
         """The deterministic guard on O(Δ) read-after-write: on a warmed
         table every insert carries the encoding forward, so no read after
         a write re-encodes the table."""
@@ -195,7 +182,7 @@ class TestEncodingCache:
         assert after["disqualify"] == before["disqualify"]
         assert expected == JOIN_GROUP.evaluate(db, engine="interpreted")
 
-    def test_disqualifying_insert_is_decided_at_write_time(self, backend):
+    def test_disqualifying_insert_is_decided_at_write_time(self):
         db = bag_db()
         assert encoded_scan(db, "Emp", db.relation("Emp")) is not None
         before = cache_events()
@@ -207,7 +194,7 @@ class TestEncodingCache:
         assert after["extend"] - before["extend"] == 1
         assert after["rebuild"] == before["rebuild"]
 
-    def test_stale_reader_does_not_evict_the_newer_entry(self, backend):
+    def test_stale_reader_does_not_evict_the_newer_entry(self):
         """A reader pinned on an older snapshot that misses must not store
         its rebuilt batch over the newer entry: the writer's next insert
         would find a foreign entry and the read after it would pay a full
@@ -227,7 +214,7 @@ class TestEncodingCache:
         assert after["extend"] - before["extend"] == 1
         assert after["rebuild"] == before["rebuild"]
 
-    def test_int64_growth_falls_back_before_wrapping(self, backend):
+    def test_int64_growth_falls_back_before_wrapping(self):
         """Annotations of 2^31 pass the scan-level fits() bound, but their
         join products and sums leave int64: the magnitude-bound guard must
         fall back to the object path instead of letting NumPy wrap
@@ -254,7 +241,7 @@ class TestEncodingCache:
             KRelation.from_rows(NAT, ("a",), [((1,), 3)])
         ) is not None
 
-    def test_float64_semirings_reject_int_annotations(self, backend):
+    def test_float64_semirings_reject_int_annotations(self):
         """TROPICAL.contains admits ints, but an array round-trip would
         retype them as floats (3 -> 3.0, observable); such tables must
         fall back rather than drift."""
@@ -268,26 +255,9 @@ class TestEncodingCache:
         anns = {t["a"]: k for t, k in planned.items()}
         assert type(anns[1]) is int and type(anns[2]) is float
 
-    def test_invalid_backend_env_var_does_not_break_import(self):
-        import subprocess
-        import sys
-
-        code = (
-            "import warnings; warnings.simplefilter('ignore');"
-            "import repro.plan.kernels as k; print(k.active_backend())"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "REPRO_ENCODED_BACKEND": "typo"},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() in ("numpy", "python")
-
 
 class TestRuntimeFallback:
-    def test_symbolic_column_raises_object_paths_error(self, backend):
+    def test_symbolic_column_raises_object_paths_error(self):
         """A stored relation can carry tensor values; selecting on such a
         column must raise the interpreter's QueryError, not crash the
         encoded kernels."""
@@ -298,7 +268,7 @@ class TestRuntimeFallback:
         with pytest.raises(QueryError, match="symbolic aggregate"):
             compile_plan(bad, db).execute()
 
-    def test_incomparable_selection_matches_object_path(self, backend):
+    def test_incomparable_selection_matches_object_path(self):
         rel = KRelation.from_rows(NAT, ("a",), [(("x",), 1), ((2,), 1)])
         db = KDatabase(NAT, {"R": rel})
         query = Select(Table("R"), [AttrCompare("a", "<", 5)])
@@ -307,7 +277,7 @@ class TestRuntimeFallback:
         with pytest.raises(TypeError):
             compile_plan(query, db).execute()
 
-    def test_foreign_aggregation_value_raises_interpreter_error(self, backend):
+    def test_foreign_aggregation_value_raises_interpreter_error(self):
         rel = KRelation.from_rows(NAT, ("g", "v"), [(("a", "oops"), 1)])
         db = KDatabase(NAT, {"R": rel})
         query = GroupBy(Table("R"), ["g"], {"v": SUM})
@@ -317,7 +287,7 @@ class TestRuntimeFallback:
             query.evaluate(db)
         assert str(planned.value) == str(interpreted.value)
 
-    def test_non_collapsing_tensor_space_matches_interpreter(self, backend):
+    def test_non_collapsing_tensor_space_matches_interpreter(self):
         """B ⊗ SUM does not collapse (Prop. 3.11 denies a readback), but
         the tensors themselves are still well-defined — the encoded tier
         must build the identical ones."""
@@ -330,7 +300,7 @@ class TestRuntimeFallback:
 
 
 class TestEncodedBatches:
-    def test_tropical_floats_roundtrip(self, backend):
+    def test_tropical_floats_roundtrip(self):
         rel = KRelation.from_rows(
             TROPICAL, ("a",), [((i,), [0.5, 2.0, math.inf][i % 3]) for i in range(9)]
         )
@@ -339,7 +309,7 @@ class TestEncodedBatches:
             Table("R"), ("a",)
         ).evaluate(db)
 
-    def test_join_columns_gather_lazily(self, backend):
+    def test_join_columns_gather_lazily(self):
         db = bag_db()
         plan = compile_plan(
             GroupBy(NaturalJoin(Table("Emp"), Table("Dept")), ["Dept"], {"Sal": SUM}),
@@ -350,14 +320,14 @@ class TestEncodedBatches:
         # are never materialised — observable only as "it still works"
         assert set(batch.schema.attributes) == {"Dept", "Sal"}
 
-    def test_union_merges_dictionaries(self, backend):
+    def test_union_merges_dictionaries(self):
         r = KRelation.from_rows(NAT, ("g",), [(("a",), 1), (("b",), 2)])
         s = KRelation.from_rows(NAT, ("g",), [(("b",), 1), (("c",), 3)])
         db = KDatabase(NAT, {"R": r, "S": s})
         query = Union(Table("R"), Table("S"))
         assert compile_plan(query, db).execute() == query.evaluate(db)
 
-    def test_decode_boundary_yields_native_python_scalars(self, backend):
+    def test_decode_boundary_yields_native_python_scalars(self):
         db = bag_db()
         batch = compile_plan(Table("Emp"), db).execute_batch()
         assert not isinstance(batch, EncodedBatch)
@@ -417,7 +387,7 @@ class TestColumnarSatellites:
 
 
 class TestIvmOnEncodedScans:
-    def test_delta_plan_rejects_stale_catalog_across_databases(self, backend):
+    def test_delta_plan_rejects_stale_catalog_across_databases(self):
         """The reusable execution catalog is keyed by source-db identity:
         executing against a different database must not serve relations
         left over from the previous one."""
@@ -433,7 +403,7 @@ class TestIvmOnEncodedScans:
         with pytest.raises(QueryError, match="Dept"):
             plan.execute(db2, delta)
 
-    def test_view_maintenance_over_encoded_delta_plans(self, backend):
+    def test_view_maintenance_over_encoded_delta_plans(self):
         from repro.ivm import MaterializedView
 
         db = bag_db()

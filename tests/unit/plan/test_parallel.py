@@ -2,13 +2,15 @@
 
 The property suite (``tests/property/test_parallel_tier.py``) certifies
 semantic equivalence over random workloads; this file pins the plumbing:
-worker-pool backend inheritance, tier auto-selection around the row
-threshold, EXPLAIN reporting (sharding decision and honest fallback
-reasons), the aggregated int64 reduction-bound guard, per-tier execution
-counters, and the serving-layer admission weight.
+tier auto-selection around the row threshold, EXPLAIN reporting
+(sharding decision and honest fallback reasons), the aggregated int64
+reduction-bound guard, per-tier execution counters, and the
+serving-layer admission weight.
 """
 
 import pytest
+
+pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
 
 from repro.core import (
     Distinct,
@@ -24,17 +26,15 @@ from repro.core import (
 )
 from repro.exceptions import QueryError
 from repro.monoids import SUM
+from repro.obs.metrics import tier_executions
 from repro.plan import (
     ParallelFallback,
     compile_plan,
     effective_workers,
-    set_backend,
     set_default_workers,
-    tier_counts,
 )
 from repro.plan import parallel
 from repro.plan.encoded import _INT64_MAX
-from repro.plan.kernels import HAVE_NUMPY, available_backends
 from repro.semirings import NAT, NX
 
 
@@ -58,32 +58,6 @@ def sales_db(rows: int = 24) -> KDatabase:
 GROUP_QUERY = GroupBy(
     NaturalJoin(Table("R"), Table("S")), ["g"], {"v": SUM}, count_attr="n"
 )
-
-
-# ---------------------------------------------------------------------------
-# worker pools: backend inheritance (spawned children re-import from scratch)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", list(available_backends()))
-def test_spawned_workers_inherit_forced_backend(backend):
-    pool = parallel._get_pool(1, backend)
-    assert pool.submit(parallel._worker_backend).result() == backend
-
-
-def test_forced_python_parent_never_runs_numpy_children():
-    """Regression: a parent pinned to the pure-Python backend must not
-    silently execute morsels on NumPy in spawned workers."""
-    set_backend("python")
-    try:
-        set_default_workers(2)
-        db = sales_db()
-        plan = compile_plan(GROUP_QUERY, db, tier="parallel")
-        result = plan.execute()
-        assert plan._last_tier == "parallel (2 workers × 4 morsels, python)"
-        assert result == compile_plan(GROUP_QUERY, db, tier="object").execute()
-    finally:
-        set_backend(None)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +135,11 @@ def test_self_union_replicated_side_counts_once():
 def test_tier_counters_track_executions():
     set_default_workers(2)
     db = sales_db()
-    before = tier_counts()
+    before = tier_executions()
     compile_plan(GROUP_QUERY, db, tier="object").execute()
     compile_plan(GROUP_QUERY, db, tier="encoded").execute()
     compile_plan(GROUP_QUERY, db, tier="parallel").execute()
-    after = tier_counts()
+    after = tier_executions()
     assert after["object"] - before["object"] == 1
     assert after["encoded"] - before["encoded"] == 1
     assert after["parallel"] - before["parallel"] == 1
@@ -176,23 +150,16 @@ def test_tier_counters_track_executions():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="guard applies to NumPy int64 only")
 def test_merged_reduction_bound_mirrors_serial_guard():
-    import numpy as np
-
     machine = NAT.machine_repr
     # the whole input would overflow int64 even though each morsel fits
     with pytest.raises(ParallelFallback):
         parallel.check_merged_reduction_bound(
-            np, machine, total_rows=1 << 32, bound=1 << 32
+            machine, total_rows=1 << 32, bound=1 << 32
         )
     # exactly at the bound: allowed (mirrors check_reduction_bound)
     parallel.check_merged_reduction_bound(
-        np, machine, total_rows=1, bound=_INT64_MAX
-    )
-    # pure-Python backend / float semirings: exact or saturating, no guard
-    parallel.check_merged_reduction_bound(
-        None, machine, total_rows=1 << 40, bound=1 << 40
+        machine, total_rows=1, bound=_INT64_MAX
     )
 
 

@@ -15,13 +15,15 @@ zero-leaked-segments guarantee after crashes.
 
 import pytest
 
+pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
+
 from test_parallel import GROUP_QUERY, sales_db
 
 from repro import faults
 from repro.exceptions import DeadlineExceeded
+from repro.obs.metrics import resilience_counters
 from repro.plan import compile_plan, set_default_workers
 from repro.plan import parallel
-from repro.plan.kernels import HAVE_NUMPY
 
 
 @pytest.fixture(autouse=True)
@@ -60,7 +62,7 @@ def test_killed_worker_recovers_exactly():
         result = plan.execute()
     assert result == oracle(db)
     assert plan._last_tier.startswith("parallel (")
-    ledger = faults.counters()
+    ledger = resilience_counters()
     assert ledger["faults_injected"] == 1
     assert ledger["morsel_retries"] >= 1
     assert ledger["pool_rebuilds"] >= 1
@@ -72,10 +74,9 @@ def test_transient_kernel_error_is_retried_not_fatal():
     with faults.inject("kernel_error", seed=3):
         assert plan.execute() == oracle(db)
     assert plan._last_tier.startswith("parallel (")
-    assert faults.counters()["morsel_retries"] >= 1
+    assert resilience_counters()["morsel_retries"] >= 1
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="shared memory is NumPy-backend only")
 def test_no_leaked_segments_after_a_worker_crash():
     """The shm-leak regression: kill a worker mid-job, then cleanup; no
     segment this process created may remain in /dev/shm."""
@@ -93,7 +94,6 @@ def test_no_leaked_segments_after_a_worker_crash():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="shared memory is NumPy-backend only")
 @pytest.mark.parametrize("point", ["drop_shm", "corrupt_shm"])
 def test_damaged_segment_is_detected_and_republished(point):
     """A dropped or byte-flipped segment must be *detected* (checksum /
@@ -105,7 +105,7 @@ def test_damaged_segment_is_detected_and_republished(point):
     with faults.inject(point, seed=5):
         assert plan.execute() == oracle(db)
     assert plan._last_tier.startswith("parallel (")
-    ledger = faults.counters()
+    ledger = resilience_counters()
     assert ledger["faults_injected"] == 1
     assert ledger["shm_integrity_failures"] >= 1
 
@@ -123,7 +123,7 @@ def test_exhausted_retries_degrade_to_the_serial_tier():
     with faults.inject("kernel_error", morsel=1, times=10):
         assert plan.execute() == oracle(db)
     assert "parallel fallback" in plan._last_tier
-    ledger = faults.counters()
+    ledger = resilience_counters()
     assert ledger["parallel_exhausted"] == 1
     assert ledger["morsel_retries"] >= parallel.PARALLEL_MAX_RETRIES
     assert parallel.breaker_state()["failures"] == 1
@@ -138,7 +138,7 @@ def test_breaker_opens_after_repeated_crash_degradations(monkeypatch):
     state = parallel.breaker_state()
     assert state["state"] == "open"
     assert state["cooldown_remaining"] > 0
-    assert faults.counters()["breaker_trips"] == 1
+    assert resilience_counters()["breaker_trips"] == 1
     blocking = parallel.breaker_blocking()
     assert blocking is not None and "circuit breaker open" in blocking
 
@@ -187,7 +187,7 @@ def test_spent_deadline_raises_before_dispatch_and_skips_the_breaker():
         "failures": 0,
         "cooldown_remaining": 0.0,
     }
-    assert faults.counters()["deadline_expiries"] == 1
+    assert resilience_counters()["deadline_expiries"] == 1
 
 
 def test_worker_side_stall_trips_the_deadline():
@@ -199,4 +199,4 @@ def test_worker_side_stall_trips_the_deadline():
     with faults.inject("latency", ms=600, seed=2):
         with pytest.raises(DeadlineExceeded):
             plan.execute()
-    assert faults.counters()["deadline_expiries"] >= 1
+    assert resilience_counters()["deadline_expiries"] >= 1

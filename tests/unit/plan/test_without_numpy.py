@@ -1,0 +1,73 @@
+"""The engine without NumPy: every plan runs the object tier, exactly.
+
+NumPy is the optional accelerator that buys the encoded and parallel
+tiers.  A subprocess blocks the import (``sys.modules["numpy"] = None``)
+before ``repro`` loads and checks the contract end to end: the package
+imports, tier selection observes the missing module instead of reading a
+knob, ``explain()`` reports the tier that ran, answers equal the
+interpreter's across a write, and insisting on an array tier fails with
+an error that names NumPy.
+"""
+
+import os
+import subprocess
+import sys
+
+SCRIPT = r"""
+import sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+
+import repro.plan
+from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table
+from repro.exceptions import QueryError
+from repro.monoids import SUM
+from repro.plan import active_backend, compile_plan, parallel
+from repro.plan.kernels import HAVE_NUMPY
+from repro.semirings import NAT
+
+assert not HAVE_NUMPY
+assert active_backend() == "none"
+
+emp = KRelation.from_rows(
+    NAT, ("EmpId", "Dept", "Sal"),
+    [((i, f"d{i % 4}", 10 * (1 + i % 5)), 1 + i % 3) for i in range(60)],
+)
+dept = KRelation.from_rows(
+    NAT, ("Dept", "Region"), [((f"d{j}", "EU" if j % 2 else "US"), 1) for j in range(4)]
+)
+db = KDatabase(NAT, {"Emp": emp, "Dept": dept})
+query = GroupBy(NaturalJoin(Table("Emp"), Table("Dept")), ["Region"], {"Sal": SUM})
+
+plan = compile_plan(query, db)
+assert plan.tier == "object", plan.tier
+assert "tier: object" in plan.explain()
+assert plan.execute() == query.evaluate(db, engine="interpreted")
+assert "[last run: object]" in plan.explain()
+
+db.update({"Emp": KRelation.from_rows(
+    NAT, ("EmpId", "Dept", "Sal"), [((1000, "d1", 70), 2)])})
+assert query.evaluate(db, engine="planned") == query.evaluate(db, engine="interpreted")
+assert plan.execute() == query.evaluate(db, engine="interpreted")
+
+for tier in ("encoded", "parallel"):
+    try:
+        compile_plan(query, db, tier=tier)
+    except QueryError as exc:
+        assert "NumPy" in str(exc), exc
+    else:
+        raise AssertionError(f"tier={tier!r} compiled without NumPy")
+
+parallel.set_default_workers(4)
+assert parallel.admission_weight(db) == 1
+print("ok")
+"""
+
+
+def test_without_numpy_every_plan_runs_the_object_tier():
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

@@ -15,6 +15,7 @@ from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table
 from repro.deadline import Deadline
 from repro.exceptions import DeadlineExceeded, QueryError
 from repro.monoids import SUM
+from repro.obs.metrics import resilience_counters
 from repro.plan import compile_plan
 from repro.semirings import NAT
 
@@ -67,10 +68,10 @@ def test_expiry_counter_bumps_exactly_once_per_deadline():
     for _ in range(3):
         with pytest.raises(DeadlineExceeded):
             d.check()
-    assert faults.counters()["deadline_expiries"] == 1
+    assert resilience_counters()["deadline_expiries"] == 1
     with pytest.raises(DeadlineExceeded):
         Deadline.after(0).check()
-    assert faults.counters()["deadline_expiries"] == 2
+    assert resilience_counters()["deadline_expiries"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_compile_plan_budget_applies_to_every_execute():
     for _ in range(2):  # a fresh Deadline per execute, not a spent one
         with pytest.raises(DeadlineExceeded):
             plan.execute()
-    assert faults.counters()["deadline_expiries"] == 2
+    assert resilience_counters()["deadline_expiries"] == 2
 
 
 def test_compile_plan_rejects_negative_deadline():
@@ -126,4 +127,4 @@ def test_injected_scan_latency_trips_a_tight_deadline():
             plan.execute()
     # cancelled at the first checkpoint after the stall, not after all 10
     assert time.monotonic() - start < 0.5
-    assert faults.counters()["deadline_expiries"] == 1
+    assert resilience_counters()["deadline_expiries"] == 1

@@ -10,6 +10,7 @@ workers, and the resilience-counter ledger.
 import pytest
 
 from repro import faults
+from repro.obs.metrics import resilience_counters
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +54,7 @@ def test_budget_is_consumed_and_spec_reports_fired():
         assert faults.should_fire("kernel_error") is not None
         assert faults.should_fire("kernel_error") is None  # spent
         assert faults.active("kernel_error") is None
-    assert faults.counters()["faults_injected"] == 2
+    assert resilience_counters()["faults_injected"] == 2
 
 
 def test_nested_specs_for_one_point_fire_in_arming_order():
@@ -121,7 +122,7 @@ def test_context_free_sites_ignore_derived_pinning():
 
 def test_sleep_point_is_a_noop_when_disarmed():
     assert faults.sleep_point("latency", site="scan") == 0.0
-    assert faults.counters()["faults_injected"] == 0
+    assert resilience_counters()["faults_injected"] == 0
 
 
 def test_sleep_point_sleeps_the_requested_milliseconds():
@@ -172,7 +173,7 @@ def test_install_from_env_rejects_unknown_points():
 
 
 def test_counters_cover_every_recovery_path_and_reset():
-    ledger = faults.counters()
+    ledger = resilience_counters()
     assert set(ledger) >= {
         "faults_injected",
         "morsel_retries",
@@ -186,7 +187,7 @@ def test_counters_cover_every_recovery_path_and_reset():
     assert all(v == 0 for v in ledger.values())
     faults.bump("morsel_retries", 3)
     faults.bump("breaker_trips")
-    assert faults.counters()["morsel_retries"] == 3
-    assert faults.counters()["breaker_trips"] == 1
+    assert resilience_counters()["morsel_retries"] == 3
+    assert resilience_counters()["breaker_trips"] == 1
     faults.reset_counters()
-    assert all(v == 0 for v in faults.counters().values())
+    assert all(v == 0 for v in resilience_counters().values())
