@@ -31,8 +31,9 @@ serve-smoke:
 bench-planner:
 	$(PYPATH) $(PY) benchmarks/bench_planner.py
 
-# the symbolic-provenance gate: planned N[X] >= 8x interpreted, circuit
-# mode >= 2x the expanded planned run (10k-row join + group-by)
+# the symbolic-provenance gate: circuit mode >= 2x the expanded planned
+# run (10k-row N[X] join + group-by); planned vs interpreted is printed,
+# not gated -- a faster reference interpreter must not fail the build
 bench-symbolic:
 	$(PYPATH) $(PY) benchmarks/bench_planner.py --symbolic
 

@@ -21,9 +21,11 @@ Run modes:
     10k-tuple workload, ≥ 1× (no regression) in ``--smoke`` mode.
 
 ``python benchmarks/bench_planner.py --symbolic``
-    the symbolic-provenance gate: on the 10k-row ``N[X]`` workload the
-    planned engine must beat the interpreter ≥ 8× and circuit-backed
-    execution must beat the expanded-polynomial planned run ≥ 2×.
+    the symbolic-provenance gate: on the 10k-row ``N[X]`` workload
+    circuit-backed execution must beat the expanded-polynomial planned
+    run ≥ 2×.  The planned/interpreted ratio is printed, not gated: the
+    interpreter is the reference, and a bar against it fails whenever the
+    reference gets faster.
 
 ``python benchmarks/bench_planner.py --json [PATH]``
     run every workload and write per-workload seconds + speedups to
@@ -205,7 +207,6 @@ def test_bench_planned_engine(benchmark, n):
 # ---------------------------------------------------------------------------
 
 
-SYMBOLIC_PLANNED_BAR = 8.0
 SYMBOLIC_CIRCUIT_BAR = 2.0
 
 
@@ -276,9 +277,9 @@ def run_concrete(
 def run_symbolic(n: int, *, gate: bool) -> Tuple[Dict[str, dict], bool]:
     """The N[X] workload: expanded polynomials vs circuits.
 
-    ``gate`` enforces the symbolic bars (planned ≥ 8× interpreted,
-    circuit ≥ 2× expanded planned); without it the numbers are reported
-    only (the smoke path).
+    ``gate`` enforces the symbolic bar (circuit ≥ 2× expanded planned);
+    without it the numbers are reported only (the smoke path).  The
+    planned/interpreted ratio is always report-only.
     """
     interpreted, planned, circuit = measure_symbolic(n)
     planned_speedup = interpreted / planned
@@ -304,27 +305,15 @@ def run_symbolic(n: int, *, gate: bool) -> Tuple[Dict[str, dict], bool]:
 
     if not gate:
         return workloads, True
-    ok = True
-    if planned_speedup < SYMBOLIC_PLANNED_BAR:
-        print(
-            f"FAIL: N[X] planned speedup {planned_speedup:.2f}x below the "
-            f"{SYMBOLIC_PLANNED_BAR:.0f}x gate",
-            file=sys.stderr,
-        )
-        ok = False
     if circuit_speedup < SYMBOLIC_CIRCUIT_BAR:
         print(
             f"FAIL: circuit-mode speedup {circuit_speedup:.2f}x below the "
             f"{SYMBOLIC_CIRCUIT_BAR:.0f}x gate",
             file=sys.stderr,
         )
-        ok = False
-    if ok:
-        print(
-            f"OK: N[X] gates met ({planned_speedup:.1f}x planned, "
-            f"{circuit_speedup:.1f}x circuit)"
-        )
-    return workloads, ok
+        return workloads, False
+    print(f"OK: N[X] gate met ({circuit_speedup:.1f}x circuit vs expanded)")
+    return workloads, True
 
 
 def main(argv=None) -> int:
@@ -337,7 +326,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--symbolic",
         action="store_true",
-        help="N[X] workload gates: planned >= 8x interpreted, circuit >= 2x planned",
+        help="N[X] workload gate: circuit >= 2x expanded planned",
     )
     parser.add_argument(
         "--json",
@@ -383,7 +372,6 @@ def main(argv=None) -> int:
             "benchmark": "bench_planner",
             "gates": {
                 "nat_planned_speedup_min": bar,
-                "nx_planned_speedup_min": SYMBOLIC_PLANNED_BAR,
                 "nx_circuit_vs_planned_min": SYMBOLIC_CIRCUIT_BAR,
                 "passed": ok,
             },

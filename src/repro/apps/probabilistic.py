@@ -79,7 +79,7 @@ def tuple_probabilities(
             f"tuple_probabilities expects N[X] annotations, got {rel.semiring.name}"
         )
     out: Dict[Any, float] = {}
-    for tup, annotation in rel.items():
+    for tup, annotation in rel.rows():
         out[tup] = probability(nx_to_boolexpr(annotation), probs)
     return out
 

@@ -87,7 +87,7 @@ def group_by(
 
     # Bucket the support on the group key (the T of Definition 3.7).
     buckets: Dict[Tup, list] = {}
-    for tup, annotation in r.items():
+    for tup, annotation in r.rows():
         key = tup.restrict(group_attrs)
         buckets.setdefault(key, []).append((tup, annotation))
 
@@ -95,7 +95,7 @@ def group_by(
         *(a for a in agg_specs if a not in group_attrs)
     )
     pairs = []
-    for key, members in sorted(buckets.items(), key=lambda kv: str(kv[0])):
+    for key, members in buckets.items():
         values = dict(key.items())
         for attr, monoid in agg_specs.items():
             space = spaces[attr]
@@ -115,7 +115,7 @@ def count_aggregate(r: KRelation, attribute: str = "count") -> KRelation:
     two-tuple ``N[X]``-relation, specialising to the bag cardinality.
     """
     space = tensor_space(r.semiring, SUM)
-    value = space.set_agg((1, k) for _t, k in r.items())
+    value = space.set_agg((1, k) for _t, k in r.rows())
     return KRelation(
         r.semiring, (attribute,), [(Tup({attribute: value}), r.semiring.one)]
     )
@@ -133,7 +133,7 @@ def avg_aggregate(r: KRelation, attribute: str) -> KRelation:
             f"AVG expects a relation over exactly ({attribute!r},); got {r.schema}"
         )
     space = tensor_space(r.semiring, AVG)
-    value = space.set_agg((AVG.lift(t[attribute]), k) for t, k in r.items())
+    value = space.set_agg((AVG.lift(t[attribute]), k) for t, k in r.rows())
     return KRelation(r.semiring, r.schema, [(Tup({attribute: value}), r.semiring.one)])
 
 
@@ -209,7 +209,7 @@ def _validate_gb_schema(
 
 
 def _monoid_values(r: KRelation, attribute: str, monoid: CommutativeMonoid):
-    for tup, annotation in r.items():
+    for tup, annotation in r.rows():
         yield monoid_value(tup[attribute], monoid, attribute), annotation
 
 

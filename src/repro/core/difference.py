@@ -63,7 +63,7 @@ def difference(r: KRelation, s: KRelation) -> KRelation:
     space = tensor_space(km, BHAT)
 
     pairs = []
-    for tup, r_annotation in r.items():
+    for tup, r_annotation in r.rows():
         s_annotation = coerce_annotation(km, s.annotation(tup))
         membership = space.simple(s_annotation, True)  # S(t) (x) T
         atom = equality_annotation(km, membership, space.zero)
@@ -131,7 +131,7 @@ def monus_difference(r: KRelation, s: KRelation) -> KRelation:
     semiring = r.semiring
     pairs = [
         (tup, monus(semiring, annotation, s.annotation(tup)))
-        for tup, annotation in r.items()
+        for tup, annotation in r.rows()
     ]
     return KRelation(semiring, r.schema, pairs)
 
@@ -155,11 +155,8 @@ def z_difference(r: KRelation, s: KRelation) -> KRelation:
             raise SemiringError(
                 f"{semiring.name} has no additive inverses; Z-difference undefined"
             )
-    support = list(r.support()) + [t for t in s.support() if t not in r]
-    pairs = [
-        (t, semiring.plus(r.annotation(t), negate(s.annotation(t))))
-        for t in support
-    ]
+    pairs = [(t, semiring.plus(k, negate(s.annotation(t)))) for t, k in r.rows()]
+    pairs += [(t, negate(k)) for t, k in s.rows() if t not in r]
     return KRelation(semiring, r.schema, pairs)
 
 

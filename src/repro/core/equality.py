@@ -19,9 +19,10 @@ Implementation notes
   :func:`equality_annotation`.  Tensors over non-collapsing spaces with
   *identical normal forms* also resolve to ``1`` (sound: equal
   representations denote equal elements).
-* Atoms are symmetric by normalisation (``[a = b]`` and ``[b = a]`` are
-  the same indeterminate): semantically sound for an equality predicate
-  and keeps annotations canonical.
+* Atoms are symmetric by construction (``[a = b]`` and ``[b = a]`` are
+  the same indeterminate: the sides hash and compare as an unordered
+  pair): semantically sound for an equality predicate and keeps
+  annotations canonical.  Only ``str`` orders the sides, by rendering.
 * Homomorphisms map atoms side-wise (``h^M`` on each tensor) and then
   re-attempt resolution in the target — if the target space still does not
   collapse and the target semiring has no symbolic variables, resolution
@@ -79,7 +80,7 @@ def compare_tensors(lhs: Tensor, rhs: Tensor) -> Optional[bool]:
         return None
     if lhs.space.collapses:
         return lhs.collapse() == rhs.collapse()
-    if lhs.items() == rhs.items():
+    if lhs == rhs:
         return True
     demoted = _demote_constants(lhs), _demote_constants(rhs)
     if demoted[0] is not None and demoted[1] is not None:
@@ -96,12 +97,13 @@ def _demote_constants(t: Tensor) -> Optional[Tensor]:
     semiring = t.space.semiring
     if not isinstance(semiring, PolynomialSemiring):
         return None
-    for _m, scalar in t:
+    entries = t._entries
+    for scalar in entries.values():
         if not (isinstance(scalar, Polynomial) and scalar.is_constant()):
             return None
     target = tensor_space(semiring.coefficients, t.space.monoid)
     return target.sum(
-        target.simple(scalar.constant_value(), m) for m, scalar in t
+        target.simple(scalar.constant_value(), m) for m, scalar in entries.items()
     )
 
 
@@ -110,25 +112,22 @@ class EqualityAtom(ProvenanceTerm):
 
     A *constrained* indeterminate: it participates in polynomial
     arithmetic like any token, but a homomorphism maps it side-wise and
-    re-resolves.  Construction normalises the side order so the atom is
-    symmetric.
+    re-resolves.  The sides are an unordered pair: identity never depends
+    on how a tensor renders, and building an atom renders nothing.
     """
 
     __slots__ = ("lhs", "rhs", "_hash")
 
     def __init__(self, lhs: Tensor, rhs: Tensor):
-        # Symmetric normalisation: deterministic side order.
-        if _side_key(lhs) > _side_key(rhs):
-            lhs, rhs = rhs, lhs
         self.lhs = lhs
         self.rhs = rhs
-        self._hash = hash(("EqualityAtom", lhs, rhs))
+        self._hash = hash(("EqualityAtom", frozenset((lhs, rhs))))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EqualityAtom)
-            and self.lhs == other.lhs
-            and self.rhs == other.rhs
+        if not isinstance(other, EqualityAtom):
+            return False
+        return (self.lhs == other.lhs and self.rhs == other.rhs) or (
+            self.lhs == other.rhs and self.rhs == other.lhs
         )
 
     def __hash__(self) -> int:
@@ -153,7 +152,9 @@ class EqualityAtom(ProvenanceTerm):
         )
 
     def __str__(self) -> str:
-        return f"[{self.lhs} = {self.rhs}]"
+        # deterministic side order is presentation, chosen here and not stored
+        first, second = sorted((_side_key(self.lhs), _side_key(self.rhs)))
+        return f"[{first} = {second}]"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EqualityAtom({self.lhs!r}, {self.rhs!r})"

@@ -15,15 +15,30 @@ extended operators reduce to the standard SPJU-AGB semantics — exactly the
 reduction the paper's definitions perform implicitly.  Only genuinely
 undetermined comparisons leave symbolic ``[a = b]`` tokens behind.
 
-The quadratic candidate sums of items 2-3 (union/projection compare every
-support tuple against every candidate) are computed with zero
-short-circuiting, so resolvable inputs cost the same as the standard
-operators up to constant factors.
+The candidate sums of items 2, 3, 5 and 7 weight every support tuple by
+``prod over u of [t'(u) = t(u)]``.  A factor between two plain values is
+decided by hashing, so :func:`_match_index` partitions the support on its
+plain key positions and runs :func:`value_match` only where a symbolic
+aggregate sits in a key: plain inputs cost the same as the standard
+operators up to constant factors, and the sums are quadratic only in the
+tuples whose keys are symbolic.  Every sum is commutative, so iteration
+order is never part of a result and nothing here sorts or renders.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.aggregates import normalize_agg_specs
 from repro.core.equality import (
@@ -33,6 +48,7 @@ from repro.core.equality import (
     km_semiring,
 )
 from repro.core.relation import KRelation
+from repro.core.schema import Schema
 from repro.core.tuples import Tup
 from repro.exceptions import QueryError, SchemaError
 from repro.monoids.base import CommutativeMonoid
@@ -82,15 +98,15 @@ def collapse_km_relation(r: KRelation, base: Semiring) -> KRelation:
     if km is base or not isinstance(km, PolynomialSemiring):
         return r
 
-    for _tup, annotation in r.items():
-        if isinstance(annotation, Polynomial) and not annotation.is_constant():
+    def symbolic(scalar: Any) -> bool:
+        return isinstance(scalar, Polynomial) and not scalar.is_constant()
+
+    for tup, annotation in r.rows():
+        if symbolic(annotation):
             return r
-    for tup, _annotation in r.items():
         for value in tup.values():
-            if isinstance(value, Tensor):
-                for _m, scalar in value:
-                    if isinstance(scalar, Polynomial) and not scalar.is_constant():
-                        return r
+            if isinstance(value, Tensor) and any(map(symbolic, value._entries.values())):
+                return r
 
     collapse = semiring_hom(
         km, base, lambda p: collapse_constant(km, p), name=f"{km.name}⇒{base.name}"
@@ -166,23 +182,108 @@ def tuple_match(
 # ---------------------------------------------------------------------------
 
 
+def _match_index(
+    km: PolynomialSemiring, keyed_rows: Iterable[Tuple[Tuple[Any, ...], Any]]
+) -> Callable[[Tuple[Any, ...]], Iterator[Tuple[Any, Polynomial]]]:
+    """Index ``(key, payload)`` rows for the Section 4.3 candidate sums.
+
+    Returns ``probe(key)``, which yields ``(payload, match)`` for every
+    indexed row whose ``match = prod over i of [row_key[i] = key[i]]`` is
+    non-zero — the rows a brute-force :func:`tuple_match` scan would keep,
+    with the same weights.  Rows are grouped by *signature* (the key
+    positions holding plain values).  For each signature a probe is
+    answered from a hash index on the positions plain on **both** sides
+    (built on first use), and :func:`value_match` runs only on the other
+    positions: plain against plain costs one dict lookup, while a tensor
+    on either side is still compared with everything it could equal.
+    """
+    by_signature: Dict[Tuple[int, ...], List[Tuple[Tuple[Any, ...], Any]]] = {}
+    for row in keyed_rows:
+        by_signature.setdefault(_plain_positions(row[0]), []).append(row)
+    # (row signature, probe signature) -> (shared, other positions, hash index)
+    indexes: Dict[Any, Any] = {}
+    one, times, is_zero = km.one, km.times, km.is_zero
+
+    def probe(key: Tuple[Any, ...]) -> Iterator[Tuple[Any, Polynomial]]:
+        plain = _plain_positions(key)
+        for signature, rows in by_signature.items():
+            entry = indexes.get((signature, plain))
+            if entry is None:
+                shared = tuple(i for i in signature if i in plain)
+                others = tuple(i for i in range(len(key)) if i not in shared)
+                index: Dict[Tuple[Any, ...], list] = {}
+                for row in rows:
+                    index.setdefault(tuple(row[0][i] for i in shared), []).append(row)
+                entry = indexes[(signature, plain)] = (shared, others, index)
+            shared, others, index = entry
+            for row_key, payload in index.get(tuple(key[i] for i in shared), ()):
+                match = one
+                for i in others:
+                    match = times(match, value_match(km, row_key[i], key[i]))
+                    if is_zero(match):
+                        break
+                else:
+                    yield payload, match
+
+    return probe
+
+
+def _plain_positions(key: Tuple[Any, ...]) -> Tuple[int, ...]:
+    return tuple(i for i, value in enumerate(key) if not isinstance(value, Tensor))
+
+
+def _weighted(
+    km: PolynomialSemiring, annotation: Polynomial, match: Polynomial
+) -> Polynomial:
+    """``annotation * match``; an all-plain match is ``km.one`` itself."""
+    return annotation if match is km.one else km.times(annotation, match)
+
+
+def _candidate_sums(
+    km: PolynomialSemiring, schema: Schema, rows: Iterable[Tuple[Tup, Polynomial]]
+) -> KRelation:
+    """Items 2-3: the relation of candidates over ``schema``.
+
+    Each distinct restriction of a row to ``schema`` is a candidate; its
+    annotation sums every row's annotation times the row's match against
+    the candidate.
+    """
+    keyed = [(t.values_by(schema), k) for t, k in rows]
+    probe = _match_index(km, keyed)
+    pairs = [
+        (
+            Tup(zip(schema.attributes, key)),
+            km.sum_many(_weighted(km, k, match) for k, match in probe(key)),
+        )
+        for key in dict.fromkeys(key for key, _k in keyed)
+    ]
+    return KRelation(km, schema, pairs)
+
+
+def _joined(
+    km: PolynomialSemiring,
+    r1: KRelation,
+    left_attrs: Sequence[str],
+    r2: KRelation,
+    right_attrs: Sequence[str],
+) -> Iterator[Tuple[Tup, Tup, Polynomial]]:
+    """Item 5: ``(t1, t2, R1(t1) * R2(t2) * prod [t1(l) = t2(r)])``, where non-zero."""
+    probe = _match_index(
+        km, ((tuple(t2[a] for a in right_attrs), (t2, k2)) for t2, k2 in r2.rows())
+    )
+    for t1, k1 in r1.rows():
+        for (t2, k2), match in probe(tuple(t1[a] for a in left_attrs)):
+            annotation = _weighted(km, km.times(k1, k2), match)
+            if not km.is_zero(annotation):
+                yield t1, t2, annotation
+
+
 def ext_union(r1: KRelation, r2: KRelation, km: PolynomialSemiring) -> KRelation:
     """Item 2: candidate tuples drawn from both supports, matched symbolically."""
     if r1.schema != r2.schema:
         raise SchemaError(f"union of incompatible schemas {r1.schema} / {r2.schema}")
     r1, r2 = lift_to_km(r1, km), lift_to_km(r2, km)
-    attrs = r1.schema.attributes
-    candidates = _dedup_tuples(list(r1.support()) + list(r2.support()))
-    pairs = []
-    for t in candidates:
-        total = km.zero
-        for source in (r1, r2):
-            for t_prime, annotation in source.items():
-                match = tuple_match(km, t_prime, t, attrs)
-                if not km.is_zero(match):
-                    total = km.plus(total, km.times(annotation, match))
-        pairs.append((t, total))
-    return KRelation(km, r1.schema, pairs)
+    return _candidate_sums(km, r1.schema, chain(r1.rows(), r2.rows()))
 
 
 def ext_projection(
@@ -190,19 +291,7 @@ def ext_projection(
 ) -> KRelation:
     """Item 3: project, matching every support tuple against each candidate."""
     r = lift_to_km(r, km)
-    out_schema = r.schema.restrict(attributes)
-    candidates = _dedup_tuples(
-        t.restrict(out_schema.attributes) for t in r.support()
-    )
-    pairs = []
-    for t in candidates:
-        total = km.zero
-        for t_prime, annotation in r.items():
-            match = tuple_match(km, t_prime, t, out_schema.attributes)
-            if not km.is_zero(match):
-                total = km.plus(total, km.times(annotation, match))
-        pairs.append((t, total))
-    return KRelation(km, out_schema, pairs)
+    return _candidate_sums(km, r.schema.restrict(attributes), r.rows())
 
 
 def ext_selection_const(
@@ -211,7 +300,7 @@ def ext_selection_const(
     """Item 4: ``sigma_{u = m}(R)(t) = R(t) * [t(u) = iota(m)]``."""
     r = lift_to_km(r, km)
     pairs = []
-    for t, annotation in r.items():
+    for t, annotation in r.rows():
         factor = value_match(km, t[attribute], value)
         pairs.append((t, km.times(annotation, factor)))
     return KRelation(km, r.schema, pairs)
@@ -223,7 +312,7 @@ def ext_selection_attrs(
     """Selection comparing two attributes of the same relation."""
     r = lift_to_km(r, km)
     pairs = []
-    for t, annotation in r.items():
+    for t, annotation in r.rows():
         factor = value_match(km, t[attr1], t[attr2])
         pairs.append((t, km.times(annotation, factor)))
     return KRelation(km, r.schema, pairs)
@@ -240,7 +329,7 @@ def ext_selection_order(
     """
     r = lift_to_km(r, km)
     pairs = []
-    for t, annotation in r.items():
+    for t, annotation in r.rows():
         factor = order_match(km, t[attribute], value, op)
         pairs.append((t, km.times(annotation, factor)))
     return KRelation(km, r.schema, pairs)
@@ -300,18 +389,12 @@ def ext_value_join(
         raise SchemaError("value-based join requires disjoint schemas")
     r1, r2 = lift_to_km(r1, km), lift_to_km(r2, km)
     out_schema = r1.schema.union(r2.schema)
-    out = []
-    for t1, k1 in r1.items():
-        for t2, k2 in r2.items():
-            annotation = km.times(k1, k2)
-            for left, right in pairs_on:
-                if km.is_zero(annotation):
-                    break
-                annotation = km.times(
-                    annotation, value_match(km, t1[left], t2[right])
-                )
-            if not km.is_zero(annotation):
-                out.append((t1.merge(t2), annotation))
+    left_attrs = [left for left, _right in pairs_on]
+    right_attrs = [right for _left, right in pairs_on]
+    out = [
+        (t1.merge(t2), annotation)
+        for t1, t2, annotation in _joined(km, r1, left_attrs, r2, right_attrs)
+    ]
     return KRelation(km, out_schema, out)
 
 
@@ -329,21 +412,11 @@ def ext_natural_join(
     out_schema = r1.schema.union(r2.schema)
     r2_only = tuple(a for a in r2.schema.attributes if a not in common)
     out = []
-    for t1, k1 in r1.items():
-        for t2, k2 in r2.items():
-            annotation = km.times(k1, k2)
-            for attr in common:
-                if km.is_zero(annotation):
-                    break
-                annotation = km.times(
-                    annotation, value_match(km, t1[attr], t2[attr])
-                )
-            if km.is_zero(annotation):
-                continue
-            merged = dict(t1.items())
-            for attr in r2_only:
-                merged[attr] = t2[attr]
-            out.append((Tup(merged), annotation))
+    for t1, t2, annotation in _joined(km, r1, common, r2, common):
+        merged = dict(t1.items())
+        for attr in r2_only:
+            merged[attr] = t2[attr]
+        out.append((Tup(merged), annotation))
     return KRelation(km, out_schema, out)
 
 
@@ -355,8 +428,8 @@ def ext_cartesian(r1: KRelation, r2: KRelation, km: PolynomialSemiring) -> KRela
     out_schema = r1.schema.union(r2.schema)
     out = [
         (t1.merge(t2), km.times(k1, k2))
-        for t1, k1 in r1.items()
-        for t2, k2 in r2.items()
+        for t1, k1 in r1.rows()
+        for t2, k2 in r2.rows()
     ]
     return KRelation(km, out_schema, out)
 
@@ -378,7 +451,7 @@ def ext_aggregate(
     r = lift_to_km(r, km)
     space = tensor_space(km, monoid)
     total = space.zero
-    for t, annotation in r.items():
+    for t, annotation in r.rows():
         embedded = _embed_value(t[attribute], monoid, km, attribute)
         total = space.add(total, space.scalar(annotation, embedded))
     return KRelation(km, r.schema, [(Tup({attribute: total}), km.one)])
@@ -410,29 +483,24 @@ def ext_group_by(
     r = lift_to_km(r, km)
     spaces = {attr: tensor_space(km, monoid) for attr, monoid in agg_specs.items()}
 
-    candidates = _dedup_tuples(t.restrict(group_attrs) for t in r.support())
     out_schema = r.schema.restrict(group_attrs).extend(*agg_specs.keys())
+    keyed = [(tuple(t[a] for a in group_attrs), (t, k)) for t, k in r.rows()]
+    probe = _match_index(km, keyed)
     pairs = []
-    for key in candidates:
-        matched: List[Tuple[Tup, Polynomial]] = []
-        group_total = km.zero
-        for t_prime, annotation in r.items():
-            match = tuple_match(km, t_prime, key, group_attrs)
-            if km.is_zero(match):
-                continue
-            weight = km.times(annotation, match)
-            matched.append((t_prime, weight))
-            group_total = km.plus(group_total, weight)
+    for key in dict.fromkeys(key for key, _row in keyed):
+        matched = [
+            (t_prime, _weighted(km, annotation, match))
+            for (t_prime, annotation), match in probe(key)
+        ]
+        group_total = km.sum_many(weight for _t, weight in matched)
         if km.is_zero(group_total):
             continue
-        values = dict(key.items())
+        values = dict(zip(group_attrs, key))
         for attr, monoid in agg_specs.items():
-            space = spaces[attr]
-            total = space.zero
-            for t_prime, weight in matched:
-                embedded = _embed_value(t_prime[attr], monoid, km, attr)
-                total = space.add(total, space.scalar(weight, embedded))
-            values[attr] = total
+            values[attr] = spaces[attr].dot(
+                (weight, _embed_value(t_prime[attr], monoid, km, attr))
+                for t_prime, weight in matched
+            )
         pairs.append((Tup(values), km.delta(group_total)))
     return KRelation(km, out_schema, pairs)
 
@@ -460,10 +528,3 @@ def _embed_value(
             f"of monoid {monoid.name}"
         )
     return space.iota(value)
-
-
-def _dedup_tuples(tuples: Iterable[Tup]) -> List[Tup]:
-    seen: Dict[Tup, None] = {}
-    for t in tuples:
-        seen.setdefault(t, None)
-    return sorted(seen, key=str)

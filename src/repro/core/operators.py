@@ -109,7 +109,7 @@ def selection(r: KRelation, predicate: Callable[[Tup], bool]) -> KRelation:
     structured predicates that must interact with symbolic aggregate
     values, use the query AST + extended mode instead.
     """
-    kept = [(t, k) for t, k in r.items() if predicate(t)]
+    kept = [(t, k) for t, k in r.rows() if predicate(t)]
     return KRelation(r.semiring, r.schema, kept)
 
 
@@ -186,8 +186,8 @@ def cartesian(r1: KRelation, r2: KRelation) -> KRelation:
     out_schema = r1.schema.union(r2.schema)
     pairs = [
         (t1.merge(t2), semiring.times(k1, k2))
-        for t1, k1 in r1.items()
-        for t2, k2 in r2.items()
+        for t1, k1 in r1.rows()
+        for t2, k2 in r2.rows()
     ]
     return KRelation(semiring, out_schema, pairs)
 
@@ -195,7 +195,7 @@ def cartesian(r1: KRelation, r2: KRelation) -> KRelation:
 def rename(r: KRelation, mapping: Mapping[str, str]) -> KRelation:
     """Rename attributes; annotations are untouched."""
     out_schema = r.schema.rename(mapping)
-    pairs = [(t.rename(mapping), k) for t, k in r.items()]
+    pairs = [(t.rename(mapping), k) for t, k in r.rows()]
     return KRelation(r.semiring, out_schema, pairs)
 
 
@@ -217,7 +217,7 @@ def _join_buckets(
 def require_plain_values(r: KRelation, attributes: Iterable[str], context: str) -> None:
     """Guard: standard-mode comparisons need ordinary (non-tensor) values."""
     attrs = list(attributes)
-    for tup, _k in r.items():
+    for tup, _k in r.rows():
         for attr in attrs:
             if isinstance(tup[attr], Tensor):
                 raise QueryError(

@@ -571,7 +571,7 @@ class CountAgg(Query):
         rel = self.child._eval_extended(db, km)
         space = tensor_space(km, SUM)
         total = space.zero
-        for _t, annotation in rel.items():
+        for _t, annotation in rel.rows():
             total = space.add(total, space.simple(annotation, 1))
         out = Tup({self.attribute: total})
         return KRelation(km, (self.attribute,), [(out, km.one)])
@@ -667,6 +667,6 @@ def _with_constant_column(rel: KRelation, attribute: str, value: Any) -> KRelati
         raise QueryError(f"attribute {attribute!r} already exists in {rel.schema}")
     schema = rel.schema.extend(attribute)
     pairs = [
-        (Tup(dict(t.items()) | {attribute: value}), k) for t, k in rel.items()
+        (Tup(dict(t.items()) | {attribute: value}), k) for t, k in rel.rows()
     ]
     return KRelation(rel.semiring, schema, pairs)

@@ -115,7 +115,13 @@ class KRelation:
         return self._rows.get(tup, self.semiring.zero)
 
     def support(self) -> Tuple[Tup, ...]:
-        """``supp(R)`` in a deterministic order."""
+        """``supp(R)`` in a deterministic order (by rendered tuple).
+
+        Order is presentation: this, :meth:`items`, ``iter(R)`` and
+        :meth:`pretty` are for display, export and tests.  Anything that
+        *computes* folds over :meth:`rows` — every consumer is a fold in a
+        commutative semiring/monoid or builds another dict-keyed relation.
+        """
         return tuple(sorted(self._rows, key=str))
 
     def items(self) -> Iterator[Tuple[Tup, Any]]:
@@ -126,10 +132,9 @@ class KRelation:
     def rows(self) -> Iterable[Tuple[Tup, Any]]:
         """Iterate ``(tuple, annotation)`` pairs in storage order.
 
-        Unlike :meth:`items` this does not sort the support — it is the
-        iteration the physical layer (and hash-based operators) use, where
-        output canonicalisation happens once at result construction rather
-        than per operator.
+        The iteration every operator uses.  Unlike :meth:`items` it renders
+        and sorts nothing; the order is unspecified (it is not part of a
+        relation's value: equality and hashing ignore it).
         """
         return self._rows.items()
 
@@ -205,7 +210,7 @@ class KRelation:
 
         target = hom.target
         merged: Dict[Tup, Any] = {}
-        for tup, annotation in self.items():
+        for tup, annotation in self._rows.items():
             image_tup = Tup({a: map_value(v) for a, v in tup.items()})
             image_ann = map_annotation(annotation)
             if target.is_zero(image_ann):
@@ -246,7 +251,7 @@ class KRelation:
         ``K`` annotations into ``K^M``.
         """
         return KRelation(
-            semiring, self.schema, [(t, fn(k)) for t, k in self.items()]
+            semiring, self.schema, [(t, fn(k)) for t, k in self._rows.items()]
         )
 
     # -- measures (poly-size experiments) ----------------------------------------
@@ -254,7 +259,7 @@ class KRelation:
     def annotation_size(self) -> int:
         """Total representation size of all annotations (poly-size metric)."""
         total = 0
-        for _tup, annotation in self.items():
+        for annotation in self._rows.values():
             if isinstance(annotation, Polynomial):
                 total += annotation.size()
             else:
@@ -264,11 +269,11 @@ class KRelation:
     def value_size(self) -> int:
         """Total representation size of all tensor values (poly-size metric)."""
         total = 0
-        for tup, _annotation in self.items():
+        for tup in self._rows:
             for value in tup.values():
                 if isinstance(value, Tensor):
                     total += value.size()
-                    for _m, k in value:
+                    for k in value._entries.values():
                         if isinstance(k, Polynomial):
                             total += k.size()
                 else:

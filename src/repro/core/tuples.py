@@ -9,12 +9,24 @@ relations can be finite maps ``tuple -> annotation``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.core.schema import Schema
 from repro.exceptions import SchemaError
 
 __all__ = ["Tup"]
+
+
+@lru_cache(maxsize=1024)
+def _canonical_attrs(keys: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The sorted attribute names of a tuple built with ``keys`` in that order.
+
+    Sorted once per key order instead of once per tuple, and one shared
+    object for all the tuples of a relation instead of an allocation each:
+    an operator's loop builds thousands of tuples over the same attributes.
+    """
+    return tuple(sorted(keys))
 
 
 class Tup(Mapping[str, Any]):
@@ -24,7 +36,7 @@ class Tup(Mapping[str, Any]):
 
     def __init__(self, mapping: Mapping[str, Any] | Iterable[Tuple[str, Any]]):
         items = dict(mapping)
-        attrs = tuple(sorted(items))
+        attrs = _canonical_attrs(tuple(items))
         self._attrs: Tuple[str, ...] = attrs
         self._values: Tuple[Any, ...] = tuple(items[a] for a in attrs)
         self._hash = hash((self._attrs, self._values))

@@ -100,7 +100,7 @@ def _tagged_rows(r: KRelation, attribute: str) -> List[Tuple[Any, Any]]:
         )
     rows = []
     seen: Dict[Any, None] = {}
-    for tup, annotation in r.items():
+    for tup, annotation in r.rows():
         token = _token_of(annotation)
         if token in seen:
             raise QueryError(f"token {token!r} tags more than one tuple")

@@ -165,7 +165,8 @@ def valuation_hom(
     hom_box: list[Homomorphism] = []
 
     def var_image(var: Any) -> Any:
-        if isinstance(var, ProvenanceTerm):
+        # plain tokens are nearly always strings: skip the ABC instance check
+        if type(var) is not str and isinstance(var, ProvenanceTerm):
             return var.apply_hom(hom_box[0])
         return plain_image(var)
 

@@ -575,10 +575,12 @@ def evaluate_polynomial(
         is_zero, times, pow_ = target.is_zero, target.times, target.pow
         for mono, c in poly._terms.items():
             acc = coeff_image(c)
-            for var, exp in mono:
+            # a commutative product: no need for the display order of factors
+            for var, exp in mono._powers.items():
                 if is_zero(acc):
                     break
-                acc = times(acc, pow_(var_image(var), exp))
+                image = var_image(var)
+                acc = times(acc, image if exp == 1 else pow_(image, exp))
             yield acc
 
     return target.sum_many(term_values())

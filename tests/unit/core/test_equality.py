@@ -80,6 +80,35 @@ class TestEqualityAtom:
         assert EqualityAtom(a, b) == EqualityAtom(b, a)
         assert hash(EqualityAtom(a, b)) == hash(EqualityAtom(b, a))
 
+    def test_symmetry_does_not_depend_on_rendering(self, monkeypatch):
+        # two distinct tensors whose renderings tie: the atom's identity is
+        # the unordered pair of sides, not the order their text sorts in
+        sp = tensor_space(NX, SUM)
+        x, y = NX.variables("x", "y")
+        a, b = sp.simple(x, 20), sp.simple(y, 10)
+        monkeypatch.setattr(type(a), "__str__", lambda self: "same")
+        assert a != b and str(a) == str(b)
+        ab, ba = EqualityAtom(a, b), EqualityAtom(b, a)
+        assert ab == ba and hash(ab) == hash(ba)
+        assert ab != EqualityAtom(a, a)
+        # so their monomials merge
+        assert NX.variable(ab) * NX.variable(ba) == NX.variable(ab, 2)
+
+    def test_construction_renders_nothing(self, monkeypatch):
+        sp = tensor_space(NX, SUM)
+        x, y = NX.variables("x", "y")
+        a, b = sp.simple(x, 20), sp.simple(y, 10)
+        want = str(EqualityAtom(a, b))
+
+        def boom(self):
+            raise AssertionError("rendered a side")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(type(a), "__str__", boom)
+            atom = EqualityAtom(b, a)
+            assert atom == EqualityAtom(a, b)
+        assert str(atom) == want == "[x⊗20 = y⊗10]"
+
     def test_annotation_eager_resolution(self):
         km = km_semiring(NAT)
         sp = tensor_space(km, SUM)

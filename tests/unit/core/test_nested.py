@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.core import KRelation, Tup, km_semiring
+from repro.core import (
+    AttrEq,
+    Difference,
+    KDatabase,
+    KRelation,
+    Select,
+    Table,
+    Tup,
+    km_semiring,
+)
 from repro.core.nested import (
     collapse_km_relation,
     ext_aggregate,
@@ -19,7 +28,7 @@ from repro.core.nested import (
 from repro.exceptions import QueryError
 from repro.monoids import MAX, SUM
 from repro.semimodules import tensor_space
-from repro.semirings import NAT, NX, valuation_hom
+from repro.semirings import BOOL, NAT, NX, valuation_hom
 
 KM_NAT = km_semiring(NAT)
 
@@ -175,3 +184,144 @@ class TestExtOperators:
         r = KRelation.empty(NAT, ("g", "v"))
         gb = ext_group_by(lift_to_km(r, KM_NAT), ["g"], {"v": SUM}, KM_NAT)
         assert not gb
+
+
+# ---------------------------------------------------------------------------
+# differential test: the partitioned matcher against the brute-force sums
+# ---------------------------------------------------------------------------
+
+
+def _brute_matches(km, key, rows, key_attrs, row_attrs=None):
+    """Section 4.3 read literally: the candidate against *every* row."""
+    for t, k in rows:
+        match = km.one
+        for a, b in zip(key_attrs, row_attrs or key_attrs):
+            match = km.times(match, value_match(km, t[b], key[a]))
+        if not km.is_zero(match):
+            yield t, km.times(k, match)
+
+
+def _brute_sum(km, key, rows, attrs):
+    return km.sum_many(w for _t, w in _brute_matches(km, key, rows, attrs))
+
+
+def brute_union(r1, r2, km):
+    rows, attrs = list(r1.rows()) + list(r2.rows()), r1.schema.attributes
+    pairs = [(t, _brute_sum(km, t, rows, attrs)) for t in dict(rows)]
+    return KRelation(km, r1.schema, pairs)
+
+
+def brute_projection(r, attrs, km):
+    keys = {t.restrict(attrs) for t in r.support()}
+    pairs = [(key, _brute_sum(km, key, r.rows(), attrs)) for key in keys]
+    return KRelation(km, attrs, pairs)
+
+
+def brute_group_by(r, group_attrs, attr, monoid, km):
+    space, pairs = tensor_space(km, monoid), []
+    for key in {t.restrict(group_attrs) for t in r.support()}:
+        matched = list(_brute_matches(km, key, r.rows(), group_attrs))
+        value = space.sum(space.simple(w, t[attr]) for t, w in matched)
+        total = km.sum_many(w for _t, w in matched)
+        pairs.append((Tup({**key, attr: value}), km.delta(total)))
+    return KRelation(km, tuple(group_attrs) + (attr,), pairs)
+
+
+def brute_join(r1, r2, on, km):
+    """Both join variants: ``on`` pairs left/right attributes; left values win."""
+    out = [
+        (Tup({**t2, **t1}), km.times(k1, w))
+        for t1, k1 in r1.rows()
+        for t2, w in _brute_matches(
+            km, t1, r2.rows(), [a for a, _b in on], [b for _a, b in on])
+    ]
+    return KRelation(km, r1.schema.union(r2.schema), out)
+
+
+def _mixed(monoid, prefix, picks):
+    """``(id, g, h, v)`` rows whose keys ``(g, h)`` mix every kind of value.
+
+    ``id`` is plain and unique, so the relation itself is unambiguous under
+    every valuation; ``v`` is plain (it gets aggregated).
+    """
+    sp = tensor_space(NX, monoid)
+    x, y, z = NX.variables("x", "y", "z")
+    keys = [
+        (20, "a"), (20, "b"), (10, "a"),                          # plain, plain
+        (sp.simple(x, 20), "a"),                                  # symbolic, plain
+        (sp.add(sp.simple(y, 10), sp.simple(z, 20)), "a"),
+        (sp.iota(20), "a"),             # a tensor that *is* the plain 20 via iota
+        ("n/a", "a"),                   # no monoid element: equals no tensor
+        (20, sp.simple(x, 1)),                                    # plain, symbolic
+        (sp.simple(x, 20), sp.simple(y, 1)),                      # both symbolic
+        (sp.simple(x, 20), "b"),
+    ]
+    return KRelation.from_rows(
+        NX, ("id", "g", "h", "v"),
+        [((i, *keys[i], 1 + i % 3), NX.variable(f"{prefix}{i}")) for i in picks],
+    )
+
+
+def _valuations(target, values):
+    """Token valuations ``(x, y, z, every row token)``; two rows always drop."""
+    tokens = [f"{p}{i}" for p in "rs" for i in range(10)]
+    for x, y, z, rest in values:
+        image = dict.fromkeys(tokens, rest) | {"x": x, "y": y, "z": z}
+        image["s2"] = image["r4"] = target.zero
+        yield valuation_hom(NX, target, image)
+
+
+@pytest.mark.parametrize("monoid", [SUM, MAX], ids=["SUM", "MAX"])
+class TestPartitionedMatcherAgainstBruteForce:
+    """Mixed signatures are the path the hash index could get wrong."""
+
+    def cases(self, monoid):
+        r = _mixed(monoid, "r", range(10))
+        s = _mixed(monoid, "s", [0, 2, 3, 5, 6, 7, 8])
+        keys = ("g", "h")
+        left = ext_projection(r, ("id",) + keys, NX)
+        right = ext_projection(s, ("id",) + keys, NX)
+        renamed = KRelation(
+            NX, ("id2", "g2", "h2"),
+            [(t.rename({"id": "id2", "g": "g2", "h": "h2"}), k) for t, k in right.rows()],
+        )
+        on = [("g", "g2"), ("h", "h2")]
+        by_id2 = KRelation(
+            NX, ("id2", "g", "h"), [(t.rename({"id": "id2"}), k) for t, k in right.rows()]
+        )
+        return [
+            (ext_union(r, s, NX), brute_union(r, s, NX)),
+            (ext_projection(r, keys, NX), brute_projection(r, keys, NX)),
+            (ext_projection(r, ("g",), NX), brute_projection(r, ("g",), NX)),
+            (ext_group_by(r, keys, {"v": SUM}, NX), brute_group_by(r, keys, "v", SUM, NX)),
+            (ext_natural_join(left, by_id2, NX),
+             brute_join(left, by_id2, [(a, a) for a in keys], NX)),
+            (ext_value_join(left, renamed, on, NX), brute_join(left, renamed, on, NX)),
+        ]
+
+    def homs(self, monoid):
+        yield from _valuations(NAT, [(1, 1, 1, 1), (1, 2, 0, 1), (0, 1, 1, 2)])
+        if monoid.idempotent:  # B (x) M collapses only then: atoms must resolve
+            yield from _valuations(
+                BOOL, [(True, True, True, True), (True, False, True, True),
+                       (False, True, False, True)])
+
+    def test_equal_as_km_relations_and_under_valuations(self, monoid):
+        for got, want in self.cases(monoid):
+            assert len(got) and got == want
+            # symbolic keys really left atoms behind
+            assert any(not k.is_constant() for _t, k in got.rows())
+            for hom in self.homs(monoid):
+                assert got.apply_hom(hom) == want.apply_hom(hom)
+
+    def test_section5_encoding_equals_direct_under_valuations(self, monoid):
+        emp = KRelation.from_rows(
+            NX, ("id", "dept"),
+            [((i, f"d{i % 3}"), NX.variable(f"r{i}")) for i in range(10)])
+        db = KDatabase(NX, {"Emp": emp})
+        gone = Select(Table("Emp"), [AttrEq("dept", "d1")])
+        direct, encoding = (
+            Difference(Table("Emp"), gone, method=m).evaluate(db, mode="extended")
+            for m in ("direct", "encoding"))
+        for hom in self.homs(monoid):
+            assert direct.apply_hom(hom) == encoding.apply_hom(hom)

@@ -80,6 +80,14 @@ class TestTup:
         assert hash(Tup({"a": 1})) == hash(Tup({"a": 1}))
         assert Tup({"a": 1}) != Tup({"a": 2})
 
+    def test_attribute_names_canonical_and_shared(self):
+        # sorted whatever the key order; one object for all the tuples
+        # built with the same key order, not an allocation per tuple
+        a, b, c = Tup({"y": 1, "x": 2}), Tup({"y": 3, "x": 4}), Tup({"x": 2, "y": 1})
+        assert a._attrs == c._attrs == ("x", "y")
+        assert a._attrs is b._attrs
+        assert a == c and hash(a) == hash(c)
+
     def test_from_values_positional(self):
         s = Schema(["x", "y"])
         t = Tup.from_values(s, [1, 2])
