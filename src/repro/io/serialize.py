@@ -255,8 +255,8 @@ def relation_to_jsonable(rel: KRelation, *, sort_rows: bool = True) -> Any:
     ``sort_rows=False`` skips the canonical support ordering and emits
     rows in storage order — decode is order-insensitive (duplicate rows
     merge with ``+_K``), but fingerprints are not, so only hot paths
-    that never compare encodings byte-for-byte (the WAL append path,
-    gated at ≤ 1.3× in-memory in ``benchmarks/bench_durability.py``)
+    that never compare encodings byte-for-byte (the WAL append path:
+    the benchmark's ``wal.update_ms`` against ``core.db_update_ms``)
     should pass it.
     """
     semiring = rel.semiring

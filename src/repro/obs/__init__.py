@@ -1,6 +1,6 @@
 """repro.obs — the zero-dependency telemetry subsystem.
 
-Four small modules, one concern each:
+Three small modules, one concern each:
 
 - :mod:`repro.obs.trace`    — context-propagated spans (off by default,
   one integer check per site while off)
@@ -9,8 +9,6 @@ Four small modules, one concern each:
   resilience counters
 - :mod:`repro.obs.analyze`  — ``explain_analyze``: run a query traced,
   render the span tree next to the plan text
-- :mod:`repro.obs.profile`  — sampling cProfile/tracemalloc hook for one
-  in N served queries
 
 This package must stay importable without :mod:`repro.plan` (the plan
 compiler and :mod:`repro.faults` import :mod:`repro.obs.metrics` at
@@ -18,7 +16,7 @@ module load); :mod:`~repro.obs.analyze` therefore imports the compiler
 lazily and is *not* imported here.
 """
 
-from repro.obs import metrics, profile, trace
+from repro.obs import metrics, trace
 from repro.obs.metrics import REGISTRY, render_prometheus
 from repro.obs.trace import Span, collect, render, span
 
@@ -29,7 +27,6 @@ __all__ = [
     "explain_analyze",
     "analyze_query",
     "metrics",
-    "profile",
     "render",
     "render_prometheus",
     "span",

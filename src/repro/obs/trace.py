@@ -8,11 +8,11 @@ one logical request share a ``trace_id`` so client logs, the slow-query
 log and error responses correlate.
 
 Tracing is **off by default** and costs one module-global integer check
-per instrumentation site while off (``benchmarks/bench_obs.py`` gates
-the disabled-mode overhead at <= 3%).  It activates only inside a
-:func:`collect` block, which installs a root span on the *current
-context* (:mod:`contextvars`, so concurrent asyncio tasks and threads
-each see their own trace, never each other's):
+per instrumentation site while off (the benchmark's
+``obs.collect_overhead_x`` is what turning it on costs).  It activates
+only inside a :func:`collect` block, which installs a root span on the
+*current context* (:mod:`contextvars`, so concurrent asyncio tasks and
+threads each see their own trace, never each other's):
 
     with trace.collect("my request") as root:
         plan.execute()            # operator spans attach under ``root``

@@ -158,31 +158,6 @@ class PhysicalOp:
         self.est_rows = est_rows
 
     def execute(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        # one module-global integer check while tracing is off; the
-        # untraced twin is also the baseline benchmarks/bench_obs.py
-        # patches in to measure the instrumentation overhead
-        if not _trace._ACTIVE:
-            return self._execute_untraced(ctx)
-        memo = ctx.results
-        key = id(self)
-        if key not in memo:
-            deadline = ctx.deadline
-            if deadline is not None:
-                deadline.check(self.label())
-            with _trace.span(self.label()) as span:
-                result = self._run(ctx)
-                if span is not None:
-                    span.attrs["rows_out"] = len(result)
-                    anns = getattr(result, "anns", None)
-                    nbytes = getattr(anns, "nbytes", None)
-                    if nbytes is not None:
-                        span.attrs["ann_bytes"] = int(nbytes)
-            memo[key] = result
-            if deadline is not None:
-                deadline.check(self.label())
-        return memo[key]
-
-    def _execute_untraced(self, ctx: ExecutionContext) -> ColumnarKRelation:
         memo = ctx.results
         key = id(self)
         if key not in memo:
@@ -193,7 +168,19 @@ class PhysicalOp:
             deadline = ctx.deadline
             if deadline is not None:
                 deadline.check(self.label())
-            memo[key] = self._run(ctx)
+            # one module-global integer check while tracing is off
+            if not _trace._ACTIVE:
+                result = self._run(ctx)
+            else:
+                with _trace.span(self.label()) as span:
+                    result = self._run(ctx)
+                    if span is not None:
+                        span.attrs["rows_out"] = len(result)
+                        anns = getattr(result, "anns", None)
+                        nbytes = getattr(anns, "nbytes", None)
+                        if nbytes is not None:
+                            span.attrs["ann_bytes"] = int(nbytes)
+            memo[key] = result
             if deadline is not None:
                 deadline.check(self.label())
         return memo[key]

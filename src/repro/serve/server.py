@@ -63,7 +63,6 @@ from repro.exceptions import DeadlineExceeded, ReproError, WalWriteError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (wal imports obs)
     from repro.wal.manager import DurabilityManager
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.serve.schema import (
     BadRequest,
@@ -435,14 +434,13 @@ class ProvenanceServer:
             )
 
             def evaluate():
-                with obs_profile.maybe_profile("query"):
-                    return query.evaluate(
-                        snap,
-                        mode=req["mode"],
-                        engine=req["engine"],
-                        annotations=req["annotations"],
-                        deadline=deadline,
-                    )
+                return query.evaluate(
+                    snap,
+                    mode=req["mode"],
+                    engine=req["engine"],
+                    annotations=req["annotations"],
+                    deadline=deadline,
+                )
 
             root = None
             if analyze:

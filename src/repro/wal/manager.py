@@ -595,8 +595,8 @@ def _replay(
     collapses into one combined delta per relation (duplicate tuples
     merge with ``+_K`` inside the :class:`KRelation` constructor) and
     applies with a single union; ``add`` records are run boundaries
-    (they rebind names).  Recovery of a 100k-record tail is gated at
-    ≤ 5 s in ``benchmarks/bench_durability.py`` on the back of this.
+    (they rebind names).  The benchmark's ``wal.recovery_s`` (kill -9 to
+    first healthy response) is the number this keeps down.
     """
     from repro.io.serialize import relation_from_jsonable
 

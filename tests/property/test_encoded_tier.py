@@ -23,29 +23,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregate,
-    AttrCompare,
-    AttrEq,
-    AttrEqAttr,
     CountAgg,
-    Distinct,
     GroupBy,
     KDatabase,
     KRelation,
-    NaturalJoin,
     Project,
-    Rename,
-    Select,
-    Table,
-    Union,
-    ValueJoin,
 )
 from repro.monoids import MAX, MIN, SUM
 from repro.plan import compile_plan
 from repro.semirings import BOOL, FUZZY, INT, NAT, TROPICAL
 
-GROUPS = ["g1", "g2", "g3"]
-VALUES = [5, 10, 20]
-WEIGHTS = [1, 2, 7]
+from strategies import GROUPS, VALUES, WEIGHTS, spju
 
 #: (semiring, annotation sample pool, aggregation monoids usable with it).
 #: Z aggregates through no compatibility witness (not positive, no hom to
@@ -89,86 +77,11 @@ def concrete_database(draw, semiring, pool):
     return KDatabase(semiring, {"R": r, "S": s, "T": t})
 
 
-def _spju(depth: int):
-    """Queries paired with their output attribute sets."""
-    base = st.sampled_from(
-        [
-            (Table("R"), ("g", "v")),
-            (Table("S"), ("g",)),
-            (Table("T"), ("g", "w")),
-        ]
-    )
-    if depth == 0:
-        return base
-
-    sub = _spju(depth - 1)
-
-    @st.composite
-    def selected(draw):
-        query, attrs = draw(sub)
-        attr = draw(st.sampled_from(sorted(attrs)))
-        if attr.startswith("g"):
-            condition = AttrEq(attr, draw(st.sampled_from(GROUPS)))
-        else:
-            op = draw(st.sampled_from(["<", "<=", ">", ">="]))
-            condition = AttrCompare(attr, op, draw(st.sampled_from(VALUES + WEIGHTS)))
-        return Select(query, [condition]), attrs
-
-    @st.composite
-    def self_compared(draw):
-        query, attrs = draw(sub)
-        if "v" not in attrs or "w" not in attrs:
-            return query, attrs
-        return Select(query, [AttrEqAttr("v", "w")]), attrs
-
-    @st.composite
-    def projected(draw):
-        query, attrs = draw(sub)
-        keep = tuple(
-            sorted(draw(st.sets(st.sampled_from(sorted(attrs)), min_size=1)))
-        )
-        return Project(query, keep), keep
-
-    @st.composite
-    def unioned(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        if "g" not in a1 or "g" not in a2:
-            return q1, a1
-        return Union(Project(q1, ("g",)), Project(q2, ("g",))), ("g",)
-
-    @st.composite
-    def joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        return NaturalJoin(q1, q2), tuple(sorted(set(a1) | set(a2)))
-
-    @st.composite
-    def value_joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(base)
-        renames = {a: f"{a}2" for a in a2}
-        if "g" not in a1 or any(f"{a}2" in a1 for a in a2):
-            return q1, a1
-        return (
-            ValueJoin(q1, Rename(q2, renames), [("g", "g2")]),
-            tuple(sorted(set(a1) | {f"{a}2" for a in a2})),
-        )
-
-    @st.composite
-    def distinct(draw):
-        query, attrs = draw(sub)
-        return Distinct(query), attrs
-
-    return st.one_of(base, selected(), self_compared(), projected(), unioned(),
-                     joined(), value_joined(), distinct())
-
-
 @st.composite
 def workload(draw):
     """(semiring, annotation pool, query) with a semiring-legal head."""
     semiring, pool, monoids = draw(st.sampled_from(SEMIRINGS))
-    query, attrs = draw(_spju(draw(st.integers(min_value=0, max_value=2))))
+    query, attrs = draw(spju(draw(st.integers(min_value=0, max_value=2))))
     numeric = sorted(a for a in attrs if a.startswith(("v", "w")))
     choices = ["none"]
     if monoids:

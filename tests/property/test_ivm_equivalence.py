@@ -22,28 +22,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregate,
-    AttrCompare,
-    AttrEq,
     CountAgg,
     Distinct,
     GroupBy,
     KDatabase,
     KRelation,
-    NaturalJoin,
     Project,
-    Rename,
-    Select,
-    Table,
-    Union,
-    ValueJoin,
 )
 from repro.ivm import MaterializedView
 from repro.monoids import MAX, MIN, SUM
 from repro.semirings import INT, NAT, NX
 
-GROUPS = ["g1", "g2", "g3"]
-VALUES = [5, 10, 20]
-WEIGHTS = [1, 2, 7]
+from strategies import GROUPS, VALUES, WEIGHTS, spju
 
 SCHEMAS = {"R": ("g", "v"), "S": ("g",), "T": ("g", "w")}
 
@@ -61,68 +51,13 @@ def _row_strategy(name):
 # ---------------------------------------------------------------------------
 
 
-def _spju(depth: int):
-    base = st.sampled_from(
-        [(Table(name), attrs) for name, attrs in SCHEMAS.items()]
-    )
-    if depth == 0:
-        return base
-
-    sub = _spju(depth - 1)
-
-    @st.composite
-    def selected(draw):
-        query, attrs = draw(sub)
-        attr = draw(st.sampled_from(sorted(attrs)))
-        if attr.startswith("g"):
-            condition = AttrEq(attr, draw(st.sampled_from(GROUPS)))
-        else:
-            op = draw(st.sampled_from(["<", "<=", ">", ">="]))
-            condition = AttrCompare(attr, op, draw(st.sampled_from(VALUES + WEIGHTS)))
-        return Select(query, [condition]), attrs
-
-    @st.composite
-    def projected(draw):
-        query, attrs = draw(sub)
-        keep = tuple(
-            sorted(draw(st.sets(st.sampled_from(sorted(attrs)), min_size=1)))
-        )
-        return Project(query, keep), keep
-
-    @st.composite
-    def unioned(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        if "g" not in a1 or "g" not in a2:
-            return q1, a1
-        return Union(Project(q1, ("g",)), Project(q2, ("g",))), ("g",)
-
-    @st.composite
-    def joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        return NaturalJoin(q1, q2), tuple(sorted(set(a1) | set(a2)))
-
-    @st.composite
-    def value_joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(base)
-        renames = {a: f"{a}2" for a in a2}
-        if "g" not in a1 or any(f"{a}2" in a1 for a in a2):
-            return q1, a1
-        return (
-            ValueJoin(q1, Rename(q2, renames), [("g", "g2")]),
-            tuple(sorted(set(a1) | {f"{a}2" for a in a2})),
-        )
-
-    return st.one_of(base, selected(), projected(), unioned(), joined(),
-                     value_joined())
-
-
 @st.composite
 def spjua_query(draw):
     """An SPJU core under an optional maintainable head."""
-    query, attrs = draw(_spju(draw(st.integers(min_value=0, max_value=2))))
+    query, attrs = draw(
+        spju(draw(st.integers(min_value=0, max_value=2)),
+             without=("self_compared", "distinct"))
+    )
     top = draw(st.sampled_from(["none", "group", "agg", "count", "distinct"]))
     numeric = sorted(a for a in attrs if a.startswith(("v", "w")))
     if top == "group" and "g" in attrs and numeric:

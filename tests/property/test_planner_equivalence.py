@@ -17,30 +17,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregate,
-    AttrCompare,
-    AttrEq,
     AttrEqAttr,
     Cartesian,
     CountAgg,
     Difference,
-    Distinct,
     GroupBy,
     KDatabase,
     KRelation,
-    NaturalJoin,
     Project,
-    Rename,
-    Select,
     Table,
-    Union,
-    ValueJoin,
 )
 from repro.monoids import MAX, MIN, SUM
 from repro.semirings import NAT, NX
 
-GROUPS = ["g1", "g2", "g3"]
-VALUES = [5, 10, 20]
-WEIGHTS = [1, 2, 7]
+from strategies import GROUPS, VALUES, WEIGHTS, spju
 
 
 # ---------------------------------------------------------------------------
@@ -74,84 +64,17 @@ def tagged_database(draw):
 
 
 # ---------------------------------------------------------------------------
-# schema-aware query strategy
+# query strategy: the shared SPJU core + an optional aggregation head
 # ---------------------------------------------------------------------------
-
-
-def _spju(depth: int):
-    """Queries paired with their output attribute sets."""
-    base = st.sampled_from(
-        [
-            (Table("R"), ("g", "v")),
-            (Table("S"), ("g",)),
-            (Table("T"), ("g", "w")),
-        ]
-    )
-    if depth == 0:
-        return base
-
-    sub = _spju(depth - 1)
-
-    @st.composite
-    def selected(draw):
-        query, attrs = draw(sub)
-        attr = draw(st.sampled_from(sorted(attrs)))
-        if attr.startswith("g"):
-            condition = AttrEq(attr, draw(st.sampled_from(GROUPS)))
-        else:
-            op = draw(st.sampled_from(["<", "<=", ">", ">="]))
-            condition = AttrCompare(attr, op, draw(st.sampled_from(VALUES + WEIGHTS)))
-        return Select(query, [condition]), attrs
-
-    @st.composite
-    def projected(draw):
-        query, attrs = draw(sub)
-        keep = tuple(
-            sorted(draw(st.sets(st.sampled_from(sorted(attrs)), min_size=1)))
-        )
-        return Project(query, keep), keep
-
-    @st.composite
-    def unioned(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        if "g" not in a1 or "g" not in a2:
-            return q1, a1  # a side projected g away: skip the union
-        return Union(Project(q1, ("g",)), Project(q2, ("g",))), ("g",)
-
-    @st.composite
-    def joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(sub)
-        return NaturalJoin(q1, q2), tuple(sorted(set(a1) | set(a2)))
-
-    @st.composite
-    def value_joined(draw):
-        q1, a1 = draw(sub)
-        q2, a2 = draw(base)  # base table on the renamed side keeps schemas disjoint
-        renames = {a: f"{a}2" for a in a2}
-        if "g" not in a1:
-            return q1, a1  # left side projected the join key away: skip
-        if any(f"{a}2" in a1 for a in a2):
-            return q1, a1  # nested rename collision: skip the join
-        return (
-            ValueJoin(q1, Rename(q2, renames), [("g", "g2")]),
-            tuple(sorted(set(a1) | {f"{a}2" for a in a2})),
-        )
-
-    @st.composite
-    def distinct(draw):
-        query, attrs = draw(sub)
-        return Distinct(query), attrs
-
-    return st.one_of(base, selected(), projected(), unioned(), joined(),
-                     value_joined(), distinct())
 
 
 @st.composite
 def spju_agb_query(draw):
     """An SPJU tree optionally topped by one aggregation operator."""
-    query, attrs = draw(_spju(draw(st.integers(min_value=0, max_value=2))))
+    query, attrs = draw(
+        spju(draw(st.integers(min_value=0, max_value=2)),
+             without=("self_compared",))
+    )
     top = draw(st.sampled_from(["none", "group", "agg", "count"]))
     numeric = sorted(a for a in attrs if a.startswith(("v", "w")))
     if top == "group" and "g" in attrs and numeric:

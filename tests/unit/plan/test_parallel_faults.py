@@ -13,6 +13,8 @@ open/half-open/closed lifecycle, cooperative deadlines, and the
 zero-leaked-segments guarantee after crashes.
 """
 
+import threading
+
 import pytest
 
 pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
@@ -66,6 +68,31 @@ def test_killed_worker_recovers_exactly():
     assert ledger["faults_injected"] == 1
     assert ledger["morsel_retries"] >= 1
     assert ledger["pool_rebuilds"] >= 1
+
+
+def test_killed_worker_recovery_spawns_no_pool_on_the_query_thread(monkeypatch):
+    """A worker kill must not put a pool respawn on the query's critical
+    path: the lost morsels are salvaged in-process and the respawn is left
+    to the ``repro-pool-warmup`` thread.  So from the moment the broken
+    pool is dropped until ``execute()`` returns, ``_get_pool`` — the only
+    place a pool is spawned — may be entered from that thread alone."""
+    db = sales_db()
+    plan = parallel_plan(db)
+    get_pool = parallel._get_pool
+    entered_after_kill = []
+
+    def recording_get_pool(workers):
+        if resilience_counters()["pool_rebuilds"]:
+            entered_after_kill.append(threading.current_thread().name)
+        return get_pool(workers)
+
+    monkeypatch.setattr(parallel, "_get_pool", recording_get_pool)
+    with faults.inject("kill_worker", seed=7):
+        result = plan.execute()
+    until_return = list(entered_after_kill)
+    assert result == oracle(db)
+    assert resilience_counters()["pool_rebuilds"] >= 1
+    assert set(until_return) <= {"repro-pool-warmup"}
 
 
 def test_transient_kernel_error_is_retried_not_fatal():
