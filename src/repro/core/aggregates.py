@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
+from repro.core import operators
 from repro.core.relation import KRelation
 from repro.core.tuples import Tup
 from repro.exceptions import QueryError, SemiringError
@@ -53,11 +54,7 @@ def aggregate(r: KRelation, attribute: str, monoid: CommutativeMonoid) -> KRelat
     on empty input, where the tensor value is ``0 = iota(0_M)`` (the paper
     notes this explicitly: SQL agrees for SUM over an empty bag).
     """
-    if tuple(r.schema.attributes) != (attribute,):
-        raise QueryError(
-            f"AGG expects a relation over exactly ({attribute!r},); got {r.schema}. "
-            "Project the aggregation column first."
-        )
+    single_column(r.schema, attribute, "AGG")
     space = tensor_space(r.semiring, monoid)
     value = space.set_agg(_monoid_values(r, attribute, monoid))
     out_tuple = Tup({attribute: value})
@@ -78,7 +75,8 @@ def group_by(
     """
     group_attrs = tuple(group_attributes)
     agg_specs = normalize_agg_specs(aggregations)
-    _validate_gb_schema(r, group_attrs, agg_specs)
+    check_group_by(r.schema, group_attrs, agg_specs, None, r.semiring)
+    operators.require_plain_values(r, group_attrs, "GROUP BY")
 
     semiring = r.semiring
     spaces = {
@@ -100,7 +98,7 @@ def group_by(
         for attr, monoid in agg_specs.items():
             space = spaces[attr]
             values[attr] = space.set_agg(
-                (_monoid_value(t[attr], monoid, attr), k) for t, k in members
+                (monoid_value(t[attr], monoid, attr), k) for t, k in members
             )
         annotation = semiring.delta(semiring.sum_many(k for _t, k in members))
         pairs.append((Tup(values), annotation))
@@ -128,10 +126,7 @@ def avg_aggregate(r: KRelation, attribute: str) -> KRelation:
     and the running count; ``AvgPair.finalize`` divides after a valuation
     has collapsed the tensor.
     """
-    if tuple(r.schema.attributes) != (attribute,):
-        raise QueryError(
-            f"AVG expects a relation over exactly ({attribute!r},); got {r.schema}"
-        )
+    single_column(r.schema, attribute, "AVG")
     space = tensor_space(r.semiring, AVG)
     value = space.set_agg((AVG.lift(t[attribute]), k) for t, k in r.rows())
     return KRelation(r.semiring, r.schema, [(Tup({attribute: value}), r.semiring.one)])
@@ -156,8 +151,6 @@ def normalize_agg_specs(
             specs = {attr: monoid}
         else:
             specs = dict(items)  # type: ignore[arg-type]
-    if not specs:
-        raise QueryError("GROUP BY requires at least one aggregation")
     return specs
 
 
@@ -170,14 +163,16 @@ def check_group_by(
 ) -> None:
     """The static ``GB_{U',U''}`` well-formedness guards (Defs. 3.6/3.7).
 
-    The single source of truth shared by the interpreter
+    The single source of truth shared by the static check
+    (:meth:`repro.core.query.GroupBy.schema`), the interpreter
     (:func:`group_by`), the physical operator
     (:class:`repro.plan.physical.GroupedAggregate`) and the incremental
     head (:mod:`repro.ivm.state`): COUNT-column collision, ``U'``/``U''``
     disjointness, at-least-one-aggregation (the synthesised COUNT
     counts), attribute membership, and the delta-semiring requirement.
     ``schema`` is anything supporting ``attr in schema`` with a readable
-    ``str``.
+    ``str``; ``semiring`` is ``None`` where only schemas are known (the
+    static check), which leaves the delta requirement to the operator.
     """
     if count_attr is not None and count_attr in schema:
         raise QueryError(f"attribute {count_attr!r} already exists in {schema}")
@@ -192,20 +187,21 @@ def check_group_by(
     for attr in tuple(group_attributes) + tuple(aggregations):
         if attr not in schema:
             raise QueryError(f"attribute {attr!r} not in schema {schema}")
-    if not semiring.has_delta:
+    if semiring is not None and not semiring.has_delta:
         raise SemiringError(
             f"GROUP BY needs a delta-semiring; {semiring.name} has no delta "
             "(Definition 3.6)"
         )
 
 
-def _validate_gb_schema(
-    r: KRelation, group_attrs: Tuple[str, ...], agg_specs: Dict[str, Any]
-) -> None:
-    check_group_by(r.schema, group_attrs, agg_specs, None, r.semiring)
-    from repro.core.operators import require_plain_values  # local: avoid cycle
-
-    require_plain_values(r, group_attrs, "GROUP BY")
+def single_column(schema: Any, attribute: str, what: str) -> Any:
+    """The one-column rule of ``AGG``/``AVG``: ``schema`` is exactly ``(attribute,)``."""
+    if tuple(schema.attributes) != (attribute,):
+        raise QueryError(
+            f"{what} expects a relation over exactly ({attribute!r},); got {schema}. "
+            "Project the aggregation column first."
+        )
+    return schema
 
 
 def _monoid_values(r: KRelation, attribute: str, monoid: CommutativeMonoid):
@@ -227,5 +223,63 @@ def monoid_value(value: Any, monoid: CommutativeMonoid, attribute: str) -> Any:
     return value
 
 
-#: Backwards-compatible alias (pre-ivm callers used the private name).
-_monoid_value = monoid_value
+# ---------------------------------------------------------------------------
+# the Section 3 operator table
+# ---------------------------------------------------------------------------
+
+
+class StandardOps:
+    """One rule per ``Query`` node under the SPJU-AGB semantics (Section 3).
+
+    :meth:`repro.core.query.Query.evaluate` walks the tree once over this
+    table or over :class:`repro.core.nested.ExtendedOps` (Section 4.3, of
+    which this is the restriction to plain values).  Comparisons are
+    decided on ordinary domain values here, so the three comparing rules
+    guard their inputs first — with the physical operators' own contexts,
+    so both engines raise one message.
+    """
+
+    table = staticmethod(lambda rel: rel)
+    union = staticmethod(operators.union)
+    projection = staticmethod(operators.projection)
+    cartesian = staticmethod(operators.cartesian)
+    rename = staticmethod(operators.rename)
+    aggregate = staticmethod(aggregate)
+    group_by = staticmethod(group_by)
+    count = staticmethod(count_aggregate)
+    avg = staticmethod(avg_aggregate)
+
+    @staticmethod
+    def selection(rel: KRelation, conditions: Any) -> KRelation:
+        context = "selection σ[" + " ∧ ".join(map(str, conditions)) + "]"
+        attrs = [a for c in conditions for a in c.attributes()]
+        operators.require_plain_values(rel, attrs, context)
+        return operators.selection(
+            rel, lambda t: all(c.standard_test(t) for c in conditions)
+        )
+
+    @staticmethod
+    def natural_join(left: KRelation, right: KRelation) -> KRelation:
+        common = left.schema.intersection(right.schema)
+        operators.require_plain_values(left, common, "join (⋈)")
+        operators.require_plain_values(right, common, "join (⋈)")
+        return operators.natural_join(left, right)
+
+    @staticmethod
+    def value_join(left: KRelation, right: KRelation, on: Any) -> KRelation:
+        operators.require_plain_values(left, [a for a, _b in on], "join (⋈ on pairs)")
+        operators.require_plain_values(right, [b for _a, b in on], "join (⋈ on pairs)")
+        return operators.equijoin(left, right, on)
+
+    @staticmethod
+    def distinct(rel: KRelation) -> KRelation:
+        return rel.map_annotations(rel.semiring, rel.semiring.delta)
+
+    @staticmethod
+    def difference(left: KRelation, right: KRelation, method: str) -> KRelation:
+        # local import: difference imports nested, which imports this module
+        from repro.core.difference import difference, difference_via_aggregation
+
+        return (difference if method == "direct" else difference_via_aggregation)(
+            left, right
+        )

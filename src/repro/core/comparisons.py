@@ -15,9 +15,13 @@ stays open until tokens are valuated.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Optional
 
-from repro.core.equality import _demote_constants  # shared resolution plumbing
+from repro.core.equality import (  # shared resolution plumbing
+    _atom_annotation,
+    _demote_constants,
+)
 from repro.exceptions import QueryError, UnresolvableEqualityError
 from repro.semimodules.tensor import Tensor
 from repro.semirings.base import ProvenanceTerm
@@ -30,6 +34,24 @@ __all__ = ["ComparisonAtom", "resolve_order", "comparison_annotation",
 NORMALISED_OPS = ("<", "<=")
 
 _FLIP = {">": "<", ">=": "<="}
+
+#: The order predicates on plain values — the one table every evaluator
+#: (both interpreter tables, atom resolution, the physical ``SelectStage``)
+#: decides ``a op b`` with.
+ORDER_PREDICATES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def decide_order(op: str, a: Any, b: Any) -> bool:
+    """``a op b`` on plain values; a pair with no order is a typed error."""
+    try:
+        return ORDER_PREDICATES[op](a, b)
+    except KeyError:
+        raise QueryError(f"unknown comparison operator {op!r}") from None
+    except TypeError:
+        raise QueryError(
+            f"cannot decide {a!r} {op} {b!r}: {type(a).__name__} and "
+            f"{type(b).__name__} values have no order"
+        ) from None
 
 
 def negate_op(op: str) -> str:
@@ -58,12 +80,7 @@ def resolve_order(op: str, lhs: Tensor, rhs: Tensor) -> Optional[bool]:
     right = _as_monoid_value(rhs)
     if left is None or right is None:
         return None
-    left, right = _ordered_value(left), _ordered_value(right)
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    raise QueryError(f"unknown comparison operator {op!r}")
+    return decide_order(op, _ordered_value(left), _ordered_value(right))
 
 
 def _as_monoid_value(t: Tensor) -> Optional[Any]:
@@ -110,19 +127,8 @@ class ComparisonAtom(ProvenanceTerm):
 
     def apply_hom(self, hom: Any) -> Any:
         """Map both sides with ``h^M`` and re-attempt resolution."""
-        lhs = self.lhs.apply_hom(hom)
-        rhs = self.rhs.apply_hom(hom)
-        target = hom.target
-        verdict = resolve_order(self.op, lhs, rhs)
-        if verdict is True:
-            return target.one
-        if verdict is False:
-            return target.zero
-        if isinstance(target, PolynomialSemiring):
-            return target.variable(ComparisonAtom(self.op, lhs, rhs))
-        raise UnresolvableEqualityError(
-            f"comparison [{lhs} {self.op} {rhs}] cannot be interpreted in "
-            f"{target.name}"
+        return comparison_annotation(
+            hom.target, self.op, self.lhs.apply_hom(hom), self.rhs.apply_hom(hom)
         )
 
     def __str__(self) -> str:
@@ -136,10 +142,6 @@ def comparison_annotation(
     km: PolynomialSemiring, op: str, lhs: Tensor, rhs: Tensor
 ) -> Polynomial:
     """The ``K^M`` annotation of ``lhs op rhs`` (eagerly resolved)."""
-    atom = ComparisonAtom(op, lhs, rhs)  # normalises op/sides first
-    verdict = resolve_order(atom.op, atom.lhs, atom.rhs)
-    if verdict is True:
-        return km.one
-    if verdict is False:
-        return km.zero
-    return km.variable(atom)
+    if op in _FLIP:  # normalise as the atom would, without building it yet
+        op, lhs, rhs = _FLIP[op], rhs, lhs
+    return _atom_annotation(km, resolve_order(op, lhs, rhs), ComparisonAtom, op, lhs, rhs)

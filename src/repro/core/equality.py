@@ -135,20 +135,8 @@ class EqualityAtom(ProvenanceTerm):
 
     def apply_hom(self, hom: Any) -> Any:
         """Map both sides with ``h^M`` and resolve in the target (axiom (*))."""
-        lhs = self.lhs.apply_hom(hom)
-        rhs = self.rhs.apply_hom(hom)
-        target = hom.target
-        verdict = compare_tensors(lhs, rhs)
-        if verdict is True:
-            return target.one
-        if verdict is False:
-            return target.zero
-        if isinstance(target, PolynomialSemiring):
-            return target.variable(EqualityAtom(lhs, rhs))
-        raise UnresolvableEqualityError(
-            f"equality [{lhs} = {rhs}] cannot be interpreted in {target.name}: "
-            f"the space {lhs.space.name} does not collapse and {target.name} "
-            "admits no symbolic tokens"
+        return equality_annotation(
+            hom.target, self.lhs.apply_hom(hom), self.rhs.apply_hom(hom)
         )
 
     def __str__(self) -> str:
@@ -169,13 +157,27 @@ def equality_annotation(km: PolynomialSemiring, lhs: Tensor, rhs: Tensor) -> Pol
 
     Eagerly resolved to ``1``/``0`` when :func:`compare_tensors` decides;
     otherwise the symbolic atom enters the annotation as an indeterminate.
+    (A homomorphism re-resolving an atom passes its target for ``km``.)
     """
-    verdict = compare_tensors(lhs, rhs)
-    if verdict is True:
-        return km.one
-    if verdict is False:
-        return km.zero
-    return km.variable(EqualityAtom(lhs, rhs))
+    return _atom_annotation(km, compare_tensors(lhs, rhs), EqualityAtom, lhs, rhs)
+
+
+def _atom_annotation(target: Semiring, verdict: Optional[bool], atom: type, *sides: Any) -> Any:
+    """Axiom (*) for either atom kind: a decided comparison is ``1``/``0``.
+
+    An undecided one stays ``atom(*sides)``, built only now — which needs
+    a ``target`` with indeterminates (a ``K^M``); a homomorphism into a
+    concrete semiring whose space does not collapse cannot interpret it.
+    """
+    if verdict is not None:
+        return target.one if verdict else target.zero
+    if isinstance(target, PolynomialSemiring):
+        return target.variable(atom(*sides))
+    raise UnresolvableEqualityError(
+        f"{atom(*sides)} cannot be interpreted in {target.name}: the space "
+        f"{sides[-1].space.name} does not collapse and {target.name} admits "
+        "no symbolic tokens"
+    )
 
 
 def coerce_annotation(km: PolynomialSemiring, annotation: Any) -> Polynomial:

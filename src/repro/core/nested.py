@@ -27,6 +27,7 @@ order is never part of a result and nothing here sorts or renders.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import (
     Any,
@@ -40,7 +41,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core.aggregates import normalize_agg_specs
+from repro.core.aggregates import StandardOps, normalize_agg_specs, single_column
+from repro.core.comparisons import comparison_annotation, decide_order
+from repro.core.operators import cartesian
 from repro.core.equality import (
     coerce_annotation,
     collapse_constant,
@@ -140,28 +143,39 @@ def value_match(km: PolynomialSemiring, a: Any, b: Any) -> Polynomial:
     * two tensors: :func:`~repro.core.equality.equality_annotation`
       (eager resolution, symbolic atom when undetermined).
     """
+    return _compare(km, a, b, operator.eq, equality_annotation)
+
+
+def order_match(km: PolynomialSemiring, a: Any, b: Any, op: str) -> Polynomial:
+    """The ``K^M`` annotation of the ordered comparison ``a op b``."""
+    return _compare(km, a, b, decide_order, comparison_annotation, op)
+
+
+def _compare(
+    km: PolynomialSemiring, a: Any, b: Any, decide: Callable, annotate: Callable, *op: str
+) -> Polynomial:
+    """The case analysis shared by ``=`` and the order predicates:
+    ``decide(*op, a, b)`` on two plain values, ``annotate(km, *op, a, b)``
+    on two tensors of one ``K^M (x) M`` (operand order is kept)."""
     a_tensor = isinstance(a, Tensor)
     b_tensor = isinstance(b, Tensor)
     if not a_tensor and not b_tensor:
-        return km.one if a == b else km.zero
-    if a_tensor and not b_tensor:
-        return _tensor_vs_plain(km, a, b)
-    if b_tensor and not a_tensor:
-        return _tensor_vs_plain(km, b, a)
-    a = _retarget_tensor(a, km)
-    b = _retarget_tensor(b, km)
-    if a.space.monoid is not b.space.monoid:
-        return km.zero
-    return equality_annotation(km, a, b)
-
-
-def _tensor_vs_plain(km: PolynomialSemiring, t: Tensor, plain: Any) -> Polynomial:
-    monoid = t.space.monoid
-    if not monoid.contains(plain):
-        return km.zero
-    t = _retarget_tensor(t, km)
-    embedded = t.space.iota(plain)
-    return equality_annotation(km, t, embedded)
+        return km.one if decide(*op, a, b) else km.zero
+    if a_tensor and b_tensor:
+        if a.space.monoid is not b.space.monoid:
+            return km.zero
+        a, b = _retarget_tensor(a, km), _retarget_tensor(b, km)
+    elif a_tensor:
+        if not a.space.monoid.contains(b):
+            return km.zero
+        a = _retarget_tensor(a, km)
+        b = a.space.iota(b)
+    else:
+        if not b.space.monoid.contains(a):
+            return km.zero
+        b = _retarget_tensor(b, km)
+        a = b.space.iota(a)
+    return annotate(km, *op, a, b)
 
 
 def tuple_match(
@@ -294,28 +308,27 @@ def ext_projection(
     return _candidate_sums(km, r.schema.restrict(attributes), r.rows())
 
 
+def _ext_selection(
+    r: KRelation, factor: Callable[[Tup], Polynomial], km: PolynomialSemiring
+) -> KRelation:
+    """Item 4: ``sigma_P(R)(t) = R(t) * [P(t)]`` — every tuple stays a candidate."""
+    r = lift_to_km(r, km)
+    pairs = [(t, km.times(annotation, factor(t))) for t, annotation in r.rows()]
+    return KRelation(km, r.schema, pairs)
+
+
 def ext_selection_const(
     r: KRelation, attribute: str, value: Any, km: PolynomialSemiring
 ) -> KRelation:
     """Item 4: ``sigma_{u = m}(R)(t) = R(t) * [t(u) = iota(m)]``."""
-    r = lift_to_km(r, km)
-    pairs = []
-    for t, annotation in r.rows():
-        factor = value_match(km, t[attribute], value)
-        pairs.append((t, km.times(annotation, factor)))
-    return KRelation(km, r.schema, pairs)
+    return _ext_selection(r, lambda t: value_match(km, t[attribute], value), km)
 
 
 def ext_selection_attrs(
     r: KRelation, attr1: str, attr2: str, km: PolynomialSemiring
 ) -> KRelation:
     """Selection comparing two attributes of the same relation."""
-    r = lift_to_km(r, km)
-    pairs = []
-    for t, annotation in r.rows():
-        factor = value_match(km, t[attr1], t[attr2])
-        pairs.append((t, km.times(annotation, factor)))
-    return KRelation(km, r.schema, pairs)
+    return _ext_selection(r, lambda t: value_match(km, t[attr1], t[attr2]), km)
 
 
 def ext_selection_order(
@@ -327,50 +340,7 @@ def ext_selection_order(
     resolve under homomorphisms exactly like equality atoms — the HAVING
     use case.
     """
-    r = lift_to_km(r, km)
-    pairs = []
-    for t, annotation in r.rows():
-        factor = order_match(km, t[attribute], value, op)
-        pairs.append((t, km.times(annotation, factor)))
-    return KRelation(km, r.schema, pairs)
-
-
-def order_match(km: PolynomialSemiring, a: Any, b: Any, op: str) -> Polynomial:
-    """The ``K^M`` annotation of the ordered comparison ``a op b``."""
-    from repro.core.comparisons import comparison_annotation  # avoid cycle
-
-    a_tensor = isinstance(a, Tensor)
-    b_tensor = isinstance(b, Tensor)
-    if not a_tensor and not b_tensor:
-        verdict = _plain_order(a, b, op)
-        return km.one if verdict else km.zero
-    if a_tensor and not b_tensor:
-        a = _retarget_tensor(a, km)
-        if not a.space.monoid.contains(b):
-            return km.zero
-        return comparison_annotation(km, op, a, a.space.iota(b))
-    if b_tensor and not a_tensor:
-        b = _retarget_tensor(b, km)
-        if not b.space.monoid.contains(a):
-            return km.zero
-        return comparison_annotation(km, op, b.space.iota(a), b)
-    a = _retarget_tensor(a, km)
-    b = _retarget_tensor(b, km)
-    if a.space.monoid is not b.space.monoid:
-        return km.zero
-    return comparison_annotation(km, op, a, b)
-
-
-def _plain_order(a: Any, b: Any, op: str) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise QueryError(f"unknown comparison operator {op!r}")
+    return _ext_selection(r, lambda t: order_match(km, t[attribute], value, op), km)
 
 
 def ext_value_join(
@@ -421,17 +391,8 @@ def ext_natural_join(
 
 
 def ext_cartesian(r1: KRelation, r2: KRelation, km: PolynomialSemiring) -> KRelation:
-    """Item 5 (cartesian variant): no equality atoms, disjoint schemas."""
-    if not r1.schema.is_disjoint(r2.schema):
-        raise SchemaError("cartesian product requires disjoint schemas")
-    r1, r2 = lift_to_km(r1, km), lift_to_km(r2, km)
-    out_schema = r1.schema.union(r2.schema)
-    out = [
-        (t1.merge(t2), km.times(k1, k2))
-        for t1, k1 in r1.rows()
-        for t2, k2 in r2.rows()
-    ]
-    return KRelation(km, out_schema, out)
+    """Item 5 (cartesian variant): no equality atoms, so Section 3's rule over ``K^M``."""
+    return cartesian(lift_to_km(r1, km), lift_to_km(r2, km))
 
 
 def ext_aggregate(
@@ -444,10 +405,7 @@ def ext_aggregate(
     tuple's annotation into the existing tensor — no "tensor of tensors"
     arises because ``K^M (x) M`` is closed under the action.
     """
-    if tuple(r.schema.attributes) != (attribute,):
-        raise QueryError(
-            f"AGG expects a relation over exactly ({attribute!r},); got {r.schema}"
-        )
+    single_column(r.schema, attribute, "AGG")
     r = lift_to_km(r, km)
     space = tensor_space(km, monoid)
     total = space.zero
@@ -503,6 +461,44 @@ def ext_group_by(
             )
         pairs.append((Tup(values), km.delta(group_total)))
     return KRelation(km, out_schema, pairs)
+
+
+# ---------------------------------------------------------------------------
+# the Section 4.3 operator table
+# ---------------------------------------------------------------------------
+
+
+class ExtendedOps:
+    """One rule per ``Query`` node under the Section 4.3 semantics.
+
+    The counterpart of :class:`repro.core.aggregates.StandardOps`: the
+    same rule names, each an operator above closed over one ``K^M``, so a
+    comparison that meets a symbolic aggregate multiplies an atom in
+    instead of raising.  Every rule returns a ``K^M``-relation; the three
+    that compare nothing are the Section 3 rules themselves.
+    """
+
+    def __init__(self, km: PolynomialSemiring):
+        def over_km(operator_: Callable) -> Callable:
+            return lambda *operands: operator_(*operands, km)
+
+        def selection(rel: KRelation, conditions: Iterable[Any]) -> KRelation:
+            for condition in conditions:
+                rel = condition.extended_apply(rel, km)
+            return rel
+
+        self.table, self.union = over_km(lift_to_km), over_km(ext_union)
+        self.projection, self.cartesian = over_km(ext_projection), over_km(ext_cartesian)
+        self.natural_join, self.value_join = over_km(ext_natural_join), over_km(ext_value_join)
+        self.aggregate, self.group_by = over_km(ext_aggregate), over_km(ext_group_by)
+        self.selection = selection
+        self.difference = lambda r1, r2, method: self.table(StandardOps.difference(r1, r2, method))
+        self.rename, self.distinct, self.count = (
+            StandardOps.rename, StandardOps.distinct, StandardOps.count
+        )
+
+    def avg(self, rel: KRelation, attribute: str) -> KRelation:
+        raise QueryError("AVG is available in standard mode only")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""A composable query AST over K-databases.
+"""A composable query AST over K-databases — the grammar, written once.
 
 The commutation-with-homomorphisms theorems quantify over *queries*: the
 same ``Q`` must be evaluable on a ``K``-database and on its homomorphic
-image.  This module provides that first-class query object.  Two
-evaluation modes realise the paper's two semantics:
+image.  This module provides that first-class query object.  A node
+states three things about itself, which every tree-walker (rewrites,
+delta rules, plan compiler, incremental views) asks for instead of
+enumerating the classes: its operands (``children`` / ``with_children``);
+its static output schema, which is also its well-formedness check
+(``schema(catalog)`` — decided before any row is read); and its one
+evaluation rule over an operator table (``_eval(db, ops)``).  The two
+tables are the paper's two semantics:
 
-``mode="standard"``
+``mode="standard"`` — :class:`~repro.core.aggregates.StandardOps`
     SPJU-AGB (Sections 2.1, 3.2, 3.3): aggregation must come last; value
     comparisons are decided on ordinary domain values, and comparing a
     symbolic aggregate raises :class:`QueryError`.
 
-``mode="extended"``
+``mode="extended"`` — :class:`~repro.core.nested.ExtendedOps`
     The Section 4.3 semantics: annotations live in ``K^M``, comparisons on
     symbolic aggregates become equality atoms, and the final result is
     collapsed back to ``K`` whenever every atom resolved (Prop. 4.4).
@@ -25,18 +31,19 @@ Example::
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Iterable, Mapping, Tuple
 
 from repro.core import aggregates as agg_ops
-from repro.core import nested, operators
+from repro.core import nested
+from repro.core.comparisons import ORDER_PREDICATES, decide_order
 from repro.core.database import KDatabase
 from repro.core.equality import km_semiring
 from repro.core.relation import KRelation
+from repro.core.schema import Schema
 from repro.core.tuples import Tup
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, SchemaError
 from repro.monoids.base import CommutativeMonoid
 from repro.monoids.numeric import SUM
-from repro.semimodules.tensor import tensor_space
 from repro.semirings.polynomials import PolynomialSemiring
 
 __all__ = [
@@ -119,22 +126,18 @@ class AttrCompare(Condition):
     filtering with provenance).
     """
 
-    _TESTS = {
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-
     def __init__(self, attribute: str, op: str, value: Any):
-        if op not in self._TESTS:
+        if op not in ORDER_PREDICATES:
             raise QueryError(f"unknown comparison operator {op!r}")
         self.attribute = attribute
         self.op = op
         self.value = value
 
     def standard_test(self, tup: Tup) -> bool:
-        return self._TESTS[self.op](tup[self.attribute], self.value)
+        try:
+            return ORDER_PREDICATES[self.op](tup[self.attribute], self.value)
+        except TypeError:  # a mistyped predicate: the typed error names the pair
+            return decide_order(self.op, tup[self.attribute], self.value)
 
     def extended_apply(self, rel: KRelation, km: PolynomialSemiring) -> KRelation:
         return nested.ext_selection_order(rel, self.attribute, self.op, self.value, km)
@@ -237,6 +240,8 @@ class Query(abc.ABC):
             deadline = Deadline.after(float(deadline))
         if deadline is not None:
             deadline.check("query start")
+        if mode not in ("standard", "extended"):
+            raise QueryError(f"unknown evaluation mode {mode!r}")
         if annotations == "circuit":
             if engine != "planned" or mode != "standard":
                 raise QueryError(
@@ -246,24 +251,18 @@ class Query(abc.ABC):
             from repro.plan.circuit_exec import evaluate_circuit_backed  # local: plan imports core
 
             result = evaluate_circuit_backed(self, db)
-            if deadline is not None:
-                deadline.check("query end")
-            return result
-        if mode == "standard":
-            if engine == "planned":
-                return self._cached_plan(db).execute(db, deadline=deadline)
-            result = self._eval_standard(db)
-            if deadline is not None:
-                deadline.check("query end")
-            return result
-        if mode == "extended":
-            km = km_semiring(db.semiring)
-            result = self._eval_extended(db, km)
-            collapsed = nested.collapse_km_relation(result, db.semiring)
-            if deadline is not None:
-                deadline.check("query end")
-            return collapsed
-        raise QueryError(f"unknown evaluation mode {mode!r}")
+        elif mode == "standard" and engine == "planned":
+            return self._cached_plan(db).execute(db, deadline=deadline)
+        else:
+            self.schema({name: rel.schema for name, rel in db})
+            if mode == "standard":
+                result = self._eval(db, agg_ops.StandardOps)
+            else:
+                ops = nested.ExtendedOps(km_semiring(db.semiring))
+                result = nested.collapse_km_relation(self._eval(db, ops), db.semiring)
+        if deadline is not None:
+            deadline.check("query end")
+        return result
 
     #: Per-query plan cache capacity (distinct databases; the circuit image
     #: of a database counts as its own entry).
@@ -309,14 +308,52 @@ class Query(abc.ABC):
         cache[key] = (root, plan)
         return plan
 
-    @abc.abstractmethod
-    def _eval_standard(self, db: KDatabase) -> KRelation: ...
+    @property
+    def _operands(self) -> Tuple[str, ...]:
+        # a node keeps its operands in ``child``, or in ``left`` and ``right``
+        fields = self.__dict__
+        return ("child",) if "child" in fields else ("left", "right") if "left" in fields else ()
+
+    @property
+    def children(self) -> Tuple["Query", ...]:
+        """This node's operand queries, left to right."""
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._operands])
+
+    def with_children(self, *children: "Query") -> "Query":
+        """The same node around new operands (parameters shared, plans not)."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, **dict(zip(self._operands, children, strict=True)))
+        clone.__dict__.pop("_plan_cache", None)  # compiled for the old operands
+        return clone
 
     @abc.abstractmethod
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation: ...
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        """The static output schema against base-table schemas.
+
+        Also the node's well-formedness check: an ill-formed query raises
+        here (:class:`SchemaError` / :class:`QueryError`), on schemas
+        alone — so before any row is read, and for empty input too.
+        """
+
+    @abc.abstractmethod
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        """This node's rule, over an operator table (``StandardOps`` or ``ExtendedOps``)."""
 
     @abc.abstractmethod
     def __str__(self) -> str: ...
+
+    def _same_schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        left, right = (child.schema(catalog) for child in self.children)
+        if left != right:
+            raise SchemaError(f"{self}: incompatible schemas {left} and {right}")
+        return left
+
+    def _disjoint_schemas(self, catalog: Mapping[str, Schema]) -> Tuple[Schema, Schema]:
+        left, right = (child.schema(catalog) for child in self.children)
+        if not left.is_disjoint(right):
+            raise SchemaError(f"{self}: overlapping schemas {left} / {right}; rename first")
+        return left, right
 
 
 class Table(Query):
@@ -325,11 +362,13 @@ class Table(Query):
     def __init__(self, name: str):
         self.name = name
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return db.relation(self.name)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        if self.name not in catalog:
+            raise QueryError(f"table {self.name!r} not in catalog")
+        return catalog[self.name]
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.lift_to_km(db.relation(self.name), km)
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.table(db.relation(self.name))
 
     def __str__(self) -> str:
         return self.name
@@ -342,13 +381,11 @@ class Union(Query):
         self.left = left
         self.right = right
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return operators.union(self.left._eval_standard(db), self.right._eval_standard(db))
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self._same_schema(catalog)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_union(
-            self.left._eval_extended(db, km), self.right._eval_extended(db, km), km
-        )
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.union(self.left._eval(db, ops), self.right._eval(db, ops))
 
     def __str__(self) -> str:
         return f"({self.left} ∪ {self.right})"
@@ -361,11 +398,11 @@ class Project(Query):
         self.child = child
         self.attributes = tuple(attributes)
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return operators.projection(self.child._eval_standard(db), self.attributes)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self.child.schema(catalog).restrict(self.attributes)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_projection(self.child._eval_extended(db, km), self.attributes, km)
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.projection(self.child._eval(db, ops), self.attributes)
 
     def __str__(self) -> str:
         return f"Π[{', '.join(self.attributes)}]({self.child})"
@@ -378,19 +415,14 @@ class Select(Query):
         self.child = child
         self.conditions = tuple(conditions)
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        rel = self.child._eval_standard(db)
-        attrs = [a for c in self.conditions for a in c.attributes()]
-        operators.require_plain_values(rel, attrs, f"selection {self}")
-        return operators.selection(
-            rel, lambda t: all(c.standard_test(t) for c in self.conditions)
-        )
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        schema = self.child.schema(catalog)
+        for attr in (a for c in self.conditions for a in c.attributes()):
+            schema.index_of(attr)  # SchemaError when absent
+        return schema
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        rel = self.child._eval_extended(db, km)
-        for condition in self.conditions:
-            rel = condition.extended_apply(rel, km)
-        return rel
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.selection(self.child._eval(db, ops), self.conditions)
 
     def __str__(self) -> str:
         conds = " ∧ ".join(str(c) for c in self.conditions)
@@ -404,18 +436,11 @@ class NaturalJoin(Query):
         self.left = left
         self.right = right
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        l = self.left._eval_standard(db)
-        r = self.right._eval_standard(db)
-        common = l.schema.intersection(r.schema)
-        operators.require_plain_values(l, common, f"join {self}")
-        operators.require_plain_values(r, common, f"join {self}")
-        return operators.natural_join(l, r)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self.left.schema(catalog).union(self.right.schema(catalog))
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_natural_join(
-            self.left._eval_extended(db, km), self.right._eval_extended(db, km), km
-        )
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.natural_join(self.left._eval(db, ops), self.right._eval(db, ops))
 
     def __str__(self) -> str:
         return f"({self.left} ⋈ {self.right})"
@@ -434,18 +459,15 @@ class ValueJoin(Query):
         self.right = right
         self.on = list(on.items()) if isinstance(on, Mapping) else list(on)
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        l = self.left._eval_standard(db)
-        r = self.right._eval_standard(db)
-        operators.require_plain_values(l, [a for a, _b in self.on], f"join {self}")
-        operators.require_plain_values(r, [b for _a, b in self.on], f"join {self}")
-        return operators.equijoin(l, r, self.on)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        left, right = self._disjoint_schemas(catalog)
+        for left_attr, right_attr in self.on:
+            left.index_of(left_attr)  # SchemaError when absent
+            right.index_of(right_attr)
+        return left.union(right)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_value_join(
-            self.left._eval_extended(db, km), self.right._eval_extended(db, km),
-            self.on, km,
-        )
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.value_join(self.left._eval(db, ops), self.right._eval(db, ops), self.on)
 
     def __str__(self) -> str:
         conds = ", ".join(f"{a}={b}" for a, b in self.on)
@@ -459,15 +481,12 @@ class Cartesian(Query):
         self.left = left
         self.right = right
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return operators.cartesian(
-            self.left._eval_standard(db), self.right._eval_standard(db)
-        )
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        left, right = self._disjoint_schemas(catalog)
+        return left.union(right)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_cartesian(
-            self.left._eval_extended(db, km), self.right._eval_extended(db, km), km
-        )
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.cartesian(self.left._eval(db, ops), self.right._eval(db, ops))
 
     def __str__(self) -> str:
         return f"({self.left} × {self.right})"
@@ -480,11 +499,11 @@ class Rename(Query):
         self.child = child
         self.mapping = dict(mapping)
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return operators.rename(self.child._eval_standard(db), self.mapping)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self.child.schema(catalog).rename(self.mapping)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return operators.rename(self.child._eval_extended(db, km), self.mapping)
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.rename(self.child._eval(db, ops), self.mapping)
 
     def __str__(self) -> str:
         pairs = ", ".join(f"{a}→{b}" for a, b in self.mapping.items())
@@ -499,15 +518,11 @@ class Aggregate(Query):
         self.attribute = attribute
         self.monoid = monoid
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return agg_ops.aggregate(
-            self.child._eval_standard(db), self.attribute, self.monoid
-        )
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return agg_ops.single_column(self.child.schema(catalog), self.attribute, "AGG")
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        return nested.ext_aggregate(
-            self.child._eval_extended(db, km), self.attribute, self.monoid, km
-        )
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.aggregate(self.child._eval(db, ops), self.attribute, self.monoid)
 
     def __str__(self) -> str:
         return f"AGG[{self.monoid.name}({self.attribute})]({self.child})"
@@ -532,20 +547,20 @@ class GroupBy(Query):
         self.aggregations = agg_ops.normalize_agg_specs(aggregations)
         self.count_attr = count_attr
 
-    def _specs_and_input(self, rel: KRelation) -> Tuple[KRelation, Dict[str, CommutativeMonoid]]:
-        specs = dict(self.aggregations)
-        if self.count_attr is not None:
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        child = self.child.schema(catalog)
+        agg_ops.check_group_by(
+            child, self.group_attributes, self.aggregations, self.count_attr, None
+        )
+        out = child.restrict(self.group_attributes).extend(*self.aggregations)
+        return out if self.count_attr is None else out.extend(self.count_attr)
+
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        rel, specs = self.child._eval(db, ops), dict(self.aggregations)
+        if self.count_attr is not None:  # footnote 6: COUNT is SUM over the constant 1
             rel = _with_constant_column(rel, self.count_attr, 1)
             specs[self.count_attr] = SUM
-        return rel, specs
-
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        rel, specs = self._specs_and_input(self.child._eval_standard(db))
-        return agg_ops.group_by(rel, self.group_attributes, specs)
-
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        rel, specs = self._specs_and_input(self.child._eval_extended(db, km))
-        return nested.ext_group_by(rel, self.group_attributes, specs, km)
+        return ops.group_by(rel, self.group_attributes, specs)
 
     def __str__(self) -> str:
         aggs = ", ".join(f"{m.name}({a})" for a, m in self.aggregations.items())
@@ -561,20 +576,12 @@ class CountAgg(Query):
         self.child = child
         self.attribute = attribute
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return agg_ops.count_aggregate(self.child._eval_standard(db), self.attribute)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        self.child.schema(catalog)
+        return Schema((self.attribute,))
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        # COUNT(*) = SUM over the constant 1 (footnote 6): build the
-        # one-column relation of 1s directly, preserving each tuple's
-        # annotation, then aggregate.
-        rel = self.child._eval_extended(db, km)
-        space = tensor_space(km, SUM)
-        total = space.zero
-        for _t, annotation in rel.rows():
-            total = space.add(total, space.simple(annotation, 1))
-        out = Tup({self.attribute: total})
-        return KRelation(km, (self.attribute,), [(out, km.one)])
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.count(self.child._eval(db, ops), self.attribute)
 
     def __str__(self) -> str:
         return f"COUNT({self.child})"
@@ -587,11 +594,11 @@ class AvgAgg(Query):
         self.child = child
         self.attribute = attribute
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        return agg_ops.avg_aggregate(self.child._eval_standard(db), self.attribute)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return agg_ops.single_column(self.child.schema(catalog), self.attribute, "AVG")
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        raise QueryError("AVG is available in standard mode only")
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.avg(self.child._eval(db, ops), self.attribute)
 
     def __str__(self) -> str:
         return f"AVG[{self.attribute}]({self.child})"
@@ -608,13 +615,11 @@ class Distinct(Query):
     def __init__(self, child: Query):
         self.child = child
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        rel = self.child._eval_standard(db)
-        return rel.map_annotations(rel.semiring, rel.semiring.delta)
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self.child.schema(catalog)
 
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        rel = self.child._eval_extended(db, km)
-        return rel.map_annotations(km, km.delta)
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        return ops.distinct(self.child._eval(db, ops))
 
     def __str__(self) -> str:
         return f"δ({self.child})"
@@ -635,27 +640,12 @@ class Difference(Query):
         self.right = right
         self.method = method
 
-    def _eval_standard(self, db: KDatabase) -> KRelation:
-        # local import: avoid import cycle (difference imports nested)
-        from repro.core.difference import difference, difference_via_aggregation
+    def schema(self, catalog: Mapping[str, Schema]) -> Schema:
+        return self._same_schema(catalog)
 
-        l = self.left._eval_standard(db)
-        r = self.right._eval_standard(db)
-        if self.method == "direct":
-            return difference(l, r)
-        return difference_via_aggregation(l, r)
-
-    def _eval_extended(self, db: KDatabase, km: PolynomialSemiring) -> KRelation:
-        # local import: avoid import cycle (difference imports nested)
-        from repro.core.difference import difference, difference_via_aggregation
-
-        l = self.left._eval_extended(db, km)
-        r = self.right._eval_extended(db, km)
-        if self.method == "direct":
-            result = difference(l, r)
-        else:
-            result = difference_via_aggregation(l, r)
-        return nested.lift_to_km(result, km)
+    def _eval(self, db: KDatabase, ops: Any) -> KRelation:
+        left, right = self.left._eval(db, ops), self.right._eval(db, ops)
+        return ops.difference(left, right, self.method)
 
     def __str__(self) -> str:
         return f"({self.left} − {self.right})"
@@ -666,7 +656,5 @@ def _with_constant_column(rel: KRelation, attribute: str, value: Any) -> KRelati
     if attribute in rel.schema:
         raise QueryError(f"attribute {attribute!r} already exists in {rel.schema}")
     schema = rel.schema.extend(attribute)
-    pairs = [
-        (Tup(dict(t.items()) | {attribute: value}), k) for t, k in rel.rows()
-    ]
+    pairs = [(Tup(dict(t.items()) | {attribute: value}), k) for t, k in rel.rows()]
     return KRelation(rel.semiring, schema, pairs)

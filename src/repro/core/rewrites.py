@@ -20,73 +20,26 @@ suite verifies preservation by evaluating original and rewritten queries
 over ``N[X]`` databases and comparing *annotated* results — equality over
 the free semiring implies equality under every specialisation.
 
-Static schemas come from :func:`infer_schema` against a catalog of base
-schemas (needed to know which join side owns a selection's attributes).
+Static schemas come from each node's own
+:meth:`~repro.core.query.Query.schema` against a catalog of base schemas
+(needed to know which join side owns a selection's attributes), and the
+walk itself from ``children`` / ``with_children``: this module names a
+node class only where a rule fires on it.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Tuple
 
-from repro.core.query import (
-    Aggregate,
-    AvgAgg,
-    Cartesian,
-    Condition,
-    CountAgg,
-    Difference,
-    Distinct,
-    GroupBy,
-    NaturalJoin,
-    Project,
-    Query,
-    Rename,
-    Select,
-    Table,
-    Union,
-    ValueJoin,
-)
+from repro.core.query import Cartesian, NaturalJoin, Project, Query, Select, Union
 from repro.core.schema import Schema
-from repro.exceptions import QueryError
 
 __all__ = ["infer_schema", "optimize", "rewrite_once"]
 
 
 def infer_schema(query: Query, catalog: Mapping[str, Schema]) -> Schema:
     """The output schema of ``query`` against base-table schemas."""
-    if isinstance(query, Table):
-        try:
-            return catalog[query.name]
-        except KeyError:
-            raise QueryError(f"table {query.name!r} not in catalog") from None
-    if isinstance(query, (Union, Difference)):
-        return infer_schema(query.left, catalog)
-    if isinstance(query, Project):
-        return infer_schema(query.child, catalog).restrict(query.attributes)
-    if isinstance(query, (Select, Distinct)):
-        return infer_schema(query.child, catalog)
-    if isinstance(query, (NaturalJoin, Cartesian)):
-        return infer_schema(query.left, catalog).union(
-            infer_schema(query.right, catalog)
-        )
-    if isinstance(query, ValueJoin):
-        return infer_schema(query.left, catalog).union(
-            infer_schema(query.right, catalog)
-        )
-    if isinstance(query, Rename):
-        return infer_schema(query.child, catalog).rename(query.mapping)
-    if isinstance(query, Aggregate):
-        return Schema((query.attribute,))
-    if isinstance(query, GroupBy):
-        attrs = tuple(query.group_attributes) + tuple(query.aggregations)
-        if query.count_attr is not None:
-            attrs += (query.count_attr,)
-        return Schema(attrs)
-    if isinstance(query, CountAgg):
-        return Schema((query.attribute,))
-    if isinstance(query, AvgAgg):
-        return Schema((query.attribute,))
-    raise QueryError(f"cannot infer schema of {type(query).__name__}")
+    return query.schema(catalog)
 
 
 def optimize(query: Query, catalog: Mapping[str, Schema]) -> Query:
@@ -105,10 +58,11 @@ def rewrite_once(query: Query, catalog: Mapping[str, Schema]) -> Tuple[Query, bo
 
 
 def _rewrite(query: Query, catalog: Mapping[str, Schema]) -> Tuple[Query, bool]:
-    # rewrite children first
-    changed = False
-    query, child_changed = _rewrite_children(query, catalog)
-    changed |= child_changed
+    # rewrite children first; the rebuilt tree shares no node (and so no
+    # cached plan) with the caller's
+    rewritten = [_rewrite(child, catalog) for child in query.children]
+    changed = any(child_changed for _child, child_changed in rewritten)
+    query = query.with_children(*(child for child, _changed in rewritten))
 
     if isinstance(query, Select):
         replaced = _rewrite_select(query, catalog)
@@ -119,68 +73,6 @@ def _rewrite(query: Query, catalog: Mapping[str, Schema]) -> Tuple[Query, bool]:
         if replaced is not None:
             return replaced, True
     return query, changed
-
-
-def _rewrite_children(query: Query, catalog) -> Tuple[Query, bool]:
-    def go(child: Query) -> Tuple[Query, bool]:
-        return _rewrite(child, catalog)
-
-    if isinstance(query, Select):
-        child, changed = go(query.child)
-        return (Select(child, query.conditions), changed)
-    if isinstance(query, Project):
-        child, changed = go(query.child)
-        return (Project(child, query.attributes), changed)
-    if isinstance(query, Distinct):
-        child, changed = go(query.child)
-        return (Distinct(child), changed)
-    if isinstance(query, Rename):
-        child, changed = go(query.child)
-        return (Rename(child, query.mapping), changed)
-    if isinstance(query, Union):
-        left, c1 = go(query.left)
-        right, c2 = go(query.right)
-        return (Union(left, right), c1 or c2)
-    if isinstance(query, NaturalJoin):
-        left, c1 = go(query.left)
-        right, c2 = go(query.right)
-        return (NaturalJoin(left, right), c1 or c2)
-    if isinstance(query, Cartesian):
-        left, c1 = go(query.left)
-        right, c2 = go(query.right)
-        return (Cartesian(left, right), c1 or c2)
-    if isinstance(query, ValueJoin):
-        left, c1 = go(query.left)
-        right, c2 = go(query.right)
-        return (ValueJoin(left, right, query.on), c1 or c2)
-    if isinstance(query, Difference):
-        left, c1 = go(query.left)
-        right, c2 = go(query.right)
-        return (Difference(left, right, query.method), c1 or c2)
-    if isinstance(query, Aggregate):
-        child, changed = go(query.child)
-        return (Aggregate(child, query.attribute, query.monoid), changed)
-    if isinstance(query, GroupBy):
-        child, changed = go(query.child)
-        return (
-            GroupBy(child, query.group_attributes, query.aggregations,
-                    count_attr=query.count_attr),
-            changed,
-        )
-    if isinstance(query, CountAgg):
-        child, changed = go(query.child)
-        return (CountAgg(child, query.attribute), changed)
-    if isinstance(query, AvgAgg):
-        child, changed = go(query.child)
-        return (AvgAgg(child, query.attribute), changed)
-    return query, False
-
-
-def _condition_attrs(conditions: Tuple[Condition, ...]) -> set:
-    out: set = set()
-    for condition in conditions:
-        out |= set(condition.attributes())
-    return out
 
 
 def _rewrite_select(query: Select, catalog) -> Query | None:
@@ -199,7 +91,7 @@ def _rewrite_select(query: Select, catalog) -> Query | None:
 
     # σ_c(Π_A R) -> Π_A(σ_c R) when c only reads surviving attributes
     if isinstance(child, Project):
-        if _condition_attrs(conditions) <= set(child.attributes):
+        if {a for c in conditions for a in c.attributes()} <= set(child.attributes):
             return Project(Select(child.child, conditions), child.attributes)
 
     # σ_c(R ⋈ S): push each condition to the side(s) owning its attributes

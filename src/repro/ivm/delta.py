@@ -30,11 +30,16 @@ and executes on :class:`~repro.plan.columnar.ColumnarKRelation` batches
 with the n-ary semiring kernels: selection pushdown applies to the delta
 tree, hash joins build on the (tiny, estimated-0) delta side, and fused
 select/project pipelines run per batch.
+
+The rewrites walk and rebuild trees through the nodes' own ``children`` /
+``with_children``; what is written here is only what is specific to
+deltas — which operators are linear, and the two rules (base table, join)
+that are not "the same operator over the operands' deltas".
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
 from repro.core.database import KDatabase
 from repro.core.query import (
@@ -64,6 +69,10 @@ __all__ = [
     "compile_delta_plan",
 ]
 
+#: The operators linear in each argument — the fragment the rules cover.
+_LINEAR = (Select, Project, Rename, Union, NaturalJoin, Cartesian, ValueJoin)
+
+
 def _unsupported(query: Query) -> QueryError:
     return QueryError(
         f"delta rules cover SPJU only; {type(query).__name__} requires "
@@ -81,11 +90,9 @@ def table_refs(query: Query) -> FrozenSet[str]:
     """
     if isinstance(query, Table):
         return frozenset((query.name,))
-    if isinstance(query, (Project, Select, Rename)):
-        return table_refs(query.child)
-    if isinstance(query, (Union, NaturalJoin, Cartesian, ValueJoin)):
-        return table_refs(query.left) | table_refs(query.right)
-    raise _unsupported(query)
+    if not isinstance(query, _LINEAR):
+        raise _unsupported(query)
+    return frozenset().union(*map(table_refs, query.children))
 
 
 def delta_prefix(names: Iterable[str]) -> str:
@@ -109,38 +116,21 @@ def delta_rewrite(
     """
     if isinstance(query, Table):
         return Table(dname(query.name)) if query.name in changed else None
-    if isinstance(query, Select):
-        child = delta_rewrite(query.child, changed, dname)
-        return None if child is None else Select(child, query.conditions)
-    if isinstance(query, Project):
-        child = delta_rewrite(query.child, changed, dname)
-        return None if child is None else Project(child, query.attributes)
-    if isinstance(query, Rename):
-        child = delta_rewrite(query.child, changed, dname)
-        return None if child is None else Rename(child, query.mapping)
-    if isinstance(query, Union):
-        left = delta_rewrite(query.left, changed, dname)
-        right = delta_rewrite(query.right, changed, dname)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return Union(left, right)
-    if isinstance(query, (NaturalJoin, Cartesian, ValueJoin)):
-        d_left = delta_rewrite(query.left, changed, dname)
-        d_right = delta_rewrite(query.right, changed, dname)
-        terms = []
+    if not isinstance(query, _LINEAR):
+        raise _unsupported(query)
+    deltas = [delta_rewrite(child, changed, dname) for child in query.children]
+    if len(deltas) == 1:  # σ, Π, ρ: the same operator over the child's delta
+        return None if deltas[0] is None else query.with_children(deltas[0])
+    d_left, d_right = deltas
+    if not isinstance(query, Union):  # a join: dE1 ⋈ E2' ∪ E1 ⋈ dE2
         if d_left is not None:
-            terms.append(_rejoin(query, d_left, new_rewrite(query.right, changed, dname)))
+            post_right = new_rewrite(query.right, changed, dname)
+            d_left = query.with_children(d_left, post_right)
         if d_right is not None:
-            terms.append(_rejoin(query, query.left, d_right))
-        if not terms:
-            return None
-        result = terms[0]
-        for term in terms[1:]:
-            result = Union(result, term)
-        return result
-    raise _unsupported(query)
+            d_right = query.with_children(query.left, d_right)
+    if d_left is None or d_right is None:
+        return d_right if d_left is None else d_left
+    return Union(d_left, d_right)
 
 
 def new_rewrite(
@@ -151,33 +141,9 @@ def new_rewrite(
         return query
     if isinstance(query, Table):
         return Union(query, Table(dname(query.name)))
-    if isinstance(query, Select):
-        return Select(new_rewrite(query.child, changed, dname), query.conditions)
-    if isinstance(query, Project):
-        return Project(new_rewrite(query.child, changed, dname), query.attributes)
-    if isinstance(query, Rename):
-        return Rename(new_rewrite(query.child, changed, dname), query.mapping)
-    if isinstance(query, Union):
-        return Union(
-            new_rewrite(query.left, changed, dname),
-            new_rewrite(query.right, changed, dname),
-        )
-    if isinstance(query, (NaturalJoin, Cartesian, ValueJoin)):
-        return _rejoin(
-            query,
-            new_rewrite(query.left, changed, dname),
-            new_rewrite(query.right, changed, dname),
-        )
-    raise _unsupported(query)
-
-
-def _rejoin(template: Query, left: Query, right: Query) -> Query:
-    """Rebuild a join node of ``template``'s class around new operands."""
-    if isinstance(template, NaturalJoin):
-        return NaturalJoin(left, right)
-    if isinstance(template, Cartesian):
-        return Cartesian(left, right)
-    return ValueJoin(left, right, template.on)
+    return query.with_children(
+        *(new_rewrite(child, changed, dname) for child in query.children)
+    )
 
 
 def _touches_delta(op: PhysicalOp, delta_names: FrozenSet[str]) -> bool:
@@ -325,7 +291,7 @@ class DeltaPlan:
         exec_db = self.combined(db, deltas)
         if self.engine == "interpreted":
             return ColumnarKRelation.from_krelation(
-                self.delta_query._eval_standard(exec_db)
+                self.delta_query.evaluate(exec_db)
             )
         tier = None
         if self.plan.tier == "encoded":
@@ -370,17 +336,8 @@ def compile_delta_plan(
     if dname is None:
         prefix = delta_prefix(db.names())
         dname = lambda name: prefix + name  # noqa: E731 - tiny closure
-    base_plan = compile_plan(core, db)
-    if isinstance(base_plan.root, Fallback):
-        raise QueryError(
-            f"view core {core} does not compile against the catalog "
-            f"{list(db.names())}; incremental maintenance needs a statically "
-            "plannable SPJU core"
-        )
-    schema = base_plan.root.schema
-    delta_query = (
-        delta_rewrite(core, effective, dname) if effective else None
-    )
+    schema = core.schema({name: rel.schema for name, rel in db})
+    delta_query = delta_rewrite(core, effective, dname) if effective else None
     plan = None
     if delta_query is not None and engine == "planned":
         template = KDatabase(db.semiring)

@@ -25,7 +25,7 @@ The maintained result is *equal* to re-evaluation — pinned across N, Z,
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Optional
 
 from repro.core.aggregates import check_group_by
 from repro.core.database import KDatabase
@@ -53,7 +53,6 @@ from repro.plan.circuit_exec import (
 )
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.compiler import compile_plan
-from repro.plan.physical import Fallback
 from repro.semirings.homomorphism import deletion_hom
 from repro.semirings.polynomials import NX, PolynomialSemiring
 
@@ -72,19 +71,11 @@ _HEAD_DESCRIPTIONS = {
 }
 
 
-def _decompose(query: Query) -> Tuple[str, Optional[Query], Query]:
-    """Split a view query into (head kind, head node, SPJU core)."""
-    if isinstance(query, GroupBy):
-        return "group", query, query.child
-    if isinstance(query, Aggregate):
-        return "agg", query, query.child
-    if isinstance(query, CountAgg):
-        return "count", query, query.child
-    if isinstance(query, AvgAgg):
-        return "avg", query, query.child
-    if isinstance(query, Distinct):
-        return "distinct", query, query.child
-    return "relation", None, query
+#: The aggregation heads maintained statefully above an SPJU core.
+_HEAD_KINDS = {
+    GroupBy: "group", Aggregate: "agg", CountAgg: "count", AvgAgg: "avg",
+    Distinct: "distinct",
+}
 
 
 class MaterializedView:
@@ -118,33 +109,28 @@ class MaterializedView:
         self.engine = engine
         self.annotations = annotations
 
-        self._head_kind, self._head_node, self._core = _decompose(query)
+        # an SPJU core, under at most one stateful aggregation head
+        self._head_kind = _HEAD_KINDS.get(type(query), "relation")
+        self._core = query if self._head_kind == "relation" else query.child
         self._refs = table_refs(self._core)  # validates the SPJU core
         if annotations == "circuit":
-            self._circuit, exec_db = circuit_database(db)
-            self._exec_semiring = self._circuit
+            self._circuit = self._exec_semiring = circuit_database(db)[0]
         else:
             self._circuit = None
-            exec_db = db
             self._exec_semiring = db.semiring
 
-        core_plan = compile_plan(self._core, exec_db)
-        if isinstance(core_plan.root, Fallback):
-            raise QueryError(
-                f"view core {self._core} does not compile against the catalog "
-                f"{list(db.names())}; incremental maintenance needs a "
-                "statically plannable SPJU core"
-            )
-        self.core_schema = core_plan.root.schema
+        # well-formedness of the whole view, decided on schemas alone
+        catalog = {name: rel.schema for name, rel in db}
+        self.core_schema = self._core.schema(catalog)
+        self.out_schema = query.schema(catalog)
         self._head = self._build_head()
-        self.out_schema = self._head.out_schema
         self._delta_plans: Dict[FrozenSet[str], DeltaPlan] = {}
         self._result_cache: Any = None
 
         if snapshot is not None:
             self._restore(snapshot)
         else:
-            self._materialise(core_plan)
+            self._materialise()
         #: Whether this view's state came off disk instead of evaluation
         #: (the serving layer's boot log distinguishes the two).
         self.restored_from_snapshot = snapshot is not None
@@ -167,43 +153,24 @@ class MaterializedView:
     # -- head construction --------------------------------------------------
 
     def _build_head(self):
-        kind, node, semiring = self._head_kind, self._head_node, self._exec_semiring
-        core_schema = self.core_schema
+        kind, node, semiring = self._head_kind, self.query, self._exec_semiring
         if kind == "group":
             specs = dict(node.aggregations)
+            # schema() decided everything but the delta-semiring requirement
             check_group_by(
-                core_schema, node.group_attributes, specs, node.count_attr, semiring
+                self.core_schema, node.group_attributes, specs, node.count_attr, semiring
             )
-            out_schema = core_schema.restrict(node.group_attributes).extend(
-                *(a for a in specs if a not in node.group_attributes)
-            )
-            if node.count_attr is not None:
-                out_schema = out_schema.extend(node.count_attr)
             return GroupedState(
                 semiring,
                 tuple(node.group_attributes),
                 specs,
                 node.count_attr,
-                out_schema,
+                self.out_schema,
             )
-        if kind in ("agg", "avg"):
-            if tuple(core_schema.attributes) != (node.attribute,):
-                raise QueryError(
-                    f"{'AVG' if kind == 'avg' else 'AGG'} expects a relation "
-                    f"over exactly ({node.attribute!r},); got {core_schema}. "
-                    "Project the aggregation column first."
-                )
-            monoid = AVG if kind == "avg" else node.monoid
-            from repro.core.schema import Schema
-
-            return SingletonState(kind, semiring, node.attribute, monoid,
-                                  Schema((node.attribute,)))
-        if kind == "count":
-            from repro.core.schema import Schema
-
-            return SingletonState("count", semiring, node.attribute, SUM,
-                                  Schema((node.attribute,)))
-        return RelationState(kind, semiring, core_schema)
+        if kind in ("agg", "avg", "count"):
+            monoid = node.monoid if kind == "agg" else AVG if kind == "avg" else SUM
+            return SingletonState(kind, semiring, node.attribute, monoid, self.out_schema)
+        return RelationState(kind, semiring, self.core_schema)
 
     # -- maintenance --------------------------------------------------------
 
@@ -307,31 +274,23 @@ class MaterializedView:
             self._version = self.db.version
         return self
 
-    def _materialise(self, core_plan=None) -> None:
+    def _materialise(self) -> None:
         """Evaluate the core and absorb it into the (empty) head state.
 
-        The shared body behind initial creation and :meth:`refresh`;
-        ``core_plan`` is the already-compiled plan when the caller just
-        compiled one, otherwise the core is recompiled and checked
-        against the recorded schema.
+        The shared body behind initial creation and :meth:`refresh`, where
+        the catalog may have moved under the view: the core must still
+        compile to the recorded schema.
         """
         exec_db = self._exec_db()
-        if core_plan is None:
-            core_plan = compile_plan(self._core, exec_db)
-            if (
-                isinstance(core_plan.root, Fallback)
-                or core_plan.root.schema != self.core_schema
-            ):
-                raise QueryError(
-                    f"view core {self._core} no longer compiles to schema "
-                    f"{self.core_schema}; recreate the view"
-                )
-        if self.engine == "planned":
-            initial = core_plan.execute_batch(exec_db)
-        else:
-            initial = ColumnarKRelation.from_krelation(
-                self._core._eval_standard(exec_db)
+        if self._core.schema({n: rel.schema for n, rel in exec_db}) != self.core_schema:
+            raise QueryError(
+                f"view core {self._core} no longer compiles to schema "
+                f"{self.core_schema}; recreate the view"
             )
+        if self.engine == "planned":
+            initial = compile_plan(self._core, exec_db).execute_batch(exec_db)
+        else:
+            initial = ColumnarKRelation.from_krelation(self._core.evaluate(exec_db))
         if len(initial):
             self._head.absorb(initial)
 

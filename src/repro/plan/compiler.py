@@ -20,12 +20,14 @@ group-by               ``max(1, |child| / 4)``
 whole aggregation      1
 =====================  =====================================================
 
-A subtree the compiler cannot handle statically (missing base table,
-schema violation, unknown operator class) compiles to a
-:class:`~repro.plan.physical.Fallback` over the *whole* query, so the
-planned engine reproduces the interpreter's behaviour for structural
-errors exactly; runtime guards (symbolic-value checks) raise the same
-exception types with near-identical messages.
+Output schemas are the nodes' own (:meth:`~repro.core.query.Query.schema`),
+which is also where an ill-formed query is rejected: ``compile_plan``
+raises what the interpreter raises, on schemas alone, before any row is
+read.  What still compiles to a :class:`~repro.plan.physical.Fallback`
+over the *whole* query is a reference to a table the catalog lacks (so
+``explain`` can render it; execution raises) and a ``Query`` subclass the
+compiler has no operator for.  Runtime guards (symbolic-value checks)
+raise the same exception types with the same messages.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.core.query import (
 from repro.core.rewrites import optimize
 from repro.core.schema import Schema
 from repro.deadline import Deadline
-from repro.exceptions import QueryError, ReproError, SchemaError
+from repro.exceptions import QueryError
 from repro.plan.encoded import EncodedBatch
 from repro.plan.kernels import HAVE_NUMPY
 from repro.plan.physical import (
@@ -344,15 +346,16 @@ def compile_plan(
     catalog = {name: rel.schema for name, rel in db}
     sizes = {name: len(rel) for name, rel in db}
     working = query
-    if rewrite:
-        try:
+    if _reads_missing_table(query, catalog):
+        root = Fallback(query)  # explain renders it; execution raises
+    else:
+        query.schema(catalog)  # an ill-formed query is rejected here
+        if rewrite:
             working = optimize(query, catalog)
-        except ReproError:
-            working = query  # e.g. unknown table: let execution raise it
-    try:
-        root = _compile(working, catalog, sizes)
-    except _CannotCompile:
-        root = Fallback(working, None, 0)
+        try:
+            root = _compile(working, catalog, sizes)
+        except _CannotCompile:
+            root = Fallback(working)
     if db.semiring.machine_repr is None:
         unencodable = (
             f"semiring {db.semiring.name} declares no machine representation"
@@ -410,133 +413,82 @@ def compile_plan(
 # ---------------------------------------------------------------------------
 
 
+def _reads_missing_table(query: Query, catalog: Mapping[str, Schema]) -> bool:
+    if isinstance(query, Table):
+        return query.name not in catalog
+    return any(_reads_missing_table(child, catalog) for child in query.children)
+
+
 def _compile(
     query: Query, catalog: Mapping[str, Schema], sizes: Mapping[str, int]
 ) -> PhysicalOp:
+    schema = query.schema(catalog)
     if isinstance(query, Table):
-        if query.name not in catalog:
-            raise _CannotCompile(query.name)
-        return Scan(query.name, catalog[query.name], sizes[query.name])
+        return Scan(query.name, schema, sizes[query.name])
+
+    inputs = [_compile(child, catalog, sizes) for child in query.children]
+    child = inputs[0] if inputs else None
 
     if isinstance(query, Select):
-        child = _compile(query.child, catalog, sizes)
-        # a condition reading an attribute outside the child schema is an
-        # interpreter-defined edge case (succeeds on empty input, raises
-        # per-tuple otherwise): leave it to the fallback for exact parity
-        if any(
-            attr not in child.schema
-            for condition in query.conditions
-            for attr in condition.attributes()
-        ):
-            raise _CannotCompile("selection attribute not in schema")
         est = child.est_rows
         for condition in query.conditions:
             divisor = 2 if isinstance(condition, AttrCompare) else 3
             est = max(1, est // divisor) if est else 0
-        return _stage(child, SelectStage(query.conditions), child.schema, est)
+        return _stage(child, SelectStage(query.conditions), schema, est)
 
     if isinstance(query, Project):
-        child = _compile(query.child, catalog, sizes)
-        out_schema = _try_schema(lambda: child.schema.restrict(query.attributes))
-        return _stage(child, ProjectStage(query.attributes), out_schema, child.est_rows)
+        return _stage(child, ProjectStage(query.attributes), schema, child.est_rows)
 
     if isinstance(query, Rename):
-        child = _compile(query.child, catalog, sizes)
-        out_schema = _try_schema(lambda: child.schema.rename(query.mapping))
-        return _stage(child, RenameStage(query.mapping), out_schema, child.est_rows)
+        return _stage(child, RenameStage(query.mapping), schema, child.est_rows)
 
     if isinstance(query, Distinct):
-        child = _compile(query.child, catalog, sizes)
-        return _stage(child, DistinctStage(), child.schema, child.est_rows)
+        return _stage(child, DistinctStage(), schema, child.est_rows)
 
     if isinstance(query, Union):
-        left = _compile(query.left, catalog, sizes)
-        right = _compile(query.right, catalog, sizes)
-        if left.schema != right.schema:
-            raise _CannotCompile("union schema mismatch")
-        return UnionAll(left, right, left.schema, left.est_rows + right.est_rows)
+        left, right = inputs
+        return UnionAll(left, right, schema, left.est_rows + right.est_rows)
 
     if isinstance(query, NaturalJoin):
-        left = _compile(query.left, catalog, sizes)
-        right = _compile(query.right, catalog, sizes)
+        left, right = inputs
         common = left.schema.intersection(right.schema)
-        out_schema = left.schema.union(right.schema)
         return _make_join(left, right, "natural" if common else "cross",
-                          common, common, out_schema)
+                          common, common, schema)
 
     if isinstance(query, Cartesian):
-        left = _compile(query.left, catalog, sizes)
-        right = _compile(query.right, catalog, sizes)
-        if not left.schema.is_disjoint(right.schema):
-            raise _CannotCompile("cartesian schema overlap")
-        out_schema = left.schema.union(right.schema)
-        return _make_join(left, right, "cross", (), (), out_schema)
+        return _make_join(*inputs, "cross", (), (), schema)
 
     if isinstance(query, ValueJoin):
-        left = _compile(query.left, catalog, sizes)
-        right = _compile(query.right, catalog, sizes)
-        if not left.schema.is_disjoint(right.schema):
-            raise _CannotCompile("equijoin schema overlap")
         left_keys = tuple(a for a, _b in query.on)
         right_keys = tuple(b for _a, b in query.on)
-        if any(a not in left.schema for a in left_keys) or any(
-            b not in right.schema for b in right_keys
-        ):
-            raise _CannotCompile("equijoin key not in schema")
-        out_schema = left.schema.union(right.schema)
-        return _make_join(left, right, "value" if left_keys else "cross",
-                          left_keys, right_keys, out_schema)
+        return _make_join(*inputs, "value" if left_keys else "cross",
+                          left_keys, right_keys, schema)
 
     if isinstance(query, GroupBy):
-        child = _compile(query.child, catalog, sizes)
-
-        def build_schema() -> Schema:
-            out = child.schema.restrict(query.group_attributes)
-            out = out.extend(
-                *(a for a in query.aggregations if a not in query.group_attributes)
-            )
-            if query.count_attr is not None:
-                out = out.extend(query.count_attr)
-            return out
-
-        out_schema = _try_schema(build_schema)
         est = max(1, child.est_rows // 4) if child.est_rows else 0
         return GroupedAggregate(
             child,
             tuple(query.group_attributes),
             dict(query.aggregations),
             query.count_attr,
-            out_schema,
+            schema,
             est,
         )
 
     if isinstance(query, Aggregate):
-        child = _compile(query.child, catalog, sizes)
-        return WholeAggregate(
-            child, query.attribute, query.monoid, Schema((query.attribute,))
-        )
+        return WholeAggregate(child, query.attribute, query.monoid, schema)
 
     if isinstance(query, CountAgg):
-        child = _compile(query.child, catalog, sizes)
-        return CountAggregate(child, query.attribute, Schema((query.attribute,)))
+        return CountAggregate(child, query.attribute, schema)
 
     if isinstance(query, AvgAgg):
-        child = _compile(query.child, catalog, sizes)
-        return AvgAggregate(child, query.attribute, Schema((query.attribute,)))
+        return AvgAggregate(child, query.attribute, schema)
 
     if isinstance(query, Difference):
-        left = _compile(query.left, catalog, sizes)
-        right = _compile(query.right, catalog, sizes)
-        return DifferenceOp(left, right, query.method, left.schema, left.est_rows)
+        left, right = inputs
+        return DifferenceOp(left, right, query.method, schema, left.est_rows)
 
     raise _CannotCompile(type(query).__name__)
-
-
-def _try_schema(build) -> Schema:
-    try:
-        return build()
-    except SchemaError as exc:
-        raise _CannotCompile(str(exc)) from None
 
 
 def _stage(child: PhysicalOp, stage, schema: Schema, est_rows: int) -> PhysicalOp:

@@ -29,20 +29,20 @@ Operator inventory:
                     the single-tuple aggregation forms.
 ``DifferenceOp``    Section 5 difference; delegates to the logical-layer
                     closed form / encoding on materialised inputs.
-``Fallback``        evaluates an arbitrary query subtree through the
-                    interpreter — totality for anything the compiler does
-                    not recognise (and exact error-behaviour parity, e.g.
-                    missing base tables).
+``Fallback``        evaluates a whole query through the interpreter —
+                    totality for a ``Query`` subclass the compiler has no
+                    operator for, and for a reference to a missing base
+                    table (``explain`` renders it; execution raises).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator as _pyop
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import faults
 from repro.core import aggregates as agg_ops
+from repro.core.comparisons import ORDER_PREDICATES, decide_order
 from repro.core.query import AttrCompare, AttrEq, AttrEqAttr, Condition
 from repro.core.schema import Schema
 from repro.core.tuples import Tup
@@ -75,8 +75,6 @@ __all__ = [
     "Fallback",
     "validate_monoid_column",
 ]
-
-_ORDER_TESTS = {"<": _pyop.lt, "<=": _pyop.le, ">": _pyop.gt, ">=": _pyop.ge}
 
 #: Infinite constant-1 column for COUNT(*) accumulation (footnote 6).
 _ONES = itertools.repeat(1)
@@ -345,10 +343,6 @@ class SelectStage:
     def describe(self) -> str:
         return "σ[" + " ∧ ".join(str(c) for c in self.conditions) + "]"
 
-    def guard(self, batch: ColumnarKRelation) -> None:
-        attrs = [a for c in self.conditions for a in c.attributes()]
-        _require_plain_columns(batch, attrs, f"selection {self.describe()}")
-
     def predicate(self, batch: ColumnarKRelation):
         """Compile the conjunction into one row-index predicate."""
         tests = []
@@ -358,7 +352,7 @@ class SelectStage:
                 tests.append(lambda i, col=col, val=val: col[i] == val)
             elif isinstance(condition, AttrCompare):
                 col, val = batch.column(condition.attribute), condition.value
-                cmp = _ORDER_TESTS[condition.op]
+                cmp = ORDER_PREDICATES[condition.op]
                 tests.append(lambda i, col=col, val=val, cmp=cmp: cmp(col[i], val))
             elif isinstance(condition, AttrEqAttr):
                 c1 = batch.column(condition.attribute1)
@@ -378,10 +372,24 @@ class SelectStage:
             return tests[0]
         return lambda i, tests=tests: all(t(i) for t in tests)
 
-    def apply(self, batch: ColumnarKRelation) -> ColumnarKRelation:
-        self.guard(batch)
+    def keep(self, batch: ColumnarKRelation) -> List[int]:
+        """Indices of the rows satisfying the conjunction (guarded first)."""
+        attrs = [a for c in self.conditions for a in c.attributes()]
+        _require_plain_columns(batch, attrs, f"selection {self.describe()}")
         pred = self.predicate(batch)
-        keep = [i for i in range(len(batch)) if pred(i)]
+        try:
+            return [i for i in range(len(batch)) if pred(i)]
+        except TypeError:
+            # a mistyped order predicate: decide it again value by value,
+            # so the typed error names the pair (the loop stays call-free)
+            for condition in self.conditions:
+                if isinstance(condition, AttrCompare):
+                    for value in batch.column(condition.attribute):
+                        decide_order(condition.op, value, condition.value)
+            raise
+
+    def apply(self, batch: ColumnarKRelation) -> ColumnarKRelation:
+        keep = self.keep(batch)
         attrs = batch.schema.attributes
         columns = {a: [batch.columns[a][i] for i in keep] for a in attrs}
         annotations = [batch.annotations[i] for i in keep]
@@ -416,7 +424,7 @@ class SelectStage:
                 m = col.codes == code if code >= 0 else np.zeros(n, dtype=bool)
             elif isinstance(condition, AttrCompare):
                 col = batch.col(condition.attribute)
-                cmp = _ORDER_TESTS[condition.op]
+                cmp = ORDER_PREDICATES[condition.op]
                 value = condition.value
                 try:
                     ok = np.fromiter(
@@ -596,10 +604,7 @@ class FusedPipeline(PhysicalOp):
                 except EncodedFallback:
                     batch = _as_columnar(batch, ctx)
             if fuse:
-                stage.guard(batch)
-                pred = stage.predicate(batch)
-                keep = [j for j in range(len(batch)) if pred(j)]
-                batch = stages[i + 1].apply(batch, keep=keep)
+                batch = stages[i + 1].apply(batch, keep=stage.keep(batch))
                 i += 2
             else:
                 batch = stage.apply(batch)
@@ -1239,11 +1244,7 @@ class WholeAggregate(PhysicalOp):
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
         batch = self.children[0].execute(ctx)
-        if tuple(batch.schema.attributes) != (self.attribute,):
-            raise QueryError(
-                f"AGG expects a relation over exactly ({self.attribute!r},); got "
-                f"{batch.schema}. Project the aggregation column first."
-            )
+        agg_ops.single_column(batch.schema, self.attribute, "AGG")
         if isinstance(batch, EncodedBatch):
             try:
                 return self._run_encoded(batch)
@@ -1326,11 +1327,7 @@ class AvgAggregate(PhysicalOp):
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
         batch = _as_columnar(self.children[0].execute(ctx), ctx)
-        if tuple(batch.schema.attributes) != (self.attribute,):
-            raise QueryError(
-                f"AVG expects a relation over exactly ({self.attribute!r},); got "
-                f"{batch.schema}"
-            )
+        agg_ops.single_column(batch.schema, self.attribute, "AVG")
         space = tensor_space(batch.semiring, AVG)
         col = batch.column(self.attribute)
         value = space.set_agg(
@@ -1367,15 +1364,11 @@ class DifferenceOp(PhysicalOp):
         self.method = method
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        from repro.core.difference import difference, difference_via_aggregation
-
         left = _as_columnar(self.children[0].execute(ctx), ctx).to_krelation()
         right = _as_columnar(self.children[1].execute(ctx), ctx).to_krelation()
-        if self.method == "direct":
-            result = difference(left, right)
-        else:
-            result = difference_via_aggregation(left, right)
-        return ColumnarKRelation.from_krelation(result)
+        return ColumnarKRelation.from_krelation(
+            agg_ops.StandardOps.difference(left, right, self.method)
+        )
 
     def label(self) -> str:
         return f"Difference[{self.method}]"
@@ -1386,12 +1379,12 @@ class Fallback(PhysicalOp):
 
     __slots__ = ("query",)
 
-    def __init__(self, query, schema: Optional[Schema], est_rows: int):
-        super().__init__((), schema if schema is not None else Schema(()), est_rows)
+    def __init__(self, query):
+        super().__init__((), Schema(()), 0)
         self.query = query
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        return ColumnarKRelation.from_krelation(self.query._eval_standard(ctx.db))
+        return ColumnarKRelation.from_krelation(self.query.evaluate(ctx.db))
 
     def label(self) -> str:
         return f"Interpret[{self.query}]"

@@ -398,6 +398,38 @@ def test_http_error_paths(server):
         client.close()
 
 
+def test_mistyped_order_predicate_is_a_400_not_a_500(server):
+    """``K < 1`` on a string column used to leak a bare TypeError, which
+    the dispatcher answers with 500, a logged traceback and ``errors``
+    +1; the engine now rejects it with a typed QueryError on every path."""
+    client = Client(server.address)
+    try:
+        _status, before = client.request("GET", "/stats")
+        for engine in ("planned", "interpreted"):
+            status, err = client.request(
+                "POST", "/query", {"sql": "SELECT K FROM A WHERE K < 1", "engine": engine}
+            )
+            assert status == 400, err
+            assert err["error"].startswith("QueryError: cannot decide 'a")
+            assert err["trace_id"]
+        _status, after = client.request("GET", "/stats")
+        assert after["errors"] == before["errors"]
+    finally:
+        client.close()
+
+
+def test_count_only_group_by_is_served(server):
+    client = Client(server.address)
+    try:
+        status, body = client.request(
+            "POST", "/query", {"sql": "SELECT V, COUNT(*) AS n FROM A GROUP BY V"}
+        )
+        assert status == 200, body
+        assert body["rowcount"] == BASE
+    finally:
+        client.close()
+
+
 # ---------------------------------------------------------------------------
 # admission control
 # ---------------------------------------------------------------------------

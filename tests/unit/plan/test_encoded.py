@@ -272,9 +272,11 @@ class TestRuntimeFallback:
         rel = KRelation.from_rows(NAT, ("a",), [(("x",), 1), ((2,), 1)])
         db = KDatabase(NAT, {"R": rel})
         query = Select(Table("R"), [AttrCompare("a", "<", 5)])
-        with pytest.raises(TypeError):
+        # a mistyped order predicate is a typed error naming the pair (it
+        # was a bare TypeError, which the serving layer answered with 500)
+        with pytest.raises(QueryError, match="cannot decide 'x' < 5"):
             query.evaluate(db, engine="interpreted")
-        with pytest.raises(TypeError):
+        with pytest.raises(QueryError, match="cannot decide 'x' < 5"):
             compile_plan(query, db).execute()
 
     def test_foreign_aggregation_value_raises_interpreter_error(self):
