@@ -15,21 +15,50 @@ Monoid elements are plain Python values (numbers, booleans, pairs).
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable
+import sys
+from typing import Any, Iterable, Optional, Tuple
 
 from repro.exceptions import MonoidError
 
-__all__ = ["CommutativeMonoid", "check_monoid_axioms"]
+__all__ = ["CommutativeMonoid", "check_monoid_axioms", "reduce_as_global"]
+
+
+def reduce_as_global(self, protocol):
+    """``__reduce_ex__`` of monoids and semirings: a module-level singleton
+    (``SUM``, ``NAT``, ``NX``, ...) pickles and copies as the *name* of its
+    global, so every copy is the same object — tensor spaces are cached
+    per ``(semiring, monoid)`` identity, and a stranger's tensors would
+    compare with nothing.  Anything else pickles as usual."""
+    for name, value in vars(sys.modules[type(self).__module__]).items():
+        if value is self:
+            return name
+    return object.__reduce_ex__(self, protocol)
 
 
 class CommutativeMonoid(abc.ABC):
-    """Abstract commutative monoid ``(M, +_M, 0_M)`` for aggregation."""
+    """Abstract commutative monoid ``(M, +_M, 0_M)`` for aggregation.
+
+    ``collapse_kernel`` declares, the way
+    :class:`~repro.semirings.base.MachineRepr` does for a semiring, that
+    Prop. 3.9's collapsed value ``sum_M k.m`` of a tensor can be computed
+    by an array reduction: ``(ufunc name, scales)`` names the NumPy ufunc
+    that is ``+_M`` elementwise and says how ``N`` acts — ``scales`` is
+    True when ``n.m`` is the product ``n * m`` (SUM), False when ``n.m = m``
+    for every ``n > 0`` (MIN, MAX).  ``None``: no kernel, the value is
+    folded by :meth:`sum` on first use.  A declaration (not an identity
+    test) because pool workers hold unpickled structures.
+    """
 
     #: Human-readable name, e.g. ``"SUM"``.
     name: str = "M"
 
     #: True iff ``x + x = x`` (drives B-compatibility; Prop. 3.11).
     idempotent: bool = False
+
+    #: Array form of the collapse ``sum_M k.m`` (see the class docstring).
+    collapse_kernel: Optional[Tuple[str, bool]] = None
+
+    __reduce_ex__ = reduce_as_global
 
     @property
     @abc.abstractmethod

@@ -33,6 +33,7 @@ class SumMonoid(CommutativeMonoid):
 
     name = "SUM"
     idempotent = False
+    collapse_kernel = ("add", True)
 
     @property
     def identity(self) -> int:
@@ -75,6 +76,7 @@ class MinMonoid(CommutativeMonoid):
 
     name = "MIN"
     idempotent = True
+    collapse_kernel = ("minimum", False)
 
     @property
     def identity(self) -> float:
@@ -96,6 +98,7 @@ class MaxMonoid(CommutativeMonoid):
 
     name = "MAX"
     idempotent = True
+    collapse_kernel = ("maximum", False)
 
     @property
     def identity(self) -> float:

@@ -410,6 +410,15 @@ ENCODED_CACHE_EVENTS = REGISTRY.counter(
     ("event",),
 )
 
+#: Where each aggregated column's Prop. 3.9 values came from: the array
+#: kernel, or ``Tensor.collapse`` on first use — a fallback, by its cause.
+AGGREGATE_COLLAPSE = REGISTRY.counter(
+    "repro_aggregate_collapse_total",
+    "Aggregated columns whose tensors were collapsed by the array kernel "
+    "(path=kernel) or left to collapse lazily (path=lazy, with the reason).",
+    ("path", "reason"),
+)
+
 #: The resilience ledger (written by :mod:`repro.faults`).  The event
 #: names mirror ``faults._COUNTER_NAMES`` — kept in lockstep by
 #: ``tests/unit/obs/test_metrics.py``.

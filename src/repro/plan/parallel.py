@@ -960,19 +960,14 @@ def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None)
         pre = root.children[0].execute(ctx)
         if isinstance(pre, enc.EncodedBatch):
             rows, bound = len(pre), pre.ann_bound
-            group_rows, totals, entries = root.encoded_group_states(pre)
+            states = root.encoded_group_states(pre)
         else:
             # a per-operator EncodedFallback inside the morsel: the
             # object path is exact arbitrary-precision, so no bound
             rows, bound = len(pre), 0
-            group_rows, totals, entries = root.object_group_states(pre)
-        return {
-            "rows": rows,
-            "bound": bound,
-            "group_rows": group_rows,
-            "totals": totals,
-            "entries": entries,
-        }
+            states = root.object_group_states(pre)
+        keys = ("group_rows", "totals", "entries", "collapsed")
+        return {"rows": rows, "bound": bound, **dict(zip(keys, states))}
     result = root.execute(ctx)
     if isinstance(result, enc.EncodedBatch):
         result = result.to_columnar()
@@ -1038,6 +1033,16 @@ def _run_morsel(task):
 
 
 def _merge_group_payloads(gagg, semiring, payloads):
+    """Merge the morsels' per-group states and finish them.
+
+    A group's first state is taken over, not copied (payload dicts are
+    unpickled or freshly salvaged: nobody else holds them).  A group met
+    again merges by ``+_K`` per entry and — collapse being a monoid
+    homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed partials
+    (Python values by now: no bound applies); only such a group can hold
+    a scalar that cancelled to zero.  A column some morsel left lazy is
+    lazy for every group.
+    """
     machine = semiring.machine_repr
     total_rows = sum(p["rows"] for p in payloads)
     worst = max((p["bound"] for p in payloads), default=0)
@@ -1048,8 +1053,17 @@ def _merge_group_payloads(gagg, semiring, payloads):
     group_rows: List[Tuple[Any, ...]] = []
     totals: List[Any] = []
     merged: Dict[str, List[Dict[Any, Any]]] = {a: [] for a in gagg.aggregations}
+    collapsed: Dict[str, Any] = {}
+    for attr in merged:
+        lazy = [p["collapsed"][attr] for p in payloads
+                if isinstance(p["collapsed"][attr], str)]
+        collapsed[attr] = lazy[0] if lazy else []
+    # the columns every morsel collapsed: (partials so far, +_M)
+    kernel = {a: (c, gagg.aggregations[a].plus)
+              for a, c in collapsed.items() if not isinstance(c, str)}
+    remerged: Set[int] = set()
     for p in payloads:
-        p_entries = p["entries"]
+        p_entries, p_collapsed = p["entries"], p["collapsed"]
         for j, row in enumerate(p["group_rows"]):
             i = index.get(row)
             if i is None:
@@ -1057,24 +1071,27 @@ def _merge_group_payloads(gagg, semiring, payloads):
                 group_rows.append(row)
                 totals.append(p["totals"][j])
                 for attr, lst in merged.items():
-                    lst.append(dict(p_entries[attr][j]))
-            else:
-                totals[i] = plus(totals[i], p["totals"][j])
-                for attr, lst in merged.items():
-                    target = lst[i]
-                    for value, scalar in p_entries[attr][j].items():
-                        cur = target.get(value)
-                        target[value] = (
-                            scalar if cur is None else plus(cur, scalar)
-                        )
+                    lst.append(p_entries[attr][j])
+                for attr, (values, _plus) in kernel.items():
+                    values.append(p_collapsed[attr][j])
+                continue
+            remerged.add(i)
+            totals[i] = plus(totals[i], p["totals"][j])
+            for attr, lst in merged.items():
+                target = lst[i]
+                for value, scalar in p_entries[attr][j].items():
+                    cur = target.get(value)
+                    target[value] = scalar if cur is None else plus(cur, scalar)
+            for attr, (values, monoid_plus) in kernel.items():
+                values[i] = monoid_plus(values[i], p_collapsed[attr][j])
     # cross-morsel cancellation (e.g. over Z) can leave zero scalars; the
     # serial producers never emit them, so normalise before the tail
     for lst in merged.values():
-        for d in lst:
-            dead = [v for v, s in d.items() if is_zero(s)]
-            for v in dead:
+        for i in remerged:
+            d = lst[i]
+            for v in [v for v, s in d.items() if is_zero(s)]:
                 del d[v]
-    return gagg.finish_groups(semiring, group_rows, totals, merged)
+    return gagg.finish_groups(semiring, group_rows, totals, merged, collapsed)
 
 
 def _merge_spju_payloads(schema, semiring, payloads):

@@ -37,7 +37,6 @@ Operator inventory:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import faults
@@ -50,6 +49,7 @@ from repro.exceptions import QueryError
 from repro.monoids.counting import AVG
 from repro.monoids.numeric import SUM
 from repro.plan import encoded as enc
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan
@@ -75,9 +75,6 @@ __all__ = [
     "Fallback",
     "validate_monoid_column",
 ]
-
-#: Infinite constant-1 column for COUNT(*) accumulation (footnote 6).
-_ONES = itertools.repeat(1)
 
 
 def _is_tensor(value: Any) -> bool:
@@ -957,6 +954,107 @@ class UnionAll(PhysicalOp):
 # ---------------------------------------------------------------------------
 
 
+def _collapse_kernel(space, values: List[Any], bound: int):
+    """The array form of Prop. 3.9's ``sum_M k.m`` over the dictionary
+    ``values`` — ``(ufunc, value array, scales)`` — or the reason (``str``)
+    there is none: it must be bit- and type-identical to
+    ``monoid.sum(nat_action(k, m) ...)``, so ``iota`` is an isomorphism,
+    the monoid declares a kernel, and the values are all ``int`` (times
+    ``bound``, the largest annotation sum, inside int64 where ``N``
+    scales) or all ``float`` where nothing is added (a re-associated float
+    SUM rounds differently; MIN/MAX only select, and NaN is unordered)."""
+    monoid = space.monoid
+    if not space.collapses:
+        return "non-collapsing space"
+    if monoid.collapse_kernel is None:
+        return f"no kernel for {monoid.name}"
+    name, scales = monoid.collapse_kernel
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        if max(map(abs, values)) * (bound if scales else 1) > enc._INT64_MAX:
+            return "bound"
+    elif kinds != {float}:
+        return "mixed values"
+    elif scales:
+        return "float SUM"
+    array = np.asarray(values)
+    if array.dtype.kind == "f" and np.isnan(array).any():
+        return "NaN values"
+    return getattr(np, name), array, scales
+
+
+def _set_agg_by_code(space, col, gkeys, batch: EncodedBatch, bound: int):
+    """``SetAgg`` of the encoded column ``col`` within each group of
+    ``gkeys`` (one int64 key per row of the non-empty ``batch``).
+
+    One stable sort on the ``(group, value-code)`` key gives the pair
+    sums; the group boundaries of that order give the raw totals
+    (re-reducing pair sums is exact: every machine ``+_K`` is exactly
+    associative), the normal form's two filters are array masks, and the
+    surviving pairs are cut into one ``value -> scalar`` dict per group.
+    Returns ``(a row of each group, raw totals, entry dicts, collapsed)``,
+    ``collapsed`` as in :meth:`GroupedAggregate.encoded_group_states`.
+    """
+    size = max(1, len(col.values))
+    plus = getattr(np, batch.machine.np_plus)
+    pair_keys = gkeys * size + col.codes
+    pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus)
+    pgroups = pkeys // size
+    head = np.empty(len(pkeys), dtype=bool)
+    head[0] = True
+    np.not_equal(pgroups[1:], pgroups[:-1], out=head[1:])
+    gstarts = np.flatnonzero(head)
+    totals = plus.reduceat(sums, gstarts)
+
+    keep = sums != sums.dtype.type(space.semiring.zero)
+    codes = pkeys - pgroups * size
+    identity = space.monoid.identity
+    identity_code = col.index.get(identity)
+    if identity_code is not None:
+        keep &= codes != identity_code
+    # ends[g]: how many pairs of groups 0..g survive the masks
+    ends = np.cumsum(keep)[np.append(gstarts[1:], len(keep)) - 1]
+    codes, scalars = codes[keep], sums[keep]
+    values = list(map(col.values.__getitem__, codes.tolist()))
+    scalar_list, cuts = scalars.tolist(), ends.tolist()
+    dicts = [
+        dict(zip(values[s:e], scalar_list[s:e])) for s, e in zip([0] + cuts, cuts)
+    ]
+
+    kernel = _collapse_kernel(space, col.values, bound)
+    if isinstance(kernel, str):
+        return prep[gstarts], totals, dicts, kernel
+    ufunc, operand, scales = kernel
+    operand = operand[codes] * scalars if scales else operand[codes]
+    # reduceat is wrong on an empty segment: groups the masks emptied keep 0_M
+    counts = np.diff(ends, prepend=0)
+    filled = np.flatnonzero(counts)
+    collapsed = [identity] * len(cuts)
+    reduced = ufunc.reduceat(operand, (ends - counts)[filled]).tolist()
+    for g, value in zip(filled.tolist(), reduced):
+        collapsed[g] = value
+    return prep[gstarts], totals, dicts, collapsed
+
+
+def _with_collapsed(tensors: List[Tensor], collapsed) -> List[Tensor]:
+    """Fill the tensors' collapse cache (a ``str``: no values, and why)."""
+    if not isinstance(collapsed, str):
+        for tensor, value in zip(tensors, collapsed):
+            tensor._collapsed = value
+    return tensors
+
+
+def _note_collapse(collapsed: Iterable[Any]) -> None:
+    """Count, per aggregated column, whether its tensors were collapsed by
+    the kernel or left lazy (and why), and say so on the operator's span."""
+    reasons = [c if isinstance(c, str) else "" for c in collapsed]
+    for reason in reasons:
+        _metrics.AGGREGATE_COLLAPSE.inc(1, "lazy" if reason else "kernel", reason)
+    lazy = "; ".join(sorted(set(filter(None, reasons))))
+    if reasons:
+        _trace.add_attrs(collapse=f"lazy ({lazy})" if lazy else "kernel")
+
+
 class GroupedAggregate(PhysicalOp):
     """GB_{U',U''} (Definition 3.7) executed directly over columns.
 
@@ -983,92 +1081,35 @@ class GroupedAggregate(PhysicalOp):
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
         batch = self.children[0].execute(ctx)
+        states = None
         if isinstance(batch, EncodedBatch):
             try:
-                return self._run_encoded(batch)
+                states = self.encoded_group_states(batch)
             except EncodedFallback:
                 batch = _as_columnar(batch, ctx)
-        semiring = batch.semiring
-        group_attrs = self.group_attributes
-        specs = dict(self.aggregations)
-        if self.count_attr is not None:
-            specs[self.count_attr] = SUM
-        agg_ops.check_group_by(
-            batch.schema, group_attrs, self.aggregations, self.count_attr, semiring
-        )
-        _require_plain_columns(batch, group_attrs, "GROUP BY")
-
-        spaces = {
-            attr: tensor_space(semiring, monoid) for attr, monoid in specs.items()
-        }
-        single_group_attr = len(group_attrs) == 1
-        keys = _hash_keys(batch, group_attrs)
-        anns = batch.annotations
-        buckets: Dict[Any, List[int]] = {}
-        for i, key in enumerate(keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [i]
-            else:
-                bucket.append(i)
-
-        out_schema = self.schema
-        out_attrs = out_schema.attributes
-        agg_cols = {
-            attr: batch.column(attr) for attr in self.aggregations
-        }
-        # validate each aggregated column once, up front (every batch row
-        # belongs to some group), so the per-group accumulation below feeds
-        # raw column values straight into the set_agg kernel
-        for attr, monoid in self.aggregations.items():
-            validate_monoid_column(agg_cols[attr], monoid, attr)
-        sum_many, delta = semiring.sum_many, semiring.delta
-        columns: Dict[str, List[Any]] = {a: [] for a in out_attrs}
-        annotations: List[Any] = []
-        for key, members in buckets.items():
-            if single_group_attr:
-                columns[group_attrs[0]].append(key)
-            else:
-                for attr, value in zip(group_attrs, key):
-                    columns[attr].append(value)
-            member_anns = list(map(anns.__getitem__, members))
-            for attr in self.aggregations:
-                space = spaces[attr]
-                col = agg_cols[attr]
-                columns[attr].append(
-                    space.set_agg(zip(map(col.__getitem__, members), member_anns))
-                )
-            if self.count_attr is not None:
-                space = spaces[self.count_attr]
-                columns[self.count_attr].append(
-                    space.set_agg(zip(_ONES, member_anns))
-                )
-            if len(member_anns) == 1:
-                total = member_anns[0]
-            else:
-                total = sum_many(member_anns)
-            annotations.append(delta(total))
-        return ColumnarKRelation._from_clean(semiring, out_schema, columns, annotations)
-
-    def _run_encoded(self, batch: EncodedBatch) -> ColumnarKRelation:
-        group_rows, totals_list, entries = self.encoded_group_states(batch)
-        return self.finish_groups(batch.semiring, group_rows, totals_list, entries)
+        if states is None:
+            states = self.object_group_states(batch)
+        return self.finish_groups(batch.semiring, *states)
 
     def encoded_group_states(self, batch: EncodedBatch):
         """Per-group partial states by code-indexed accumulation.
 
-        One grouped reduction over the combined group key yields every
-        group's raw annotation total; per aggregated attribute, one
-        grouped reduction over the ``(group, value-code)`` pair key yields
-        exactly the ``value -> scalar`` entries of the group's tensor —
-        the per-row work is integer arithmetic on codes, with Python-level
-        object construction only per *group* (and per distinct value in
-        it), never per row.  COUNT(*) reuses the raw totals (footnote 6:
-        SUM over the constant 1 is the annotation sum).
+        Per aggregated attribute, one grouped reduction (one stable sort)
+        over the ``(group, value-code)`` pair key yields exactly the
+        ``value -> scalar`` entries of the groups' tensors; the raw totals,
+        the normal-form masks and — where the space collapses and the
+        monoid declares a kernel — each group's Prop. 3.9 value come from
+        that same order as array kernels (:func:`_set_agg_by_code`), with
+        Python-level object construction only per *group*, never per row
+        or entry.  COUNT(*) reuses the raw totals (footnote 6: SUM over
+        the constant 1 is the annotation sum); COUNT-only grouping reduces
+        the annotations over the group key directly.
 
-        Returns ``(group_rows, totals_list, entries)``: the decoded group
-        key tuple, the raw (pre-``delta``) annotation total, and per
-        aggregated attribute one ``value -> scalar`` dict per group.
+        Returns ``(group_rows, totals_list, entries, collapsed)``: the
+        decoded group key tuple, the raw (pre-``delta``) annotation total,
+        and per aggregated attribute one ``value -> scalar`` dict per
+        group and either the groups' collapsed values (a list) or the
+        reason (a ``str``) they are left to :meth:`Tensor.collapse`.
         Groups whose total is ``0_K`` are *kept* — under the parallel
         tier, partial states for the same group merge by ``+_K`` across
         morsels (grouping is multilinear in the annotations, so any row
@@ -1079,9 +1120,6 @@ class GroupedAggregate(PhysicalOp):
         group_attrs = self.group_attributes
         if not group_attrs:
             raise EncodedFallback("empty grouping key")
-        specs = dict(self.aggregations)
-        if self.count_attr is not None:
-            specs[self.count_attr] = SUM
         agg_ops.check_group_by(
             batch.schema, group_attrs, self.aggregations, self.count_attr, semiring
         )
@@ -1093,61 +1131,42 @@ class GroupedAggregate(PhysicalOp):
             if not all(map(monoid.contains, agg_cols[attr].values)):
                 raise EncodedFallback(f"foreign value in column {attr!r}")
 
-        spaces = {
-            attr: tensor_space(semiring, monoid) for attr, monoid in specs.items()
-        }
         gcols = [batch.col(a) for a in group_attrs]
         gkeys = enc.combine_codes(gcols)
         radix = 1
         for col in gcols:
             radix *= max(1, len(col.values))
-        anns = batch.anns
-        is_zero = semiring.is_zero
-        enc.check_reduction_bound(batch, len(batch))
+        bound = enc.check_reduction_bound(batch, len(batch))
 
-        plus = getattr(np, batch.machine.np_plus)
-        unique, rep, totals = reduce_by_key(gkeys, anns, plus)
-        totals_list = totals.tolist()
-        n_groups = len(totals_list)
-        entries = {
-            attr: [{} for _ in range(n_groups)] for attr in self.aggregations
-        }
-        for attr in self.aggregations:
-            col = agg_cols[attr]
-            size = max(1, len(col.values))
-            if radix * size > enc._RADIX_LIMIT:
-                raise EncodedFallback("code space overflow")
-            pair_keys = gkeys * size + col.codes
-            pkeys, _rep, sums = reduce_by_key(pair_keys, anns, plus)
-            positions = np.searchsorted(unique, pkeys // size)
-            values = col.values
-            identity = spaces[attr].monoid.identity
-            target = entries[attr]
-            for pos, code, scalar in zip(
-                positions.tolist(), (pkeys % size).tolist(), sums.tolist()
-            ):
-                value = values[code]
-                if value == identity or is_zero(scalar):
-                    continue
-                target[pos][value] = scalar
+        entries: Dict[str, List[Dict[Any, Any]]] = {attr: [] for attr in agg_cols}
+        collapsed: Dict[str, Any] = {attr: [] for attr in agg_cols}
+        if not agg_cols or not len(batch):
+            plus = getattr(np, batch.machine.np_plus)
+            _unique, rep, totals = reduce_by_key(gkeys, batch.anns, plus)
+        else:
+            for attr, col in agg_cols.items():
+                if radix * max(1, len(col.values)) > enc._RADIX_LIMIT:
+                    raise EncodedFallback("code space overflow")
+                space = tensor_space(semiring, self.aggregations[attr])
+                rep, totals, entries[attr], collapsed[attr] = _set_agg_by_code(
+                    space, col, gkeys, batch, bound
+                )
 
         decoded = []
         for col in gcols:
             codes = col.codes[rep].tolist()
             decoded.append(list(map(col.values.__getitem__, codes)))
-        group_rows = list(zip(*decoded))
-        return group_rows, totals_list, entries
+        return list(zip(*decoded)), totals.tolist(), entries, collapsed
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.
 
-        The per-morsel *object* fallback of :meth:`encoded_group_states`,
-        run by the parallel tier's workers when an operator inside the
+        The object tier's grouping, and the per-morsel fallback of
+        :meth:`encoded_group_states` when an operator inside a parallel
         morsel raised :class:`EncodedFallback` and handed on a boxed
-        batch: the accumulation *is* ``TensorSpace.set_agg`` (identical to
-        the serial object path), with the tensors decomposed back into
-        their ``value -> scalar`` entry dicts so partial states stay
-        mergeable scalars, never boxed result objects.
+        batch: the accumulation *is* ``TensorSpace.set_agg``, with the
+        tensors decomposed back into their ``value -> scalar`` entry dicts
+        so partial states stay mergeable scalars (no collapsed partials).
         """
         semiring = batch.semiring
         group_attrs = self.group_attributes
@@ -1184,22 +1203,26 @@ class GroupedAggregate(PhysicalOp):
                 tensor = spaces[attr].set_agg(
                     zip(map(col.__getitem__, members), member_anns)
                 )
-                entries[attr].append(dict(tensor._entries))
+                entries[attr].append(tensor._entries)
             if len(member_anns) == 1:
                 totals_list.append(member_anns[0])
             else:
                 totals_list.append(sum_many(member_anns))
-        return group_rows, totals_list, entries
+        collapsed = dict.fromkeys(self.aggregations, "object tier")
+        return group_rows, totals_list, entries, collapsed
 
-    def finish_groups(self, semiring, group_rows, totals_list, entries):
+    def finish_groups(self, semiring, group_rows, totals_list, entries, collapsed):
         """Build the output batch from (merged) per-group states.
 
-        The shared tail of the serial encoded path and the parallel
-        tier's parent-side merge: entry dicts become tensors, COUNT(*)
-        columns derive from the raw totals, and row annotations are
-        ``delta`` of the totals.  ``entries`` dicts must already be
-        normalised (no monoid-identity values, no zero scalars) — both
-        producers above and the cross-morsel merge guarantee that.
+        The shared tail of the object path, the serial encoded path and
+        the parallel tier's parent-side merge: entry dicts become tensors
+        (which own them from here on), COUNT(*) columns derive from the
+        raw totals, and row annotations are ``delta`` of the totals.
+        ``entries`` dicts must already be normalised (no monoid-identity
+        values, no zero scalars) — both producers above and the
+        cross-morsel merge guarantee that.  A list ``collapsed[attr]``
+        holds each group's ``Tensor.collapse()``, value and type, and
+        fills the tensors' cache; COUNT(*) over ``N`` is its raw total.
         """
         specs = dict(self.aggregations)
         if self.count_attr is not None:
@@ -1213,12 +1236,16 @@ class GroupedAggregate(PhysicalOp):
             columns[attr] = [row[i] for row in group_rows]
         for attr in self.aggregations:
             space = spaces[attr]
-            columns[attr] = [Tensor(space, e) for e in entries[attr]]
+            columns[attr] = _with_collapsed(
+                [Tensor(space, e) for e in entries[attr]], collapsed[attr]
+            )
+        _note_collapse(collapsed.values())
         if self.count_attr is not None:
             space = spaces[self.count_attr]
-            columns[self.count_attr] = [
-                Tensor(space, {} if is_zero(t) else {1: t}) for t in totals_list
-            ]
+            columns[self.count_attr] = _with_collapsed(
+                [Tensor(space, {} if is_zero(t) else {1: t}) for t in totals_list],
+                totals_list if semiring.is_naturals else "non-collapsing space",
+            )
         delta = semiring.delta
         annotations = [delta(t) for t in totals_list]
         return ColumnarKRelation._from_clean(
@@ -1262,29 +1289,25 @@ class WholeAggregate(PhysicalOp):
         )
 
     def _run_encoded(self, batch: EncodedBatch) -> ColumnarKRelation:
-        """``SetAgg`` by code-indexed accumulation: one grouped reduction
-        of the annotations per distinct value code is exactly the tensor's
-        ``value -> scalar`` normal form."""
+        """``SetAgg`` by code-indexed accumulation: the one-group case of
+        :func:`_set_agg_by_code` (an empty input is the empty tensor)."""
         semiring = batch.semiring
         col = batch.col(self.attribute)
         if not all(map(self.monoid.contains, col.values)):
             raise EncodedFallback("foreign value in aggregated column")
         space = tensor_space(semiring, self.monoid)
-        identity = self.monoid.identity
-        is_zero = semiring.is_zero
-        enc.check_reduction_bound(batch, len(batch))
-        entries: Dict[Any, Any] = {}
-        plus = getattr(np, batch.machine.np_plus)
-        codes, _rep, sums = reduce_by_key(col.codes, batch.anns, plus)
-        for code, scalar in zip(codes.tolist(), sums.tolist()):
-            value = col.values[code]
-            if value == identity or is_zero(scalar):
-                continue
-            entries[value] = scalar
+        bound = enc.check_reduction_bound(batch, len(batch))
+        dicts, collapsed = [{}], "empty input"
+        if len(batch):
+            gkeys = np.zeros(len(batch), dtype=np.int64)
+            _rep, _totals, dicts, collapsed = _set_agg_by_code(
+                space, col, gkeys, batch, bound
+            )
+            _note_collapse([collapsed])
         return ColumnarKRelation._from_clean(
             semiring,
             self.schema,
-            {self.attribute: [Tensor(space, entries)]},
+            {self.attribute: _with_collapsed([Tensor(space, dicts[0])], collapsed)},
             [semiring.one],
         )
 

@@ -53,6 +53,12 @@ def _value_sort_key(value: Any) -> Tuple[str, str]:
     return (type(value).__name__, str(value))
 
 
+class _Unset:
+    """"Not collapsed yet".  The class itself is the marker: it pickles
+    and copies by name, so it comes back as the same object (an
+    ``object()`` would come back a stranger — and be the collapsed value)."""
+
+
 class Tensor:
     """An element of ``K (x) M`` in canonical normal form.
 
@@ -60,9 +66,16 @@ class Tensor:
     inside database tuples (which are dictionary keys).  Do not construct
     directly — use :meth:`TensorSpace.simple`, :meth:`TensorSpace.iota`,
     and the arithmetic methods.
+
+    Over a collapsing space a tensor carries its entries (the
+    presentation: ``str``, ``items``, ``apply_hom``) and its collapsed
+    value (the identity: ``==``, ``hash``, ``readback``), cached in
+    ``_collapsed`` by :meth:`collapse` or filled with the identical value
+    by an aggregation kernel.  Copies and pickles carry the space (by
+    name), the entries and that cache; hash and ordering are per-process.
     """
 
-    __slots__ = ("space", "_entries", "_canonical", "_hash")
+    __slots__ = ("space", "_entries", "_canonical", "_hash", "_collapsed")
 
     def __init__(self, space: "TensorSpace", items: Dict[Any, Any]):
         self.space = space
@@ -73,6 +86,14 @@ class Tensor:
         )
         self._canonical: Tuple[Tuple[Any, Any], ...] | None = None
         self._hash: int | None = None
+        self._collapsed: Any = _Unset
+
+    def __getstate__(self):
+        return self.space, self._entries, self._collapsed
+
+    def __setstate__(self, state) -> None:
+        self.space, self._entries, self._collapsed = state
+        self._canonical = self._hash = None
 
     # -- protocol ---------------------------------------------------------
 
@@ -135,8 +156,12 @@ class Tensor:
         """Read the tensor back as a monoid value via the iota isomorphism.
 
         Only legal when :attr:`TensorSpace.collapses` holds (``K = N``, or
-        ``K = B`` with idempotent ``M``) — Prop. 3.9's cases.
+        ``K = B`` with idempotent ``M``) — Prop. 3.9's cases.  Computed on
+        first use and cached (tensors are immutable).
         """
+        value = self._collapsed
+        if value is not _Unset:
+            return value
         space = self.space
         if not space.collapses:
             raise SemimoduleError(
@@ -145,11 +170,14 @@ class Tensor:
             )
         monoid = space.monoid
         if space.semiring.is_naturals:
-            return monoid.sum(
+            value = monoid.sum(
                 monoid.nat_action(k, m) for m, k in self._entries.items()
             )
-        # boolean scalars: every surviving entry has scalar True
-        return monoid.sum(self._entries)
+        else:
+            # boolean scalars: every surviving entry has scalar True
+            value = monoid.sum(self._entries)
+        self._collapsed = value
+        return value
 
     def apply_hom(self, hom: Any) -> "Tensor":
         """The lifted homomorphism ``h^M(sum k_i (x) m_i) = sum h(k_i) (x) m_i``."""
@@ -388,6 +416,10 @@ class TensorSpace:
             raise SemimoduleError(
                 f"tensor from {t.space.name} used in {self.name}"
             )
+
+    def __reduce__(self):
+        # a copy or an unpickled space is the cached space of its pair
+        return tensor_space, (self.semiring, self.monoid)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<tensor space {self.name}>"

@@ -40,6 +40,7 @@ import itertools
 from typing import Any, Callable, Iterable
 
 from repro.exceptions import SemiringError
+from repro.monoids.base import reduce_as_global
 
 __all__ = ["MachineRepr", "Semiring", "ProvenanceTerm", "check_semiring_axioms"]
 
@@ -169,6 +170,9 @@ class Semiring(abc.ABC):
 
     #: True for the canonical boolean semiring (drives ``B (x) M ~ M``).
     is_booleans: bool = False
+
+    #: the module-level singletons (``NAT``, ``NX``, ...) pickle by name
+    __reduce_ex__ = reduce_as_global
 
     #: Machine-scalar declaration for the dictionary-encoded execution tier
     #: (:class:`MachineRepr`); ``None`` means elements are structured Python

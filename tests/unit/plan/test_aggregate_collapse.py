@@ -1,0 +1,380 @@
+"""Aggregation collapses in the kernel (Prop. 3.9 on the encoded tier).
+
+The property suite (``tests/property/test_encoded_tier.py``) holds the
+kernel's value to the definition's over random workloads; this file pins
+each exactness guard at its edge, the cross-morsel merge on hand-built
+payloads, the "work is done once" accounting, and the observability of
+the kernel-or-lazy decision.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+
+from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table, Union
+from repro.exceptions import SemimoduleError
+from repro.monoids import MAX, MIN, PROD, SUM, SumMonoid
+from repro.obs import explain_analyze
+from repro.obs.metrics import AGGREGATE_COLLAPSE, REGISTRY
+from repro.plan import compile_plan, parallel, set_default_workers
+from repro.plan.encoded import _INT64_MAX
+from repro.semimodules.tensor import Tensor, _Unset
+from repro.semirings import BOOL, INT, NAT
+from repro.semirings.integers import IntegerRing
+from repro.serve.schema import relation_to_json
+
+TIERS = ("object", "encoded", "parallel")
+
+
+@pytest.fixture(autouse=True)
+def _two_workers():
+    set_default_workers(2)
+    yield
+    set_default_workers(None)
+
+
+def database(semiring, rows, **more):
+    tables = {"R": KRelation.from_rows(semiring, ("g", "v"), rows)}
+    for name, extra in more.items():
+        tables[name] = KRelation.from_rows(semiring, ("g", "v"), extra)
+    return KDatabase(semiring, tables)
+
+
+def tensors(query, db, tier, attr="v"):
+    """``{group: tensor}`` of the grouping ``query`` run on ``tier``, read
+    off the raw batch: building the result relation hashes every row,
+    which collapses every tensor and fills the caches under test."""
+    plan = compile_plan(query, db, tier=tier)
+    assert plan.execute() == query.evaluate(db, engine="interpreted")
+    batch = plan.execute_batch()
+    assert plan._last_tier.startswith(tier), plan._last_tier
+    rows = zip(batch.column("g"), batch.column(attr), batch.annotations)
+    return {g: t for g, t, annotation in rows if not db.semiring.is_zero(annotation)}
+
+
+def grouped(db, monoid, tier, source=Table("R")):
+    """The tensors of ``GB[g; monoid(v)]`` over ``source``."""
+    return tensors(GroupBy(source, ["g"], {"v": monoid}), db, tier)
+
+
+def recomputed(tensor):
+    """``collapse()`` from the entries alone, with the cache cleared."""
+    return Tensor(tensor.space, dict(tensor._entries)).collapse()
+
+
+# ---------------------------------------------------------------------------
+# the exactness guards, each at its edge
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tier", ["encoded", "parallel"])
+def test_int_sum_just_inside_int64_is_prefilled(tier):
+    big = _INT64_MAX // 2  # rows(2) * ann_bound(1) * max|v| == 2**63 - 2
+    db = database(NAT, [(("a", big), 1), (("a", 1), 1)])
+    t = grouped(db, SUM, tier)["a"]
+    assert t._collapsed == big + 1 and type(t._collapsed) is int
+    assert t._collapsed == recomputed(t)
+
+
+@pytest.mark.parametrize("tier", ["encoded", "parallel"])
+def test_int_sum_just_outside_int64_stays_lazy_and_exact(tier):
+    big = 1 << 62  # rows(2) * ann_bound(1) * max|v| == 2**63
+    db = database(NAT, [(("a", big), 1), (("a", 1), 1)])
+    t = grouped(db, SUM, tier)["a"]
+    assert t._collapsed is _Unset
+    assert t.collapse() == big + 1 and type(t.collapse()) is int
+    assert t._collapsed == big + 1  # computed once, then cached
+
+
+def test_annotations_count_toward_the_bound():
+    big = _INT64_MAX // 6
+    rows = [(("a", big), 3), (("a", 1), 1)]  # 2 rows * ann_bound 3 * big
+    assert grouped(database(NAT, rows), SUM, "encoded")["a"]._collapsed == 3 * big + 1
+    rows = [(("a", big + 1), 3), (("a", 1), 1)]
+    t = grouped(database(NAT, rows), SUM, "encoded")["a"]
+    assert t._collapsed is _Unset and t.collapse() == 3 * (big + 1) + 1
+
+
+def test_float_sum_is_left_to_the_fold_and_bit_identical_on_every_tier():
+    # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): a re-associating kernel shows
+    db = database(NAT, [(("a", 0.1), 1), (("a", 0.2), 1), (("a", 0.3), 1)])
+    values = []
+    for tier in TIERS:
+        t = grouped(db, SUM, tier)["a"]
+        assert t._collapsed is _Unset
+        values.append(t.collapse().hex())
+    assert set(values) == {((0.0 + 0.1 + 0.2) + 0.3).hex()}
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([3, 7, 5], (3, 7)),
+    ([0.5, 2.5, 1.0], (0.5, 2.5)),
+    ([0.5, math.inf, -math.inf], (-math.inf, math.inf)),
+])
+def test_min_max_select_without_arithmetic(values, expected):
+    db = database(NAT, [(("a", v), 2) for v in values])
+    for monoid, want in zip((MIN, MAX), expected):
+        for tier in ("encoded", "parallel"):
+            t = grouped(db, monoid, tier)["a"]
+            assert t._collapsed == want and type(t._collapsed) is type(want)
+            assert t._collapsed == recomputed(t)
+
+
+@pytest.mark.parametrize("values,monoid", [
+    ([1, 2.5], SUM),                 # mixed dictionary
+    ([1, 2.5], MIN),
+    ([Fraction(1, 3), Fraction(1, 2)], SUM),
+    ([Fraction(1, 3), Fraction(1, 2)], MAX),
+    ([2, 3], PROD),                  # no kernel declared
+])
+def test_other_dictionaries_stay_lazy(values, monoid):
+    db = database(NAT, [(("a", v), 2) for v in values])
+    t = grouped(db, monoid, "encoded")["a"]
+    u = grouped(db, monoid, "object")["a"]
+    assert t._collapsed is _Unset
+    assert str(t) == str(u)
+    assert t.collapse() == u.collapse() and type(t.collapse()) is type(u.collapse())
+
+
+def test_nan_is_unordered_so_min_stays_with_the_fold():
+    # the fold keeps 1.5 here (nan <= 1.5 is False); np.minimum would say nan
+    db = database(NAT, [(("a", math.nan), 1), (("a", 1.5), 1)])
+    plan = compile_plan(GroupBy(Table("R"), ["g"], {"v": MIN}), db, tier="encoded")
+    (t,) = plan.execute_batch().column("v")
+    assert t._collapsed is _Unset and t.collapse() == recomputed(t) == 1.5
+
+
+@pytest.mark.parametrize("tier", ["encoded", "parallel"])
+def test_a_group_the_masks_empty_collapses_to_the_identity(tier):
+    rows = [(("a", 0), 2), (("b", 5), 1), (("b", 0), 3)]
+    got = grouped(database(NAT, rows), SUM, tier)
+    assert got["a"]._entries == {} and got["a"]._collapsed == 0
+    assert type(got["a"]._collapsed) is int
+    assert got["b"]._entries == {5: 1} and got["b"]._collapsed == 5
+
+    rows = [(("a", math.inf), 2), (("b", 5.0), 1), (("b", math.inf), 3)]
+    got = grouped(database(NAT, rows), MIN, tier)
+    assert got["a"]._entries == {} and got["a"]._collapsed == math.inf
+    assert got["b"]._entries == {5.0: 1} and got["b"]._collapsed == 5.0
+
+
+@pytest.mark.parametrize("tier", ["encoded", "parallel"])
+def test_sets_collapse_only_under_idempotent_monoids(tier):
+    db = database(BOOL, [(("a", 3), True), (("a", 7), True)])
+    assert grouped(db, MAX, tier)["a"]._collapsed == 7
+    t = grouped(db, SUM, tier)["a"]  # B (x) SUM: iota is no isomorphism
+    assert t._collapsed is _Unset
+    with pytest.raises(SemimoduleError):
+        t.collapse()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_cancellation_over_z_drops_the_entry_and_attempts_no_collapse(tier):
+    db = database(
+        INT,
+        [(("a", 5), 2), (("a", 7), 1), (("b", 5), 1)],
+        S=[(("a", 5), -2), (("b", 5), -1)],
+    )
+    got = grouped(db, SUM, tier, source=Union(Table("R"), Table("S")))
+    assert set(got) == {"a"}  # b's total cancelled: the row is gone
+    assert got["a"]._entries == {7: 1} and got["a"]._collapsed is _Unset
+
+
+def test_count_over_bags_collapses_to_the_raw_total():
+    db = database(NAT, [(("a", 1), 2), (("a", 2), 3), (("b", 0), 1)])
+    query = GroupBy(Table("R"), ["g"], {}, count_attr="n")
+    for tier in ("encoded", "parallel"):
+        counts = tensors(query, db, tier, attr="n")
+        assert {g: t._collapsed for g, t in counts.items()} == {"a": 5, "b": 1}
+        assert all(t._collapsed == recomputed(t) for t in counts.values())
+
+
+# ---------------------------------------------------------------------------
+# the cross-morsel merge, directly
+# ---------------------------------------------------------------------------
+
+
+def group_op(semiring):
+    """The ``GB[g; SUM(v)]`` operator of a compiled plan."""
+    db = database(semiring, [(("a", 1), semiring.one)])
+    return compile_plan(GroupBy(Table("R"), ["g"], {"v": SUM}), db, tier="encoded").root
+
+
+def payload(groups, collapsed=True):
+    """A morsel payload for ``{group: {value: scalar}}`` (``collapsed=False``:
+    as :meth:`GroupedAggregate.object_group_states` ships it)."""
+    return {
+        "rows": sum(map(len, groups.values())),
+        "bound": 8,
+        "group_rows": [(g,) for g in groups],
+        "totals": [sum(e.values()) for e in groups.values()],
+        "entries": {"v": [dict(e) for e in groups.values()]},
+        "collapsed": {"v": [sum(v * k for v, k in e.items()) for e in groups.values()]
+                      if collapsed else "object tier"},
+    }
+
+
+def merged(semiring, payloads, op=None):
+    op = op or group_op(semiring)
+    batch = parallel._merge_group_payloads(op, semiring, payloads)
+    return dict(zip(batch.column("g"), batch.column("v")))
+
+
+def test_partials_of_a_group_met_in_three_morsels_combine():
+    # a contiguous-chunk partition (or a salvaged morsel) splits group a
+    morsels = [{"a": {5: 2, 7: 1}, "b": {1: 1}}, {"a": {5: 1}}, {"c": {2: 2}, "a": {9: 4}}]
+    got = merged(NAT, [payload(m) for m in morsels])
+    assert got["a"]._entries == {5: 3, 7: 1, 9: 4}
+    assert {g: t._collapsed for g, t in got.items()} == {"a": 58, "b": 1, "c": 4}
+    assert all(t._collapsed == recomputed(t) for t in got.values())
+
+
+def test_first_seen_payload_dicts_are_taken_over_not_copied():
+    first = payload({"a": {5: 2}, "b": {1: 1}})
+    got = merged(NAT, [first, payload({"b": {1: 2}})])
+    assert got["a"]._entries is first["entries"]["v"][0]
+    assert got["b"]._entries == {1: 3}
+
+
+def test_only_groups_that_merged_are_rescanned_for_zero_scalars():
+    calls = []
+
+    class CountingZ(IntegerRing):
+        def is_zero(self, a):
+            calls.append(a)
+            return super().is_zero(a)
+
+    ring = CountingZ()
+    siblings = {f"s{i}": {i + 1: 1, i + 2: 2} for i in range(20)}
+    morsels = [{"a": {5: 2, 7: 1}, **siblings}, {"a": {5: -1}}, {"a": {5: -1, 9: 3}}]
+    payloads = [payload(m) for m in morsels]
+    for p in payloads:
+        p["collapsed"] = {"v": "non-collapsing space"}
+    op = group_op(ring)
+    calls.clear()
+    got = merged(ring, payloads, op)
+    assert got["a"]._entries == {7: 1, 9: 3}  # 5's scalar cancelled across morsels
+    assert all(got[g]._entries == e for g, e in siblings.items())
+    assert sorted(calls) == [0, 1, 3]  # group a's three entries, nobody else's
+    assert all(t._collapsed is _Unset for t in got.values())
+
+
+def test_an_object_morsel_leaves_the_merged_value_unset_not_wrong():
+    morsels = [payload({"a": {5: 2}}), payload({"a": {7: 1}, "b": {1: 1}}, collapsed=False)]
+    for payloads in (morsels, morsels[::-1]):
+        got = merged(NAT, [dict(p, entries={"v": [dict(e) for e in p["entries"]["v"]]})
+                           for p in payloads])
+        assert all(t._collapsed is _Unset for t in got.values())
+        assert got["a"].collapse() == 17 and got["b"].collapse() == 1
+
+
+# ---------------------------------------------------------------------------
+# work is done once
+# ---------------------------------------------------------------------------
+
+
+class CountingSum(SumMonoid):
+    """SUM that counts the folds ``Tensor.collapse`` would make."""
+
+    def __init__(self):
+        self.sums = self.actions = 0
+
+    def sum(self, items):
+        self.sums += 1
+        return super().sum(items)
+
+    def nat_action(self, n, a):
+        self.actions += 1
+        return super().nat_action(n, a)
+
+
+def a1_shape(values):
+    """``GB[g; SUM(v), COUNT](R ⋈ D)`` — the benchmark's A1 — over ``values``."""
+    rows = [((f"g{i % 4}", values[i % len(values)]), 1 + i % 3) for i in range(40)]
+    rows = list(dict(rows).items())
+    db = KDatabase(NAT, {
+        "R": KRelation.from_rows(NAT, ("g", "v"), rows),
+        "D": KRelation.from_rows(NAT, ("g", "r"), [((f"g{j}", "EU"), 1) for j in range(4)]),
+    })
+    monoid = CountingSum()
+    query = GroupBy(NaturalJoin(Table("R"), Table("D")), ["g"], {"v": monoid},
+                    count_attr="n")
+    return db, query, monoid
+
+
+def test_kernel_result_is_never_folded_again():
+    db, query, monoid = a1_shape([3, 5, 8, 13, 21])
+    result = compile_plan(query, db, tier="encoded").execute()
+    assert hash(result) == hash(result) and result == result
+    wire = relation_to_json(result)
+    assert (monoid.sums, monoid.actions) == (0, 0)
+    reference = query.evaluate(db, engine="interpreted")
+    assert wire == relation_to_json(reference) and result == reference
+
+
+def test_lazy_result_is_folded_exactly_once_per_tensor():
+    db, query, monoid = a1_shape([0.5, 1.25, 2.0, 3.5])
+    result = compile_plan(query, db, tier="encoded").execute()
+    assert monoid.sums == len(result) == 4  # building the relation hashed each row
+    assert hash(result) == hash(result) and result == result
+    relation_to_json(result)
+    relation_to_json(result)
+    assert monoid.sums == 4
+
+
+# ---------------------------------------------------------------------------
+# observability
+# ---------------------------------------------------------------------------
+
+
+def collapse_counts():
+    return dict(AGGREGATE_COLLAPSE.values())
+
+
+def delta(before):
+    after = collapse_counts()
+    return {k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)}
+
+
+@pytest.mark.parametrize("tier", ["encoded", "parallel"])
+@pytest.mark.parametrize("values,monoid,shown,labels", [
+    ([1, 2, 3], SUM, "collapse=kernel", ("kernel", "")),
+    ([0.5, 1.5], SUM, "collapse=lazy (float SUM)", ("lazy", "float SUM")),
+    ([1, 2.5], MAX, "collapse=lazy (mixed values)", ("lazy", "mixed values")),
+    ([2, 3], PROD, "collapse=lazy (no kernel for PROD)", ("lazy", "no kernel for PROD")),
+    ([1 << 62, 1 << 61], SUM, "collapse=lazy (bound)", ("lazy", "bound")),
+])
+def test_span_and_counter_name_the_path_and_the_cause(tier, values, monoid, shown, labels):
+    db = database(NAT, [(("a", v), 1) for v in values] + [(("b", values[0]), 1)])
+    query = GroupBy(Table("R"), ["g"], {"v": monoid})
+    before = collapse_counts()
+    text = explain_analyze(query, db, tier=tier)
+    assert shown in text, text
+    assert delta(before) == {labels: 1}
+    path, reason = labels
+    assert (f'repro_aggregate_collapse_total{{path="{path}",reason="{reason}"}}'
+            in REGISTRY.render())
+
+
+def test_non_collapsing_space_is_a_cause_too():
+    db = database(INT, [(("a", 1), 1), (("a", 2), -1)])
+    before = collapse_counts()
+    text = explain_analyze(GroupBy(Table("R"), ["g"], {"v": SUM}), db, tier="encoded")
+    assert "collapse=lazy (non-collapsing space)" in text
+    assert delta(before) == {("lazy", "non-collapsing space"): 1}
+
+
+def test_whole_aggregate_reports_its_collapse():
+    from repro.core import Aggregate, Project
+
+    db = database(NAT, [(("a", 4), 2), (("b", 6), 1)])
+    query = Aggregate(Project(Table("R"), ("v",)), "v", SUM)
+    before = collapse_counts()
+    text = explain_analyze(query, db, tier="encoded")
+    assert "collapse=kernel" in text
+    assert delta(before) == {("kernel", ""): 1}
+    (tup, _annotation), = compile_plan(query, db, tier="encoded").execute().rows()
+    assert tup["v"]._collapsed == 14 == recomputed(tup["v"])

@@ -1,11 +1,14 @@
 """Unit tests for the tensor product K (x) M (Section 2.3)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.exceptions import SemimoduleError
 from repro.monoids import BHAT, MAX, MIN, SUM
 from repro.semimodules import check_semimodule_axioms, tensor_space
-from repro.semirings import BOOL, NAT, NX, SEC, SECRET, PUBLIC
+from repro.semirings import BOOL, INT, NAT, NX, SEC, SECRET, PUBLIC
 
 
 class TestNormalForm:
@@ -179,3 +182,73 @@ class TestDisplay:
         t = sp.sum([sp.simple(SECRET, 20), sp.simple(PUBLIC, 10), sp.simple(SECRET, 30)])
         assert len(t) == 3
         assert str(t) == "1s⊗10 + S⊗20 + S⊗30"
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestCopies:
+    """A tensor survives ``pickle``, ``copy.copy`` and ``copy.deepcopy``:
+    the copy lives in the *cached* space (the singleton structures pickle
+    by name), so it is equal to, and hashes like, the original."""
+
+    @pytest.mark.parametrize("structure", [NAT, BOOL, INT, NX, SUM, MAX, MIN, BHAT])
+    @pytest.mark.parametrize("clone", [_pickled, copy.copy, copy.deepcopy])
+    def test_singleton_structures_come_back_as_themselves(self, structure, clone):
+        assert clone(structure) is structure
+
+    def test_a_structure_that_is_no_global_pickles_as_before(self):
+        other = type(SUM)()
+        clone = _pickled(other)
+        assert type(clone) is type(SUM) and clone is not other and clone is not SUM
+
+    @pytest.mark.parametrize(
+        "semiring,monoid",
+        [(NAT, SUM), (BOOL, MAX), (BOOL, SUM), (NX, SUM)],
+        ids=lambda s: s.name,
+    )
+    @pytest.mark.parametrize("filled", [False, True], ids=["fresh", "cached"])
+    @pytest.mark.parametrize("clone", [_pickled, copy.copy, copy.deepcopy])
+    def test_round_trip(self, semiring, monoid, filled, clone):
+        space = tensor_space(semiring, monoid)
+        scalars = NX.variables("x", "y") if semiring is NX else (semiring.one,) * 2
+        t = space.set_agg(zip((10, 20), scalars))
+        if filled:
+            hash(t)  # fills the hash and, where the space collapses, the value
+            str(t)
+        assert clone(space) is space
+        u = clone(t)
+        assert u is not t and u.space is space
+        assert u == t and hash(u) == hash(t) and str(u) == str(t)
+        assert u._entries == t._entries
+        if space.collapses:
+            assert u.collapse() == t.collapse() == (30 if monoid is SUM else 20)
+            assert type(u.collapse()) is int
+        else:
+            with pytest.raises(SemimoduleError):
+                u.collapse()
+
+    def test_unset_cache_stays_unset_through_pickle(self):
+        # an object() sentinel would come back a stranger and be returned
+        # as the collapsed value
+        t = _pickled(tensor_space(NAT, SUM).set_agg([(10, 2), (20, 3)]))
+        assert t.collapse() == 80
+
+    def test_a_pickle_carries_no_per_process_hash(self):
+        t = tensor_space(NAT, SUM).set_agg([(10, 2)])
+        hash(t)
+        assert pickle.dumps(t) == pickle.dumps(_pickled(t))
+        assert _pickled(t)._hash is None
+
+    def test_collapse_is_computed_once(self):
+        calls = []
+
+        class Counting(type(SUM)):
+            def sum(self, items):
+                calls.append(1)
+                return super().sum(items)
+
+        t = tensor_space(NAT, Counting()).set_agg([(10, 2), (20, 3)])
+        assert t.collapse() == 80 and hash(t) == hash(t) and t == t
+        assert t.collapse() == 80 and len(calls) == 1
