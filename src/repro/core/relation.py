@@ -10,6 +10,7 @@ annotations and those tensor values (the ``h_Rel`` of Section 3.2).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from repro.core.schema import Schema
@@ -23,6 +24,34 @@ from repro.semirings.polynomials import Polynomial
 __all__ = ["KRelation"]
 
 RowSpec = Union[Tuple[Any, ...], list]
+
+
+def merged_rows(
+    semiring: Semiring, items: Iterable[Tuple[Tup, Any]], schema: Schema | None = None
+) -> Dict[Tup, Any]:
+    """The canonical row map of ``items``: duplicate tuples merged with
+    ``+_K`` (inserting the same tuple twice *is* alternative derivation),
+    zero annotations dropped.  With ``schema``, every tuple is checked
+    against it; a caller that built the tuples *from* the schema (the
+    batch ⇄ relation boundary, over ``Tup._from_sorted``) passes none.
+    """
+    attr_set = None if schema is None else set(schema.attributes)
+    data: Dict[Tup, Any] = {}
+    for tup, annotation in items:
+        if attr_set is not None and set(tup.keys()) != attr_set:
+            raise SchemaError(f"tuple {tup} does not match schema {schema}")
+        if tup in data:
+            # k-way collisions accumulate for one n-ary sum_many below
+            bucket = data[tup]
+            if type(bucket) is list:
+                bucket.append(annotation)
+            else:
+                data[tup] = [bucket, annotation]
+        else:
+            data[tup] = annotation
+    sum_many, is_zero = semiring.sum_many, semiring.is_zero
+    merged = ((t, sum_many(b) if type(b) is list else b) for t, b in data.items())
+    return {t: k for t, k in merged if not is_zero(k)}
 
 
 class KRelation:
@@ -43,29 +72,8 @@ class KRelation:
     ):
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        data: Dict[Tup, Any] = {}
         items = rows.items() if isinstance(rows, Mapping) else rows
-        attr_set = set(self.schema.attributes)
-        for tup, annotation in items:
-            if set(tup.keys()) != attr_set:
-                raise SchemaError(
-                    f"tuple {tup} does not match schema {self.schema}"
-                )
-            if tup in data:
-                # alternative derivations merge with +_K; k-way collisions
-                # accumulate and combine with one n-ary sum_many below
-                bucket = data[tup]
-                if type(bucket) is list:
-                    bucket.append(annotation)
-                else:
-                    data[tup] = [bucket, annotation]
-            else:
-                data[tup] = annotation
-        sum_many, is_zero = semiring.sum_many, semiring.is_zero
-        merged = (
-            (t, sum_many(b) if type(b) is list else b) for t, b in data.items()
-        )
-        self._rows = {t: k for t, k in merged if not is_zero(k)}
+        self._rows = merged_rows(semiring, items, self.schema)
 
     # -- constructors ---------------------------------------------------------
 
@@ -97,11 +105,20 @@ class KRelation:
     ) -> "KRelation":
         """Build from positional rows: ``[((v1, v2, ...), annotation), ...]``."""
         schema = Schema(attributes)
-        pairs = [
-            (Tup.from_values(schema, values), annotation)
-            for values, annotation in rows
-        ]
-        return cls(semiring, schema, pairs)
+        arity = len(schema)
+        attrs = tuple(sorted(schema.attributes))
+        place = [schema.attributes.index(a) for a in attrs]
+        # tuple() is the identity on a value tuple already in sorted order
+        permute = tuple if place == sorted(place) else itemgetter(*place)
+        pairs = []
+        for values, annotation in rows:
+            values = tuple(values)
+            if len(values) != arity:
+                raise SchemaError(
+                    f"{len(values)} values supplied for schema {schema} of arity {arity}"
+                )
+            pairs.append((Tup._from_sorted(attrs, permute(values)), annotation))
+        return cls._from_clean(semiring, schema, merged_rows(semiring, pairs))
 
     @classmethod
     def empty(cls, semiring: Semiring, attributes: Iterable[str]) -> "KRelation":

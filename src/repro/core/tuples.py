@@ -42,6 +42,17 @@ class Tup(Mapping[str, Any]):
         self._hash = hash((self._attrs, self._values))
 
     @classmethod
+    def _from_sorted(cls, attrs: Tuple[str, ...], values: Tuple[Any, ...]) -> "Tup":
+        """Trusted constructor for the relation boundary: ``attrs`` is the
+        *sorted* attribute tuple (one object shared by every row of a
+        relation) and ``values`` is aligned with it — no dict, no sort."""
+        self = cls.__new__(cls)
+        self._attrs = attrs
+        self._values = values
+        self._hash = hash((attrs, values))
+        return self
+
+    @classmethod
     def from_values(cls, schema: Schema, values: Iterable[Any]) -> "Tup":
         """Build a tuple by position against ``schema``."""
         vals = tuple(values)

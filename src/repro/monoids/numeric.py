@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from repro.exceptions import MonoidError
 from repro.monoids.base import CommutativeMonoid
@@ -41,6 +41,19 @@ class SumMonoid(CommutativeMonoid):
 
     def plus(self, a: Any, b: Any) -> Any:
         return a + b
+
+    def sum(self, items: Iterable[Any]) -> Any:
+        """Order-free: float ``+`` is not associative, and a tensor's
+        entries come in row order on one tier and code order on another,
+        so a fold with a float among its operands is the correctly rounded
+        ``math.fsum``; ints and ``Fraction``s are exact and fold as ever."""
+        items = list(items)
+        if any(isinstance(item, float) for item in items):
+            try:
+                return math.fsum(items)
+            except OverflowError:  # past float range: the fold's inf
+                pass
+        return super().sum(items)
 
     def contains(self, value: Any) -> bool:
         return _is_number(value) and not (isinstance(value, float) and math.isinf(value))

@@ -38,6 +38,7 @@ __all__ = [
     "Registry",
     "REGISTRY",
     "ENCODED_CACHE_EVENTS",
+    "ENCODED_KERNEL",
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
     "SERVE_REQUESTS",
@@ -417,6 +418,17 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
     "Aggregated columns whose tensors were collapsed by the array kernel "
     "(path=kernel) or left to collapse lazily (path=lazy, with the reason).",
     ("path", "reason"),
+)
+
+#: Which kernel each encoded join probe and grouped reduction ran in this
+#: process (pool workers' show on their morsel spans): codes addressed
+#: directly, or the sort a sparse key space falls back to.
+ENCODED_KERNEL = REGISTRY.counter(
+    "repro_encoded_kernel_total",
+    "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
+    "and grouped aggregations (op=aggregate) by kernel: direct (scatter / "
+    "slot table over the code space) or sorted (sparse key space).",
+    ("op", "kernel"),
 )
 
 #: The resilience ledger (written by :mod:`repro.faults`).  The event

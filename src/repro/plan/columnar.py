@@ -21,10 +21,11 @@ merge discipline restores the canonical finite map.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.core.relation import KRelation
+from repro.core.relation import KRelation, merged_rows
 from repro.core.schema import Schema
 from repro.core.tuples import Tup
 from repro.exceptions import SchemaError
@@ -131,14 +132,14 @@ class ColumnarKRelation:
         )
 
     def to_krelation(self) -> KRelation:
-        """Rebuild the logical finite map (the :class:`KRelation` constructor
-        merges duplicate rows with ``+_K`` and drops zero annotations)."""
-        attrs = self.schema.attributes
-        pairs = [
-            (Tup(dict(zip(attrs, values))), annotation)
-            for values, annotation in zip(self.key_rows(attrs), self.annotations)
-        ]
-        return KRelation(self.semiring, self.schema, pairs)
+        """Rebuild the logical finite map: duplicate rows merge with ``+_K``
+        and zero annotations drop, exactly as in the :class:`KRelation`
+        constructor.  A batch's columns *are* its schema, so the rows go
+        through the trusted constructors, unchecked."""
+        attrs = tuple(sorted(self.schema.attributes))
+        tups = map(Tup._from_sorted, repeat(attrs), self.key_rows(attrs))
+        rows = merged_rows(self.semiring, zip(tups, self.annotations))
+        return KRelation._from_clean(self.semiring, self.schema, rows)
 
     @classmethod
     def empty(cls, semiring, schema: Schema | Iterable[str]) -> "ColumnarKRelation":

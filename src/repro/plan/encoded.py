@@ -474,24 +474,25 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
 
 def combine_codes(cols: List[EncodedColumn], idx=None):
     """Mixed-radix combination of per-column codes into one int64 key per
-    row (``idx`` optionally restricts to those rows).  Distinct keys
-    correspond exactly to distinct value tuples.  Raises
-    :class:`EncodedFallback` if the combined code space overflows int64
-    (astronomically wide keys — the object path handles them).
+    row (``idx`` optionally restricts to those rows): returns ``(keys,
+    space)``, every key in ``range(space)`` — the product of the
+    dictionary sizes, which is what makes a key an address (see
+    :func:`repro.plan.kernels.direct`).  Distinct keys correspond exactly
+    to distinct value tuples.  Raises :class:`EncodedFallback` if the
+    combined code space overflows int64 (astronomically wide keys — the
+    object path handles them).
     """
-    radix = 1
+    space = 1
     for col in cols:
-        radix *= max(1, len(col.values))
-        if radix > _RADIX_LIMIT:
+        space *= max(1, len(col.values))
+        if space > _RADIX_LIMIT:
             raise EncodedFallback("code space overflow")
     first = cols[0]
     keys = first.codes if idx is None else first.codes[idx]
     for col in cols[1:]:
         codes = col.codes if idx is None else col.codes[idx]
         keys = keys * len(col.values) + codes
-    if len(cols) == 1 and idx is None:
-        keys = keys.copy()  # callers may sort in place downstream
-    return keys
+    return keys, space
 
 
 def ones_anns(semiring, n: int):
@@ -546,8 +547,9 @@ def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     return bound
 
 
-def consolidate_keys(semiring, keys, anns):
-    """Merge duplicate keys with ``+_K``: returns ``(rep_idx, sums)``.
+def consolidate_keys(semiring, keys, space: int, anns):
+    """Merge duplicate keys (each in ``range(space)``) with ``+_K``:
+    returns ``(rep_idx, sums)``.
 
     ``rep_idx`` indexes a representative input row per distinct key (the
     first in key order — sound: equal keys carry equal value tuples);
@@ -555,7 +557,7 @@ def consolidate_keys(semiring, keys, anns):
     ``rep_idx``.
     """
     ufunc = getattr(np, semiring.machine_repr.np_plus)
-    _keys, rep_idx, sums = reduce_by_key(keys, anns, ufunc)
+    _keys, rep_idx, sums = reduce_by_key(keys, anns, ufunc, space, semiring.zero)
     return rep_idx, sums
 
 

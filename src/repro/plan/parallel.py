@@ -704,7 +704,7 @@ def _partition_order(batch, attrs: Tuple[str, ...], morsels: int):
     if n == 0 or morsels <= 1 or not attrs:
         return None, _chunk_bounds(n, morsels)
     try:
-        keys = enc.combine_codes([batch.col(a) for a in attrs])
+        keys, _space = enc.combine_codes([batch.col(a) for a in attrs])
     except enc.EncodedFallback:
         return None, _chunk_bounds(n, morsels)
     assign = keys % morsels

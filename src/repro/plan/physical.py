@@ -53,6 +53,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan
+from repro.plan import kernels
 from repro.plan.kernels import np, reduce_by_key
 from repro.semimodules.tensor import Tensor, tensor_space
 
@@ -297,6 +298,18 @@ def _encoded_guard_plain(batch: EncodedBatch, attrs: Iterable[str]) -> None:
             raise EncodedFallback(f"symbolic value in column {attr!r}")
 
 
+def _note_kernel(op: str, space: int, rows: int) -> None:
+    """Count, per encoded join probe (``rows`` = build rows) or grouped
+    reduction over a key space of ``space`` codes, whether it addressed the
+    codes directly or sorted them (:func:`repro.plan.kernels.direct`), and
+    say so on the operator's span — a sort there wins the attribute."""
+    kernel = "direct" if kernels.direct(space, rows) else "sorted"
+    _metrics.ENCODED_KERNEL.inc(1, op, kernel)
+    span = _trace.current()
+    if span is not None and span.attrs.get("kernel") != "sorted":
+        span.attrs["kernel"] = kernel
+
+
 def _consolidate_encoded(
     batch: EncodedBatch, out_schema: Schema, keep=None
 ) -> EncodedBatch:
@@ -310,10 +323,11 @@ def _consolidate_encoded(
     if not out_attrs:
         raise EncodedFallback("empty projection")
     cols = [batch.col(a) for a in out_attrs]
-    keys = enc.combine_codes(cols, keep)
+    keys, space = enc.combine_codes(cols, keep)
     out_bound = enc.check_reduction_bound(batch, len(keys))
     anns = batch.anns if keep is None else batch.anns[keep]
-    rep, sums = enc.consolidate_keys(batch.semiring, keys, anns)
+    _note_kernel("consolidate", space, len(keys))
+    rep, sums = enc.consolidate_keys(batch.semiring, keys, space, anns)
     rep_rows = rep if keep is None else keep[rep]
     out_cols = {
         a: (lambda col=col, rep_rows=rep_rows: col.gather(rep_rows))
@@ -749,13 +763,16 @@ class HashJoin(PhysicalOp):
         object bucket table: a stable argsort of the combined build key
         codes plus per-distinct-key ``(starts, counts)`` — each probe
         match gathers its matching build rows as one slice of the order
-        array.
+        array — and, while the build code space is dense enough over the
+        build rows (:func:`repro.plan.kernels.direct`), the slot table
+        ``key -> bucket`` the probe indexes, else ``None``.  Its one
+        trailing ``-1`` row is where the absent-key sentinel lands.
         """
         cached = self._build_cache.get("encoded")
         if cached is not None and cached[0] is build:
             return cached[1]
         cols = [build.col(a) for a in keys]
-        bkeys = enc.combine_codes(cols)
+        bkeys, space = enc.combine_codes(cols)
         order = np.argsort(bkeys, kind="stable")
         sorted_keys = bkeys[order]
         n = len(sorted_keys)
@@ -768,7 +785,11 @@ class HashJoin(PhysicalOp):
             counts = np.diff(np.append(starts, n))
         else:
             unique = starts = counts = np.empty(0, dtype=np.int64)
-        struct = (cols, unique, order, starts, counts)
+        slot = None
+        if kernels.direct(space, n):
+            slot = np.full(space + 1, -1, dtype=np.int64)
+            slot[unique] = np.arange(len(unique), dtype=np.int64)
+        struct = (cols, space, slot, unique, order, starts, counts)
         # same policy as the object path: only scan batches outlive the
         # execution, so anything else would pin memory at a 100% miss rate
         if cacheable:
@@ -818,18 +839,15 @@ class HashJoin(PhysicalOp):
             struct = self._encoded_buckets(
                 build, build_keys, isinstance(build_child, Scan)
             )
-            pkeys = self._encoded_probe_keys(probe, probe_keys, struct[0])
-            _cols, unique, order, starts, counts = struct
-            pos = np.searchsorted(unique, pkeys)
-            if len(unique):
-                found = (
-                    (pkeys >= 0)
-                    & (pos < len(unique))
-                    & (unique[np.minimum(pos, len(unique) - 1)] == pkeys)
-                )
-            else:
-                found = np.zeros(len(probe), dtype=bool)
-            probe_rows = np.flatnonzero(found)
+            bcols, space, slot, unique, order, starts, counts = struct
+            pkeys = self._encoded_probe_keys(probe, probe_keys, bcols)
+            _note_kernel("join", space, len(build))
+            if slot is not None:
+                pos = slot[pkeys]
+            else:  # -1 (absent) and every unmatched key miss the padding too
+                pos = np.searchsorted(unique, pkeys)
+                pos[np.append(unique, -2)[pos] != pkeys] = -1
+            probe_rows = np.flatnonzero(pos >= 0)
             buckets = pos[probe_rows]
             cnt = counts[buckets]
             probe_idx = np.repeat(probe_rows, cnt)
@@ -983,22 +1001,27 @@ def _collapse_kernel(space, values: List[Any], bound: int):
     return getattr(np, name), array, scales
 
 
-def _set_agg_by_code(space, col, gkeys, batch: EncodedBatch, bound: int):
+def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound: int):
     """``SetAgg`` of the encoded column ``col`` within each group of
-    ``gkeys`` (one int64 key per row of the non-empty ``batch``).
+    ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
+    ``batch``).
 
-    One stable sort on the ``(group, value-code)`` key gives the pair
-    sums; the group boundaries of that order give the raw totals
-    (re-reducing pair sums is exact: every machine ``+_K`` is exactly
-    associative), the normal form's two filters are array masks, and the
-    surviving pairs are cut into one ``value -> scalar`` dict per group.
+    One grouped reduction on the ``(group, value-code)`` key gives the
+    pair sums in ascending key order; the group boundaries of that order
+    give the raw totals (re-reducing pair sums is exact: every machine
+    ``+_K`` is exactly associative), the normal form's two filters are
+    array masks, and the surviving pairs are cut into one
+    ``value -> scalar`` dict per group.
     Returns ``(a row of each group, raw totals, entry dicts, collapsed)``,
     ``collapsed`` as in :meth:`GroupedAggregate.encoded_group_states`.
     """
     size = max(1, len(col.values))
     plus = getattr(np, batch.machine.np_plus)
     pair_keys = gkeys * size + col.codes
-    pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus)
+    _note_kernel("aggregate", groups * size, len(batch))
+    pkeys, prep, sums = reduce_by_key(
+        pair_keys, batch.anns, plus, groups * size, space.semiring.zero
+    )
     pgroups = pkeys // size
     head = np.empty(len(pkeys), dtype=bool)
     head[0] = True
@@ -1094,8 +1117,9 @@ class GroupedAggregate(PhysicalOp):
     def encoded_group_states(self, batch: EncodedBatch):
         """Per-group partial states by code-indexed accumulation.
 
-        Per aggregated attribute, one grouped reduction (one stable sort)
-        over the ``(group, value-code)`` pair key yields exactly the
+        Per aggregated attribute, one grouped reduction (scatter or sort,
+        :func:`~repro.plan.kernels.reduce_by_key`) over the
+        ``(group, value-code)`` pair key yields exactly the
         ``value -> scalar`` entries of the groups' tensors; the raw totals,
         the normal-form masks and — where the space collapses and the
         monoid declares a kernel — each group's Prop. 3.9 value come from
@@ -1132,24 +1156,21 @@ class GroupedAggregate(PhysicalOp):
                 raise EncodedFallback(f"foreign value in column {attr!r}")
 
         gcols = [batch.col(a) for a in group_attrs]
-        gkeys = enc.combine_codes(gcols)
-        radix = 1
-        for col in gcols:
-            radix *= max(1, len(col.values))
+        gkeys, radix = enc.combine_codes(gcols)
         bound = enc.check_reduction_bound(batch, len(batch))
 
         entries: Dict[str, List[Dict[Any, Any]]] = {attr: [] for attr in agg_cols}
         collapsed: Dict[str, Any] = {attr: [] for attr in agg_cols}
         if not agg_cols or not len(batch):
-            plus = getattr(np, batch.machine.np_plus)
-            _unique, rep, totals = reduce_by_key(gkeys, batch.anns, plus)
+            _note_kernel("aggregate", radix, len(batch))
+            rep, totals = enc.consolidate_keys(semiring, gkeys, radix, batch.anns)
         else:
             for attr, col in agg_cols.items():
                 if radix * max(1, len(col.values)) > enc._RADIX_LIMIT:
                     raise EncodedFallback("code space overflow")
                 space = tensor_space(semiring, self.aggregations[attr])
                 rep, totals, entries[attr], collapsed[attr] = _set_agg_by_code(
-                    space, col, gkeys, batch, bound
+                    space, col, gkeys, radix, batch, bound
                 )
 
         decoded = []
@@ -1301,7 +1322,7 @@ class WholeAggregate(PhysicalOp):
         if len(batch):
             gkeys = np.zeros(len(batch), dtype=np.int64)
             _rep, _totals, dicts, collapsed = _set_agg_by_code(
-                space, col, gkeys, batch, bound
+                space, col, gkeys, 1, batch, bound
             )
             _note_collapse([collapsed])
         return ColumnarKRelation._from_clean(
