@@ -431,6 +431,15 @@ ENCODED_KERNEL = REGISTRY.counter(
     ("op", "kernel"),
 )
 
+#: Tensors the encoded aggregation kernel produced with their entries left
+#: in its arrays, and how many of those were ever read (built).
+AGGREGATE_ENTRIES = REGISTRY.counter(
+    "repro_aggregate_entries_total",
+    "Kernel-built aggregate tensors whose entries were deferred "
+    "(event=deferred) and of those, read and built (event=built).",
+    ("event",),
+)
+
 #: The resilience ledger (written by :mod:`repro.faults`).  The event
 #: names mirror ``faults._COUNTER_NAMES`` — kept in lockstep by
 #: ``tests/unit/obs/test_metrics.py``.
@@ -516,6 +525,8 @@ for _event in RESILIENCE_EVENT_NAMES:
     RESILIENCE_EVENTS.labels(_event)
 for _event in ENCODED_CACHE_EVENT_NAMES:
     ENCODED_CACHE_EVENTS.labels(_event)
+for _event in ("deferred", "built"):
+    AGGREGATE_ENTRIES.labels(_event)
 for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one

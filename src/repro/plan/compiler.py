@@ -321,22 +321,21 @@ def compile_plan(
     checkpoint past expiry.  A per-call ``deadline=`` on execute overrides
     the compiled budget.
 
-    ``tier`` selects the execution tier: ``None`` (default) auto-selects —
-    the morsel-driven parallel tier when the database is encodable (its
-    semiring declares a :class:`~repro.semirings.base.MachineRepr` *and*
-    NumPy imported — see :mod:`repro.plan.kernels`), the query shards
-    (:func:`repro.plan.parallel.analyze_plan`), at least two workers are
-    configured and some base table reaches
-    :data:`repro.plan.parallel.PARALLEL_MIN_ROWS`; else the
-    dictionary-encoded machine-scalar tier whenever the database is
-    encodable and the query compiled statically (no interpreter
-    fallback); the boxed object path otherwise — so an interpreter
-    without NumPy runs every plan on the object tier, to the identical
-    answer.  Pass ``"object"`` to pin
+    ``tier`` selects the execution tier: ``None`` (default) auto-selects
+    the dictionary-encoded machine-scalar tier whenever the database is
+    encodable (its semiring declares a
+    :class:`~repro.semirings.base.MachineRepr` *and* NumPy imported — see
+    :mod:`repro.plan.kernels`) and the query compiled statically (no
+    interpreter fallback); the boxed object path otherwise — so an
+    interpreter without NumPy runs every plan on the object tier, to the
+    identical answer.  It never selects the morsel-driven parallel tier:
+    measured at 0.2–1.6M rows on two cores, the serial encoded tier was
+    faster on every benchmark shape.  Pass ``"object"`` to pin
     the boxed path (benchmark baselines, A/B tests), ``"encoded"`` to
     insist on the serial encoded path, or ``"parallel"`` to insist on
-    sharded execution regardless of size (executions that cannot shard
-    fall back to serial encoded per query, honestly reported).  Insisting
+    sharded execution (only then is the plan analysed for sharding;
+    executions that cannot shard fall back to serial encoded per query,
+    honestly reported).  Insisting
     on ``"encoded"`` or ``"parallel"`` against a database that is not
     encodable raises :class:`~repro.exceptions.QueryError` naming what is
     missing.
@@ -372,10 +371,8 @@ def compile_plan(
     qualifies = unencodable is None and not isinstance(root, Fallback)
     parallel_spec = None
     parallel_reason: "str | None" = None
-    if tier in (None, "parallel"):
-        if unencodable is not None:
-            parallel_reason = unencodable
-        elif not qualifies:
+    if tier == "parallel":
+        if not qualifies:
             parallel_reason = "query needs the interpreter fallback"
         else:
             from repro.plan import parallel as _parallel
@@ -385,17 +382,7 @@ def compile_plan(
             except _parallel.ParallelFallback as exc:
                 parallel_reason = str(exc)
     if tier is None:
-        if qualifies and parallel_spec is not None:
-            from repro.plan import parallel as _parallel
-
-            biggest = max((s.est_rows for s in parallel_spec.scans), default=0)
-            if (
-                _parallel.effective_workers() >= 2
-                and biggest >= _parallel.PARALLEL_MIN_ROWS
-            ):
-                tier = "parallel"
-        if tier is None:
-            tier = "encoded" if qualifies else "object"
+        tier = "encoded" if qualifies else "object"
     plan = PhysicalPlan(root, db, query, tier)
     plan._working = working
     plan._parallel_spec = parallel_spec

@@ -39,8 +39,7 @@ def explain(
     the plan the circuit-backed execution would run (same operator tree,
     annotation arithmetic over shared gates instead of expanded values).
     ``tier`` mirrors :func:`compile_plan` — pass ``"parallel"`` to see the
-    sharding decision (``parallel:`` line) for a query the row threshold
-    would not auto-select.
+    sharding decision (``parallel:`` line), which only that tier makes.
     """
     return compile_plan(query, db, rewrite=rewrite, tier=tier).explain(
         annotations=annotations

@@ -33,9 +33,10 @@ travel in the (per-plan cached) job spec; unmarked high-cardinality
 dictionaries are replaced by opaque placeholders that abort the worker —
 and the whole query falls back to serial — if the analysis ever missed a
 read.  Shared memory is the only transport: the tier stands on the
-encoded tier's NumPy arrays, so without NumPy it does not exist (the
-compiler never selects it, ``tier="parallel"`` raises, and the object
-tier answers identically — see :mod:`repro.plan.kernels`).
+encoded tier's NumPy arrays, so without NumPy it does not exist
+(``tier="parallel"`` raises, and the object tier answers identically —
+see :mod:`repro.plan.kernels`).  The compiler never selects it on its
+own: only ``tier="parallel"`` runs morsels.
 
 Fallback is **whole-query and honest**: anything the analysis rejects
 (difference, nested or whole aggregation, δ on the driver path), a table
@@ -100,7 +101,7 @@ from repro.core.schema import Schema
 from repro.obs import trace as _trace
 from repro.plan import encoded as enc
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.kernels import HAVE_NUMPY, np
+from repro.plan.kernels import np
 from repro.plan.physical import (
     DistinctStage,
     ExecutionContext,
@@ -119,12 +120,10 @@ __all__ = [
     "BREAKER_THRESHOLD",
     "MORSELS_PER_WORKER",
     "PARALLEL_MAX_RETRIES",
-    "PARALLEL_MIN_ROWS",
     "PARALLEL_RETRY_BACKOFF_S",
     "ParallelCrash",
     "ParallelFallback",
     "ParallelSpec",
-    "admission_weight",
     "analyze_plan",
     "breaker_blocking",
     "breaker_state",
@@ -137,10 +136,6 @@ __all__ = [
     "set_default_workers",
     "shutdown_pools",
 ]
-
-#: Auto-select the parallel tier only when some base table reaches this
-#: many rows — below it, pool dispatch + merge overhead cannot pay off.
-PARALLEL_MIN_ROWS = 200_000
 
 #: Morsels per worker: >1 so hash-skewed morsels rebalance across the
 #: pool instead of serialising behind the largest shard.
@@ -1036,12 +1031,13 @@ def _merge_group_payloads(gagg, semiring, payloads):
     """Merge the morsels' per-group states and finish them.
 
     A group's first state is taken over, not copied (payload dicts are
-    unpickled or freshly salvaged: nobody else holds them).  A group met
-    again merges by ``+_K`` per entry and — collapse being a monoid
-    homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed partials
-    (Python values by now: no bound applies); only such a group can hold
-    a scalar that cancelled to zero.  A column some morsel left lazy is
-    lazy for every group.
+    unpickled, salvaged or built here from a morsel's
+    :class:`~repro.plan.physical.GroupEntries`: nobody else holds them).
+    A group met again merges by ``+_K`` per entry and — collapse being a
+    monoid homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed
+    partials (Python values by now: no bound applies); only such a group
+    can hold a scalar that cancelled to zero.  A column some morsel left
+    lazy is lazy for every group.
     """
     machine = semiring.machine_repr
     total_rows = sum(p["rows"] for p in payloads)
@@ -1063,7 +1059,9 @@ def _merge_group_payloads(gagg, semiring, payloads):
               for a, c in collapsed.items() if not isinstance(c, str)}
     remerged: Set[int] = set()
     for p in payloads:
-        p_entries, p_collapsed = p["entries"], p["collapsed"]
+        # a kernel morsel's GroupEntries build every group's dict here
+        p_entries = {attr: list(e) for attr, e in p["entries"].items()}
+        p_collapsed = p["collapsed"]
         for j, row in enumerate(p["group_rows"]):
             i = index.get(row)
             if i is None:
@@ -1498,29 +1496,3 @@ def _republish_job(plan, db, spec, batches, morsels, sig):
         sig, [rel for rel, _b in batches.values()], key, blob, bounds, order
     )
     return key, blob, bounds, order
-
-
-# ---------------------------------------------------------------------------
-# serving-layer hook
-# ---------------------------------------------------------------------------
-
-
-def admission_weight(db) -> int:
-    """How many pool slots a query against ``db`` should occupy: a query
-    big enough to auto-select the parallel tier fans out over
-    ``effective_workers()`` processes, so the serving layer's admission
-    gate counts it as that many concurrent units of work."""
-    try:
-        workers = effective_workers()
-        if workers < 2:
-            return 1
-        if not HAVE_NUMPY or db.semiring.machine_repr is None:
-            return 1
-        biggest = 0
-        for _name, rel in db:
-            size = len(rel)
-            if size > biggest:
-                biggest = size
-        return workers if biggest >= PARALLEL_MIN_ROWS else 1
-    except Exception:
-        return 1

@@ -1001,6 +1001,36 @@ def _collapse_kernel(space, values: List[Any], bound: int):
     return getattr(np, name), array, scales
 
 
+class GroupEntries:
+    """Every group's tensor entries, left in the kernel's arrays: the
+    column's dictionary ``values``, the surviving pairs' ``codes`` and
+    ``scalars`` in group order, and ``cuts[g]``, where group ``g``'s pairs
+    end.  ``self[g]`` is group ``g``'s ``value -> scalar`` dict, built for
+    a deferred tensor's first read (counted); iterating builds them all.
+    Dictionaries are copy-on-write (:mod:`repro.plan.encoded`), so
+    ``values`` stays valid after the table grows."""
+
+    __slots__ = ("values", "codes", "scalars", "cuts")
+
+    def __init__(self, values, codes, scalars, cuts: List[int]):
+        self.values, self.codes, self.scalars, self.cuts = values, codes, scalars, cuts
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __getitem__(self, g: int) -> Dict[Any, Any]:
+        _metrics.AGGREGATE_ENTRIES.inc(1, "built")
+        start, end = self.cuts[g - 1] if g else 0, self.cuts[g]
+        codes = self.codes[start:end].tolist()
+        return dict(zip(map(self.values.__getitem__, codes),
+                        self.scalars[start:end].tolist()))
+
+    def __iter__(self):
+        values = list(map(self.values.__getitem__, self.codes.tolist()))
+        scalars, cuts = self.scalars.tolist(), self.cuts
+        return (dict(zip(values[s:e], scalars[s:e])) for s, e in zip([0] + cuts, cuts))
+
+
 def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound: int):
     """``SetAgg`` of the encoded column ``col`` within each group of
     ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
@@ -1010,9 +1040,9 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     pair sums in ascending key order; the group boundaries of that order
     give the raw totals (re-reducing pair sums is exact: every machine
     ``+_K`` is exactly associative), the normal form's two filters are
-    array masks, and the surviving pairs are cut into one
-    ``value -> scalar`` dict per group.
-    Returns ``(a row of each group, raw totals, entry dicts, collapsed)``,
+    array masks, and the surviving pairs are cut per group, but not built
+    into dicts (:class:`GroupEntries`).
+    Returns ``(a row of each group, raw totals, entries, collapsed)``,
     ``collapsed`` as in :meth:`GroupedAggregate.encoded_group_states`.
     """
     size = max(1, len(col.values))
@@ -1038,25 +1068,31 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     # ends[g]: how many pairs of groups 0..g survive the masks
     ends = np.cumsum(keep)[np.append(gstarts[1:], len(keep)) - 1]
     codes, scalars = codes[keep], sums[keep]
-    values = list(map(col.values.__getitem__, codes.tolist()))
-    scalar_list, cuts = scalars.tolist(), ends.tolist()
-    dicts = [
-        dict(zip(values[s:e], scalar_list[s:e])) for s, e in zip([0] + cuts, cuts)
-    ]
+    entries = GroupEntries(col.values, codes, scalars, ends.tolist())
 
     kernel = _collapse_kernel(space, col.values, bound)
     if isinstance(kernel, str):
-        return prep[gstarts], totals, dicts, kernel
+        return prep[gstarts], totals, entries, kernel
     ufunc, operand, scales = kernel
     operand = operand[codes] * scalars if scales else operand[codes]
     # reduceat is wrong on an empty segment: groups the masks emptied keep 0_M
     counts = np.diff(ends, prepend=0)
     filled = np.flatnonzero(counts)
-    collapsed = [identity] * len(cuts)
+    collapsed = [identity] * len(entries)
     reduced = ufunc.reduceat(operand, (ends - counts)[filled]).tolist()
     for g, value in zip(filled.tolist(), reduced):
         collapsed[g] = value
-    return prep[gstarts], totals, dicts, collapsed
+    return prep[gstarts], totals, entries, collapsed
+
+
+def _tensors(space, entries) -> List[Tensor]:
+    """One tensor per group: deferred over kernel :class:`GroupEntries`
+    (counted, and said on the operator's span), else owning each dict."""
+    if not isinstance(entries, GroupEntries):
+        return [Tensor(space, e) for e in entries]
+    _metrics.AGGREGATE_ENTRIES.inc(len(entries), "deferred")
+    _trace.add_attrs(entries="deferred")
+    return [Tensor._deferred(space, entries, g) for g in range(len(entries))]
 
 
 def _with_collapsed(tensors: List[Tensor], collapsed) -> List[Tensor]:
@@ -1131,8 +1167,9 @@ class GroupedAggregate(PhysicalOp):
 
         Returns ``(group_rows, totals_list, entries, collapsed)``: the
         decoded group key tuple, the raw (pre-``delta``) annotation total,
-        and per aggregated attribute one ``value -> scalar`` dict per
-        group and either the groups' collapsed values (a list) or the
+        and per aggregated attribute the groups' :class:`GroupEntries`
+        (a ``value -> scalar`` dict per group, indexed or iterated) and
+        either the groups' collapsed values (a list) or the
         reason (a ``str``) they are left to :meth:`Tensor.collapse`.
         Groups whose total is ``0_K`` are *kept* — under the parallel
         tier, partial states for the same group merge by ``+_K`` across
@@ -1159,7 +1196,7 @@ class GroupedAggregate(PhysicalOp):
         gkeys, radix = enc.combine_codes(gcols)
         bound = enc.check_reduction_bound(batch, len(batch))
 
-        entries: Dict[str, List[Dict[Any, Any]]] = {attr: [] for attr in agg_cols}
+        entries: Dict[str, Any] = {attr: [] for attr in agg_cols}
         collapsed: Dict[str, Any] = {attr: [] for attr in agg_cols}
         if not agg_cols or not len(batch):
             _note_kernel("aggregate", radix, len(batch))
@@ -1237,8 +1274,9 @@ class GroupedAggregate(PhysicalOp):
 
         The shared tail of the object path, the serial encoded path and
         the parallel tier's parent-side merge: entry dicts become tensors
-        (which own them from here on), COUNT(*) columns derive from the
-        raw totals, and row annotations are ``delta`` of the totals.
+        (which own them from here on; kernel :class:`GroupEntries` become
+        deferred tensors), COUNT(*) columns derive from the raw totals,
+        and row annotations are ``delta`` of the totals.
         ``entries`` dicts must already be normalised (no monoid-identity
         values, no zero scalars) — both producers above and the
         cross-morsel merge guarantee that.  A list ``collapsed[attr]``
@@ -1256,9 +1294,8 @@ class GroupedAggregate(PhysicalOp):
         for i, attr in enumerate(self.group_attributes):
             columns[attr] = [row[i] for row in group_rows]
         for attr in self.aggregations:
-            space = spaces[attr]
             columns[attr] = _with_collapsed(
-                [Tensor(space, e) for e in entries[attr]], collapsed[attr]
+                _tensors(spaces[attr], entries[attr]), collapsed[attr]
             )
         _note_collapse(collapsed.values())
         if self.count_attr is not None:
@@ -1318,17 +1355,17 @@ class WholeAggregate(PhysicalOp):
             raise EncodedFallback("foreign value in aggregated column")
         space = tensor_space(semiring, self.monoid)
         bound = enc.check_reduction_bound(batch, len(batch))
-        dicts, collapsed = [{}], "empty input"
+        entries, collapsed = [{}], "empty input"
         if len(batch):
             gkeys = np.zeros(len(batch), dtype=np.int64)
-            _rep, _totals, dicts, collapsed = _set_agg_by_code(
+            _rep, _totals, entries, collapsed = _set_agg_by_code(
                 space, col, gkeys, 1, batch, bound
             )
             _note_collapse([collapsed])
         return ColumnarKRelation._from_clean(
             semiring,
             self.schema,
-            {self.attribute: _with_collapsed([Tensor(space, dicts[0])], collapsed)},
+            {self.attribute: _with_collapsed(_tensors(space, entries), collapsed)},
             [semiring.one],
         )
 

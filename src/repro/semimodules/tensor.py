@@ -33,7 +33,12 @@ derives the deterministically-ordered presentation (and, for collapsing
 spaces, the collapsed value) only when something first hashes, compares,
 or displays it.  Equality and hashing never needed the ordering — a dict
 compares as a multiset and hashes via ``frozenset`` — so the execution hot
-path (fold, scale, aggregate) touches no sort at all.
+path (fold, scale, aggregate) touches no sort at all.  Where ``iota`` is
+an isomorphism even the map is presentation: a tensor built by the encoded
+aggregation kernel leaves its entries in the kernel's arrays until
+something reads them (``str``, ``items``, ``apply_hom``, ``len``, a copy),
+and where the kernel also computed its collapsed value, ``==``, ``hash``
+and ``collapse`` never do.
 """
 
 from __future__ import annotations
@@ -71,11 +76,13 @@ class Tensor:
     presentation: ``str``, ``items``, ``apply_hom``) and its collapsed
     value (the identity: ``==``, ``hash``, ``readback``), cached in
     ``_collapsed`` by :meth:`collapse` or filled with the identical value
-    by an aggregation kernel.  Copies and pickles carry the space (by
-    name), the entries and that cache; hash and ordering are per-process.
+    by an aggregation kernel.  A kernel's tensor may also defer its
+    entries (:meth:`_deferred`): they are built on first read.  Copies
+    and pickles carry the space (by name), the entries and that cache;
+    hash and ordering are per-process.
     """
 
-    __slots__ = ("space", "_entries", "_canonical", "_hash", "_collapsed")
+    __slots__ = ("space", "_entries", "_canonical", "_hash", "_collapsed", "_source")
 
     def __init__(self, space: "TensorSpace", items: Dict[Any, Any]):
         self.space = space
@@ -87,6 +94,25 @@ class Tensor:
         self._canonical: Tuple[Tuple[Any, Any], ...] | None = None
         self._hash: int | None = None
         self._collapsed: Any = _Unset
+
+    @classmethod
+    def _deferred(cls, space: "TensorSpace", source: Any, index: int) -> "Tensor":
+        """Trusted: the tensor whose normalised entries are ``source[index]``,
+        left unbuilt until something reads ``_entries``."""
+        tensor = cls.__new__(cls)
+        tensor.space, tensor._source = space, (source, index)
+        tensor._canonical = tensor._hash = None
+        tensor._collapsed = _Unset
+        return tensor
+
+    def __getattr__(self, name: str) -> Any:
+        # only a deferred tensor's ``_entries`` is ever unset; the source is
+        # kept, so racing first readers each build an equal dict
+        if name != "_entries":
+            raise AttributeError(name)
+        source, index = self._source
+        entries = self._entries = source[index]
+        return entries
 
     def __getstate__(self):
         return self.space, self._entries, self._collapsed

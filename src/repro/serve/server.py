@@ -411,15 +411,6 @@ class ProvenanceServer:
             req["annotations"] == "circuit"
             or snap.semiring.machine_repr is None
         )
-        # a query the parallel tier would shard occupies its worker
-        # processes, not one thread — weight admission accordingly
-        if heavy:
-            weight = 1
-        else:
-            from repro.plan.parallel import admission_weight
-
-            weight = admission_weight(snap)
-
         analyze = req["analyze"] or obs_trace.enabled()
         rid = request_id or obs_trace.new_trace_id()
         sql = req["sql"]
@@ -468,7 +459,7 @@ class ProvenanceServer:
                 }
             return encoded
 
-        response = await self.pool.run(work, heavy=heavy, weight=weight)
+        response = await self.pool.run(work, heavy=heavy)
         response["version"] = snap.version
         response["engine"] = req["engine"]
         self._count("queries")

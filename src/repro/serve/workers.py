@@ -84,40 +84,21 @@ class WorkerPool:
         self._idle = threading.Event()
         self._idle.set()
 
-    async def run(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        heavy: bool = False,
-        weight: int = 1,
-    ) -> Any:
+    async def run(self, fn: Callable[..., Any], *args: Any, heavy: bool = False) -> Any:
         """Run ``fn(*args)`` on a worker thread, or raise :class:`ServerOverloaded`.
 
         Admission is decided *before* queueing (non-blocking acquires):
         a rejected request costs the client one round-trip, never a slot.
-
-        ``weight`` is how many admission units the request occupies —
-        a query the parallel tier fans out over N worker *processes* is
-        N units of concurrent machine work even though it holds one pool
-        thread, so it takes N permits (capped at the pool size so a
-        single request can always be admitted on an idle server).
         """
-        weight = max(1, min(int(weight), self.workers))
-        acquired = 0
-        for _ in range(weight):
-            if not self._admission.acquire(blocking=False):
-                for _ in range(acquired):
-                    self._admission.release()
-                with self._stats_lock:
-                    self.rejected += 1
-                raise ServerOverloaded(
-                    "server at capacity: worker queue full",
-                    retry_after=self.retry_after(),
-                )
-            acquired += 1
+        if not self._admission.acquire(blocking=False):
+            with self._stats_lock:
+                self.rejected += 1
+            raise ServerOverloaded(
+                "server at capacity: worker queue full",
+                retry_after=self.retry_after(),
+            )
         if heavy and not self._heavy.acquire(blocking=False):
-            for _ in range(acquired):
-                self._admission.release()
+            self._admission.release()
             with self._stats_lock:
                 self.heavy_rejected += 1
             raise ServerOverloaded(
@@ -133,8 +114,7 @@ class WorkerPool:
             self._land()
             if heavy:
                 self._heavy.release()
-            for _ in range(acquired):
-                self._admission.release()
+            self._admission.release()
             raise
         # the decrement rides the *executor* future, not this coroutine:
         # it fires on the worker thread at completion (or at cancellation
@@ -149,8 +129,7 @@ class WorkerPool:
         finally:
             if heavy:
                 self._heavy.release()
-            for _ in range(acquired):
-                self._admission.release()
+            self._admission.release()
 
     def _land(self) -> None:
         with self._stats_lock:

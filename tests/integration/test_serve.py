@@ -474,34 +474,6 @@ def test_worker_pool_heavy_gate_is_separate():
     asyncio.run(scenario())
 
 
-def test_worker_pool_weight_counts_parallel_fanout():
-    async def scenario():
-        pool = WorkerPool(workers=2, max_queue=0)
-        release = threading.Event()
-        wide = asyncio.ensure_future(pool.run(release.wait, 30, weight=2))
-        await asyncio.sleep(0.05)
-        try:
-            # a weight-2 request (parallel tier fanning out over two
-            # worker processes) holds both admission units, so even
-            # light traffic is shed while it runs...
-            with pytest.raises(ServerOverloaded):
-                await pool.run(lambda: None)
-            assert pool.stats()["rejected"] == 1
-        finally:
-            release.set()
-            assert await wide is True
-            pool.shutdown()
-        # ...but weight is capped at the pool size, so a fan-out wider
-        # than the pool is still admissible on an idle server
-        pool = WorkerPool(workers=1, max_queue=0)
-        try:
-            assert await pool.run(lambda: 7, weight=64) == 7
-        finally:
-            pool.shutdown()
-
-    asyncio.run(scenario())
-
-
 def test_stats_reports_per_tier_execution_counts(server):
     client = Client(server.address)
     try:

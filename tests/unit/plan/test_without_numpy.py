@@ -21,7 +21,7 @@ import repro.plan
 from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table
 from repro.exceptions import QueryError
 from repro.monoids import SUM
-from repro.plan import active_backend, compile_plan, parallel
+from repro.plan import active_backend, compile_plan
 from repro.plan.kernels import HAVE_NUMPY
 from repro.semirings import NAT
 
@@ -57,8 +57,6 @@ for tier in ("encoded", "parallel"):
     else:
         raise AssertionError(f"tier={tier!r} compiled without NumPy")
 
-parallel.set_default_workers(4)
-assert parallel.admission_weight(db) == 1
 print("ok")
 """
 

@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import SemimoduleError
 from repro.monoids import BHAT, MAX, MIN, SUM
 from repro.semimodules import check_semimodule_axioms, tensor_space
+from repro.semimodules.tensor import Tensor, _Unset
 from repro.semirings import BOOL, INT, NAT, NX, SEC, SECRET, PUBLIC
 
 
@@ -252,3 +253,162 @@ class TestCopies:
         t = tensor_space(NAT, Counting()).set_agg([(10, 2), (20, 3)])
         assert t.collapse() == 80 and hash(t) == hash(t) and t == t
         assert t.collapse() == 80 and len(calls) == 1
+
+
+def _built(t):
+    """Whether ``t`` holds its entries (the slot itself, not the fallback
+    that builds a deferred tensor's on first read)."""
+    try:
+        Tensor._entries.__get__(t, Tensor)
+    except AttributeError:
+        return False
+    return True
+
+
+#: ``(semiring, monoid, values)``: every group ``a`` aggregates ``values``,
+#: group ``b`` only the monoid's identity (an empty tensor), group ``c`` one
+DEFERRED_CASES = [
+    (NAT, SUM, (3, 7, 5)),
+    (NAT, SUM, (0.5, 0.25, 0.1)),  # float SUM: the collapse is left lazy
+    (NAT, MAX, (3.0, 7.0, 5.0)),
+    (NAT, MIN, (3.0, 7.0, 5.0)),
+    (BOOL, SUM, (3, 7, 5)),  # B (x) SUM: iota is no isomorphism
+    (BOOL, MAX, (3.0, 7.0, 5.0)),
+    (BOOL, MIN, (3.0, 7.0, 5.0)),
+]
+
+
+def _deferred_case_id(case):
+    semiring, monoid, values = case
+    return f"{semiring.name}-{monoid.name}-{type(values[0]).__name__}"
+
+
+def _grouped_db(semiring, monoid, values):
+    from repro.core import KDatabase, KRelation
+
+    ann = (lambda i: 1 + i) if semiring is NAT else (lambda i: True)
+    identity = type(values[0])(monoid.identity)
+    rows = [(("a", v), ann(i)) for i, v in enumerate(values)]
+    rows += [(("b", identity), ann(1)), (("c", values[0]), ann(2))]
+    return KDatabase(semiring, {"R": KRelation.from_rows(semiring, ("g", "v"), rows)})
+
+
+def _by_group(db, monoid, tier):
+    """``{group: tensor}`` of ``GB[g; monoid(v)]`` on ``tier``, off the raw
+    batch (building a relation would hash, and so collapse, every tensor)."""
+    from repro.core import GroupBy, Table
+    from repro.plan import compile_plan
+
+    plan = compile_plan(GroupBy(Table("R"), ["g"], {"v": monoid}), db, tier=tier)
+    batch = plan.execute_batch()
+    assert plan._last_tier == tier
+    return dict(zip(batch.column("g"), batch.column("v")))
+
+
+def _pairs(semiring, monoid, values):
+    """``[(deferred, eager)]`` per group: the encoded tier's kernel tensor,
+    unread, and the object tier's, built from the same rows."""
+    pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+    db = _grouped_db(semiring, monoid, values)
+    kernel, eager = _by_group(db, monoid, "encoded"), _by_group(db, monoid, "object")
+    assert sorted(kernel) == sorted(eager) == ["a", "b", "c"]
+    assert not any(map(_built, kernel.values()))
+    return [(kernel[g], eager[g]) for g in sorted(kernel)]
+
+
+@pytest.mark.parametrize("case", DEFERRED_CASES, ids=_deferred_case_id)
+class TestDeferred:
+    """A kernel-built tensor keeps its entries in the aggregation kernel's
+    arrays until something reads them, and is then the tensor the object
+    tier builds: the deferral is invisible to every reader."""
+
+    def test_identity_reads_agree_and_need_no_entries_once_collapsed(self, case):
+        _semiring, monoid, values = case
+        lazy = monoid is SUM and type(values[0]) is float
+        for d, e in _pairs(*case):
+            kernel = d._collapsed is not _Unset  # the kernel's Prop. 3.9 value
+            assert kernel == (d.space.collapses and not lazy)
+            assert d == e and hash(d) == hash(e)
+            if d.space.collapses:
+                assert d.collapse() == e.collapse()
+            # with the value in hand no identity read needs the entries;
+            # without it, the fold (or the comparison) reads them
+            assert _built(d) != kernel
+
+    @pytest.mark.parametrize("read", [
+        str, Tensor.items, Tensor.size, len, bool, lambda t: t._entries,
+    ], ids=["str", "items", "size", "len", "bool", "entries"])
+    def test_presentation_reads_build_the_identical_entries(self, case, read):
+        for d, e in _pairs(*case):
+            assert read(d) == read(e) and _built(d)
+            assert d._entries == e._entries and str(d) == str(e)
+
+    def test_apply_hom_into_b_and_z_agrees(self, case):
+        from repro.semirings import support_hom
+        from repro.semirings.homomorphism import semiring_hom
+
+        semiring = case[0]
+        # apply_hom lifts the scalar map it is given; for B the map into Z
+        # is the indicator (no semiring hom exists), which is all it needs
+        for hom in (support_hom(semiring), semiring_hom(semiring, INT, int)):
+            for d, e in _pairs(*case):
+                got, want = d.apply_hom(hom), e.apply_hom(hom)
+                assert got == want and str(got) == str(want)
+                assert got._entries == want._entries
+
+    @pytest.mark.parametrize("clone", [_pickled, copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_carry_the_built_entries(self, case, clone):
+        for d, e in _pairs(*case):
+            u = clone(d)
+            assert _built(u) and u._entries == e._entries
+            assert u == e and hash(u) == hash(e) and str(u) == str(e)
+
+    def test_racing_first_reads_build_equal_entries(self, case):
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the first read
+        try:
+            for _round in range(10):
+                pairs = _pairs(*case)
+                barrier = threading.Barrier(8, timeout=10)
+                seen, errors = [], []
+
+                def first_read():
+                    try:
+                        barrier.wait()
+                        seen.append([d._entries for d, _e in pairs])
+                    except Exception as exc:  # pragma: no cover - the failure
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=first_read) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors and len(seen) == 8
+                assert all(got == [e._entries for _d, e in pairs] for got in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_read_after_a_carried_write_presents_the_same_entries(self, case):
+        from repro.core import KRelation
+        from repro.obs.metrics import ENCODED_CACHE_EVENTS
+
+        semiring, monoid, values = case
+        pytest.importorskip("numpy")
+        db = _grouped_db(*case)
+        before = _by_group(db, monoid, "encoded")
+        assert not any(map(_built, before.values()))
+        want = {g: (str(t), dict(t._entries)) for g, t in _by_group(db, monoid, "object").items()}
+        extends = ENCODED_CACHE_EVENTS.values().get(("extend",), 0)
+        fresh = [type(values[0])(100 + i) for i in range(3)]  # new to v's dictionary
+        db.update({"R": KRelation.from_rows(
+            semiring, ("g", "v"), [(("a", v), semiring.one) for v in fresh])})
+        after = _by_group(db, monoid, "encoded")  # extends the carried column
+        assert ENCODED_CACHE_EVENTS.values()[("extend",)] == extends + 1
+        assert set(after["a"]._entries) == set(want["a"][1]) | set(fresh)
+        assert {g: (str(t), t._entries) for g, t in before.items()} == want
