@@ -961,8 +961,11 @@ def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None)
             # object path is exact arbitrary-precision, so no bound
             rows, bound = len(pre), 0
             states = root.object_group_states(pre)
-        keys = ("group_rows", "totals", "entries", "collapsed")
-        return {"rows": rows, "bound": bound, **dict(zip(keys, states))}
+        group_rows, totals, entries, collapsed = states
+        # each group's dict travels home, not the column's whole dictionary
+        return {"rows": rows, "bound": bound, "group_rows": group_rows,
+                "totals": totals, "collapsed": collapsed,
+                "entries": {attr: list(e) for attr, e in entries.items()}}
     result = root.execute(ctx)
     if isinstance(result, enc.EncodedBatch):
         result = result.to_columnar()
@@ -1031,13 +1034,12 @@ def _merge_group_payloads(gagg, semiring, payloads):
     """Merge the morsels' per-group states and finish them.
 
     A group's first state is taken over, not copied (payload dicts are
-    unpickled, salvaged or built here from a morsel's
-    :class:`~repro.plan.physical.GroupEntries`: nobody else holds them).
-    A group met again merges by ``+_K`` per entry and — collapse being a
-    monoid homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed
-    partials (Python values by now: no bound applies); only such a group
-    can hold a scalar that cancelled to zero.  A column some morsel left
-    lazy is lazy for every group.
+    unpickled or freshly salvaged: nobody else holds them).  A group met
+    again merges by ``+_K`` per entry and — collapse being a monoid
+    homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed partials
+    (Python values by now: no bound applies); only such a group can hold
+    a scalar that cancelled to zero.  A column some morsel left lazy is
+    lazy for every group.
     """
     machine = semiring.machine_repr
     total_rows = sum(p["rows"] for p in payloads)
@@ -1059,9 +1061,7 @@ def _merge_group_payloads(gagg, semiring, payloads):
               for a, c in collapsed.items() if not isinstance(c, str)}
     remerged: Set[int] = set()
     for p in payloads:
-        # a kernel morsel's GroupEntries build every group's dict here
-        p_entries = {attr: list(e) for attr, e in p["entries"].items()}
-        p_collapsed = p["collapsed"]
+        p_entries, p_collapsed = p["entries"], p["collapsed"]
         for j, row in enumerate(p["group_rows"]):
             i = index.get(row)
             if i is None:

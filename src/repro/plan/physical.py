@@ -1005,8 +1005,9 @@ class GroupEntries:
     """Every group's tensor entries, left in the kernel's arrays: the
     column's dictionary ``values``, the surviving pairs' ``codes`` and
     ``scalars`` in group order, and ``cuts[g]``, where group ``g``'s pairs
-    end.  ``self[g]`` is group ``g``'s ``value -> scalar`` dict, built for
-    a deferred tensor's first read (counted); iterating builds them all.
+    end.  ``self[g]`` is group ``g``'s ``value -> scalar`` dict, built once
+    per deferred tensor, on its first read (counted); iterating builds
+    them all (a parallel morsel's payload).
     Dictionaries are copy-on-write (:mod:`repro.plan.encoded`), so
     ``values`` stays valid after the table grows."""
 

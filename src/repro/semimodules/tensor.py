@@ -43,6 +43,7 @@ and ``collapse`` never do.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
@@ -62,6 +63,10 @@ class _Unset:
     """"Not collapsed yet".  The class itself is the marker: it pickles
     and copies by name, so it comes back as the same object (an
     ``object()`` would come back a stranger — and be the collapsed value)."""
+
+
+#: Serialises deferred tensors' first reads: each source entry is built once.
+_FIRST_READ = threading.Lock()
 
 
 class Tensor:
@@ -106,13 +111,17 @@ class Tensor:
         return tensor
 
     def __getattr__(self, name: str) -> Any:
-        # only a deferred tensor's ``_entries`` is ever unset; the source is
-        # kept, so racing first readers each build an equal dict
+        # only a deferred tensor's ``_entries`` is ever unset: the first
+        # read builds them and drops the source, so a read tensor pins no
+        # kernel arrays; a racing first reader finds the slot filled
         if name != "_entries":
             raise AttributeError(name)
-        source, index = self._source
-        entries = self._entries = source[index]
-        return entries
+        with _FIRST_READ:
+            if self._source is not None:
+                source, index = self._source
+                self._entries = source[index]
+                self._source = None
+        return self._entries
 
     def __getstate__(self):
         return self.space, self._entries, self._collapsed

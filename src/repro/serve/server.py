@@ -617,20 +617,13 @@ class ProvenanceServer:
 
     def health(self) -> Dict[str, Any]:
         """Liveness + degradation: ``status`` is ``"degraded"`` while the
-        parallel tier's circuit breaker pins queries to the serial path,
-        or while the write-ahead log is unwritable (reads keep serving,
-        writes 503) — degraded, not down."""
-        from repro.plan.parallel import breaker_state
-
-        breaker = breaker_state()
-        degraded = breaker["state"] == "open"
+        write-ahead log is unwritable (reads keep serving, writes 503) —
+        degraded, not down."""
         body: Dict[str, Any] = {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok",
             "version": self.manager.version,
             "semiring": self.manager.pin().semiring.name,
         }
-        if degraded:
-            body["breaker"] = breaker
         if self.durability is not None:
             body["durability"] = {
                 "unwritable": not self.durability.healthy,
@@ -651,8 +644,6 @@ class ProvenanceServer:
         windows in one payload proved error-prone."""
         with self._stats_lock:
             counters = dict(self._counters)
-        from repro.plan.parallel import breaker_state
-
         body = {
             "version": self.manager.version,
             "writes": self.manager.writes,
@@ -660,7 +651,6 @@ class ProvenanceServer:
             "pool": self.pool.stats(),
             "tiers": obs_metrics.tier_executions(),
             "resilience": obs_metrics.resilience_counters(),
-            "breaker": breaker_state(),
             **counters,
         }
         if self.durability is not None:

@@ -341,6 +341,8 @@ class TestDeferred:
     def test_presentation_reads_build_the_identical_entries(self, case, read):
         for d, e in _pairs(*case):
             assert read(d) == read(e) and _built(d)
+            # once built, the tensor pins none of the kernel's arrays
+            assert d._source is None
             assert d._entries == e._entries and str(d) == str(e)
 
     def test_apply_hom_into_b_and_z_agrees(self, case):
@@ -364,15 +366,21 @@ class TestDeferred:
             assert _built(u) and u._entries == e._entries
             assert u == e and hash(u) == hash(e) and str(u) == str(e)
 
-    def test_racing_first_reads_build_equal_entries(self, case):
+    def test_racing_first_reads_build_each_tensor_once(self, case):
         import sys
         import threading
+
+        from repro.obs.metrics import AGGREGATE_ENTRIES
+
+        def built():
+            return AGGREGATE_ENTRIES.values().get(("built",), 0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads inside the first read
         try:
             for _round in range(10):
                 pairs = _pairs(*case)
+                before = built()
                 barrier = threading.Barrier(8, timeout=10)
                 seen, errors = [], []
 
@@ -391,6 +399,10 @@ class TestDeferred:
                 assert not any(t.is_alive() for t in threads)
                 assert not errors and len(seen) == 8
                 assert all(got == [e._entries for _d, e in pairs] for got in seen)
+                # eight readers, one build (and one count) per tensor
+                assert all(got[i] is d._entries for got in seen
+                           for i, (d, _e) in enumerate(pairs))
+                assert built() == before + len(pairs)
         finally:
             sys.setswitchinterval(interval)
 
