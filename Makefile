@@ -6,7 +6,7 @@
 PY       := python
 PYPATH   := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: check test chaos bench examples
+.PHONY: check test chaos bench bench-collect examples
 
 check: test
 
@@ -25,6 +25,11 @@ chaos:
 # explicitly via the shell glob
 bench:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_*.py --benchmark-only -s
+
+# import every experiment file without running it, so one that uses a
+# deleted name fails CI the way `make examples` catches an example
+bench-collect:
+	$(PYPATH) $(PY) -m pytest benchmarks/bench_*.py --collect-only -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYPATH) $(PY) $$f > /dev/null || exit 1; done

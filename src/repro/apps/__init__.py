@@ -13,7 +13,6 @@ from repro.apps.probabilistic import (
     tuple_probabilities,
 )
 from repro.apps.security_views import credential_hom, credential_hom_bag, view_for
-from repro.apps.view_maintenance import delta_evaluate
 
 __all__ = [
     "propagate_deletions",
@@ -24,7 +23,6 @@ __all__ = [
     "probability",
     "tuple_probabilities",
     "aggregate_expectation",
-    "delta_evaluate",
     "minimal_witnesses",
     "cheapest_derivation",
     "responsibility",

@@ -1,6 +1,5 @@
-"""Persistence: JSON round-tripping and CSV ingestion for K-relations."""
+"""Persistence: lossless JSON round-tripping for K-relations."""
 
-from repro.io.csv_io import CsvError, load_csv, save_csv
 from repro.io.serialize import (
     MONOID_REGISTRY,
     SEMIRING_REGISTRY,
@@ -18,7 +17,6 @@ from repro.io.serialize import (
 )
 
 __all__ = [
-    "load_csv", "save_csv", "CsvError",
     "dumps", "loads", "SerializationError",
     "annotation_to_jsonable", "annotation_from_jsonable",
     "tensor_to_jsonable", "tensor_from_jsonable",

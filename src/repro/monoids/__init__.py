@@ -8,7 +8,6 @@ derived from SUM and COUNT.
 from repro.monoids.base import CommutativeMonoid, check_monoid_axioms
 from repro.monoids.boolmonoid import ALL, BHAT, AndMonoid, OrMonoid
 from repro.monoids.counting import AVG, AvgMonoid, AvgPair
-from repro.monoids.statistics import MOMENTS, Moments, MomentsMonoid
 from repro.monoids.numeric import (
     MAX,
     MIN,
@@ -25,5 +24,4 @@ __all__ = [
     "SUM", "PROD", "MIN", "MAX", "SumMonoid", "ProdMonoid", "MinMonoid", "MaxMonoid",
     "BHAT", "ALL", "OrMonoid", "AndMonoid",
     "AVG", "AvgMonoid", "AvgPair",
-    "MOMENTS", "Moments", "MomentsMonoid",
 ]

@@ -12,10 +12,11 @@ obtained from summation and COUNT".  We follow that recipe:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.exceptions import MonoidError
 from repro.monoids.base import CommutativeMonoid
+from repro.monoids.numeric import SUM
 
 __all__ = ["AvgPair", "AvgMonoid", "AVG"]
 
@@ -55,6 +56,13 @@ class AvgMonoid(CommutativeMonoid):
 
     def plus(self, a: AvgPair, b: AvgPair) -> AvgPair:
         return AvgPair(a.total + b.total, a.count + b.count)
+
+    def sum(self, items: Iterable[AvgPair]) -> AvgPair:
+        """Order-free: the totals add through :meth:`SumMonoid.sum` (the
+        correctly rounded ``math.fsum`` once a float is among them), the
+        counts exactly."""
+        items = list(items)
+        return AvgPair(SUM.sum(p.total for p in items), sum(p.count for p in items))
 
     def contains(self, value: Any) -> bool:
         return (

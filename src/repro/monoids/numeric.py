@@ -76,6 +76,15 @@ class ProdMonoid(CommutativeMonoid):
     def plus(self, a: Any, b: Any) -> Any:
         return a * b
 
+    def sum(self, items: Iterable[Any]) -> Any:
+        """Order-free like SUM's: a product with a float among its
+        operands folds in sorted order, which the multiset alone fixes;
+        ints and ``Fraction``s are exact and fold as ever."""
+        items = list(items)
+        if any(isinstance(item, float) for item in items):
+            items.sort()
+        return super().sum(items)
+
     def contains(self, value: Any) -> bool:
         return _is_number(value) and not (isinstance(value, float) and math.isinf(value))
 

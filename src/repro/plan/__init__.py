@@ -13,9 +13,7 @@ fast without changing a single annotation:
 * :class:`ColumnarKRelation` — the column-wise batch representation
   physical operators exchange, avoiding per-tuple ``Tup`` construction on
   hot paths;
-* :func:`explain` — render the chosen plan with cardinality estimates;
-* :class:`RuleJoinPlan` — the same hash-join strategy applied to Datalog
-  rule bodies (used by :mod:`repro.datalog.engine`).
+* :func:`explain` — render the chosen plan with cardinality estimates.
 
 Entry point for users: ``query.evaluate(db, engine="planned")`` — see
 ``docs/architecture.md``.
@@ -35,7 +33,6 @@ from repro.plan.parallel import (
     reset_breaker,
     set_default_workers,
 )
-from repro.plan.rules import RuleJoinPlan
 
 __all__ = [
     "CircuitResult",
@@ -54,5 +51,4 @@ __all__ = [
     "effective_workers",
     "reset_breaker",
     "set_default_workers",
-    "RuleJoinPlan",
 ]

@@ -132,12 +132,19 @@ def relation_from_json(semiring: Semiring, payload: Any, context: str) -> KRelat
                 f"{context}: row {i} has {len(values)} values for "
                 f"{len(columns)} columns"
             )
+        raw = row.get("annotation", 1)
         for value in values:
             if not isinstance(value, _JSON_SCALARS):
                 raise BadRequest(
                     f"{context}: row {i} value {value!r} is not a JSON scalar"
                 )
-        annotation = _decode_annotation(semiring, row.get("annotation", 1))
+            # NaN equals nothing (a Tup holding it equals no Tup) and makes
+            # MIN/MAX depend on order; json.loads accepts the literal
+            if value != value:
+                raise BadRequest(f"{context}: row {i} has a NaN value")
+        if raw != raw:
+            raise BadRequest(f"{context}: row {i} has a NaN annotation")
+        annotation = _decode_annotation(semiring, raw)
         rows.append((tuple(values), annotation))
     try:
         return KRelation.from_rows(semiring, columns, rows)

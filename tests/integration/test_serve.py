@@ -398,6 +398,41 @@ def test_http_error_paths(server):
         client.close()
 
 
+def test_nan_on_the_wire_is_a_400_and_changes_nothing(server):
+    """``json.loads`` accepts a ``NaN`` literal; stored, it would equal
+    no tuple and make MIN/MAX depend on row order.  ``±inf`` stays legal."""
+    client = Client(server.address)
+    try:
+        status, _ = client.request(
+            "POST", "/views", {"name": "top", "sql": "SELECT MAX(V) FROM A"})
+        assert status == 201
+        _status, before = client.request("GET", "/views/top")
+        v0 = client.request("GET", "/health")[1]["version"]
+        nan = float("nan")
+        bad = [
+            ("/update", {"relations": {"A": {"rows": [{"values": ["a+n", nan]}]}}}),
+            ("/update", {"relations": {"A": {"rows": [
+                {"values": ["a+n", 1], "annotation": nan}]}}}),
+            ("/relations", {"name": "C", "relation": {
+                "columns": ["K", "V"], "rows": [{"values": ["c", nan]}]}}),
+        ]
+        for path, payload in bad:
+            status, err = client.request("POST", path, payload)
+            assert status == 400 and "NaN" in err["error"], (path, err)
+        assert client.request("GET", "/health")[1]["version"] == v0
+        assert client.request("GET", "/views/top")[1] == before
+        status, err = client.request("POST", "/query", {"sql": "SELECT K FROM C"})
+        assert status == 400 and "C" in err["error"]
+
+        status, _ = client.request("POST", "/update", {"relations": {
+            "A": {"rows": [{"values": ["a+inf", float("inf")]}]}}})
+        assert status == 200
+        status, view = client.request("GET", "/views/top")
+        assert view["rows"][0]["values"] == [float("inf")]
+    finally:
+        client.close()
+
+
 def test_mistyped_order_predicate_is_a_400_not_a_500(server):
     """``K < 1`` on a string column used to leak a bare TypeError, which
     the dispatcher answers with 500, a logged traceback and ``errors``

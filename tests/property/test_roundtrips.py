@@ -1,8 +1,8 @@
-"""Property-based round-trips: serialisation, parsing, datalog-vs-algebra."""
+"""Property-based round-trips: serialisation and parsing."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import KRelation, Tup
+from repro.core import KRelation
 from repro.io import loads, dumps, relation_from_jsonable, relation_to_jsonable
 from repro.semirings import NAT, NX
 from repro.semirings.parsing import parse_polynomial
@@ -82,48 +82,3 @@ class TestParserRoundTrips:
     def test_delta_display_syntax_parses_back(self, p):
         assert parse_polynomial(str(p)) == p
 
-
-class TestDatalogAgainstAlgebra:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        edges=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 4)),
-            min_size=0, max_size=8, unique=True,
-        )
-    )
-    def test_two_hop_reachability_matches_join(self, edges):
-        """path2(x,z) via Datalog == Π(edge ⋈ edge) via the algebra, with
-        bag annotations (acyclic by construction: two fixed strata)."""
-        from repro.core import (
-            KDatabase,
-            NaturalJoin,
-            Project,
-            Rename,
-            Table,
-        )
-        from repro.datalog import Atom, Program, Rule, Var, evaluate_datalog
-
-        edge_rows = {(a, b): 1 for a, b in edges}
-        X, Y, Z = Var("X"), Var("Y"), Var("Z")
-        program = Program(
-            [Rule(Atom("p2", (X, Z)), [Atom("e", (X, Y)), Atom("e", (Y, Z))])]
-        )
-        datalog = evaluate_datalog(program, NAT, {"e": edge_rows})
-
-        rel = KRelation.from_rows(
-            NAT, ("src", "dst"), [((a, b), 1) for a, b in edges]
-        )
-        db = KDatabase(NAT, {"E": rel})
-        q = Project(
-            NaturalJoin(
-                Rename(Table("E"), {"dst": "mid"}),
-                Rename(Table("E"), {"src": "mid"}),
-            ),
-            ["src", "dst"],
-        )
-        algebra = q.evaluate(db)
-
-        expected = {
-            (t["src"], t["dst"]): k for t, k in algebra.items()
-        }
-        assert datalog.predicate("p2") == expected

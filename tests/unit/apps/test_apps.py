@@ -8,7 +8,6 @@ from repro.apps import (
     aggregate_expectation,
     credential_hom,
     credential_hom_bag,
-    delta_evaluate,
     probability,
     propagate_deletions,
     tuple_probabilities,
@@ -25,7 +24,7 @@ from repro.core import (
     aggregate,
 )
 from repro.exceptions import QueryError
-from repro.ivm import MaterializedView
+from repro.ivm import MaterializedView, compile_delta_plan
 from repro.monoids import MAX, SUM
 from repro.semirings import (
     CONFIDENTIAL,
@@ -158,7 +157,8 @@ class TestViewMaintenance:
         db = self.make_db()
         q = NaturalJoin(Table("R"), Table("S"))
         delta = KRelation.from_rows(NX, ("k", "v"), [((1, "c"), NX.variable("r2"))])
-        d = delta_evaluate(q, db, {"R": delta})
+        plan = compile_delta_plan(q, db, ["R"], engine="interpreted")
+        d = plan.execute(db, {"R": delta})
         assert len(d) == 1
         (t,) = d.support()
         assert t["v"] == "c"
@@ -180,4 +180,5 @@ class TestViewMaintenance:
         db = self.make_db()
         q = GroupBy(Table("R"), ["k"], {"v": SUM})
         with pytest.raises(QueryError):
-            delta_evaluate(q, db, {"R": KRelation.empty(NX, ("k", "v"))})
+            compile_delta_plan(q, db, ["R"], engine="interpreted").execute(
+                db, {"R": KRelation.empty(NX, ("k", "v"))})

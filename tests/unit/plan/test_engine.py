@@ -18,12 +18,11 @@ from repro.core import (
     Tup,
     Union,
 )
-from repro.datalog import Atom, Program, Rule, Var, evaluate_datalog
 from repro.exceptions import QueryError, SchemaError
 from repro.monoids import SUM
 from repro.plan import compile_plan
 from repro.plan.physical import HashJoin, Scan
-from repro.semirings import BOOL, NAT, NX
+from repro.semirings import NAT, NX
 from repro.sql import execute_sql, explain_sql
 
 
@@ -254,52 +253,3 @@ class TestSqlRouting:
         assert "Scan R" in text
         assert "est_rows" in text
 
-
-class TestDatalogRouting:
-    def edges(self):
-        return {
-            "e": {
-                ("a", "b"): True,
-                ("b", "c"): True,
-                ("c", "c"): True,
-                ("a", "a"): True,
-            }
-        }
-
-    def test_transitive_closure_via_rule_join_plans(self):
-        X, Y, Z = Var("X"), Var("Y"), Var("Z")
-        program = Program(
-            [
-                Rule(Atom("t", (X, Y)), [Atom("e", (X, Y))]),
-                Rule(Atom("t", (X, Y)), [Atom("e", (X, Z)), Atom("t", (Z, Y))]),
-            ]
-        )
-        result = evaluate_datalog(program, BOOL, self.edges())
-        assert ("t", ("a", "c")) in result
-        assert ("t", ("b", "c")) in result
-        assert ("t", ("c", "a")) not in result
-
-    def test_repeated_variable_in_one_atom_is_a_selection(self):
-        X, Y = Var("X"), Var("Y")
-        program = Program([Rule(Atom("loop", (X,)), [Atom("e", (X, X))])])
-        result = evaluate_datalog(program, BOOL, self.edges())
-        assert ("loop", ("a",)) in result
-        assert ("loop", ("c",)) in result
-        assert ("loop", ("b",)) not in result
-
-    def test_constants_in_body_atoms_filter(self):
-        X = Var("X")
-        program = Program([Rule(Atom("from_a", (X,)), [Atom("e", ("a", X))])])
-        result = evaluate_datalog(program, BOOL, self.edges())
-        assert ("from_a", ("b",)) in result
-        assert ("from_a", ("a",)) in result
-        assert ("from_a", ("c",)) not in result
-
-    def test_annotations_multiply_along_the_body_in_nat(self):
-        X, Y, Z = Var("X"), Var("Y"), Var("Z")
-        program = Program(
-            [Rule(Atom("p", (X, Z)), [Atom("e", (X, Y)), Atom("e", (Y, Z))])]
-        )
-        edb = {"e": {("a", "b"): 2, ("b", "c"): 3}}
-        result = evaluate_datalog(program, NAT, edb)
-        assert result.annotation("p", ("a", "c")) == 6

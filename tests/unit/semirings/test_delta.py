@@ -51,7 +51,7 @@ class TestDeltaHomomorphism:
         h = valuation_hom(NX, NAT, {"x": 4, "y": 5})
         assert h(p) == 1 * 5 + 3
 
-    def test_delta_inside_delta_evaluates(self):
+    def test_nested_delta_is_evaluated(self):
         x = NX.variable("x")
         dd = NX.delta(NX.delta(x) + NX.variable("y"))
         h = valuation_hom(NX, NAT, {"x": 0, "y": 0})
