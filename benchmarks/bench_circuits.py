@@ -12,7 +12,12 @@ circuits for exactly this reason).
 import pytest
 
 from benchmarks.conftest import print_series
-from repro.circuits import CircuitSemiring, circuit_to_polynomial, evaluate_circuit
+from repro.circuits import (
+    CircuitSemiring,
+    circuit_to_polynomial,
+    evaluate_circuit,
+    evaluate_gates,
+)
 from repro.core import KDatabase, KRelation, NaturalJoin, Project, Table
 from repro.core.query import Query
 from repro.semirings import NAT, NX, valuation_hom
@@ -99,7 +104,8 @@ def test_bench_circuit_annotations(benchmark, depth):
 
 @pytest.mark.parametrize("width", [16, 64])
 def test_bench_circuit_evaluation(benchmark, width):
-    _db_nx, db_c, _cs = make_dbs(width)
+    _db_nx, db_c, cs = make_dbs(width)
     q = squaring_query(3)
     node = annotation_of(q.evaluate(db_c))
-    benchmark(lambda: evaluate_circuit(node, NAT, lambda token: 2))
+    # through the builder's gate store, as CircuitResult.specialise runs it
+    benchmark(lambda: evaluate_gates([node], NAT, lambda token: 2, builder=cs.builder))

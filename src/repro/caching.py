@@ -4,7 +4,9 @@ Several per-database / per-builder memos grow with the *workload*, not
 the data — the compiled-plan cache on query objects, the hash-consing
 tables of circuit builders.  Unbounded, they are a production-traffic
 footgun: a service evaluating many distinct queries against a long-lived
-database accretes memory forever.  :class:`LRUDict` is the shared cap:
+database accretes memory forever.  Circuit builders cap theirs by gate
+generations (:mod:`repro.circuits.store`); :class:`LRUDict` is the cap
+of the rest:
 a ``dict`` with least-recently-used eviction, built on the insertion
 order of the underlying dict (``move_to_end`` via delete + reinsert), so
 lookups stay one hash away from a plain dict.

@@ -1,7 +1,7 @@
 """Provenance circuits: shared-DAG annotations (the ProvSQL-style substrate)."""
 
 from repro.circuits.convert import circuit_to_polynomial, polynomial_to_circuit
-from repro.circuits.evaluate import evaluate_circuit
+from repro.circuits.evaluate import evaluate_circuit, evaluate_gates
 from repro.circuits.nodes import CircuitBuilder, CircuitNode
 from repro.circuits.semiring import CircuitSemiring
 
@@ -10,6 +10,7 @@ __all__ = [
     "CircuitBuilder",
     "CircuitSemiring",
     "evaluate_circuit",
+    "evaluate_gates",
     "circuit_to_polynomial",
     "polynomial_to_circuit",
 ]

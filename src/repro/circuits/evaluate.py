@@ -1,19 +1,87 @@
-"""Memoized circuit evaluation into arbitrary semirings.
+"""Circuit evaluation into arbitrary semirings: one bottom-up pass.
 
 Evaluating a circuit under a valuation is the circuit analogue of applying
 a freely-extended homomorphism to a provenance polynomial: each distinct
 gate is computed once (the point of sharing), in any target semiring.
+Gate ids are topological — a gate is created after its children — so
+one pass in id order is a valid schedule, and so is one pass level by
+level over the builder's gate store (:mod:`repro.circuits.store`).
+
+:func:`evaluate_gates` finds the gates reachable from all its roots at
+once, then either
+
+* runs **the array pass** — one NumPy reduction per (level, kind): when
+  the target declares an exact numeric
+  :class:`~repro.semirings.base.MachineRepr` (``int64`` or ``bool``),
+  the valuation's images are of its type, every gate sits in the
+  builder's current generation, and, for ``int64``, the exact magnitude
+  bound carried level by level stays inside int64; or
+* runs **the id-order loop** — the target's own ``plus`` / ``times`` /
+  ``sum_many`` / ``prod_many`` / ``delta``, one gate at a time, exact in
+  every semiring (``N[X]`` lowering, security, ``N`` past int64,
+  ``float64`` targets, whose re-associated sums would round differently).
+
+Both give the identical answer; NumPy only decides which one runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.circuits.nodes import CircuitNode
+from repro.circuits.store import CONST, DELTA, ONE, PLUS, VAR, ZERO
 from repro.exceptions import HomomorphismError
-from repro.semirings.base import Semiring
+from repro.semirings.base import Semiring, _np
 
-__all__ = ["evaluate_circuit"]
+__all__ = ["evaluate_circuit", "evaluate_gates", "reachable_count"]
+
+#: Deepest circuit the array pass takes on.  Each level costs a dozen NumPy
+#: calls whatever its width, and query plans build a few levels per
+#: operator; a deeper circuit is a long chain, where the loop's per-gate
+#: cost is the smaller one.
+_MAX_LEVELS = 64
+
+_INT64_MAX = (1 << 63) - 1
+
+_by_id = attrgetter("_id")
+_payload = attrgetter("payload")
+
+
+def evaluate_gates(
+    roots: Sequence[CircuitNode],
+    target: Semiring,
+    valuation: Mapping[Any, Any] | Callable[[Any], Any],
+    *,
+    builder=None,
+    memo: Dict[int, Any] | None = None,
+) -> List[Any]:
+    """The values of ``roots`` in ``target`` under a token valuation.
+
+    ``valuation`` maps tokens to target elements (mapping or callable).
+    ``builder`` is the roots' :class:`~repro.circuits.nodes.CircuitBuilder`:
+    with it, reachability runs over the gate store and the array pass can
+    run; without it, the loop walks the nodes.  ``memo`` (gate id ->
+    value) is the loop's cache: passing the same dict across calls with a
+    fixed (target, valuation) evaluates each shared gate once for all of
+    them; it implies the loop.
+    """
+    image = _image(valuation)
+    order = None
+    if memo is None and builder is not None:
+        reached = _reach(builder.store, roots)
+        if reached is not None:
+            values = _array_pass(reached, target, image)
+            if values is not None:
+                return values
+            nodes = reached.store.nodes
+            order = [nodes[r] for r in reached.rows.tolist()]
+    if memo is None:
+        memo = {}
+    if order is None:
+        order = _reachable(roots, memo)
+    _loop(order, target, image, memo)
+    return [memo[root._id] for root in roots]
 
 
 def evaluate_circuit(
@@ -23,69 +91,202 @@ def evaluate_circuit(
     *,
     memo: Dict[int, Any] | None = None,
 ) -> Any:
-    """Evaluate ``node`` in ``target`` under a token valuation.
+    """Evaluate one circuit in ``target`` (see :func:`evaluate_gates`)."""
+    return evaluate_gates((node,), target, valuation, memo=memo)[0]
 
-    ``valuation`` maps tokens to target elements (mapping or callable).
-    Iterative post-order with memoization: shared gates are evaluated
-    once, and recursion depth is independent of circuit depth.
 
-    ``memo`` optionally shares the per-gate cache *across calls*: passing
-    the same dict while evaluating every annotation of a result relation
-    ("batch" evaluation) computes each shared gate once for the whole
-    batch rather than once per annotation.  The caller owns the dict and
-    must keep (target, valuation) fixed for its lifetime.
-    """
-    if isinstance(valuation, Mapping):
-        mapping = dict(valuation)
+def reachable_count(roots: Sequence[CircuitNode], builder=None) -> int:
+    """Distinct gates reachable from ``roots`` (the circuit-size metric)."""
+    reached = _reach(builder.store, roots) if builder is not None else None
+    if reached is not None:
+        return len(reached.rows)
+    return len(_reachable(roots, {}))
 
-        def image(token: Any) -> Any:
-            try:
-                return mapping[token]
-            except KeyError:
-                raise HomomorphismError(
-                    f"valuation does not cover token {token!r}"
-                ) from None
 
-    else:
-        image = valuation
+def _image(valuation) -> Callable[[Any], Any]:
+    if not isinstance(valuation, Mapping):
+        return valuation
+    mapping = dict(valuation)
 
-    if memo is None:
-        memo = {}
-    stack = [(node, False)]
+    def image(token: Any) -> Any:
+        try:
+            return mapping[token]
+        except KeyError:
+            raise HomomorphismError(
+                f"valuation does not cover token {token!r}"
+            ) from None
+
+    return image
+
+
+# ---------------------------------------------------------------------------
+# the id-order loop
+# ---------------------------------------------------------------------------
+
+
+def _reachable(roots: Sequence[CircuitNode], memo: Dict[int, Any]) -> List[CircuitNode]:
+    """The gates reachable from ``roots`` and not in ``memo``, in id order."""
+    seen: set = set()
+    out: List[CircuitNode] = []
+    stack = list(roots)
     while stack:
-        current, expanded = stack.pop()
-        if current._id in memo:
+        node = stack.pop()
+        if node._id in seen or node._id in memo:
             continue
-        if not expanded:
-            stack.append((current, True))
-            for child in current.children:
-                if child._id not in memo:
-                    stack.append((child, False))
-            continue
-        kind = current.kind
-        if kind == "zero":
-            value = target.zero
-        elif kind == "one":
-            value = target.one
-        elif kind == "const":
-            value = target.from_int(current.payload)
-        elif kind == "var":
-            value = image(current.payload)
+        seen.add(node._id)
+        out.append(node)
+        stack.extend(node.children)
+    out.sort(key=_by_id)
+    return out
+
+
+def _loop(order: List[CircuitNode], target: Semiring, image, memo: Dict[int, Any]) -> None:
+    """Evaluate ``order`` (children before parents) into ``memo``."""
+    for node in order:
+        kind = node.kind
+        children = node.children
+        if kind == "var":
+            value = image(node.payload)
         elif kind == "plus":
-            children = current.children
             if len(children) == 2:
                 value = target.plus(memo[children[0]._id], memo[children[1]._id])
             else:  # flattened n-ary gate: one fused reduction
-                value = target.sum_many(memo[c._id] for c in children)
+                value = target.sum_many([memo[c._id] for c in children])
         elif kind == "times":
-            children = current.children
             if len(children) == 2:
                 value = target.times(memo[children[0]._id], memo[children[1]._id])
             else:
-                value = target.prod_many(memo[c._id] for c in children)
+                value = target.prod_many([memo[c._id] for c in children])
         elif kind == "delta":
-            value = target.delta(memo[current.children[0]._id])
+            value = target.delta(memo[children[0]._id])
+        elif kind == "const":
+            value = target.from_int(node.payload)
+        elif kind == "zero":
+            value = target.zero
+        elif kind == "one":
+            value = target.one
         else:  # pragma: no cover - builder only produces the kinds above
             raise HomomorphismError(f"unknown circuit gate {kind!r}")
-        memo[current._id] = value
-    return memo[node._id]
+        memo[node._id] = value
+
+
+# ---------------------------------------------------------------------------
+# the array pass
+# ---------------------------------------------------------------------------
+
+
+class _Reached:
+    __slots__ = ("store", "snap", "root_rows", "rows")
+
+    def __init__(self, store, snap, root_rows, rows):
+        self.store, self.snap, self.root_rows, self.rows = store, snap, root_rows, rows
+
+
+def _reach(store, roots: Sequence[CircuitNode]):
+    """The store rows reachable from ``roots``, found level by level over
+    the CSR children — or ``None`` when the store cannot answer (no NumPy,
+    a root or a reachable child outside this generation, a circuit deeper
+    than :data:`_MAX_LEVELS`)."""
+    from repro.plan.kernels import HAVE_NUMPY
+
+    if not HAVE_NUMPY:
+        return None
+    np = _np()
+    root_rows = store.rows(roots)
+    if root_rows is None:
+        return None
+    snap = store.arrays()
+    if len(root_rows) and snap.levels[root_rows].max() > _MAX_LEVELS:
+        return None
+    mask = np.zeros(snap.n, dtype=bool)
+    frontier = _distinct(np, root_rows)
+    mask[frontier] = True
+    while len(frontier):
+        kids, _counts = store.children(snap, frontier)
+        if len(kids) and kids.min() < 0:
+            return None
+        frontier = _distinct(np, kids[~mask[kids]])
+        mask[frontier] = True
+    return _Reached(store, snap, root_rows, np.flatnonzero(mask))
+
+
+def _distinct(np, rows):
+    """The distinct entries of ``rows``, sorted (a sort and a mask: far
+    cheaper than ``np.unique`` on these sizes)."""
+    rows = np.sort(rows)
+    if len(rows) > 1:
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    return rows
+
+
+def _array_pass(reached: _Reached, target: Semiring, image):
+    """The values of the roots as one NumPy pass per (level, kind), or
+    ``None`` where the loop must run instead (see the module docstring)."""
+    machine = target.machine_repr
+    if machine is None or not machine.portable or machine.dtype == "float64":
+        return None
+    np = _np()
+    store, snap, rows = reached.store, reached.snap, reached.rows
+    if not len(rows):
+        return []
+    dtype = np.dtype(machine.dtype)
+    kind = snap.kinds[rows]
+    level = snap.levels[rows]
+    order = np.lexsort((kind, level))
+    rows, kind, level = rows[order], kind[order], level[order]
+    cuts = np.flatnonzero((np.diff(kind) != 0) | (np.diff(level) != 0)) + 1
+    bounds = [0, *cuts.tolist(), len(rows)]
+    values = np.empty(snap.n, dtype=dtype)
+    nodes = store.nodes
+    bounded = machine.bounded
+    below = done = 1  # exact magnitude bounds: levels below / up to here
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        part = rows[start:end]
+        code = int(kind[start])
+        if start and level[start] != level[start - 1]:
+            below = done
+        if code == VAR or code == CONST:
+            payloads = map(_payload, map(nodes.__getitem__, part.tolist()))
+            items = list(map(image if code == VAR else target.from_int, payloads))
+            leaf = _leaf_array(np, items, dtype)
+            if leaf is None:
+                return None
+            if bounded and len(leaf):
+                done = max(done, int(leaf.max()), -int(leaf.min()))
+            values[part] = leaf
+        elif code == ZERO or code == ONE:
+            values[part] = machine.code(target.zero if code == ZERO else target.one)
+        elif code == DELTA:
+            values[part] = machine.delta(
+                values[snap.kids[snap.ptr[part]]],
+                machine.code(target.zero),
+                machine.code(target.one),
+            )
+        else:
+            kids, counts = store.children(snap, part)
+            if bounded:
+                arity = int(counts.max())
+                if code == PLUS:
+                    grown = below * arity
+                elif (below - 1).bit_length() * arity > 126:
+                    return None
+                else:
+                    grown = below ** arity
+                if grown > _INT64_MAX:
+                    return None
+                done = max(done, grown)
+            ufunc = machine.plus if code == PLUS else machine.times
+            values[part] = ufunc.reduceat(values[kids], np.cumsum(counts) - counts)
+    return values[reached.root_rows].tolist()
+
+
+def _leaf_array(np, items: List[Any], dtype):
+    """``items`` as an array of ``dtype`` if each is of the dtype's exact
+    Python type (``int`` — never ``bool`` — or ``bool``), else ``None``."""
+    kinds = set(map(type, items))
+    if kinds - ({bool} if dtype.kind == "b" else {int}):
+        return None
+    try:
+        return np.array(items, dtype=dtype)
+    except OverflowError:
+        return None

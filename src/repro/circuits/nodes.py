@@ -21,6 +21,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.circuits.store import GateStore
+
 __all__ = ["CircuitNode", "CircuitBuilder"]
 
 
@@ -140,41 +142,39 @@ class CircuitNode:
 class CircuitBuilder:
     """Interning factory for circuit nodes (one per CircuitSemiring).
 
-    The interning tables are **bounded** (``max_gates`` distinct gates,
-    plus half that for each binary-operation memo): under production
-    traffic a long-lived builder serves many distinct queries, and
-    unbounded hash-consing grows memory with the workload forever.  The
-    cap evicts in insertion order — checked only on *misses*, so the
-    hot-path hit stays a single C-level ``dict.get`` (a recency-updating
-    LRU would tax every gate intern; :class:`repro.caching.LRUDict` backs
-    the colder caches instead).  Eviction only costs sharing — a
-    re-requested shape is rebuilt as a fresh, structurally identical
-    gate; live gates stay reachable from whatever references them
-    (children hold strong references), and the pinned ``zero``/``one``
-    attributes keep the identity-based ``is_zero``/``is_one`` tests sound
-    forever.
+    Every interned gate is also a row of the builder's gate store
+    (:attr:`store`, :mod:`repro.circuits.store`), which the evaluator and
+    the encoded tier run over.  Interning is **bounded**: a long-lived
+    builder serves many distinct queries, and unbounded hash-consing
+    grows memory with the workload forever.  When the intern table
+    reaches ``max_gates`` the builder starts a new *generation* — a fresh
+    store and fresh intern tables (the two binary-operation memos map to
+    gates, so they are bounded by the same count) — checked only on
+    *misses*, so the hot-path hit stays a single C-level ``dict.get``.
+    A retired generation costs only sharing: a re-requested shape is
+    rebuilt as a fresh, structurally identical gate; live gates stay
+    reachable from whatever references them (children hold strong
+    references) and evaluate by the id-order loop; and the pinned
+    ``zero``/``one`` attributes — rows 0 and 1 of every generation — keep
+    the identity-based ``is_zero``/``is_one`` tests sound forever.
     """
 
-    #: Default cap on distinct interned gates per builder.
+    #: Default cap on distinct interned gates per generation.
     DEFAULT_MAX_GATES = 1 << 20
 
     def __init__(self, max_gates: Optional[int] = DEFAULT_MAX_GATES) -> None:
-        self._max_gates = max_gates
+        self._max_gates = None  # the pinned gates below never roll over
         self._intern: Dict[Tuple, CircuitNode] = {}
         # memo in front of _make for the two binary hot paths: the key is
         # two ints instead of a nested (kind, payload, child-ids) tuple
-        self._memo_cap = None if max_gates is None else max(1, max_gates // 2)
         self._plus2: Dict[Tuple[int, int], CircuitNode] = {}
         self._times2: Dict[Tuple[int, int], CircuitNode] = {}
         self._counter = 0
         self._mutex = threading.Lock()
+        self.store = GateStore(self, 1)
         self.zero = self._make("zero", None, ())
         self.one = self._make("one", None, ())
-
-    @staticmethod
-    def _cap(table: dict, cap: Optional[int]) -> None:
-        if cap is not None and len(table) >= cap:
-            del table[next(iter(table))]
+        self._max_gates = max_gates
 
     def _make(self, kind: str, payload: Any, children: Tuple[CircuitNode, ...]) -> CircuitNode:
         key = (kind, payload, tuple(c._id for c in children))
@@ -182,15 +182,21 @@ class CircuitBuilder:
         if node is None:
             # the miss path serialises: gate ids must be unique (the
             # binary memos key on id pairs, so a duplicated id would
-            # alias distinct gates), and the counter bump is a
-            # read-modify-write.  Hits above stay one lock-free dict.get.
+            # alias distinct gates), the counter bump is a
+            # read-modify-write, and a store row is an append.  Hits
+            # above stay one lock-free dict.get.
             with self._mutex:
                 node = self._intern.get(key)
                 if node is None:
+                    if self._max_gates is not None and len(self._intern) >= self._max_gates:
+                        self._intern, self._plus2, self._times2 = {}, {}, {}
+                        self.store = GateStore(
+                            self, self._counter + 1, (self.zero, self.one)
+                        )
                     self._counter += 1
                     node = CircuitNode(kind, payload, children, self._counter)
-                    self._cap(self._intern, self._max_gates)
                     self._intern[key] = node
+                    self.store.append(node)
         return node
 
     # -- constructors with local simplification --------------------------------
@@ -219,7 +225,6 @@ class CircuitBuilder:
         key = (a._id, b._id)
         node = self._plus2.get(key)
         if node is None:
-            self._cap(self._plus2, self._memo_cap)
             node = self._plus2[key] = self._make("plus", None, (a, b))
         return node
 
@@ -236,7 +241,6 @@ class CircuitBuilder:
         key = (a._id, b._id)
         node = self._times2.get(key)
         if node is None:
-            self._cap(self._times2, self._memo_cap)
             node = self._times2[key] = self._make("times", None, (a, b))
         return node
 
@@ -306,7 +310,7 @@ class CircuitBuilder:
         return self._make("times", None, tuple(children))
 
     def interned_count(self) -> int:
-        """Number of currently interned gates (sharing / memory metric;
-        LRU-evicted gates no longer count, though they stay alive while
-        referenced)."""
+        """Number of gates interned in the current generation (sharing /
+        memory metric; gates of retired generations no longer count,
+        though they stay alive while referenced)."""
         return len(self._intern)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.circuits.nodes import CircuitBuilder, CircuitNode
+from repro.circuits.store import GateStore
 from repro.semirings.base import Semiring
 
 __all__ = ["CircuitSemiring"]
@@ -46,6 +47,12 @@ class CircuitSemiring(Semiring):
         self.sum_many = self.builder.plus_many
         self.prod_many = self.builder.times_many
         self.delta = self.builder.delta
+
+    @property
+    def machine_repr(self) -> GateStore:
+        """Gate ids into the builder's current gate store (the encoded
+        tier's annotation arrays; :mod:`repro.circuits.store`)."""
+        return self.builder.store
 
     @property
     def zero(self) -> CircuitNode:
@@ -100,10 +107,10 @@ class CircuitSemiring(Semiring):
         return self.builder.const(n)
 
     def hom_to_nat(self, a: CircuitNode) -> int:
-        from repro.circuits.evaluate import evaluate_circuit  # avoid cycle
+        from repro.circuits.evaluate import evaluate_gates  # avoid cycle
         from repro.semirings.natural import NAT
 
-        return evaluate_circuit(a, NAT, lambda token: 1)
+        return evaluate_gates((a,), NAT, lambda token: 1, builder=self.builder)[0]
 
     def format(self, a: CircuitNode) -> str:
         # full expansion is exponential in depth; render within a budget

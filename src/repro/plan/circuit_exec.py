@@ -15,24 +15,33 @@ This module runs the ordinary physical plan over a
    database (token polynomials become input gates; the mapping is cached
    on the :class:`~repro.core.database.KDatabase` and reused across
    queries, so gates are shared *between* queries too);
-2. the plan executes unchanged — ``plus``/``times``/``sum_many`` build
-   gates in O(1) amortised instead of merging polynomial dicts;
+2. the plan executes on the **encoded tier**: the circuit semiring's
+   machine representation is its builder's gate store
+   (:mod:`repro.circuits.store`), so annotation arrays hold int64 gate
+   ids and a join's ``×`` gates, a projection's or a group's ``+`` gates
+   and a ``δ`` gate are interned a batch at a time — the same gates the
+   object tier interns one ``plus``/``times`` call at a time, which is
+   where the plan falls back per operator (``EncodedFallback``) and
+   where it runs without NumPy;
 3. the result is returned as a :class:`CircuitResult`, which **lowers
    lazily**: specialisations (trust, security, deletion, multiplicity)
-   batch-evaluate the shared gates once per valuation, and the canonical
-   ``N[X]`` relation is expanded only if something asks for it.
+   evaluate the gates reachable from the whole result in one bottom-up
+   pass per valuation (:func:`~repro.circuits.evaluate.evaluate_gates`:
+   one NumPy reduction per level into a numeric target, the id-order
+   loop otherwise), and the canonical ``N[X]`` relation is expanded, by
+   that loop, only if something asks for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
-from repro.circuits.convert import circuit_to_polynomial, polynomial_to_circuit
-from repro.circuits.evaluate import evaluate_circuit
+from repro.circuits.convert import polynomial_to_circuit
+from repro.circuits.evaluate import evaluate_gates, reachable_count
 from repro.circuits.semiring import CircuitSemiring
 from repro.core.database import KDatabase
 from repro.core.relation import KRelation
-from repro.exceptions import HomomorphismError, QueryError
+from repro.exceptions import QueryError
 from repro.semimodules.tensor import Tensor, tensor_space
 from repro.semirings.base import Semiring
 from repro.semirings.homomorphism import Homomorphism
@@ -57,9 +66,11 @@ def circuit_database(db: KDatabase) -> Tuple[CircuitSemiring, KDatabase]:
     after a mutation each relation is re-validated by object identity, so
     ``db.add``/``db.update`` refreshing one table re-encodes only that
     table while keeping every existing gate — and every compiled plan
-    against the circuit database — intact.  (:mod:`repro.ivm` patches the
-    image in place on incremental updates, interning only the delta's new
-    gates, and restamps the cache itself.)
+    against the circuit database — intact.  When the builder has started
+    a new gate generation since (its ``max_gates`` cap), every table is
+    re-lifted into it, so the encoded tier can scan them again.
+    (:mod:`repro.ivm` patches the image in place on incremental updates,
+    interning only the delta's new gates, and restamps the cache itself.)
 
     Runs under the database's writer lock: the image is mutable shared
     state (one gate universe, one circuit database per lineage), so
@@ -78,11 +89,15 @@ def circuit_database(db: KDatabase) -> Tuple[CircuitSemiring, KDatabase]:
         cache = getattr(db, "_circuit_cache", None)
         if cache is None:
             circ = CircuitSemiring(name=f"Circ[{db.semiring.name}]")
-            cache = {"semiring": circ, "db": KDatabase(circ), "sources": {}, "version": None}
+            cache = {"semiring": circ, "db": KDatabase(circ), "sources": {},
+                     "version": None, "store": circ.builder.store}
             db._circuit_cache = cache
-        elif cache["version"] == db.version:
-            return cache["semiring"], cache["db"]
         circ = cache["semiring"]
+        if cache["store"] is not circ.builder.store:
+            cache["sources"].clear()
+            cache["store"] = circ.builder.store
+        elif cache["version"] == db.version:
+            return circ, cache["db"]
         circ_db: KDatabase = cache["db"]
         sources: Dict[str, KRelation] = cache["sources"]
         for name, rel in db:
@@ -168,10 +183,11 @@ class CircuitResult:
     semiring.  Nothing is expanded until asked for:
 
     ``specialise(valuation, target)``
-        the fast path the representation exists for — evaluate the shared
-        gates **once per valuation** (batch-memoized across all result
-        annotations and tensor scalars) and return the specialised
-        ``target``-relation, without ever materialising ``N[X]``;
+        the fast path the representation exists for — evaluate the gates
+        reachable from every result annotation and tensor scalar **once
+        per valuation**, in one bottom-up pass, and return the
+        specialised ``target``-relation, without ever materialising
+        ``N[X]``;
     ``lower()``
         the canonical ``N[X]`` relation (memoized), for canonical
         comparison or display — this is where expansion cost lives, and it
@@ -202,36 +218,25 @@ class CircuitResult:
 
     def gate_count(self) -> int:
         """Distinct gates reachable from the result annotations (size metric)."""
-        seen: set = set()
-        count = 0
-        for node in self._all_nodes():
-            for gate in node.iter_nodes():
-                if gate._id not in seen:
-                    seen.add(gate._id)
-                    count += 1
-        return count
+        return reachable_count(self._roots(), self.circuit_semiring.builder)
 
-    def _all_nodes(self):
+    def _roots(self) -> List[Any]:
+        """Every annotation and tensor scalar of the result (unordered)."""
+        roots: List[Any] = []
         for tup, annotation in self.circuit_relation.rows():
-            yield annotation
+            roots.append(annotation)
             for value in tup.values():
                 if isinstance(value, Tensor):
-                    for _m, k in value.items():
-                        yield k
+                    roots.extend(value._entries.values())
+        return roots
 
     # -- lowering ----------------------------------------------------------
 
     def lower(self) -> KRelation:
         """The canonical ``N[X]`` result (computed once, then cached)."""
         if self._lowered is None:
-            memo: Dict[int, Any] = {}
-            hom = Homomorphism(
-                self.circuit_semiring,
-                NX,
-                lambda node: circuit_to_polynomial(node, memo=memo),
-                name=f"{self.circuit_semiring.name}→{NX.name}",
-            )
-            self._lowered = self.circuit_relation.apply_hom(hom)
+            name = f"{self.circuit_semiring.name}→{NX.name}"
+            self._lowered = self._evaluate(NX, NX.variable, name)
         return self._lowered
 
     def specialise(
@@ -243,35 +248,22 @@ class CircuitResult:
     ) -> KRelation:
         """Evaluate the result under a token valuation into ``target``.
 
-        Each shared gate is computed once for the whole relation (one memo
-        spans every annotation and every tensor scalar), which is the
-        circuit counterpart of applying
+        Each gate reachable from the result is computed once for the whole
+        relation, which is the circuit counterpart of applying
         :func:`~repro.semirings.homomorphism.valuation_hom` to an expanded
         result — without ever building the expanded polynomials.
         """
-        # normalise a Mapping to one lookup closure up front:
-        # evaluate_circuit would otherwise defensively copy the dict on
-        # every per-annotation call
-        if isinstance(valuation, Mapping):
-            mapping = dict(valuation)
-
-            def image(token: Any) -> Any:
-                try:
-                    return mapping[token]
-                except KeyError:
-                    raise HomomorphismError(
-                        f"valuation does not cover token {token!r}"
-                    ) from None
-
-        else:
-            image = valuation
-        memo: Dict[int, Any] = {}
-        hom = Homomorphism(
-            self.circuit_semiring,
-            target,
-            lambda node: evaluate_circuit(node, target, image, memo=memo),
-            name=name or f"{self.circuit_semiring.name}→{target.name}",
+        return self._evaluate(
+            target, valuation, name or f"{self.circuit_semiring.name}→{target.name}"
         )
+
+    def _evaluate(self, target: Semiring, valuation, name: str) -> KRelation:
+        roots = self._roots()
+        values = evaluate_gates(
+            roots, target, valuation, builder=self.circuit_semiring.builder
+        )
+        image = dict(zip(roots, values))
+        hom = Homomorphism(self.circuit_semiring, target, image.__getitem__, name=name)
         return self.circuit_relation.apply_hom(hom)
 
     # -- KRelation-compatible face (delegates to the lowered form) ---------

@@ -338,7 +338,8 @@ def compile_plan(
     honestly reported).  Insisting
     on ``"encoded"`` or ``"parallel"`` against a database that is not
     encodable raises :class:`~repro.exceptions.QueryError` naming what is
-    missing.
+    missing, as does ``"parallel"`` over a circuit semiring, whose
+    annotations are per-process gate ids.
     """
     if tier not in (None, "object", "encoded", "parallel"):
         raise QueryError(f"unknown execution tier {tier!r}")
@@ -355,7 +356,8 @@ def compile_plan(
             root = _compile(working, catalog, sizes)
         except _CannotCompile:
             root = Fallback(working)
-    if db.semiring.machine_repr is None:
+    machine = db.semiring.machine_repr
+    if machine is None:
         unencodable = (
             f"semiring {db.semiring.name} declares no machine representation"
         )
@@ -367,6 +369,12 @@ def compile_plan(
         raise QueryError(
             f"the {tier} tier is unavailable: {unencodable} "
             "(omit tier to auto-select)"
+        )
+    if tier == "parallel" and not machine.portable:
+        raise QueryError(
+            f"the parallel tier is unavailable: {db.semiring.name} annotations "
+            "are gate ids into this process's gate store, which workers do not "
+            "share (omit tier to auto-select)"
         )
     qualifies = unencodable is None and not isinstance(root, Fallback)
     parallel_spec = None

@@ -18,7 +18,10 @@ tier:
   (:func:`carry_forward`);
 * annotations of semirings declaring a
   :class:`~repro.semirings.base.MachineRepr` are stored as a flat NumPy
-  array of the declared dtype;
+  array of the declared dtype — machine scalars, or, for the circuit
+  semiring, int64 ids into its gate store
+  (:mod:`repro.circuits.store`), whose ``+``/``*``/``delta`` kernels
+  intern gates;
 * the physical operators then run as array kernels over codes: selection
   decides each *distinct* value once and filters by code, joins translate
   probe codes to build codes through the dictionaries (per distinct value,
@@ -146,8 +149,11 @@ class EncodedColumn:
 class EncodedBatch:
     """A batch of machine-annotated rows over dictionary-encoded columns.
 
-    ``anns`` is the NumPy annotation array (dtype per the semiring's
-    :class:`~repro.semirings.base.MachineRepr`); ``anns_one`` records that
+    ``anns`` is the NumPy annotation array in the batch's ``machine``
+    representation (the semiring's
+    :class:`~repro.semirings.base.MachineRepr` when its first batch was
+    encoded; derived batches inherit it, since a circuit semiring's
+    gate store changes with each generation); ``anns_one`` records that
     every annotation equals ``1_K`` (join outputs then skip the multiply
     entirely — the common shape for dimension tables and set semantics).
     Columns are stored either materialised (:class:`EncodedColumn`) or as
@@ -158,7 +164,8 @@ class EncodedBatch:
     int — the overflow guard for int64 arithmetic (see
     :func:`check_reduction_bound`); float and bool dtypes carry a nominal
     bound and are never checked (float64 arithmetic here is bit-identical
-    to the object path's Python floats, bools cannot grow).
+    to the object path's Python floats, bools cannot grow), and so do
+    gate ids, which are not magnitudes.
     """
 
     __slots__ = (
@@ -179,9 +186,10 @@ class EncodedBatch:
         anns,
         anns_one: bool,
         ann_bound: int,
+        machine=None,
     ):
         self.semiring = semiring
-        self.machine = semiring.machine_repr
+        self.machine = semiring.machine_repr if machine is None else machine
         self.schema = schema
         self.cols = cols
         self.anns = anns
@@ -201,13 +209,13 @@ class EncodedBatch:
     def to_columnar(self) -> ColumnarKRelation:
         """Decode back to the boxed object representation.
 
-        ``tolist`` on a NumPy annotation array yields native Python
-        scalars, so nothing downstream can tell the batch ever left the
-        object tier.
+        The machine representation decodes the annotations to native
+        Python scalars (or the very gate objects), so nothing downstream
+        can tell the batch ever left the object tier.
         """
         columns = {a: self.col(a).decode() for a in self.schema.attributes}
         return ColumnarKRelation._from_clean(
-            self.semiring, self.schema, columns, self.anns.tolist()
+            self.semiring, self.schema, columns, self.machine.decode(self.anns)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -228,7 +236,7 @@ def _scan_annotations(semiring, annotations, anns_one: bool, bound: int):
     machine = semiring.machine_repr
     fits = machine.fits
     one = semiring.one
-    integral = machine.dtype == "int64"
+    integral = machine.bounded
     for annotation in annotations:
         if not fits(annotation):
             return None
@@ -267,8 +275,8 @@ def encode_batch(
         }
     except TypeError:  # unhashable column value
         return None
-    anns = np.asarray(annotations, dtype=np.dtype(machine.dtype))
-    return EncodedBatch(semiring, schema, cols, anns, anns_one, bound)
+    anns = machine.encode(annotations)
+    return EncodedBatch(semiring, schema, cols, anns, anns_one, bound, machine)
 
 
 def encode_relation(rel) -> Optional[EncodedBatch]:
@@ -396,19 +404,23 @@ def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
     nothing mutable with ``batch``, or ``None`` if a delta annotation
     disqualifies the table.  (Delta values need no hashability check: a
     :class:`~repro.core.tuples.Tup` hashes its values at construction.)"""
+    if batch.machine is not batch.semiring.machine_repr:
+        return None  # a retired gate generation: the next scan rebuilds
     rows = ColumnarKRelation.from_krelation(delta)
     scanned = _scan_annotations(
         batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
     )
     if scanned is None:
         return None
-    tail = np.asarray(rows.annotations, dtype=batch.anns.dtype)
+    tail = batch.machine.encode(rows.annotations)
     anns = np.concatenate((batch.anns, tail))
     cols = {
         a: _ColumnTail(batch.cols[a], rows.columns[a])
         for a in batch.schema.attributes
     }
-    return EncodedBatch(batch.semiring, batch.schema, cols, anns, *scanned)
+    return EncodedBatch(
+        batch.semiring, batch.schema, cols, anns, *scanned, batch.machine
+    )
 
 
 def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
@@ -464,6 +476,7 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
         batch.anns[start:stop],
         batch.anns_one,
         batch.ann_bound,
+        batch.machine,
     )
 
 
@@ -495,25 +508,25 @@ def combine_codes(cols: List[EncodedColumn], idx=None):
     return keys, space
 
 
-def ones_anns(semiring, n: int):
-    """An all-``1_K`` annotation array of length ``n``."""
-    machine = semiring.machine_repr
-    return np.full(n, semiring.one, dtype=np.dtype(machine.dtype))
+def ones_anns(batch: "EncodedBatch", n: int):
+    """An all-``1_K`` annotation array of length ``n`` in ``batch``'s
+    machine representation."""
+    machine = batch.machine
+    return np.full(n, machine.code(batch.semiring.one), dtype=np.dtype(machine.dtype))
 
 
-def delta_anns(semiring, anns):
-    """Vectorized ``delta``: the support indicator ``a == 0 ? 0 : 1``
-    (every machine semiring's delta is — the :class:`MachineRepr`
-    contract)."""
-    zero = anns.dtype.type(semiring.zero)
-    one = anns.dtype.type(semiring.one)
-    return np.where(anns == zero, zero, one)
+def delta_anns(batch: "EncodedBatch", anns):
+    """Vectorized ``delta`` of annotations in ``batch``'s representation
+    (the repr's kernel: the support indicator for numeric semirings)."""
+    machine, semiring = batch.machine, batch.semiring
+    return machine.delta(anns, machine.code(semiring.zero), machine.code(semiring.one))
 
 
-def all_one(semiring, anns) -> bool:
-    """Does every annotation equal ``1_K``?  (A fast-path hint for join
-    outputs, never a correctness requirement.)"""
-    return bool((anns == semiring.one).all())
+def all_one(batch: "EncodedBatch", anns) -> bool:
+    """Does every annotation (in ``batch``'s representation) equal
+    ``1_K``?  (A fast-path hint for join outputs, never a correctness
+    requirement.)"""
+    return bool((anns == batch.machine.code(batch.semiring.one)).all())
 
 
 def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
@@ -528,7 +541,7 @@ def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
     unchecked — their kernel arithmetic is bit-identical to the object
     path's.
     """
-    if batch.machine.dtype != "int64":
+    if not batch.machine.bounded:
         return batch.ann_bound
     bound = max(1, rows) * batch.ann_bound
     if bound > _INT64_MAX:
@@ -539,7 +552,7 @@ def check_reduction_bound(batch: "EncodedBatch", rows: int) -> int:
 def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     """Guard the elementwise annotation product of a join (int64 only);
     returns the exact output bound or falls back before NumPy could wrap."""
-    if left.machine.dtype != "int64":
+    if not left.machine.bounded:
         return max(left.ann_bound, right.ann_bound)
     bound = left.ann_bound * right.ann_bound
     if bound > _INT64_MAX:
@@ -547,17 +560,19 @@ def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     return bound
 
 
-def consolidate_keys(semiring, keys, space: int, anns):
-    """Merge duplicate keys (each in ``range(space)``) with ``+_K``:
-    returns ``(rep_idx, sums)``.
+def consolidate_keys(batch: "EncodedBatch", keys, space: int, anns):
+    """Merge duplicate keys (each in ``range(space)``) of ``anns`` (in
+    ``batch``'s representation) with ``+_K``: returns ``(rep_idx, sums)``.
 
     ``rep_idx`` indexes a representative input row per distinct key (the
     first in key order — sound: equal keys carry equal value tuples);
     ``sums`` is the per-key annotation reduction, aligned with
     ``rep_idx``.
     """
-    ufunc = getattr(np, semiring.machine_repr.np_plus)
-    _keys, rep_idx, sums = reduce_by_key(keys, anns, ufunc, space, semiring.zero)
+    machine = batch.machine
+    _keys, rep_idx, sums = reduce_by_key(
+        keys, anns, machine.plus, space, machine.code(batch.semiring.zero)
+    )
     return rep_idx, sums
 
 

@@ -67,22 +67,25 @@ def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any, 
 
     While :func:`direct` holds the keys are addresses: one ``ufunc.at``
     scatter into a ``space``-sized accumulator, ``np.minimum.at`` over the
-    row indices for the representatives.  Otherwise one stable ``argsort``
-    and one ``ufunc.reduceat`` — compacting a sparse key space *is* a
-    sort.  The two are equal element for element: every machine ``+_K``
-    (int add inside the callers' overflow bound, min, max, or) is exactly
+    row indices for the representatives.  Otherwise — or when ``ufunc``
+    offers ``reduceat`` only (a :class:`~repro.semirings.base.MachineRepr`
+    whose ``+`` interns gates) — one stable ``argsort`` and one
+    ``ufunc.reduceat`` — compacting a sparse key space *is* a sort.  The
+    two are equal element for element: every machine ``+_K`` (int add
+    inside the callers' overflow bound, min, max, or) is exactly
     associative and commutative, so the order of a group's rows is free.
     """
     n = len(keys)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=values.dtype)
-    if direct(space, n):
+    scatter = getattr(ufunc, "at", None)
+    if scatter is not None and direct(space, n):
         first = np.full(space, n, dtype=np.int64)
         np.minimum.at(first, keys, np.arange(n, dtype=np.int64))
         unique = np.flatnonzero(first < n)
         reductions = np.full(space, identity, dtype=values.dtype)
-        ufunc.at(reductions, keys, values)
+        scatter(reductions, keys, values)
         return unique, first[unique], reductions[unique]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

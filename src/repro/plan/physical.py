@@ -298,16 +298,27 @@ def _encoded_guard_plain(batch: EncodedBatch, attrs: Iterable[str]) -> None:
             raise EncodedFallback(f"symbolic value in column {attr!r}")
 
 
-def _note_kernel(op: str, space: int, rows: int) -> None:
+def _note_kernel(op: str, space: int, rows: int, machine=None) -> None:
     """Count, per encoded join probe (``rows`` = build rows) or grouped
-    reduction over a key space of ``space`` codes, whether it addressed the
-    codes directly or sorted them (:func:`repro.plan.kernels.direct`), and
-    say so on the operator's span — a sort there wins the attribute."""
-    kernel = "direct" if kernels.direct(space, rows) else "sorted"
+    reduction over a key space of ``space`` codes in ``machine``'s
+    annotations, whether it addressed the codes directly or sorted them
+    (:func:`repro.plan.kernels.direct`; a ``+`` that cannot scatter always
+    sorts), and say so on the operator's span — a sort there wins the
+    attribute."""
+    scatters = machine is None or hasattr(machine.plus, "at")
+    kernel = "direct" if scatters and kernels.direct(space, rows) else "sorted"
     _metrics.ENCODED_KERNEL.inc(1, op, kernel)
     span = _trace.current()
     if span is not None and span.attrs.get("kernel") != "sorted":
         span.attrs["kernel"] = kernel
+
+
+def _same_machine(left: EncodedBatch, right: EncodedBatch) -> None:
+    """Two batches' annotations combine only in one representation (gate
+    ids of two generations of a circuit builder do not)."""
+    if left.machine is not right.machine:
+        _metrics.ENCODED_KERNEL.inc(1, "gates", "fallback: two gate generations")
+        raise EncodedFallback("two gate generations")
 
 
 def _consolidate_encoded(
@@ -326,8 +337,8 @@ def _consolidate_encoded(
     keys, space = enc.combine_codes(cols, keep)
     out_bound = enc.check_reduction_bound(batch, len(keys))
     anns = batch.anns if keep is None else batch.anns[keep]
-    _note_kernel("consolidate", space, len(keys))
-    rep, sums = enc.consolidate_keys(batch.semiring, keys, space, anns)
+    _note_kernel("consolidate", space, len(keys), batch.machine)
+    rep, sums = enc.consolidate_keys(batch, keys, space, anns)
     rep_rows = rep if keep is None else keep[rep]
     out_cols = {
         a: (lambda col=col, rep_rows=rep_rows: col.gather(rep_rows))
@@ -338,8 +349,9 @@ def _consolidate_encoded(
         out_schema,
         out_cols,
         sums,
-        enc.all_one(batch.semiring, sums),
+        enc.all_one(batch, sums),
         out_bound,
+        batch.machine,
     )
 
 
@@ -473,6 +485,7 @@ class SelectStage:
             batch.anns[keep],
             batch.anns_one,
             batch.ann_bound,
+            batch.machine,
         )
 
 
@@ -540,6 +553,7 @@ class RenameStage:
             batch.anns,
             batch.anns_one,
             batch.ann_bound,
+            batch.machine,
         )
 
 
@@ -563,14 +577,15 @@ class DistinctStage:
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
         merged = _consolidate_encoded(batch, batch.schema)
-        anns = enc.delta_anns(batch.semiring, merged.anns)
+        anns = enc.delta_anns(batch, merged.anns)
         return EncodedBatch(
             batch.semiring,
             batch.schema,
             merged.cols,
             anns,
-            enc.all_one(batch.semiring, anns),
-            1,  # delta outputs are 0_K or 1_K
+            enc.all_one(batch, anns),
+            1,  # numeric delta outputs are 0_K or 1_K
+            batch.machine,
         )
 
 
@@ -819,6 +834,7 @@ class HashJoin(PhysicalOp):
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
         semiring = left.semiring
+        _same_machine(left, right)
         if self.kind != "cross":
             _encoded_guard_plain(left, self.left_keys)
             _encoded_guard_plain(right, self.right_keys)
@@ -873,7 +889,7 @@ class HashJoin(PhysicalOp):
                 )
 
         if left.anns_one and right.anns_one:
-            anns = enc.ones_anns(semiring, len(left_idx))
+            anns = enc.ones_anns(left, len(left_idx))
             anns_one = True
             bound = 1
         elif left.anns_one:
@@ -886,10 +902,11 @@ class HashJoin(PhysicalOp):
             bound = left.ann_bound
         else:
             bound = enc.check_product_bound(left, right)
-            times = getattr(np, left.machine.np_times)
-            anns = times(left.anns[left_idx], right.anns[right_idx])
+            anns = left.machine.times(left.anns[left_idx], right.anns[right_idx])
             anns_one = False
-        return EncodedBatch(semiring, self.schema, cols, anns, anns_one, bound)
+        return EncodedBatch(
+            semiring, self.schema, cols, anns, anns_one, bound, left.machine
+        )
 
     def label(self) -> str:
         if self.kind == "cross":
@@ -913,7 +930,10 @@ class UnionAll(PhysicalOp):
         left = self.children[0].execute(ctx)
         right = self.children[1].execute(ctx)
         if isinstance(left, EncodedBatch) and isinstance(right, EncodedBatch):
-            return self._run_encoded(left, right)
+            try:
+                return self._run_encoded(left, right)
+            except EncodedFallback:
+                pass
         left = _as_columnar(left, ctx)
         right = _as_columnar(right, ctx)
         columns = {
@@ -948,6 +968,7 @@ class UnionAll(PhysicalOp):
         return enc.EncodedColumn(codes, values, index)
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
+        _same_machine(left, right)
         cols = {
             a: (
                 lambda a=a: self._merge_columns(left.col(a), right.col(a))
@@ -961,6 +982,7 @@ class UnionAll(PhysicalOp):
             np.concatenate([left.anns, right.anns]),
             left.anns_one and right.anns_one,
             max(left.ann_bound, right.ann_bound),
+            left.machine,
         )
 
     def label(self) -> str:
@@ -1004,17 +1026,19 @@ def _collapse_kernel(space, values: List[Any], bound: int):
 class GroupEntries:
     """Every group's tensor entries, left in the kernel's arrays: the
     column's dictionary ``values``, the surviving pairs' ``codes`` and
-    ``scalars`` in group order, and ``cuts[g]``, where group ``g``'s pairs
-    end.  ``self[g]`` is group ``g``'s ``value -> scalar`` dict, built once
-    per deferred tensor, on its first read (counted); iterating builds
-    them all (a parallel morsel's payload).
+    ``scalars`` (in the ``machine`` representation) in group order, and
+    ``cuts[g]``, where group ``g``'s pairs end.  ``self[g]`` is group
+    ``g``'s ``value -> scalar`` dict, built once per deferred tensor, on
+    its first read (counted); iterating builds them all (a parallel
+    morsel's payload).
     Dictionaries are copy-on-write (:mod:`repro.plan.encoded`), so
     ``values`` stays valid after the table grows."""
 
-    __slots__ = ("values", "codes", "scalars", "cuts")
+    __slots__ = ("values", "codes", "scalars", "cuts", "machine")
 
-    def __init__(self, values, codes, scalars, cuts: List[int]):
+    def __init__(self, values, codes, scalars, cuts: List[int], machine):
         self.values, self.codes, self.scalars, self.cuts = values, codes, scalars, cuts
+        self.machine = machine
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -1024,11 +1048,11 @@ class GroupEntries:
         start, end = self.cuts[g - 1] if g else 0, self.cuts[g]
         codes = self.codes[start:end].tolist()
         return dict(zip(map(self.values.__getitem__, codes),
-                        self.scalars[start:end].tolist()))
+                        self.machine.decode(self.scalars[start:end])))
 
     def __iter__(self):
         values = list(map(self.values.__getitem__, self.codes.tolist()))
-        scalars, cuts = self.scalars.tolist(), self.cuts
+        scalars, cuts = self.machine.decode(self.scalars), self.cuts
         return (dict(zip(values[s:e], scalars[s:e])) for s, e in zip([0] + cuts, cuts))
 
 
@@ -1047,12 +1071,12 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     ``collapsed`` as in :meth:`GroupedAggregate.encoded_group_states`.
     """
     size = max(1, len(col.values))
-    plus = getattr(np, batch.machine.np_plus)
+    machine = batch.machine
+    plus = machine.plus
+    zero = machine.code(space.semiring.zero)
     pair_keys = gkeys * size + col.codes
-    _note_kernel("aggregate", groups * size, len(batch))
-    pkeys, prep, sums = reduce_by_key(
-        pair_keys, batch.anns, plus, groups * size, space.semiring.zero
-    )
+    _note_kernel("aggregate", groups * size, len(batch), machine)
+    pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
     pgroups = pkeys // size
     head = np.empty(len(pkeys), dtype=bool)
     head[0] = True
@@ -1060,7 +1084,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     gstarts = np.flatnonzero(head)
     totals = plus.reduceat(sums, gstarts)
 
-    keep = sums != sums.dtype.type(space.semiring.zero)
+    keep = sums != sums.dtype.type(zero)
     codes = pkeys - pgroups * size
     identity = space.monoid.identity
     identity_code = col.index.get(identity)
@@ -1069,7 +1093,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     # ends[g]: how many pairs of groups 0..g survive the masks
     ends = np.cumsum(keep)[np.append(gstarts[1:], len(keep)) - 1]
     codes, scalars = codes[keep], sums[keep]
-    entries = GroupEntries(col.values, codes, scalars, ends.tolist())
+    entries = GroupEntries(col.values, codes, scalars, ends.tolist(), machine)
 
     kernel = _collapse_kernel(space, col.values, bound)
     if isinstance(kernel, str):
@@ -1200,8 +1224,8 @@ class GroupedAggregate(PhysicalOp):
         entries: Dict[str, Any] = {attr: [] for attr in agg_cols}
         collapsed: Dict[str, Any] = {attr: [] for attr in agg_cols}
         if not agg_cols or not len(batch):
-            _note_kernel("aggregate", radix, len(batch))
-            rep, totals = enc.consolidate_keys(semiring, gkeys, radix, batch.anns)
+            _note_kernel("aggregate", radix, len(batch), batch.machine)
+            rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
         else:
             for attr, col in agg_cols.items():
                 if radix * max(1, len(col.values)) > enc._RADIX_LIMIT:
@@ -1215,7 +1239,7 @@ class GroupedAggregate(PhysicalOp):
         for col in gcols:
             codes = col.codes[rep].tolist()
             decoded.append(list(map(col.values.__getitem__, codes)))
-        return list(zip(*decoded)), totals.tolist(), entries, collapsed
+        return list(zip(*decoded)), batch.machine.decode(totals), entries, collapsed
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.

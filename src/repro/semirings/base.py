@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, List
 
 from repro.exceptions import SemiringError
 from repro.monoids.base import reduce_as_global
@@ -52,15 +52,15 @@ __all__ = ["MachineRepr", "Semiring", "ProvenanceTerm", "check_semiring_axioms"]
 _INT64_SAFE = 1 << 31
 
 class MachineRepr:
-    """Declares that a semiring's elements are machine scalars.
+    """Declares that a semiring's elements have a machine representation.
 
     The capability contract behind the dictionary-encoded execution tier
     (:mod:`repro.plan.encoded`): a semiring carrying a ``MachineRepr`` can
-    have its annotations stored in flat numeric arrays and its ``+``/``*``
-    executed as array kernels.  NumPy is the optional accelerator that
-    buys that tier (and the parallel tier on top of it); without it the
-    descriptor is inert, every plan runs the object tier, and every
-    answer is identical.  The descriptor names
+    have its annotations stored in flat NumPy arrays and its ``+``/``*``/
+    ``delta`` executed as array kernels.  NumPy is the optional
+    accelerator that buys that tier (and the parallel tier on top of it);
+    without it the descriptor is inert, every plan runs the object tier,
+    and every answer is identical.  The descriptor names
 
     * ``dtype`` — the array element type (``"int64"``, ``"float64"`` or
       ``"bool"``), used verbatim as the NumPy dtype;
@@ -68,6 +68,16 @@ class MachineRepr:
       ``"minimum"``, ``"logical_or"``, ...) implementing ``+_K`` / ``*_K``
       elementwise (names, looked up lazily, so declaring a repr never
       imports NumPy).
+
+    and supplies the array kernels the tier calls: :attr:`plus` (a ufunc:
+    ``plus.reduceat`` per segment, ``plus.at`` to scatter), :attr:`times`
+    (elementwise), :meth:`delta`, and the conversions :meth:`encode` /
+    :meth:`decode` / :meth:`code` between elements and array entries.  A
+    numeric repr's entries *are* its elements.  A repr whose entries are
+    not (:class:`repro.circuits.store.GateStore`: circuit gates as ids into
+    a per-process gate store) overrides the kernels; its ``plus`` offers
+    ``reduceat`` only, and it is neither :attr:`bounded` nor
+    :attr:`portable`.
 
     ``fits`` is the per-value qualification test: a value that does not
     round-trip *exactly and type-identically* through the dtype
@@ -77,17 +87,21 @@ class MachineRepr:
     reject Python ints even though many are exactly representable: an
     array round-trip would hand back ``3.0`` where the object path keeps
     ``3``, and the tier's contract is that results are indistinguishable.
-    Downstream growth (join products, grouped sums) is guarded separately
-    and exactly by the per-batch magnitude bound
-    (:func:`repro.plan.encoded.check_reduction_bound`).
+    Downstream growth (join products, grouped sums) of a :attr:`bounded`
+    repr is guarded separately and exactly by the per-batch magnitude
+    bound (:func:`repro.plan.encoded.check_reduction_bound`).
 
-    The tier additionally assumes ``delta`` (when defined) is the support
-    indicator ``a == 0 ? 0 : 1`` — true for every machine semiring shipped
-    (``N``, ``B``, ``Z``, tropical, Viterbi); a semiring with a different
-    delta must not declare a machine repr.
+    The default :meth:`delta` is the support indicator ``a == 0 ? 0 : 1``
+    — the delta of every numeric semiring shipped (``N``, ``B``, ``Z``,
+    tropical, Viterbi); a repr for a semiring with another delta
+    overrides it, as the gate store does (it interns a delta gate).
     """
 
     __slots__ = ("dtype", "np_plus", "np_times")
+
+    #: Do array entries mean the same in every process?  The parallel
+    #: tier ships them to workers, so it refuses a repr that is not.
+    portable = True
 
     def __init__(self, dtype: str, np_plus: str, np_times: str):
         if dtype not in ("int64", "float64", "bool"):
@@ -111,8 +125,51 @@ class MachineRepr:
             return type(value) is float
         return isinstance(value, bool)
 
+    @property
+    def bounded(self) -> bool:
+        """Does the int64 magnitude bound guard this repr's arithmetic?"""
+        return self.dtype == "int64"
+
+    # -- array kernels -------------------------------------------------------
+
+    @property
+    def plus(self):
+        """``+_K`` as a NumPy ufunc."""
+        return getattr(_np(), self.np_plus)
+
+    @property
+    def times(self):
+        """``*_K`` as a NumPy ufunc."""
+        return getattr(_np(), self.np_times)
+
+    def delta(self, anns, zero, one):
+        """Elementwise ``delta`` of ``anns`` given the entries ``zero`` and
+        ``one`` of ``0_K`` and ``1_K``: the support indicator."""
+        zero, one = anns.dtype.type(zero), anns.dtype.type(one)
+        return _np().where(anns == zero, zero, one)
+
+    def code(self, value: Any) -> Any:
+        """The array entry of one element (``0_K``, ``1_K``)."""
+        return value
+
+    def encode(self, values: List[Any]):
+        """The array of the (fitting) elements ``values``."""
+        return _np().asarray(values, dtype=_np().dtype(self.dtype))
+
+    def decode(self, array) -> List[Any]:
+        """The elements of an array, as native Python values."""
+        return array.tolist()
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<machine repr {self.dtype} +={self.np_plus} *={self.np_times}>"
+
+
+def _np():
+    """NumPy, taken from :mod:`repro.plan.kernels` (the one place it is
+    imported) at the first kernel call, never at declaration."""
+    from repro.plan.kernels import np
+
+    return np
 
 
 class ProvenanceTerm(abc.ABC):

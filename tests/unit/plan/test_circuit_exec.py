@@ -15,6 +15,7 @@ from repro.exceptions import QueryError
 from repro.monoids import SUM
 from repro.plan import CircuitResult, circuit_database, explain
 from repro.semirings import NAT, NX
+from repro.semirings.homomorphism import valuation_hom
 
 
 def nx_db():
@@ -104,3 +105,72 @@ class TestExplainAnnotationMode:
         assert "annotations: circuit" in text
         # same operator tree either way
         assert "GroupedAggregate" in text and "HashJoin" in text
+
+
+def bigger_nx_db(n=40):
+    emp = KRelation.from_rows(
+        NX,
+        ("EmpId", "Dept", "Sal"),
+        [((i, f"d{i % 4}", 10 * (1 + i % 3)), NX.variable(f"e{i}")) for i in range(n)],
+    )
+    dept = KRelation.from_rows(
+        NX,
+        ("Dept", "Region"),
+        [((f"d{j}", "EU" if j % 2 else "US"), NX.variable(f"r{j}")) for j in range(4)],
+    )
+    return KDatabase(NX, {"Emp": emp, "Dept": dept})
+
+
+class TestGateIdsOnTheEncodedTier:
+    def test_gate_count_is_the_union_of_dag_walks_and_sorts_nothing(self, monkeypatch):
+        from repro.semimodules.tensor import Tensor
+
+        result = join_group().evaluate(bigger_nx_db(), engine="planned", annotations="circuit")
+        walked = set()
+        for root in result._roots():
+            walked |= {gate._id for gate in root.iter_nodes()}
+
+        def no_sorting(self):
+            raise AssertionError("gate_count rendered and sorted tensor entries")
+
+        monkeypatch.setattr(Tensor, "items", no_sorting)
+        assert result.gate_count() == len(walked)
+
+    def test_the_parallel_tier_refuses_gate_ids(self):
+        from repro.plan import compile_plan
+
+        _circ, circ_db = circuit_database(bigger_nx_db())
+        with pytest.raises(QueryError, match="gate ids"):
+            compile_plan(join_group(), circ_db, tier="parallel")
+
+    def test_explain_reports_the_encoded_tier_for_circuit_plans(self):
+        text = explain(join_group(), bigger_nx_db(), annotations="circuit")
+        assert "tier: encoded" in text
+
+    def test_circuit_queries_count_as_encoded_executions(self):
+        from repro.obs.metrics import tier_executions
+
+        db = bigger_nx_db()
+        before = tier_executions()
+        result = join_group().evaluate(db, engine="planned", annotations="circuit")
+        after = tier_executions()
+        assert after["encoded"] == before["encoded"] + 1
+        assert after["object"] == before["object"]
+        assert result == join_group().evaluate(db)
+
+    def test_a_generation_rollover_mid_query_falls_back_with_its_cause(self):
+        from repro.obs.metrics import ENCODED_KERNEL
+
+        db = bigger_nx_db()
+        circ, _circ_db = circuit_database(db)
+        # room for a few more gates only: the join's batch of x gates
+        # starts a new generation half way
+        circ.builder._max_gates = circ.builder.interned_count() + 3
+        label = ("gates", "fallback: gate store rolled over")
+        before = ENCODED_KERNEL.values().get(label, 0)
+        result = join_group().evaluate(db, engine="planned", annotations="circuit")
+        assert ENCODED_KERNEL.values().get(label, 0) > before
+        expanded = join_group().evaluate(db)
+        assert result == expanded
+        twice = valuation_hom(NX, NAT, lambda token: 2)
+        assert result.specialise(lambda token: 2, NAT) == expanded.apply_hom(twice)

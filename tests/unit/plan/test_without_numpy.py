@@ -5,8 +5,9 @@ tiers.  A subprocess blocks the import (``sys.modules["numpy"] = None``)
 before ``repro`` loads and checks the contract end to end: the package
 imports, tier selection observes the missing module instead of reading a
 knob, ``explain()`` reports the tier that ran, answers equal the
-interpreter's across a write, and insisting on an array tier fails with
-an error that names NumPy.
+interpreter's across a write, insisting on an array tier fails with
+an error that names NumPy, and circuit provenance runs the object tier
+and the evaluator's id-order loop to the expanded route's answers.
 """
 
 import os
@@ -56,6 +57,26 @@ for tier in ("encoded", "parallel"):
         assert "NumPy" in str(exc), exc
     else:
         raise AssertionError(f"tier={tier!r} compiled without NumPy")
+
+# circuit provenance: the object tier interns the gates and the evaluator
+# runs its id-order loop; both equal the expanded route
+from repro.plan import circuit_database
+from repro.semirings import NX
+from repro.semirings.homomorphism import valuation_hom
+
+tagged = KDatabase(NX, {
+    name: KRelation(NX, rel.schema, [
+        (tup, NX.variable(f"{name}{i}")) for i, (tup, _k) in enumerate(rel.rows())
+    ])
+    for name, rel in db
+})
+circuit = query.evaluate(tagged, engine="planned", annotations="circuit")
+assert compile_plan(query, circuit_database(tagged)[1]).tier == "object"
+expanded = query.evaluate(tagged, engine="planned")
+assert circuit.lower() == expanded == query.evaluate(tagged, engine="interpreted")
+weight = lambda token: 1 + len(token) % 3
+assert circuit.specialise(weight, NAT) == expanded.apply_hom(valuation_hom(NX, NAT, weight))
+assert circuit.gate_count() > 0
 
 print("ok")
 """
