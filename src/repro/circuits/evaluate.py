@@ -11,7 +11,8 @@ level over the builder's gate store (:mod:`repro.circuits.store`).
 once, then either
 
 * runs **the array pass** — one NumPy reduction per (level, kind): when
-  the target declares an exact numeric
+  the circuit is wide enough to pay for its levels (see
+  :data:`_GATES_PER_LEVEL`), the target declares an exact numeric
   :class:`~repro.semirings.base.MachineRepr` (``int64`` or ``bool``),
   the valuation's images are of its type, every gate sits in the
   builder's current generation, and, for ``int64``, the exact magnitude
@@ -36,11 +37,14 @@ from repro.semirings.base import Semiring, _np
 
 __all__ = ["evaluate_circuit", "evaluate_gates", "reachable_count"]
 
-#: Deepest circuit the array pass takes on.  Each level costs a dozen NumPy
-#: calls whatever its width, and query plans build a few levels per
-#: operator; a deeper circuit is a long chain, where the loop's per-gate
-#: cost is the smaller one.
-_MAX_LEVELS = 64
+#: Fewest reached gates per level for which the gate store is walked.
+#: Reachability and the array pass each cost a dozen NumPy calls per level
+#: whatever its width; the loop costs one Python step per gate.  Timed over
+#: layered circuits of width 1-512 and depth 4-256 (2-core x86 host, exact
+#: bool target), the array route cost 30-50 us per level and the loop
+#: 0.5-0.75 us per gate: the two broke even at 80-140 gates per level at
+#: every depth, and the array route won 2-4.6x at 512.
+_GATES_PER_LEVEL = 100
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -60,8 +64,9 @@ def evaluate_gates(
 
     ``valuation`` maps tokens to target elements (mapping or callable).
     ``builder`` is the roots' :class:`~repro.circuits.nodes.CircuitBuilder`:
-    with it, reachability runs over the gate store and the array pass can
-    run; without it, the loop walks the nodes.  ``memo`` (gate id ->
+    with it, roots that reach at least :data:`_GATES_PER_LEVEL` gates are
+    walked over the gate store and the array pass can run; fewer gates, or
+    no builder, and the loop walks the nodes.  ``memo`` (gate id ->
     value) is the loop's cache: passing the same dict across calls with a
     fixed (target, valuation) evaluates each shared gate once for all of
     them; it implies the loop.
@@ -69,7 +74,9 @@ def evaluate_gates(
     image = _image(valuation)
     order = None
     if memo is None and builder is not None:
-        reached = _reach(builder.store, roots)
+        # fewer gates than one level's worth never pay for the store
+        order = _reachable(roots, {}, _GATES_PER_LEVEL)
+        reached = _reach(builder.store, roots) if order is None else None
         if reached is not None:
             values = _array_pass(reached, target, image)
             if values is not None:
@@ -97,7 +104,10 @@ def evaluate_circuit(
 
 def reachable_count(roots: Sequence[CircuitNode], builder=None) -> int:
     """Distinct gates reachable from ``roots`` (the circuit-size metric)."""
-    reached = _reach(builder.store, roots) if builder is not None else None
+    order = _reachable(roots, {}, _GATES_PER_LEVEL if builder is not None else None)
+    if order is not None:
+        return len(order)
+    reached = _reach(builder.store, roots)
     if reached is not None:
         return len(reached.rows)
     return len(_reachable(roots, {}))
@@ -124,8 +134,11 @@ def _image(valuation) -> Callable[[Any], Any]:
 # ---------------------------------------------------------------------------
 
 
-def _reachable(roots: Sequence[CircuitNode], memo: Dict[int, Any]) -> List[CircuitNode]:
-    """The gates reachable from ``roots`` and not in ``memo``, in id order."""
+def _reachable(
+    roots: Sequence[CircuitNode], memo: Dict[int, Any], limit: int | None = None
+) -> List[CircuitNode] | None:
+    """The gates reachable from ``roots`` and not in ``memo``, in id order
+    (``None`` once there are ``limit`` of them)."""
     seen: set = set()
     out: List[CircuitNode] = []
     stack = list(roots)
@@ -133,6 +146,8 @@ def _reachable(roots: Sequence[CircuitNode], memo: Dict[int, Any]) -> List[Circu
         node = stack.pop()
         if node._id in seen or node._id in memo:
             continue
+        if len(out) == limit:
+            return None
         seen.add(node._id)
         out.append(node)
         stack.extend(node.children)
@@ -184,9 +199,11 @@ class _Reached:
 
 def _reach(store, roots: Sequence[CircuitNode]):
     """The store rows reachable from ``roots``, found level by level over
-    the CSR children — or ``None`` when the store cannot answer (no NumPy,
-    a root or a reachable child outside this generation, a circuit deeper
-    than :data:`_MAX_LEVELS`)."""
+    the CSR children — or ``None`` when the store should not answer: no
+    NumPy, a root or a reachable child outside this generation, or a
+    circuit too narrow to pay for its levels.  Every level walked after the
+    first must bring :data:`_GATES_PER_LEVEL` reached gates with it; below
+    that the walk stops and the loop, cheaper per narrow level, runs."""
     from repro.plan.kernels import HAVE_NUMPY
 
     if not HAVE_NUMPY:
@@ -196,18 +213,29 @@ def _reach(store, roots: Sequence[CircuitNode]):
     if root_rows is None:
         return None
     snap = store.arrays()
-    if len(root_rows) and snap.levels[root_rows].max() > _MAX_LEVELS:
-        return None
-    mask = np.zeros(snap.n, dtype=bool)
     frontier = _distinct(np, root_rows)
-    mask[frontier] = True
-    while len(frontier):
-        kids, _counts = store.children(snap, frontier)
-        if len(kids) and kids.min() < 0:
-            return None
-        frontier = _distinct(np, kids[~mask[kids]])
-        mask[frontier] = True
-    return _Reached(store, snap, root_rows, np.flatnonzero(mask))
+    found = [frontier]
+    total = len(frontier)
+    seen = store.borrow(snap.n, bool)
+    try:
+        seen[frontier] = True
+        while len(frontier):
+            if total < _GATES_PER_LEVEL * (len(found) - 1):
+                return None
+            kids, _counts = store.children(snap, frontier)
+            if len(kids) and kids.min() < 0:
+                return None
+            frontier = _distinct(np, kids[~seen[kids]])
+            found.append(frontier)
+            seen[frontier] = True
+            total += len(frontier)
+        rows = np.concatenate(found)
+    finally:
+        for part in found:
+            seen[part] = False
+        store.give_back(seen)
+    rows.sort()
+    return _Reached(store, snap, root_rows, rows)
 
 
 def _distinct(np, rows):
@@ -233,51 +261,57 @@ def _array_pass(reached: _Reached, target: Semiring, image):
     kind = snap.kinds[rows]
     level = snap.levels[rows]
     order = np.lexsort((kind, level))
-    rows, kind, level = rows[order], kind[order], level[order]
+    kind, level = kind[order], level[order]
     cuts = np.flatnonzero((np.diff(kind) != 0) | (np.diff(level) != 0)) + 1
     bounds = [0, *cuts.tolist(), len(rows)]
-    values = np.empty(snap.n, dtype=dtype)
+    values = np.empty(len(rows), dtype=dtype)  # values[i] is row rows[i]'s
+    index = store.borrow(snap.n, np.int64)  # row -> i, read only where set
+    index[rows] = np.arange(len(rows))
     nodes = store.nodes
     bounded = machine.bounded
     below = done = 1  # exact magnitude bounds: levels below / up to here
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        part = rows[start:end]
-        code = int(kind[start])
-        if start and level[start] != level[start - 1]:
-            below = done
-        if code == VAR or code == CONST:
-            payloads = map(_payload, map(nodes.__getitem__, part.tolist()))
-            items = list(map(image if code == VAR else target.from_int, payloads))
-            leaf = _leaf_array(np, items, dtype)
-            if leaf is None:
-                return None
-            if bounded and len(leaf):
-                done = max(done, int(leaf.max()), -int(leaf.min()))
-            values[part] = leaf
-        elif code == ZERO or code == ONE:
-            values[part] = machine.code(target.zero if code == ZERO else target.one)
-        elif code == DELTA:
-            values[part] = machine.delta(
-                values[snap.kids[snap.ptr[part]]],
-                machine.code(target.zero),
-                machine.code(target.one),
-            )
-        else:
-            kids, counts = store.children(snap, part)
-            if bounded:
-                arity = int(counts.max())
-                if code == PLUS:
-                    grown = below * arity
-                elif (below - 1).bit_length() * arity > 126:
+    try:
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            at = order[start:end]
+            part = rows[at]
+            code = int(kind[start])
+            if start and level[start] != level[start - 1]:
+                below = done
+            if code == VAR or code == CONST:
+                payloads = map(_payload, map(nodes.__getitem__, part.tolist()))
+                items = list(map(image if code == VAR else target.from_int, payloads))
+                leaf = _leaf_array(np, items, dtype)
+                if leaf is None:
                     return None
-                else:
-                    grown = below ** arity
-                if grown > _INT64_MAX:
-                    return None
-                done = max(done, grown)
-            ufunc = machine.plus if code == PLUS else machine.times
-            values[part] = ufunc.reduceat(values[kids], np.cumsum(counts) - counts)
-    return values[reached.root_rows].tolist()
+                if bounded and len(leaf):
+                    done = max(done, int(leaf.max()), -int(leaf.min()))
+                values[at] = leaf
+            elif code == ZERO or code == ONE:
+                values[at] = machine.code(target.zero if code == ZERO else target.one)
+            elif code == DELTA:
+                values[at] = machine.delta(
+                    values[index[snap.kids[snap.ptr[part]]]],
+                    machine.code(target.zero),
+                    machine.code(target.one),
+                )
+            else:
+                kids, counts = store.children(snap, part)
+                if bounded:
+                    arity = int(counts.max())
+                    if code == PLUS:
+                        grown = below * arity
+                    elif (below - 1).bit_length() * arity > 126:
+                        return None
+                    else:
+                        grown = below ** arity
+                    if grown > _INT64_MAX:
+                        return None
+                    done = max(done, grown)
+                ufunc = machine.plus if code == PLUS else machine.times
+                values[at] = ufunc.reduceat(values[index[kids]], np.cumsum(counts) - counts)
+        return values[index[reached.root_rows]].tolist()
+    finally:
+        store.give_back(index)
 
 
 def _leaf_array(np, items: List[Any], dtype):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from operator import attrgetter, is_
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.semirings.base import MachineRepr, _np
 
@@ -53,6 +53,12 @@ _PINNED = 2
 
 #: Batch ``times`` packs a canonical row pair into one int64 key.
 _PAIR_SHIFT = 31
+
+#: A mirror's new keys are spliced into a small sorted table of recent
+#: gates, folded into the main table once it holds this many: a splice
+#: copies at most this many entries, and the main table is copied once per
+#: this many new gates rather than once per query that interns.
+_RECENT = 1 << 14
 
 _by_id = attrgetter("_id")
 
@@ -94,7 +100,7 @@ class GateStore(MachineRepr):
 
     __slots__ = (
         "builder", "nodes", "_first", "_offset",
-        "_kinds", "_ptr", "_kids", "_levels", "_snap", "_mirrors",
+        "_kinds", "_ptr", "_kids", "_levels", "_snap", "_mirrors", "_scratch",
     )
 
     portable = False
@@ -112,8 +118,10 @@ class GateStore(MachineRepr):
         self._levels = array("q")
         self._snap: Optional[_Snapshot] = None
         #: lookup tables of the binary ``times`` and the ``plus`` gates:
-        #: kind -> (rows scanned, sorted keys, rows)
-        self._mirrors = {TIMES: (0, None, None), PLUS: (0, None, None)}
+        #: kind -> (rows scanned, (keys, rows, recent keys, recent rows))
+        self._mirrors = {TIMES: (0, None), PLUS: (0, None)}
+        #: dtype -> arrays lent out by :meth:`borrow`
+        self._scratch: Dict[Any, List[Any]] = {}
         for node in pinned:
             self.append(node)
 
@@ -188,6 +196,28 @@ class GateStore(MachineRepr):
             snap = self._snap = _Snapshot(n, kinds, ptr, kids, levels)
         return snap
 
+    def borrow(self, n: int, dtype):
+        """A ``dtype`` array of at least ``n`` entries, lent to one caller
+        (concurrent callers get different arrays) until it hands it to
+        :meth:`give_back`.  A fresh array is all zero; a borrower that
+        relies on that (a ``bool`` mask) clears the entries it set before
+        giving it back.  An array is allocated when the store has outgrown
+        the ones lent before, not once per call."""
+        np = _np()
+        dtype = np.dtype(dtype)
+        pool = self._scratch.setdefault(dtype, [])
+        try:
+            array = pool.pop()
+        except IndexError:
+            array = None
+        if array is None or len(array) < n:
+            size = max(n, 2 * len(array)) if array is not None else n
+            array = np.zeros(size, dtype=dtype)
+        return array
+
+    def give_back(self, array) -> None:
+        self._scratch[array.dtype].append(array)
+
     def children(self, snap: _Snapshot, rows):
         """``(child rows, per-row counts)`` of ``rows``, CSR-concatenated."""
         starts = snap.ptr[rows]
@@ -239,7 +269,7 @@ class GateStore(MachineRepr):
         lo = np.minimum(a[need], b[need])
         hi = np.maximum(a[need], b[need])
         keys = (lo << _PAIR_SHIFT) | hi
-        res = _find(np, *self._mirror(TIMES), keys)
+        res = _lookup(np, self._mirror(TIMES), keys)
         miss = np.flatnonzero(res < 0)
         if len(miss):
             self._require_current()
@@ -289,7 +319,7 @@ class GateStore(MachineRepr):
             members = members[np.lexsort((members, segment))]
         counts = np.bincount(segment, minlength=len(multi))
         offsets = np.cumsum(counts) - counts
-        found = _find(np, *table, _fingerprints(np, members, counts))
+        found = _lookup(np, table, _fingerprints(np, members, counts))
         hit = np.flatnonzero(found >= 0)
         cand = found[hit]
         same = snap.ptr[cand + 1] - snap.ptr[cand] == counts[hit]
@@ -341,14 +371,17 @@ class GateStore(MachineRepr):
             raise _fallback("gate store rolled over")
 
     def _mirror(self, kind: int):
-        """The sorted lookup table of this store's binary ``times`` gates
+        """The sorted lookup tables of this store's binary ``times`` gates
         (key: the packed child-row pair) or ``plus`` gates (key: the
         fingerprint of the child rows), extended by the rows added since
-        it was last read: ``(keys, rows)``.  Gates with a stale child are
-        left out — no lookup can name it."""
-        scanned, keys, rows = self._mirrors[kind]
-        if keys is not None and scanned == len(self.nodes):
-            return keys, rows
+        they were last read: ``(keys, rows, recent keys, recent rows)``.
+        Only the new rows are sorted; they are spliced into the recent
+        table, which is merged into the main one every :data:`_RECENT`
+        gates.  Gates with a stale child are left out — no lookup can name
+        it."""
+        scanned, tables = self._mirrors[kind]
+        if tables is not None and scanned == len(self.nodes):
+            return tables
         np = _np()
         snap = self.arrays()
         new = np.arange(scanned, snap.n, dtype=np.int64)
@@ -366,16 +399,41 @@ class GateStore(MachineRepr):
             add_keys, add_rows = _fingerprints(np, kids, counts)[stale == 0], new[stale == 0]
         else:
             add_keys = add_rows = new
-        if keys is not None:
-            add_keys = np.concatenate((keys, add_keys))
-            add_rows = np.concatenate((rows, add_rows))
-        order = np.argsort(add_keys)
-        keys, rows = add_keys[order], add_rows[order]
-        self._mirrors[kind] = (snap.n, keys, rows)
-        return keys, rows
+        if tables is None:
+            keys = rows = np.empty(0, dtype=np.int64)
+        else:
+            keys, rows, recent_keys, recent_rows = tables
+            add_keys, add_rows = _spliced(np, recent_keys, recent_rows, add_keys, add_rows)
+        if len(add_keys) >= _RECENT or tables is None:
+            keys, rows = _spliced(np, keys, rows, add_keys, add_rows)
+            add_keys = add_rows = np.empty(0, dtype=np.int64)
+        tables = (keys, rows, add_keys, add_rows)
+        self._mirrors[kind] = (snap.n, tables)
+        return tables
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<gate store from id {self._first}, {len(self.nodes)} rows>"
+
+
+def _spliced(np, keys, rows, add_keys, add_rows):
+    """The sorted ``(keys, rows)`` with the unsorted ``add_*`` merged in
+    (only the additions are sorted)."""
+    if not len(add_keys):
+        return keys, rows
+    order = np.argsort(add_keys)
+    add_keys, add_rows = add_keys[order], add_rows[order]
+    at = np.searchsorted(keys, add_keys)
+    return np.insert(keys, at, add_keys), np.insert(rows, at, add_rows)
+
+
+def _lookup(np, tables, queries):
+    """:func:`_find` over a mirror's main table, then its recent one."""
+    keys, rows, recent_keys, recent_rows = tables
+    found = _find(np, keys, rows, queries)
+    miss = np.flatnonzero(found < 0)
+    if len(miss) and len(recent_keys):
+        found[miss] = _find(np, recent_keys, recent_rows, queries[miss])
+    return found
 
 
 def _find(np, keys, rows, queries):

@@ -6,8 +6,12 @@ from repro.circuits import (
     CircuitSemiring,
     circuit_to_polynomial,
     evaluate_circuit,
+    evaluate_gates,
     polynomial_to_circuit,
 )
+from repro.circuits.evaluate import _array_pass, _reach
+from repro.circuits import store as store_module
+from repro.circuits.store import TIMES
 from repro.exceptions import HomomorphismError, SemiringError
 from repro.semirings import BOOL, NAT, NX, check_semiring_axioms
 
@@ -97,6 +101,75 @@ class TestEvaluation:
         cs = fresh()
         node = cs.times(cs.plus(cs.variable("x"), cs.variable("y")), cs.from_int(3))
         assert cs.hom_to_nat(node) == 6
+
+
+class TestEvaluationRoute:
+    """The array pass runs only on circuits wide enough to pay for their
+    levels; either route gives the same values."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def layered(self, width, depth):
+        cs = fresh()
+        level = [cs.variable(f"t{i}") for i in range(width)]
+        for d in range(depth):
+            op = cs.times if d % 2 == 0 else cs.plus
+            level = [op(level[i], level[(i + 1) % width]) for i in range(width)]
+        return cs, level
+
+    def test_a_narrow_circuit_takes_the_loop(self):
+        cs = fresh()
+        node = cs.variable("x")
+        for i in range(300):
+            node = cs.plus(node, cs.variable(f"v{i}"))
+        assert _reach(cs.builder.store, [node]) is None
+        assert evaluate_gates([node], NAT, lambda t: 1, builder=cs.builder) == [301]
+
+    def test_a_wide_circuit_takes_the_array_pass(self):
+        cs, roots = self.layered(width=256, depth=4)
+        reached = _reach(cs.builder.store, roots)
+        assert reached is not None and len(reached.rows) == 256 * 5
+        weights = {f"t{i}": i % 3 for i in range(256)}
+        arrays = _array_pass(reached, NAT, weights.__getitem__)
+        assert arrays == evaluate_gates(roots, NAT, weights)  # no builder: the loop
+
+    def test_reachability_returns_its_mask_cleared(self):
+        np = pytest.importorskip("numpy")
+        cs, roots = self.layered(width=256, depth=4)
+        store = cs.builder.store
+        assert _reach(store, roots) is not None
+        assert _reach(store, roots[:1]) is None  # stops part-way
+        masks = store._scratch[np.dtype(bool)]
+        assert masks and not any(mask.any() for mask in masks)
+
+
+class TestGateStoreMirrors:
+    @pytest.mark.parametrize("recent", [4, 1 << 14])
+    def test_mirror_grows_sorted_and_complete(self, recent, monkeypatch):
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(store_module, "_RECENT", recent)  # fold, or never
+        cs = fresh()
+        store = cs.builder.store
+        xs = [cs.variable(f"x{i}") for i in range(40)]
+        for batch in range(4):
+            for i in range(10 * batch, 10 * batch + 10):
+                cs.times(xs[i], xs[(7 * i + 3) % 40])
+            main_keys, main_rows, recent_keys, recent_rows = store._mirror(TIMES)
+            assert (np.diff(main_keys) > 0).all() and (np.diff(recent_keys) > 0).all()
+            assert len(recent_keys) < recent
+            keys = np.concatenate((main_keys, recent_keys))
+            rows = np.concatenate((main_rows, recent_rows))
+            snap = store.arrays()
+            binary = [
+                r for r in range(snap.n)
+                if snap.kinds[r] == TIMES and snap.ptr[r + 1] - snap.ptr[r] == 2
+            ]
+            assert sorted(rows.tolist()) == binary
+            for key, row in zip(keys.tolist(), rows.tolist()):
+                lo, hi = snap.kids[snap.ptr[row]:snap.ptr[row] + 2].tolist()
+                assert key == (lo << 31) | hi
 
 
 class TestConversion:
