@@ -58,6 +58,8 @@ __all__ = [
     "loads",
     "dump_file",
     "load_file",
+    "write_atomic",
+    "fsync_dir",
     "SNAPSHOT_MAGIC",
 ]
 
@@ -494,30 +496,42 @@ def dump_file(obj: Any, path: str | os.PathLike) -> str:
         },
         sort_keys=True,
     ).encode("utf-8")
+    write_atomic(path, header + b"\n" + body, fault_point="truncate_snapshot")
+    return path
+
+
+def write_atomic(path: str, data: bytes, *, fault_point: "str | None" = None) -> None:
+    """Replace ``path`` by ``data`` crash-safely: a temp file in the
+    destination directory, flushed and fsynced, ``os.replace``d over
+    ``path`` (atomic on POSIX), then the directory fsynced so the rename
+    itself survives a power cut.
+
+    ``fault_point`` names a :mod:`repro.faults` point fired between the
+    fsync and the rename: the chaos suite truncates the temp file there
+    and the rename still happens, modelling a torn write that *looks*
+    installed (:func:`load_file` must detect it via length/sha mismatch).
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(header + b"\n" + body)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        # fault point: a crash after writing but before the atomic
-        # rename — the chaos suite truncates the temp file here and the
-        # rename still happens, modelling a torn write that *looks*
-        # installed (load_file must detect it via length/sha mismatch)
-        from repro import faults  # local: io must import without faults armed
+        if fault_point is not None:
+            from repro import faults  # local: io must import without faults armed
 
-        recipe = faults.should_fire("truncate_snapshot", path=path)
-        if recipe is not None:
-            keep = recipe.get("keep")
-            if keep is None:
-                keep = recipe["rng"].randrange(len(header) + 1 + len(body))
-            with open(tmp_path, "r+b") as handle:
-                handle.truncate(int(keep))
-                handle.flush()
-                os.fsync(handle.fileno())
+            recipe = faults.should_fire(fault_point, path=path)
+            if recipe is not None:
+                keep = recipe.get("keep")
+                if keep is None:
+                    keep = recipe["rng"].randrange(len(data))
+                with open(tmp_path, "r+b") as handle:
+                    handle.truncate(int(keep))
+                    handle.flush()
+                    os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -525,11 +539,11 @@ def dump_file(obj: Any, path: str | os.PathLike) -> str:
         except OSError:
             pass
         raise
-    _fsync_dir(directory)
-    return path
+    fsync_dir(directory)
 
 
-def _fsync_dir(directory: str) -> None:
+def fsync_dir(directory: str) -> None:
+    """Make the directory's entries (a created or renamed name) durable."""
     try:
         dir_fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - e.g. non-POSIX

@@ -80,6 +80,15 @@ class CommutativeMonoid(abc.ABC):
             result = self.plus(result, item)
         return result
 
+    def exact(self, value: Any) -> bool:
+        """Whether ``value`` folds exactly: every grouping of a fold over
+        exact values (each scaled by the ``N`` action) gives one value, bit
+        for bit and type for type.  A collapsing tensor stores its exact
+        values as one entry, their collapsed value, beside the others
+        (:mod:`repro.semimodules.tensor`).  ``False`` unless a monoid says
+        otherwise: its tensors keep their entries."""
+        return False
+
     def nat_action(self, n: int, a: Any) -> Any:
         """The canonical ``N``-semimodule action: ``n * a = a + ... + a``.
 

@@ -30,6 +30,9 @@ class OrMonoid(CommutativeMonoid):
     def plus(self, a: bool, b: bool) -> bool:
         return a or b
 
+    def exact(self, value: Any) -> bool:
+        return True
+
     def contains(self, value: Any) -> bool:
         return isinstance(value, bool)
 
@@ -52,6 +55,9 @@ class AndMonoid(CommutativeMonoid):
 
     def plus(self, a: bool, b: bool) -> bool:
         return a and b
+
+    def exact(self, value: Any) -> bool:
+        return True
 
     def contains(self, value: Any) -> bool:
         return isinstance(value, bool)

@@ -64,6 +64,10 @@ class AvgMonoid(CommutativeMonoid):
         items = list(items)
         return AvgPair(SUM.sum(p.total for p in items), sum(p.count for p in items))
 
+    def exact(self, value: AvgPair) -> bool:
+        """Exact where :meth:`SumMonoid.exact` is, on the total."""
+        return SUM.exact(value.total)
+
     def contains(self, value: Any) -> bool:
         return (
             isinstance(value, AvgPair)

@@ -28,6 +28,16 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
 
 
+def _not_float(value: Any) -> bool:
+    """Exactness in an arithmetic fold: a float rounds once per ``+``."""
+    return not isinstance(value, float)
+
+
+def _not_nan(value: Any) -> bool:
+    """Exactness in a selecting fold: only NaN is unordered."""
+    return value == value
+
+
 class SumMonoid(CommutativeMonoid):
     """Summation: ``(R, +, 0)``.  COUNT is SUM over the constant 1."""
 
@@ -54,6 +64,8 @@ class SumMonoid(CommutativeMonoid):
             except OverflowError:  # past float range: the fold's inf
                 pass
         return super().sum(items)
+
+    exact = staticmethod(_not_float)
 
     def contains(self, value: Any) -> bool:
         return _is_number(value) and not (isinstance(value, float) and math.isinf(value))
@@ -85,6 +97,8 @@ class ProdMonoid(CommutativeMonoid):
             items.sort()
         return super().sum(items)
 
+    exact = staticmethod(_not_float)
+
     def contains(self, value: Any) -> bool:
         return _is_number(value) and not (isinstance(value, float) and math.isinf(value))
 
@@ -107,6 +121,8 @@ class MinMonoid(CommutativeMonoid):
     def plus(self, a: Any, b: Any) -> Any:
         return a if a <= b else b
 
+    exact = staticmethod(_not_nan)
+
     def contains(self, value: Any) -> bool:
         return _is_number(value)
 
@@ -128,6 +144,8 @@ class MaxMonoid(CommutativeMonoid):
 
     def plus(self, a: Any, b: Any) -> Any:
         return a if a >= b else b
+
+    exact = staticmethod(_not_nan)
 
     def contains(self, value: Any) -> bool:
         return _is_number(value)

@@ -411,12 +411,13 @@ ENCODED_CACHE_EVENTS = REGISTRY.counter(
     ("event",),
 )
 
-#: Where each aggregated column's Prop. 3.9 values came from: the array
-#: kernel, or ``Tensor.collapse`` on first use — a fallback, by its cause.
+#: Where each encoded aggregated column's Prop. 3.9 values came from: the
+#: array kernel, or the tensors' own fold — a fallback, by its cause.
 AGGREGATE_COLLAPSE = REGISTRY.counter(
     "repro_aggregate_collapse_total",
-    "Aggregated columns whose tensors were collapsed by the array kernel "
-    "(path=kernel) or left to collapse lazily (path=lazy, with the reason).",
+    "Encoded aggregated columns whose tensors were collapsed by the array "
+    "kernel (path=kernel) or left to the tensor fold (path=fold, with the "
+    "reason).",
     ("path", "reason"),
 )
 
@@ -432,15 +433,6 @@ ENCODED_KERNEL = REGISTRY.counter(
     "circuit gate-id kernels that fell back to the object tier "
     "(op=gates, kernel=\"fallback: <cause>\").",
     ("op", "kernel"),
-)
-
-#: Tensors the encoded aggregation kernel produced with their entries left
-#: in its arrays, and how many of those were ever read (built).
-AGGREGATE_ENTRIES = REGISTRY.counter(
-    "repro_aggregate_entries_total",
-    "Kernel-built aggregate tensors whose entries were deferred "
-    "(event=deferred) and of those, read and built (event=built).",
-    ("event",),
 )
 
 #: The resilience ledger (written by :mod:`repro.faults`).  The event
@@ -528,8 +520,6 @@ for _event in RESILIENCE_EVENT_NAMES:
     RESILIENCE_EVENTS.labels(_event)
 for _event in ENCODED_CACHE_EVENT_NAMES:
     ENCODED_CACHE_EVENTS.labels(_event)
-for _event in ("deferred", "built"):
-    AGGREGATE_ENTRIES.labels(_event)
 for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one

@@ -12,9 +12,8 @@ construction:
   morsels and summing the per-morsel results with ``+_K`` is the
   identity ``f(Σ_m A_m) = Σ_m f(A_m)``;
 * the group-by merge **is semiring union**: partial per-group states
-  (raw annotation totals plus ``value -> scalar`` tensor entries) from
-  different morsels combine with the same ``+_K``/``sum_many`` kernels
-  the serial tier uses, and only then become tensors and ``delta``
+  (raw annotation totals plus tensors) from different morsels combine by
+  ``+_K`` and tensor addition, and only then become ``delta``
   annotations — exactly the serial tail
   (:meth:`~repro.plan.physical.GroupedAggregate.finish_groups`).
 
@@ -113,6 +112,7 @@ from repro.plan.physical import (
     Scan,
     SelectStage,
     UnionAll,
+    count_collapse,
 )
 
 __all__ = [
@@ -961,11 +961,9 @@ def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None)
             # object path is exact arbitrary-precision, so no bound
             rows, bound = len(pre), 0
             states = root.object_group_states(pre)
-        group_rows, totals, entries, collapsed = states
-        # each group's dict travels home, not the column's whole dictionary
+        group_rows, totals, tensors, why = states
         return {"rows": rows, "bound": bound, "group_rows": group_rows,
-                "totals": totals, "collapsed": collapsed,
-                "entries": {attr: list(e) for attr, e in entries.items()}}
+                "totals": totals, "tensors": tensors, "why": why}
     result = root.execute(ctx)
     if isinstance(result, enc.EncodedBatch):
         result = result.to_columnar()
@@ -1033,35 +1031,30 @@ def _run_morsel(task):
 def _merge_group_payloads(gagg, semiring, payloads):
     """Merge the morsels' per-group states and finish them.
 
-    A group's first state is taken over, not copied (payload dicts are
-    unpickled or freshly salvaged: nobody else holds them).  A group met
-    again merges by ``+_K`` per entry and — collapse being a monoid
-    homomorphism ``K (x) M -> M`` — by ``+_M`` on the collapsed partials
-    (Python values by now: no bound applies); only such a group can hold
-    a scalar that cancelled to zero.  A column some morsel left lazy is
-    lazy for every group.
+    A group met again merges by ``+_K`` and by tensor addition, which
+    drops cancelled scalars and, on normal forms, is ``+_M`` of their
+    values (collapse being a monoid homomorphism ``K (x) M -> M``; Python
+    values by now: no bound applies).  The kernel-or-fold decisions of
+    the morsels that ran the encoded kernel are counted here, once per
+    column, so they reach this process's metrics: a column some morsel
+    folded counts as folded, for that morsel's reason.
     """
+    reasons: Dict[str, List[Optional[str]]] = {}
+    for p in payloads:
+        for attr, why in p["why"].items():
+            reasons.setdefault(attr, []).append(why)
+    count_collapse(next(filter(None, why), None) for why in reasons.values())
     machine = semiring.machine_repr
     total_rows = sum(p["rows"] for p in payloads)
     worst = max((p["bound"] for p in payloads), default=0)
     check_merged_reduction_bound(machine, total_rows, worst)
     plus = semiring.plus
-    is_zero = semiring.is_zero
     index: Dict[Tuple[Any, ...], int] = {}
     group_rows: List[Tuple[Any, ...]] = []
     totals: List[Any] = []
-    merged: Dict[str, List[Dict[Any, Any]]] = {a: [] for a in gagg.aggregations}
-    collapsed: Dict[str, Any] = {}
-    for attr in merged:
-        lazy = [p["collapsed"][attr] for p in payloads
-                if isinstance(p["collapsed"][attr], str)]
-        collapsed[attr] = lazy[0] if lazy else []
-    # the columns every morsel collapsed: (partials so far, +_M)
-    kernel = {a: (c, gagg.aggregations[a].plus)
-              for a, c in collapsed.items() if not isinstance(c, str)}
-    remerged: Set[int] = set()
+    merged: Dict[str, List[Any]] = {a: [] for a in gagg.aggregations}
     for p in payloads:
-        p_entries, p_collapsed = p["entries"], p["collapsed"]
+        p_tensors = p["tensors"]
         for j, row in enumerate(p["group_rows"]):
             i = index.get(row)
             if i is None:
@@ -1069,27 +1062,12 @@ def _merge_group_payloads(gagg, semiring, payloads):
                 group_rows.append(row)
                 totals.append(p["totals"][j])
                 for attr, lst in merged.items():
-                    lst.append(p_entries[attr][j])
-                for attr, (values, _plus) in kernel.items():
-                    values.append(p_collapsed[attr][j])
+                    lst.append(p_tensors[attr][j])
                 continue
-            remerged.add(i)
             totals[i] = plus(totals[i], p["totals"][j])
             for attr, lst in merged.items():
-                target = lst[i]
-                for value, scalar in p_entries[attr][j].items():
-                    cur = target.get(value)
-                    target[value] = scalar if cur is None else plus(cur, scalar)
-            for attr, (values, monoid_plus) in kernel.items():
-                values[i] = monoid_plus(values[i], p_collapsed[attr][j])
-    # cross-morsel cancellation (e.g. over Z) can leave zero scalars; the
-    # serial producers never emit them, so normalise before the tail
-    for lst in merged.values():
-        for i in remerged:
-            d = lst[i]
-            for v in [v for v, s in d.items() if is_zero(s)]:
-                del d[v]
-    return gagg.finish_groups(semiring, group_rows, totals, merged, collapsed)
+                lst[i] = lst[i] + p_tensors[attr][j]
+    return gagg.finish_groups(semiring, group_rows, totals, merged)
 
 
 def _merge_spju_payloads(schema, semiring, payloads):

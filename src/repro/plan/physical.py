@@ -997,17 +997,18 @@ class UnionAll(PhysicalOp):
 def _collapse_kernel(space, values: List[Any], bound: int):
     """The array form of Prop. 3.9's ``sum_M k.m`` over the dictionary
     ``values`` — ``(ufunc, value array, scales)`` — or the reason (``str``)
-    there is none: it must be bit- and type-identical to
-    ``monoid.sum(nat_action(k, m) ...)``, so ``iota`` is an isomorphism,
-    the monoid declares a kernel, and the values are all ``int`` (times
-    ``bound``, the largest annotation sum, inside int64 where ``N``
-    scales) or all ``float`` where nothing is added (a re-associated float
-    SUM rounds differently; MIN/MAX only select, and NaN is unordered)."""
+    there is none: it must be bit- and type-identical to the normal form's
+    fold, so ``iota`` is an isomorphism, the monoid declares a kernel and
+    calls the values exact, and they are all ``int`` (times ``bound``, the
+    largest annotation sum, inside int64 where ``N`` scales) or all
+    ``float``."""
     monoid = space.monoid
     if not space.collapses:
         return "non-collapsing space"
     if monoid.collapse_kernel is None:
         return f"no kernel for {monoid.name}"
+    if not all(map(monoid.exact, values)):
+        return "inexact values"
     name, scales = monoid.collapse_kernel
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -1015,45 +1016,7 @@ def _collapse_kernel(space, values: List[Any], bound: int):
             return "bound"
     elif kinds != {float}:
         return "mixed values"
-    elif scales:
-        return "float SUM"
-    array = np.asarray(values)
-    if array.dtype.kind == "f" and np.isnan(array).any():
-        return "NaN values"
-    return getattr(np, name), array, scales
-
-
-class GroupEntries:
-    """Every group's tensor entries, left in the kernel's arrays: the
-    column's dictionary ``values``, the surviving pairs' ``codes`` and
-    ``scalars`` (in the ``machine`` representation) in group order, and
-    ``cuts[g]``, where group ``g``'s pairs end.  ``self[g]`` is group
-    ``g``'s ``value -> scalar`` dict, built once per deferred tensor, on
-    its first read (counted); iterating builds them all (a parallel
-    morsel's payload).
-    Dictionaries are copy-on-write (:mod:`repro.plan.encoded`), so
-    ``values`` stays valid after the table grows."""
-
-    __slots__ = ("values", "codes", "scalars", "cuts", "machine")
-
-    def __init__(self, values, codes, scalars, cuts: List[int], machine):
-        self.values, self.codes, self.scalars, self.cuts = values, codes, scalars, cuts
-        self.machine = machine
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def __getitem__(self, g: int) -> Dict[Any, Any]:
-        _metrics.AGGREGATE_ENTRIES.inc(1, "built")
-        start, end = self.cuts[g - 1] if g else 0, self.cuts[g]
-        codes = self.codes[start:end].tolist()
-        return dict(zip(map(self.values.__getitem__, codes),
-                        self.machine.decode(self.scalars[start:end])))
-
-    def __iter__(self):
-        values = list(map(self.values.__getitem__, self.codes.tolist()))
-        scalars, cuts = self.machine.decode(self.scalars), self.cuts
-        return (dict(zip(values[s:e], scalars[s:e])) for s, e in zip([0] + cuts, cuts))
+    return getattr(np, name), np.asarray(values), scales
 
 
 def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound: int):
@@ -1064,11 +1027,12 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     One grouped reduction on the ``(group, value-code)`` key gives the
     pair sums in ascending key order; the group boundaries of that order
     give the raw totals (re-reducing pair sums is exact: every machine
-    ``+_K`` is exactly associative), the normal form's two filters are
-    array masks, and the surviving pairs are cut per group, but not built
-    into dicts (:class:`GroupEntries`).
-    Returns ``(a row of each group, raw totals, entries, collapsed)``,
-    ``collapsed`` as in :meth:`GroupedAggregate.encoded_group_states`.
+    ``+_K`` is exactly associative), and the normal form's two filters are
+    array masks.  Where :func:`_collapse_kernel` applies, each group's
+    tensor is its collapsed value, reduced from the surviving pairs;
+    otherwise the pairs are cut into one entry dict per group.
+    Returns ``(a row of each group, raw totals, tensors, why)``, ``why``
+    the reason the kernel did not collapse (``None`` where it did).
     """
     size = max(1, len(col.values))
     machine = batch.machine
@@ -1093,50 +1057,40 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     # ends[g]: how many pairs of groups 0..g survive the masks
     ends = np.cumsum(keep)[np.append(gstarts[1:], len(keep)) - 1]
     codes, scalars = codes[keep], sums[keep]
-    entries = GroupEntries(col.values, codes, scalars, ends.tolist(), machine)
 
     kernel = _collapse_kernel(space, col.values, bound)
     if isinstance(kernel, str):
-        return prep[gstarts], totals, entries, kernel
+        values = list(map(col.values.__getitem__, codes.tolist()))
+        scalars, cuts = machine.decode(scalars), ends.tolist()
+        tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
+                   for s, e in zip([0] + cuts, cuts)]
+        return prep[gstarts], totals, tensors, kernel
     ufunc, operand, scales = kernel
     operand = operand[codes] * scalars if scales else operand[codes]
     # reduceat is wrong on an empty segment: groups the masks emptied keep 0_M
     counts = np.diff(ends, prepend=0)
     filled = np.flatnonzero(counts)
-    collapsed = [identity] * len(entries)
+    collapsed = [identity] * len(ends)
     reduced = ufunc.reduceat(operand, (ends - counts)[filled]).tolist()
     for g, value in zip(filled.tolist(), reduced):
         collapsed[g] = value
-    return prep[gstarts], totals, entries, collapsed
+    return prep[gstarts], totals, list(map(space._of, collapsed)), None
 
 
-def _tensors(space, entries) -> List[Tensor]:
-    """One tensor per group: deferred over kernel :class:`GroupEntries`
-    (counted, and said on the operator's span), else owning each dict."""
-    if not isinstance(entries, GroupEntries):
-        return [Tensor(space, e) for e in entries]
-    _metrics.AGGREGATE_ENTRIES.inc(len(entries), "deferred")
-    _trace.add_attrs(entries="deferred")
-    return [Tensor._deferred(space, entries, g) for g in range(len(entries))]
-
-
-def _with_collapsed(tensors: List[Tensor], collapsed) -> List[Tensor]:
-    """Fill the tensors' collapse cache (a ``str``: no values, and why)."""
-    if not isinstance(collapsed, str):
-        for tensor, value in zip(tensors, collapsed):
-            tensor._collapsed = value
-    return tensors
-
-
-def _note_collapse(collapsed: Iterable[Any]) -> None:
-    """Count, per aggregated column, whether its tensors were collapsed by
-    the kernel or left lazy (and why), and say so on the operator's span."""
-    reasons = [c if isinstance(c, str) else "" for c in collapsed]
-    for reason in reasons:
-        _metrics.AGGREGATE_COLLAPSE.inc(1, "lazy" if reason else "kernel", reason)
-    lazy = "; ".join(sorted(set(filter(None, reasons))))
+def _show_collapse(reasons: Iterable[Optional[str]]) -> None:
+    """Say on the operator's span whether its aggregated columns were
+    collapsed by the kernel or folded by the normal form (and why)."""
+    reasons = list(reasons)
+    folded = "; ".join(sorted(set(filter(None, reasons))))
     if reasons:
-        _trace.add_attrs(collapse=f"lazy ({lazy})" if lazy else "kernel")
+        _trace.add_attrs(collapse=f"fold ({folded})" if folded else "kernel")
+
+
+def count_collapse(reasons: Iterable[Optional[str]]) -> None:
+    """Count, per aggregated column, the kernel or the fold and its cause
+    (``None`` for the kernel) — in the process that answers the query."""
+    for reason in reasons:
+        _metrics.AGGREGATE_COLLAPSE.inc(1, "fold" if reason else "kernel", reason or "")
 
 
 class GroupedAggregate(PhysicalOp):
@@ -1173,7 +1127,9 @@ class GroupedAggregate(PhysicalOp):
                 batch = _as_columnar(batch, ctx)
         if states is None:
             states = self.object_group_states(batch)
-        return self.finish_groups(batch.semiring, *states)
+        group_rows, totals, tensors, why = states
+        count_collapse(why.values())
+        return self.finish_groups(batch.semiring, group_rows, totals, tensors)
 
     def encoded_group_states(self, batch: EncodedBatch):
         """Per-group partial states by code-indexed accumulation.
@@ -1190,12 +1146,11 @@ class GroupedAggregate(PhysicalOp):
         the constant 1 is the annotation sum); COUNT-only grouping reduces
         the annotations over the group key directly.
 
-        Returns ``(group_rows, totals_list, entries, collapsed)``: the
-        decoded group key tuple, the raw (pre-``delta``) annotation total,
-        and per aggregated attribute the groups' :class:`GroupEntries`
-        (a ``value -> scalar`` dict per group, indexed or iterated) and
-        either the groups' collapsed values (a list) or the
-        reason (a ``str``) they are left to :meth:`Tensor.collapse`.
+        Returns ``(group_rows, totals_list, tensors, why)``: the decoded
+        group key tuple, the raw (pre-``delta``) annotation total, per
+        aggregated attribute the groups' tensors, and per aggregated
+        attribute the reason the kernel did not collapse (``None`` where
+        it did), shown on the span and left to the caller to count.
         Groups whose total is ``0_K`` are *kept* — under the parallel
         tier, partial states for the same group merge by ``+_K`` across
         morsels (grouping is multilinear in the annotations, so any row
@@ -1221,8 +1176,8 @@ class GroupedAggregate(PhysicalOp):
         gkeys, radix = enc.combine_codes(gcols)
         bound = enc.check_reduction_bound(batch, len(batch))
 
-        entries: Dict[str, Any] = {attr: [] for attr in agg_cols}
-        collapsed: Dict[str, Any] = {attr: [] for attr in agg_cols}
+        tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
+        why: Dict[str, Optional[str]] = {}
         if not agg_cols or not len(batch):
             _note_kernel("aggregate", radix, len(batch), batch.machine)
             rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
@@ -1231,15 +1186,16 @@ class GroupedAggregate(PhysicalOp):
                 if radix * max(1, len(col.values)) > enc._RADIX_LIMIT:
                     raise EncodedFallback("code space overflow")
                 space = tensor_space(semiring, self.aggregations[attr])
-                rep, totals, entries[attr], collapsed[attr] = _set_agg_by_code(
+                rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
                     space, col, gkeys, radix, batch, bound
                 )
+            _show_collapse(why.values())
 
         decoded = []
         for col in gcols:
             codes = col.codes[rep].tolist()
             decoded.append(list(map(col.values.__getitem__, codes)))
-        return list(zip(*decoded)), batch.machine.decode(totals), entries, collapsed
+        return list(zip(*decoded)), batch.machine.decode(totals), tensors, why
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.
@@ -1247,9 +1203,7 @@ class GroupedAggregate(PhysicalOp):
         The object tier's grouping, and the per-morsel fallback of
         :meth:`encoded_group_states` when an operator inside a parallel
         morsel raised :class:`EncodedFallback` and handed on a boxed
-        batch: the accumulation *is* ``TensorSpace.set_agg``, with the
-        tensors decomposed back into their ``value -> scalar`` entry dicts
-        so partial states stay mergeable scalars (no collapsed partials).
+        batch: the accumulation *is* ``TensorSpace.set_agg``.
         """
         semiring = batch.semiring
         group_attrs = self.group_attributes
@@ -1277,58 +1231,38 @@ class GroupedAggregate(PhysicalOp):
         sum_many = semiring.sum_many
         group_rows: List[Tuple[Any, ...]] = []
         totals_list: List[Any] = []
-        entries: Dict[str, List[Dict[Any, Any]]] = {a: [] for a in self.aggregations}
+        tensors: Dict[str, List[Tensor]] = {a: [] for a in self.aggregations}
         for key, members in buckets.items():
             group_rows.append((key,) if single_group_attr else tuple(key))
             member_anns = list(map(anns.__getitem__, members))
             for attr in self.aggregations:
                 col = agg_cols[attr]
-                tensor = spaces[attr].set_agg(
+                tensors[attr].append(spaces[attr].set_agg(
                     zip(map(col.__getitem__, members), member_anns)
-                )
-                entries[attr].append(tensor._entries)
+                ))
             if len(member_anns) == 1:
                 totals_list.append(member_anns[0])
             else:
                 totals_list.append(sum_many(member_anns))
-        collapsed = dict.fromkeys(self.aggregations, "object tier")
-        return group_rows, totals_list, entries, collapsed
+        return group_rows, totals_list, tensors, {}
 
-    def finish_groups(self, semiring, group_rows, totals_list, entries, collapsed):
+    def finish_groups(self, semiring, group_rows, totals_list, tensors):
         """Build the output batch from (merged) per-group states.
 
         The shared tail of the object path, the serial encoded path and
-        the parallel tier's parent-side merge: entry dicts become tensors
-        (which own them from here on; kernel :class:`GroupEntries` become
-        deferred tensors), COUNT(*) columns derive from the raw totals,
-        and row annotations are ``delta`` of the totals.
-        ``entries`` dicts must already be normalised (no monoid-identity
-        values, no zero scalars) — both producers above and the
-        cross-morsel merge guarantee that.  A list ``collapsed[attr]``
-        holds each group's ``Tensor.collapse()``, value and type, and
-        fills the tensors' cache; COUNT(*) over ``N`` is its raw total.
+        the parallel tier's parent-side merge: the tensors become columns,
+        COUNT(*) columns derive from the raw totals, and row annotations
+        are ``delta`` of the totals.
         """
-        specs = dict(self.aggregations)
-        if self.count_attr is not None:
-            specs[self.count_attr] = SUM
-        spaces = {
-            attr: tensor_space(semiring, monoid) for attr, monoid in specs.items()
-        }
-        is_zero = semiring.is_zero
         columns: Dict[str, List[Any]] = {}
         for i, attr in enumerate(self.group_attributes):
             columns[attr] = [row[i] for row in group_rows]
-        for attr in self.aggregations:
-            columns[attr] = _with_collapsed(
-                _tensors(spaces[attr], entries[attr]), collapsed[attr]
-            )
-        _note_collapse(collapsed.values())
+        columns.update(tensors)
         if self.count_attr is not None:
-            space = spaces[self.count_attr]
-            columns[self.count_attr] = _with_collapsed(
-                [Tensor(space, {} if is_zero(t) else {1: t}) for t in totals_list],
-                totals_list if semiring.is_naturals else "non-collapsing space",
-            )
+            # the simple tensor t ⊗ 1, whose normal form over N is ι(t)
+            space = tensor_space(semiring, SUM)
+            count = space._of if semiring.is_naturals else (lambda t: space.simple(t, 1))
+            columns[self.count_attr] = list(map(count, totals_list))
         delta = semiring.delta
         annotations = [delta(t) for t in totals_list]
         return ColumnarKRelation._from_clean(
@@ -1380,18 +1314,16 @@ class WholeAggregate(PhysicalOp):
             raise EncodedFallback("foreign value in aggregated column")
         space = tensor_space(semiring, self.monoid)
         bound = enc.check_reduction_bound(batch, len(batch))
-        entries, collapsed = [{}], "empty input"
+        tensors = [space.zero]
         if len(batch):
             gkeys = np.zeros(len(batch), dtype=np.int64)
-            _rep, _totals, entries, collapsed = _set_agg_by_code(
+            _rep, _totals, tensors, why = _set_agg_by_code(
                 space, col, gkeys, 1, batch, bound
             )
-            _note_collapse([collapsed])
+            _show_collapse([why])
+            count_collapse([why])
         return ColumnarKRelation._from_clean(
-            semiring,
-            self.schema,
-            {self.attribute: _with_collapsed(_tensors(space, entries), collapsed)},
-            [semiring.one],
+            semiring, self.schema, {self.attribute: tensors}, [semiring.one]
         )
 
     def label(self) -> str:

@@ -28,24 +28,28 @@ the free semiring ``N[X]`` whose coefficients never merge values.  This is
 precisely the regime in which the paper itself resolves equality (axiom (*)
 of Section 4.2); see DESIGN.md "Substitutions".
 
-The normal form is *lazy*: a tensor stores its ``value -> scalar`` map and
-derives the deterministically-ordered presentation (and, for collapsing
-spaces, the collapsed value) only when something first hashes, compares,
-or displays it.  Equality and hashing never needed the ordering — a dict
+Where ``iota`` is an isomorphism a tensor *is* its collapsed value, so
+the normal form there is ``iota(c)``: the one entry ``{c: 1_K}``, or no
+entry when ``c = 0_M``.  Every constructor ends in one normalising step
+(:meth:`TensorSpace._normal`) that folds the *exact* values
+(:meth:`CommutativeMonoid.exact`: every grouping of their fold gives the
+same value, bit for bit and type for type) into that one entry, so the
+sum of two normal forms is ``+_M`` of their values.  A float SUM, PROD or
+AVG total is not exact (``fsum(a) + fsum(b) != fsum(a + b)``): it keeps
+its own entry beside the exact part, whichever order the values came in,
+and the tensor folds on first use, in one order-free pass; so does every
+tensor of a space that does not collapse.
+
+The deterministically-ordered presentation is derived only when something
+first displays a tensor: equality and hashing never needed it — a dict
 compares as a multiset and hashes via ``frozenset`` — so the execution hot
-path (fold, scale, aggregate) touches no sort at all.  Where ``iota`` is
-an isomorphism even the map is presentation: a tensor built by the encoded
-aggregation kernel leaves its entries in the kernel's arrays until
-something reads them (``str``, ``items``, ``apply_hom``, ``len``, a copy),
-and where the kernel also computed its collapsed value, ``==``, ``hash``
-and ``collapse`` never do.
+path (fold, scale, aggregate) touches no sort at all.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.exceptions import SemimoduleError
 from repro.monoids.base import CommutativeMonoid
@@ -65,10 +69,6 @@ class _Unset:
     ``object()`` would come back a stranger — and be the collapsed value)."""
 
 
-#: Serialises deferred tensors' first reads: each source entry is built once.
-_FIRST_READ = threading.Lock()
-
-
 class Tensor:
     """An element of ``K (x) M`` in canonical normal form.
 
@@ -77,17 +77,16 @@ class Tensor:
     directly — use :meth:`TensorSpace.simple`, :meth:`TensorSpace.iota`,
     and the arithmetic methods.
 
-    Over a collapsing space a tensor carries its entries (the
-    presentation: ``str``, ``items``, ``apply_hom``) and its collapsed
-    value (the identity: ``==``, ``hash``, ``readback``), cached in
-    ``_collapsed`` by :meth:`collapse` or filled with the identical value
-    by an aggregation kernel.  A kernel's tensor may also defer its
-    entries (:meth:`_deferred`): they are built on first read.  Copies
-    and pickles carry the space (by name), the entries and that cache;
-    hash and ordering are per-process.
+    Over a collapsing space a tensor's identity (``==``, ``hash``,
+    ``readback``) is its collapsed value, cached in ``_collapsed``; the
+    presentation is a function of the values alone (``{c: 1_K}`` where
+    they are exact), so equal tensors over exact values print, iterate,
+    count and map under homomorphisms alike.  Copies and pickles carry
+    the space (by name), the entries and the cache; hash and ordering are
+    per-process.
     """
 
-    __slots__ = ("space", "_entries", "_canonical", "_hash", "_collapsed", "_source")
+    __slots__ = ("space", "_entries", "_canonical", "_hash", "_collapsed")
 
     def __init__(self, space: "TensorSpace", items: Dict[Any, Any]):
         self.space = space
@@ -99,29 +98,6 @@ class Tensor:
         self._canonical: Tuple[Tuple[Any, Any], ...] | None = None
         self._hash: int | None = None
         self._collapsed: Any = _Unset
-
-    @classmethod
-    def _deferred(cls, space: "TensorSpace", source: Any, index: int) -> "Tensor":
-        """Trusted: the tensor whose normalised entries are ``source[index]``,
-        left unbuilt until something reads ``_entries``."""
-        tensor = cls.__new__(cls)
-        tensor.space, tensor._source = space, (source, index)
-        tensor._canonical = tensor._hash = None
-        tensor._collapsed = _Unset
-        return tensor
-
-    def __getattr__(self, name: str) -> Any:
-        # only a deferred tensor's ``_entries`` is ever unset: the first
-        # read builds them and drops the source, so a read tensor pins no
-        # kernel arrays; a racing first reader finds the slot filled
-        if name != "_entries":
-            raise AttributeError(name)
-        with _FIRST_READ:
-            if self._source is not None:
-                source, index = self._source
-                self._entries = source[index]
-                self._source = None
-        return self._entries
 
     def __getstate__(self):
         return self.space, self._entries, self._collapsed
@@ -191,8 +167,9 @@ class Tensor:
         """Read the tensor back as a monoid value via the iota isomorphism.
 
         Only legal when :attr:`TensorSpace.collapses` holds (``K = N``, or
-        ``K = B`` with idempotent ``M``) — Prop. 3.9's cases.  Computed on
-        first use and cached (tensors are immutable).
+        ``K = B`` with idempotent ``M``) — Prop. 3.9's cases.  Known from
+        construction where the fold is exact; otherwise computed on first
+        use and cached (tensors are immutable).
         """
         value = self._collapsed
         if value is not _Unset:
@@ -203,15 +180,7 @@ class Tensor:
                 f"{space.name} does not collapse onto {space.monoid.name}: "
                 "iota is not an isomorphism"
             )
-        monoid = space.monoid
-        if space.semiring.is_naturals:
-            value = monoid.sum(
-                monoid.nat_action(k, m) for m, k in self._entries.items()
-            )
-        else:
-            # boolean scalars: every surviving entry has scalar True
-            value = monoid.sum(self._entries)
-        self._collapsed = value
+        value = self._collapsed = space._fold(self._entries)
         return value
 
     def apply_hom(self, hom: Any) -> "Tensor":
@@ -299,6 +268,8 @@ class TensorSpace:
             semiring.is_booleans and monoid.idempotent
         )
         self._zero = Tensor(self, {})
+        if self.collapses:
+            self._zero._collapsed = monoid.identity
 
     # -- constants and constructors ---------------------------------------
 
@@ -311,7 +282,7 @@ class TensorSpace:
         """The simple tensor ``scalar (x) value`` (normalised)."""
         if self.semiring.is_zero(scalar) or value == self.monoid.identity:
             return self._zero
-        return Tensor(self, {value: scalar})
+        return self._normal({value: scalar})
 
     def iota(self, value: Any) -> Tensor:
         """The embedding ``iota(m) = 1_K (x) m`` of Section 2.3."""
@@ -335,7 +306,7 @@ class TensorSpace:
                     merged[m] = combined
             else:
                 merged[m] = k
-        return Tensor(self, merged)
+        return self._normal(merged)
 
     def scalar(self, k: Any, t: Tensor) -> Tensor:
         """The action ``k * sum(k_i (x) m_i) = sum((k k_i) (x) m_i)``."""
@@ -349,7 +320,7 @@ class TensorSpace:
             combined = times(k, ki)
             if not is_zero(combined):
                 out[m] = combined
-        return Tensor(self, out)
+        return self._normal(out)
 
     def sum(self, tensors: Iterable[Tensor]) -> Tensor:
         """N-ary addition (the empty sum is :attr:`zero`).
@@ -442,7 +413,51 @@ class TensorSpace:
             combined = sum_many(bucket) if type(bucket) is list else bucket
             if not is_zero(combined):
                 out[m] = combined
-        return Tensor(self, out)
+        return self._normal(out)
+
+    # -- the normal form -----------------------------------------------------
+
+    def _normal(self, entries: Dict[Any, Any]) -> Tensor:
+        """The tensor of the (left-column) normalised ``entries``.  Every
+        constructor ends here.
+
+        Where ``iota`` is an isomorphism the exact values fold into one
+        entry ``1_K (x) c`` and the inexact ones keep theirs, so the form
+        depends only on the multiset of values, never on the grouping it
+        was built in: ``iota(c)`` when every value is exact.  A float equal
+        to ``c`` would share its dictionary key, so it joins ``c``."""
+        if not self.collapses:
+            return Tensor(self, entries)
+        monoid = self.monoid
+        inexact = [m for m in entries if not monoid.exact(m)]
+        if not inexact:
+            return self._of(self._fold(entries))
+        if len(inexact) == len(entries):
+            return Tensor(self, entries)
+        kept = {m: entries[m] for m in inexact}
+        value = self._fold({m: k for m, k in entries.items() if m not in kept})
+        while value in kept:
+            value = monoid.plus(value, self._fold({value: kept.pop(value)}))
+        if value != monoid.identity:
+            kept[value] = self.semiring.one  # last: a NaN never wins MIN/MAX
+        return Tensor(self, kept)
+
+    def _of(self, value: Any) -> Tensor:
+        """Trusted: the normal form ``iota(value)`` of a tensor whose exact
+        collapsed value is ``value``."""
+        if value == self.monoid.identity:
+            return self._zero
+        tensor = Tensor(self, {value: self.semiring.one})
+        tensor._collapsed = value
+        return tensor
+
+    def _fold(self, entries: Dict[Any, Any]) -> Any:
+        """Prop. 3.9's ``sum_M k.m`` over ``entries``: under ``B`` every
+        surviving scalar is ``True``, so the values fold alone."""
+        monoid = self.monoid
+        if self.semiring.is_naturals:
+            return monoid.sum(monoid.nat_action(k, m) for m, k in entries.items())
+        return monoid.sum(entries)
 
     # -- helpers -------------------------------------------------------------
 

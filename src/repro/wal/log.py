@@ -118,17 +118,6 @@ def list_segments(directory: str) -> List[Tuple[int, str]]:
     return found
 
 
-def _fsync_dir(directory: str) -> None:
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. non-POSIX
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 class WriteAheadLog:
     """The append side: one writer, segments rolled by size.
 
@@ -328,7 +317,9 @@ class WriteAheadLog:
             self._segment_size = fh.tell()
             self._dirty = True
             if self.fsync_policy != "none":
-                _fsync_dir(self.directory)  # the new name must survive a crash
+                from repro.io.serialize import fsync_dir  # local: io is heavy
+
+                fsync_dir(self.directory)  # the new name must survive a crash
         return self._fh
 
     def _rollback(self, offset: Optional[int]) -> None:
@@ -597,8 +588,10 @@ def scan_wal(
 
 
 def _truncate_file(path: str, offset: int) -> None:
+    from repro.io.serialize import fsync_dir  # local: io is heavy
+
     with open(path, "r+b") as fh:
         fh.truncate(offset)
         fh.flush()
         os.fsync(fh.fileno())
-    _fsync_dir(os.path.dirname(path) or ".")
+    fsync_dir(os.path.dirname(path) or ".")

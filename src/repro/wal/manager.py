@@ -44,7 +44,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from hashlib import sha256
@@ -87,34 +86,6 @@ def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
             found.append((int(match.group(1)), os.path.join(directory, name)))
     found.sort(reverse=True)
     return found
-
-
-def _atomic_write_json(path: str, payload: Any) -> None:
-    """tmp + fsync + atomic rename + dir fsync, for small manifest files."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - non-POSIX
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
 
 
 def _encode_record(op: str, fields: Mapping[str, Any]) -> bytes:
@@ -429,8 +400,9 @@ class DurabilityManager:
                 return None
             path = checkpoint_path(self.directory, lsn)
             serialize.dump_file(snap, path)
-            _atomic_write_json(
-                _views_manifest_path(self.directory, lsn), {"views": view_defs}
+            serialize.write_atomic(
+                _views_manifest_path(self.directory, lsn),
+                json.dumps({"views": view_defs}, sort_keys=True).encode("utf-8"),
             )
             self._snapshot_views()
             with self._mutex:

@@ -1,0 +1,108 @@
+"""Every path renders a result byte for byte alike.
+
+The interpreter, the object tier, the encoded tier and a materialised
+view fed the rows in two batches build their aggregate tensors in
+different ways — a fold per group, code-indexed array kernels, and
+``+`` of the state with each batch's contribution — and over ``N`` (and
+``B`` with an idempotent monoid) every one of them ends in the same normal
+form, so ``pretty()`` and the served wire form must not differ.  The
+shapes are the end-to-end benchmark's: its served SQL ``S1``-``S3`` and
+small copies of the analytic queries ``A1``-``A3``, and ``M1``/``M2``, a
+SUM and a PROD over a column whose first half holds only ints and whose
+second half mixes in floats: the view's state has folded its ints before
+a float arrives, yet holds the form the other paths build at once.
+"""
+
+import pytest
+
+pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+
+from repro.core import (AttrEq, GroupBy, KDatabase, KRelation, NaturalJoin,
+                        Project, Select, Table, Union)
+from repro.ivm import MaterializedView
+from repro.monoids import PROD, SUM
+from repro.plan import compile_plan, set_default_workers
+from repro.semirings import BOOL, NAT
+from repro.serve.schema import relation_to_json
+from repro.sql.compiler import compile_sql
+
+S1 = "SELECT Dept, SUM(Sal) FROM Emp GROUP BY Dept"
+S2 = "SELECT Region, SUM(Sal) FROM Emp, Dept GROUP BY Region"
+S3 = "SELECT Dept, MAX(Sal) FROM Emp WHERE Sal = 50 GROUP BY Dept"
+
+_fact_dim = NaturalJoin(Table("Fact"), Table("Dim"))
+QUERIES = {
+    "S1": compile_sql(S1),
+    "S2": compile_sql(S2),
+    "S3": compile_sql(S3),
+    "A1": GroupBy(_fact_dim, ["G"], {"V": SUM}, count_attr="N"),
+    "A2": Project(Select(_fact_dim, [AttrEq("Region", "EU")]), ["G"]),
+    "A3": Union(Project(Select(Table("Fact"), [AttrEq("V", 13)]), ["G"]),
+                Project(Select(Table("Fact"), [AttrEq("V", 42)]), ["G"])),
+    "M1": GroupBy(Table("Mix"), ["G"], {"V": SUM}),
+    "M2": GroupBy(Table("Mix"), ["G"], {"V": PROD}),
+}
+
+
+def tables(semiring):
+    """``{name: (columns, rows)}``, the rows in insertion order."""
+    ann = (lambda i: 1 + i % 3) if semiring is NAT else (lambda i: True)
+    emp = [((i, f"d{i % 5}", 10 * (1 + (7 * i) % 9)), ann(i)) for i in range(60)]
+    dept = [((f"d{j}", "EU" if j % 2 else "US"), 1 if semiring is NAT else True)
+            for j in range(5)]
+    fact = [((i, f"g{i % 6}", (11 * i) % 97 if i % 4 else 13 + 29 * (i % 8 == 0)),
+             ann(i)) for i in range(80)]
+    dim = [((f"g{j}", "EU" if j % 3 else "US"), 1 if semiring is NAT else True)
+           for j in range(6)]
+    floats = [0.1, 0.25, 1.5, 0.3, 2, 3]
+    mix = [((i, f"m{i % 3}", 1 + i % 4 if i < 12 else floats[i % 6]), ann(i))
+           for i in range(24)]
+    return {"Emp": (("EmpId", "Dept", "Sal"), emp), "Dept": (("Dept", "Region"), dept),
+            "Fact": (("Id", "G", "V"), fact), "Dim": (("G", "Region"), dim),
+            "Mix": (("Id", "G", "V"), mix)}
+
+
+def database(semiring, halves=(0, 1)):
+    """The database holding the given halves of every table's rows."""
+    out = {}
+    for name, (columns, rows) in tables(semiring).items():
+        cut = len(rows) // 2
+        picked = [r for h in halves for r in (rows[:cut], rows[cut:])[h]]
+        out[name] = KRelation.from_rows(semiring, columns, picked)
+    return KDatabase(semiring, out)
+
+
+def rendered(rel):
+    return rel.pretty(), relation_to_json(rel)
+
+
+@pytest.mark.parametrize("semiring", [NAT, BOOL], ids=lambda s: s.name)
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_every_path_renders_the_same_bytes(semiring, name):
+    query = QUERIES[name]
+    db = database(semiring)
+    want = rendered(query.evaluate(db, engine="interpreted"))
+    for tier in ("object", "encoded"):
+        plan = compile_plan(query, db, tier=tier)
+        assert rendered(plan.execute()) == want, tier
+        assert plan._last_tier == tier
+
+    first = database(semiring, halves=(0,))
+    view = MaterializedView.create(first, query)
+    second = database(semiring, halves=(1,))
+    view.apply({name: rel for name, rel in second})
+    assert rendered(view.result()) == want, "view"
+
+
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_the_parallel_merge_of_a_mixed_column_renders_the_same_bytes(name):
+    query = QUERIES[name]
+    db = database(NAT)
+    set_default_workers(2)
+    try:
+        plan = compile_plan(query, db, tier="parallel")
+        got = rendered(plan.execute())
+    finally:
+        set_default_workers(None)
+    assert plan._last_tier.startswith("parallel"), plan._last_tier
+    assert got == rendered(query.evaluate(db, engine="interpreted"))

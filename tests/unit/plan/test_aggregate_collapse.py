@@ -4,7 +4,7 @@ The property suite (``tests/property/test_encoded_tier.py``) holds the
 kernel's value to the definition's over random workloads; this file pins
 each exactness guard at its edge, the cross-morsel merge on hand-built
 payloads, the "work is done once" accounting, and the observability of
-the kernel-or-lazy decision.
+the kernel-or-fold decision.
 """
 
 import math
@@ -21,7 +21,7 @@ from repro.obs import explain_analyze
 from repro.obs.metrics import AGGREGATE_COLLAPSE, REGISTRY
 from repro.plan import compile_plan, parallel, set_default_workers
 from repro.plan.encoded import _INT64_MAX
-from repro.semimodules.tensor import Tensor, _Unset
+from repro.semimodules.tensor import Tensor, _Unset, tensor_space
 from repro.semirings import BOOL, INT, NAT
 from repro.semirings.integers import IntegerRing
 from repro.serve.schema import relation_to_json
@@ -80,22 +80,27 @@ def test_int_sum_just_inside_int64_is_prefilled(tier):
 
 
 @pytest.mark.parametrize("tier", ["encoded", "parallel"])
-def test_int_sum_just_outside_int64_stays_lazy_and_exact(tier):
+def test_int_sum_just_outside_int64_is_folded_exactly(tier):
     big = 1 << 62  # rows(2) * ann_bound(1) * max|v| == 2**63
     db = database(NAT, [(("a", big), 1), (("a", 1), 1)])
+    before = collapse_counts()
     t = grouped(db, SUM, tier)["a"]
-    assert t._collapsed is _Unset
-    assert t.collapse() == big + 1 and type(t.collapse()) is int
-    assert t._collapsed == big + 1  # computed once, then cached
+    assert ("fold", "bound") in delta(before)
+    # the normal form's fold is arbitrary-precision: the same iota(c)
+    assert t._entries == {big + 1: 1} and type(t._collapsed) is int
 
 
 def test_annotations_count_toward_the_bound():
     big = _INT64_MAX // 6
     rows = [(("a", big), 3), (("a", 1), 1)]  # 2 rows * ann_bound 3 * big
+    before = collapse_counts()
     assert grouped(database(NAT, rows), SUM, "encoded")["a"]._collapsed == 3 * big + 1
+    assert ("kernel", "") in delta(before)
     rows = [(("a", big + 1), 3), (("a", 1), 1)]
+    before = collapse_counts()
     t = grouped(database(NAT, rows), SUM, "encoded")["a"]
-    assert t._collapsed is _Unset and t.collapse() == 3 * (big + 1) + 1
+    assert ("fold", "bound") in delta(before)
+    assert t._entries == {3 * (big + 1) + 1: 1}
 
 
 def test_float_sum_is_left_to_the_fold_and_bit_identical_on_every_tier():
@@ -124,18 +129,19 @@ def test_min_max_select_without_arithmetic(values, expected):
 
 
 @pytest.mark.parametrize("values,monoid", [
-    ([1, 2.5], SUM),                 # mixed dictionary
+    ([1, 2.5], SUM),                 # mixed dictionary, and inexact
     ([1, 2.5], MIN),
     ([Fraction(1, 3), Fraction(1, 2)], SUM),
     ([Fraction(1, 3), Fraction(1, 2)], MAX),
     ([2, 3], PROD),                  # no kernel declared
 ])
-def test_other_dictionaries_stay_lazy(values, monoid):
+def test_other_dictionaries_are_left_to_the_normal_form(values, monoid):
     db = database(NAT, [(("a", v), 2) for v in values])
     t = grouped(db, monoid, "encoded")["a"]
     u = grouped(db, monoid, "object")["a"]
-    assert t._collapsed is _Unset
-    assert str(t) == str(u)
+    exact = all(map(monoid.exact, values))
+    assert (t._collapsed is not _Unset) == exact and len(t) == (1 if exact else 2)
+    assert str(t) == str(u) and t._entries == u._entries
     assert t.collapse() == u.collapse() and type(t.collapse()) is type(u.collapse())
 
 
@@ -203,17 +209,16 @@ def group_op(semiring):
     return compile_plan(GroupBy(Table("R"), ["g"], {"v": SUM}), db, tier="encoded").root
 
 
-def payload(groups, collapsed=True):
-    """A morsel payload for ``{group: {value: scalar}}`` (``collapsed=False``:
-    as :meth:`GroupedAggregate.object_group_states` ships it)."""
+def payload(semiring, groups):
+    """A morsel payload for ``{group: {value: scalar}}``."""
+    space = tensor_space(semiring, SUM)
     return {
         "rows": sum(map(len, groups.values())),
         "bound": 8,
         "group_rows": [(g,) for g in groups],
         "totals": [sum(e.values()) for e in groups.values()],
-        "entries": {"v": [dict(e) for e in groups.values()]},
-        "collapsed": {"v": [sum(v * k for v, k in e.items()) for e in groups.values()]
-                      if collapsed else "object tier"},
+        "tensors": {"v": [space.set_agg(e.items()) for e in groups.values()]},
+        "why": {"v": None},
     }
 
 
@@ -226,17 +231,17 @@ def merged(semiring, payloads, op=None):
 def test_partials_of_a_group_met_in_three_morsels_combine():
     # a contiguous-chunk partition (or a salvaged morsel) splits group a
     morsels = [{"a": {5: 2, 7: 1}, "b": {1: 1}}, {"a": {5: 1}}, {"c": {2: 2}, "a": {9: 4}}]
-    got = merged(NAT, [payload(m) for m in morsels])
-    assert got["a"]._entries == {5: 3, 7: 1, 9: 4}
+    got = merged(NAT, [payload(NAT, m) for m in morsels])
+    assert got["a"]._entries == {58: 1}  # normal forms add by +_M
     assert {g: t._collapsed for g, t in got.items()} == {"a": 58, "b": 1, "c": 4}
     assert all(t._collapsed == recomputed(t) for t in got.values())
 
 
-def test_first_seen_payload_dicts_are_taken_over_not_copied():
-    first = payload({"a": {5: 2}, "b": {1: 1}})
-    got = merged(NAT, [first, payload({"b": {1: 2}})])
-    assert got["a"]._entries is first["entries"]["v"][0]
-    assert got["b"]._entries == {1: 3}
+def test_first_seen_payload_tensors_are_taken_over_not_copied():
+    first = payload(NAT, {"a": {5: 2}, "b": {1: 1}})
+    got = merged(NAT, [first, payload(NAT, {"b": {1: 2}})])
+    assert got["a"] is first["tensors"]["v"][0]
+    assert got["b"]._entries == {3: 1}
 
 
 def test_only_groups_that_merged_are_rescanned_for_zero_scalars():
@@ -250,25 +255,48 @@ def test_only_groups_that_merged_are_rescanned_for_zero_scalars():
     ring = CountingZ()
     siblings = {f"s{i}": {i + 1: 1, i + 2: 2} for i in range(20)}
     morsels = [{"a": {5: 2, 7: 1}, **siblings}, {"a": {5: -1}}, {"a": {5: -1, 9: 3}}]
-    payloads = [payload(m) for m in morsels]
-    for p in payloads:
-        p["collapsed"] = {"v": "non-collapsing space"}
+    payloads = [payload(ring, m) for m in morsels]
     op = group_op(ring)
     calls.clear()
     got = merged(ring, payloads, op)
     assert got["a"]._entries == {7: 1, 9: 3}  # 5's scalar cancelled across morsels
     assert all(got[g]._entries == e for g, e in siblings.items())
-    assert sorted(calls) == [0, 1, 3]  # group a's three entries, nobody else's
+    assert sorted(calls) == [0, 1]  # group a's two merges of 5, nobody else's
     assert all(t._collapsed is _Unset for t in got.values())
 
 
-def test_an_object_morsel_leaves_the_merged_value_unset_not_wrong():
-    morsels = [payload({"a": {5: 2}}), payload({"a": {7: 1}, "b": {1: 1}}, collapsed=False)]
+def test_a_float_partial_merges_to_the_form_one_morsel_builds():
+    morsels = [payload(NAT, {"a": {5: 2}}), payload(NAT, {"a": {0.5: 1}, "b": {1: 1}})]
+    whole = tensor_space(NAT, SUM).set_agg([(5, 2), (0.5, 1)])
     for payloads in (morsels, morsels[::-1]):
-        got = merged(NAT, [dict(p, entries={"v": [dict(e) for e in p["entries"]["v"]]})
-                           for p in payloads])
-        assert all(t._collapsed is _Unset for t in got.values())
-        assert got["a"].collapse() == 17 and got["b"].collapse() == 1
+        got = merged(NAT, payloads)
+        assert got["a"]._entries == whole._entries == {10: 1, 0.5: 1}
+        assert str(got["a"]) == str(whole) == "1⊗0.5 + 1⊗10"
+        assert got["a"].collapse() == 10.5 and got["b"]._entries == {1: 1}
+
+
+@pytest.mark.parametrize("monoid, ints, floats", [
+    (PROD, [3, 5], [0.1]),                 # 0.1 * 15 != 0.1 * 3 * 5
+    (SUM, [2 ** 53, 1], [0.5]),            # fsum rounds each int it is given
+    (SUM, [2, 1, -4], [0.5, 0.25]),
+])
+def test_mixed_partials_merge_to_re_evaluation(monoid, ints, floats):
+    space = tensor_space(NAT, monoid)
+    op = compile_plan(GroupBy(Table("R"), ["g"], {"v": monoid}),
+                      database(NAT, [(("a", 1), 1)]), tier="encoded").root
+
+    def part(values):
+        return {"rows": len(values), "bound": 1, "group_rows": [("a",)],
+                "totals": [len(values)], "why": {"v": "mixed values"},
+                "tensors": {"v": [space.set_agg((v, 1) for v in values)]}}
+
+    whole = space.set_agg((v, 1) for v in ints + floats)
+    for cut in range(1, len(ints + floats)):
+        for values in (ints + floats, floats + ints):
+            got = merged(NAT, [part(values[:cut]), part(values[cut:])], op)["a"]
+            assert got._entries == whole._entries and str(got) == str(whole)
+            assert got.collapse() == whole.collapse()
+            assert type(got.collapse()) is type(whole.collapse())
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +370,18 @@ def delta(before):
 @pytest.mark.parametrize("tier", ["encoded", "parallel"])
 @pytest.mark.parametrize("values,monoid,shown,labels", [
     ([1, 2, 3], SUM, "collapse=kernel", ("kernel", "")),
-    ([0.5, 1.5], SUM, "collapse=lazy (float SUM)", ("lazy", "float SUM")),
-    ([1, 2.5], MAX, "collapse=lazy (mixed values)", ("lazy", "mixed values")),
-    ([2, 3], PROD, "collapse=lazy (no kernel for PROD)", ("lazy", "no kernel for PROD")),
-    ([1 << 62, 1 << 61], SUM, "collapse=lazy (bound)", ("lazy", "bound")),
+    ([0.5, 1.5], SUM, "collapse=fold (inexact values)", ("fold", "inexact values")),
+    ([1, 2.5], MAX, "collapse=fold (mixed values)", ("fold", "mixed values")),
+    ([2, 3], PROD, "collapse=fold (no kernel for PROD)", ("fold", "no kernel for PROD")),
+    ([1 << 62, 1 << 61], SUM, "collapse=fold (bound)", ("fold", "bound")),
 ])
 def test_span_and_counter_name_the_path_and_the_cause(tier, values, monoid, shown, labels):
     db = database(NAT, [(("a", v), 1) for v in values] + [(("b", values[0]), 1)])
     query = GroupBy(Table("R"), ["g"], {"v": monoid})
     before = collapse_counts()
     text = explain_analyze(query, db, tier=tier)
-    assert shown in text, text
-    assert delta(before) == {labels: 1}
+    assert shown in text, text  # on the aggregate's span, or on a morsel's
+    assert delta(before) == {labels: 1}  # once, in this process, on both tiers
     path, reason = labels
     assert (f'repro_aggregate_collapse_total{{path="{path}",reason="{reason}"}}'
             in REGISTRY.render())
@@ -363,8 +391,8 @@ def test_non_collapsing_space_is_a_cause_too():
     db = database(INT, [(("a", 1), 1), (("a", 2), -1)])
     before = collapse_counts()
     text = explain_analyze(GroupBy(Table("R"), ["g"], {"v": SUM}), db, tier="encoded")
-    assert "collapse=lazy (non-collapsing space)" in text
-    assert delta(before) == {("lazy", "non-collapsing space"): 1}
+    assert "collapse=fold (non-collapsing space)" in text
+    assert delta(before) == {("fold", "non-collapsing space"): 1}
 
 
 def test_whole_aggregate_reports_its_collapse():

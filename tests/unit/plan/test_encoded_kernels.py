@@ -6,9 +6,7 @@ direct-address path (taken while the key space is within
 holds the two to identical output, pins the bound at its edge, and guards
 — without a clock — that the benchmark's query shapes actually run the
 direct path: the span attribute ``kernel=`` and the counter
-``repro_encoded_kernel_total{op,kernel}`` say which one ran.  A last
-guard holds the benchmark's aggregate to building no tensor entries that
-nothing reads (``repro_aggregate_entries_total{event}``).
+``repro_encoded_kernel_total{op,kernel}`` say which one ran.
 """
 
 import random
@@ -20,12 +18,11 @@ np = pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
 from repro.core import (AttrEq, GroupBy, KDatabase, KRelation, NaturalJoin,
                         Project, Select, Table, Union)
 from repro.monoids import SUM
-from repro.obs.analyze import analyze_query, explain_analyze
-from repro.obs.metrics import AGGREGATE_ENTRIES, ENCODED_KERNEL, REGISTRY
+from repro.obs.analyze import analyze_query
+from repro.obs.metrics import ENCODED_KERNEL, REGISTRY
 from repro.plan import compile_plan, kernels, parallel, set_default_workers
 from repro.plan.kernels import direct, reduce_by_key
 from repro.semirings import BOOL, FUZZY, INT, NAT, TROPICAL
-from repro.serve.schema import relation_to_json
 
 MACHINE_SEMIRINGS = [NAT, INT, BOOL, TROPICAL, FUZZY]
 
@@ -318,33 +315,3 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
         assert result == query.evaluate(db, engine="interpreted")
         assert set(counted(before)) == {(op, "sorted") for op in ops}
         assert {kernel for _span, kernel in span_kernels(root)} == {"sorted"}
-
-
-# ---------------------------------------------------------------------------
-# the entries guard: a kernel tensor's presentation is paid for only if read
-# ---------------------------------------------------------------------------
-
-
-def entry_counts():
-    values = AGGREGATE_ENTRIES.values()
-    return {event: values.get((event,), 0) for event in ("deferred", "built")}
-
-
-def test_the_analytic_aggregate_builds_no_entries_nobody_reads():
-    db, query = analytic_db(), ANALYTIC["A1"]
-    before = entry_counts()
-    got = query.evaluate(db, engine="planned")
-    want = compile_plan(query, db, tier="object").execute()
-    groups = len(got)
-    # what the benchmark and a served SUM do with a result: compare it,
-    # hash it, render its wire form — every one reads the collapsed value
-    assert got == want and hash(got) == hash(want)
-    assert relation_to_json(got) == relation_to_json(want)
-    counts = entry_counts()
-    assert counts == {"deferred": before["deferred"] + groups,
-                      "built": before["built"]}
-    assert 'repro_aggregate_entries_total{event="built"}' in REGISTRY.render()
-    # the presentation builds each tensor's entries once, as the object tier has them
-    assert str(got) == str(want) and got.pretty() == want.pretty()
-    assert entry_counts()["built"] == before["built"] + groups
-    assert "entries=deferred" in explain_analyze(query, db)

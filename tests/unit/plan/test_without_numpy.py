@@ -5,7 +5,8 @@ tiers.  A subprocess blocks the import (``sys.modules["numpy"] = None``)
 before ``repro`` loads and checks the contract end to end: the package
 imports, tier selection observes the missing module instead of reading a
 knob, ``explain()`` reports the tier that ran, answers equal the
-interpreter's across a write, insisting on an array tier fails with
+interpreter's across a write (and render alike: every bag aggregate is
+the normal form ``1⊗c``), insisting on an array tier fails with
 an error that names NumPy, and circuit provenance runs the object tier
 and the evaluator's id-order loop to the expanded route's answers.
 """
@@ -42,8 +43,13 @@ query = GroupBy(NaturalJoin(Table("Emp"), Table("Dept")), ["Region"], {"Sal": SU
 plan = compile_plan(query, db)
 assert plan.tier == "object", plan.tier
 assert "tier: object" in plan.explain()
-assert plan.execute() == query.evaluate(db, engine="interpreted")
+result, want = plan.execute(), query.evaluate(db, engine="interpreted")
+assert result == want and result.pretty() == want.pretty()
 assert "[last run: object]" in plan.explain()
+# every bag SUM is its value: the one normal form iota(c) = {c: 1}
+for tup, _k in result.rows():
+    t = tup["Sal"]
+    assert t._entries == ({t.collapse(): 1} if t else {}), t
 
 db.update({"Emp": KRelation.from_rows(
     NAT, ("EmpId", "Dept", "Sal"), [((1000, "d1", 70), 2)])})

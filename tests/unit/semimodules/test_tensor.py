@@ -232,9 +232,10 @@ class TestCopies:
 
     def test_unset_cache_stays_unset_through_pickle(self):
         # an object() sentinel would come back a stranger and be returned
-        # as the collapsed value
-        t = _pickled(tensor_space(NAT, SUM).set_agg([(10, 2), (20, 3)]))
-        assert t.collapse() == 80
+        # as the collapsed value (a float SUM is folded on first use only)
+        t = _pickled(tensor_space(NAT, SUM).set_agg([(0.5, 2), (0.25, 3)]))
+        assert t._collapsed is _Unset
+        assert t.collapse() == 1.75
 
     def test_a_pickle_carries_no_per_process_hash(self):
         t = tensor_space(NAT, SUM).set_agg([(10, 2)])
@@ -255,21 +256,11 @@ class TestCopies:
         assert t.collapse() == 80 and len(calls) == 1
 
 
-def _built(t):
-    """Whether ``t`` holds its entries (the slot itself, not the fallback
-    that builds a deferred tensor's on first read)."""
-    try:
-        Tensor._entries.__get__(t, Tensor)
-    except AttributeError:
-        return False
-    return True
-
-
 #: ``(semiring, monoid, values)``: every group ``a`` aggregates ``values``,
 #: group ``b`` only the monoid's identity (an empty tensor), group ``c`` one
-DEFERRED_CASES = [
+KERNEL_CASES = [
     (NAT, SUM, (3, 7, 5)),
-    (NAT, SUM, (0.5, 0.25, 0.1)),  # float SUM: the collapse is left lazy
+    (NAT, SUM, (0.5, 0.25, 0.1)),  # float SUM: inexact, the entries stay
     (NAT, MAX, (3.0, 7.0, 5.0)),
     (NAT, MIN, (3.0, 7.0, 5.0)),
     (BOOL, SUM, (3, 7, 5)),  # B (x) SUM: iota is no isomorphism
@@ -278,7 +269,7 @@ DEFERRED_CASES = [
 ]
 
 
-def _deferred_case_id(case):
+def _kernel_case_id(case):
     semiring, monoid, values = case
     return f"{semiring.name}-{monoid.name}-{type(values[0]).__name__}"
 
@@ -306,43 +297,39 @@ def _by_group(db, monoid, tier):
 
 
 def _pairs(semiring, monoid, values):
-    """``[(deferred, eager)]`` per group: the encoded tier's kernel tensor,
-    unread, and the object tier's, built from the same rows."""
+    """``[(kernel, eager)]`` per group: the encoded tier's tensor and the
+    object tier's, built from the same rows."""
     pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
     db = _grouped_db(semiring, monoid, values)
     kernel, eager = _by_group(db, monoid, "encoded"), _by_group(db, monoid, "object")
     assert sorted(kernel) == sorted(eager) == ["a", "b", "c"]
-    assert not any(map(_built, kernel.values()))
     return [(kernel[g], eager[g]) for g in sorted(kernel)]
 
 
-@pytest.mark.parametrize("case", DEFERRED_CASES, ids=_deferred_case_id)
-class TestDeferred:
-    """A kernel-built tensor keeps its entries in the aggregation kernel's
-    arrays until something reads them, and is then the tensor the object
-    tier builds: the deferral is invisible to every reader."""
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_case_id)
+class TestKernelTensor:
+    """A tensor built by the encoded tier's aggregation kernel is the
+    tensor the object tier builds, to every reader: where the space
+    collapses and the values are exact both are the one normal form
+    ``iota(c)``, otherwise both carry the same entries."""
 
-    def test_identity_reads_agree_and_need_no_entries_once_collapsed(self, case):
+    def test_identity_reads_agree(self, case):
         _semiring, monoid, values = case
-        lazy = monoid is SUM and type(values[0]) is float
+        exact = not (monoid is SUM and type(values[0]) is float)
         for d, e in _pairs(*case):
-            kernel = d._collapsed is not _Unset  # the kernel's Prop. 3.9 value
-            assert kernel == (d.space.collapses and not lazy)
-            assert d == e and hash(d) == hash(e)
             if d.space.collapses:
+                # the normal form knows its value from construction
+                assert (d._collapsed is not _Unset) == (exact or not d)
+                assert len(d) <= 1 or not exact
                 assert d.collapse() == e.collapse()
-            # with the value in hand no identity read needs the entries;
-            # without it, the fold (or the comparison) reads them
-            assert _built(d) != kernel
+            assert d == e and hash(d) == hash(e)
 
     @pytest.mark.parametrize("read", [
         str, Tensor.items, Tensor.size, len, bool, lambda t: t._entries,
     ], ids=["str", "items", "size", "len", "bool", "entries"])
-    def test_presentation_reads_build_the_identical_entries(self, case, read):
+    def test_presentation_reads_agree(self, case, read):
         for d, e in _pairs(*case):
-            assert read(d) == read(e) and _built(d)
-            # once built, the tensor pins none of the kernel's arrays
-            assert d._source is None
+            assert read(d) == read(e)
             assert d._entries == e._entries and str(d) == str(e)
 
     def test_apply_hom_into_b_and_z_agrees(self, case):
@@ -360,51 +347,11 @@ class TestDeferred:
 
     @pytest.mark.parametrize("clone", [_pickled, copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
-    def test_copies_carry_the_built_entries(self, case, clone):
+    def test_copies_carry_the_entries(self, case, clone):
         for d, e in _pairs(*case):
             u = clone(d)
-            assert _built(u) and u._entries == e._entries
+            assert u._entries == e._entries
             assert u == e and hash(u) == hash(e) and str(u) == str(e)
-
-    def test_racing_first_reads_build_each_tensor_once(self, case):
-        import sys
-        import threading
-
-        from repro.obs.metrics import AGGREGATE_ENTRIES
-
-        def built():
-            return AGGREGATE_ENTRIES.values().get(("built",), 0)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the first read
-        try:
-            for _round in range(10):
-                pairs = _pairs(*case)
-                before = built()
-                barrier = threading.Barrier(8, timeout=10)
-                seen, errors = [], []
-
-                def first_read():
-                    try:
-                        barrier.wait()
-                        seen.append([d._entries for d, _e in pairs])
-                    except Exception as exc:  # pragma: no cover - the failure
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=first_read) for _ in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert not errors and len(seen) == 8
-                assert all(got == [e._entries for _d, e in pairs] for got in seen)
-                # eight readers, one build (and one count) per tensor
-                assert all(got[i] is d._entries for got in seen
-                           for i, (d, _e) in enumerate(pairs))
-                assert built() == before + len(pairs)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_a_read_after_a_carried_write_presents_the_same_entries(self, case):
         from repro.core import KRelation
@@ -414,7 +361,6 @@ class TestDeferred:
         pytest.importorskip("numpy")
         db = _grouped_db(*case)
         before = _by_group(db, monoid, "encoded")
-        assert not any(map(_built, before.values()))
         want = {g: (str(t), dict(t._entries)) for g, t in _by_group(db, monoid, "object").items()}
         extends = ENCODED_CACHE_EVENTS.values().get(("extend",), 0)
         fresh = [type(values[0])(100 + i) for i in range(3)]  # new to v's dictionary
@@ -422,5 +368,7 @@ class TestDeferred:
             semiring, ("g", "v"), [(("a", v), semiring.one) for v in fresh])})
         after = _by_group(db, monoid, "encoded")  # extends the carried column
         assert ENCODED_CACHE_EVENTS.values()[("extend",)] == extends + 1
-        assert set(after["a"]._entries) == set(want["a"][1]) | set(fresh)
+        eager = _by_group(db, monoid, "object")
+        assert {g: (str(t), t._entries) for g, t in after.items()} == {
+            g: (str(t), t._entries) for g, t in eager.items()}
         assert {g: (str(t), t._entries) for g, t in before.items()} == want
