@@ -225,9 +225,9 @@ class Query(abc.ABC):
 
         ``deadline`` is an optional wall-clock budget — a
         :class:`repro.deadline.Deadline` or a number of seconds.  The
-        planned engine checks it cooperatively at every operator (and
-        per morsel on the parallel tier); the other engines check it at
-        evaluation entry and exit.  Expiry raises
+        planned engine checks it cooperatively at every operator, in both
+        annotation representations (and per morsel on the parallel tier);
+        the interpreter checks it at evaluation entry and exit.  Expiry raises
         :class:`~repro.exceptions.DeadlineExceeded`.
         """
         if engine not in ("interpreted", "planned"):
@@ -250,7 +250,7 @@ class Query(abc.ABC):
                 )
             from repro.plan.circuit_exec import evaluate_circuit_backed  # local: plan imports core
 
-            result = evaluate_circuit_backed(self, db)
+            result = evaluate_circuit_backed(self, db, deadline)
         elif mode == "standard" and engine == "planned":
             return self._cached_plan(db).execute(db, deadline=deadline)
         else:

@@ -11,10 +11,10 @@ annotations and those tensor values (the ``h_Rel`` of Section 3.2).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from repro.core.schema import Schema
-from repro.core.tuples import Tup
+from repro.core.tuples import Tup, _canonical_attrs
 from repro.exceptions import SchemaError, SemiringError
 from repro.semimodules.tensor import Tensor
 from repro.semirings.base import Semiring
@@ -35,10 +35,10 @@ def merged_rows(
     against it; a caller that built the tuples *from* the schema (the
     batch ⇄ relation boundary, over ``Tup._from_sorted``) passes none.
     """
-    attr_set = None if schema is None else set(schema.attributes)
+    attrs = None if schema is None else _canonical_attrs(tuple(schema.attributes))
     data: Dict[Tup, Any] = {}
     for tup, annotation in items:
-        if attr_set is not None and set(tup.keys()) != attr_set:
+        if attrs is not None and tup._attrs != attrs:
             raise SchemaError(f"tuple {tup} does not match schema {schema}")
         if tup in data:
             # k-way collisions accumulate for one n-ary sum_many below
@@ -199,47 +199,56 @@ class KRelation:
         image is genuinely ambiguous and :class:`SemiringError` is raised
         (this cannot happen for relations produced by the Section 4.3
         operators).
+
+        Every annotation and tensor scalar is mapped in one
+        :meth:`Homomorphism.map_many` call, which is where a homomorphism
+        shares work between them (a valuation maps each distinct token and
+        monomial once; a circuit result's evaluates its gates in one pass).
         """
         if hom.source is not self.semiring:
             raise SemiringError(
                 f"homomorphism {hom.name} does not start at {self.semiring.name}"
             )
-
-        # memoize per relation: provenance workloads repeat annotations
-        # (shared circuits, common subqueries, identical tokens), so each
-        # distinct annotation / tensor value maps through ``hom`` once
-        ann_memo: Dict[Any, Any] = {}
-        value_memo: Dict[Any, Any] = {}
-
-        def map_annotation(annotation: Any) -> Any:
-            image = ann_memo.get(annotation)
-            if image is None:
-                image = ann_memo[annotation] = hom(annotation)
-            return image
-
-        def map_value(value: Any) -> Any:
-            if not isinstance(value, Tensor):
-                return value
-            image = value_memo.get(value)
-            if image is None:
-                image = value_memo[value] = value.apply_hom(hom)
-            return image
-
+        batch, starts = self._scalars()
+        images = hom.map_many(batch)
         target = hom.target
+        mapped = {
+            tensor: tensor._mapped(target, images[start:start + len(tensor._entries)])
+            for tensor, start in starts.items()
+        }
+
+        is_zero = target.is_zero
         merged: Dict[Tup, Any] = {}
-        for tup, annotation in self._rows.items():
-            image_tup = Tup({a: map_value(v) for a, v in tup.items()})
-            image_ann = map_annotation(annotation)
-            if target.is_zero(image_ann):
+        for tup, image_ann in zip(self._rows, images):
+            if is_zero(image_ann):
                 continue
-            if image_tup in merged and merged[image_tup] != image_ann:
+            if mapped:
+                tup = Tup._from_sorted(tup._attrs, tuple(
+                    mapped[v] if isinstance(v, Tensor) else v for v in tup._values
+                ))
+            if tup in merged and merged[tup] != image_ann:
                 raise SemiringError(
                     f"ambiguous homomorphic image: tuples merging into "
-                    f"{image_tup} carry distinct annotations "
-                    f"{target.format(merged[image_tup])} vs {target.format(image_ann)}"
+                    f"{tup} carry distinct annotations "
+                    f"{target.format(merged[tup])} vs {target.format(image_ann)}"
                 )
-            merged[image_tup] = image_ann
-        return KRelation(target, self.schema, merged)
+            merged[tup] = image_ann
+        return KRelation._from_clean(target, self.schema, merged)
+
+    def _scalars(self) -> Tuple[List[Any], Dict[Tensor, int]]:
+        """Everything a homomorphism maps, as one batch: every annotation,
+        in row order, then the scalars of each distinct tensor value, in
+        entry order, starting at the offset the tensor maps to.  Tensors
+        are told apart by ``==``: of equal ones only the first met is
+        mapped, and its image stands for all of them."""
+        batch = list(self._rows.values())
+        tensors: Dict[Tensor, int] = {}
+        for tup in self._rows:
+            for value in tup._values:
+                if isinstance(value, Tensor) and value not in tensors:
+                    tensors[value] = len(batch)
+                    batch.extend(value._entries.values())
+        return batch, tensors
 
     def negated(self) -> "KRelation":
         """The additive inverse ``-R`` (ring-annotated relations only).

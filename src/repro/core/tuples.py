@@ -9,6 +9,7 @@ relations can be finite maps ``tuple -> annotation``.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
 
@@ -29,16 +30,43 @@ def _canonical_attrs(keys: Tuple[str, ...]) -> Tuple[str, ...]:
     return tuple(sorted(keys))
 
 
+@lru_cache(maxsize=1024)
+def _positions(attrs: Tuple[str, ...]) -> Dict[str, int]:
+    """``attribute -> index`` for a sorted attribute tuple, one map shared
+    by every tuple over those attributes: ``Tup.keys()`` is its key view."""
+    return {attr: i for i, attr in enumerate(attrs)}
+
+
+class _Items(ItemsView):
+    """``Tup.items()``: an items view that iterates the two aligned tuples
+    instead of looking every key up again."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[str, Any]]:
+        tup = self._mapping
+        return zip(tup._attrs, tup._values)
+
+
 class Tup(Mapping[str, Any]):
-    """An immutable, hashable tuple over named attributes."""
+    """An immutable, hashable tuple over named attributes.
+
+    The mapping reads go straight to the sorted attribute tuple and the
+    aligned value tuple: ``keys()`` is a real key view (sized,
+    re-iterable, ``in``, set operations), ``items()`` an items view,
+    ``values()`` the value tuple itself.  ``t[a]`` is a ``tuple.index``:
+    over the handful of attributes a tuple has it beats a dictionary
+    lookup, which must first hash the attribute tuple.
+    """
 
     __slots__ = ("_attrs", "_values", "_hash")
 
     def __init__(self, mapping: Mapping[str, Any] | Iterable[Tuple[str, Any]]):
-        items = dict(mapping)
+        # only read here: a dict argument needs no copy
+        items = mapping if type(mapping) is dict else dict(mapping)
         attrs = _canonical_attrs(tuple(items))
         self._attrs: Tuple[str, ...] = attrs
-        self._values: Tuple[Any, ...] = tuple(items[a] for a in attrs)
+        self._values: Tuple[Any, ...] = tuple(map(items.__getitem__, attrs))
         self._hash = hash((self._attrs, self._values))
 
     @classmethod
@@ -71,6 +99,24 @@ class Tup(Mapping[str, Any]):
             raise SchemaError(f"attribute {attr!r} not present in tuple {self}") from None
         return self._values[idx]
 
+    def get(self, attr: str, default: Any = None) -> Any:
+        try:
+            return self._values[self._attrs.index(attr)]
+        except ValueError:
+            return default
+
+    def __contains__(self, attr: object) -> bool:
+        return attr in self._attrs
+
+    def keys(self):
+        return _positions(self._attrs).keys()
+
+    def items(self) -> _Items:
+        return _Items(self)
+
+    def values(self) -> Tuple[Any, ...]:
+        return self._values
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._attrs)
 
@@ -90,12 +136,12 @@ class Tup(Mapping[str, Any]):
     def restrict(self, attrs: Iterable[str]) -> "Tup":
         """The restriction ``t|U'`` of the paper: keep only ``attrs``."""
         keep = set(attrs)
-        return Tup({a: v for a, v in self.items() if a in keep})
+        return Tup({a: v for a, v in zip(self._attrs, self._values) if a in keep})
 
     def merge(self, other: "Tup") -> "Tup":
         """Combine two join-compatible tuples (shared attributes must agree)."""
-        merged: Dict[str, Any] = dict(self.items())
-        for attr, value in other.items():
+        merged: Dict[str, Any] = dict(zip(self._attrs, self._values))
+        for attr, value in zip(other._attrs, other._values):
             if attr in merged and merged[attr] != value:
                 raise SchemaError(
                     f"tuples disagree on {attr!r}: {merged[attr]!r} vs {value!r}"
@@ -105,7 +151,7 @@ class Tup(Mapping[str, Any]):
 
     def replace(self, **updates: Any) -> "Tup":
         """A copy with some attribute values replaced."""
-        merged = dict(self.items())
+        merged = dict(zip(self._attrs, self._values))
         for attr, value in updates.items():
             if attr not in merged:
                 raise SchemaError(f"attribute {attr!r} not present in tuple {self}")
@@ -114,7 +160,7 @@ class Tup(Mapping[str, Any]):
 
     def rename(self, mapping: Mapping[str, str]) -> "Tup":
         """Rename attributes (unknown keys ignored by design: partial maps)."""
-        return Tup({mapping.get(a, a): v for a, v in self.items()})
+        return Tup({mapping.get(a, a): v for a, v in zip(self._attrs, self._values)})
 
     def values_by(self, schema: Schema) -> Tuple[Any, ...]:
         """Values ordered by ``schema`` (for display and row export)."""
@@ -125,4 +171,4 @@ class Tup(Mapping[str, Any]):
         return f"⟨{inner}⟩"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Tup({dict(self.items())!r})"
+        return f"Tup({dict(zip(self._attrs, self._values))!r})"

@@ -158,8 +158,10 @@ def patch_circuit_image(db: KDatabase, lifted: Mapping[str, KRelation]) -> None:
         cache["version"] = db.version
 
 
-def evaluate_circuit_backed(query, db: KDatabase) -> "CircuitResult":
-    """Run ``query`` over the circuit image of ``db`` (planned engine).
+def evaluate_circuit_backed(query, db: KDatabase, deadline=None) -> "CircuitResult":
+    """Run ``query`` over the circuit image of ``db`` (planned engine),
+    checking ``deadline`` (a :class:`~repro.deadline.Deadline`) at every
+    operator as the expanded plan does.
 
     The image itself is pinned (``circ_db.snapshot()``) before the plan
     runs, so a concurrent reader at a different version — or an
@@ -173,7 +175,27 @@ def evaluate_circuit_backed(query, db: KDatabase) -> "CircuitResult":
         circ, circ_db = circuit_database(db)
         circ_snap = circ_db.snapshot()
     plan = query._cached_plan(circ_snap)
-    return CircuitResult(plan.execute(circ_snap), circ)
+    return CircuitResult(plan.execute(circ_snap, deadline=deadline), circ)
+
+
+class _GateValuation(Homomorphism):
+    """Gates into ``target`` under a token valuation: a batch is one
+    bottom-up pass over the gates reachable from all of it
+    (:func:`~repro.circuits.evaluate.evaluate_gates`)."""
+
+    __slots__ = ("_valuation",)
+
+    def __init__(self, circ: CircuitSemiring, target: Semiring, valuation, name: str):
+        super().__init__(circ, target, None, name)
+        self._valuation = valuation
+
+    def __call__(self, gate: Any) -> Any:
+        return self.map_many((gate,))[0]
+
+    def map_many(self, gates) -> List[Any]:
+        return evaluate_gates(
+            list(gates), self.target, self._valuation, builder=self.source.builder
+        )
 
 
 class CircuitResult:
@@ -222,13 +244,7 @@ class CircuitResult:
 
     def _roots(self) -> List[Any]:
         """Every annotation and tensor scalar of the result (unordered)."""
-        roots: List[Any] = []
-        for tup, annotation in self.circuit_relation.rows():
-            roots.append(annotation)
-            for value in tup.values():
-                if isinstance(value, Tensor):
-                    roots.extend(value._entries.values())
-        return roots
+        return self.circuit_relation._scalars()[0]
 
     # -- lowering ----------------------------------------------------------
 
@@ -258,12 +274,7 @@ class CircuitResult:
         )
 
     def _evaluate(self, target: Semiring, valuation, name: str) -> KRelation:
-        roots = self._roots()
-        values = evaluate_gates(
-            roots, target, valuation, builder=self.circuit_semiring.builder
-        )
-        image = dict(zip(roots, values))
-        hom = Homomorphism(self.circuit_semiring, target, image.__getitem__, name=name)
+        hom = _GateValuation(self.circuit_semiring, target, valuation, name)
         return self.circuit_relation.apply_hom(hom)
 
     # -- KRelation-compatible face (delegates to the lowered form) ---------

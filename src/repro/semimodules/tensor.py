@@ -184,10 +184,18 @@ class Tensor:
         return value
 
     def apply_hom(self, hom: Any) -> "Tensor":
-        """The lifted homomorphism ``h^M(sum k_i (x) m_i) = sum h(k_i) (x) m_i``."""
-        target_space = tensor_space(hom.target, self.space.monoid)
-        return target_space.set_agg(
-            (m, hom(k)) for m, k in self._entries.items()
+        """The lifted homomorphism ``h^M(sum k_i (x) m_i) = sum h(k_i) (x) m_i``,
+        the scalars mapped as one batch (:meth:`Homomorphism.map_many`)."""
+        return self._mapped(hom.target, hom.map_many(self._entries.values()))
+
+    def _mapped(self, target: Semiring, images: Iterable[Any]) -> "Tensor":
+        """The image tensor in ``target (x) M``, given the images of this
+        tensor's scalars in entry order.  The values are distinct and none
+        is the identity already, so only zero images drop before the
+        normal form (``set_agg`` without its grouping)."""
+        is_zero = target.is_zero
+        return tensor_space(target, self.space.monoid)._normal(
+            {m: k for m, k in zip(self._entries, images) if not is_zero(k)}
         )
 
     def size(self) -> int:

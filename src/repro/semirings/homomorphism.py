@@ -11,11 +11,12 @@ without re-running the query.
 This module provides:
 
 * :class:`Homomorphism` — a first-class arrow ``K -> K'`` (composable,
-  callable);
+  callable, and mapping a batch at once with :meth:`Homomorphism.map_many`);
 * :func:`valuation_hom` — the free extension of a token valuation to a
   homomorphism out of a polynomial semiring, with structured
   indeterminates (delta-terms, equality atoms) dispatching themselves via
-  :class:`~repro.semirings.base.ProvenanceTerm`;
+  :class:`~repro.semirings.base.ProvenanceTerm`; a batch is one pass that
+  maps each distinct token and monomial once;
 * :func:`deletion_hom` — the token-zeroing endomorphism of ``N[X]`` that
   implements deletion propagation (Fig. 1 / Example 3.4 / Example 5.3);
 * :func:`support_hom` — the canonical specialisation onto the booleans for
@@ -24,17 +25,13 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, List, Mapping
 
 from repro.exceptions import HomomorphismError
 from repro.semirings.base import ProvenanceTerm, Semiring
 from repro.semirings.boolean import BOOL
 from repro.semirings.natural import NAT
-from repro.semirings.polynomials import (
-    Polynomial,
-    PolynomialSemiring,
-    evaluate_polynomial,
-)
+from repro.semirings.polynomials import Polynomial, PolynomialSemiring
 
 __all__ = [
     "Homomorphism",
@@ -75,7 +72,21 @@ class Homomorphism:
 
     def apply(self, element: Any) -> Any:
         """Alias of ``__call__`` for call sites that read better with a verb."""
-        return self._fn(element)
+        return self(element)
+
+    def map_many(self, elements: Iterable[Any]) -> List[Any]:
+        """The images of ``elements``, in order.
+
+        The batch form that specialising a relation or a tensor calls
+        (:meth:`repro.core.relation.KRelation.apply_hom` maps every
+        annotation and tensor scalar of a relation in one call).  A
+        homomorphism that can share work across a batch overrides it:
+        :func:`valuation_hom` maps each distinct token and monomial once,
+        and a circuit result's evaluates the gates reachable from the whole
+        batch in one pass.  This default maps one element at a time.
+        """
+        fn = self._fn
+        return [fn(element) for element in elements]
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         """Composition ``other . self`` — first this map, then ``other``."""
@@ -130,11 +141,16 @@ def valuation_hom(
     ``coeff_hom`` maps coefficients; by default coefficients in ``N`` embed
     canonically via ``target.from_int``, identical semirings pass through,
     and any coefficient already belonging to the target is kept.
+
+    The homomorphism maps a batch (:meth:`Homomorphism.map_many`) in one
+    pass (:class:`_Pass`): each distinct token, structured term and
+    monomial is mapped once for the whole batch, and a single call is a
+    batch of one.
     """
     if isinstance(valuation, Mapping):
         mapping = dict(valuation)
 
-        def plain_image(var: Any) -> Any:
+        def token_image(var: Any) -> Any:
             try:
                 return mapping[var]
             except KeyError:
@@ -143,7 +159,7 @@ def valuation_hom(
                 ) from None
 
     else:
-        plain_image = valuation
+        token_image = valuation
 
     coeff_semiring = source.coefficients
     if coeff_hom is not None:
@@ -162,24 +178,165 @@ def valuation_hom(
                 f"pass coeff_hom explicitly"
             )
 
-    hom_box: list[Homomorphism] = []
+    # a coefficient of N (or of the target itself) is its own image there
+    native = (
+        _native_type(target)
+        if coeff_hom is None and (coeff_semiring is target or coeff_semiring.is_naturals)
+        else None
+    )
+    return _Valuation(
+        source, target, token_image, coeff_image, native,
+        name or f"{source.name}→{target.name}",
+    )
 
-    def var_image(var: Any) -> Any:
-        # plain tokens are nearly always strings: skip the ABC instance check
-        if type(var) is not str and isinstance(var, ProvenanceTerm):
-            return var.apply_hom(hom_box[0])
-        return plain_image(var)
 
-    def fn(poly: Any) -> Any:
-        if not isinstance(poly, Polynomial) or poly.semiring is not source:
-            raise HomomorphismError(
-                f"{poly!r} is not an element of {source.name}"
-            )
-        return evaluate_polynomial(poly, var_image, target, coeff_image)
+def _native_type(target: Semiring) -> type | None:
+    """The Python type whose own ``+``/``*`` (``or``/``and``) are exactly
+    ``target``'s operations on values of that type, or ``None``: ``int``
+    for an ``int64`` add/multiply representation (``N``, ``Z``), ``bool``
+    for a ``bool`` or/and one (``B``).  The exact-type rule is the circuit
+    array pass's (:func:`repro.circuits.evaluate._leaf_array`)."""
+    machine = target.machine_repr
+    if machine is None or not machine.portable:
+        return None
+    ops = (machine.dtype, machine.np_plus, machine.np_times)
+    if ops == ("int64", "add", "multiply"):
+        return int
+    if ops == ("bool", "logical_or", "logical_and"):
+        return bool
+    return None
 
-    hom = Homomorphism(source, target, fn, name=name or f"{source.name}→{target.name}")
-    hom_box.append(hom)
-    return hom
+
+class _Valuation(Homomorphism):
+    """The arrow :func:`valuation_hom` returns: every call is one
+    :class:`_Pass`, so a batch shares one memo."""
+
+    __slots__ = ("_token", "_coeff", "_native")
+
+    def __init__(self, source, target, token, coeff, native, name):
+        super().__init__(source, target, None, name)
+        self._token = token
+        self._coeff = coeff
+        self._native = native
+
+    def __call__(self, element: Any) -> Any:
+        return _Pass(self)(element)
+
+    def map_many(self, elements: Iterable[Any]) -> List[Any]:
+        return _Pass(self).map_many(elements)
+
+
+_MISSING = object()
+
+
+class _Pass(Homomorphism):
+    """One specialisation by a valuation, shared by a whole batch.
+
+    Each distinct variable — a token, or a structured term (``δ``,
+    equality or comparison atom) — and each distinct monomial is mapped
+    once.  A structured term maps itself *through this pass*
+    (``h(δ(e)) = δ(h(e))``; an atom maps its tensor sides), so what it
+    contains shares the memo: a group's ``δ`` argument is free once the
+    group's tensor entries are mapped, and vice versa.
+
+    While every image has the target's native type (:func:`_native_type`)
+    the fold is Python's own ``+``/``*`` or ``or``/``and``; the first image
+    that has not (a ``bool`` into ``N``, a NumPy integer) hands the rest of
+    the pass to the target's own operations.  On values of the native type
+    the two are the same expressions, so where the switch happens cannot
+    change a result.
+    """
+
+    __slots__ = ("_valuation", "_images", "_monomials", "_native")
+
+    def __init__(self, valuation: _Valuation):
+        super().__init__(valuation.source, valuation.target, None, valuation.name)
+        self._valuation = valuation
+        self._images: dict = {}
+        self._monomials: dict = {}
+        self._native = valuation._native
+
+    def __call__(self, element: Any) -> Any:
+        return self._polynomial(element)
+
+    def map_many(self, elements: Iterable[Any]) -> List[Any]:
+        polynomial = self._polynomial
+        return [polynomial(element) for element in elements]
+
+    def _polynomial(self, poly: Any) -> Any:
+        """``sum_t coeff(c_t) * value(m_t)`` over the terms of ``poly``."""
+        if not isinstance(poly, Polynomial) or poly.semiring is not self.source:
+            raise HomomorphismError(f"{poly!r} is not an element of {self.source.name}")
+        monomials = self._monomials
+        native = self._native
+        if native is int:
+            total = 0
+            for mono, c in poly._terms.items():
+                value = monomials.get(mono, _MISSING)
+                if value is _MISSING:
+                    value = self._monomial(mono)
+                total += c * value
+            return total
+        if native is bool:
+            total = False  # every stored coefficient maps to True
+            for mono in poly._terms:
+                value = monomials.get(mono, _MISSING)
+                if value is _MISSING:
+                    value = self._monomial(mono)
+                total = total or value
+            return total
+        target = self.target
+        coeff, times, is_zero = self._valuation._coeff, target.times, target.is_zero
+        values = []
+        for mono, c in poly._terms.items():
+            k = coeff(c)
+            if is_zero(k):
+                continue
+            value = monomials.get(mono, _MISSING)
+            if value is _MISSING:
+                value = self._monomial(mono)
+            values.append(times(k, value))
+        return target.sum_many(values)
+
+    def _monomial(self, mono: Any) -> Any:
+        """The product of the images of ``mono``'s variables, each variable
+        mapped once per pass.  Stops at the first zero, so a factor after
+        it is never mapped (an atom there need not resolve)."""
+        target = self.target
+        images = self._images
+        acc = _MISSING
+        for var, exp in mono._powers.items():
+            image = images.get(var, _MISSING)
+            if image is _MISSING:
+                # plain tokens are nearly always strings: skip the ABC check
+                if type(var) is not str and isinstance(var, ProvenanceTerm):
+                    image = var.apply_hom(self)
+                else:
+                    image = self._valuation._token(var)
+                if type(image) is not self._native:
+                    self._native = None
+                images[var] = image
+            native = self._native
+            if native is int:
+                if exp != 1:
+                    image = image ** exp
+                acc = image if acc is _MISSING else acc * image
+                if not acc:
+                    break
+            elif native is bool:
+                acc = image if acc is _MISSING else acc and image
+                if not acc:
+                    break
+            else:
+                if exp != 1:
+                    image = target.pow(image, exp)
+                acc = image if acc is _MISSING else target.times(acc, image)
+                if target.is_zero(acc):
+                    break
+        if acc is _MISSING:  # the unit monomial
+            acc = target.one
+        self._monomials[mono] = acc
+        return acc
 
 
 def deletion_hom(

@@ -30,7 +30,7 @@ realised without special-casing the polynomial arithmetic).
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.exceptions import SemiringError
 from repro.semirings.base import ProvenanceTerm, Semiring
@@ -43,7 +43,6 @@ __all__ = [
     "polynomials_over",
     "NX",
     "ZX",
-    "evaluate_polynomial",
     "variable_sort_key",
 ]
 
@@ -96,6 +95,18 @@ class Monomial:
         self._hash = hash(frozenset(powers.items()))
         self._mul_cache = None
         return self
+
+    def __getstate__(self):
+        # the exponents are the value; the hash is per process and the
+        # product memo pins other monomials, so neither is copied or pickled
+        # (a tuple: an empty state would skip __setstate__ for the unit)
+        return (self._powers,)
+
+    def __setstate__(self, state) -> None:
+        (powers,) = state
+        self._powers = powers
+        self._hash = hash(frozenset(powers.items()))
+        self._mul_cache = None
 
     # -- basic protocol -------------------------------------------------
 
@@ -192,7 +203,7 @@ class Polynomial:
     :class:`PolynomialSemiring`, which knows the coefficient semiring.
     """
 
-    __slots__ = ("semiring", "_terms", "_hash")
+    __slots__ = ("semiring", "_terms", "_hash", "_mul_cache")
 
     def __init__(self, semiring: "PolynomialSemiring", terms: Mapping[Monomial, Any]):
         coeff = semiring.coefficients
@@ -203,6 +214,9 @@ class Polynomial:
         self.semiring = semiring
         self._terms = clean
         self._hash: int | None = None
+        # single-term products with this polynomial on the left, as
+        # id(partner) -> (partner, product) (see PolynomialSemiring.times)
+        self._mul_cache: Dict[int, Tuple["Polynomial", "Polynomial"]] | None = None
 
     @classmethod
     def _from_clean(
@@ -218,7 +232,16 @@ class Polynomial:
         self.semiring = semiring
         self._terms = terms
         self._hash = None
+        self._mul_cache = None
         return self
+
+    def __getstate__(self):
+        return self.semiring, self._terms
+
+    def __setstate__(self, state) -> None:
+        self.semiring, self._terms = state
+        self._hash = None
+        self._mul_cache = None
 
     # -- basic protocol ---------------------------------------------------
 
@@ -438,13 +461,30 @@ class PolynomialSemiring(Semiring):
         coeff = self.coefficients
         a_terms, b_terms = a._terms, b._terms
         if len(a_terms) == 1 and len(b_terms) == 1:
-            # the join hot path: token * token — no cross-term merge at all
+            # the join hot path: token * token — no cross-term merge at all.
+            # The same base annotations meet again on every evaluation of a
+            # join, so the product is memoized on the left operand, capped
+            # as Monomial.mul's table is (it pins partners and products).
+            # Keyed by the partner's identity, so nothing hashes a
+            # polynomial (a fresh one would hash all its terms); the entry
+            # holds the partner, so its id cannot be reused while cached
+            cache = a._mul_cache
+            if cache is None:
+                cache = a._mul_cache = {}
+            else:
+                hit = cache.get(id(b))
+                if hit is not None:
+                    return hit[1]
             (mono_a, ca), = a_terms.items()
             (mono_b, cb), = b_terms.items()
             product = {mono_a.mul(mono_b): coeff.times(ca, cb)}
             if self._trusted_products:
-                return Polynomial._from_clean(self, product)
-            return self._finish(product, check_products=True)
+                result = Polynomial._from_clean(self, product)
+            else:
+                result = self._finish(product, check_products=True)
+            if len(cache) < _MUL_CACHE_LIMIT:
+                cache[id(b)] = (b, result)
+            return result
         out: Dict[Monomial, Any] = {}
         plus, times = coeff.plus, coeff.times
         for mono_a, ca in a_terms.items():
@@ -478,12 +518,14 @@ class PolynomialSemiring(Semiring):
         return self._finish(merged)
 
     def prod_many(self, items: Iterable[Polynomial]) -> Polynomial:
-        result = self._one
+        # starts from the first factor, not from 1: ``times`` memoizes on
+        # its left operand, and the shared unit would collect every product
+        result = None
         for poly in items:
             if not poly._terms:
                 return self._zero
-            result = self.times(result, poly)
-        return result
+            result = poly if result is None else self.times(result, poly)
+        return self._one if result is None else result
 
     def dot(self, pairs: Iterable[Any]) -> Polynomial:
         """``sum(a * b)`` accumulated into a single coefficient dict."""
@@ -557,33 +599,6 @@ class PolynomialSemiring(Semiring):
 
         hom = valuation_hom(self, NAT, lambda var: 1)
         return hom(a)
-
-
-def evaluate_polynomial(
-    poly: Polynomial,
-    var_image: Callable[[Any], Any],
-    target: Semiring,
-    coeff_image: Callable[[Any], Any],
-) -> Any:
-    """Evaluate ``poly`` into ``target``: ``sum_t coeff_image(c) * prod var_image(v)^e``.
-
-    The basic substitution engine used by
-    :func:`~repro.semirings.homomorphism.valuation_hom`; ``var_image`` must
-    already dispatch structured indeterminates.
-    """
-    def term_values():
-        is_zero, times, pow_ = target.is_zero, target.times, target.pow
-        for mono, c in poly._terms.items():
-            acc = coeff_image(c)
-            # a commutative product: no need for the display order of factors
-            for var, exp in mono._powers.items():
-                if is_zero(acc):
-                    break
-                image = var_image(var)
-                acc = times(acc, image if exp == 1 else pow_(image, exp))
-            yield acc
-
-    return target.sum_many(term_values())
 
 
 _POLYNOMIAL_CACHE: "weakref.WeakKeyDictionary[Semiring, Any]" = (

@@ -21,7 +21,7 @@ import pytest
 from repro import faults
 from repro.core import KDatabase, KRelation
 from repro.plan import parallel
-from repro.semirings import NAT
+from repro.semirings import NAT, NX
 from repro.serve import WorkerPool, start_in_thread
 
 SQL = "SELECT g, SUM(v) FROM R GROUP BY g"
@@ -105,6 +105,33 @@ def test_header_timeout_takes_precedence_over_body(server):
         assert status == 408, body
     finally:
         client.close()
+
+
+def test_a_circuit_query_past_its_budget_is_408_mid_plan():
+    """Circuit-mode plans check the request's deadline at every operator:
+    the first scan's stall spends the budget and the join never starts."""
+    r = KRelation.from_rows(
+        NX, ("g", "v"), [((f"g{i % 4}", i % 9), NX.variable(f"r{i}")) for i in range(32)]
+    )
+    s = KRelation.from_rows(NX, ("g",), [((f"g{i}",), NX.variable(f"s{i}")) for i in range(4)])
+    handle = start_in_thread(KDatabase(NX, {"R": r, "S": s}))
+    client = Client(handle.address)
+    sql = "SELECT g, SUM(v) FROM R, S GROUP BY g"
+    try:
+        status, body, _ = client.request("POST", "/query", {"sql": sql, "annotations": "circuit"})
+        assert status == 200 and body["rowcount"] == 4
+        with faults.inject("latency", ms=120, times=10) as stall:
+            status, body, headers = client.request(
+                "POST", "/query", {"sql": sql, "annotations": "circuit", "timeout_ms": 10}
+            )
+        assert status == 408, body
+        assert "budget" in body["error"] and "query end" not in body["error"]
+        assert "Retry-After" in headers
+        assert stall.fired == 1
+    finally:
+        client.close()
+        handle.close()
+        faults.reset_counters()
 
 
 def test_generous_budget_answers_normally(server):

@@ -118,3 +118,29 @@ class TestTup:
     def test_values_by_schema_order(self):
         t = Tup({"a": 1, "b": 2})
         assert t.values_by(Schema(["b", "a"])) == (2, 1)
+
+    def test_views_keep_mapping_semantics(self):
+        # the reads go straight to the aligned tuples, but each view is
+        # still sized and re-iterable (a one-shot zip is not), answers
+        # `in`, and keys() takes set operations
+        t = Tup({"b": "x", "a": 1, "c": None})
+        keys, items, values = t.keys(), t.items(), t.values()
+        for view in (keys, items, values):
+            assert len(view) == 3
+            assert list(view) == list(view)
+        assert list(keys) == ["a", "b", "c"]
+        assert list(items) == [("a", 1), ("b", "x"), ("c", None)]
+        assert list(values) == [1, "x", None]
+        assert "b" in keys and "z" not in keys
+        assert ("b", "x") in items and ("b", "y") not in items
+        assert "x" in values and 2 not in values
+        assert keys & {"a", "z"} == {"a"}
+        assert keys | {"z"} == {"a", "b", "c", "z"}
+        assert keys - {"a"} == {"b", "c"}
+        assert keys == {"a", "b", "c"}
+        assert dict(t) == dict(items) == {"a": 1, "b": "x", "c": None}
+        assert "a" in t and "z" not in t
+        assert t.get("b") == "x" and t.get("c", 0) is None
+        assert t.get("z") is None and t.get("z", 7) == 7
+        # tuples over the same attributes share one key view's mapping
+        assert Tup({"a": 2, "c": 3, "b": 4}).keys() == keys

@@ -3,7 +3,8 @@
 The integration picture (HTTP 408, worker-side morsel checks) lives in
 the serve and chaos suites; this file pins the :class:`Deadline` object
 itself and the engine entry points that thread it: ``compile_plan(...,
-deadline=)``, per-execute overrides, and ``Query.evaluate(deadline=)``.
+deadline=)``, per-execute overrides, and ``Query.evaluate(deadline=)`` in
+both annotation representations.
 """
 
 import time
@@ -17,7 +18,8 @@ from repro.exceptions import DeadlineExceeded, QueryError
 from repro.monoids import SUM
 from repro.obs.metrics import resilience_counters
 from repro.plan import compile_plan
-from repro.semirings import NAT
+from repro.plan.circuit_exec import circuit_database
+from repro.semirings import NAT, NX
 
 
 @pytest.fixture(autouse=True)
@@ -128,3 +130,68 @@ def test_injected_scan_latency_trips_a_tight_deadline():
     # cancelled at the first checkpoint after the stall, not after all 10
     assert time.monotonic() - start < 0.5
     assert resilience_counters()["deadline_expiries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# both annotation representations
+# ---------------------------------------------------------------------------
+
+
+def small_nx_db():
+    r = KRelation.from_rows(
+        NX, ("g", "v"), [((f"g{i % 3}", i), NX.variable(f"r{i}")) for i in range(12)]
+    )
+    s = KRelation.from_rows(NX, ("g",), [((f"g{i}",), NX.variable(f"s{i}")) for i in range(3)])
+    return KDatabase(NX, {"R": r, "S": s})
+
+
+class CountingDeadline(Deadline):
+    """A deadline that never expires and records where it was checked."""
+
+    def __init__(self):
+        super().__init__(float("inf"))
+        self.contexts = []
+
+    def check(self, context=""):
+        self.contexts.append(context)
+        super().check(context)
+
+
+def operator_labels(plan):
+    labels, stack = [], [plan.root]
+    while stack:
+        op = stack.pop()
+        labels.append(op.label())
+        stack.extend(op.children)
+    return labels
+
+
+@pytest.mark.parametrize("annotations", ["expanded", "circuit"])
+def test_every_operator_checks_the_deadline_in_both_representations(annotations):
+    db = small_nx_db()
+    deadline = CountingDeadline()
+    result = QUERY.evaluate(db, engine="planned", annotations=annotations, deadline=deadline)
+    if annotations == "circuit":
+        _circ, cdb = circuit_database(db)
+        plan = QUERY._cached_plan(cdb.snapshot())
+        result = result.lower()
+    else:
+        plan = QUERY._cached_plan(db)
+    assert result == QUERY.evaluate(db)
+    labels = operator_labels(plan)
+    assert len(labels) >= 3  # two scans, a join, a grouped aggregate
+    for label in labels:  # on entry and on exit
+        assert deadline.contexts.count(label) >= 2, (label, deadline.contexts)
+
+
+@pytest.mark.parametrize("annotations", ["expanded", "circuit"])
+def test_a_deadline_expiring_mid_plan_stops_the_plan(annotations):
+    """The first scan's stall spends the budget; its exit checkpoint
+    cancels the plan before the second scan runs."""
+    db = small_nx_db()
+    QUERY.evaluate(db, engine="planned", annotations=annotations)  # compile, lift
+    with faults.inject("latency", ms=40, times=10) as stall:
+        with pytest.raises(DeadlineExceeded) as raised:
+            QUERY.evaluate(db, engine="planned", annotations=annotations, deadline=0.01)
+    assert stall.fired == 1
+    assert "query end" not in str(raised.value)
