@@ -13,6 +13,8 @@ Implemented rules, each justified by a named law:
 σ_c1(σ_c2 R) = σ_{c1 ∧ c2}(R)   associativity of *
 Π_A(Π_B R) = Π_A(R)             associativity of + (when A ⊆ B)
 Π_A(R ∪ S) = Π_A(R) ∪ Π_A(S)    commutativity/associativity of +
+Π_A(R ⋈ S) = Π_A(Π_A'(R) ⋈      distributivity of * over + (A', A'': each
+  Π_A''(S)), and under ×        side's attributes in A or a join key)
 ==============================  =============================================
 
 ``optimize`` applies the rules bottom-up to a fixpoint.  The property
@@ -126,8 +128,31 @@ def _rewrite_project(query: Project, catalog) -> Query | None:
             Project(child.left, query.attributes),
             Project(child.right, query.attributes),
         )
+    # Π_A(R ⋈ S) -> Π_A(Π_A'(R) ⋈ Π_A''(S)): a side keeps what A or the
+    # join reads; Σ over the dropped attributes distributes over the
+    # product, and under × (no shared attributes) the same holds
+    if isinstance(child, (NaturalJoin, Cartesian)):
+        left = infer_schema(child.left, catalog).attributes
+        right = infer_schema(child.right, catalog).attributes
+        keep = set(query.attributes) | (set(left) & set(right))
+        narrowed = (_narrowed(child.left, left, keep),
+                    _narrowed(child.right, right, keep))
+        if narrowed[0] is not child.left or narrowed[1] is not child.right:
+            joined = type(child)(*narrowed)
+            if set(infer_schema(joined, catalog).attributes) == set(query.attributes):
+                return joined  # the sides kept exactly A
+            return Project(joined, query.attributes)
     # identity projection
     child_schema = infer_schema(child, catalog)
     if set(query.attributes) == set(child_schema.attributes):
         return child
     return None
+
+
+def _narrowed(side: Query, attrs: Tuple[str, ...], keep) -> Query:
+    """``Π_{attrs ∩ keep}(side)``, or ``side`` itself where that would keep
+    every attribute or none."""
+    kept = tuple(a for a in attrs if a in keep)
+    if not kept or len(kept) == len(attrs):
+        return side
+    return Project(side, kept)

@@ -16,7 +16,9 @@ merge commutes with execution (distributivity).  The two places that are
 *not* merge-oblivious consolidate explicitly: ``delta`` application
 (:meth:`consolidate` first) and the final conversion back to a
 :class:`KRelation` (:meth:`to_krelation`), where the constructor's
-merge discipline restores the canonical finite map.
+merge discipline restores the canonical finite map.  A batch whose rows
+are pairwise distinct by construction says so (:attr:`distinct`), and
+that conversion then only drops zero annotations.
 """
 
 from __future__ import annotations
@@ -48,12 +50,16 @@ class ColumnarKRelation:
     #: (and every IVM apply probing a cached build batch) skip the O(rows)
     #: re-scan.  ``_key_rows`` memoizes :meth:`key_rows` per attribute
     #: tuple for the same reason (join probes and consolidation re-key the
-    #: same cached batches on every execution).
+    #: same cached batches on every execution).  ``distinct`` records that
+    #: no two rows hold equal value tuples (a stored relation, a merge, an
+    #: aggregate's groups, a join of two such batches); it is only ever a
+    #: promise, so ``False`` is always sound.
     __slots__ = (
         "semiring",
         "schema",
         "columns",
         "annotations",
+        "distinct",
         "_plain_cols",
         "_key_rows",
     )
@@ -81,6 +87,7 @@ class ColumnarKRelation:
                 )
         self.columns = columns
         self.annotations = annotations
+        self.distinct = False
 
     @classmethod
     def _from_clean(
@@ -89,6 +96,7 @@ class ColumnarKRelation:
         schema: Schema,
         columns: Dict[str, List[Any]],
         annotations: List[Any],
+        distinct: bool = False,
     ) -> "ColumnarKRelation":
         """Trusted constructor for operator-internal outputs.
 
@@ -104,6 +112,7 @@ class ColumnarKRelation:
         self.schema = schema
         self.columns = columns
         self.annotations = annotations
+        self.distinct = distinct
         return self
 
     # -- conversions ---------------------------------------------------------
@@ -128,18 +137,24 @@ class ColumnarKRelation:
             for a in rel.schema.attributes
         }
         return cls._from_clean(
-            rel.semiring, rel.schema, columns, list(stored.values())
+            rel.semiring, rel.schema, columns, list(stored.values()), True
         )
 
     def to_krelation(self) -> KRelation:
         """Rebuild the logical finite map: duplicate rows merge with ``+_K``
         and zero annotations drop, exactly as in the :class:`KRelation`
         constructor.  A batch's columns *are* its schema, so the rows go
-        through the trusted constructors, unchecked."""
+        through the trusted constructors, unchecked; a :attr:`distinct`
+        batch has nothing to merge and becomes one dict."""
         attrs = tuple(sorted(self.schema.attributes))
         tups = map(Tup._from_sorted, repeat(attrs), self.key_rows(attrs))
-        rows = merged_rows(self.semiring, zip(tups, self.annotations))
-        return KRelation._from_clean(self.semiring, self.schema, rows)
+        semiring = self.semiring
+        if self.distinct:
+            is_zero = semiring.is_zero
+            rows = {t: k for t, k in zip(tups, self.annotations) if not is_zero(k)}
+        else:
+            rows = merged_rows(semiring, zip(tups, self.annotations))
+        return KRelation._from_clean(semiring, self.schema, rows)
 
     @classmethod
     def empty(cls, semiring, schema: Schema | Iterable[str]) -> "ColumnarKRelation":
@@ -187,7 +202,7 @@ class ColumnarKRelation:
             annotations.append(
                 sum_many(bucket) if type(bucket) is list else bucket
             )
-        return cls._from_clean(semiring, schema, columns, annotations)
+        return cls._from_clean(semiring, schema, columns, annotations, True)
 
     # -- row access ----------------------------------------------------------
 

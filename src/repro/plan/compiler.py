@@ -55,7 +55,7 @@ from repro.core.rewrites import optimize
 from repro.core.schema import Schema
 from repro.deadline import Deadline
 from repro.exceptions import QueryError
-from repro.plan.encoded import EncodedBatch
+from repro.plan.encoded import EncodedBatch, EncodedFallback
 from repro.plan.kernels import HAVE_NUMPY
 from repro.plan.physical import (
     AvgAggregate,
@@ -74,6 +74,7 @@ from repro.plan.physical import (
     SelectStage,
     UnionAll,
     WholeAggregate,
+    _consolidate_encoded,
 )
 from repro.core.query import AttrCompare
 from repro.core.relation import KRelation
@@ -130,8 +131,18 @@ class PhysicalPlan:
         checked cooperatively at every operator boundary (and per morsel
         on the parallel tier); expiry raises
         :class:`~repro.exceptions.DeadlineExceeded`.
+
+        The root batch becomes a relation in one step, traced as a
+        ``plan.materialise`` span (``rows_in``, ``rows_out`` and ``merge``,
+        see :func:`_materialise`) beside ``plan.execute``.
         """
-        return self.execute_batch(db, deadline=deadline).to_krelation()
+        batch = self._execute_root(db, None, deadline)
+        if not _trace._ACTIVE:
+            return _materialise(batch)[0]
+        with _trace.span("plan.materialise", rows_in=len(batch)) as span:
+            rel, merge = _materialise(batch)
+            span.attrs.update(rows_out=len(rel), merge=merge)
+        return rel
 
     def execute_batch(self, db=None, *, tier: "str | None" = None, deadline=None):
         """Run the plan and return the raw columnar batch.
@@ -160,6 +171,14 @@ class PhysicalPlan:
         attribute is the same string ``explain()`` prints as
         ``[last run: ...]``; operator and morsel spans nest beneath it.
         """
+        result = self._execute_root(db, tier, deadline)
+        if isinstance(result, EncodedBatch):
+            result = result.to_columnar()
+        return result
+
+    def _execute_root(self, db, tier, deadline):
+        """The root operator's batch, encoded or not, traced as
+        ``plan.execute``."""
         if not _trace._ACTIVE:
             return self._execute_batch_impl(db, tier=tier, deadline=deadline)
         with _trace.span("plan.execute",
@@ -215,8 +234,6 @@ class PhysicalPlan:
         else:
             self._last_tier = "object" + suffix
             _note_tier("object")
-        if isinstance(result, EncodedBatch):
-            result = result.to_columnar()
         return result
 
     def explain(self, *, annotations: str = "expanded") -> str:
@@ -285,6 +302,27 @@ class PhysicalPlan:
 
     def __str__(self) -> str:
         return self.explain()
+
+
+def _materialise(batch) -> Tuple[KRelation, str]:
+    """The relation a plan's root ``batch`` stands for, and how its rows
+    were merged: ``"distinct"`` (nothing to merge: the batch promised
+    pairwise distinct rows), ``"kernel"`` (one grouped reduction over the
+    encoded rows, where the machine ``+`` is an exact ufunc) or
+    ``"python"`` (the ``+_K`` merge of
+    :func:`~repro.core.relation.merged_rows` over decoded rows: object
+    batches, and gate ids, whose sums must intern the very gates the
+    object path would)."""
+    merge = "distinct" if batch.distinct else "python"
+    if isinstance(batch, EncodedBatch):
+        if merge == "python" and hasattr(batch.machine.plus, "at"):
+            try:
+                batch = _consolidate_encoded(batch, batch.schema)
+                merge = "kernel"
+            except EncodedFallback:  # no attributes, or past the int64 bound
+                pass
+        batch = batch.to_columnar()
+    return batch.to_krelation(), merge
 
 
 def _render(node: PhysicalOp, prefix: str, child_prefix: str, lines) -> None:

@@ -166,6 +166,12 @@ class EncodedBatch:
     bound and are never checked (float64 arithmetic here is bit-identical
     to the object path's Python floats, bools cannot grow), and so do
     gate ids, which are not magnitudes.
+
+    ``distinct`` is the row-uniqueness promise of
+    :attr:`ColumnarKRelation.distinct`, carried through decoding; a batch
+    that may repeat a row is merged once, by
+    :func:`~repro.plan.physical._consolidate_encoded`, where the plan hands
+    its result over.
     """
 
     __slots__ = (
@@ -176,6 +182,7 @@ class EncodedBatch:
         "anns",
         "anns_one",
         "ann_bound",
+        "distinct",
     )
 
     def __init__(
@@ -187,6 +194,7 @@ class EncodedBatch:
         anns_one: bool,
         ann_bound: int,
         machine=None,
+        distinct: bool = False,
     ):
         self.semiring = semiring
         self.machine = semiring.machine_repr if machine is None else machine
@@ -195,6 +203,7 @@ class EncodedBatch:
         self.anns = anns
         self.anns_one = anns_one
         self.ann_bound = ann_bound
+        self.distinct = distinct
 
     def __len__(self) -> int:
         return len(self.anns)
@@ -215,7 +224,11 @@ class EncodedBatch:
         """
         columns = {a: self.col(a).decode() for a in self.schema.attributes}
         return ColumnarKRelation._from_clean(
-            self.semiring, self.schema, columns, self.machine.decode(self.anns)
+            self.semiring,
+            self.schema,
+            columns,
+            self.machine.decode(self.anns),
+            self.distinct,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -282,7 +295,12 @@ def encode_batch(
 def encode_relation(rel) -> Optional[EncodedBatch]:
     """Encode a stored :class:`KRelation` (or ``None`` if disqualified)."""
     batch = ColumnarKRelation.from_krelation(rel)
-    return encode_batch(rel.semiring, batch.schema, batch.columns, batch.annotations)
+    encoded = encode_batch(
+        rel.semiring, batch.schema, batch.columns, batch.annotations
+    )
+    if encoded is not None:
+        encoded.distinct = True  # the rows of a finite map
+    return encoded
 
 
 def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
@@ -418,8 +436,10 @@ def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
         a: _ColumnTail(batch.cols[a], rows.columns[a])
         for a in batch.schema.attributes
     }
+    # a pure insert collides with no stored row, so rows stay distinct
     return EncodedBatch(
-        batch.semiring, batch.schema, cols, anns, *scanned, batch.machine
+        batch.semiring, batch.schema, cols, anns, *scanned, batch.machine,
+        batch.distinct,
     )
 
 
@@ -477,6 +497,7 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
         batch.anns_one,
         batch.ann_bound,
         batch.machine,
+        batch.distinct,
     )
 
 

@@ -352,6 +352,7 @@ def _consolidate_encoded(
         enc.all_one(batch, sums),
         out_bound,
         batch.machine,
+        True,
     )
 
 
@@ -417,7 +418,7 @@ class SelectStage:
         columns = {a: [batch.columns[a][i] for i in keep] for a in attrs}
         annotations = [batch.annotations[i] for i in keep]
         return ColumnarKRelation._from_clean(
-            batch.semiring, batch.schema, columns, annotations
+            batch.semiring, batch.schema, columns, annotations, batch.distinct
         )
 
     # -- encoded tier --------------------------------------------------------
@@ -486,6 +487,7 @@ class SelectStage:
             batch.anns_one,
             batch.ann_bound,
             batch.machine,
+            batch.distinct,
         )
 
 
@@ -537,7 +539,7 @@ class RenameStage:
             self.mapping.get(a, a): batch.columns[a] for a in batch.schema.attributes
         }
         return ColumnarKRelation._from_clean(
-            batch.semiring, out_schema, columns, batch.annotations
+            batch.semiring, out_schema, columns, batch.annotations, batch.distinct
         )
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
@@ -554,6 +556,7 @@ class RenameStage:
             batch.anns_one,
             batch.ann_bound,
             batch.machine,
+            batch.distinct,
         )
 
 
@@ -573,6 +576,7 @@ class DistinctStage:
             merged.schema,
             merged.columns,
             [delta(k) for k in merged.annotations],
+            True,
         )
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
@@ -586,6 +590,7 @@ class DistinctStage:
             enc.all_one(batch, anns),
             1,  # numeric delta outputs are 0_K or 1_K
             batch.machine,
+            True,
         )
 
 
@@ -644,6 +649,21 @@ class FusedPipeline(PhysicalOp):
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------
+
+
+def _taken(array, idx):
+    """``array`` at the rows ``idx`` — the array itself where ``idx`` is
+    ``None`` (a join side kept in place)."""
+    return array if idx is None else array[idx]
+
+
+def _taken_column(batch: EncodedBatch, attr: str, idx):
+    """A lazy join output column: ``batch``'s column ``attr`` gathered at
+    ``idx``, or — ``idx`` ``None`` — that very column object, read
+    through ``batch`` so it is materialised (and cached) once."""
+    if idx is None:
+        return lambda: batch.col(attr)
+    return lambda: batch.col(attr).gather(idx)
 
 
 class HashJoin(PhysicalOp):
@@ -766,7 +786,8 @@ class HashJoin(PhysicalOp):
             map(times, map(l_anns.__getitem__, left_idx), map(r_anns.__getitem__, right_idx))
         )
         return ColumnarKRelation._from_clean(
-            left.semiring, self.schema, columns, annotations
+            left.semiring, self.schema, columns, annotations,
+            left.distinct and right.distinct,
         )
 
     # -- encoded tier --------------------------------------------------------
@@ -813,14 +834,21 @@ class HashJoin(PhysicalOp):
             self._build_cache.pop("encoded", None)
         return struct
 
-    def _encoded_probe_keys(
-        self, probe: EncodedBatch, probe_keys: Tuple[str, ...], bcols
+    def _encoded_probe_buckets(
+        self, probe: EncodedBatch, probe_keys: Tuple[str, ...], struct
     ):
-        """Per-probe-row combined key in the *build* code space (-1 = a key
-        value absent from the build dictionary, i.e. statically no match).
-        The translation runs per distinct probe value, never per row."""
-        pkeys = None
-        invalid = None
+        """Per probe row, the bucket of the build rows its key matches
+        (-1: none, also for a key value absent from the build dictionary).
+        The translation into the build code space runs per distinct probe
+        value, never per row; over a slot table, a one-attribute key
+        composes it with the slot lookup first, so each probe row costs
+        one gather."""
+        bcols, _space, slot, unique = struct[:4]
+        if slot is not None and len(bcols) == 1:
+            pcol = probe.col(probe_keys[0])
+            # an absent value translates to -1: the slot table's last row
+            return slot[pcol.translate_to(bcols[0])][pcol.codes]
+        pkeys = invalid = None
         for bcol, attr in zip(bcols, probe_keys):
             pcol = probe.col(attr)
             translated = pcol.translate_to(bcol)[pcol.codes]
@@ -830,7 +858,13 @@ class HashJoin(PhysicalOp):
                 pkeys = translated
             else:
                 pkeys = pkeys * len(bcol.values) + translated
-        return np.where(invalid, np.int64(-1), pkeys)
+        pkeys = np.where(invalid, np.int64(-1), pkeys)
+        if slot is not None:
+            return slot[pkeys]
+        # -1 (absent) and every unmatched key miss the padding too
+        pos = np.searchsorted(unique, pkeys)
+        pos[np.append(unique, -2)[pos] != pkeys] = -1
+        return pos
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
         semiring = left.semiring
@@ -855,57 +889,62 @@ class HashJoin(PhysicalOp):
             struct = self._encoded_buckets(
                 build, build_keys, isinstance(build_child, Scan)
             )
-            bcols, space, slot, unique, order, starts, counts = struct
-            pkeys = self._encoded_probe_keys(probe, probe_keys, bcols)
+            _bcols, space, _slot, unique, order, starts, counts = struct
+            pos = self._encoded_probe_buckets(probe, probe_keys, struct)
             _note_kernel("join", space, len(build))
-            if slot is not None:
-                pos = slot[pkeys]
-            else:  # -1 (absent) and every unmatched key miss the padding too
-                pos = np.searchsorted(unique, pkeys)
-                pos[np.append(unique, -2)[pos] != pkeys] = -1
-            probe_rows = np.flatnonzero(pos >= 0)
-            buckets = pos[probe_rows]
-            cnt = counts[buckets]
-            probe_idx = np.repeat(probe_rows, cnt)
-            total = int(cnt.sum())
-            ends = np.cumsum(cnt)
-            offsets = np.repeat(starts[buckets] - (ends - cnt), cnt)
-            build_idx = order[np.arange(total, dtype=np.int64) + offsets]
+            matched = pos >= 0
+            if len(unique) == len(build):
+                # one build row per key (a key join): every count is 1, so
+                # the fan-out below is ``order[starts[bucket]]`` and
+                # ``starts`` is the identity; a probe side that matched in
+                # full keeps its rows (``None``: in place, nothing gathered)
+                probe_idx = None if matched.all() else np.flatnonzero(matched)
+                build_idx = order[pos if probe_idx is None else pos[probe_idx]]
+            else:
+                probe_rows = np.flatnonzero(matched)
+                buckets = pos[probe_rows]
+                cnt = counts[buckets]
+                probe_idx = np.repeat(probe_rows, cnt)
+                total = int(cnt.sum())
+                ends = np.cumsum(cnt)
+                offsets = np.repeat(starts[buckets] - (ends - cnt), cnt)
+                build_idx = order[np.arange(total, dtype=np.int64) + offsets]
 
         if self.build_side == "left":
             left_idx, right_idx = build_idx, probe_idx
         else:
             left_idx, right_idx = probe_idx, build_idx
+        rows = len(build_idx)
 
+        # output columns: the logical left's attributes, then the right's
+        # new ones; a side kept in place hands over its very columns
         cols: Dict[str, Any] = {}
-        for attr in left.schema.attributes:
-            cols[attr] = (
-                lambda attr=attr, idx=left_idx: left.col(attr).gather(idx)
-            )
-        for attr in right.schema.attributes:
-            if attr not in cols:
-                cols[attr] = (
-                    lambda attr=attr, idx=right_idx: right.col(attr).gather(idx)
-                )
+        for side, idx in ((left, left_idx), (right, right_idx)):
+            for attr in side.schema.attributes:
+                if attr not in cols:
+                    cols[attr] = _taken_column(side, attr, idx)
 
         if left.anns_one and right.anns_one:
-            anns = enc.ones_anns(left, len(left_idx))
+            anns = enc.ones_anns(left, rows)
             anns_one = True
             bound = 1
         elif left.anns_one:
-            anns = right.anns[right_idx]
+            anns = _taken(right.anns, right_idx)
             anns_one = False
             bound = right.ann_bound
         elif right.anns_one:
-            anns = left.anns[left_idx]
+            anns = _taken(left.anns, left_idx)
             anns_one = False
             bound = left.ann_bound
         else:
             bound = enc.check_product_bound(left, right)
-            anns = left.machine.times(left.anns[left_idx], right.anns[right_idx])
+            anns = left.machine.times(
+                _taken(left.anns, left_idx), _taken(right.anns, right_idx)
+            )
             anns_one = False
         return EncodedBatch(
-            semiring, self.schema, cols, anns, anns_one, bound, left.machine
+            semiring, self.schema, cols, anns, anns_one, bound, left.machine,
+            left.distinct and right.distinct,
         )
 
     def label(self) -> str:
@@ -996,7 +1035,8 @@ class UnionAll(PhysicalOp):
 
 def _collapse_kernel(space, values: List[Any], bound: int):
     """The array form of Prop. 3.9's ``sum_M k.m`` over the dictionary
-    ``values`` — ``(ufunc, value array, scales)`` — or the reason (``str``)
+    ``values`` — ``(ufunc, value array, scales, start)``, ``start`` the
+    ufunc's identity within the array's dtype — or the reason (``str``)
     there is none: it must be bit- and type-identical to the normal form's
     fold, so ``iota`` is an isomorphism, the monoid declares a kernel and
     calls the values exact, and they are all ``int`` (times ``bound``, the
@@ -1014,9 +1054,14 @@ def _collapse_kernel(space, values: List[Any], bound: int):
     if kinds == {int}:
         if max(map(abs, values)) * (bound if scales else 1) > enc._INT64_MAX:
             return "bound"
-    elif kinds != {float}:
+        far = np.iinfo(np.int64).max
+    elif kinds == {float}:
+        far = np.inf
+    else:
         return "mixed values"
-    return getattr(np, name), np.asarray(values), scales
+    ufunc = getattr(np, name)
+    start = {np.minimum: far, np.maximum: -far}.get(ufunc, ufunc.identity)
+    return ufunc, np.asarray(values), scales, start
 
 
 def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound: int):
@@ -1024,20 +1069,45 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
     ``batch``).
 
-    One grouped reduction on the ``(group, value-code)`` key gives the
-    pair sums in ascending key order; the group boundaries of that order
-    give the raw totals (re-reducing pair sums is exact: every machine
-    ``+_K`` is exactly associative), and the normal form's two filters are
-    array masks.  Where :func:`_collapse_kernel` applies, each group's
-    tensor is its collapsed value, reduced from the surviving pairs;
-    otherwise the pairs are cut into one entry dict per group.
+    Where :func:`_collapse_kernel` applies, each group's tensor is its
+    collapsed value, reduced straight from the rows on the group key —
+    ``sum a.v`` for a scaling kernel (``N`` and SUM), else the MIN/MAX of
+    ``v`` over the rows whose annotation is not ``0_K`` — and one more
+    reduction on the group key gives the raw totals.  A space that keeps
+    its entries reduces the ``(group, value-code)`` pair key instead: the
+    pair sums in ascending key order, cut at the group boundaries, give
+    the raw totals (re-reducing pair sums is exact: every machine ``+_K``
+    is exactly associative) and, after the normal form's two filters as
+    array masks, one entry dict per group.
     Returns ``(a row of each group, raw totals, tensors, why)``, ``why``
     the reason the kernel did not collapse (``None`` where it did).
     """
-    size = max(1, len(col.values))
     machine = batch.machine
     plus = machine.plus
     zero = machine.code(space.semiring.zero)
+    kernel = _collapse_kernel(space, col.values, bound)
+    if not isinstance(kernel, str):
+        ufunc, operand, scales, start = kernel
+        _note_kernel("aggregate", groups, len(batch), machine)
+        ukeys, rep, totals = reduce_by_key(gkeys, batch.anns, plus, groups, zero)
+        values, keys = operand[col.codes], gkeys
+        if scales:
+            values = values * batch.anns
+        else:
+            live = batch.anns != batch.anns.dtype.type(zero)
+            values, keys = values[live], gkeys[live]
+        vkeys, _rep, reduced = reduce_by_key(keys, values, ufunc, groups, start)
+        collapsed = reduced.tolist()
+        if len(vkeys) < len(ukeys):  # groups without a live row keep 0_M
+            filled = [space.monoid.identity] * len(ukeys)
+            for g, value in zip(np.searchsorted(ukeys, vkeys).tolist(), collapsed):
+                filled[g] = value
+            collapsed = filled
+        return rep, totals, list(map(space._of, collapsed)), None
+
+    size = max(1, len(col.values))
+    if groups * size > enc._RADIX_LIMIT:
+        raise EncodedFallback("code space overflow")
     pair_keys = gkeys * size + col.codes
     _note_kernel("aggregate", groups * size, len(batch), machine)
     pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
@@ -1050,31 +1120,16 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
 
     keep = sums != sums.dtype.type(zero)
     codes = pkeys - pgroups * size
-    identity = space.monoid.identity
-    identity_code = col.index.get(identity)
+    identity_code = col.index.get(space.monoid.identity)
     if identity_code is not None:
         keep &= codes != identity_code
     # ends[g]: how many pairs of groups 0..g survive the masks
     ends = np.cumsum(keep)[np.append(gstarts[1:], len(keep)) - 1]
-    codes, scalars = codes[keep], sums[keep]
-
-    kernel = _collapse_kernel(space, col.values, bound)
-    if isinstance(kernel, str):
-        values = list(map(col.values.__getitem__, codes.tolist()))
-        scalars, cuts = machine.decode(scalars), ends.tolist()
-        tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
-                   for s, e in zip([0] + cuts, cuts)]
-        return prep[gstarts], totals, tensors, kernel
-    ufunc, operand, scales = kernel
-    operand = operand[codes] * scalars if scales else operand[codes]
-    # reduceat is wrong on an empty segment: groups the masks emptied keep 0_M
-    counts = np.diff(ends, prepend=0)
-    filled = np.flatnonzero(counts)
-    collapsed = [identity] * len(ends)
-    reduced = ufunc.reduceat(operand, (ends - counts)[filled]).tolist()
-    for g, value in zip(filled.tolist(), reduced):
-        collapsed[g] = value
-    return prep[gstarts], totals, list(map(space._of, collapsed)), None
+    values = list(map(col.values.__getitem__, codes[keep].tolist()))
+    scalars, cuts = machine.decode(sums[keep]), ends.tolist()
+    tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
+               for s, e in zip([0] + cuts, cuts)]
+    return prep[gstarts], totals, tensors, kernel
 
 
 def _show_collapse(reasons: Iterable[Optional[str]]) -> None:
@@ -1183,8 +1238,6 @@ class GroupedAggregate(PhysicalOp):
             rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
         else:
             for attr, col in agg_cols.items():
-                if radix * max(1, len(col.values)) > enc._RADIX_LIMIT:
-                    raise EncodedFallback("code space overflow")
                 space = tensor_space(semiring, self.aggregations[attr])
                 rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
                     space, col, gkeys, radix, batch, bound
@@ -1266,7 +1319,7 @@ class GroupedAggregate(PhysicalOp):
         delta = semiring.delta
         annotations = [delta(t) for t in totals_list]
         return ColumnarKRelation._from_clean(
-            semiring, self.schema, columns, annotations
+            semiring, self.schema, columns, annotations, True
         )
 
     def label(self) -> str:
@@ -1303,6 +1356,7 @@ class WholeAggregate(PhysicalOp):
             self.schema,
             {self.attribute: [value]},
             [batch.semiring.one],
+            True,
         )
 
     def _run_encoded(self, batch: EncodedBatch) -> ColumnarKRelation:
@@ -1323,7 +1377,7 @@ class WholeAggregate(PhysicalOp):
             _show_collapse([why])
             count_collapse([why])
         return ColumnarKRelation._from_clean(
-            semiring, self.schema, {self.attribute: tensors}, [semiring.one]
+            semiring, self.schema, {self.attribute: tensors}, [semiring.one], True
         )
 
     def label(self) -> str:
@@ -1348,6 +1402,7 @@ class CountAggregate(PhysicalOp):
             self.schema,
             {self.attribute: [value]},
             [batch.semiring.one],
+            True,
         )
 
     def label(self) -> str:
@@ -1376,6 +1431,7 @@ class AvgAggregate(PhysicalOp):
             self.schema,
             {self.attribute: [value]},
             [batch.semiring.one],
+            True,
         )
 
     def label(self) -> str:

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Aggregate,
+    AttrCompare,
+    AttrEq,
     AttrEqAttr,
     Cartesian,
     CountAgg,
@@ -24,9 +26,13 @@ from repro.core import (
     GroupBy,
     KDatabase,
     KRelation,
+    NaturalJoin,
     Project,
+    Rename,
+    Select,
     Table,
 )
+from repro.core.rewrites import optimize
 from repro.monoids import MAX, MIN, SUM
 from repro.semirings import NAT, NX
 
@@ -134,6 +140,46 @@ def test_planned_equals_interpreted_over_bags(query, data):
 def test_difference_routes_through_planned_engine(db):
     query = Difference(Project(Table("R"), ("g",)), Table("S"))
     assert query.evaluate(db, engine="planned") == query.evaluate(db)
+
+
+# ---------------------------------------------------------------------------
+# the rewrite oracle: Π over ⋈ and ×, σ in between
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def projected_join(draw):
+    """``Π_A([σ](q1 ⋈ q2))`` or ``Π_A([σ](q1 × ρ(q2)))`` over SPJU operands:
+    the shapes the Π-below-⋈ rule rewrites."""
+    q1, a1 = draw(spju(1, without=("self_compared",)))
+    q2, a2 = draw(spju(1, without=("self_compared",)))
+    renames = {a: f"{a}x" for a in a2}
+    if draw(st.booleans()) and not set(renames.values()) & set(a1):
+        query, attrs = Cartesian(q1, Rename(q2, renames)), set(a1) | set(renames.values())
+    else:
+        query, attrs = NaturalJoin(q1, q2), set(a1) | set(a2)
+    attrs = sorted(attrs)
+    if draw(st.booleans()):
+        attr = draw(st.sampled_from(attrs))
+        if attr.startswith("g"):
+            condition = AttrEq(attr, draw(st.sampled_from(GROUPS)))
+        else:
+            op = draw(st.sampled_from(["<", "<=", ">", ">="]))
+            condition = AttrCompare(attr, op, draw(st.sampled_from(VALUES + WEIGHTS)))
+        query = Select(query, [condition])
+    keep = draw(st.sets(st.sampled_from(attrs), min_size=1))
+    return Project(query, tuple(sorted(keep)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(db=tagged_database(), query=projected_join())
+def test_rewriting_preserves_annotations_on_both_engines(db, query):
+    """``optimize(q)`` against ``q`` over ``N[X]``: equality in the free
+    semiring implies equality under every specialisation."""
+    rewritten = optimize(query, {name: rel.schema for name, rel in db})
+    want = query.evaluate(db, engine="interpreted")
+    assert rewritten.evaluate(db, engine="interpreted") == want
+    assert rewritten.evaluate(db, engine="planned") == want
 
 
 # ---------------------------------------------------------------------------

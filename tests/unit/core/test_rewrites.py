@@ -105,6 +105,66 @@ class TestRules:
         assert not changed2
 
 
+WIDE = dict(CATALOG, U=Schema(("g", "u", "x")))
+
+
+class TestProjectBelowJoin:
+    """Π_A(R ⋈ S) = Π_A(Π_A'(R) ⋈ Π_A''(S)), A' and A'' each side's
+    attributes in A or the join key (distributivity of * over +)."""
+
+    def test_each_side_keeps_what_the_projection_or_the_join_reads(self):
+        q = Project(NaturalJoin(Table("R"), Table("U")), ["v", "x"])
+        rewritten = optimize(q, WIDE)
+        assert str(rewritten) == "Π[v, x]((R ⋈ Π[g, x](U)))"
+
+    def test_the_outer_projection_goes_when_the_sides_keep_exactly_a(self):
+        q = Project(NaturalJoin(Table("R"), Table("U")), ["g"])
+        assert str(optimize(q, WIDE)) == "(Π[g](R) ⋈ Π[g](U))"
+
+    def test_under_a_cartesian_product_nothing_is_a_join_key(self):
+        q = Project(Cartesian(Table("R"), Table("T")), ["g", "w"])
+        assert str(optimize(q, CATALOG)) == "(Π[g](R) × T)"
+
+    @pytest.mark.parametrize("query", [
+        Project(Cartesian(Table("R"), Table("T")), ["v"]),
+        Project(NaturalJoin(Table("R"), Table("T")), ["g"]),
+    ], ids=["cartesian", "natural join without a shared attribute"])
+    def test_a_side_that_would_project_to_nothing_stays_whole(self, query):
+        rewritten = optimize(query, CATALOG)
+        assert isinstance(rewritten, Project)
+        join = rewritten.child
+        assert isinstance(join.left, Project) and str(join.right) == "T"
+
+    def test_a_second_pass_reports_no_change(self):
+        q = Project(Select(NaturalJoin(Table("R"), Table("U")), [AttrEq("x", 1)]),
+                    ["g"])
+        once, changed = rewrite_once(q, WIDE)
+        assert changed
+        again, changed_again = rewrite_once(once, WIDE)
+        assert not changed_again and str(again) == str(once)
+        assert str(once) == "(Π[g](R) ⋈ Π[g](σ[x = 1](U)))"
+
+    def test_the_analytic_projection_runs_below_its_join(self):
+        from repro.plan import compile_plan
+
+        fact = KRelation.from_rows(NX, ("Id", "G", "V"), [
+            ((i, f"g{i % 3}", i), NX.variable(f"f{i}")) for i in range(9)])
+        dim = KRelation.from_rows(NX, ("G", "Region"), [
+            ((f"g{j}", "EU" if j % 2 else "US"), NX.variable(f"d{j}")) for j in range(3)])
+        db = KDatabase(NX, {"Fact": fact, "Dim": dim})
+        q = Project(Select(NaturalJoin(Table("Fact"), Table("Dim")),
+                           [AttrEq("Region", "EU")]), ["G"])
+        text = compile_plan(q, db).explain()
+        assert text.splitlines()[3:] == [
+            "HashJoin natural on (G) build=right  [est_rows=1]",
+            "├─ Fused[Π[G]]  [est_rows=9]",
+            "│  └─ Scan Fact  [est_rows=9]",
+            "└─ Fused[σ[Region = EU] → Π[G]]  [est_rows=1]",
+            "   └─ Scan Dim  [est_rows=3]",
+        ]
+        assert q.evaluate(db, engine="planned") == q.evaluate(db)
+
+
 class TestAnnotationPreservation:
     QUERIES = [
         Select(Union(Table("S"), Table("S")), [AttrEq("g", "a")]),
@@ -118,6 +178,8 @@ class TestAnnotationPreservation:
         Project(
             Select(NaturalJoin(Table("R"), Table("S")), [AttrEq("g", "a")]), ["v"]
         ),
+        Project(NaturalJoin(Table("R"), Table("T")), ["v"]),
+        Project(Select(Cartesian(Table("R"), Table("T")), [AttrEq("g", "a")]), ["w"]),
         GroupBy(Select(Project(Table("R"), ["g", "v"]), [AttrEq("g", "a")]),
                 ["g"], {"v": SUM}),
     ]

@@ -7,12 +7,16 @@ import re
 import pytest
 
 from repro.core import (
+    AttrEq,
     Distinct,
     GroupBy,
     KDatabase,
     KRelation,
     NaturalJoin,
+    Project,
+    Select,
     Table,
+    Union,
 )
 from repro.monoids import SUM
 from repro.obs import trace
@@ -182,3 +186,60 @@ def test_explicit_trace_id_lands_in_the_rendered_header():
     text = explain_analyze(GROUP_QUERY, db, tier="object",
                            trace_id="cafecafecafecafe")
     assert "analyze (trace cafecafecafecafe):" in text
+
+
+# ---------------------------------------------------------------------------
+# the batch -> relation boundary: plan.materialise
+# ---------------------------------------------------------------------------
+
+
+def analytic_db():
+    """``scan_analytic``'s shape: a fact table dealt over a dimension's
+    keys (one ``Dim`` row per ``G``)."""
+    fact = [((i, f"g{i % 5}", i % 7), 1 + i % 3) for i in range(60)]
+    dim = [((f"g{j}", "EU" if j % 2 else "US"), 1) for j in range(5)]
+    return KDatabase(NAT, {
+        "Fact": KRelation.from_rows(NAT, ("Id", "G", "V"), fact),
+        "Dim": KRelation.from_rows(NAT, ("G", "Region"), dim),
+    })
+
+
+JOINED = NaturalJoin(Table("Fact"), Table("Dim"))
+BOUNDARY = [
+    ("A1", GroupBy(JOINED, ["G"], {"V": SUM}, count_attr="N"), "encoded", "distinct"),
+    ("A2", Project(Select(JOINED, [AttrEq("Region", "EU")]), ["G"]), "encoded",
+     "distinct"),
+    ("A3", Union(Project(Select(Table("Fact"), [AttrEq("V", 3)]), ["G"]),
+                 Project(Table("Dim"), ["G"])), "encoded", "kernel"),
+    ("object union", Union(Project(Table("Fact"), ["G"]), Project(Table("Dim"), ["G"])),
+     "object", "python"),
+]
+
+
+@pytest.mark.parametrize("name,query,tier,merge", BOUNDARY,
+                         ids=[b[0] for b in BOUNDARY])
+def test_the_boundary_is_a_span_that_names_its_merge(name, query, tier, merge):
+    db = analytic_db()
+    result, root, plan = analyze_query(query, db, tier=tier)
+    assert result == query.evaluate(db)
+    assert plan._last_tier == tier
+    # a sibling of plan.execute: the time between the root operator and
+    # the returned relation is attributed
+    assert [c.name for c in root.children] == ["plan.execute", "plan.materialise"]
+    span = root.children[1]
+    assert span.attrs["merge"] == merge
+    assert span.attrs["rows_out"] == len(result)
+    rows_in = plan.execute_batch()
+    assert span.attrs["rows_in"] == len(rows_in) >= len(result)
+    assert ("kernel" in span.attrs) == (merge == "kernel")
+    assert "plan.materialise" in explain_analyze(query, db, tier=tier)
+
+
+def test_an_untraced_boundary_opens_no_span(monkeypatch):
+    db = analytic_db()
+    plan = compile_plan(BOUNDARY[2][1], db)
+    want = plan.execute()
+    opened = []
+    monkeypatch.setattr(trace, "span", lambda *a, **k: opened.append(a))
+    assert plan.execute() == want
+    assert opened == []

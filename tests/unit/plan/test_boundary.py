@@ -81,6 +81,15 @@ def test_polynomial_annotations():
     assert got.annotation(Tup({"Dept": "d1", "Sal": 20})) == p + q
 
 
+def test_a_distinct_batch_is_adopted_with_its_zeros_dropped():
+    rows = [((1, "x"), 2), ((2, "y"), 0), ((3, "w"), -1)]
+    batch = batch_of(INT, ("k", "v"), rows)
+    batch.distinct = True  # what an operator promises of its output
+    got = assert_same_relation(batch)
+    assert sorted(t["k"] for t in got) == [1, 3]
+    assert ColumnarKRelation.from_krelation(got).distinct
+
+
 def test_an_empty_batch():
     assert len(assert_same_relation(ColumnarKRelation.empty(NAT, ("x", "y")))) == 0
 

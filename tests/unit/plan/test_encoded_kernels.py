@@ -247,12 +247,17 @@ ANALYTIC = {
     "A3": Union(Project(Select(Table("Fact"), [AttrEq("V", 13)]), ["G"]),
                 Project(Table("Dim"), ["G"])),
 }
-#: per query: how many joins, duplicate merges and grouped aggregations
+#: per query: how many joins, duplicate merges and grouped aggregations.
+#: A2's projection runs below its join, on each side (Π below ⋈), and the
+#: join of those two merged sides is its result; A3's union may repeat a
+#: row, so the plan's boundary merges it once more (``plan.materialise``).
 KERNEL_OPS = {
     "A1": {"join": 1, "aggregate": 1},
-    "A2": {"join": 1, "consolidate": 1},
-    "A3": {"consolidate": 2},
+    "A2": {"join": 1, "consolidate": 2},
+    "A3": {"consolidate": 3},
 }
+#: of which the boundary merge, which runs in the parent alone
+BOUNDARY_MERGES = {"A1": 0, "A2": 0, "A3": 1}
 
 
 def kernels_of(name, db, tier):
@@ -284,8 +289,10 @@ def test_morsel_spans_bring_the_workers_kernels_home(name):
         set_default_workers(None)
         parallel.cleanup()
     # every morsel ran every operator of the shape (an aggregate's
-    # attribute sits on its morsel span: workers call the kernel directly)
-    assert len(spans) % sum(KERNEL_OPS[name].values()) == 0 and spans
+    # attribute sits on its morsel span: workers call the kernel directly);
+    # the merged morsels reach the boundary as boxed rows
+    per_morsel = sum(KERNEL_OPS[name].values()) - BOUNDARY_MERGES[name]
+    assert len(spans) % per_morsel == 0 and spans
     assert {kernel for _span, kernel in spans} == {"direct"}
 
 
@@ -301,13 +308,16 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
     # 60 rows over 60 x 60 codes: 3600 > 4*60 + 1024
     left = [((i, f"a{i}", i), 1) for i in range(60)]
     right = [((f"a{j}", j, j % 5), 1) for j in range(59)]
-    db = join_db(left, right)
+    db, db_z = join_db(left, right), join_db(left, right, INT)
     joined = NaturalJoin(Table("L"), Table("R"))
-    for query, ops in [
-        (joined, {"join"}),
-        (Project(Table("L"), ["a", "b"]), {"consolidate"}),
-        (GroupBy(Table("L"), ["a", "b"], {}, count_attr="n"), {"aggregate"}),
-        (GroupBy(Table("L"), ["a"], {"b": SUM}), {"aggregate"}),
+    for db, query, ops in [
+        (db, joined, {"join"}),
+        (db, Project(Table("L"), ["a", "b"]), {"consolidate"}),
+        (db, GroupBy(Table("L"), ["a", "b"], {}, count_attr="n"), {"aggregate"}),
+        # a collapsing SUM reduces on the group key alone: sparse here ...
+        (db, GroupBy(Table("L"), ["a", "b"], {"id": SUM}), {"aggregate"}),
+        # ... and a space that keeps its entries on the (group, value) pair
+        (db_z, GroupBy(Table("L"), ["a"], {"b": SUM}), {"aggregate"}),
     ]:
         before = kernel_counts()
         result, root, plan = analyze_query(query, db, tier="encoded")
@@ -315,3 +325,19 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
         assert result == query.evaluate(db, engine="interpreted")
         assert set(counted(before)) == {(op, "sorted") for op in ops}
         assert {kernel for _span, kernel in span_kernels(root)} == {"sorted"}
+
+
+@pytest.mark.parametrize("query,ops", [
+    (NaturalJoin(Table("Fact"), Table("Dim")), {"join": 1}),
+    (GroupBy(Table("Fact"), ["G"], {"V": SUM}, count_attr="N"), {"aggregate": 1}),
+    (Project(Table("Fact"), ["G"]), {"consolidate": 1}),
+], ids=["join", "aggregate", "projection"])
+def test_a_distinct_root_runs_no_boundary_merge(query, ops):
+    db = analytic_db()
+    before = kernel_counts()
+    result, root, _plan = analyze_query(query, db, tier="encoded")
+    assert result == query.evaluate(db, engine="interpreted")
+    assert counted(before) == {(op, "direct"): n for op, n in ops.items()}
+    boundary = [s for s in root.children if s.name == "plan.materialise"]
+    assert [s.attrs["merge"] for s in boundary] == ["distinct"]
+    assert "kernel" not in boundary[0].attrs
