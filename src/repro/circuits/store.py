@@ -104,6 +104,8 @@ class GateStore(MachineRepr):
     )
 
     portable = False
+    entry_kind = "gate ids into this process's gate store"
+    metric_op = "gates"
 
     def __init__(self, builder, first_id: int, pinned=()):
         super().__init__("int64", "", "")
@@ -254,31 +256,22 @@ class GateStore(MachineRepr):
     # -- interning kernels -------------------------------------------------------
 
     def times_rows(self, a, b):
-        """Elementwise ``a * b`` with the builder's unit/annihilator rules;
-        every other canonical pair is looked up in the binary-``times``
-        mirror, and only the misses intern one by one."""
-        np = _np()
-        out = np.where(a == ONE, b, a)
-        out = np.where(b == ONE, a, out)
-        out[(a == ZERO) | (b == ZERO)] = ZERO
-        need = np.flatnonzero((a > ONE) & (b > ONE))
-        if not len(need):
-            return out
+        """Elementwise ``a * b`` with the builder's unit/annihilator rules
+        (:func:`pair_times`): every other canonical pair is looked up in
+        the binary-``times`` mirror, and only the misses intern one by
+        one."""
+        return pair_times(a, b, self._find_times, self._make_times)
+
+    def _find_times(self, keys):
         if len(self.nodes) >= 1 << _PAIR_SHIFT:
             raise _fallback("gate id range")
-        lo = np.minimum(a[need], b[need])
-        hi = np.maximum(a[need], b[need])
-        keys = (lo << _PAIR_SHIFT) | hi
-        res = _lookup(np, self._mirror(TIMES), keys)
-        miss = np.flatnonzero(res < 0)
-        if len(miss):
-            self._require_current()
-            nodes, times = self.nodes, self.builder.times
-            pairs = zip(lo[miss].tolist(), hi[miss].tolist())
-            made = [times(nodes[x], nodes[y]) for x, y in pairs]
-            res[miss] = self._own_rows(made)
-        out[need] = res
-        return out
+        return _lookup(_np(), self._mirror(TIMES), keys)
+
+    def _make_times(self, lo, hi):
+        self._require_current()
+        nodes, times = self.nodes, self.builder.times
+        pairs = zip(lo.tolist(), hi.tolist())
+        return self._own_rows([times(nodes[x], nodes[y]) for x, y in pairs])
 
     def plus_segments(self, values, starts):
         """``plus_many`` of every segment ``values[starts[i]:starts[i+1]]``
@@ -399,20 +392,51 @@ class GateStore(MachineRepr):
             add_keys, add_rows = _fingerprints(np, kids, counts)[stale == 0], new[stale == 0]
         else:
             add_keys = add_rows = new
-        if tables is None:
-            keys = rows = np.empty(0, dtype=np.int64)
-        else:
-            keys, rows, recent_keys, recent_rows = tables
-            add_keys, add_rows = _spliced(np, recent_keys, recent_rows, add_keys, add_rows)
-        if len(add_keys) >= _RECENT or tables is None:
-            keys, rows = _spliced(np, keys, rows, add_keys, add_rows)
-            add_keys = add_rows = np.empty(0, dtype=np.int64)
-        tables = (keys, rows, add_keys, add_rows)
+        tables = extended(tables, add_keys, add_rows)
         self._mirrors[kind] = (snap.n, tables)
         return tables
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<gate store from id {self._first}, {len(self.nodes)} rows>"
+
+
+def pair_times(a, b, find, make):
+    """Elementwise ``a * b`` over ids whose ``0`` and ``1`` are the pinned
+    zero and one (gate rows, ``N[X]`` term ids): the units and the
+    annihilator by rule; every other pair, canonically ordered and packed
+    into one int64 key, is looked up by ``find(keys)`` (``-1`` where
+    absent), and ``make(lo, hi)`` gives the ids of the misses."""
+    np = _np()
+    out = np.where(a == ONE, b, a)
+    out = np.where(b == ONE, a, out)
+    out[(a == ZERO) | (b == ZERO)] = ZERO
+    need = np.flatnonzero((a > ONE) & (b > ONE))
+    if not len(need):
+        return out
+    lo = np.minimum(a[need], b[need])
+    hi = np.maximum(a[need], b[need])
+    res = find((lo << _PAIR_SHIFT) | hi)
+    miss = np.flatnonzero(res < 0)
+    if len(miss):
+        res[miss] = make(lo[miss], hi[miss])
+    out[need] = res
+    return out
+
+
+def extended(tables, add_keys, add_rows):
+    """A mirror ``(keys, rows, recent keys, recent rows)`` — or ``None``,
+    none yet — with the unsorted ``add_*`` spliced into its recent table,
+    which is merged into the main one once it holds :data:`_RECENT`."""
+    np = _np()
+    if tables is None:
+        keys = rows = np.empty(0, dtype=np.int64)
+    else:
+        keys, rows, recent_keys, recent_rows = tables
+        add_keys, add_rows = _spliced(np, recent_keys, recent_rows, add_keys, add_rows)
+    if len(add_keys) >= _RECENT or tables is None:
+        keys, rows = _spliced(np, keys, rows, add_keys, add_rows)
+        add_keys = add_rows = np.empty(0, dtype=np.int64)
+    return keys, rows, add_keys, add_rows
 
 
 def _spliced(np, keys, rows, add_keys, add_rows):

@@ -423,15 +423,17 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
 
 #: Which kernel each encoded join probe and grouped reduction ran in this
 #: process (pool workers' show on their morsel spans): codes addressed
-#: directly, or the sort a sparse key space falls back to; and, under
-#: ``op="gates"``, why a circuit gate-id kernel left the encoded tier.
+#: directly, the sort a sparse key space falls back to, or the term
+#: store's fold; and, under ``op="gates"`` / ``op="terms"``, why a gate-id
+#: or term-id kernel left the encoded tier.
 ENCODED_KERNEL = REGISTRY.counter(
     "repro_encoded_kernel_total",
     "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
     "and grouped aggregations (op=aggregate) by kernel: direct (scatter / "
-    "slot table over the code space) or sorted (sparse key space); and "
-    "circuit gate-id kernels that fell back to the object tier "
-    "(op=gates, kernel=\"fallback: <cause>\").",
+    "slot table over the code space), sorted (sparse key space) or fold "
+    "(N[X] term rows summed by the term store); and circuit gate-id and "
+    "N[X] term-id kernels that fell back to the object tier (op=gates or "
+    "op=terms, kernel=\"fallback: <cause>\").",
     ("op", "kernel"),
 )
 

@@ -55,8 +55,9 @@ from repro.core.rewrites import optimize
 from repro.core.schema import Schema
 from repro.deadline import Deadline
 from repro.exceptions import QueryError
-from repro.plan.encoded import EncodedBatch, EncodedFallback
-from repro.plan.kernels import HAVE_NUMPY
+from repro.plan.columnar import ColumnarKRelation
+from repro.plan.encoded import EncodedBatch, EncodedFallback, combine_codes, why_boxed
+from repro.plan.kernels import HAVE_NUMPY, np
 from repro.plan.physical import (
     AvgAggregate,
     CountAggregate,
@@ -75,6 +76,7 @@ from repro.plan.physical import (
     UnionAll,
     WholeAggregate,
     _consolidate_encoded,
+    _note_fold,
 )
 from repro.core.query import AttrCompare
 from repro.core.relation import KRelation
@@ -113,6 +115,8 @@ class PhysicalPlan:
         self.tier = tier
         self._scan_cache: Dict[str, Tuple[Any, Any]] = {}
         self._last_tier: "str | None" = None
+        #: tables the last encoded run scanned boxed (their contents)
+        self._boxed: Tuple[str, ...] = ()
         # parallel-tier state (filled in by compile_plan): the rewritten
         # query workers recompile, the sharding recipe (or the honest
         # reason there is none), and the cached job payload
@@ -226,6 +230,7 @@ class PhysicalPlan:
             deadline=deadline,
         )
         result = self.root.execute(ctx)
+        self._boxed = tuple(ctx.boxed)
         if ctx.used_encoded:
             self._last_tier = (
                 "encoded+object fallback" if ctx.fell_back else "encoded"
@@ -270,6 +275,8 @@ class PhysicalPlan:
         if self._last_tier is not None:
             tier += f"  [last run: {self._last_tier}]"
         lines.append(tier)
+        for name in self._boxed:
+            lines.append(f"boxed: table {name} ({why_boxed(self.db.relation(name))})")
         if self.tier == "parallel":
             from repro.plan import parallel as _parallel
 
@@ -308,21 +315,42 @@ def _materialise(batch) -> Tuple[KRelation, str]:
     """The relation a plan's root ``batch`` stands for, and how its rows
     were merged: ``"distinct"`` (nothing to merge: the batch promised
     pairwise distinct rows), ``"kernel"`` (one grouped reduction over the
-    encoded rows, where the machine ``+`` is an exact ufunc) or
-    ``"python"`` (the ``+_K`` merge of
-    :func:`~repro.core.relation.merged_rows` over decoded rows: object
-    batches, and gate ids, whose sums must intern the very gates the
-    object path would)."""
+    encoded rows, where the machine ``+`` is an exact ufunc), ``"terms"``
+    (the term store's one fold over ``N[X]`` term rows, which builds each
+    tuple's polynomial from its rows' terms) or ``"python"`` (the ``+_K``
+    merge of :func:`~repro.core.relation.merged_rows` over decoded rows:
+    object batches, and gate ids, whose sums must intern the very gates
+    the object path would)."""
     merge = "distinct" if batch.distinct else "python"
     if isinstance(batch, EncodedBatch):
-        if merge == "python" and hasattr(batch.machine.plus, "at"):
-            try:
-                batch = _consolidate_encoded(batch, batch.schema)
-                merge = "kernel"
-            except EncodedFallback:  # no attributes, or past the int64 bound
-                pass
-        batch = batch.to_columnar()
+        machine = batch.machine
+        try:
+            if merge == "python" and not machine.merges:
+                batch, merge = _fold_terms(batch), "terms"
+            elif merge == "python" and hasattr(machine.plus, "at"):
+                batch, merge = _consolidate_encoded(batch, batch.schema), "kernel"
+        except EncodedFallback:  # no attributes, past the int64 bound, ...
+            pass
+        if isinstance(batch, EncodedBatch):
+            batch = batch.to_columnar()
     return batch.to_krelation(), merge
+
+
+def _fold_terms(batch: EncodedBatch) -> ColumnarKRelation:
+    """The distinct rows of a term batch, each annotated with the fold of
+    its rows' terms."""
+    attrs = batch.schema.attributes
+    cols = [batch.col(a) for a in attrs]
+    if cols:
+        keys, _space = combine_codes(cols)
+    else:
+        keys = np.zeros(len(batch), dtype=np.int64)
+    _note_fold("consolidate")
+    rep, totals, _entries = batch.machine.fold(keys, batch.anns)
+    columns = {a: col.gather(rep).decode() for a, col in zip(attrs, cols)}
+    return ColumnarKRelation._from_clean(
+        batch.semiring, batch.schema, columns, totals, True
+    )
 
 
 def _render(node: PhysicalOp, prefix: str, child_prefix: str, lines) -> None:
@@ -411,8 +439,8 @@ def compile_plan(
     if tier == "parallel" and not machine.portable:
         raise QueryError(
             f"the parallel tier is unavailable: {db.semiring.name} annotations "
-            "are gate ids into this process's gate store, which workers do not "
-            "share (omit tier to auto-select)"
+            f"are {machine.entry_kind}, which workers do not share (omit tier "
+            "to auto-select)"
         )
     qualifies = unencodable is None and not isinstance(root, Fallback)
     parallel_spec = None

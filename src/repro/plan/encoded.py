@@ -288,8 +288,26 @@ def encode_batch(
         }
     except TypeError:  # unhashable column value
         return None
-    anns = machine.encode(annotations)
+    try:
+        anns = machine.encode(annotations)
+    except EncodedFallback:  # an interning repr filled up: into the next one
+        machine = semiring.machine_repr
+        try:
+            anns = machine.encode(annotations)
+        except EncodedFallback:  # more than one generation holds
+            return None
     return EncodedBatch(semiring, schema, cols, anns, anns_one, bound, machine)
+
+
+def why_boxed(rel) -> str:
+    """Why :func:`encode_relation` finds no encoding of ``rel`` (for
+    ``explain``): its first annotation without a machine form, else an
+    unhashable value."""
+    machine = rel.semiring.machine_repr
+    for annotation in rel._rows.values():
+        if not machine.fits(annotation):
+            return machine.unfit(annotation)
+    return "a value is unhashable"
 
 
 def encode_relation(rel) -> Optional[EncodedBatch]:
@@ -349,7 +367,7 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
                     return encode_relation(rel)
     tables = cache["tables"]
     entry = tables.get(name)
-    if entry is not None and entry[0] is rel:
+    if entry is not None and entry[0] is rel and not _retired(entry[1]):
         return entry[1]
     # encode misses are the expensive path — worth a span of their own
     # (cache hits above stay untouched: no span, no check beyond _ACTIVE)
@@ -417,13 +435,20 @@ class _ColumnTail:
         return column
 
 
+def _retired(batch: Optional[EncodedBatch]) -> bool:
+    """Was ``batch`` encoded in a generation of an interning repr (gate or
+    term ids) that its semiring has since replaced?  Its ids still read,
+    but nothing new can combine with them: the table re-encodes."""
+    return batch is not None and batch.machine is not batch.semiring.machine_repr
+
+
 def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
     """``batch`` followed by the rows of ``delta`` as a new batch sharing
     nothing mutable with ``batch``, or ``None`` if a delta annotation
     disqualifies the table.  (Delta values need no hashability check: a
-    :class:`~repro.core.tuples.Tup` hashes its values at construction.)"""
-    if batch.machine is not batch.semiring.machine_repr:
-        return None  # a retired gate generation: the next scan rebuilds
+    :class:`~repro.core.tuples.Tup` hashes its values at construction.)
+    Raises :class:`EncodedFallback` where the batch's generation cannot
+    take the delta's annotations."""
     rows = ColumnarKRelation.from_krelation(delta)
     scanned = _scan_annotations(
         batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
@@ -468,8 +493,13 @@ def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
         return
     batch = entry[1]
     event = "extend"
+    if _retired(batch):
+        return  # its generation was replaced: the next scan rebuilds
     if batch is not None:
-        batch = _extend_batch(batch, delta)
+        try:
+            batch = _extend_batch(batch, delta)
+        except EncodedFallback:  # the generation filled up meanwhile
+            return
         if batch is None:
             event = "disqualify"
     tables[name] = (new, batch, version)

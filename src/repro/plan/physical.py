@@ -101,7 +101,8 @@ class ExecutionContext:
     tier.  ``encoded`` enables the dictionary-encoded scan path (set by
     the plan's compile-time tier selection); ``used_encoded`` records
     whether any scan actually ran encoded, which is what ``explain()``
-    reports as the tier of the last run."""
+    reports as the tier of the last run, and ``boxed`` the tables whose
+    contents kept them on the object tier."""
 
     __slots__ = (
         "db",
@@ -110,6 +111,7 @@ class ExecutionContext:
         "encoded",
         "used_encoded",
         "fell_back",
+        "boxed",
         "deadline",
     )
 
@@ -126,6 +128,7 @@ class ExecutionContext:
         self.encoded = encoded
         self.used_encoded = False
         self.fell_back = False
+        self.boxed: List[str] = []
         #: Optional :class:`repro.deadline.Deadline` checked at every
         #: operator boundary — the cooperative-cancellation checkpoints.
         self.deadline = deadline
@@ -267,7 +270,7 @@ class Scan(PhysicalOp):
             ctx.scan_cache[self.name] = entry
         reps = entry[1]
         if ctx.encoded:
-            if "encoded" in reps:
+            if "encoded" in reps and not enc._retired(reps["encoded"]):
                 batch = reps["encoded"]
             else:
                 # None records "this table disqualifies the tier"
@@ -275,6 +278,7 @@ class Scan(PhysicalOp):
             if batch is not None:
                 ctx.used_encoded = True
                 return batch
+            ctx.boxed.append(self.name)
         batch = reps.get("object")
         if batch is None:
             batch = reps["object"] = ColumnarKRelation.from_krelation(rel)
@@ -314,11 +318,12 @@ def _note_kernel(op: str, space: int, rows: int, machine=None) -> None:
 
 
 def _same_machine(left: EncodedBatch, right: EncodedBatch) -> None:
-    """Two batches' annotations combine only in one representation (gate
-    ids of two generations of a circuit builder do not)."""
+    """Two batches' annotations combine only in one representation (ids
+    of two generations of a gate or term store do not)."""
     if left.machine is not right.machine:
-        _metrics.ENCODED_KERNEL.inc(1, "gates", "fallback: two gate generations")
-        raise EncodedFallback("two gate generations")
+        op = left.machine.metric_op
+        _metrics.ENCODED_KERNEL.inc(1, op, "fallback: two generations")
+        raise EncodedFallback("two generations")
 
 
 def _consolidate_encoded(
@@ -517,9 +522,24 @@ class ProjectStage:
     def apply_encoded(self, batch: EncodedBatch, keep=None) -> EncodedBatch:
         """Π with the duplicate merge reduced per combined code key (the
         ``keep`` indices of a preceding selection feed in directly, so the
-        σ→Π fusion holds on the encoded tier too)."""
+        σ→Π fusion holds on the encoded tier too).  Term rows are not
+        merged: they stay the projected tuples' derivations, and the batch
+        no longer promises distinct rows."""
         out_schema = batch.schema.restrict(self.attributes)
-        return _consolidate_encoded(batch, out_schema, keep)
+        if batch.machine.merges:
+            return _consolidate_encoded(batch, out_schema, keep)
+        cols = {
+            a: _taken_column(batch, a, keep) for a in out_schema.attributes
+        }
+        return EncodedBatch(
+            batch.semiring,
+            out_schema,
+            cols,
+            _taken(batch.anns, keep),
+            batch.anns_one,
+            batch.ann_bound,
+            batch.machine,
+        )
 
 
 class RenameStage:
@@ -580,6 +600,8 @@ class DistinctStage:
         )
 
     def apply_encoded(self, batch: EncodedBatch) -> EncodedBatch:
+        if not batch.machine.merges:
+            raise EncodedFallback("δ over term rows")
         merged = _consolidate_encoded(batch, batch.schema)
         anns = enc.delta_anns(batch, merged.anns)
         return EncodedBatch(
@@ -1069,6 +1091,9 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
     ``batch``).
 
+    Term rows (a repr that does not :attr:`~MachineRepr.merges`) are
+    summed by the store's one fold over the ``(group, value-code)`` pair
+    key, which gives each group's entries and its total in one pass.
     Where :func:`_collapse_kernel` applies, each group's tensor is its
     collapsed value, reduced straight from the rows on the group key —
     ``sum a.v`` for a scaling kernel (``N`` and SUM), else the MIN/MAX of
@@ -1079,10 +1104,21 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     the raw totals (re-reducing pair sums is exact: every machine ``+_K``
     is exactly associative) and, after the normal form's two filters as
     array masks, one entry dict per group.
-    Returns ``(a row of each group, raw totals, tensors, why)``, ``why``
-    the reason the kernel did not collapse (``None`` where it did).
+    Returns ``(a row of each group, raw totals, tensors, why)``, the
+    totals decoded and ``why`` the reason the kernel did not collapse
+    (``None`` where it did).
     """
     machine = batch.machine
+    if not machine.merges:
+        size = max(1, len(col.values))
+        if groups * size > enc._RADIX_LIMIT:
+            raise EncodedFallback("code space overflow")
+        _note_fold("aggregate")
+        skip = col.index.get(space.monoid.identity, -1)
+        rep, totals, entries = machine.fold(
+            gkeys * size + col.codes, batch.anns, size, col.values, skip
+        )
+        return rep, totals, list(map(space._normal, entries)), "terms"
     plus = machine.plus
     zero = machine.code(space.semiring.zero)
     kernel = _collapse_kernel(space, col.values, bound)
@@ -1103,7 +1139,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
             for g, value in zip(np.searchsorted(ukeys, vkeys).tolist(), collapsed):
                 filled[g] = value
             collapsed = filled
-        return rep, totals, list(map(space._of, collapsed)), None
+        return rep, machine.decode(totals), list(map(space._of, collapsed)), None
 
     size = max(1, len(col.values))
     if groups * size > enc._RADIX_LIMIT:
@@ -1129,14 +1165,25 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     scalars, cuts = machine.decode(sums[keep]), ends.tolist()
     tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
                for s, e in zip([0] + cuts, cuts)]
-    return prep[gstarts], totals, tensors, kernel
+    return prep[gstarts], machine.decode(totals), tensors, kernel
 
 
-def _show_collapse(reasons: Iterable[Optional[str]]) -> None:
-    """Say on the operator's span whether its aggregated columns were
-    collapsed by the kernel or folded by the normal form (and why)."""
+def _note_fold(op: str) -> None:
+    """Count a term fold (:meth:`~repro.semirings.terms.TermStore.fold`)
+    on the encoded-kernel counter, under ``op`` (``aggregate`` or
+    ``consolidate``)."""
+    _metrics.ENCODED_KERNEL.inc(1, op, "fold")
+
+
+def _show_collapse(reasons: Iterable[Optional[str]], rows_in: int) -> None:
+    """Say on the operator's span how many rows it read and whether its
+    aggregated columns were collapsed by the kernel or folded by the
+    normal form (and why)."""
+    if not _trace._ACTIVE:
+        return
     reasons = list(reasons)
     folded = "; ".join(sorted(set(filter(None, reasons))))
+    _trace.add_attrs(rows_in=rows_in)
     if reasons:
         _trace.add_attrs(collapse=f"fold ({folded})" if folded else "kernel")
 
@@ -1233,22 +1280,27 @@ class GroupedAggregate(PhysicalOp):
 
         tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
         why: Dict[str, Optional[str]] = {}
-        if not agg_cols or not len(batch):
-            _note_kernel("aggregate", radix, len(batch), batch.machine)
-            rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
-        else:
+        machine = batch.machine
+        if agg_cols and len(batch):
             for attr, col in agg_cols.items():
                 space = tensor_space(semiring, self.aggregations[attr])
                 rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
                     space, col, gkeys, radix, batch, bound
                 )
-            _show_collapse(why.values())
+        elif machine.merges:
+            _note_kernel("aggregate", radix, len(batch), machine)
+            rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
+            totals = machine.decode(totals)
+        else:
+            _note_fold("aggregate")
+            rep, totals, _entries = machine.fold(gkeys, batch.anns)
+        _show_collapse(why.values(), len(batch))
 
         decoded = []
         for col in gcols:
             codes = col.codes[rep].tolist()
             decoded.append(list(map(col.values.__getitem__, codes)))
-        return list(zip(*decoded)), batch.machine.decode(totals), tensors, why
+        return list(zip(*decoded)), totals, tensors, why
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.
@@ -1374,7 +1426,7 @@ class WholeAggregate(PhysicalOp):
             _rep, _totals, tensors, why = _set_agg_by_code(
                 space, col, gkeys, 1, batch, bound
             )
-            _show_collapse([why])
+            _show_collapse([why], len(batch))
             count_collapse([why])
         return ColumnarKRelation._from_clean(
             semiring, self.schema, {self.attribute: tensors}, [semiring.one], True

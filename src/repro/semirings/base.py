@@ -77,7 +77,8 @@ class MachineRepr:
     not (:class:`repro.circuits.store.GateStore`: circuit gates as ids into
     a per-process gate store) overrides the kernels; its ``plus`` offers
     ``reduceat`` only, and it is neither :attr:`bounded` nor
-    :attr:`portable`.
+    :attr:`portable`.  :class:`repro.semirings.terms.TermStore` (``N[X]``
+    terms as ids) has no array ``plus`` at all (:attr:`merges` is false).
 
     ``fits`` is the per-value qualification test: a value that does not
     round-trip *exactly and type-identically* through the dtype
@@ -100,8 +101,18 @@ class MachineRepr:
     __slots__ = ("dtype", "np_plus", "np_times")
 
     #: Do array entries mean the same in every process?  The parallel
-    #: tier ships them to workers, so it refuses a repr that is not.
+    #: tier ships them to workers, so it refuses a repr that is not, and
+    #: names what its entries are.
     portable = True
+    entry_kind = "machine scalars"
+    #: the ``op`` label of the repr's fallbacks on the encoded-kernel counter
+    metric_op = "scalars"
+
+    #: Does ``+`` run on the tier?  A repr whose entries are single terms
+    #: (:class:`repro.semirings.terms.TermStore`) leaves every sum to one
+    #: fold per output: its batches keep their rows unmerged, and δ falls
+    #: back to the object tier.
+    merges = True
 
     def __init__(self, dtype: str, np_plus: str, np_times: str):
         if dtype not in ("int64", "float64", "bool"):
@@ -147,6 +158,10 @@ class MachineRepr:
         ``one`` of ``0_K`` and ``1_K``: the support indicator."""
         zero, one = anns.dtype.type(zero), anns.dtype.type(one)
         return _np().where(anns == zero, zero, one)
+
+    def unfit(self, value: Any) -> str:
+        """Why ``value`` does not :meth:`fits` (``explain`` says so)."""
+        return f"annotation {value!r} is not an exact {self.dtype}"
 
     def code(self, value: Any) -> Any:
         """The array entry of one element (``0_K``, ``1_K``)."""

@@ -252,7 +252,14 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.semiring.name, frozenset(self._terms.items())))
+            # the support and the coefficients, each a frozenset: one built
+            # from a dict reuses the hashes its keys were stored under, so
+            # no monomial is rehashed and no (monomial, coefficient) pair
+            # is built; equal polynomials still hash alike
+            terms = self._terms
+            self._hash = hash(
+                (self.semiring.name, frozenset(terms), frozenset(terms.values()))
+            )
         return self._hash
 
     def __bool__(self) -> bool:
@@ -306,7 +313,8 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         """True iff the polynomial is ``c * 1`` for some coefficient ``c``."""
-        return not self._terms or set(self._terms) == {_UNIT_MONOMIAL}
+        terms = self._terms
+        return not terms or (len(terms) == 1 and _UNIT_MONOMIAL in terms)
 
     def constant_value(self) -> Any:
         """The coefficient value of a constant polynomial.
@@ -637,3 +645,11 @@ from repro.semirings.integers import INT  # noqa: E402  (import placed late by d
 
 #: Polynomials with integer coefficients; hosts ``p-hat = 1 - p``.
 ZX = polynomials_over(INT)
+
+# N[X] runs the encoded tier over ids of single terms; ZX keeps the object
+# tier (its coefficients can cancel, so a fold could meet a zero sum)
+from repro.semirings.terms import TermStore  # noqa: E402  (needs the classes above)
+
+#: ``N[X]``'s machine representation (:mod:`repro.semirings.terms`): one
+#: generation of interned terms, replaced when it fills up.
+NX.machine_repr = TermStore(NX)

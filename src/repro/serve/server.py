@@ -405,12 +405,7 @@ class ProvenanceServer:
                 raise BadRequest("x-timeout-ms header must be positive")
         snap = self.manager.pin()  # the whole request reads this version
         query = self._prepare(req["sql"], prepared)
-        # symbolic annotation arithmetic is the expensive tier: polynomial
-        # databases and circuit-mode requests go through the heavy gate
-        heavy = (
-            req["annotations"] == "circuit"
-            or snap.semiring.machine_repr is None
-        )
+        heavy = req["annotations"] == "circuit" or _symbolic(snap.semiring)
         analyze = req["analyze"] or obs_trace.enabled()
         rid = request_id or obs_trace.new_trace_id()
         sql = req["sql"]
@@ -528,7 +523,7 @@ class ProvenanceServer:
             if name in self._views:
                 raise BadRequest(f"view {name!r} already exists")
             snap = self.manager.pin()
-            heavy = snap.semiring.machine_repr is None
+            heavy = _symbolic(snap.semiring)
 
             def work():
                 from repro.ivm import MaterializedView
@@ -683,6 +678,16 @@ class ServerHandle:
             ).result(timeout=10)
             self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
+
+
+def _symbolic(semiring) -> bool:
+    """Is annotation arithmetic over ``semiring`` symbolic — the expensive
+    work the heavy gate admits one slot at a time?  True for boxed
+    annotations (no machine representation) and for machine entries that
+    are ids into an in-process store (gate ids, ``N[X]`` term ids): both
+    build polynomials or gates, unlike machine scalars."""
+    machine = semiring.machine_repr
+    return machine is None or not machine.portable
 
 
 def start_in_thread(db: KDatabase, host: str = "127.0.0.1", port: int = 0,

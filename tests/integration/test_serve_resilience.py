@@ -107,14 +107,18 @@ def test_header_timeout_takes_precedence_over_body(server):
         client.close()
 
 
-def test_a_circuit_query_past_its_budget_is_408_mid_plan():
-    """Circuit-mode plans check the request's deadline at every operator:
-    the first scan's stall spends the budget and the join never starts."""
+def nx_db():
     r = KRelation.from_rows(
         NX, ("g", "v"), [((f"g{i % 4}", i % 9), NX.variable(f"r{i}")) for i in range(32)]
     )
     s = KRelation.from_rows(NX, ("g",), [((f"g{i}",), NX.variable(f"s{i}")) for i in range(4)])
-    handle = start_in_thread(KDatabase(NX, {"R": r, "S": s}))
+    return KDatabase(NX, {"R": r, "S": s})
+
+
+def test_a_circuit_query_past_its_budget_is_408_mid_plan():
+    """Circuit-mode plans check the request's deadline at every operator:
+    the first scan's stall spends the budget and the join never starts."""
+    handle = start_in_thread(nx_db())
     client = Client(handle.address)
     sql = "SELECT g, SUM(v) FROM R, S GROUP BY g"
     try:
@@ -132,6 +136,38 @@ def test_a_circuit_query_past_its_budget_is_408_mid_plan():
         client.close()
         handle.close()
         faults.reset_counters()
+
+
+def test_expanded_nx_work_takes_the_heavy_slot():
+    """``N[X]`` runs the encoded tier over term ids, yet an expanded query
+    and a view creation still build polynomials: each needs the one heavy
+    slot, and is shed while something else holds it."""
+    handle = start_in_thread(nx_db())
+    client = Client(handle.address)
+    sql = "SELECT g, SUM(v) FROM R GROUP BY g"
+    heavy = handle.server.pool._heavy
+    try:
+        status, body, _ = client.request("POST", "/query", {"sql": sql})
+        assert status == 200 and body["rowcount"] == 4
+        assert heavy.acquire(blocking=False)  # hold the slot
+        try:
+            status, body, _ = client.request("POST", "/query", {"sql": sql})
+            assert status == 503 and "symbolic" in body["error"], body
+            _, stats, _ = client.request("GET", "/stats")
+            assert stats["pool"]["heavy_rejected"] == 1
+            status, body, _ = client.request(
+                "POST", "/views", {"name": "V", "sql": sql}
+            )
+            assert status == 503 and "symbolic" in body["error"], body
+            _, stats, _ = client.request("GET", "/stats")
+            assert stats["pool"]["heavy_rejected"] == 2
+        finally:
+            heavy.release()
+        status, _, _ = client.request("POST", "/views", {"name": "V", "sql": sql})
+        assert status == 201
+    finally:
+        client.close()
+        handle.close()
 
 
 def test_generous_budget_answers_normally(server):

@@ -34,7 +34,9 @@ from repro.core import (
 )
 from repro.core.rewrites import optimize
 from repro.monoids import MAX, MIN, SUM
-from repro.semirings import NAT, NX
+from repro.plan import compile_plan
+from repro.semirings import BOOL, NAT, NX
+from repro.semirings.homomorphism import valuation_hom
 
 from strategies import GROUPS, VALUES, WEIGHTS, spju
 
@@ -46,12 +48,23 @@ from strategies import GROUPS, VALUES, WEIGHTS, spju
 
 @st.composite
 def tagged_database(draw):
-    """A small N[X] database: R(g, v), S(g), T(g, w)."""
+    """A small N[X] database: R(g, v), S(g), T(g, w).  Annotations are
+    mostly single terms — a token, ``k·x_t`` or a constant, the shapes
+    the encoded tier's term store takes — and now and then a sum, which
+    keeps its table on the object tier."""
     counter = [0]
 
     def tag():
         counter[0] += 1
-        return NX.variable(f"t{counter[0]}")
+        token = NX.variable(f"t{counter[0]}")
+        shape = draw(st.sampled_from(["token"] * 4 + ["scaled", "constant", "sum"]))
+        if shape == "scaled":
+            return NX.from_int(draw(st.integers(2, 3))) * token
+        if shape == "constant":
+            return NX.from_int(draw(st.integers(1, 3)))
+        if shape == "sum":
+            return token + NX.variable(f"t{counter[0]}b")
+        return token
 
     rows_r = draw(
         st.lists(st.tuples(st.sampled_from(GROUPS), st.sampled_from(VALUES)),
@@ -109,6 +122,29 @@ def test_planned_equals_interpreted_over_free_semiring(db, query):
     interpreted = query.evaluate(db, engine="interpreted")
     planned = query.evaluate(db, engine="planned")
     assert planned == interpreted
+
+
+def _valuation(target):
+    """A valuation of the tokens ``t<n>``/``t<n>b`` into ``N`` (some 0:
+    deletions) or ``B``."""
+    def value(token):
+        n = int(token[1:].rstrip("b")) + token.endswith("b")
+        return n % 3 if target is NAT else n % 2 == 0
+    return valuation_hom(NX, target, value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(db=tagged_database(), query=spju_agb_query())
+def test_term_tier_equals_object_tier_and_commutes(db, query):
+    """The default tier (term ids wherever a table's annotations are
+    single terms), the object tier and the interpreter agree, and the
+    default tier's result commutes with valuations into N and B."""
+    result = compile_plan(query, db).execute()
+    assert result == compile_plan(query, db, tier="object").execute()
+    assert result == query.evaluate(db)
+    for target in (NAT, BOOL):
+        hom = _valuation(target)
+        assert result.apply_hom(hom) == query.evaluate(db.apply_hom(hom))
 
 
 @settings(max_examples=40, deadline=None)

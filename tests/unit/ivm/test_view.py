@@ -95,6 +95,29 @@ class TestGroupedHead:
         assert view.result() == q.evaluate(db)
         assert len(view.result()) == 1
 
+    def test_bulk_nx_delta_runs_the_term_tier_exactly(self):
+        """A delta past the encoded threshold runs the join over term ids
+        (the delta plan decodes its batch for the view) and still equals
+        re-evaluation."""
+        pytest.importorskip("numpy")
+        from repro.ivm.delta import DeltaPlan
+
+        dept = KRelation.from_rows(
+            NX, ("Dept", "Region"),
+            [(("d1", "EU"), NX.variable("r1")), (("d2", "US"), 2 * NX.variable("r2"))],
+        )
+        db = emp_db()
+        db.add("Dept", dept)
+        query = GroupBy(NaturalJoin(Table("Emp"), Table("Dept")), ["Region"],
+                        {"Sal": SUM}, count_attr="n")
+        view = MaterializedView.create(db, query)
+        rows = [(100 + i, f"d{1 + i % 2}", 10 * (1 + i % 4))
+                for i in range(DeltaPlan.ENCODED_DELTA_MIN_ROWS + 4)]
+        view.apply({"Emp": emp_delta(NX, rows, start=1000)})
+        assert view.result() == query.evaluate(db)
+        delta_plan = view._delta_plans[frozenset({"Emp"})]
+        assert delta_plan.plan._last_tier == "encoded"
+
     def test_empty_delta_is_a_noop(self):
         db = emp_db()
         view = MaterializedView.create(db, GROUPED)

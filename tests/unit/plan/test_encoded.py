@@ -31,7 +31,7 @@ from repro.monoids import MAX, MIN, SUM
 from repro.obs.metrics import ENCODED_CACHE_EVENTS
 from repro.plan import compile_plan
 from repro.plan.encoded import EncodedBatch, encode_relation, encoded_scan
-from repro.semirings import BOOL, NAT, NX, TROPICAL
+from repro.semirings import BOOL, NAT, NX, TROPICAL, ZX
 
 
 def bag_db(n=60):
@@ -75,13 +75,39 @@ class TestTierSelection:
         assert "tier: encoded" in plan.explain()
 
     def test_symbolic_semiring_keeps_object_tier(self):
+        # Z[X] declares no machine representation (N[X] has its term ids)
         emp = KRelation.from_rows(
-            NX, ("EmpId",), [((i,), NX.variable(f"t{i}")) for i in range(3)]
+            ZX, ("EmpId",), [((i,), ZX.variable(f"t{i}")) for i in range(3)]
         )
-        db = KDatabase(NX, {"Emp": emp})
+        db = KDatabase(ZX, {"Emp": emp})
         plan = compile_plan(Table("Emp"), db)
         assert plan.tier == "object"
         assert "tier: object" in plan.explain()
+
+    def test_nx_selects_encoded_tier_over_term_ids(self):
+        emp = KRelation.from_rows(
+            NX, ("EmpId",), [((i,), NX.variable(f"t{i}")) for i in range(3)]
+        )
+        plan = compile_plan(Table("Emp"), KDatabase(NX, {"Emp": emp}))
+        assert plan.tier == "encoded"
+        plan.execute()
+        assert "[last run: encoded]" in plan.explain()
+
+    def test_nx_table_with_a_multi_term_annotation_stays_boxed(self):
+        x, y = NX.variables("x", "y")
+        emp = KRelation.from_rows(NX, ("EmpId",), [((1,), x + y), ((2,), 3 * x)])
+        db = KDatabase(NX, {"Emp": emp})
+        plan = compile_plan(Table("Emp"), db)
+        assert plan.tier == "encoded"
+        assert plan.execute() == emp
+        text = plan.explain()
+        assert "[last run: object]" in text
+        assert "boxed: table Emp (annotation x + y is not a single term)" in text
+
+    def test_forcing_parallel_on_nx_names_the_term_store(self):
+        db = KDatabase(NX, {"R": KRelation.from_rows(NX, ("a",), [])})
+        with pytest.raises(QueryError, match="term ids into this process's term store"):
+            compile_plan(Table("R"), db, tier="parallel")
 
     def test_fallback_plans_keep_object_tier(self):
         plan = compile_plan(Table("Missing"), bag_db())
@@ -137,7 +163,7 @@ class TestTierSelection:
         assert plan._last_tier == "object"
 
     def test_forcing_encoded_on_symbolic_semiring_raises(self):
-        db = KDatabase(NX, {"R": KRelation.from_rows(NX, ("a",), [])})
+        db = KDatabase(ZX, {"R": KRelation.from_rows(ZX, ("a",), [])})
         with pytest.raises(QueryError):
             compile_plan(Table("R"), db, tier="encoded")
 
