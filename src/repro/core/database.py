@@ -114,9 +114,14 @@ class KDatabase:
         and others not.  Any non-empty update leaves :attr:`version`
         strictly larger (one bump per batch).
 
-        A delta *is* the update — ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)`` — so a
-        table the encoded tier has cached keeps its encoding across a
-        pure insert: the old image followed by the encoded delta
+        A delta *is* the update — ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)`` — so
+        the new version differs from the old only on ``supp(ΔR)``.  A
+        small delta costs ``O(|ΔR|)``: the new relation shares the old
+        one's rows and layers the delta over them (the old version, and
+        every snapshot holding it, keeps its value; see
+        :class:`~repro.core.relation.KRelation`), and a table the encoded
+        tier has cached keeps its encoding across a pure insert: the old
+        image followed by the encoded delta
         (:func:`repro.plan.encoded.carry_forward`), not a re-encode of
         the whole table on the next read.
         """

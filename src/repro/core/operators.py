@@ -39,37 +39,18 @@ __all__ = [
 def union(r1: KRelation, r2: KRelation) -> KRelation:
     """``(R1 ∪_K R2)(t) = R1(t) +_K R2(t)`` — requires equal schemas.
 
-    Both inputs are canonical (schema-valid, duplicate- and zero-free),
-    and merging preserves all three invariants as long as collided
-    annotations that cancel to ``0`` are dropped — so the result adopts
-    the merged map through the trusted constructor instead of paying the
-    public constructor's per-tuple re-validation.  This is what keeps
-    folding a small delta into a large base relation
-    (``KDatabase.update``, the IVM hot path) at one C-level dict copy.
+    The result keeps ``R1``'s attribute order.  A new version differs
+    from the larger operand only on the smaller one's support, so folding
+    a small delta into a large relation (``KDatabase.update``, the IVM
+    hot path) costs ``O(|ΔR|)``: the result is layered over the larger
+    operand's rows instead of copying them (:meth:`KRelation._plus`).
     """
     _same_semiring(r1, r2)
     if r1.schema != r2.schema:
         raise SchemaError(
             f"union of incompatible schemas {r1.schema} and {r2.schema}"
         )
-    semiring = r1.semiring
-    schema = r1.schema  # the result keeps the left operand's attribute order
-    plus, is_zero = semiring.plus, semiring.is_zero
-    if len(r2) > len(r1):
-        r1, r2 = r2, r1  # copy the larger map, merge the smaller in
-    # dict(dict) copies with the stored key hashes (no re-hashing); the
-    # items-view form would call Tup.__hash__ once per row
-    merged: Dict[Tup, Any] = dict(r1._rows)
-    for tup, annotation in r2.rows():
-        if tup in merged:
-            combined = plus(merged[tup], annotation)
-            if is_zero(combined):
-                del merged[tup]
-            else:
-                merged[tup] = combined
-        else:
-            merged[tup] = annotation
-    return KRelation._from_clean(semiring, schema, merged)
+    return r1._plus(r2)
 
 
 def projection(r: KRelation, attributes: Iterable[str]) -> KRelation:

@@ -38,6 +38,7 @@ __all__ = [
     "Registry",
     "REGISTRY",
     "ENCODED_CACHE_EVENTS",
+    "RELATION_FLATTENS",
     "ENCODED_KERNEL",
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
@@ -411,6 +412,20 @@ ENCODED_CACHE_EVENTS = REGISTRY.counter(
     ("event",),
 )
 
+#: Layered relation versions (:mod:`repro.core.relation`) materialised
+#: as one dict: the overlay outgrew its share of the base (overlay), or a
+#: reader needed the whole row map (read).  A write path that reads every
+#: version it writes shows up here as one read flatten per write.
+RELATION_FLATTEN_CAUSES = ("overlay", "read")
+
+RELATION_FLATTENS = REGISTRY.counter(
+    "repro_relation_flatten_total",
+    "Layered relation versions flattened into one row map: the overlay "
+    "outgrew its share of the base (overlay) or a reader needed the whole "
+    "map (read).",
+    ("cause",),
+)
+
 #: Where each encoded aggregated column's Prop. 3.9 values came from: the
 #: array kernel, or the tensors' own fold — a fallback, by its cause.
 AGGREGATE_COLLAPSE = REGISTRY.counter(
@@ -522,6 +537,8 @@ for _event in RESILIENCE_EVENT_NAMES:
     RESILIENCE_EVENTS.labels(_event)
 for _event in ENCODED_CACHE_EVENT_NAMES:
     ENCODED_CACHE_EVENTS.labels(_event)
+for _cause in RELATION_FLATTEN_CAUSES:
+    RELATION_FLATTENS.labels(_cause)
 for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one

@@ -473,10 +473,13 @@ def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
 
     Called by :meth:`KDatabase.update` under the writer lock, before
     ``new`` is published at ``version``.  Applies when the entry was
-    built from ``old`` and the delta is a pure insert whose rows ``union``
-    stored after ``old``'s (no key collided and the operands were not
-    swapped), so the from-scratch encoding of ``new`` would be
-    positionally the old batch followed by the encoded delta.  In every
+    built from ``old`` and the delta is a pure insert no larger than
+    ``old`` (no key collided: ``len(new) == len(old) + len(delta)``).
+    Then ``new``'s row order is ``old``'s followed by the delta's —
+    ``union`` layers the delta over ``old``'s rows, and flattening keeps
+    the base's rows first (see :class:`~repro.core.relation.KRelation`)
+    — so the from-scratch encoding of ``new`` would be positionally the
+    old batch followed by the encoded delta.  In every
     other case the entry is left to go stale and the next scan rebuilds.
     A table recorded as disqualified stays so: its unfit row is still
     there.  The old batch is never mutated — pinned snapshots, cached

@@ -477,7 +477,9 @@ class ProvenanceServer:
                 else:
                     published = self.manager.update(deltas)
                 # each view owns a private clone of the catalog; folding
-                # the same deltas keeps every clone at the same contents
+                # the same deltas keeps every clone at the same contents,
+                # at O(|Δ|) per clone: each new version layers the delta
+                # over the rows of the one it replaces
                 for view in views:
                     view.apply(deltas)
                 return published.version

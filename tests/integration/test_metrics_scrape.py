@@ -84,6 +84,8 @@ def test_metrics_endpoint_serves_prometheus_text(server):
         assert f'repro_tier_executions_total{{tier="{tier}"}}' in samples
     for event in ("extend", "rebuild", "disqualify"):
         assert f'repro_encoded_cache_events_total{{event="{event}"}}' in samples
+    for cause in ("overlay", "read"):
+        assert f'repro_relation_flatten_total{{cause="{cause}"}}' in samples
     assert "# HELP repro_query_seconds " in text
     assert "# TYPE repro_query_seconds histogram" in text
     assert 'repro_query_seconds_bucket{le="+Inf"}' in samples
@@ -111,7 +113,10 @@ def test_write_loop_extends_the_encoding_and_never_rebuilds(server):
     """Insert → query → view read, as the ``serve_write`` workload does:
     once the tables and the view are loaded, every acknowledged write
     carries the encodings forward (the root's and the view catalog's —
-    the counter is process-wide) and no read re-encodes a table."""
+    the counter is process-wide) and no read re-encodes a table.  Nor
+    does any request read a written version's whole row map: each write
+    layers the table over its predecessor's rows, and only an overlay
+    grown past its share flattens (cause="overlay"), never a read."""
 
     def post(path, payload, expect):
         status, _headers, body = request_with_headers(
@@ -121,8 +126,10 @@ def test_write_loop_extends_the_encoding_and_never_rebuilds(server):
 
     def events():
         samples = parse_samples(scrape(server.address)[2])
-        return {event: samples[f'repro_encoded_cache_events_total{{event="{event}"}}']
-                for event in ("extend", "rebuild")}
+        counts = {event: samples[f'repro_encoded_cache_events_total{{event="{event}"}}']
+                  for event in ("extend", "rebuild")}
+        counts["read"] = samples['repro_relation_flatten_total{cause="read"}']
+        return counts
 
     sql = "SELECT K, SUM(V) FROM R GROUP BY K"
     post("/views", {"name": "by_k", "sql": sql}, 201)
@@ -138,6 +145,7 @@ def test_write_loop_extends_the_encoding_and_never_rebuilds(server):
         now = events()
         assert now["extend"] > last["extend"]
         assert now["rebuild"] == loaded["rebuild"]
+        assert now["read"] == loaded["read"]
         last = now
 
 

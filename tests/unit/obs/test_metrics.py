@@ -143,6 +143,8 @@ def test_render_prometheus_defaults_to_the_process_registry():
         assert f'repro_resilience_events_total{{event="{event}"}}' in text
     for event in metrics.ENCODED_CACHE_EVENT_NAMES:
         assert f'repro_encoded_cache_events_total{{event="{event}"}}' in text
+    for cause in metrics.RELATION_FLATTEN_CAUSES:
+        assert f'repro_relation_flatten_total{{cause="{cause}"}}' in text
 
 
 # ---------------------------------------------------------------------------

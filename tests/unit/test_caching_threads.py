@@ -179,3 +179,86 @@ def test_circuit_builder_concurrent_interning_unique_ids():
     assert len(set(ids)) == len(ids), "duplicate gate ids issued under contention"
     # interning still works across threads after the fact
     assert builder.var("x0_0") is made[0][0]
+
+
+def test_concurrent_first_reads_of_a_layered_version():
+    """Each round, THREADS threads make the first reads of one fresh
+    layered relation version — ``rows()``, ``len``, ``==``, ``hash`` and
+    ``ColumnarKRelation.from_krelation`` — racing to flatten it, while a
+    writer layers newer versions over the same ones.  Every thread must
+    see exactly its version's rows: two first readers may both flatten,
+    but each publishes an equal map with one attribute store."""
+    import sys
+
+    from repro.core import KRelation, Tup
+    from repro.core.operators import union
+    from repro.plan.columnar import ColumnarKRelation
+    from repro.semirings import INT
+
+    def rel(rows):
+        return KRelation.from_rows(INT, ("k", "v"), rows)
+
+    rounds = 30
+    versions = [rel([((k, k % 5), 1) for k in range(2_000)])]
+    expected = [dict(versions[0].rows())]
+    for r in range(rounds):
+        # an insert, a collision and a cancellation per version
+        delta = rel([((10_000 + r, 0), 1), ((r, r % 5), 2), ((1_000 + r, r % 5), -1)])
+        versions.append(union(versions[-1], delta))
+        rows = dict(expected[-1])
+        for tup, annotation in delta.rows():
+            total = rows.get(tup, 0) + annotation
+            if total:
+                rows[tup] = total
+            else:
+                del rows[tup]
+        expected.append(rows)
+    flat = [KRelation(INT, ("k", "v"), rows) for rows in expected]
+    assert all(v._flat is None for v in versions[1:])  # nobody read them yet
+
+    def reads(version, want):
+        return [
+            lambda: dict(version.rows()) == want._rows,
+            lambda: len(version) == len(want),
+            lambda: version == want,
+            lambda: hash(version) == hash(want),
+            lambda: ColumnarKRelation.from_krelation(version).to_krelation() == want,
+        ]
+
+    done = threading.Event()
+    writer_errors = []
+    extra = Tup({"k": -1, "v": 0})
+
+    def writer():
+        try:
+            while not done.is_set():
+                for r in range(1, rounds + 1):
+                    newer = union(versions[r], rel([((-1, 0), 1)]))
+                    assert newer.annotation(extra) == 1
+                    assert dict(newer.rows()) == {**expected[r], extra: 1}
+        except Exception as exc:  # pragma: no cover - the failure path
+            writer_errors.append(exc)
+
+    barrier = threading.Barrier(THREADS, timeout=60)
+
+    def reader(i):
+        for r in range(1, rounds + 1):
+            barrier.wait()
+            checks = reads(versions[r], flat[r])
+            for k in range(len(checks)):
+                assert checks[(i + k) % len(checks)](), (r, (i + k) % len(checks))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads inside a flatten
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        _hammer(reader)
+    finally:
+        done.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    if writer_errors:
+        raise writer_errors[0]
+    assert all(v._flat is not None and v._base is None for v in versions[1:])
