@@ -336,43 +336,32 @@ def database_fingerprint(db: KDatabase) -> str:
 def view_state_to_jsonable(view: Any) -> Any:
     """Encode a :class:`~repro.ivm.view.MaterializedView`'s maintained state.
 
-    The snapshot carries the head kind, the schemas, and the per-group
-    monoid/tensor annotations plus raw annotation totals — everything the
-    incremental engine needs to resume maintenance without re-evaluating
-    the query.  Circuit-mode states are lowered to canonical ``N[X]`` for
-    persistence (gates are an execution representation, not a storage
-    format) and re-interned through the database's gate image on restore.
+    The snapshot carries the head kind, the schemas, and one ``{key,
+    tensors, total}`` entry per group of the head's ``GB`` state — one
+    shape for every head kind — which is everything the incremental
+    engine needs to resume maintenance without re-evaluating the query.
+    Non-group snapshots of the earlier per-head shapes fail to decode
+    (:class:`SerializationError`), so a restore rebuilds them.
+    Circuit-mode states are lowered to canonical ``N[X]`` for persistence
+    (gates are an execution representation, not a storage format) and
+    re-interned through the database's gate image on restore.
     """
     logical, state = view._logical_state()
     if logical.name not in SEMIRING_REGISTRY:
         raise SerializationError(f"unregistered semiring {logical.name}")
-    head = view._head_kind
-    if head == "group":
-        state_json: Any = [
-            {
-                "key": [_value_to_jsonable(v) for v in entry["key"]],
-                "tensors": {
-                    attr: tensor_to_jsonable(t)
-                    for attr, t in entry["tensors"].items()
-                },
-                "total": annotation_to_jsonable(logical, entry["total"]),
-            }
-            for entry in state
-        ]
-    elif head in ("agg", "count", "avg"):
-        state_json = {"tensor": tensor_to_jsonable(state["tensor"])}
-    else:
-        state_json = [
-            {
-                "values": [
-                    _value_to_jsonable(t[a]) for a in view.out_schema.attributes
-                ],
-                "annotation": annotation_to_jsonable(logical, k),
-            }
-            for t, k in state
-        ]
+    state_json = [
+        {
+            "key": [_value_to_jsonable(v) for v in entry["key"]],
+            "tensors": {
+                attr: tensor_to_jsonable(t)
+                for attr, t in entry["tensors"].items()
+            },
+            "total": annotation_to_jsonable(logical, entry["total"]),
+        }
+        for entry in state
+    ]
     return {
-        "head": head,
+        "head": view._head_kind,
         "semiring": logical.name,
         "query": str(view.query),
         "db_version": view.version,
@@ -392,34 +381,19 @@ def view_state_from_jsonable(data: Any) -> Any:
     from repro.ivm.snapshot import ViewSnapshot  # local: ivm imports io lazily
 
     semiring = SEMIRING_REGISTRY[data["semiring"]]
-    head = data["head"]
-    if head == "group":
-        state: Any = [
-            {
-                "key": [_value_from_jsonable(v) for v in entry["key"]],
-                "tensors": {
-                    attr: tensor_from_jsonable(t)
-                    for attr, t in entry["tensors"].items()
-                },
-                "total": annotation_from_jsonable(semiring, entry["total"]),
-            }
-            for entry in data["state"]
-        ]
-    elif head in ("agg", "count", "avg"):
-        state = {"tensor": tensor_from_jsonable(data["state"]["tensor"])}
-    else:
-        schema = Schema(data["out_schema"])
-        state = [
-            (
-                Tup.from_values(
-                    schema, [_value_from_jsonable(v) for v in entry["values"]]
-                ),
-                annotation_from_jsonable(semiring, entry["annotation"]),
-            )
-            for entry in data["state"]
-        ]
+    state = [
+        {
+            "key": [_value_from_jsonable(v) for v in entry["key"]],
+            "tensors": {
+                attr: tensor_from_jsonable(t)
+                for attr, t in entry["tensors"].items()
+            },
+            "total": annotation_from_jsonable(semiring, entry["total"]),
+        }
+        for entry in data["state"]
+    ]
     return ViewSnapshot(
-        head,
+        data["head"],
         data["semiring"],
         list(data["out_schema"]),
         list(data["core_schema"]),
@@ -451,15 +425,34 @@ def loads(text: str) -> Any:
     Relations and databases come back as themselves; a dumped view comes
     back as a :class:`~repro.ivm.ViewSnapshot` to be rehydrated with
     ``MaterializedView.create(db, query, snapshot=snap)``.
+
+    Any text that is not such an output — not JSON, not an object, an
+    unknown kind, a missing or mistyped field — raises
+    :class:`SerializationError`.
     """
-    payload = json.loads(text)
-    if payload.get("kind") == "relation":
-        return relation_from_jsonable(payload["data"])
-    if payload.get("kind") == "database":
-        return database_from_jsonable(payload["data"])
-    if payload.get("kind") == "view_state":
-        return view_state_from_jsonable(payload["data"])
-    raise SerializationError(f"unknown payload kind {payload.get('kind')!r}")
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise SerializationError(f"payload is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"payload is a JSON {type(payload).__name__}, not an object"
+        )
+    kind = payload.get("kind")
+    decode = _DECODERS.get(kind) if isinstance(kind, str) else None
+    if decode is None:
+        raise SerializationError(f"unknown payload kind {kind!r}")
+    try:
+        return decode(payload["data"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed {kind} payload: {exc!r}") from exc
+
+
+_DECODERS = {
+    "relation": relation_from_jsonable,
+    "database": database_from_jsonable,
+    "view_state": view_state_from_jsonable,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +589,7 @@ def load_file(path: str | os.PathLike) -> Any:
         )
     try:
         return loads(body.decode("utf-8"))
-    except (SerializationError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
-            TypeError, ValueError) as exc:
+    except (SerializationError, UnicodeDecodeError) as exc:
         # the checksum passed but the payload will not decode: the writer
         # was buggy or the format is from the future — still typed, never
         # a bare KeyError escaping mid-restore

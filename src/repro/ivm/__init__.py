@@ -14,13 +14,13 @@ Entry points::
 
     from repro.ivm import MaterializedView
 
-    view = MaterializedView.create(db, query, engine="planned")
+    view = MaterializedView.create(db, query)
     view.apply({"Emp": delta_rows})     # patches dirty groups, folds into db
     view.result()                       # == query.evaluate(db), maintained
     print(view.explain_delta())         # the physical delta plan
 
 See ``docs/architecture.md`` ("The incremental layer") for the delta-rule
-table, the dirty-group protocol and the cache-versioning contract.
+table, the one head state and the cache-versioning contract.
 """
 
 from repro.ivm.delta import (

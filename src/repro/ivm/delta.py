@@ -216,7 +216,6 @@ class DeltaPlan:
         "delta_query",
         "plan",
         "schema",
-        "engine",
         "_exec_db",
     )
 
@@ -228,7 +227,6 @@ class DeltaPlan:
         delta_query: Optional[Query],
         plan: Optional[PhysicalPlan],
         schema: Schema,
-        engine: str,
     ):
         self.core = core
         self.changed = changed
@@ -236,7 +234,6 @@ class DeltaPlan:
         self.delta_query = delta_query
         self.plan = plan
         self.schema = schema
-        self.engine = engine
         # (source db, reusable execution catalog) — see combined()
         self._exec_db: "Optional[tuple]" = None
 
@@ -296,10 +293,6 @@ class DeltaPlan:
         if self.delta_query is None:
             return ColumnarKRelation.empty(db.semiring, self.schema)
         exec_db = self.combined(db, deltas)
-        if self.engine == "interpreted":
-            return ColumnarKRelation.from_krelation(
-                self.delta_query.evaluate(exec_db)
-            )
         tier = None
         if self.plan.tier == "encoded":
             total = sum(len(deltas[name]) for name in self.changed)
@@ -319,8 +312,6 @@ class DeltaPlan:
                 f"{{{', '.join(sorted(self.changed)) or '∅'}}} is statically empty "
                 "(no changed table is referenced)"
             )
-        if self.plan is None:
-            return f"delta query (interpreted): {self.delta_query}"
         return self.plan.explain(annotations=annotations)
 
 
@@ -330,7 +321,6 @@ def compile_delta_plan(
     changed: Iterable[str],
     *,
     dname: Optional[Callable[[str], str]] = None,
-    engine: str = "planned",
 ) -> DeltaPlan:
     """Compile the delta of an SPJU ``core`` for deltas to ``changed`` tables.
 
@@ -346,7 +336,7 @@ def compile_delta_plan(
     schema = core.schema({name: rel.schema for name, rel in db})
     delta_query = delta_rewrite(core, effective, dname) if effective else None
     plan = None
-    if delta_query is not None and engine == "planned":
+    if delta_query is not None:
         template = KDatabase(db.semiring)
         for name, rel in db:
             template.add(name, rel)
@@ -358,4 +348,4 @@ def compile_delta_plan(
         _prefer_cached_base_builds(
             plan.root, frozenset(dname(n) for n in effective), effective
         )
-    return DeltaPlan(core, effective, dname, delta_query, plan, schema, engine)
+    return DeltaPlan(core, effective, dname, delta_query, plan, schema)

@@ -2,9 +2,10 @@
 
 A :class:`ViewSnapshot` is what :func:`repro.io.serialize.loads` returns
 for a dumped view: head kind, schemas, the logical annotation semiring,
-and the fully-decoded per-group / per-tuple state (tensors and raw
-annotation sums over the *logical* semiring — circuit-mode views are
-lowered to canonical ``N[X]`` on dump and re-interned on restore).  Pair
+and the fully-decoded head state — one ``{key, tensors, total}`` entry
+per group, for every head kind (tensors and raw annotation sums over the
+*logical* semiring — circuit-mode views are lowered to canonical
+``N[X]`` on dump and re-interned on restore).  Pair
 it with the matching database and query via
 ``MaterializedView.create(db, query, snapshot=snap)``; restore checks
 the recorded query text and the database's content fingerprint.

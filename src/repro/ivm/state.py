@@ -1,51 +1,58 @@
-"""Materialised-view head states: aggregate-aware, group-at-a-time patching.
+"""Materialised-view head state: one ``GB`` state for every head.
 
 The delta rules of :mod:`repro.ivm.delta` stop at the SPJU core — the
 aggregation *head* of a view is not linear, so it is maintained
-statefully instead: each head keeps exactly the intermediate the paper's
-operators fold over (per-group semimodule tensors and raw annotation
-sums), and a core delta patches that state via semiring ``+`` — one
-:meth:`TensorSpace.set_agg`/:meth:`~repro.semirings.base.Semiring.sum_many`
-kernel call per touched group, never a visit to an untouched one.
+statefully instead.  In the paper every head is a ``GB`` (Definition
+3.7): ``AGG_M`` is one group over the empty key, annotated ``1_K`` and
+valued ``ι(0_M)`` on empty input (Section 3.2); COUNT(*) is SUM over the
+constant 1 (footnote 6); DISTINCT is ``δ`` of a per-tuple sum.  So one
+:class:`HeadState` keeps, per key, the tensors of the aggregated
+attributes and the raw annotation total, and differs by kind only in
+its key, its monoids and its emission:
 
-Head inventory:
+============  ===============  ==================================  ==============
+kind          key              aggregated attributes               emitted row
+============  ===============  ==================================  ==============
+``group``     ``U'``           ``U''``; COUNT(*) as SUM over 1     ``δ(total)``
+``distinct``  the whole tuple  none                                ``δ(total)``
+``relation``  the whole tuple  none                                ``total``
+``agg``       ``()``           the column, over ``M``              ``1_K`` always
+``count``     ``()``           SUM over the constant 1             ``1_K`` always
+``avg``       ``()``           the lifted column, over AVG         ``1_K`` always
+============  ===============  ==================================  ==============
 
-``GroupedState``    ``GB_{U',U''}`` (Definition 3.7): per-group tensors per
-                    aggregate, plus the raw annotation total.  The emitted
-                    annotation ``delta_K(total)`` and the row itself are
-                    re-derived only for groups the delta touched (the
-                    *dirty-group* set); groups whose state cancels to zero
-                    (``Z``-annotated deletions) drop out exactly as the
-                    :class:`KRelation` constructor would drop them.
-``SingletonState``  ``AGG_M`` / COUNT / AVG — one tensor, one output row.
-``RelationState``   no head (plain SPJU view) or top-level ``Distinct``:
-                    per-tuple raw sums; ``δ`` is applied at emission,
-                    which is sound because delta is only non-linear in the
-                    *merge*, and the raw sums are maintained pre-merge.
-
-Deletions arrive in two forms: ``Z``/``Z[X]`` deltas carry additive
-inverses that cancel through the same ``+`` path, and token-based
-(``N[X]``) views zero tokens via :meth:`map_annotations` (delta-term
-zeroing — the deletion-propagation homomorphism applied to the *state*, so
-subsequent inserts keep composing).
+A core delta folds through :func:`repro.plan.physical.fold_groups` — the
+planner's own object-tier grouping — and each key's contribution is added
+into the state by ``TensorSpace.add`` / semiring ``+``; only the keys the
+delta touched (the *dirty groups*) are re-emitted.  A key whose total and
+tensors all cancel (``Z``-annotated deletions) leaves the state, as the
+:class:`KRelation` constructor would drop it; the ``()`` key of a
+whole-relation head never leaves.  Deletions in ``N[X]`` views zero
+tokens via :meth:`HeadState.map_annotations` (the deletion-propagation
+homomorphism applied to the *state*, so later inserts keep composing).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.schema import Schema
 from repro.core.tuples import Tup
 from repro.monoids.counting import AVG
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.physical import (
-    _hash_keys,
     _require_plain_columns,
+    fold_groups,
     validate_monoid_column,
 )
 from repro.semimodules.tensor import Tensor, tensor_space
 
-__all__ = ["GroupedState", "SingletonState", "RelationState", "lower_tensor"]
+__all__ = ["HeadState", "lower_tensor"]
+
+#: How a group of each head kind is emitted (see the module table).
+_EMISSION = {
+    "group": "delta", "distinct": "delta", "relation": "raw",
+    "agg": "one", "count": "one", "avg": "one",
+}
 
 
 def lower_tensor(tensor: Tensor, semiring, map_scalar: Callable[[Any], Any]) -> Tensor:
@@ -60,140 +67,119 @@ def lower_tensor(tensor: Tensor, semiring, map_scalar: Callable[[Any], Any]) -> 
 
 
 class _Group:
-    """One group's live state: output key values, tensors, raw total."""
+    """One key's live state: key values, tensors, raw total, emitted row."""
 
-    __slots__ = ("values", "tensors", "total")
+    __slots__ = ("values", "tensors", "total", "row")
 
     def __init__(self, values: Tuple[Any, ...], tensors: Dict[str, Tensor], total: Any):
         self.values = values
         self.tensors = tensors
         self.total = total
+        self.row: Optional[Tup] = None
 
 
-class GroupedState:
-    """``GB_{U',U''}`` maintained group-by-group.
+class HeadState:
+    """A view head maintained key-by-key (see the module table).
 
-    ``specs`` maps every aggregated output attribute to its monoid — the
-    synthesised COUNT(*) column (footnote 6) is included as SUM over the
-    constant 1 via ``count_attr``.  ``rows`` is the live output map the
-    view renders from; it is patched in place for dirty groups only.
+    ``monoids`` maps every aggregated output attribute to its monoid;
+    ``count_attr`` names the one among them folded as SUM over the
+    constant 1 (GROUP BY's COUNT(*) column, or the COUNT head's output).
+    ``rows`` is the live output map the view renders from; it is patched
+    in place for dirty keys only.
     """
 
-    kind = "group"
-
-    __slots__ = (
-        "semiring",
-        "group_attrs",
-        "value_attrs",
-        "count_attr",
-        "out_schema",
-        "spaces",
-        "groups",
-        "rows",
-        "_emitted",
-    )
+    __slots__ = ("kind", "semiring", "key_attrs", "count_attr", "spaces",
+                 "groups", "rows")
 
     def __init__(
         self,
+        kind: str,
         semiring,
-        group_attrs: Tuple[str, ...],
-        aggregations: Dict[str, Any],
-        count_attr: Optional[str],
-        out_schema: Schema,
+        key_attrs: Tuple[str, ...],
+        monoids: Dict[str, Any],
+        count_attr: Optional[str] = None,
     ):
+        self.kind = kind
         self.semiring = semiring
-        self.group_attrs = tuple(group_attrs)
-        self.value_attrs = dict(aggregations)
+        self.key_attrs = tuple(key_attrs)
         self.count_attr = count_attr
-        self.out_schema = out_schema
         self.spaces = {
-            attr: tensor_space(semiring, monoid)
-            for attr, monoid in aggregations.items()
+            attr: tensor_space(semiring, monoid) for attr, monoid in monoids.items()
         }
-        if count_attr is not None:
-            from repro.monoids.numeric import SUM
-
-            self.spaces[count_attr] = tensor_space(semiring, SUM)
         self.groups: Dict[Any, _Group] = {}
         self.rows: Dict[Tup, Any] = {}
-        self._emitted: Dict[Any, Tup] = {}
+        self._seed()
+
+    def _seed(self) -> None:
+        # AGG of the empty relation is one row iota(0_M) = 0, annotated 1_K
+        if _EMISSION[self.kind] == "one" and () not in self.groups:
+            group = self.groups[()] = _Group(
+                (), {attr: space.zero for attr, space in self.spaces.items()},
+                self.semiring.zero,
+            )
+            self._reemit((), group)
 
     def absorb(self, batch: ColumnarKRelation) -> int:
-        """Patch state with a core-delta batch; returns the dirty-group count."""
-        semiring = self.semiring
-        group_attrs = self.group_attrs
-        _require_plain_columns(batch, group_attrs, "GROUP BY")
-        agg_cols = {attr: batch.column(attr) for attr in self.value_attrs}
-        for attr, monoid in self.value_attrs.items():
-            validate_monoid_column(agg_cols[attr], monoid, attr)
-
-        anns = batch.annotations
-        buckets: Dict[Any, List[int]] = {}
-        for i, key in enumerate(_hash_keys(batch, group_attrs)):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [i]
+        """Patch state with a core-delta batch; returns the dirty-key count."""
+        if self.kind == "group":
+            _require_plain_columns(batch, self.key_attrs, "GROUP BY")
+        specs = {}
+        for attr, space in self.spaces.items():
+            monoid = space.monoid
+            if attr == self.count_attr:
+                values = [1] * len(batch)
+            elif self.kind == "avg":
+                values = list(map(AVG.lift, batch.column(attr)))
             else:
-                bucket.append(i)
+                values = batch.column(attr)
+                validate_monoid_column(values, monoid, attr)
+            specs[attr] = (monoid, values)
+        keys, totals, tensors = fold_groups(batch, self.key_attrs, specs)
 
-        single = len(group_attrs) == 1
-        sum_many, plus = semiring.sum_many, semiring.plus
-        for key, members in buckets.items():
+        single = len(self.key_attrs) == 1
+        plus, spaces = self.semiring.plus, self.spaces
+        for i, key in enumerate(keys):
             group = self.groups.get(key)
             if group is None:
                 group = self.groups[key] = _Group(
                     (key,) if single else key,
-                    {attr: space.zero for attr, space in self.spaces.items()},
-                    semiring.zero,
+                    {attr: tensors[attr][i] for attr in spaces},
+                    totals[i],
                 )
-            member_anns = list(map(anns.__getitem__, members))
-            for attr in self.value_attrs:
-                space = self.spaces[attr]
-                col = agg_cols[attr]
-                contribution = space.set_agg(
-                    zip(map(col.__getitem__, members), member_anns)
-                )
-                group.tensors[attr] = space.add(group.tensors[attr], contribution)
-            if self.count_attr is not None:
-                space = self.spaces[self.count_attr]
-                contribution = space.set_agg((1, k) for k in member_anns)
-                group.tensors[self.count_attr] = space.add(
-                    group.tensors[self.count_attr], contribution
-                )
-            if len(member_anns) == 1:
-                group.total = plus(group.total, member_anns[0])
             else:
-                group.total = plus(group.total, sum_many(member_anns))
+                for attr, space in spaces.items():
+                    group.tensors[attr] = space.add(group.tensors[attr], tensors[attr][i])
+                group.total = plus(group.total, totals[i])
             self._reemit(key, group)
-        return len(buckets)
+        return len(keys)
 
     def _reemit(self, key: Any, group: _Group) -> None:
-        """Re-derive one dirty group's output row (or retire it)."""
+        """Re-derive one dirty key's output row (or retire it)."""
         semiring = self.semiring
-        previous = self._emitted.pop(key, None)
-        if previous is not None:
-            self.rows.pop(previous, None)
-        if semiring.is_zero(group.total):
-            # the group left the support; drop the state too once nothing
+        if group.row is not None:
+            del self.rows[group.row]
+            group.row = None
+        emission = _EMISSION[self.kind]
+        if emission == "one":
+            annotation = semiring.one
+        elif semiring.is_zero(group.total):
+            # the key left the support; drop the state too once nothing
             # can resurrect it losslessly (all tensors cancelled as well)
-            if all(not tensor for tensor in group.tensors.values()):
+            if not any(group.tensors.values()):
                 del self.groups[key]
             return
-        values = dict(zip(self.group_attrs, group.values))
-        for attr in self.spaces:
-            values[attr] = group.tensors[attr]
-        tup = Tup(values)
-        self.rows[tup] = semiring.delta(group.total)
-        self._emitted[key] = tup
+        else:
+            annotation = semiring.delta(group.total) if emission == "delta" else group.total
+        values = dict(zip(self.key_attrs, group.values))
+        values.update(group.tensors)
+        group.row = Tup(values)
+        self.rows[group.row] = annotation
 
-    def map_annotations(
-        self, map_scalar: Callable[[Any], Any], target=None
-    ) -> None:
+    def map_annotations(self, map_scalar: Callable[[Any], Any]) -> None:
         """Apply an annotation map (e.g. token zeroing) to the whole state."""
-        semiring = target if target is not None else self.semiring
         for key, group in list(self.groups.items()):
             group.tensors = {
-                attr: lower_tensor(tensor, semiring, map_scalar)
+                attr: lower_tensor(tensor, self.semiring, map_scalar)
                 for attr, tensor in group.tensors.items()
             }
             group.total = map_scalar(group.total)
@@ -202,7 +188,7 @@ class GroupedState:
     # -- (de)hydration ------------------------------------------------------
 
     def dump_state(self, semiring, map_scalar: Optional[Callable[[Any], Any]]):
-        """State as ``(key values, tensors, total)`` over ``semiring``."""
+        """State as ``{key, tensors, total}`` entries over ``semiring``."""
         out = []
         for group in self.groups.values():
             if map_scalar is None:
@@ -221,8 +207,7 @@ class GroupedState:
         """Adopt dumped state (inverse of :meth:`dump_state`) and re-emit."""
         self.groups.clear()
         self.rows.clear()
-        self._emitted.clear()
-        single = len(self.group_attrs) == 1
+        single = len(self.key_attrs) == 1
         for entry in entries:
             values = tuple(entry["key"])
             key = values[0] if single else values
@@ -237,138 +222,4 @@ class GroupedState:
                 total = map_scalar(entry["total"])
             group = self.groups[key] = _Group(values, tensors, total)
             self._reemit(key, group)
-
-
-class SingletonState:
-    """Whole-relation aggregation heads: ``AGG_M``, COUNT(*), AVG."""
-
-    __slots__ = ("kind", "semiring", "attribute", "monoid", "out_schema", "space",
-                 "tensor", "rows")
-
-    def __init__(self, kind: str, semiring, attribute: str, monoid, out_schema: Schema):
-        self.kind = kind  # "agg" | "count" | "avg"
-        self.semiring = semiring
-        self.attribute = attribute
-        self.monoid = monoid
-        self.out_schema = out_schema
-        self.space = tensor_space(semiring, monoid)
-        self.tensor = self.space.zero
-        self.rows: Dict[Tup, Any] = {}
-        self._reemit()
-
-    def absorb(self, batch: ColumnarKRelation) -> int:
-        anns = batch.annotations
-        if self.kind == "count":
-            pairs = ((1, k) for k in anns)
-        elif self.kind == "avg":
-            col = batch.column(self.attribute)
-            pairs = ((AVG.lift(v), k) for v, k in zip(col, anns))
-        else:
-            col = batch.column(self.attribute)
-            validate_monoid_column(col, self.monoid, self.attribute)
-            pairs = zip(col, anns)
-        self.tensor = self.space.add(self.tensor, self.space.set_agg(pairs))
-        self._reemit()
-        return 1
-
-    def _reemit(self) -> None:
-        # a single-tuple relation, annotated 1_K — including on empty input
-        # (the paper notes AGG of the empty relation is iota(0_M) = 0)
-        self.rows = {Tup({self.attribute: self.tensor}): self.semiring.one}
-
-    def map_annotations(self, map_scalar: Callable[[Any], Any], target=None) -> None:
-        semiring = target if target is not None else self.semiring
-        self.tensor = lower_tensor(self.tensor, semiring, map_scalar)
-        self._reemit()
-
-    def dump_state(self, semiring, map_scalar):
-        if map_scalar is None:
-            return {"tensor": self.tensor}
-        return {"tensor": lower_tensor(self.tensor, semiring, map_scalar)}
-
-    def load_state(self, data, map_scalar) -> None:
-        tensor = data["tensor"]
-        if map_scalar is not None:
-            tensor = lower_tensor(tensor, self.semiring, map_scalar)
-        elif tensor.space is not self.space:
-            tensor = lower_tensor(tensor, self.semiring, lambda k: k)
-        self.tensor = tensor
-        self._reemit()
-
-
-class RelationState:
-    """Headless (plain SPJU) and top-level-``Distinct`` views.
-
-    Keeps the *raw* per-tuple annotation sums; ``distinct`` applies the
-    non-linear ``delta`` only at emission, so insert/delete streams keep
-    composing linearly underneath.
-    """
-
-    __slots__ = ("kind", "semiring", "out_schema", "state", "rows")
-
-    def __init__(self, kind: str, semiring, out_schema: Schema):
-        self.kind = kind  # "relation" | "distinct"
-        self.semiring = semiring
-        self.out_schema = out_schema
-        self.state: Dict[Tup, Any] = {}
-        self.rows: Dict[Tup, Any] = {}
-
-    def absorb(self, batch: ColumnarKRelation) -> int:
-        semiring = self.semiring
-        attrs = batch.schema.attributes
-        merged: Dict[Tuple[Any, ...], Any] = {}
-        for values, annotation in zip(batch.key_rows(attrs), batch.annotations):
-            if values in merged:
-                bucket = merged[values]
-                if type(bucket) is list:
-                    bucket.append(annotation)
-                else:
-                    merged[values] = [bucket, annotation]
-            else:
-                merged[values] = annotation
-        sum_many, plus, is_zero = semiring.sum_many, semiring.plus, semiring.is_zero
-        for values, bucket in merged.items():
-            dk = sum_many(bucket) if type(bucket) is list else bucket
-            tup = Tup(dict(zip(attrs, values)))
-            if tup in self.state:
-                k = plus(self.state[tup], dk)
-            else:
-                k = dk
-            if is_zero(k):
-                self.state.pop(tup, None)
-                self.rows.pop(tup, None)
-            else:
-                self.state[tup] = k
-                self.rows[tup] = semiring.delta(k) if self.kind == "distinct" else k
-        return len(merged)
-
-    def map_annotations(self, map_scalar: Callable[[Any], Any], target=None) -> None:
-        semiring = target if target is not None else self.semiring
-        state = {}
-        rows = {}
-        for tup, k in self.state.items():
-            image = map_scalar(k)
-            if semiring.is_zero(image):
-                continue
-            state[tup] = image
-            rows[tup] = semiring.delta(image) if self.kind == "distinct" else image
-        self.state = state
-        self.rows = rows
-        self.semiring = semiring
-
-    def dump_state(self, semiring, map_scalar):
-        if map_scalar is None:
-            return list(self.state.items())
-        return [(tup, map_scalar(k)) for tup, k in self.state.items()]
-
-    def load_state(self, entries, map_scalar) -> None:
-        self.state.clear()
-        self.rows.clear()
-        semiring = self.semiring
-        for tup, k in entries:
-            if map_scalar is not None:
-                k = map_scalar(k)
-            if semiring.is_zero(k):
-                continue
-            self.state[tup] = k
-            self.rows[tup] = semiring.delta(k) if self.kind == "distinct" else k
+        self._seed()

@@ -2,16 +2,18 @@
 
 ``MaterializedView`` is the user-facing face of :mod:`repro.ivm`:
 
-* :meth:`MaterializedView.create` evaluates the query once (planned engine
-  by default, optionally over the database's interned circuit gate image)
+* :meth:`MaterializedView.create` evaluates the query once on the planned
+  engine (optionally over the database's interned circuit gate image)
   and decomposes it into an SPJU *core* plus an optional aggregation
   *head* (GROUP BY / AGG / COUNT / AVG / DISTINCT);
 * :meth:`~MaterializedView.apply` maintains the view under base-table
   deltas: the core delta runs through a compiled
   :class:`~repro.ivm.delta.DeltaPlan` (hash joins building on the delta
-  side), and the head state is patched group-by-group — insertions via
-  semiring ``+``, deletions via ``Z``-annotations that cancel, or via
-  :meth:`~MaterializedView.zero_tokens` for token-based provenance;
+  side), and the head's one ``GB`` state
+  (:class:`~repro.ivm.state.HeadState`) is patched group-by-group —
+  insertions via semiring ``+``, deletions via ``Z``-annotations that
+  cancel, or via :meth:`~MaterializedView.zero_tokens` for token-based
+  provenance;
 * :meth:`~MaterializedView.refresh` recomputes from scratch (the escape
   hatch after out-of-band database mutation, detected by the database's
   monotonic version stamp);
@@ -41,7 +43,7 @@ from repro.core.relation import KRelation
 from repro.exceptions import QueryError, SchemaError, SemiringError
 from repro.ivm.delta import DeltaPlan, compile_delta_plan, table_refs
 from repro.ivm.snapshot import ViewSnapshot
-from repro.ivm.state import GroupedState, RelationState, SingletonState
+from repro.ivm.state import HeadState
 from repro.monoids.counting import AVG
 from repro.monoids.numeric import SUM
 from repro.obs import trace as _trace
@@ -51,7 +53,6 @@ from repro.plan.circuit_exec import (
     lift_relation,
     patch_circuit_image,
 )
-from repro.plan.columnar import ColumnarKRelation
 from repro.plan.compiler import compile_plan
 from repro.semirings.homomorphism import deletion_hom
 from repro.semirings.polynomials import NX, PolynomialSemiring
@@ -60,14 +61,15 @@ __all__ = ["MaterializedView"]
 
 
 _HEAD_DESCRIPTIONS = {
-    "group": "grouped aggregation — per-group tensors patched via semiring +, "
-             "dirty groups only",
-    "agg": "whole-relation aggregate — one semimodule tensor patched in place",
-    "count": "COUNT(*) — one SUM tensor patched in place",
-    "avg": "AVG — one SUM+COUNT pair tensor patched in place",
-    "distinct": "DISTINCT view — raw annotation sums maintained, δ applied at "
-                "emission",
-    "relation": "SPJU materialisation — per-tuple annotation sums",
+    "group": "grouped aggregation — one GB state keyed on the grouping "
+             "attributes, tensors patched via semiring +, dirty groups only",
+    "agg": "whole-relation aggregate — the GB state's one group over the "
+           "empty key, patched in place",
+    "count": "COUNT(*) — one group over the empty key, SUM over the constant 1",
+    "avg": "AVG — one group over the empty key, a SUM+COUNT pair tensor",
+    "distinct": "DISTINCT view — one group per tuple, raw annotation sums "
+                "maintained, δ applied at emission",
+    "relation": "SPJU materialisation — one group per tuple, raw annotation sums",
 }
 
 
@@ -94,19 +96,13 @@ class MaterializedView:
         db: KDatabase,
         query: Query,
         *,
-        engine: str = "planned",
         annotations: str = "expanded",
         snapshot: Optional[ViewSnapshot] = None,
     ):
-        if engine not in ("planned", "interpreted"):
-            raise QueryError(f"unknown evaluation engine {engine!r}")
         if annotations not in ("expanded", "circuit"):
             raise QueryError(f"unknown annotation representation {annotations!r}")
-        if annotations == "circuit" and engine != "planned":
-            raise QueryError("annotations='circuit' requires engine='planned'")
         self.db = db
         self.query = query
-        self.engine = engine
         self.annotations = annotations
 
         # an SPJU core, under at most one stateful aggregation head
@@ -143,34 +139,33 @@ class MaterializedView:
         db: KDatabase,
         query: Query,
         *,
-        engine: str = "planned",
         annotations: str = "expanded",
         snapshot: Optional[ViewSnapshot] = None,
     ) -> "MaterializedView":
         """Materialise ``query`` over ``db`` and return the maintained view."""
-        return cls(db, query, engine=engine, annotations=annotations, snapshot=snapshot)
+        return cls(db, query, annotations=annotations, snapshot=snapshot)
 
     # -- head construction --------------------------------------------------
 
-    def _build_head(self):
+    def _build_head(self) -> HeadState:
         kind, node, semiring = self._head_kind, self.query, self._exec_semiring
         if kind == "group":
-            specs = dict(node.aggregations)
+            monoids = dict(node.aggregations)
             # schema() decided everything but the delta-semiring requirement
             check_group_by(
-                self.core_schema, node.group_attributes, specs, node.count_attr, semiring
-            )
-            return GroupedState(
+                self.core_schema, node.group_attributes, monoids, node.count_attr,
                 semiring,
-                tuple(node.group_attributes),
-                specs,
-                node.count_attr,
-                self.out_schema,
+            )
+            if node.count_attr is not None:
+                monoids[node.count_attr] = SUM
+            return HeadState(
+                kind, semiring, node.group_attributes, monoids, node.count_attr
             )
         if kind in ("agg", "avg", "count"):
             monoid = node.monoid if kind == "agg" else AVG if kind == "avg" else SUM
-            return SingletonState(kind, semiring, node.attribute, monoid, self.out_schema)
-        return RelationState(kind, semiring, self.core_schema)
+            count_attr = node.attribute if kind == "count" else None
+            return HeadState(kind, semiring, (), {node.attribute: monoid}, count_attr)
+        return HeadState(kind, semiring, self.core_schema.attributes, {})
 
     # -- maintenance --------------------------------------------------------
 
@@ -287,10 +282,7 @@ class MaterializedView:
                 f"view core {self._core} no longer compiles to schema "
                 f"{self.core_schema}; recreate the view"
             )
-        if self.engine == "planned":
-            initial = compile_plan(self._core, exec_db).execute_batch(exec_db)
-        else:
-            initial = ColumnarKRelation.from_krelation(self._core.evaluate(exec_db))
+        initial = compile_plan(self._core, exec_db).execute_batch(exec_db)
         if len(initial):
             self._head.absorb(initial)
 
@@ -409,9 +401,7 @@ class MaterializedView:
     def _delta_plan(self, changed: FrozenSet[str]) -> DeltaPlan:
         plan = self._delta_plans.get(changed)
         if plan is None:
-            plan = compile_delta_plan(
-                self._core, self._exec_db(), changed, engine=self.engine
-            )
+            plan = compile_delta_plan(self._core, self._exec_db(), changed)
             self._delta_plans[changed] = plan
         return plan
 

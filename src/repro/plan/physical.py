@@ -74,6 +74,7 @@ __all__ = [
     "AvgAggregate",
     "DifferenceOp",
     "Fallback",
+    "fold_groups",
     "validate_monoid_column",
 ]
 
@@ -1195,6 +1196,45 @@ def count_collapse(reasons: Iterable[Optional[str]]) -> None:
         _metrics.AGGREGATE_COLLAPSE.inc(1, "fold" if reason else "kernel", reason or "")
 
 
+def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...], specs):
+    """``GB``'s fold (Definition 3.7) over the boxed object representation.
+
+    Rows are bucketed by their ``key_attrs`` values; per bucket, each
+    aggregated attribute folds by one ``TensorSpace.set_agg`` and the
+    annotations by one ``sum_many``.  ``specs`` maps each aggregated
+    attribute to ``(monoid, values)``, the values aligned with the batch's
+    rows.  Returns ``(keys, totals, tensors)``: the distinct keys in
+    first-occurrence order (the raw value for a one-attribute key, a tuple
+    otherwise — ``()`` for the empty key, which folds the whole batch into
+    one group), each key's raw (pre-``delta``) annotation total, and per
+    attribute the keys' tensors.  The guards stay with the callers:
+    :meth:`GroupedAggregate.object_group_states` and the view heads of
+    :mod:`repro.ivm.state`.
+    """
+    semiring = batch.semiring
+    anns = batch.annotations
+    buckets: Dict[Any, List[int]] = {}
+    for i, key in enumerate(_hash_keys(batch, key_attrs)):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [i]
+        else:
+            bucket.append(i)
+    folds = [
+        (tensor_space(semiring, monoid).set_agg, values, [])
+        for monoid, values in specs.values()
+    ]
+    sum_many = semiring.sum_many
+    totals: List[Any] = []
+    for members in buckets.values():
+        member_anns = list(map(anns.__getitem__, members))
+        for set_agg, values, out in folds:
+            out.append(set_agg(zip(map(values.__getitem__, members), member_anns)))
+        totals.append(member_anns[0] if len(member_anns) == 1 else sum_many(member_anns))
+    tensors = {attr: out for attr, (_set_agg, _values, out) in zip(specs, folds)}
+    return list(buckets), totals, tensors
+
+
 class GroupedAggregate(PhysicalOp):
     """GB_{U',U''} (Definition 3.7) executed directly over columns.
 
@@ -1308,7 +1348,7 @@ class GroupedAggregate(PhysicalOp):
         The object tier's grouping, and the per-morsel fallback of
         :meth:`encoded_group_states` when an operator inside a parallel
         morsel raised :class:`EncodedFallback` and handed on a boxed
-        batch: the accumulation *is* ``TensorSpace.set_agg``.
+        batch: the node's guards, then :func:`fold_groups`.
         """
         semiring = batch.semiring
         group_attrs = self.group_attributes
@@ -1316,40 +1356,15 @@ class GroupedAggregate(PhysicalOp):
             batch.schema, group_attrs, self.aggregations, self.count_attr, semiring
         )
         _require_plain_columns(batch, group_attrs, "GROUP BY")
-        spaces = {
-            attr: tensor_space(semiring, monoid)
-            for attr, monoid in self.aggregations.items()
-        }
-        single_group_attr = len(group_attrs) == 1
-        keys = _hash_keys(batch, group_attrs)
-        anns = batch.annotations
-        buckets: Dict[Any, List[int]] = {}
-        for i, key in enumerate(keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [i]
-            else:
-                bucket.append(i)
-        agg_cols = {attr: batch.column(attr) for attr in self.aggregations}
+        specs = {}
         for attr, monoid in self.aggregations.items():
-            validate_monoid_column(agg_cols[attr], monoid, attr)
-        sum_many = semiring.sum_many
-        group_rows: List[Tuple[Any, ...]] = []
-        totals_list: List[Any] = []
-        tensors: Dict[str, List[Tensor]] = {a: [] for a in self.aggregations}
-        for key, members in buckets.items():
-            group_rows.append((key,) if single_group_attr else tuple(key))
-            member_anns = list(map(anns.__getitem__, members))
-            for attr in self.aggregations:
-                col = agg_cols[attr]
-                tensors[attr].append(spaces[attr].set_agg(
-                    zip(map(col.__getitem__, members), member_anns)
-                ))
-            if len(member_anns) == 1:
-                totals_list.append(member_anns[0])
-            else:
-                totals_list.append(sum_many(member_anns))
-        return group_rows, totals_list, tensors, {}
+            col = batch.column(attr)
+            validate_monoid_column(col, monoid, attr)
+            specs[attr] = (monoid, col)
+        keys, totals, tensors = fold_groups(batch, group_attrs, specs)
+        if len(group_attrs) == 1:
+            keys = [(key,) for key in keys]
+        return keys, totals, tensors, {}
 
     def finish_groups(self, semiring, group_rows, totals_list, tensors):
         """Build the output batch from (merged) per-group states.

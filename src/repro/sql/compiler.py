@@ -90,9 +90,7 @@ def explain_sql(source: str, db) -> str:
     return explain(compile_sql(source), db)
 
 
-def materialize_sql(
-    source: str, db, *, engine: str = "planned", annotations: str = "expanded"
-):
+def materialize_sql(source: str, db, *, annotations: str = "expanded"):
     """Compile a SQL statement into a maintained materialised view.
 
     The SQL face of :class:`repro.ivm.MaterializedView`: grouped
@@ -107,9 +105,7 @@ def materialize_sql(
     """
     from repro.ivm import MaterializedView  # local: keep the front end light
 
-    return MaterializedView.create(
-        db, compile_sql(source), engine=engine, annotations=annotations
-    )
+    return MaterializedView.create(db, compile_sql(source), annotations=annotations)
 
 
 def compile_statement(stmt: SqlQuery) -> Query:

@@ -157,7 +157,7 @@ class TestViewMaintenance:
         db = self.make_db()
         q = NaturalJoin(Table("R"), Table("S"))
         delta = KRelation.from_rows(NX, ("k", "v"), [((1, "c"), NX.variable("r2"))])
-        plan = compile_delta_plan(q, db, ["R"], engine="interpreted")
+        plan = compile_delta_plan(q, db, ["R"])
         d = plan.execute(db, {"R": delta})
         assert len(d) == 1
         (t,) = d.support()
@@ -180,5 +180,5 @@ class TestViewMaintenance:
         db = self.make_db()
         q = GroupBy(Table("R"), ["k"], {"v": SUM})
         with pytest.raises(QueryError):
-            compile_delta_plan(q, db, ["R"], engine="interpreted").execute(
+            compile_delta_plan(q, db, ["R"]).execute(
                 db, {"R": KRelation.empty(NX, ("k", "v"))})

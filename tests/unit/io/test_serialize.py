@@ -125,6 +125,28 @@ class TestRelationRoundTrips:
         with pytest.raises(SerializationError):
             loads('{"kind": "mystery", "data": {}}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"x"',
+            "3",
+            "null",
+            "not json",
+            '{"data": {}}',
+            '{"kind": ["relation"], "data": {}}',
+            '{"kind": "relation"}',
+            '{"kind": "relation", "data": []}',
+            '{"kind": "relation", "data": {"semiring": "N", "schema": ["a"]}}',
+            '{"kind": "database", "data": {"semiring": "nope", "relations": {}}}',
+            '{"kind": "view_state", "data": {"semiring": "N", "state": {}}}',
+            '{"kind": "view_state", "data": {"semiring": "N", "state": [{"key": []}]}}',
+        ],
+    )
+    def test_malformed_payloads_raise_serialization_error(self, text):
+        with pytest.raises(SerializationError):
+            loads(text)
+
     def test_full_workflow_survives_persistence(self):
         # aggregate, persist, restore, THEN specialise — the stored
         # provenance is still live

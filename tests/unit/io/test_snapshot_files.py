@@ -156,6 +156,27 @@ def test_verified_body_that_cannot_decode_is_still_typed(tmp_path):
         load_file(path)
 
 
+@pytest.mark.parametrize("body", [b"[]", b'"x"'])
+def test_verified_body_that_is_not_an_object_rebuilds_the_view(tmp_path, body):
+    """A checksum-valid body that is not a JSON object is corruption too,
+    so restoring the view falls back to evaluation."""
+    import hashlib
+
+    db = sales_db()
+    path = tmp_path / "t.snap"
+    header = json.dumps(
+        {"magic": SNAPSHOT_MAGIC, "length": len(body),
+         "sha256": hashlib.sha256(body).hexdigest()}
+    ).encode()
+    _write(path, header + b"\n" + body)
+    with pytest.raises(SnapshotCorrupt, match="failed to decode"):
+        load_file(path)
+    restored = load_view(db, QUERY, path)
+    assert not restored.restored_from_snapshot
+    assert restored.result() == QUERY.evaluate(db)
+    assert resilience_counters()["snapshot_rebuilds"] == 1
+
+
 def test_injected_torn_write_models_a_crash_before_rename(tmp_path):
     """The ``truncate_snapshot`` fault truncates the temp file *after*
     the data fsync and *before* the atomic rename — the installed file

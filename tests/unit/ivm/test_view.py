@@ -169,12 +169,6 @@ class TestOtherHeads:
         view.apply({"Emp": emp_delta(NX, [(11, "d1", 4), (12, "d2", 5)])})
         assert view.result() == q.evaluate(db)
 
-    def test_interpreted_engine(self):
-        db = emp_db()
-        view = MaterializedView.create(db, GROUPED, engine="interpreted")
-        view.apply({"Emp": emp_delta(NX, [(13, "d2", 2)])})
-        assert view.result() == GROUPED.evaluate(db)
-
 
 class TestGuards:
     def test_unsupported_core_raises(self):
@@ -275,12 +269,6 @@ class TestCircuitMode:
             valuation_hom(NX, NAT, weights)
         )
         assert got == expected
-
-    def test_circuit_requires_planned(self):
-        with pytest.raises(QueryError):
-            MaterializedView.create(
-                emp_db(), GROUPED, engine="interpreted", annotations="circuit"
-            )
 
 
 class TestExplainDelta:

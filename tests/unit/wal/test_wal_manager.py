@@ -192,6 +192,34 @@ def test_corrupt_latest_checkpoint_falls_back_to_the_previous(tmp_path):
     recovered.close()
 
 
+def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(tmp_path):
+    """A latest checkpoint whose verified body is not a JSON object is
+    skipped like a damaged one; recovery replays from the older one."""
+    import hashlib
+
+    from repro.io.serialize import SNAPSHOT_MAGIC
+
+    manager = fresh(tmp_path)
+    manager.add("R", rel([(0, 0)]))
+    manager.checkpoint()
+    manager.update({"R": rel([(1, 1)])})
+    latest = manager.checkpoint()
+    manager.update({"R": rel([(2, 2)])})
+    fingerprint = database_fingerprint(manager.db)
+    manager.close()
+
+    body = b"[]"
+    header = json.dumps({"magic": SNAPSHOT_MAGIC, "length": len(body),
+                         "sha256": hashlib.sha256(body).hexdigest()})
+    with open(latest, "wb") as fh:
+        fh.write(header.encode() + b"\n" + body)
+
+    recovered = DurabilityManager.open(tmp_path)
+    assert recovered.recovery["checkpoints_skipped"] == 1
+    assert database_fingerprint(recovered.db) == fingerprint
+    recovered.close()
+
+
 def test_all_checkpoints_corrupt_with_full_history_replays_from_empty(tmp_path):
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
