@@ -1,7 +1,7 @@
 """Deterministic fault injection and resilience counters.
 
 The engine is a concurrent system — worker processes exchanging
-shared-memory segments, an asyncio serving layer, persisted snapshots —
+shared-memory segments, a threaded serving layer, persisted snapshots —
 and every recovery path in it (morsel retry, pool rebuild, shm
 republish, snapshot rebuild, circuit breaking, deadline expiry) is
 exercised by *injected* faults, never by hoping production crashes

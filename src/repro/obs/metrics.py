@@ -11,7 +11,7 @@ layer exports the whole registry in Prometheus text exposition format at
 Design constraints (this is on the query hot path):
 
 * **thread-safe** — one lock per metric family; increments from server
-  worker threads, the asyncio loop and engine internals never lose
+  connection threads and engine internals never lose
   updates (``tests/unit/obs/test_metrics.py`` hammers this);
 * **no per-sample allocation** — histograms use fixed bucket boundaries
   chosen at construction; ``observe`` is a bisect into a preallocated
@@ -42,6 +42,7 @@ __all__ = [
     "ENCODED_KERNEL",
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
+    "SERVE_OPEN_CONNECTIONS",
     "SERVE_REQUESTS",
     "TIER_EXECUTIONS",
     "WAL_APPENDED_BYTES",
@@ -480,6 +481,12 @@ SERVE_REQUESTS = REGISTRY.counter(
     ("route", "status"),
 )
 
+#: Open connections to the provenance service, each served by one thread.
+SERVE_OPEN_CONNECTIONS = REGISTRY.gauge(
+    "repro_serve_open_connections",
+    "Open connections to the provenance service (one thread each).",
+)
+
 #: Wall-clock seconds per served /query evaluation.
 QUERY_SECONDS = REGISTRY.histogram(
     "repro_query_seconds",
@@ -546,6 +553,7 @@ WAL_FSYNC_SECONDS._child(())
 for _family in (WAL_APPENDED_BYTES, WAL_REPLAYED_RECORDS, WAL_CHECKPOINTS):
     _family._child(())
 WAL_LAG_RECORDS._child(())
+SERVE_OPEN_CONNECTIONS._child(())
 
 
 def tier_executions() -> Dict[str, int]:

@@ -11,8 +11,8 @@ Tracing is **off by default** and costs one module-global integer check
 per instrumentation site while off (the benchmark's
 ``obs.collect_overhead_x`` is what turning it on costs).  It activates
 only inside a :func:`collect` block, which installs a root span on the
-*current context* (:mod:`contextvars`, so concurrent asyncio tasks and
-threads each see their own trace, never each other's):
+*current context* (:mod:`contextvars`, so concurrent threads and tasks
+each see their own trace, never each other's):
 
     with trace.collect("my request") as root:
         plan.execute()            # operator spans attach under ``root``

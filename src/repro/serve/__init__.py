@@ -1,11 +1,13 @@
 """``repro.serve`` — the provenance query service.
 
-A long-lived, many-client front end over the engine: asyncio HTTP/JSON
-routing, snapshot-isolated reads off the version-stamped
-:class:`~repro.core.database.KDatabase`, a CPU worker pool with
-admission control, per-connection prepared queries, incrementally
-maintained materialised views, and (with ``--data-dir``) durable writes
-through the :mod:`repro.wal` write-ahead log.  Run it::
+A long-lived, many-client front end over the engine: HTTP/JSON served
+one thread per connection (a request is parsed, admitted, evaluated and
+answered on the thread that read it), snapshot-isolated reads off the
+version-stamped :class:`~repro.core.database.KDatabase`, admission
+gates that cap concurrent evaluations and shed overload as 503s,
+per-connection prepared queries, incrementally maintained materialised
+views, and (with ``--data-dir``) durable writes through the
+:mod:`repro.wal` write-ahead log.  Run it::
 
     python -m repro.serve --demo --port 8737 --data-dir ./data
 

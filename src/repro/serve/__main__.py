@@ -17,8 +17,8 @@ same graceful path: stop accepting, drain in-flight requests for
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
+import threading
 
 from repro.core.database import KDatabase
 from repro.core.relation import KRelation
@@ -56,14 +56,15 @@ def main(argv=None) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8737)
     parser.add_argument("--workers", type=int, default=None,
-                        help="CPU worker threads (default: min(8, cores))")
+                        help="concurrent evaluations (default: min(8, cores))")
     parser.add_argument("--max-queue", type=int, default=32,
                         help="queued requests before 503 backpressure")
     parser.add_argument("--heavy-slots", type=int, default=1,
                         help="concurrent symbolic-provenance queries")
     parser.add_argument("--drain-timeout", type=float, default=5.0,
                         help="seconds to let in-flight queries finish on "
-                             "shutdown before cancelling (0 = immediate)")
+                             "shutdown before closing their connections "
+                             "(0 = immediate)")
     parser.add_argument("--demo", action="store_true",
                         help="preload the Figure 1 employee database")
     parser.add_argument("--data-dir", default=None,
@@ -80,6 +81,12 @@ def main(argv=None) -> None:
     parser.add_argument("--segment-bytes", type=int, default=16 << 20,
                         help="WAL segment roll size in bytes")
     args = parser.parse_args(argv)
+    # SIGTERM (systemd, docker stop, kill) and ^C both take the drain +
+    # WAL-flush path below instead of dying mid-request: block them in
+    # every thread (threads started later inherit the mask) and take
+    # them synchronously on this one
+    stop_signals = {signal.SIGTERM, signal.SIGINT}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
 
     db = demo_database() if args.demo else KDatabase(NAT)
     durability = None
@@ -119,18 +126,8 @@ def main(argv=None) -> None:
             summary = ", ".join(f"{n} ({how})" for n, how in outcomes.items())
             print(f"views recovered: {summary}", flush=True)
 
-    async def run() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                # SIGTERM (systemd, docker stop, kill) and ^C both take
-                # the drain + WAL-flush path below instead of dying with
-                # a traceback mid-request
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, ValueError):  # pragma: no cover
-                pass  # non-POSIX loop: KeyboardInterrupt still works
-        await server.start()
+    try:
+        server.start()
         print(
             f"repro.serve listening on http://{server.host}:{server.port} "
             f"(semiring {db.semiring.name}, {len(db.names())} relations, "
@@ -145,26 +142,11 @@ def main(argv=None) -> None:
             "-d '{\"sql\": \"SELECT Dept, SUM(Sal) FROM Emp GROUP BY Dept\"}'",
             flush=True,
         )
-        serving = asyncio.ensure_future(server.serve_forever())
-        waiter = asyncio.ensure_future(stop.wait())
-        try:
-            done, _ = await asyncio.wait(
-                {serving, waiter}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if serving in done:
-                return await serving  # crashed: propagate
-            print("shutdown: draining in-flight requests", flush=True)
-            await server.aclose()
-        finally:
-            for task in (serving, waiter):
-                task.cancel()
-            await asyncio.gather(serving, waiter, return_exceptions=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        # non-POSIX fallback: the signal handler above normally wins
-        server.pool.shutdown(drain_timeout=args.drain_timeout)
+        threading.Thread(target=server.serve_forever, name="repro-serve-accept",
+                         daemon=True).start()
+        signal.sigwait(stop_signals)
+        print("shutdown: draining in-flight requests", flush=True)
+        server.close()
     finally:
         if durability is not None:
             durability.close(checkpoint=True)

@@ -23,6 +23,8 @@ from typing import Any, Dict, List, Mapping
 from repro.core.database import KDatabase
 from repro.core.relation import KRelation
 from repro.exceptions import ReproError
+from repro.semimodules import compatibility
+from repro.semimodules.tensor import Tensor
 from repro.semirings.base import Semiring
 from repro.semirings.polynomials import PolynomialSemiring
 
@@ -39,6 +41,7 @@ _MODES = ("standard", "extended")
 _ANNOTATIONS = ("expanded", "circuit")
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALAR_TYPES = frozenset(_JSON_SCALARS)
 
 
 class BadRequest(Exception):
@@ -173,20 +176,15 @@ def deltas_from_json(db: KDatabase, payload: Any) -> Dict[str, KRelation]:
 
 
 def _json_value(value: Any) -> Any:
-    if isinstance(value, _JSON_SCALARS):
+    if type(value) in _JSON_SCALAR_TYPES or isinstance(value, _JSON_SCALARS):
         return value
-    from repro.semimodules.tensor import Tensor
-
     if isinstance(value, Tensor):
         # aggregate values are provenance-aware tensors; when a readback
         # witness exists (Prop. 3.9 / Thms. 3.12-3.13) clients get the
         # plain aggregate (e.g. 45 for a bag SUM), otherwise the symbolic
         # rendering
-        from repro.exceptions import ReproError
-        from repro.semimodules.compatibility import readback
-
         try:
-            plain = readback(value)
+            plain = compatibility.readback(value)
             if isinstance(plain, _JSON_SCALARS):
                 return plain
         except ReproError:

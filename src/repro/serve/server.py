@@ -1,18 +1,21 @@
-"""An asyncio HTTP/JSON front end over the three-tier engine.
+"""A threaded HTTP/JSON front end over the three-tier engine.
 
 Architecture (one process, no third-party dependencies):
 
-* the **event loop** owns connections and parsing only — every request
-  body is decoded, dispatched, and its CPU-bound work shipped to the
-  :class:`~repro.serve.workers.WorkerPool` (admission-controlled, so an
-  overloaded server answers 503 fast instead of queueing unboundedly);
+* **one thread per connection**: the thread that reads a request off its
+  socket parses it, passes the admission gates of the
+  :class:`~repro.serve.workers.WorkerPool` (an overloaded server answers
+  503 fast instead of queueing unboundedly, and ``workers`` caps the
+  evaluations running at once), evaluates, renders and writes the
+  response itself — a request never changes thread.  An idle keep-alive
+  connection holds a blocked thread but no slot;
 * **readers** pin a :class:`~repro.core.database.DatabaseSnapshot` from
   the :class:`~repro.serve.snapshot.SnapshotManager` for the duration of
   a request: the whole evaluation — plan compile, encoded kernels,
   symbolic lowering — sees exactly one database version, and responses
   carry that ``version`` stamp so clients can observe the isolation;
 * the **writer path** (``/update``, ``/relations``, ``/views``) is
-  serialised by one asyncio lock, folds deltas into the root database,
+  serialised by one lock, folds deltas into the root database,
   maintains every registered materialised view incrementally, and
   publishes the next snapshot with a single reference swap;
 * **prepared queries**: each connection keeps a bounded SQL → compiled
@@ -47,12 +50,13 @@ it, so client logs, server logs and traces correlate on one id.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import math
+import socket
 import threading
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.caching import LRUDict
@@ -85,6 +89,8 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -94,6 +100,9 @@ PREPARED_SLOTS = 64
 
 #: Largest accepted request body, a guard against memory-exhaustion abuse.
 MAX_BODY_BYTES = 16 << 20
+
+#: Longest accepted request or header line, the same guard for the head.
+MAX_LINE_BYTES = 64 << 10
 
 
 class PlainText:
@@ -107,6 +116,15 @@ class PlainText:
         self.content_type = content_type
 
 
+class _BadFraming(Exception):
+    """Malformed HTTP framing: answered with ``status``, then the
+    connection closes (the stream position is lost)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 def _route_label(method: str, path: str) -> str:
     """The bounded-cardinality route label for request metrics."""
     if path.startswith("/views/"):
@@ -115,6 +133,46 @@ def _route_label(method: str, path: str) -> str:
                       "/relations", "/views"):
         path = ":other"
     return f"{method} {path}"
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise _BadFraming(431, f"request line or header exceeds {MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_request(rfile) -> "Optional[Tuple[str, str, Dict[str, str], bytes]]":
+    """One request off the stream, ``None`` at its end."""
+    line = _read_line(rfile)
+    parts = line.decode("latin1").split()
+    if len(parts) < 2:
+        return None
+    method, path = parts[0].upper(), parts[1]
+    headers: Dict[str, str] = {}
+    while True:
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadFraming(400, f"Content-Length must be a byte count, got {raw[:32]!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _BadFraming(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    body = rfile.read(length)
+    if len(body) < length:
+        return None  # the peer closed mid-body
+    return method, path, headers, body
+
+
+def _shutdown(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:  # already closed by the peer or by its own thread
+        pass
 
 
 class ProvenanceServer:
@@ -153,12 +211,14 @@ class ProvenanceServer:
                                retry_after_base=retry_after_base,
                                retry_after_max=retry_after_max)
         self._views: Dict[str, Any] = {}
-        self._writer_gate = asyncio.Lock()
+        self._writer_gate = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters = {"queries": 0, "updates": 0, "errors": 0,
                           "rejected": 0, "connections": 0, "timeouts": 0}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: "set[asyncio.Task]" = set()
+        self._listener: Optional[socket.socket] = None
+        self._closing = False
+        #: open connection -> the thread serving it
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         if durability is not None:
             # checkpoints snapshot registered view states alongside the
             # database, so a restart restores instead of re-evaluating
@@ -166,49 +226,78 @@ class ProvenanceServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        # resolve port 0 to the bound ephemeral port
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind and listen; ``port=0`` resolves to the bound ephemeral port."""
+        self._listener = socket.create_server((self.host, self.port), backlog=128)
+        self.port = self._listener.getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Accept connections on the calling thread until :meth:`close`,
+        each served start to finish by a thread of its own."""
+        if self._listener is None:
+            self.start()
+        listener = self._listener
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError as exc:
+                if self._closing:
+                    return
+                log.warning("accept failed: %s", exc)  # e.g. out of descriptors
+                time.sleep(0.1)
+                continue
+            thread = threading.Thread(target=self._handle_connection, args=(conn,),
+                                      name="repro-serve-conn", daemon=True)
+            # close() sees the connection registered and started, or not at all
+            with self._stats_lock:
+                if self._closing:
+                    conn.close()
+                    return
+                self._counters["connections"] += 1
+                self._connections[conn] = thread
+                obs_metrics.SERVE_OPEN_CONNECTIONS.inc()
+                thread.start()
 
-    async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # graceful drain: stop accepting, then give in-flight requests a
-        # grace period to finish before cancelling their connections —
-        # cancelling first would kill requests awaiting the executor and
-        # drop work that is milliseconds from a response
-        if self.drain_timeout and self.drain_timeout > 0:
-            grace_until = time.monotonic() + self.drain_timeout
-            while self.pool.in_flight() and time.monotonic() < grace_until:
-                await asyncio.sleep(0.01)
-        for task in list(self._connections):  # drop open keep-alive clients
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self.pool.shutdown(drain_timeout=self.drain_timeout)
+    def close(self) -> None:
+        """Stop accepting, let in-flight requests finish within
+        ``drain_timeout`` seconds, then close every connection.
+
+        Shutting each connection's read side wakes an idle keep-alive
+        thread with end-of-stream at once, while a thread mid-request
+        still evaluates and writes its response before it reads that
+        end; a connection still busy when the grace period is over is
+        shut both ways.
+        """
+        with self._stats_lock:
+            self._closing = True
+            listener, self._listener = self._listener, None
+            connections = dict(self._connections)
+        if listener is not None:
+            _shutdown(listener, socket.SHUT_RDWR)  # wakes the accept loop
+            listener.close()
+        for conn in connections:
+            _shutdown(conn, socket.SHUT_RD)
+        grace_until = time.monotonic() + max(0.0, self.drain_timeout or 0.0)
+        for conn, thread in connections.items():
+            thread.join(max(0.0, grace_until - time.monotonic()))
+            if thread.is_alive():
+                _shutdown(conn, socket.SHUT_RDWR)
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._count("connections")
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    def _handle_connection(self, conn: socket.socket) -> None:
         prepared = LRUDict(PREPARED_SLOTS)
+        rfile = conn.makefile("rb")
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = _read_request(rfile)
+                except _BadFraming as exc:
+                    rid = obs_trace.new_trace_id()
+                    self._respond(conn, exc.status, {"error": str(exc), "trace_id": rid},
+                                  False, rid)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -216,62 +305,27 @@ class ProvenanceServer:
                 # reaches every response header (error paths included),
                 # error bodies, traces, and the slow-query log
                 request_id = headers.get("x-request-id") or obs_trace.new_trace_id()
-                status, payload = await self._dispatch(
+                status, payload = self._dispatch(
                     method, path, body, prepared, headers, request_id
                 )
                 obs_metrics.SERVE_REQUESTS.inc(
                     1, _route_label(method, path), str(status)
                 )
                 keep = headers.get("connection", "").lower() != "close"
-                await self._respond(writer, status, payload, keep, request_id)
+                self._respond(conn, status, payload, keep, request_id)
                 if not keep:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.LimitOverrunError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # aclose() cancels idle keep-alive connections; dropping the
-            # socket is the intended outcome, not an error
-            pass
+        except OSError:
+            pass  # the peer went away, or close() shut the socket
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                # cancellation can also land inside this await when
-                # aclose() tears down a connection mid-drain; the socket
-                # is closed either way
-                pass
+            with self._stats_lock:
+                self._connections.pop(conn, None)
+            obs_metrics.SERVE_OPEN_CONNECTIONS.dec()
+            rfile.close()
+            conn.close()
 
-    async def _read_request(
-        self, reader
-    ) -> "Optional[Tuple[str, str, Dict[str, str], bytes]]":
-        line = await reader.readline()
-        if not line or not line.strip():
-            return None
-        parts = line.decode("latin1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("request body too large", length)
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    async def _respond(self, writer, status: int, payload: Any, keep: bool,
-                       request_id: Optional[str] = None) -> None:
+    def _respond(self, conn: socket.socket, status: int, payload: Any, keep: bool,
+                 request_id: Optional[str] = None) -> None:
         if isinstance(payload, PlainText):
             data = payload.text.encode("utf-8")
             content_type = payload.content_type
@@ -298,12 +352,11 @@ class ProvenanceServer:
                 except (TypeError, ValueError):
                     hint = 1.0
             head += f"Retry-After: {max(1, math.ceil(hint))}\r\n"
-        writer.write(head.encode("latin1") + b"\r\n" + data)
-        await writer.drain()
+        conn.sendall(head.encode("latin1") + b"\r\n" + data)
 
     # -- routing -------------------------------------------------------------
 
-    async def _dispatch(
+    def _dispatch(
         self,
         method: str,
         path: str,
@@ -323,7 +376,7 @@ class ProvenanceServer:
                 if path == "/metrics":
                     return 200, PlainText(obs_metrics.render_prometheus())
                 if path.startswith("/views/"):
-                    return await self._read_view(path[len("/views/"):])
+                    return self._read_view(path[len("/views/"):])
                 return 404, {"error": f"no route GET {path}", "trace_id": rid}
             if method == "POST":
                 try:
@@ -334,13 +387,13 @@ class ProvenanceServer:
                         "trace_id": rid,
                     }
                 if path == "/query":
-                    return await self._query(payload, prepared, headers, rid)
+                    return self._query(payload, prepared, headers, rid)
                 if path == "/update":
-                    return await self._update(payload)
+                    return self._update(payload)
                 if path == "/relations":
-                    return await self._add_relation(payload)
+                    return self._add_relation(payload)
                 if path == "/views":
-                    return await self._create_view(payload)
+                    return self._create_view(payload)
                 return 404, {"error": f"no route POST {path}", "trace_id": rid}
             return 405, {"error": f"method {method} not allowed", "trace_id": rid}
         except ServerOverloaded as exc:
@@ -352,8 +405,8 @@ class ProvenanceServer:
         except DeadlineExceeded as exc:
             # must precede the ReproError clause (it subclasses it): an
             # expired budget is a timeout, not a malformed request.  The
-            # worker slot is already reclaimed — the evaluating thread
-            # raised at its next cooperative checkpoint
+            # slot is already released — the evaluation raised at its
+            # next cooperative checkpoint
             self._count("timeouts")
             return 408, {"error": str(exc), "retry_after": 1.0, "trace_id": rid}
         except WalWriteError as exc:
@@ -384,7 +437,7 @@ class ProvenanceServer:
             prepared[sql] = query
         return query
 
-    async def _query(
+    def _query(
         self,
         payload: Any,
         prepared: LRUDict,
@@ -409,52 +462,41 @@ class ProvenanceServer:
         analyze = req["analyze"] or obs_trace.enabled()
         rid = request_id or obs_trace.new_trace_id()
         sql = req["sql"]
-        slow_ms = self.slow_query_ms
 
-        def work():
-            # runs start-to-finish on one pool thread, so the collector's
-            # contextvar scope is exactly this request's evaluation
+        with self.pool.admit(heavy=heavy):
+            # the collector's contextvar scope is this thread, so it
+            # covers exactly this request's evaluation
             start = time.perf_counter()
             deadline = (
                 Deadline.after(timeout_ms / 1e3) if timeout_ms is not None else None
             )
-
-            def evaluate():
-                return query.evaluate(
+            collector = (
+                obs_trace.collect("request", trace_id=rid, sql=sql, engine=req["engine"])
+                if analyze else nullcontext()
+            )
+            with collector as root:
+                result = query.evaluate(
                     snap,
                     mode=req["mode"],
                     engine=req["engine"],
                     annotations=req["annotations"],
                     deadline=deadline,
                 )
-
-            root = None
-            if analyze:
-                with obs_trace.collect("request", trace_id=rid,
-                                       sql=sql, engine=req["engine"]) as root:
-                    result = evaluate()
-            else:
-                result = evaluate()
             if hasattr(result, "lower"):  # CircuitResult → canonical N[X]
                 result = result.lower()
-            encoded = relation_to_json(result)
+            response = relation_to_json(result)
             elapsed = time.perf_counter() - start
-            obs_metrics.QUERY_SECONDS.observe(elapsed)
-            elapsed_ms = elapsed * 1e3
-            encoded["elapsed_ms"] = round(elapsed_ms, 3)
-            if slow_ms and elapsed_ms >= slow_ms:
-                log.warning(
-                    "slow query (%.1fms, trace %s): %s", elapsed_ms, rid, sql
-                )
-            if root is not None and req["analyze"]:
-                encoded["analyze"] = {
-                    "trace_id": root.trace_id,
-                    "text": obs_trace.render(root),
-                    "spans": root.to_dict(),
-                }
-            return encoded
-
-        response = await self.pool.run(work, heavy=heavy)
+        obs_metrics.QUERY_SECONDS.observe(elapsed)
+        elapsed_ms = elapsed * 1e3
+        response["elapsed_ms"] = round(elapsed_ms, 3)
+        if self.slow_query_ms and elapsed_ms >= self.slow_query_ms:
+            log.warning("slow query (%.1fms, trace %s): %s", elapsed_ms, rid, sql)
+        if root is not None and req["analyze"]:
+            response["analyze"] = {
+                "trace_id": root.trace_id,
+                "text": obs_trace.render(root),
+                "spans": root.to_dict(),
+            }
         response["version"] = snap.version
         response["engine"] = req["engine"]
         self._count("queries")
@@ -462,13 +504,10 @@ class ProvenanceServer:
 
     # -- write path ----------------------------------------------------------
 
-    async def _update(self, payload: Any) -> Tuple[int, Any]:
-        async with self._writer_gate:
-            snap = self.manager.pin()
-            deltas = deltas_from_json(snap, payload)
-            views = list(self._views.values())
-
-            def work():
+    def _update(self, payload: Any) -> Tuple[int, Any]:
+        with self._writer_gate:
+            deltas = deltas_from_json(self.manager.pin(), payload)
+            with self.pool.admit():
                 if self.durability is not None:
                     # WAL-append first (the acknowledgement point), apply
                     # to the root, then publish the next snapshot
@@ -480,39 +519,34 @@ class ProvenanceServer:
                 # the same deltas keeps every clone at the same contents,
                 # at O(|Δ|) per clone: each new version layers the delta
                 # over the rows of the one it replaces
-                for view in views:
+                for view in self._views.values():
                     view.apply(deltas)
-                return published.version
-
-            version = await self.pool.run(work)
         self._count("updates")
-        return 200, {"version": version}
+        return 200, {"version": published.version}
 
-    async def _add_relation(self, payload: Any) -> Tuple[int, Any]:
+    def _add_relation(self, payload: Any) -> Tuple[int, Any]:
         if not isinstance(payload, Mapping):
             raise BadRequest("relations request body must be a JSON object")
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise BadRequest("relations request: 'name' must be a string")
-        async with self._writer_gate:
+        with self._writer_gate:
             semiring = self.manager.pin().semiring
             relation = relation_from_json(
                 semiring, payload.get("relation"), f"relation {name!r}"
             )
-
-            def work():
+            with self.pool.admit():
                 if self.durability is not None:
                     self.durability.add(name, relation)
-                    return self.manager.refresh().version
-                return self.manager.add(name, relation).version
-
-            version = await self.pool.run(work)
+                    version = self.manager.refresh().version
+                else:
+                    version = self.manager.add(name, relation).version
         self._count("updates")
         return 201, {"name": name, "version": version}
 
     # -- materialised views --------------------------------------------------
 
-    async def _create_view(self, payload: Any) -> Tuple[int, Any]:
+    def _create_view(self, payload: Any) -> Tuple[int, Any]:
         if not isinstance(payload, Mapping):
             raise BadRequest("views request body must be a JSON object")
         name = payload.get("name")
@@ -521,24 +555,20 @@ class ProvenanceServer:
             raise BadRequest("views request: 'name' must be a string")
         if not isinstance(sql, str):
             raise BadRequest("views request: 'sql' must be a string")
-        async with self._writer_gate:
+        with self._writer_gate:
             if name in self._views:
                 raise BadRequest(f"view {name!r} already exists")
             snap = self.manager.pin()
-            heavy = _symbolic(snap.semiring)
-
-            def work():
+            with self.pool.admit(heavy=_symbolic(snap.semiring)):
                 from repro.ivm import MaterializedView
                 from repro.sql.compiler import compile_sql
 
                 # the view maintains its own clone of the catalog
                 # (relation objects shared, never copied), so its apply()
                 # stream is confined and cannot race other views or the
-                # root — per-worker confinement instead of shared locks
+                # root — per-view confinement instead of shared locks
                 view_db = KDatabase(snap.semiring, dict(iter(snap)))
-                return MaterializedView.create(view_db, compile_sql(sql))
-
-            view = await self.pool.run(work, heavy=heavy)
+                view = MaterializedView.create(view_db, compile_sql(sql))
             if self.durability is not None:
                 # log the definition before registering: a crash after
                 # the append rebuilds the view on boot, a crash before it
@@ -584,12 +614,11 @@ class ProvenanceServer:
             self._views[name] = view
         return outcomes
 
-    async def _read_view(self, name: str) -> Tuple[int, Any]:
+    def _read_view(self, name: str) -> Tuple[int, Any]:
         view = self._views.get(name)
         if view is None:
             return 404, {"error": f"no view named {name!r}"}
-
-        def work():
+        with self.pool.admit():
             # the lock covers only fetching a consistent (result, version)
             # pair; the result is immutable, so lowering and JSON rendering
             # run outside it and a writer's view.apply never waits on them
@@ -598,11 +627,8 @@ class ProvenanceServer:
                 version = view.version
             if hasattr(result, "lower"):
                 result = result.lower()
-            encoded = relation_to_json(result)
-            encoded["view_version"] = version
-            return encoded
-
-        response = await self.pool.run(work)
+            response = relation_to_json(result)
+        response["view_version"] = version
         self._count("queries")
         return 200, response
 
@@ -646,6 +672,7 @@ class ProvenanceServer:
             "writes": self.manager.writes,
             "views": sorted(self._views),
             "pool": self.pool.stats(),
+            "connections_open": len(self._connections),
             "tiers": obs_metrics.tier_executions(),
             "resilience": obs_metrics.resilience_counters(),
             **counters,
@@ -661,12 +688,10 @@ class ProvenanceServer:
 
 
 class ServerHandle:
-    """A running server on a background event-loop thread."""
+    """A running server whose accept loop runs on a background thread."""
 
-    def __init__(self, server: ProvenanceServer, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread):
+    def __init__(self, server: ProvenanceServer, thread: threading.Thread):
         self.server = server
-        self._loop = loop
         self._thread = thread
 
     @property
@@ -674,11 +699,7 @@ class ServerHandle:
         return self.server.host, self.server.port
 
     def close(self) -> None:
-        if not self._loop.is_closed():
-            asyncio.run_coroutine_threadsafe(
-                self.server.aclose(), self._loop
-            ).result(timeout=10)
-            self._loop.call_soon_threadsafe(self._loop.stop)
+        self.server.close()
         self._thread.join(timeout=10)
 
 
@@ -697,28 +718,13 @@ def start_in_thread(db: KDatabase, host: str = "127.0.0.1", port: int = 0,
     """Start a :class:`ProvenanceServer` on a daemon thread and return a handle.
 
     ``port=0`` binds an ephemeral port; read it back off
-    ``handle.server.port``.  The loop runs until :meth:`ServerHandle.close`.
+    ``handle.server.port``.  It serves until :meth:`ServerHandle.close`.
     """
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def runner() -> None:
-        asyncio.set_event_loop(loop)
-        server = ProvenanceServer(db, host, port, **kwargs)
-        if server.durability is not None:
-            server.restore_views()  # recovered views exist before serving
-        # the server's writer gate must be created on this loop
-        loop.run_until_complete(server.start())
-        box["server"] = server
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="repro-serve-loop", daemon=True)
+    server = ProvenanceServer(db, host, port, **kwargs)
+    if server.durability is not None:
+        server.restore_views()  # recovered views exist before serving
+    server.start()
+    thread = threading.Thread(target=server.serve_forever,
+                              name="repro-serve-accept", daemon=True)
     thread.start()
-    if not started.wait(timeout=10):
-        raise RuntimeError("server failed to start within 10s")
-    return ServerHandle(box["server"], loop, thread)
+    return ServerHandle(server, thread)

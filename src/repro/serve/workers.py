@@ -1,36 +1,37 @@
-"""The CPU side of the server: a thread pool with admission control.
+"""The server's admission gates: who may evaluate now, who waits, who is shed.
 
-Kernel work (plan execution, dictionary-encoded array kernels, circuit
-lowering) is CPU-bound Python/NumPy — running it on the asyncio event
-loop would head-of-line-block every connection.  :class:`WorkerPool`
-moves it onto a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-behind two admission gates:
+A request runs start to finish on the thread that read it off its
+connection (:mod:`repro.serve.server`); :class:`WorkerPool` is no pool
+of threads but the gates that thread passes before it evaluates:
 
 * a **global** gate sized ``workers + max_queue``: when that many
-  requests are already running or queued, further submissions are
-  rejected *immediately* with :class:`ServerOverloaded` (the server maps
-  it to HTTP 503 + ``Retry-After``) instead of building an unbounded
-  backlog — load-shedding backpressure, not buffering;
+  requests are already evaluating or waiting, a further one is rejected
+  *immediately* with :class:`ServerOverloaded` (the server maps it to
+  HTTP 503 + ``Retry-After``) instead of building an unbounded backlog —
+  load-shedding backpressure, not buffering;
 * a **heavy** gate (default one slot) for symbolic-provenance work:
   polynomial/circuit queries can be orders of magnitude more expensive
-  than concrete-semiring kernels and monopolise workers, so their
+  than concrete-semiring kernels and would monopolise the CPU, so their
   concurrency is capped separately and the cheap traffic keeps flowing
-  around them.  (Serialising circuit work also keeps the shared gate
+  around them (serialising circuit work also keeps the shared gate
   universe contention-free — interning is thread-safe, but one writer at
-  a time is faster and predictable.)
+  a time is faster and predictable);
+* an **execution** semaphore of ``workers`` slots: an admitted request
+  blocks here until it may evaluate, so ``workers`` caps concurrent
+  evaluations however many connections are open.
 
-Threads (not processes) are the right pool here: the kernels release the
-GIL inside NumPy, the annotation structures are not picklable in
-general, and — decisively — the whole design leans on *shared* caches
-(encodings, plans, gate images) that processes would forfeit.
+Threads (not processes) evaluate: the kernels release the GIL inside
+NumPy, the annotation structures are not picklable in general, and —
+decisively — the whole design leans on *shared* caches (encodings,
+plans, gate images) that processes would forfeit.
 """
 
 from __future__ import annotations
 
-import asyncio
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional
 
 __all__ = ["ServerOverloaded", "WorkerPool"]
 
@@ -44,7 +45,7 @@ class ServerOverloaded(Exception):
 
 
 class WorkerPool:
-    """Bounded thread pool + admission gates for CPU-bound request work."""
+    """Admission gates + an execution semaphore for CPU-bound request work."""
 
     def __init__(
         self,
@@ -54,8 +55,6 @@ class WorkerPool:
         retry_after_base: float = 1.0,
         retry_after_max: float = 30.0,
     ):
-        import os
-
         if workers is None:
             workers = min(8, (os.cpu_count() or 2))
         if workers <= 0:
@@ -69,26 +68,28 @@ class WorkerPool:
         self.workers = workers
         self.retry_after_base = float(retry_after_base)
         self.retry_after_max = float(retry_after_max)
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
         self._admission = threading.BoundedSemaphore(workers + max_queue)
         self._heavy = threading.BoundedSemaphore(min(heavy_slots, workers))
+        self._running = threading.BoundedSemaphore(workers)
         self._stats_lock = threading.Lock()
         self.completed = 0
         self.rejected = 0
         self.heavy_rejected = 0
         # in-flight tracking for graceful drain: _idle is set whenever no
-        # request holds a worker thread
+        # request is admitted
         self._in_flight = 0
         self._idle = threading.Event()
         self._idle.set()
 
-    async def run(self, fn: Callable[..., Any], *args: Any, heavy: bool = False) -> Any:
-        """Run ``fn(*args)`` on a worker thread, or raise :class:`ServerOverloaded`.
+    @contextmanager
+    def admit(self, heavy: bool = False) -> Iterator[None]:
+        """Hold an evaluation slot for the ``with`` body, or raise
+        :class:`ServerOverloaded`.
 
-        Admission is decided *before* queueing (non-blocking acquires):
-        a rejected request costs the client one round-trip, never a slot.
+        Admission is decided up front (non-blocking acquires), so a
+        rejected request costs the client one round trip, never a slot;
+        an admitted one then waits for one of the ``workers`` execution
+        slots.  Every slot is released when the body exits.
         """
         if not self._admission.acquire(blocking=False):
             with self._stats_lock:
@@ -109,36 +110,26 @@ class WorkerPool:
             self._in_flight += 1
             self._idle.clear()
         try:
-            future = self._executor.submit(fn, *args)
-        except BaseException:
-            self._land()
-            if heavy:
-                self._heavy.release()
-            self._admission.release()
-            raise
-        # the decrement rides the *executor* future, not this coroutine:
-        # it fires on the worker thread at completion (or at cancellation
-        # of a queued future), so a graceful drain blocking the event
-        # loop in shutdown() still observes the pool going idle
-        future.add_done_callback(lambda _f: self._land())
-        try:
-            result = await asyncio.wrap_future(future)
+            with self._running:
+                yield
             with self._stats_lock:
                 self.completed += 1
-            return result
         finally:
+            with self._stats_lock:
+                self._in_flight -= 1
+                if self._in_flight == 0:
+                    self._idle.set()
             if heavy:
                 self._heavy.release()
             self._admission.release()
 
-    def _land(self) -> None:
-        with self._stats_lock:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._idle.set()
+    async def run(self, fn: Callable[..., Any], *args: Any, heavy: bool = False) -> Any:
+        """``fn(*args)`` on the calling thread under :meth:`admit`."""
+        with self.admit(heavy=heavy):
+            return fn(*args)
 
     def in_flight(self) -> int:
-        """Requests currently holding (or awaiting) a worker thread."""
+        """Requests currently admitted (evaluating or awaiting a slot)."""
         with self._stats_lock:
             return self._in_flight
 
@@ -147,10 +138,10 @@ class WorkerPool:
 
         A fixed ``Retry-After: 1`` synchronises every rejected client
         into retry waves that land together and bounce again.  Scaling
-        the hint with the ratio of in-flight work to worker threads
+        the hint with the ratio of in-flight work to worker slots
         (base × (1 + in_flight/workers), capped) makes the hint honest:
-        a barely-full pool invites a quick retry, a deeply backed-up one
-        pushes the herd further out.
+        a barely-full server invites a quick retry, a deeply backed-up
+        one pushes the herd further out.
         """
         with self._stats_lock:
             pressure = self._in_flight / float(self.workers)
@@ -169,16 +160,9 @@ class WorkerPool:
             }
 
     def shutdown(self, drain_timeout: Optional[float] = None) -> None:
-        """Stop the pool.
-
-        ``drain_timeout`` is the graceful-shutdown grace period in
-        seconds: wait up to that long for in-flight requests to finish,
-        *then* cancel whatever is still queued.  The previous behaviour
-        (``None``/0: immediate ``cancel_futures=True``) dropped every
-        in-flight query on the floor at shutdown — clients saw
-        connections die mid-request even though the work was milliseconds
-        from done.
-        """
+        """Wait up to ``drain_timeout`` seconds for admitted requests to
+        finish (the graceful-shutdown grace period).  A request still
+        evaluating after it runs on; nothing can cancel it but its own
+        deadline."""
         if drain_timeout and drain_timeout > 0:
             self._idle.wait(timeout=drain_timeout)
-        self._executor.shutdown(wait=False, cancel_futures=True)

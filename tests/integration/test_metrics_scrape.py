@@ -16,6 +16,11 @@ from repro.core import KDatabase, KRelation
 from repro.semirings import NAT
 from repro.serve import start_in_thread
 
+#: An exception escaping a connection thread fails the test, not a log line.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 #: One Prometheus text-format sample line.
 SAMPLE_RE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*'

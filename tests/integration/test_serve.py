@@ -23,14 +23,24 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import KDatabase, KRelation
 from repro.semirings import NAT, NX
+from repro.obs import metrics as obs_metrics
 from repro.serve import ServerOverloaded, WorkerPool, start_in_thread
+from repro.serve import server as serve_server
 from repro.sql.compiler import compile_sql
+
+#: An exception escaping a connection thread fails the test, not a log line.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 BASE = 64  # rows per relation before any update
 
@@ -470,43 +480,239 @@ def test_count_only_group_by_is_served(server):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_pool_sheds_load_when_saturated():
-    async def scenario():
-        pool = WorkerPool(workers=1, max_queue=0)
-        release = threading.Event()
-        occupying = asyncio.ensure_future(pool.run(release.wait, 30))
-        await asyncio.sleep(0.05)  # let the blocker claim the only slot
-        try:
-            with pytest.raises(ServerOverloaded):
-                await pool.run(lambda: None)
-            assert pool.stats()["rejected"] == 1
-        finally:
-            release.set()
-            assert await occupying is True
-            pool.shutdown()
+def hold(pool, release, heavy=False):
+    """A thread holding ``pool.admit(heavy=...)`` until ``release`` is set;
+    returns it once admitted, with the list its ``release.wait`` result
+    lands in."""
+    admitted, outcome = threading.Event(), []
 
-    asyncio.run(scenario())
+    def occupy():
+        with pool.admit(heavy=heavy):
+            admitted.set()
+            outcome.append(release.wait(30))
+
+    thread = threading.Thread(target=occupy)
+    thread.start()
+    assert admitted.wait(5)
+    return thread, outcome
+
+
+def test_worker_pool_sheds_load_when_saturated():
+    pool = WorkerPool(workers=1, max_queue=0)
+    release = threading.Event()
+    occupying, outcome = hold(pool, release)  # the blocker claims the only slot
+    try:
+        with pytest.raises(ServerOverloaded):
+            with pool.admit():
+                pass
+        assert pool.stats()["rejected"] == 1
+    finally:
+        release.set()
+        occupying.join(5)
+        assert outcome == [True]
+        pool.shutdown()
 
 
 def test_worker_pool_heavy_gate_is_separate():
-    async def scenario():
-        pool = WorkerPool(workers=4, max_queue=4, heavy_slots=1)
-        release = threading.Event()
-        heavy = asyncio.ensure_future(pool.run(release.wait, 30, heavy=True))
-        await asyncio.sleep(0.05)
-        try:
-            # the single heavy slot is busy: more heavy work is shed...
-            with pytest.raises(ServerOverloaded):
-                await pool.run(lambda: None, heavy=True)
-            # ...but light traffic keeps flowing around it
-            assert await pool.run(lambda: 42) == 42
-            assert pool.stats()["heavy_rejected"] == 1
-        finally:
-            release.set()
-            assert await heavy is True
-            pool.shutdown()
+    pool = WorkerPool(workers=4, max_queue=4, heavy_slots=1)
+    release = threading.Event()
+    heavy, outcome = hold(pool, release, heavy=True)
+    try:
+        # the single heavy slot is busy: more heavy work is shed...
+        with pytest.raises(ServerOverloaded):
+            with pool.admit(heavy=True):
+                pass
+        # ...but light traffic keeps flowing around it
+        assert asyncio.run(pool.run(lambda: 42)) == 42
+        assert pool.stats()["heavy_rejected"] == 1
+    finally:
+        release.set()
+        heavy.join(5)
+        assert outcome == [True]
+        pool.shutdown()
 
-    asyncio.run(scenario())
+
+# ---------------------------------------------------------------------------
+# connection threads: framing, idle connections, parked evaluations
+# ---------------------------------------------------------------------------
+
+
+def raw_exchange(address, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket; return all the server answers
+    before it closes the connection."""
+    chunks = []
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with the oversized line unread
+            pass
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "request_head, status",
+    [
+        (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (70 << 10) + b"\r\n\r\n", 431),
+        (b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (serve_server.MAX_BODY_BYTES + 1), 413),
+    ],
+    ids=["length-not-a-number", "length-negative", "header-over-64KiB",
+         "body-over-limit"],
+)
+def test_malformed_framing_is_a_typed_4xx_then_close(server, request_head, status):
+    reply = raw_exchange(server.address, request_head)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status), reply[:200]
+    assert b"Connection: close" in head
+    assert json.loads(body)["trace_id"]
+    client = Client(server.address)
+    try:
+        assert client.request("GET", "/health")[0] == 200
+    finally:
+        client.close()
+
+
+def test_idle_keep_alive_connections_hold_no_slot():
+    workers, max_queue = 1, 1
+    handle = start_in_thread(lockstep_db(), workers=workers, max_queue=max_queue)
+    idle = [Client(handle.address) for _ in range(workers + max_queue + 2)]
+    fresh = Client(handle.address)
+    try:
+        for client in idle:  # one answered query each, then kept open
+            assert client.request("POST", "/query", {"sql": "SELECT K FROM A"})[0] == 200
+        status, body = fresh.request("POST", "/query", {"sql": "SELECT K FROM A"})
+        assert status == 200 and body["rowcount"] == BASE
+        _, stats = fresh.request("GET", "/stats")
+        assert stats["connections_open"] == len(idle) + 1
+        assert stats["rejected"] == 0 and stats["pool"]["in_flight"] == 0
+        assert obs_metrics.SERVE_OPEN_CONNECTIONS.value() >= len(idle) + 1
+    finally:
+        for client in idle + [fresh]:
+            client.close()
+        handle.close()
+
+
+def test_slot_and_connection_accounting_under_concurrent_clients():
+    """Eight clients on two cores, three short-lived connections each:
+    every request is counted once, every slot comes back, and every
+    connection thread deregisters (a lost update breaks one of the three)."""
+    clients, connections, requests = 8, 3, 5
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    gauge = obs_metrics.SERVE_OPEN_CONNECTIONS.value()
+    handle = start_in_thread(lockstep_db(), workers=2, max_queue=64)
+    statuses = []
+
+    def client_loop():
+        for _ in range(connections):
+            client = Client(handle.address)
+            try:
+                for _ in range(requests):
+                    statuses.append(client.request("POST", "/query", {"sql": UNION_SQL})[0])
+            finally:
+                client.close()
+
+    try:
+        threads = [threading.Thread(target=client_loop) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert statuses == [200] * (clients * connections * requests)
+        deadline = time.monotonic() + 10
+        while handle.server.stats()["connections_open"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stats = handle.server.stats()
+        assert stats["connections_open"] == 0
+        assert stats["connections"] == clients * connections
+        assert stats["queries"] == stats["pool"]["completed"] == len(statuses)
+        assert stats["pool"]["in_flight"] == 0
+        assert obs_metrics.SERVE_OPEN_CONNECTIONS.value() == gauge
+    finally:
+        sys.setswitchinterval(switch)
+        handle.close()
+
+
+def park_evaluations(monkeypatch):
+    """Make every served evaluation wait on ``release`` once it holds its
+    slot; ``parked`` is set when one does."""
+    parked, release = threading.Event(), threading.Event()
+    render = serve_server.relation_to_json
+
+    def parking(rel):
+        parked.set()
+        release.wait(10)
+        return render(rel)
+
+    monkeypatch.setattr(serve_server, "relation_to_json", parking)
+    return parked, release
+
+
+def test_health_answers_while_an_evaluation_is_parked(monkeypatch):
+    handle = start_in_thread(lockstep_db(), workers=1)
+    parked, release = park_evaluations(monkeypatch)
+    answers = []
+
+    def query():
+        client = Client(handle.address)
+        try:
+            answers.append(client.request("POST", "/query", {"sql": "SELECT K FROM A"}))
+        finally:
+            client.close()
+
+    busy = threading.Thread(target=query)
+    busy.start()
+    client = Client(handle.address)
+    try:
+        assert parked.wait(10)
+        status, health = client.request("GET", "/health")
+        assert status == 200 and health["status"] == "ok"
+        _, stats = client.request("GET", "/stats")
+        assert stats["pool"]["in_flight"] == 1
+    finally:
+        release.set()
+        busy.join(10)
+        client.close()
+        handle.close()
+    assert answers[0][0] == 200 and answers[0][1]["rowcount"] == BASE
+
+
+def test_close_drops_idle_connections_and_drains_in_flight_requests(monkeypatch):
+    handle = start_in_thread(lockstep_db(), drain_timeout=5.0)
+    parked, release = park_evaluations(monkeypatch)
+    idle = Client(handle.address)
+    answers = []
+
+    def query():
+        client = Client(handle.address)
+        try:
+            answers.append(client.request("POST", "/query", {"sql": "SELECT K FROM A"}))
+        finally:
+            client.close()
+
+    busy = threading.Thread(target=query)
+    try:
+        assert idle.request("GET", "/health")[0] == 200  # now an idle keep-alive
+        busy.start()
+        assert parked.wait(10)
+        threading.Timer(0.2, release.set).start()
+        t0 = time.monotonic()
+        handle.close()
+        assert time.monotonic() - t0 < 4.0  # returned once drained
+        busy.join(10)
+        status, body = answers[0]
+        assert status == 200 and body["rowcount"] == BASE  # finished, not dropped
+        with pytest.raises((http.client.HTTPException, OSError)):
+            idle.request("GET", "/health")  # the server closed it
+        assert handle.server.stats()["connections_open"] == 0
+    finally:
+        release.set()
+        idle.close()
 
 
 def test_stats_reports_per_tier_execution_counts(server):

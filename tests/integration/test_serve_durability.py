@@ -27,6 +27,11 @@ from repro.semirings import NAT
 from repro.serve import WorkerPool, start_in_thread
 from repro.wal import DurabilityManager
 
+#: An exception escaping a connection thread fails the test, not a log line.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 @pytest.fixture(autouse=True)
 def _reset_counters():

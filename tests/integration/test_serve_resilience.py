@@ -10,7 +10,6 @@ graceful: the worker pool drains in-flight queries inside the configured
 grace period instead of dropping them mid-request.
 """
 
-import asyncio
 import http.client
 import json
 import threading
@@ -23,6 +22,11 @@ from repro.core import KDatabase, KRelation
 from repro.plan import parallel
 from repro.semirings import NAT, NX
 from repro.serve import WorkerPool, start_in_thread
+
+#: An exception escaping a connection thread fails the test, not a log line.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 SQL = "SELECT g, SUM(v) FROM R GROUP BY g"
 
@@ -258,46 +262,52 @@ def test_stats_exposes_the_full_resilience_ledger(server):
 
 
 def test_shutdown_drains_in_flight_work_within_grace():
-    async def scenario():
-        pool = WorkerPool(workers=2)
-        release = threading.Event()
-        started = threading.Event()
+    pool = WorkerPool(workers=2)
+    release = threading.Event()
+    started = threading.Event()
+    results = []
 
-        def slow():
+    def slow():
+        with pool.admit():
             started.set()
             release.wait(5)
-            return "done"
+            results.append("done")
 
-        task = asyncio.ensure_future(pool.run(slow))
-        await asyncio.sleep(0.05)
-        assert started.wait(1) and pool.in_flight() == 1
+    task = threading.Thread(target=slow)
+    task.start()
+    assert started.wait(1) and pool.in_flight() == 1
 
-        # release shortly after shutdown begins: the drain must wait for
-        # the in-flight query instead of cancelling it
-        threading.Timer(0.1, release.set).start()
-        t0 = time.monotonic()
-        pool.shutdown(drain_timeout=5.0)
-        assert time.monotonic() - t0 < 4.0  # returned on idle, not timeout
-        assert await task == "done"
-        assert pool.in_flight() == 0
-        assert pool.stats()["completed"] == 1
-
-    asyncio.run(scenario())
+    # release shortly after shutdown begins: the drain must wait for
+    # the in-flight query instead of cancelling it
+    threading.Timer(0.1, release.set).start()
+    t0 = time.monotonic()
+    pool.shutdown(drain_timeout=5.0)
+    assert time.monotonic() - t0 < 4.0  # returned on idle, not timeout
+    task.join(5)
+    assert results == ["done"]
+    assert pool.in_flight() == 0
+    assert pool.stats()["completed"] == 1
 
 
 def test_shutdown_grace_period_is_bounded():
-    async def scenario():
-        pool = WorkerPool(workers=1)
-        release = threading.Event()
-        task = asyncio.ensure_future(pool.run(release.wait, 10))
-        await asyncio.sleep(0.05)
-        t0 = time.monotonic()
-        pool.shutdown(drain_timeout=0.2)  # the blocker ignores the grace
-        assert 0.15 <= time.monotonic() - t0 < 2.0
-        release.set()
-        await task  # the already-running callable still finishes
+    pool = WorkerPool(workers=1)
+    release = threading.Event()
+    admitted = threading.Event()
 
-    asyncio.run(scenario())
+    def blocker():
+        with pool.admit():
+            admitted.set()
+            release.wait(10)
+
+    task = threading.Thread(target=blocker)
+    task.start()
+    assert admitted.wait(1)
+    t0 = time.monotonic()
+    pool.shutdown(drain_timeout=0.2)  # the blocker ignores the grace
+    assert 0.15 <= time.monotonic() - t0 < 2.0
+    release.set()
+    task.join(5)  # the already-running callable still finishes
+    assert not task.is_alive()
 
 
 def test_stats_counts_in_flight(server):
