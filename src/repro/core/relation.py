@@ -10,7 +10,8 @@ annotations and those tensor values (the ``h_Rel`` of Section 3.2).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from repro.core.schema import Schema
@@ -51,6 +52,7 @@ RowSpec = Union[Tuple[Any, ...], list]
 _OVERLAY_SHARE = 1 / 16
 
 _MISSING = object()
+_TUP_ATTRS = attrgetter("_attrs")
 _FLATTEN_ON_READ = RELATION_FLATTENS.labels("read")
 _FLATTEN_ON_OVERLAY = RELATION_FLATTENS.labels("overlay")
 
@@ -64,11 +66,17 @@ def merged_rows(
     against it; a caller that built the tuples *from* the schema (the
     batch ⇄ relation boundary, over ``Tup._from_sorted``) passes none.
     """
-    attrs = None if schema is None else _canonical_attrs(tuple(schema.attributes))
-    data: Dict[Tup, Any] = {}
+    items = items if isinstance(items, list) else list(items)
+    data: Dict[Tup, Any] = dict(items)
+    if schema is not None:
+        attrs = _canonical_attrs(tuple(schema.attributes))
+        if set(map(_TUP_ATTRS, data)) - {attrs}:
+            bad = next(t for t in data if t._attrs != attrs)
+            raise SchemaError(f"tuple {bad} does not match schema {schema}")
+    if len(data) == len(items):
+        return _without_zeros(semiring, data)
+    data = {}
     for tup, annotation in items:
-        if attrs is not None and tup._attrs != attrs:
-            raise SchemaError(f"tuple {tup} does not match schema {schema}")
         if tup in data:
             # k-way collisions accumulate for one n-ary sum_many below
             bucket = data[tup]
@@ -81,6 +89,20 @@ def merged_rows(
     sum_many, is_zero = semiring.sum_many, semiring.is_zero
     merged = ((t, sum_many(b) if type(b) is list else b) for t, b in data.items())
     return {t: k for t, k in merged if not is_zero(k)}
+
+
+def _without_zeros(semiring: Semiring, data: Dict[Tup, Any]) -> Dict[Tup, Any]:
+    """``data`` (duplicate-free) without its ``0_K`` rows: itself when it
+    has none, found by one containment test where ``is_zero`` is the
+    base class's equality with ``0_K``."""
+    is_zero = semiring.is_zero
+    if type(semiring).is_zero is Semiring.is_zero:
+        found = semiring.zero in data.values()
+    else:
+        found = any(map(is_zero, data.values()))
+    if found:
+        return {t: k for t, k in data.items() if not is_zero(k)}
+    return data
 
 
 class KRelation:
@@ -245,22 +267,38 @@ class KRelation:
         attributes: Iterable[str],
         rows: Iterable[Tuple[RowSpec, Any]],
     ) -> "KRelation":
-        """Build from positional rows: ``[((v1, v2, ...), annotation), ...]``."""
+        """Build from positional rows: ``[((v1, v2, ...), annotation), ...]``.
+
+        Column passes, not a per-row loop: the rows split into values and
+        annotations, every length is checked at once, the tuples are
+        built by one ``map``, and a duplicate-free batch becomes its row
+        map in one ``dict`` call (:func:`merged_rows` merges the rest).
+        """
         schema = Schema(attributes)
         arity = len(schema)
         attrs = tuple(sorted(schema.attributes))
         place = [schema.attributes.index(a) for a in attrs]
-        # tuple() is the identity on a value tuple already in sorted order
+        rows = rows if isinstance(rows, list) else list(rows)
+        values, annotations = zip(*rows) if rows else ((), ())
+        try:
+            lengths = set(map(len, values))
+        except TypeError:  # a row given as an iterable without a length
+            values = list(map(tuple, values))
+            lengths = set(map(len, values))
+        if lengths - {arity}:
+            bad = next(v for v in values if len(v) != arity)
+            raise SchemaError(
+                f"{len(bad)} values supplied for schema {schema} of arity {arity}"
+            )
+        # itemgetter builds the sorted-order tuple straight from a list row
         permute = tuple if place == sorted(place) else itemgetter(*place)
-        pairs = []
-        for values, annotation in rows:
-            values = tuple(values)
-            if len(values) != arity:
-                raise SchemaError(
-                    f"{len(values)} values supplied for schema {schema} of arity {arity}"
-                )
-            pairs.append((Tup._from_sorted(attrs, permute(values)), annotation))
-        return cls._from_clean(semiring, schema, merged_rows(semiring, pairs))
+        tups = list(map(Tup._from_sorted, repeat(attrs), map(permute, values)))
+        data = dict(zip(tups, annotations))
+        if len(data) < len(tups):
+            data = merged_rows(semiring, list(zip(tups, annotations)))
+        else:
+            data = _without_zeros(semiring, data)
+        return cls._from_clean(semiring, schema, data)
 
     @classmethod
     def empty(cls, semiring: Semiring, attributes: Iterable[str]) -> "KRelation":

@@ -7,6 +7,15 @@ structures with explicit semiring/monoid names resolved through
 registries; symbolic structures (polynomials with delta-terms) are
 supported, equality/comparison atoms are not (they reference live tensor
 spaces; resolve them before persisting, as a production system would).
+
+A relation is stored as one record, one list per attribute, in storage
+order — ``{"semiring", "schema", "columns": [[...], ...], "annotations":
+[...]}`` — written and read by whole-column passes and rebuilt by one
+:meth:`KRelation.from_rows`.  WAL records and checkpoints
+(:mod:`repro.wal`) and :func:`dumps` all hold it; :func:`record_rows`
+also reads the row layout earlier versions wrote (``"rows": [{"values",
+"annotation"}, ...]``), and :func:`database_fingerprint` digests that
+layout in support order, so a digest an earlier version took still matches.
 """
 
 from __future__ import annotations
@@ -16,12 +25,11 @@ import json
 import math
 import os
 import tempfile
+from operator import attrgetter
 from typing import Any, Dict
 
 from repro.core.relation import KRelation
 from repro.core.database import KDatabase
-from repro.core.schema import Schema
-from repro.core.tuples import Tup
 from repro.exceptions import ReproError, SnapshotCorrupt
 from repro.monoids.base import CommutativeMonoid
 from repro.monoids.boolmonoid import ALL, BHAT
@@ -49,6 +57,7 @@ __all__ = [
     "tensor_from_jsonable",
     "relation_to_jsonable",
     "relation_from_jsonable",
+    "record_rows",
     "database_to_jsonable",
     "database_from_jsonable",
     "view_state_to_jsonable",
@@ -247,52 +256,113 @@ def _value_from_jsonable(data: Any) -> Any:
 
 
 #: Values JSON emits verbatim — exact ``type`` membership, not
-#: ``isinstance``, so the fast row path below never misroutes a subclass.
+#: ``isinstance``, so a column of them is passed through without a
+#: per-value check.
 _PLAIN_VALUE_TYPES = frozenset([str, int, float, bool, type(None)])
+_TUP_VALUES = attrgetter("_values")
+
+#: Annotation types each semiring stores verbatim in a record (the
+#: types :func:`annotation_to_jsonable` and
+#: :func:`annotation_from_jsonable` return unchanged).
+_VERBATIM_ANNOTATIONS = {
+    BOOL: frozenset([bool]),
+    NAT: frozenset([int]),
+    INT: frozenset([int]),
+    TROPICAL: frozenset([float]),
+    FUZZY: frozenset([float]),
+}
 
 
-def relation_to_jsonable(rel: KRelation, *, sort_rows: bool = True) -> Any:
-    """Encode a whole K-relation (schema, rows, annotations).
+def _column_to_jsonable(column) -> list:
+    if set(map(type, column)) <= _PLAIN_VALUE_TYPES:
+        return list(column)
+    return [_value_to_jsonable(v) for v in column]
 
-    ``sort_rows=False`` skips the canonical support ordering and emits
-    rows in storage order — decode is order-insensitive (duplicate rows
-    merge with ``+_K``), but fingerprints are not, so only hot paths
-    that never compare encodings byte-for-byte (the WAL append path:
-    the benchmark's ``wal.update_ms`` against ``core.db_update_ms``)
-    should pass it.
+
+def _column_from_jsonable(column) -> list:
+    if dict not in set(map(type, column)):
+        return column
+    return [_value_from_jsonable(v) for v in column]
+
+
+def _annotations_to_jsonable(semiring: Semiring, annotations) -> list:
+    annotations = list(annotations)
+    verbatim = _VERBATIM_ANNOTATIONS.get(semiring, frozenset())
+    if set(map(type, annotations)) <= verbatim and not (
+        float in verbatim and any(map(math.isinf, annotations))
+    ):
+        return annotations
+    return [annotation_to_jsonable(semiring, k) for k in annotations]
+
+
+def _annotations_from_jsonable(semiring: Semiring, data: list) -> list:
+    if set(map(type, data)) <= _VERBATIM_ANNOTATIONS.get(semiring, frozenset()):
+        return data
+    return [annotation_from_jsonable(semiring, k) for k in data]
+
+
+def relation_to_jsonable(rel: KRelation) -> Any:
+    """Encode a whole K-relation as one record, one list per attribute::
+
+        {"semiring": "N", "schema": ["A", "B"],
+         "columns": [[a1, a2, ...], [b1, b2, ...]], "annotations": [k1, k2, ...]}
+
+    Rows are in storage order (:meth:`KRelation.rows`): decoding is
+    order-insensitive, since duplicate rows merge with ``+_K``.  A column
+    of plain values, and an annotation list a semiring stores verbatim
+    (``N``, ``Z``, ``B``, tropical), are copied without a per-value step.
     """
     semiring = rel.semiring
     if semiring.name not in SEMIRING_REGISTRY:
         raise SerializationError(f"unregistered semiring {semiring.name}")
     attrs = rel.schema.attributes
-    rows = []
-    for t, k in (rel._rows.items() if not sort_rows else rel.items()):
-        # Tup stores values keyed by its sorted attribute names; when the
-        # schema order coincides, the stored tuple is already the row and
-        # the per-attribute lookups (a linear scan each) can be skipped
-        if t._attrs == attrs:
-            values = [
-                v if type(v) in _PLAIN_VALUE_TYPES else _value_to_jsonable(v)
-                for v in t._values
-            ]
-        else:
-            values = [_value_to_jsonable(t[a]) for a in attrs]
-        rows.append(
-            {"values": values, "annotation": annotation_to_jsonable(semiring, k)}
+    rows = rel._rows
+    # a Tup stores its values in sorted-attribute order
+    stored = list(zip(*map(_TUP_VALUES, rows))) if rows else [()] * len(attrs)
+    place = {a: i for i, a in enumerate(sorted(attrs))}
+    return {
+        "semiring": semiring.name,
+        "schema": list(attrs),
+        "columns": [_column_to_jsonable(stored[place[a]]) for a in attrs],
+        "annotations": _annotations_to_jsonable(semiring, rows.values()),
+    }
+
+
+def record_rows(data: Any):
+    """The ``(values, annotation)`` rows of a stored relation record.
+
+    Reads the column record :func:`relation_to_jsonable` writes and the
+    row layout earlier versions wrote (``"rows": [{"values": [...],
+    "annotation": k}, ...]``), which data directories and ``dumps``
+    payloads may still hold.
+    """
+    semiring = SEMIRING_REGISTRY[data["semiring"]]
+    if "columns" not in data:
+        return [
+            (
+                [_value_from_jsonable(v) for v in row["values"]],
+                annotation_from_jsonable(semiring, row["annotation"]),
+            )
+            for row in data["rows"]
+        ]
+    columns = list(map(_column_from_jsonable, data["columns"]))
+    annotations = _annotations_from_jsonable(semiring, data["annotations"])
+    if len(columns) != len(data["schema"]) or any(
+        len(c) != len(annotations) for c in columns
+    ):
+        raise SerializationError(
+            f"record of {len(data['schema'])} attributes holds "
+            f"{len(columns)} columns of lengths {sorted(set(map(len, columns)))} "
+            f"for {len(annotations)} annotations"
         )
-    return {"semiring": semiring.name, "schema": list(attrs), "rows": rows}
+    values = zip(*columns) if columns else [()] * len(annotations)
+    return list(zip(values, annotations))
 
 
 def relation_from_jsonable(data: Any) -> KRelation:
-    """Decode a K-relation."""
+    """Decode a K-relation record (either layout, see :func:`record_rows`)."""
     semiring = SEMIRING_REGISTRY[data["semiring"]]
-    schema = Schema(data["schema"])
-    pairs = []
-    for row in data["rows"]:
-        values = [_value_from_jsonable(v) for v in row["values"]]
-        annotation = annotation_from_jsonable(semiring, row["annotation"])
-        pairs.append((Tup.from_values(schema, values), annotation))
-    return KRelation(semiring, schema, pairs)
+    return KRelation.from_rows(semiring, data["schema"], record_rows(data))
 
 
 def database_to_jsonable(db: KDatabase) -> Any:
@@ -320,17 +390,38 @@ def database_from_jsonable(data: Any) -> KDatabase:
 def database_fingerprint(db: KDatabase) -> str:
     """A process-stable digest of a database's full contents.
 
-    SHA-256 over the canonical JSON encoding (sorted names, sorted
-    support), so equal contents fingerprint equally across processes —
-    unlike Python ``hash()``, which is randomised per run.  Used to pin a
-    view snapshot to the exact database state it was taken against.
+    SHA-256 over a canonical JSON encoding (sorted names, each relation's
+    rows in support order, in the row layout :func:`record_rows` still
+    reads), so equal contents fingerprint equally across processes —
+    unlike Python ``hash()``, which is randomised per run — and a view
+    snapshot taken before relations were stored by column still matches.
+    Used to pin a view snapshot to the exact database state it was taken
+    against.
     """
-    import hashlib
-
-    payload = json.dumps(
-        {name: relation_to_jsonable(rel) for name, rel in db}, sort_keys=True
-    )
+    payload = json.dumps({name: _support_rows(rel) for name, rel in db}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _support_rows(rel: KRelation) -> Any:
+    semiring = rel.semiring
+    if semiring.name not in SEMIRING_REGISTRY:
+        raise SerializationError(f"unregistered semiring {semiring.name}")
+    attrs = rel.schema.attributes
+    rows = []
+    for t, k in rel.items():
+        # when the schema order is the sorted order a Tup stores, its
+        # values are the row and the per-attribute lookups are skipped
+        if t._attrs == attrs:
+            values = [
+                v if type(v) in _PLAIN_VALUE_TYPES else _value_to_jsonable(v)
+                for v in t._values
+            ]
+        else:
+            values = [_value_to_jsonable(t[a]) for a in attrs]
+        rows.append(
+            {"values": values, "annotation": annotation_to_jsonable(semiring, k)}
+        )
+    return {"semiring": semiring.name, "schema": list(attrs), "rows": rows}
 
 
 def view_state_to_jsonable(view: Any) -> Any:

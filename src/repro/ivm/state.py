@@ -24,7 +24,9 @@ kind          key              aggregated attributes               emitted row
 A core delta folds through :func:`repro.plan.physical.fold_groups` — the
 planner's own object-tier grouping — and each key's contribution is added
 into the state by ``TensorSpace.add`` / semiring ``+``; only the keys the
-delta touched (the *dirty groups*) are re-emitted.  A key whose total and
+delta touched (the *dirty groups*) are re-emitted.  A view's initial
+core batch, when the encoded tier produced it over machine scalars, folds
+on the planner's encoded grouping kernel instead (:meth:`HeadState.absorb`).  A key whose total and
 tensors all cancel (``Z``-annotated deletions) leaves the state, as the
 :class:`KRelation` constructor would drop it; the ``()`` key of a
 whole-relation head never leaves.  Deletions in ``N[X]`` views zero
@@ -39,8 +41,20 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.tuples import Tup
 from repro.monoids.counting import AVG
 from repro.plan.columnar import ColumnarKRelation
+from repro.plan.encoded import (
+    EncodedBatch,
+    EncodedColumn,
+    EncodedFallback,
+    check_reduction_bound,
+    combine_codes,
+    consolidate_keys,
+)
+from repro.plan.kernels import np
 from repro.plan.physical import (
+    _encoded_guard_plain,
     _require_plain_columns,
+    _set_agg_by_code,
+    count_tensors,
     fold_groups,
     validate_monoid_column,
 )
@@ -119,22 +133,26 @@ class HeadState:
             )
             self._reemit((), group)
 
-    def absorb(self, batch: ColumnarKRelation) -> int:
-        """Patch state with a core-delta batch; returns the dirty-key count."""
-        if self.kind == "group":
-            _require_plain_columns(batch, self.key_attrs, "GROUP BY")
-        specs = {}
-        for attr, space in self.spaces.items():
-            monoid = space.monoid
-            if attr == self.count_attr:
-                values = [1] * len(batch)
-            elif self.kind == "avg":
-                values = list(map(AVG.lift, batch.column(attr)))
-            else:
-                values = batch.column(attr)
-                validate_monoid_column(values, monoid, attr)
-            specs[attr] = (monoid, values)
-        keys, totals, tensors = fold_groups(batch, self.key_attrs, specs)
+    def absorb(self, batch: "ColumnarKRelation | EncodedBatch") -> int:
+        """Patch state with a core-delta batch; returns the dirty-key count.
+
+        An encoded batch whose annotations are machine scalars
+        (:attr:`~repro.semirings.base.MachineRepr.portable`) folds on the
+        encoded kernel (:meth:`_fold_encoded`); any other batch, or one
+        that kernel declines, folds through :func:`fold_groups`.
+        """
+        folded = None
+        if isinstance(batch, EncodedBatch):
+            if batch.machine.portable and len(batch):
+                try:
+                    folded = self._fold_encoded(batch)
+                except EncodedFallback:
+                    pass
+            if folded is None:
+                batch = batch.to_columnar()
+        if folded is None:
+            folded = self._fold_objects(batch)
+        keys, totals, tensors = folded
 
         single = len(self.key_attrs) == 1
         plus, spaces = self.semiring.plus, self.spaces
@@ -152,6 +170,69 @@ class HeadState:
                 group.total = plus(group.total, totals[i])
             self._reemit(key, group)
         return len(keys)
+
+    def _fold_objects(self, batch: ColumnarKRelation):
+        """``(keys, totals, tensors)`` of a boxed batch, by :func:`fold_groups`."""
+        if self.kind == "group":
+            _require_plain_columns(batch, self.key_attrs, "GROUP BY")
+        specs = {}
+        for attr, space in self.spaces.items():
+            monoid = space.monoid
+            if attr == self.count_attr:
+                values = [1] * len(batch)
+            elif self.kind == "avg":
+                values = list(map(AVG.lift, batch.column(attr)))
+            else:
+                values = batch.column(attr)
+                validate_monoid_column(values, monoid, attr)
+            specs[attr] = (monoid, values)
+        return fold_groups(batch, self.key_attrs, specs)
+
+    def _fold_encoded(self, batch: EncodedBatch):
+        """``(keys, totals, tensors)`` of a non-empty encoded batch, in the
+        shape :func:`fold_groups` returns (groups in key-code order).
+
+        The key columns' codes combine into one group key per row; each
+        aggregated column folds by :func:`_set_agg_by_code`, the kernel
+        :meth:`GroupedAggregate.encoded_group_states` runs, and a head
+        without one reduces the annotations on the group key.  COUNT(*)
+        is the raw totals (:func:`count_tensors`, footnote 6).  Raises
+        :class:`EncodedFallback` where the kernel cannot be exact; the
+        object fold then also raises the guards' errors.
+        """
+        if self.kind == "group":
+            _encoded_guard_plain(batch, self.key_attrs)
+        bound = check_reduction_bound(batch, len(batch))
+        gcols = [batch.col(attr) for attr in self.key_attrs]
+        if gcols:
+            gkeys, groups = combine_codes(gcols)
+        else:
+            gkeys, groups = np.zeros(len(batch), dtype=np.int64), 1
+        rep = totals = None
+        tensors = {}
+        for attr, space in self.spaces.items():
+            if attr == self.count_attr:
+                continue
+            col = batch.col(attr)
+            if self.kind == "avg":
+                lifted = list(map(AVG.lift, col.values))
+                col = EncodedColumn(col.codes, lifted, dict(zip(lifted, range(len(lifted)))))
+            elif not all(map(space.monoid.contains, col.values)):
+                raise EncodedFallback(f"foreign value in column {attr!r}")
+            rep, totals, tensors[attr], _why = _set_agg_by_code(
+                space, col, gkeys, groups, batch, bound
+            )
+        if rep is None:
+            rep, sums = consolidate_keys(batch, gkeys, groups, batch.anns)
+            totals = batch.machine.decode(sums)
+        if self.count_attr is not None:
+            tensors[self.count_attr] = count_tensors(self.semiring, totals)
+        columns = [list(map(col.values.__getitem__, col.codes[rep].tolist())) for col in gcols]
+        if len(columns) == 1:
+            keys = columns[0]
+        else:
+            keys = list(zip(*columns)) if columns else [()] * len(totals)
+        return keys, totals, tensors
 
     def _reemit(self, key: Any, group: _Group) -> None:
         """Re-derive one dirty key's output row (or retire it)."""

@@ -274,7 +274,9 @@ class MaterializedView:
 
         The shared body behind initial creation and :meth:`refresh`, where
         the catalog may have moved under the view: the core must still
-        compile to the recorded schema.
+        compile to the recorded schema.  The core's batch is absorbed as
+        the tier left it, so an encoded core folds on the encoded kernel
+        without being decoded row by row.
         """
         exec_db = self._exec_db()
         if self._core.schema({n: rel.schema for n, rel in exec_db}) != self.core_schema:
@@ -282,7 +284,7 @@ class MaterializedView:
                 f"view core {self._core} no longer compiles to schema "
                 f"{self.core_schema}; recreate the view"
             )
-        initial = compile_plan(self._core, exec_db).execute_batch(exec_db)
+        initial = compile_plan(self._core, exec_db).execute_raw(exec_db)
         if len(initial):
             self._head.absorb(initial)
 

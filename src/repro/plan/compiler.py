@@ -140,7 +140,7 @@ class PhysicalPlan:
         ``plan.materialise`` span (``rows_in``, ``rows_out`` and ``merge``,
         see :func:`_materialise`) beside ``plan.execute``.
         """
-        batch = self._execute_root(db, None, deadline)
+        batch = self.execute_raw(db, None, deadline)
         if not _trace._ACTIVE:
             return _materialise(batch)[0]
         with _trace.span("plan.materialise", rows_in=len(batch)) as span:
@@ -175,14 +175,17 @@ class PhysicalPlan:
         attribute is the same string ``explain()`` prints as
         ``[last run: ...]``; operator and morsel spans nest beneath it.
         """
-        result = self._execute_root(db, tier, deadline)
+        result = self.execute_raw(db, tier, deadline)
         if isinstance(result, EncodedBatch):
             result = result.to_columnar()
         return result
 
-    def _execute_root(self, db, tier, deadline):
-        """The root operator's batch, encoded or not, traced as
-        ``plan.execute``."""
+    def execute_raw(self, db=None, tier=None, deadline=None):
+        """The root operator's batch as the tier left it — an
+        :class:`~repro.plan.encoded.EncodedBatch` when the encoded tier
+        ran — traced as ``plan.execute``.  :meth:`execute` merges it into
+        a relation and :meth:`execute_batch` decodes it; a view's initial
+        fold (:meth:`repro.ivm.state.HeadState.absorb`) reads it encoded."""
         if not _trace._ACTIVE:
             return self._execute_batch_impl(db, tier=tier, deadline=deadline)
         with _trace.span("plan.execute",

@@ -1235,6 +1235,15 @@ def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...], specs):
     return list(buckets), totals, tensors
 
 
+def count_tensors(semiring, totals: List[Any]) -> List[Tensor]:
+    """COUNT(*) of groups with raw annotation totals ``totals``: SUM over
+    the constant 1 (footnote 6) is the simple tensor ``t ⊗ 1``, whose
+    normal form over ``N`` is ``ι(t)``."""
+    space = tensor_space(semiring, SUM)
+    count = space._of if semiring.is_naturals else (lambda t: space.simple(t, 1))
+    return list(map(count, totals))
+
+
 class GroupedAggregate(PhysicalOp):
     """GB_{U',U''} (Definition 3.7) executed directly over columns.
 
@@ -1379,10 +1388,7 @@ class GroupedAggregate(PhysicalOp):
             columns[attr] = [row[i] for row in group_rows]
         columns.update(tensors)
         if self.count_attr is not None:
-            # the simple tensor t ⊗ 1, whose normal form over N is ι(t)
-            space = tensor_space(semiring, SUM)
-            count = space._of if semiring.is_naturals else (lambda t: space.simple(t, 1))
-            columns[self.count_attr] = list(map(count, totals_list))
+            columns[self.count_attr] = count_tensors(semiring, totals_list)
         delta = semiring.delta
         annotations = [delta(t) for t in totals_list]
         return ColumnarKRelation._from_clean(

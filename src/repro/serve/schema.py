@@ -17,7 +17,8 @@ tensors) are rendered with ``str()`` on output; they are display-only.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, ne
 from typing import Any, Dict, List, Mapping
 
 from repro.core.database import KDatabase
@@ -117,23 +118,66 @@ def _decode_annotation(semiring: Semiring, raw: Any):
     )
 
 
-def relation_from_json(semiring: Semiring, payload: Any, context: str) -> KRelation:
-    """Build a :class:`KRelation` from the wire format."""
-    if not isinstance(payload, Mapping):
-        raise BadRequest(f"{context}: relation must be a JSON object")
-    columns = _require(payload, "columns", list, context)
-    if not columns or not all(isinstance(c, str) for c in columns):
-        raise BadRequest(f"{context}: 'columns' must be a non-empty string list")
-    rows_payload = _require(payload, "rows", list, context)
-    rows = []
-    for i, row in enumerate(rows_payload):
+def _rows_in_bulk(semiring: Semiring, rows: List[Any], arity: int):
+    """The ``(values, annotation)`` pairs of well-formed wire rows, checked
+    by whole-payload passes, or ``None`` if any check fails.
+
+    Each pass runs over every row at once (a type set, a length set, a
+    ``v != v`` NaN scan where a float occurs) and each distinct
+    annotation decodes once, so a well-formed payload pays no per-row
+    check before :meth:`KRelation.from_rows`.  The passes reject
+    everything the per-row checks of :func:`_rows_one_by_one` reject
+    (and, being exact-type tests, a few payloads those accept); the
+    caller re-runs those on ``None``, which names the first bad row or
+    accepts the payload.
+    """
+    if not rows:
+        return []
+    if set(map(type, rows)) != {dict}:
+        return None
+    try:
+        values = list(map(itemgetter("values"), rows))
+    except KeyError:
+        return None
+    if set(map(type, values)) != {list} or set(map(len, values)) != {arity}:
+        return None
+    flat = chain.from_iterable
+    kinds = set(map(type, flat(values)))
+    if not kinds <= _JSON_SCALAR_TYPES:
+        return None
+    # NaN is the one JSON scalar unequal to itself
+    if float in kinds and any(map(ne, flat(values), flat(values))):
+        return None
+    raws = [row.get("annotation", 1) for row in rows]
+    kinds = set(map(type, raws))
+    if float in kinds and any(map(ne, raws, raws)):
+        return None
+    try:
+        if len(kinds) == 1 and kinds <= _JSON_SCALAR_TYPES:
+            # decoded per distinct value (one type, so 1, 1.0 and True
+            # never share an entry); most semirings keep the raw value
+            decoded = {raw: _decode_annotation(semiring, raw) for raw in set(raws)}
+            if any(k is not raw for raw, k in decoded.items()):
+                raws = list(map(decoded.__getitem__, raws))
+        else:
+            raws = [_decode_annotation(semiring, raw) for raw in raws]
+    except BadRequest:
+        return None
+    return zip(values, raws)
+
+
+def _rows_one_by_one(semiring: Semiring, rows: List[Any], arity: int, context: str):
+    """The per-row checks: raise :class:`BadRequest` naming the first bad
+    row, or return the ``(values, annotation)`` pairs."""
+    pairs = []
+    for i, row in enumerate(rows):
         if not isinstance(row, Mapping):
             raise BadRequest(f"{context}: row {i} must be an object")
         values = _require(row, "values", list, f"{context} row {i}")
-        if len(values) != len(columns):
+        if len(values) != arity:
             raise BadRequest(
                 f"{context}: row {i} has {len(values)} values for "
-                f"{len(columns)} columns"
+                f"{arity} columns"
             )
         raw = row.get("annotation", 1)
         for value in values:
@@ -147,8 +191,26 @@ def relation_from_json(semiring: Semiring, payload: Any, context: str) -> KRelat
                 raise BadRequest(f"{context}: row {i} has a NaN value")
         if raw != raw:
             raise BadRequest(f"{context}: row {i} has a NaN annotation")
-        annotation = _decode_annotation(semiring, raw)
-        rows.append((tuple(values), annotation))
+        pairs.append((values, _decode_annotation(semiring, raw)))
+    return pairs
+
+
+def relation_from_json(semiring: Semiring, payload: Any, context: str) -> KRelation:
+    """Build a :class:`KRelation` from the wire format.
+
+    The rows are checked in bulk and built by one
+    :meth:`KRelation.from_rows`; only a payload the bulk passes reject is
+    walked row by row, to name its first bad row.
+    """
+    if not isinstance(payload, Mapping):
+        raise BadRequest(f"{context}: relation must be a JSON object")
+    columns = _require(payload, "columns", list, context)
+    if not columns or not all(isinstance(c, str) for c in columns):
+        raise BadRequest(f"{context}: 'columns' must be a non-empty string list")
+    rows_payload = _require(payload, "rows", list, context)
+    rows = _rows_in_bulk(semiring, rows_payload, len(columns))
+    if rows is None:
+        rows = _rows_one_by_one(semiring, rows_payload, len(columns), context)
     try:
         return KRelation.from_rows(semiring, columns, rows)
     except ReproError as exc:

@@ -29,6 +29,12 @@ and maintains the classic write-ahead discipline:
   final record (truncate and continue) while refusing mid-log damage
   with :class:`~repro.exceptions.WalCorrupt`.
 
+``add`` and ``update`` records, like checkpoints, hold each relation as
+the column record of :func:`repro.io.serialize.relation_to_jsonable`.
+Replay also reads the row layout earlier versions wrote, so a data
+directory written in it recovers, and an update run may mix both
+layouts.
+
 The manager is thread-safe: one internal mutex serialises the
 append-then-apply critical section, and the checkpoint path captures
 ``(snapshot, LSN)`` under that same mutex so the pair is always
@@ -306,9 +312,7 @@ class DurabilityManager:
                 "update",
                 {
                     "relations": {
-                        # storage order, not canonical order: replay merges
-                        # rows commutatively, and the sort is pure cost here
-                        name: relation_to_jsonable(delta, sort_rows=False)
+                        name: relation_to_jsonable(delta)
                         for name, delta in items.items()
                     }
                 },
@@ -334,8 +338,7 @@ class DurabilityManager:
         with self._mutex:
             payload = _encode_record(
                 "add",
-                {"name": name,
-                 "relation": relation_to_jsonable(relation, sort_rows=False)},
+                {"name": name, "relation": relation_to_jsonable(relation)},
             )
             lsn = self._wal.append(payload)
             self._db.add(name, relation)
@@ -570,17 +573,22 @@ def _replay(
     (they rebind names).  The benchmark's ``wal.recovery_s`` (kill -9 to
     first healthy response) is the number this keeps down.
     """
-    from repro.io.serialize import relation_from_jsonable
+    from repro.io.serialize import (
+        SEMIRING_REGISTRY,
+        record_rows,
+        relation_from_jsonable,
+    )
 
-    pending: Dict[str, Dict[str, Any]] = {}
+    #: name -> (semiring name, schema, the rows of the run's records)
+    pending: Dict[str, Tuple[str, List[str], List[Any]]] = {}
 
     def flush() -> None:
         if not pending:
             return
-        deltas = {
-            name: relation_from_jsonable(data) for name, data in pending.items()
-        }
-        db.update(deltas)
+        db.update({
+            name: KRelation.from_rows(SEMIRING_REGISTRY[semiring], schema, rows)
+            for name, (semiring, schema, rows) in pending.items()
+        })
         pending.clear()
 
     for lsn, body in records:
@@ -590,16 +598,16 @@ def _replay(
             if op == "update":
                 for name, data in record["relations"].items():
                     bucket = pending.get(name)
-                    if bucket is None or bucket["schema"] != data["schema"]:
-                        if bucket is not None:
-                            flush()
-                        pending[name] = {
-                            "semiring": data["semiring"],
-                            "schema": list(data["schema"]),
-                            "rows": list(data["rows"]),
-                        }
-                    else:
-                        bucket["rows"].extend(data["rows"])
+                    if bucket is not None and bucket[1] != data["schema"]:
+                        flush()
+                        bucket = None
+                    if bucket is None:
+                        bucket = pending[name] = (
+                            data["semiring"], list(data["schema"]), []
+                        )
+                    # either record layout (columns, or the rows earlier
+                    # versions wrote): a WAL may hold both after an upgrade
+                    bucket[2].extend(record_rows(data))
             elif op == "add":
                 flush()
                 db.add(record["name"], relation_from_jsonable(record["relation"]))

@@ -20,11 +20,22 @@ snapshot=...)``) and the restored copy carries on, so the one head-state
 shape is pinned to resume maintenance exactly for every head kind.
 Token-based deletions (``zero_tokens``) are exercised separately on the
 ``N[X]`` regime.
+
+A view's initial fold has two inputs: an encoded core batch with
+machine-scalar annotations folds on the encoded kernel, anything else
+through the object fold.  The last property builds every view twice,
+once each way, over ``N``, ``Z`` with deletions, ``B`` and tropical,
+and drives both with the same deltas.
 """
+
+from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    AttrEq,
     Aggregate,
     AvgAgg,
     CountAgg,
@@ -33,11 +44,16 @@ from repro.core import (
     KDatabase,
     KRelation,
     Project,
+    Select,
+    Table,
 )
+from repro.exceptions import ReproError
 from repro.io.serialize import dumps, loads
-from repro.ivm import MaterializedView
+from repro.ivm import MaterializedView, state
 from repro.monoids import MAX, MIN, SUM
-from repro.semirings import INT, NAT, NX
+from repro.plan.encoded import EncodedFallback
+from repro.plan.kernels import HAVE_NUMPY
+from repro.semirings import BOOL, INT, NAT, NX, TROPICAL
 
 from strategies import GROUPS, VALUES, WEIGHTS, spju
 
@@ -261,3 +277,109 @@ def test_token_zeroing_matches_deletion_propagation(rows, query, stream, data):
     )
     view.zero_tokens(*victims)
     assert view.result() == query.evaluate(db, engine="interpreted")
+
+
+# ---------------------------------------------------------------------------
+# the initial fold: encoded kernel against the object fold
+# ---------------------------------------------------------------------------
+
+
+#: The semirings whose annotations the encoded kernel folds.
+ENCODED_REGIMES = {"N": NAT, "Z": INT, "B": BOOL, "tropical": TROPICAL}
+
+
+def regime_tagger(semiring):
+    if semiring is BOOL:
+        return lambda: True
+    counter = [0]
+
+    def tag():
+        counter[0] += 1
+        weight = 1 + counter[0] % 3
+        return float(weight) if semiring is TROPICAL else weight
+    return tag
+
+
+def _decline(self, batch):
+    raise EncodedFallback("the object fold, for reference")
+
+
+def create_by_object_fold(db, query):
+    """The view as the object fold builds it (the encoded kernel declines)."""
+    with mock.patch.object(state.HeadState, "_fold_encoded", _decline):
+        return MaterializedView.create(db, query)
+
+
+def assert_same_state(view, reference):
+    """Both heads hold the same groups, raw totals and tensors."""
+    groups, expected = view._head.groups, reference._head.groups
+    assert groups.keys() == expected.keys()
+    for key, group in groups.items():
+        assert group.total == expected[key].total, key
+        assert group.tensors == expected[key].tensors, key
+    assert view.result() == reference.result()
+
+
+@settings(max_examples=80, deadline=None)
+@given(regime=st.sampled_from(sorted(ENCODED_REGIMES)), rows=initial_rows(),
+       query=spjua_query(), stream=insert_stream(), data=st.data())
+def test_encoded_initial_fold_equals_object_fold(regime, rows, query, stream, data):
+    semiring = ENCODED_REGIMES[regime]
+    tag = regime_tagger(semiring)
+    db = build_db(semiring, rows, tag)
+    twin = KDatabase(semiring, dict(iter(db)))
+    try:
+        reference = create_by_object_fold(twin, query)
+    except ReproError as exc:
+        with pytest.raises(type(exc)):
+            MaterializedView.create(db, query)
+        return
+    view = MaterializedView.create(db, query)
+    assert_same_state(view, reference)
+    assert view.result() == query.evaluate(db, engine="interpreted")
+    for batch in stream:
+        deltas = {}
+        for name, rows_in in batch.items():
+            pairs = [(r, tag()) for r in rows_in]
+            base = db[name]
+            if semiring is INT and len(base):
+                victims = data.draw(
+                    st.lists(st.sampled_from(sorted(base.support(), key=str)),
+                             max_size=2, unique=True),
+                    label=f"deletions[{name}]",
+                )
+                pairs += [(tuple(t[a] for a in SCHEMAS[name]), -base.annotation(t))
+                          for t in victims]
+            deltas[name] = KRelation.from_rows(semiring, SCHEMAS[name], pairs)
+        view.apply(deltas)
+        reference.apply(deltas)
+        assert_same_state(view, reference)
+    assert view.result() == query.evaluate(db, engine="interpreted")
+
+
+def _fold_groups_calls(db, query, annotations="expanded"):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fold_groups(*args)
+
+    fold_groups = state.fold_groups
+    with mock.patch.object(state, "fold_groups", spy):
+        MaterializedView.create(db, query, annotations=annotations)
+    return len(calls)
+
+
+def test_only_machine_scalar_views_fold_on_the_encoded_kernel():
+    """An ``N`` view's initial fold skips :func:`fold_groups` (where NumPy
+    runs the encoded tier); ``N[X]`` and circuit views still take it."""
+    rows = {"R": [("g1", 5), ("g2", 10), ("g1", 20)], "S": [], "T": []}
+    query = GroupBy(Select(Table("R"), [AttrEq("g", "g1")]), ["g"], {"v": SUM},
+                    count_attr="n")
+    assert _fold_groups_calls(build_db(NAT, rows, fresh_tagger(NAT)), query) == (
+        0 if HAVE_NUMPY else 1
+    )
+    assert _fold_groups_calls(build_db(NX, rows, fresh_tagger(NX)), query) == 1
+    assert _fold_groups_calls(
+        build_db(NX, rows, fresh_tagger(NX)), query, annotations="circuit"
+    ) == 1
