@@ -44,8 +44,10 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
-        """A deadline ``seconds`` from now."""
+        """A deadline ``seconds`` from now (``inf``: one that never expires)."""
         seconds = float(seconds)
+        if seconds != seconds:
+            raise ValueError("deadline budget must be a number, got nan")
         if seconds < 0:
             raise ValueError(f"deadline budget must be non-negative, got {seconds}")
         return cls(time.monotonic() + seconds, seconds)

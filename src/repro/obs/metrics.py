@@ -42,6 +42,7 @@ __all__ = [
     "ENCODED_KERNEL",
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
+    "SERVE_ANSWERS",
     "SERVE_OPEN_CONNECTIONS",
     "SERVE_REQUESTS",
     "TIER_EXECUTIONS",
@@ -481,6 +482,19 @@ SERVE_REQUESTS = REGISTRY.counter(
     ("route", "status"),
 )
 
+#: How each served /query met its snapshot's kept answers: served from
+#: them (hit), evaluated and kept (miss), or evaluated without looking
+#: (bypass: ``analyze``, or tracing on).
+SERVE_ANSWER_OUTCOMES = ("hit", "miss", "bypass")
+
+SERVE_ANSWERS = REGISTRY.counter(
+    "repro_serve_answers_total",
+    "Served /query answers by outcome: written from the snapshot's kept "
+    "answers (hit), evaluated and kept (miss), or evaluated without "
+    "reading or keeping one (bypass).",
+    ("outcome",),
+)
+
 #: Open connections to the provenance service, each served by one thread.
 SERVE_OPEN_CONNECTIONS = REGISTRY.gauge(
     "repro_serve_open_connections",
@@ -548,6 +562,8 @@ for _cause in RELATION_FLATTEN_CAUSES:
     RELATION_FLATTENS.labels(_cause)
 for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
+for _outcome in SERVE_ANSWER_OUTCOMES:
+    SERVE_ANSWERS.labels(_outcome)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one
 WAL_FSYNC_SECONDS._child(())
 for _family in (WAL_APPENDED_BYTES, WAL_REPLAYED_RECORDS, WAL_CHECKPOINTS):

@@ -5,7 +5,9 @@ one thread per connection (a request is parsed, admitted, evaluated and
 answered on the thread that read it), snapshot-isolated reads off the
 version-stamped :class:`~repro.core.database.KDatabase`, admission
 gates that cap concurrent evaluations and shed overload as 503s,
-per-connection prepared queries, incrementally maintained materialised
+per-connection prepared queries, answers kept per pinned snapshot (a
+repeated query on an unchanged version is written from the rendered
+bytes of its first answer), incrementally maintained materialised
 views, and (with ``--data-dir``) durable writes through the
 :mod:`repro.wal` write-ahead log.  Run it::
 

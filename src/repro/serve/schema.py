@@ -17,6 +17,7 @@ tensors) are rendered with ``str()`` on output; they are display-only.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from operator import itemgetter, ne
 from typing import Any, Dict, List, Mapping
@@ -72,7 +73,7 @@ def _choice(payload: Mapping[str, Any], key: str, options, default: str) -> str:
 def parse_query_request(payload: Any) -> Dict[str, Any]:
     """Validate a ``POST /query`` body into evaluation keywords.
 
-    ``timeout_ms`` (optional, positive number) becomes the request's
+    ``timeout_ms`` (optional, positive finite number) becomes the request's
     cooperative deadline; the ``x-timeout-ms`` header is the transport
     equivalent and takes precedence at the dispatch layer.
     """
@@ -82,6 +83,11 @@ def parse_query_request(payload: Any) -> Dict[str, Any]:
     if timeout_ms is not None:
         if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float)):
             raise BadRequest("query request: 'timeout_ms' must be a number")
+        # json.loads accepts NaN and Infinity: neither is a budget
+        if isinstance(timeout_ms, float) and not math.isfinite(timeout_ms):
+            raise BadRequest(
+                f"query request: 'timeout_ms' must be finite, got {timeout_ms!r}"
+            )
         if timeout_ms <= 0:
             raise BadRequest("query request: 'timeout_ms' must be positive")
     analyze = payload.get("analyze", False)

@@ -22,6 +22,17 @@ Architecture (one process, no third-party dependencies):
   :class:`~repro.core.query.Query` cache, and the query object's own
   plan cache keys on ``(database root, version)`` — so a client reusing
   a connection re-plans only when the database actually moved;
+* **answers**: a pinned snapshot never changes, so neither does a
+  query's answer on it.  Each successful ``/query`` answer is kept on
+  the snapshot it was computed on
+  (:class:`~repro.serve.snapshot.Answers`) as the rendered JSON of
+  ``{semiring, columns, rows, rowcount}``, keyed by ``(sql, mode,
+  engine, annotations)``; a repeat on the same snapshot passes the same
+  admission gates, then writes those bytes plus its own ``elapsed_ms``,
+  ``version`` and ``engine``.  ``analyze`` requests and every request
+  while tracing is on neither read nor keep answers, error answers are
+  never kept, and :data:`~repro.serve.snapshot.ANSWER_BYTES` bounds what
+  one snapshot holds;
 * **durability** (optional): mounted on a
   :class:`~repro.wal.manager.DurabilityManager`, every write is
   WAL-appended *before* the snapshot publish — the append is the
@@ -215,6 +226,8 @@ class ProvenanceServer:
         self._stats_lock = threading.Lock()
         self._counters = {"queries": 0, "updates": 0, "errors": 0,
                           "rejected": 0, "connections": 0, "timeouts": 0}
+        #: /query answers by outcome (hit, miss, bypass)
+        self._answer_outcomes = dict.fromkeys(obs_metrics.SERVE_ANSWER_OUTCOMES, 0)
         self._listener: Optional[socket.socket] = None
         self._closing = False
         #: open connection -> the thread serving it
@@ -326,11 +339,14 @@ class ProvenanceServer:
 
     def _respond(self, conn: socket.socket, status: int, payload: Any, keep: bool,
                  request_id: Optional[str] = None) -> None:
-        if isinstance(payload, PlainText):
+        if isinstance(payload, bytes):  # JSON already encoded
+            data = payload
+            content_type = "application/json"
+        elif isinstance(payload, PlainText):
             data = payload.text.encode("utf-8")
             content_type = payload.content_type
         else:
-            data = json.dumps(payload, default=str).encode("utf-8")
+            data = _dumps(payload)
             content_type = "application/json"
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
@@ -454,53 +470,74 @@ class ProvenanceServer:
                 raise BadRequest(
                     f"x-timeout-ms header must be a number, got {header_timeout!r}"
                 ) from None
+            if not math.isfinite(timeout_ms):
+                raise BadRequest(
+                    f"x-timeout-ms header must be finite, got {header_timeout!r}"
+                )
             if timeout_ms <= 0:
                 raise BadRequest("x-timeout-ms header must be positive")
         snap = self.manager.pin()  # the whole request reads this version
-        query = self._prepare(req["sql"], prepared)
+        sql = req["sql"]
+        query = self._prepare(sql, prepared)
         heavy = req["annotations"] == "circuit" or _symbolic(snap.semiring)
         analyze = req["analyze"] or obs_trace.enabled()
+        # an answer depends on the snapshot and on these; never a version
+        key = (sql, req["mode"], req["engine"], req["annotations"])
         rid = request_id or obs_trace.new_trace_id()
-        sql = req["sql"]
 
         with self.pool.admit(heavy=heavy):
-            # the collector's contextvar scope is this thread, so it
-            # covers exactly this request's evaluation
             start = time.perf_counter()
-            deadline = (
-                Deadline.after(timeout_ms / 1e3) if timeout_ms is not None else None
-            )
-            collector = (
-                obs_trace.collect("request", trace_id=rid, sql=sql, engine=req["engine"])
-                if analyze else nullcontext()
-            )
-            with collector as root:
-                result = query.evaluate(
-                    snap,
-                    mode=req["mode"],
-                    engine=req["engine"],
-                    annotations=req["annotations"],
-                    deadline=deadline,
+            body = None if analyze else snap.answers.get(key)
+            if body is None:
+                # the collector's contextvar scope is this thread, so it
+                # covers exactly this request's evaluation
+                deadline = (
+                    Deadline.after(timeout_ms / 1e3) if timeout_ms is not None else None
                 )
-            if hasattr(result, "lower"):  # CircuitResult → canonical N[X]
-                result = result.lower()
-            response = relation_to_json(result)
+                collector = (
+                    obs_trace.collect("request", trace_id=rid, sql=sql,
+                                      engine=req["engine"])
+                    if analyze else nullcontext()
+                )
+                with collector as root:
+                    result = query.evaluate(
+                        snap,
+                        mode=req["mode"],
+                        engine=req["engine"],
+                        annotations=req["annotations"],
+                        deadline=deadline,
+                    )
+                if hasattr(result, "lower"):  # CircuitResult → canonical N[X]
+                    result = result.lower()
+                response = relation_to_json(result)
             elapsed = time.perf_counter() - start
         obs_metrics.QUERY_SECONDS.observe(elapsed)
         elapsed_ms = elapsed * 1e3
-        response["elapsed_ms"] = round(elapsed_ms, 3)
         if self.slow_query_ms and elapsed_ms >= self.slow_query_ms:
             log.warning("slow query (%.1fms, trace %s): %s", elapsed_ms, rid, sql)
-        if root is not None and req["analyze"]:
-            response["analyze"] = {
-                "trace_id": root.trace_id,
-                "text": obs_trace.render(root),
-                "spans": root.to_dict(),
-            }
-        response["version"] = snap.version
-        response["engine"] = req["engine"]
         self._count("queries")
-        return 200, response
+        tail: Dict[str, Any] = {"elapsed_ms": round(elapsed_ms, 3)}
+        if analyze:
+            outcome = "bypass"
+            if req["analyze"]:
+                tail["analyze"] = {
+                    "trace_id": root.trace_id,
+                    "text": obs_trace.render(root),
+                    "spans": root.to_dict(),
+                }
+        else:
+            outcome = "miss" if body is None else "hit"
+        tail["version"] = snap.version
+        tail["engine"] = req["engine"]
+        self._count_answer(outcome)
+        if body is None:
+            # the answer's encoding without its closing brace: with the
+            # tail's encoding after it, these are the bytes json.dumps
+            # gives the whole response
+            body = _dumps(response)[:-1]
+            if not analyze:
+                snap.answers.put(key, body)
+        return 200, body + b", " + _dumps(tail)[1:]
 
     # -- write path ----------------------------------------------------------
 
@@ -638,6 +675,11 @@ class ProvenanceServer:
         with self._stats_lock:
             self._counters[key] += 1
 
+    def _count_answer(self, outcome: str) -> None:
+        obs_metrics.SERVE_ANSWERS.inc(1, outcome)
+        with self._stats_lock:
+            self._answer_outcomes[outcome] += 1
+
     def health(self) -> Dict[str, Any]:
         """Liveness + degradation: ``status`` is ``"degraded"`` while the
         write-ahead log is unwritable (reads keep serving, writes 503) —
@@ -667,6 +709,7 @@ class ProvenanceServer:
         windows in one payload proved error-prone."""
         with self._stats_lock:
             counters = dict(self._counters)
+            answers = dict(self._answer_outcomes)
         body = {
             "version": self.manager.version,
             "writes": self.manager.writes,
@@ -675,6 +718,12 @@ class ProvenanceServer:
             "connections_open": len(self._connections),
             "tiers": obs_metrics.tier_executions(),
             "resilience": obs_metrics.resilience_counters(),
+            "answers": {
+                "hits": answers["hit"],
+                "misses": answers["miss"],
+                "bypasses": answers["bypass"],
+                "bytes": self.manager.pin().answers.nbytes,
+            },
             **counters,
         }
         if self.durability is not None:
@@ -701,6 +750,10 @@ class ServerHandle:
     def close(self) -> None:
         self.server.close()
         self._thread.join(timeout=10)
+
+
+def _dumps(payload: Any) -> bytes:
+    return json.dumps(payload, default=str).encode("utf-8")
 
 
 def _symbolic(semiring) -> bool:

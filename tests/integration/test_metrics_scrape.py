@@ -114,6 +114,28 @@ def test_query_traffic_moves_the_serve_counters(server):
             >= before.get("repro_query_seconds_count", 0) + 3)
 
 
+def test_a_repeated_query_moves_the_answer_hits(server):
+    """The first ask of a query on a version evaluates (miss), each
+    repeat is written from the snapshot's kept answer (hit), and an
+    ``analyze`` request neither reads nor keeps one (bypass)."""
+
+    def outcomes():
+        samples = parse_samples(scrape(server.address)[2])
+        return {outcome: samples[f'repro_serve_answers_total{{outcome="{outcome}"}}']
+                for outcome in ("hit", "miss", "bypass")}
+
+    sql = "SELECT K, SUM(V) FROM R GROUP BY K"
+    before = outcomes()
+    for extra in ({}, {}, {}, {"analyze": True}):
+        status, _headers, body = request_with_headers(
+            server.address, "POST", "/query", json.dumps({"sql": sql, **extra}))
+        assert status == 200, body
+    after = outcomes()
+    assert after["miss"] == before["miss"] + 1
+    assert after["hit"] == before["hit"] + 2
+    assert after["bypass"] == before["bypass"] + 1
+
+
 def test_write_loop_extends_the_encoding_and_never_rebuilds(server):
     """Insert → query → view read, as the ``serve_write`` workload does:
     once the tables and the view are loaded, every acknowledged write

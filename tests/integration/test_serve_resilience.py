@@ -126,7 +126,11 @@ def test_a_circuit_query_past_its_budget_is_408_mid_plan():
     client = Client(handle.address)
     sql = "SELECT g, SUM(v) FROM R, S GROUP BY g"
     try:
-        status, body, _ = client.request("POST", "/query", {"sql": sql, "annotations": "circuit"})
+        # the warm-up compiles the plan but, being an analyze request,
+        # keeps no answer: the timed request below still evaluates
+        status, body, _ = client.request(
+            "POST", "/query", {"sql": sql, "annotations": "circuit", "analyze": True}
+        )
         assert status == 200 and body["rowcount"] == 4
         with faults.inject("latency", ms=120, times=10) as stall:
             status, body, headers = client.request(
@@ -203,6 +207,30 @@ def test_invalid_timeouts_are_400(server):
             "POST", "/query", {"sql": SQL}, headers={"x-timeout-ms": "-3"}
         )
         assert status == 400
+    finally:
+        client.close()
+
+
+def test_non_finite_timeouts_are_400_not_timeouts(server):
+    """``NaN`` and ``±Infinity`` are no budget: a typed 400, never a 408
+    with ``Retry-After``, a ``timeouts`` count or a deadline expiry."""
+    client = Client(server.address)
+    try:
+        cases = [({"timeout_ms": float(bad)}, {}, "timeout_ms")
+                 for bad in ("nan", "inf", "-inf")]
+        cases += [({}, {"x-timeout-ms": bad}, "x-timeout-ms")
+                  for bad in ("nan", "inf", "-inf", "NaN", "Infinity")]
+        for extra, headers, field in cases:
+            status, body, response_headers = client.request(
+                "POST", "/query", {"sql": SQL, **extra}, headers=headers
+            )
+            assert status == 400, (extra, headers, body)
+            assert field in body["error"] and "finite" in body["error"], body
+            assert "Retry-After" not in response_headers
+        _, stats, _ = client.request("GET", "/stats")
+        assert stats["timeouts"] == 0
+        assert stats["resilience"]["deadline_expiries"] == 0
+        assert stats["queries"] == 0
     finally:
         client.close()
 

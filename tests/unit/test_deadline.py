@@ -50,6 +50,14 @@ def test_after_rejects_negative_budgets():
         Deadline.after(-1)
 
 
+def test_after_rejects_nan_and_accepts_an_unbounded_budget():
+    with pytest.raises(ValueError, match="nan"):
+        Deadline.after(float("nan"))
+    unbounded = Deadline.after(float("inf"))
+    assert not unbounded.expired()
+    unbounded.check()
+
+
 def test_remaining_and_expired_track_the_monotonic_clock():
     d = Deadline.after(60)
     assert not d.expired()
