@@ -44,8 +44,6 @@ from repro.exceptions import QueryError, SchemaError, SemiringError
 from repro.ivm.delta import DeltaPlan, compile_delta_plan, table_refs
 from repro.ivm.snapshot import ViewSnapshot
 from repro.ivm.state import HeadState
-from repro.monoids.counting import AVG
-from repro.monoids.numeric import SUM
 from repro.obs import trace as _trace
 from repro.plan.circuit_exec import (
     CircuitResult,
@@ -148,24 +146,14 @@ class MaterializedView:
     # -- head construction --------------------------------------------------
 
     def _build_head(self) -> HeadState:
-        kind, node, semiring = self._head_kind, self.query, self._exec_semiring
-        if kind == "group":
-            monoids = dict(node.aggregations)
+        node, semiring = self.query, self._exec_semiring
+        if self._head_kind == "group":
             # schema() decided everything but the delta-semiring requirement
             check_group_by(
-                self.core_schema, node.group_attributes, monoids, node.count_attr,
-                semiring,
+                self.core_schema, node.group_attributes, node.aggregations,
+                node.count_attr, semiring,
             )
-            if node.count_attr is not None:
-                monoids[node.count_attr] = SUM
-            return HeadState(
-                kind, semiring, node.group_attributes, monoids, node.count_attr
-            )
-        if kind in ("agg", "avg", "count"):
-            monoid = node.monoid if kind == "agg" else AVG if kind == "avg" else SUM
-            count_attr = node.attribute if kind == "count" else None
-            return HeadState(kind, semiring, (), {node.attribute: monoid}, count_attr)
-        return HeadState(kind, semiring, self.core_schema.attributes, {})
+        return HeadState(node, semiring, self.core_schema)
 
     # -- maintenance --------------------------------------------------------
 

@@ -59,8 +59,6 @@ from repro.plan.columnar import ColumnarKRelation
 from repro.plan.encoded import EncodedBatch, EncodedFallback, combine_codes, why_boxed
 from repro.plan.kernels import HAVE_NUMPY, np
 from repro.plan.physical import (
-    AvgAggregate,
-    CountAggregate,
     DifferenceOp,
     DistinctStage,
     ExecutionContext,
@@ -74,7 +72,6 @@ from repro.plan.physical import (
     Scan,
     SelectStage,
     UnionAll,
-    WholeAggregate,
     _consolidate_encoded,
     _note_fold,
 )
@@ -528,25 +525,13 @@ def _compile(
         return _make_join(*inputs, "value" if left_keys else "cross",
                           left_keys, right_keys, schema)
 
-    if isinstance(query, GroupBy):
-        est = max(1, child.est_rows // 4) if child.est_rows else 0
-        return GroupedAggregate(
-            child,
-            tuple(query.group_attributes),
-            dict(query.aggregations),
-            query.count_attr,
-            schema,
-            est,
-        )
-
-    if isinstance(query, Aggregate):
-        return WholeAggregate(child, query.attribute, query.monoid, schema)
-
-    if isinstance(query, CountAgg):
-        return CountAggregate(child, query.attribute, schema)
-
-    if isinstance(query, AvgAgg):
-        return AvgAggregate(child, query.attribute, schema)
+    if isinstance(query, (GroupBy, Aggregate, CountAgg, AvgAgg)):
+        # AGG, COUNT and AVG are GB's one group over the empty key
+        if isinstance(query, GroupBy) and query.group_attributes:
+            est = max(1, child.est_rows // 4) if child.est_rows else 0
+        else:
+            est = 1
+        return GroupedAggregate(child, query, schema, est)
 
     if isinstance(query, Difference):
         left, right = inputs

@@ -22,11 +22,14 @@ Operator inventory:
                     prepared plan against the same base tables).
 ``UnionAll``        annotation-summing union; batches simply concatenate
                     (the ``+_K`` merge is deferred, see columnar.py).
-``GroupedAggregate``  GROUP BY without the interpreter's intermediate
-                    relations (the COUNT(*) column of footnote 6 is
-                    synthesised during accumulation, not materialised).
-``WholeAggregate`` / ``CountAggregate`` / ``AvgAggregate``
-                    the single-tuple aggregation forms.
+``GroupedAggregate``  every aggregation: GROUP BY without the
+                    interpreter's intermediate relations, and AGG, COUNT(*)
+                    and AVG as its one group over the empty key (Section
+                    3.2; the COUNT(*) column of footnote 6 is derived from
+                    the annotation totals, not materialised).  Its folds,
+                    one per tier, are :func:`fold_groups` and
+                    :func:`fold_encoded`, which the view heads of
+                    :mod:`repro.ivm.state` call too.
 ``DifferenceOp``    Section 5 difference; delegates to the logical-layer
                     closed form / encoding on materialised inputs.
 ``Fallback``        evaluates a whole query through the interpreter —
@@ -37,12 +40,22 @@ Operator inventory:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import faults
 from repro.core import aggregates as agg_ops
 from repro.core.comparisons import ORDER_PREDICATES, decide_order
-from repro.core.query import AttrCompare, AttrEq, AttrEqAttr, Condition
+from repro.core.query import (
+    Aggregate,
+    AttrCompare,
+    AttrEq,
+    AttrEqAttr,
+    AvgAgg,
+    Condition,
+    CountAgg,
+    Distinct,
+    GroupBy,
+)
 from repro.core.schema import Schema
 from repro.core.tuples import Tup
 from repro.exceptions import QueryError
@@ -69,12 +82,13 @@ __all__ = [
     "HashJoin",
     "UnionAll",
     "GroupedAggregate",
-    "WholeAggregate",
-    "CountAggregate",
-    "AvgAggregate",
+    "GroupShape",
+    "group_shape",
+    "emitted",
     "DifferenceOp",
     "Fallback",
     "fold_groups",
+    "fold_encoded",
     "validate_monoid_column",
 ]
 
@@ -198,8 +212,8 @@ def validate_monoid_column(col: Iterable[Any], monoid, attr: str) -> None:
     The all/map pass is C-driven; only the failing case re-scans to raise
     the interpreter's precise per-value error (tensor values get the
     nested-aggregation message, foreign values the membership one).
-    Shared by the aggregation operators here and the group-patching path
-    of :mod:`repro.ivm`.
+    Run by :func:`fold_groups`, the object fold of the planner and of the
+    view heads of :mod:`repro.ivm`.
     """
     col = col if isinstance(col, list) else list(col)
     if not all(map(monoid.contains, col)):
@@ -1196,17 +1210,68 @@ def count_collapse(reasons: Iterable[Optional[str]]) -> None:
         _metrics.AGGREGATE_COLLAPSE.inc(1, "fold" if reason else "kernel", reason or "")
 
 
-def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...], specs):
+class GroupShape(NamedTuple):
+    """``GB``'s parameters for one logical node (Definition 3.7).
+
+    In the paper every aggregation is a ``GB``: ``AGG_M`` is one group
+    over the empty key (Section 3.2), COUNT(*) is SUM over the constant 1
+    (footnote 6; ``count_attr``, derived from the raw annotation totals by
+    :func:`count_tensors`), and AVG folds the SUM+COUNT pair monoid over
+    its column's values ``lift``-ed into pairs; a DISTINCT or plain view
+    keys on the whole tuple and aggregates nothing.  ``emission`` is how
+    a group's row is annotated, read through :func:`emitted` by the
+    planner (:meth:`GroupedAggregate.finish_groups`) and by the view
+    heads (:class:`repro.ivm.state.HeadState`) alike:
+
+    ``"delta"``  ``δ(total)``: GROUP BY and DISTINCT;
+    ``"raw"``    the raw total: a plain SPJU view;
+    ``"one"``    ``1_K`` whatever the total: AGG, COUNT and AVG, one row
+                 even on empty input, valued ``ι(0_M)`` there.
+    """
+
+    key: Tuple[str, ...]
+    aggregations: Dict[str, Any]
+    count_attr: Optional[str]
+    lift: bool
+    emission: str
+
+
+def group_shape(node, schema: Optional[Schema] = None) -> GroupShape:
+    """The :class:`GroupShape` of a logical node; a node other than the
+    four aggregations and δ is a plain view keyed on its ``schema``."""
+    if isinstance(node, GroupBy):
+        return GroupShape(tuple(node.group_attributes), dict(node.aggregations),
+                          node.count_attr, False, "delta")
+    if isinstance(node, Aggregate):
+        return GroupShape((), {node.attribute: node.monoid}, None, False, "one")
+    if isinstance(node, CountAgg):
+        return GroupShape((), {}, node.attribute, False, "one")
+    if isinstance(node, AvgAgg):
+        return GroupShape((), {node.attribute: AVG}, None, True, "one")
+    emission = "delta" if isinstance(node, Distinct) else "raw"
+    return GroupShape(tuple(schema.attributes), {}, None, False, emission)
+
+
+def emitted(semiring, emission: str, total: Any) -> Any:
+    """The annotation of a group's row with raw total ``total`` under the
+    :class:`GroupShape` ``emission`` rule."""
+    if emission == "one":
+        return semiring.one
+    return semiring.delta(total) if emission == "delta" else total
+
+
+def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...],
+                aggregations: Mapping[str, Any], lift: bool = False):
     """``GB``'s fold (Definition 3.7) over the boxed object representation.
 
     Rows are bucketed by their ``key_attrs`` values; per bucket, each
-    aggregated attribute folds by one ``TensorSpace.set_agg`` and the
-    annotations by one ``sum_many``.  ``specs`` maps each aggregated
-    attribute to ``(monoid, values)``, the values aligned with the batch's
-    rows.  Returns ``(keys, totals, tensors)``: the distinct keys in
-    first-occurrence order (the raw value for a one-attribute key, a tuple
-    otherwise — ``()`` for the empty key, which folds the whole batch into
-    one group), each key's raw (pre-``delta``) annotation total, and per
+    attribute of ``aggregations`` folds over its monoid by one
+    ``TensorSpace.set_agg`` and the annotations by one ``sum_many``.  The
+    columns are validated against their monoids first, or, with ``lift``,
+    lifted into them (AVG's ``(value, 1)`` pairs).  Returns ``(keys,
+    totals, tensors)``: the distinct key tuples in first-occurrence order
+    (``()`` for the empty key, which folds the whole batch into one
+    group), each key's raw (pre-emission) annotation total, and per
     attribute the keys' tensors.  The guards stay with the callers:
     :meth:`GroupedAggregate.object_group_states` and the view heads of
     :mod:`repro.ivm.state`.
@@ -1220,10 +1285,14 @@ def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...], specs):
             buckets[key] = [i]
         else:
             bucket.append(i)
-    folds = [
-        (tensor_space(semiring, monoid).set_agg, values, [])
-        for monoid, values in specs.values()
-    ]
+    folds = []
+    for attr, monoid in aggregations.items():
+        values = batch.column(attr)
+        if lift:
+            values = list(map(monoid.lift, values))
+        else:
+            validate_monoid_column(values, monoid, attr)
+        folds.append((tensor_space(semiring, monoid).set_agg, values, []))
     sum_many = semiring.sum_many
     totals: List[Any] = []
     for members in buckets.values():
@@ -1231,8 +1300,79 @@ def fold_groups(batch: ColumnarKRelation, key_attrs: Tuple[str, ...], specs):
         for set_agg, values, out in folds:
             out.append(set_agg(zip(map(values.__getitem__, members), member_anns)))
         totals.append(member_anns[0] if len(member_anns) == 1 else sum_many(member_anns))
-    tensors = {attr: out for attr, (_set_agg, _values, out) in zip(specs, folds)}
-    return list(buckets), totals, tensors
+    tensors = {attr: out for attr, (_set_agg, _values, out) in zip(aggregations, folds)}
+    keys = list(buckets)
+    if len(key_attrs) == 1:
+        keys = [(key,) for key in keys]
+    return keys, totals, tensors
+
+
+def fold_encoded(batch: EncodedBatch, key_attrs: Tuple[str, ...],
+                 aggregations: Mapping[str, Any], lift: bool = False):
+    """``GB``'s fold over an encoded batch, by code-indexed accumulation.
+
+    The key columns' codes combine into one int64 group key per row (all
+    zero for the empty key).  Per aggregated attribute, one grouped
+    reduction (scatter or sort, :func:`~repro.plan.kernels.reduce_by_key`)
+    over the ``(group, value-code)`` pair key yields exactly the ``value
+    -> scalar`` entries of the groups' tensors; the raw totals, the
+    normal-form masks and — where the space collapses and the monoid
+    declares a kernel — each group's Prop. 3.9 value come from that same
+    order as array kernels (:func:`_set_agg_by_code`), with Python-level
+    object construction only per *group*, never per row or entry.  With
+    nothing aggregated (COUNT(*), DISTINCT) the annotations reduce over
+    the group key directly.  ``lift`` maps the aggregated dictionaries
+    into their monoids (AVG).  A value outside its monoid, or a key space
+    past int64, raises :class:`EncodedFallback`: the object fold then
+    raises the interpreter's row-order error, or folds the wide key.
+
+    Returns :func:`fold_groups`' ``(keys, totals, tensors)`` (groups in
+    key-code order) and, per aggregated attribute, the reason the kernel
+    did not collapse (``None`` where it did).  Groups whose total is
+    ``0_K`` are *kept* — under the parallel tier, partial states for the
+    same group merge by ``+_K`` across morsels (grouping is multilinear
+    in the annotations, so any row partition is exact, and the merge *is*
+    semiring union), and a total that is zero in one morsel may be
+    nonzero in another.
+    """
+    semiring = batch.semiring
+    agg_cols = {}
+    for attr, monoid in aggregations.items():
+        col = batch.col(attr)
+        if lift:
+            lifted = list(map(monoid.lift, col.values))
+            col = enc.EncodedColumn(col.codes, lifted, dict(zip(lifted, range(len(lifted)))))
+        elif not all(map(monoid.contains, col.values)):
+            raise EncodedFallback(f"foreign value in column {attr!r}")
+        agg_cols[attr] = col
+
+    gcols = [batch.col(a) for a in key_attrs]
+    if gcols:
+        gkeys, radix = enc.combine_codes(gcols)
+    else:
+        gkeys, radix = np.zeros(len(batch), dtype=np.int64), 1
+    bound = enc.check_reduction_bound(batch, len(batch))
+
+    tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
+    why: Dict[str, Optional[str]] = {}
+    machine = batch.machine
+    if agg_cols and len(batch):
+        for attr, col in agg_cols.items():
+            space = tensor_space(semiring, aggregations[attr])
+            rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
+                space, col, gkeys, radix, batch, bound
+            )
+    elif machine.merges:
+        _note_kernel("aggregate", radix, len(batch), machine)
+        rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
+        totals = machine.decode(totals)
+    else:
+        _note_fold("aggregate")
+        rep, totals, _entries = machine.fold(gkeys, batch.anns)
+
+    decoded = [list(map(col.values.__getitem__, col.codes[rep].tolist())) for col in gcols]
+    keys = list(zip(*decoded)) if decoded else [()] * len(totals)
+    return keys, totals, tensors, why
 
 
 def count_tensors(semiring, totals: List[Any]) -> List[Tensor]:
@@ -1247,26 +1387,20 @@ def count_tensors(semiring, totals: List[Any]) -> List[Tensor]:
 class GroupedAggregate(PhysicalOp):
     """GB_{U',U''} (Definition 3.7) executed directly over columns.
 
-    Mirrors :func:`repro.core.aggregates.group_by` including its guards;
-    the optional COUNT(*) column (footnote 6: SUM over the constant 1) is
-    accumulated inline instead of materialising a widened relation.
+    The one aggregation operator: GROUP BY, and AGG, COUNT(*) and AVG as
+    the one group over the empty key, each with its node's
+    :class:`GroupShape`.  Mirrors :func:`repro.core.aggregates.group_by`
+    including its guards; the optional COUNT(*) column (footnote 6: SUM
+    over the constant 1) is derived from the raw totals instead of
+    materialising a widened relation.
     """
 
-    __slots__ = ("group_attributes", "aggregations", "count_attr")
+    __slots__ = ("group_attributes", "aggregations", "count_attr", "lift", "emission")
 
-    def __init__(
-        self,
-        child: PhysicalOp,
-        group_attributes: Tuple[str, ...],
-        aggregations: Dict[str, Any],
-        count_attr: Optional[str],
-        schema: Schema,
-        est_rows: int,
-    ):
+    def __init__(self, child: PhysicalOp, node, schema: Schema, est_rows: int):
         super().__init__((child,), schema, est_rows)
-        self.group_attributes = tuple(group_attributes)
-        self.aggregations = dict(aggregations)
-        self.count_attr = count_attr
+        (self.group_attributes, self.aggregations, self.count_attr,
+         self.lift, self.emission) = group_shape(node)
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
         batch = self.children[0].execute(ctx)
@@ -1282,74 +1416,23 @@ class GroupedAggregate(PhysicalOp):
         count_collapse(why.values())
         return self.finish_groups(batch.semiring, group_rows, totals, tensors)
 
+    def _check(self, batch) -> None:
+        # GROUP BY's static guards and its delta-semiring requirement; a
+        # one-row emission needs neither (schema() checked AGG's column)
+        if self.emission == "delta":
+            agg_ops.check_group_by(batch.schema, self.group_attributes,
+                                   self.aggregations, self.count_attr, batch.semiring)
+
     def encoded_group_states(self, batch: EncodedBatch):
-        """Per-group partial states by code-indexed accumulation.
-
-        Per aggregated attribute, one grouped reduction (scatter or sort,
-        :func:`~repro.plan.kernels.reduce_by_key`) over the
-        ``(group, value-code)`` pair key yields exactly the
-        ``value -> scalar`` entries of the groups' tensors; the raw totals,
-        the normal-form masks and — where the space collapses and the
-        monoid declares a kernel — each group's Prop. 3.9 value come from
-        that same order as array kernels (:func:`_set_agg_by_code`), with
-        Python-level object construction only per *group*, never per row
-        or entry.  COUNT(*) reuses the raw totals (footnote 6: SUM over
-        the constant 1 is the annotation sum); COUNT-only grouping reduces
-        the annotations over the group key directly.
-
-        Returns ``(group_rows, totals_list, tensors, why)``: the decoded
-        group key tuple, the raw (pre-``delta``) annotation total, per
-        aggregated attribute the groups' tensors, and per aggregated
-        attribute the reason the kernel did not collapse (``None`` where
-        it did), shown on the span and left to the caller to count.
-        Groups whose total is ``0_K`` are *kept* — under the parallel
-        tier, partial states for the same group merge by ``+_K`` across
-        morsels (grouping is multilinear in the annotations, so any row
-        partition is exact, and the merge *is* semiring union), and a
-        total that is zero in one morsel may be nonzero in another.
-        """
-        semiring = batch.semiring
-        group_attrs = self.group_attributes
-        if not group_attrs:
-            raise EncodedFallback("empty grouping key")
-        agg_ops.check_group_by(
-            batch.schema, group_attrs, self.aggregations, self.count_attr, semiring
-        )
-        _encoded_guard_plain(batch, group_attrs)
-        agg_cols = {attr: batch.col(attr) for attr in self.aggregations}
-        for attr, monoid in self.aggregations.items():
-            # validated over the dictionary; a foreign value falls back so
-            # the object path raises the interpreter's row-order error
-            if not all(map(monoid.contains, agg_cols[attr].values)):
-                raise EncodedFallback(f"foreign value in column {attr!r}")
-
-        gcols = [batch.col(a) for a in group_attrs]
-        gkeys, radix = enc.combine_codes(gcols)
-        bound = enc.check_reduction_bound(batch, len(batch))
-
-        tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
-        why: Dict[str, Optional[str]] = {}
-        machine = batch.machine
-        if agg_cols and len(batch):
-            for attr, col in agg_cols.items():
-                space = tensor_space(semiring, self.aggregations[attr])
-                rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
-                    space, col, gkeys, radix, batch, bound
-                )
-        elif machine.merges:
-            _note_kernel("aggregate", radix, len(batch), machine)
-            rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
-            totals = machine.decode(totals)
-        else:
-            _note_fold("aggregate")
-            rep, totals, _entries = machine.fold(gkeys, batch.anns)
-        _show_collapse(why.values(), len(batch))
-
-        decoded = []
-        for col in gcols:
-            codes = col.codes[rep].tolist()
-            decoded.append(list(map(col.values.__getitem__, codes)))
-        return list(zip(*decoded)), totals, tensors, why
+        """Per-group partial states of an encoded batch: the node's
+        guards, then :func:`fold_encoded`, whose collapse reasons are
+        shown on the span and left to the caller to count.  Returns
+        ``(group_rows, totals_list, tensors, why)``."""
+        self._check(batch)
+        _encoded_guard_plain(batch, self.group_attributes)
+        states = fold_encoded(batch, self.group_attributes, self.aggregations, self.lift)
+        _show_collapse(states[3].values(), len(batch))
+        return states
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.
@@ -1359,20 +1442,11 @@ class GroupedAggregate(PhysicalOp):
         morsel raised :class:`EncodedFallback` and handed on a boxed
         batch: the node's guards, then :func:`fold_groups`.
         """
-        semiring = batch.semiring
-        group_attrs = self.group_attributes
-        agg_ops.check_group_by(
-            batch.schema, group_attrs, self.aggregations, self.count_attr, semiring
+        self._check(batch)
+        _require_plain_columns(batch, self.group_attributes, "GROUP BY")
+        keys, totals, tensors = fold_groups(
+            batch, self.group_attributes, self.aggregations, self.lift
         )
-        _require_plain_columns(batch, group_attrs, "GROUP BY")
-        specs = {}
-        for attr, monoid in self.aggregations.items():
-            col = batch.column(attr)
-            validate_monoid_column(col, monoid, attr)
-            specs[attr] = (monoid, col)
-        keys, totals, tensors = fold_groups(batch, group_attrs, specs)
-        if len(group_attrs) == 1:
-            keys = [(key,) for key in keys]
         return keys, totals, tensors, {}
 
     def finish_groups(self, semiring, group_rows, totals_list, tensors):
@@ -1381,16 +1455,22 @@ class GroupedAggregate(PhysicalOp):
         The shared tail of the object path, the serial encoded path and
         the parallel tier's parent-side merge: the tensors become columns,
         COUNT(*) columns derive from the raw totals, and row annotations
-        are ``delta`` of the totals.
+        are :func:`emitted` from the totals.  A one-row emission over
+        empty input is the group ``()`` at ``0_K`` with every tensor
+        ``ι(0_M) = 0``.
         """
+        if self.emission == "one" and not group_rows:
+            group_rows, totals_list = [()], [semiring.zero]
+            tensors = {attr: [tensor_space(semiring, monoid).zero]
+                       for attr, monoid in self.aggregations.items()}
         columns: Dict[str, List[Any]] = {}
         for i, attr in enumerate(self.group_attributes):
             columns[attr] = [row[i] for row in group_rows]
         columns.update(tensors)
         if self.count_attr is not None:
             columns[self.count_attr] = count_tensors(semiring, totals_list)
-        delta = semiring.delta
-        annotations = [delta(t) for t in totals_list]
+        emission = self.emission
+        annotations = [emitted(semiring, emission, t) for t in totals_list]
         return ColumnarKRelation._from_clean(
             semiring, self.schema, columns, annotations, True
         )
@@ -1399,116 +1479,9 @@ class GroupedAggregate(PhysicalOp):
         aggs = ", ".join(f"{m.name}({a})" for a, m in self.aggregations.items())
         if self.count_attr is not None:
             aggs = aggs + (", " if aggs else "") + f"COUNT→{self.count_attr}"
-        return f"GroupedAggregate[{', '.join(self.group_attributes)}; {aggs}]"
-
-
-class WholeAggregate(PhysicalOp):
-    """AGG_M over a single-attribute relation (Section 3.2)."""
-
-    __slots__ = ("attribute", "monoid")
-
-    def __init__(self, child: PhysicalOp, attribute: str, monoid, schema: Schema):
-        super().__init__((child,), schema, 1)
-        self.attribute = attribute
-        self.monoid = monoid
-
-    def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        batch = self.children[0].execute(ctx)
-        agg_ops.single_column(batch.schema, self.attribute, "AGG")
-        if isinstance(batch, EncodedBatch):
-            try:
-                return self._run_encoded(batch)
-            except EncodedFallback:
-                batch = _as_columnar(batch, ctx)
-        space = tensor_space(batch.semiring, self.monoid)
-        col = batch.column(self.attribute)
-        validate_monoid_column(col, self.monoid, self.attribute)
-        value = space.set_agg(zip(col, batch.annotations))
-        return ColumnarKRelation._from_clean(
-            batch.semiring,
-            self.schema,
-            {self.attribute: [value]},
-            [batch.semiring.one],
-            True,
-        )
-
-    def _run_encoded(self, batch: EncodedBatch) -> ColumnarKRelation:
-        """``SetAgg`` by code-indexed accumulation: the one-group case of
-        :func:`_set_agg_by_code` (an empty input is the empty tensor)."""
-        semiring = batch.semiring
-        col = batch.col(self.attribute)
-        if not all(map(self.monoid.contains, col.values)):
-            raise EncodedFallback("foreign value in aggregated column")
-        space = tensor_space(semiring, self.monoid)
-        bound = enc.check_reduction_bound(batch, len(batch))
-        tensors = [space.zero]
-        if len(batch):
-            gkeys = np.zeros(len(batch), dtype=np.int64)
-            _rep, _totals, tensors, why = _set_agg_by_code(
-                space, col, gkeys, 1, batch, bound
-            )
-            _show_collapse([why], len(batch))
-            count_collapse([why])
-        return ColumnarKRelation._from_clean(
-            semiring, self.schema, {self.attribute: tensors}, [semiring.one], True
-        )
-
-    def label(self) -> str:
-        return f"Aggregate[{self.monoid.name}({self.attribute})]"
-
-
-class CountAggregate(PhysicalOp):
-    """COUNT(*): SUM over the constant 1 (footnote 6)."""
-
-    __slots__ = ("attribute",)
-
-    def __init__(self, child: PhysicalOp, attribute: str, schema: Schema):
-        super().__init__((child,), schema, 1)
-        self.attribute = attribute
-
-    def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        batch = _as_columnar(self.children[0].execute(ctx), ctx)
-        space = tensor_space(batch.semiring, SUM)
-        value = space.set_agg((1, k) for k in batch.annotations)
-        return ColumnarKRelation._from_clean(
-            batch.semiring,
-            self.schema,
-            {self.attribute: [value]},
-            [batch.semiring.one],
-            True,
-        )
-
-    def label(self) -> str:
-        return f"Count[{self.attribute}]"
-
-
-class AvgAggregate(PhysicalOp):
-    """AVG via the SUM+COUNT pair monoid (standard mode only)."""
-
-    __slots__ = ("attribute",)
-
-    def __init__(self, child: PhysicalOp, attribute: str, schema: Schema):
-        super().__init__((child,), schema, 1)
-        self.attribute = attribute
-
-    def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        batch = _as_columnar(self.children[0].execute(ctx), ctx)
-        agg_ops.single_column(batch.schema, self.attribute, "AVG")
-        space = tensor_space(batch.semiring, AVG)
-        col = batch.column(self.attribute)
-        value = space.set_agg(
-            (AVG.lift(v), k) for v, k in zip(col, batch.annotations)
-        )
-        return ColumnarKRelation._from_clean(
-            batch.semiring,
-            self.schema,
-            {self.attribute: [value]},
-            [batch.semiring.one],
-            True,
-        )
-
-    def label(self) -> str:
-        return f"Avg[{self.attribute}]"
+        if self.group_attributes:
+            aggs = f"{', '.join(self.group_attributes)}; {aggs}"
+        return f"GroupedAggregate[{aggs}]"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ small copies of the analytic queries ``A1``-``A3``, and ``M1``/``M2``, a
 SUM and a PROD over a column whose first half holds only ints and whose
 second half mixes in floats: the view's state has folded its ints before
 a float arrives, yet holds the form the other paths build at once.
+``W1``-``W4`` are the whole-relation aggregates (AGG, COUNT(*), AVG: one
+group over the empty key), and ``E1``-``E3`` the same over a ``WHERE``
+that selects no row, whose one row is ``ι(0_M)`` at ``1_K``.
 """
 
 import pytest
@@ -41,6 +44,13 @@ QUERIES = {
                 Project(Select(Table("Fact"), [AttrEq("V", 42)]), ["G"])),
     "M1": GroupBy(Table("Mix"), ["G"], {"V": SUM}),
     "M2": GroupBy(Table("Mix"), ["G"], {"V": PROD}),
+    "W1": compile_sql("SELECT SUM(Sal) FROM Emp"),
+    "W2": compile_sql("SELECT MAX(Sal) FROM Emp"),
+    "W3": compile_sql("SELECT COUNT(*) FROM Emp"),
+    "W4": compile_sql("SELECT AVG(Sal) FROM Emp"),
+    "E1": compile_sql("SELECT COUNT(*) FROM Emp WHERE Sal = 7"),
+    "E2": compile_sql("SELECT SUM(Sal) FROM Emp WHERE Sal = 7"),
+    "E3": compile_sql("SELECT AVG(Sal) FROM Emp WHERE Sal = 7"),
 }
 
 

@@ -300,13 +300,13 @@ def regime_tagger(semiring):
     return tag
 
 
-def _decline(self, batch):
+def _decline(*_args):
     raise EncodedFallback("the object fold, for reference")
 
 
 def create_by_object_fold(db, query):
-    """The view as the object fold builds it (the encoded kernel declines)."""
-    with mock.patch.object(state.HeadState, "_fold_encoded", _decline):
+    """The view as the object fold builds it (the encoded fold declines)."""
+    with mock.patch.object(state, "fold_encoded", _decline):
         return MaterializedView.create(db, query)
 
 

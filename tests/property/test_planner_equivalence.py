@@ -20,6 +20,7 @@ from repro.core import (
     AttrCompare,
     AttrEq,
     AttrEqAttr,
+    AvgAgg,
     Cartesian,
     CountAgg,
     Difference,
@@ -94,18 +95,21 @@ def spju_agb_query(draw):
         spju(draw(st.integers(min_value=0, max_value=2)),
              without=("self_compared",))
     )
-    top = draw(st.sampled_from(["none", "group", "agg", "count"]))
+    top = draw(st.sampled_from(["none", "group", "empty-key", "agg", "count", "avg"]))
     numeric = sorted(a for a in attrs if a.startswith(("v", "w")))
-    if top == "group" and "g" in attrs and numeric:
+    if (top == "empty-key" or top == "group" and "g" in attrs) and numeric:
         agg_attr = draw(st.sampled_from(numeric))
         monoid = draw(st.sampled_from([SUM, MIN, MAX]))
         count = draw(st.booleans())
-        return GroupBy(query, ["g"], {agg_attr: monoid},
+        return GroupBy(query, ["g"] if top == "group" else [], {agg_attr: monoid},
                        count_attr="n" if count else None)
     if top == "agg" and numeric:
         agg_attr = draw(st.sampled_from(numeric))
         monoid = draw(st.sampled_from([SUM, MIN, MAX]))
         return Aggregate(Project(query, (agg_attr,)), agg_attr, monoid)
+    if top == "avg" and numeric:
+        agg_attr = draw(st.sampled_from(numeric))
+        return AvgAgg(Project(query, (agg_attr,)), agg_attr)
     if top == "count":
         return CountAgg(query, "n")
     return query

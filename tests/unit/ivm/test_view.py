@@ -75,7 +75,7 @@ class TestGroupedHead:
 
         monkeypatch.setattr(type(view._head), "_reemit", spying)
         view.apply({"Emp": emp_delta(NX, [(4, "d1", 30)])})
-        assert touched == ["d1"]
+        assert touched == [("d1",)]  # keys are value tuples
 
     def test_apply_folds_delta_into_the_database(self):
         db = emp_db()

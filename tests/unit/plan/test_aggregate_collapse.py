@@ -14,7 +14,8 @@ import pytest
 
 pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
 
-from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table, Union
+from repro.core import (Aggregate, AttrEq, AvgAgg, CountAgg, GroupBy, KDatabase,
+                        KRelation, NaturalJoin, Project, Select, Table, Union)
 from repro.exceptions import SemimoduleError
 from repro.monoids import MAX, MIN, PROD, SUM, SumMonoid
 from repro.obs import explain_analyze
@@ -22,7 +23,7 @@ from repro.obs.metrics import AGGREGATE_COLLAPSE, REGISTRY
 from repro.plan import compile_plan, parallel, set_default_workers
 from repro.plan.encoded import _INT64_MAX
 from repro.semimodules.tensor import Tensor, _Unset, tensor_space
-from repro.semirings import BOOL, INT, NAT
+from repro.semirings import BOOL, INT, NAT, TROPICAL
 from repro.semirings.integers import IntegerRing
 from repro.serve.schema import relation_to_json
 
@@ -187,6 +188,49 @@ def test_cancellation_over_z_drops_the_entry_and_attempts_no_collapse(tier):
     got = grouped(db, SUM, tier, source=Union(Table("R"), Table("S")))
     assert set(got) == {"a"}  # b's total cancelled: the row is gone
     assert got["a"]._entries == {7: 1} and got["a"]._collapsed is _Unset
+
+
+#: The aggregate shapes over a source with columns ``g, v``: AGG,
+#: COUNT(*) and AVG are GB's one group over the empty key, a GROUP BY
+#: with an empty key is that group at ``δ(total)``, and a keyed GROUP BY
+#: with COUNT(*) the general case.
+AGGREGATES = {
+    "agg-sum": lambda src: Aggregate(Project(src, ("v",)), "v", SUM),
+    "agg-max": lambda src: Aggregate(Project(src, ("v",)), "v", MAX),
+    "count": lambda src: CountAgg(src, "n"),
+    "avg": lambda src: AvgAgg(Project(src, ("v",)), "v"),
+    "gb-empty-key": lambda src: GroupBy(src, [], {"v": SUM}, count_attr="n"),
+    "gb-count": lambda src: GroupBy(src, ["g"], {"v": SUM}, count_attr="n"),
+}
+
+#: ``rows`` is the table itself, ``empty`` a selection of no row, and
+#: ``cancel`` a union with the table's negation: rows whose ``Z``
+#: annotations all cancel inside the fold.
+SOURCES = {
+    "rows": Table("R"),
+    "empty": Select(Table("R"), [AttrEq("v", -1)]),
+    "cancel": Union(Table("R"), Table("S")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AGGREGATES))
+@pytest.mark.parametrize("semiring,source", [
+    (INT, "rows"), (INT, "empty"), (INT, "cancel"),
+    (TROPICAL, "rows"), (TROPICAL, "empty"),
+], ids=lambda p: getattr(p, "name", p))
+def test_aggregates_over_z_and_tropical_equal_the_interpreter(semiring, source, shape):
+    weight = float if semiring is TROPICAL else int
+    rows = [((f"g{i % 2}", 5 * i), weight(1 + i % 3)) for i in range(6)]
+    db = database(semiring, rows, S=[(row, -k) for row, k in rows] if semiring is INT else [])
+    query = AGGREGATES[shape](SOURCES[source])
+    want = query.evaluate(db, engine="interpreted")
+    if source != "rows":  # AGG's one row at 1_K; a GROUP BY has none
+        assert len(want) == (0 if shape.startswith("gb") else 1)
+    for tier in ("object", "encoded"):
+        plan = compile_plan(query, db, tier=tier)
+        got = plan.execute()
+        assert got == want and got.pretty() == want.pretty(), tier
+        assert plan._last_tier == tier  # the encoded run never fell back
 
 
 def test_count_over_bags_collapses_to_the_raw_total():
@@ -396,8 +440,6 @@ def test_non_collapsing_space_is_a_cause_too():
 
 
 def test_whole_aggregate_reports_its_collapse():
-    from repro.core import Aggregate, Project
-
     db = database(NAT, [(("a", 4), 2), (("b", 6), 1)])
     query = Aggregate(Project(Table("R"), ("v",)), "v", SUM)
     before = collapse_counts()

@@ -22,6 +22,7 @@ from repro.plan.physical import (
     SelectStage,
 )
 from repro.semirings import NAT
+from repro.sql.compiler import compile_sql
 
 
 def make_db(n_emp: int = 12, n_dept: int = 3) -> KDatabase:
@@ -141,3 +142,16 @@ class TestExplainRendering:
         db = make_db()
         text = explain(Table("Nope"), db)
         assert "Interpret[" in text
+
+    def test_count_star_is_one_grouped_aggregate_and_says_encoded_truthfully(self):
+        """COUNT(*) is GB's one group over the empty key: the static tier
+        line and the last run agree, and the label names the aggregate."""
+        pytest.importorskip("numpy")  # the encoded tier exists only with NumPy
+        plan = compile_plan(compile_sql("SELECT COUNT(*) AS n FROM Emp"), make_db())
+        assert isinstance(plan.root, GroupedAggregate)
+        assert "tier: encoded" in plan.explain()
+        assert "GroupedAggregate[COUNT→n]  [est_rows=1]" in plan.explain()
+        (tup, _annotation), = plan.execute().rows()
+        assert tup["n"]._collapsed == 12
+        assert plan._last_tier == "encoded"
+        assert "[last run: encoded]" in plan.explain()
