@@ -20,10 +20,12 @@ class KDatabase:
     names (:meth:`add`) or folding in deltas (:meth:`update`).  Every such
     mutation bumps a monotonic :attr:`version` stamp, which is what the
     per-database caches key on — the compiled-plan cache on
-    :class:`~repro.core.query.Query` objects, the interned circuit gate
-    image (:func:`repro.plan.circuit_exec.circuit_database`), and the
-    materialised-view states of :mod:`repro.ivm` all check the stamp
-    instead of trusting object identity conventions.
+    :class:`~repro.core.query.Query` objects and the materialised-view
+    states of :mod:`repro.ivm` check the stamp instead of trusting
+    object identity conventions.  The one cache held on the database
+    itself, the encodings of its tables (in each annotation
+    representation: an ``N[X]`` table as term ids and, for circuit
+    plans, as gate ids), revalidates per table by relation identity.
 
     Concurrency contract (the serving layer's foundation): mutations are
     **copy-on-write** — :meth:`add`/:meth:`update` build a fresh name →
@@ -34,22 +36,20 @@ class KDatabase:
     *consistent multi-relation view* must pin one via :meth:`snapshot`
     — reading relations directly off a database while a writer races may
     interleave two versions across lookups.  A pinned
-    :class:`DatabaseSnapshot` shares this database's encoded/circuit
-    caches and plan-cache identity, so prepared queries stay hot across
-    snapshot handoffs.
+    :class:`DatabaseSnapshot` shares this database's encoding cache and
+    plan-cache identity, so prepared queries stay hot across snapshot
+    handoffs.
     """
 
-    # _circuit_cache: lazily-attached circuit image of an N[X] database
-    # (see repro.plan.circuit_exec.circuit_database)
     # _encoded_cache: lazily-attached dictionary encodings of the stored
-    # relations for the machine-scalar execution tier, revalidated per
-    # table by relation identity (see repro.plan.encoded.encoded_scan) and
-    # carried across pure inserts by update()
+    # relations for the machine-scalar execution tier, one per table and
+    # annotation representation, revalidated per table by relation
+    # identity (see repro.plan.encoded.encoded_scan) and carried across
+    # pure inserts by update()
     __slots__ = (
         "semiring",
         "_relations",
         "_version",
-        "_circuit_cache",
         "_encoded_cache",
         "_lock",
     )
@@ -133,7 +133,6 @@ class KDatabase:
                 return
             relations = dict(self._relations)
             # only a database the encoded tier has scanned holds the cache
-            # (an N[X] database never does and never imports repro.plan)
             cache = getattr(self, "_encoded_cache", None)
             if cache is not None:
                 from repro.plan.encoded import carry_forward
@@ -220,11 +219,11 @@ class DatabaseSnapshot(KDatabase):
 
     Cache identity is *shared with the parent*: :attr:`root` (the
     plan-cache anchor of :meth:`repro.core.query.Query._cached_plan`) and
-    the ``_encoded_cache`` / ``_circuit_cache`` slots all delegate to the
-    parent database, so every snapshot of the same version reuses the
-    same compiled plans and dictionary encodings, and snapshots of later
-    versions re-encode only the tables that actually changed (the caches
-    revalidate per table by relation identity).
+    the ``_encoded_cache`` slot delegate to the parent database, so every
+    snapshot of the same version reuses the same compiled plans and
+    dictionary encodings, and snapshots of later versions re-encode only
+    the tables that actually changed (the cache revalidates per table by
+    relation identity).
     """
 
     __slots__ = ("_parent",)
@@ -257,14 +256,6 @@ class DatabaseSnapshot(KDatabase):
     @_encoded_cache.setter
     def _encoded_cache(self, value):
         self._parent._encoded_cache = value
-
-    @property
-    def _circuit_cache(self):
-        return self._parent._circuit_cache
-
-    @_circuit_cache.setter
-    def _circuit_cache(self, value):
-        self._parent._circuit_cache = value
 
     def add(self, name: str, relation: KRelation) -> None:
         raise QueryError(

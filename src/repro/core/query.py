@@ -219,9 +219,10 @@ class Query(abc.ABC):
             shared gates once per valuation, ``lower()`` expands to the
             identical canonical ``N[X]`` relation on demand.
 
-        The compiled plan is cached on the query object and reused while
-        the database's :attr:`~repro.core.database.KDatabase.version`
-        stamp is unchanged (any relation mutation recompiles).
+        The compiled plan is cached on the query object, one per
+        representation, and reused while the database's
+        :attr:`~repro.core.database.KDatabase.version` stamp is unchanged
+        (any relation mutation recompiles).
 
         ``deadline`` is an optional wall-clock budget — a
         :class:`repro.deadline.Deadline` or a number of seconds.  The
@@ -264,26 +265,28 @@ class Query(abc.ABC):
             deadline.check("query end")
         return result
 
-    #: Per-query plan cache capacity (distinct databases; the circuit image
-    #: of a database counts as its own entry).
+    #: Per-query plan cache capacity (distinct database versions; a
+    #: circuit plan and an expanded plan of one version are two entries).
     _PLAN_CACHE_SLOTS = 4
 
-    def _cached_plan(self, db: KDatabase):
-        """Compile (or reuse) the physical plan for this query over ``db``.
+    def _cached_plan(self, db: KDatabase, annotations: str = "expanded"):
+        """Compile (or reuse) the physical plan for this query over ``db``
+        in the representation ``annotations`` names.
 
         The cache keys on the database's *root* identity plus its
-        monotonic :attr:`~repro.core.database.KDatabase.version` stamp:
+        monotonic :attr:`~repro.core.database.KDatabase.version` stamp
+        and the representation:
         every :class:`~repro.core.database.DatabaseSnapshot` of the same
         database at the same version shares one compiled plan (that is
         the serving layer's prepared-query reuse), while *any* relation
         mutation (``db.add``, ``db.update``) keys a fresh entry, so a
         refreshed database never serves a plan whose scan and join-build
         caches, cardinality estimates, or build-side choices were taken
-        against stale data.  A few ``(database, version)`` pairs are
-        tracked at once with true LRU eviction
+        against stale data.  A few ``(database, version, representation)``
+        keys are tracked at once with true LRU eviction
         (:class:`repro.caching.LRUDict`, itself thread-safe), so
-        alternating the same prepared query between databases — e.g. the
-        expanded and circuit-backed images — does not thrash the cache,
+        alternating the same prepared query between databases, or between
+        the expanded and circuit representations, does not thrash the cache,
         and a query object served against many databases stays bounded.
         Concurrent readers may both miss and compile; the plans are
         equivalent and the last store wins.
@@ -292,7 +295,7 @@ class Query(abc.ABC):
         from repro.plan.compiler import compile_plan  # local: plan imports core
 
         root = db.root
-        key = (id(root), db.version)
+        key = (id(root), db.version, annotations)
         cache = self.__dict__.get("_plan_cache")
         if cache is None:
             # setdefault: two racing readers end up sharing one cache
@@ -304,7 +307,7 @@ class Query(abc.ABC):
         # alias a dead database's key to a live one
         if entry is not None and entry[0] is root:
             return entry[1]
-        plan = compile_plan(self, db)
+        plan = compile_plan(self, db, annotations=annotations)
         cache[key] = (root, plan)
         return plan
 

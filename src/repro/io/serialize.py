@@ -435,7 +435,7 @@ def view_state_to_jsonable(view: Any) -> Any:
     (:class:`SerializationError`), so a restore rebuilds them.
     Circuit-mode states are lowered to canonical ``N[X]`` for persistence
     (gates are an execution representation, not a storage format) and
-    re-interned through the database's gate image on restore.
+    re-interned as gates on restore.
     """
     logical, state = view._logical_state()
     if logical.name not in SEMIRING_REGISTRY:

@@ -57,7 +57,7 @@ from repro.core.relation import KRelation
 from repro.core.schema import Schema
 from repro.exceptions import QueryError
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.compiler import PhysicalPlan, compile_plan
+from repro.plan.compiler import PhysicalPlan, annotation_semiring, compile_plan
 from repro.plan.physical import Fallback, HashJoin, PhysicalOp, Scan
 
 __all__ = [
@@ -216,7 +216,8 @@ class DeltaPlan:
         "delta_query",
         "plan",
         "schema",
-        "_exec_db",
+        "semiring",
+        "_catalog",
     )
 
     def __init__(
@@ -227,6 +228,7 @@ class DeltaPlan:
         delta_query: Optional[Query],
         plan: Optional[PhysicalPlan],
         schema: Schema,
+        semiring,
     ):
         self.core = core
         self.changed = changed
@@ -234,8 +236,10 @@ class DeltaPlan:
         self.delta_query = delta_query
         self.plan = plan
         self.schema = schema
+        #: the semiring the view delta is annotated in (gates in circuit mode)
+        self.semiring = semiring
         # (source db, reusable execution catalog) — see combined()
-        self._exec_db: "Optional[tuple]" = None
+        self._catalog: "Optional[tuple]" = None
 
     def combined(self, db: KDatabase, deltas: Mapping[str, KRelation]) -> KDatabase:
         """The execution catalog: base relations plus Δ-named deltas.
@@ -251,7 +255,7 @@ class DeltaPlan:
         scratch (stale bindings from the previous database must not leak
         in — e.g. a table the new database does not define).
         """
-        memo = self._exec_db
+        memo = self._catalog
         if memo is not None and memo[0] is db:
             exec_db = memo[1]
             for name, rel in db:
@@ -261,7 +265,7 @@ class DeltaPlan:
             exec_db = KDatabase(db.semiring)
             for name, rel in db:
                 exec_db.add(name, rel)
-            self._exec_db = (db, exec_db)
+            self._catalog = (db, exec_db)
         for name in self.changed:
             exec_db.add(self.dname(name), deltas[name])
         return exec_db
@@ -291,7 +295,7 @@ class DeltaPlan:
         :attr:`ENCODED_DELTA_MIN_ROWS`).
         """
         if self.delta_query is None:
-            return ColumnarKRelation.empty(db.semiring, self.schema)
+            return ColumnarKRelation.empty(self.semiring, self.schema)
         exec_db = self.combined(db, deltas)
         tier = None
         if self.plan.tier == "encoded":
@@ -304,7 +308,7 @@ class DeltaPlan:
         """Run the delta plan and consolidate into a logical relation."""
         return self.execute_batch(db, deltas).to_krelation()
 
-    def explain(self, *, annotations: str = "expanded") -> str:
+    def explain(self) -> str:
         """Render the physical delta plan (or the statically-pruned no-op)."""
         if self.delta_query is None:
             return (
@@ -312,7 +316,7 @@ class DeltaPlan:
                 f"{{{', '.join(sorted(self.changed)) or '∅'}}} is statically empty "
                 "(no changed table is referenced)"
             )
-        return self.plan.explain(annotations=annotations)
+        return self.plan.explain()
 
 
 def compile_delta_plan(
@@ -321,13 +325,18 @@ def compile_delta_plan(
     changed: Iterable[str],
     *,
     dname: Optional[Callable[[str], str]] = None,
+    annotations: str = "expanded",
 ) -> DeltaPlan:
     """Compile the delta of an SPJU ``core`` for deltas to ``changed`` tables.
 
     ``db`` supplies the catalog (schemas and current sizes); delta tables
     are templated empty, so the planner ranks them as the cheap build
     sides.  Deltas to tables the core never reads are pruned statically.
+    ``annotations`` is the representation the delta is computed in, as
+    for :func:`~repro.plan.compiler.compile_plan`: in circuit mode the
+    scans lift base and delta rows to gates as they read them.
     """
+    semiring = annotation_semiring(db.semiring, annotations)
     refs = table_refs(core)
     effective = frozenset(changed) & refs
     if dname is None:
@@ -344,8 +353,8 @@ def compile_delta_plan(
             template.add(
                 dname(name), KRelation.empty(db.semiring, db.relation(name).schema.attributes)
             )
-        plan = compile_plan(delta_query, template)
+        plan = compile_plan(delta_query, template, annotations=annotations)
         _prefer_cached_base_builds(
             plan.root, frozenset(dname(n) for n in effective), effective
         )
-    return DeltaPlan(core, effective, dname, delta_query, plan, schema)
+    return DeltaPlan(core, effective, dname, delta_query, plan, schema, semiring)

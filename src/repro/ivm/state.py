@@ -62,8 +62,8 @@ def lower_tensor(tensor: Tensor, semiring, map_scalar: Callable[[Any], Any]) -> 
     """Rebuild a tensor in ``semiring``'s space with scalars mapped.
 
     The state (de)hydration helper: circuit-mode states lower gate scalars
-    to canonical ``N[X]`` for persistence and lift them back through the
-    database's interned gate image on restore.
+    to canonical ``N[X]`` for persistence and lift them back to gates on
+    restore.
     """
     space = tensor_space(semiring, tensor.space.monoid)
     return space.set_agg((m, map_scalar(k)) for m, k in tensor.items())

@@ -3,9 +3,9 @@
 ``MaterializedView`` is the user-facing face of :mod:`repro.ivm`:
 
 * :meth:`MaterializedView.create` evaluates the query once on the planned
-  engine (optionally over the database's interned circuit gate image)
-  and decomposes it into an SPJU *core* plus an optional aggregation
-  *head* (GROUP BY / AGG / COUNT / AVG / DISTINCT);
+  engine (optionally in circuit mode, over shared gates) and decomposes
+  it into an SPJU *core* plus an optional aggregation *head* (GROUP BY /
+  AGG / COUNT / AVG / DISTINCT);
 * :meth:`~MaterializedView.apply` maintains the view under base-table
   deltas: the core delta runs through a compiled
   :class:`~repro.ivm.delta.DeltaPlan` (hash joins building on the delta
@@ -45,13 +45,8 @@ from repro.ivm.delta import DeltaPlan, compile_delta_plan, table_refs
 from repro.ivm.snapshot import ViewSnapshot
 from repro.ivm.state import HeadState
 from repro.obs import trace as _trace
-from repro.plan.circuit_exec import (
-    CircuitResult,
-    circuit_database,
-    lift_relation,
-    patch_circuit_image,
-)
-from repro.plan.compiler import compile_plan
+from repro.plan.circuit_exec import CircuitResult
+from repro.plan.compiler import annotation_semiring, compile_plan
 from repro.semirings.homomorphism import deletion_hom
 from repro.semirings.polynomials import NX, PolynomialSemiring
 
@@ -97,8 +92,7 @@ class MaterializedView:
         annotations: str = "expanded",
         snapshot: Optional[ViewSnapshot] = None,
     ):
-        if annotations not in ("expanded", "circuit"):
-            raise QueryError(f"unknown annotation representation {annotations!r}")
+        self._exec_semiring = annotation_semiring(db.semiring, annotations)
         self.db = db
         self.query = query
         self.annotations = annotations
@@ -107,11 +101,6 @@ class MaterializedView:
         self._head_kind = _HEAD_KINDS.get(type(query), "relation")
         self._core = query if self._head_kind == "relation" else query.child
         self._refs = table_refs(self._core)  # validates the SPJU core
-        if annotations == "circuit":
-            self._circuit = self._exec_semiring = circuit_database(db)[0]
-        else:
-            self._circuit = None
-            self._exec_semiring = db.semiring
 
         # well-formedness of the whole view, decided on schemas alone
         catalog = {name: rel.schema for name, rel in db}
@@ -186,23 +175,13 @@ class MaterializedView:
             # tables are statically empty), so {"Emp"} and {"Emp",
             # "Other"} share one compiled plan
             plan = self._delta_plan(frozenset(deltas) & self._refs)
-            if self._circuit is not None:
-                lifted = {
-                    name: lift_relation(delta, self._circuit)
-                    for name, delta in deltas.items()
-                }
-                batch = plan.execute_batch(self._exec_db(), lifted)
-            else:
-                lifted = None
-                batch = plan.execute_batch(self.db, deltas)
+            batch = plan.execute_batch(self.db, deltas)
             if tspan is not None:
                 tspan.attrs["delta_rows"] = len(batch)
             if len(batch):
                 self._head.absorb(batch)
                 self._result_cache = None
             self.db.update(deltas)
-            if lifted is not None:
-                patch_circuit_image(self.db, lifted)
             self._version = self.db.version
         return self
 
@@ -212,10 +191,10 @@ class MaterializedView:
         The delta-term-zeroing side of deletions for token-based
         (``N[X]``/``Z[X]``) views: every group tensor, raw total and base
         annotation has the tokens' indeterminates set to ``0`` — no query
-        re-runs.  Circuit-mode views share gates across the whole image
-        and should :meth:`refresh` after deletions instead.
+        re-runs.  Circuit-mode views share gates with every other circuit
+        plan and should :meth:`refresh` after deletions instead.
         """
-        if self._circuit is not None:
+        if self.annotations == "circuit":
             raise QueryError(
                 "token zeroing patches expanded polynomial state; "
                 "circuit-mode views should refresh() after deletions"
@@ -266,13 +245,14 @@ class MaterializedView:
         the tier left it, so an encoded core folds on the encoded kernel
         without being decoded row by row.
         """
-        exec_db = self._exec_db()
-        if self._core.schema({n: rel.schema for n, rel in exec_db}) != self.core_schema:
+        db = self.db
+        if self._core.schema({n: rel.schema for n, rel in db}) != self.core_schema:
             raise QueryError(
                 f"view core {self._core} no longer compiles to schema "
                 f"{self.core_schema}; recreate the view"
             )
-        initial = compile_plan(self._core, exec_db).execute_raw(exec_db)
+        plan = compile_plan(self._core, db, annotations=self.annotations)
+        initial = plan.execute_raw(db)
         if len(initial):
             self._head.absorb(initial)
 
@@ -282,8 +262,8 @@ class MaterializedView:
         """The maintained view contents (cached until the next mutation)."""
         if self._result_cache is None:
             relation = KRelation(self._exec_semiring, self.out_schema, self._head.rows)
-            if self._circuit is not None:
-                self._result_cache = CircuitResult(relation, self._circuit)
+            if self.annotations == "circuit":
+                self._result_cache = CircuitResult(relation, self._exec_semiring)
             else:
                 self._result_cache = relation
         return self._result_cache
@@ -309,7 +289,7 @@ class MaterializedView:
             f"view: {self.query}",
             f"maintains: {_HEAD_DESCRIPTIONS[self._head_kind]}",
         ]
-        return "\n".join(lines) + "\n" + plan.explain(annotations=self.annotations)
+        return "\n".join(lines) + "\n" + plan.explain()
 
     def check(self) -> bool:
         """Does the maintained view equal re-evaluation from scratch?"""
@@ -325,7 +305,7 @@ class MaterializedView:
 
     def _logical_state(self):
         """(logical semiring, dumped state) — circuit gates lowered to N[X]."""
-        if self._circuit is not None:
+        if self.annotations == "circuit":
             from repro.circuits.convert import circuit_to_polynomial
 
             memo: Dict[int, Any] = {}
@@ -335,7 +315,7 @@ class MaterializedView:
         return self.db.semiring, self._head.dump_state(self.db.semiring, None)
 
     def _restore(self, snap: ViewSnapshot) -> None:
-        logical = NX if self._circuit is not None else self.db.semiring
+        logical = NX if self.annotations == "circuit" else self.db.semiring
         if snap.query_text != str(self.query):
             raise QueryError(
                 f"snapshot was taken for query {snap.query_text!r}; this view "
@@ -365,33 +345,22 @@ class MaterializedView:
                 f"snapshot schema {snap.out_schema} does not match the view "
                 f"schema {self.out_schema}"
             )
-        if self._circuit is not None:
-            from repro.circuits.convert import polynomial_to_circuit
+        if self.annotations == "circuit":
+            from repro.circuits.convert import lifter
 
-            encode: Dict[Any, Any] = {}
-
-            def lift(poly):
-                gate = encode.get(poly)
-                if gate is None:
-                    gate = encode[poly] = polynomial_to_circuit(poly, self._circuit)
-                return gate
-
-            self._head.load_state(snap.state, lift)
+            self._head.load_state(snap.state, lifter()[0])
         else:
             self._head.load_state(snap.state, None)
         self._result_cache = None
 
     # -- plumbing -------------------------------------------------------------
 
-    def _exec_db(self) -> KDatabase:
-        if self._circuit is None:
-            return self.db
-        return circuit_database(self.db)[1]
-
     def _delta_plan(self, changed: FrozenSet[str]) -> DeltaPlan:
         plan = self._delta_plans.get(changed)
         if plan is None:
-            plan = compile_delta_plan(self._core, self._exec_db(), changed)
+            plan = compile_delta_plan(
+                self._core, self.db, changed, annotations=self.annotations
+            )
             self._delta_plans[changed] = plan
         return plan
 

@@ -52,7 +52,7 @@ def analyze_query(
     # load, so an eager import here would be a cycle
     from repro.plan.compiler import compile_plan
 
-    plan = compile_plan(query, db, tier=tier)
+    plan = compile_plan(query, db, tier=tier, annotations=annotations)
     with trace.collect("query", trace_id=trace_id, engine="planned") as root:
         result = plan.execute(deadline=deadline)
         root.attrs["rows_out"] = len(result)
@@ -79,7 +79,7 @@ def explain_analyze(
     del result  # executed for its trace; the caller re-runs for data
     parts = []
     if plan is not None:
-        parts.append(plan.explain(annotations=annotations))
+        parts.append(plan.explain())
     else:
         parts.append(f"plan for: {query}\nengine: interpreted (no physical plan)")
     parts.append(f"analyze (trace {root.trace_id}):")

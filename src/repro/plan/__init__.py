@@ -19,7 +19,7 @@ Entry point for users: ``query.evaluate(db, engine="planned")`` — see
 ``docs/architecture.md``.
 """
 
-from repro.plan.circuit_exec import CircuitResult, circuit_database, evaluate_circuit_backed
+from repro.plan.circuit_exec import CircuitResult, evaluate_circuit_backed
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.compiler import PhysicalPlan, compile_plan
 from repro.plan.encoded import EncodedBatch, encoded_scan
@@ -36,7 +36,6 @@ from repro.plan.parallel import (
 
 __all__ = [
     "CircuitResult",
-    "circuit_database",
     "evaluate_circuit_backed",
     "ColumnarKRelation",
     "EncodedBatch",

@@ -6,15 +6,19 @@ every group merges them.  The paper's "compute provenance once,
 specialise many times" story needs none of that during execution: it only
 needs the result to be a value of the **free** semiring, and the
 hash-consed circuits of :mod:`repro.circuits` are exactly that (ProvSQL
-stores provenance the same way).
+stores provenance the same way).  A circuit is one representation of an
+``N[X]`` value — evaluation commutes with every homomorphism out of it
+(Thm. 3.3) — so circuit mode is a second way to *encode* the stored
+``N[X]`` relations, not a second database:
 
-This module runs the ordinary physical plan over a
-:class:`~repro.circuits.semiring.CircuitSemiring`:
-
-1. base-table ``N[X]`` annotations are interned as gates once per
-   database (token polynomials become input gates; the mapping is cached
-   on the :class:`~repro.core.database.KDatabase` and reused across
-   queries, so gates are shared *between* queries too);
+1. the plan is compiled for ``annotations="circuit"``
+   (:func:`~repro.plan.compiler.compile_plan`): its scans lift each
+   stored polynomial to a gate of the process-wide
+   :data:`~repro.circuits.convert.NX_CIRCUITS` as they read it (token
+   polynomials become input gates; gates are shared *between* queries
+   and databases), and on the encoded tier that lift is cached beside
+   the table's term encoding
+   (:func:`~repro.plan.encoded.encoded_scan`) and carried across inserts;
 2. the plan executes on the **encoded tier**: the circuit semiring's
    machine representation is its builder's gate store
    (:mod:`repro.circuits.store`), so annotation arrays hold int64 gate
@@ -34,148 +38,29 @@ This module runs the ordinary physical plan over a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, List, Mapping
 
-from repro.circuits.convert import polynomial_to_circuit
 from repro.circuits.evaluate import evaluate_gates, reachable_count
 from repro.circuits.semiring import CircuitSemiring
 from repro.core.database import KDatabase
 from repro.core.relation import KRelation
-from repro.exceptions import QueryError
-from repro.semimodules.tensor import Tensor, tensor_space
 from repro.semirings.base import Semiring
 from repro.semirings.homomorphism import Homomorphism
 from repro.semirings.polynomials import NX
 
-__all__ = [
-    "CircuitResult",
-    "circuit_database",
-    "evaluate_circuit_backed",
-    "lift_relation",
-    "patch_circuit_image",
-]
-
-
-def circuit_database(db: KDatabase) -> Tuple[CircuitSemiring, KDatabase]:
-    """The circuit image of an ``N[X]`` database (cached on ``db``).
-
-    Every relation's polynomial annotations are encoded as interned gates
-    over one :class:`CircuitSemiring` owned by the database.  The cache
-    keys on the database's monotonic ``version`` stamp: while the stamp is
-    unchanged the image is returned without touching a single relation;
-    after a mutation each relation is re-validated by object identity, so
-    ``db.add``/``db.update`` refreshing one table re-encodes only that
-    table while keeping every existing gate — and every compiled plan
-    against the circuit database — intact.  When the builder has started
-    a new gate generation since (its ``max_gates`` cap), every table is
-    re-lifted into it, so the encoded tier can scan them again.
-    (:mod:`repro.ivm` patches the image in place on incremental updates,
-    interning only the delta's new gates, and restamps the cache itself.)
-
-    Runs under the database's writer lock: the image is mutable shared
-    state (one gate universe, one circuit database per lineage), so
-    concurrent readers must not interleave re-lifts — and a snapshot
-    pinned at an older version re-lifts its own tables through the same
-    serialised path.  Callers that go on to *execute* a plan should pin
-    ``circ_db.snapshot()`` before releasing (see
-    :func:`evaluate_circuit_backed`).
-    """
-    if db.semiring is not NX:
-        raise QueryError(
-            "circuit-backed execution expects an N[X]-annotated database; "
-            f"got {db.semiring.name}"
-        )
-    with db._lock:
-        cache = getattr(db, "_circuit_cache", None)
-        if cache is None:
-            circ = CircuitSemiring(name=f"Circ[{db.semiring.name}]")
-            cache = {"semiring": circ, "db": KDatabase(circ), "sources": {},
-                     "version": None, "store": circ.builder.store}
-            db._circuit_cache = cache
-        circ = cache["semiring"]
-        if cache["store"] is not circ.builder.store:
-            cache["sources"].clear()
-            cache["store"] = circ.builder.store
-        elif cache["version"] == db.version:
-            return circ, cache["db"]
-        circ_db: KDatabase = cache["db"]
-        sources: Dict[str, KRelation] = cache["sources"]
-        for name, rel in db:
-            if sources.get(name) is rel:
-                continue
-            circ_db.add(name, lift_relation(rel, circ))
-            sources[name] = rel
-        cache["version"] = db.version
-        return circ, circ_db
-
-
-def lift_relation(rel: KRelation, circ: CircuitSemiring) -> KRelation:
-    """Re-annotate one relation with gates (tensor values lift scalar-wise)."""
-    encode: Dict[Any, Any] = {}
-
-    def gate(poly):
-        node = encode.get(poly)
-        if node is None:
-            node = encode[poly] = polynomial_to_circuit(poly, circ)
-        return node
-
-    def lift_value(value: Any) -> Any:
-        if not isinstance(value, Tensor):
-            return value
-        space = tensor_space(circ, value.space.monoid)
-        return space.set_agg((m, gate(k)) for m, k in value.items())
-
-    pairs = []
-    for tup, annotation in rel.rows():
-        values = {a: lift_value(v) for a, v in tup.items()}
-        pairs.append((type(tup)(values), gate(annotation)))
-    return KRelation(circ, rel.schema, pairs)
-
-
-def patch_circuit_image(db: KDatabase, lifted: Mapping[str, KRelation]) -> None:
-    """Graft already-interned delta gates onto the cached circuit image.
-
-    Call *after* folding the corresponding polynomial deltas into ``db``
-    (``db.update``): each named relation of the image becomes its union
-    with the lifted delta, the source pointers move to the new base
-    relations, and the cache is restamped at the database's new version —
-    so the next :func:`circuit_database` call neither re-encodes whole
-    relations nor discards the shared gate universe.  A database with no
-    image yet is left alone (the next call builds one from scratch).
-    The owner of the cache layout: keep every access to
-    ``db._circuit_cache`` in this module.
-    """
-    with db._lock:
-        cache = getattr(db, "_circuit_cache", None)
-        if cache is None:
-            return
-        from repro.core.operators import union  # local: operators import core only
-
-        circ_db: KDatabase = cache["db"]
-        for name, lifted_rel in lifted.items():
-            circ_db.add(name, union(circ_db.relation(name), lifted_rel))
-            cache["sources"][name] = db.relation(name)
-        cache["version"] = db.version
+__all__ = ["CircuitResult", "evaluate_circuit_backed"]
 
 
 def evaluate_circuit_backed(query, db: KDatabase, deadline=None) -> "CircuitResult":
-    """Run ``query`` over the circuit image of ``db`` (planned engine),
-    checking ``deadline`` (a :class:`~repro.deadline.Deadline`) at every
-    operator as the expanded plan does.
-
-    The image itself is pinned (``circ_db.snapshot()``) before the plan
-    runs, so a concurrent reader at a different version — or an
-    incremental writer grafting delta gates — rebinding the image's
-    relations cannot tear this execution.  Gate *creation* during
-    execution stays safe because the builder's interning tables are
-    thread-safe; heavy symbolic work is additionally admission-controlled
-    by the serving layer.
-    """
-    with db._lock:
-        circ, circ_db = circuit_database(db)
-        circ_snap = circ_db.snapshot()
-    plan = query._cached_plan(circ_snap)
-    return CircuitResult(plan.execute(circ_snap, deadline=deadline), circ)
+    """Run ``query`` over ``db`` (an ``N[X]`` database) on its circuit
+    plan, checking ``deadline`` (a :class:`~repro.deadline.Deadline`) at
+    every operator as the expanded plan does.  Concurrent queries may
+    create gates at once: the builder's interning is thread-safe, and
+    heavy symbolic work is additionally admission-controlled by the
+    serving layer."""
+    plan = query._cached_plan(db, "circuit")
+    result = plan.execute(db, deadline=deadline)
+    return CircuitResult(result, result.semiring)
 
 
 class _GateValuation(Homomorphism):

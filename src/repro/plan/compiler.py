@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.circuits.convert import NX_CIRCUITS
 from repro.core.query import (
     Aggregate,
     AvgAgg,
@@ -79,8 +80,9 @@ from repro.core.query import AttrCompare
 from repro.core.relation import KRelation
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.semirings.polynomials import NX
 
-__all__ = ["PhysicalPlan", "compile_plan"]
+__all__ = ["PhysicalPlan", "annotation_semiring", "compile_plan"]
 
 
 def _note_tier(tier: str) -> None:
@@ -103,13 +105,18 @@ class PhysicalPlan:
     back per table / per operator when the data disqualifies;
     ``"object"`` plans run the boxed Python-value path throughout — the
     only tier there is when NumPy did not import.
+
+    ``annotations`` is the representation the plan was compiled for
+    (``"expanded"`` or ``"circuit"``, see :func:`compile_plan`).
     """
 
-    def __init__(self, root: PhysicalOp, db, query: Query, tier: str = "object"):
+    def __init__(self, root: PhysicalOp, db, query: Query, tier: str = "object",
+                 annotations: str = "expanded"):
         self.root = root
         self.db = db
         self.query = query
         self.tier = tier
+        self.annotations = annotations
         self._scan_cache: Dict[str, Tuple[Any, Any]] = {}
         self._last_tier: "str | None" = None
         #: tables the last encoded run scanned boxed (their contents)
@@ -228,6 +235,7 @@ class PhysicalPlan:
             self._scan_cache,
             encoded=effective == "encoded",
             deadline=deadline,
+            annotations=self.annotations,
         )
         result = self.root.execute(ctx)
         self._boxed = tuple(ctx.boxed)
@@ -241,18 +249,18 @@ class PhysicalPlan:
             _note_tier("object")
         return result
 
-    def explain(self, *, annotations: str = "expanded") -> str:
+    def explain(self) -> str:
         """Render the operator tree with cardinality estimates.
 
-        ``annotations`` names the representation annotation arithmetic
-        runs in (``"expanded"`` canonical values, ``"circuit"`` shared
-        gates lowered on demand); the ``tier:`` line names the execution
-        tier the compiler selected — and, once the plan has run, which
-        tier actually executed (a qualifying semiring whose *data*
-        disqualified falls back at runtime).
+        The ``annotations:`` line names the representation the plan was
+        compiled for (``"expanded"`` canonical values, ``"circuit"``
+        shared gates lowered on demand); the ``tier:`` line names the
+        execution tier the compiler selected — and, once the plan has
+        run, which tier actually executed (a qualifying semiring whose
+        *data* disqualified falls back at runtime).
         """
         lines = [f"plan for: {self.query}"]
-        if annotations == "circuit":
+        if self.annotations == "circuit":
             lines.append(
                 "annotations: circuit (hash-consed gates; lowered / "
                 "specialised on demand)"
@@ -276,7 +284,8 @@ class PhysicalPlan:
             tier += f"  [last run: {self._last_tier}]"
         lines.append(tier)
         for name in self._boxed:
-            lines.append(f"boxed: table {name} ({why_boxed(self.db.relation(name))})")
+            why = why_boxed(self.db.relation(name), self.annotations)
+            lines.append(f"boxed: table {name} ({why})")
         if self.tier == "parallel":
             from repro.plan import parallel as _parallel
 
@@ -367,6 +376,25 @@ class _CannotCompile(Exception):
     """Internal: this subtree needs the interpreter (totality fallback)."""
 
 
+def annotation_semiring(semiring, annotations: str):
+    """The semiring a plan over a ``semiring``-annotated database computes
+    in, in the representation ``annotations`` names: ``semiring`` itself
+    (``"expanded"``), or the circuits of ``N[X]``
+    (:data:`~repro.circuits.convert.NX_CIRCUITS`, ``"circuit"``; only an
+    ``N[X]`` database has them).  Any other value raises
+    :class:`~repro.exceptions.QueryError`, as ``Query.evaluate`` does."""
+    if annotations == "expanded":
+        return semiring
+    if annotations != "circuit":
+        raise QueryError(f"unknown annotation representation {annotations!r}")
+    if semiring is not NX:
+        raise QueryError(
+            "circuit-backed execution expects an N[X]-annotated database; "
+            f"got {semiring.name}"
+        )
+    return NX_CIRCUITS
+
+
 def compile_plan(
     query: Query,
     db,
@@ -374,11 +402,17 @@ def compile_plan(
     rewrite: bool = True,
     tier: "str | None" = None,
     deadline: "float | None" = None,
+    annotations: str = "expanded",
 ) -> PhysicalPlan:
     """Compile ``query`` into a :class:`PhysicalPlan` against ``db``.
 
     ``rewrite=False`` skips the logical rewrite pass (used by golden tests
     to pin plan shapes before/after pushdown).
+
+    ``annotations`` mirrors ``Query.evaluate``: ``"circuit"`` compiles the
+    plan to compute over gates (:func:`annotation_semiring`) — its scans
+    lift the stored ``N[X]`` annotations of ``db`` as they read them, and
+    on the encoded tier its annotation arrays are gate ids.
 
     ``deadline`` attaches a per-execution wall-clock budget in seconds:
     every ``execute()``/``execute_batch()`` of the returned plan starts a
@@ -404,11 +438,12 @@ def compile_plan(
     honestly reported).  Insisting
     on ``"encoded"`` or ``"parallel"`` against a database that is not
     encodable raises :class:`~repro.exceptions.QueryError` naming what is
-    missing, as does ``"parallel"`` over a circuit semiring, whose
-    annotations are per-process gate ids.
+    missing, as does ``"parallel"`` in circuit mode, whose annotations
+    are per-process gate ids.
     """
     if tier not in (None, "object", "encoded", "parallel"):
         raise QueryError(f"unknown execution tier {tier!r}")
+    semiring = annotation_semiring(db.semiring, annotations)
     catalog = {name: rel.schema for name, rel in db}
     sizes = {name: len(rel) for name, rel in db}
     working = query
@@ -422,10 +457,10 @@ def compile_plan(
             root = _compile(working, catalog, sizes)
         except _CannotCompile:
             root = Fallback(working)
-    machine = db.semiring.machine_repr
+    machine = semiring.machine_repr
     if machine is None:
         unencodable = (
-            f"semiring {db.semiring.name} declares no machine representation"
+            f"semiring {semiring.name} declares no machine representation"
         )
     elif not HAVE_NUMPY:
         unencodable = "NumPy is not importable"
@@ -438,7 +473,7 @@ def compile_plan(
         )
     if tier == "parallel" and not machine.portable:
         raise QueryError(
-            f"the parallel tier is unavailable: {db.semiring.name} annotations "
+            f"the parallel tier is unavailable: {semiring.name} annotations "
             f"are {machine.entry_kind}, which workers do not share (omit tier "
             "to auto-select)"
         )
@@ -457,7 +492,7 @@ def compile_plan(
                 parallel_reason = str(exc)
     if tier is None:
         tier = "encoded" if qualifies else "object"
-    plan = PhysicalPlan(root, db, query, tier)
+    plan = PhysicalPlan(root, db, query, tier, annotations)
     plan._working = working
     plan._parallel_spec = parallel_spec
     plan._parallel_reason = parallel_reason

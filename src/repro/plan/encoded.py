@@ -18,8 +18,11 @@ tier:
   (:func:`carry_forward`);
 * annotations of semirings declaring a
   :class:`~repro.semirings.base.MachineRepr` are stored as a flat NumPy
-  array of the declared dtype — machine scalars, or, for the circuit
-  semiring, int64 ids into its gate store
+  array of the declared dtype — machine scalars, or ids: ``N[X]`` term
+  ids (:mod:`repro.semirings.terms`), or, when a plan runs in
+  ``annotations="circuit"``, the ids of the gates its scans lift the
+  stored polynomials to (:func:`scan_rows`) in the gate store of
+  :data:`~repro.circuits.convert.NX_CIRCUITS`
   (:mod:`repro.circuits.store`), whose ``+``/``*``/``delta`` kernels
   intern gates;
 * the physical operators then run as array kernels over codes: selection
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.circuits.convert import NX_CIRCUITS, lifter
 from repro.core.schema import Schema
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -64,9 +68,14 @@ __all__ = [
     "EncodedFallback",
     "encode_relation",
     "encoded_scan",
+    "scan_rows",
     "carry_forward",
     "slice_batch",
 ]
+
+#: The annotation representations a stored table is encoded in: as
+#: stored, or lifted to circuit gates (``N[X]`` only).
+_REPRESENTATIONS = ("expanded", "circuit")
 
 #: Mixed-radix code combination must stay inside int64.
 _RADIX_LIMIT = 1 << 62
@@ -299,10 +308,13 @@ def encode_batch(
     return EncodedBatch(semiring, schema, cols, anns, anns_one, bound, machine)
 
 
-def why_boxed(rel) -> str:
+def why_boxed(rel, annotations: str = "expanded") -> str:
     """Why :func:`encode_relation` finds no encoding of ``rel`` (for
     ``explain``): its first annotation without a machine form, else an
-    unhashable value."""
+    unhashable value.  Every polynomial lifts to a gate, so a circuit
+    scan boxes only across a gate rollover."""
+    if annotations == "circuit":
+        return "gate store rolled over"
     machine = rel.semiring.machine_repr
     for annotation in rel._rows.values():
         if not machine.fits(annotation):
@@ -310,34 +322,65 @@ def why_boxed(rel) -> str:
     return "a value is unhashable"
 
 
-def encode_relation(rel) -> Optional[EncodedBatch]:
-    """Encode a stored :class:`KRelation` (or ``None`` if disqualified)."""
+def scan_rows(rel, annotations: str = "expanded") -> ColumnarKRelation:
+    """The object batch a scan of ``rel`` reads in the representation
+    ``annotations`` names: the stored rows, or (``"circuit"``, over
+    ``N[X]``) the rows lifted into
+    :data:`~repro.circuits.convert.NX_CIRCUITS` — each distinct
+    polynomial one gate, tensor values scalar by scalar."""
     batch = ColumnarKRelation.from_krelation(rel)
-    encoded = encode_batch(
-        rel.semiring, batch.schema, batch.columns, batch.annotations
+    if annotations == "expanded":
+        return batch
+    gate, value = lifter()
+    columns = {a: list(map(value, col)) for a, col in batch.columns.items()}
+    return ColumnarKRelation._from_clean(
+        NX_CIRCUITS, batch.schema, columns, list(map(gate, batch.annotations)),
+        batch.distinct,
     )
+
+
+def encode_relation(rel, annotations: str = "expanded") -> Optional[EncodedBatch]:
+    """Encode a stored :class:`KRelation` in the representation
+    ``annotations`` names (or ``None`` if disqualified).  A circuit lift
+    whose gate generation is replaced before its encode (the builder
+    filled up, in this lift or another thread's) runs once more, in the
+    new one; a ``None`` that survives is such a race (:func:`_stale`)."""
+    for _ in range(2):
+        store = NX_CIRCUITS.machine_repr
+        batch = scan_rows(rel, annotations)
+        encoded = encode_batch(
+            batch.semiring, batch.schema, batch.columns, batch.annotations
+        )
+        if encoded is not None or annotations == "expanded" or store.current():
+            break
     if encoded is not None:
         encoded.distinct = True  # the rows of a finite map
     return encoded
 
 
-def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
-    """The encoding of base table ``name``, cached on the database.
+def encoded_scan(
+    db, name: str, rel, annotations: str = "expanded"
+) -> Optional[EncodedBatch]:
+    """The encoding of base table ``name`` in the representation
+    ``annotations`` names, cached on the database.
 
-    The cache lives on the :class:`KDatabase` (one entry per table,
+    The cache lives on the :class:`KDatabase` (one entry per table and
+    representation — ``N[X]`` tables have two, term ids and gate ids —
     holding the relation object it was built from and the database
     version it was built at) and is revalidated by relation identity —
-    the same contract as the scan column cache and the circuit gate
-    image.  ``db.update`` carries the entry of a table across a pure
-    insert (:func:`carry_forward`: the old batch followed by the encoded
-    delta), so the read after such a write is a hit; any other mutation
+    the same contract as the scan column cache.  ``db.update`` carries
+    each entry of a table across a pure insert (:func:`carry_forward`:
+    the old batch followed by the encoded delta), so the read after such
+    a write is a hit; any other mutation
     (``db.add``, a delta that collides with a stored key, a ``Z``-deletion)
     replaces the relation object and leaves the entry stale, and the
     mutated table re-encodes from scratch here while every untouched
     table (and therefore every repeated plan execution and IVM apply
     against it) reuses its encoding.  A ``None`` batch records that the
     table's contents disqualify the tier, so the O(rows) qualification
-    scan runs once, not per execution.
+    scan runs once, not per execution; a circuit scan's ``None`` is a
+    gate rollover, not a verdict on the contents, and is not kept
+    (:func:`_stale`).
 
     Thread safety (the cache is shared across server workers, and by
     every :class:`~repro.core.database.DatabaseSnapshot` of one lineage):
@@ -356,27 +399,29 @@ def encoded_scan(db, name: str, rel) -> Optional[EncodedBatch]:
     if cache is None:
         lock = getattr(db, "_lock", None)
         if lock is None:  # a db-like object without the slot
-            return encode_relation(rel)
+            return encode_relation(rel, annotations)
         with lock:
             cache = getattr(db, "_encoded_cache", None)
             if cache is None:
-                cache = {"tables": {}}
+                cache = {rep: {} for rep in _REPRESENTATIONS}
                 try:
                     db._encoded_cache = cache
                 except AttributeError:
-                    return encode_relation(rel)
-    tables = cache["tables"]
+                    return encode_relation(rel, annotations)
+    tables = cache[annotations]
     entry = tables.get(name)
-    if entry is not None and entry[0] is rel and not _retired(entry[1]):
+    if entry is not None and entry[0] is rel and not _stale(entry[1], annotations):
         return entry[1]
     # encode misses are the expensive path — worth a span of their own
     # (cache hits above stay untouched: no span, no check beyond _ACTIVE)
     with _trace.span(f"encode {name}") as span:
-        batch = encode_relation(rel)
+        batch = encode_relation(rel, annotations)
         if span is not None and batch is not None:
             span.attrs["rows"] = len(batch)
             span.attrs["ann_bytes"] = int(batch.anns.nbytes)
     _metrics.ENCODED_CACHE_EVENTS.inc(1, "rebuild")
+    if _stale(batch, annotations):
+        return batch
     version = db.version
     with db._lock:
         entry = tables.get(name)
@@ -435,24 +480,36 @@ class _ColumnTail:
         return column
 
 
-def _retired(batch: Optional[EncodedBatch]) -> bool:
-    """Was ``batch`` encoded in a generation of an interning repr (gate or
-    term ids) that its semiring has since replaced?  Its ids still read,
-    but nothing new can combine with them: the table re-encodes."""
-    return batch is not None and batch.machine is not batch.semiring.machine_repr
+def _stale(batch: Optional[EncodedBatch], annotations: str) -> bool:
+    """Must the cached encoding ``batch`` be rebuilt?  It must if it was
+    encoded in a generation of an interning repr (gate or term ids) that
+    its semiring has since replaced — its ids still read, but nothing new
+    can combine with them — or if it is a circuit scan's ``None``: every
+    polynomial lifts, so that is a gate rollover (see
+    :func:`encode_relation`), not a verdict on the table."""
+    if batch is None:
+        return annotations == "circuit"
+    return batch.machine is not batch.semiring.machine_repr
 
 
-def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
-    """``batch`` followed by the rows of ``delta`` as a new batch sharing
-    nothing mutable with ``batch``, or ``None`` if a delta annotation
-    disqualifies the table.  (Delta values need no hashability check: a
+def _extend_batch(
+    batch: EncodedBatch, delta, annotations: str
+) -> Optional[EncodedBatch]:
+    """``batch`` followed by the rows of ``delta`` (in the representation
+    ``annotations`` names) as a new batch sharing nothing mutable with
+    ``batch``, or ``None`` if a delta annotation disqualifies the table.
+    (Delta values need no hashability check: a
     :class:`~repro.core.tuples.Tup` hashes its values at construction.)
     Raises :class:`EncodedFallback` where the batch's generation cannot
     take the delta's annotations."""
-    rows = ColumnarKRelation.from_krelation(delta)
+    rows = scan_rows(delta, annotations)
     scanned = _scan_annotations(
         batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
     )
+    # checked after the scan: a rollover (in the lift, or in another
+    # thread) before it fails the scan, and must not read as disqualified
+    if _stale(batch, annotations):
+        raise EncodedFallback("gate store rolled over")
     if scanned is None:
         return None
     tail = batch.machine.encode(rows.annotations)
@@ -469,10 +526,11 @@ def _extend_batch(batch: EncodedBatch, delta) -> Optional[EncodedBatch]:
 
 
 def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
-    """Carry table ``name``'s cached encoding across ``new = old ∪ delta``.
+    """Carry table ``name``'s cached encodings across ``new = old ∪ delta``.
 
     Called by :meth:`KDatabase.update` under the writer lock, before
-    ``new`` is published at ``version``.  Applies when the entry was
+    ``new`` is published at ``version``; the entry of each representation
+    extends by the delta encoded its way.  Applies when an entry was
     built from ``old`` and the delta is a pure insert no larger than
     ``old`` (no key collided: ``len(new) == len(old) + len(delta)``).
     Then ``new``'s row order is ``old``'s followed by the delta's —
@@ -485,28 +543,26 @@ def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
     there.  The old batch is never mutated — pinned snapshots, cached
     join build structs and lock-free readers keep using it.
     """
-    tables = cache["tables"]
-    entry = tables.get(name)
-    if (
-        entry is None
-        or entry[0] is not old
-        or len(delta) > len(old)
-        or len(new) != len(old) + len(delta)
-    ):
+    if len(delta) > len(old) or len(new) != len(old) + len(delta):
         return
-    batch = entry[1]
-    event = "extend"
-    if _retired(batch):
-        return  # its generation was replaced: the next scan rebuilds
-    if batch is not None:
-        try:
-            batch = _extend_batch(batch, delta)
-        except EncodedFallback:  # the generation filled up meanwhile
-            return
-        if batch is None:
-            event = "disqualify"
-    tables[name] = (new, batch, version)
-    _metrics.ENCODED_CACHE_EVENTS.inc(1, event)
+    for annotations in _REPRESENTATIONS:
+        tables = cache[annotations]
+        entry = tables.get(name)
+        if entry is None or entry[0] is not old:
+            continue
+        batch = entry[1]
+        event = "extend"
+        if _stale(batch, annotations):
+            continue  # its generation was replaced: the next scan rebuilds
+        if batch is not None:
+            try:
+                batch = _extend_batch(batch, delta, annotations)
+            except EncodedFallback:  # the generation filled up meanwhile
+                continue
+            if batch is None:
+                event = "disqualify"
+        tables[name] = (new, batch, version)
+        _metrics.ENCODED_CACHE_EVENTS.inc(1, event)
 
 
 def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:

@@ -36,16 +36,12 @@ def explain(
     """Compile ``query`` against ``db`` and render the chosen plan.
 
     ``annotations`` mirrors ``Query.evaluate``: pass ``"circuit"`` to see
-    the plan the circuit-backed execution would run — compiled against
-    the database's circuit image, so the same operator tree over shared
-    gates, on the tier that runs them (encoded: gate ids).
-    ``tier`` mirrors :func:`compile_plan` — pass ``"parallel"`` to see the
-    sharding decision (``parallel:`` line), which only that tier makes.
+    the plan the circuit-backed execution would run — the same operator
+    tree over shared gates, on the tier that runs them (encoded: gate
+    ids).  ``tier`` mirrors :func:`compile_plan` — pass ``"parallel"`` to
+    see the sharding decision (``parallel:`` line), which only that tier
+    makes.
     """
-    if annotations == "circuit":
-        from repro.plan.circuit_exec import circuit_database
-
-        db = circuit_database(db)[1]
-    return compile_plan(query, db, rewrite=rewrite, tier=tier).explain(
-        annotations=annotations
-    )
+    return compile_plan(
+        query, db, rewrite=rewrite, tier=tier, annotations=annotations
+    ).explain()

@@ -65,7 +65,7 @@ from repro.plan import encoded as enc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan
+from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan, scan_rows
 from repro.plan import kernels
 from repro.plan.kernels import np, reduce_by_key
 from repro.semimodules.tensor import Tensor, tensor_space
@@ -112,18 +112,21 @@ def _hash_keys(batch: ColumnarKRelation, attrs: Tuple[str, ...]) -> List[Any]:
 
 class ExecutionContext:
     """Per-execution state: the database, a node-result memo (shared
-    subplans run once), the plan-lifetime scan cache, and the execution
-    tier.  ``encoded`` enables the dictionary-encoded scan path (set by
-    the plan's compile-time tier selection); ``used_encoded`` records
-    whether any scan actually ran encoded, which is what ``explain()``
-    reports as the tier of the last run, and ``boxed`` the tables whose
-    contents kept them on the object tier."""
+    subplans run once), the plan-lifetime scan cache, the execution
+    tier and the annotation representation.  ``encoded`` enables the
+    dictionary-encoded scan path (set by the plan's compile-time tier
+    selection); ``annotations`` is the representation scans read the
+    stored annotations in (``"circuit"``: lifted to gates);
+    ``used_encoded`` records whether any scan actually ran encoded,
+    which is what ``explain()`` reports as the tier of the last run, and
+    ``boxed`` the tables whose contents kept them on the object tier."""
 
     __slots__ = (
         "db",
         "results",
         "scan_cache",
         "encoded",
+        "annotations",
         "used_encoded",
         "fell_back",
         "boxed",
@@ -136,11 +139,13 @@ class ExecutionContext:
         scan_cache: Dict[str, Tuple[Any, Any]],
         encoded: bool = False,
         deadline=None,
+        annotations: str = "expanded",
     ):
         self.db = db
         self.results: Dict[int, Any] = {}
         self.scan_cache = scan_cache
         self.encoded = encoded
+        self.annotations = annotations
         self.used_encoded = False
         self.fell_back = False
         self.boxed: List[str] = []
@@ -255,6 +260,11 @@ class Scan(PhysicalOp):
     since relations are immutable by convention, an ``is`` check is a sound
     validity test even when the database is later mutated via ``db.add``.
 
+    A circuit plan's scan reads the stored ``N[X]`` annotations as gates
+    (:func:`repro.plan.encoded.scan_rows`): the plan computes over the
+    gates of :data:`~repro.circuits.convert.NX_CIRCUITS`, and every
+    operator follows the semiring of the batch it receives.
+
     On an encoded-tier plan the scan returns the table's dictionary
     encoding (:func:`repro.plan.encoded.encoded_scan`, cached on the
     database and shared across plans); a table whose contents disqualify
@@ -285,18 +295,20 @@ class Scan(PhysicalOp):
             ctx.scan_cache[self.name] = entry
         reps = entry[1]
         if ctx.encoded:
-            if "encoded" in reps and not enc._retired(reps["encoded"]):
+            if "encoded" in reps and not enc._stale(reps["encoded"], ctx.annotations):
                 batch = reps["encoded"]
             else:
                 # None records "this table disqualifies the tier"
-                batch = reps["encoded"] = encoded_scan(ctx.db, self.name, rel)
+                batch = reps["encoded"] = encoded_scan(
+                    ctx.db, self.name, rel, ctx.annotations
+                )
             if batch is not None:
                 ctx.used_encoded = True
                 return batch
             ctx.boxed.append(self.name)
         batch = reps.get("object")
         if batch is None:
-            batch = reps["object"] = ColumnarKRelation.from_krelation(rel)
+            batch = reps["object"] = scan_rows(rel, ctx.annotations)
         return batch
 
     def label(self) -> str:
@@ -1524,7 +1536,7 @@ class Fallback(PhysicalOp):
         self.query = query
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        return ColumnarKRelation.from_krelation(self.query.evaluate(ctx.db))
+        return scan_rows(self.query.evaluate(ctx.db), ctx.annotations)
 
     def label(self) -> str:
         return f"Interpret[{self.query}]"

@@ -2,7 +2,7 @@
 
 The serving layer's isolation story is deliberately small because the
 engine already did the hard part: every per-database cache (compiled
-plans, dictionary encodings, circuit gate images, view states) keys on
+plans, dictionary encodings in each representation, view states) keys on
 the monotonic :attr:`~repro.core.database.KDatabase.version` stamp, and
 :meth:`KDatabase.update` publishes each version's relation catalog as an
 immutable dict.  :class:`SnapshotManager` adds the last inch:

@@ -23,7 +23,7 @@ of threads but the gates that thread passes before it evaluates:
 Threads (not processes) evaluate: the kernels release the GIL inside
 NumPy, the annotation structures are not picklable in general, and —
 decisively — the whole design leans on *shared* caches (encodings,
-plans, gate images) that processes would forfeit.
+plans, the process's one gate builder) that processes would forfeit.
 """
 
 from __future__ import annotations

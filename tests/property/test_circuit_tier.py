@@ -2,7 +2,7 @@
 
 Randomized SPJU queries (the shared ``spju`` generator, under the planner
 suite's optional aggregation head) over tagged ``N[X]`` databases run
-over the database's circuit image twice: on the encoded tier, where
+in circuit mode twice: on the encoded tier, where
 annotations are int64 gate ids and every operator interns its gates a
 batch at a time, and pinned to the object tier, one builder call per
 gate.  Hash-consing makes each result annotation one interned gate, so
@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import evaluate
 from repro.circuits.evaluate import _array_pass, _reach
-from repro.plan import CircuitResult, circuit_database, compile_plan
+from repro.circuits import NX_CIRCUITS
+from repro.plan import CircuitResult, compile_plan
 from repro.semirings import BOOL, NAT, NX, TROPICAL
 from repro.semirings.homomorphism import valuation_hom
 
@@ -34,11 +35,10 @@ from test_planner_equivalence import spju_agb_query, tagged_database
 
 
 def both_tiers(db, query):
-    circ, circ_db = circuit_database(db)
-    encoded = compile_plan(query, circ_db)
-    pinned = compile_plan(query, circ_db, tier="object")
+    encoded = compile_plan(query, db, annotations="circuit")
+    pinned = compile_plan(query, db, annotations="circuit", tier="object")
     assert encoded.tier == "encoded"
-    return circ, encoded.execute(), pinned.execute()
+    return NX_CIRCUITS, encoded.execute(), pinned.execute()
 
 
 def any_width():

@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.core.equality import EqualityAtom
 from repro.monoids import SUM
-from repro.plan.circuit_exec import circuit_database
+from repro.plan import compile_plan
 from repro.semimodules.tensor import Tensor
 from repro.semirings import NAT, NX, valuation_hom
 from repro.semirings.delta import DeltaTerm
@@ -83,8 +83,9 @@ def test_evaluation_never_renders(monkeypatch):
     # so the nested selection's atoms resolve both ways
     assert 0 < len(want[-1]) < DEPTS
     # the lift interns gates in canonical order by design (child order is
-    # gate identity); it runs once per database version, not per query
-    circuit_database(db)
+    # gate identity); it runs once per table version, not per query
+    for name in db.names():
+        compile_plan(Table(name), db, annotations="circuit").execute()
 
     def render(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} rendered during evaluation")

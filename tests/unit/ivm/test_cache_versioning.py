@@ -1,11 +1,14 @@
 """Regression tests: a mutated database never serves stale cached results.
 
-The PR-2 caches — compiled plans held on Query objects and the interned
-circuit gate image held on the database — are keyed on the database's
-monotonic version stamp.  Any ``db.add``/``db.update`` must invalidate
-the plan entry and re-validate the gate image, while *unmutated* runs
-keep hitting the caches.
+Compiled plans held on Query objects are keyed on the database's
+monotonic version stamp (and the annotation representation); the
+encodings held on the database — circuit mode's gate ids among them —
+revalidate per table by relation identity.  Any ``db.add``/``db.update``
+must invalidate the plan entry and re-validate the encodings, while
+*unmutated* runs keep hitting the caches.
 """
+
+import pytest
 
 from repro.core import (
     AttrEq,
@@ -17,6 +20,9 @@ from repro.core import (
     Table,
 )
 from repro.monoids import SUM
+from repro.obs.metrics import ENCODED_CACHE_EVENTS
+from repro.plan import encoded_scan
+from repro.plan.kernels import HAVE_NUMPY
 from repro.semirings import NAT, NX
 
 
@@ -92,12 +98,14 @@ class TestCircuitImageVersioning:
         assert fresh.lower() == q.evaluate(db, engine="interpreted")
         assert fresh.lower() != stale
 
-    def test_gate_image_is_patched_not_rebuilt(self):
-        from repro.plan.circuit_exec import circuit_database
-
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="gate batches are encoded")
+    def test_gate_batches_are_carried_not_rebuilt(self):
         db = make_db(NX)
-        circ, circ_db = circuit_database(db)
-        dept_image = circ_db["Dept"]
+        q = the_query()
+        q.evaluate(db, engine="planned", annotations="circuit")
+        dept = encoded_scan(db, "Dept", db["Dept"], "circuit")
+        emp = encoded_scan(db, "Emp", db["Emp"], "circuit")
+        before = ENCODED_CACHE_EVENTS.values()
         db.update(
             {
                 "Emp": KRelation.from_rows(
@@ -105,20 +113,25 @@ class TestCircuitImageVersioning:
                 )
             }
         )
-        circ2, circ_db2 = circuit_database(db)
-        assert circ2 is circ  # the gate universe survives mutations
-        assert circ_db2 is circ_db
-        # only the mutated relation was re-encoded
-        assert circ_db2["Dept"] is dept_image
-        assert len(circ_db2["Emp"]) == len(db["Emp"])
+        after = ENCODED_CACHE_EVENTS.values()
+        assert after[("extend",)] == before[("extend",)] + 1
+        # the untouched table keeps its batch; the updated one is carried
+        assert encoded_scan(db, "Dept", db["Dept"], "circuit") is dept
+        carried = encoded_scan(db, "Emp", db["Emp"], "circuit")
+        assert carried is not emp and len(carried) == len(db["Emp"])
+        assert ENCODED_CACHE_EVENTS.values()[("rebuild",)] == before[("rebuild",)]
+        fresh = q.evaluate(db, engine="planned", annotations="circuit")
+        assert fresh.lower() == q.evaluate(db, engine="interpreted")
 
-    def test_unmutated_db_short_circuits_on_the_version_stamp(self):
-        from repro.plan.circuit_exec import circuit_database
-
+    def test_unmutated_db_reuses_the_circuit_plan_and_its_scans(self):
         db = make_db(NX)
-        circuit_database(db)
-        cache = db._circuit_cache
-        assert cache["version"] == db.version
-        emp_image = cache["db"]["Emp"]
-        circuit_database(db)
-        assert cache["db"]["Emp"] is emp_image
+        q = the_query()
+        q.evaluate(db, engine="planned", annotations="circuit")
+        plan = q._cached_plan(db, "circuit")
+        assert plan.annotations == "circuit"
+        assert q._cached_plan(db, "circuit") is plan
+        assert q._cached_plan(db) is not plan  # one entry per representation
+        rebuilds = ENCODED_CACHE_EVENTS.values()[("rebuild",)]
+        q.evaluate(db, engine="planned", annotations="circuit")
+        assert q._cached_plan(db, "circuit") is plan
+        assert ENCODED_CACHE_EVENTS.values()[("rebuild",)] == rebuilds

@@ -243,19 +243,26 @@ class TestCircuitMode:
         view.apply({"Emp": emp_delta(NX, [(4, "d1", 30)])})
         assert view.result() == GROUPED.evaluate(db)
 
-    def test_delta_gates_are_interned_into_the_image(self):
-        from repro.plan.circuit_exec import circuit_database
+    def test_apply_interns_only_the_delta_gates(self):
+        from repro.circuits import NX_CIRCUITS
+        from repro.obs.metrics import ENCODED_CACHE_EVENTS
 
         db = emp_db()
         view = MaterializedView.create(db, GROUPED, annotations="circuit")
-        circ_before, circ_db_before = circuit_database(db)
-        view.apply({"Emp": emp_delta(NX, [(4, "d1", 30)])})
-        circ_after, circ_db_after = circuit_database(db)
-        # the semiring (gate universe) is stable and the image was patched
-        # in place, not re-encoded from scratch
-        assert circ_after is circ_before
-        assert circ_db_after is circ_db_before
-        assert len(circ_db_after["Emp"]) == len(db["Emp"])
+        builder = NX_CIRCUITS.builder
+        first = builder._counter
+        rebuilds = ENCODED_CACHE_EVENTS.values()[("rebuild",)]
+        # a token no other test uses: its gates are new to the builder
+        view.apply({"Emp": emp_delta(NX, [(4, "d1", 30)], start=7001)})
+        assert ENCODED_CACHE_EVENTS.values()[("rebuild",)] == rebuilds
+        new = set(range(first + 1, builder._counter + 1))
+        assert new
+        # every gate the apply interned is one the maintained result uses
+        reachable = set()
+        for root in view.result()._roots():
+            reachable |= {gate._id for gate in root.iter_nodes()}
+        assert new <= reachable
+        assert view.result() == GROUPED.evaluate(db)
 
     def test_specialisation_of_circuit_view(self):
         from repro.semirings import valuation_hom

@@ -243,3 +243,22 @@ def test_an_untraced_boundary_opens_no_span(monkeypatch):
     monkeypatch.setattr(trace, "span", lambda *a, **k: opened.append(a))
     assert plan.execute() == want
     assert opened == []
+
+
+def test_circuit_mode_runs_the_circuit_plan_it_reports():
+    from repro.circuits import CircuitSemiring
+    from repro.plan import CircuitResult
+    from repro.semirings import NX
+
+    nat = sales_db()
+    db = KDatabase(NX, {
+        name: KRelation(NX, rel.schema, [
+            (tup, NX.variable(f"{name}{i}")) for i, (tup, _k) in enumerate(rel.rows())
+        ])
+        for name, rel in nat
+    })
+    result, _root, plan = analyze_query(GROUP_QUERY, db, annotations="circuit")
+    assert plan.annotations == "circuit"
+    assert isinstance(result.semiring, CircuitSemiring)
+    assert CircuitResult(result, result.semiring).lower() == GROUP_QUERY.evaluate(db)
+    assert "annotations: circuit" in explain_analyze(GROUP_QUERY, db, annotations="circuit")

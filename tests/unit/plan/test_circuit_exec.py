@@ -1,5 +1,7 @@
 """Unit tests for circuit-backed planned execution (plan.circuit_exec)."""
 
+import itertools
+
 import pytest
 
 from repro.core import (
@@ -13,7 +15,9 @@ from repro.core import (
 )
 from repro.exceptions import QueryError
 from repro.monoids import SUM
-from repro.plan import CircuitResult, circuit_database, explain
+from repro.circuits import NX_CIRCUITS
+from repro.plan import CircuitResult, explain
+from repro.plan.kernels import HAVE_NUMPY
 from repro.semirings import NAT, NX
 from repro.semirings.homomorphism import valuation_hom
 
@@ -61,22 +65,19 @@ class TestCircuitMode:
         result = join_group().evaluate(db, engine="planned", annotations="circuit")
         assert result.gate_count() > 0
 
-    def test_circuit_database_is_cached_and_tracks_updates(self):
+    def test_a_repeated_circuit_query_interns_nothing_and_encodes_nothing(self):
+        from repro.obs.metrics import ENCODED_CACHE_EVENTS
+        from repro.plan import compile_plan
+
         db = nx_db()
-        circ, circ_db = circuit_database(db)
-        circ2, circ_db2 = circuit_database(db)
-        assert circ is circ2 and circ_db is circ_db2
-        first = circ_db.relation("Emp")
-        assert circuit_database(db)[1].relation("Emp") is first
-        db.add("Emp", db.relation("Emp"))  # same object: no re-encode
-        assert circuit_database(db)[1].relation("Emp") is first
-        replacement = KRelation.from_rows(
-            NX, ("EmpId", "Dept", "Sal"), [((9, "d1", 5), NX.variable("n"))]
-        )
-        db.add("Emp", replacement)
-        assert circuit_database(db)[1].relation("Emp") is not first
-        # untouched relations keep their encoding
-        assert circuit_database(db)[1].relation("Dept") is circ_db.relation("Dept")
+        first = join_group().evaluate(db, engine="planned", annotations="circuit")
+        gates = NX_CIRCUITS.builder.interned_count()
+        rebuilds = ENCODED_CACHE_EVENTS.values().get(("rebuild",), 0)
+        again = compile_plan(join_group(), db, annotations="circuit").execute()
+        assert NX_CIRCUITS.builder.interned_count() == gates
+        assert ENCODED_CACHE_EVENTS.values().get(("rebuild",), 0) == rebuilds
+        for tup, gate in first.circuit_relation.rows():
+            assert again.annotation(tup) is gate
 
     def test_requires_nx_database(self):
         db = KDatabase(NAT, {"R": KRelation.from_rows(NAT, ("a",), [((1,), 2)])})
@@ -107,20 +108,37 @@ class TestExplainAnnotationMode:
         assert "GroupedAggregate" in text and "HashJoin" in text
 
 
-def bigger_nx_db(n=40):
+def bigger_nx_db(n=40, tag=""):
     emp = KRelation.from_rows(
         NX,
         ("EmpId", "Dept", "Sal"),
-        [((i, f"d{i % 4}", 10 * (1 + i % 3)), NX.variable(f"e{i}")) for i in range(n)],
+        [((i, f"d{i % 4}", 10 * (1 + i % 3)), NX.variable(f"{tag}e{i}"))
+         for i in range(n)],
     )
     dept = KRelation.from_rows(
         NX,
         ("Dept", "Region"),
-        [((f"d{j}", "EU" if j % 2 else "US"), NX.variable(f"r{j}")) for j in range(4)],
+        [((f"d{j}", "EU" if j % 2 else "US"), NX.variable(f"{tag}r{j}"))
+         for j in range(4)],
     )
     return KDatabase(NX, {"Emp": emp, "Dept": dept})
 
 
+_fresh_tokens = itertools.count()
+
+
+def roll_over():
+    """Start a new gate generation, as another thread filling the gate
+    store up would."""
+    builder = NX_CIRCUITS.builder
+    cap, builder._max_gates = builder._max_gates, builder.interned_count()
+    try:
+        builder.var(f"rollover-{next(_fresh_tokens)}")
+    finally:
+        builder._max_gates = cap
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="gate ids live on the encoded tier")
 class TestGateIdsOnTheEncodedTier:
     def test_gate_count_is_the_union_of_dag_walks_and_sorts_nothing(self, monkeypatch):
         from repro.semimodules.tensor import Tensor
@@ -139,9 +157,10 @@ class TestGateIdsOnTheEncodedTier:
     def test_the_parallel_tier_refuses_gate_ids(self):
         from repro.plan import compile_plan
 
-        _circ, circ_db = circuit_database(bigger_nx_db())
         with pytest.raises(QueryError, match="gate ids"):
-            compile_plan(join_group(), circ_db, tier="parallel")
+            compile_plan(
+                join_group(), bigger_nx_db(), annotations="circuit", tier="parallel"
+            )
 
     def test_explain_reports_the_encoded_tier_for_circuit_plans(self):
         text = explain(join_group(), bigger_nx_db(), annotations="circuit")
@@ -158,14 +177,19 @@ class TestGateIdsOnTheEncodedTier:
         assert after["object"] == before["object"]
         assert result == join_group().evaluate(db)
 
-    def test_a_generation_rollover_mid_query_falls_back_with_its_cause(self):
+    def test_a_generation_rollover_mid_query_falls_back_with_its_cause(
+        self, monkeypatch
+    ):
         from repro.obs.metrics import ENCODED_KERNEL
 
-        db = bigger_nx_db()
-        circ, _circ_db = circuit_database(db)
+        # tokens no other query has multiplied, so the join interns its gates
+        db = bigger_nx_db(tag="rollover")
+        for name in db.names():  # the scans lift the tables
+            Table(name).evaluate(db, engine="planned", annotations="circuit")
+        builder = NX_CIRCUITS.builder
         # room for a few more gates only: the join's batch of x gates
         # starts a new generation half way
-        circ.builder._max_gates = circ.builder.interned_count() + 3
+        monkeypatch.setattr(builder, "_max_gates", builder.interned_count() + 3)
         label = ("gates", "fallback: gate store rolled over")
         before = ENCODED_KERNEL.values().get(label, 0)
         result = join_group().evaluate(db, engine="planned", annotations="circuit")
@@ -174,3 +198,52 @@ class TestGateIdsOnTheEncodedTier:
         assert result == expanded
         twice = valuation_hom(NX, NAT, lambda token: 2)
         assert result.specialise(lambda token: 2, NAT) == expanded.apply_hom(twice)
+
+    def test_a_rollover_between_lift_and_encode_is_not_kept_as_boxed(
+        self, monkeypatch
+    ):
+        from repro.plan import compile_plan
+        from repro.plan import encoded as enc
+
+        db = bigger_nx_db(tag="race")
+        plan = compile_plan(join_group(), db, annotations="circuit")
+        encode = enc.encode_batch
+
+        def rolled_over_first(*args):
+            roll_over()  # the generation the scan lifted into is replaced
+            return encode(*args)
+
+        monkeypatch.setattr(enc, "encode_batch", rolled_over_first)
+        raced = CircuitResult(plan.execute(), NX_CIRCUITS)
+        assert "boxed: table Emp (gate store rolled over)" in plan.explain()
+        monkeypatch.setattr(enc, "encode_batch", encode)
+        again = CircuitResult(plan.execute(), NX_CIRCUITS)
+        assert "boxed" not in plan.explain()
+        assert enc.encoded_scan(db, "Emp", db.relation("Emp"), "circuit") is not None
+        assert raced == again == join_group().evaluate(db)
+
+    def test_a_rollover_during_a_carried_insert_leaves_the_entry_to_rebuild(
+        self, monkeypatch
+    ):
+        from repro.obs.metrics import ENCODED_CACHE_EVENTS
+        from repro.plan import encoded as enc
+
+        db = bigger_nx_db(tag="carry-race")
+        join_group().evaluate(db, engine="planned", annotations="circuit")
+        scan = enc._scan_annotations
+
+        def rolled_over_first(*args):
+            roll_over()  # another thread fills the store after the delta's lift
+            return scan(*args)
+
+        disqualified = ENCODED_CACHE_EVENTS.values().get(("disqualify",), 0)
+        delta = KRelation.from_rows(
+            NX, ("EmpId", "Dept", "Sal"), [((99, "d1", 10), NX.variable("carry-race"))]
+        )
+        monkeypatch.setattr(enc, "_scan_annotations", rolled_over_first)
+        db.update({"Emp": delta})
+        monkeypatch.setattr(enc, "_scan_annotations", scan)
+        assert ENCODED_CACHE_EVENTS.values().get(("disqualify",), 0) == disqualified
+        batch = enc.encoded_scan(db, "Emp", db.relation("Emp"), "circuit")
+        assert batch is not None and not enc._stale(batch, "circuit")
+        assert len(batch) == len(db.relation("Emp"))

@@ -373,7 +373,7 @@ class TestBoundedCaches:
             query.evaluate(db, engine="planned")
         assert len(query._plan_cache) <= query._PLAN_CACHE_SLOTS
         # most recently used databases survive
-        assert (id(dbs[-1]), dbs[-1].version) in query._plan_cache
+        assert (id(dbs[-1]), dbs[-1].version, "expanded") in query._plan_cache
 
     def test_lru_dict_evicts_least_recently_used(self):
         cache = LRUDict(2)

@@ -118,18 +118,18 @@ class TestPlanCaching:
         db = bag_db()
         q = NaturalJoin(Table("R"), Table("S"))
         q.evaluate(db, engine="planned")
-        first = q._plan_cache[(id(db), db.version)][1]
+        first = q._plan_cache[(id(db), db.version, "expanded")][1]
         q.evaluate(db, engine="planned")
-        assert q._plan_cache[(id(db), db.version)][1] is first
+        assert q._plan_cache[(id(db), db.version, "expanded")][1] is first
 
     def test_plan_recompiles_when_catalog_changes(self):
         db = bag_db()
         q = NaturalJoin(Table("R"), Table("S"))
         q.evaluate(db, engine="planned")
-        first = q._plan_cache[(id(db), db.version)][1]
+        first = q._plan_cache[(id(db), db.version, "expanded")][1]
         db.add("T", KRelation.from_rows(NAT, ("Z",), [((1,), 1)]))
         q.evaluate(db, engine="planned")
-        assert q._plan_cache[(id(db), db.version)][1] is not first
+        assert q._plan_cache[(id(db), db.version, "expanded")][1] is not first
 
     def test_snapshots_share_the_prepared_plan(self):
         db = bag_db()
@@ -137,11 +137,11 @@ class TestPlanCaching:
         snap1 = db.snapshot()
         snap2 = db.snapshot()
         expected = q.evaluate(db, engine="planned")
-        plan = q._plan_cache[(id(db), db.version)][1]
+        plan = q._plan_cache[(id(db), db.version, "expanded")][1]
         assert q.evaluate(snap1, engine="planned") == expected
         assert q.evaluate(snap2, engine="planned") == expected
         # one compiled plan serves the database and every same-version snapshot
-        assert q._plan_cache[(id(db), db.version)][1] is plan
+        assert q._plan_cache[(id(db), db.version, "expanded")][1] is plan
         assert len(q._plan_cache) == 1
 
     def test_hash_join_build_cache_reused_across_executions(self):

@@ -12,6 +12,7 @@ from repro.core import (
     Select,
     Table,
 )
+from repro.exceptions import QueryError
 from repro.monoids import SUM
 from repro.plan import compile_plan, explain
 from repro.plan.physical import (
@@ -155,3 +156,15 @@ class TestExplainRendering:
         assert tup["n"]._collapsed == 12
         assert plan._last_tier == "encoded"
         assert "[last run: encoded]" in plan.explain()
+
+
+class TestAnnotationsLine:
+    def test_the_plan_states_the_mode_it_was_compiled_for(self):
+        plan = compile_plan(Table("Emp"), make_db())
+        assert plan.annotations == "expanded"
+        assert "annotations: expanded" in plan.explain()
+        assert "annotations: circuit" not in plan.explain()
+
+    def test_an_unknown_representation_is_rejected(self):
+        with pytest.raises(QueryError, match="banana"):
+            explain(Table("Emp"), make_db(), annotations="banana")

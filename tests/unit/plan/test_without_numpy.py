@@ -66,7 +66,6 @@ for tier in ("encoded", "parallel"):
 
 # circuit provenance: the object tier interns the gates and the evaluator
 # runs its id-order loop; both equal the expanded route
-from repro.plan import circuit_database
 from repro.semirings import NX
 from repro.semirings.homomorphism import valuation_hom
 
@@ -77,7 +76,7 @@ tagged = KDatabase(NX, {
     for name, rel in db
 })
 circuit = query.evaluate(tagged, engine="planned", annotations="circuit")
-assert compile_plan(query, circuit_database(tagged)[1]).tier == "object"
+assert compile_plan(query, tagged, annotations="circuit").tier == "object"
 expanded = query.evaluate(tagged, engine="planned")
 assert circuit.lower() == expanded == query.evaluate(tagged, engine="interpreted")
 weight = lambda token: 1 + len(token) % 3

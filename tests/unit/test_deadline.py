@@ -18,7 +18,6 @@ from repro.exceptions import DeadlineExceeded, QueryError
 from repro.monoids import SUM
 from repro.obs.metrics import resilience_counters
 from repro.plan import compile_plan
-from repro.plan.circuit_exec import circuit_database
 from repro.semirings import NAT, NX
 
 
@@ -179,12 +178,9 @@ def test_every_operator_checks_the_deadline_in_both_representations(annotations)
     db = small_nx_db()
     deadline = CountingDeadline()
     result = QUERY.evaluate(db, engine="planned", annotations=annotations, deadline=deadline)
+    plan = QUERY._cached_plan(db, annotations)
     if annotations == "circuit":
-        _circ, cdb = circuit_database(db)
-        plan = QUERY._cached_plan(cdb.snapshot())
         result = result.lower()
-    else:
-        plan = QUERY._cached_plan(db)
     assert result == QUERY.evaluate(db)
     labels = operator_labels(plan)
     assert len(labels) >= 3  # two scans, a join, a grouped aggregate
