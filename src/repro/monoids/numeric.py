@@ -56,14 +56,15 @@ class SumMonoid(CommutativeMonoid):
         """Order-free: float ``+`` is not associative, and a tensor's
         entries come in row order on one tier and code order on another,
         so a fold with a float among its operands is the correctly rounded
-        ``math.fsum``; ints and ``Fraction``s are exact and fold as ever."""
+        ``math.fsum``; ints and ``Fraction``s are exact and fold as ever
+        (the builtin ``sum`` is that left fold of ``+`` from ``0``)."""
         items = list(items)
         if any(isinstance(item, float) for item in items):
             try:
                 return math.fsum(items)
             except OverflowError:  # past float range: the fold's inf
-                pass
-        return super().sum(items)
+                return super().sum(items)
+        return sum(items, 0)
 
     exact = staticmethod(_not_float)
 

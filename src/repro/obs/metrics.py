@@ -441,16 +441,20 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
 #: Which kernel each encoded join probe and grouped reduction ran in this
 #: process (pool workers' show on their morsel spans): codes addressed
 #: directly, the sort a sparse key space falls back to, or the term
-#: store's fold; and, under ``op="gates"`` / ``op="terms"``, why a gate-id
-#: or term-id kernel left the encoded tier.
+#: store's fold; under ``op="gates"`` / ``op="terms"``, why a gate-id or
+#: term-id kernel left the encoded tier; and under ``op="hom"``, whether a
+#: valuation homomorphism mapped a batch as arrays over the term store's
+#: runs or by the object walk, and why.
 ENCODED_KERNEL = REGISTRY.counter(
     "repro_encoded_kernel_total",
     "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
     "and grouped aggregations (op=aggregate) by kernel: direct (scatter / "
     "slot table over the code space), sorted (sparse key space) or fold "
-    "(N[X] term rows summed by the term store); and circuit gate-id and "
+    "(N[X] term rows summed by the term store); circuit gate-id and "
     "N[X] term-id kernels that fell back to the object tier (op=gates or "
-    "op=terms, kernel=\"fallback: <cause>\").",
+    "op=terms, kernel=\"fallback: <cause>\"); and N[X] homomorphism "
+    "batches into N, Z or B (op=hom) mapped as arrays over term-store runs "
+    "(kernel=array) or by the object walk (kernel=\"fallback: <cause>\").",
     ("op", "kernel"),
 )
 

@@ -49,6 +49,8 @@ path (fold, scale, aggregate) touches no sort at all.
 from __future__ import annotations
 
 import weakref
+from itertools import compress, filterfalse
+from operator import mul
 from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.exceptions import SemimoduleError
@@ -192,11 +194,24 @@ class Tensor:
         """The image tensor in ``target (x) M``, given the images of this
         tensor's scalars in entry order.  The values are distinct and none
         is the identity already, so only zero images drop before the
-        normal form (``set_agg`` without its grouping)."""
+        normal form (``set_agg`` without its grouping).  Into ``N``, where
+        every image is an ``int`` and every value exact, a monoid that
+        declares a collapse kernel folds the normal form's one value
+        straight from them, as the encoded tier's collapse does: ``sum
+        k*m`` where ``N`` scales, else the fold of the values whose image
+        is not ``0``."""
+        space = tensor_space(target, self.space.monoid)
+        monoid, values = space.monoid, self._entries
+        if target.is_naturals and monoid.collapse_kernel is not None:
+            images = list(images)
+            if (set(map(type, images)) <= {int} and min(images, default=0) >= 0
+                    and all(map(monoid.exact, values))):
+                live = compress(values, images)
+                if monoid.collapse_kernel[1]:
+                    live = map(mul, filter(None, images), live)
+                return space._of(monoid.sum(live))
         is_zero = target.is_zero
-        return tensor_space(target, self.space.monoid)._normal(
-            {m: k for m, k in zip(self._entries, images) if not is_zero(k)}
-        )
+        return space._normal({m: k for m, k in zip(values, images) if not is_zero(k)})
 
     def size(self) -> int:
         """Number of simple tensors in the normal form (poly-size metric)."""
@@ -437,7 +452,7 @@ class TensorSpace:
         if not self.collapses:
             return Tensor(self, entries)
         monoid = self.monoid
-        inexact = [m for m in entries if not monoid.exact(m)]
+        inexact = list(filterfalse(monoid.exact, entries))
         if not inexact:
             return self._of(self._fold(entries))
         if len(inexact) == len(entries):
@@ -464,7 +479,7 @@ class TensorSpace:
         surviving scalar is ``True``, so the values fold alone."""
         monoid = self.monoid
         if self.semiring.is_naturals:
-            return monoid.sum(monoid.nat_action(k, m) for m, k in entries.items())
+            return monoid.sum(map(monoid.nat_action, entries.values(), entries))
         return monoid.sum(entries)
 
     # -- helpers -------------------------------------------------------------

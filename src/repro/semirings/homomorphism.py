@@ -16,7 +16,9 @@ This module provides:
   homomorphism out of a polynomial semiring, with structured
   indeterminates (delta-terms, equality atoms) dispatching themselves via
   :class:`~repro.semirings.base.ProvenanceTerm`; a batch is one pass that
-  maps each distinct token and monomial once;
+  maps each distinct token and monomial once — as arrays over the term
+  store where the batch is a planned result and the target ``N``, ``Z`` or
+  ``B`` (:meth:`_Pass.map_many`), else by a walk over each polynomial;
 * :func:`deletion_hom` — the token-zeroing endomorphism of ``N[X]`` that
   implements deletion propagation (Fig. 1 / Example 3.4 / Example 5.3);
 * :func:`support_hom` — the canonical specialisation onto the booleans for
@@ -25,13 +27,16 @@ This module provides:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Mapping
 
 from repro.exceptions import HomomorphismError
-from repro.semirings.base import ProvenanceTerm, Semiring
+from repro.semirings.base import ProvenanceTerm, Semiring, _np
 from repro.semirings.boolean import BOOL
+from repro.semirings.delta import DeltaTerm
 from repro.semirings.natural import NAT
 from repro.semirings.polynomials import Polynomial, PolynomialSemiring
+from repro.semirings.terms import Unmappable, map_runs
 
 __all__ = [
     "Homomorphism",
@@ -95,15 +100,28 @@ class Homomorphism:
                 f"cannot compose {self.name} (into {self.target.name}) "
                 f"with {other.name} (from {other.source.name})"
             )
-        return Homomorphism(
-            self.source,
-            other.target,
-            lambda a: other(self(a)),
-            name=f"{self.name};{other.name}",
-        )
+        return _Composite(self, other)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<hom {self.name}>"
+
+
+class _Composite(Homomorphism):
+    """``second . first``: a batch is mapped by ``first`` as one batch, and
+    its images by ``second`` as one batch."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Homomorphism, second: Homomorphism):
+        super().__init__(first.source, second.target, None, f"{first.name};{second.name}")
+        self.first = first
+        self.second = second
+
+    def __call__(self, element: Any) -> Any:
+        return self.second(self.first(element))
+
+    def map_many(self, elements: Iterable[Any]) -> List[Any]:
+        return self.second.map_many(self.first.map_many(elements))
 
 
 def identity_hom(semiring: Semiring) -> Homomorphism:
@@ -245,9 +263,22 @@ class _Pass(Homomorphism):
     the pass to the target's own operations.  On values of the native type
     the two are the same expressions, so where the switch happens cannot
     change a result.
+
+    A batch (:meth:`map_many`) whose every scalar was built by the term
+    store's fold — it carries a run, or is ``1·δ(p)`` with ``p`` carrying
+    one — is mapped as arrays instead (:func:`repro.semirings.terms.map_runs`)
+    when the target has a native type: each token the runs reach is mapped
+    once through the valuation, and the target's ``delta`` is applied to
+    the ``δ`` arguments' images.  The walk above maps everything else:
+    interpreter results, runs reaching a structured variable or mixing two
+    term-store generations, other targets, an image outside the native
+    type, a batch without a provable int64 bound, and any batch without
+    NumPy.  Which of the two mapped a batch is counted on
+    ``repro_encoded_kernel_total`` (``op="hom"``): ``kernel="array"``, or
+    ``kernel="fallback: <cause>"``.
     """
 
-    __slots__ = ("_valuation", "_images", "_monomials", "_native")
+    __slots__ = ("_valuation", "_images", "_monomials", "_native", "_pending", "_walking")
 
     def __init__(self, valuation: _Valuation):
         super().__init__(valuation.source, valuation.target, None, valuation.name)
@@ -255,13 +286,102 @@ class _Pass(Homomorphism):
         self._images: dict = {}
         self._monomials: dict = {}
         self._native = valuation._native
+        #: ``(tokens, images)`` the array pass mapped, not yet in ``_images``
+        self._pending = None
+        self._walking = False
 
     def __call__(self, element: Any) -> Any:
+        self._walking = True
         return self._polynomial(element)
 
     def map_many(self, elements: Iterable[Any]) -> List[Any]:
-        polynomial = self._polynomial
-        return [polynomial(element) for element in elements]
+        elements = list(elements)
+        if not elements:
+            return []
+        images = self._arrays(elements)
+        if images is None:
+            self._walking = True
+            polynomial = self._polynomial
+            images = [polynomial(element) for element in elements]
+        return images
+
+    def _arrays(self, elements: List[Any]) -> List[Any] | None:
+        """The images of ``elements`` as one array pass over their term
+        store, or ``None`` where the walk must map them; counted either
+        way."""
+        from repro.obs import metrics
+        from repro.plan import kernels
+
+        if self._valuation._native is None:
+            cause = "target has no native type"
+        elif self._native is None:  # the walk met one before this batch
+            cause = "non-native image"
+        elif not kernels.HAVE_NUMPY:
+            cause = "no NumPy"
+        else:
+            try:
+                images = self._mapped_runs(elements)
+            except Unmappable as exc:
+                cause = exc.args[0]
+                self._memo()  # the walk maps no token twice
+            else:
+                metrics.ENCODED_KERNEL.inc(1, "hom", "array")
+                return images
+        metrics.ENCODED_KERNEL.inc(1, "hom", f"fallback: {cause}")
+        return None
+
+    def _mapped_runs(self, elements: List[Any]) -> List[Any]:
+        """The array pass of :meth:`map_many`: each scalar's run (a ``δ``
+        annotation's is its argument's), their images over their store,
+        then ``δ`` over the ``δ`` arguments' images."""
+        if set(map(type, elements)) - {Polynomial}:
+            raise Unmappable("no term runs")
+        runs = list(map(_run_of, elements))
+        polys = elements
+        deltas = [i for i, run in enumerate(runs) if run is None]
+        if deltas:
+            polys = list(elements)
+            for i in deltas:
+                argument = _delta_argument(elements[i])
+                if argument is None or argument._run is None:
+                    raise Unmappable("no term runs")
+                polys[i], runs[i] = argument, argument._run
+        images = map_runs(polys, runs, self._token_array, self._native, self.source)
+        delta = self.target.delta
+        for i in deltas:
+            images[i] = delta(images[i])
+        return images
+
+    def _token_array(self, tokens: List[Any]):
+        """The images of the plain tokens ``tokens`` as an array of the
+        native type, each mapped through the valuation once per pass (the
+        memo the walk shares).  Raises :class:`Unmappable` for an image
+        outside the native type — handing the walk the target's own
+        operations — or one past int64."""
+        token = self._valuation._token
+        if self._walking:  # a batch inside the walk (an atom's): its memo
+            images = self._images
+            fresh = [var for var in tokens if var not in images]
+            images.update(zip(fresh, map(token, fresh)))
+            out = list(map(images.__getitem__, tokens))
+        else:  # the memo takes them only if the walk takes over
+            out = list(map(token, tokens))
+            self._pending = (tokens, out)
+        native = self._native
+        if set(map(type, out)) - {native}:
+            self._native = None
+            raise Unmappable("non-native image")
+        np = _np()
+        try:
+            return np.fromiter(out, np.int64 if native is int else bool, len(out))
+        except OverflowError:
+            raise Unmappable("int64 bound") from None
+
+    def _memo(self) -> None:
+        """Put the array pass's pending token images in the memo."""
+        if self._pending is not None:
+            self._images.update(zip(*self._pending))
+            self._pending = None
 
     def _polynomial(self, poly: Any) -> Any:
         """``sum_t coeff(c_t) * value(m_t)`` over the terms of ``poly``."""
@@ -337,6 +457,25 @@ class _Pass(Homomorphism):
             acc = target.one
         self._monomials[mono] = acc
         return acc
+
+
+_run_of = attrgetter("_run")
+
+
+def _delta_argument(poly: Polynomial) -> Polynomial | None:
+    """``p`` where ``poly`` is ``1·δ(p)`` with ``p`` of ``poly``'s
+    semiring, else ``None``."""
+    if len(poly._terms) != 1:
+        return None
+    ((mono, c),) = poly._terms.items()
+    if c != 1 or len(mono._powers) != 1:
+        return None
+    ((var, exp),) = mono._powers.items()
+    if exp != 1 or type(var) is not DeltaTerm:
+        return None
+    if type(var.argument) is not Polynomial or var.argument.semiring is not poly.semiring:
+        return None
+    return var.argument
 
 
 def deletion_hom(

@@ -32,21 +32,38 @@ finds the store full starts a fresh store — the semiring's
 retired store still decodes its ids and answers its hits; a scan batch
 encoded in it re-encodes on its next scan.  Ids mean nothing to another
 process: the store is not ``portable``, and the parallel tier refuses it.
+
+Every polynomial the fold builds keeps its **run** (``Polynomial._run``):
+which rows of the fold's sorted id array it sums.  A sum of several rows
+points at the fold's one :class:`_Runs`, which finds its slice by the
+polynomial's address — a group's entries and its total are slices of one
+array, because its rows are adjacent after the sort; a term's own
+polynomial (:meth:`TermStore.decode`, a scanned base annotation) has the
+run ``(store, id)``.  A run is a derivation, not a value: it is never
+compared, hashed or pickled.  It lets a homomorphism into ``N``, ``Z``
+or ``B`` map a planned result as arrays (:func:`map_runs`): the store
+keeps its terms' monomials as a CSR over a token table
+(:meth:`TermStore.monomials`, grown to ``len(items)`` under the lock at
+first use), so a monomial's image is one ``multiply.reduceat`` over its
+tokens' images and a polynomial's one ``add.reduceat`` over its run
+(``logical_and`` / ``logical_or`` for ``B``).  A retired generation
+keeps its terms, so its runs still map; a batch mixing two generations
+does not.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
 from functools import partial
 from operator import attrgetter
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.semirings.base import MachineRepr, _np
+from repro.semirings.base import MachineRepr, ProvenanceTerm, _np
 from repro.semirings.polynomials import _UNIT_MONOMIAL, Monomial, Polynomial
 
-__all__ = ["TermStore"]
+__all__ = ["TermStore", "Unmappable", "map_runs"]
 
 #: The pinned ids.
 ZERO, ONE = 0, 1
@@ -54,12 +71,74 @@ ZERO, ONE = 0, 1
 #: A term: its monomial and its (positive) coefficient.
 Term = Tuple[Monomial, int]
 
+#: A coefficient past it is kept in the CSR as ``-1`` (no int64 image); an
+#: exponent past it as itself or one more, keeping its parity.
+_INT64_MAX = (1 << 63) - 1
+_BIG_EXP = 1 << 62
+
+#: What an int64 image must be proven to stay below.
+_EXACT = 1 << 62
+
+
+class Unmappable(Exception):
+    """A batch :func:`map_runs` cannot map as arrays; the argument is the
+    cause (the homomorphism's object walk maps it instead)."""
+
+
+class _Monomials:
+    """The monomials of the store's first ``n`` terms as NumPy arrays: term
+    ``t``'s variables are the token ids ``tokens[ptr[t]:ptr[t + 1]]`` with
+    exponents ``exps[...]``, its coefficient ``coeffs[t]`` (``-1`` past
+    int64); of each of the first ``width`` token ids ``k``, ``variables[k]``
+    is the variable and ``structured[k]`` says whether it is a structured
+    one (a ``δ`` term or an atom).  The arrays grow by doubling; entries
+    below ``n`` / ``width`` are never rewritten."""
+
+    __slots__ = ("n", "width", "ptr", "tokens", "exps", "coeffs", "variables", "structured")
+
+    def __init__(self, n, width, ptr, tokens, exps, coeffs, variables, structured):
+        self.n, self.width, self.ptr, self.tokens = n, width, ptr, tokens
+        self.exps, self.coeffs = exps, coeffs
+        self.variables, self.structured = variables, structured
+
+
+class _Runs:
+    """The runs of the polynomials one :meth:`TermStore.fold` summed from
+    several rows: the polynomial at address ``pids[k]`` sums the terms
+    ``ids[lows[k]:highs[k]]`` of the fold's sorted id array ``ids``.  Each
+    such polynomial's ``_run`` is this one object, so a fold allocates
+    nothing per polynomial for it, and reading a batch's runs touches no
+    object but the polynomials (addresses are distinct among polynomials
+    alive together, and all of a fold's are built while it runs)."""
+
+    __slots__ = ("store", "ids", "_parts", "_index")
+
+    def __init__(self, store: "TermStore", ids):
+        self.store, self.ids = store, ids
+        self._parts: list = []
+        self._index = None  # the parts sorted by address, at first use
+
+    def add(self, np, polys: List[Polynomial], lows, highs) -> None:
+        """Record ``polys``, summing rows ``lows[i]:highs[i]`` each."""
+        self._parts.append((np.fromiter(map(id, polys), np.int64, len(polys)), lows, highs))
+
+    def spans(self, np, pids):
+        """``(lows, highs)`` of the polynomials at addresses ``pids``."""
+        index = self._index
+        if index is None:
+            keys, lows, highs = (np.concatenate(part) for part in zip(*self._parts))
+            order = np.argsort(keys)
+            index = self._index = (keys[order], lows[order], highs[order])
+        keys, lows, highs = index
+        at = np.searchsorted(keys, pids)
+        return lows[at], highs[at]
+
 
 class TermStore(MachineRepr):
     """One generation of interned ``N[X]`` terms (see the module docstring)."""
 
     __slots__ = ("semiring", "max_terms", "items", "_ids", "_polys", "_pairs",
-                 "_wrap", "_lock")
+                 "_wrap", "_lock", "_token_vars", "_token_ids", "_csr")
 
     portable = False
     merges = False
@@ -84,6 +163,11 @@ class TermStore(MachineRepr):
         self._pairs = None
         self._wrap = partial(Polynomial._from_clean, semiring)
         self._lock = threading.Lock()
+        #: the token table: token id -> variable, and back
+        self._token_vars: List[Any] = []
+        self._token_ids: Dict[Any, int] = {}
+        #: the monomial CSR (:meth:`monomials`), built at first use
+        self._csr = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -121,7 +205,7 @@ class TermStore(MachineRepr):
         polys, items = self._polys, self.items
         for tid in set(ids):
             if polys[tid] is None:
-                polys[tid] = self._wrap(dict((items[tid],)))
+                polys[tid] = self._wrap(dict((items[tid],)), (self, tid))
         return list(map(polys.__getitem__, ids))
 
     @property
@@ -160,6 +244,7 @@ class TermStore(MachineRepr):
                 out[i] = tid
                 if polys[tid] is None:
                     polys[tid] = values[i]
+                    values[i]._run = (self, tid)
         return out
 
     def _interned(self, terms: List[Term]) -> List[int]:
@@ -253,7 +338,8 @@ class TermStore(MachineRepr):
         sorted_keys = keys[order]
         ids = anns[order]
         starts = _run_starts(np, sorted_keys)
-        sums = self._sums(ids, starts)
+        runs = _Runs(self, ids)
+        sums = self._sums(ids, starts, runs)
         if labels is None:
             return order[starts], sums, None
         run_keys = sorted_keys[starts]
@@ -263,7 +349,9 @@ class TermStore(MachineRepr):
         bounds = firsts.tolist() + [len(starts)]
         totals = []
         wrap, terms_of = self._wrap, _terms_of
-        for a, b, rows in zip(bounds, bounds[1:], np.diff(gstarts, append=n).tolist()):
+        merged = []  # the groups of several entries, whose totals are new
+        highs = np.append(gstarts[1:], n)
+        for g, (a, b, rows) in enumerate(zip(bounds, bounds[1:], (highs - gstarts).tolist())):
             if b - a == 1:
                 totals.append(sums[a])
                 continue
@@ -274,7 +362,10 @@ class TermStore(MachineRepr):
                 total = _accumulated(chain.from_iterable(
                     poly._terms.items() for poly in sums[a:b]
                 ))
-            totals.append(wrap(total))
+            totals.append(wrap(total, runs))
+            merged.append(g)
+        if merged:  # a group's rows are adjacent after the sort
+            runs.add(np, list(map(totals.__getitem__, merged)), gstarts[merged], highs[merged])
         codes = (run_keys - groups * width).tolist()
         entries = []
         for a, b in zip(bounds, bounds[1:]):
@@ -284,9 +375,11 @@ class TermStore(MachineRepr):
             entries.append(entry)
         return order[gstarts], totals, entries
 
-    def _sums(self, ids, starts) -> List[Polynomial]:
+    def _sums(self, ids, starts, runs: "_Runs") -> List[Polynomial]:
         """The polynomial of each run of the term ids ``ids`` (run ``i``
-        from ``starts[i]`` to the next start, the last to the end)."""
+        from ``starts[i]`` to the next start, the last to the end), each
+        keeping its run: a term's own polynomial ``(store, id)``, a sum of
+        several the fold's ``runs``."""
         np = _np()
         sizes = np.diff(starts, append=len(ids))
         sums: List[Any] = [None] * len(starts)
@@ -297,14 +390,120 @@ class TermStore(MachineRepr):
         if len(multi):
             items = self.items
             terms = list(map(items.__getitem__, ids.tolist()))
-            runs = list(map(slice, starts[multi].tolist(), (starts + sizes)[multi].tolist()))
-            dicts = list(map(dict, map(terms.__getitem__, runs)))
+            lows, highs = starts[multi], (starts + sizes)[multi]
+            slices = list(map(slice, lows.tolist(), highs.tolist()))
+            dicts = list(map(dict, map(terms.__getitem__, slices)))
             lengths = np.fromiter(map(len, dicts), np.int64, len(dicts))
             for i in np.flatnonzero(lengths < sizes[multi]).tolist():
                 # the run repeats a monomial: accumulate its coefficients
-                dicts[i] = _accumulated(terms[runs[i]])
-            deque(map(sums.__setitem__, multi.tolist(), map(self._wrap, dicts)), 0)
+                dicts[i] = _accumulated(terms[slices[i]])
+            made = list(map(self._wrap, dicts, repeat(runs)))
+            runs.add(np, made, lows, highs)
+            deque(map(sums.__setitem__, multi.tolist(), made), 0)
         return sums
+
+    # -- homomorphisms -----------------------------------------------------------
+
+    def monomials(self) -> _Monomials:
+        """The monomial CSR of every term interned so far (cached; the
+        terms interned since the last call are appended under the lock)."""
+        snap = self._csr
+        if snap is not None and snap.n == len(self.items):
+            return snap
+        np = _np()
+        with self._lock:  # interning appends under it: a consistent cut
+            snap = self._csr
+            if snap is None:
+                snap = _Monomials(0, 0, np.zeros(1, np.int64), *(
+                    np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, object, bool)
+                ))
+            n = len(self.items)
+            fresh = self.items[snap.n:n]
+            powers = [mono._powers for mono, _c in fresh]
+            variables = list(chain.from_iterable(powers))
+            codes = list(map(self._token_ids.get, variables))
+            for i in [i for i, code in enumerate(codes) if code is None]:
+                codes[i] = self._token(variables[i])
+            grown = _gates()._grown
+            used, m = int(snap.ptr[snap.n]), int(snap.ptr[snap.n]) + len(codes)
+            ptr = grown(np, snap.ptr, snap.n + 1, n + 1)
+            ptr[snap.n + 1:n + 1] = used + np.cumsum(list(map(len, powers)), dtype=np.int64)
+            tokens = grown(np, snap.tokens, used, m)
+            tokens[used:m] = codes
+            exps = grown(np, snap.exps, used, m)
+            exps[used:m] = [e if e < _BIG_EXP else _BIG_EXP + (e & 1)
+                            for e in chain.from_iterable(map(dict.values, powers))]
+            coeffs = grown(np, snap.coeffs, snap.n, n)
+            coeffs[snap.n:n] = [c if c <= _INT64_MAX else -1 for _m, c in fresh]
+            width = len(self._token_vars)
+            added = self._token_vars[snap.width:]
+            variables = grown(np, snap.variables, snap.width, width)
+            # one by one: a tuple variable is one object, not a row
+            deque(map(variables.__setitem__, range(snap.width, width), added), 0)
+            structured = grown(np, snap.structured, snap.width, width)
+            structured[snap.width:width] = [
+                type(var) is not str and isinstance(var, ProvenanceTerm) for var in added
+            ]
+            snap = self._csr = _Monomials(
+                n, width, ptr, tokens, exps, coeffs, variables, structured
+            )
+        return snap
+
+    def _token(self, var: Any) -> int:
+        """Under the lock: the id of the variable ``var`` in the token
+        table, added where new."""
+        code = self._token_ids.get(var)
+        if code is None:
+            code = self._token_ids[var] = len(self._token_vars)
+            self._token_vars.append(var)
+        return code
+
+    def images(self, ids, starts, token_images: Callable[[List[Any]], Any], native: type):
+        """The images of the polynomials summing the runs of the term ids
+        ``ids`` (polynomial ``i`` from ``starts[i]`` to the next start),
+        under the homomorphism into ``N``/``Z`` (``native`` is ``int``) or
+        ``B`` (``bool``) whose token map is ``token_images``: a list of the
+        plain tokens the runs reach, each once, to an array of their
+        images.  Each distinct term's monomial is one
+        ``multiply.reduceat`` (``logical_and``) over its tokens' images, and
+        each polynomial one ``add.reduceat`` (``logical_or``) of
+        ``coefficient × monomial`` over its run.  Raises :class:`Unmappable`
+        where a run reaches a structured variable, or where no int64 bound
+        on the images can be proven: the largest coefficient, times the
+        largest token image to the highest degree, times the longest run,
+        must stay below ``2**62`` (int64 arithmetic, wrapping or not, is
+        then exact)."""
+        np = _np()
+        snap = self.monomials()
+        terms, inverse = _distinct(np, ids, snap.n)
+        lo = snap.ptr[terms]
+        counts = snap.ptr[terms + 1] - lo
+        at = _gates().ranges(lo, counts)
+        reached, slot = _distinct(np, snap.tokens[at], snap.width)
+        if snap.structured[reached].any():
+            raise Unmappable("structured variable")
+        images = token_images(snap.variables[reached].tolist())
+        factors = images[slot]
+        live = np.flatnonzero(counts)  # the unit monomial's image is 1
+        cuts = (np.cumsum(counts) - counts)[live]
+        monos = np.ones(len(terms), dtype=images.dtype)
+        if native is bool:
+            if len(live):
+                monos[live] = np.logical_and.reduceat(factors, cuts)
+            return np.logical_or.reduceat(monos[inverse], starts).tolist()
+        coeffs, exps = snap.coeffs[terms], snap.exps[at]
+        # |image| <= max c · max(1, max |x|) ** max degree · longest run
+        top = max(1, int(images.max()), -int(images.min())) if len(images) else 1
+        degree = int(np.add.reduceat(exps, cuts).max()) if len(live) else 0
+        longest = int(np.diff(starts, append=len(ids)).max())
+        if ((coeffs < 0).any() or top.bit_length() * degree > 62
+                or int(coeffs.max()) * top ** degree * longest >= _EXACT):
+            raise Unmappable("int64 bound")
+        if len(live):
+            if (exps != 1).any():
+                factors = factors ** exps
+            monos[live] = np.multiply.reduceat(factors, cuts)
+        return np.add.reduceat((coeffs * monos)[inverse], starts).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<term store, {len(self.items)} terms>"
@@ -320,6 +519,66 @@ def _accumulated(terms) -> Dict[Monomial, int]:
 
 
 _terms_of = attrgetter("_terms")
+
+
+def map_runs(polys: List[Polynomial], runs: List[Any], token_images, native: type,
+             semiring) -> List[Any]:
+    """The images of the polynomials ``polys`` of ``semiring``, whose runs
+    are ``runs``, as :meth:`TermStore.images` of their store: each run is a
+    term's own ``(store, id)`` or a fold's :class:`_Runs`.  Raises
+    :class:`Unmappable` for runs of two generations or of another
+    semiring's store (and where :meth:`~TermStore.images` does)."""
+    np = _np()
+    n = len(runs)
+    lows = np.empty(n, dtype=np.int64)
+    counts = np.ones(n, dtype=np.int64)
+    single = np.fromiter(map(isinstance, runs, repeat(tuple)), bool, n)
+    owner = np.full(n, -1, dtype=np.int64)  # which fold's ids; -1: a term's own
+    stores, bases = set(), []
+    ones = np.flatnonzero(single)
+    if len(ones):  # a term's own polynomial: one row, its id
+        owners, tids = zip(*map(runs.__getitem__, ones.tolist()))
+        lows[ones] = tids
+        stores.update(owners)
+    folded = np.flatnonzero(~single)
+    if len(folded):
+        at = folded.tolist()
+        folds = list(map(runs.__getitem__, at))
+        keys = np.fromiter(map(id, folds), np.int64, len(at))
+        pids = np.fromiter(map(id, map(polys.__getitem__, at)), np.int64, len(at))
+        for fold in set(folds):
+            mine = keys == id(fold)
+            low, high = fold.spans(np, pids[mine])
+            lows[folded[mine]], counts[folded[mine]] = low, high - low
+            owner[folded[mine]] = len(bases)
+            bases.append(fold.ids)
+            stores.add(fold.store)
+    if len(stores) != 1:
+        raise Unmappable("two generations")
+    (store,) = stores
+    if store.semiring is not semiring:
+        raise Unmappable("no term runs")
+    rows = _gates().ranges(lows, counts)
+    ids = rows.copy()  # a term's own row is its id
+    owner = np.repeat(owner, counts)
+    for k, base in enumerate(bases):
+        mine = owner == k
+        ids[mine] = base[rows[mine]]
+    return store.images(ids, np.cumsum(counts) - counts, token_images, native)
+
+
+def _distinct(np, values, space: int):
+    """The distinct entries of ``values`` (each in ``range(space)``),
+    ascending, and the position of each entry among them: one scatter over
+    the space where it is not much larger than ``values``, else a sort."""
+    if space > 8 * len(values) + 4096:
+        return np.unique(values, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[values] = True
+    distinct = np.flatnonzero(seen)
+    where = np.empty(space, dtype=np.int64)
+    where[distinct] = np.arange(len(distinct))
+    return distinct, where[values]
 
 
 def _run_starts(np, sorted_keys):

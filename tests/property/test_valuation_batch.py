@@ -4,10 +4,11 @@
 relation in one ``Homomorphism.map_many`` call; ``valuation_hom`` answers
 that call with one pass that maps each distinct token, structured term and
 monomial once, folding with Python's own operators over ``N``, ``Z`` and
-``B``.  The oracle here is written out in full: each annotation folded by
-itself with the target's own ``plus`` / ``times`` / ``delta``, ``δ`` terms
-and atoms re-resolved from their folded sides, tensors rebuilt scalar by
-scalar.  It is checked on GROUP BY results (``δ`` terms, tensors), on
+``B`` — as arrays over the term store where the relation is a planned
+result (each scalar carries its run of term ids).  The oracle here is
+written out in full: each annotation folded by itself with the target's
+own ``plus`` / ``times`` / ``delta``, ``δ`` terms and atoms re-resolved
+from their folded sides, tensors rebuilt scalar by scalar.  It is checked on GROUP BY results (``δ`` terms, tensors), on
 extended-mode ``K^M`` results (equality and comparison atoms), and through
 the paper's law ``h(Q(R)) == Q(h(R))`` on both engines.
 """
@@ -163,6 +164,10 @@ def test_the_batch_equals_the_per_annotation_fold(name, db, query, data):
     hom, target, image = drawn_hom(data, name, tokens)
     result = query.evaluate(db)
     assert result.apply_hom(hom) == reference(result, target, image)
+    # the planned result's scalars carry their term-store runs: into N, Z
+    # and B the batch maps as arrays, and must meet the same oracle
+    planned = query.evaluate(db, engine="planned")
+    assert planned.apply_hom(hom) == reference(planned, target, image)
     for engine in ("interpreted", "planned"):  # h(Q(R)) == Q(h(R))
         assert query.evaluate(db, engine=engine).apply_hom(hom) == query.evaluate(
             db.apply_hom(hom), engine=engine)
@@ -204,8 +209,9 @@ def grouped_db():
     lambda t: np.int64(int(t[1:]) % 3),   # nor is a NumPy integer
     lambda t: True if t == "t7" else int(t[1:]) % 3,  # the pass switches midway
 ], ids=["bool", "numpy", "mixed"])
-def test_an_image_outside_the_native_type_folds_with_the_targets_operations(image):
-    result = GroupBy(Table("R"), ["g"], {"v": SUM}).evaluate(grouped_db())
+@pytest.mark.parametrize("engine", ["interpreted", "planned"])
+def test_an_image_outside_the_native_type_folds_with_the_targets_operations(image, engine):
+    result = GroupBy(Table("R"), ["g"], {"v": SUM}).evaluate(grouped_db(), engine=engine)
     hom = valuation_hom(NX, NAT, image)
     got, want = result.apply_hom(hom), reference(result, NAT, image)
     assert got == want

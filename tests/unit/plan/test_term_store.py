@@ -6,12 +6,19 @@ output.  These cases pin what the planner-equivalence property does not
 single out: interning is idempotent across executions, repeated
 monomials fold exactly, empty inputs, a generation rollover, the
 operators that leave the tier, and how the fold shows in traces and on
-the kernel counter.
+the kernel counter.  They also pin the array pass of a homomorphism into
+``N``, ``Z`` or ``B`` over a planned result's runs: which batches it
+maps, each fallback and its count, its int64 guard, and that a run is a
+derivation, never part of a value.
 
 The module also runs with NumPy blocked (a CI step): there the store is
 inert, as :class:`~repro.semirings.base.MachineRepr` promises — ``N[X]``
-plans compile to the object tier and answer identically.
+plans compile to the object tier and answer identically, and every
+homomorphism maps by the walk.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -28,11 +35,15 @@ from repro.core import (
     Table,
 )
 from repro.monoids import SUM
-from repro.plan import compile_plan
+from repro.exceptions import HomomorphismError
+from repro.io.serialize import relation_to_jsonable
+from repro.obs.metrics import ENCODED_KERNEL
+from repro.plan import compile_plan, kernels
 from repro.plan.encoded import encode_relation
 from repro.plan.kernels import HAVE_NUMPY
-from repro.semimodules.tensor import tensor_space
-from repro.semirings import NX
+from repro.semimodules.tensor import Tensor, tensor_space
+from repro.semirings import BOOL, INT, NAT, NX, TROPICAL, valuation_hom
+from repro.semirings.delta import DeltaTerm
 from repro.semirings.terms import TermStore
 
 needs_numpy = pytest.mark.skipif(
@@ -211,3 +222,172 @@ class TestTheFoldIsObservable:
         after = ENCODED_KERNEL.values()
         for op in ("aggregate", "consolidate"):
             assert after.get((op, "fold"), 0) == before.get((op, "fold"), 0) + 1
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms over a planned result: the array pass and its fallbacks
+# ---------------------------------------------------------------------------
+
+
+def hom_count(kernel):
+    return ENCODED_KERNEL.values().get(("hom", kernel), 0)
+
+
+def image(token):
+    """A valuation into N: ``e<i>`` to ``i % 3``, ``r<j>`` to ``j``."""
+    return int(token[1:]) % 3 if token[0] == "e" else int(token[1:])
+
+
+def generations(rel):
+    """The term stores the runs of ``rel``'s scalars point into."""
+    runs = [p._run for p in scalars(rel) if p._run is not None]
+    return {run[0] if type(run) is tuple else run.store for run in runs}
+
+
+def scalars(rel):
+    """Every annotation and tensor scalar of ``rel``, and the arguments of
+    its ``δ`` annotations."""
+    out = []
+    for tup, annotation in rel.rows():
+        out.append(annotation)
+        out.extend(var.argument for mono in annotation._terms for var in mono._powers
+                   if isinstance(var, DeltaTerm))
+        out.extend(k for v in tup.values() if isinstance(v, Tensor) for _m, k in v.items())
+    return out
+
+
+@needs_numpy
+class TestAPlannedResultMapsAsArrays:
+    @pytest.mark.parametrize("target, valuation", [
+        (NAT, image),
+        (INT, lambda t: image(t) - 1),
+        (BOOL, lambda t: image(t) != 1),
+    ], ids=["N", "Z", "B"])
+    def test_the_join_group_by_maps_as_one_array_pass(self, target, valuation):
+        db = emp_db()
+        hom = valuation_hom(NX, target, valuation)
+        want = JOIN_GROUP.evaluate(db).apply_hom(hom)  # the walk
+        result = JOIN_GROUP.evaluate(db, engine="planned")
+        before = hom_count("array")
+        got = result.apply_hom(hom)
+        assert got == want
+        assert hom_count("array") == before + 1
+        for tup, annotation in got.rows():
+            assert type(annotation) is type(want.annotation(tup))
+
+    def test_an_interpreter_result_takes_the_walk(self):
+        result = JOIN_GROUP.evaluate(emp_db())
+        before = hom_count("fallback: no term runs")
+        result.apply_hom(valuation_hom(NX, NAT, image))
+        assert hom_count("fallback: no term runs") == before + 1
+
+    @pytest.mark.parametrize("target, valuation, cause", [
+        (TROPICAL, lambda t: 1.0, "target has no native type"),
+        (NAT, lambda t: True, "non-native image"),
+        (NAT, lambda t: 2 ** 70, "int64 bound"),
+    ], ids=["tropical", "bool-into-N", "past-int64"])
+    def test_each_fallback_is_counted_with_its_cause(self, target, valuation, cause):
+        db = emp_db()
+        hom = valuation_hom(NX, target, valuation)
+        want = JOIN_GROUP.evaluate(db).apply_hom(hom)
+        result = JOIN_GROUP.evaluate(db, engine="planned")
+        before = hom_count(f"fallback: {cause}")
+        assert result.apply_hom(hom) == want
+        assert hom_count(f"fallback: {cause}") == before + 1
+
+    def test_a_structured_variable_takes_the_walk(self):
+        x, y = NX.variables("x", "y")
+        r = KRelation.from_rows(NX, ("g", "v"), [
+            (("a", 1), NX.delta(x + y)), (("a", 2), x), (("b", 1), y),
+        ])
+        db = KDatabase(NX, {"R": r})
+        query = GroupBy(Table("R"), ["g"], {"v": SUM})
+        hom = valuation_hom(NX, NAT, {"x": 2, "y": 0})
+        want = query.evaluate(db).apply_hom(hom)
+        before = hom_count("fallback: structured variable")
+        assert query.evaluate(db, engine="planned").apply_hom(hom) == want
+        assert hom_count("fallback: structured variable") == before + 1
+
+    def test_the_int64_guard_hands_a_large_image_to_the_walk_exactly(self):
+        x, y = NX.variables("x", "y")
+        r = KRelation.from_rows(NX, ("g", "v"), [(("a", 1), 3 * x)])
+        s = KRelation.from_rows(NX, ("g",), [(("a",), y)])
+        db = KDatabase(NX, {"R": r, "S": s})
+        query = Project(NaturalJoin(Table("R"), Table("S")), ("g",))
+        result = query.evaluate(db, engine="planned")
+        (annotation,) = [k for _t, k in result.rows()]
+        assert annotation == 3 * x * y and annotation._run is not None
+        before = hom_count("fallback: int64 bound")
+        calls = []
+
+        def huge(token):
+            calls.append(token)
+            return 2 ** 40
+
+        got = result.apply_hom(valuation_hom(NX, NAT, huge))
+        (value,) = [k for _t, k in got.rows()]
+        assert value == 3 * 2 ** 80 and type(value) is int
+        assert hom_count("fallback: int64 bound") == before + 1
+        assert sorted(calls) == ["x", "y"]  # the walk reuses the array pass's images
+
+    def test_a_mapping_missing_a_reached_token_names_it(self):
+        result = JOIN_GROUP.evaluate(emp_db(), engine="planned")
+        valuation = {f"e{i}": 1 for i in range(12)}  # no r<j>: d1's r1 is reached
+        with pytest.raises(HomomorphismError, match="'r1'"):
+            result.apply_hom(valuation_hom(NX, NAT, valuation))
+
+    def test_runs_of_a_retired_generation_still_map_exactly(self, monkeypatch):
+        from repro.plan.encoded import EncodedFallback
+
+        db = emp_db()
+        hom = valuation_hom(NX, NAT, image)
+        interpreted = JOIN_GROUP.evaluate(db)
+        want = interpreted.apply_hom(hom)
+        # one run of the plan fills a generation of 21 (see the rollover
+        # case above): the next miss starts the next generation
+        store = TermStore(NX, max_terms=21)
+        monkeypatch.setattr(NX, "machine_repr", store)
+        old = JOIN_GROUP.evaluate(db, engine="planned")
+        with pytest.raises(EncodedFallback):
+            store.encode([NX.variable("stray")])
+        assert NX.machine_repr is not store
+        new = JOIN_GROUP.evaluate(db, engine="planned")
+        live = NX.machine_repr
+        assert generations(old) == {store} and generations(new) == {live}
+        before = hom_count("array")
+        assert old.apply_hom(hom) == want
+        assert hom_count("array") == before + 1
+        # one batch holding runs of both generations: the walk maps it
+        (d1,) = [(t, k) for t, k in old.rows() if t["Dept"] == "d1"]
+        (d3,) = [(t, k) for t, k in new.rows() if t["Dept"] == "d3"]
+        mixed = KRelation(NX, old.schema, dict([d1, d3]))
+        assert generations(mixed) == {store, live} and mixed == interpreted
+        before = hom_count("fallback: two generations")
+        assert mixed.apply_hom(hom) == want
+        assert hom_count("fallback: two generations") == before + 1
+
+    def test_a_run_is_never_compared_hashed_pickled_or_serialised(self):
+        db = emp_db()
+        planned = JOIN_GROUP.evaluate(db, engine="planned")
+        interpreted = JOIN_GROUP.evaluate(db)
+        carried = [p for p in scalars(planned) if p._run is not None]
+        assert carried
+        for poly in carried:
+            for twin in (pickle.loads(pickle.dumps(poly)), copy.copy(poly), copy.deepcopy(poly)):
+                assert twin._run is None
+                assert twin == poly and hash(twin) == hash(poly)
+        assert planned == interpreted
+        assert relation_to_jsonable(planned) == relation_to_jsonable(interpreted)
+        assert pickle.loads(pickle.dumps(planned)) == interpreted
+
+
+def test_without_numpy_the_walk_maps_a_planned_result_alike(monkeypatch):
+    db = emp_db()
+    hom = valuation_hom(NX, NAT, image)
+    result = JOIN_GROUP.evaluate(db, engine="planned")
+    want = result.apply_hom(hom)
+    assert want == JOIN_GROUP.evaluate(db).apply_hom(hom)
+    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+    before = hom_count("fallback: no NumPy")
+    assert result.apply_hom(hom) == want
+    assert hom_count("fallback: no NumPy") == before + 1

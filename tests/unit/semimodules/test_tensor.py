@@ -2,10 +2,11 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import SemimoduleError
+from repro.exceptions import MonoidError, SemimoduleError
 from repro.monoids import BHAT, MAX, MIN, SUM
 from repro.semimodules import check_semimodule_axioms, tensor_space
 from repro.semimodules.tensor import Tensor, _Unset
@@ -160,6 +161,31 @@ class TestHomLifting:
         b = sp.simple(y, 10)
         assert sp.add(a, b).apply_hom(h) == (a.apply_hom(h) + b.apply_hom(h))
         assert sp.scalar(x, b).apply_hom(h) == b.apply_hom(h).scaled_by(2)
+
+    @pytest.mark.parametrize("monoid, values, images", [
+        (SUM, [20, 10, 30], [1, 0, 2]),
+        (SUM, [Fraction(1, 2), 3, 5], [0, 1, 2]),  # a zero image drops its value
+        (SUM, [2.5, 10, 20], [1, 1, 0]),  # an inexact value keeps its entry
+        (SUM, [20, 10], [True, 2]),  # a bool is not N's int
+        (MIN, [20, 10, 30], [1, 0, 2]),
+        (MAX, [20, 10, 30], [0, 0, 0]),
+    ])
+    def test_an_image_into_n_is_its_normal_form(self, monoid, values, images):
+        sp = tensor_space(NX, monoid)
+        tokens = NX.variables(*(f"t{i}" for i in range(len(values))))
+        source = sp.sum([sp.simple(t, v) for t, v in zip(tokens, values)])
+        image_of = dict(zip(values, images))
+        got = source._mapped(NAT, [image_of[m] for m in source._entries])
+        want = tensor_space(NAT, monoid).set_agg((m, image_of[m]) for m in values)
+        assert got == want
+        assert [(type(m), type(k)) for m, k in got.items()] == [
+            (type(m), type(k)) for m, k in want.items()]
+
+    def test_a_negative_image_into_n_is_refused(self):
+        sp = tensor_space(NX, SUM)
+        source = sp.simple(NX.variable("x"), 20)
+        with pytest.raises(MonoidError):
+            source._mapped(NAT, [-1])
 
     def test_set_agg_empty(self):
         sp = tensor_space(NX, SUM)

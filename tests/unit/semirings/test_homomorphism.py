@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import GroupBy, KDatabase, KRelation, Table
 from repro.exceptions import HomomorphismError
+from repro.monoids import SUM
 from repro.semirings import (
     BOOL,
     NAT,
@@ -96,6 +98,30 @@ class TestCompositionAndHelpers:
         both = to_nat.then(to_bool)
         assert both(x) is True
         assert both(NX.zero) is False
+
+    @pytest.mark.parametrize("engine", ["interpreted", "planned"])
+    def test_a_composed_arrow_maps_a_relation_as_one_batch(self, engine):
+        # 12 rows in 3 groups: each token reaches a δ argument and an entry
+        rows = [((f"g{i % 3}", i + 1), NX.variable(f"t{i}")) for i in range(12)]
+        db = KDatabase(NX, {"R": KRelation.from_rows(NX, ("g", "v"), rows)})
+        result = GroupBy(Table("R"), ["g"], {"v": SUM}).evaluate(db, engine=engine)
+        calls = []
+
+        def count(token):
+            calls.append(token)
+            return 1
+
+        direct = valuation_hom(NX, NAT, count)
+        to_bool = semiring_hom(NAT, BOOL, lambda n: n > 0)
+        # one element at a time: a pass per scalar maps each token twice
+        want = result.apply_hom(semiring_hom(NX, BOOL, lambda a: to_bool(direct(a))))
+        assert len(calls) == 24
+        calls.clear()
+        result.apply_hom(direct)
+        assert len(calls) == 12
+        calls.clear()
+        assert result.apply_hom(direct.then(to_bool)) == want
+        assert sorted(calls) == sorted(f"t{i}" for i in range(12))  # once each
 
     def test_then_rejects_mismatched_chain(self):
         to_nat = valuation_hom(NX, NAT, {})
