@@ -16,7 +16,8 @@
   provenance;
 * :meth:`~MaterializedView.refresh` recomputes from scratch (the escape
   hatch after out-of-band database mutation, detected by the database's
-  monotonic version stamp);
+  monotonic version stamp), and :meth:`~MaterializedView.replace` swaps
+  one base table, recomputing only when the view reads it;
 * :meth:`~MaterializedView.explain_delta` renders the physical delta plan
   and the head's maintenance protocol.
 
@@ -236,6 +237,21 @@ class MaterializedView:
             self._version = self.db.version
         return self
 
+    def replace(self, name: str, relation: KRelation) -> "MaterializedView":
+        """Register ``relation`` under ``name`` in the view's database.
+
+        A table the view reads is re-materialised (:meth:`refresh`), as is
+        a view that was already stale; any other table joins the catalog
+        without touching the view's state, so later deltas to it apply.
+        """
+        with self.db._lock:
+            stale = self.is_stale()
+            self.db.add(name, relation)
+            if stale or name in self._refs:
+                return self.refresh()
+            self._version = self.db.version
+        return self
+
     def _materialise(self) -> None:
         """Evaluate the core and absorb it into the (empty) head state.
 
@@ -276,6 +292,11 @@ class MaterializedView:
     def version(self) -> int:
         """The database version this view is consistent with."""
         return self._version
+
+    @property
+    def tables(self) -> FrozenSet[str]:
+        """The base tables the view reads."""
+        return self._refs
 
     def explain_delta(self, changed: Optional[Any] = None) -> str:
         """Render the maintenance strategy and the physical delta plan.

@@ -43,6 +43,7 @@ __all__ = [
     "QUERY_SECONDS",
     "RESILIENCE_EVENTS",
     "SERVE_ANSWERS",
+    "SERVE_ANSWER_PATCHES",
     "SERVE_OPEN_CONNECTIONS",
     "SERVE_REQUESTS",
     "TIER_EXECUTIONS",
@@ -499,6 +500,25 @@ SERVE_ANSWERS = REGISTRY.counter(
     ("outcome",),
 )
 
+#: What each write did to the server's maintained answers: an entry
+#: folded the write (patched; ``/views`` entries included), a kept answer
+#: read on the superseded version became a view (promoted), or a
+#: promoted answer stopped being maintained, by cause.  A key the view
+#: layer refuses counts ``demoted: not maintainable`` once, at promotion.
+SERVE_ANSWER_PATCH_OUTCOMES = (
+    "patched", "promoted", "demoted: not read", "demoted: not maintainable",
+    "demoted: relation replaced", "demoted: patch failed",
+)
+
+SERVE_ANSWER_PATCHES = REGISTRY.counter(
+    "repro_serve_answer_patches_total",
+    "Maintained answers carried across writes, by outcome: an entry "
+    "patched by a write, a kept answer promoted to a view, or a promoted "
+    "answer demoted (not read on the superseded version, not maintainable, "
+    "its relation replaced, or its patch failed).",
+    ("outcome",),
+)
+
 #: Open connections to the provenance service, each served by one thread.
 SERVE_OPEN_CONNECTIONS = REGISTRY.gauge(
     "repro_serve_open_connections",
@@ -568,6 +588,8 @@ for _op in WAL_RECORD_OPS:
     WAL_RECORDS.labels(_op)
 for _outcome in SERVE_ANSWER_OUTCOMES:
     SERVE_ANSWERS.labels(_outcome)
+for _outcome in SERVE_ANSWER_PATCH_OUTCOMES:
+    SERVE_ANSWER_PATCHES.labels(_outcome)
 QUERY_SECONDS._child(())  # label-less: render zero buckets from scrape one
 WAL_FSYNC_SECONDS._child(())
 for _family in (WAL_APPENDED_BYTES, WAL_REPLAYED_RECORDS, WAL_CHECKPOINTS):

@@ -565,6 +565,33 @@ def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
         _metrics.ENCODED_CACHE_EVENTS.inc(1, event)
 
 
+def share_encodings(source, target) -> None:
+    """Seed ``target``'s encoding cache with ``source``'s entries for the
+    relation objects both databases hold.
+
+    A catalog clone (a materialised view's private database over a
+    snapshot's relations) then scans its tables without encoding them
+    again.  Entries are immutable and revalidated by relation identity,
+    so sharing them is safe; from here each database carries its own
+    entries forward (:func:`carry_forward`) at its own versions.
+    Published parallel-tier images stay with ``source``.
+    """
+    cache = getattr(source, "_encoded_cache", None)
+    if cache is None:
+        return
+    held = dict(iter(target))
+    version = target.version
+    with source._lock:
+        seeded = {
+            rep: {name: (rel, batch, version)
+                  for name, (rel, batch, _v) in cache[rep].items()
+                  if held.get(name) is rel}
+            for rep in _REPRESENTATIONS
+        }
+    with target._lock:
+        target._encoded_cache = seeded
+
+
 def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
     """The rows ``[start:stop)`` of ``batch`` as a new batch.
 

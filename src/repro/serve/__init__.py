@@ -7,8 +7,9 @@ version-stamped :class:`~repro.core.database.KDatabase`, admission
 gates that cap concurrent evaluations and shed overload as 503s,
 per-connection prepared queries, answers kept per pinned snapshot (a
 repeated query on an unchanged version is written from the rendered
-bytes of its first answer), incrementally maintained materialised
-views, and (with ``--data-dir``) durable writes through the
+bytes of its first answer, and an answer read before a write is
+patched across it as a materialised view), incrementally maintained
+materialised views, and (with ``--data-dir``) durable writes through the
 :mod:`repro.wal` write-ahead log.  Run it::
 
     python -m repro.serve --demo --port 8737 --data-dir ./data

@@ -16,7 +16,7 @@ Architecture (one process, no third-party dependencies):
   carry that ``version`` stamp so clients can observe the isolation;
 * the **writer path** (``/update``, ``/relations``, ``/views``) is
   serialised by one lock, folds deltas into the root database,
-  maintains every registered materialised view incrementally, and
+  carries every maintained answer across the write (below), and
   publishes the next snapshot with a single reference swap;
 * **prepared queries**: each connection keeps a bounded SQL → compiled
   :class:`~repro.core.query.Query` cache, and the query object's own
@@ -33,6 +33,27 @@ Architecture (one process, no third-party dependencies):
   while tracing is on neither read nor keep answers, error answers are
   never kept, and :data:`~repro.serve.snapshot.ANSWER_BYTES` bounds what
   one snapshot holds;
+* **maintained answers**: aggregation is a sum in ``K ⊗ M``, so an
+  answer on ``R ∪ Δ`` is its answer on ``R`` plus its answer on ``Δ``.
+  ``_views`` is one table of :class:`~repro.ivm.MaterializedView`
+  entries, each over a private catalog clone: ``/views`` registrations
+  (keyed by name, never demoted) and *promoted* answers (keyed like a
+  kept answer).  Under the writer lock, before the next snapshot is
+  published, a write folds its deltas into every entry, promotes each
+  kept answer read on the version it replaces *and* on the one before
+  (``mode="standard"``, ``annotations="expanded"``, and a query the view
+  layer accepts), demotes each promoted answer that was not read on the
+  version it replaces, and seeds the new snapshot's store with every
+  promoted answer's bytes, rendered as a miss renders them: the
+  read-your-write query is a hit.  A read that is not repeated after a
+  write therefore never costs the writer an evaluation.  A replaced
+  relation (``/relations``) reaches every entry: a ``/views`` entry
+  reading it re-materialises, a promoted one is demoted.  A patch that
+  raises demotes its entry (a ``/views`` entry is rebuilt instead) and
+  the write still answers 200: the WAL append already acknowledged it.
+  Each entry costs O(|Δ|) per write (its clone layers the delta over its
+  tables and carries its encodings forward).  Over a symbolic semiring
+  a write takes the heavy slot, as the evaluations it may promote do;
 * **durability** (optional): mounted on a
   :class:`~repro.wal.manager.DurabilityManager`, every write is
   WAL-appended *before* the snapshot publish — the append is the
@@ -51,7 +72,8 @@ Routes (all bodies JSON unless noted)::
     POST /update           {"relations": {name: {"rows": [...]}}}
     POST /relations        {"name", "relation": {"columns", "rows"}}
     POST /views            {"name", "sql"}
-    GET  /views/<name>     maintained view contents
+    GET  /views/<name>     maintained view contents (rendered once per
+                           view version)
 
 Every response — including 408/503/500 error paths — carries an
 ``x-request-id`` header (the client's, honored, or a generated one);
@@ -68,7 +90,8 @@ import socket
 import threading
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 from repro.caching import LRUDict
 from repro.core.database import KDatabase
@@ -86,7 +109,7 @@ from repro.serve.schema import (
     relation_from_json,
     relation_to_json,
 )
-from repro.serve.snapshot import SnapshotManager
+from repro.serve.snapshot import PublishedSnapshot, SnapshotManager
 from repro.serve.workers import ServerOverloaded, WorkerPool
 
 log = logging.getLogger("repro.serve")
@@ -179,6 +202,55 @@ def _read_request(rfile) -> "Optional[Tuple[str, str, Dict[str, str], bytes]]":
     return method, path, headers, body
 
 
+class _Entry:
+    """One maintained answer: a :class:`~repro.ivm.MaterializedView` over
+    a private catalog clone, registered by ``/views`` (``named``) or
+    promoted from a kept ``/query`` answer.  ``view`` is ``None`` for a
+    key the view layer refused, kept so it is not offered again while it
+    stays read, and for :data:`_SEEN`."""
+
+    __slots__ = ("view", "named", "_rendered")
+
+    def __init__(self, view: Any, named: bool = False):
+        self.view = view
+        self.named = named
+        self._rendered: Tuple[Any, bytes] = (None, b"")
+
+    def rendered(self) -> Tuple[int, bytes]:
+        """``(view version, body)``: the view's answer as a ``/query`` miss
+        renders it, without the closing brace; rendered once per result
+        object, so a write the view ignores renders nothing again."""
+        view = self.view
+        # the lock covers only fetching a consistent (result, version)
+        # pair; the result is immutable, so rendering runs outside it and
+        # a writer's view.apply never waits on it
+        with view.db._lock:
+            result = view.result()
+            version = view.version
+        done, body = self._rendered
+        if done is not result:
+            body = _dumps(relation_to_json(result))[:-1]
+            self._rendered = (result, body)
+        return version, body
+
+
+#: A kept answer read on one version only.  A write promotes a key read on
+#: two consecutive versions, so a read that is not repeated after a write
+#: never costs the writer an evaluation.
+_SEEN = _Entry(None)
+
+
+def _clone(snap: KDatabase) -> KDatabase:
+    """A private catalog over ``snap``'s relations and their encodings
+    (shared, never copied), so an entry's apply() stream is confined and
+    races no other entry and not the root."""
+    from repro.plan.encoded import share_encodings  # local: keep startup light
+
+    clone = KDatabase(snap.semiring, dict(iter(snap)))
+    share_encodings(snap, clone)
+    return clone
+
+
 def _shutdown(sock: socket.socket, how: int) -> None:
     try:
         sock.shutdown(how)
@@ -187,7 +259,7 @@ def _shutdown(sock: socket.socket, how: int) -> None:
 
 
 class ProvenanceServer:
-    """The server object: routing, snapshot handoff, view maintenance."""
+    """The server object: routing, snapshot handoff, answer maintenance."""
 
     def __init__(
         self,
@@ -221,7 +293,10 @@ class ProvenanceServer:
                                heavy_slots=heavy_slots,
                                retry_after_base=retry_after_base,
                                retry_after_max=retry_after_max)
-        self._views: Dict[str, Any] = {}
+        #: the maintained answers: ``/views`` entries by name, promoted
+        #: answers by ``(sql, mode, engine, annotations)``; written only
+        #: under the writer gate
+        self._views: Dict[Hashable, _Entry] = {}
         self._writer_gate = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters = {"queries": 0, "updates": 0, "errors": 0,
@@ -234,8 +309,12 @@ class ProvenanceServer:
         self._connections: Dict[socket.socket, threading.Thread] = {}
         if durability is not None:
             # checkpoints snapshot registered view states alongside the
-            # database, so a restart restores instead of re-evaluating
-            durability.set_view_supplier(lambda: self._views)
+            # database, so a restart restores instead of re-evaluating;
+            # promoted answers are rebuilt by a miss after recovery
+            # (dict.copy() is atomic under the GIL; the writer may be
+            # mutating the table)
+            durability.set_view_supplier(lambda: {
+                name: e.view for name, e in self._views.copy().items() if e.named})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -392,7 +471,7 @@ class ProvenanceServer:
                 if path == "/metrics":
                     return 200, PlainText(obs_metrics.render_prometheus())
                 if path.startswith("/views/"):
-                    return self._read_view(path[len("/views/"):])
+                    return self._read_view(path[len("/views/"):], rid)
                 return 404, {"error": f"no route GET {path}", "trace_id": rid}
             if method == "POST":
                 try:
@@ -543,21 +622,19 @@ class ProvenanceServer:
 
     def _update(self, payload: Any) -> Tuple[int, Any]:
         with self._writer_gate:
-            deltas = deltas_from_json(self.manager.pin(), payload)
-            with self.pool.admit():
+            snap = self.manager.pin()
+            deltas = deltas_from_json(snap, payload)
+            carry = partial(self._carry, deltas=deltas)
+            # over N[X] a write may promote answers (whole evaluations),
+            # so it takes the heavy slot those evaluations take
+            with self.pool.admit(heavy=_symbolic(snap.semiring)):
                 if self.durability is not None:
                     # WAL-append first (the acknowledgement point), apply
                     # to the root, then publish the next snapshot
                     self.durability.update(deltas)
-                    published = self.manager.refresh()
+                    published = self.manager.refresh(carry)
                 else:
-                    published = self.manager.update(deltas)
-                # each view owns a private clone of the catalog; folding
-                # the same deltas keeps every clone at the same contents,
-                # at O(|Δ|) per clone: each new version layers the delta
-                # over the rows of the one it replaces
-                for view in self._views.values():
-                    view.apply(deltas)
+                    published = self.manager.update(deltas, carry)
         self._count("updates")
         return 200, {"version": published.version}
 
@@ -572,14 +649,113 @@ class ProvenanceServer:
             relation = relation_from_json(
                 semiring, payload.get("relation"), f"relation {name!r}"
             )
-            with self.pool.admit():
+            carry = partial(self._carry, replaced=(name, relation))
+            with self.pool.admit(heavy=_symbolic(semiring)):
                 if self.durability is not None:
                     self.durability.add(name, relation)
-                    version = self.manager.refresh().version
+                    version = self.manager.refresh(carry).version
                 else:
-                    version = self.manager.add(name, relation).version
+                    version = self.manager.add(name, relation, carry).version
         self._count("updates")
         return 201, {"name": name, "version": version}
+
+    # -- maintained answers --------------------------------------------------
+
+    def _carry(
+        self,
+        read: FrozenSet[Hashable],
+        published: PublishedSnapshot,
+        *,
+        deltas: Optional[Mapping[str, Any]] = None,
+        replaced: Optional[Tuple[str, Any]] = None,
+    ) -> None:
+        """Carry every maintained answer across one write: the publish's
+        handoff, run under the writer gate before ``published`` is
+        visible.  Exactly one of ``deltas`` (``/update``) and
+        ``replaced`` (``/relations``: ``(name, relation)``) is given."""
+        views = self._views
+        outcomes = []
+        for key, entry in list(views.items()):
+            view = entry.view
+            if not entry.named and key not in read:
+                del views[key]
+                if view is not None:
+                    outcomes.append("demoted: not read")
+                continue
+            if view is None:
+                continue
+            if replaced is not None and not entry.named and replaced[0] in view.tables:
+                del views[key]
+                outcomes.append("demoted: relation replaced")
+                continue
+            try:
+                if replaced is not None:
+                    view.replace(*replaced)  # re-materialises if it reads it
+                else:
+                    view.apply(deltas)
+                    outcomes.append("patched")
+            except Exception:
+                log.exception("carrying maintained answer %r across a write failed", key)
+                views[key] = self._rebuilt(entry, published)
+                if not entry.named:
+                    outcomes.append("demoted: patch failed")
+        # a key read on the superseded version and on the one before it
+        # is promoted; one read on the superseded version only is noted
+        for key in read:
+            entry = views.get(key)
+            if entry is None:
+                views[key] = _SEEN
+            elif entry is _SEEN:
+                views[key], outcome = self._promoted(key, published)
+                outcomes.append(outcome)
+        for key, entry in list(views.items()):
+            if entry.named or entry.view is None:
+                continue
+            try:
+                body = entry.rendered()[1]
+            except Exception:
+                log.exception("rendering maintained answer %r failed", key)
+                views[key] = _Entry(None)
+                outcomes.append("demoted: patch failed")
+                continue
+            published.answers.put(key, body, read=False)
+        for outcome in outcomes:
+            obs_metrics.SERVE_ANSWER_PATCHES.inc(1, outcome)
+
+    def _promoted(self, key: Hashable,
+                  published: PublishedSnapshot) -> Tuple[_Entry, str]:
+        """A kept answer read on the last two versions as a view over a
+        clone of ``published`` (whose encodings it shares, so nothing is
+        encoded again): or a refusal, remembered as an entry without a
+        view."""
+        from repro.ivm import MaterializedView
+        from repro.sql.compiler import compile_sql
+
+        sql, mode, _engine, annotations = key
+        if mode != "standard" or annotations != "expanded":
+            return _Entry(None), "demoted: not maintainable"
+        try:
+            view = MaterializedView.create(_clone(published), compile_sql(sql))
+        except Exception as exc:
+            if not isinstance(exc, ReproError):
+                log.exception("promoting %r failed", key)
+            return _Entry(None), "demoted: not maintainable"
+        return _Entry(view), "promoted"
+
+    def _rebuilt(self, entry: _Entry, published: PublishedSnapshot) -> _Entry:
+        """What replaces an entry whose patch (or, for ``/relations``,
+        re-materialisation) raised: a ``/views`` entry is re-created over
+        ``published``, a promoted one is remembered as refused."""
+        if entry.named:
+            from repro.ivm import MaterializedView
+
+            try:
+                view = MaterializedView.create(_clone(published), entry.view.query)
+                return _Entry(view, named=True)
+            except Exception:
+                log.exception("rebuilding view %r failed", entry.view.query)
+                return entry
+        return _Entry(None)
 
     # -- materialised views --------------------------------------------------
 
@@ -600,18 +776,13 @@ class ProvenanceServer:
                 from repro.ivm import MaterializedView
                 from repro.sql.compiler import compile_sql
 
-                # the view maintains its own clone of the catalog
-                # (relation objects shared, never copied), so its apply()
-                # stream is confined and cannot race other views or the
-                # root — per-view confinement instead of shared locks
-                view_db = KDatabase(snap.semiring, dict(iter(snap)))
-                view = MaterializedView.create(view_db, compile_sql(sql))
+                view = MaterializedView.create(_clone(snap), compile_sql(sql))
             if self.durability is not None:
                 # log the definition before registering: a crash after
                 # the append rebuilds the view on boot, a crash before it
                 # leaves the client's 503 honest (view never existed)
                 self.durability.create_view(name, sql)
-            self._views[name] = view
+            self._views[name] = _Entry(view, named=True)
         return 201, {"name": name, "version": self.manager.version}
 
     def restore_views(self) -> Dict[str, str]:
@@ -634,8 +805,7 @@ class ProvenanceServer:
 
         outcomes: Dict[str, str] = {}
         for name, sql in sorted(self.durability.view_defs.items()):
-            snap = self.manager.pin()
-            view_db = KDatabase(snap.semiring, dict(iter(snap)))
+            view_db = _clone(self.manager.pin())
             query = compile_sql(sql)
             path = self.durability.view_state_path(name)
             try:
@@ -648,26 +818,17 @@ class ProvenanceServer:
                 # create_view record survived, so evaluate from scratch
                 view = MaterializedView.create(view_db, query)
                 outcomes[name] = "rebuilt"
-            self._views[name] = view
+            self._views[name] = _Entry(view, named=True)
         return outcomes
 
-    def _read_view(self, name: str) -> Tuple[int, Any]:
-        view = self._views.get(name)
-        if view is None:
-            return 404, {"error": f"no view named {name!r}"}
+    def _read_view(self, name: str, request_id: str) -> Tuple[int, Any]:
+        entry = self._views.get(name)  # a name never matches a promoted key
+        if entry is None:
+            return 404, {"error": f"no view named {name!r}", "trace_id": request_id}
         with self.pool.admit():
-            # the lock covers only fetching a consistent (result, version)
-            # pair; the result is immutable, so lowering and JSON rendering
-            # run outside it and a writer's view.apply never waits on them
-            with view.db._lock:
-                result = view.result()
-                version = view.version
-            if hasattr(result, "lower"):
-                result = result.lower()
-            response = relation_to_json(result)
-        response["view_version"] = version
+            version, body = entry.rendered()
         self._count("queries")
-        return 200, response
+        return 200, body + b', "view_version": ' + str(version).encode() + b"}"
 
     # -- stats ---------------------------------------------------------------
 
@@ -710,10 +871,11 @@ class ProvenanceServer:
         with self._stats_lock:
             counters = dict(self._counters)
             answers = dict(self._answer_outcomes)
+        entries = self._views.copy()  # atomic under the GIL, as above
         body = {
             "version": self.manager.version,
             "writes": self.manager.writes,
-            "views": sorted(self._views),
+            "views": sorted(name for name, e in entries.items() if e.named),
             "pool": self.pool.stats(),
             "connections_open": len(self._connections),
             "tiers": obs_metrics.tier_executions(),
@@ -723,6 +885,8 @@ class ProvenanceServer:
                 "misses": answers["miss"],
                 "bypasses": answers["bypass"],
                 "bytes": self.manager.pin().answers.nbytes,
+                "promoted": sum(1 for e in entries.values()
+                                if not e.named and e.view is not None),
             },
             **counters,
         }

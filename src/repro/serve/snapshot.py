@@ -26,19 +26,24 @@ answer on it never changes: each published snapshot owns the
 result keyed by what decides it (SQL text, mode, engine, annotation
 representation).  The store belongs to the snapshot object, never to a
 version number (two servers over different databases can both be at
-version 3), and a publish retires the superseded snapshot's store, so
-only the current version holds answers and there is nothing to evict.
+version 3).  It also records which of its keys were read.  A publish
+hands the writer's *handoff* the keys read on the superseded snapshot
+and the new snapshot, before the new one is visible, so the writer can
+carry the answers it maintains across the write and seed the new store
+with them (the server patches each as a materialised view).  Then the
+superseded store is retired, so only the current version holds answers
+and there is nothing to evict.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Mapping, Optional
+from typing import Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Set
 
 from repro.core.database import DatabaseSnapshot, KDatabase
 from repro.core.relation import KRelation
 
-__all__ = ["ANSWER_BYTES", "Answers", "PublishedSnapshot", "SnapshotManager"]
+__all__ = ["ANSWER_BYTES", "Answers", "Handoff", "PublishedSnapshot", "SnapshotManager"]
 
 #: Rendered answer bytes one snapshot keeps; an answer that would pass
 #: the bound is served but not kept.
@@ -49,36 +54,52 @@ class Answers:
     """The rendered answers computed on one snapshot.
 
     Reads are one dict lookup (no lock); stores take a lock so the byte
-    count stays exact.  :meth:`retire` empties the store and refuses
-    later stores: a reader still finishing on a superseded snapshot
-    evaluates and answers, but keeps nothing.
+    count stays exact.  A key counts as *read* when it is kept and asked
+    for: a hit, or the miss whose answer :meth:`put` keeps (an answer
+    that never fits, or an error, is never read).  :meth:`retire`
+    empties the store and refuses later stores: a reader still finishing
+    on a superseded snapshot evaluates and answers, but keeps nothing.
     """
 
-    __slots__ = ("_entries", "_lock", "nbytes", "_retired")
+    __slots__ = ("_entries", "_lock", "nbytes", "_read", "_retired")
 
     def __init__(self) -> None:
         self._entries: Dict[Hashable, bytes] = {}
         self._lock = threading.Lock()
         self.nbytes = 0
+        self._read: Set[Hashable] = set()
         self._retired = False
 
     def get(self, key: Hashable) -> Optional[bytes]:
-        return self._entries.get(key)
+        data = self._entries.get(key)
+        if data is not None:
+            self._read.add(key)
+        return data
 
-    def put(self, key: Hashable, data: bytes) -> None:
+    def put(self, key: Hashable, data: bytes, *, read: bool = True) -> None:
         """Keep ``data`` under ``key``, unless the store is retired,
-        already holds the key, or would pass :data:`ANSWER_BYTES`."""
+        already holds the key, or would pass :data:`ANSWER_BYTES`.
+        ``read=False`` seeds the answer without counting it as read."""
         with self._lock:
-            if self._retired or key in self._entries:
+            if self._retired:
                 return
-            if self.nbytes + len(data) <= ANSWER_BYTES:
+            if key not in self._entries:
+                if self.nbytes + len(data) > ANSWER_BYTES:
+                    return
                 self._entries[key] = data
                 self.nbytes += len(data)
+            if read:
+                self._read.add(key)
+
+    def read_keys(self) -> FrozenSet[Hashable]:
+        """The keys read on this store so far."""
+        return frozenset(self._read)
 
     def retire(self) -> None:
         with self._lock:
             self._retired = True
             self._entries = {}
+            self._read = set()
             self.nbytes = 0
 
     def __len__(self) -> int:
@@ -94,6 +115,12 @@ class PublishedSnapshot(DatabaseSnapshot):
     def __init__(self, parent: KDatabase):
         super().__init__(parent)
         self.answers = Answers()
+
+
+#: ``handoff(read_keys, published)``: called by a publish under the
+#: writer mutex with the keys read on the superseded snapshot, before
+#: ``published`` is visible to readers.
+Handoff = Callable[[FrozenSet[Hashable], PublishedSnapshot], None]
 
 
 class SnapshotManager:
@@ -121,37 +148,48 @@ class SnapshotManager:
         """The current published snapshot (wait-free; never blocks)."""
         return self._current
 
-    def update(self, deltas: Mapping[str, KRelation]) -> PublishedSnapshot:
+    def update(self, deltas: Mapping[str, KRelation],
+               handoff: Optional[Handoff] = None) -> PublishedSnapshot:
         """Fold ``deltas`` in and publish the next snapshot atomically.
 
         Validation-then-publish is inherited from
         :meth:`KDatabase.update`; a bad batch raises before any reader
-        can observe a change.  Returns the newly published snapshot.
+        can observe a change.  ``handoff`` (:data:`Handoff`, also taken
+        by :meth:`add` and :meth:`refresh`) runs before the new snapshot
+        is visible.  Returns the newly published snapshot.
         """
         with self._writer:
             self._db.update(deltas)
-            return self._publish()
+            return self._publish(handoff)
 
-    def add(self, name: str, relation: KRelation) -> PublishedSnapshot:
+    def add(self, name: str, relation: KRelation,
+            handoff: Optional[Handoff] = None) -> PublishedSnapshot:
         """Create/replace one relation and publish the next snapshot."""
         with self._writer:
             self._db.add(name, relation)
-            return self._publish()
+            return self._publish(handoff)
 
-    def refresh(self) -> PublishedSnapshot:
+    def refresh(self, handoff: Optional[Handoff] = None) -> PublishedSnapshot:
         """Re-pin after out-of-band mutation of the root database."""
         with self._writer:
-            return self._publish()
+            return self._publish(handoff)
 
-    def _publish(self) -> PublishedSnapshot:
+    def _publish(self, handoff: Optional[Handoff]) -> PublishedSnapshot:
         # built from a consistent (relations, version) pair taken under
         # the database lock
         snap = PublishedSnapshot(self._db.snapshot())
-        previous, self._current = self._current, snap  # the handoff
-        # compiled plans keep the snapshot they were compiled on alive,
-        # so the superseded answers are dropped here, not left to it
-        previous.answers.retire()
-        self.writes += 1
+        previous = self._current
+        try:
+            if handoff is not None:
+                handoff(previous.answers.read_keys(), snap)
+        finally:
+            # the root already moved: publish whatever the handoff did
+            self._current = snap
+            # compiled plans keep the snapshot they were compiled on
+            # alive, so the superseded answers are dropped here, not
+            # left to it
+            previous.answers.retire()
+            self.writes += 1
         return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

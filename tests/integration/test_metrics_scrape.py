@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.core import KDatabase, KRelation
+from repro.obs import metrics as obs_metrics
 from repro.semirings import NAT
 from repro.serve import start_in_thread
 
@@ -134,6 +135,34 @@ def test_a_repeated_query_moves_the_answer_hits(server):
     assert after["miss"] == before["miss"] + 1
     assert after["hit"] == before["hit"] + 2
     assert after["bypass"] == before["bypass"] + 1
+
+
+def test_writes_move_the_answer_patches(server):
+    """Every outcome of ``repro_serve_answer_patches_total`` is exposed
+    from the first scrape; a kept answer read before two writes is
+    promoted at the second, patched by the next write after another
+    read, and demoted by a write that follows no read."""
+
+    def outcomes():
+        samples = parse_samples(scrape(server.address)[2])
+        return {outcome: samples[
+                    f'repro_serve_answer_patches_total{{outcome="{outcome}"}}']
+                for outcome in obs_metrics.SERVE_ANSWER_PATCH_OUTCOMES}
+
+    def post(path, payload):
+        status, _headers, body = request_with_headers(
+            server.address, "POST", path, json.dumps(payload))
+        assert status == 200, body
+
+    sql = {"sql": "SELECT K, SUM(V) FROM R GROUP BY K"}
+    write = {"relations": {"R": {"rows": [{"values": ["new", 1]}]}}}
+    before = outcomes()
+    for _ in range(3):
+        post("/query", sql)
+        post("/update", write)
+    post("/update", write)
+    moved = {k: v - before[k] for k, v in outcomes().items() if v != before[k]}
+    assert moved == {"promoted": 1, "patched": 1, "demoted: not read": 1}
 
 
 def test_write_loop_extends_the_encoding_and_never_rebuilds(server):

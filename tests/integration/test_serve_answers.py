@@ -8,7 +8,12 @@ same snapshot writes those bytes again.  These tests hold the contract:
 * a repeat (a *hit*) answers the bytes an evaluation answers, except
   ``elapsed_ms``, for every semiring, engine and annotation
   representation the endpoint serves;
-* a write publishes a new snapshot, so the next read evaluates on it;
+* a write carries each answer read on the version it replaces across as
+  a maintained view, and seeds the new snapshot with its patched bytes
+  before ``/update`` answers: the read-your-write query is a hit whose
+  bytes equal a fresh evaluation's; an answer not read on a version is
+  demoted at the next write, and what the view layer cannot maintain is
+  never promoted;
 * answers belong to a snapshot object, never to a version number;
 * ``analyze``, tracing, error answers and the byte bound keep nothing;
 * a hit passes the same admission gates as an evaluation.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import re
 import sys
 import threading
@@ -26,12 +32,15 @@ import pytest
 
 from repro import faults
 from repro.core import KDatabase, KRelation
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.semirings import BOOL, NAT, NX
+from repro.semirings import BOOL, INT, NAT, NX
+from repro.serve import server as serve_server
 from repro.serve import snapshot as serve_snapshot
 from repro.serve import start_in_thread
 from repro.serve.schema import relation_to_json
 from repro.sql.compiler import compile_sql
+from repro.wal import DurabilityManager
 
 #: An exception escaping a connection thread fails the test, not a log line.
 pytestmark = pytest.mark.filterwarnings(
@@ -55,6 +64,20 @@ def bool_db() -> KDatabase:
         BOOL, ("g", "v"), [((f"g{i % 4}", i % 9), True) for i in range(32)]
     )
     return KDatabase(BOOL, {"R": rel})
+
+
+def int_db() -> KDatabase:
+    rel = KRelation.from_rows(
+        INT, ("g", "v"), [((f"g{i % 4}", i % 9), 1 + i % 3) for i in range(32)]
+    )
+    return KDatabase(INT, {"R": rel})
+
+
+def float_db() -> KDatabase:
+    rel = KRelation.from_rows(
+        NAT, ("g", "v"), [((f"g{i % 4}", 0.1 * (i % 9)), 1) for i in range(32)]
+    )
+    return KDatabase(NAT, {"R": rel})
 
 
 def nx_db() -> KDatabase:
@@ -153,7 +176,7 @@ def test_a_hit_answers_the_evaluated_bytes(serve, case):
     assert status == 200
     assert client.answers() == {
         "hits": 1, "misses": 1, "bypasses": 1,
-        "bytes": handle.server.manager.pin().answers.nbytes,
+        "bytes": handle.server.manager.pin().answers.nbytes, "promoted": 0,
     }
     assert without_elapsed(hit) == without_elapsed(evaluated) == without_elapsed(bypassed)
 
@@ -185,7 +208,7 @@ def test_answers_key_on_sql_mode_engine_and_annotations(serve):
 
 
 def test_an_update_is_read_by_the_next_query(serve):
-    _handle, client = serve(nat_db())
+    handle, client = serve(nat_db())
     payload = {"sql": "SELECT g, v FROM R"}
     _, first = client.request("POST", "/query", payload)
     _, again = client.request("POST", "/query", payload)
@@ -198,8 +221,18 @@ def test_an_update_is_read_by_the_next_query(serve):
     assert after["version"] == written["version"]
     assert after["rowcount"] == first["rowcount"] + 1
     assert ["new", 1] in [row["values"] for row in after["rows"]]
+    # read on one version only: noted, not carried across the write
     assert client.answers()["hits"] == 1
     assert client.answers()["misses"] == 2
+    assert client.answers()["promoted"] == 0
+    client.request(
+        "POST", "/update", {"relations": {"R": {"rows": [{"values": ["newer", 2]}]}}}
+    )
+    _, carried = client.request("POST", "/query", payload)
+    assert carried["rowcount"] == after["rowcount"] + 1
+    # read on both versions before the write, so carried across it
+    assert client.answers()["hits"] == 2
+    assert client.answers()["promoted"] == 1
 
 
 def test_a_replaced_relation_is_read_by_the_next_query(serve):
@@ -219,14 +252,23 @@ def test_a_replaced_relation_is_read_by_the_next_query(serve):
 
 def test_a_publish_retires_the_superseded_answers(serve):
     handle, client = serve(nat_db())
+    write = {"relations": {"R": {"rows": [{"values": ["g0", 1]}]}}}
     client.request("POST", "/query", {"sql": GROUPED})
     old = handle.server.manager.pin()
     assert len(old.answers) == 1 and old.answers.nbytes > 0
-    client.request(
-        "POST", "/update", {"relations": {"R": {"rows": [{"values": ["g0", 1]}]}}}
-    )
+    assert old.answers.read_keys() == {(GROUPED, "standard", "planned", "expanded")}
+    client.request("POST", "/update", write)
     assert len(old.answers) == 0 and old.answers.nbytes == 0
+    assert old.answers.read_keys() == frozenset()
+    # read on one version only: the new store starts empty
     assert client.answers()["bytes"] == 0
+    client.request("POST", "/query", {"sql": GROUPED})
+    client.request("POST", "/update", write)
+    # read on two: the new store holds the carried answer, seeded but
+    # not yet read
+    new = handle.server.manager.pin()
+    assert len(new.answers) == 1 and new.answers.read_keys() == frozenset()
+    assert client.answers()["bytes"] == new.answers.nbytes > 0
     # a reader still finishing on the old snapshot keeps nothing there
     old.answers.put(("late",), b"{}")
     assert len(old.answers) == 0
@@ -248,6 +290,346 @@ def test_servers_with_equal_version_stamps_share_no_answer(serve):
 
 
 # ---------------------------------------------------------------------------
+# carried across writes
+# ---------------------------------------------------------------------------
+
+
+def _rows(*rows):
+    """``/update`` rows from ``(values, annotation)`` pairs."""
+    return [{"values": list(values), "annotation": ann} for values, ann in rows]
+
+
+#: ``make_db, queries, writes``: each write is one ``/update`` of ``R``.
+PATCH_CASES = {
+    "N": (nat_db, [GROUPED, "SELECT g, v FROM R WHERE v > 4"], [
+        _rows((["g0", 5], 2), (["new", 1], 1)),
+        _rows((["g9", 7], 1)),
+        _rows((["g1", 8], 3), (["g9", 7], 1)),
+    ]),
+    "B": (bool_db, ["SELECT g, MAX(v) FROM R GROUP BY g", "SELECT g FROM R"], [
+        _rows((["g0", 40], True)),
+        _rows((["g7", 1], True), (["g0", 41], True)),
+        _rows((["g2", 3], True)),
+    ]),
+    # (g0, 0) holds annotation 1, (g1, 1) 2 and (g2, 2) 3: rows deleted,
+    # rows dropping to a smaller multiplicity, an insert deleted again
+    "Z deleting": (int_db, [GROUPED, "SELECT g, v FROM R", "SELECT COUNT(*) FROM R"], [
+        _rows((["g0", 0], -1), (["g2", 2], -1)),
+        _rows((["g1", 1], -1), (["g5", 9], 2)),
+        _rows((["g2", 2], -2), (["g5", 9], -2)),
+    ]),
+    "N[X] expanded": (nx_db, [GROUPED, "SELECT g FROM R"], [
+        _rows((["g0", 2], "x1"), (["g9", 1], "x2")),
+        _rows((["g0", 2], "x3"), (["g1", 4], "r1")),
+        _rows((["g2", 5], "x4")),
+    ]),
+    "float SUM": (float_db, [GROUPED, "SELECT AVG(v) FROM R"], [
+        _rows((["g0", 0.1], 1), (["g3", 1e16], 1)),
+        _rows((["g3", -1e16], 1), (["g3", 0.7], 2)),
+        _rows((["g1", 0.3], 1), (["g4", 2.5], 3)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("engine", ["planned", "interpreted"])
+@pytest.mark.parametrize("case", sorted(PATCH_CASES))
+def test_a_patched_answer_is_the_evaluated_answer(serve, case, engine):
+    """After each write the read-your-write query answers a fresh
+    evaluation's bytes on that snapshot, except ``elapsed_ms``; from the
+    second write on (each query was read on the two versions before it)
+    it is a hit."""
+    make_db, queries, writes = PATCH_CASES[case]
+    db = make_db()
+    _handle, client = serve(db)
+    for sql in queries:
+        assert client.raw("POST", "/query", {"sql": sql, "engine": engine})[0] == 200
+    for rows in writes:
+        status, written = client.request(
+            "POST", "/update", {"relations": {"R": {"rows": rows}}})
+        assert status == 200, written
+        for sql in queries:
+            status, hit = client.raw("POST", "/query", {"sql": sql, "engine": engine})
+            assert status == 200
+            assert hit.startswith(
+                rendered(db, sql, engine=engine)[:-1] + b', "elapsed_ms": '), sql
+            assert hit.endswith(
+                f', "version": {written["version"]}, "engine": "{engine}"}}'.encode())
+    answers = client.answers()
+    assert answers["misses"] == 2 * len(queries)
+    assert answers["hits"] == len(queries) * (len(writes) - 1)
+    assert answers["promoted"] == len(queries)
+
+
+def _patches():
+    return dict(obs_metrics.SERVE_ANSWER_PATCHES.values())
+
+
+def _moved(before):
+    """The ``repro_serve_answer_patches_total`` outcomes that grew."""
+    now = _patches()
+    return {k[0]: now[k] - before.get(k, 0) for k in now if now[k] != before.get(k, 0)}
+
+
+def _write(client, *rows):
+    status, body = client.request(
+        "POST", "/update", {"relations": {"R": {"rows": _rows(*rows)}}})
+    assert status == 200, body
+    return body
+
+
+def _promote(client, payload):
+    """Read ``payload`` on two consecutive versions, so that the second
+    write promotes it; returns that write's answer."""
+    for k in range(2):
+        client.request("POST", "/query", payload)
+        written = _write(client, (["p", k], 1))
+    return written
+
+
+def two_tables() -> KDatabase:
+    db = nat_db()
+    db.add("S", KRelation.from_rows(NAT, ("g", "v"), [(("s0", 1), 1), (("s1", 2), 2)]))
+    return db
+
+
+def test_analyze_extended_and_circuit_answers_are_never_promoted(serve):
+    db = nx_db()
+    _handle, client = serve(db)
+    variants = [{"analyze": True}, {"mode": "extended"}, {"annotations": "circuit"}]
+
+    def ask_all():
+        for extra in variants:
+            status, body = client.raw("POST", "/query", {"sql": GROUPED, **extra})
+            assert status == 200, body
+            want = json.loads(rendered(db, GROUPED, **{
+                k: v for k, v in extra.items() if k != "analyze"}))
+            got = json.loads(body)
+            assert {k: got[k] for k in want} == want, extra
+
+    ask_all()
+    before = _patches()
+    for token in ("x1", "x2", "x3"):
+        _write(client, (["g0", 2], token))
+        ask_all()
+    # refused once, at the second write, and remembered while read
+    assert _moved(before) == {"demoted: not maintainable": 2}
+    answers = client.answers()
+    assert answers["promoted"] == 0 and answers["hits"] == 0
+    assert answers["misses"] == 8 and answers["bypasses"] == 4
+
+
+def test_a_query_the_view_layer_refuses_is_never_promoted(serve):
+    db = nat_db()
+    _handle, client = serve(db)
+    sql = "SELECT g, v FROM R EXCEPT SELECT g, v FROM R WHERE v > 6"
+    before = _patches()
+    for k in range(3):
+        status, body = client.raw("POST", "/query", {"sql": sql})
+        assert status == 200 and body.startswith(rendered(db, sql)[:-1])
+        _write(client, (["g0", 9 + k], 1))
+    assert _moved(before) == {"demoted: not maintainable": 1}
+    assert client.answers()["misses"] == 3
+
+
+def test_a_patch_that_raises_demotes_and_the_write_still_answers(serve, monkeypatch):
+    """A promoted answer whose patch raises is demoted (and not offered
+    again while it stays read); a ``/views`` entry is rebuilt."""
+    from repro.ivm import MaterializedView
+
+    db = nat_db()
+    _handle, client = serve(db)
+    assert client.request("POST", "/views", {"name": "v", "sql": GROUPED})[0] == 201
+    sql = "SELECT g, v FROM R"
+    _promote(client, {"sql": sql})
+    client.request("POST", "/query", {"sql": sql})
+    before = _patches()
+
+    def broken(self, deltas):
+        raise RuntimeError("injected patch failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MaterializedView, "apply", broken)
+        written = _write(client, (["g0", 2], 1))
+    assert _moved(before) == {"demoted: patch failed": 1}
+    status, body = client.raw("POST", "/query", {"sql": sql})
+    assert status == 200 and body.startswith(rendered(db, sql)[:-1])
+    assert json.loads(body)["version"] == written["version"]
+    status, view = client.request("GET", "/views/v")
+    assert status == 200
+    assert view["rows"] == json.loads(rendered(db, GROUPED))["rows"]
+    _write(client, (["g0", 3], 1))
+    assert _moved(before) == {"demoted: patch failed": 1, "patched": 1}
+    assert client.request("GET", "/views/v")[1]["rows"] == \
+        json.loads(rendered(db, GROUPED))["rows"]
+    assert client.answers()["promoted"] == 0
+
+
+def test_a_replace_that_raises_still_reaches_every_entry(serve, monkeypatch):
+    """A ``/relations`` write whose re-materialisation raises an untyped
+    error carries on through the table: a promoted answer over the
+    relation is demoted before anything is replaced, one over another
+    table is demoted, and every ``/views`` entry is rebuilt on the new
+    snapshot."""
+    from repro.ivm import MaterializedView
+
+    db = two_tables()
+    _handle, client = serve(db)
+    for name, sql in (("a", GROUPED), ("b", "SELECT g FROM R"), ("s", "SELECT g FROM S")):
+        assert client.request("POST", "/views", {"name": name, "sql": sql})[0] == 201
+    reads = [{"sql": "SELECT g, v FROM R"}, {"sql": "SELECT g, v FROM S"}]
+    for k in range(2):
+        for payload in reads:
+            client.request("POST", "/query", payload)
+        _write(client, (["p", k], 1))
+    for payload in reads:
+        client.request("POST", "/query", payload)
+    assert client.answers()["promoted"] == 2
+    before = _patches()
+
+    def broken(self, name, relation):
+        raise RuntimeError("injected replace failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MaterializedView, "replace", broken)
+        status, body = client.request("POST", "/relations", {"name": "R", "relation": {
+            "columns": ["g", "v"], "rows": [{"values": ["z", 100]}]}})
+    assert status == 201, body
+    assert _moved(before) == {"demoted: relation replaced": 1, "demoted: patch failed": 1}
+    assert client.answers()["promoted"] == 0
+    _write(client, (["z", 5], 1))
+    for name, sql in (("a", GROUPED), ("b", "SELECT g FROM R"), ("s", "SELECT g FROM S")):
+        status, view = client.request("GET", f"/views/{name}")
+        assert status == 200
+        assert view["rows"] == json.loads(rendered(db, sql))["rows"], name
+    for payload in reads:
+        status, body = client.raw("POST", "/query", payload)
+        assert status == 200 and body.startswith(rendered(db, payload["sql"])[:-1])
+
+
+def test_a_render_that_raises_demotes_and_the_write_still_answers(serve, monkeypatch):
+    db = nat_db()
+    _handle, client = serve(db)
+    _promote(client, {"sql": GROUPED})
+    client.request("POST", "/query", {"sql": GROUPED})
+    before = _patches()
+
+    def broken(rel):
+        raise RuntimeError("injected render failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(serve_server, "relation_to_json", broken)
+        written = _write(client, (["g0", 9], 1))
+    assert _moved(before) == {"patched": 1, "demoted: patch failed": 1}
+    assert client.answers()["promoted"] == 0
+    status, body = client.raw("POST", "/query", {"sql": GROUPED})
+    assert status == 200 and body.startswith(rendered(db, GROUPED)[:-1])
+    assert json.loads(body)["version"] == written["version"]
+
+
+def test_a_write_the_view_ignores_renders_nothing_again(serve, monkeypatch):
+    """A view's bytes are rendered once per result: a write to a table it
+    does not read moves its version and renders nothing."""
+    db = two_tables()
+    _handle, client = serve(db)
+    assert client.request("POST", "/views", {"name": "v", "sql": GROUPED})[0] == 201
+    status, first = client.request("GET", "/views/v")
+    assert status == 200
+    status, _ = client.request("POST", "/update", {"relations": {
+        "S": {"rows": [{"values": ["s2", 3]}]}}})
+    assert status == 200
+
+    def no_rendering(rel):
+        raise AssertionError("an unchanged view renders nothing")
+
+    monkeypatch.setattr(serve_server, "relation_to_json", no_rendering)
+    status, again = client.request("GET", "/views/v")
+    assert status == 200
+    assert again["rows"] == first["rows"]
+    assert again["view_version"] > first["view_version"]
+
+
+def test_a_symbolic_write_needs_the_heavy_slot(serve):
+    """Over ``N[X]`` a write may promote answers, each a whole evaluation,
+    so it takes the heavy slot those evaluations take: while the slot is
+    held the write is shed before anything is published."""
+    handle, client = serve(nx_db())
+    client.request("POST", "/query", {"sql": GROUPED})
+    _write(client, (["g0", 2], "x1"))
+    client.request("POST", "/query", {"sql": GROUPED})
+    version = handle.server.manager.version
+    heavy = handle.server.pool._heavy
+    assert heavy.acquire(blocking=False)
+    try:
+        status, body = client.request("POST", "/update", {"relations": {
+            "R": {"rows": _rows((["g0", 2], "x2"))}}})
+        assert status == 503 and "symbolic" in body["error"], body
+        assert handle.server.manager.version == version
+    finally:
+        heavy.release()
+    before = _patches()
+    _write(client, (["g0", 2], "x2"))
+    assert _moved(before) == {"promoted": 1}
+
+
+def test_an_answer_not_read_on_a_version_is_demoted_at_the_next_write(serve):
+    handle, client = serve(nat_db())
+    before = _patches()
+    _promote(client, {"sql": GROUPED})
+    assert _moved(before) == {"promoted": 1}
+    assert client.answers()["promoted"] == 1
+    assert len(handle.server.manager.pin().answers) == 1  # seeded
+    _write(client, (["g0", 2], 1))  # nothing read in between
+    assert _moved(before) == {"promoted": 1, "demoted: not read": 1}
+    assert client.answers()["promoted"] == 0
+    assert len(handle.server.manager.pin().answers) == 0
+    status, body = client.request("POST", "/query", {"sql": GROUPED})
+    assert status == 200
+    assert client.answers()["misses"] == 3 and client.answers()["hits"] == 0
+
+
+def test_the_patch_runs_before_the_update_answers(serve, monkeypatch):
+    """The very next ``/query`` after ``/update`` is a hit: it renders
+    nothing, so the patched bytes were in place when the write answered."""
+    db = nat_db()
+    _handle, client = serve(db)
+    written = _promote(client, {"sql": GROUPED})
+    want = rendered(db, GROUPED)
+
+    def no_rendering(rel):
+        raise AssertionError("a hit renders nothing")
+
+    monkeypatch.setattr(serve_server, "relation_to_json", no_rendering)
+    status, hit = client.raw("POST", "/query", {"sql": GROUPED})
+    assert status == 200, hit
+    assert hit.startswith(want[:-1] + b', "elapsed_ms": ')
+    assert json.loads(hit)["version"] == written["version"]
+    assert client.answers()["hits"] == 1
+
+
+def test_a_checkpoint_snapshots_registered_views_only(tmp_path):
+    """Promoted answers stay in memory: a checkpoint writes the state of
+    each ``/views`` entry and of nothing else."""
+    manager = DurabilityManager.open(tmp_path, semiring=NAT, fsync="always")
+    handle = start_in_thread(manager.db, durability=manager)
+    client = Client(handle.address)
+    try:
+        status, _ = client.request("POST", "/relations", {"name": "R", "relation": {
+            "columns": ["g", "v"], "rows": [{"values": ["g1", 1]}]}})
+        assert status == 201
+        assert client.request("POST", "/views", {"name": "v", "sql": GROUPED})[0] == 201
+        _promote(client, {"sql": "SELECT g, v FROM R"})
+        assert client.answers()["promoted"] == 1
+        assert manager.checkpoint() is not None
+        snaps = sorted(p.name for p in tmp_path.glob("view-*.snap"))
+        assert snaps == [os.path.basename(manager.view_state_path("v"))]
+        assert client.request("GET", "/stats")[1]["views"] == ["v"]
+    finally:
+        client.close()
+        handle.close()
+        manager.close()
+
+
+# ---------------------------------------------------------------------------
 # what keeps nothing
 # ---------------------------------------------------------------------------
 
@@ -262,7 +644,7 @@ def test_analyze_still_evaluates_and_returns_its_trace(serve):
         assert "plan.execute" in body["analyze"]["text"]
     assert client.answers() == {
         "hits": 0, "misses": 1, "bypasses": 2,
-        "bytes": handle.server.manager.pin().answers.nbytes,
+        "bytes": handle.server.manager.pin().answers.nbytes, "promoted": 0,
     }
     assert len(handle.server.manager.pin().answers) == 1
 
@@ -304,7 +686,9 @@ def test_the_byte_bound_holds(serve, monkeypatch):
     assert body["rowcount"] == 32  # the answer that never fit, evaluated
     kept = handle.server.manager.pin().answers
     assert kept.nbytes == bound and len(kept) == 2
-    assert client.answers() == {"hits": 0, "misses": 4, "bypasses": 0, "bytes": bound}
+    assert client.answers() == {
+        "hits": 0, "misses": 4, "bypasses": 0, "bytes": bound, "promoted": 0,
+    }
     client.request("POST", "/query", {"sql": small[0]})
     assert client.answers()["hits"] == 1
 
@@ -350,13 +734,16 @@ def test_a_kept_symbolic_answer_still_needs_the_heavy_slot(serve):
 
 def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
     """Six readers (more than cores) and a writer, with thread switches
-    forced often: every answer, kept or evaluated, is its own version's
-    (one fresh row per write), and the store's byte count is the sum of
-    what it holds — a lost update to either would break one."""
+    forced often: every answer, kept, patched or evaluated, is its own
+    version's (one fresh row per write), and the store's byte count is
+    the sum of what it holds — a lost update to either would break one.
+    The writer starts after the first answer, so it promotes at least
+    that one."""
     handle, client = serve(nat_db(), workers=4)
     v0 = handle.server.manager.version
     queries = ["SELECT g, v FROM R", "SELECT v FROM R", GROUPED]
     errors, counted = [], []
+    answered = threading.Event()
 
     def read(seed):
         reader = Client(handle.address)
@@ -367,6 +754,7 @@ def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
                 if status == 503:
                     continue
                 counted.append(1)
+                answered.set()
                 if status != 200:
                     errors.append(body)
                 elif sql == queries[0] and body["rowcount"] != 32 + body["version"] - v0:
@@ -379,6 +767,7 @@ def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
     def write():
         writer = Client(handle.address)
         try:
+            answered.wait(30)
             for i in range(15):
                 status, body = writer.request("POST", "/update", {"relations": {
                     "R": {"rows": [{"values": [f"w{i}", 100 + i]}]}}})
@@ -387,6 +776,7 @@ def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
         finally:
             writer.close()
 
+    before = _patches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -404,4 +794,5 @@ def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
     assert stats["hits"] + stats["misses"] == len(counted)
     kept = handle.server.manager.pin().answers
     assert kept.nbytes == sum(map(len, kept._entries.values())) == stats["bytes"]
+    assert _moved(before).get("promoted", 0) >= 1
 

@@ -136,7 +136,7 @@ def test_view_state_restores_from_checkpoint_snapshot(tmp_path):
     try:
         # start_in_thread ran restore_views(); the checkpoint state was
         # fingerprint-valid (no post-checkpoint writes), so no rebuild
-        assert handle.server._views["v"].restored_from_snapshot is True
+        assert handle.server._views["v"].view.restored_from_snapshot is True
         assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 0
     finally:
         handle.close()
@@ -165,7 +165,7 @@ def test_stale_view_snapshot_rebuilds_after_post_checkpoint_writes(tmp_path):
     handle = start_in_thread(recovered.db, durability=recovered)
     client = Client(handle.address)
     try:
-        view = handle.server._views["v"]
+        view = handle.server._views["v"].view
         assert view.restored_from_snapshot is False  # fingerprint mismatch
         assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 1
         _, body, _ = client.request("GET", "/views/v")

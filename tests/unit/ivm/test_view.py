@@ -205,6 +205,20 @@ class TestGuards:
         view.apply({"Emp": emp_delta(NX, [(14, "d1", 1)])})
         assert view.result() == GROUPED.evaluate(db)
 
+    def test_replace_rematerialises_a_read_table_only(self):
+        db = emp_db(NAT)
+        view = MaterializedView.create(db, GROUPED)
+        state = view.result()
+        view.replace("Other", KRelation.from_rows(NAT, ("x",), [((1,), 1)]))
+        assert not view.is_stale() and view.result() is state  # untouched
+        view.apply({"Other": KRelation.from_rows(NAT, ("x",), [((2,), 1)])})
+        view.replace("Emp", emp_delta(NAT, [(7, "d3", 5)]))
+        assert not view.is_stale()
+        assert view.result() == GROUPED.evaluate(db)
+        assert len(view.result()) == 1
+        view.apply({"Emp": emp_delta(NAT, [(8, "d3", 4)])})
+        assert view.result() == GROUPED.evaluate(db)
+
     def test_stale_is_cheap_to_query(self):
         db = emp_db()
         view = MaterializedView.create(db, GROUPED)

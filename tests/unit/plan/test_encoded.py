@@ -30,7 +30,12 @@ from repro.exceptions import QueryError
 from repro.monoids import MAX, MIN, SUM
 from repro.obs.metrics import ENCODED_CACHE_EVENTS
 from repro.plan import compile_plan
-from repro.plan.encoded import EncodedBatch, encode_relation, encoded_scan
+from repro.plan.encoded import (
+    EncodedBatch,
+    encode_relation,
+    encoded_scan,
+    share_encodings,
+)
 from repro.semirings import BOOL, NAT, NX, TROPICAL, ZX
 
 
@@ -239,6 +244,33 @@ class TestEncodingCache:
         after = cache_events()
         assert after["extend"] - before["extend"] == 1
         assert after["rebuild"] == before["rebuild"]
+
+    def test_a_catalog_clone_shares_the_encodings_it_holds(self):
+        """A clone over a snapshot's relations scans them without encoding
+        again; from there each database carries its own entries forward,
+        and a relation the clone does not share is not seeded."""
+        db = bag_db()
+        JOIN_GROUP.evaluate(db, engine="planned")  # warms both tables
+        snap = db.snapshot()
+        clone = KDatabase(NAT, {"Emp": snap.relation("Emp"),
+                                "Dept": bag_db(4).relation("Dept")})
+        share_encodings(snap, clone)
+        emp = encoded_scan(db, "Emp", db.relation("Emp"))
+        before = cache_events()
+        assert encoded_scan(clone, "Emp", clone.relation("Emp")) is emp
+        assert cache_events() == before
+        encoded_scan(clone, "Dept", clone.relation("Dept"))
+        assert cache_events()["rebuild"] == before["rebuild"] + 1
+        for target in (db, clone):
+            target.update({"Emp": emp_delta(1000)})
+        assert cache_events()["extend"] == before["extend"] + 2
+        assert encoded_scan(db, "Emp", db.relation("Emp")) is not \
+            encoded_scan(clone, "Emp", clone.relation("Emp"))
+        assert cache_events()["rebuild"] == before["rebuild"] + 1
+        assert JOIN_GROUP.evaluate(clone, engine="planned") == \
+            JOIN_GROUP.evaluate(clone, engine="interpreted")
+        share_encodings(KDatabase(NAT), clone)  # a source never scanned: a no-op
+        assert encoded_scan(clone, "Emp", clone.relation("Emp")) is not None
 
     def test_int64_growth_falls_back_before_wrapping(self):
         """Annotations of 2^31 pass the scan-level fits() bound, but their
