@@ -30,15 +30,13 @@ __all__ = ["NX_CIRCUITS", "circuit_to_polynomial", "lifter", "polynomial_to_circ
 NX_CIRCUITS = CircuitSemiring(name=f"Circ[{NX.name}]")
 
 
-def circuit_to_polynomial(node: CircuitNode, *, memo: dict | None = None) -> Polynomial:
+def circuit_to_polynomial(node: CircuitNode) -> Polynomial:
     """Expand a circuit into a canonical ``N[X]`` polynomial.
 
     Delta gates expand into the free delta-semiring (``DeltaTerm``
     indeterminates), matching what the polynomial engine itself produces.
-    ``memo`` (gate id -> polynomial) may be shared across calls to expand
-    a whole result relation's annotations over one cache of shared gates.
     """
-    return evaluate_circuit(node, NX, lambda token: NX.variable(token), memo=memo)
+    return evaluate_circuit(node, NX, NX.variable)
 
 
 def polynomial_to_circuit(poly: Polynomial, semiring: CircuitSemiring) -> CircuitNode:

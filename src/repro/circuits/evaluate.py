@@ -34,6 +34,7 @@ from repro.circuits.nodes import CircuitNode
 from repro.circuits.store import CONST, DELTA, ONE, PLUS, VAR, ZERO
 from repro.exceptions import HomomorphismError
 from repro.semirings.base import Semiring, _np
+from repro.semirings.interning import distinct
 
 __all__ = ["evaluate_circuit", "evaluate_gates", "reachable_count"]
 
@@ -58,7 +59,6 @@ def evaluate_gates(
     valuation: Mapping[Any, Any] | Callable[[Any], Any],
     *,
     builder=None,
-    memo: Dict[int, Any] | None = None,
 ) -> List[Any]:
     """The values of ``roots`` in ``target`` under a token valuation.
 
@@ -66,14 +66,11 @@ def evaluate_gates(
     ``builder`` is the roots' :class:`~repro.circuits.nodes.CircuitBuilder`:
     with it, roots that reach at least :data:`_GATES_PER_LEVEL` gates are
     walked over the gate store and the array pass can run; fewer gates, or
-    no builder, and the loop walks the nodes.  ``memo`` (gate id ->
-    value) is the loop's cache: passing the same dict across calls with a
-    fixed (target, valuation) evaluates each shared gate once for all of
-    them; it implies the loop.
+    no builder, and the loop walks the nodes.
     """
     image = _image(valuation)
     order = None
-    if memo is None and builder is not None:
+    if builder is not None:
         # fewer gates than one level's worth never pay for the store
         order = _reachable(roots, {}, _GATES_PER_LEVEL)
         reached = _reach(builder.store, roots) if order is None else None
@@ -83,8 +80,7 @@ def evaluate_gates(
                 return values
             nodes = reached.store.nodes
             order = [nodes[r] for r in reached.rows.tolist()]
-    if memo is None:
-        memo = {}
+    memo: Dict[int, Any] = {}
     if order is None:
         order = _reachable(roots, memo)
     _loop(order, target, image, memo)
@@ -95,11 +91,9 @@ def evaluate_circuit(
     node: CircuitNode,
     target: Semiring,
     valuation: Mapping[Any, Any] | Callable[[Any], Any],
-    *,
-    memo: Dict[int, Any] | None = None,
 ) -> Any:
     """Evaluate one circuit in ``target`` (see :func:`evaluate_gates`)."""
-    return evaluate_gates((node,), target, valuation, memo=memo)[0]
+    return evaluate_gates((node,), target, valuation)[0]
 
 
 def reachable_count(roots: Sequence[CircuitNode], builder=None) -> int:
@@ -213,7 +207,7 @@ def _reach(store, roots: Sequence[CircuitNode]):
     if root_rows is None:
         return None
     snap = store.arrays()
-    frontier = _distinct(np, root_rows)
+    frontier = distinct(np, root_rows, snap.n, inverse=False)
     found = [frontier]
     total = len(frontier)
     seen = store.borrow(snap.n, bool)
@@ -225,7 +219,7 @@ def _reach(store, roots: Sequence[CircuitNode]):
             kids, _counts = store.children(snap, frontier)
             if len(kids) and kids.min() < 0:
                 return None
-            frontier = _distinct(np, kids[~seen[kids]])
+            frontier = distinct(np, kids[~seen[kids]], snap.n, inverse=False)
             found.append(frontier)
             seen[frontier] = True
             total += len(frontier)
@@ -236,15 +230,6 @@ def _reach(store, roots: Sequence[CircuitNode]):
         store.give_back(seen)
     rows.sort()
     return _Reached(store, snap, root_rows, rows)
-
-
-def _distinct(np, rows):
-    """The distinct entries of ``rows``, sorted (a sort and a mask: far
-    cheaper than ``np.unique`` on these sizes)."""
-    rows = np.sort(rows)
-    if len(rows) > 1:
-        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
-    return rows
 
 
 def _array_pass(reached: _Reached, target: Semiring, image):

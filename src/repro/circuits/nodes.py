@@ -19,7 +19,7 @@ stored and evaluated once.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.circuits.store import GateStore
 
@@ -146,11 +146,13 @@ class CircuitBuilder:
     (:attr:`store`, :mod:`repro.circuits.store`), which the evaluator and
     the encoded tier run over.  Interning is **bounded**: a long-lived
     builder serves many distinct queries, and unbounded hash-consing
-    grows memory with the workload forever.  When the intern table
-    reaches ``max_gates`` the builder starts a new *generation* — a fresh
+    grows memory with the workload forever.  When the store holds
+    ``max_gates`` gates the builder starts a new *generation* — a fresh
     store and fresh intern tables (the two binary-operation memos map to
-    gates, so they are bounded by the same count) — checked only on
-    *misses*, so the hot-path hit stays a single C-level ``dict.get``.
+    gates, so they are bounded by the same count), by the interning
+    core's rule (:meth:`~repro.semirings.interning.Interner.claim`) —
+    checked only on *misses*, so the hot-path hit stays a single C-level
+    ``dict.get``.
     A retired generation costs only sharing: a re-requested shape is
     rebuilt as a fresh, structurally identical gate; live gates stay
     reachable from whatever references them (children hold strong
@@ -162,8 +164,8 @@ class CircuitBuilder:
     #: Default cap on distinct interned gates per generation.
     DEFAULT_MAX_GATES = 1 << 20
 
-    def __init__(self, max_gates: Optional[int] = DEFAULT_MAX_GATES) -> None:
-        self._max_gates = None  # the pinned gates below never roll over
+    def __init__(self, max_gates: int = DEFAULT_MAX_GATES) -> None:
+        self._max_gates = max_gates
         self._intern: Dict[Tuple, CircuitNode] = {}
         # memo in front of _make for the two binary hot paths: the key is
         # two ints instead of a nested (kind, payload, child-ids) tuple
@@ -174,7 +176,12 @@ class CircuitBuilder:
         self.store = GateStore(self, 1)
         self.zero = self._make("zero", None, ())
         self.one = self._make("one", None, ())
-        self._max_gates = max_gates
+
+    def _next_generation(self):
+        """Under the mutex: fresh intern tables, and the fresh store that
+        holds the pinned gates as its rows 0 and 1."""
+        self._intern, self._plus2, self._times2 = {}, {}, {}
+        return GateStore(self, self._counter + 1, (self.zero, self.one))
 
     def _make(self, kind: str, payload: Any, children: Tuple[CircuitNode, ...]) -> CircuitNode:
         key = (kind, payload, tuple(c._id for c in children))
@@ -188,11 +195,7 @@ class CircuitBuilder:
             with self._mutex:
                 node = self._intern.get(key)
                 if node is None:
-                    if self._max_gates is not None and len(self._intern) >= self._max_gates:
-                        self._intern, self._plus2, self._times2 = {}, {}, {}
-                        self.store = GateStore(
-                            self, self._counter + 1, (self.zero, self.one)
-                        )
+                    self.store.claim(1)  # a full store hands over a fresh one
                     self._counter += 1
                     node = CircuitNode(kind, payload, children, self._counter)
                     self._intern[key] = node

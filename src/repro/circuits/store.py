@@ -3,41 +3,37 @@
 Every gate a :class:`~repro.circuits.nodes.CircuitBuilder` interns also
 appends one row here — its kind (``int8``), its children as CSR row
 numbers (``ptr``/``kids``), and its *level* (0 for inputs, else one more
-than its deepest child) — and the ``nodes`` list maps a row back to its
-node.  Rows are gate ids: they grow with creation order, so a gate's
-children always sit on lower rows (ids are topological) and row order is
-node-id order, the order the builder sorts commutative children in.
+than its deepest child) — and ``nodes`` maps a row back to its node.
+Rows grow with creation order, so children sit on lower rows and row
+order is node-id order, the order the builder sorts commutative children
+in.
 
-One store holds one **generation**.  The builder's ``max_gates`` cap is
-the memory bound: when the intern table reaches it, the builder starts a
-new generation (a fresh store and fresh intern tables) instead of
-growing, and the old store is dropped with whatever still references it.
-Rows 0 and 1 are always the pinned ``zero`` and ``one`` gates.  A gate
-built on children of an older generation records each such child as row
-``-1`` (*stale*); anything that would have to read a stale child leaves
-the arrays: the evaluator runs its id-order loop, an encoded kernel
-raises :class:`~repro.plan.encoded.EncodedFallback`.
-
-The store is also the circuit semiring's
-:class:`~repro.semirings.base.MachineRepr`: the encoded tier
-(:mod:`repro.plan.encoded`) keeps circuit annotations as ``int64`` arrays
-of these ids and calls the kernels below, which *intern* — a batch
-``times`` looks every canonical child pair up in a sorted mirror of the
-binary ``times`` gates, ``plus`` flattens each segment one level (as
-:meth:`~repro.circuits.nodes.CircuitBuilder.plus_many` does), sorts it and
-looks it up by fingerprint in a sorted mirror of the ``plus`` gates; misses
-go through the builder like any other gate, so the tier returns the very
-gate objects the object tier does.  Gate ids mean nothing to another process: the
-store is not ``portable`` and the parallel tier refuses it.
+The store is the circuit semiring's machine representation, a rendering
+of the interning core (:class:`~repro.semirings.interning.Interner`) the
+term store shares: one store is one **generation** of its builder, capped
+by ``max_gates``; a full one hands the builder a fresh store and fresh
+intern tables, and is dropped with whatever still references it.  Rows 0
+and 1 are the pinned ``zero`` and ``one``.  A gate built on children of
+an older generation records each such child as row ``-1`` (*stale*), and
+whatever would read one leaves the arrays: the evaluator runs its loop,
+an encoded kernel falls back.  The kernels *intern*: ``times`` is the
+core's pair lookup in a mirror of the binary ``times`` gates; ``plus``
+flattens each segment one level (as
+:meth:`~repro.circuits.nodes.CircuitBuilder.plus_many` does), sorts it
+and looks it up by fingerprint in a mirror of the ``plus`` gates; misses
+go through the builder, so the tier returns the very gates the object
+tier does.
 """
 
 from __future__ import annotations
 
 from array import array
 from operator import attrgetter, is_
-from typing import Any, Dict, List, Optional
+from types import SimpleNamespace
+from typing import Any, Dict, List
 
-from repro.semirings.base import MachineRepr, _np
+from repro.semirings.base import _np
+from repro.semirings.interning import _PAIR_SHIFT, Interner, Snapshot, _lookup, extended, ranges
 
 __all__ = ["GateStore"]
 
@@ -51,65 +47,25 @@ ZERO, ONE, CONST, VAR, PLUS, TIMES, DELTA = range(7)
 #: rows 0 and 1 of every generation.
 _PINNED = 2
 
-#: Batch ``times`` packs a canonical row pair into one int64 key.
-_PAIR_SHIFT = 31
-
-#: A mirror's new keys are spliced into a small sorted table of recent
-#: gates, folded into the main table once it holds this many: a splice
-#: copies at most this many entries, and the main table is copied once per
-#: this many new gates rather than once per query that interns.
-_RECENT = 1 << 14
-
 _by_id = attrgetter("_id")
 
 
-def ranges(starts, counts):
-    """The concatenation of ``arange(s, s + c)`` over ``zip(starts,
-    counts)``: the flat positions of CSR segments."""
-    np = _np()
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(total, dtype=np.int64)
-
-
-class _Snapshot:
-    """NumPy copies of the store's first ``n`` rows (arrays may be longer:
-    they grow by doubling, and a later snapshot fills their tail in
-    place — rows below ``n`` are never rewritten)."""
-
-    __slots__ = ("n", "kinds", "ptr", "kids", "levels")
-
-    def __init__(self, n, kinds, ptr, kids, levels):
-        self.n, self.kinds, self.ptr, self.kids, self.levels = n, kinds, ptr, kids, levels
-
-
-class _SegmentPlus:
-    """The gate store's ``+``: the ``reduceat`` half of a ufunc."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: "GateStore"):
-        self.store = store
-
-    def reduceat(self, values, starts):
-        return self.store.plus_segments(values, starts)
-
-
-class GateStore(MachineRepr):
-    """One generation of a builder's gates (see the module docstring)."""
+class GateStore(Interner):
+    """One generation of a builder's gates (see the module docstring); its
+    owner is the builder, its cap the builder's ``_max_gates``."""
 
     __slots__ = (
-        "builder", "nodes", "_first", "_offset",
-        "_kinds", "_ptr", "_kids", "_levels", "_snap", "_mirrors", "_scratch",
+        "nodes", "_first", "_offset", "_kinds", "_ptr", "_kids", "_levels",
+        "_mirrors", "_scratch",
     )
 
-    portable = False
     entry_kind = "gate ids into this process's gate store"
     metric_op = "gates"
+    live = "store"
+    label = "gate store"
 
     def __init__(self, builder, first_id: int, pinned=()):
-        super().__init__("int64", "", "")
-        self.builder = builder
+        super().__init__(builder, builder._mutex)
         self.nodes: List[Any] = []
         #: the first id of this generation's own gates, and ``id - row``
         self._first = first_id
@@ -118,7 +74,6 @@ class GateStore(MachineRepr):
         self._ptr = array("q", [0])
         self._kids = array("q")
         self._levels = array("q")
-        self._snap: Optional[_Snapshot] = None
         #: lookup tables of the binary ``times`` and the ``plus`` gates:
         #: kind -> (rows scanned, (keys, rows, recent keys, recent rows))
         self._mirrors = {TIMES: (0, None), PLUS: (0, None)}
@@ -126,6 +81,16 @@ class GateStore(MachineRepr):
         self._scratch: Dict[Any, List[Any]] = {}
         for node in pinned:
             self.append(node)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def cap(self) -> int:
+        return self.owner._max_gates
+
+    def successor(self) -> "GateStore":
+        return self.owner._next_generation()
 
     # -- rows ------------------------------------------------------------------
 
@@ -169,34 +134,15 @@ class GateStore(MachineRepr):
             return None
         return rows
 
-    def current(self) -> bool:
-        """Is this the builder's live generation (the one that interns)?"""
-        return self.builder.store is self
-
-    def arrays(self) -> _Snapshot:
-        """The rows as NumPy arrays (cached; extended as the store grows)."""
-        snap = self._snap
-        if snap is not None and snap.n == len(self.nodes):
-            return snap
-        np = _np()
-        with self.builder._mutex:  # appends run under it: a consistent cut
-            n = len(self.nodes)
-            m = self._ptr[n]
-            old = snap if snap is not None else _Snapshot(
-                0, *(np.empty(0, dtype=t) for t in (np.int8, np.int64, np.int64, np.int64))
-            )
-            old_m = int(old.ptr[old.n]) if old.n else 0
-            kinds = _grown(np, old.kinds, old.n, n)
-            ptr = _grown(np, old.ptr, old.n + 1 if old.n else 0, n + 1)
-            kids = _grown(np, old.kids, old_m, m)
-            levels = _grown(np, old.levels, old.n, n)
-            start = old.n
-            kinds[start:n] = np.frombuffer(self._kinds, np.int8, n)[start:]
-            ptr[start:n + 1] = np.frombuffer(self._ptr, np.int64, n + 1)[start:]
-            kids[old_m:m] = np.frombuffer(self._kids, np.int64, m)[old_m:]
-            levels[start:n] = np.frombuffer(self._levels, np.int64, n)[start:]
-            snap = self._snap = _Snapshot(n, kinds, ptr, kids, levels)
-        return snap
+    def _tail(self, np, snap: Snapshot, n: int) -> Dict[str, Any]:
+        """Row ``r``'s kind, children (CSR) and level."""
+        old_m, m = int(snap.ptr[snap.n]), self._ptr[n]
+        return {
+            "kinds": (np.int8, np.frombuffer(self._kinds, np.int8, n)[snap.n:]),
+            "ptr": (np.int64, np.frombuffer(self._ptr, np.int64, n + 1)[snap.n + 1:]),
+            "kids": (np.int64, np.frombuffer(self._kids, np.int64, m)[old_m:]),
+            "levels": (np.int64, np.frombuffer(self._levels, np.int64, n)[snap.n:]),
+        }
 
     def borrow(self, n: int, dtype):
         """A ``dtype`` array of at least ``n`` entries, lent to one caller
@@ -220,7 +166,7 @@ class GateStore(MachineRepr):
     def give_back(self, array) -> None:
         self._scratch[array.dtype].append(array)
 
-    def children(self, snap: _Snapshot, rows):
+    def children(self, snap: Snapshot, rows):
         """``(child rows, per-row counts)`` of ``rows``, CSR-concatenated."""
         starts = snap.ptr[rows]
         counts = snap.ptr[rows + 1] - starts
@@ -228,48 +174,29 @@ class GateStore(MachineRepr):
 
     # -- the MachineRepr face --------------------------------------------------
 
-    @property
-    def bounded(self) -> bool:
-        return False
-
     def fits(self, value: Any) -> bool:
         """A gate of this generation (the only nodes with an id here)."""
         return self.row(value) >= 0
 
-    def code(self, value: Any) -> int:
-        return self.row(value)
-
-    def encode(self, values: List[Any]):
-        return self.rows(values)
+    code, encode = row, rows
 
     def decode(self, array) -> List[Any]:
         return list(map(self.nodes.__getitem__, array.tolist()))
 
     @property
-    def plus(self) -> _SegmentPlus:
-        return _SegmentPlus(self)
-
-    @property
-    def times(self):
-        return self.times_rows
+    def plus(self):
+        """The ``reduceat`` half of a ufunc."""
+        return SimpleNamespace(reduceat=self.plus_segments)
 
     # -- interning kernels -------------------------------------------------------
 
-    def times_rows(self, a, b):
-        """Elementwise ``a * b`` with the builder's unit/annihilator rules
-        (:func:`pair_times`): every other canonical pair is looked up in
-        the binary-``times`` mirror, and only the misses intern one by
-        one."""
-        return pair_times(a, b, self._find_times, self._make_times)
+    def _pairs_table(self):
+        return self._mirror(TIMES)
 
-    def _find_times(self, keys):
-        if len(self.nodes) >= 1 << _PAIR_SHIFT:
-            raise _fallback("gate id range")
-        return _lookup(_np(), self._mirror(TIMES), keys)
-
-    def _make_times(self, lo, hi):
-        self._require_current()
-        nodes, times = self.nodes, self.builder.times
+    def _made_pairs(self, lo, hi):
+        """The misses intern one by one, through the builder."""
+        self.require()
+        nodes, times = self.nodes, self.owner.times
         pairs = zip(lo.tolist(), hi.tolist())
         return self._own_rows([times(nodes[x], nodes[y]) for x, y in pairs])
 
@@ -288,14 +215,14 @@ class GateStore(MachineRepr):
         multi = np.flatnonzero(counts > 1)
         if not len(multi):
             return out
-        self._require_current()
+        self.require()
         table = self._mirror(PLUS)
         snap = self.arrays()
         mcounts = counts[multi]
         members = values[ranges(starts[multi], mcounts)]
         segment = np.repeat(np.arange(len(multi), dtype=np.int64), mcounts)
         if (members == ZERO).any():
-            raise _fallback("zero gate")
+            raise self.fallback("zero gate")
         nested = snap.kinds[members] == PLUS
         if nested.any():  # flatten one level, as plus_many does
             kids, kid_counts = self.children(snap, members[nested])
@@ -305,7 +232,7 @@ class GateStore(MachineRepr):
             flat[np.repeat(nested, lengths)] = kids
             members, segment = flat, np.repeat(segment, lengths)
             if (members < 0).any():
-                raise _fallback("stale gate")
+                raise self.fallback("stale gate")
         if len(multi) * snap.n < 1 << 62:  # one int64 key: a plain argsort
             members = members[np.argsort(segment * snap.n + members)]
         else:
@@ -329,8 +256,7 @@ class GateStore(MachineRepr):
         if len(miss):
             rows = members.tolist()
             bounds = zip(offsets[miss].tolist(), (offsets + counts)[miss].tolist())
-            builder, nodes = self.builder, self.nodes
-            make = builder._make
+            nodes, make = self.nodes, self.owner._make
             made = [
                 make("plus", None, tuple(map(nodes.__getitem__, rows[a:b])))
                 for a, b in bounds
@@ -343,25 +269,15 @@ class GateStore(MachineRepr):
         """Elementwise ``delta``: one builder call per distinct gate."""
         np = _np()
         unique, inverse = np.unique(anns, return_inverse=True)
-        self._require_current()
-        nodes, delta = self.nodes, self.builder.delta
+        self.require()
+        nodes, delta = self.nodes, self.owner.delta
         return self._own_rows([delta(nodes[r]) for r in unique.tolist()])[inverse]
 
     def _own_rows(self, made: List[Any]):
         """Rows of gates just returned by the builder — which are this
         generation's unless the builder rolled over meanwhile."""
-        self._require_current()
-        np = _np()
-        first, offset = self._first, self._offset
-        return np.fromiter(
-            (n._id - offset if n._id >= first else n._id - 1 for n in made),
-            np.int64,
-            len(made),
-        )
-
-    def _require_current(self) -> None:
-        if not self.current():
-            raise _fallback("gate store rolled over")
+        self.require()
+        return self.rows(made)
 
     def _mirror(self, kind: int):
         """The sorted lookup tables of this store's binary ``times`` gates
@@ -400,81 +316,6 @@ class GateStore(MachineRepr):
         return f"<gate store from id {self._first}, {len(self.nodes)} rows>"
 
 
-def pair_times(a, b, find, make):
-    """Elementwise ``a * b`` over ids whose ``0`` and ``1`` are the pinned
-    zero and one (gate rows, ``N[X]`` term ids): the units and the
-    annihilator by rule; every other pair, canonically ordered and packed
-    into one int64 key, is looked up by ``find(keys)`` (``-1`` where
-    absent), and ``make(lo, hi)`` gives the ids of the misses."""
-    np = _np()
-    out = np.where(a == ONE, b, a)
-    out = np.where(b == ONE, a, out)
-    out[(a == ZERO) | (b == ZERO)] = ZERO
-    need = np.flatnonzero((a > ONE) & (b > ONE))
-    if not len(need):
-        return out
-    lo = np.minimum(a[need], b[need])
-    hi = np.maximum(a[need], b[need])
-    res = find((lo << _PAIR_SHIFT) | hi)
-    miss = np.flatnonzero(res < 0)
-    if len(miss):
-        res[miss] = make(lo[miss], hi[miss])
-    out[need] = res
-    return out
-
-
-def extended(tables, add_keys, add_rows):
-    """A mirror ``(keys, rows, recent keys, recent rows)`` — or ``None``,
-    none yet — with the unsorted ``add_*`` spliced into its recent table,
-    which is merged into the main one once it holds :data:`_RECENT`."""
-    np = _np()
-    if tables is None:
-        keys = rows = np.empty(0, dtype=np.int64)
-    else:
-        keys, rows, recent_keys, recent_rows = tables
-        add_keys, add_rows = _spliced(np, recent_keys, recent_rows, add_keys, add_rows)
-    if len(add_keys) >= _RECENT or tables is None:
-        keys, rows = _spliced(np, keys, rows, add_keys, add_rows)
-        add_keys = add_rows = np.empty(0, dtype=np.int64)
-    return keys, rows, add_keys, add_rows
-
-
-def _spliced(np, keys, rows, add_keys, add_rows):
-    """The sorted ``(keys, rows)`` with the unsorted ``add_*`` merged in
-    (only the additions are sorted)."""
-    if not len(add_keys):
-        return keys, rows
-    order = np.argsort(add_keys)
-    add_keys, add_rows = add_keys[order], add_rows[order]
-    at = np.searchsorted(keys, add_keys)
-    return np.insert(keys, at, add_keys), np.insert(rows, at, add_rows)
-
-
-def _lookup(np, tables, queries):
-    """:func:`_find` over a mirror's main table, then its recent one."""
-    keys, rows, recent_keys, recent_rows = tables
-    found = _find(np, keys, rows, queries)
-    miss = np.flatnonzero(found < 0)
-    if len(miss) and len(recent_keys):
-        found[miss] = _find(np, recent_keys, recent_rows, queries[miss])
-    return found
-
-
-def _find(np, keys, rows, queries):
-    """For each query, the row stored under it in the sorted ``keys``
-    (``-1`` where absent).  The queries are sorted first: ``searchsorted``
-    is several times faster on sorted needles."""
-    out = np.full(len(queries), -1, dtype=np.int64)
-    if not len(keys) or not len(queries):
-        return out
-    order = np.argsort(queries)
-    wanted = queries[order]
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    hit = keys[pos] == wanted
-    out[order[hit]] = rows[pos[hit]]
-    return out
-
-
 #: Odd multipliers of the segment fingerprint (any would do: a candidate
 #: is verified against its children before it is used).
 _BASE, _GOLDEN = 0x100000001B3, 0x9E3779B97F4A7C15
@@ -490,23 +331,3 @@ def _fingerprints(np, members, counts):
     terms = (members.astype(np.uint64) + np.uint64(1)) * powers[position]
     mixed = np.add.reduceat(terms, starts) ^ (counts.astype(np.uint64) * np.uint64(_GOLDEN))
     return mixed.view(np.int64)
-
-
-def _grown(np, arr, used: int, need: int):
-    """``arr`` if it holds ``need`` entries, else a copy twice as large
-    with its first ``used`` entries."""
-    if len(arr) >= need:
-        return arr
-    grown = np.empty(max(need, 2 * len(arr)), dtype=arr.dtype)
-    grown[:used] = arr[:used]
-    return grown
-
-
-def _fallback(cause: str) -> Exception:
-    """An :class:`~repro.plan.encoded.EncodedFallback` for a gate-specific
-    cause, counted on the encoded-kernel counter (``op="gates"``)."""
-    from repro.obs import metrics
-    from repro.plan.encoded import EncodedFallback
-
-    metrics.ENCODED_KERNEL.inc(1, "gates", f"fallback: {cause}")
-    return EncodedFallback(cause)

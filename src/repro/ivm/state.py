@@ -34,11 +34,13 @@ tensors all cancel (``Z``-annotated deletions) leaves the state, as the
 whole-relation head never leaves.  Deletions in ``N[X]`` views zero
 tokens via :meth:`HeadState.map_annotations` (the deletion-propagation
 homomorphism applied to the *state*, so later inserts keep composing).
+That map and a circuit state's (de)hydration map every scalar of the
+state in one batch, as ``KRelation.apply_hom`` maps a relation's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.tuples import Tup
 from repro.monoids.numeric import SUM
@@ -55,18 +57,34 @@ from repro.plan.physical import (
 )
 from repro.semimodules.tensor import Tensor, tensor_space
 
-__all__ = ["HeadState", "lower_tensor"]
+__all__ = ["HeadState"]
+
+#: Maps a batch of scalars to their images, as ``Homomorphism.map_many``.
+MapMany = Callable[[List[Any]], List[Any]]
 
 
-def lower_tensor(tensor: Tensor, semiring, map_scalar: Callable[[Any], Any]) -> Tensor:
-    """Rebuild a tensor in ``semiring``'s space with scalars mapped.
-
-    The state (de)hydration helper: circuit-mode states lower gate scalars
-    to canonical ``N[X]`` for persistence and lift them back to gates on
-    restore.
-    """
-    space = tensor_space(semiring, tensor.space.monoid)
-    return space.set_agg((m, map_scalar(k)) for m, k in tensor.items())
+def _mapped(states: List[Tuple[Dict[str, Tensor], Any]], semiring,
+            map_many: Optional[MapMany]) -> List[Tuple[Dict[str, Tensor], Any]]:
+    """``(tensors, total)`` pairs with every scalar mapped into
+    ``semiring`` by one ``map_many`` call (none: as they are): each total,
+    then its tensors' entries in entry order."""
+    if map_many is None:
+        return states
+    batch: List[Any] = []
+    for tensors, total in states:
+        batch.append(total)
+        for tensor in tensors.values():
+            batch.extend(tensor._entries.values())
+    images = map_many(batch)
+    out, at = [], 0
+    for tensors, _total in states:
+        total, at = images[at], at + 1
+        mapped = {}
+        for attr, tensor in tensors.items():
+            end = at + len(tensor._entries)
+            mapped[attr], at = tensor._mapped(semiring, images[at:end]), end
+        out.append((mapped, total))
+    return out
 
 
 class _Group:
@@ -176,49 +194,33 @@ class HeadState:
         group.row = Tup(values)
         self.rows[group.row] = emitted(semiring, emission, group.total)
 
-    def map_annotations(self, map_scalar: Callable[[Any], Any]) -> None:
+    def map_annotations(self, map_many: MapMany) -> None:
         """Apply an annotation map (e.g. token zeroing) to the whole state."""
-        for key, group in list(self.groups.items()):
-            group.tensors = {
-                attr: lower_tensor(tensor, self.semiring, map_scalar)
-                for attr, tensor in group.tensors.items()
-            }
-            group.total = map_scalar(group.total)
+        groups = list(self.groups.items())
+        states = _mapped([(g.tensors, g.total) for _key, g in groups], self.semiring, map_many)
+        for (key, group), (tensors, total) in zip(groups, states):
+            group.tensors, group.total = tensors, total
             self._reemit(key, group)
 
     # -- (de)hydration ------------------------------------------------------
 
-    def dump_state(self, semiring, map_scalar: Optional[Callable[[Any], Any]]):
+    def dump_state(self, semiring, map_many: Optional[MapMany]):
         """State as ``{key, tensors, total}`` entries over ``semiring``."""
-        out = []
-        for key, group in self.groups.items():
-            if map_scalar is None:
-                tensors = dict(group.tensors)
-                total = group.total
-            else:
-                tensors = {
-                    attr: lower_tensor(tensor, semiring, map_scalar)
-                    for attr, tensor in group.tensors.items()
-                }
-                total = map_scalar(group.total)
-            out.append({"key": list(key), "tensors": tensors, "total": total})
-        return out
+        states = _mapped([(dict(group.tensors), group.total) for group in self.groups.values()],
+                         semiring, map_many)
+        return [
+            {"key": list(key), "tensors": tensors, "total": total}
+            for key, (tensors, total) in zip(self.groups, states)
+        ]
 
-    def load_state(self, entries, map_scalar: Optional[Callable[[Any], Any]]) -> None:
+    def load_state(self, entries, map_many: Optional[MapMany]) -> None:
         """Adopt dumped state (inverse of :meth:`dump_state`) and re-emit."""
         self.groups.clear()
         self.rows.clear()
-        for entry in entries:
+        states = _mapped([(dict(entry["tensors"]), entry["total"]) for entry in entries],
+                         self.semiring, map_many)
+        for entry, (tensors, total) in zip(entries, states):
             key = tuple(entry["key"])
-            if map_scalar is None:
-                tensors = dict(entry["tensors"])
-                total = entry["total"]
-            else:
-                tensors = {
-                    attr: lower_tensor(tensor, self.semiring, map_scalar)
-                    for attr, tensor in entry["tensors"].items()
-                }
-                total = map_scalar(entry["total"])
             group = self.groups[key] = _Group(tensors, total)
             self._reemit(key, group)
         self._seed()

@@ -215,7 +215,7 @@ class MaterializedView:
             hom = deletion_hom(semiring, tokens)
             for name, rel in list(self.db):
                 self.db.add(name, rel.apply_hom(hom))
-            self._head.map_annotations(hom)
+            self._head.map_annotations(hom.map_many)
             self._result_cache = None
             self._version = self.db.version
         return self
@@ -325,13 +325,14 @@ class MaterializedView:
         return view_state_to_jsonable(self)
 
     def _logical_state(self):
-        """(logical semiring, dumped state) — circuit gates lowered to N[X]."""
+        """(logical semiring, dumped state) — circuit gates lowered to N[X]
+        in one pass over every gate the state reaches."""
         if self.annotations == "circuit":
-            from repro.circuits.convert import circuit_to_polynomial
+            from repro.circuits.evaluate import evaluate_gates
 
-            memo: Dict[int, Any] = {}
+            builder = self._exec_semiring.builder
             return NX, self._head.dump_state(
-                NX, lambda gate: circuit_to_polynomial(gate, memo=memo)
+                NX, lambda gates: evaluate_gates(gates, NX, NX.variable, builder=builder)
             )
         return self.db.semiring, self._head.dump_state(self.db.semiring, None)
 
@@ -369,7 +370,8 @@ class MaterializedView:
         if self.annotations == "circuit":
             from repro.circuits.convert import lifter
 
-            self._head.load_state(snap.state, lifter()[0])
+            gate = lifter()[0]
+            self._head.load_state(snap.state, lambda polys: list(map(gate, polys)))
         else:
             self._head.load_state(snap.state, None)
         self._result_cache = None

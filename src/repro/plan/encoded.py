@@ -61,6 +61,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.kernels import HAVE_NUMPY, np, reduce_by_key
+from repro.semirings.base import EncodedFallback
 
 __all__ = [
     "EncodedColumn",
@@ -87,18 +88,6 @@ _RADIX_LIMIT = 1 << 62
 #: *before* computing — NumPy int64 overflow is silent wraparound, and
 #: the tier's contract is exactness.
 _INT64_MAX = (1 << 63) - 1
-
-
-class EncodedFallback(Exception):
-    """Internal control flow: this input needs the boxed object path.
-
-    Raised by encoded operator kernels when a batch cannot be handled
-    exactly (symbolic values in a guarded column, an unknown condition
-    class, a code-space overflow).  The catching operator materialises the
-    batch and re-runs the object implementation — which also reproduces
-    the object path's exact error behaviour for inputs that *should*
-    raise.
-    """
 
 
 class EncodedColumn:

@@ -19,7 +19,11 @@ decide whether a database is encodable at all.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Tuple
+
+from repro.semirings import base as _base
+from repro.semirings.interning import run_starts
 
 try:  # optional accelerator — the engine is complete without it
     import numpy as np
@@ -28,6 +32,9 @@ try:  # optional accelerator — the engine is complete without it
 except ImportError:
     np = None
     HAVE_NUMPY = False
+
+# the semiring layer's array kernels take NumPy from this module
+_base.accelerator = sys.modules[__name__]
 
 __all__ = ["HAVE_NUMPY", "active_backend", "direct", "np", "reduce_by_key"]
 
@@ -89,9 +96,6 @@ def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any, 
         return unique, first[unique], reductions[unique]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
+    starts = run_starts(np, sorted_keys)
     reductions = ufunc.reduceat(values[order], starts)
     return sorted_keys[starts], order[starts], reductions

@@ -69,6 +69,7 @@ from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan, scan
 from repro.plan import kernels
 from repro.plan.kernels import np, reduce_by_key
 from repro.semimodules.tensor import Tensor, tensor_space
+from repro.semirings.interning import ranges, run_starts
 
 __all__ = [
     "ExecutionContext",
@@ -348,9 +349,7 @@ def _same_machine(left: EncodedBatch, right: EncodedBatch) -> None:
     """Two batches' annotations combine only in one representation (ids
     of two generations of a gate or term store do not)."""
     if left.machine is not right.machine:
-        op = left.machine.metric_op
-        _metrics.ENCODED_KERNEL.inc(1, op, "fallback: two generations")
-        raise EncodedFallback("two generations")
+        raise left.machine.fallback("two generations")
 
 
 def _consolidate_encoded(
@@ -861,15 +860,9 @@ class HashJoin(PhysicalOp):
         order = np.argsort(bkeys, kind="stable")
         sorted_keys = bkeys[order]
         n = len(sorted_keys)
-        if n:
-            head = np.empty(n, dtype=bool)
-            head[0] = True
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            unique = sorted_keys[starts]
-            counts = np.diff(np.append(starts, n))
-        else:
-            unique = starts = counts = np.empty(0, dtype=np.int64)
+        starts = run_starts(np, sorted_keys)
+        unique = sorted_keys[starts]
+        counts = np.diff(np.append(starts, n))
         slot = None
         if kernels.direct(space, n):
             slot = np.full(space + 1, -1, dtype=np.int64)
@@ -954,10 +947,7 @@ class HashJoin(PhysicalOp):
                 buckets = pos[probe_rows]
                 cnt = counts[buckets]
                 probe_idx = np.repeat(probe_rows, cnt)
-                total = int(cnt.sum())
-                ends = np.cumsum(cnt)
-                offsets = np.repeat(starts[buckets] - (ends - cnt), cnt)
-                build_idx = order[np.arange(total, dtype=np.int64) + offsets]
+                build_idx = order[ranges(starts[buckets], cnt)]
 
         if self.build_side == "left":
             left_idx, right_idx = build_idx, probe_idx
@@ -1175,10 +1165,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     _note_kernel("aggregate", groups * size, len(batch), machine)
     pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
     pgroups = pkeys // size
-    head = np.empty(len(pkeys), dtype=bool)
-    head[0] = True
-    np.not_equal(pgroups[1:], pgroups[:-1], out=head[1:])
-    gstarts = np.flatnonzero(head)
+    gstarts = run_starts(np, pgroups)
     totals = plus.reduceat(sums, gstarts)
 
     keep = sums != sums.dtype.type(zero)

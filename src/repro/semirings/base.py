@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import abc
 import itertools
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, List
 
 from repro.exceptions import SemiringError
 from repro.monoids.base import reduce_as_global
 
-__all__ = ["MachineRepr", "Semiring", "ProvenanceTerm", "check_semiring_axioms"]
+__all__ = ["EncodedFallback", "MachineRepr", "Semiring", "ProvenanceTerm", "check_semiring_axioms"]
 
 #: Conservative exact-representability bound for ``int64`` machine reprs.
 #: This is the *scan-level* qualification only; the encoded tier
@@ -54,8 +55,8 @@ _INT64_SAFE = 1 << 31
 class MachineRepr:
     """Declares that a semiring's elements have a machine representation.
 
-    The capability contract behind the dictionary-encoded execution tier
-    (:mod:`repro.plan.encoded`): a semiring carrying a ``MachineRepr`` can
+    The capability contract behind the planner's dictionary-encoded
+    execution tier: a semiring carrying a ``MachineRepr`` can
     have its annotations stored in flat NumPy arrays and its ``+``/``*``/
     ``delta`` executed as array kernels.  NumPy is the optional
     accelerator that buys that tier (and the parallel tier on top of it);
@@ -74,11 +75,11 @@ class MachineRepr:
     (elementwise), :meth:`delta`, and the conversions :meth:`encode` /
     :meth:`decode` / :meth:`code` between elements and array entries.  A
     numeric repr's entries *are* its elements.  A repr whose entries are
-    not (:class:`repro.circuits.store.GateStore`: circuit gates as ids into
-    a per-process gate store) overrides the kernels; its ``plus`` offers
-    ``reduceat`` only, and it is neither :attr:`bounded` nor
-    :attr:`portable`.  :class:`repro.semirings.terms.TermStore` (``N[X]``
-    terms as ids) has no array ``plus`` at all (:attr:`merges` is false).
+    not — an :class:`~repro.semirings.interning.Interner`: circuit gates or
+    ``N[X]`` terms as ids into a per-process store — overrides the
+    kernels; the gate store's ``plus`` offers ``reduceat`` only, the term
+    store has no array ``plus`` at all (:attr:`merges` is false), and
+    neither is :attr:`bounded` nor :attr:`portable`.
 
     ``fits`` is the per-value qualification test: a value that does not
     round-trip *exactly and type-identically* through the dtype
@@ -90,7 +91,7 @@ class MachineRepr:
     ``3``, and the tier's contract is that results are indistinguishable.
     Downstream growth (join products, grouped sums) of a :attr:`bounded`
     repr is guarded separately and exactly by the per-batch magnitude
-    bound (:func:`repro.plan.encoded.check_reduction_bound`).
+    bound (the planner's ``check_reduction_bound``).
 
     The default :meth:`delta` is the support indicator ``a == 0 ? 0 : 1``
     — the delta of every numeric semiring shipped (``N``, ``B``, ``Z``,
@@ -175,16 +176,40 @@ class MachineRepr:
         """The elements of an array, as native Python values."""
         return array.tolist()
 
+    def fallback(self, cause: str) -> "EncodedFallback":
+        """An :class:`EncodedFallback` for ``cause``, counted on the
+        encoded-kernel counter under this repr's ``metric_op``."""
+        from repro.obs import metrics
+
+        metrics.ENCODED_KERNEL.inc(1, self.metric_op, f"fallback: {cause}")
+        return EncodedFallback(cause)
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<machine repr {self.dtype} +={self.np_plus} *={self.np_times}>"
 
 
-def _np():
-    """NumPy, taken from :mod:`repro.plan.kernels` (the one place it is
-    imported) at the first kernel call, never at declaration."""
-    from repro.plan.kernels import np
+class EncodedFallback(Exception):
+    """Internal control flow: this input needs the boxed object path.
 
-    return np
+    Raised by encoded operator kernels when a batch cannot be handled
+    exactly (symbolic values in a guarded column, an unknown condition
+    class, a code-space overflow, an interning store that rolled over).
+    The catching operator materialises the batch and re-runs the object
+    implementation — which also reproduces the object path's exact error
+    behaviour for inputs that *should* raise.
+    """
+
+
+#: Where the array kernels take NumPy from: the planner's kernels module,
+#: the one place NumPy is imported, puts itself here when it loads, so the
+#: semiring layer reaches NumPy without importing the planner.  Until
+#: then, and without NumPy, there is none.
+accelerator: Any = SimpleNamespace(np=None, HAVE_NUMPY=False)
+
+
+def _np():
+    """NumPy (see :data:`accelerator`), read at each kernel call."""
+    return accelerator.np
 
 
 class ProvenanceTerm(abc.ABC):

@@ -31,6 +31,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Mapping
 
 from repro.exceptions import HomomorphismError
+from repro.semirings import base
 from repro.semirings.base import ProvenanceTerm, Semiring, _np
 from repro.semirings.boolean import BOOL
 from repro.semirings.delta import DeltaTerm
@@ -213,7 +214,7 @@ def _native_type(target: Semiring) -> type | None:
     ``target``'s operations on values of that type, or ``None``: ``int``
     for an ``int64`` add/multiply representation (``N``, ``Z``), ``bool``
     for a ``bool`` or/and one (``B``).  The exact-type rule is the circuit
-    array pass's (:func:`repro.circuits.evaluate._leaf_array`)."""
+    evaluator's array pass's."""
     machine = target.machine_repr
     if machine is None or not machine.portable:
         return None
@@ -310,13 +311,12 @@ class _Pass(Homomorphism):
         store, or ``None`` where the walk must map them; counted either
         way."""
         from repro.obs import metrics
-        from repro.plan import kernels
 
         if self._valuation._native is None:
             cause = "target has no native type"
         elif self._native is None:  # the walk met one before this batch
             cause = "non-native image"
-        elif not kernels.HAVE_NUMPY:
+        elif not base.accelerator.HAVE_NUMPY:
             cause = "no NumPy"
         else:
             try:

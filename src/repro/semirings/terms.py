@@ -5,13 +5,13 @@ A provenance database annotates each base tuple with one *term* ``c·m``
 multiplies terms into terms: every row of an ``N[X]`` batch is one
 derivation carrying one monomial (the design of Pintor et al.; ProvSQL's
 per-tuple token is its base case).  Only ``+`` makes polynomials.  So the
-encoded tier (:mod:`repro.plan.encoded`) keeps ``N[X]`` annotations as
-``int64`` ids into this store, and:
+planner's encoded tier keeps ``N[X]`` annotations as ``int64`` ids into
+this store, an :class:`~repro.semirings.interning.Interner` (the gate
+store is the other), and:
 
-* ``times`` is a vectorised pair lookup: each canonical id pair is looked
-  up in a sorted mirror of the products taken so far (the mirror of
-  :meth:`~repro.circuits.store.GateStore.times_rows`), and only a miss
-  interns ``(m₁·m₂, c₁·c₂)`` — a repeated join interns nothing;
+* ``times`` is the core's vectorised pair lookup: each canonical id pair
+  is looked up in a sorted mirror of the products taken so far, and only
+  a miss interns ``(m₁·m₂, c₁·c₂)`` — a repeated join interns nothing;
 * ``+`` never runs on the tier.  A term batch keeps its rows unmerged
   (its ``distinct`` bit off: a tuple's annotation is the sum of its rows'
   terms), and where a sum is due — a grouped aggregation, the hand-over
@@ -20,18 +20,11 @@ encoded tier (:mod:`repro.plan.encoded`) keeps ``N[X]`` annotations as
   δ and the other operators that need a merged input fall back to the
   object tier (:attr:`MachineRepr.merges` is ``False``).
 
-Ids ``0`` and ``1`` are the pinned terms ``0`` and ``1``.  Coefficients
-live here as Python ints, never in an array, so no magnitude bound guards
-them.  A value qualifies (:meth:`TermStore.fits`) when it has at most one
-term; a table holding a longer polynomial keeps the object tier.
-
-One store is one **generation**, bounded by ``max_terms`` under the rule
-of :attr:`~repro.circuits.nodes.CircuitBuilder.max_gates`: a miss that
-finds the store full starts a fresh store — the semiring's
-``machine_repr`` from then on — and the kernel that missed falls back.  A
-retired store still decodes its ids and answers its hits; a scan batch
-encoded in it re-encodes on its next scan.  Ids mean nothing to another
-process: the store is not ``portable``, and the parallel tier refuses it.
+Coefficients live here as Python ints, never in an array, so no
+magnitude bound guards them.  A value qualifies (:meth:`TermStore.fits`)
+when it has at most one term; a table holding a longer polynomial keeps
+the object tier.  One store is one **generation** of its semiring (its
+``machine_repr``), capped by ``max_terms`` under the core's rule.
 
 Every polynomial the fold builds keeps its **run** (``Polynomial._run``):
 which rows of the fold's sorted id array it sums.  A sum of several rows
@@ -41,14 +34,12 @@ array, because its rows are adjacent after the sort; a term's own
 polynomial (:meth:`TermStore.decode`, a scanned base annotation) has the
 run ``(store, id)``.  A run is a derivation, not a value: it is never
 compared, hashed or pickled.  It lets a homomorphism into ``N``, ``Z``
-or ``B`` map a planned result as arrays (:func:`map_runs`): the store
-keeps its terms' monomials as a CSR over a token table
-(:meth:`TermStore.monomials`, grown to ``len(items)`` under the lock at
-first use), so a monomial's image is one ``multiply.reduceat`` over its
-tokens' images and a polynomial's one ``add.reduceat`` over its run
-(``logical_and`` / ``logical_or`` for ``B``).  A retired generation
-keeps its terms, so its runs still map; a batch mixing two generations
-does not.
+or ``B`` map a planned result as arrays (:func:`map_runs`): the store's
+CSR snapshot holds its terms' monomials over a token table, so a
+monomial's image is one ``multiply.reduceat`` over its tokens' images
+and a polynomial's one ``add.reduceat`` over its run (``logical_and`` /
+``logical_or`` for ``B``).  A retired generation keeps its terms, so its
+runs still map; a batch mixing two generations does not.
 """
 
 from __future__ import annotations
@@ -60,13 +51,12 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.semirings.base import MachineRepr, ProvenanceTerm, _np
+from repro.semirings.base import ProvenanceTerm, _np
+from repro.semirings.interning import ONE, ZERO, Interner, distinct, extended, ranges, run_starts
+from repro.semirings.interning import _PAIR_SHIFT
 from repro.semirings.polynomials import _UNIT_MONOMIAL, Monomial, Polynomial
 
 __all__ = ["TermStore", "Unmappable", "map_runs"]
-
-#: The pinned ids.
-ZERO, ONE = 0, 1
 
 #: A term: its monomial and its (positive) coefficient.
 Term = Tuple[Monomial, int]
@@ -83,23 +73,6 @@ _EXACT = 1 << 62
 class Unmappable(Exception):
     """A batch :func:`map_runs` cannot map as arrays; the argument is the
     cause (the homomorphism's object walk maps it instead)."""
-
-
-class _Monomials:
-    """The monomials of the store's first ``n`` terms as NumPy arrays: term
-    ``t``'s variables are the token ids ``tokens[ptr[t]:ptr[t + 1]]`` with
-    exponents ``exps[...]``, its coefficient ``coeffs[t]`` (``-1`` past
-    int64); of each of the first ``width`` token ids ``k``, ``variables[k]``
-    is the variable and ``structured[k]`` says whether it is a structured
-    one (a ``δ`` term or an atom).  The arrays grow by doubling; entries
-    below ``n`` / ``width`` are never rewritten."""
-
-    __slots__ = ("n", "width", "ptr", "tokens", "exps", "coeffs", "variables", "structured")
-
-    def __init__(self, n, width, ptr, tokens, exps, coeffs, variables, structured):
-        self.n, self.width, self.ptr, self.tokens = n, width, ptr, tokens
-        self.exps, self.coeffs = exps, coeffs
-        self.variables, self.structured = variables, structured
 
 
 class _Runs:
@@ -134,25 +107,25 @@ class _Runs:
         return lows[at], highs[at]
 
 
-class TermStore(MachineRepr):
-    """One generation of interned ``N[X]`` terms (see the module docstring)."""
+class TermStore(Interner):
+    """One generation of interned ``N[X]`` terms (see the module docstring);
+    its owner is the semiring."""
 
-    __slots__ = ("semiring", "max_terms", "items", "_ids", "_polys", "_pairs",
-                 "_wrap", "_lock", "_token_vars", "_token_ids", "_csr")
+    __slots__ = ("cap", "items", "_ids", "_polys", "_pairs", "_wrap",
+                 "_token_vars", "_token_ids")
 
-    portable = False
     merges = False
     entry_kind = "term ids into this process's term store"
     metric_op = "terms"
+    live = "machine_repr"
+    label = "term store"
 
     #: Default cap on the terms of one generation.
     DEFAULT_MAX_TERMS = 1 << 20
 
     def __init__(self, semiring, max_terms: int = DEFAULT_MAX_TERMS):
-        super().__init__("int64", "", "")
-        self.semiring = semiring
-        #: below ``2**31``: a product key packs two ids into one int64
-        self.max_terms = max_terms
+        self.cap = max_terms
+        super().__init__(semiring, threading.Lock())
         #: term id -> its ``(monomial, coefficient)`` pair
         self.items: List[Term] = [(_UNIT_MONOMIAL, 0), (_UNIT_MONOMIAL, 1)]
         #: base term -> its id (products are found by their pair instead)
@@ -162,31 +135,23 @@ class TermStore(MachineRepr):
         #: the product mirror: (keys, ids, recent keys, recent ids)
         self._pairs = None
         self._wrap = partial(Polynomial._from_clean, semiring)
-        self._lock = threading.Lock()
         #: the token table: token id -> variable, and back
         self._token_vars: List[Any] = []
         self._token_ids: Dict[Any, int] = {}
-        #: the monomial CSR (:meth:`monomials`), built at first use
-        self._csr = None
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def current(self) -> bool:
-        """Is this the semiring's live generation (the one that interns)?"""
-        return self.semiring.machine_repr is self
+    def successor(self) -> "TermStore":
+        return TermStore(self.owner, self.cap)
 
     # -- the MachineRepr face --------------------------------------------------
-
-    @property
-    def bounded(self) -> bool:
-        return False
 
     def fits(self, value: Any) -> bool:
         """A polynomial of this semiring with at most one term."""
         return (
             type(value) is Polynomial
-            and value.semiring is self.semiring
+            and value.semiring is self.owner
             and len(value._terms) <= 1
         )
 
@@ -210,14 +175,10 @@ class TermStore(MachineRepr):
 
     @property
     def plus(self):
-        raise _fallback("+ over term ids")
-
-    @property
-    def times(self):
-        return self.times_rows
+        raise self.fallback("+ over term ids")
 
     def delta(self, anns, zero, one):
-        raise _fallback("δ over term ids")
+        raise self.fallback("δ over term ids")
 
     # -- interning -------------------------------------------------------------
 
@@ -250,7 +211,7 @@ class TermStore(MachineRepr):
     def _interned(self, terms: List[Term]) -> List[int]:
         """Under the lock: the ids of the base terms ``terms``, interned
         where new."""
-        self._require_room(len(terms))
+        self.require(len(terms))
         ids, items, polys = self._ids, self.items, self._polys
         out = []
         for term in terms:
@@ -262,45 +223,22 @@ class TermStore(MachineRepr):
             out.append(tid)
         return out
 
-    def _require_room(self, n: int) -> None:
-        """Under the lock: fall back unless this live generation has room
-        for ``n`` more terms; a full one first hands over to a fresh
-        store (see the module docstring)."""
-        if not self.current():
-            raise _fallback("term store rolled over")
-        if len(self.items) + n > self.max_terms:
-            self.semiring.machine_repr = TermStore(self.semiring, self.max_terms)
-            raise _fallback("term store rolled over")
-
     # -- kernels -----------------------------------------------------------------
 
-    def times_rows(self, a, b):
-        """Elementwise ``a * b`` (:func:`~repro.circuits.store.pair_times`):
-        every canonical id pair not a unit or the annihilator is looked up
-        in the product mirror, and the misses intern once per distinct
-        pair."""
-        return _gates().pair_times(a, b, self._find_products, self._products)
+    def _pairs_table(self):
+        return self._pairs
 
-    def _find_products(self, keys):
-        np = _np()
-        pairs = self._pairs
-        if pairs is None:
-            return np.full(len(keys), -1, dtype=np.int64)
-        return _gates()._lookup(np, pairs, keys)
-
-    def _products(self, lo, hi):
+    def _made_pairs(self, lo, hi):
         """The ids of the products of the id pairs ``lo``/``hi``, appended
         once per distinct pair and added to the mirror.  The mirror alone
         dedupes them: two pairs with one product (``x·2y``, ``2x·y``) get
         two ids, which a fold sums like any repeated monomial."""
         np = _np()
-        gates = _gates()
-        shift = gates._PAIR_SHIFT
-        keys, inverse = np.unique((lo << shift) | hi, return_inverse=True)
-        pairs = zip((keys >> shift).tolist(), (keys & ((1 << shift) - 1)).tolist())
+        keys, inverse = np.unique((lo << _PAIR_SHIFT) | hi, return_inverse=True)
+        pairs = zip((keys >> _PAIR_SHIFT).tolist(), (keys & ((1 << _PAIR_SHIFT) - 1)).tolist())
         items = self.items
         with self._lock:
-            self._require_room(len(keys))
+            self.require(len(keys))
             start = len(items)
             items.extend(
                 (items[x][0].mul(items[y][0]), items[x][1] * items[y][1])
@@ -308,7 +246,7 @@ class TermStore(MachineRepr):
             )
             self._polys.extend([None] * len(keys))
             made = np.arange(start, len(items), dtype=np.int64)
-            self._pairs = gates.extended(self._pairs, keys, made)
+            self._pairs = extended(self._pairs, keys, made)
         return made[inverse]
 
     def fold(self, keys, anns, width: int = 1, labels=None, skip: int = -1):
@@ -333,18 +271,18 @@ class TermStore(MachineRepr):
         if not n:
             return np.empty(0, dtype=np.int64), [], (None if labels is None else [])
         if (anns == ZERO).any():
-            raise _fallback("zero term")
+            raise self.fallback("zero term")
         order = np.argsort(keys)
         sorted_keys = keys[order]
         ids = anns[order]
-        starts = _run_starts(np, sorted_keys)
+        starts = run_starts(np, sorted_keys)
         runs = _Runs(self, ids)
         sums = self._sums(ids, starts, runs)
         if labels is None:
             return order[starts], sums, None
         run_keys = sorted_keys[starts]
         groups = run_keys // width
-        firsts = _run_starts(np, groups)  # the first run of each group
+        firsts = run_starts(np, groups)  # the first run of each group
         gstarts = starts[firsts]
         bounds = firsts.tolist() + [len(starts)]
         totals = []
@@ -404,50 +342,32 @@ class TermStore(MachineRepr):
 
     # -- homomorphisms -----------------------------------------------------------
 
-    def monomials(self) -> _Monomials:
-        """The monomial CSR of every term interned so far (cached; the
-        terms interned since the last call are appended under the lock)."""
-        snap = self._csr
-        if snap is not None and snap.n == len(self.items):
-            return snap
-        np = _np()
-        with self._lock:  # interning appends under it: a consistent cut
-            snap = self._csr
-            if snap is None:
-                snap = _Monomials(0, 0, np.zeros(1, np.int64), *(
-                    np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, object, bool)
-                ))
-            n = len(self.items)
-            fresh = self.items[snap.n:n]
-            powers = [mono._powers for mono, _c in fresh]
-            variables = list(chain.from_iterable(powers))
-            codes = list(map(self._token_ids.get, variables))
-            for i in [i for i, code in enumerate(codes) if code is None]:
-                codes[i] = self._token(variables[i])
-            grown = _gates()._grown
-            used, m = int(snap.ptr[snap.n]), int(snap.ptr[snap.n]) + len(codes)
-            ptr = grown(np, snap.ptr, snap.n + 1, n + 1)
-            ptr[snap.n + 1:n + 1] = used + np.cumsum(list(map(len, powers)), dtype=np.int64)
-            tokens = grown(np, snap.tokens, used, m)
-            tokens[used:m] = codes
-            exps = grown(np, snap.exps, used, m)
-            exps[used:m] = [e if e < _BIG_EXP else _BIG_EXP + (e & 1)
-                            for e in chain.from_iterable(map(dict.values, powers))]
-            coeffs = grown(np, snap.coeffs, snap.n, n)
-            coeffs[snap.n:n] = [c if c <= _INT64_MAX else -1 for _m, c in fresh]
-            width = len(self._token_vars)
-            added = self._token_vars[snap.width:]
-            variables = grown(np, snap.variables, snap.width, width)
-            # one by one: a tuple variable is one object, not a row
-            deque(map(variables.__setitem__, range(snap.width, width), added), 0)
-            structured = grown(np, snap.structured, snap.width, width)
-            structured[snap.width:width] = [
+    def _tail(self, np, snap, n: int) -> Dict[str, Any]:
+        """The CSR of the monomials of terms ``snap.n:n``: term ``t``'s
+        variables are the token ids ``tokens[ptr[t]:ptr[t + 1]]`` with
+        exponents ``exps[...]``, its coefficient ``coeffs[t]`` (``-1`` past
+        int64); of each token id ``k``, ``variables[k]`` is the variable
+        and ``structured[k]`` says whether it is a structured one (a ``δ``
+        term or an atom)."""
+        fresh = self.items[snap.n:n]
+        powers = [mono._powers for mono, _c in fresh]
+        variables = list(chain.from_iterable(powers))
+        codes = list(map(self._token_ids.get, variables))
+        for i in [i for i, code in enumerate(codes) if code is None]:
+            codes[i] = self._token(variables[i])
+        added = self._token_vars[snap.filled.get("variables", 0):]
+        used = int(snap.ptr[snap.n])
+        return {
+            "ptr": (np.int64, used + np.cumsum(list(map(len, powers)), dtype=np.int64)),
+            "tokens": (np.int64, codes),
+            "exps": (np.int64, [e if e < _BIG_EXP else _BIG_EXP + (e & 1)
+                                for e in chain.from_iterable(map(dict.values, powers))]),
+            "coeffs": (np.int64, [c if c <= _INT64_MAX else -1 for _m, c in fresh]),
+            "variables": (object, added),
+            "structured": (bool, [
                 type(var) is not str and isinstance(var, ProvenanceTerm) for var in added
-            ]
-            snap = self._csr = _Monomials(
-                n, width, ptr, tokens, exps, coeffs, variables, structured
-            )
-        return snap
+            ]),
+        }
 
     def _token(self, var: Any) -> int:
         """Under the lock: the id of the variable ``var`` in the token
@@ -474,12 +394,12 @@ class TermStore(MachineRepr):
         must stay below ``2**62`` (int64 arithmetic, wrapping or not, is
         then exact)."""
         np = _np()
-        snap = self.monomials()
-        terms, inverse = _distinct(np, ids, snap.n)
+        snap = self.arrays()
+        terms, inverse = distinct(np, ids, snap.n)
         lo = snap.ptr[terms]
         counts = snap.ptr[terms + 1] - lo
-        at = _gates().ranges(lo, counts)
-        reached, slot = _distinct(np, snap.tokens[at], snap.width)
+        at = ranges(lo, counts)
+        reached, slot = distinct(np, snap.tokens[at], snap.filled["variables"])
         if snap.structured[reached].any():
             raise Unmappable("structured variable")
         images = token_images(snap.variables[reached].tolist())
@@ -556,52 +476,12 @@ def map_runs(polys: List[Polynomial], runs: List[Any], token_images, native: typ
     if len(stores) != 1:
         raise Unmappable("two generations")
     (store,) = stores
-    if store.semiring is not semiring:
+    if store.owner is not semiring:
         raise Unmappable("no term runs")
-    rows = _gates().ranges(lows, counts)
+    rows = ranges(lows, counts)
     ids = rows.copy()  # a term's own row is its id
     owner = np.repeat(owner, counts)
     for k, base in enumerate(bases):
         mine = owner == k
         ids[mine] = base[rows[mine]]
     return store.images(ids, np.cumsum(counts) - counts, token_images, native)
-
-
-def _distinct(np, values, space: int):
-    """The distinct entries of ``values`` (each in ``range(space)``),
-    ascending, and the position of each entry among them: one scatter over
-    the space where it is not much larger than ``values``, else a sort."""
-    if space > 8 * len(values) + 4096:
-        return np.unique(values, return_inverse=True)
-    seen = np.zeros(space, dtype=bool)
-    seen[values] = True
-    distinct = np.flatnonzero(seen)
-    where = np.empty(space, dtype=np.int64)
-    where[distinct] = np.arange(len(distinct))
-    return distinct, where[values]
-
-
-def _run_starts(np, sorted_keys):
-    """The positions where a run of equal ``sorted_keys`` begins."""
-    head = np.empty(len(sorted_keys), dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    return np.flatnonzero(head)
-
-
-def _gates():
-    """The gate store module, whose sorted-mirror helpers the product
-    mirror shares (imported at first use: circuits build on semirings)."""
-    from repro.circuits import store
-
-    return store
-
-
-def _fallback(cause: str) -> Exception:
-    """An :class:`~repro.plan.encoded.EncodedFallback` for a term-specific
-    cause, counted on the encoded-kernel counter (``op="terms"``)."""
-    from repro.obs import metrics
-    from repro.plan.encoded import EncodedFallback
-
-    metrics.ENCODED_KERNEL.inc(1, TermStore.metric_op, f"fallback: {cause}")
-    return EncodedFallback(cause)

@@ -51,6 +51,9 @@ Architecture (one process, no third-party dependencies):
   reading it re-materialises, a promoted one is demoted.  A patch that
   raises demotes its entry (a ``/views`` entry is rebuilt instead) and
   the write still answers 200: the WAL append already acknowledged it.
+  A ``/views`` entry whose rebuild raises too is *broken*: its reads
+  answer 409, naming the write and the cause, and each later write
+  retries the rebuild until one succeeds.
   Each entry costs O(|Δ|) per write (its clone layers the delta over its
   tables and carries its encodings forward).  Over a symbolic semiring
   a write takes the heavy slot, as the evaluations it may promote do;
@@ -73,7 +76,7 @@ Routes (all bodies JSON unless noted)::
     POST /relations        {"name", "relation": {"columns", "rows"}}
     POST /views            {"name", "sql"}
     GET  /views/<name>     maintained view contents (rendered once per
-                           view version)
+                           view version; 409 while it cannot be rebuilt)
 
 Every response — including 408/503/500 error paths — carries an
 ``x-request-id`` header (the client's, honored, or a generated one);
@@ -123,6 +126,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    409: "Conflict",
     413: "Content Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -207,13 +211,17 @@ class _Entry:
     a private catalog clone, registered by ``/views`` (``named``) or
     promoted from a kept ``/query`` answer.  ``view`` is ``None`` for a
     key the view layer refused, kept so it is not offered again while it
-    stays read, and for :data:`_SEEN`."""
+    stays read, and for :data:`_SEEN`.  ``broken`` is ``(relation,
+    cause)`` for a ``/views`` entry whose rebuild after a write to
+    ``relation`` raised; its ``view`` is kept for its query."""
 
-    __slots__ = ("view", "named", "_rendered")
+    __slots__ = ("view", "named", "broken", "_rendered")
 
-    def __init__(self, view: Any, named: bool = False):
+    def __init__(self, view: Any, named: bool = False,
+                 broken: Optional[Tuple[str, str]] = None):
         self.view = view
         self.named = named
+        self.broken = broken
         self._rendered: Tuple[Any, bytes] = (None, b"")
 
     def rendered(self) -> Tuple[int, bytes]:
@@ -314,7 +322,8 @@ class ProvenanceServer:
             # (dict.copy() is atomic under the GIL; the writer may be
             # mutating the table)
             durability.set_view_supplier(lambda: {
-                name: e.view for name, e in self._views.copy().items() if e.named})
+                name: e.view for name, e in self._views.copy().items()
+                if e.named and e.broken is None})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -675,6 +684,7 @@ class ProvenanceServer:
         ``replaced`` (``/relations``: ``(name, relation)``) is given."""
         views = self._views
         outcomes = []
+        written = replaced[0] if replaced is not None else ", ".join(deltas)
         for key, entry in list(views.items()):
             view = entry.view
             if not entry.named and key not in read:
@@ -683,6 +693,9 @@ class ProvenanceServer:
                     outcomes.append("demoted: not read")
                 continue
             if view is None:
+                continue
+            if entry.broken is not None:
+                views[key] = self._rebuilt(entry, published, written)
                 continue
             if replaced is not None and not entry.named and replaced[0] in view.tables:
                 del views[key]
@@ -696,7 +709,7 @@ class ProvenanceServer:
                     outcomes.append("patched")
             except Exception:
                 log.exception("carrying maintained answer %r across a write failed", key)
-                views[key] = self._rebuilt(entry, published)
+                views[key] = self._rebuilt(entry, published, written)
                 if not entry.named:
                     outcomes.append("demoted: patch failed")
         # a key read on the superseded version and on the one before it
@@ -742,19 +755,26 @@ class ProvenanceServer:
             return _Entry(None), "demoted: not maintainable"
         return _Entry(view), "promoted"
 
-    def _rebuilt(self, entry: _Entry, published: PublishedSnapshot) -> _Entry:
+    def _rebuilt(self, entry: _Entry, published: PublishedSnapshot,
+                 written: str) -> _Entry:
         """What replaces an entry whose patch (or, for ``/relations``,
-        re-materialisation) raised: a ``/views`` entry is re-created over
-        ``published``, a promoted one is remembered as refused."""
+        re-materialisation) raised, or a broken one at the next write
+        (``written`` names the relations written): a ``/views`` entry is
+        re-created over ``published`` — or, where that raises as well, is
+        broken, naming the write that broke it and the cause — a promoted
+        one is remembered as refused."""
         if entry.named:
             from repro.ivm import MaterializedView
 
             try:
                 view = MaterializedView.create(_clone(published), entry.view.query)
                 return _Entry(view, named=True)
-            except Exception:
-                log.exception("rebuilding view %r failed", entry.view.query)
-                return entry
+            except Exception as exc:
+                if entry.broken is None:
+                    log.exception("rebuilding view %r failed", entry.view.query)
+                relation = written if entry.broken is None else entry.broken[0]
+                return _Entry(entry.view, named=True,
+                              broken=(relation, f"{type(exc).__name__}: {exc}"))
         return _Entry(None)
 
     # -- materialised views --------------------------------------------------
@@ -825,6 +845,14 @@ class ProvenanceServer:
         entry = self._views.get(name)  # a name never matches a promoted key
         if entry is None:
             return 404, {"error": f"no view named {name!r}", "trace_id": request_id}
+        if entry.broken is not None:
+            relation, cause = entry.broken
+            return 409, {
+                "error": f"view {name!r} cannot be rebuilt since the write to "
+                         f"{relation!r}: {cause}",
+                "view": name, "relation": relation, "cause": cause,
+                "trace_id": request_id,
+            }
         with self.pool.admit():
             version, body = entry.rendered()
         self._count("queries")

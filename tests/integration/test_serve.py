@@ -345,6 +345,42 @@ def test_a_replaced_relation_reaches_every_view(server):
         client.close()
 
 
+def test_a_view_that_cannot_be_rebuilt_answers_409_until_a_write_rebuilds_it(server):
+    """A replaced relation the view's query no longer type-checks against
+    breaks its ``/views`` entry: reads answer a typed 409 naming the view,
+    the relation and the cause; each later write retries the rebuild, and
+    the first that succeeds serves the view again."""
+    client = Client(server.address)
+    sql = "SELECT K, SUM(V) FROM A GROUP BY K"
+    try:
+        assert client.request("POST", "/views", {"name": "s", "sql": sql})[0] == 201
+        status, _ = client.request("POST", "/relations", {"name": "A", "relation": {
+            "columns": ["K"], "rows": [{"values": ["z"]}]}})  # V dropped
+        assert status == 201
+        status, body = client.request("GET", "/views/s")
+        assert status == 409
+        assert (body["view"], body["relation"]) == ("s", "A")
+        assert "'s'" in body["error"] and "'A'" in body["error"]
+        assert body["cause"] and body["cause"] in body["error"] and body["trace_id"]
+        status, _ = client.request("POST", "/update", {"relations": {
+            "B": {"rows": [{"values": ["b+", 0]}]}}})
+        assert status == 200  # the retry fails too: still broken
+        assert client.request("GET", "/views/s")[0] == 409
+        assert client.request("GET", "/stats")[1]["views"] == ["s"]
+        status, _ = client.request("POST", "/relations", {"name": "A", "relation": {
+            "columns": ["K", "V"], "rows": [{"values": ["z", 7]}]}})
+        assert status == 201
+        status, body = client.request("GET", "/views/s")
+        assert status == 200 and body["rows"] == [{"values": ["z", 7], "annotation": 1}]
+        status, _ = client.request("POST", "/update", {"relations": {
+            "A": {"rows": [{"values": ["z", 5]}]}}})
+        assert status == 200
+        assert client.request("GET", "/views/s")[1]["rows"] == [
+            {"values": ["z", 12], "annotation": 1}]
+    finally:
+        client.close()
+
+
 def test_relation_to_json_renders_each_value_once_in_support_order(monkeypatch):
     from repro.semimodules import compatibility
     from repro.semimodules.tensor import Tensor

@@ -10,10 +10,10 @@ from repro.circuits import (
     polynomial_to_circuit,
 )
 from repro.circuits.evaluate import _array_pass, _reach
-from repro.circuits import store as store_module
 from repro.circuits.store import TIMES
 from repro.exceptions import HomomorphismError, SemiringError
 from repro.semirings import BOOL, NAT, NX, check_semiring_axioms
+from repro.semirings import interning
 
 
 def fresh():
@@ -149,7 +149,7 @@ class TestGateStoreMirrors:
     @pytest.mark.parametrize("recent", [4, 1 << 14])
     def test_mirror_grows_sorted_and_complete(self, recent, monkeypatch):
         np = pytest.importorskip("numpy")
-        monkeypatch.setattr(store_module, "_RECENT", recent)  # fold, or never
+        monkeypatch.setattr(interning, "_RECENT", recent)  # fold, or never
         cs = fresh()
         store = cs.builder.store
         xs = [cs.variable(f"x{i}") for i in range(40)]
