@@ -200,7 +200,7 @@ class Query(abc.ABC):
             pushdown, hash joins with cached build sides, columnar
             pipelines — and execute that.  Annotated results are identical
             by construction (and by the property suite
-            ``tests/property/test_planner_equivalence.py``).  The extended
+            ``tests/property/test_oracle.py``).  The extended
             (Section 4.3) semantics have no physical fast path yet and
             fall back to the interpreter.
 

@@ -114,7 +114,7 @@ class MaterializedView:
         if snapshot is not None:
             self._restore(snapshot)
         else:
-            self._materialise()
+            self._materialise(self._head)
         #: Whether this view's state came off disk instead of evaluation
         #: (the serving layer's boot log distinguishes the two).
         self.restored_from_snapshot = snapshot is not None
@@ -227,13 +227,16 @@ class MaterializedView:
         bumped ``db.version`` without going through :meth:`apply`); also
         drops the compiled delta plans so schema-preserving catalog
         changes pick up fresh statistics.  Serialised against writers by
-        the base database's lock.
+        the base database's lock.  The new state is built beside the old
+        one and installed only once it is complete: where the query no
+        longer compiles, the view keeps its state and version.
         """
         with self.db._lock:
-            self._head = self._build_head()
+            head = self._build_head()
+            self._materialise(head)
+            self._head = head
             self._delta_plans.clear()
             self._result_cache = None
-            self._materialise()
             self._version = self.db.version
         return self
 
@@ -252,8 +255,8 @@ class MaterializedView:
             self._version = self.db.version
         return self
 
-    def _materialise(self) -> None:
-        """Evaluate the core and absorb it into the (empty) head state.
+    def _materialise(self, head: HeadState) -> None:
+        """Evaluate the core and absorb it into the empty state ``head``.
 
         The shared body behind initial creation and :meth:`refresh`, where
         the catalog may have moved under the view: the core must still
@@ -270,7 +273,7 @@ class MaterializedView:
         plan = compile_plan(self._core, db, annotations=self.annotations)
         initial = plan.execute_raw(db)
         if len(initial):
-            self._head.absorb(initial)
+            head.absorb(initial)
 
     # -- reads ---------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Each operator consumes and produces :class:`ColumnarKRelation` batches and
 implements exactly the annotation semantics of the corresponding logical
 operator in :mod:`repro.core.operators` / :mod:`repro.core.aggregates` —
-the property suite ``tests/property/test_planner_equivalence.py`` holds the
+the differential oracle ``tests/property/test_oracle.py`` holds the
 two layers to identical ``N[X]`` results, which (free semiring) pins every
 homomorphic specialisation.
 

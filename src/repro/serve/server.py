@@ -98,6 +98,7 @@ from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Mapping, Optio
 
 from repro.caching import LRUDict
 from repro.core.database import KDatabase
+from repro.core.query import Table
 from repro.deadline import Deadline
 from repro.exceptions import DeadlineExceeded, ReproError, WalWriteError
 
@@ -213,15 +214,17 @@ class _Entry:
     key the view layer refused, kept so it is not offered again while it
     stays read, and for :data:`_SEEN`.  ``broken`` is ``(relation,
     cause)`` for a ``/views`` entry whose rebuild after a write to
-    ``relation`` raised; its ``view`` is kept for its query."""
+    ``relation`` raised, or that could not be rebuilt on boot; ``query``
+    is what a later write rebuilds it from (``view`` may be ``None``)."""
 
-    __slots__ = ("view", "named", "broken", "_rendered")
+    __slots__ = ("view", "named", "broken", "query", "_rendered")
 
     def __init__(self, view: Any, named: bool = False,
-                 broken: Optional[Tuple[str, str]] = None):
+                 broken: Optional[Tuple[str, str]] = None, query: Any = None):
         self.view = view
         self.named = named
         self.broken = broken
+        self.query = query if view is None else view.query
         self._rendered: Tuple[Any, bytes] = (None, b"")
 
     def rendered(self) -> Tuple[int, bytes]:
@@ -246,6 +249,13 @@ class _Entry:
 #: two consecutive versions, so a read that is not repeated after a write
 #: never costs the writer an evaluation.
 _SEEN = _Entry(None)
+
+
+def _tables(query: Any) -> FrozenSet[str]:
+    """The base tables ``query`` reads."""
+    if isinstance(query, Table):
+        return frozenset((query.name,))
+    return frozenset().union(*map(_tables, query.children))
 
 
 def _clone(snap: KDatabase) -> KDatabase:
@@ -490,6 +500,10 @@ class ProvenanceServer:
                         "error": f"request body is not valid JSON: {exc}",
                         "trace_id": rid,
                     }
+                except RecursionError:
+                    # the decoder recurses once per nested array or object
+                    return 400, {"error": "request body nests too deeply",
+                                 "trace_id": rid}
                 if path == "/query":
                     return self._query(payload, prepared, headers, rid)
                 if path == "/update":
@@ -692,10 +706,10 @@ class ProvenanceServer:
                 if view is not None:
                     outcomes.append("demoted: not read")
                 continue
-            if view is None:
-                continue
             if entry.broken is not None:
                 views[key] = self._rebuilt(entry, published, written)
+                continue
+            if view is None:
                 continue
             if replaced is not None and not entry.named and replaced[0] in view.tables:
                 del views[key]
@@ -767,13 +781,13 @@ class ProvenanceServer:
             from repro.ivm import MaterializedView
 
             try:
-                view = MaterializedView.create(_clone(published), entry.view.query)
+                view = MaterializedView.create(_clone(published), entry.query)
                 return _Entry(view, named=True)
             except Exception as exc:
                 if entry.broken is None:
-                    log.exception("rebuilding view %r failed", entry.view.query)
+                    log.exception("rebuilding view %r failed", entry.query)
                 relation = written if entry.broken is None else entry.broken[0]
-                return _Entry(entry.view, named=True,
+                return _Entry(entry.view, named=True, query=entry.query,
                               broken=(relation, f"{type(exc).__name__}: {exc}"))
         return _Entry(None)
 
@@ -814,8 +828,13 @@ class ProvenanceServer:
         when one matches the recovered database (fingerprint-checked —
         a stale or damaged snapshot falls back to re-evaluating the
         query; :func:`repro.ivm.snapshot.load_view` counts the fallback
-        in the ``snapshot_rebuilds`` ledger).  Returns ``name ->
-        "restored" | "rebuilt"`` for the boot log.
+        in the ``snapshot_rebuilds`` ledger).  A definition the recovered
+        catalog no longer type-checks (a later ``/relations`` write
+        dropped a column it reads) is registered *broken*, naming the
+        tables it reads and the cause, as a write that breaks it at run
+        time does: its reads answer 409 and each later write retries the
+        rebuild.  Returns ``name -> "restored" | "rebuilt" | "broken"``
+        for the boot log.
         """
         if self.durability is None:
             return {}
@@ -829,15 +848,24 @@ class ProvenanceServer:
             query = compile_sql(sql)
             path = self.durability.view_state_path(name)
             try:
-                view = load_view(view_db, query, path)
-                outcomes[name] = (
-                    "restored" if view.restored_from_snapshot else "rebuilt"
-                )
-            except FileNotFoundError:
-                # registered after the last checkpoint: only the WAL
-                # create_view record survived, so evaluate from scratch
-                view = MaterializedView.create(view_db, query)
-                outcomes[name] = "rebuilt"
+                try:
+                    view = load_view(view_db, query, path)
+                    outcomes[name] = (
+                        "restored" if view.restored_from_snapshot else "rebuilt"
+                    )
+                except FileNotFoundError:
+                    # registered after the last checkpoint: only the WAL
+                    # create_view record survived, so evaluate from scratch
+                    view = MaterializedView.create(view_db, query)
+                    outcomes[name] = "rebuilt"
+            except Exception as exc:
+                log.exception("view %r cannot be rebuilt on boot", name)
+                outcomes[name] = "broken"
+                self._views[name] = _Entry(
+                    None, named=True, query=query,
+                    broken=(", ".join(sorted(_tables(query))),
+                            f"{type(exc).__name__}: {exc}"))
+                continue
             self._views[name] = _Entry(view, named=True)
         return outcomes
 

@@ -482,6 +482,23 @@ def test_http_error_paths(server):
         client.close()
 
 
+def test_a_deeply_nested_body_is_a_400_on_every_post_route(server):
+    """200 000 nested ``[`` overflow the JSON decoder's recursion: a typed
+    400, not a 500 with a logged traceback."""
+    client = Client(server.address)
+    try:
+        errors = client.request("GET", "/stats")[1]["errors"]
+        for path in ("/query", "/update", "/relations", "/views"):
+            client.conn.request("POST", path, b"[" * 200_000)
+            response = client.conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400, (path, body)
+            assert "nests too deeply" in body["error"] and body["trace_id"]
+        assert client.request("GET", "/stats")[1]["errors"] == errors
+    finally:
+        client.close()
+
+
 def test_nan_on_the_wire_is_a_400_and_changes_nothing(server):
     """``json.loads`` accepts a ``NaN`` literal; stored, it would equal
     no tuple and make MIN/MAX depend on row order.  ``±inf`` stays legal."""

@@ -176,6 +176,48 @@ def test_stale_view_snapshot_rebuilds_after_post_checkpoint_writes(tmp_path):
         recovered.close()
 
 
+def test_a_view_the_recovered_catalog_breaks_boots_as_broken(tmp_path):
+    """A ``/views`` entry that no longer type-checks after a ``/relations``
+    write does not stop the boot: it answers 409 naming the relation and
+    the cause, and the first later write it type-checks against rebuilds
+    it."""
+    manager, handle = durable_server(tmp_path)
+    client = Client(handle.address)
+    try:
+        client.request("POST", "/relations", {"name": "A", "relation": ROWS})
+        status, _, _ = client.request(
+            "POST", "/views", {"name": "s", "sql": "SELECT g, SUM(v) FROM A GROUP BY g"})
+        assert status == 201
+        status, _, _ = client.request("POST", "/relations", {"name": "A", "relation": {
+            "columns": ["g"], "rows": [{"values": ["g1"]}]}})  # v dropped
+        assert status == 201
+    finally:
+        client.close()
+        handle.close()
+        manager.close()
+
+    recovered, handle = durable_server(tmp_path)
+    client = Client(handle.address)
+    try:
+        status, body, _ = client.request("GET", "/views/s")
+        assert status == 409
+        assert (body["view"], body["relation"]) == ("s", "A")
+        assert body["cause"].startswith("QueryError") and body["trace_id"]
+        _, stats, _ = client.request("GET", "/stats")
+        assert stats["views"] == ["s"]
+        status, _, _ = client.request("POST", "/relations", {"name": "B", "relation": ROWS})
+        assert status == 201  # the retry fails too: still broken
+        assert client.request("GET", "/views/s")[0] == 409
+        status, _, _ = client.request("POST", "/relations", {"name": "A", "relation": ROWS})
+        assert status == 201
+        status, body, _ = client.request("GET", "/views/s")
+        assert status == 200 and len(body["rows"]) == 2
+    finally:
+        client.close()
+        handle.close()
+        recovered.close()
+
+
 def test_unwritable_log_maps_to_503_with_retry_after(tmp_path):
     manager, handle = durable_server(tmp_path)
     client = Client(handle.address)

@@ -28,112 +28,27 @@ once each way, over ``N``, ``Z`` with deletions, ``B`` and tropical,
 and drives both with the same deltas.
 """
 
+from functools import partial
 from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    AttrEq,
-    Aggregate,
-    AvgAgg,
-    CountAgg,
-    Distinct,
-    GroupBy,
-    KDatabase,
-    KRelation,
-    Project,
-    Select,
-    Table,
-)
+from repro.core import AttrEq, GroupBy, KDatabase, KRelation, Select, Table
 from repro.exceptions import ReproError
 from repro.io.serialize import dumps, loads
 from repro.ivm import MaterializedView, state
-from repro.monoids import MAX, MIN, SUM
+from repro.monoids import SUM
 from repro.plan.encoded import EncodedFallback
 from repro.plan.kernels import HAVE_NUMPY
 from repro.semirings import BOOL, INT, NAT, NX, TROPICAL
 
-from strategies import GROUPS, VALUES, WEIGHTS, spju
+from strategies import SCHEMAS, initial_rows, insert_stream, query
 
-SCHEMAS = {"R": ("g", "v"), "S": ("g",), "T": ("g", "w")}
-
-
-def _row_strategy(name):
-    if name == "R":
-        return st.tuples(st.sampled_from(GROUPS), st.sampled_from(VALUES))
-    if name == "S":
-        return st.tuples(st.sampled_from(GROUPS))
-    return st.tuples(st.sampled_from(GROUPS), st.sampled_from(WEIGHTS))
-
-
-# ---------------------------------------------------------------------------
-# query strategy: SPJU core + optional head
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def spjua_query(draw):
-    """An SPJU core under an optional maintainable head."""
-    query, attrs = draw(
-        spju(draw(st.integers(min_value=0, max_value=2)),
-             without=("self_compared", "distinct"))
-    )
-    top = draw(st.sampled_from(["none", "group", "agg", "avg", "count", "distinct"]))
-    numeric = sorted(a for a in attrs if a.startswith(("v", "w")))
-    if top == "group" and "g" in attrs and numeric:
-        agg_attr = draw(st.sampled_from(numeric))
-        monoid = draw(st.sampled_from([SUM, MIN, MAX]))
-        count = draw(st.booleans())
-        return GroupBy(query, ["g"], {agg_attr: monoid},
-                       count_attr="n" if count else None)
-    if top == "agg" and numeric:
-        agg_attr = draw(st.sampled_from(numeric))
-        monoid = draw(st.sampled_from([SUM, MIN, MAX]))
-        return Aggregate(Project(query, (agg_attr,)), agg_attr, monoid)
-    if top == "avg" and numeric:
-        agg_attr = draw(st.sampled_from(numeric))
-        return AvgAgg(Project(query, (agg_attr,)), agg_attr)
-    if top == "count":
-        return CountAgg(query, "n")
-    if top == "distinct":
-        return Distinct(query)
-    return query
-
-
-# ---------------------------------------------------------------------------
-# database + delta-stream strategies
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def initial_rows(draw):
-    return {
-        name: draw(
-            st.lists(_row_strategy(name), min_size=0, max_size=5, unique=True)
-        )
-        for name in SCHEMAS
-    }
-
-
-@st.composite
-def insert_stream(draw):
-    """1–3 delta batches, each touching a subset of the base tables."""
-    batches = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        names = draw(
-            st.sets(st.sampled_from(sorted(SCHEMAS)), min_size=1, max_size=2)
-        )
-        batches.append(
-            {
-                name: draw(
-                    st.lists(_row_strategy(name), min_size=0, max_size=3)
-                )
-                for name in sorted(names)
-            }
-        )
-    return batches
+#: The shared head over an SPJU core the view layer maintains (no δ
+#: below the head); ``N`` admits every head, and each regime draws it.
+spjua_query = partial(query, NAT, without=("self_compared", "distinct"))
 
 
 def build_db(semiring, rows, tag):

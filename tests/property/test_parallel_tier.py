@@ -1,13 +1,14 @@
 """Property suite: the parallel tier computes every serial tier's results.
 
-The same randomized SPJUA workload that certifies the encoded tier
-(:mod:`test_encoded_tier`) is evaluated a fourth way — forced through
-``compile_plan(..., tier="parallel")`` — and compared against the
-interpreter, the object tier and the serial encoded tier, across worker
-counts {1, 2, 4}.  The parallel tier must be *invisible* semantically:
-whether a query shards cleanly, hits the union-once path, or cannot
-shard at all (δ on the driver, operators outside the morsel fragment)
-and falls back to serial execution, the annotated result is identical.
+Randomized SPJUA workloads over every machine semiring (the shared
+generator in :mod:`strategies`) are evaluated a fourth way — forced
+through ``compile_plan(..., tier="parallel")`` — and compared against
+the interpreter, the object tier and the serial encoded tier, across
+worker counts {1, 2, 4}.  The parallel tier must be *invisible*
+semantically: whether a query shards cleanly, hits the union-once path,
+or cannot shard at all (δ on the driver, operators outside the morsel
+fragment) and falls back to serial execution, the annotated result is
+identical.
 
 A separate property injects annotations outside the machine dtype
 (``1 << 40`` in ``N``): encoding disqualifies at scan time, the parallel
@@ -16,21 +17,25 @@ whole query degrades through serial encoded to the object path — still
 bit-for-bit equal to the interpreter.
 """
 
+import pytest
+
+pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Query, Table
 from repro.plan import compile_plan, set_default_workers
 from repro.semirings import NAT
 
-from test_encoded_tier import concrete_database, workload  # skips without NumPy
+from strategies import POOLS, database, query
 
 WORKER_COUNTS = [1, 2, 4]
 
 
-def _scanned_tables(query):
-    if isinstance(query, Table):
-        yield query.name
-    for value in vars(query).values():
+def _scanned_tables(node):
+    if isinstance(node, Table):
+        yield node.name
+    for value in vars(node).values():
         if isinstance(value, Query):
             yield from _scanned_tables(value)
 
@@ -38,14 +43,15 @@ def _scanned_tables(query):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parallel_tier_equals_interpreter_and_serial_tiers(data):
-    semiring, pool, query = data.draw(workload())
-    db = concrete_database(data.draw, semiring, pool)
+    semiring = data.draw(st.sampled_from(list(POOLS)), label="semiring")
+    db, _tokens = data.draw(database(semiring), label="db")
+    q = data.draw(query(semiring), label="query")
     set_default_workers(data.draw(st.sampled_from(WORKER_COUNTS)))
     try:
-        interpreted = query.evaluate(db, engine="interpreted")
-        assert compile_plan(query, db, tier="object").execute() == interpreted
-        assert compile_plan(query, db).execute() == interpreted
-        parallel_plan = compile_plan(query, db, tier="parallel")
+        interpreted = q.evaluate(db, engine="interpreted")
+        assert compile_plan(q, db, tier="object").execute() == interpreted
+        assert compile_plan(q, db).execute() == interpreted
+        parallel_plan = compile_plan(q, db, tier="parallel")
         assert parallel_plan.execute() == interpreted
         # and again: shipped jobs, shm images and worker-side caches must
         # not leak state between executions of a prepared plan
@@ -60,15 +66,15 @@ def test_oversized_annotations_degrade_through_every_fallback(data):
     """Annotations outside the machine dtype disqualify encoding at scan
     time: the parallel run falls back to serial encoded, which falls back
     to the object path — transparently."""
-    _semiring, _pool, query = data.draw(workload())
-    db = concrete_database(data.draw, NAT, [1, 2, (1 << 40)])
+    db, _tokens = data.draw(database(NAT, [1, 2, 1 << 40]), label="db")
+    q = data.draw(query(NAT), label="query")
     set_default_workers(2)
     try:
-        plan = compile_plan(query, db, tier="parallel")
-        assert plan.execute() == query.evaluate(db)
+        plan = compile_plan(q, db, tier="parallel")
+        assert plan.execute() == q.evaluate(db)
         oversized_scanned = any(
             ann >= (1 << 32)
-            for name in set(_scanned_tables(query))
+            for name in set(_scanned_tables(q))
             for _tup, ann in db.relation(name).items()
         )
         if oversized_scanned:

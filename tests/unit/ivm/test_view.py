@@ -219,6 +219,18 @@ class TestGuards:
         view.apply({"Emp": emp_delta(NAT, [(8, "d3", 4)])})
         assert view.result() == GROUPED.evaluate(db)
 
+    def test_a_replace_that_cannot_rematerialise_keeps_the_old_state(self):
+        db = emp_db(NAT)
+        view = MaterializedView.create(db, GROUPED)
+        before, version = view.result(), view.version
+        assert len(before) == 2
+        with pytest.raises(QueryError):  # Sal dropped: the core no longer compiles
+            view.replace("Emp", KRelation.from_rows(NAT, ("EmpId", "Dept"), [((1, "d1"), 1)]))
+        assert view.result() == before and view.version == version
+        with pytest.raises(QueryError):
+            view.refresh()
+        assert view.result() == before and view.version == version
+
     def test_stale_is_cheap_to_query(self):
         db = emp_db()
         view = MaterializedView.create(db, GROUPED)

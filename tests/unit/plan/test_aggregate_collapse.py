@@ -1,6 +1,6 @@
 """Aggregation collapses in the kernel (Prop. 3.9 on the encoded tier).
 
-The property suite (``tests/property/test_encoded_tier.py``) holds the
+The property suite (``tests/property/test_collapse_kernel.py``) holds the
 kernel's value to the definition's over random workloads; this file pins
 each exactness guard at its edge, the cross-morsel merge on hand-built
 payloads, the "work is done once" accounting, and the observability of
