@@ -13,10 +13,11 @@ check: test
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
 
-# the fault-injection suite on its own: every seeded fault (worker kills,
-# kernel errors, latency, shm damage, torn snapshot writes, kill -9 of a
-# durable server) must recover to the interpreter's exact answer with
-# zero leaked shm segments and zero lost acknowledged writes
+# the fault-injection suite on its own: every seeded fault (a stalled or
+# failing parallel morsel, a deadline racing a stall, torn snapshot
+# writes, WAL damage, kill -9 of a durable server) must end in the
+# interpreter's exact answer or a clean refusal, with zero lost
+# acknowledged writes
 chaos:
 	$(PYPATH) $(PY) -m pytest tests/chaos -x -q
 

@@ -201,53 +201,27 @@ def main() -> None:
     conn.close()
     handle.close()
 
-    # -- 10. the parallel tier: morsels across worker processes -----------
+    # -- 10. the parallel tier: morsels on threads -------------------------
     # Only on request (tier="parallel"): the plan shards the biggest scan
-    # by hash of its join/group keys and fans morsels out over a spawned
-    # worker pool — flat code + annotation arrays through shared memory,
-    # per-morsel group states merged with semiring +, results identical
-    # by construction (sharding is exact because every operator is
-    # multilinear in its inputs' annotations).  The compiler never picks
-    # it on its own: on two cores the serial encoded tier was faster at
-    # every size measured (0.2-1.6M rows).  explain()'s "parallel:" line
-    # names the sharding decision and the "tier:" line what actually ran.
-    from repro.plan import set_default_workers
+    # by hash of its join/group keys into morsels, runs the encoded
+    # operators over each morsel's slice of the code and annotation
+    # arrays on a pool of threads (one per core), and merges the
+    # per-morsel group states with semiring + — results identical by
+    # construction (sharding is exact because every operator is
+    # multilinear in its inputs' annotations).  A morsel that fails
+    # re-runs the whole query on the serial encoded tier.  The compiler
+    # never picks it on its own: on two cores the serial encoded tier was
+    # faster at every size measured (0.2-1.6M rows).  explain()'s
+    # "parallel:" line names the sharding decision and the "tier:" line
+    # what actually ran.
+    parallel_plan = compile_plan(heavy, bags, tier="parallel")
+    assert parallel_plan.execute() == encoded_plan.execute()
+    print("\nthe sharded plan, after running:")
+    for line in parallel_plan.explain().splitlines():
+        if line.startswith(("tier:", "parallel:")):
+            print(f"  {line}")
 
-    set_default_workers(2)
-    try:
-        parallel_plan = compile_plan(heavy, bags, tier="parallel")
-        assert parallel_plan.execute() == encoded_plan.execute()
-        print("\nthe sharded plan, after running:")
-        for line in parallel_plan.explain().splitlines():
-            if line.startswith(("tier:", "parallel:")):
-                print(f"  {line}")
-
-        # -- 11. fault tolerance: a worker crash costs latency, not -------
-        #       answers
-        # `repro.faults` arms deterministic fault points; kill_worker is a
-        # real os._exit in a pool worker (exactly like SIGKILL/OOM).  The
-        # parent salvages the lost morsels in-process — exact because
-        # morsel results are partial semiring sums, so recomputing a lost
-        # subset and merging with + is indistinguishable from having
-        # computed it the first time — and respawns the pool off the
-        # critical path.  The resilience ledger records what recovery did.
-        from repro import faults
-        from repro.obs import metrics
-
-        faults.reset_counters()
-        with faults.inject("kill_worker", seed=7):
-            recovered = parallel_plan.execute()
-        assert recovered == encoded_plan.execute()  # exact, despite the kill
-        ledger = metrics.resilience_counters()
-        print("\none injected worker kill, same answer:")
-        print(f"  kills={ledger['faults_injected']} "
-              f"morsel_retries={ledger['morsel_retries']} "
-              f"pool_rebuilds={ledger['pool_rebuilds']}")
-        faults.reset_counters()
-    finally:
-        set_default_workers(None)
-
-    # -- 12. observability: EXPLAIN ANALYZE, spans, and /metrics ----------
+    # -- 11. observability: EXPLAIN ANALYZE, spans, and /metrics ----------
     # explain_analyze() runs the query inside a trace collector and
     # renders the measured span tree (per-operator wall/CPU time, row
     # counts, annotation-array bytes) next to the plan text.  Tracing is
@@ -267,7 +241,7 @@ def main() -> None:
     print("  curl -s http://HOST:PORT/query "
           "-d '{\"sql\": \"SELECT K FROM A\", \"analyze\": true}'")
 
-    # -- 13. durability: acknowledged writes survive a restart ------------
+    # -- 12. durability: acknowledged writes survive a restart ------------
     # Wrap the database in a DurabilityManager (the CLI's --data-dir does
     # exactly this) and every update is appended to a checksummed
     # write-ahead log *before* it is applied — the acknowledgement point.

@@ -130,7 +130,11 @@ class KRelation:
     new keys in insertion order, the tombstoned keys dropped (a key
     cancelled and inserted again counts as new).  After a pure insert
     the flat map is therefore the old one followed by the delta's rows,
-    the order :func:`repro.plan.encoded.carry_forward` relies on.
+    the order :func:`repro.plan.encoded.carry_forward` relies on.  A row
+    in both operands of a union keeps the left operand's tuple (equal
+    values may differ in type, ``3`` and ``3.0``); where that is not the
+    base's tuple, the overlay's ``rekeyed`` map holds it, and flattening
+    puts it in the row's place.
 
     Two threads reading a fresh layered version at once may both
     flatten: they build equal dicts, and each publishes its own with one
@@ -169,8 +173,8 @@ class KRelation:
         self._size = len(rows)
 
     def _layers(self):
-        """``(base, live, tombs)`` of a layered version, or ``None`` once
-        it is flat (then read ``_flat``)."""
+        """``(base, live, tombs, rekeyed)`` of a layered version, or
+        ``None`` once it is flat (then read ``_flat``)."""
         if self._flat is None:
             base, overlay = self._base, self._overlay
             if base is not None and overlay is not None:
@@ -181,11 +185,14 @@ class KRelation:
         layers = self._layers()
         if layers is None:  # another reader published first
             return self._flat
-        base, live, tombs = layers
+        base, live, tombs, rekeyed = layers
         rows = dict(base)  # copies with the stored hashes
         for tup in tombs:
             del rows[tup]
         rows.update(live)
+        if rekeyed:  # same order, the left operands' tuples
+            get = rekeyed.get
+            rows = {get(tup, tup): annotation for tup, annotation in rows.items()}
         self._rows = rows
         counter.inc()
         return rows
@@ -201,15 +208,23 @@ class KRelation:
         a result whose overlay outgrows :data:`_OVERLAY_SHARE` of its base
         flattens at once, so a large merge costs one copy of the larger
         operand's rows, as a flat merge would.
+
+        A tuple in both operands keeps ``self``'s values, which may differ
+        in type from ``other``'s (``3`` and ``3.0``): when ``self`` is the
+        smaller operand, ``rekeyed`` records its tuple for each overlap,
+        and flattening then maps every row through it, one pass over the
+        flat map.
         """
         semiring, schema = self.semiring, self.schema
         plus, is_zero = semiring.plus, semiring.is_zero
         big, small = (other, self) if len(other) > len(self) else (self, other)
+        rekey = small is self
         layers = big._layers()
         if layers is None:
-            base, live, tombs = big._flat, {}, set()
+            base, live, tombs, rekeyed = big._flat, {}, set(), {}
         else:
-            base, live, tombs = layers[0], dict(layers[1]), set(layers[2])
+            base, live, tombs, rekeyed = (layers[0], dict(layers[1]),
+                                          set(layers[2]), dict(layers[3]))
         size = big._size
         for tup, annotation in small.rows():
             stored = live.get(tup, _MISSING)
@@ -222,14 +237,18 @@ class KRelation:
             combined = plus(stored, annotation)
             if is_zero(combined):
                 live.pop(tup, None)
+                rekeyed.pop(tup, None)
                 if tup in base:
                     tombs.add(tup)
                 size -= 1
             else:
                 live[tup] = combined
+                if rekey:
+                    rekeyed[tup] = tup
         rel = KRelation.__new__(KRelation)
         rel.semiring, rel.schema = semiring, schema
-        rel._flat, rel._base, rel._overlay, rel._size = None, base, (live, tombs), size
+        rel._flat, rel._base, rel._size = None, base, size
+        rel._overlay = (live, tombs, rekeyed)
         if len(live) + len(tombs) > len(base) * _OVERLAY_SHARE:
             rel._flatten(_FLATTEN_ON_OVERLAY)
         return rel
@@ -312,7 +331,7 @@ class KRelation:
         layers = None if self._flat is not None else self._layers()
         if layers is None:
             return self._flat.get(tup, self.semiring.zero)
-        base, live, tombs = layers
+        base, live, tombs, _rekeyed = layers
         if tup in live:
             return live[tup]
         if tup in tombs:
@@ -353,7 +372,7 @@ class KRelation:
         layers = None if self._flat is not None else self._layers()
         if layers is None:
             return tup in self._flat
-        base, live, tombs = layers
+        base, live, tombs, _rekeyed = layers
         return tup in live or (tup not in tombs and tup in base)
 
     def __iter__(self) -> Iterator[Tup]:

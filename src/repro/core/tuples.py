@@ -139,14 +139,19 @@ class Tup(Mapping[str, Any]):
         return Tup({a: v for a, v in zip(self._attrs, self._values) if a in keep})
 
     def merge(self, other: "Tup") -> "Tup":
-        """Combine two join-compatible tuples (shared attributes must agree)."""
+        """Combine two join-compatible tuples (shared attributes must agree).
+
+        A shared attribute keeps ``self``'s value, as SQL's NATURAL JOIN
+        coalesces: equal values may differ in type (``3`` and ``3.0``).
+        """
         merged: Dict[str, Any] = dict(zip(self._attrs, self._values))
         for attr, value in zip(other._attrs, other._values):
-            if attr in merged and merged[attr] != value:
+            if attr not in merged:
+                merged[attr] = value
+            elif merged[attr] != value:
                 raise SchemaError(
                     f"tuples disagree on {attr!r}: {merged[attr]!r} vs {value!r}"
                 )
-            merged[attr] = value
         return Tup(merged)
 
     def replace(self, **updates: Any) -> "Tup":

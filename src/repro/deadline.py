@@ -4,8 +4,8 @@ A :class:`Deadline` is created at the request boundary (an HTTP
 ``timeout_ms``, a ``compile_plan(deadline=...)`` caller) and checked
 *cooperatively* at cheap, frequent points: once per physical operator on
 entry and exit (:meth:`repro.plan.physical.PhysicalOp.execute`), once
-per morsel inside parallel-tier workers, and before expensive parent
-waits.  Expiry raises :class:`~repro.exceptions.DeadlineExceeded` — the
+at the start of each parallel-tier morsel, and while waiting on the
+morsels.  Expiry raises :class:`~repro.exceptions.DeadlineExceeded` — the
 serving layer maps it to HTTP 408 with ``Retry-After`` and the worker
 slot is reclaimed as soon as the executing thread hits its next
 checkpoint, instead of a runaway symbolic query holding a heavy slot

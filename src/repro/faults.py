@@ -1,44 +1,38 @@
 """Deterministic fault injection and resilience counters.
 
-The engine is a concurrent system — worker processes exchanging
-shared-memory segments, a threaded serving layer, persisted snapshots —
-and every recovery path in it (morsel retry, pool rebuild, shm
-republish, snapshot rebuild, circuit breaking, deadline expiry) is
-exercised by *injected* faults, never by hoping production crashes
-reproduce.  This module is the single switchboard:
+The engine is a concurrent system — morsel threads, a threaded serving
+layer, a write-ahead log, persisted snapshots — and every recovery path
+in it (snapshot rebuild, WAL tail repair, deadline expiry) is exercised
+by *injected* faults, never by hoping production crashes reproduce.
+This module is the single switchboard:
 
 * **Injection points** are named call sites in production code.  Each
   point stays a near-free no-op until a :class:`FaultSpec` arms it —
   via the :func:`inject` context manager (tests, the chaos suite) or the
-  ``REPRO_FAULTS`` environment variable (long-running processes,
-  spawned workers)::
+  ``REPRO_FAULTS`` environment variable (long-running processes)::
 
-      with faults.inject("kill_worker", seed=7):
-          plan.execute()          # one worker dies mid-morsel, query recovers
+      with faults.inject("latency", ms=200):
+          plan.execute()          # one scan or morsel stalls 200 ms
 
-      REPRO_FAULTS="latency:ms=50:times=3,kernel_error:seed=1"
+      REPRO_FAULTS="latency:ms=50:times=3,fsync_error:seed=1"
 
-* **Determinism**: a spec fires a bounded number of ``times``; *which*
-  firing hits which site is a pure function of ``seed`` (morsel targets,
-  corrupted byte offsets, latency durations all derive from
-  ``random.Random`` seeded per firing), so a failing chaos example
-  replays exactly.
+* **Determinism**: a spec fires a bounded number of ``times``; anything
+  random a firing needs (truncation points, flipped byte offsets,
+  latency durations) derives from ``random.Random`` seeded per firing,
+  so a failing chaos example replays exactly.
 
-* **Counters**: every injected fault, morsel retry, pool rebuild,
-  breaker trip, deadline expiry and snapshot rebuild increments the
-  ``repro_resilience_events_total`` family in the process-wide metrics
-  registry (:mod:`repro.obs.metrics`); the serving layer exports it
-  cumulatively under ``/stats`` and ``/metrics``; read it in-process
-  with :func:`repro.obs.metrics.resilience_counters`.
+* **Counters**: every injected fault, deadline expiry, snapshot rebuild
+  and torn WAL tail increments the ``repro_resilience_events_total``
+  family in the process-wide metrics registry (:mod:`repro.obs.metrics`);
+  the serving layer exports it cumulatively under ``/stats`` and
+  ``/metrics``; read it in-process with
+  :func:`repro.obs.metrics.resilience_counters`.
 
 The injection points this build wires up:
 
 ====================  =====================================================
-``kill_worker``       a parallel-tier worker ``os._exit``\\ s mid-morsel
-``kernel_error``      an exception raised inside a worker's kernel execution
-``latency``           a seeded sleep inside scans / worker morsels
-``drop_shm``          a published shared-memory segment unlinked early
-``corrupt_shm``       one byte of a published segment flipped
+``latency``           a seeded sleep at the start of a scan or a parallel
+                      morsel
 ``truncate_snapshot`` a snapshot file truncated before the atomic rename
 ``wal_torn_tail``     a WAL append crashes mid-record (prefix on disk,
                       write not acknowledged) — recovery must truncate
@@ -48,11 +42,6 @@ The injection points this build wires up:
 ``fsync_error``       a WAL fsync raises (dying disk / full volume) —
                       the writer reports unwritable, the server 503s
 ====================  =====================================================
-
-Worker-side faults (``kill_worker``, ``kernel_error``, ``latency``) are
-*armed by the parent* per dispatched morsel and shipped inside the task
-tuple — budgets live in one process, so a retry of the killed morsel
-finds the budget spent and succeeds deterministically.
 """
 
 from __future__ import annotations
@@ -68,7 +57,6 @@ from repro.obs import metrics as _metrics
 
 __all__ = [
     "FaultSpec",
-    "InjectedFault",
     "active",
     "bump",
     "inject",
@@ -81,11 +69,7 @@ __all__ = [
 #: Every fault point known to this build (guards against typos in tests).
 POINTS = frozenset(
     {
-        "kill_worker",
-        "kernel_error",
         "latency",
-        "drop_shm",
-        "corrupt_shm",
         "truncate_snapshot",
         "wal_torn_tail",
         "wal_corrupt_record",
@@ -97,20 +81,11 @@ POINTS = frozenset(
 MAX_LATENCY_S = 5.0
 
 
-class InjectedFault(Exception):
-    """An error deliberately raised by an armed injection point.
-
-    Recovery machinery treats it as transient (retryable), exactly like
-    the real crash class it stands in for.
-    """
-
-
 class FaultSpec:
     """One armed fault: a point name, a firing budget, and a seed.
 
-    ``params`` carries point-specific knobs (``ms`` for latency,
-    ``morsel`` to pin a worker-side target).  Thread-safe: the budget is
-    consumed under the module lock.
+    ``params`` carries point-specific knobs (``ms`` for latency).
+    Thread-safe: the budget is consumed under the module lock.
     """
 
     __slots__ = ("point", "seed", "times", "params", "fired")
@@ -155,10 +130,10 @@ def inject(point: str, *, seed: int = 0, times: int = 1, **params: Any) -> Itera
 
 def install_from_env(env: Optional[str] = None) -> List[FaultSpec]:
     """Arm faults from a ``REPRO_FAULTS`` spec string, for processes that
-    cannot wrap their work in :func:`inject` (servers, spawned workers).
+    cannot wrap their work in :func:`inject` (servers).
 
     Format: comma-separated ``point[:key=value]...`` entries, e.g.
-    ``"kill_worker:seed=7,latency:ms=50:times=3"``.  Returns the armed
+    ``"fsync_error:seed=7,latency:ms=50:times=3"``.  Returns the armed
     specs (they stay armed until process exit or explicit removal).
     """
     text = os.environ.get("REPRO_FAULTS", "") if env is None else env
@@ -200,27 +175,14 @@ def should_fire(point: str, **context: Any) -> Optional[Dict[str, Any]]:
     The recipe carries the spec's ``params``, the firing ordinal, and a
     deterministic ``rng`` seeded by ``(seed, point, ordinal)`` for any
     random choice the site needs (byte offsets, durations).  ``context``
-    lets a site veto a firing against a pinned parameter — e.g. a
-    ``morsel`` param only fires for the matching ``morsel=`` context.
-    When the site offers morsel context (``morsel=`` + ``n_morsels=``)
-    and the spec pins nothing, the target morsel derives from the seed:
-    ``(seed + ordinal) % n_morsels`` — so chaos runs with different seeds
-    kill different workers, deterministically.
+    names the site (``site=``, ``table=``, ``path=``) for readers of the
+    call; it does not select a firing.
     """
     if not _ACTIVE:
         return None
     with _LOCK:
         for spec in _ACTIVE:
             if spec.point != point or spec.fired >= spec.times:
-                continue
-            pinned = spec.params.get("morsel")
-            if (
-                pinned is None
-                and context.get("morsel") is not None
-                and context.get("n_morsels")
-            ):
-                pinned = (spec.seed + spec.fired) % int(context["n_morsels"])
-            if pinned is not None and context.get("morsel") != pinned:
                 continue
             ordinal = spec.fired
             spec.fired += 1
@@ -280,8 +242,7 @@ def reset_counters() -> None:
     _metrics.reset_resilience()
 
 
-# Arm env-declared faults at import: spawned worker processes re-import
-# this module from scratch, so a REPRO_FAULTS setting reaches them even
-# though the parent's in-memory specs do not.
+# Arm env-declared faults at import, so a process started with
+# REPRO_FAULTS set runs armed from its first query.
 if os.environ.get("REPRO_FAULTS"):  # pragma: no cover - env-driven path
     install_from_env()

@@ -439,8 +439,8 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
     ("path", "reason"),
 )
 
-#: Which kernel each encoded join probe and grouped reduction ran in this
-#: process (pool workers' show on their morsel spans): codes addressed
+#: Which kernel each encoded join probe and grouped reduction ran (the
+#: parallel tier's morsels included): codes addressed
 #: directly, the sort a sparse key space falls back to, or the term
 #: store's fold; under ``op="gates"`` / ``op="terms"``, why a gate-id or
 #: term-id kernel left the encoded tier; and under ``op="hom"``, whether a
@@ -464,11 +464,6 @@ ENCODED_KERNEL = REGISTRY.counter(
 #: ``tests/unit/obs/test_metrics.py``.
 RESILIENCE_EVENT_NAMES = (
     "faults_injected",
-    "morsel_retries",
-    "pool_rebuilds",
-    "parallel_exhausted",
-    "shm_integrity_failures",
-    "breaker_trips",
     "deadline_expiries",
     "snapshot_rebuilds",
     "wal_torn_tails",
@@ -476,7 +471,8 @@ RESILIENCE_EVENT_NAMES = (
 
 RESILIENCE_EVENTS = REGISTRY.counter(
     "repro_resilience_events_total",
-    "Recovery-machinery events: injected faults, retries, rebuilds, trips.",
+    "Recovery-machinery events: injected faults, deadline expiries, "
+    "snapshot rebuilds, torn WAL tails.",
     ("event",),
 )
 
@@ -609,8 +605,8 @@ def tier_executions() -> Dict[str, int]:
 
 
 def resilience_counters() -> Dict[str, int]:
-    """Cumulative resilience-event counts (faults injected, morsel
-    retries, pool rebuilds, breaker trips, deadline expiries, ...)."""
+    """Cumulative resilience-event counts (faults injected, deadline
+    expiries, snapshot rebuilds, torn WAL tails)."""
     values = RESILIENCE_EVENTS.values()
     return {
         name: int(values.get((name,), 0))

@@ -18,10 +18,9 @@ each see their own trace, never each other's):
         plan.execute()            # operator spans attach under ``root``
     print(render(root))
 
-Worker processes have no access to the parent's context; the parallel
-tier ships each morsel's span tree back inside the result payload as
-plain dicts (:meth:`Span.to_dict` / :meth:`Span.from_dict`) and the
-parent grafts them under its own span, keyed by morsel id.
+The parallel tier runs each morsel in a copy of the caller's context
+(:func:`contextvars.copy_context`), so morsel spans nest under the
+caller's ``plan.execute`` span like any other child.
 
 :func:`enable` flips a process-wide default that long-running embedders
 (the serving layer) consult to trace every request without per-request
@@ -91,10 +90,8 @@ class Span:
         self.wall_s = time.perf_counter() - self._t0
         self.cpu_s = time.process_time() - self._c0
 
-    # -- cross-process shipping ---------------------------------------------
-
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict image (picklable / JSON-able for worker payloads)."""
+        """A plain-dict image (JSON-able: ``/query``'s ``analyze`` spans)."""
         return {
             "name": self.name,
             "attrs": dict(self.attrs),
@@ -102,15 +99,6 @@ class Span:
             "cpu_s": self.cpu_s,
             "children": [c.to_dict() for c in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any],
-                  trace_id: Optional[str] = None) -> "Span":
-        span = cls(data["name"], trace_id=trace_id, attrs=dict(data["attrs"]))
-        span.wall_s = data["wall_s"]
-        span.cpu_s = data["cpu_s"]
-        span.children = [cls.from_dict(c, trace_id) for c in data["children"]]
-        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -231,20 +219,6 @@ def add_attrs(**attrs: Any) -> None:
     span = _CURRENT.get()
     if span is not None:
         span.attrs.update(attrs)
-
-
-def graft(data: Dict[str, Any], **extra_attrs: Any) -> None:
-    """Attach a shipped span tree (:meth:`Span.to_dict` image) under the
-    current span — the parent-side half of the worker span channel."""
-    if not _ACTIVE:
-        return
-    parent = _CURRENT.get()
-    if parent is None:
-        return
-    child = Span.from_dict(data, trace_id=parent.trace_id)
-    if extra_attrs:
-        child.attrs.update(extra_attrs)
-    parent.children.append(child)
 
 
 def enable() -> None:

@@ -25,14 +25,7 @@ from repro.plan.compiler import PhysicalPlan, compile_plan
 from repro.plan.encoded import EncodedBatch, encoded_scan
 from repro.plan.explain import explain
 from repro.plan.kernels import active_backend
-from repro.plan.parallel import (
-    ParallelCrash,
-    ParallelFallback,
-    breaker_state,
-    effective_workers,
-    reset_breaker,
-    set_default_workers,
-)
+from repro.plan.parallel import ParallelFallback, effective_workers
 
 __all__ = [
     "CircuitResult",
@@ -44,10 +37,6 @@ __all__ = [
     "compile_plan",
     "explain",
     "active_backend",
-    "ParallelCrash",
     "ParallelFallback",
-    "breaker_state",
     "effective_workers",
-    "reset_breaker",
-    "set_default_workers",
 ]

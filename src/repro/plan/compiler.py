@@ -121,10 +121,9 @@ class PhysicalPlan:
         self._last_tier: "str | None" = None
         #: tables the last encoded run scanned boxed (their contents)
         self._boxed: Tuple[str, ...] = ()
-        # parallel-tier state (filled in by compile_plan): the rewritten
-        # query workers recompile, the sharding recipe (or the honest
-        # reason there is none), and the cached job payload
-        self._working: Query = query
+        # parallel-tier state (filled in by compile_plan): the sharding
+        # recipe (or the honest reason there is none) and the cached
+        # morsel job
         self._parallel_spec = None
         self._parallel_reason: "str | None" = None
         self._parallel_job = None
@@ -216,10 +215,10 @@ class PhysicalPlan:
                     self, run_db, deadline=deadline
                 )
             except _parallel.ParallelFallback as exc:
-                # crash degradation, breaker pinning, or static
-                # disqualification: re-run serial encoded (exact by
-                # construction).  DeadlineExceeded propagates — an
-                # expired budget must not silently restart the work.
+                # a failed morsel or a static disqualification: re-run
+                # serial encoded (exact by construction).  DeadlineExceeded
+                # propagates — an expired budget must not silently restart
+                # the work.
                 suffix = f" (parallel fallback: {exc})"
                 effective = "encoded"
                 _trace.add_attrs(fallback=str(exc))
@@ -269,7 +268,7 @@ class PhysicalPlan:
             lines.append("annotations: expanded (canonical semiring values)")
         if self.tier == "parallel":
             tier = (
-                "tier: parallel (morsel-driven workers over dictionary "
+                "tier: parallel (morsel-driven threads over dictionary "
                 "codes + numpy kernels; whole-query fallback to serial "
                 "encoded)"
             )
@@ -290,13 +289,8 @@ class PhysicalPlan:
             from repro.plan import parallel as _parallel
 
             spec = self._parallel_spec
-            blocking = _parallel.breaker_blocking()
-            if spec is not None and blocking is not None:
-                lines.append(
-                    f"parallel: degraded — {blocking}; runs serial encoded"
-                )
-            elif spec is not None:
-                workers = max(1, _parallel.effective_workers())
+            if spec is not None:
+                workers = _parallel.effective_workers()
                 morsels = max(2, workers * _parallel.MORSELS_PER_WORKER)
                 driver = spec.scans[spec.driver_pos]
                 partition = (
@@ -474,8 +468,8 @@ def compile_plan(
     if tier == "parallel" and not machine.portable:
         raise QueryError(
             f"the parallel tier is unavailable: {semiring.name} annotations "
-            f"are {machine.entry_kind}, which workers do not share (omit tier "
-            "to auto-select)"
+            f"are {machine.entry_kind}, which the parallel tier does not "
+            "shard (omit tier to auto-select)"
         )
     qualifies = unencodable is None and not isinstance(root, Fallback)
     parallel_spec = None
@@ -493,7 +487,6 @@ def compile_plan(
     if tier is None:
         tier = "encoded" if qualifies else "object"
     plan = PhysicalPlan(root, db, query, tier, annotations)
-    plan._working = working
     plan._parallel_spec = parallel_spec
     plan._parallel_reason = parallel_reason
     if deadline is not None:

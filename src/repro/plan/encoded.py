@@ -563,7 +563,6 @@ def share_encodings(source, target) -> None:
     again.  Entries are immutable and revalidated by relation identity,
     so sharing them is safe; from here each database carries its own
     entries forward (:func:`carry_forward`) at its own versions.
-    Published parallel-tier images stay with ``source``.
     """
     cache = getattr(source, "_encoded_cache", None)
     if cache is None:

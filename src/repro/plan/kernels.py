@@ -9,12 +9,12 @@ hot operators as ufunc kernels.  Codes are dense, so a combined key is an
 address: while the key space is within :func:`direct` of the row count,
 grouped reductions scatter (``ufunc.at``) and join probes index a slot
 table; a sparser space sorts (``argsort`` + ``reduceat``,
-``searchsorted``).  The parallel tier (:mod:`repro.plan.parallel`) ships
-those arrays to workers through shared memory.  There is no second array
-representation and no selector: this module is the one place NumPy is
-imported, the other plan modules take :data:`np` from here, and
-:func:`~repro.plan.compiler.compile_plan` reads :data:`HAVE_NUMPY` to
-decide whether a database is encodable at all.
+``searchsorted``).  The parallel tier (:mod:`repro.plan.parallel`) runs
+the same kernels over slices of those arrays on threads.  There is no
+second array representation and no selector: this module is the one
+place NumPy is imported, the other plan modules take :data:`np` from
+here, and :func:`~repro.plan.compiler.compile_plan` reads
+:data:`HAVE_NUMPY` to decide whether a database is encodable at all.
 """
 
 from __future__ import annotations

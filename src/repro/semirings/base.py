@@ -101,9 +101,9 @@ class MachineRepr:
 
     __slots__ = ("dtype", "np_plus", "np_times")
 
-    #: Do array entries mean the same in every process?  The parallel
-    #: tier ships them to workers, so it refuses a repr that is not, and
-    #: names what its entries are.
+    #: Are array entries self-contained values, not ids into a
+    #: per-process store?  The parallel tier shards only such reprs, and
+    #: names what the entries of any other repr are.
     portable = True
     entry_kind = "machine scalars"
     #: the ``op`` label of the repr's fallbacks on the encoded-kernel counter

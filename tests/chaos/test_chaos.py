@@ -2,18 +2,22 @@
 
 The resilience contract is absolute — recovery may cost wall-clock,
 never an annotation.  Each test arms one fault class from
-:mod:`repro.faults` across several seeds, forces the parallel tier, and
-compares the recovered answer bit-for-bit against the interpreter (the
-paper-faithful oracle that shares no code with the tiers under test).
-Workers map checksummed shared-memory segments, so the shm faults
-(dropped and byte-flipped segments) run against the real transport.
+:mod:`repro.faults` across several seeds and compares the answer
+bit-for-bit against the interpreter (the paper-faithful oracle that
+shares no code with the tiers under test): a stalled morsel on the
+parallel tier, a morsel that raises (the whole query re-runs on the
+serial encoded tier), a deadline racing a stall, and a torn snapshot.
+The WAL's faults are in ``test_durability_chaos.py``.
 
-The suite ends by auditing ``/dev/shm``: after :func:`parallel.cleanup`
-not one segment this process created may survive, *including* those
-whose jobs died mid-flight.
+The suite ends by auditing the morsel pool: after :func:`parallel.cleanup`
+not one morsel thread may survive the stalls and failures above.
 
 Run directly via ``make chaos``; the tier-1 suite collects it too.
 """
+
+import contextlib
+import threading
+from unittest import mock
 
 import pytest
 
@@ -34,7 +38,7 @@ from repro.core import (
 )
 from repro.exceptions import DeadlineExceeded, SnapshotCorrupt
 from repro.monoids import MAX, SUM
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan
 from repro.plan import parallel
 from repro.semirings import INT, NAT
 
@@ -45,12 +49,8 @@ ROWS = 240  # enough for 4+ non-trivial morsels at 2 workers
 
 @pytest.fixture(autouse=True)
 def _resilience_slate():
-    parallel.reset_breaker()
     faults.reset_counters()
-    set_default_workers(2)
     yield
-    set_default_workers(None)
-    parallel.reset_breaker()
     faults.reset_counters()
 
 
@@ -80,23 +80,49 @@ SPJU_QUERY = Union(
     Project(Table("R"), ("g", "k")),
 )
 
-WORKER_FAULTS = ["kill_worker", "kernel_error", "latency"]
-SHM_FAULTS = ["drop_shm", "corrupt_shm"]
+#: the faults a morsel thread can meet: its kernel raising once its work
+#: is done, and a stall at its start
+WORKER_FAULTS = ["kernel_error", "latency"]
+
+
+@contextlib.contextmanager
+def armed(point, seed, times=1, **params):
+    """Arm ``point``: a :mod:`repro.faults` point, or ``"kernel_error"`` —
+    morsel ``seed % 2`` (every run has at least two) computes its partial
+    result on its pool thread and then raises, so the serial re-run must
+    drop the partials that did finish."""
+    if point != "kernel_error":
+        with faults.inject(point, seed=seed, times=times, **params):
+            yield
+        return
+    exec_morsel = parallel._exec_morsel
+    target = seed % 2
+
+    def failing(state, morsel_index, start, stop, deadline=None):
+        payload = exec_morsel(state, morsel_index, start, stop, deadline)
+        if morsel_index == target:
+            raise RuntimeError(f"kernel of morsel {target} failed")
+        return payload
+
+    with mock.patch.object(parallel, "_exec_morsel", failing):
+        yield
 
 
 def assert_exact(query, db, point, seed, times=1, **params):
     oracle = query.evaluate(db, engine="interpreted")
     plan = compile_plan(query, db, tier="parallel")
-    with faults.inject(point, seed=seed, times=times, **params):
+    with armed(point, seed, times=times, **params):
         assert plan.execute() == oracle, (
             f"fault {point!r} seed={seed} changed the answer"
         )
+        if point == "kernel_error":
+            assert "parallel fallback" in plan._last_tier
     # and the healed plan keeps answering exactly with nothing armed
     assert plan.execute() == oracle
 
 
 # ---------------------------------------------------------------------------
-# worker-side chaos
+# morsel chaos
 # ---------------------------------------------------------------------------
 
 
@@ -109,54 +135,38 @@ def test_grouped_aggregate_survives_worker_faults(point, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", WORKER_FAULTS)
 def test_spju_with_union_once_survives_worker_faults(point, seed):
-    """The union-once seeding (non-driver branch contributes exactly one
-    morsel) must survive that morsel's worker dying and being retried."""
+    """The union-once seeding (the non-driver branch contributes to one
+    morsel only) must hold whichever morsel stalls or fails."""
     assert_exact(SPJU_QUERY, chaos_db(), point, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_signed_cancellation_survives_a_kill(seed):
-    """Over Z, cross-morsel merges cancel annotations to zero; a retried
-    morsel must not double-count its contribution."""
-    assert_exact(GROUP_QUERY, chaos_db(INT), "kill_worker", seed)
-
-
-def test_double_fault_kill_then_kernel_error():
-    db = chaos_db()
+@pytest.mark.parametrize("semiring", [NAT, INT], ids=lambda s: s.name)
+def test_a_failing_morsel_degrades_serially_and_exactly(semiring, seed, monkeypatch):
+    """Over Z the annotations mix signs, so cross-morsel merges cancel: the
+    serial re-run after a failed morsel must count no morsel twice."""
+    db = chaos_db(semiring)
     oracle = GROUP_QUERY.evaluate(db, engine="interpreted")
     plan = compile_plan(GROUP_QUERY, db, tier="parallel")
-    with faults.inject("kill_worker", seed=3):
-        with faults.inject("kernel_error", seed=5):
-            assert plan.execute() == oracle
-    assert obs_metrics.resilience_counters()["faults_injected"] == 2
+    exec_morsel = parallel._exec_morsel
+    target = seed % 2  # every run has at least two morsels
 
+    def failing(state, morsel_index, start, stop, deadline=None):
+        if morsel_index == target:
+            raise RuntimeError(f"morsel {target} failed")
+        return exec_morsel(state, morsel_index, start, stop, deadline)
 
-# ---------------------------------------------------------------------------
-# shared-memory chaos
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("point", SHM_FAULTS)
-def test_damaged_segments_never_damage_answers(point, seed):
-    parallel.cleanup()
-    assert_exact(GROUP_QUERY, chaos_db(), point, seed)
-    assert obs_metrics.resilience_counters()["shm_integrity_failures"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# exhaustion + deadline chaos
-# ---------------------------------------------------------------------------
-
-
-def test_exhaustion_degrades_serially_and_exactly():
-    db = chaos_db()
-    oracle = GROUP_QUERY.evaluate(db, engine="interpreted")
-    plan = compile_plan(GROUP_QUERY, db, tier="parallel")
-    with faults.inject("kernel_error", morsel=0, times=50):
-        assert plan.execute() == oracle
+    monkeypatch.setattr(parallel, "_exec_morsel", failing)
+    assert plan.execute() == oracle
     assert "parallel fallback" in plan._last_tier
-    assert obs_metrics.resilience_counters()["parallel_exhausted"] == 1
+    monkeypatch.setattr(parallel, "_exec_morsel", exec_morsel)
+    assert plan.execute() == oracle
+    assert plan._last_tier.startswith("parallel (")
+
+
+# ---------------------------------------------------------------------------
+# deadline chaos
+# ---------------------------------------------------------------------------
 
 
 def test_tight_deadline_under_latency_cancels_or_answers_exactly():
@@ -197,12 +207,18 @@ def test_torn_snapshots_rebuild_to_the_exact_view(tmp_path, seed):
 
 
 # ---------------------------------------------------------------------------
-# the leak audit — runs last, over everything the suite did above
+# the thread audit — runs last, over everything the suite did above
 # ---------------------------------------------------------------------------
 
 
-def test_zzz_no_shm_segments_leak_after_cleanup():
-    """After every crash, corruption and republish above: cleanup leaves
-    zero segments of ours in /dev/shm.  (Named to sort last in the file.)"""
+def _morsel_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-morsel")]
+
+
+def test_zzz_no_morsel_threads_outlive_cleanup():
+    """After every stall and failure above, cleanup leaves no morsel
+    thread running.  (Named to sort last in the file.)"""
     parallel.cleanup()
-    assert parallel.live_segments() == []
+    for thread in _morsel_threads():
+        thread.join(10)
+    assert _morsel_threads() == []

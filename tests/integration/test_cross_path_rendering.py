@@ -24,7 +24,7 @@ from repro.core import (AttrEq, GroupBy, KDatabase, KRelation, NaturalJoin,
                         Project, Select, Table, Union)
 from repro.ivm import MaterializedView
 from repro.monoids import PROD, SUM
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan
 from repro.semirings import BOOL, NAT
 from repro.serve.schema import relation_to_json
 from repro.sql.compiler import compile_sql
@@ -108,11 +108,58 @@ def test_every_path_renders_the_same_bytes(semiring, name):
 def test_the_parallel_merge_of_a_mixed_column_renders_the_same_bytes(name):
     query = QUERIES[name]
     db = database(NAT)
-    set_default_workers(2)
-    try:
-        plan = compile_plan(query, db, tier="parallel")
-        got = rendered(plan.execute())
-    finally:
-        set_default_workers(None)
+    plan = compile_plan(query, db, tier="parallel")
+    got = rendered(plan.execute())
     assert plan._last_tier.startswith("parallel"), plan._last_tier
     assert got == rendered(query.evaluate(db, engine="interpreted"))
+
+
+def equal_values_db(left_rows):
+    """``L`` and ``R`` share the column ``g`` and the value 3, stored as
+    the int ``3`` on the left and the float ``3.0`` on the right."""
+    right = [((3.0, "x"), 1), ((4, "y"), 2)]
+    return KDatabase(NAT, {
+        "L": KRelation.from_rows(NAT, ("g", "v"), left_rows),
+        "R": KRelation.from_rows(NAT, ("g", "v"), right),
+        "W": KRelation.from_rows(NAT, ("g", "w"), right),
+    })
+
+
+def renderings(query, db):
+    """The interpreter's rendering, and each planner tier's."""
+    want = rendered(query.evaluate(db, engine="interpreted"))
+    got = {tier: rendered(compile_plan(query, db, tier=tier).execute())
+           for tier in ("object", "encoded", "parallel")}
+    return want, got
+
+
+LEFT_ROWS = pytest.mark.parametrize("left_rows", [
+    [((3, "x"), 1)],  # L is the smaller operand
+    [((3, "x"), 1), ((5, "z"), 1), ((6, "z"), 1)],  # ... and the larger one
+], ids=["small-left", "large-left"])
+
+
+@LEFT_ROWS
+@pytest.mark.parametrize("query", [Union(Table("L"), Table("R")),
+                                   NaturalJoin(Table("L"), Table("W"))],
+                         ids=["union", "join"])
+def test_equal_values_of_two_types_render_the_left_operands_value(query, left_rows):
+    """``3 == 3.0``, so both operands hold the same tuple: every path keeps
+    the left operand's value, as SQL's NATURAL JOIN coalesces."""
+    want, got = renderings(query, equal_values_db(left_rows))
+    assert "3.0" not in want[0], want[0]
+    for tier, rendering in got.items():
+        assert rendering == want, tier
+
+
+@LEFT_ROWS
+@pytest.mark.parametrize("query", [Union(Table("R"), Table("L")),
+                                   NaturalJoin(Table("W"), Table("L"))],
+                         ids=["union", "join"])
+def test_swapped_operands_render_the_float_on_the_left(query, left_rows):
+    """The mirror case: the float ``3.0`` is now on the left, so a path
+    that preferred the int (or the larger operand) would differ."""
+    want, got = renderings(query, equal_values_db(left_rows))
+    assert "3.0" in want[0], want[0]
+    for tier, rendering in got.items():
+        assert rendering == want, tier

@@ -11,6 +11,7 @@ equivalence of the tiers at large is :mod:`test_oracle`'s.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Aggregate, GroupBy, KDatabase, KRelation, Project, Table
 from repro.monoids import MAX, MIN, PROD, SUM
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan, parallel
 from repro.semimodules.tensor import Tensor
 from repro.semirings import BOOL, NAT
 
@@ -126,9 +127,6 @@ def test_prefilled_collapse_is_the_definitions_value(workload):
 def test_merged_collapse_is_the_definitions_value(workload, workers):
     db, query = workload
     want = compile_plan(query, db, tier="object").execute()
-    set_default_workers(workers)
-    try:
+    with mock.patch.object(parallel, "effective_workers", lambda: workers):
         got = compile_plan(query, db, tier="parallel").execute()
-    finally:
-        set_default_workers(None)
     assert_tensors_match(got, want)

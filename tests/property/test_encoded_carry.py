@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Project, Table
 from repro.monoids import SUM
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan
 from repro.plan.encoded import EncodedColumn, encode_relation, encoded_scan
 from repro.semirings import INT, NAT
 
@@ -140,23 +140,19 @@ def test_carried_encoding_equals_fresh_encoding_after_every_step(data):
             semiring, ("g", "r"), [((g, REGIONS[i % 2]), 1) for i, g in enumerate(GROUPS)]
         ),
     })
-    set_default_workers(2)
-    try:
-        live_plan = compile_plan(query, db, tier="encoded")
-        pinned = db.snapshot()
-        pinned_plan = compile_plan(query, pinned, tier="encoded")
-        original = query.evaluate(pinned, engine="interpreted")
-        assert pinned_plan.execute() == original  # warms the cache and the build
-        steps = data.draw(st.lists(step(deletes), min_size=1, max_size=6))
-        for kind, size, rng in steps:
-            apply_step(db, semiring, kind, size, rng, fresh_keys)
-            check_cache_matches_fresh_encode(db)
-            check_tiers_agree(db, query, live_plan)
-        # the old batches were never touched
-        assert pinned_plan.execute() == original
-        assert query.evaluate(pinned, engine="planned") == original
-    finally:
-        set_default_workers(None)
+    live_plan = compile_plan(query, db, tier="encoded")
+    pinned = db.snapshot()
+    pinned_plan = compile_plan(query, pinned, tier="encoded")
+    original = query.evaluate(pinned, engine="interpreted")
+    assert pinned_plan.execute() == original  # warms the cache and the build
+    steps = data.draw(st.lists(step(deletes), min_size=1, max_size=6))
+    for kind, size, rng in steps:
+        apply_step(db, semiring, kind, size, rng, fresh_keys)
+        check_cache_matches_fresh_encode(db)
+        check_tiers_agree(db, query, live_plan)
+    # the old batches were never touched
+    assert pinned_plan.execute() == original
+    assert query.evaluate(pinned, engine="planned") == original
 
 
 def test_unread_column_stays_a_thunk_and_folds_without_recursion():

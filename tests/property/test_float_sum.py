@@ -23,7 +23,7 @@ pytest.importorskip("numpy")  # the encoded and parallel tiers need it
 from repro.core import Aggregate, AvgAgg, GroupBy, KDatabase, KRelation, Table
 from repro.ivm import MaterializedView
 from repro.monoids import AVG, PROD, SUM, AvgPair
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan
 from repro.semimodules import tensor_space
 from repro.semirings import NAT
 
@@ -41,13 +41,6 @@ def every_path(rows):
         results[tier] = plan.execute()
         assert plan._last_tier.startswith(tier), plan._last_tier
     return results
-
-
-@pytest.fixture(autouse=True)
-def _two_workers():
-    set_default_workers(2)
-    yield
-    set_default_workers(None)
 
 
 def test_the_case_that_differed():

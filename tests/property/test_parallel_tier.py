@@ -17,6 +17,8 @@ whole query degrades through serial encoded to the object path — still
 bit-for-bit equal to the interpreter.
 """
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
@@ -24,7 +26,7 @@ pytest.importorskip("numpy")  # the parallel tier exists only with NumPy
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Query, Table
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan, parallel
 from repro.semirings import NAT
 
 from strategies import POOLS, database, query
@@ -46,18 +48,16 @@ def test_parallel_tier_equals_interpreter_and_serial_tiers(data):
     semiring = data.draw(st.sampled_from(list(POOLS)), label="semiring")
     db, _tokens = data.draw(database(semiring), label="db")
     q = data.draw(query(semiring), label="query")
-    set_default_workers(data.draw(st.sampled_from(WORKER_COUNTS)))
-    try:
+    workers = data.draw(st.sampled_from(WORKER_COUNTS))
+    with mock.patch.object(parallel, "effective_workers", lambda: workers):
         interpreted = q.evaluate(db, engine="interpreted")
         assert compile_plan(q, db, tier="object").execute() == interpreted
         assert compile_plan(q, db).execute() == interpreted
         parallel_plan = compile_plan(q, db, tier="parallel")
         assert parallel_plan.execute() == interpreted
-        # and again: shipped jobs, shm images and worker-side caches must
-        # not leak state between executions of a prepared plan
+        # and again: the cached morsel job must not leak state between
+        # executions of a prepared plan
         assert parallel_plan.execute() == interpreted
-    finally:
-        set_default_workers(None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -68,16 +68,12 @@ def test_oversized_annotations_degrade_through_every_fallback(data):
     to the object path — transparently."""
     db, _tokens = data.draw(database(NAT, [1, 2, 1 << 40]), label="db")
     q = data.draw(query(NAT), label="query")
-    set_default_workers(2)
-    try:
-        plan = compile_plan(q, db, tier="parallel")
-        assert plan.execute() == q.evaluate(db)
-        oversized_scanned = any(
-            ann >= (1 << 32)
-            for name in set(_scanned_tables(q))
-            for _tup, ann in db.relation(name).items()
-        )
-        if oversized_scanned:
-            assert not plan._last_tier.startswith("parallel (")
-    finally:
-        set_default_workers(None)
+    plan = compile_plan(q, db, tier="parallel")
+    assert plan.execute() == q.evaluate(db)
+    oversized_scanned = any(
+        ann >= (1 << 32)
+        for name in set(_scanned_tables(q))
+        for _tup, ann in db.relation(name).items()
+    )
+    if oversized_scanned:
+        assert not plan._last_tier.startswith("parallel (")

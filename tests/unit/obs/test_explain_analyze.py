@@ -21,14 +21,13 @@ from repro.core import (
 from repro.monoids import SUM
 from repro.obs import trace
 from repro.obs.analyze import analyze_query, explain_analyze
-from repro.plan import compile_plan, set_default_workers
+from repro.plan import compile_plan
 from repro.semirings import NAT
 
 
 @pytest.fixture(autouse=True)
-def _restore_workers():
+def _no_trace_left_open():
     yield
-    set_default_workers(None)
     assert not trace.tracing_active()
 
 
@@ -122,7 +121,6 @@ def test_encoded_tier_records_annotation_array_bytes():
 
 
 def test_parallel_tier_morsel_count_agrees_with_explain():
-    set_default_workers(2)
     db = sales_db(64)
     result, root, plan = analyze_query(GROUP_QUERY, db, tier="parallel")
     assert result == GROUP_QUERY.evaluate(db)
@@ -150,7 +148,6 @@ def test_parallel_tier_morsel_count_agrees_with_explain():
 
 
 def test_forced_parallel_fallback_names_the_cause():
-    set_default_workers(2)
     db = sales_db()
     query = Distinct(Table("R"))  # δ on the driver path is non-linear
     result, root, plan = analyze_query(query, db, tier="parallel")

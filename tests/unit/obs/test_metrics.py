@@ -217,19 +217,19 @@ def test_resilience_event_names_match_the_faults_ledger():
 def test_faults_bump_is_read_back_from_the_registry():
     faults.reset_counters()
     try:
-        faults.bump("breaker_trips", 3)
+        faults.bump("snapshot_rebuilds", 3)
         ledger = metrics.resilience_counters()
         assert set(ledger) == set(faults._COUNTER_NAMES)
-        assert ledger["breaker_trips"] == 3
+        assert ledger["snapshot_rebuilds"] == 3
     finally:
         faults.reset_counters()
 
 
 def test_reset_resilience_keeps_the_pre_seeded_zeros():
-    faults.bump("pool_rebuilds")
+    faults.bump("wal_torn_tails")
     metrics.reset_resilience()
     ledger = metrics.resilience_counters()
     assert set(ledger) == set(metrics.RESILIENCE_EVENT_NAMES)
     assert all(v == 0 for v in ledger.values())
     text = metrics.render_prometheus()
-    assert 'repro_resilience_events_total{event="pool_rebuilds"} 0' in text
+    assert 'repro_resilience_events_total{event="wal_torn_tails"} 0' in text

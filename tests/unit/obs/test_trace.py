@@ -1,6 +1,7 @@
-"""Unit tests for the span tracer: the off switch, context propagation,
-cross-process shipping, and the rendered tree."""
+"""Unit tests for the span tracer: the off switch, context propagation
+(across threads too), the plain-dict image, and the rendered tree."""
 
+import contextvars
 import threading
 
 import pytest
@@ -27,10 +28,8 @@ def test_span_is_null_when_no_collector_is_open():
     assert not trace.tracing_active()
 
 
-def test_add_attrs_and_graft_are_noops_when_untraced():
+def test_add_attrs_is_a_noop_when_untraced():
     trace.add_attrs(rows=5)  # must not raise
-    trace.graft({"name": "x", "attrs": {}, "wall_s": 0.0, "cpu_s": 0.0,
-                 "children": []})
 
 
 def test_active_count_restored_even_when_the_block_raises():
@@ -137,33 +136,38 @@ def test_threads_each_collect_their_own_trace():
 
 
 # ---------------------------------------------------------------------------
-# cross-process shipping (to_dict / from_dict / graft)
+# the plain-dict image; spans from a copied context on another thread
 # ---------------------------------------------------------------------------
 
 
-def test_to_dict_from_dict_roundtrip():
+def test_to_dict_is_a_plain_image_of_the_tree():
     with trace.collect("root") as root:
         with trace.span("a", rows=3):
             with trace.span("b"):
                 pass
     image = root.to_dict()
-    clone = trace.Span.from_dict(image, trace_id="feedfacefeedface")
-    assert clone.name == "root"
-    assert clone.trace_id == "feedfacefeedface"
-    assert clone.children[0].name == "a"
-    assert clone.children[0].attrs == {"rows": 3}
-    assert clone.children[0].children[0].name == "b"
-    assert clone.children[0].wall_s == root.children[0].wall_s
-    assert clone.to_dict() == image
+    assert image["name"] == "root"
+    (a,) = image["children"]
+    assert a["name"] == "a" and a["attrs"] == {"rows": 3}
+    assert [b["name"] for b in a["children"]] == ["b"]
+    assert a["wall_s"] == root.children[0].wall_s
 
 
-def test_graft_attaches_a_shipped_tree_under_the_current_span():
-    shipped = trace.Span("morsel 0", attrs={"rows_out": 7})
+def test_a_copied_context_nests_another_threads_span_under_the_caller():
+    # how the parallel tier's morsel spans reach the caller's trace
+    def morsel():
+        with trace.span("morsel 0", morsel=0):
+            pass
+
     with trace.collect("root") as root:
-        trace.graft(shipped.to_dict(), morsel=0)
-    (child,) = root.children
-    assert child.name == "morsel 0"
-    assert child.attrs == {"rows_out": 7, "morsel": 0}
+        with trace.span("plan.execute") as execute:
+            worker = threading.Thread(
+                target=contextvars.copy_context().run, args=(morsel,)
+            )
+            worker.start()
+            worker.join()
+    (child,) = execute.children
+    assert (child.name, child.attrs) == ("morsel 0", {"morsel": 0})
     assert child.trace_id == root.trace_id
 
 

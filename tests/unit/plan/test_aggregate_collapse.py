@@ -20,7 +20,7 @@ from repro.exceptions import SemimoduleError
 from repro.monoids import MAX, MIN, PROD, SUM, SumMonoid
 from repro.obs import explain_analyze
 from repro.obs.metrics import AGGREGATE_COLLAPSE, REGISTRY
-from repro.plan import compile_plan, parallel, set_default_workers
+from repro.plan import compile_plan, parallel
 from repro.plan.encoded import _INT64_MAX
 from repro.semimodules.tensor import Tensor, _Unset, tensor_space
 from repro.semirings import BOOL, INT, NAT, TROPICAL
@@ -28,13 +28,6 @@ from repro.semirings.integers import IntegerRing
 from repro.serve.schema import relation_to_json
 
 TIERS = ("object", "encoded", "parallel")
-
-
-@pytest.fixture(autouse=True)
-def _two_workers():
-    set_default_workers(2)
-    yield
-    set_default_workers(None)
 
 
 def database(semiring, rows, **more):

@@ -20,7 +20,7 @@ from repro.core import (AttrEq, GroupBy, KDatabase, KRelation, NaturalJoin,
 from repro.monoids import SUM
 from repro.obs.analyze import analyze_query
 from repro.obs.metrics import ENCODED_KERNEL, REGISTRY
-from repro.plan import compile_plan, kernels, parallel, set_default_workers
+from repro.plan import compile_plan, kernels, parallel
 from repro.plan.kernels import direct, reduce_by_key
 from repro.semirings import BOOL, FUZZY, INT, NAT, TROPICAL
 
@@ -132,7 +132,7 @@ def test_a_huge_sparse_key_space_allocates_nothing_of_its_size():
 
 @pytest.mark.parametrize("space", [4, 4 * 6 + 1025])
 def test_read_only_inputs_are_not_written(space):
-    # what a pool worker holds: views of a shared-memory segment
+    # what a morsel holds: views of a table batch shared with other morsels
     keys = np.asarray([3, 1, 3, 0, 1, 3], dtype=np.int64)
     values = np.asarray([1, 2, 3, 4, 5, 2 ** 62], dtype=np.int64)
     keys.setflags(write=False)
@@ -282,14 +282,12 @@ def test_the_analytic_shapes_run_direct_on_every_join_and_reduction(name):
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_morsel_spans_bring_the_workers_kernels_home(name):
-    set_default_workers(2)
     try:
         _counts, spans = kernels_of(name, analytic_db(), "parallel")
     finally:
-        set_default_workers(None)
         parallel.cleanup()
     # every morsel ran every operator of the shape (an aggregate's
-    # attribute sits on its morsel span: workers call the kernel directly);
+    # attribute sits on its morsel span: morsels call the kernel directly);
     # the merged morsels reach the boundary as boxed rows
     per_morsel = sum(KERNEL_OPS[name].values()) - BOUNDARY_MERGES[name]
     assert len(spans) % per_morsel == 0 and spans

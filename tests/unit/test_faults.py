@@ -2,9 +2,8 @@
 
 The chaos suite (``tests/chaos``) exercises the *recovery machinery*
 under injected faults; this file pins the switchboard itself: arming and
-disarming, firing budgets, seed determinism, morsel pinning (explicit
-and seed-derived), the env-variable arming path that reaches spawned
-workers, and the resilience-counter ledger.
+disarming, firing budgets, seed determinism, the env-variable arming
+path, and the resilience-counter ledger.
 """
 
 import pytest
@@ -35,25 +34,25 @@ def test_unknown_point_is_rejected():
     with pytest.raises(ValueError, match="unknown fault point"):
         faults.FaultSpec("segfault_everything")
     with pytest.raises(ValueError, match="times must be positive"):
-        faults.FaultSpec("kill_worker", times=0)
+        faults.FaultSpec("fsync_error", times=0)
 
 
 def test_inject_arms_only_inside_the_block():
-    assert faults.active("kill_worker") is None
-    with faults.inject("kill_worker", seed=7) as spec:
-        assert faults.active("kill_worker") is spec
-        assert faults.active("kernel_error") is None
-    assert faults.active("kill_worker") is None
+    assert faults.active("fsync_error") is None
+    with faults.inject("fsync_error", seed=7) as spec:
+        assert faults.active("fsync_error") is spec
+        assert faults.active("wal_torn_tail") is None
+    assert faults.active("fsync_error") is None
 
 
 def test_budget_is_consumed_and_spec_reports_fired():
-    with faults.inject("kernel_error", times=2) as spec:
-        assert faults.should_fire("kernel_error") is not None
+    with faults.inject("wal_torn_tail", times=2) as spec:
+        assert faults.should_fire("wal_torn_tail") is not None
         assert spec.fired == 1
-        assert faults.active("kernel_error") is spec  # budget remains
-        assert faults.should_fire("kernel_error") is not None
-        assert faults.should_fire("kernel_error") is None  # spent
-        assert faults.active("kernel_error") is None
+        assert faults.active("wal_torn_tail") is spec  # budget remains
+        assert faults.should_fire("wal_torn_tail") is not None
+        assert faults.should_fire("wal_torn_tail") is None  # spent
+        assert faults.active("wal_torn_tail") is None
     assert resilience_counters()["faults_injected"] == 2
 
 
@@ -74,9 +73,10 @@ def test_nested_specs_for_one_point_fire_in_arming_order():
 def test_rng_is_a_pure_function_of_seed_point_ordinal():
     def draws(seed):
         out = []
-        with faults.inject("corrupt_shm", seed=seed, times=3):
+        with faults.inject("wal_corrupt_record", seed=seed, times=3):
             for _ in range(3):
-                out.append(faults.should_fire("corrupt_shm")["rng"].randrange(1 << 30))
+                recipe = faults.should_fire("wal_corrupt_record")
+                out.append(recipe["rng"].randrange(1 << 30))
         return out
 
     assert draws(42) == draws(42)
@@ -85,34 +85,12 @@ def test_rng_is_a_pure_function_of_seed_point_ordinal():
     assert len(set(draws(42))) == 3
 
 
-def test_explicit_morsel_pin_vetoes_other_sites():
-    with faults.inject("kill_worker", morsel=2, times=5) as spec:
-        assert faults.should_fire("kill_worker", morsel=0, n_morsels=4) is None
-        assert faults.should_fire("kill_worker", morsel=2, n_morsels=4) is not None
-        assert spec.fired == 1
-
-
-def test_derived_morsel_pin_walks_with_seed_and_ordinal():
-    # no explicit pin: the target morsel is (seed + fired) % n_morsels
-    with faults.inject("kill_worker", seed=7, times=2):
-        hits = [
-            m
-            for m in range(4)
-            if faults.should_fire("kill_worker", morsel=m, n_morsels=4)
-        ]
-        assert hits == [3]  # (7 + 0) % 4
-        hits = [
-            m
-            for m in range(4)
-            if faults.should_fire("kill_worker", morsel=m, n_morsels=4)
-        ]
-        assert hits == [0]  # (7 + 1) % 4
-
-
-def test_context_free_sites_ignore_derived_pinning():
-    # no morsel context offered: the spec fires unconditionally
-    with faults.inject("truncate_snapshot", seed=9):
-        assert faults.should_fire("truncate_snapshot", path="x") is not None
+def test_site_context_selects_no_firing():
+    # the first site to ask consumes the firing, whatever it names
+    with faults.inject("latency", ms=0, times=2) as spec:
+        assert faults.should_fire("latency", site="morsel") is not None
+        assert faults.should_fire("latency", site="scan", table="R") is not None
+        assert spec.fired == 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +118,14 @@ def test_sleep_point_caps_runaway_durations():
 
 
 # ---------------------------------------------------------------------------
-# env arming (the path that reaches spawned worker processes)
+# env arming
 # ---------------------------------------------------------------------------
 
 
 def test_install_from_env_parses_the_documented_format():
-    specs = faults.install_from_env("kill_worker:seed=7,latency:ms=50:times=3")
+    specs = faults.install_from_env("fsync_error:seed=7,latency:ms=50:times=3")
     try:
-        assert [s.point for s in specs] == ["kill_worker", "latency"]
+        assert [s.point for s in specs] == ["fsync_error", "latency"]
         assert specs[0].seed == 7 and specs[0].times == 1
         assert specs[1].params == {"ms": 50} and specs[1].times == 3
         assert faults.active("latency") is specs[1]
@@ -176,18 +154,14 @@ def test_counters_cover_every_recovery_path_and_reset():
     ledger = resilience_counters()
     assert set(ledger) >= {
         "faults_injected",
-        "morsel_retries",
-        "pool_rebuilds",
-        "parallel_exhausted",
-        "shm_integrity_failures",
-        "breaker_trips",
         "deadline_expiries",
         "snapshot_rebuilds",
+        "wal_torn_tails",
     }
     assert all(v == 0 for v in ledger.values())
-    faults.bump("morsel_retries", 3)
-    faults.bump("breaker_trips")
-    assert resilience_counters()["morsel_retries"] == 3
-    assert resilience_counters()["breaker_trips"] == 1
+    faults.bump("snapshot_rebuilds", 3)
+    faults.bump("wal_torn_tails")
+    assert resilience_counters()["snapshot_rebuilds"] == 3
+    assert resilience_counters()["wal_torn_tails"] == 1
     faults.reset_counters()
     assert all(v == 0 for v in resilience_counters().values())
