@@ -1,8 +1,8 @@
 """Deterministic fault injection and resilience counters.
 
 The engine is a concurrent system — morsel threads, a threaded serving
-layer, a write-ahead log, persisted snapshots — and every recovery path
-in it (snapshot rebuild, WAL tail repair, deadline expiry) is exercised
+layer, a write-ahead log, checkpoints — and every recovery path in it
+(corrupt-checkpoint fallback, WAL tail repair, deadline expiry) is exercised
 by *injected* faults, never by hoping production crashes reproduce.
 This module is the single switchboard:
 
@@ -21,8 +21,8 @@ This module is the single switchboard:
   latency durations) derives from ``random.Random`` seeded per firing,
   so a failing chaos example replays exactly.
 
-* **Counters**: every injected fault, deadline expiry, snapshot rebuild
-  and torn WAL tail increments the ``repro_resilience_events_total``
+* **Counters**: every injected fault, deadline expiry, corrupt checkpoint
+  recovery skipped (``snapshot_rebuilds``) and torn WAL tail increments the ``repro_resilience_events_total``
   family in the process-wide metrics registry (:mod:`repro.obs.metrics`);
   the serving layer exports it cumulatively under ``/stats`` and
   ``/metrics``; read it in-process with

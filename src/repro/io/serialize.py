@@ -14,8 +14,7 @@ order — ``{"semiring", "schema", "columns": [[...], ...], "annotations":
 :meth:`KRelation.from_rows`.  WAL records and checkpoints
 (:mod:`repro.wal`) and :func:`dumps` all hold it; :func:`record_rows`
 also reads the row layout earlier versions wrote (``"rows": [{"values",
-"annotation"}, ...]``), and :func:`database_fingerprint` digests that
-layout in support order, so a digest an earlier version took still matches.
+"annotation"}, ...]``).
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ __all__ = [
     "record_rows",
     "database_to_jsonable",
     "database_from_jsonable",
-    "view_state_to_jsonable",
-    "view_state_from_jsonable",
-    "database_fingerprint",
     "dumps",
     "loads",
     "dump_file",
@@ -382,140 +378,19 @@ def database_from_jsonable(data: Any) -> KDatabase:
     return db
 
 
-# ---------------------------------------------------------------------------
-# materialised-view state (repro.ivm)
-# ---------------------------------------------------------------------------
-
-
-def database_fingerprint(db: KDatabase) -> str:
-    """A process-stable digest of a database's full contents.
-
-    SHA-256 over a canonical JSON encoding (sorted names, each relation's
-    rows in support order, in the row layout :func:`record_rows` still
-    reads), so equal contents fingerprint equally across processes —
-    unlike Python ``hash()``, which is randomised per run — and a view
-    snapshot taken before relations were stored by column still matches.
-    Used to pin a view snapshot to the exact database state it was taken
-    against.
-    """
-    payload = json.dumps({name: _support_rows(rel) for name, rel in db}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _support_rows(rel: KRelation) -> Any:
-    semiring = rel.semiring
-    if semiring.name not in SEMIRING_REGISTRY:
-        raise SerializationError(f"unregistered semiring {semiring.name}")
-    attrs = rel.schema.attributes
-    rows = []
-    for t, k in rel.items():
-        # when the schema order is the sorted order a Tup stores, its
-        # values are the row and the per-attribute lookups are skipped
-        if t._attrs == attrs:
-            values = [
-                v if type(v) in _PLAIN_VALUE_TYPES else _value_to_jsonable(v)
-                for v in t._values
-            ]
-        else:
-            values = [_value_to_jsonable(t[a]) for a in attrs]
-        rows.append(
-            {"values": values, "annotation": annotation_to_jsonable(semiring, k)}
-        )
-    return {"semiring": semiring.name, "schema": list(attrs), "rows": rows}
-
-
-def view_state_to_jsonable(view: Any) -> Any:
-    """Encode a :class:`~repro.ivm.view.MaterializedView`'s maintained state.
-
-    The snapshot carries the head kind, the schemas, and one ``{key,
-    tensors, total}`` entry per group of the head's ``GB`` state — one
-    shape for every head kind — which is everything the incremental
-    engine needs to resume maintenance without re-evaluating the query.
-    Non-group snapshots of the earlier per-head shapes fail to decode
-    (:class:`SerializationError`), so a restore rebuilds them.
-    Circuit-mode states are lowered to canonical ``N[X]`` for persistence
-    (gates are an execution representation, not a storage format) and
-    re-interned as gates on restore.
-    """
-    logical, state = view._logical_state()
-    if logical.name not in SEMIRING_REGISTRY:
-        raise SerializationError(f"unregistered semiring {logical.name}")
-    state_json = [
-        {
-            "key": [_value_to_jsonable(v) for v in entry["key"]],
-            "tensors": {
-                attr: tensor_to_jsonable(t)
-                for attr, t in entry["tensors"].items()
-            },
-            "total": annotation_to_jsonable(logical, entry["total"]),
-        }
-        for entry in state
-    ]
-    return {
-        "head": view._head_kind,
-        "semiring": logical.name,
-        "query": str(view.query),
-        "db_version": view.version,
-        "db_fingerprint": database_fingerprint(view.db),
-        "out_schema": list(view.out_schema.attributes),
-        "core_schema": list(view.core_schema.attributes),
-        "state": state_json,
-    }
-
-
-def view_state_from_jsonable(data: Any) -> Any:
-    """Decode a view-state snapshot into a :class:`~repro.ivm.ViewSnapshot`.
-
-    Rehydrate by pairing the snapshot with the matching database and
-    query: ``MaterializedView.create(db, query, snapshot=snap)``.
-    """
-    from repro.ivm.snapshot import ViewSnapshot  # local: ivm imports io lazily
-
-    semiring = SEMIRING_REGISTRY[data["semiring"]]
-    state = [
-        {
-            "key": [_value_from_jsonable(v) for v in entry["key"]],
-            "tensors": {
-                attr: tensor_from_jsonable(t)
-                for attr, t in entry["tensors"].items()
-            },
-            "total": annotation_from_jsonable(semiring, entry["total"]),
-        }
-        for entry in data["state"]
-    ]
-    return ViewSnapshot(
-        data["head"],
-        data["semiring"],
-        list(data["out_schema"]),
-        list(data["core_schema"]),
-        data["query"],
-        data["db_version"],
-        state,
-        db_fingerprint=data.get("db_fingerprint"),
-    )
-
-
 def dumps(obj: Any, **json_kwargs: Any) -> str:
-    """Serialise a relation, database, or materialised view to JSON."""
-    from repro.ivm.view import MaterializedView  # local: ivm imports io lazily
-
+    """Serialise a relation or a database to JSON."""
     if isinstance(obj, KRelation):
         payload = {"kind": "relation", "data": relation_to_jsonable(obj)}
     elif isinstance(obj, KDatabase):
         payload = {"kind": "database", "data": database_to_jsonable(obj)}
-    elif isinstance(obj, MaterializedView):
-        payload = {"kind": "view_state", "data": view_state_to_jsonable(obj)}
     else:
         raise SerializationError(f"cannot serialise {type(obj).__name__}")
     return json.dumps(payload, **json_kwargs)
 
 
 def loads(text: str) -> Any:
-    """Deserialise the output of :func:`dumps`.
-
-    Relations and databases come back as themselves; a dumped view comes
-    back as a :class:`~repro.ivm.ViewSnapshot` to be rehydrated with
-    ``MaterializedView.create(db, query, snapshot=snap)``.
+    """Deserialise the output of :func:`dumps`: a relation or a database.
 
     Any text that is not such an output — not JSON, not an object, an
     unknown kind, a missing or mistyped field — raises
@@ -542,7 +417,6 @@ def loads(text: str) -> Any:
 _DECODERS = {
     "relation": relation_from_jsonable,
     "database": database_from_jsonable,
-    "view_state": view_state_from_jsonable,
 }
 
 
@@ -555,7 +429,7 @@ SNAPSHOT_MAGIC = "REPRO-SNAPSHOT-V1"
 
 
 def dump_file(obj: Any, path: str | os.PathLike) -> str:
-    """Atomically persist a relation, database, or materialised view.
+    """Atomically persist a relation or a database.
 
     The write discipline is the standard crash-safe sequence: serialise
     to a temp file in the destination directory, flush + fsync the data,
@@ -645,9 +519,9 @@ def load_file(path: str | os.PathLike) -> Any:
     over-long body, flipped byte, checksum mismatch, a file that was
     never a snapshot — raises :class:`~repro.exceptions.SnapshotCorrupt`
     with the specific failure; a missing file raises the usual
-    ``FileNotFoundError`` (absence is not corruption).  Restore paths
-    catch ``SnapshotCorrupt`` and rebuild from source data
-    (:func:`repro.ivm.snapshot.load_view`).
+    ``FileNotFoundError`` (absence is not corruption).  Recovery catches
+    ``SnapshotCorrupt`` and falls back to the previous checkpoint
+    (:meth:`repro.wal.manager.DurabilityManager.open`).
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:

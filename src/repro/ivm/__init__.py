@@ -31,14 +31,10 @@ from repro.ivm.delta import (
     new_rewrite,
     table_refs,
 )
-from repro.ivm.snapshot import ViewSnapshot, load_view, save_view
 from repro.ivm.view import MaterializedView
 
 __all__ = [
     "MaterializedView",
-    "ViewSnapshot",
-    "load_view",
-    "save_view",
     "DeltaPlan",
     "compile_delta_plan",
     "delta_rewrite",

@@ -33,9 +33,9 @@ tensors all cancel (``Z``-annotated deletions) leaves the state, as the
 :class:`KRelation` constructor would drop it; the ``()`` key of a
 whole-relation head never leaves.  Deletions in ``N[X]`` views zero
 tokens via :meth:`HeadState.map_annotations` (the deletion-propagation
-homomorphism applied to the *state*, so later inserts keep composing).
-That map and a circuit state's (de)hydration map every scalar of the
-state in one batch, as ``KRelation.apply_hom`` maps a relation's.
+homomorphism applied to the *state*, so later inserts keep composing),
+which maps every scalar of the state in one batch, as
+``KRelation.apply_hom`` maps a relation's.
 """
 
 from __future__ import annotations
@@ -61,30 +61,6 @@ __all__ = ["HeadState"]
 
 #: Maps a batch of scalars to their images, as ``Homomorphism.map_many``.
 MapMany = Callable[[List[Any]], List[Any]]
-
-
-def _mapped(states: List[Tuple[Dict[str, Tensor], Any]], semiring,
-            map_many: Optional[MapMany]) -> List[Tuple[Dict[str, Tensor], Any]]:
-    """``(tensors, total)`` pairs with every scalar mapped into
-    ``semiring`` by one ``map_many`` call (none: as they are): each total,
-    then its tensors' entries in entry order."""
-    if map_many is None:
-        return states
-    batch: List[Any] = []
-    for tensors, total in states:
-        batch.append(total)
-        for tensor in tensors.values():
-            batch.extend(tensor._entries.values())
-    images = map_many(batch)
-    out, at = [], 0
-    for tensors, _total in states:
-        total, at = images[at], at + 1
-        mapped = {}
-        for attr, tensor in tensors.items():
-            end = at + len(tensor._entries)
-            mapped[attr], at = tensor._mapped(semiring, images[at:end]), end
-        out.append((mapped, total))
-    return out
 
 
 class _Group:
@@ -122,14 +98,11 @@ class HeadState:
         }
         self.groups: Dict[Tuple[Any, ...], _Group] = {}
         self.rows: Dict[Tup, Any] = {}
-        self._seed()
-
-    def _seed(self) -> None:
         # AGG of the empty relation is one row iota(0_M) = 0, annotated 1_K
-        if self.shape.emission == "one" and () not in self.groups:
+        if shape.emission == "one":
             group = self.groups[()] = _Group(
                 {attr: space.zero for attr, space in self.spaces.items()},
-                self.semiring.zero,
+                semiring.zero,
             )
             self._reemit((), group)
 
@@ -195,32 +168,20 @@ class HeadState:
         self.rows[group.row] = emitted(semiring, emission, group.total)
 
     def map_annotations(self, map_many: MapMany) -> None:
-        """Apply an annotation map (e.g. token zeroing) to the whole state."""
+        """Apply an annotation map (e.g. token zeroing) to the whole state:
+        one ``map_many`` call over every scalar — each total, then its
+        tensors' entries in entry order."""
         groups = list(self.groups.items())
-        states = _mapped([(g.tensors, g.total) for _key, g in groups], self.semiring, map_many)
-        for (key, group), (tensors, total) in zip(groups, states):
-            group.tensors, group.total = tensors, total
+        batch: List[Any] = []
+        for _key, group in groups:
+            batch.append(group.total)
+            for tensor in group.tensors.values():
+                batch.extend(tensor._entries.values())
+        images = map_many(batch)
+        at = 0
+        for key, group in groups:
+            group.total, at = images[at], at + 1
+            for attr, tensor in list(group.tensors.items()):
+                end = at + len(tensor._entries)
+                group.tensors[attr], at = tensor._mapped(self.semiring, images[at:end]), end
             self._reemit(key, group)
-
-    # -- (de)hydration ------------------------------------------------------
-
-    def dump_state(self, semiring, map_many: Optional[MapMany]):
-        """State as ``{key, tensors, total}`` entries over ``semiring``."""
-        states = _mapped([(dict(group.tensors), group.total) for group in self.groups.values()],
-                         semiring, map_many)
-        return [
-            {"key": list(key), "tensors": tensors, "total": total}
-            for key, (tensors, total) in zip(self.groups, states)
-        ]
-
-    def load_state(self, entries, map_many: Optional[MapMany]) -> None:
-        """Adopt dumped state (inverse of :meth:`dump_state`) and re-emit."""
-        self.groups.clear()
-        self.rows.clear()
-        states = _mapped([(dict(entry["tensors"]), entry["total"]) for entry in entries],
-                         self.semiring, map_many)
-        for entry, (tensors, total) in zip(entries, states):
-            key = tuple(entry["key"])
-            group = self.groups[key] = _Group(tensors, total)
-            self._reemit(key, group)
-        self._seed()

@@ -41,15 +41,14 @@ from repro.core.query import (
     Query,
 )
 from repro.core.relation import KRelation
-from repro.exceptions import QueryError, SchemaError, SemiringError
+from repro.exceptions import QueryError
 from repro.ivm.delta import DeltaPlan, compile_delta_plan, table_refs
-from repro.ivm.snapshot import ViewSnapshot
 from repro.ivm.state import HeadState
 from repro.obs import trace as _trace
 from repro.plan.circuit_exec import CircuitResult
 from repro.plan.compiler import annotation_semiring, compile_plan
 from repro.semirings.homomorphism import deletion_hom
-from repro.semirings.polynomials import NX, PolynomialSemiring
+from repro.semirings.polynomials import PolynomialSemiring
 
 __all__ = ["MaterializedView"]
 
@@ -91,7 +90,6 @@ class MaterializedView:
         query: Query,
         *,
         annotations: str = "expanded",
-        snapshot: Optional[ViewSnapshot] = None,
     ):
         self._exec_semiring = annotation_semiring(db.semiring, annotations)
         self.db = db
@@ -110,14 +108,7 @@ class MaterializedView:
         self._head = self._build_head()
         self._delta_plans: Dict[FrozenSet[str], DeltaPlan] = {}
         self._result_cache: Any = None
-
-        if snapshot is not None:
-            self._restore(snapshot)
-        else:
-            self._materialise(self._head)
-        #: Whether this view's state came off disk instead of evaluation
-        #: (the serving layer's boot log distinguishes the two).
-        self.restored_from_snapshot = snapshot is not None
+        self._materialise(self._head)
         self._version = db.version
 
     #: The documented constructor (mirrors ``Query.evaluate`` keywords).
@@ -128,10 +119,9 @@ class MaterializedView:
         query: Query,
         *,
         annotations: str = "expanded",
-        snapshot: Optional[ViewSnapshot] = None,
     ) -> "MaterializedView":
         """Materialise ``query`` over ``db`` and return the maintained view."""
-        return cls(db, query, annotations=annotations, snapshot=snapshot)
+        return cls(db, query, annotations=annotations)
 
     # -- head construction --------------------------------------------------
 
@@ -318,66 +308,6 @@ class MaterializedView:
     def check(self) -> bool:
         """Does the maintained view equal re-evaluation from scratch?"""
         return self.result() == self.query.evaluate(self.db)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot(self) -> Any:
-        """The view state as JSON-able data (see :mod:`repro.io.serialize`)."""
-        from repro.io.serialize import view_state_to_jsonable  # local: io imports ivm
-
-        return view_state_to_jsonable(self)
-
-    def _logical_state(self):
-        """(logical semiring, dumped state) — circuit gates lowered to N[X]
-        in one pass over every gate the state reaches."""
-        if self.annotations == "circuit":
-            from repro.circuits.evaluate import evaluate_gates
-
-            builder = self._exec_semiring.builder
-            return NX, self._head.dump_state(
-                NX, lambda gates: evaluate_gates(gates, NX, NX.variable, builder=builder)
-            )
-        return self.db.semiring, self._head.dump_state(self.db.semiring, None)
-
-    def _restore(self, snap: ViewSnapshot) -> None:
-        logical = NX if self.annotations == "circuit" else self.db.semiring
-        if snap.query_text != str(self.query):
-            raise QueryError(
-                f"snapshot was taken for query {snap.query_text!r}; this view "
-                f"materialises {str(self.query)!r}"
-            )
-        if snap.db_fingerprint is not None:
-            from repro.io.serialize import database_fingerprint  # local: io imports ivm
-
-            if database_fingerprint(self.db) != snap.db_fingerprint:
-                raise QueryError(
-                    "snapshot was taken against different database contents; "
-                    "restore it alongside the matching database state, or "
-                    "recreate the view from scratch"
-                )
-        if snap.head != self._head_kind:
-            raise QueryError(
-                f"snapshot maintains a {snap.head!r} head; this query needs "
-                f"{self._head_kind!r}"
-            )
-        if snap.semiring_name != logical.name:
-            raise SemiringError(
-                f"snapshot is annotated in {snap.semiring_name}, the view "
-                f"needs {logical.name}"
-            )
-        if set(snap.out_schema) != set(self.out_schema.attributes):
-            raise SchemaError(
-                f"snapshot schema {snap.out_schema} does not match the view "
-                f"schema {self.out_schema}"
-            )
-        if self.annotations == "circuit":
-            from repro.circuits.convert import lifter
-
-            gate = lifter()[0]
-            self._head.load_state(snap.state, lambda polys: list(map(gate, polys)))
-        else:
-            self._head.load_state(snap.state, None)
-        self._result_cache = None
 
     # -- plumbing -------------------------------------------------------------
 

@@ -472,7 +472,8 @@ RESILIENCE_EVENT_NAMES = (
 RESILIENCE_EVENTS = REGISTRY.counter(
     "repro_resilience_events_total",
     "Recovery-machinery events: injected faults, deadline expiries, "
-    "snapshot rebuilds, torn WAL tails.",
+    "corrupt checkpoints skipped on recovery (snapshot_rebuilds), torn WAL "
+    "tails.",
     ("event",),
 )
 

@@ -61,9 +61,11 @@ Architecture (one process, no third-party dependencies):
   :class:`~repro.wal.manager.DurabilityManager`, every write is
   WAL-appended *before* the snapshot publish — the append is the
   acknowledgement point, so a crash replays exactly the acknowledged
-  prefix on the next boot.  ``/health`` and ``/stats`` report recovery
-  and checkpoint state; an unwritable log turns every write into a 503
-  while reads keep serving.
+  prefix on the next boot.  Only view *definitions* are durable: boot
+  evaluates each ``/views`` entry over the recovered database
+  (:meth:`ProvenanceServer.restore_views`).  ``/health`` and ``/stats``
+  report recovery and checkpoint state; an unwritable log turns every
+  write into a 503 while reads keep serving.
 
 Routes (all bodies JSON unless noted)::
 
@@ -325,15 +327,6 @@ class ProvenanceServer:
         self._closing = False
         #: open connection -> the thread serving it
         self._connections: Dict[socket.socket, threading.Thread] = {}
-        if durability is not None:
-            # checkpoints snapshot registered view states alongside the
-            # database, so a restart restores instead of re-evaluating;
-            # promoted answers are rebuilt by a miss after recovery
-            # (dict.copy() is atomic under the GIL; the writer may be
-            # mutating the table)
-            durability.set_view_supplier(lambda: {
-                name: e.view for name, e in self._views.copy().items()
-                if e.named and e.broken is None})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -820,44 +813,30 @@ class ProvenanceServer:
         return 201, {"name": name, "version": self.manager.version}
 
     def restore_views(self) -> Dict[str, str]:
-        """Rebuild every durably-registered view after recovery.
+        """Evaluate every durably-registered view after recovery.
 
         Called once on boot (before serving) when the server is mounted
-        on a durability manager.  Each definition recovered from the WAL
-        / views manifest is restored from its checkpoint state snapshot
-        when one matches the recovered database (fingerprint-checked —
-        a stale or damaged snapshot falls back to re-evaluating the
-        query; :func:`repro.ivm.snapshot.load_view` counts the fallback
-        in the ``snapshot_rebuilds`` ledger).  A definition the recovered
-        catalog no longer type-checks (a later ``/relations`` write
-        dropped a column it reads) is registered *broken*, naming the
-        tables it reads and the cause, as a write that breaks it at run
-        time does: its reads answer 409 and each later write retries the
-        rebuild.  Returns ``name -> "restored" | "rebuilt" | "broken"``
-        for the boot log.
+        on a durability manager.  A view's state is a function of the
+        database, so each definition recovered from the WAL / views
+        manifest is evaluated over the recovered catalog; promoted
+        answers are not recovered (a miss rebuilds them).  A definition
+        the recovered catalog no longer type-checks (a later
+        ``/relations`` write dropped a column it reads) is registered
+        *broken*, naming the tables it reads and the cause, as a write
+        that breaks it at run time does: its reads answer 409 and each
+        later write retries the rebuild.  Returns ``name -> "rebuilt" |
+        "broken"`` for the boot log.
         """
         if self.durability is None:
             return {}
         from repro.ivm import MaterializedView
-        from repro.ivm.snapshot import load_view
         from repro.sql.compiler import compile_sql
 
         outcomes: Dict[str, str] = {}
         for name, sql in sorted(self.durability.view_defs.items()):
-            view_db = _clone(self.manager.pin())
             query = compile_sql(sql)
-            path = self.durability.view_state_path(name)
             try:
-                try:
-                    view = load_view(view_db, query, path)
-                    outcomes[name] = (
-                        "restored" if view.restored_from_snapshot else "rebuilt"
-                    )
-                except FileNotFoundError:
-                    # registered after the last checkpoint: only the WAL
-                    # create_view record survived, so evaluate from scratch
-                    view = MaterializedView.create(view_db, query)
-                    outcomes[name] = "rebuilt"
+                view = MaterializedView.create(_clone(self.manager.pin()), query)
             except Exception as exc:
                 log.exception("view %r cannot be rebuilt on boot", name)
                 outcomes[name] = "broken"
@@ -866,6 +845,7 @@ class ProvenanceServer:
                     broken=(", ".join(sorted(_tables(query))),
                             f"{type(exc).__name__}: {exc}"))
                 continue
+            outcomes[name] = "rebuilt"
             self._views[name] = _Entry(view, named=True)
         return outcomes
 

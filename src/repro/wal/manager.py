@@ -7,7 +7,6 @@ on.  It owns one data directory::
       wal-00000000000000000001.log        append-only record segments
       checkpoint-00000000000000000042.snap  full-database snapshots
       checkpoint-00000000000000000042.views.json  view definitions at 42
-      view-5f3a....snap                   per-view state snapshots
 
 and maintains the classic write-ahead discipline:
 
@@ -27,7 +26,9 @@ and maintains the classic write-ahead discipline:
   update records into one batch per relation, so a 100k-record tail
   replays in seconds, not quadratic union time — tolerating a torn
   final record (truncate and continue) while refusing mid-log damage
-  with :class:`~repro.exceptions.WalCorrupt`.
+  with :class:`~repro.exceptions.WalCorrupt`.  Views are stored as
+  definitions only: their state is a function of the recovered database,
+  so the server evaluates each one after recovery.
 
 ``add`` and ``update`` records, like checkpoints, hold each relation as
 the column record of :func:`repro.io.serialize.relation_to_jsonable`.
@@ -52,8 +53,7 @@ import os
 import re
 import threading
 import time
-from hashlib import sha256
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import faults
 from repro.core.database import KDatabase
@@ -133,7 +133,6 @@ class DurabilityManager:
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoints_written = 0
         self.records_appended = 0
-        self._view_supplier: Optional[Callable[[], Mapping[str, Any]]] = None
         self._ckpt_wake = threading.Event()
         self._ckpt_stop = threading.Event()
         self._ckpt_thread: Optional[threading.Thread] = None
@@ -195,7 +194,7 @@ class DurabilityManager:
                 skipped += 1
                 continue
             db, ckpt_lsn = loaded, lsn
-            view_defs = _load_views_manifest(directory, lsn)
+            view_defs = _read_views_manifest(directory, lsn)
             break
 
         source = "checkpoint"
@@ -351,8 +350,8 @@ class DurabilityManager:
         """Durably record a materialised-view definition; return the LSN.
 
         The view *state* is the server's to maintain; what the WAL
-        guarantees is that the definition survives a crash, so recovery
-        can rebuild (or snapshot-restore) the view before serving.
+        guarantees is that the definition survives a crash, so the view
+        is evaluated over the recovered database before serving.
         """
         with self._mutex:
             lsn = self._wal.append(
@@ -369,19 +368,6 @@ class DurabilityManager:
         self._wal.sync()
 
     # -- checkpointing -------------------------------------------------------
-
-    def set_view_supplier(
-        self, supplier: Callable[[], Mapping[str, Any]]
-    ) -> None:
-        """Register a callable returning ``name -> MaterializedView`` whose
-        states should be snapshotted alongside each checkpoint."""
-        self._view_supplier = supplier
-
-    def view_state_path(self, name: str) -> str:
-        """Where ``name``'s state snapshot lives (content-addressed: view
-        names are client input, not filesystem-safe)."""
-        digest = sha256(name.encode("utf-8")).hexdigest()[:16]
-        return os.path.join(self.directory, f"view-{digest}.snap")
 
     def checkpoint(self, *, force: bool = False) -> Optional[str]:
         """Write a full snapshot at the current LSN and prune old segments.
@@ -407,7 +393,6 @@ class DurabilityManager:
                 _views_manifest_path(self.directory, lsn),
                 json.dumps({"views": view_defs}, sort_keys=True).encode("utf-8"),
             )
-            self._snapshot_views()
             with self._mutex:
                 self._checkpoint_lsn = lsn
                 self._publish_lag()
@@ -415,20 +400,6 @@ class DurabilityManager:
             obs_metrics.WAL_CHECKPOINTS.inc()
             self._prune()
             return path
-
-    def _snapshot_views(self) -> None:
-        if self._view_supplier is None:
-            return
-        from repro.ivm.snapshot import save_view
-
-        for name, view in dict(self._view_supplier()).items():
-            try:
-                # the view's private catalog lock makes the dump a
-                # consistent cut against a concurrent apply()
-                with view.db._lock:
-                    save_view(view, self.view_state_path(name))
-            except ReproError as exc:  # never fail a checkpoint on a view
-                log.warning("view %r state snapshot failed: %s", name, exc)
 
     def _prune(self) -> None:
         """Drop checkpoints beyond the retention window, then every WAL
@@ -538,7 +509,7 @@ def _load_checkpoint(path: str) -> KDatabase:
     return loaded
 
 
-def _load_views_manifest(directory: str, lsn: int) -> Dict[str, str]:
+def _read_views_manifest(directory: str, lsn: int) -> Dict[str, str]:
     path = _views_manifest_path(directory, lsn)
     try:
         with open(path, "r", encoding="utf-8") as fh:

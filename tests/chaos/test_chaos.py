@@ -6,7 +6,7 @@ never an annotation.  Each test arms one fault class from
 bit-for-bit against the interpreter (the paper-faithful oracle that
 shares no code with the tiers under test): a stalled morsel on the
 parallel tier, a morsel that raises (the whole query re-runs on the
-serial encoded tier), a deadline racing a stall, and a torn snapshot.
+serial encoded tier), a deadline racing a stall, and a torn checkpoint.
 The WAL's faults are in ``test_durability_chaos.py``.
 
 The suite ends by auditing the morsel pool: after :func:`parallel.cleanup`
@@ -184,26 +184,47 @@ def test_tight_deadline_under_latency_cancels_or_answers_exactly():
 
 
 # ---------------------------------------------------------------------------
-# snapshot chaos
+# checkpoint chaos
 # ---------------------------------------------------------------------------
+
+VIEW_SQL = "SELECT g, SUM(v), COUNT(*) FROM R GROUP BY g"
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_torn_snapshots_rebuild_to_the_exact_view(tmp_path, seed):
-    from repro.ivm import MaterializedView, load_view, save_view
+def test_a_torn_checkpoint_recovers_the_exact_relations_and_view(tmp_path, seed,
+                                                                 typed_contents):
+    """A checkpoint torn before its rename is skipped on recovery: the
+    previous checkpoint plus the WAL tail give back every acknowledged
+    row, and the registered view boots equal to evaluation."""
+    from repro.io.serialize import load_file
+    from repro.serve.server import ProvenanceServer
+    from repro.sql.compiler import compile_sql
+    from repro.wal import DurabilityManager
 
-    db = chaos_db()
-    view = MaterializedView.create(db, GROUP_QUERY)
-    path = tmp_path / f"chaos-{seed}.snap"
+    manager = DurabilityManager.open(tmp_path, initial_db=chaos_db(), fsync="always")
+    manager.create_view("by_g", VIEW_SQL)
+    manager.update({"R": KRelation.from_rows(NAT, ("g", "k", "v"), [(("g9", seed, 5), 2)])})
     with faults.inject("truncate_snapshot", seed=seed):
-        save_view(view, path)
+        torn = manager.checkpoint()
+    manager.update({"R": KRelation.from_rows(NAT, ("g", "k", "v"), [(("g1", 1, seed), 1)])})
+    acknowledged = typed_contents(manager.db)
+    manager.close()
     with pytest.raises(SnapshotCorrupt):
-        from repro.io.serialize import load_file
+        load_file(torn)
 
-        load_file(path)
-    restored = load_view(db, GROUP_QUERY, path)
-    assert restored.result() == GROUP_QUERY.evaluate(db)
-    assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 1
+    recovered = DurabilityManager.open(tmp_path)
+    try:
+        assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 1
+        assert recovered.recovery["checkpoints_skipped"] == 1
+        assert recovered.recovery["checkpoint_lsn"] == 0  # the one before
+        assert recovered.recovery["records_replayed"] == 3
+        assert typed_contents(recovered.db) == acknowledged
+        server = ProvenanceServer(recovered.db, durability=recovered)
+        assert server.restore_views() == {"by_g": "rebuilt"}
+        want = compile_sql(VIEW_SQL).evaluate(recovered.db, engine="interpreted")
+        assert server._views["by_g"].view.result() == want
+    finally:
+        recovered.close()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import re
 import sys
 import threading
@@ -606,9 +605,10 @@ def test_the_patch_runs_before_the_update_answers(serve, monkeypatch):
     assert client.answers()["hits"] == 1
 
 
-def test_a_checkpoint_snapshots_registered_views_only(tmp_path):
-    """Promoted answers stay in memory: a checkpoint writes the state of
-    each ``/views`` entry and of nothing else."""
+def test_a_checkpoint_writes_no_view_files(tmp_path):
+    """Maintained answers stay in memory: a checkpoint writes the
+    database and the ``/views`` definitions, and no state of a ``/views``
+    entry or a promoted answer."""
     manager = DurabilityManager.open(tmp_path, semiring=NAT, fsync="always")
     handle = start_in_thread(manager.db, durability=manager)
     client = Client(handle.address)
@@ -620,8 +620,9 @@ def test_a_checkpoint_snapshots_registered_views_only(tmp_path):
         _promote(client, {"sql": "SELECT g, v FROM R"})
         assert client.answers()["promoted"] == 1
         assert manager.checkpoint() is not None
-        snaps = sorted(p.name for p in tmp_path.glob("view-*.snap"))
-        assert snaps == [os.path.basename(manager.view_state_path("v"))]
+        assert list(tmp_path.glob("view-*")) == []
+        manifest = sorted(tmp_path.glob("checkpoint-*.views.json"))[-1]
+        assert json.loads(manifest.read_text())["views"] == {"v": GROUPED}
         assert client.request("GET", "/stats")[1]["views"] == ["v"]
     finally:
         client.close()

@@ -6,7 +6,10 @@ in-process (``start_in_thread``) so the tests can reach into the
 durability manager, inject faults, and restart the stack quickly:
 
 * acknowledged HTTP writes (200/201 responses) survive a server
-  restart over the same data directory, including materialised views;
+  restart over the same data directory, including materialised views,
+  which boot by evaluation (view-state files an earlier build wrote
+  beside its checkpoints are never read), and a checkpoint never waits
+  for a view;
 * an unwritable WAL turns writes into 503 + ``Retry-After`` while reads
   keep answering, and ``/health`` reports degraded with the reason;
 * the ``Retry-After`` header tracks pool pressure instead of the old
@@ -15,16 +18,21 @@ durability manager, inject faults, and restart the stack quickly:
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
+import os
+import threading
 
 import pytest
 
 from repro import faults
+from repro.io import serialize
 from repro.obs import metrics as obs_metrics
 from repro.core import KDatabase, KRelation
 from repro.semirings import NAT
 from repro.serve import WorkerPool, start_in_thread
+from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
 
 #: An exception escaping a connection thread fails the test, not a log line.
@@ -71,8 +79,44 @@ def durable_server(tmp_path, **open_kwargs):
 ROWS = {"columns": ["g", "v"], "rows": [{"values": ["g1", 1]},
                                         {"values": ["g2", 2]}]}
 
+BY_G = "SELECT g, SUM(v) FROM R GROUP BY g"
 
-def test_acknowledged_writes_and_views_survive_restart(tmp_path):
+#: The view-state file an earlier build's checkpoint wrote for ``by_g``
+#: over ``R = {g1: 1, g2: 2, g3: 3}``, the database the restart test
+#: builds, byte for byte; its fingerprint matches that database, so that
+#: build restored the view from it instead of evaluating.
+BY_G_STATE = (
+    '{"kind": "view_state", "data": {"head": "group", "semiring": "N", '
+    '"query": "GB[g; SUM(v)](R)", "db_version": 1, "db_fingerprint": '
+    '"1e4a4351e2f95436ac3d1248f9e0780646faf1f7396ec44ce4b52ec3c341ec31", '
+    '"out_schema": ["g", "v"], "core_schema": ["g", "v"], "state": ['
+    '{"key": ["g1"], "tensors": {"v": {"__tensor__": {"semiring": "N", '
+    '"monoid": "SUM", "items": [[1, 1]]}}}, "total": 1}, '
+    '{"key": ["g2"], "tensors": {"v": {"__tensor__": {"semiring": "N", '
+    '"monoid": "SUM", "items": [[2, 1]]}}}, "total": 1}, '
+    '{"key": ["g3"], "tensors": {"v": {"__tensor__": {"semiring": "N", '
+    '"monoid": "SUM", "items": [[3, 1]]}}}, "total": 1}]}}'
+)
+
+
+def plant_view_state(directory, name, body):
+    """Write ``body`` where an earlier build kept ``name``'s state, in the
+    checksummed snapshot-file format."""
+    data = body.encode("utf-8")
+    header = json.dumps({"magic": serialize.SNAPSHOT_MAGIC, "length": len(data),
+                         "sha256": hashlib.sha256(data).hexdigest()}, sort_keys=True)
+    path = directory / f"view-{hashlib.sha256(name.encode()).hexdigest()[:16]}.snap"
+    path.write_bytes(header.encode("utf-8") + b"\n" + data)
+
+
+def view_files(directory):
+    return {path.name: path.read_bytes() for path in directory.glob("view-*")}
+
+
+@pytest.mark.parametrize("earlier_build_files", [False, True],
+                         ids=["own", "earlier-build-view-files"])
+def test_acknowledged_writes_and_views_survive_restart(tmp_path, monkeypatch,
+                                                       earlier_build_files):
     manager, handle = durable_server(tmp_path)
     client = Client(handle.address)
     try:
@@ -85,14 +129,22 @@ def test_acknowledged_writes_and_views_survive_restart(tmp_path):
         )
         assert status == 200
         status, _, _ = client.request(
-            "POST", "/views",
-            {"name": "by_g", "sql": "SELECT g, SUM(v) FROM R GROUP BY g"},
-        )
+            "POST", "/views", {"name": "by_g", "sql": BY_G})
         assert status == 201
     finally:
         client.close()
         handle.close()
         manager.close()
+    if earlier_build_files:
+        plant_view_state(tmp_path, "by_g", BY_G_STATE)
+    planted = view_files(tmp_path)
+    read, load_file = [], serialize.load_file
+
+    def reading(path):
+        read.append(os.path.basename(path))
+        return load_file(path)
+
+    monkeypatch.setattr(serialize, "load_file", reading)
 
     # a new process over the same directory: everything is back
     recovered, handle = durable_server(tmp_path)
@@ -109,41 +161,23 @@ def test_acknowledged_writes_and_views_survive_restart(tmp_path):
         status, view, _ = client.request("GET", "/views/by_g")
         assert status == 200
         assert len(view["rows"]) == 3  # g1, g2, g3 groups
+        assert handle.server._views["by_g"].view.result() == compile_sql(BY_G).evaluate(
+            recovered.db, engine="interpreted")
         _, stats, _ = client.request("GET", "/stats")
         assert stats["views"] == ["by_g"]
         assert stats["durability"]["last_lsn"] == 3
+        # recovery read its checkpoint and nothing else; a checkpoint
+        # writes no view file and leaves the earlier build's in place
+        assert read and all(name.startswith("checkpoint-") for name in read)
+        recovered.checkpoint(force=True)
+        assert view_files(tmp_path) == planted
     finally:
         client.close()
         handle.close()
         recovered.close()
 
 
-def test_view_state_restores_from_checkpoint_snapshot(tmp_path):
-    manager, handle = durable_server(tmp_path)
-    client = Client(handle.address)
-    try:
-        client.request("POST", "/relations", {"name": "R", "relation": ROWS})
-        client.request("POST", "/views",
-                       {"name": "v", "sql": "SELECT COUNT(*) FROM R"})
-        manager.checkpoint()  # snapshots the view state alongside the db
-    finally:
-        client.close()
-        handle.close()
-        manager.close()
-
-    recovered = DurabilityManager.open(tmp_path)
-    handle = start_in_thread(recovered.db, durability=recovered)
-    try:
-        # start_in_thread ran restore_views(); the checkpoint state was
-        # fingerprint-valid (no post-checkpoint writes), so no rebuild
-        assert handle.server._views["v"].view.restored_from_snapshot is True
-        assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 0
-    finally:
-        handle.close()
-        recovered.close()
-
-
-def test_stale_view_snapshot_rebuilds_after_post_checkpoint_writes(tmp_path):
+def test_a_view_registered_before_a_checkpoint_boots_over_the_wal_tail(tmp_path):
     manager, handle = durable_server(tmp_path)
     client = Client(handle.address)
     try:
@@ -151,7 +185,6 @@ def test_stale_view_snapshot_rebuilds_after_post_checkpoint_writes(tmp_path):
         client.request("POST", "/views",
                        {"name": "v", "sql": "SELECT COUNT(*) FROM R"})
         manager.checkpoint()
-        # the database moves on; the view state snapshot goes stale
         client.request(
             "POST", "/update",
             {"relations": {"R": {"rows": [{"values": ["g9", 9]}]}}},
@@ -165,15 +198,48 @@ def test_stale_view_snapshot_rebuilds_after_post_checkpoint_writes(tmp_path):
     handle = start_in_thread(recovered.db, durability=recovered)
     client = Client(handle.address)
     try:
-        view = handle.server._views["v"].view
-        assert view.restored_from_snapshot is False  # fingerprint mismatch
-        assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 1
+        assert recovered.recovery["source"] == "checkpoint+wal"
         _, body, _ = client.request("GET", "/views/v")
-        assert body["rows"][0]["values"] == [3]  # rebuilt over 3 rows
+        assert body["rows"][0]["values"] == [3]  # evaluated over 3 rows
+        assert obs_metrics.resilience_counters()["snapshot_rebuilds"] == 0
     finally:
         client.close()
         handle.close()
         recovered.close()
+
+
+def test_a_checkpoint_does_not_wait_for_a_view(tmp_path):
+    """A checkpoint writes the database and the view definitions, never a
+    view's state, so it completes while a writer holds the view's lock."""
+    manager, handle = durable_server(tmp_path)
+    client = Client(handle.address)
+    held, release, done = threading.Event(), threading.Event(), []
+
+    def hold():
+        with handle.server._views["by_g"].view.db._lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    checkpointer = threading.Thread(target=lambda: done.append(manager.checkpoint()))
+    try:
+        client.request("POST", "/relations", {"name": "R", "relation": ROWS})
+        assert client.request("POST", "/views", {"name": "by_g", "sql": BY_G})[0] == 201
+        client.request("POST", "/update",
+                       {"relations": {"R": {"rows": [{"values": ["g3", 3]}]}}})
+        holder.start()
+        assert held.wait(10)
+        checkpointer.start()
+        checkpointer.join(10)
+        assert done and done[0] is not None, "the checkpoint waited on the view's lock"
+    finally:
+        release.set()
+        for thread in (holder, checkpointer):
+            if thread.is_alive():
+                thread.join(10)
+        client.close()
+        handle.close()
+        manager.close()
 
 
 def test_a_view_the_recovered_catalog_breaks_boots_as_broken(tmp_path):

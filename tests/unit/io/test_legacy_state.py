@@ -2,21 +2,18 @@
 
 Earlier releases kept every entry of an ``N (x) SUM`` tensor — how the
 value was reached, ``2⊗10 + 1⊗5`` — and wrote them all.  The literal
-fixtures below are such files, byte for byte: a view-state snapshot and
-a checkpoint database.  Loaded as a view snapshot, and through a WAL
-data directory's checkpoint, the tensor is the normal form ``1⊗25``,
-equal to re-evaluation, and the snapshot still passes its database
-fingerprint check (the base table holds no tensor, so its fingerprint
-is unchanged).
+fixtures below are checkpoint databases such a release wrote, byte for
+byte.  Recovered through a WAL data directory, a stored tensor is the
+normal form ``1⊗25``, and a view registered beside the checkpoint boots
+to it, equal to re-evaluation.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from repro.ivm import MaterializedView
-from repro.ivm.snapshot import load_view
 from repro.io.serialize import SNAPSHOT_MAGIC, loads
+from repro.serve.server import ProvenanceServer
 from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
 from repro.wal.manager import checkpoint_path
@@ -27,17 +24,6 @@ DATABASE = (
     '{"data": {"relations": {"R": {"rows": [{"annotation": 2, "values": ["a", 10]}, '
     '{"annotation": 1, "values": ["a", 5]}, {"annotation": 1, "values": ["b", 7]}], '
     '"schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}, "kind": "database"}'
-)
-
-VIEW_STATE = (
-    '{"data": {"core_schema": ["g", "v"], "db_fingerprint": '
-    '"b0c2201a9421dbb37d8d16c0e4a1717cf5faf62ad7299d311be1e5e5fc18183f", '
-    '"db_version": 1, "head": "group", "out_schema": ["g", "v"], '
-    '"query": "GB[g; SUM(v)](R)", "semiring": "N", "state": ['
-    '{"key": ["a"], "tensors": {"v": {"__tensor__": {"items": [[10, 2], [5, 1]], '
-    '"monoid": "SUM", "semiring": "N"}}}, "total": 3}, '
-    '{"key": ["b"], "tensors": {"v": {"__tensor__": {"items": [[7, 1]], '
-    '"monoid": "SUM", "semiring": "N"}}}, "total": 1}]}, "kind": "view_state"}'
 )
 
 #: the aggregate itself stored as a table: ``T = GB[g; SUM(v)](R)``
@@ -62,28 +48,18 @@ def aggregates(rel):
     return {t["g"]: str(t["v"]) for t, _k in rel.rows()}
 
 
-def test_a_view_snapshot_restores_to_the_normal_form():
-    db, query = loads(DATABASE), compile_sql(SQL)
-    view = MaterializedView.create(db, query, snapshot=loads(VIEW_STATE))
-    assert view.restored_from_snapshot  # the fingerprint check passed
-    assert aggregates(view.result()) == {"a": "1⊗25", "b": "1⊗7"}
-    assert view.check() and view.result().pretty() == query.evaluate(db).pretty()
-
-
-def test_a_checkpointed_view_restores_to_the_normal_form(tmp_path):
+def test_a_checkpointed_view_boots_to_the_normal_form(tmp_path):
     snapshot_file(checkpoint_path(str(tmp_path), 0), DATABASE)
     (tmp_path / "checkpoint-00000000000000000000.views.json").write_text(
         json.dumps({"views": {"totals": SQL}}, sort_keys=True))
     manager = DurabilityManager.open(str(tmp_path))
     try:
         assert manager.view_defs == {"totals": SQL}
-        snapshot_file(manager.view_state_path("totals"), VIEW_STATE)
-        db, query = manager.db, compile_sql(SQL)
-        view = load_view(db, query, manager.view_state_path("totals"),
-                         rebuild_on_corrupt=False)
-        assert view.restored_from_snapshot
+        server = ProvenanceServer(manager.db, durability=manager)
+        assert server.restore_views() == {"totals": "rebuilt"}
+        view, query = server._views["totals"].view, compile_sql(SQL)
         assert aggregates(view.result()) == {"a": "1⊗25", "b": "1⊗7"}
-        assert view.check() and view.result().pretty() == query.evaluate(db).pretty()
+        assert view.result().pretty() == query.evaluate(manager.db).pretty()
     finally:
         manager.close()
 

@@ -6,10 +6,9 @@ truncation, body truncation, a flipped byte, a stale checksum, a file
 that was never a snapshot, a torn write installed by a crash between
 write and rename — into the typed
 :class:`~repro.exceptions.SnapshotCorrupt`, never a bare pickle/JSON/
-``KeyError`` escaping mid-restore.  ``load_view`` then turns corruption
-into a rebuild from the live database (counted in the resilience
-ledger), because a damaged cache must cost recomputation, not wrong
-answers."""
+``KeyError`` escaping mid-restore.  Recovery then skips a damaged
+checkpoint for the previous one (counted in the resilience ledger), so
+damage costs a longer replay, never a wrong answer."""
 
 import glob
 import json
@@ -18,13 +17,12 @@ import os
 import pytest
 
 from repro import faults
-from repro.core import GroupBy, KDatabase, KRelation, Table
+from repro.core import KDatabase, KRelation
 from repro.exceptions import SnapshotCorrupt
 from repro.io.serialize import SNAPSHOT_MAGIC, dump_file, load_file
-from repro.ivm import MaterializedView, load_view, save_view
-from repro.monoids import SUM
 from repro.obs.metrics import resilience_counters
 from repro.semirings import NAT
+from repro.wal import DurabilityManager
 
 
 @pytest.fixture(autouse=True)
@@ -39,9 +37,6 @@ def sales_db():
         NAT, ("g", "v"), [((f"g{i % 3}", i), 1 + i % 2) for i in range(9)]
     )
     return KDatabase(NAT, {"R": rel})
-
-
-QUERY = GroupBy(Table("R"), ["g"], {"v": SUM})
 
 
 def split(path):
@@ -157,12 +152,10 @@ def test_verified_body_that_cannot_decode_is_still_typed(tmp_path):
 
 
 @pytest.mark.parametrize("body", [b"[]", b'"x"'])
-def test_verified_body_that_is_not_an_object_rebuilds_the_view(tmp_path, body):
-    """A checksum-valid body that is not a JSON object is corruption too,
-    so restoring the view falls back to evaluation."""
+def test_verified_body_that_is_not_an_object_is_corruption(tmp_path, body):
+    """A checksum-valid body that is not a JSON object is corruption too."""
     import hashlib
 
-    db = sales_db()
     path = tmp_path / "t.snap"
     header = json.dumps(
         {"magic": SNAPSHOT_MAGIC, "length": len(body),
@@ -171,10 +164,6 @@ def test_verified_body_that_is_not_an_object_rebuilds_the_view(tmp_path, body):
     _write(path, header + b"\n" + body)
     with pytest.raises(SnapshotCorrupt, match="failed to decode"):
         load_file(path)
-    restored = load_view(db, QUERY, path)
-    assert not restored.restored_from_snapshot
-    assert restored.result() == QUERY.evaluate(db)
-    assert resilience_counters()["snapshot_rebuilds"] == 1
 
 
 def test_injected_torn_write_models_a_crash_before_rename(tmp_path):
@@ -200,41 +189,20 @@ def test_seeded_torn_writes_are_always_detected(tmp_path, seed):
 
 
 # ---------------------------------------------------------------------------
-# view restore: corruption costs a rebuild, never a wrong answer
+# checkpoint restore: corruption costs a longer replay, never a wrong answer
 # ---------------------------------------------------------------------------
 
 
-def test_save_load_view_round_trip(tmp_path):
-    db = sales_db()
-    view = MaterializedView.create(db, QUERY)
-    path = save_view(view, tmp_path / "totals.snap")
-    restored = load_view(db, QUERY, path)
-    assert restored.result() == view.result() == QUERY.evaluate(db)
-    assert resilience_counters()["snapshot_rebuilds"] == 0
+def test_checkpoint_holding_the_wrong_object_is_skipped(tmp_path):
+    manager = DurabilityManager.open(tmp_path, initial_db=sales_db(), fsync="always")
+    manager.update({"R": KRelation.from_rows(NAT, ("g", "v"), [(("g9", 9), 1)])})
+    latest = manager.checkpoint()
+    expected = manager.db.relation("R")
+    manager.close()
+    dump_file(sales_db().relation("R"), latest)  # a relation, not a database
 
-
-def test_corrupt_view_snapshot_rebuilds_from_the_database(tmp_path):
-    db = sales_db()
-    path = save_view(MaterializedView.create(db, QUERY), tmp_path / "t.snap")
-    header, body = split(path)
-    _write(path, header + b"\n" + body[:-7])
-    restored = load_view(db, QUERY, path)
-    assert restored.result() == QUERY.evaluate(db)
+    recovered = DurabilityManager.open(tmp_path)
+    assert recovered.recovery["checkpoints_skipped"] == 1
+    assert recovered.db.relation("R") == expected
     assert resilience_counters()["snapshot_rebuilds"] == 1
-
-
-def test_corrupt_view_snapshot_can_surface_instead(tmp_path):
-    db = sales_db()
-    path = save_view(MaterializedView.create(db, QUERY), tmp_path / "t.snap")
-    _write(path, b"garbage")
-    with pytest.raises(SnapshotCorrupt):
-        load_view(db, QUERY, path, rebuild_on_corrupt=False)
-    assert resilience_counters()["snapshot_rebuilds"] == 0
-
-
-def test_snapshot_holding_the_wrong_object_is_corruption(tmp_path):
-    db = sales_db()
-    path = dump_file(db.relation("R"), tmp_path / "notaview.snap")
-    restored = load_view(db, QUERY, path)  # rebuilds: relation ≠ view state
-    assert restored.result() == QUERY.evaluate(db)
-    assert resilience_counters()["snapshot_rebuilds"] == 1
+    recovered.close()

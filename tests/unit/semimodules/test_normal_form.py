@@ -13,7 +13,7 @@ and keep their entries (``tests/property/test_float_sum.py``).
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GroupBy, KDatabase, KRelation, Table
-from repro.io.serialize import database_fingerprint
+from repro.io.serialize import relation_to_jsonable
 from repro.monoids import AVG, BHAT, MAX, MIN, PROD, SUM
 from repro.semimodules import tensor_space
 from repro.semirings import BOOL, INT, NAT, support_hom
@@ -97,7 +97,7 @@ def test_a_sum_that_cancels_is_the_zero_tensor():
     assert not t and len(t) == 0 and str(t) == "0" and t.items() == ()
 
 
-def test_equal_databases_fingerprint_equally():
+def test_equal_databases_store_alike(typed_contents):
     space = tensor_space(NAT, SUM)
 
     def database(tensor):
@@ -106,7 +106,8 @@ def test_equal_databases_fingerprint_equally():
 
     twice, once = database(space.simple(2, 30)), database(space.simple(1, 60))
     assert twice.relation("T") == once.relation("T")
-    assert database_fingerprint(twice) == database_fingerprint(once)
+    assert typed_contents(twice) == typed_contents(once)
+    assert relation_to_jsonable(twice.relation("T")) == relation_to_jsonable(once.relation("T"))
 
 
 def test_an_aggregate_renders_its_value():

@@ -18,7 +18,6 @@ from repro.core.database import KDatabase
 from repro.core.relation import KRelation
 from repro.core.schema import Schema
 from repro.exceptions import SemiringError, WalCorrupt, WalWriteError
-from repro.io.serialize import database_fingerprint
 from repro.semirings import INT, NAT
 from repro.wal import DurabilityManager, list_checkpoints, list_segments
 
@@ -68,32 +67,33 @@ def test_nonempty_directory_is_authoritative_over_initial_db(tmp_path):
     manager.close()
 
 
-def test_acknowledged_writes_survive_reopen(tmp_path):
+def test_acknowledged_writes_survive_reopen(tmp_path, typed_contents):
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
     for i in range(10):
         manager.update({"R": rel([(i, i + 1)])})
-    fingerprint = database_fingerprint(manager.db)
+    manager.update({"R": rel([(10, 3.0)])})  # a float equal to an int
+    contents = typed_contents(manager.db)
     manager.close()
 
     recovered = DurabilityManager.open(tmp_path)
     assert recovered.recovery["source"] == "checkpoint+wal"
-    assert recovered.recovery["records_replayed"] == 11
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert recovered.recovery["records_replayed"] == 12
+    assert typed_contents(recovered.db) == contents
     recovered.close()
 
 
-def test_replay_coalesces_but_preserves_deletions_in_z(tmp_path):
+def test_replay_coalesces_but_preserves_deletions_in_z(tmp_path, typed_contents):
     manager = fresh(tmp_path, semiring=INT)
     manager.add("R", rel([(1, 1), (2, 2)], semiring=INT))
     # delete (1,1) the Z way: a delta carrying the additive inverse
     delete = KRelation.from_rows(INT, Schema(("a", "b")), [((1, 1), -1)])
     manager.update({"R": delete})
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     manager.close()
 
     recovered = DurabilityManager.open(tmp_path)
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     support = {tuple(t[a] for a in ("a", "b"))
                for t, _ in recovered.db.relation("R").items()}
     assert support == {(2, 2)}
@@ -148,7 +148,7 @@ def test_checkpoint_resets_lag_and_shortens_replay(tmp_path):
     recovered.close()
 
 
-def test_two_checkpoints_kept_and_old_segments_pruned(tmp_path):
+def test_two_checkpoints_kept_and_old_segments_pruned(tmp_path, typed_contents):
     manager = fresh(tmp_path, segment_bytes=4096)
     manager.add("R", rel([(0, 0)]))
     for round_no in range(4):
@@ -163,21 +163,21 @@ def test_two_checkpoints_kept_and_old_segments_pruned(tmp_path):
     assert len(segments) >= 1
     for (first, _), (next_first, _) in zip(segments, segments[1:]):
         assert next_first > oldest_kept + 1  # else it would have been pruned
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     manager.close()
     recovered = DurabilityManager.open(tmp_path)
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     recovered.close()
 
 
-def test_corrupt_latest_checkpoint_falls_back_to_the_previous(tmp_path):
+def test_corrupt_latest_checkpoint_falls_back_to_the_previous(tmp_path, typed_contents):
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
     manager.checkpoint()
     manager.update({"R": rel([(1, 1)])})
     latest = manager.checkpoint()
     manager.update({"R": rel([(2, 2)])})  # tail past the latest checkpoint
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     manager.close()
 
     with open(latest, "r+b") as fh:
@@ -188,11 +188,12 @@ def test_corrupt_latest_checkpoint_falls_back_to_the_previous(tmp_path):
     assert recovered.recovery["checkpoints_skipped"] == 1
     # the older checkpoint's WAL tail was never pruned, so the replay
     # covers everything the damaged snapshot held — and what followed it
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     recovered.close()
 
 
-def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(tmp_path):
+def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(
+        tmp_path, typed_contents):
     """A latest checkpoint whose verified body is not a JSON object is
     skipped like a damaged one; recovery replays from the older one."""
     import hashlib
@@ -205,7 +206,7 @@ def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(tmp_pat
     manager.update({"R": rel([(1, 1)])})
     latest = manager.checkpoint()
     manager.update({"R": rel([(2, 2)])})
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     manager.close()
 
     body = b"[]"
@@ -216,15 +217,15 @@ def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(tmp_pat
 
     recovered = DurabilityManager.open(tmp_path)
     assert recovered.recovery["checkpoints_skipped"] == 1
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     recovered.close()
 
 
-def test_all_checkpoints_corrupt_with_full_history_replays_from_empty(tmp_path):
+def test_all_checkpoints_corrupt_with_full_history_replays_from_empty(tmp_path, typed_contents):
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
     manager.update({"R": rel([(1, 1)])})
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     manager.close()
     for _, path in list_checkpoints(tmp_path):
         with open(path, "r+b") as fh:
@@ -235,7 +236,7 @@ def test_all_checkpoints_corrupt_with_full_history_replays_from_empty(tmp_path):
         DurabilityManager.open(tmp_path)
     recovered = DurabilityManager.open(tmp_path, semiring=NAT)
     assert recovered.recovery["source"] == "full-replay"
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     recovered.close()
 
 
@@ -273,7 +274,7 @@ def test_damaged_views_manifest_degrades_to_wal_definitions(tmp_path, caplog):
 # -- failure wiring ----------------------------------------------------------
 
 
-def test_unwritable_log_surfaces_and_database_stays_clean(tmp_path):
+def test_unwritable_log_surfaces_and_database_stays_clean(tmp_path, typed_contents):
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
     version = manager.db.version
@@ -289,7 +290,7 @@ def test_unwritable_log_surfaces_and_database_stays_clean(tmp_path):
 
     recovered = DurabilityManager.open(tmp_path)
     assert recovered.recovery["torn_tail"] is True
-    assert database_fingerprint(recovered.db) == database_fingerprint(manager.db)
+    assert typed_contents(recovered.db) == typed_contents(manager.db)
     recovered.close()
 
 
@@ -330,7 +331,7 @@ def test_close_with_checkpoint_leaves_an_empty_tail(tmp_path):
     recovered.close()
 
 
-def test_checkpoint_of_layered_tables_recovers_every_acknowledged_row(tmp_path):
+def test_checkpoint_of_layered_tables_recovers_every_acknowledged_row(tmp_path, typed_contents):
     """Small updates leave each table a version layered over its
     predecessor's rows (inserts, collisions, cancellations in ``Z``); a
     checkpoint serialises those versions and recovery reproduces them
@@ -350,14 +351,14 @@ def test_checkpoint_of_layered_tables_recovers_every_acknowledged_row(tmp_path):
     manager.checkpoint()
     manager.update({"R": KRelation.from_rows(INT, Schema(("a", "b")), [((200, 2), -1)])})
     assert manager.db.relation("R")._flat is None
-    fingerprint = database_fingerprint(manager.db)
+    contents = typed_contents(manager.db)
     expected = {name: dict(rel.rows()) for name, rel in manager.db}
     manager.close()
 
     recovered = DurabilityManager.open(tmp_path)
     assert recovered.recovery["source"] == "checkpoint+wal"
     assert recovered.recovery["records_replayed"] == 1
-    assert database_fingerprint(recovered.db) == fingerprint
+    assert typed_contents(recovered.db) == contents
     assert {name: dict(rel.rows()) for name, rel in recovered.db} == expected
     assert len(expected["R"]) == 400 + 6 - 6 - 1
     recovered.close()
