@@ -1,7 +1,10 @@
 # Developer entry points.  `make check` is the PR gate and is exactly the
 # tier-1 test suite: it collects tests/ (the chaos suite included) and
 # benchmarks/e2e/test_harness.py, which smoke-runs the one benchmark
-# (BENCHMARK.json, `python3 benchmarks/e2e/run.py`).
+# (BENCHMARK.json, `python3 benchmarks/e2e/run.py`).  The traced smoke run
+# of every workload (`--smoke --trace 1`, whose per-layer probes call the
+# WAL, checkpoint and IVM APIs directly) is a test under tests/ too, so a
+# break in a probe fails the gate before it fails the benchmark.
 
 PY       := python
 PYPATH   := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}

@@ -1,7 +1,9 @@
 """Query deadlines: a wall-clock budget threaded through execution.
 
 A :class:`Deadline` is created at the request boundary (an HTTP
-``timeout_ms``, a ``compile_plan(deadline=...)`` caller) and checked
+``timeout_ms``, a ``deadline=`` passed to ``PhysicalPlan.execute`` or
+``Query.evaluate``; a bare number of seconds is turned into one there)
+and checked
 *cooperatively* at cheap, frequent points: once per physical operator on
 entry and exit (:meth:`repro.plan.physical.PhysicalOp.execute`), once
 at the start of each parallel-tier morsel, and while waiting on the

@@ -58,10 +58,11 @@ class DeadlineExceeded(ReproError):
 
 
 class SnapshotCorrupt(ReproError):
-    """A persisted snapshot file failed an integrity check — truncated,
-    bit-flipped, checksum mismatch, or an interrupted write.  Restore
-    paths catch this and rebuild from the source data instead of trusting
-    partial state (see :func:`repro.io.serialize.load_file`)."""
+    """A checkpoint file failed an integrity check — truncated, over-long,
+    bit-flipped, checksum mismatch, an interrupted write, or a body that
+    is not a checkpoint.  Recovery catches this and falls back to the
+    previous checkpoint instead of trusting partial state (see
+    :meth:`repro.wal.manager.DurabilityManager.open`)."""
 
 
 class WalCorrupt(ReproError):

@@ -12,14 +12,13 @@ A relation is stored as one record, one list per attribute, in storage
 order — ``{"semiring", "schema", "columns": [[...], ...], "annotations":
 [...]}`` — written and read by whole-column passes and rebuilt by one
 :meth:`KRelation.from_rows`.  WAL records and checkpoints
-(:mod:`repro.wal`) and :func:`dumps` all hold it; :func:`record_rows`
-also reads the row layout earlier versions wrote (``"rows": [{"values",
-"annotation"}, ...]``).
+(:mod:`repro.wal`, which frames and checksums them) and :func:`dumps`
+all hold it.  :func:`write_atomic` and :func:`fsync_dir` are the
+crash-safe file primitives the checkpoint writer uses.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from typing import Any, Dict
 
 from repro.core.relation import KRelation
 from repro.core.database import KDatabase
-from repro.exceptions import ReproError, SnapshotCorrupt
+from repro.exceptions import ReproError
 from repro.monoids.base import CommutativeMonoid
 from repro.monoids.boolmonoid import ALL, BHAT
 from repro.monoids.counting import AVG, AvgPair
@@ -61,11 +60,8 @@ __all__ = [
     "database_from_jsonable",
     "dumps",
     "loads",
-    "dump_file",
-    "load_file",
     "write_atomic",
     "fsync_dir",
-    "SNAPSHOT_MAGIC",
 ]
 
 
@@ -325,22 +321,9 @@ def relation_to_jsonable(rel: KRelation) -> Any:
 
 
 def record_rows(data: Any):
-    """The ``(values, annotation)`` rows of a stored relation record.
-
-    Reads the column record :func:`relation_to_jsonable` writes and the
-    row layout earlier versions wrote (``"rows": [{"values": [...],
-    "annotation": k}, ...]``), which data directories and ``dumps``
-    payloads may still hold.
-    """
+    """The ``(values, annotation)`` rows of a column record written by
+    :func:`relation_to_jsonable`."""
     semiring = SEMIRING_REGISTRY[data["semiring"]]
-    if "columns" not in data:
-        return [
-            (
-                [_value_from_jsonable(v) for v in row["values"]],
-                annotation_from_jsonable(semiring, row["annotation"]),
-            )
-            for row in data["rows"]
-        ]
     columns = list(map(_column_from_jsonable, data["columns"]))
     annotations = _annotations_from_jsonable(semiring, data["annotations"])
     if len(columns) != len(data["schema"]) or any(
@@ -356,7 +339,7 @@ def record_rows(data: Any):
 
 
 def relation_from_jsonable(data: Any) -> KRelation:
-    """Decode a K-relation record (either layout, see :func:`record_rows`)."""
+    """Decode a K-relation record (see :func:`record_rows`)."""
     semiring = SEMIRING_REGISTRY[data["semiring"]]
     return KRelation.from_rows(semiring, data["schema"], record_rows(data))
 
@@ -421,41 +404,8 @@ _DECODERS = {
 
 
 # ---------------------------------------------------------------------------
-# crash-safe snapshot files
+# crash-safe files
 # ---------------------------------------------------------------------------
-
-#: First token of every snapshot file; bumping it versions the format.
-SNAPSHOT_MAGIC = "REPRO-SNAPSHOT-V1"
-
-
-def dump_file(obj: Any, path: str | os.PathLike) -> str:
-    """Atomically persist a relation or a database.
-
-    The write discipline is the standard crash-safe sequence: serialise
-    to a temp file in the destination directory, flush + fsync the data,
-    ``os.replace`` over the destination (atomic on POSIX), then fsync the
-    directory so the rename itself survives a power cut.  Readers
-    therefore only ever see the old complete file or the new complete
-    file — never a torn write.
-
-    The file is self-verifying: a header line carries the format magic
-    plus the body's byte length and sha256, so :func:`load_file` detects
-    truncation, bit-flips, and interrupted writes as
-    :class:`~repro.exceptions.SnapshotCorrupt` instead of feeding partial
-    JSON to the decoder.  Returns the destination path.
-    """
-    path = os.fspath(path)
-    body = dumps(obj).encode("utf-8")
-    header = json.dumps(
-        {
-            "magic": SNAPSHOT_MAGIC,
-            "length": len(body),
-            "sha256": hashlib.sha256(body).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    write_atomic(path, header + b"\n" + body, fault_point="truncate_snapshot")
-    return path
 
 
 def write_atomic(path: str, data: bytes, *, fault_point: "str | None" = None) -> None:
@@ -467,7 +417,7 @@ def write_atomic(path: str, data: bytes, *, fault_point: "str | None" = None) ->
     ``fault_point`` names a :mod:`repro.faults` point fired between the
     fsync and the rename: the chaos suite truncates the temp file there
     and the rename still happens, modelling a torn write that *looks*
-    installed (:func:`load_file` must detect it via length/sha mismatch).
+    installed (the checkpoint reader must detect it by its frame).
     """
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
@@ -510,54 +460,3 @@ def fsync_dir(directory: str) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
-
-
-def load_file(path: str | os.PathLike) -> Any:
-    """Load a snapshot written by :func:`dump_file`, verifying integrity.
-
-    Every way the file can be damaged — truncated header, truncated or
-    over-long body, flipped byte, checksum mismatch, a file that was
-    never a snapshot — raises :class:`~repro.exceptions.SnapshotCorrupt`
-    with the specific failure; a missing file raises the usual
-    ``FileNotFoundError`` (absence is not corruption).  Recovery catches
-    ``SnapshotCorrupt`` and falls back to the previous checkpoint
-    (:meth:`repro.wal.manager.DurabilityManager.open`).
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise SnapshotCorrupt(
-            f"snapshot {path!r}: no header line (truncated or not a snapshot)"
-        )
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotCorrupt(f"snapshot {path!r}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != SNAPSHOT_MAGIC:
-        raise SnapshotCorrupt(
-            f"snapshot {path!r}: bad magic (expected {SNAPSHOT_MAGIC!r})"
-        )
-    body = raw[newline + 1 :]
-    expected_len = header.get("length")
-    if len(body) != expected_len:
-        raise SnapshotCorrupt(
-            f"snapshot {path!r}: body is {len(body)} bytes, header declares "
-            f"{expected_len} (truncated or partially written)"
-        )
-    digest = hashlib.sha256(body).hexdigest()
-    if digest != header.get("sha256"):
-        raise SnapshotCorrupt(
-            f"snapshot {path!r}: sha256 mismatch (stored "
-            f"{header.get('sha256')!r}, computed {digest!r})"
-        )
-    try:
-        return loads(body.decode("utf-8"))
-    except (SerializationError, UnicodeDecodeError) as exc:
-        # the checksum passed but the payload will not decode: the writer
-        # was buggy or the format is from the future — still typed, never
-        # a bare KeyError escaping mid-restore
-        raise SnapshotCorrupt(
-            f"snapshot {path!r}: verified body failed to decode: {exc}"
-        ) from exc

@@ -39,10 +39,11 @@ from repro.core.query import (
     Distinct,
     GroupBy,
     Query,
+    Table,
 )
 from repro.core.relation import KRelation
 from repro.exceptions import QueryError
-from repro.ivm.delta import DeltaPlan, compile_delta_plan, table_refs
+from repro.ivm.delta import _LINEAR, DeltaPlan, compile_delta_plan, table_refs
 from repro.ivm.state import HeadState
 from repro.obs import trace as _trace
 from repro.plan.circuit_exec import CircuitResult
@@ -73,6 +74,32 @@ _HEAD_KINDS = {
 }
 
 
+def _shape_error(query: Query) -> QueryError:
+    """Why ``query`` is not one head directly over an SPJU core, naming
+    the first node outside that shape and the node above it."""
+    if type(query) in _HEAD_KINDS:
+        stack = [(query, query.child)]
+    else:
+        stack = [(None, query)]
+    while stack:
+        parent, node = stack.pop()
+        if isinstance(node, _LINEAR):
+            stack.extend((node, child) for child in reversed(node.children))
+        elif not isinstance(node, Table):
+            break
+    if parent is None:
+        where = f"{type(node).__name__} at the root"
+    elif type(node) in _HEAD_KINDS and type(parent) not in _HEAD_KINDS:
+        where = f"{type(parent).__name__} above the {type(node).__name__} head"
+    else:
+        where = f"{type(node).__name__} under {type(parent).__name__}"
+    return QueryError(
+        f"a view cannot maintain {query}: {where}; a view maintains one head "
+        "(GROUP BY, aggregate, COUNT, AVG or DISTINCT) directly over an SPJU "
+        "core (select, project, rename, union, join)"
+    )
+
+
 class MaterializedView:
     """A query result kept equal to re-evaluation under database deltas.
 
@@ -99,7 +126,10 @@ class MaterializedView:
         # an SPJU core, under at most one stateful aggregation head
         self._head_kind = _HEAD_KINDS.get(type(query), "relation")
         self._core = query if self._head_kind == "relation" else query.child
-        self._refs = table_refs(self._core)  # validates the SPJU core
+        try:
+            self._refs = table_refs(self._core)  # validates the SPJU core
+        except QueryError:
+            raise _shape_error(query) from None
 
         # well-formedness of the whole view, decided on schemas alone
         catalog = {name: rel.schema for name, rel in db}

@@ -127,17 +127,14 @@ class PhysicalPlan:
         self._parallel_spec = None
         self._parallel_reason: "str | None" = None
         self._parallel_job = None
-        # per-execution wall-clock budget in seconds, set by
-        # compile_plan(deadline=): each execute() gets a fresh Deadline
-        self._deadline_budget: "float | None" = None
 
     def execute(self, db=None, *, deadline=None) -> KRelation:
         """Run the plan and return the logical result relation.
 
-        ``deadline`` is an optional :class:`repro.deadline.Deadline`
-        checked cooperatively at every operator boundary (and per morsel
-        on the parallel tier); expiry raises
-        :class:`~repro.exceptions.DeadlineExceeded`.
+        ``deadline`` is an optional :class:`repro.deadline.Deadline` (or
+        a number of seconds, which starts one) checked cooperatively at
+        every operator boundary (and per morsel on the parallel tier);
+        expiry raises :class:`~repro.exceptions.DeadlineExceeded`.
 
         The root batch becomes a relation in one step, traced as a
         ``plan.materialise`` span (``rows_in``, ``rows_out`` and ``merge``,
@@ -201,9 +198,7 @@ class PhysicalPlan:
                             deadline=None):
         effective = tier if tier is not None else self.tier
         run_db = db if db is not None else self.db
-        if deadline is None and self._deadline_budget is not None:
-            deadline = Deadline.after(self._deadline_budget)
-        elif deadline is not None and not isinstance(deadline, Deadline):
+        if deadline is not None and not isinstance(deadline, Deadline):
             # a bare number of seconds is accepted at every entry point
             deadline = Deadline.after(float(deadline))
         suffix = ""
@@ -395,7 +390,6 @@ def compile_plan(
     *,
     rewrite: bool = True,
     tier: "str | None" = None,
-    deadline: "float | None" = None,
     annotations: str = "expanded",
 ) -> PhysicalPlan:
     """Compile ``query`` into a :class:`PhysicalPlan` against ``db``.
@@ -408,12 +402,10 @@ def compile_plan(
     lift the stored ``N[X]`` annotations of ``db`` as they read them, and
     on the encoded tier its annotation arrays are gate ids.
 
-    ``deadline`` attaches a per-execution wall-clock budget in seconds:
-    every ``execute()``/``execute_batch()`` of the returned plan starts a
-    fresh :class:`~repro.deadline.Deadline` and raises
+    A wall-clock budget is per call: ``execute(deadline=...)`` (a
+    :class:`~repro.deadline.Deadline` or a number of seconds) raises
     :class:`~repro.exceptions.DeadlineExceeded` at the first cooperative
-    checkpoint past expiry.  A per-call ``deadline=`` on execute overrides
-    the compiled budget.
+    checkpoint past expiry.
 
     ``tier`` selects the execution tier: ``None`` (default) auto-selects
     the dictionary-encoded machine-scalar tier whenever the database is
@@ -489,11 +481,6 @@ def compile_plan(
     plan = PhysicalPlan(root, db, query, tier, annotations)
     plan._parallel_spec = parallel_spec
     plan._parallel_reason = parallel_reason
-    if deadline is not None:
-        budget = float(deadline)
-        if budget < 0:
-            raise QueryError(f"deadline budget must be non-negative, got {budget}")
-        plan._deadline_budget = budget
     return plan
 
 

@@ -817,8 +817,8 @@ class ProvenanceServer:
 
         Called once on boot (before serving) when the server is mounted
         on a durability manager.  A view's state is a function of the
-        database, so each definition recovered from the WAL / views
-        manifest is evaluated over the recovered catalog; promoted
+        database, so each definition recovered from the checkpoint and
+        the WAL tail is evaluated over the recovered catalog; promoted
         answers are not recovered (a miss rebuilds them).  A definition
         the recovered catalog no longer type-checks (a later
         ``/relations`` write dropped a column it reads) is registered

@@ -1,36 +1,38 @@
 """The segmented write-ahead log: framing, append, scan, torn-tail repair.
 
-This is the byte-level half of the durability subsystem.  A log is a
-directory of append-only **segment** files::
+This is the byte-level half of the durability subsystem, and the home
+of the one on-disk format: the **frame**, packed by :func:`pack_frame`
+and verified by :func:`unpack_frame`::
+
+    | magic "RWL1" | u64 LSN | u32 body length | sha256(body) | body |
+
+A log is a directory of append-only **segment** files, each nothing
+but a run of frames, one per record::
 
     wal-00000000000000000001.log      (filename = first LSN the segment holds)
     wal-00000000000000004097.log
     ...
 
-Each segment starts with a self-describing header (the segment magic
-plus a JSON meta line), followed by **records**.  A record reuses the
-magic + length + sha256 framing conventions of
-:func:`repro.io.serialize.dump_file`, packed binary so a log of many
-records stays compact::
-
-    | magic "RWL1" | u64 LSN | u32 body length | sha256(body) | body |
-
+and a checkpoint (:mod:`repro.wal.manager`) is exactly one frame.
 LSNs (log sequence numbers) are assigned by the writer, strictly
-increasing across segments; the scanner verifies continuity, so a
-pruned or missing stretch of history is detected, never silently
-skipped.
+increasing across segments; the scanner verifies that a segment's
+first frame carries the LSN its filename names, and continuity across
+the rest, so a pruned, renamed or missing stretch of history is
+detected, never silently skipped.
 
 Crash semantics, the part that earns the checksums:
 
 * a **torn final record** — the crash happened mid-append, so the last
-  segment ends in a frame or body prefix — is *expected*: the write was
+  segment ends in a strict prefix of a frame (the magic or a prefix of
+  it, then at most a short header or body) — is *expected*: the write was
   never acknowledged.  :func:`scan_wal` truncates the segment back to
   the last complete record (``repair=True``, the default) and recovery
   continues; the ``wal_torn_tails`` resilience counter records it.
 * **mid-log corruption** — a damaged frame that complete data (or a
-  later segment) follows, or a checksum mismatch on a *complete* record
-  anywhere — means acknowledged history is damaged.  That is never
-  recoverable by guessing, so the scan raises the typed
+  later segment) follows, a file or tail that does not begin like a
+  frame, or a checksum mismatch on a *complete* record anywhere — means
+  acknowledged history is damaged.  That is never recoverable by
+  guessing, so the scan raises the typed
   :class:`~repro.exceptions.WalCorrupt` and recovery refuses to boot on
   the damaged prefix.
 
@@ -59,12 +61,11 @@ runs replay deterministically.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.exceptions import WalCorrupt, WalWriteError
@@ -72,24 +73,67 @@ from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "FSYNC_POLICIES",
+    "FrameError",
     "RECORD_MAGIC",
-    "SEGMENT_MAGIC",
     "WriteAheadLog",
     "list_segments",
+    "pack_frame",
     "scan_wal",
     "segment_path",
+    "unpack_frame",
 ]
 
-#: First bytes of every record frame; bumping it versions the format.
+#: First bytes of every frame; bumping it versions the format.
 RECORD_MAGIC = b"RWL1"
 
-#: First line of every segment file (mirrors ``SNAPSHOT_MAGIC``'s role).
-SEGMENT_MAGIC = b"REPRO-WAL-SEG-V1"
-
-#: ``magic | lsn | body_length | sha256(body)`` — 48 bytes per record.
+#: ``magic | lsn | body_length | sha256(body)`` — 48 bytes per frame.
 _FRAME = struct.Struct("<4sQI32s")
 
 FSYNC_POLICIES = ("always", "batch", "none")
+
+
+class FrameError(Exception):
+    """The bytes at ``offset`` are not one whole, verified frame.
+
+    ``torn`` is true when they are a strict prefix of a frame — the
+    magic or a prefix of it, then a short header or body — the shape a
+    crash mid-write leaves; any other damage is not.  Callers type it:
+    :func:`scan_wal` as a torn tail or :class:`WalCorrupt`, checkpoint
+    loading as :class:`~repro.exceptions.SnapshotCorrupt`.
+    """
+
+    def __init__(self, reason: str, offset: int, *, torn: bool):
+        super().__init__(f"{reason} at byte {offset}")
+        self.torn = torn
+
+
+def pack_frame(lsn: int, body: bytes) -> bytes:
+    """``body`` framed under ``lsn``: the one on-disk format."""
+    return _FRAME.pack(
+        RECORD_MAGIC, lsn, len(body), hashlib.sha256(body).digest()
+    ) + body
+
+
+def unpack_frame(raw: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
+    """Verify the frame at ``offset``; return ``(lsn, body, end_offset)``.
+
+    Raises :class:`FrameError` unless a whole frame with the magic and a
+    matching checksum starts there.
+    """
+    head = raw[offset: offset + _FRAME.size]
+    if head[: len(RECORD_MAGIC)] != RECORD_MAGIC[: len(head)]:
+        raise FrameError("bad record magic", offset, torn=False)
+    if len(head) < _FRAME.size:
+        raise FrameError("truncated frame", offset, torn=True)
+    _magic, lsn, length, digest = _FRAME.unpack(head)
+    start = offset + _FRAME.size
+    body = raw[start: start + length]
+    if len(body) < length:
+        raise FrameError("truncated record body", offset, torn=True)
+    if hashlib.sha256(body).digest() != digest:
+        raise FrameError(f"checksum mismatch on record lsn={lsn}", offset, torn=False)
+    return lsn, body, start + length
+
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -203,10 +247,7 @@ class WriteAheadLog:
                     f"write-ahead log is unwritable: {self._last_error}"
                 )
             lsn = self._next_lsn
-            frame = _FRAME.pack(
-                RECORD_MAGIC, lsn, len(body), hashlib.sha256(body).digest()
-            )
-            record = frame + body
+            record = pack_frame(lsn, body)
             start_offset = None
             try:
                 fh = self._segment_for(len(record))
@@ -304,18 +345,10 @@ class WriteAheadLog:
             self._fh = None
         if self._fh is None:
             first_lsn = self._next_lsn
-            path = segment_path(self.directory, first_lsn)
-            header = SEGMENT_MAGIC + b"\n" + json.dumps(
-                {"first_lsn": first_lsn}, sort_keys=True
-            ).encode("utf-8") + b"\n"
-            fh = open(path, "ab")
-            if fh.tell() == 0:
-                fh.write(header)
-                fh.flush()
-            self._fh = fh
+            # a segment recovery cut back to nothing is reopened, empty
+            self._fh = open(segment_path(self.directory, first_lsn), "ab")
             self._segment_first_lsn = first_lsn
-            self._segment_size = fh.tell()
-            self._dirty = True
+            self._segment_size = self._fh.tell()
             if self.fsync_policy != "none":
                 from repro.io.serialize import fsync_dir  # local: io is heavy
 
@@ -419,77 +452,6 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------------
 
 
-def _read_segment_header(raw: bytes, path: str) -> Tuple[Dict[str, Any], int]:
-    """Parse a segment's two header lines; return (meta, body offset)."""
-    first_nl = raw.find(b"\n")
-    if first_nl < 0 or raw[:first_nl] != SEGMENT_MAGIC:
-        raise WalCorrupt(
-            f"segment {path!r}: bad segment magic "
-            f"(expected {SEGMENT_MAGIC.decode()!r})"
-        )
-    second_nl = raw.find(b"\n", first_nl + 1)
-    if second_nl < 0:
-        raise WalCorrupt(f"segment {path!r}: truncated segment meta line")
-    try:
-        meta = json.loads(raw[first_nl + 1: second_nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WalCorrupt(f"segment {path!r}: unreadable meta line: {exc}") from exc
-    return meta, second_nl + 1
-
-
-def _iter_records(
-    raw: bytes, offset: int, path: str, is_last_segment: bool
-) -> Iterator[Tuple[int, bytes, int]]:
-    """Yield ``(lsn, body, end_offset)``; raise or signal torn tail.
-
-    Torn-tail detection is positional: an *incomplete* frame or body at
-    the end of the **last** segment is a crash mid-append (yield stops
-    and the caller truncates); the same shortfall in an earlier segment
-    — history the log demonstrably continued past — is corruption.  A
-    *complete* record whose checksum or magic is wrong is corruption
-    wherever it sits.
-    """
-    pos = offset
-    total = len(raw)
-    while pos < total:
-        if total - pos < _FRAME.size:
-            if is_last_segment:
-                raise _TornTail(pos)
-            raise WalCorrupt(
-                f"segment {path!r}: truncated frame at byte {pos} with a "
-                "later segment present (mid-log damage)"
-            )
-        magic, lsn, length, digest = _FRAME.unpack_from(raw, pos)
-        if magic != RECORD_MAGIC:
-            raise WalCorrupt(
-                f"segment {path!r}: bad record magic at byte {pos}"
-            )
-        body_start = pos + _FRAME.size
-        if total - body_start < length:
-            if is_last_segment:
-                raise _TornTail(pos)
-            raise WalCorrupt(
-                f"segment {path!r}: truncated record body at byte {pos} "
-                "with a later segment present (mid-log damage)"
-            )
-        body = raw[body_start: body_start + length]
-        if hashlib.sha256(body).digest() != digest:
-            raise WalCorrupt(
-                f"segment {path!r}: checksum mismatch on record lsn={lsn} "
-                f"at byte {pos} — acknowledged history is damaged"
-            )
-        pos = body_start + length
-        yield lsn, body, pos
-
-
-class _TornTail(Exception):
-    """Internal signal: the last segment ends mid-record at ``offset``."""
-
-    def __init__(self, offset: int):
-        super().__init__(offset)
-        self.offset = offset
-
-
 def scan_wal(
     directory: str,
     *,
@@ -526,46 +488,39 @@ def scan_wal(
         is_last = index == len(segments) - 1
         with open(path, "rb") as fh:
             raw = fh.read()
-        if not raw:
-            continue  # a crash right after segment creation: harmless
-        try:
-            meta, body_offset = _read_segment_header(raw, path)
-        except WalCorrupt:
-            header_prefix = SEGMENT_MAGIC + b"\n"
-            header_torn = header_prefix.startswith(raw) or (
-                raw.startswith(header_prefix)
-                and raw.find(b"\n", len(header_prefix)) < 0
-            )
-            if is_last and header_torn:
-                # the crash hit while the header itself was being laid
-                # down; nothing was ever acknowledged from this segment
-                torn_tail = True
-                truncated_bytes += len(raw)
-                if repair:
-                    _truncate_file(path, 0)
-                break
-            raise
-        if meta.get("first_lsn") != first_lsn:
-            raise WalCorrupt(
-                f"segment {path!r}: filename says first_lsn={first_lsn}, "
-                f"meta says {meta.get('first_lsn')!r}"
-            )
-        try:
-            for lsn, body, _end in _iter_records(raw, body_offset, path, is_last):
-                if expected_next is not None and lsn != expected_next:
+        pos = 0
+        while pos < len(raw):
+            try:
+                lsn, body, end = unpack_frame(raw, pos)
+            except FrameError as exc:
+                # a strict prefix of a frame ending the last segment is a
+                # crash mid-append (never acknowledged): cut it off.  The
+                # same shortfall before a later segment, or any other
+                # damage, is acknowledged history lost.
+                if not (exc.torn and is_last):
+                    later = " with a later segment present (mid-log damage)"
                     raise WalCorrupt(
-                        f"segment {path!r}: LSN {lsn} where {expected_next} "
-                        "was expected (gap or duplicate in the log)"
-                    )
-                expected_next = lsn + 1
-                if lsn > after_lsn:
-                    records.append((lsn, body))
-        except _TornTail as tear:
-            torn_tail = True
-            truncated_bytes += len(raw) - tear.offset
-            if repair:
-                _truncate_file(path, tear.offset)
-            break
+                        f"segment {path!r}: {exc}{later if exc.torn else ''}"
+                    ) from exc
+                torn_tail = True
+                truncated_bytes += len(raw) - pos
+                if repair:
+                    _truncate_file(path, pos)
+                break
+            if pos == 0 and lsn != first_lsn:
+                raise WalCorrupt(
+                    f"segment {path!r}: filename says first_lsn={first_lsn}, "
+                    f"its first record is lsn={lsn}"
+                )
+            if expected_next is not None and lsn != expected_next:
+                raise WalCorrupt(
+                    f"segment {path!r}: LSN {lsn} where {expected_next} "
+                    "was expected (gap or duplicate in the log)"
+                )
+            expected_next = lsn + 1
+            if lsn > after_lsn:
+                records.append((lsn, body))
+            pos = end
     if records and records[0][0] != after_lsn + 1:
         raise WalCorrupt(
             f"WAL in {directory!r} starts at lsn {records[0][0]} but the "

@@ -4,9 +4,8 @@
 on.  It owns one data directory::
 
     data/
-      wal-00000000000000000001.log        append-only record segments
-      checkpoint-00000000000000000042.snap  full-database snapshots
-      checkpoint-00000000000000000042.views.json  view definitions at 42
+      wal-00000000000000000001.log          append-only runs of record frames
+      checkpoint-00000000000000000042.snap  the database and view definitions at 42
 
 and maintains the classic write-ahead discipline:
 
@@ -15,9 +14,12 @@ and maintains the classic write-ahead discipline:
   configured fsync policy), and only then applied to the in-memory
   :class:`~repro.core.database.KDatabase` — a crash between the two
   replays the record on boot, so an acknowledged write is never lost;
-* a **checkpoint** serialises a consistent snapshot through the
-  crash-safe :func:`repro.io.serialize.dump_file` machinery (temp file +
-  fsync + atomic rename), records the LSN it covers in its filename, and
+* a **checkpoint** is one frame of the log's format
+  (:func:`repro.wal.log.pack_frame`) whose LSN is the one it covers and
+  whose body is ``{"database": ..., "views": {name: sql}}``, written
+  through :func:`repro.io.serialize.write_atomic` (temp file + fsync +
+  atomic rename + directory fsync) and named after that LSN.  The
+  database and the definitions land together or not at all.  It then
   prunes segments the *oldest retained* checkpoint no longer needs (two
   checkpoints are kept, so recovery can fall back across one corrupt
   snapshot without hitting pruned history);
@@ -26,15 +28,17 @@ and maintains the classic write-ahead discipline:
   update records into one batch per relation, so a 100k-record tail
   replays in seconds, not quadratic union time — tolerating a torn
   final record (truncate and continue) while refusing mid-log damage
-  with :class:`~repro.exceptions.WalCorrupt`.  Views are stored as
+  with :class:`~repro.exceptions.WalCorrupt`.  Any damage to a
+  checkpoint — short, long, foreign, wrong LSN, checksum mismatch, a
+  body that is not that object — is
+  :class:`~repro.exceptions.SnapshotCorrupt`.  Views are stored as
   definitions only: their state is a function of the recovered database,
   so the server evaluates each one after recovery.
 
 ``add`` and ``update`` records, like checkpoints, hold each relation as
 the column record of :func:`repro.io.serialize.relation_to_jsonable`.
-Replay also reads the row layout earlier versions wrote, so a data
-directory written in it recovers, and an update run may mix both
-layouts.
+A data directory in any other format is refused with a typed error,
+never booted empty or with part of its data.
 
 The manager is thread-safe: one internal mutex serialises the
 append-then-apply critical section, and the checkpoint path captures
@@ -65,7 +69,14 @@ from repro.exceptions import (
     WalCorrupt,
 )
 from repro.obs import metrics as obs_metrics
-from repro.wal.log import WriteAheadLog, list_segments, scan_wal
+from repro.wal.log import (
+    FrameError,
+    WriteAheadLog,
+    list_segments,
+    pack_frame,
+    scan_wal,
+    unpack_frame,
+)
 
 log = logging.getLogger("repro.wal")
 
@@ -77,10 +88,6 @@ _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{20})\.snap$")
 def checkpoint_path(directory: str, lsn: int) -> str:
     """The canonical path of the checkpoint covering through ``lsn``."""
     return os.path.join(directory, f"checkpoint-{lsn:020d}.snap")
-
-
-def _views_manifest_path(directory: str, lsn: int) -> str:
-    return os.path.join(directory, f"checkpoint-{lsn:020d}.views.json")
 
 
 def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
@@ -187,14 +194,13 @@ class DurabilityManager:
         view_defs: Dict[str, str] = {}
         for lsn, path in checkpoints:
             try:
-                loaded = _load_checkpoint(path)
+                db, view_defs = _load_checkpoint(path, lsn)
             except SnapshotCorrupt as exc:
                 log.warning("skipping corrupt checkpoint %s: %s", path, exc)
                 faults.bump("snapshot_rebuilds")
                 skipped += 1
                 continue
-            db, ckpt_lsn = loaded, lsn
-            view_defs = _read_views_manifest(directory, lsn)
+            ckpt_lsn = lsn
             break
 
         source = "checkpoint"
@@ -388,10 +394,11 @@ class DurabilityManager:
             if lsn == self._checkpoint_lsn and not force:
                 return None
             path = checkpoint_path(self.directory, lsn)
-            serialize.dump_file(snap, path)
+            body = json.dumps(
+                {"database": serialize.database_to_jsonable(snap), "views": view_defs}
+            ).encode("utf-8")
             serialize.write_atomic(
-                _views_manifest_path(self.directory, lsn),
-                json.dumps({"views": view_defs}, sort_keys=True).encode("utf-8"),
+                path, pack_frame(lsn, body), fault_point="truncate_snapshot"
             )
             with self._mutex:
                 self._checkpoint_lsn = lsn
@@ -406,9 +413,8 @@ class DurabilityManager:
         segment the oldest *retained* checkpoint no longer needs."""
         checkpoints = list_checkpoints(self.directory)
         kept = checkpoints[: self.KEEP_CHECKPOINTS]
-        for lsn, path in checkpoints[self.KEEP_CHECKPOINTS:]:
+        for _lsn, path in checkpoints[self.KEEP_CHECKPOINTS:]:
             _unlink_quietly(path)
-            _unlink_quietly(_views_manifest_path(self.directory, lsn))
         if not kept:
             return
         horizon = min(lsn for lsn, _ in kept)
@@ -497,37 +503,46 @@ class DurabilityManager:
 # ---------------------------------------------------------------------------
 
 
-def _load_checkpoint(path: str) -> KDatabase:
-    from repro.io import serialize
+def _load_checkpoint(path: str, lsn: int) -> Tuple[KDatabase, Dict[str, str]]:
+    """The database and view definitions of the checkpoint at ``path``.
 
-    loaded = serialize.load_file(path)
-    if not isinstance(loaded, KDatabase):
-        raise SnapshotCorrupt(
-            f"checkpoint {path!r} holds a {type(loaded).__name__}, "
-            "not a database"
-        )
-    return loaded
+    The file must be exactly one verified frame under ``lsn`` whose body
+    is ``{"database": ..., "views": {name: sql}}``; anything else raises
+    :class:`~repro.exceptions.SnapshotCorrupt`.  A missing file raises
+    the usual ``FileNotFoundError`` (absence is not corruption).
+    """
+    from repro.io.serialize import database_from_jsonable
 
-
-def _read_views_manifest(directory: str, lsn: int) -> Dict[str, str]:
-    path = _views_manifest_path(directory, lsn)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return {}
-    except (OSError, json.JSONDecodeError) as exc:
-        # view definitions also live in the WAL as create_view records;
-        # a damaged manifest only loses pre-checkpoint definitions, so
-        # warn rather than refuse to boot
-        log.warning("unreadable views manifest %s: %s", path, exc)
-        return {}
-    views = payload.get("views", {})
-    return {
-        str(name): str(sql)
-        for name, sql in views.items()
-        if isinstance(name, str) and isinstance(sql, str)
-    }
+        frame_lsn, body, end = unpack_frame(raw)
+    except FrameError as exc:
+        raise SnapshotCorrupt(f"checkpoint {path!r}: {exc}") from exc
+    if end != len(raw):
+        raise SnapshotCorrupt(
+            f"checkpoint {path!r}: {len(raw) - end} bytes trail its frame"
+        )
+    if frame_lsn != lsn:
+        raise SnapshotCorrupt(
+            f"checkpoint {path!r}: filename says lsn={lsn}, its frame {frame_lsn}"
+        )
+    try:
+        payload = json.loads(body.decode("utf-8"))
+        if not isinstance(payload, dict) or payload.keys() != {"database", "views"}:
+            raise ValueError("not a {database, views} object")
+        views = payload["views"]
+        if not (isinstance(views, dict) and all(
+                isinstance(v, str) for v in views.values())):
+            raise ValueError("views is not a name -> sql object")
+        return database_from_jsonable(payload["database"]), views
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ReproError) as exc:
+        # the checksum passed but the body will not decode: written by a
+        # buggy or foreign writer — typed, never a bare KeyError
+        raise SnapshotCorrupt(
+            f"checkpoint {path!r}: verified body failed to decode: {exc!r}"
+        ) from exc
 
 
 def _replay(
@@ -576,8 +591,6 @@ def _replay(
                         bucket = pending[name] = (
                             data["semiring"], list(data["schema"]), []
                         )
-                    # either record layout (columns, or the rows earlier
-                    # versions wrote): a WAL may hold both after an upgrade
                     bucket[2].extend(record_rows(data))
             elif op == "add":
                 flush()

@@ -175,10 +175,10 @@ def test_tight_deadline_under_latency_cancels_or_answers_exactly():
     db = chaos_db()
     oracle = GROUP_QUERY.evaluate(db, engine="interpreted")
     for budget in (0.0, 0.05, 30.0):
-        plan = compile_plan(GROUP_QUERY, db, tier="parallel", deadline=budget)
+        plan = compile_plan(GROUP_QUERY, db, tier="parallel")
         with faults.inject("latency", ms=80, times=2, seed=1):
             try:
-                assert plan.execute() == oracle
+                assert plan.execute(deadline=budget) == oracle
             except DeadlineExceeded:
                 assert budget < 30.0  # the generous budget must never trip
 
@@ -196,10 +196,10 @@ def test_a_torn_checkpoint_recovers_the_exact_relations_and_view(tmp_path, seed,
     """A checkpoint torn before its rename is skipped on recovery: the
     previous checkpoint plus the WAL tail give back every acknowledged
     row, and the registered view boots equal to evaluation."""
-    from repro.io.serialize import load_file
     from repro.serve.server import ProvenanceServer
     from repro.sql.compiler import compile_sql
-    from repro.wal import DurabilityManager
+    from repro.wal import DurabilityManager, list_checkpoints
+    from repro.wal.manager import _load_checkpoint
 
     manager = DurabilityManager.open(tmp_path, initial_db=chaos_db(), fsync="always")
     manager.create_view("by_g", VIEW_SQL)
@@ -209,8 +209,10 @@ def test_a_torn_checkpoint_recovers_the_exact_relations_and_view(tmp_path, seed,
     manager.update({"R": KRelation.from_rows(NAT, ("g", "k", "v"), [(("g1", 1, seed), 1)])})
     acknowledged = typed_contents(manager.db)
     manager.close()
+    (lsn, newest), *_ = list_checkpoints(tmp_path)
+    assert newest == torn
     with pytest.raises(SnapshotCorrupt):
-        load_file(torn)
+        _load_checkpoint(torn, lsn)
 
     recovered = DurabilityManager.open(tmp_path)
     try:

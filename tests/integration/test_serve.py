@@ -274,6 +274,32 @@ def test_http_view_is_maintained_through_updates(server):
         client.close()
 
 
+@pytest.mark.parametrize("sql, above", [
+    ("SELECT Dept, SUM(Sal) AS Total FROM Emp GROUP BY Dept", "Rename"),
+    ("SELECT Dept, SUM(Sal) AS Total FROM Emp GROUP BY Dept HAVING Dept = 'd1'",
+     "Rename"),
+    ("SELECT Dept, SUM(Sal) FROM Emp GROUP BY Dept HAVING Dept = 'd1'", "Select"),
+], ids=["alias", "alias-having", "having"])
+def test_a_view_with_a_node_above_its_head_is_refused_in_its_own_terms(sql, above):
+    """The 400 names the node above the aggregation head and says what a
+    view maintains, instead of pointing at the class that refused."""
+    emp = KRelation.from_rows(
+        NAT, ("EmpId", "Dept", "Sal"), [((1, "d1", 20), 1), ((2, "d2", 10), 1)])
+    handle = start_in_thread(KDatabase(NAT, {"Emp": emp}))
+    client = Client(handle.address)
+    try:
+        status, err = client.request("POST", "/views", {"name": "t", "sql": sql})
+        assert status == 400
+        assert f"{above} above the GroupBy head" in err["error"]
+        assert ("one head (GROUP BY, aggregate, COUNT, AVG or DISTINCT) "
+                "directly over an SPJU core") in err["error"]
+        assert "MaterializedView" not in err["error"]
+        assert client.request("GET", "/stats")[1]["views"] == []
+    finally:
+        client.close()
+        handle.close()
+
+
 def test_view_read_renders_json_outside_the_view_lock(server, monkeypatch):
     """A writer's ``view.apply`` takes ``view.db._lock``: rendering the
     response must not hold it."""

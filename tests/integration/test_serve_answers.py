@@ -39,7 +39,8 @@ from repro.serve import snapshot as serve_snapshot
 from repro.serve import start_in_thread
 from repro.serve.schema import relation_to_json
 from repro.sql.compiler import compile_sql
-from repro.wal import DurabilityManager
+from repro.wal import DurabilityManager, list_checkpoints
+from repro.wal.manager import _load_checkpoint
 
 #: An exception escaping a connection thread fails the test, not a log line.
 pytestmark = pytest.mark.filterwarnings(
@@ -620,9 +621,9 @@ def test_a_checkpoint_writes_no_view_files(tmp_path):
         _promote(client, {"sql": "SELECT g, v FROM R"})
         assert client.answers()["promoted"] == 1
         assert manager.checkpoint() is not None
-        assert list(tmp_path.glob("view-*")) == []
-        manifest = sorted(tmp_path.glob("checkpoint-*.views.json"))[-1]
-        assert json.loads(manifest.read_text())["views"] == {"v": GROUPED}
+        assert sorted({path.suffix for path in tmp_path.iterdir()}) == [".log", ".snap"]
+        (lsn, path), *_ = list_checkpoints(tmp_path)
+        assert _load_checkpoint(path, lsn)[1] == {"v": GROUPED}
         assert client.request("GET", "/stats")[1]["views"] == ["v"]
     finally:
         client.close()

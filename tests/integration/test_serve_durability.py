@@ -27,13 +27,13 @@ import threading
 import pytest
 
 from repro import faults
-from repro.io import serialize
 from repro.obs import metrics as obs_metrics
 from repro.core import KDatabase, KRelation
 from repro.semirings import NAT
 from repro.serve import WorkerPool, start_in_thread
 from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
+from repro.wal import manager as wal_manager
 
 #: An exception escaping a connection thread fails the test, not a log line.
 pytestmark = pytest.mark.filterwarnings(
@@ -103,7 +103,7 @@ def plant_view_state(directory, name, body):
     """Write ``body`` where an earlier build kept ``name``'s state, in the
     checksummed snapshot-file format."""
     data = body.encode("utf-8")
-    header = json.dumps({"magic": serialize.SNAPSHOT_MAGIC, "length": len(data),
+    header = json.dumps({"magic": "REPRO-SNAPSHOT-V1", "length": len(data),
                          "sha256": hashlib.sha256(data).hexdigest()}, sort_keys=True)
     path = directory / f"view-{hashlib.sha256(name.encode()).hexdigest()[:16]}.snap"
     path.write_bytes(header.encode("utf-8") + b"\n" + data)
@@ -138,13 +138,13 @@ def test_acknowledged_writes_and_views_survive_restart(tmp_path, monkeypatch,
     if earlier_build_files:
         plant_view_state(tmp_path, "by_g", BY_G_STATE)
     planted = view_files(tmp_path)
-    read, load_file = [], serialize.load_file
+    read, load = [], wal_manager._load_checkpoint
 
-    def reading(path):
+    def reading(path, lsn):
         read.append(os.path.basename(path))
-        return load_file(path)
+        return load(path, lsn)
 
-    monkeypatch.setattr(serialize, "load_file", reading)
+    monkeypatch.setattr(wal_manager, "_load_checkpoint", reading)
 
     # a new process over the same directory: everything is back
     recovered, handle = durable_server(tmp_path)

@@ -1,47 +1,43 @@
-"""State written before tensors had one normal form loads into it.
+"""A stored tensor with several entries loads as its normal form.
 
 Earlier releases kept every entry of an ``N (x) SUM`` tensor — how the
 value was reached, ``2⊗10 + 1⊗5`` — and wrote them all.  The literal
-fixtures below are checkpoint databases such a release wrote, byte for
-byte.  Recovered through a WAL data directory, a stored tensor is the
-normal form ``1⊗25``, and a view registered beside the checkpoint boots
-to it, equal to re-evaluation.
+checkpoint bodies below hold such values.  Recovered through a WAL data
+directory, a stored tensor is the normal form ``1⊗25``, and a view the
+checkpoint registers boots to it, equal to re-evaluation.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
-from repro.io.serialize import SNAPSHOT_MAGIC, loads
+from repro.io.serialize import loads
 from repro.serve.server import ProvenanceServer
 from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
+from repro.wal.log import pack_frame
 from repro.wal.manager import checkpoint_path
 
 SQL = "SELECT g, SUM(v) FROM R GROUP BY g"
 
+#: ``R`` with the row ``(a, 10)`` stored twice over
 DATABASE = (
-    '{"data": {"relations": {"R": {"rows": [{"annotation": 2, "values": ["a", 10]}, '
-    '{"annotation": 1, "values": ["a", 5]}, {"annotation": 1, "values": ["b", 7]}], '
-    '"schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}, "kind": "database"}'
+    '{"relations": {"R": {"annotations": [2, 1, 1], "columns": [["a", "a", "b"], '
+    '[10, 5, 7]], "schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}'
 )
 
 #: the aggregate itself stored as a table: ``T = GB[g; SUM(v)](R)``
 TENSOR_TABLE = (
-    '{"data": {"relations": {"T": {"rows": [{"annotation": 1, "values": ["a", '
-    '{"__tensor__": {"items": [[10, 2], [5, 1]], "monoid": "SUM", "semiring": "N"}}]}, '
-    '{"annotation": 1, "values": ["b", {"__tensor__": {"items": [[7, 1]], '
-    '"monoid": "SUM", "semiring": "N"}}]}], "schema": ["g", "v"], "semiring": "N"}}, '
-    '"semiring": "N"}, "kind": "database"}'
+    '{"relations": {"T": {"annotations": [1, 1], "columns": [["a", "b"], ['
+    '{"__tensor__": {"items": [[10, 2], [5, 1]], "monoid": "SUM", "semiring": "N"}}, '
+    '{"__tensor__": {"items": [[7, 1]], "monoid": "SUM", "semiring": "N"}}]], '
+    '"schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}'
 )
 
 
-def snapshot_file(path: str, body: str) -> None:
-    """Write ``body`` in the checksummed snapshot-file format."""
-    data = body.encode("utf-8")
-    header = json.dumps({"magic": SNAPSHOT_MAGIC, "length": len(data),
-                         "sha256": hashlib.sha256(data).hexdigest()}, sort_keys=True)
-    Path(path).write_bytes(header.encode("utf-8") + b"\n" + data)
+def checkpoint_file(directory, database: str, views=None) -> None:
+    """Checkpoint 0 of ``directory``, holding ``database`` and ``views``."""
+    body = '{"database": %s, "views": %s}' % (database, json.dumps(views or {}))
+    Path(checkpoint_path(str(directory), 0)).write_bytes(pack_frame(0, body.encode()))
 
 
 def aggregates(rel):
@@ -49,9 +45,7 @@ def aggregates(rel):
 
 
 def test_a_checkpointed_view_boots_to_the_normal_form(tmp_path):
-    snapshot_file(checkpoint_path(str(tmp_path), 0), DATABASE)
-    (tmp_path / "checkpoint-00000000000000000000.views.json").write_text(
-        json.dumps({"views": {"totals": SQL}}, sort_keys=True))
+    checkpoint_file(tmp_path, DATABASE, {"totals": SQL})
     manager = DurabilityManager.open(str(tmp_path))
     try:
         assert manager.view_defs == {"totals": SQL}
@@ -65,13 +59,14 @@ def test_a_checkpointed_view_boots_to_the_normal_form(tmp_path):
 
 
 def test_a_checkpointed_tensor_table_loads_as_the_normal_form(tmp_path):
-    snapshot_file(checkpoint_path(str(tmp_path), 0), TENSOR_TABLE)
+    checkpoint_file(tmp_path, TENSOR_TABLE)
     manager = DurabilityManager.open(str(tmp_path))
     try:
         table = manager.db.relation("T")
     finally:
         manager.close()
     assert aggregates(table) == {"a": "1⊗25", "b": "1⊗7"}
-    assert table == compile_sql(SQL).evaluate(loads(DATABASE))
+    database = loads('{"kind": "database", "data": %s}' % DATABASE)
+    assert table == compile_sql(SQL).evaluate(database)
     (tup, _k), = [(t, k) for t, k in table.rows() if t["g"] == "a"]
     assert tup["v"]._entries == {25: 1}

@@ -454,9 +454,9 @@ def test_cleanup_shuts_the_pool_and_the_next_run_starts_one():
 
 def test_spent_deadline_raises_before_dispatch():
     db = sales_db()
-    plan = compile_plan(GROUP_QUERY, db, tier="parallel", deadline=0.0)
+    plan = compile_plan(GROUP_QUERY, db, tier="parallel")
     with pytest.raises(DeadlineExceeded):
-        plan.execute()
+        plan.execute(deadline=0.0)
     assert resilience_counters()["deadline_expiries"] == 1
 
 
@@ -484,8 +484,8 @@ def test_a_stalled_morsel_trips_the_deadline():
     """An injected stall at a morsel's start surfaces as DeadlineExceeded,
     never as a serial re-run."""
     db = sales_db()
-    plan = compile_plan(GROUP_QUERY, db, tier="parallel", deadline=0.15)
+    plan = compile_plan(GROUP_QUERY, db, tier="parallel")
     with faults.inject("latency", ms=600, seed=2):
         with pytest.raises(DeadlineExceeded):
-            plan.execute()
+            plan.execute(deadline=0.15)
     assert resilience_counters()["deadline_expiries"] >= 1

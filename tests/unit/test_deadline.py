@@ -2,8 +2,8 @@
 
 The integration picture (HTTP 408, worker-side morsel checks) lives in
 the serve and chaos suites; this file pins the :class:`Deadline` object
-itself and the engine entry points that thread it: ``compile_plan(...,
-deadline=)``, per-execute overrides, and ``Query.evaluate(deadline=)`` in
+itself and the engine entry points that thread it: a per-call
+``PhysicalPlan.execute(deadline=)`` and ``Query.evaluate(deadline=)`` in
 both annotation representations.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from repro import faults
 from repro.core import GroupBy, KDatabase, KRelation, NaturalJoin, Table
 from repro.deadline import Deadline
-from repro.exceptions import DeadlineExceeded, QueryError
+from repro.exceptions import DeadlineExceeded
 from repro.monoids import SUM
 from repro.obs.metrics import resilience_counters
 from repro.plan import compile_plan
@@ -88,33 +88,26 @@ def test_expiry_counter_bumps_exactly_once_per_deadline():
 # ---------------------------------------------------------------------------
 
 
-def test_compile_plan_budget_applies_to_every_execute():
+def test_a_per_call_budget_starts_a_fresh_deadline_each_execute():
     db = small_db()
-    plan = compile_plan(QUERY, db, deadline=0.0)
-    for _ in range(2):  # a fresh Deadline per execute, not a spent one
+    plan = compile_plan(QUERY, db)
+    for _ in range(2):  # bare numbers coerce to a fresh Deadline per call
         with pytest.raises(DeadlineExceeded):
-            plan.execute()
+            plan.execute(deadline=0.0)
     assert resilience_counters()["deadline_expiries"] == 2
+    assert plan.execute() == QUERY.evaluate(db)  # no call, no budget
 
 
-def test_compile_plan_rejects_negative_deadline():
-    with pytest.raises(QueryError, match="non-negative"):
-        compile_plan(QUERY, small_db(), deadline=-0.5)
-
-
-def test_per_execute_deadline_overrides_plan_budget():
-    db = small_db()
-    plan = compile_plan(QUERY, db, deadline=0.0)
-    relaxed = plan.execute(deadline=30.0)  # bare numbers coerce to Deadline
-    assert relaxed == QUERY.evaluate(db)
-    with pytest.raises(DeadlineExceeded):
-        plan.execute()  # the compiled budget still applies unoverridden
+def test_a_negative_per_call_budget_is_rejected():
+    plan = compile_plan(QUERY, small_db())
+    with pytest.raises(ValueError, match="non-negative"):
+        plan.execute(deadline=-0.5)
 
 
 def test_generous_deadline_does_not_change_results():
     db = small_db()
-    plan = compile_plan(QUERY, db, deadline=30.0)
-    assert plan.execute() == QUERY.evaluate(db)
+    plan = compile_plan(QUERY, db)
+    assert plan.execute(deadline=30.0) == QUERY.evaluate(db)
 
 
 def test_query_evaluate_threads_deadlines_through_every_engine():
@@ -129,11 +122,11 @@ def test_injected_scan_latency_trips_a_tight_deadline():
     """The serial tier's per-operator checkpoints actually cancel work:
     a 60 ms injected scan stall must trip a 10 ms budget."""
     db = small_db()
-    plan = compile_plan(QUERY, db, tier="encoded", deadline=0.01)
+    plan = compile_plan(QUERY, db, tier="encoded")
     start = time.monotonic()
     with faults.inject("latency", ms=60, times=10):
         with pytest.raises(DeadlineExceeded):
-            plan.execute()
+            plan.execute(deadline=0.01)
     # cancelled at the first checkpoint after the stall, not after all 10
     assert time.monotonic() - start < 0.5
     assert resilience_counters()["deadline_expiries"] == 1

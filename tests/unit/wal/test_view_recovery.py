@@ -2,8 +2,8 @@
 
 A maintained view's state is a function of the database, so recovery
 keeps no copy of it: :meth:`ProvenanceServer.restore_views` evaluates
-each definition the checkpoint's views manifest or the WAL tail holds
-over the recovered catalog.  For each maintainable view shape below,
+each definition the checkpoint or the WAL tail holds over the recovered
+catalog.  For each maintainable view shape below,
 the booted view equals a fresh evaluation and keeps maintaining across
 later writes.  View-state files an earlier build
 wrote beside its checkpoints (``view-<digest>.snap``) are never read,
@@ -19,12 +19,13 @@ import pytest
 
 from repro import faults
 from repro.core import KDatabase, KRelation
-from repro.io import serialize
 from repro.obs.metrics import resilience_counters
 from repro.semirings import NAT
 from repro.serve.server import ProvenanceServer
 from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
+from repro.wal import manager as wal_manager
+from repro.wal.log import pack_frame
 from repro.wal.manager import checkpoint_path
 
 
@@ -80,7 +81,7 @@ def assert_views_evaluate(server, db, names, sql):
 @pytest.mark.parametrize("sql", list(VIEWS.values()), ids=list(VIEWS))
 def test_a_booted_view_equals_evaluation_and_keeps_maintaining(tmp_path, sql):
     manager = DurabilityManager.open(tmp_path, initial_db=company(), fsync="always")
-    manager.create_view("in_manifest", sql)
+    manager.create_view("in_checkpoint", sql)
     manager.update({"Emp": emp([(4, "d1", 30)])})
     manager.checkpoint()
     manager.create_view("in_tail", sql)
@@ -91,12 +92,12 @@ def test_a_booted_view_equals_evaluation_and_keeps_maintaining(tmp_path, sql):
     server = ProvenanceServer(recovered.db, durability=recovered)
     try:
         assert recovered.recovery["source"] == "checkpoint+wal"
-        assert server.restore_views() == {"in_manifest": "rebuilt", "in_tail": "rebuilt"}
-        assert_views_evaluate(server, recovered.db, ("in_manifest", "in_tail"), sql)
+        assert server.restore_views() == {"in_checkpoint": "rebuilt", "in_tail": "rebuilt"}
+        assert_views_evaluate(server, recovered.db, ("in_checkpoint", "in_tail"), sql)
         status, _ = server._update(
             {"relations": {"Emp": {"rows": [{"values": [6, "d2", 11]}]}}})
         assert status == 200
-        assert_views_evaluate(server, recovered.db, ("in_manifest", "in_tail"), sql)
+        assert_views_evaluate(server, recovered.db, ("in_checkpoint", "in_tail"), sql)
     finally:
         server.close()
         recovered.close()
@@ -107,9 +108,8 @@ def test_a_booted_view_equals_evaluation_and_keeps_maintaining(tmp_path, sql):
 # ---------------------------------------------------------------------------
 
 DATABASE = (
-    '{"data": {"relations": {"R": {"rows": [{"annotation": 2, "values": ["a", 10]}, '
-    '{"annotation": 1, "values": ["a", 5]}, {"annotation": 1, "values": ["b", 7]}], '
-    '"schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}, "kind": "database"}'
+    '{"relations": {"R": {"annotations": [2, 1, 1], "columns": [["a", "a", "b"], '
+    '[10, 5, 7]], "schema": ["g", "v"], "semiring": "N"}}, "semiring": "N"}'
 )
 
 BY_G = "SELECT g, SUM(v) FROM R GROUP BY g"
@@ -144,8 +144,8 @@ DISTINCT_STATE = (
 
 
 def snapshot_bytes(body: bytes) -> bytes:
-    """``body`` in the checksummed snapshot-file format."""
-    header = json.dumps({"magic": serialize.SNAPSHOT_MAGIC, "length": len(body),
+    """``body`` in the snapshot-file format earlier builds wrote."""
+    header = json.dumps({"magic": "REPRO-SNAPSHOT-V1", "length": len(body),
                          "sha256": hashlib.sha256(body).hexdigest()}, sort_keys=True)
     return header.encode("utf-8") + b"\n" + body
 
@@ -180,18 +180,17 @@ def view_file(directory: Path, name: str) -> Path:
 @pytest.mark.parametrize("sql, planted", list(EARLIER_FILES.values()),
                          ids=list(EARLIER_FILES))
 def test_an_earlier_builds_view_file_is_never_read(tmp_path, monkeypatch, sql, planted):
-    Path(checkpoint_path(str(tmp_path), 0)).write_bytes(snapshot_bytes(DATABASE.encode()))
-    (tmp_path / "checkpoint-00000000000000000000.views.json").write_text(
-        json.dumps({"views": {"totals": sql}}, sort_keys=True))
+    body = '{"database": %s, "views": %s}' % (DATABASE, json.dumps({"totals": sql}))
+    Path(checkpoint_path(str(tmp_path), 0)).write_bytes(pack_frame(0, body.encode()))
     planted_at = view_file(tmp_path, "totals")
     planted_at.write_bytes(planted)
-    read, load_file = [], serialize.load_file
+    read, load = [], wal_manager._load_checkpoint
 
-    def reading(path):
+    def reading(path, lsn):
         read.append(os.path.basename(path))
-        return load_file(path)
+        return load(path, lsn)
 
-    monkeypatch.setattr(serialize, "load_file", reading)
+    monkeypatch.setattr(wal_manager, "_load_checkpoint", reading)
 
     manager = DurabilityManager.open(str(tmp_path))
     server = ProvenanceServer(manager.db, durability=manager)

@@ -24,7 +24,7 @@ from repro.wal import (
     scan_wal,
     segment_path,
 )
-from repro.wal.log import _FRAME, RECORD_MAGIC, SEGMENT_MAGIC
+from repro.wal.log import _FRAME, RECORD_MAGIC, pack_frame
 
 
 @pytest.fixture(autouse=True)
@@ -133,21 +133,23 @@ def test_repair_false_leaves_the_torn_bytes_in_place(tmp_path):
     assert os.path.getsize(path) == size_before
 
 
-def test_torn_segment_header_on_the_last_segment_is_harmless(tmp_path):
+@pytest.mark.parametrize("cut", [1, 3, _FRAME.size - 1, _FRAME.size + 4])
+def test_torn_first_frame_of_the_last_segment_is_harmless(tmp_path, cut):
     wal = WriteAheadLog(tmp_path, fsync="always", segment_bytes=4096)
     fill(wal, 150)
     wal.close()
-    segments = list_segments(tmp_path)
-    assert len(segments) > 1
-    # simulate a crash during the *next* segment's header write
-    last_first = segments[-1][0]
+    assert len(list_segments(tmp_path)) > 1
+    # simulate a crash during the *next* segment's first append
     records_before, info_before = scan_wal(tmp_path)
-    torn = segment_path(tmp_path, info_before["last_lsn"] + 1)
+    next_lsn = info_before["last_lsn"] + 1
+    torn = segment_path(tmp_path, next_lsn)
     with open(torn, "wb") as fh:
-        fh.write(SEGMENT_MAGIC[: len(SEGMENT_MAGIC) // 2])
+        fh.write(pack_frame(next_lsn, b"never-acknowledged")[:cut])
     records, info = scan_wal(tmp_path)
     assert info["torn_tail"] is True
+    assert info["truncated_bytes"] == cut
     assert [lsn for lsn, _ in records] == [lsn for lsn, _ in records_before]
+    assert os.path.getsize(torn) == 0
 
 
 def test_empty_trailing_segment_file_is_ignored(tmp_path):
@@ -233,13 +235,43 @@ def test_over_pruned_log_refuses_instead_of_silently_skipping(tmp_path):
         scan_wal(tmp_path, after_lsn=0)
 
 
-def test_meta_filename_mismatch_refuses(tmp_path):
+def test_first_lsn_filename_mismatch_refuses(tmp_path):
     wal = WriteAheadLog(tmp_path, fsync="always")
     fill(wal, 2)
     wal.close()
     (first, path), = list_segments(tmp_path)
     os.rename(path, segment_path(tmp_path, 40))  # lies about its first LSN
-    with pytest.raises(WalCorrupt, match="first_lsn"):
+    with pytest.raises(WalCorrupt, match="first_lsn=40"):
+        scan_wal(tmp_path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"hello, world\n",
+    b"{}",
+    b"\x00" * 100,
+    # what the build before this format wrote on creating a segment
+    b'REPRO-WAL-SEG-V1\n{"first_lsn": 1}\n',
+], ids=["text", "json", "zeros", "earlier-header-only-segment"])
+def test_a_file_that_does_not_begin_like_a_frame_refuses(tmp_path, raw):
+    """A foreign last segment is not a torn tail: its bytes are no
+    prefix of a frame, so the scan refuses and truncates nothing."""
+    with open(segment_path(tmp_path, 1), "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(WalCorrupt, match="bad record magic"):
+        scan_wal(tmp_path)
+    assert open(segment_path(tmp_path, 1), "rb").read() == raw
+
+
+def test_a_short_tail_that_is_no_frame_prefix_refuses(tmp_path):
+    """A few stray bytes after the last record are torn only when they
+    could begin a frame; anything else is damage."""
+    wal = WriteAheadLog(tmp_path, fsync="always")
+    fill(wal, 3)
+    wal.close()
+    (_, path), = list_segments(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b"RX")
+    with pytest.raises(WalCorrupt, match="bad record magic"):
         scan_wal(tmp_path)
 
 

@@ -8,8 +8,8 @@ replay a longer tail) and checkpoint-triggered segment pruning (the
 retained checkpoints' tails must survive the unlinks).
 """
 
+import hashlib
 import json
-import os
 
 import pytest
 
@@ -18,8 +18,10 @@ from repro.core.database import KDatabase
 from repro.core.relation import KRelation
 from repro.core.schema import Schema
 from repro.exceptions import SemiringError, WalCorrupt, WalWriteError
+from repro.io import serialize
 from repro.semirings import INT, NAT
 from repro.wal import DurabilityManager, list_checkpoints, list_segments
+from repro.wal.log import pack_frame
 
 
 @pytest.fixture(autouse=True)
@@ -196,10 +198,6 @@ def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(
         tmp_path, typed_contents):
     """A latest checkpoint whose verified body is not a JSON object is
     skipped like a damaged one; recovery replays from the older one."""
-    import hashlib
-
-    from repro.io.serialize import SNAPSHOT_MAGIC
-
     manager = fresh(tmp_path)
     manager.add("R", rel([(0, 0)]))
     manager.checkpoint()
@@ -209,11 +207,8 @@ def test_checksum_valid_non_object_checkpoint_falls_back_to_the_previous(
     contents = typed_contents(manager.db)
     manager.close()
 
-    body = b"[]"
-    header = json.dumps({"magic": SNAPSHOT_MAGIC, "length": len(body),
-                         "sha256": hashlib.sha256(body).hexdigest()})
     with open(latest, "wb") as fh:
-        fh.write(header.encode() + b"\n" + body)
+        fh.write(pack_frame(list_checkpoints(tmp_path)[0][0], b"[]"))
 
     recovered = DurabilityManager.open(tmp_path)
     assert recovered.recovery["checkpoints_skipped"] == 1
@@ -244,7 +239,7 @@ def test_view_definitions_survive_checkpoint_and_replay(tmp_path):
     manager = fresh(tmp_path)
     manager.add("R", rel([(1, 2)]))
     manager.create_view("before", "SELECT a FROM R")
-    manager.checkpoint()  # definition now lives in the views manifest
+    manager.checkpoint()  # definition now lives in the checkpoint
     manager.create_view("after", "SELECT b FROM R")  # only in the WAL tail
     manager.close()
 
@@ -256,19 +251,113 @@ def test_view_definitions_survive_checkpoint_and_replay(tmp_path):
     recovered.close()
 
 
-def test_damaged_views_manifest_degrades_to_wal_definitions(tmp_path, caplog):
+def test_a_checkpoint_cut_after_its_first_write_keeps_the_view_definitions(
+        tmp_path, monkeypatch):
+    """A checkpoint is one file: if the disk fails after its first write,
+    the definitions it covers are in that write, not in a second file
+    that never landed."""
+    manager = fresh(tmp_path)
+    manager.add("R", rel([(1, 2)]))
+    manager.create_view("v", "SELECT a FROM R")
+    real, writes = serialize.write_atomic, []
+
+    def first_write_only(path, data, **kwargs):
+        writes.append(path)
+        if len(writes) > 1:
+            raise OSError("no space left on device")
+        real(path, data, **kwargs)
+
+    monkeypatch.setattr(serialize, "write_atomic", first_write_only)
+    try:
+        manager.checkpoint()
+    except OSError:
+        pass
+    manager.close()
+    monkeypatch.undo()
+
+    recovered = DurabilityManager.open(tmp_path)
+    assert recovered.recovery["checkpoint_lsn"] == 2
+    assert recovered.view_defs == {"v": "SELECT a FROM R"}
+    assert recovered.db.names() == ("R",)
+    recovered.close()
+
+
+def test_a_damaged_newest_checkpoint_falls_back_with_relations_and_views(
+        tmp_path, typed_contents):
     manager = fresh(tmp_path)
     manager.add("R", rel([(1, 2)]))
     manager.create_view("v", "SELECT a FROM R")
     manager.checkpoint()
+    manager.update({"R": rel([(3, 4)])})
+    manager.create_view("w", "SELECT b FROM R")
+    latest = manager.checkpoint()
+    contents = typed_contents(manager.db)
     manager.close()
-    manifests = [p for p in os.listdir(tmp_path) if p.endswith(".views.json")]
-    for name in manifests:
-        with open(os.path.join(tmp_path, name), "w") as fh:
-            fh.write("{not json")
-    recovered = DurabilityManager.open(tmp_path)  # boots, warns
-    assert recovered.db.names() == ("R",)
+    with open(latest, "r+b") as fh:
+        fh.seek(60)
+        fh.write(b"\xff")
+
+    recovered = DurabilityManager.open(tmp_path)
+    assert recovered.recovery["checkpoints_skipped"] == 1
+    assert recovered.recovery["checkpoint_lsn"] == 2
+    assert typed_contents(recovered.db) == contents
+    assert recovered.view_defs == {"v": "SELECT a FROM R", "w": "SELECT b FROM R"}
     recovered.close()
+
+
+# -- a directory the build before this format wrote ---------------------------
+
+
+def earlier_checkpoint(payload) -> bytes:
+    """A checkpoint in the earlier format: a JSON header line, then a body."""
+    body = json.dumps(payload).encode()
+    header = json.dumps({"length": len(body), "magic": "REPRO-SNAPSHOT-V1",
+                         "sha256": hashlib.sha256(body).hexdigest()}, sort_keys=True)
+    return header.encode() + b"\n" + body
+
+
+def earlier_segment(first_lsn, bodies) -> bytes:
+    """A segment in the earlier format: two header lines, then frames."""
+    header = b'REPRO-WAL-SEG-V1\n{"first_lsn": %d}\n' % first_lsn
+    return header + b"".join(
+        pack_frame(first_lsn + i, body) for i, body in enumerate(bodies))
+
+
+def plant_earlier_directory(directory, segment):
+    database = {"semiring": "N", "relations": {"R": {
+        "semiring": "N", "schema": ["a", "b"],
+        "columns": [[1], [2]], "annotations": [1]}}}
+    (directory / "checkpoint-00000000000000000000.snap").write_bytes(
+        earlier_checkpoint({"kind": "database", "data": database}))
+    (directory / "checkpoint-00000000000000000000.views.json").write_text(
+        json.dumps({"views": {"v": "SELECT a FROM R"}}))
+    if segment is not None:
+        (directory / "wal-00000000000000000001.log").write_bytes(segment)
+
+
+EARLIER_SEGMENTS = {
+    "checkpoint-only": None,
+    "header-only-segment": earlier_segment(1, []),
+    "segment-with-records": earlier_segment(1, [
+        b'{"op":"create_view","name":"w","sql":"SELECT b FROM R"}',
+        b'{"op":"update","relations":{"R":{"annotations":[1],"columns":[[3],[4]],'
+        b'"schema":["a","b"],"semiring":"N"}}}',
+    ]),
+}
+
+
+@pytest.mark.parametrize("segment", list(EARLIER_SEGMENTS.values()),
+                         ids=list(EARLIER_SEGMENTS))
+@pytest.mark.parametrize("kwargs", [{}, {"semiring": NAT},
+                                    {"initial_db": KDatabase(NAT)}],
+                         ids=["bare", "semiring", "initial-db"])
+def test_an_earlier_format_directory_is_refused(tmp_path, segment, kwargs):
+    """Never booted empty or with part of its data, and left as found."""
+    plant_earlier_directory(tmp_path, segment)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(WalCorrupt):
+        DurabilityManager.open(tmp_path, **kwargs)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # -- failure wiring ----------------------------------------------------------
