@@ -22,10 +22,12 @@ class KDatabase:
     per-database caches key on — the compiled-plan cache on
     :class:`~repro.core.query.Query` objects and the materialised-view
     states of :mod:`repro.ivm` check the stamp instead of trusting
-    object identity conventions.  The one cache held on the database
-    itself, the encodings of its tables (in each annotation
+    object identity conventions.  The database holds no scan cache: a
+    table's object batch and encodings (in each annotation
     representation: an ``N[X]`` table as term ids and, for circuit
-    plans, as gate ids), revalidates per table by relation identity.
+    plans, as gate ids) live on the relation version itself
+    (:func:`repro.plan.encoded.encoded_scan`), so every catalog holding
+    that version reads them.
 
     Concurrency contract (the serving layer's foundation): mutations are
     **copy-on-write** — :meth:`add`/:meth:`update` build a fresh name →
@@ -36,23 +38,12 @@ class KDatabase:
     *consistent multi-relation view* must pin one via :meth:`snapshot`
     — reading relations directly off a database while a writer races may
     interleave two versions across lookups.  A pinned
-    :class:`DatabaseSnapshot` shares this database's encoding cache and
-    plan-cache identity, so prepared queries stay hot across snapshot
-    handoffs.
+    :class:`DatabaseSnapshot` shares this database's plan-cache
+    identity and holds its relation versions, encodings included, so
+    prepared queries stay hot across snapshot handoffs.
     """
 
-    # _encoded_cache: lazily-attached dictionary encodings of the stored
-    # relations for the machine-scalar execution tier, one per table and
-    # annotation representation, revalidated per table by relation
-    # identity (see repro.plan.encoded.encoded_scan) and carried across
-    # pure inserts by update()
-    __slots__ = (
-        "semiring",
-        "_relations",
-        "_version",
-        "_encoded_cache",
-        "_lock",
-    )
+    __slots__ = ("semiring", "_relations", "_version", "_lock")
 
     def __init__(self, semiring: Semiring, relations: Mapping[str, KRelation] = ()):
         self.semiring = semiring
@@ -119,28 +110,24 @@ class KDatabase:
         small delta costs ``O(|ΔR|)``: the new relation shares the old
         one's rows and layers the delta over them (the old version, and
         every snapshot holding it, keeps its value; see
-        :class:`~repro.core.relation.KRelation`), and a table the encoded
-        tier has cached keeps its encoding across a pure insert: the old
-        image followed by the encoded delta
+        :class:`~repro.core.relation.KRelation`), and a version the
+        encoded tier has scanned hands its encodings to the new one
+        across a pure insert: the old image followed by the encoded delta
         (:func:`repro.plan.encoded.carry_forward`), not a re-encode of
         the whole table on the next read.
         """
         from repro.core.operators import union  # local: operators import relation only
+        from repro.plan.encoded import carry_forward  # local: plan imports core
 
         with self._lock:
             items = self.check_deltas(deltas)
             if not items:
                 return
             relations = dict(self._relations)
-            # only a database the encoded tier has scanned holds the cache
-            cache = getattr(self, "_encoded_cache", None)
-            if cache is not None:
-                from repro.plan.encoded import carry_forward
             for name, delta in items.items():
                 old = relations[name]
                 new = relations[name] = union(old, delta)
-                if cache is not None:
-                    carry_forward(cache, name, old, delta, new, self._version + 1)
+                carry_forward(old, delta, new)
             self._relations = relations
             self._version += 1
 
@@ -217,13 +204,12 @@ class DatabaseSnapshot(KDatabase):
     reads — that is the serving layer's snapshot-isolation contract
     (:mod:`repro.serve`).  Mutating methods raise.
 
-    Cache identity is *shared with the parent*: :attr:`root` (the
-    plan-cache anchor of :meth:`repro.core.query.Query._cached_plan`) and
-    the ``_encoded_cache`` slot delegate to the parent database, so every
-    snapshot of the same version reuses the same compiled plans and
-    dictionary encodings, and snapshots of later versions re-encode only
-    the tables that actually changed (the cache revalidates per table by
-    relation identity).
+    Plan-cache identity is *shared with the parent*: :attr:`root` (the
+    plan-cache anchor of :meth:`repro.core.query.Query._cached_plan`)
+    delegates to the parent database, so every snapshot of the same
+    version reuses the same compiled plans.  Encodings need no sharing:
+    they live on the relation versions the snapshot holds, so a snapshot
+    of a later version re-encodes only the tables whose version has none.
     """
 
     __slots__ = ("_parent",)
@@ -242,20 +228,11 @@ class DatabaseSnapshot(KDatabase):
     def snapshot(self) -> "DatabaseSnapshot":
         return self  # already immutable
 
-    # shared-cache delegation: the slot descriptors of KDatabase are
-    # shadowed by these properties, so code that lazily attaches a cache
-    # to "the database" lands it on the parent — one cache per lineage.
+    # the writer lock is the parent's: the slot descriptor of KDatabase
+    # is shadowed by this property
     @property
     def _lock(self):
         return self._parent._lock
-
-    @property
-    def _encoded_cache(self):
-        return self._parent._encoded_cache
-
-    @_encoded_cache.setter
-    def _encoded_cache(self, value):
-        self._parent._encoded_cache = value
 
     def add(self, name: str, relation: KRelation) -> None:
         raise QueryError(

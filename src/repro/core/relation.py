@@ -141,9 +141,17 @@ class KRelation:
     attribute store (``_flat``, before the layers are dropped), so a
     reader sees either the layers or a complete flat map and no lock is
     needed.
+
+    **Images.**  A version's scan images — its object batch and its
+    encodings for the planner's tiers — depend on the version alone, so
+    they live on it, in the ``_scan_images`` slot that only
+    :mod:`repro.plan.encoded` reads or writes (unset until the first
+    scan).  The slot is no part of the value: ``==``, ``hash`` and
+    pickling ignore it.
     """
 
-    __slots__ = ("semiring", "schema", "_flat", "_base", "_overlay", "_size")
+    __slots__ = ("semiring", "schema", "_flat", "_base", "_overlay", "_size",
+                 "_scan_images")
 
     def __init__(
         self,

@@ -25,11 +25,14 @@ statefully above the core by :class:`repro.ivm.view.MaterializedView`.
 
 The delta expression is an ordinary :class:`~repro.core.query.Query` over
 an augmented catalog — base tables plus ``Δ``-prefixed delta tables — so
-it is pushed through :func:`repro.plan.compiler.compile_plan` unchanged
-and executes on :class:`~repro.plan.columnar.ColumnarKRelation` batches
-with the n-ary semiring kernels: selection pushdown applies to the delta
-tree, hash joins build on the (tiny, estimated-0) delta side, and fused
-select/project pipelines run per batch.
+it is pushed through :func:`repro.plan.compiler.compile_plan` unchanged:
+selection pushdown applies to the delta tree, hash joins build on the
+(tiny, estimated-0) delta side, and fused select/project pipelines run per
+batch.  The tier is chosen per apply by delta size: a delta of fewer than
+:attr:`DeltaPlan.ENCODED_DELTA_MIN_ROWS` rows runs on
+:class:`~repro.plan.columnar.ColumnarKRelation` batches, a larger one on
+the encoded kernels, which read the base tables' encodings off their
+versions (:func:`repro.plan.encoded.encoded_scan`).
 
 The rewrites walk and rebuild trees through the nodes' own ``children`` /
 ``with_children``; what is written here is only what is specific to
@@ -200,25 +203,16 @@ class DeltaPlan:
     """A compiled delta plan for one set of changed base tables.
 
     Executes the delta expression against a per-call combined catalog
-    (the base database's relations plus the delta relations under their
-    ``Δ``-names) and returns the raw columnar view delta.  The physical
-    plan is compiled once and reused across applies; joins against
-    unchanged base tables build (and keep) their hash tables on the base
-    scan — see :func:`_prefer_cached_base_builds` — while base-table scan
-    caches self-refresh by relation identity when the database is mutated
-    between applies.
+    (the base relations the core reads plus the delta relations under
+    their ``Δ``-names) and returns the raw columnar view delta.  The
+    physical plan is compiled once and reused across applies; joins
+    against unchanged base tables build (and keep) their hash tables on
+    the base scan — see :func:`_prefer_cached_base_builds` — and every
+    scan reads the batch kept on the relation version it finds, so a base
+    table the database's update carried forward is not encoded again.
     """
 
-    __slots__ = (
-        "core",
-        "changed",
-        "dname",
-        "delta_query",
-        "plan",
-        "schema",
-        "semiring",
-        "_catalog",
-    )
+    __slots__ = ("core", "changed", "dname", "delta_query", "plan", "schema", "semiring")
 
     def __init__(
         self,
@@ -238,37 +232,15 @@ class DeltaPlan:
         self.schema = schema
         #: the semiring the view delta is annotated in (gates in circuit mode)
         self.semiring = semiring
-        # (source db, reusable execution catalog) — see combined()
-        self._catalog: "Optional[tuple]" = None
 
     def combined(self, db: KDatabase, deltas: Mapping[str, KRelation]) -> KDatabase:
-        """The execution catalog: base relations plus Δ-named deltas.
-
-        The catalog object is **reused across applies against the same
-        source database** — only bindings that changed (the per-apply
-        delta tables, any base relation replaced by ``db.update``) are
-        re-added.  Reuse is what keeps the per-database caches keyed off
-        this catalog hot: the dictionary encodings of unchanged base
-        tables (:mod:`repro.plan.encoded`) survive the apply stream
-        instead of being rebuilt behind a fresh database object every
-        call.  A *different* source database rebuilds the catalog from
-        scratch (stale bindings from the previous database must not leak
-        in — e.g. a table the new database does not define).
-        """
-        memo = self._catalog
-        if memo is not None and memo[0] is db:
-            exec_db = memo[1]
-            for name, rel in db:
-                if name not in exec_db or exec_db.relation(name) is not rel:
-                    exec_db.add(name, rel)
-        else:
-            exec_db = KDatabase(db.semiring)
-            for name, rel in db:
-                exec_db.add(name, rel)
-            self._catalog = (db, exec_db)
-        for name in self.changed:
-            exec_db.add(self.dname(name), deltas[name])
-        return exec_db
+        """The execution catalog of one apply: the base relations the core
+        reads, from ``db``, plus the Δ-named deltas.  Built afresh per
+        call; it holds the very relation versions of ``db``, so its scans
+        read their kept encodings (:mod:`repro.plan.encoded`)."""
+        relations = {name: db.relation(name) for name in table_refs(self.core)}
+        relations.update((self.dname(name), deltas[name]) for name in self.changed)
+        return KDatabase(db.semiring, relations)
 
     #: Below this many delta rows the delta plan runs on the object tier:
     #: the encoded tier pays per apply for encoding the fresh Δ-tables and
@@ -324,7 +296,6 @@ def compile_delta_plan(
     db: KDatabase,
     changed: Iterable[str],
     *,
-    dname: Optional[Callable[[str], str]] = None,
     annotations: str = "expanded",
 ) -> DeltaPlan:
     """Compile the delta of an SPJU ``core`` for deltas to ``changed`` tables.
@@ -339,9 +310,8 @@ def compile_delta_plan(
     semiring = annotation_semiring(db.semiring, annotations)
     refs = table_refs(core)
     effective = frozenset(changed) & refs
-    if dname is None:
-        prefix = delta_prefix(db.names())
-        dname = lambda name: prefix + name  # noqa: E731 - tiny closure
+    prefix = delta_prefix(db.names())
+    dname = lambda name: prefix + name  # noqa: E731 - tiny closure
     schema = core.schema({name: rel.schema for name, rel in db})
     delta_query = delta_rewrite(core, effective, dname) if effective else None
     plan = None

@@ -403,7 +403,7 @@ TIER_EXECUTIONS = REGISTRY.counter(
     ("tier",),
 )
 
-#: The non-hit outcomes of the per-table encoding cache
+#: The non-hit outcomes of the encodings kept on relation versions
 #: (:mod:`repro.plan.encoded`); a hit records nothing.
 ENCODED_CACHE_EVENT_NAMES = ("extend", "rebuild", "disqualify")
 

@@ -16,8 +16,8 @@ stores provenance the same way).  A circuit is one representation of an
    stored polynomial to a gate of the process-wide
    :data:`~repro.circuits.convert.NX_CIRCUITS` as they read it (token
    polynomials become input gates; gates are shared *between* queries
-   and databases), and on the encoded tier that lift is cached beside
-   the table's term encoding
+   and databases), and on the encoded tier that lift is kept on the
+   relation version beside its term encoding
    (:func:`~repro.plan.encoded.encoded_scan`) and carried across inserts;
 2. the plan executes on the **encoded tier**: the circuit semiring's
    machine representation is its builder's gate store

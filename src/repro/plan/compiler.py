@@ -32,7 +32,7 @@ raise the same exception types with the same messages.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.circuits.convert import NX_CIRCUITS
 from repro.core.query import (
@@ -95,9 +95,10 @@ def _note_tier(tier: str) -> None:
 class PhysicalPlan:
     """A compiled, executable plan bound to a database.
 
-    Executing the same plan repeatedly reuses the plan-lifetime caches:
-    scan column decompositions and hash-join build tables stay valid while
-    the underlying (immutable) relations are unchanged.
+    Executing the same plan repeatedly reuses its hash-join build tables
+    while the underlying (immutable) relations are unchanged; scans read
+    the batches kept on those relation versions
+    (:class:`~repro.plan.physical.Scan`).
 
     ``tier`` is the compile-time execution-tier selection: ``"encoded"``
     plans scan base tables as dictionary-encoded batches with
@@ -117,7 +118,6 @@ class PhysicalPlan:
         self.query = query
         self.tier = tier
         self.annotations = annotations
-        self._scan_cache: Dict[str, Tuple[Any, Any]] = {}
         self._last_tier: "str | None" = None
         #: tables the last encoded run scanned boxed (their contents)
         self._boxed: Tuple[str, ...] = ()
@@ -226,7 +226,6 @@ class PhysicalPlan:
                 return result
         ctx = ExecutionContext(
             run_db,
-            self._scan_cache,
             encoded=effective == "encoded",
             deadline=deadline,
             annotations=self.annotations,

@@ -10,12 +10,12 @@ tier:
 
 * each base-table column is **dictionary-encoded** once at scan time:
   values become dense integer codes (``codes[i]`` indexes a per-column
-  dictionary of distinct values), cached on the :class:`KDatabase` and
-  revalidated by relation identity, so repeated plan executions and every
-  IVM apply reuse the encoding — and an insert carries it forward:
-  ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)``, so the image of the table after the
-  write is the old image followed by the encoded delta
-  (:func:`carry_forward`);
+  dictionary of distinct values), kept on the relation version itself
+  (its image slot, :func:`encoded_scan`), so every plan, snapshot and
+  catalog holding that version reuses the encoding — and an insert
+  carries it forward: ``(R ∪ ΔR)(t) = R(t) +_K ΔR(t)``, so the image of
+  the table after the write is the old image followed by the encoded
+  delta (:func:`carry_forward`);
 * annotations of semirings declaring a
   :class:`~repro.semirings.base.MachineRepr` are stored as a flat NumPy
   array of the declared dtype — machine scalars, or ids: ``N[X]`` term
@@ -69,6 +69,7 @@ __all__ = [
     "EncodedFallback",
     "encode_relation",
     "encoded_scan",
+    "object_scan",
     "scan_rows",
     "carry_forward",
     "slice_batch",
@@ -88,6 +89,8 @@ _RADIX_LIMIT = 1 << 62
 #: *before* computing — NumPy int64 overflow is silent wraparound, and
 #: the tier's contract is exactness.
 _INT64_MAX = (1 << 63) - 1
+
+_MISSING = object()
 
 
 class EncodedColumn:
@@ -347,75 +350,75 @@ def encode_relation(rel, annotations: str = "expanded") -> Optional[EncodedBatch
     return encoded
 
 
+def _image_slot(rel) -> Dict[Tuple[str, str], Any]:
+    """The image slot of the relation version ``rel``, attached on first
+    use: ``(tier, annotations)`` → the object batch (``"object"``) or the
+    encoding (``"encoded"``, ``None`` = disqualified) a scan of ``rel``
+    reads; this module is its only reader and writer.  Two readers
+    attaching at once may each publish a dict, and the loser's entries
+    are encoded once more: duplicate work, never a wrong batch."""
+    try:
+        return rel._scan_images
+    except AttributeError:
+        images = rel._scan_images = {}
+        return images
+
+
+def object_scan(rel, annotations: str = "expanded") -> ColumnarKRelation:
+    """The object batch a scan of ``rel`` reads (:func:`scan_rows`),
+    kept on the version, so every plan and catalog holding ``rel``
+    decomposes it once."""
+    images = _image_slot(rel)
+    key = ("object", annotations)
+    batch = images.get(key)
+    if batch is None:
+        batch = images[key] = scan_rows(rel, annotations)
+    return batch
+
+
 def encoded_scan(
     db, name: str, rel, annotations: str = "expanded"
 ) -> Optional[EncodedBatch]:
-    """The encoding of base table ``name`` in the representation
-    ``annotations`` names, cached on the database.
+    """The encoding of the version ``rel`` of base table ``name`` in the
+    representation ``annotations`` names (an ``N[X]`` table has two, term
+    ids and gate ids), kept on the version.
 
-    The cache lives on the :class:`KDatabase` (one entry per table and
-    representation — ``N[X]`` tables have two, term ids and gate ids —
-    holding the relation object it was built from and the database
-    version it was built at) and is revalidated by relation identity —
-    the same contract as the scan column cache.  ``db.update`` carries
-    each entry of a table across a pure insert (:func:`carry_forward`:
-    the old batch followed by the encoded delta), so the read after such
-    a write is a hit; any other mutation
-    (``db.add``, a delta that collides with a stored key, a ``Z``-deletion)
-    replaces the relation object and leaves the entry stale, and the
-    mutated table re-encodes from scratch here while every untouched
-    table (and therefore every repeated plan execution and IVM apply
-    against it) reuses its encoding.  A ``None`` batch records that the
-    table's contents disqualify the tier, so the O(rows) qualification
-    scan runs once, not per execution; a circuit scan's ``None`` is a
-    gate rollover, not a verdict on the contents, and is not kept
-    (:func:`_stale`).
+    A relation is an immutable value, so its encoding depends on it
+    alone: the root database, a pinned snapshot, a view's catalog and a
+    delta plan's execution catalog that hold the same version read the
+    same batch, and no two versions share a slot, so a reader pinned on
+    an old version can never displace a later version's batch.
+    ``db.update`` carries each encoding of a table across a pure insert
+    (:func:`carry_forward`: the old batch followed by the encoded delta),
+    so the read after such a write is a hit; any other mutation
+    (``db.add``, a delta that collides with a stored key, a
+    ``Z``-deletion) yields a version without an image, which encodes
+    from scratch here.  A ``None`` records that the version's contents
+    disqualify the tier, so the O(rows) qualification scan runs once, not
+    per execution; a circuit scan's ``None`` is a gate rollover, not a
+    verdict on the contents, and is not kept (:func:`_stale`), nor is a
+    batch whose generation was replaced.
 
-    Thread safety (the cache is shared across server workers, and by
-    every :class:`~repro.core.database.DatabaseSnapshot` of one lineage):
-    the *attach* — creating or replacing the whole cache dict — runs
-    under the database's lock, so racing readers converge on one shared
-    cache instead of each publishing its own.  The per-table hit path is
-    deliberately lock-free: entries are immutable ``(relation, batch,
-    version)`` triples revalidated by relation identity, and single dict
-    reads are atomic under the GIL.  A miss encodes outside the lock (two
-    readers may encode the same table once each — duplicate work, never
-    a wrong or torn batch) and stores under it, never over an entry of a
-    later version: a reader pinned on an old snapshot must not evict the
-    entry the writer's carry chain continues from.
+    The hit path is lock-free: single dict reads are atomic under the
+    GIL.  Two readers missing at once encode once each and both store:
+    equal batches, either may win.  ``db`` is unused; the argument stays
+    for positional callers.
     """
-    cache = getattr(db, "_encoded_cache", None)
-    if cache is None:
-        lock = getattr(db, "_lock", None)
-        if lock is None:  # a db-like object without the slot
-            return encode_relation(rel, annotations)
-        with lock:
-            cache = getattr(db, "_encoded_cache", None)
-            if cache is None:
-                cache = {rep: {} for rep in _REPRESENTATIONS}
-                try:
-                    db._encoded_cache = cache
-                except AttributeError:
-                    return encode_relation(rel, annotations)
-    tables = cache[annotations]
-    entry = tables.get(name)
-    if entry is not None and entry[0] is rel and not _stale(entry[1], annotations):
-        return entry[1]
+    images = _image_slot(rel)
+    key = ("encoded", annotations)
+    batch = images.get(key, _MISSING)
+    if batch is not _MISSING and not _stale(batch, annotations):
+        return batch
     # encode misses are the expensive path — worth a span of their own
-    # (cache hits above stay untouched: no span, no check beyond _ACTIVE)
+    # (hits above stay untouched: no span, no check beyond _ACTIVE)
     with _trace.span(f"encode {name}") as span:
         batch = encode_relation(rel, annotations)
         if span is not None and batch is not None:
             span.attrs["rows"] = len(batch)
             span.attrs["ann_bytes"] = int(batch.anns.nbytes)
     _metrics.ENCODED_CACHE_EVENTS.inc(1, "rebuild")
-    if _stale(batch, annotations):
-        return batch
-    version = db.version
-    with db._lock:
-        entry = tables.get(name)
-        if entry is None or entry[2] <= version:
-            tables[name] = (rel, batch, version)
+    if not _stale(batch, annotations):
+        images[key] = batch
     return batch
 
 
@@ -514,35 +517,35 @@ def _extend_batch(
     )
 
 
-def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
-    """Carry table ``name``'s cached encodings across ``new = old ∪ delta``.
+def carry_forward(old, delta, new) -> None:
+    """Carry the encodings of the version ``old`` onto ``new = old ∪ delta``.
 
     Called by :meth:`KDatabase.update` under the writer lock, before
-    ``new`` is published at ``version``; the entry of each representation
-    extends by the delta encoded its way.  Applies when an entry was
-    built from ``old`` and the delta is a pure insert no larger than
-    ``old`` (no key collided: ``len(new) == len(old) + len(delta)``).
-    Then ``new``'s row order is ``old``'s followed by the delta's —
-    ``union`` layers the delta over ``old``'s rows, and flattening keeps
-    the base's rows first (see :class:`~repro.core.relation.KRelation`)
-    — so the from-scratch encoding of ``new`` would be positionally the
-    old batch followed by the encoded delta.  In every
-    other case the entry is left to go stale and the next scan rebuilds.
-    A table recorded as disqualified stays so: its unfit row is still
-    there.  The old batch is never mutated — pinned snapshots, cached
-    join build structs and lock-free readers keep using it.
+    ``new`` is published; each encoding of ``old`` extends by the delta
+    encoded its way, and lands on ``new`` itself, so every catalog that
+    comes to hold ``new`` reads it.  Applies when the delta is a pure
+    insert no larger than ``old`` (no key collided: ``len(new) ==
+    len(old) + len(delta)``).  Then ``new``'s row order is ``old``'s
+    followed by the delta's — ``union`` layers the delta over ``old``'s
+    rows, and flattening keeps the base's rows first (see
+    :class:`~repro.core.relation.KRelation`) — so the from-scratch
+    encoding of ``new`` would be positionally the old batch followed by
+    the encoded delta.  In every other case ``new`` gets no encoding and
+    its first scan builds one.  A table recorded as disqualified stays
+    so: its unfit row is still there.  The old batch is never mutated —
+    pinned snapshots, cached join build structs and lock-free readers
+    keep using it.
     """
-    if len(delta) > len(old) or len(new) != len(old) + len(delta):
+    images = getattr(old, "_scan_images", None)
+    if not images or len(delta) > len(old) or len(new) != len(old) + len(delta):
         return
+    carried: Dict[Tuple[str, str], Any] = {}
     for annotations in _REPRESENTATIONS:
-        tables = cache[annotations]
-        entry = tables.get(name)
-        if entry is None or entry[0] is not old:
-            continue
-        batch = entry[1]
+        key = ("encoded", annotations)
+        batch = images.get(key, _MISSING)
+        if batch is _MISSING or _stale(batch, annotations):
+            continue  # never scanned, or its generation was replaced
         event = "extend"
-        if _stale(batch, annotations):
-            continue  # its generation was replaced: the next scan rebuilds
         if batch is not None:
             try:
                 batch = _extend_batch(batch, delta, annotations)
@@ -550,34 +553,10 @@ def carry_forward(cache, name: str, old, delta, new, version: int) -> None:
                 continue
             if batch is None:
                 event = "disqualify"
-        tables[name] = (new, batch, version)
+        carried[key] = batch
         _metrics.ENCODED_CACHE_EVENTS.inc(1, event)
-
-
-def share_encodings(source, target) -> None:
-    """Seed ``target``'s encoding cache with ``source``'s entries for the
-    relation objects both databases hold.
-
-    A catalog clone (a materialised view's private database over a
-    snapshot's relations) then scans its tables without encoding them
-    again.  Entries are immutable and revalidated by relation identity,
-    so sharing them is safe; from here each database carries its own
-    entries forward (:func:`carry_forward`) at its own versions.
-    """
-    cache = getattr(source, "_encoded_cache", None)
-    if cache is None:
-        return
-    held = dict(iter(target))
-    version = target.version
-    with source._lock:
-        seeded = {
-            rep: {name: (rel, batch, version)
-                  for name, (rel, batch, _v) in cache[rep].items()
-                  if held.get(name) is rel}
-            for rep in _REPRESENTATIONS
-        }
-    with target._lock:
-        target._encoded_cache = seeded
+    if carried:
+        new._scan_images = carried
 
 
 def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:

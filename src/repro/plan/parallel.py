@@ -407,7 +407,7 @@ def _partitioned(plan, db, spec: ParallelSpec, morsels: int):
 
 
 def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None):
-    ctx = ExecutionContext(None, {}, encoded=True, deadline=deadline)
+    ctx = ExecutionContext(None, encoded=True, deadline=deadline)
     for scan, mode in zip(state["scans"], state["modes"]):
         batch = state["batches"][scan.name]
         if mode == "driver":

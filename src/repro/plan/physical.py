@@ -9,9 +9,9 @@ homomorphic specialisation.
 
 Operator inventory:
 
-``Scan``            base-table access; the column decomposition is cached
-                    per plan as long as the stored relation object is
-                    unchanged (relations are immutable by convention).
+``Scan``            base-table access; the column decomposition (or the
+                    encoding) is kept on the stored relation version,
+                    which is immutable, so every plan shares it.
 ``FusedPipeline``   a select/project/rename/distinct chain executed in as
                     few passes as possible; the σ→Π peephole runs both in
                     one pass without materialising the selected rows.
@@ -65,7 +65,7 @@ from repro.plan import encoded as enc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan, scan_rows
+from repro.plan.encoded import EncodedBatch, EncodedFallback, encoded_scan, object_scan
 from repro.plan import kernels
 from repro.plan.kernels import np, reduce_by_key
 from repro.semimodules.tensor import Tensor, tensor_space
@@ -113,19 +113,18 @@ def _hash_keys(batch: ColumnarKRelation, attrs: Tuple[str, ...]) -> List[Any]:
 
 class ExecutionContext:
     """Per-execution state: the database, a node-result memo (shared
-    subplans run once), the plan-lifetime scan cache, the execution
-    tier and the annotation representation.  ``encoded`` enables the
-    dictionary-encoded scan path (set by the plan's compile-time tier
-    selection); ``annotations`` is the representation scans read the
-    stored annotations in (``"circuit"``: lifted to gates);
-    ``used_encoded`` records whether any scan actually ran encoded,
-    which is what ``explain()`` reports as the tier of the last run, and
-    ``boxed`` the tables whose contents kept them on the object tier."""
+    subplans run once), the execution tier and the annotation
+    representation.  ``encoded`` enables the dictionary-encoded scan path
+    (set by the plan's compile-time tier selection); ``annotations`` is
+    the representation scans read the stored annotations in
+    (``"circuit"``: lifted to gates); ``used_encoded`` records whether
+    any scan actually ran encoded, which is what ``explain()`` reports as
+    the tier of the last run, and ``boxed`` the tables whose contents
+    kept them on the object tier."""
 
     __slots__ = (
         "db",
         "results",
-        "scan_cache",
         "encoded",
         "annotations",
         "used_encoded",
@@ -137,14 +136,12 @@ class ExecutionContext:
     def __init__(
         self,
         db,
-        scan_cache: Dict[str, Tuple[Any, Any]],
         encoded: bool = False,
         deadline=None,
         annotations: str = "expanded",
     ):
         self.db = db
         self.results: Dict[int, Any] = {}
-        self.scan_cache = scan_cache
         self.encoded = encoded
         self.annotations = annotations
         self.used_encoded = False
@@ -255,11 +252,13 @@ def _require_plain_columns(
 
 
 class Scan(PhysicalOp):
-    """Base-table access with a plan-lifetime column cache.
+    """Base-table access: the batch the stored relation version reads as.
 
-    The cache entry stores the :class:`KRelation` object it was built from;
-    since relations are immutable by convention, an ``is`` check is a sound
-    validity test even when the database is later mutated via ``db.add``.
+    A version is immutable, so its batches are kept on it
+    (:func:`repro.plan.encoded.object_scan`,
+    :func:`repro.plan.encoded.encoded_scan`) and every plan, snapshot and
+    catalog holding the version reads the same one; a mutated table is a
+    new version, scanned afresh.
 
     A circuit plan's scan reads the stored ``N[X]`` annotations as gates
     (:func:`repro.plan.encoded.scan_rows`): the plan computes over the
@@ -267,15 +266,13 @@ class Scan(PhysicalOp):
     operator follows the semiring of the batch it receives.
 
     On an encoded-tier plan the scan returns the table's dictionary
-    encoding (:func:`repro.plan.encoded.encoded_scan`, cached on the
-    database and shared across plans); a table whose contents disqualify
-    the tier — an annotation outside the machine dtype, an unhashable
-    value — silently decomposes to the boxed object batch instead, and
-    every downstream operator follows the representation it receives.
-    The plan-lifetime cache keeps one entry *per representation*, so an
-    execution stream alternating tiers (the incremental engine's
-    size-adaptive delta dispatch) never hands mixed representations to a
-    join or re-decomposes on every switch.
+    encoding; a table whose contents disqualify the tier — an annotation
+    outside the machine dtype, an unhashable value — silently decomposes
+    to the boxed object batch instead, and every downstream operator
+    follows the representation it receives.  The version keeps one image
+    *per representation*, so an execution stream alternating tiers (the
+    incremental engine's size-adaptive delta dispatch) never hands mixed
+    representations to a join or re-decomposes on every switch.
     """
 
     __slots__ = ("name",)
@@ -290,27 +287,13 @@ class Scan(PhysicalOp):
         # nothing is armed)
         faults.sleep_point("latency", site="scan", table=self.name)
         rel = ctx.db.relation(self.name)
-        entry = ctx.scan_cache.get(self.name)
-        if entry is None or entry[0] is not rel:
-            entry = (rel, {})
-            ctx.scan_cache[self.name] = entry
-        reps = entry[1]
         if ctx.encoded:
-            if "encoded" in reps and not enc._stale(reps["encoded"], ctx.annotations):
-                batch = reps["encoded"]
-            else:
-                # None records "this table disqualifies the tier"
-                batch = reps["encoded"] = encoded_scan(
-                    ctx.db, self.name, rel, ctx.annotations
-                )
+            batch = encoded_scan(ctx.db, self.name, rel, ctx.annotations)
             if batch is not None:
                 ctx.used_encoded = True
                 return batch
-            ctx.boxed.append(self.name)
-        batch = reps.get("object")
-        if batch is None:
-            batch = reps["object"] = scan_rows(rel, ctx.annotations)
-        return batch
+            ctx.boxed.append(self.name)  # its contents disqualify the tier
+        return object_scan(rel, ctx.annotations)
 
     def label(self) -> str:
         return f"Scan {self.name}"
@@ -774,9 +757,10 @@ class HashJoin(PhysicalOp):
                 buckets[key] = [i]
             else:
                 bucket.append(i)
-        # only batches that outlive this execution (the plan's scan cache)
-        # can ever hit again; caching anything else would just pin the
-        # previous build batch in memory at a guaranteed 100% miss rate
+        # only batches that outlive this execution (a scan's, kept on the
+        # relation version) can ever hit again; caching anything else would
+        # just pin the previous build batch in memory at a guaranteed 100%
+        # miss rate
         if cacheable:
             self._build_cache["object"] = (build, buckets)
         else:
@@ -1523,7 +1507,7 @@ class Fallback(PhysicalOp):
         self.query = query
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
-        return scan_rows(self.query.evaluate(ctx.db), ctx.annotations)
+        return enc.scan_rows(self.query.evaluate(ctx.db), ctx.annotations)
 
     def label(self) -> str:
         return f"Interpret[{self.query}]"

@@ -145,6 +145,10 @@ MAX_BODY_BYTES = 16 << 20
 #: Longest accepted request or header line, the same guard for the head.
 MAX_LINE_BYTES = 64 << 10
 
+#: Queries slower than this many milliseconds are logged (WARNING) with
+#: their trace id, so the slow-query log joins against client logs.
+SLOW_QUERY_MS = 500.0
+
 
 class PlainText:
     """A non-JSON response body (``GET /metrics`` exposition text)."""
@@ -261,14 +265,10 @@ def _tables(query: Any) -> FrozenSet[str]:
 
 
 def _clone(snap: KDatabase) -> KDatabase:
-    """A private catalog over ``snap``'s relations and their encodings
-    (shared, never copied), so an entry's apply() stream is confined and
-    races no other entry and not the root."""
-    from repro.plan.encoded import share_encodings  # local: keep startup light
-
-    clone = KDatabase(snap.semiring, dict(iter(snap)))
-    share_encodings(snap, clone)
-    return clone
+    """A private catalog over ``snap``'s relation versions (shared, never
+    copied, encodings included: they live on the versions), so an entry's
+    apply() stream is confined and races no other entry and not the root."""
+    return KDatabase(snap.semiring, dict(iter(snap)))
 
 
 def _shutdown(sock: socket.socket, how: int) -> None:
@@ -291,9 +291,6 @@ class ProvenanceServer:
         max_queue: int = 32,
         heavy_slots: int = 1,
         drain_timeout: float = 5.0,
-        slow_query_ms: float = 500.0,
-        retry_after_base: float = 1.0,
-        retry_after_max: float = 30.0,
         durability: "Optional[DurabilityManager]" = None,
     ):
         if durability is not None and db is not durability.db:
@@ -304,15 +301,10 @@ class ProvenanceServer:
         self.host = host
         self.port = port
         self.drain_timeout = drain_timeout
-        #: Queries slower than this are logged (WARNING) with their
-        #: trace id, so the slow-query log joins against client logs.
-        self.slow_query_ms = slow_query_ms
         self.durability = durability
         self.manager = SnapshotManager(db)
         self.pool = WorkerPool(workers=workers, max_queue=max_queue,
-                               heavy_slots=heavy_slots,
-                               retry_after_base=retry_after_base,
-                               retry_after_max=retry_after_max)
+                               heavy_slots=heavy_slots)
         #: the maintained answers: ``/views`` entries by name, promoted
         #: answers by ``(sql, mode, engine, annotations)``; written only
         #: under the writer gate
@@ -608,7 +600,7 @@ class ProvenanceServer:
             elapsed = time.perf_counter() - start
         obs_metrics.QUERY_SECONDS.observe(elapsed)
         elapsed_ms = elapsed * 1e3
-        if self.slow_query_ms and elapsed_ms >= self.slow_query_ms:
+        if elapsed_ms >= SLOW_QUERY_MS:
             log.warning("slow query (%.1fms, trace %s): %s", elapsed_ms, rid, sql)
         self._count("queries")
         tail: Dict[str, Any] = {"elapsed_ms": round(elapsed_ms, 3)}

@@ -16,8 +16,8 @@ immutable dict.  :class:`SnapshotManager` adds the last inch:
 
 Every reader between two publishes therefore shares *the same* snapshot
 object: prepared-query plan caches (keyed on the root database identity
-plus version) and the dictionary-encoding cache (shared through the
-snapshot onto the root) stay hot across the handoff, and a request that
+plus version) and the dictionary encodings (kept on the relation
+versions the snapshot holds) stay hot across the handoff, and a request that
 straddles an update simply finishes on the version it pinned.
 
 A pinned snapshot is an immutable K-database, so a query's annotated

@@ -35,6 +35,11 @@ from typing import Any, Callable, Dict, Iterator, Optional
 
 __all__ = ["ServerOverloaded", "WorkerPool"]
 
+#: The ``Retry-After`` hint of an idle server, in seconds, and its cap
+#: (see :meth:`WorkerPool.retry_after`).
+RETRY_AFTER_BASE = 1.0
+RETRY_AFTER_MAX = 30.0
+
 
 class ServerOverloaded(Exception):
     """Admission control rejected the request; retry after backoff."""
@@ -52,8 +57,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         max_queue: int = 32,
         heavy_slots: int = 1,
-        retry_after_base: float = 1.0,
-        retry_after_max: float = 30.0,
     ):
         if workers is None:
             workers = min(8, (os.cpu_count() or 2))
@@ -61,13 +64,7 @@ class WorkerPool:
             raise ValueError(f"workers must be positive, got {workers}")
         if heavy_slots <= 0:
             raise ValueError(f"heavy_slots must be positive, got {heavy_slots}")
-        if retry_after_base <= 0:
-            raise ValueError(
-                f"retry_after_base must be positive, got {retry_after_base}"
-            )
         self.workers = workers
-        self.retry_after_base = float(retry_after_base)
-        self.retry_after_max = float(retry_after_max)
         self._admission = threading.BoundedSemaphore(workers + max_queue)
         self._heavy = threading.BoundedSemaphore(min(heavy_slots, workers))
         self._running = threading.BoundedSemaphore(workers)
@@ -145,9 +142,7 @@ class WorkerPool:
         """
         with self._stats_lock:
             pressure = self._in_flight / float(self.workers)
-        return round(
-            min(self.retry_after_max, self.retry_after_base * (1.0 + pressure)), 3
-        )
+        return round(min(RETRY_AFTER_MAX, RETRY_AFTER_BASE * (1.0 + pressure)), 3)
 
     def stats(self) -> Dict[str, int]:
         with self._stats_lock:

@@ -31,6 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.core import KDatabase, KRelation
 from repro.semirings import NAT
 from repro.serve import WorkerPool, start_in_thread
+from repro.serve.workers import RETRY_AFTER_BASE, RETRY_AFTER_MAX
 from repro.sql.compiler import compile_sql
 from repro.wal import DurabilityManager
 from repro.wal import manager as wal_manager
@@ -317,15 +318,15 @@ def test_unwritable_log_maps_to_503_with_retry_after(tmp_path):
 
 
 def test_retry_after_derives_from_pool_pressure():
-    pool = WorkerPool(workers=4, retry_after_base=2.0, retry_after_max=9.0)
+    pool = WorkerPool(workers=4)
     try:
-        assert pool.retry_after() == 2.0  # idle: the base
+        assert pool.retry_after() == RETRY_AFTER_BASE == 1.0  # idle: the base
         with pool._stats_lock:
             pool._in_flight = 4  # saturated: base * 2
-        assert pool.retry_after() == 4.0
+        assert pool.retry_after() == 2 * RETRY_AFTER_BASE
         with pool._stats_lock:
             pool._in_flight = 400  # absurd backlog: capped
-        assert pool.retry_after() == 9.0
+        assert pool.retry_after() == RETRY_AFTER_MAX == 30.0
     finally:
         with pool._stats_lock:
             pool._in_flight = 0

@@ -1,8 +1,8 @@
 """Unit tests for the dictionary-encoded execution tier.
 
 Covers the capability plumbing the property suite does not pin directly:
-tier selection and EXPLAIN reporting, the per-table encoding cache on the
-database, per-operator fallback (symbolic values, incomparable types,
+tier selection and EXPLAIN reporting, the encoding kept on each relation
+version, per-operator fallback (symbolic values, incomparable types,
 foreign aggregation values), the exactness qualification, lazy column
 gathering, and the bounded caches (plan LRU, circuit interning caps).
 """
@@ -30,12 +30,7 @@ from repro.exceptions import QueryError
 from repro.monoids import MAX, MIN, SUM
 from repro.obs.metrics import ENCODED_CACHE_EVENTS
 from repro.plan import compile_plan
-from repro.plan.encoded import (
-    EncodedBatch,
-    encode_relation,
-    encoded_scan,
-    share_encodings,
-)
+from repro.plan.encoded import EncodedBatch, encode_relation, encoded_scan
 from repro.semirings import BOOL, NAT, NX, TROPICAL, ZX
 
 
@@ -174,7 +169,7 @@ class TestTierSelection:
 
 
 class TestEncodingCache:
-    def test_encoding_cached_on_database_by_relation_identity(self):
+    def test_encoding_is_kept_on_the_relation_version(self):
         db = bag_db()
         first = encoded_scan(db, "Emp", db.relation("Emp"))
         again = encoded_scan(db, "Emp", db.relation("Emp"))
@@ -226,10 +221,10 @@ class TestEncodingCache:
         assert after["rebuild"] == before["rebuild"]
 
     def test_stale_reader_does_not_evict_the_newer_entry(self):
-        """A reader pinned on an older snapshot that misses must not store
-        its rebuilt batch over the newer entry: the writer's next insert
-        would find a foreign entry and the read after it would pay a full
-        rebuild."""
+        """A reader pinned on an older snapshot that misses encodes its own
+        version, which leaves the newer version's encoding in place: the
+        writer's next insert still carries it, and the read after it pays
+        no rebuild."""
         db = bag_db()
         pinned = db.snapshot()  # an old version, never scanned
         db.update({"Emp": emp_delta(1000)})
@@ -244,33 +239,6 @@ class TestEncodingCache:
         after = cache_events()
         assert after["extend"] - before["extend"] == 1
         assert after["rebuild"] == before["rebuild"]
-
-    def test_a_catalog_clone_shares_the_encodings_it_holds(self):
-        """A clone over a snapshot's relations scans them without encoding
-        again; from there each database carries its own entries forward,
-        and a relation the clone does not share is not seeded."""
-        db = bag_db()
-        JOIN_GROUP.evaluate(db, engine="planned")  # warms both tables
-        snap = db.snapshot()
-        clone = KDatabase(NAT, {"Emp": snap.relation("Emp"),
-                                "Dept": bag_db(4).relation("Dept")})
-        share_encodings(snap, clone)
-        emp = encoded_scan(db, "Emp", db.relation("Emp"))
-        before = cache_events()
-        assert encoded_scan(clone, "Emp", clone.relation("Emp")) is emp
-        assert cache_events() == before
-        encoded_scan(clone, "Dept", clone.relation("Dept"))
-        assert cache_events()["rebuild"] == before["rebuild"] + 1
-        for target in (db, clone):
-            target.update({"Emp": emp_delta(1000)})
-        assert cache_events()["extend"] == before["extend"] + 2
-        assert encoded_scan(db, "Emp", db.relation("Emp")) is not \
-            encoded_scan(clone, "Emp", clone.relation("Emp"))
-        assert cache_events()["rebuild"] == before["rebuild"] + 1
-        assert JOIN_GROUP.evaluate(clone, engine="planned") == \
-            JOIN_GROUP.evaluate(clone, engine="interpreted")
-        share_encodings(KDatabase(NAT), clone)  # a source never scanned: a no-op
-        assert encoded_scan(clone, "Emp", clone.relation("Emp")) is not None
 
     def test_int64_growth_falls_back_before_wrapping(self):
         """Annotations of 2^31 pass the scan-level fits() bound, but their
@@ -448,9 +416,9 @@ class TestColumnarSatellites:
 
 class TestIvmOnEncodedScans:
     def test_delta_plan_rejects_stale_catalog_across_databases(self):
-        """The reusable execution catalog is keyed by source-db identity:
-        executing against a different database must not serve relations
-        left over from the previous one."""
+        """The execution catalog is built per apply from the database it
+        is given: executing against a different database must not serve
+        relations left over from the previous one."""
         from repro.ivm.delta import compile_delta_plan
 
         db1 = bag_db()

@@ -160,7 +160,7 @@ def _walk(node):
 def test_a_probe_side_kept_in_place_is_the_scans_own():
     db = database(NAT, [KEYS[i % 6] for i in range(30)], KEYS, [1, 2, 3], build_one=True)
     plan = compile_plan(JOIN, db, tier="encoded")
-    out = plan.root.execute(ExecutionContext(db, plan._scan_cache, encoded=True))
+    out = plan.root.execute(ExecutionContext(db, encoded=True))
     scan = encoded_scan(db, "L", db.relation("L"))
     for attr in ("id", "k", "v"):
         assert out.col(attr) is scan.col(attr)
