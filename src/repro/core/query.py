@@ -209,9 +209,15 @@ class Query(abc.ABC):
         only):
 
         ``"expanded"``
-            canonical provenance polynomials throughout — every operator
-            returns normal forms (the default, and the only choice for
-            concrete semirings);
+            canonical provenance polynomials — the default, and the only
+            choice for concrete semirings.  Where the planned result's
+            root folds ``N[X]`` term rows on the encoded tier (a grouped
+            or whole-relation aggregation, a projection's merge), it is a
+            :class:`~repro.plan.term_result.TermResult`: a
+            :class:`~repro.core.relation.KRelation` whose polynomials stay
+            in the term store until read — ``apply_hom`` into ``N``,
+            ``Z`` or ``B`` maps them as arrays, and any other read builds
+            the row map once (``lower()``);
         ``"circuit"``
             run the plan over hash-consed provenance circuits and return a
             :class:`~repro.plan.circuit_exec.CircuitResult` that lowers

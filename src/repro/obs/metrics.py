@@ -445,7 +445,8 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
 #: store's fold; under ``op="gates"`` / ``op="terms"``, why a gate-id or
 #: term-id kernel left the encoded tier; and under ``op="hom"``, whether a
 #: valuation homomorphism mapped a batch as arrays over the term store's
-#: runs or by the object walk, and why.
+#: runs or by the object walk, and why; under ``op="lower"``, each planned
+#: result kept as runs whose polynomials a reader built.
 ENCODED_KERNEL = REGISTRY.counter(
     "repro_encoded_kernel_total",
     "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
@@ -455,7 +456,9 @@ ENCODED_KERNEL = REGISTRY.counter(
     "N[X] term-id kernels that fell back to the object tier (op=gates or "
     "op=terms, kernel=\"fallback: <cause>\"); and N[X] homomorphism "
     "batches into N, Z or B (op=hom) mapped as arrays over term-store runs "
-    "(kernel=array) or by the object walk (kernel=\"fallback: <cause>\").",
+    "(kernel=array) or by the object walk (kernel=\"fallback: <cause>\"); "
+    "planned N[X] results kept as term-store runs whose polynomials a "
+    "reader built (op=lower, kernel=terms).",
     ("op", "kernel"),
 )
 

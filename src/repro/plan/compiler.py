@@ -56,9 +56,9 @@ from repro.core.rewrites import optimize
 from repro.core.schema import Schema
 from repro.deadline import Deadline
 from repro.exceptions import QueryError
-from repro.plan.columnar import ColumnarKRelation
 from repro.plan.encoded import EncodedBatch, EncodedFallback, combine_codes, why_boxed
 from repro.plan.kernels import HAVE_NUMPY, np
+from repro.plan.term_result import TermResult
 from repro.plan.physical import (
     DifferenceOp,
     DistinctStage,
@@ -138,9 +138,12 @@ class PhysicalPlan:
 
         The root batch becomes a relation in one step, traced as a
         ``plan.materialise`` span (``rows_in``, ``rows_out`` and ``merge``,
-        see :func:`_materialise`) beside ``plan.execute``.
+        see :func:`_materialise`) beside ``plan.execute``.  Where the root
+        folds ``N[X]`` term rows on the encoded tier, the relation is a
+        :class:`~repro.plan.term_result.TermResult`, whose polynomials
+        stay in the term store until it is read (``merge=runs``).
         """
-        batch = self.execute_raw(db, None, deadline)
+        batch = self._traced(db, None, deadline, True)
         if not _trace._ACTIVE:
             return _materialise(batch)[0]
         with _trace.span("plan.materialise", rows_in=len(batch)) as span:
@@ -186,16 +189,22 @@ class PhysicalPlan:
         ran — traced as ``plan.execute``.  :meth:`execute` merges it into
         a relation and :meth:`execute_batch` decodes it; a view's initial
         fold (:meth:`repro.ivm.state.HeadState.absorb`) reads it encoded."""
+        return self._traced(db, tier, deadline, False)
+
+    def _traced(self, db, tier, deadline, runs: bool):
+        """:meth:`_execute_batch_impl` in a ``plan.execute`` span; with
+        ``runs`` (:meth:`execute` only) a root that folds term rows
+        returns its :class:`~repro.plan.term_result.TermResult`."""
         if not _trace._ACTIVE:
-            return self._execute_batch_impl(db, tier=tier, deadline=deadline)
+            return self._execute_batch_impl(db, tier=tier, deadline=deadline, runs=runs)
         with _trace.span("plan.execute",
                          tier_requested=tier if tier is not None else self.tier):
-            result = self._execute_batch_impl(db, tier=tier, deadline=deadline)
+            result = self._execute_batch_impl(db, tier=tier, deadline=deadline, runs=runs)
             _trace.add_attrs(tier=self._last_tier)
             return result
 
     def _execute_batch_impl(self, db=None, *, tier: "str | None" = None,
-                            deadline=None):
+                            deadline=None, runs: bool = False):
         effective = tier if tier is not None else self.tier
         run_db = db if db is not None else self.db
         if deadline is not None and not isinstance(deadline, Deadline):
@@ -230,6 +239,8 @@ class PhysicalPlan:
             deadline=deadline,
             annotations=self.annotations,
         )
+        if runs:
+            ctx.runs = self.root
         result = self.root.execute(ctx)
         self._boxed = tuple(ctx.boxed)
         if ctx.used_encoded:
@@ -312,18 +323,22 @@ def _materialise(batch) -> Tuple[KRelation, str]:
     """The relation a plan's root ``batch`` stands for, and how its rows
     were merged: ``"distinct"`` (nothing to merge: the batch promised
     pairwise distinct rows), ``"kernel"`` (one grouped reduction over the
-    encoded rows, where the machine ``+`` is an exact ufunc), ``"terms"``
-    (the term store's one fold over ``N[X]`` term rows, which builds each
-    tuple's polynomial from its rows' terms) or ``"python"`` (the ``+_K``
-    merge of :func:`~repro.core.relation.merged_rows` over decoded rows:
-    object batches, and gate ids, whose sums must intern the very gates
-    the object path would)."""
+    encoded rows, where the machine ``+`` is an exact ufunc), ``"runs"``
+    (the term store's one fold over ``N[X]`` term rows, kept as a
+    :class:`~repro.plan.term_result.TermResult` — the root's own, or
+    :func:`_fold_terms`) or ``"python"`` (the ``+_K`` merge of
+    :func:`~repro.core.relation.merged_rows` over decoded rows: object
+    batches, and gate ids, whose sums must intern the very gates the
+    object path would)."""
+    if isinstance(batch, TermResult):
+        return batch, "runs"
     merge = "distinct" if batch.distinct else "python"
     if isinstance(batch, EncodedBatch):
         machine = batch.machine
         try:
             if merge == "python" and not machine.merges:
-                batch, merge = _fold_terms(batch), "terms"
+                if len(batch):
+                    return _fold_terms(batch), "runs"
             elif merge == "python" and hasattr(machine.plus, "at"):
                 batch, merge = _consolidate_encoded(batch, batch.schema), "kernel"
         except EncodedFallback:  # no attributes, past the int64 bound, ...
@@ -333,9 +348,9 @@ def _materialise(batch) -> Tuple[KRelation, str]:
     return batch.to_krelation(), merge
 
 
-def _fold_terms(batch: EncodedBatch) -> ColumnarKRelation:
-    """The distinct rows of a term batch, each annotated with the fold of
-    its rows' terms."""
+def _fold_terms(batch: EncodedBatch) -> TermResult:
+    """The distinct rows of a non-empty term batch, each annotated with
+    the fold of its rows' terms, left in the term store."""
     attrs = batch.schema.attributes
     cols = [batch.col(a) for a in attrs]
     if cols:
@@ -343,11 +358,9 @@ def _fold_terms(batch: EncodedBatch) -> ColumnarKRelation:
     else:
         keys = np.zeros(len(batch), dtype=np.int64)
     _note_fold("consolidate")
-    rep, totals, _entries = batch.machine.fold(keys, batch.anns)
-    columns = {a: col.gather(rep).decode() for a, col in zip(attrs, cols)}
-    return ColumnarKRelation._from_clean(
-        batch.semiring, batch.schema, columns, totals, True
-    )
+    fold = batch.machine.fold(keys, batch.anns)
+    columns = {a: col.gather(fold.rep).decode() for a, col in zip(attrs, cols)}
+    return TermResult(batch.semiring, batch.schema, columns, {}, fold, None, "raw")
 
 
 def _render(node: PhysicalOp, prefix: str, child_prefix: str, lines) -> None:

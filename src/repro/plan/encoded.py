@@ -490,29 +490,40 @@ def _extend_batch(
     """``batch`` followed by the rows of ``delta`` (in the representation
     ``annotations`` names) as a new batch sharing nothing mutable with
     ``batch``, or ``None`` if a delta annotation disqualifies the table.
+    Where a scan of ``delta`` has kept its encoding in ``batch``'s
+    generation (a bulk view apply reads each delta as a Δ table), its ids
+    and values are the tail; otherwise the delta is scanned and encoded.
     (Delta values need no hashability check: a
     :class:`~repro.core.tuples.Tup` hashes its values at construction.)
     Raises :class:`EncodedFallback` where the batch's generation cannot
     take the delta's annotations."""
-    rows = scan_rows(delta, annotations)
-    scanned = _scan_annotations(
-        batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
-    )
-    # checked after the scan: a rollover (in the lift, or in another
-    # thread) before it fails the scan, and must not read as disqualified
-    if _stale(batch, annotations):
-        raise EncodedFallback("gate store rolled over")
-    if scanned is None:
-        return None
-    tail = batch.machine.encode(rows.annotations)
+    own = (getattr(delta, "_scan_images", None) or {}).get(("encoded", annotations))
+    if own is not None and own.machine is batch.machine:
+        anns_one = batch.anns_one and own.anns_one
+        bound = max(batch.ann_bound, own.ann_bound)
+        tail = own.anns
+        values = {a: own.col(a).decode() for a in batch.schema.attributes}
+    else:
+        rows = scan_rows(delta, annotations)
+        scanned = _scan_annotations(
+            batch.semiring, rows.annotations, batch.anns_one, batch.ann_bound
+        )
+        # checked after the scan: a rollover (in the lift, or in another
+        # thread) before it fails the scan, and must not read as disqualified
+        if _stale(batch, annotations):
+            raise EncodedFallback("gate store rolled over")
+        if scanned is None:
+            return None
+        anns_one, bound = scanned
+        tail, values = batch.machine.encode(rows.annotations), rows.columns
     anns = np.concatenate((batch.anns, tail))
     cols = {
-        a: _ColumnTail(batch.cols[a], rows.columns[a])
+        a: _ColumnTail(batch.cols[a], values[a])
         for a in batch.schema.attributes
     }
     # a pure insert collides with no stored row, so rows stay distinct
     return EncodedBatch(
-        batch.semiring, batch.schema, cols, anns, *scanned, batch.machine,
+        batch.semiring, batch.schema, cols, anns, anns_one, bound, batch.machine,
         batch.distinct,
     )
 
@@ -522,7 +533,9 @@ def carry_forward(old, delta, new) -> None:
 
     Called by :meth:`KDatabase.update` under the writer lock, before
     ``new`` is published; each encoding of ``old`` extends by the delta
-    encoded its way, and lands on ``new`` itself, so every catalog that
+    encoded its way (by the delta's own encoding where a scan of the
+    delta kept one, see :func:`_extend_batch`), and lands on ``new``
+    itself, so every catalog that
     comes to hold ``new`` reads it.  Applies when the delta is a pure
     insert no larger than ``old`` (no key collided: ``len(new) ==
     len(old) + len(delta)``).  Then ``new``'s row order is ``old``'s

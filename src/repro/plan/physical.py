@@ -120,7 +120,10 @@ class ExecutionContext:
     (``"circuit"``: lifted to gates); ``used_encoded`` records whether
     any scan actually ran encoded, which is what ``explain()`` reports as
     the tier of the last run, and ``boxed`` the tables whose contents
-    kept them on the object tier."""
+    kept them on the object tier.  ``runs`` is the operator, if any,
+    whose fold of ``N[X]`` term rows may stay in the term store (a
+    :class:`~repro.plan.term_result.TermResult`): the root of a plan
+    whose result is handed over as a relation."""
 
     __slots__ = (
         "db",
@@ -131,6 +134,7 @@ class ExecutionContext:
         "fell_back",
         "boxed",
         "deadline",
+        "runs",
     )
 
     def __init__(
@@ -150,6 +154,7 @@ class ExecutionContext:
         #: Optional :class:`repro.deadline.Deadline` checked at every
         #: operator boundary — the cooperative-cancellation checkpoints.
         self.deadline = deadline
+        self.runs = None
 
 
 def _as_columnar(batch, ctx: "ExecutionContext | None" = None) -> ColumnarKRelation:
@@ -1092,9 +1097,6 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
     ``batch``).
 
-    Term rows (a repr that does not :attr:`~MachineRepr.merges`) are
-    summed by the store's one fold over the ``(group, value-code)`` pair
-    key, which gives each group's entries and its total in one pass.
     Where :func:`_collapse_kernel` applies, each group's tensor is its
     collapsed value, reduced straight from the rows on the group key —
     ``sum a.v`` for a scaling kernel (``N`` and SUM), else the MIN/MAX of
@@ -1110,16 +1112,6 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     (``None`` where it did).
     """
     machine = batch.machine
-    if not machine.merges:
-        size = max(1, len(col.values))
-        if groups * size > enc._RADIX_LIMIT:
-            raise EncodedFallback("code space overflow")
-        _note_fold("aggregate")
-        skip = col.index.get(space.monoid.identity, -1)
-        rep, totals, entries = machine.fold(
-            gkeys * size + col.codes, batch.anns, size, col.values, skip
-        )
-        return rep, totals, list(map(space._normal, entries)), "terms"
     plus = machine.plus
     zero = machine.code(space.semiring.zero)
     kernel = _collapse_kernel(space, col.values, bound)
@@ -1309,6 +1301,10 @@ def fold_encoded(batch: EncodedBatch, key_attrs: Tuple[str, ...],
     past int64, raises :class:`EncodedFallback`: the object fold then
     raises the interpreter's row-order error, or folds the wide key.
 
+    Term rows (a repr that does not :attr:`~MachineRepr.merges`) are
+    folded by :func:`term_folds` instead, and their polynomials built
+    here.
+
     Returns :func:`fold_groups`' ``(keys, totals, tensors)`` (groups in
     key-code order) and, per aggregated attribute, the reason the kernel
     did not collapse (``None`` where it did).  Groups whose total is
@@ -1318,27 +1314,19 @@ def fold_encoded(batch: EncodedBatch, key_attrs: Tuple[str, ...],
     semiring union), and a total that is zero in one morsel may be
     nonzero in another.
     """
+    machine = batch.machine
+    if not machine.merges and len(batch):
+        keys, folds, total = term_folds(batch, key_attrs, aggregations, lift)
+        tensors = {attr: list(map(space._normal, fold.entries()))
+                   for attr, (fold, space) in folds.items()}
+        return keys, total.totals(), tensors, dict.fromkeys(folds, "terms")
     semiring = batch.semiring
-    agg_cols = {}
-    for attr, monoid in aggregations.items():
-        col = batch.col(attr)
-        if lift:
-            lifted = list(map(monoid.lift, col.values))
-            col = enc.EncodedColumn(col.codes, lifted, dict(zip(lifted, range(len(lifted)))))
-        elif not all(map(monoid.contains, col.values)):
-            raise EncodedFallback(f"foreign value in column {attr!r}")
-        agg_cols[attr] = col
-
-    gcols = [batch.col(a) for a in key_attrs]
-    if gcols:
-        gkeys, radix = enc.combine_codes(gcols)
-    else:
-        gkeys, radix = np.zeros(len(batch), dtype=np.int64), 1
+    agg_cols = _aggregated_columns(batch, aggregations, lift)
+    gcols, gkeys, radix = _group_keys(batch, key_attrs)
     bound = enc.check_reduction_bound(batch, len(batch))
 
     tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
     why: Dict[str, Optional[str]] = {}
-    machine = batch.machine
     if agg_cols and len(batch):
         for attr, col in agg_cols.items():
             space = tensor_space(semiring, aggregations[attr])
@@ -1349,13 +1337,74 @@ def fold_encoded(batch: EncodedBatch, key_attrs: Tuple[str, ...],
         _note_kernel("aggregate", radix, len(batch), machine)
         rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
         totals = machine.decode(totals)
+    else:  # an empty batch of term rows
+        rep, totals = np.empty(0, dtype=np.int64), []
+    return _keys_of(gcols, rep), totals, tensors, why
+
+
+def term_folds(batch: EncodedBatch, key_attrs: Tuple[str, ...],
+               aggregations: Mapping[str, Any], lift: bool = False):
+    """``GB``'s fold over a non-empty batch of ``N[X]`` term rows, left
+    as the term store's folds (:class:`~repro.semirings.terms.Fold`): per
+    aggregated attribute, one fold over the ``(group, value-code)`` pair
+    key, whose runs are the groups' entries and whose groups their totals
+    (with nothing aggregated, one fold over the group key).  Returns
+    :func:`fold_groups`' keys, ``{attr: (fold, tensor space)}`` and the
+    fold whose groups give the totals.  Raises :class:`EncodedFallback`
+    as :func:`fold_encoded` does."""
+    agg_cols = _aggregated_columns(batch, aggregations, lift)
+    gcols, gkeys, radix = _group_keys(batch, key_attrs)
+    machine = batch.machine
+    folds: Dict[str, Any] = {}
+    for attr, col in agg_cols.items():
+        space = tensor_space(batch.semiring, aggregations[attr])
+        size = max(1, len(col.values))
+        if radix * size > enc._RADIX_LIMIT:
+            raise EncodedFallback("code space overflow")
+        _note_fold("aggregate")
+        skip = col.index.get(space.monoid.identity, -1)
+        fold = machine.fold(gkeys * size + col.codes, batch.anns, size, col.values, skip)
+        folds[attr] = (fold, space)
+    if folds:
+        total = fold
     else:
         _note_fold("aggregate")
-        rep, totals, _entries = machine.fold(gkeys, batch.anns)
+        total = machine.fold(gkeys, batch.anns)
+    return _keys_of(gcols, total.rep), folds, total
 
+
+def _aggregated_columns(batch: EncodedBatch, aggregations: Mapping[str, Any],
+                        lift: bool) -> Dict[str, Any]:
+    """The encoded columns ``aggregations`` folds, each ``lift``-ed into
+    its monoid (AVG) or checked to lie in it (:class:`EncodedFallback`
+    otherwise)."""
+    agg_cols = {}
+    for attr, monoid in aggregations.items():
+        col = batch.col(attr)
+        if lift:
+            lifted = list(map(monoid.lift, col.values))
+            col = enc.EncodedColumn(col.codes, lifted, dict(zip(lifted, range(len(lifted)))))
+        elif not all(map(monoid.contains, col.values)):
+            raise EncodedFallback(f"foreign value in column {attr!r}")
+        agg_cols[attr] = col
+    return agg_cols
+
+
+def _group_keys(batch: EncodedBatch, key_attrs: Tuple[str, ...]):
+    """The key columns, one int64 group key per row (all zero for the
+    empty key) and the size of the key space."""
+    gcols = [batch.col(a) for a in key_attrs]
+    if gcols:
+        gkeys, radix = enc.combine_codes(gcols)
+    else:
+        gkeys, radix = np.zeros(len(batch), dtype=np.int64), 1
+    return gcols, gkeys, radix
+
+
+def _keys_of(gcols, rep) -> List[Tuple[Any, ...]]:
+    """The key tuple of each group, read off its row ``rep[g]``."""
     decoded = [list(map(col.values.__getitem__, col.codes[rep].tolist())) for col in gcols]
-    keys = list(zip(*decoded)) if decoded else [()] * len(totals)
-    return keys, totals, tensors, why
+    return list(zip(*decoded)) if decoded else [()] * len(rep)
 
 
 def count_tensors(semiring, totals: List[Any]) -> List[Tensor]:
@@ -1390,6 +1439,8 @@ class GroupedAggregate(PhysicalOp):
         states = None
         if isinstance(batch, EncodedBatch):
             try:
+                if ctx.runs is self and not batch.machine.merges and len(batch):
+                    return self.term_result(batch)
                 states = self.encoded_group_states(batch)
             except EncodedFallback:
                 batch = _as_columnar(batch, ctx)
@@ -1416,6 +1467,23 @@ class GroupedAggregate(PhysicalOp):
         states = fold_encoded(batch, self.group_attributes, self.aggregations, self.lift)
         _show_collapse(states[3].values(), len(batch))
         return states
+
+    def term_result(self, batch: EncodedBatch):
+        """The groups of a batch of ``N[X]`` term rows left in the term
+        store (:func:`term_folds`): a
+        :class:`~repro.plan.term_result.TermResult`, which builds its
+        polynomials only when read."""
+        from repro.plan.term_result import TermResult  # local: it imports this module
+
+        self._check(batch)
+        _encoded_guard_plain(batch, self.group_attributes)
+        keys, folds, total = term_folds(batch, self.group_attributes, self.aggregations, self.lift)
+        why = dict.fromkeys(folds, "terms")
+        _show_collapse(why.values(), len(batch))
+        count_collapse(why.values())
+        columns = {attr: [key[i] for key in keys] for i, attr in enumerate(self.group_attributes)}
+        return TermResult(batch.semiring, self.schema, columns, folds, total,
+                          self.count_attr, self.emission)
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.

@@ -192,26 +192,8 @@ class Tensor:
 
     def _mapped(self, target: Semiring, images: Iterable[Any]) -> "Tensor":
         """The image tensor in ``target (x) M``, given the images of this
-        tensor's scalars in entry order.  The values are distinct and none
-        is the identity already, so only zero images drop before the
-        normal form (``set_agg`` without its grouping).  Into ``N``, where
-        every image is an ``int`` and every value exact, a monoid that
-        declares a collapse kernel folds the normal form's one value
-        straight from them, as the encoded tier's collapse does: ``sum
-        k*m`` where ``N`` scales, else the fold of the values whose image
-        is not ``0``."""
-        space = tensor_space(target, self.space.monoid)
-        monoid, values = space.monoid, self._entries
-        if target.is_naturals and monoid.collapse_kernel is not None:
-            images = list(images)
-            if (set(map(type, images)) <= {int} and min(images, default=0) >= 0
-                    and all(map(monoid.exact, values))):
-                live = compress(values, images)
-                if monoid.collapse_kernel[1]:
-                    live = map(mul, filter(None, images), live)
-                return space._of(monoid.sum(live))
-        is_zero = target.is_zero
-        return space._normal({m: k for m, k in zip(values, images) if not is_zero(k)})
+        tensor's scalars in entry order (:meth:`TensorSpace.image`)."""
+        return tensor_space(target, self.space.monoid).image(self._entries, images)
 
     def size(self) -> int:
         """Number of simple tensors in the normal form (poly-size metric)."""
@@ -300,6 +282,29 @@ class TensorSpace:
     def zero(self) -> Tensor:
         """The empty bag of simple tensors: ``0_{K(x)M}``."""
         return self._zero
+
+    def image(self, values: Iterable[Any], images: Iterable[Any]) -> Tensor:
+        """The tensor of this space with the scalars ``images`` on the
+        ``values``: a tensor's image under a homomorphism into this
+        space's semiring, given its values and its scalars' images in entry
+        order.  The values are distinct and none is the identity already,
+        so only zero images drop before the normal form (``set_agg``
+        without its grouping).  Into ``N``, where every image is an
+        ``int`` and every value exact, a monoid that declares a collapse
+        kernel folds the normal form's one value straight from them, as
+        the encoded tier's collapse does: ``sum k*m`` where ``N`` scales,
+        else the fold of the values whose image is not ``0``."""
+        monoid = self.monoid
+        if self.semiring.is_naturals and monoid.collapse_kernel is not None:
+            images = list(images)
+            if (set(map(type, images)) <= {int} and min(images, default=0) >= 0
+                    and all(map(monoid.exact, values))):
+                live = compress(values, images)
+                if monoid.collapse_kernel[1]:
+                    live = map(mul, filter(None, images), live)
+                return self._of(monoid.sum(live))
+        is_zero = self.semiring.is_zero
+        return self._normal({m: k for m, k in zip(values, images) if not is_zero(k)})
 
     def simple(self, scalar: Any, value: Any) -> Tensor:
         """The simple tensor ``scalar (x) value`` (normalised)."""

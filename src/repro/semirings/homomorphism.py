@@ -16,9 +16,9 @@ This module provides:
   homomorphism out of a polynomial semiring, with structured
   indeterminates (delta-terms, equality atoms) dispatching themselves via
   :class:`~repro.semirings.base.ProvenanceTerm`; a batch is one pass that
-  maps each distinct token and monomial once — as arrays over the term
-  store where the batch is a planned result and the target ``N``, ``Z`` or
-  ``B`` (:meth:`_Pass.map_many`), else by a walk over each polynomial;
+  maps each distinct token and monomial once, by a walk over each
+  polynomial — and a planned result's term-store folds as arrays, where
+  the target is ``N``, ``Z`` or ``B`` (:meth:`Homomorphism.map_folds`);
 * :func:`deletion_hom` — the token-zeroing endomorphism of ``N[X]`` that
   implements deletion propagation (Fig. 1 / Example 3.4 / Example 5.3);
 * :func:`support_hom` — the canonical specialisation onto the booleans for
@@ -27,17 +27,15 @@ This module provides:
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Callable, Iterable, List, Mapping
+from typing import Any, Callable, Iterable, List, Mapping, Tuple
 
 from repro.exceptions import HomomorphismError
 from repro.semirings import base
 from repro.semirings.base import ProvenanceTerm, Semiring, _np
 from repro.semirings.boolean import BOOL
-from repro.semirings.delta import DeltaTerm
 from repro.semirings.natural import NAT
 from repro.semirings.polynomials import Polynomial, PolynomialSemiring
-from repro.semirings.terms import Unmappable, map_runs
+from repro.semirings.terms import Unmappable, map_folds
 
 __all__ = [
     "Homomorphism",
@@ -93,6 +91,15 @@ class Homomorphism:
         """
         fn = self._fn
         return [fn(element) for element in elements]
+
+    def map_folds(self, folds) -> Tuple[List[Any] | None, "Homomorphism"]:
+        """The images of the runs and groups of the term-store folds
+        ``folds`` (:class:`~repro.semirings.terms.Fold`, a planned
+        result's sums) as :func:`~repro.semirings.terms.map_folds` gives
+        them, or ``None``; and the homomorphism that maps the folds'
+        polynomials where it is ``None``.  Here ``(None, self)``:
+        :func:`valuation_hom` maps folds as arrays."""
+        return None, self
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         """Composition ``other . self`` — first this map, then ``other``."""
@@ -242,7 +249,20 @@ class _Valuation(Homomorphism):
         return _Pass(self)(element)
 
     def map_many(self, elements: Iterable[Any]) -> List[Any]:
+        elements = list(elements)
+        if elements:  # polynomials carry no runs: the walk maps them
+            _count_hom("fallback: no term runs")
         return _Pass(self).map_many(elements)
+
+    def map_folds(self, folds):
+        return _Pass(self).map_folds(folds)
+
+
+def _count_hom(kernel: str) -> None:
+    """Count which of the array pass and the walk mapped a batch."""
+    from repro.obs import metrics
+
+    metrics.ENCODED_KERNEL.inc(1, "hom", kernel)
 
 
 _MISSING = object()
@@ -265,18 +285,17 @@ class _Pass(Homomorphism):
     the two are the same expressions, so where the switch happens cannot
     change a result.
 
-    A batch (:meth:`map_many`) whose every scalar was built by the term
-    store's fold — it carries a run, or is ``1·δ(p)`` with ``p`` carrying
-    one — is mapped as arrays instead (:func:`repro.semirings.terms.map_runs`)
-    when the target has a native type: each token the runs reach is mapped
-    once through the valuation, and the target's ``delta`` is applied to
-    the ``δ`` arguments' images.  The walk above maps everything else:
-    interpreter results, runs reaching a structured variable or mixing two
-    term-store generations, other targets, an image outside the native
-    type, a batch without a provable int64 bound, and any batch without
-    NumPy.  Which of the two mapped a batch is counted on
+    Folds of the term store (:meth:`map_folds`, a planned result's sums)
+    are mapped as arrays instead (:func:`repro.semirings.terms.map_folds`)
+    when the target has a native type: each token the runs reach is
+    mapped once through the valuation.  The walk above maps everything
+    else: polynomial batches (:meth:`map_many`), folds reaching a
+    structured variable, other targets, an image outside the native type,
+    folds without a provable int64 bound, and any folds without NumPy.
+    Which of the two mapped a batch is counted on
     ``repro_encoded_kernel_total`` (``op="hom"``): ``kernel="array"``, or
-    ``kernel="fallback: <cause>"``.
+    ``kernel="fallback: <cause>"`` (``"no term runs"`` for every batch
+    of polynomials).
     """
 
     __slots__ = ("_valuation", "_images", "_monomials", "_native", "_pending", "_walking")
@@ -296,61 +315,36 @@ class _Pass(Homomorphism):
         return self._polynomial(element)
 
     def map_many(self, elements: Iterable[Any]) -> List[Any]:
-        elements = list(elements)
-        if not elements:
-            return []
-        images = self._arrays(elements)
-        if images is None:
-            self._walking = True
-            polynomial = self._polynomial
-            images = [polynomial(element) for element in elements]
-        return images
+        self._walking = True
+        polynomial = self._polynomial
+        return [polynomial(element) for element in elements]
 
-    def _arrays(self, elements: List[Any]) -> List[Any] | None:
-        """The images of ``elements`` as one array pass over their term
-        store, or ``None`` where the walk must map them; counted either
-        way."""
-        from repro.obs import metrics
-
+    def blocked(self) -> str | None:
+        """Why this pass cannot map as arrays, or ``None``."""
         if self._valuation._native is None:
-            cause = "target has no native type"
-        elif self._native is None:  # the walk met one before this batch
-            cause = "non-native image"
-        elif not base.accelerator.HAVE_NUMPY:
-            cause = "no NumPy"
-        else:
+            return "target has no native type"
+        if self._native is None:  # the walk met one before
+            return "non-native image"
+        if not base.accelerator.HAVE_NUMPY:
+            return "no NumPy"
+        return None
+
+    def map_folds(self, folds):
+        """The folds' images as one array pass, or ``None`` where the walk
+        must map them — by this pass, whose memo holds the tokens the
+        array pass mapped; counted either way."""
+        cause = self.blocked()
+        if cause is None:
             try:
-                images = self._mapped_runs(elements)
+                images = map_folds(folds, self._token_array, self._native)
             except Unmappable as exc:
                 cause = exc.args[0]
                 self._memo()  # the walk maps no token twice
             else:
-                metrics.ENCODED_KERNEL.inc(1, "hom", "array")
-                return images
-        metrics.ENCODED_KERNEL.inc(1, "hom", f"fallback: {cause}")
-        return None
-
-    def _mapped_runs(self, elements: List[Any]) -> List[Any]:
-        """The array pass of :meth:`map_many`: each scalar's run (a ``δ``
-        annotation's is its argument's), their images over their store,
-        then ``δ`` over the ``δ`` arguments' images."""
-        if set(map(type, elements)) - {Polynomial}:
-            raise Unmappable("no term runs")
-        runs = list(map(_run_of, elements))
-        polys = elements
-        deltas = [i for i, run in enumerate(runs) if run is None]
-        if deltas:
-            polys = list(elements)
-            for i in deltas:
-                argument = _delta_argument(elements[i])
-                if argument is None or argument._run is None:
-                    raise Unmappable("no term runs")
-                polys[i], runs[i] = argument, argument._run
-        images = map_runs(polys, runs, self._token_array, self._native, self.source)
-        delta = self.target.delta
-        for i in deltas:
-            images[i] = delta(images[i])
-        return images
+                _count_hom("array")
+                return images, self
+        _count_hom(f"fallback: {cause}")
+        return None, self
 
     def _token_array(self, tokens: List[Any]):
         """The images of the plain tokens ``tokens`` as an array of the
@@ -457,25 +451,6 @@ class _Pass(Homomorphism):
             acc = target.one
         self._monomials[mono] = acc
         return acc
-
-
-_run_of = attrgetter("_run")
-
-
-def _delta_argument(poly: Polynomial) -> Polynomial | None:
-    """``p`` where ``poly`` is ``1·δ(p)`` with ``p`` of ``poly``'s
-    semiring, else ``None``."""
-    if len(poly._terms) != 1:
-        return None
-    ((mono, c),) = poly._terms.items()
-    if c != 1 or len(mono._powers) != 1:
-        return None
-    ((var, exp),) = mono._powers.items()
-    if exp != 1 or type(var) is not DeltaTerm:
-        return None
-    if type(var.argument) is not Polynomial or var.argument.semiring is not poly.semiring:
-        return None
-    return var.argument
 
 
 def deletion_hom(

@@ -203,7 +203,7 @@ class Polynomial:
     :class:`PolynomialSemiring`, which knows the coefficient semiring.
     """
 
-    __slots__ = ("semiring", "_terms", "_hash", "_mul_cache", "_run")
+    __slots__ = ("semiring", "_terms", "_hash", "_mul_cache")
 
     def __init__(self, semiring: "PolynomialSemiring", terms: Mapping[Monomial, Any]):
         coeff = semiring.coefficients
@@ -217,27 +217,22 @@ class Polynomial:
         # single-term products with this polynomial on the left, as
         # id(partner) -> (partner, product) (see PolynomialSemiring.times)
         self._mul_cache: Dict[int, Tuple["Polynomial", "Polynomial"]] | None = None
-        # the term-store rows this polynomial sums, where a fold built it
-        # (see repro.semirings.terms): never compared, hashed or pickled
-        self._run = None
 
     @classmethod
     def _from_clean(
-        cls, semiring: "PolynomialSemiring", terms: Dict[Monomial, Any], run=None
+        cls, semiring: "PolynomialSemiring", terms: Dict[Monomial, Any]
     ) -> "Polynomial":
         """Trusted constructor: ``terms`` holds no zero coefficients.
 
         The n-ary kernels normalise as they accumulate, so re-filtering in
         ``__init__`` (and copying the dict) would be pure overhead.  The
-        caller hands over ownership of ``terms``.  The term store passes
-        ``run``, the store rows whose terms sum to ``terms``.
+        caller hands over ownership of ``terms``.
         """
         self = cls.__new__(cls)
         self.semiring = semiring
         self._terms = terms
         self._hash = None
         self._mul_cache = None
-        self._run = run
         return self
 
     def __getstate__(self):
@@ -247,7 +242,6 @@ class Polynomial:
         self.semiring, self._terms = state
         self._hash = None
         self._mul_cache = None
-        self._run = None
 
     # -- basic protocol ---------------------------------------------------
 

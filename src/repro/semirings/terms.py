@@ -15,8 +15,7 @@ store is the other), and:
 * ``+`` never runs on the tier.  A term batch keeps its rows unmerged
   (its ``distinct`` bit off: a tuple's annotation is the sum of its rows'
   terms), and where a sum is due — a grouped aggregation, the hand-over
-  of a plan's result — the operator calls :meth:`TermStore.fold` once,
-  which builds every canonical polynomial straight from the rows' terms.
+  of a plan's result — the operator calls :meth:`TermStore.fold` once.
   δ and the other operators that need a merged input fall back to the
   object tier (:attr:`MachineRepr.merges` is ``False``).
 
@@ -26,27 +25,24 @@ when it has at most one term; a table holding a longer polynomial keeps
 the object tier.  One store is one **generation** of its semiring (its
 ``machine_repr``), capped by ``max_terms`` under the core's rule.
 
-Every polynomial the fold builds keeps its **run** (``Polynomial._run``):
-which rows of the fold's sorted id array it sums.  A sum of several rows
-points at the fold's one :class:`_Runs`, which finds its slice by the
-polynomial's address — a group's entries and its total are slices of one
-array, because its rows are adjacent after the sort; a term's own
-polynomial (:meth:`TermStore.decode`, a scanned base annotation) has the
-run ``(store, id)``.  A run is a derivation, not a value: it is never
-compared, hashed or pickled.  It lets a homomorphism into ``N``, ``Z``
-or ``B`` map a planned result as arrays (:func:`map_runs`): the store's
-CSR snapshot holds its terms' monomials over a token table, so a
-monomial's image is one ``multiply.reduceat`` over its tokens' images
-and a polynomial's one ``add.reduceat`` over its run (``logical_and`` /
-``logical_or`` for ``B``).  A retired generation keeps its terms, so its
-runs still map; a batch mixing two generations does not.
+A fold's result is a :class:`Fold`: arrays, not polynomials.  Its rows'
+term ids are sorted by key once, so each sum is a **run** — a slice of
+that one id array — and a group's entries and its total are adjacent
+slices.  The canonical polynomials are built from the runs only when a
+reader asks (:meth:`Fold.totals`, :meth:`Fold.entries`); a homomorphism
+into ``N``, ``Z`` or ``B`` maps the runs themselves (:func:`map_folds`):
+the store's CSR snapshot holds its terms' monomials over a token table,
+so a monomial's image is one ``multiply.reduceat`` over its tokens'
+images and a run's one ``add.reduceat`` (``logical_and`` /
+``logical_or`` for ``B``).  A retired generation keeps its terms, so a
+fold of it still maps.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from itertools import chain, repeat
+from itertools import chain
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Tuple
@@ -56,7 +52,7 @@ from repro.semirings.interning import ONE, ZERO, Interner, distinct, extended, r
 from repro.semirings.interning import _PAIR_SHIFT
 from repro.semirings.polynomials import _UNIT_MONOMIAL, Monomial, Polynomial
 
-__all__ = ["TermStore", "Unmappable", "map_runs"]
+__all__ = ["Fold", "TermStore", "Unmappable", "map_folds"]
 
 #: A term: its monomial and its (positive) coefficient.
 Term = Tuple[Monomial, int]
@@ -71,40 +67,8 @@ _EXACT = 1 << 62
 
 
 class Unmappable(Exception):
-    """A batch :func:`map_runs` cannot map as arrays; the argument is the
-    cause (the homomorphism's object walk maps it instead)."""
-
-
-class _Runs:
-    """The runs of the polynomials one :meth:`TermStore.fold` summed from
-    several rows: the polynomial at address ``pids[k]`` sums the terms
-    ``ids[lows[k]:highs[k]]`` of the fold's sorted id array ``ids``.  Each
-    such polynomial's ``_run`` is this one object, so a fold allocates
-    nothing per polynomial for it, and reading a batch's runs touches no
-    object but the polynomials (addresses are distinct among polynomials
-    alive together, and all of a fold's are built while it runs)."""
-
-    __slots__ = ("store", "ids", "_parts", "_index")
-
-    def __init__(self, store: "TermStore", ids):
-        self.store, self.ids = store, ids
-        self._parts: list = []
-        self._index = None  # the parts sorted by address, at first use
-
-    def add(self, np, polys: List[Polynomial], lows, highs) -> None:
-        """Record ``polys``, summing rows ``lows[i]:highs[i]`` each."""
-        self._parts.append((np.fromiter(map(id, polys), np.int64, len(polys)), lows, highs))
-
-    def spans(self, np, pids):
-        """``(lows, highs)`` of the polynomials at addresses ``pids``."""
-        index = self._index
-        if index is None:
-            keys, lows, highs = (np.concatenate(part) for part in zip(*self._parts))
-            order = np.argsort(keys)
-            index = self._index = (keys[order], lows[order], highs[order])
-        keys, lows, highs = index
-        at = np.searchsorted(keys, pids)
-        return lows[at], highs[at]
+    """Folds :func:`map_folds` cannot map as arrays; the argument is the
+    cause (the homomorphism's object walk maps them instead)."""
 
 
 class TermStore(Interner):
@@ -170,7 +134,7 @@ class TermStore(Interner):
         polys, items = self._polys, self.items
         for tid in set(ids):
             if polys[tid] is None:
-                polys[tid] = self._wrap(dict((items[tid],)), (self, tid))
+                polys[tid] = self._wrap(dict((items[tid],)))
         return list(map(polys.__getitem__, ids))
 
     @property
@@ -205,7 +169,6 @@ class TermStore(Interner):
                 out[i] = tid
                 if polys[tid] is None:
                     polys[tid] = values[i]
-                    values[i]._run = (self, tid)
         return out
 
     def _interned(self, terms: List[Term]) -> List[int]:
@@ -249,96 +212,29 @@ class TermStore(Interner):
             self._pairs = extended(self._pairs, keys, made)
         return made[inverse]
 
-    def fold(self, keys, anns, width: int = 1, labels=None, skip: int = -1):
-        """``+`` over term rows: the canonical sums of the terms ``anns``
-        per key, in one sort and one pass.
+    def fold(self, keys, anns, width: int = 1, labels=None, skip: int = -1) -> "Fold":
+        """``+`` over term rows, in one sort: the :class:`Fold` of the
+        terms ``anns`` per key.
 
-        Rows are sorted by the non-negative ``keys`` once.  A run of equal
-        keys is summed as one ``dict`` of its ``(monomial, coefficient)``
-        pairs — an accumulating loop only where the run repeats a
-        monomial — wrapped as a canonical :class:`Polynomial` (a one-row
-        run is its term's own polynomial): no per-row polynomial, no
-        ``sum_many``.  Without ``labels`` each run is a group.  Given
+        Rows are sorted by the non-negative ``keys`` once; a run of equal
+        keys is one sum.  Without ``labels`` each run is a group.  Given
         ``labels``, a run of equal ``key // width`` is a group and each of
         its runs an *entry*, labelled ``labels[key % width]`` (entries
-        whose ``key % width`` is ``skip`` are left out), and a group's sum
-        merges its entries' dicts.  Returns ``(rep, totals, entries)``: per
-        group in ascending order, a row of it, the sum of its terms and
-        (``None`` without ``labels``) its ``label -> sum`` dict.
+        whose ``key % width`` is ``skip`` are left out of the entries but
+        not of the group's total).  Nothing is summed here: the fold
+        builds polynomials only when asked.
         """
         np = _np()
-        n = len(keys)
-        if not n:
-            return np.empty(0, dtype=np.int64), [], (None if labels is None else [])
         if (anns == ZERO).any():
             raise self.fallback("zero term")
         order = np.argsort(keys)
         sorted_keys = keys[order]
-        ids = anns[order]
         starts = run_starts(np, sorted_keys)
-        runs = _Runs(self, ids)
-        sums = self._sums(ids, starts, runs)
-        if labels is None:
-            return order[starts], sums, None
         run_keys = sorted_keys[starts]
         groups = run_keys // width
         firsts = run_starts(np, groups)  # the first run of each group
-        gstarts = starts[firsts]
-        bounds = firsts.tolist() + [len(starts)]
-        totals = []
-        wrap, terms_of = self._wrap, _terms_of
-        merged = []  # the groups of several entries, whose totals are new
-        highs = np.append(gstarts[1:], n)
-        for g, (a, b, rows) in enumerate(zip(bounds, bounds[1:], (highs - gstarts).tolist())):
-            if b - a == 1:
-                totals.append(sums[a])
-                continue
-            total: Dict[Monomial, int] = {}
-            # the entries' dicts merge without rehashing a monomial
-            deque(map(total.update, map(terms_of, sums[a:b])), 0)
-            if len(total) < rows:  # entries share a monomial: accumulate
-                total = _accumulated(chain.from_iterable(
-                    poly._terms.items() for poly in sums[a:b]
-                ))
-            totals.append(wrap(total, runs))
-            merged.append(g)
-        if merged:  # a group's rows are adjacent after the sort
-            runs.add(np, list(map(totals.__getitem__, merged)), gstarts[merged], highs[merged])
-        codes = (run_keys - groups * width).tolist()
-        entries = []
-        for a, b in zip(bounds, bounds[1:]):
-            entry = dict(zip(map(labels.__getitem__, codes[a:b]), sums[a:b]))
-            if skip >= 0:
-                entry.pop(labels[skip], None)
-            entries.append(entry)
-        return order[gstarts], totals, entries
-
-    def _sums(self, ids, starts, runs: "_Runs") -> List[Polynomial]:
-        """The polynomial of each run of the term ids ``ids`` (run ``i``
-        from ``starts[i]`` to the next start, the last to the end), each
-        keeping its run: a term's own polynomial ``(store, id)``, a sum of
-        several the fold's ``runs``."""
-        np = _np()
-        sizes = np.diff(starts, append=len(ids))
-        sums: List[Any] = [None] * len(starts)
-        single = np.flatnonzero(sizes == 1)
-        # a one-row run is its term: the store's cached polynomial
-        deque(map(sums.__setitem__, single.tolist(), self.decode(ids[starts[single]])), 0)
-        multi = np.flatnonzero(sizes > 1)
-        if len(multi):
-            items = self.items
-            terms = list(map(items.__getitem__, ids.tolist()))
-            lows, highs = starts[multi], (starts + sizes)[multi]
-            slices = list(map(slice, lows.tolist(), highs.tolist()))
-            dicts = list(map(dict, map(terms.__getitem__, slices)))
-            lengths = np.fromiter(map(len, dicts), np.int64, len(dicts))
-            for i in np.flatnonzero(lengths < sizes[multi]).tolist():
-                # the run repeats a monomial: accumulate its coefficients
-                dicts[i] = _accumulated(terms[slices[i]])
-            made = list(map(self._wrap, dicts, repeat(runs)))
-            runs.add(np, made, lows, highs)
-            deque(map(sums.__setitem__, multi.tolist(), made), 0)
-        return sums
+        return Fold(self, anns[order], starts, firsts, run_keys - groups * width,
+                    order[starts[firsts]], labels, skip)
 
     # -- homomorphisms -----------------------------------------------------------
 
@@ -378,21 +274,18 @@ class TermStore(Interner):
             self._token_vars.append(var)
         return code
 
-    def images(self, ids, starts, token_images: Callable[[List[Any]], Any], native: type):
-        """The images of the polynomials summing the runs of the term ids
-        ``ids`` (polynomial ``i`` from ``starts[i]`` to the next start),
+    def images(self, ids, token_images: Callable[[List[Any]], Any], native: type, longest: int):
+        """The image of each term of ``ids`` (``coefficient × monomial``)
         under the homomorphism into ``N``/``Z`` (``native`` is ``int``) or
         ``B`` (``bool``) whose token map is ``token_images``: a list of the
-        plain tokens the runs reach, each once, to an array of their
-        images.  Each distinct term's monomial is one
-        ``multiply.reduceat`` (``logical_and``) over its tokens' images, and
-        each polynomial one ``add.reduceat`` (``logical_or``) of
-        ``coefficient × monomial`` over its run.  Raises :class:`Unmappable`
-        where a run reaches a structured variable, or where no int64 bound
-        on the images can be proven: the largest coefficient, times the
-        largest token image to the highest degree, times the longest run,
-        must stay below ``2**62`` (int64 arithmetic, wrapping or not, is
-        then exact)."""
+        plain tokens the terms reach, each once, to an array of their
+        images.  Each distinct term's monomial is one ``multiply.reduceat``
+        (``logical_and``) over its tokens' images.  Raises
+        :class:`Unmappable` where a term reaches a structured variable, or
+        where no int64 bound on a sum of ``longest`` images can be proven:
+        the largest coefficient, times the largest token image to the
+        highest degree, times ``longest``, must stay below ``2**62``
+        (int64 arithmetic, wrapping or not, is then exact)."""
         np = _np()
         snap = self.arrays()
         terms, inverse = distinct(np, ids, snap.n)
@@ -410,12 +303,11 @@ class TermStore(Interner):
         if native is bool:
             if len(live):
                 monos[live] = np.logical_and.reduceat(factors, cuts)
-            return np.logical_or.reduceat(monos[inverse], starts).tolist()
+            return monos[inverse]
         coeffs, exps = snap.coeffs[terms], snap.exps[at]
-        # |image| <= max c · max(1, max |x|) ** max degree · longest run
+        # |image| <= max c · max(1, max |x|) ** max degree · longest
         top = max(1, int(images.max()), -int(images.min())) if len(images) else 1
         degree = int(np.add.reduceat(exps, cuts).max()) if len(live) else 0
-        longest = int(np.diff(starts, append=len(ids)).max())
         if ((coeffs < 0).any() or top.bit_length() * degree > 62
                 or int(coeffs.max()) * top ** degree * longest >= _EXACT):
             raise Unmappable("int64 bound")
@@ -423,7 +315,7 @@ class TermStore(Interner):
             if (exps != 1).any():
                 factors = factors ** exps
             monos[live] = np.multiply.reduceat(factors, cuts)
-        return np.add.reduceat((coeffs * monos)[inverse], starts).tolist()
+        return (coeffs * monos)[inverse]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<term store, {len(self.items)} terms>"
@@ -441,47 +333,108 @@ def _accumulated(terms) -> Dict[Monomial, int]:
 _terms_of = attrgetter("_terms")
 
 
-def map_runs(polys: List[Polynomial], runs: List[Any], token_images, native: type,
-             semiring) -> List[Any]:
-    """The images of the polynomials ``polys`` of ``semiring``, whose runs
-    are ``runs``, as :meth:`TermStore.images` of their store: each run is a
-    term's own ``(store, id)`` or a fold's :class:`_Runs`.  Raises
-    :class:`Unmappable` for runs of two generations or of another
-    semiring's store (and where :meth:`~TermStore.images` does)."""
+class Fold:
+    """What one :meth:`TermStore.fold` summed, as the arrays of its sort.
+
+    ``ids`` are the rows' term ids in key order; run ``k`` (an entry, or a
+    group without labels) sums ``ids[starts[k]:starts[k + 1]]`` and has
+    the label code ``codes[k]``; group ``g`` is the runs
+    ``firsts[g]:firsts[g + 1]``, and ``rep[g]`` one of its rows in the
+    folded batch.  The polynomials are built from these on first read and
+    kept; :func:`map_folds` maps the runs without building any.
+    """
+
+    __slots__ = ("store", "ids", "starts", "firsts", "codes", "rep", "labels", "skip", "_sums")
+
+    def __init__(self, store: TermStore, ids, starts, firsts, codes, rep, labels, skip: int):
+        self.store, self.ids, self.starts, self.firsts = store, ids, starts, firsts
+        self.codes, self.rep, self.labels, self.skip = codes, rep, labels, skip
+        self._sums = None
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def sums(self) -> List[Polynomial]:
+        """The polynomial of each run, in run order: a one-row run is its
+        term's own (the store's cached) polynomial, a longer run one
+        ``dict`` of its pairs — an accumulating loop only where it repeats
+        a monomial."""
+        if self._sums is not None:
+            return self._sums
+        np, store, ids, starts = _np(), self.store, self.ids, self.starts
+        sizes = np.diff(starts, append=len(ids))
+        sums: List[Any] = [None] * len(starts)
+        single = np.flatnonzero(sizes == 1)
+        deque(map(sums.__setitem__, single.tolist(), store.decode(ids[starts[single]])), 0)
+        multi = np.flatnonzero(sizes > 1)
+        if len(multi):
+            terms = list(map(store.items.__getitem__, ids.tolist()))
+            lows = starts[multi]
+            slices = list(map(slice, lows.tolist(), (lows + sizes[multi]).tolist()))
+            dicts = list(map(dict, map(terms.__getitem__, slices)))
+            lengths = np.fromiter(map(len, dicts), np.int64, len(dicts))
+            for i in np.flatnonzero(lengths < sizes[multi]).tolist():
+                # the run repeats a monomial: accumulate its coefficients
+                dicts[i] = _accumulated(terms[slices[i]])
+            deque(map(sums.__setitem__, multi.tolist(), map(store._wrap, dicts)), 0)
+        self._sums = sums
+        return sums
+
+    def totals(self) -> List[Polynomial]:
+        """The polynomial of each group: its runs' dicts merged without
+        rehashing a monomial, accumulated where they share one."""
+        sums = self.sums()
+        if len(self.firsts) == len(sums):  # each run its own group
+            return sums
+        bounds = self.firsts.tolist() + [len(sums)]
+        rows = _np().diff(self.starts[self.firsts], append=len(self.ids)).tolist()
+        totals = []
+        for a, b, n in zip(bounds, bounds[1:], rows):
+            if b - a == 1:
+                totals.append(sums[a])
+                continue
+            total: Dict[Monomial, int] = {}
+            deque(map(total.update, map(_terms_of, sums[a:b])), 0)
+            if len(total) < n:  # entries share a monomial: accumulate
+                total = _accumulated(chain.from_iterable(
+                    poly._terms.items() for poly in sums[a:b]
+                ))
+            totals.append(self.store._wrap(total))
+        return totals
+
+    def entries(self) -> List[Dict[Any, Polynomial]]:
+        """Per group, its ``label -> sum`` dict in ascending label code,
+        the ``skip`` label left out."""
+        sums, labels, skip = self.sums(), self.labels, self.skip
+        bounds = self.firsts.tolist() + [len(sums)]
+        codes = self.codes.tolist()
+        entries = []
+        for a, b in zip(bounds, bounds[1:]):
+            entry = dict(zip(map(labels.__getitem__, codes[a:b]), sums[a:b]))
+            if skip >= 0:
+                entry.pop(labels[skip], None)
+            entries.append(entry)
+        return entries
+
+
+def map_folds(folds: List[Fold], token_images, native: type) -> List[Tuple[List[Any], List[Any]]]:
+    """The images of the runs and of the groups of each of ``folds`` under
+    the homomorphism of :meth:`TermStore.images`, all their terms in one
+    pass (each reached token mapped once), then one ``add.reduceat``
+    (``logical_or``) per level — re-reducing the runs' sums is exact, the
+    bound covering the longest group.  Raises :class:`Unmappable` where
+    :meth:`~TermStore.images` does, and for folds of two generations."""
     np = _np()
-    n = len(runs)
-    lows = np.empty(n, dtype=np.int64)
-    counts = np.ones(n, dtype=np.int64)
-    single = np.fromiter(map(isinstance, runs, repeat(tuple)), bool, n)
-    owner = np.full(n, -1, dtype=np.int64)  # which fold's ids; -1: a term's own
-    stores, bases = set(), []
-    ones = np.flatnonzero(single)
-    if len(ones):  # a term's own polynomial: one row, its id
-        owners, tids = zip(*map(runs.__getitem__, ones.tolist()))
-        lows[ones] = tids
-        stores.update(owners)
-    folded = np.flatnonzero(~single)
-    if len(folded):
-        at = folded.tolist()
-        folds = list(map(runs.__getitem__, at))
-        keys = np.fromiter(map(id, folds), np.int64, len(at))
-        pids = np.fromiter(map(id, map(polys.__getitem__, at)), np.int64, len(at))
-        for fold in set(folds):
-            mine = keys == id(fold)
-            low, high = fold.spans(np, pids[mine])
-            lows[folded[mine]], counts[folded[mine]] = low, high - low
-            owner[folded[mine]] = len(bases)
-            bases.append(fold.ids)
-            stores.add(fold.store)
+    stores = {fold.store for fold in folds}
     if len(stores) != 1:
         raise Unmappable("two generations")
     (store,) = stores
-    if store.owner is not semiring:
-        raise Unmappable("no term runs")
-    rows = ranges(lows, counts)
-    ids = rows.copy()  # a term's own row is its id
-    owner = np.repeat(owner, counts)
-    for k, base in enumerate(bases):
-        mine = owner == k
-        ids[mine] = base[rows[mine]]
-    return store.images(ids, np.cumsum(counts) - counts, token_images, native)
+    longest = max(int(np.diff(f.starts[f.firsts], append=len(f.ids)).max()) for f in folds)
+    rows = store.images(np.concatenate([f.ids for f in folds]), token_images, native, longest)
+    plus = np.logical_or if native is bool else np.add
+    out, at = [], 0
+    for fold in folds:
+        runs = plus.reduceat(rows[at:at + len(fold.ids)], fold.starts)
+        at += len(fold.ids)
+        out.append((runs.tolist(), plus.reduceat(runs, fold.firsts).tolist()))
+    return out

@@ -150,6 +150,49 @@ def test_bulk_view_applies_encode_only_the_delta_tables():
 
 
 @needs_numpy
+def test_a_bulk_view_apply_scans_each_delta_once(monkeypatch):
+    """The Δ tables' encodings are what the write carries the base tables'
+    encodings forward by: each delta is decomposed once per apply."""
+    from repro.plan import encoded
+
+    r = KRelation.from_rows(NAT, ("A", "B"), [((i, i % 50), 1) for i in range(2000)])
+    s = KRelation.from_rows(NAT, ("B", "C"), [((i % 50, i), 1) for i in range(1000)])
+    db = KDatabase(NAT, {"R": r, "S": s})
+    view = MaterializedView.create(db, compile_sql("SELECT C, SUM(A) FROM R, S GROUP BY C"))
+    scanned = []
+    real = encoded.scan_rows
+
+    def counted(rel, annotations="expanded"):
+        scanned.append(rel)
+        return real(rel, annotations)
+
+    monkeypatch.setattr(encoded, "scan_rows", counted)
+    for step in range(3):
+        base = 10_000 * (step + 1)
+        deltas = {
+            "R": KRelation.from_rows(
+                NAT, ("A", "B"), [((base + i, i % 50), 2) for i in range(300)]),
+            "S": KRelation.from_rows(
+                NAT, ("B", "C"), [((i % 50, base + i), 1) for i in range(300)]),
+        }
+        extends = ENCODED_CACHE_EVENTS.values().get(("extend",), 0)
+        scanned.clear()
+        view.apply(deltas)
+        names = {id(rel): name for name, rel in deltas.items()}
+        assert sorted(names.get(id(rel), "a base table") for rel in scanned) == ["R", "S"]
+        assert ENCODED_CACHE_EVENTS.values().get(("extend",), 0) - extends == 2
+    assert view.check()
+    for name in ("R", "S"):  # the carried encodings are the from-scratch ones
+        rel = db.relation(name)
+        carried = encoded_scan(db, name, rel)
+        fresh = encoded.encode_relation(rel)
+        assert carried.anns.tolist() == fresh.anns.tolist()
+        assert (carried.anns_one, carried.ann_bound) == (fresh.anns_one, fresh.ann_bound)
+        for attr in rel.schema.attributes:
+            assert carried.col(attr).decode() == fresh.col(attr).decode()
+
+
+@needs_numpy
 def test_a_served_view_and_the_roots_query_encode_the_table_once():
     emp = KRelation.from_rows(
         NAT, ("EmpId", "Dept", "Sal"),

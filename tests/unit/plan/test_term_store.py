@@ -7,8 +7,9 @@ single out: interning is idempotent across executions, repeated
 monomials fold exactly, empty inputs, a generation rollover, the
 operators that leave the tier, and how the fold shows in traces and on
 the kernel counter.  They also pin the array pass of a homomorphism into
-``N``, ``Z`` or ``B`` over a planned result's runs: which batches it
-maps, each fallback and its count, its int64 guard, and that a run is a
+``N``, ``Z`` or ``B`` over a planned result's runs (a
+:class:`~repro.plan.term_result.TermResult`): which results it maps, each
+fallback and its count, its int64 guard, and that the runs are a
 derivation, never part of a value.
 
 The module also runs with NumPy blocked (a CI step): there the store is
@@ -41,6 +42,7 @@ from repro.obs.metrics import ENCODED_KERNEL
 from repro.plan import compile_plan, kernels
 from repro.plan.encoded import encode_relation
 from repro.plan.kernels import HAVE_NUMPY
+from repro.plan.term_result import TermResult
 from repro.semimodules.tensor import Tensor, tensor_space
 from repro.semirings import BOOL, INT, NAT, NX, TROPICAL, valuation_hom
 from repro.semirings.delta import DeltaTerm
@@ -205,12 +207,13 @@ class TestTheFoldIsObservable:
         assert "collapse=fold (terms)" in line
         assert "rows_in=6" in line  # the 6 Emp rows of the EU departments
 
-    def test_the_materialise_span_says_merge_terms(self):
+    @pytest.mark.parametrize("query", [PROJECT_JOIN, JOIN_GROUP], ids=["consolidate", "group"])
+    def test_the_materialise_span_says_merge_runs(self, query):
         from repro.obs import explain_analyze
 
-        text = explain_analyze(PROJECT_JOIN, emp_db())
+        text = explain_analyze(query, emp_db())
         line = next(l for l in text.splitlines() if "plan.materialise" in l)
-        assert "merge=terms" in line
+        assert "merge=runs" in line
 
     def test_the_kernel_counter_counts_each_fold(self):
         from repro.obs.metrics import ENCODED_KERNEL
@@ -238,10 +241,15 @@ def image(token):
     return int(token[1:]) % 3 if token[0] == "e" else int(token[1:])
 
 
+def folds(rel):
+    """The term-store folds a planned result keeps its sums in."""
+    assert isinstance(rel, TermResult)
+    return [rel._totals] + [fold for fold, _space in rel._folds.values()]
+
+
 def generations(rel):
-    """The term stores the runs of ``rel``'s scalars point into."""
-    runs = [p._run for p in scalars(rel) if p._run is not None]
-    return {run[0] if type(run) is tuple else run.store for run in runs}
+    """The term stores the runs of ``rel`` point into."""
+    return {fold.store for fold in folds(rel)}
 
 
 def scalars(rel):
@@ -315,8 +323,9 @@ class TestAPlannedResultMapsAsArrays:
         db = KDatabase(NX, {"R": r, "S": s})
         query = Project(NaturalJoin(Table("R"), Table("S")), ("g",))
         result = query.evaluate(db, engine="planned")
-        (annotation,) = [k for _t, k in result.rows()]
-        assert annotation == 3 * x * y and annotation._run is not None
+        assert type(result) is TermResult
+        (annotation,) = [k for _t, k in result.rows()]  # lowers; the runs stay
+        assert annotation == 3 * x * y
         before = hom_count("fallback: int64 bound")
         calls = []
 
@@ -357,26 +366,28 @@ class TestAPlannedResultMapsAsArrays:
         before = hom_count("array")
         assert old.apply_hom(hom) == want
         assert hom_count("array") == before + 1
-        # one batch holding runs of both generations: the walk maps it
+        # runs of both generations in one pass: refused, the walk maps
+        before = hom_count("fallback: two generations")
+        images, walk = hom.map_folds(folds(old) + folds(new))
+        assert images is None and walk.source is NX
+        assert hom_count("fallback: two generations") == before + 1
         (d1,) = [(t, k) for t, k in old.rows() if t["Dept"] == "d1"]
         (d3,) = [(t, k) for t, k in new.rows() if t["Dept"] == "d3"]
         mixed = KRelation(NX, old.schema, dict([d1, d3]))
-        assert generations(mixed) == {store, live} and mixed == interpreted
-        before = hom_count("fallback: two generations")
-        assert mixed.apply_hom(hom) == want
-        assert hom_count("fallback: two generations") == before + 1
+        assert mixed == interpreted and mixed.apply_hom(walk) == want
 
     def test_a_run_is_never_compared_hashed_pickled_or_serialised(self):
         db = emp_db()
         planned = JOIN_GROUP.evaluate(db, engine="planned")
         interpreted = JOIN_GROUP.evaluate(db)
-        carried = [p for p in scalars(planned) if p._run is not None]
-        assert carried
-        for poly in carried:
-            for twin in (pickle.loads(pickle.dumps(poly)), copy.copy(poly), copy.deepcopy(poly)):
-                assert twin._run is None
-                assert twin == poly and hash(twin) == hash(poly)
-        assert planned == interpreted
+        assert folds(planned)
+        for twin in (pickle.loads(pickle.dumps(planned)), copy.copy(planned),
+                     copy.deepcopy(planned)):
+            assert type(twin) is KRelation  # the plain relation, no runs
+            assert twin == planned and hash(twin) == hash(planned)
+        for poly in scalars(planned):
+            assert not hasattr(poly, "_run")
+        assert planned == interpreted and hash(planned) == hash(interpreted)
         assert relation_to_jsonable(planned) == relation_to_jsonable(interpreted)
         assert pickle.loads(pickle.dumps(planned)) == interpreted
 

@@ -17,7 +17,7 @@ from repro.obs.metrics import ENCODED_KERNEL
 from repro.plan.kernels import HAVE_NUMPY, np
 from repro.semirings import NAT, NX
 from repro.semirings.base import EncodedFallback
-from repro.semirings.terms import TermStore, Unmappable, map_runs
+from repro.semirings.terms import TermStore, Unmappable, map_folds
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the kernels are NumPy")
 
@@ -45,12 +45,15 @@ class Terms:
     def values(self, store, ids):
         return store.decode(np.array(ids, dtype=np.int64))
 
-    def mapped(self, values):
-        return map_runs(values, [v._run for v in values], two, int, NX)
+    def mapped(self, store, ids):
+        return store.images(np.array(ids, dtype=np.int64), two, int, 1).tolist()
 
-    def refuse_mixed(self, old_values, new_values):
+    def refuse_mixed(self, old, ids, new, new_ids):
+        def fold(store, ids):
+            return store.fold(np.arange(len(ids)), np.array(ids, dtype=np.int64))
+
         with pytest.raises(Unmappable, match="two generations"):
-            self.mapped(old_values + new_values)
+            map_folds([fold(old, ids), fold(new, new_ids)], two, int)
 
 
 class Gates:
@@ -70,13 +73,13 @@ class Gates:
     def values(self, store, ids):
         return store.decode(np.array(ids, dtype=np.int64))
 
-    def mapped(self, values):
-        return evaluate_gates(values, NAT, lambda token: 2, builder=self.builder)
+    def mapped(self, store, ids):
+        return evaluate_gates(self.values(store, ids), NAT, lambda token: 2, builder=self.builder)
 
-    def refuse_mixed(self, old_values, new_values):
-        fresh = self.live()
-        assert fresh.rows(old_values + new_values) is None
-        assert not fresh.fits(old_values[0])
+    def refuse_mixed(self, old, ids, new, new_ids):
+        old_values, new_values = self.values(old, ids), self.values(new, new_ids)
+        assert new.rows(old_values + new_values) is None
+        assert not new.fits(old_values[0])
 
 
 @pytest.fixture(params=[Terms, Gates], ids=["terms", "gates"])
@@ -124,7 +127,7 @@ def test_the_kernel_that_missed_falls_back_and_the_retired_generation_decodes(ki
     assert kind.live() is not old
     values = kind.values(old, ids)
     assert values == kind.values(old, ids)  # stable, and of the retired store
-    assert kind.mapped(values) == [2] * len(ids)
+    assert kind.mapped(old, ids) == [2] * len(ids)
 
 
 @needs_numpy
@@ -133,6 +136,5 @@ def test_a_batch_mixing_two_generations_is_refused(kind):
     with old._lock:
         old.claim(1)
     new_ids = [kind.intern(CAP + i) for i in range(2)]
-    old_values, new_values = kind.values(old, ids), kind.values(kind.live(), new_ids)
-    assert kind.mapped(new_values) == [2, 2]
-    kind.refuse_mixed(old_values, new_values)
+    assert kind.mapped(kind.live(), new_ids) == [2, 2]
+    kind.refuse_mixed(old, ids, kind.live(), new_ids)
