@@ -200,7 +200,15 @@ class Query(abc.ABC):
             pushdown, hash joins with cached build sides, columnar
             pipelines — and execute that.  Annotated results are identical
             by construction (and by the property suite
-            ``tests/property/test_oracle.py``).  The extended
+            ``tests/property/test_oracle.py``).  Where the plan's root
+            runs on the encoded tier over a concrete semiring (``N``,
+            ``Z``, ``B``, tropical, Viterbi), the result is a
+            :class:`~repro.plan.term_result.TermResult`: a
+            :class:`~repro.core.relation.KRelation` that keeps the root's
+            arrays (key codes, collapsed aggregate values, annotation
+            totals) and builds its rows only when read (``lower()``);
+            ``len`` reads the arrays and ``==`` compares them first.
+            Without NumPy it is a plain ``KRelation``.  The extended
             (Section 4.3) semantics have no physical fast path yet and
             fall back to the interpreter.
 

@@ -446,7 +446,8 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
 #: term-id kernel left the encoded tier; and under ``op="hom"``, whether a
 #: valuation homomorphism mapped a batch as arrays over the term store's
 #: runs or by the object walk, and why; under ``op="lower"``, each planned
-#: result kept as runs whose polynomials a reader built.
+#: result kept as the root's arrays whose rows a reader built
+#: (``kernel="terms"``: ``N[X]`` folds; ``"arrays"``: machine scalars).
 ENCODED_KERNEL = REGISTRY.counter(
     "repro_encoded_kernel_total",
     "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
@@ -457,8 +458,9 @@ ENCODED_KERNEL = REGISTRY.counter(
     "op=terms, kernel=\"fallback: <cause>\"); and N[X] homomorphism "
     "batches into N, Z or B (op=hom) mapped as arrays over term-store runs "
     "(kernel=array) or by the object walk (kernel=\"fallback: <cause>\"); "
-    "planned N[X] results kept as term-store runs whose polynomials a "
-    "reader built (op=lower, kernel=terms).",
+    "planned results kept as the root's arrays whose rows a reader built "
+    "(op=lower, kernel=terms for N[X] term-store runs, kernel=arrays for "
+    "machine scalars).",
     ("op", "kernel"),
 )
 

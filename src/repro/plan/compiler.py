@@ -137,18 +137,21 @@ class PhysicalPlan:
         expiry raises :class:`~repro.exceptions.DeadlineExceeded`.
 
         The root batch becomes a relation in one step, traced as a
-        ``plan.materialise`` span (``rows_in``, ``rows_out`` and ``merge``,
-        see :func:`_materialise`) beside ``plan.execute``.  Where the root
-        folds ``N[X]`` term rows on the encoded tier, the relation is a
-        :class:`~repro.plan.term_result.TermResult`, whose polynomials
-        stay in the term store until it is read (``merge=runs``).
+        ``plan.materialise`` span (``rows_in``, ``rows_out``, ``merge``,
+        see :func:`_materialise`, and ``lazy``) beside ``plan.execute``.
+        Where the root batch is encoded (machine scalars, or ``N[X]`` term
+        rows), the relation is a
+        :class:`~repro.plan.term_result.TermResult` (``lazy=True``), whose
+        rows stay the root's arrays until it is read; ``rows_out`` is
+        counted from them.
         """
         batch = self._traced(db, None, deadline, True)
         if not _trace._ACTIVE:
             return _materialise(batch)[0]
         with _trace.span("plan.materialise", rows_in=len(batch)) as span:
             rel, merge = _materialise(batch)
-            span.attrs.update(rows_out=len(rel), merge=merge)
+            span.attrs.update(rows_out=len(rel), merge=merge,
+                              lazy=isinstance(rel, TermResult))
         return rel
 
     def execute_batch(self, db=None, *, tier: "str | None" = None, deadline=None):
@@ -193,8 +196,8 @@ class PhysicalPlan:
 
     def _traced(self, db, tier, deadline, runs: bool):
         """:meth:`_execute_batch_impl` in a ``plan.execute`` span; with
-        ``runs`` (:meth:`execute` only) a root that folds term rows
-        returns its :class:`~repro.plan.term_result.TermResult`."""
+        ``runs`` (:meth:`execute` only) a root ``GroupedAggregate`` over an
+        encoded batch returns its :class:`~repro.plan.term_result.TermResult`."""
         if not _trace._ACTIVE:
             return self._execute_batch_impl(db, tier=tier, deadline=deadline, runs=runs)
         with _trace.span("plan.execute",
@@ -324,14 +327,16 @@ def _materialise(batch) -> Tuple[KRelation, str]:
     were merged: ``"distinct"`` (nothing to merge: the batch promised
     pairwise distinct rows), ``"kernel"`` (one grouped reduction over the
     encoded rows, where the machine ``+`` is an exact ufunc), ``"runs"``
-    (the term store's one fold over ``N[X]`` term rows, kept as a
-    :class:`~repro.plan.term_result.TermResult` — the root's own, or
-    :func:`_fold_terms`) or ``"python"`` (the ``+_K`` merge of
+    (the term store's one fold over ``N[X]`` term rows — the root's own,
+    or :func:`_fold_terms`) or ``"python"`` (the ``+_K`` merge of
     :func:`~repro.core.relation.merged_rows` over decoded rows: object
     batches, and gate ids, whose sums must intern the very gates the
-    object path would)."""
+    object path would).  An encoded root over machine scalars or term
+    rows is kept as a :class:`~repro.plan.term_result.TermResult`, which
+    builds its rows only when read; a root ``GroupedAggregate`` hands one
+    over itself."""
     if isinstance(batch, TermResult):
-        return batch, "runs"
+        return batch, "runs" if batch.terms else "distinct"
     merge = "distinct" if batch.distinct else "python"
     if isinstance(batch, EncodedBatch):
         machine = batch.machine
@@ -344,6 +349,9 @@ def _materialise(batch) -> Tuple[KRelation, str]:
         except EncodedFallback:  # no attributes, past the int64 bound, ...
             pass
         if isinstance(batch, EncodedBatch):
+            if batch.distinct and machine.portable:
+                keys = {a: batch.col(a) for a in batch.schema.attributes}
+                return TermResult(batch.semiring, batch.schema, keys, {}, batch.anns), merge
             batch = batch.to_columnar()
     return batch.to_krelation(), merge
 
@@ -359,8 +367,8 @@ def _fold_terms(batch: EncodedBatch) -> TermResult:
         keys = np.zeros(len(batch), dtype=np.int64)
     _note_fold("consolidate")
     fold = batch.machine.fold(keys, batch.anns)
-    columns = {a: col.gather(fold.rep).decode() for a, col in zip(attrs, cols)}
-    return TermResult(batch.semiring, batch.schema, columns, {}, fold, None, "raw")
+    keys = {a: col.gather(fold.rep) for a, col in zip(attrs, cols)}
+    return TermResult(batch.semiring, batch.schema, keys, {}, fold)
 
 
 def _render(node: PhysicalOp, prefix: str, child_prefix: str, lines) -> None:

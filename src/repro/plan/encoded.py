@@ -60,7 +60,7 @@ from repro.core.schema import Schema
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.plan.columnar import ColumnarKRelation
-from repro.plan.kernels import HAVE_NUMPY, np, reduce_by_key
+from repro.plan.kernels import HAVE_NUMPY, np
 from repro.semirings.base import EncodedFallback
 
 __all__ = [
@@ -100,15 +100,20 @@ class EncodedColumn:
     first-seen value for that code and ``index`` the inverse
     ``value -> code`` map.  Distinct codes hold non-equal values (dict
     equality), so any per-code decision stands for every row carrying
-    the code.
+    the code.  ``symbolic`` is whether the dictionary holds a tensor
+    (``None`` until :meth:`has_tensor` first asks): a dictionary is never
+    grown in place (:class:`_ColumnTail` copies it first), so a column
+    gathered from this one shares the answer.
     """
 
-    __slots__ = ("codes", "values", "index")
+    __slots__ = ("codes", "values", "index", "symbolic")
 
-    def __init__(self, codes, values: List[Any], index: Dict[Any, int]):
+    def __init__(self, codes, values: List[Any], index: Dict[Any, int],
+                 symbolic: Optional[bool] = None):
         self.codes = codes
         self.values = values
         self.index = index
+        self.symbolic = symbolic
 
     @classmethod
     def encode(cls, column: List[Any]) -> "EncodedColumn":
@@ -128,7 +133,17 @@ class EncodedColumn:
 
     def gather(self, idx) -> "EncodedColumn":
         """The column restricted to the rows in ``idx`` (dictionary shared)."""
-        return EncodedColumn(self.codes[idx], self.values, self.index)
+        return EncodedColumn(self.codes[idx], self.values, self.index, self.symbolic)
+
+    def has_tensor(self) -> bool:
+        """Does the dictionary hold a symbolic aggregate value?  Decided
+        once per dictionary (see the class docstring)."""
+        symbolic = self.symbolic
+        if symbolic is None:
+            from repro.semimodules.tensor import Tensor
+
+            symbolic = self.symbolic = any(isinstance(v, Tensor) for v in self.values)
+        return symbolic
 
     def translate_to(self, other: "EncodedColumn"):
         """Per-*distinct-value* code translation into ``other``'s dictionary
@@ -584,7 +599,7 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
     cols: Dict[str, Any] = {}
     for attr in batch.schema.attributes:
         col = batch.col(attr)
-        cols[attr] = EncodedColumn(col.codes[start:stop], col.values, col.index)
+        cols[attr] = EncodedColumn(col.codes[start:stop], col.values, col.index, col.symbolic)
     return EncodedBatch(
         batch.semiring,
         batch.schema,
@@ -623,6 +638,17 @@ def combine_codes(cols: List[EncodedColumn], idx=None):
         codes = col.codes if idx is None else col.codes[idx]
         keys = keys * len(col.values) + codes
     return keys, space
+
+
+def split_codes(cols: List[EncodedColumn], keys) -> List[EncodedColumn]:
+    """:func:`combine_codes` inverted: per column, the code each key
+    ``keys`` holds, over the column's dictionary."""
+    out = []
+    for col in reversed(cols[1:]):
+        keys, codes = np.divmod(keys, max(1, len(col.values)))
+        out.append(EncodedColumn(codes, col.values, col.index, col.symbolic))
+    out.extend(EncodedColumn(keys, c.values, c.index, c.symbolic) for c in cols[:1])
+    return out[::-1]
 
 
 def ones_anns(batch: "EncodedBatch", n: int):
@@ -675,26 +701,3 @@ def check_product_bound(left: "EncodedBatch", right: "EncodedBatch") -> int:
     if bound > _INT64_MAX:
         raise EncodedFallback("int64 product bound exceeded")
     return bound
-
-
-def consolidate_keys(batch: "EncodedBatch", keys, space: int, anns):
-    """Merge duplicate keys (each in ``range(space)``) of ``anns`` (in
-    ``batch``'s representation) with ``+_K``: returns ``(rep_idx, sums)``.
-
-    ``rep_idx`` indexes a representative input row per distinct key (the
-    first in key order — sound: equal keys carry equal value tuples);
-    ``sums`` is the per-key annotation reduction, aligned with
-    ``rep_idx``.
-    """
-    machine = batch.machine
-    _keys, rep_idx, sums = reduce_by_key(
-        keys, anns, machine.plus, space, machine.code(batch.semiring.zero)
-    )
-    return rep_idx, sums
-
-
-def values_have_tensor(col: EncodedColumn) -> bool:
-    """Symbolic-aggregate guard over the *dictionary* (distinct values only)."""
-    from repro.semimodules.tensor import Tensor
-
-    return any(isinstance(v, Tensor) for v in col.values)

@@ -61,22 +61,21 @@ def direct(space: int, rows: int) -> bool:
     return space <= 4 * rows + 1024
 
 
-def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any, Any]:
+def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any]:
     """Group ``values`` by ``keys`` and reduce each group with ``ufunc``.
 
     The grouped reduction behind consolidation and grouped aggregation.
     ``keys`` are non-negative integers below ``space`` and ``identity`` is
     the identity of ``ufunc`` (``0_K`` for a semiring's ``+_K``).  Returns
-    ``(unique_keys, representative_positions, reductions)`` where
-    ``representative_positions[i]`` is the index (into the *input* arrays)
-    of the first row of group ``i`` — usable to gather per-group column
-    values.  Groups appear in ascending key order.
+    ``(unique_keys, reductions)``, groups in ascending key order; a caller
+    reads a group's column values off its key
+    (:func:`~repro.plan.encoded.split_codes`), never off a row.
 
     While :func:`direct` holds the keys are addresses: one ``ufunc.at``
-    scatter into a ``space``-sized accumulator, ``np.minimum.at`` over the
-    row indices for the representatives.  Otherwise — or when ``ufunc``
-    offers ``reduceat`` only (a :class:`~repro.semirings.base.MachineRepr`
-    whose ``+`` interns gates) — one stable ``argsort`` and one
+    scatter into a ``space``-sized accumulator, and one boolean scatter
+    marks the keys present.  Otherwise — or when ``ufunc`` offers
+    ``reduceat`` only (a :class:`~repro.semirings.base.MachineRepr` whose
+    ``+`` interns gates) — one stable ``argsort`` and one
     ``ufunc.reduceat`` — compacting a sparse key space *is* a sort.  The
     two are equal element for element: every machine ``+_K`` (int add
     inside the callers' overflow bound, min, max, or) is exactly
@@ -84,18 +83,16 @@ def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any, 
     """
     n = len(keys)
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=values.dtype)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=values.dtype)
     scatter = getattr(ufunc, "at", None)
     if scatter is not None and direct(space, n):
-        first = np.full(space, n, dtype=np.int64)
-        np.minimum.at(first, keys, np.arange(n, dtype=np.int64))
-        unique = np.flatnonzero(first < n)
         reductions = np.full(space, identity, dtype=values.dtype)
         scatter(reductions, keys, values)
-        return unique, first[unique], reductions[unique]
+        seen = np.zeros(space, dtype=bool)
+        seen[keys] = True
+        unique = np.flatnonzero(seen)
+        return unique, reductions[unique]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = run_starts(np, sorted_keys)
-    reductions = ufunc.reduceat(values[order], starts)
-    return sorted_keys[starts], order[starts], reductions
+    return sorted_keys[starts], ufunc.reduceat(values[order], starts)

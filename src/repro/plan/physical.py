@@ -40,6 +40,7 @@ Operator inventory:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import faults
@@ -121,7 +122,7 @@ class ExecutionContext:
     any scan actually ran encoded, which is what ``explain()`` reports as
     the tier of the last run, and ``boxed`` the tables whose contents
     kept them on the object tier.  ``runs`` is the operator, if any,
-    whose fold of ``N[X]`` term rows may stay in the term store (a
+    whose groups may stay arrays (a
     :class:`~repro.plan.term_result.TermResult`): the root of a plan
     whose result is handed over as a relation."""
 
@@ -311,10 +312,11 @@ class Scan(PhysicalOp):
 
 def _encoded_guard_plain(batch: EncodedBatch, attrs: Iterable[str]) -> None:
     """Encoded counterpart of :func:`_require_plain_columns`: checked over
-    the *dictionaries* (one test per distinct value).  A symbolic value
-    falls back to the object path, whose guard raises the exact error."""
+    the *dictionaries*, once each (:meth:`EncodedColumn.has_tensor`).  A
+    symbolic value falls back to the object path, whose guard raises the
+    exact error."""
     for attr in attrs:
-        if enc.values_have_tensor(batch.col(attr)):
+        if batch.col(attr).has_tensor():
             raise EncodedFallback(f"symbolic value in column {attr!r}")
 
 
@@ -356,13 +358,11 @@ def _consolidate_encoded(
     keys, space = enc.combine_codes(cols, keep)
     out_bound = enc.check_reduction_bound(batch, len(keys))
     anns = batch.anns if keep is None else batch.anns[keep]
-    _note_kernel("consolidate", space, len(keys), batch.machine)
-    rep, sums = enc.consolidate_keys(batch, keys, space, anns)
-    rep_rows = rep if keep is None else keep[rep]
-    out_cols = {
-        a: (lambda col=col, rep_rows=rep_rows: col.gather(rep_rows))
-        for a, col in zip(out_attrs, cols)
-    }
+    machine = batch.machine
+    _note_kernel("consolidate", space, len(keys), machine)
+    unique, sums = reduce_by_key(keys, anns, machine.plus, space,
+                                 machine.code(batch.semiring.zero))
+    out_cols = dict(zip(out_attrs, enc.split_codes(cols, unique)))
     return EncodedBatch(
         batch.semiring,
         out_schema,
@@ -988,10 +988,15 @@ class HashJoin(PhysicalOp):
 class UnionAll(PhysicalOp):
     """Annotation-summing union: concatenate batches, defer the merge."""
 
-    __slots__ = ()
+    __slots__ = ("_merged",)
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp, schema: Schema, est_rows: int):
         super().__init__((left, right), schema, est_rows)
+        # attr -> (left dictionary, right dictionary, the right codes'
+        # translation, a merged column): valid while both dictionaries are
+        # the very lists — a stored version's, read by every run — so
+        # repeated runs share one merged dictionary
+        self._merged: Dict[str, Tuple[Any, Any, Any, Any]] = {}
 
     def _run(self, ctx: ExecutionContext):
         left = self.children[0].execute(ctx)
@@ -1013,32 +1018,34 @@ class UnionAll(PhysicalOp):
             left.annotations + right.annotations,
         )
 
-    @staticmethod
-    def _merge_columns(lcol, rcol):
+    def _merge_columns(self, attr: str, lcol, rcol):
         """Concatenate two encoded columns under one merged dictionary
-        (the right side's codes are translated per distinct value)."""
-        index = dict(lcol.index)
-        values = list(lcol.values)
-        translation: List[int] = []
-        for value in rcol.values:
-            code = index.get(value, -1)
-            if code < 0:
-                code = index[value] = len(values)
-                values.append(value)
-            translation.append(code)
-        table = np.asarray(translation, dtype=np.int64)
-        if len(table):
-            right_codes = table[rcol.codes]
-        else:
-            right_codes = rcol.codes
+        (the right side's codes are translated per distinct value); where
+        the left dictionary holds every right value, it is the merged one."""
+        cached = self._merged.get(attr)
+        if cached is None or cached[0] is not lcol.values or cached[1] is not rcol.values:
+            index, values, rvalues = lcol.index, lcol.values, rcol.values
+            table = np.fromiter(map(index.get, rvalues, repeat(-1)), np.int64, len(rvalues))
+            missing = np.flatnonzero(table < 0).tolist()
+            symbolic = lcol.symbolic
+            if missing:
+                index, values, symbolic = dict(index), list(values), None
+                for i in missing:  # distinct in the right dictionary: each is new
+                    value = rvalues[i]
+                    table[i] = index[value] = len(values)
+                    values.append(value)
+            merged = enc.EncodedColumn(None, values, index, symbolic)
+            cached = self._merged[attr] = (lcol.values, rvalues, table, merged)
+        table, merged = cached[2:]
+        right_codes = table[rcol.codes] if len(table) else rcol.codes
         codes = np.concatenate([lcol.codes, right_codes])
-        return enc.EncodedColumn(codes, values, index)
+        return enc.EncodedColumn(codes, merged.values, merged.index, merged.symbolic)
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
         _same_machine(left, right)
         cols = {
             a: (
-                lambda a=a: self._merge_columns(left.col(a), right.col(a))
+                lambda a=a: self._merge_columns(a, left.col(a), right.col(a))
             )
             for a in left.schema.attributes
         }
@@ -1107,9 +1114,10 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     the raw totals (re-reducing pair sums is exact: every machine ``+_K``
     is exactly associative) and, after the normal form's two filters as
     array masks, one entry dict per group.
-    Returns ``(a row of each group, raw totals, tensors, why)``, the
-    totals decoded and ``why`` the reason the kernel did not collapse
-    (``None`` where it did).
+    Returns ``(group keys, raw totals, values, why)``: the keys in
+    ascending order, the totals in the machine representation, and
+    ``values`` each group's collapsed value where the kernel collapsed
+    (``why`` is ``None``), else its tensor, ``why`` the reason.
     """
     machine = batch.machine
     plus = machine.plus
@@ -1118,28 +1126,28 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     if not isinstance(kernel, str):
         ufunc, operand, scales, start = kernel
         _note_kernel("aggregate", groups, len(batch), machine)
-        ukeys, rep, totals = reduce_by_key(gkeys, batch.anns, plus, groups, zero)
+        ukeys, totals = reduce_by_key(gkeys, batch.anns, plus, groups, zero)
         values, keys = operand[col.codes], gkeys
         if scales:
             values = values * batch.anns
         else:
             live = batch.anns != batch.anns.dtype.type(zero)
             values, keys = values[live], gkeys[live]
-        vkeys, _rep, reduced = reduce_by_key(keys, values, ufunc, groups, start)
+        vkeys, reduced = reduce_by_key(keys, values, ufunc, groups, start)
         collapsed = reduced.tolist()
         if len(vkeys) < len(ukeys):  # groups without a live row keep 0_M
             filled = [space.monoid.identity] * len(ukeys)
             for g, value in zip(np.searchsorted(ukeys, vkeys).tolist(), collapsed):
                 filled[g] = value
             collapsed = filled
-        return rep, machine.decode(totals), list(map(space._of, collapsed)), None
+        return ukeys, totals, collapsed, None
 
     size = max(1, len(col.values))
     if groups * size > enc._RADIX_LIMIT:
         raise EncodedFallback("code space overflow")
     pair_keys = gkeys * size + col.codes
     _note_kernel("aggregate", groups * size, len(batch), machine)
-    pkeys, prep, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
+    pkeys, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
     pgroups = pkeys // size
     gstarts = run_starts(np, pgroups)
     totals = plus.reduceat(sums, gstarts)
@@ -1155,7 +1163,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     scalars, cuts = machine.decode(sums[keep]), ends.tolist()
     tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
                for s, e in zip([0] + cuts, cuts)]
-    return prep[gstarts], machine.decode(totals), tensors, kernel
+    return pgroups[gstarts], totals, tensors, kernel
 
 
 def _note_fold(op: str) -> None:
@@ -1319,27 +1327,45 @@ def fold_encoded(batch: EncodedBatch, key_attrs: Tuple[str, ...],
         keys, folds, total = term_folds(batch, key_attrs, aggregations, lift)
         tensors = {attr: list(map(space._normal, fold.entries()))
                    for attr, (fold, space) in folds.items()}
-        return keys, total.totals(), tensors, dict.fromkeys(folds, "terms")
-    semiring = batch.semiring
+        return _keys_of(keys, len(total)), total.totals(), tensors, dict.fromkeys(folds, "terms")
+    keys, totals, values, why = _group_codes(batch, key_attrs, aggregations, lift)
+    return _keys_of(keys, len(totals)), machine.decode(totals), _tensors_of(values, why), why
+
+
+def _tensors_of(values: Mapping[str, Any], why: Mapping[str, Optional[str]]):
+    """The tensor columns of :func:`_group_codes`' ``values``: a collapsed
+    value ``c`` is the tensor ``ι(c)``."""
+    return {attr: column if why.get(attr) else list(map(space._of, column))
+            for attr, (column, space) in values.items()}
+
+
+def _group_codes(batch: EncodedBatch, key_attrs: Tuple[str, ...],
+                aggregations: Mapping[str, Any], lift: bool = False):
+    """:func:`fold_encoded` over a batch whose ``+`` merges (or an empty
+    one), left as arrays: ``(key columns, raw totals in the machine
+    representation, {attr: (values, space)}, why)``, one row per group,
+    each attribute's ``values`` its groups' collapsed values where
+    ``why[attr]`` is ``None``, else their tensors (:func:`_set_agg_by_code`)."""
+    semiring, machine = batch.semiring, batch.machine
     agg_cols = _aggregated_columns(batch, aggregations, lift)
     gcols, gkeys, radix = _group_keys(batch, key_attrs)
     bound = enc.check_reduction_bound(batch, len(batch))
-
-    tensors: Dict[str, Any] = {attr: [] for attr in agg_cols}
+    values = {attr: ([], tensor_space(semiring, aggregations[attr])) for attr in agg_cols}
     why: Dict[str, Optional[str]] = {}
     if agg_cols and len(batch):
         for attr, col in agg_cols.items():
-            space = tensor_space(semiring, aggregations[attr])
-            rep, totals, tensors[attr], why[attr] = _set_agg_by_code(
+            space = values[attr][1]
+            ukeys, totals, column, why[attr] = _set_agg_by_code(
                 space, col, gkeys, radix, batch, bound
             )
+            values[attr] = (column, space)
     elif machine.merges:
         _note_kernel("aggregate", radix, len(batch), machine)
-        rep, totals = enc.consolidate_keys(batch, gkeys, radix, batch.anns)
-        totals = machine.decode(totals)
+        ukeys, totals = reduce_by_key(gkeys, batch.anns, machine.plus, radix,
+                                      machine.code(semiring.zero))
     else:  # an empty batch of term rows
-        rep, totals = np.empty(0, dtype=np.int64), []
-    return _keys_of(gcols, rep), totals, tensors, why
+        ukeys = totals = np.empty(0, dtype=np.int64)
+    return enc.split_codes(gcols, ukeys), totals, values, why
 
 
 def term_folds(batch: EncodedBatch, key_attrs: Tuple[str, ...],
@@ -1348,9 +1374,9 @@ def term_folds(batch: EncodedBatch, key_attrs: Tuple[str, ...],
     as the term store's folds (:class:`~repro.semirings.terms.Fold`): per
     aggregated attribute, one fold over the ``(group, value-code)`` pair
     key, whose runs are the groups' entries and whose groups their totals
-    (with nothing aggregated, one fold over the group key).  Returns
-    :func:`fold_groups`' keys, ``{attr: (fold, tensor space)}`` and the
-    fold whose groups give the totals.  Raises :class:`EncodedFallback`
+    (with nothing aggregated, one fold over the group key).  Returns the
+    key columns (one row per group), ``{attr: (fold, tensor space)}`` and
+    the fold whose groups give the totals.  Raises :class:`EncodedFallback`
     as :func:`fold_encoded` does."""
     agg_cols = _aggregated_columns(batch, aggregations, lift)
     gcols, gkeys, radix = _group_keys(batch, key_attrs)
@@ -1370,7 +1396,7 @@ def term_folds(batch: EncodedBatch, key_attrs: Tuple[str, ...],
     else:
         _note_fold("aggregate")
         total = machine.fold(gkeys, batch.anns)
-    return _keys_of(gcols, total.rep), folds, total
+    return [col.gather(total.rep) for col in gcols], folds, total
 
 
 def _aggregated_columns(batch: EncodedBatch, aggregations: Mapping[str, Any],
@@ -1401,10 +1427,10 @@ def _group_keys(batch: EncodedBatch, key_attrs: Tuple[str, ...]):
     return gcols, gkeys, radix
 
 
-def _keys_of(gcols, rep) -> List[Tuple[Any, ...]]:
-    """The key tuple of each group, read off its row ``rep[g]``."""
-    decoded = [list(map(col.values.__getitem__, col.codes[rep].tolist())) for col in gcols]
-    return list(zip(*decoded)) if decoded else [()] * len(rep)
+def _keys_of(keys, groups: int) -> List[Tuple[Any, ...]]:
+    """The key tuple of each of ``groups`` groups, from its key columns."""
+    decoded = [col.decode() for col in keys]
+    return list(zip(*decoded)) if decoded else [()] * groups
 
 
 def count_tensors(semiring, totals: List[Any]) -> List[Tensor]:
@@ -1438,9 +1464,10 @@ class GroupedAggregate(PhysicalOp):
         batch = self.children[0].execute(ctx)
         states = None
         if isinstance(batch, EncodedBatch):
+            machine = batch.machine
             try:
-                if ctx.runs is self and not batch.machine.merges and len(batch):
-                    return self.term_result(batch)
+                if ctx.runs is self and len(batch) and (machine.portable or not machine.merges):
+                    return self.planned_result(batch)
                 states = self.encoded_group_states(batch)
             except EncodedFallback:
                 batch = _as_columnar(batch, ctx)
@@ -1468,22 +1495,31 @@ class GroupedAggregate(PhysicalOp):
         _show_collapse(states[3].values(), len(batch))
         return states
 
-    def term_result(self, batch: EncodedBatch):
-        """The groups of a batch of ``N[X]`` term rows left in the term
-        store (:func:`term_folds`): a
-        :class:`~repro.plan.term_result.TermResult`, which builds its
-        polynomials only when read."""
+    def planned_result(self, batch: EncodedBatch):
+        """The groups of the plan's root batch as a
+        :class:`~repro.plan.term_result.TermResult`, whose rows are built
+        only when read: ``N[X]`` term rows as the term store's folds
+        (:func:`term_folds`), machine scalars as the keys' codes, the
+        collapsed values and the raw totals (:func:`_group_codes`).  Where
+        an aggregated column did not collapse by the kernel, the rows of
+        :meth:`finish_groups` instead."""
         from repro.plan.term_result import TermResult  # local: it imports this module
 
         self._check(batch)
         _encoded_guard_plain(batch, self.group_attributes)
-        keys, folds, total = term_folds(batch, self.group_attributes, self.aggregations, self.lift)
-        why = dict.fromkeys(folds, "terms")
+        attrs, aggregations, machine = self.group_attributes, self.aggregations, batch.machine
+        if machine.merges:
+            keys, totals, values, why = _group_codes(batch, attrs, aggregations, self.lift)
+        else:
+            keys, values, totals = term_folds(batch, attrs, aggregations, self.lift)
+            why = dict.fromkeys(values, "terms")
         _show_collapse(why.values(), len(batch))
         count_collapse(why.values())
-        columns = {attr: [key[i] for key in keys] for i, attr in enumerate(self.group_attributes)}
-        return TermResult(batch.semiring, self.schema, columns, folds, total,
-                          self.count_attr, self.emission)
+        if machine.merges and any(why.values()):
+            return self.finish_groups(batch.semiring, _keys_of(keys, len(totals)),
+                                      machine.decode(totals), _tensors_of(values, why))
+        return TermResult(batch.semiring, self.schema, dict(zip(attrs, keys)), values,
+                          totals, self.count_attr, self.emission)
 
     def object_group_states(self, batch: ColumnarKRelation):
         """Per-group partial states over the boxed object representation.

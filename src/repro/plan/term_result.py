@@ -1,26 +1,34 @@
-"""A planned ``N[X]`` result that stays in the term store until it is read.
+"""A planned result that stays the root's arrays until it is read.
 
-The paper's answer to an aggregate query over ``N[X]`` is one symbolic
-relation whose values are ``N[X] ⊗ M`` tensors, computed once and then
-specialised by homomorphisms (Thm. 3.3).  On the encoded tier that answer
-is, at the root of a plan, one or more folds of the term store
-(:class:`~repro.semirings.terms.Fold`): sorted term-id arrays whose slices
-are the group totals and the tensor entries.  Building a canonical
-:class:`~repro.semirings.polynomials.Polynomial` per slice, and hashing
-them into a :class:`~repro.core.relation.KRelation`, is most of the cost
-of such a query, and a specialisation reads none of it.  So, as ProvSQL
-keeps provenance as tokens in one store and renders an expression only on
-demand, and as Mani et al. compute provenance only for what is read, a
-plan whose root folds term rows returns a :class:`TermResult`:
+The paper's answer to an aggregate query is one relation, computed once
+and then read many ways: specialised by homomorphisms (Thm. 3.3),
+compared, rendered.  On the encoded tier that answer is, at the root of a
+plan, a handful of arrays — the groups' key codes and annotation totals,
+and per aggregated column its collapsed values (machine semirings) or the
+term store's folds (:class:`~repro.semirings.terms.Fold`, ``N[X]``).
+Building a :class:`~repro.core.relation.Tup`, a tensor and a polynomial
+per row, and hashing them into a :class:`~repro.core.relation.KRelation`,
+is most of the cost of such a query, and many readers need none of it.
+So, as ProvSQL keeps provenance as tokens in one store and renders an
+expression only on demand, and as Mani et al. compute provenance only for
+what is read, a plan whose root batch is encoded returns a
+:class:`TermResult` over those arrays:
 
-* :meth:`TermResult.apply_hom` into ``N``, ``Z`` or ``B`` maps the folds'
-  runs as arrays (:meth:`~repro.semirings.homomorphism.Homomorphism.map_folds`)
-  and applies ``δ`` to the group images where the group's annotation is
+* ``len`` counts the rows whose annotation is not ``0_K``, from the
+  arrays;
+* ``==`` between two results over machine scalars compares the arrays
+  when each key column's dictionary is equal as a list, and is ``True``
+  where they are equal; in every other case it compares the row maps;
+* :meth:`TermResult.apply_hom` into ``N``, ``Z`` or ``B`` maps the term
+  folds' runs as arrays
+  (:meth:`~repro.semirings.homomorphism.Homomorphism.map_folds`) and
+  applies ``δ`` to the group images where the group's annotation is
   ``δ`` of its total;
-* every other reader — iteration, ``==``, hashing, rendering, a union, the
-  sizes — reads the row map, which :meth:`TermResult.lower` builds once,
-  exactly as the eager fold would have, and counts on
-  ``repro_encoded_kernel_total{op="lower"}``.
+* every other reader — iteration, hashing, rendering, pickling, a union,
+  a homomorphism of a machine-scalar result — reads the row map, which
+  :meth:`TermResult.lower` builds once, exactly as the eager path would
+  have, and counts on ``repro_encoded_kernel_total{op="lower"}``
+  (``kernel="terms"`` or ``"arrays"``).
 
 A :class:`TermResult` *is* a :class:`~repro.core.relation.KRelation` (its
 row map is the lowered one), so a caller that reads it as one needs no
@@ -29,13 +37,15 @@ change; it pickles and copies as the plain relation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.relation import KRelation
 from repro.core.schema import Schema
 from repro.monoids.numeric import SUM
 from repro.obs import metrics as _metrics
 from repro.plan.columnar import ColumnarKRelation
+from repro.plan.encoded import EncodedColumn
+from repro.plan.kernels import np
 from repro.plan.physical import count_tensors, emitted
 from repro.semimodules.tensor import TensorSpace, tensor_space
 from repro.semirings.terms import Fold
@@ -44,50 +54,72 @@ __all__ = ["TermResult"]
 
 
 class TermResult(KRelation):
-    """The result of a plan whose root folds ``N[X]`` term rows, kept as
-    the folds' runs (see the module docstring).
+    """The result of a plan whose root batch is encoded, kept as the
+    root's arrays (see the module docstring).
 
-    Row ``g`` is group ``g`` of the folds: its key values are
-    ``keys[attr][g]``; each aggregated attribute's tensor sums the entries
-    of group ``g`` of its fold (``folds[attr]``, with the tensor space);
+    Row ``g`` has the key values of ``keys[attr]`` (an
+    :class:`~repro.plan.encoded.EncodedColumn`: one code per row and the
+    dictionary) at ``g``.  Each aggregated attribute's tensor is
+    ``aggs[attr] = (payload, space)``: the entries of group ``g`` of a
+    term :class:`~repro.semirings.terms.Fold`, or ``ι`` of the collapsed
+    value ``payload[g]``.  ``totals`` holds the raw totals: a fold's
+    groups, or an array in the semiring's machine representation.
     ``count_attr``'s COUNT(*) tensor and the annotation come from the
-    group's total in ``totals`` (one of the folds), the annotation by the
-    ``emission`` rule of :class:`~repro.plan.physical.GroupShape` —
-    ``"delta"``, where ``δ`` of the total is pending, ``"raw"`` or
-    ``"one"``."""
+    total, the annotation by the ``emission`` rule of
+    :class:`~repro.plan.physical.GroupShape` — ``"delta"``, where ``δ``
+    of the total is pending, ``"raw"`` or ``"one"``.  A merged or
+    distinct root is its rows as keys, with nothing aggregated and its
+    annotations as raw totals."""
 
-    __slots__ = ("_keys", "_folds", "_totals", "_count", "_emission", "_lowered")
+    __slots__ = ("_keys", "_aggs", "_totals", "_count", "_emission", "_lowered")
 
-    def __init__(self, semiring, schema: Schema, keys: Dict[str, List[Any]],
-                 folds: Dict[str, Tuple[Fold, TensorSpace]], totals: Fold,
-                 count_attr: Optional[str], emission: str):
+    def __init__(self, semiring, schema: Schema, keys: Dict[str, EncodedColumn],
+                 aggs: Dict[str, Tuple[Any, TensorSpace]], totals,
+                 count_attr: Optional[str] = None, emission: str = "raw"):
         self.semiring, self.schema = semiring, schema
         self._flat = self._base = self._overlay = None
-        self._size = len(totals)  # a sum of terms is never 0
-        self._keys, self._folds, self._totals = keys, folds, totals
+        self._keys, self._aggs, self._totals = keys, aggs, totals
         self._count, self._emission = count_attr, emission
         self._lowered: Optional[KRelation] = None
+        if self.terms or emission == "one":
+            self._size = len(totals)  # a sum of terms is never 0
+        else:  # δ(t) is 0 exactly where t is
+            self._size = int(np.count_nonzero(totals != semiring.machine_repr.code(semiring.zero)))
+
+    @property
+    def terms(self) -> bool:
+        """Are the rows kept as term-store folds (else machine arrays)?"""
+        return isinstance(self._totals, Fold)
 
     # -- the row map: built on first read --------------------------------------
 
     def lower(self) -> KRelation:
-        """The canonical ``N[X]`` relation (built once, then kept): the
-        folds' polynomials and tensors, as the eager fold builds them."""
+        """The canonical relation (built once, then kept): the rows, their
+        tensors and polynomials, as the eager path builds them."""
         lowered = self._lowered
         if lowered is None:
-            semiring, totals = self.semiring, self._totals.totals()
-            columns = dict(self._keys)
-            for attr, (fold, space) in self._folds.items():
-                columns[attr] = list(map(space._normal, fold.entries()))
+            semiring, terms = self.semiring, self.terms
+            if terms:
+                totals = self._totals.totals()
+            else:
+                totals = semiring.machine_repr.decode(self._totals)
+            columns = {attr: col.decode() for attr, col in self._keys.items()}
+            for attr, (payload, space) in self._aggs.items():
+                if terms:
+                    columns[attr] = list(map(space._normal, payload.entries()))
+                else:
+                    columns[attr] = list(map(space._of, payload))
             if self._count is not None:
                 columns[self._count] = count_tensors(semiring, totals)
-            annotations = [emitted(semiring, self._emission, t) for t in totals]
+            emission = self._emission
+            annotations = totals if emission == "raw" else [
+                emitted(semiring, emission, t) for t in totals]
             lowered = ColumnarKRelation._from_clean(
                 semiring, self.schema, columns, annotations, True
             ).to_krelation()
             self._rows = lowered._rows
             self._lowered = lowered
-            _metrics.ENCODED_KERNEL.inc(1, "lower", "terms")
+            _metrics.ENCODED_KERNEL.inc(1, "lower", "terms" if terms else "arrays")
         return lowered
 
     def _layers(self):
@@ -100,16 +132,46 @@ class TermResult(KRelation):
     def __reduce__(self):
         return (KRelation._from_clean, (self.semiring, self.schema, self._rows))
 
+    # -- equality: the arrays first ---------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TermResult) and self._same_arrays(other):
+            return True
+        return KRelation.__eq__(self, other)
+
+    __hash__ = KRelation.__hash__
+
+    def _same_arrays(self, other: "TermResult") -> bool:
+        """Do both results hold equal machine arrays over equal
+        dictionaries?  Then their rows are equal: equal codes name equal
+        values, and equal totals give equal annotations and counts.  A
+        ``False`` decides nothing (a NaN, another row order, another
+        dictionary)."""
+        mine, theirs = self._totals, other._totals
+        if (self.terms or other.terms or self.semiring is not other.semiring
+                or self.schema != other.schema
+                or (self._count, self._emission) != (other._count, other._emission)
+                or mine.dtype != theirs.dtype or not np.array_equal(mine, theirs)):
+            return False
+        for attr, col in self._keys.items():
+            twin = other._keys.get(attr)
+            if (twin is None or not (col.values is twin.values or col.values == twin.values)
+                    or not np.array_equal(col.codes, twin.codes)):
+                return False
+        aggs = other._aggs
+        return all(attr in aggs and aggs[attr][1] is space and aggs[attr][0] == payload
+                   for attr, (payload, space) in self._aggs.items())
+
     # -- specialisation: the runs as arrays -------------------------------------
 
     def apply_hom(self, hom) -> KRelation:
         """``h`` of this relation, as :meth:`KRelation.apply_hom` of
-        :meth:`lower` gives it: the folds' runs mapped as arrays where
+        :meth:`lower` gives it: term folds' runs mapped as arrays where
         ``hom`` maps them (:meth:`~repro.semirings.homomorphism.Homomorphism.map_folds`),
-        else the lowered relation mapped by the walk ``hom`` hands back."""
-        if hom.source is not self.semiring:
-            return KRelation.apply_hom(self, hom)  # refuses it
-        folds = [fold for fold, _space in self._folds.values()]
+        else the lowered relation mapped by the walk."""
+        if hom.source is not self.semiring or not self.terms:
+            return KRelation.apply_hom(self, hom)  # refuses a foreign hom
+        folds = [fold for fold, _space in self._aggs.values()]
         if not any(fold is self._totals for fold in folds):
             folds.append(self._totals)
         images, walk = hom.map_folds(folds)
@@ -118,8 +180,8 @@ class TermResult(KRelation):
         mapped = {id(fold): pair for fold, pair in zip(folds, images)}
         target = hom.target
         totals = mapped[id(self._totals)][1]
-        columns = dict(self._keys)
-        for attr, (fold, space) in self._folds.items():
+        columns = {attr: col.decode() for attr, col in self._keys.items()}
+        for attr, (fold, space) in self._aggs.items():
             columns[attr] = _tensors(fold, mapped[id(fold)][0],
                                      tensor_space(target, space.monoid))
         if self._count is not None:
@@ -131,11 +193,12 @@ class TermResult(KRelation):
         ).to_krelation()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "lowered" if self._lowered is not None else "runs"
+        state = "lowered" if self._lowered is not None else (
+            "runs" if self.terms else "arrays")
         return f"<TermResult {self.schema} over {self.semiring.name}, {len(self)} tuples, {state}>"
 
 
-def _tensors(fold: Fold, images: List[Any], space: TensorSpace) -> List[Any]:
+def _tensors(fold: Fold, images, space: TensorSpace):
     """Per group of ``fold``, the tensor of ``space`` holding the images
     ``images`` of its entries (the ``skip`` label left out), as
     :meth:`~repro.semimodules.tensor.Tensor.apply_hom` maps the lowered

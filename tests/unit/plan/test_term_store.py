@@ -244,7 +244,7 @@ def image(token):
 def folds(rel):
     """The term-store folds a planned result keeps its sums in."""
     assert isinstance(rel, TermResult)
-    return [rel._totals] + [fold for fold, _space in rel._folds.values()]
+    return [rel._totals] + [fold for fold, _space in rel._aggs.values()]
 
 
 def generations(rel):
