@@ -107,5 +107,5 @@ def test_bench_circuit_evaluation(benchmark, width):
     _db_nx, db_c, cs = make_dbs(width)
     q = squaring_query(3)
     node = annotation_of(q.evaluate(db_c))
-    # through the builder's gate store, as CircuitResult.specialise runs it
+    # through the builder's gate store, as a circuit result's apply_hom runs it
     benchmark(lambda: evaluate_gates([node], NAT, lambda token: 2, builder=cs.builder))

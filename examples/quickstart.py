@@ -87,8 +87,9 @@ def main() -> None:
     # -- 6. circuit-backed provenance: compute once, specialise many ------
     # annotations="circuit" runs the same plan over hash-consed gates
     # (sized by the work performed, not the expanded polynomial) and
-    # lowers lazily: specialise() evaluates each shared gate once per
-    # valuation, lower() expands to canonical N[X] only on demand.
+    # returns the same lazy N[X] relation holding them: specialise() (its
+    # apply_hom of the valuation) evaluates each shared gate once per
+    # valuation, and any other read expands to canonical N[X] once.
     # See docs/architecture.md, "Annotation representations".
     circuit = q.evaluate(db, engine="planned", annotations="circuit")
     assert circuit == by_dept  # lowering reproduces the canonical result

@@ -227,11 +227,13 @@ class Query(abc.ABC):
             ``Z`` or ``B`` maps them as arrays, and any other read builds
             the row map once (``lower()``);
         ``"circuit"``
-            run the plan over hash-consed provenance circuits and return a
-            :class:`~repro.plan.circuit_exec.CircuitResult` that lowers
-            lazily: ``specialise(valuation, target)`` batch-evaluates the
-            shared gates once per valuation, ``lower()`` expands to the
-            identical canonical ``N[X]`` relation on demand.
+            run the plan over hash-consed provenance circuits and return
+            the same :class:`~repro.plan.term_result.TermResult` (with or
+            without NumPy) holding the gates (``circuit_relation``) as an
+            ``N[X]`` relation: ``apply_hom`` of a valuation
+            evaluates the shared gates once per valuation, in one pass,
+            and any other read expands them once to the identical
+            canonical ``N[X]`` relation (``lower()``).
 
         The compiled plan is cached on the query object, one per
         representation, and reused while the database's
@@ -257,24 +259,19 @@ class Query(abc.ABC):
             deadline.check("query start")
         if mode not in ("standard", "extended"):
             raise QueryError(f"unknown evaluation mode {mode!r}")
-        if annotations == "circuit":
-            if engine != "planned" or mode != "standard":
-                raise QueryError(
-                    "annotations='circuit' requires engine='planned' and "
-                    "mode='standard'"
-                )
-            from repro.plan.circuit_exec import evaluate_circuit_backed  # local: plan imports core
-
-            result = evaluate_circuit_backed(self, db, deadline)
-        elif mode == "standard" and engine == "planned":
-            return self._cached_plan(db).execute(db, deadline=deadline)
+        if annotations == "circuit" and (engine != "planned" or mode != "standard"):
+            raise QueryError(
+                "annotations='circuit' requires engine='planned' and "
+                "mode='standard'"
+            )
+        if mode == "standard" and engine == "planned":
+            return self._cached_plan(db, annotations).execute(db, deadline=deadline)
+        self.schema({name: rel.schema for name, rel in db})
+        if mode == "standard":
+            result = self._eval(db, agg_ops.StandardOps)
         else:
-            self.schema({name: rel.schema for name, rel in db})
-            if mode == "standard":
-                result = self._eval(db, agg_ops.StandardOps)
-            else:
-                ops = nested.ExtendedOps(km_semiring(db.semiring))
-                result = nested.collapse_km_relation(self._eval(db, ops), db.semiring)
+            ops = nested.ExtendedOps(km_semiring(db.semiring))
+            result = nested.collapse_km_relation(self._eval(db, ops), db.semiring)
         if deadline is not None:
             deadline.check("query end")
         return result

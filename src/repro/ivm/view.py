@@ -46,8 +46,8 @@ from repro.exceptions import QueryError
 from repro.ivm.delta import _LINEAR, DeltaPlan, compile_delta_plan, table_refs
 from repro.ivm.state import HeadState
 from repro.obs import trace as _trace
-from repro.plan.circuit_exec import CircuitResult
 from repro.plan.compiler import annotation_semiring, compile_plan
+from repro.plan.term_result import TermResult
 from repro.semirings.homomorphism import deletion_hom
 from repro.semirings.polynomials import PolynomialSemiring
 
@@ -297,14 +297,15 @@ class MaterializedView:
 
     # -- reads ---------------------------------------------------------------
 
-    def result(self) -> "KRelation | CircuitResult":
-        """The maintained view contents (cached until the next mutation)."""
+    def result(self) -> KRelation:
+        """The maintained view contents (cached until the next mutation);
+        in circuit mode the gates, read as ``N[X]`` (a
+        :class:`~repro.plan.term_result.TermResult`)."""
         if self._result_cache is None:
             relation = KRelation(self._exec_semiring, self.out_schema, self._head.rows)
             if self.annotations == "circuit":
-                self._result_cache = CircuitResult(relation, self._exec_semiring)
-            else:
-                self._result_cache = relation
+                relation = TermResult.of_gates(relation)
+            self._result_cache = relation
         return self._result_cache
 
     def is_stale(self) -> bool:

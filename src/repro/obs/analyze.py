@@ -33,7 +33,9 @@ def analyze_query(
     Returns ``(result, root_span, plan)`` where ``plan`` is the executed
     :class:`~repro.plan.compiler.PhysicalPlan` (None for the interpreted
     engine, which has no physical plan).  ``tier`` pins the execution
-    tier exactly as :func:`repro.plan.compile_plan` does; ``engine`` and
+    tier exactly as :func:`repro.plan.compile_plan` does, on a plan
+    compiled for this run; without it the query's cached plan runs, the
+    one ``Query.evaluate`` runs (warm, as a served query is); ``engine`` and
     the remaining keywords mirror :meth:`repro.core.query.Query.evaluate`.
     """
     if engine == "interpreted":
@@ -52,9 +54,12 @@ def analyze_query(
     # load, so an eager import here would be a cycle
     from repro.plan.compiler import compile_plan
 
-    plan = compile_plan(query, db, tier=tier, annotations=annotations)
+    if tier is None:
+        plan = query._cached_plan(db, annotations)
+    else:
+        plan = compile_plan(query, db, tier=tier, annotations=annotations)
     with trace.collect("query", trace_id=trace_id, engine="planned") as root:
-        result = plan.execute(deadline=deadline)
+        result = plan.execute(db, deadline=deadline)
         root.attrs["rows_out"] = len(result)
         root.attrs["tier"] = plan._last_tier
     return result, root, plan

@@ -19,7 +19,6 @@ Entry point for users: ``query.evaluate(db, engine="planned")`` — see
 ``docs/architecture.md``.
 """
 
-from repro.plan.circuit_exec import CircuitResult, evaluate_circuit_backed
 from repro.plan.columnar import ColumnarKRelation
 from repro.plan.compiler import PhysicalPlan, compile_plan
 from repro.plan.encoded import EncodedBatch, encoded_scan
@@ -28,8 +27,6 @@ from repro.plan.kernels import active_backend
 from repro.plan.parallel import ParallelFallback, effective_workers
 
 __all__ = [
-    "CircuitResult",
-    "evaluate_circuit_backed",
     "ColumnarKRelation",
     "EncodedBatch",
     "encoded_scan",

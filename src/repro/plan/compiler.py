@@ -143,13 +143,14 @@ class PhysicalPlan:
         rows), the relation is a
         :class:`~repro.plan.term_result.TermResult` (``lazy=True``), whose
         rows stay the root's arrays until it is read; ``rows_out`` is
-        counted from them.
+        counted from them.  A circuit plan's relation is a ``TermResult``
+        over ``N[X]`` holding the gate relation the plan built.
         """
         batch = self._traced(db, None, deadline, True)
         if not _trace._ACTIVE:
-            return _materialise(batch)[0]
+            return _materialise(batch, self.annotations)[0]
         with _trace.span("plan.materialise", rows_in=len(batch)) as span:
-            rel, merge = _materialise(batch)
+            rel, merge = _materialise(batch, self.annotations)
             span.attrs.update(rows_out=len(rel), merge=merge,
                               lazy=isinstance(rel, TermResult))
         return rel
@@ -322,7 +323,7 @@ class PhysicalPlan:
         return self.explain()
 
 
-def _materialise(batch) -> Tuple[KRelation, str]:
+def _materialise(batch, annotations: str) -> Tuple[KRelation, str]:
     """The relation a plan's root ``batch`` stands for, and how its rows
     were merged: ``"distinct"`` (nothing to merge: the batch promised
     pairwise distinct rows), ``"kernel"`` (one grouped reduction over the
@@ -334,7 +335,8 @@ def _materialise(batch) -> Tuple[KRelation, str]:
     object path would).  An encoded root over machine scalars or term
     rows is kept as a :class:`~repro.plan.term_result.TermResult`, which
     builds its rows only when read; a root ``GroupedAggregate`` hands one
-    over itself."""
+    over itself.  Gate ids (``annotations="circuit"``) are kept as the
+    gate form of one: the gate relation, read as ``N[X]``."""
     if isinstance(batch, TermResult):
         return batch, "runs" if batch.terms else "distinct"
     merge = "distinct" if batch.distinct else "python"
@@ -353,7 +355,10 @@ def _materialise(batch) -> Tuple[KRelation, str]:
                 keys = {a: batch.col(a) for a in batch.schema.attributes}
                 return TermResult(batch.semiring, batch.schema, keys, {}, batch.anns), merge
             batch = batch.to_columnar()
-    return batch.to_krelation(), merge
+    rel = batch.to_krelation()
+    if annotations == "circuit":
+        return TermResult.of_gates(rel), merge
+    return rel, merge
 
 
 def _fold_terms(batch: EncodedBatch) -> TermResult:

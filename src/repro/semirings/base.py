@@ -203,8 +203,9 @@ class EncodedFallback(Exception):
 #: Where the array kernels take NumPy from: the planner's kernels module,
 #: the one place NumPy is imported, puts itself here when it loads, so the
 #: semiring layer reaches NumPy without importing the planner.  Until
-#: then, and without NumPy, there is none.
-accelerator: Any = SimpleNamespace(np=None, HAVE_NUMPY=False)
+#: then there is none, and whether NumPy is installed is not known yet
+#: (``HAVE_NUMPY`` is ``None``, not ``False``).
+accelerator: Any = SimpleNamespace(np=None, HAVE_NUMPY=None)
 
 
 def _np():

@@ -59,6 +59,11 @@ class Homomorphism:
 
     __slots__ = ("source", "target", "_fn", "name")
 
+    #: The token map this homomorphism freely extends, where its
+    #: coefficients embed by the default map (:func:`valuation_hom`), else
+    #: ``None``: a provenance circuit is evaluated by it gate by gate.
+    tokens: Callable[[Any], Any] | None = None
+
     def __init__(
         self,
         source: Semiring,
@@ -213,6 +218,7 @@ def valuation_hom(
     return _Valuation(
         source, target, token_image, coeff_image, native,
         name or f"{source.name}→{target.name}",
+        token_image if coeff_hom is None else None,
     )
 
 
@@ -237,13 +243,14 @@ class _Valuation(Homomorphism):
     """The arrow :func:`valuation_hom` returns: every call is one
     :class:`_Pass`, so a batch shares one memo."""
 
-    __slots__ = ("_token", "_coeff", "_native")
+    __slots__ = ("_token", "_coeff", "_native", "tokens")
 
-    def __init__(self, source, target, token, coeff, native, name):
+    def __init__(self, source, target, token, coeff, native, name, tokens):
         super().__init__(source, target, None, name)
         self._token = token
         self._coeff = coeff
         self._native = native
+        self.tokens = tokens
 
     def __call__(self, element: Any) -> Any:
         return _Pass(self)(element)
@@ -251,7 +258,10 @@ class _Valuation(Homomorphism):
     def map_many(self, elements: Iterable[Any]) -> List[Any]:
         elements = list(elements)
         if elements:  # polynomials carry no runs: the walk maps them
-            _count_hom("fallback: no term runs")
+            # without NumPy no result has runs; before the planner loads,
+            # whether NumPy is there is not known yet (``None``)
+            _count_hom("fallback: no NumPy" if base.accelerator.HAVE_NUMPY is False
+                       else "fallback: no term runs")
         return _Pass(self).map_many(elements)
 
     def map_folds(self, folds):
@@ -295,7 +305,7 @@ class _Pass(Homomorphism):
     Which of the two mapped a batch is counted on
     ``repro_encoded_kernel_total`` (``op="hom"``): ``kernel="array"``, or
     ``kernel="fallback: <cause>"`` (``"no term runs"`` for every batch
-    of polynomials).
+    of polynomials, ``"no NumPy"`` where the planner found none).
     """
 
     __slots__ = ("_valuation", "_images", "_monomials", "_native", "_pending", "_walking")

@@ -594,8 +594,6 @@ class ProvenanceServer:
                         annotations=req["annotations"],
                         deadline=deadline,
                     )
-                if hasattr(result, "lower"):  # a circuit or term result → canonical N[X]
-                    result = result.lower()
                 response = relation_to_json(result)
             elapsed = time.perf_counter() - start
         obs_metrics.QUERY_SECONDS.observe(elapsed)

@@ -157,7 +157,7 @@ def assert_circuits_agree(db, q, want, images):
     reference image))."""
     circuit = q.evaluate(db, engine="planned", annotations="circuit")
     assert q._cached_plan(db, "circuit").tier == ("encoded" if HAVE_NUMPY else "object")
-    pinned = compile_plan(q, db, annotations="circuit", tier="object").execute()
+    pinned = compile_plan(q, db, annotations="circuit", tier="object").execute().circuit_relation
     gates = circuit.circuit_relation
     assert gates.schema == pinned.schema
     assert set(gates.support()) == set(pinned.support())
@@ -167,7 +167,7 @@ def assert_circuits_agree(db, q, want, images):
     assert circuit.lower() == want
     assert circuit == want  # the KRelation-compatible face lowers too
 
-    roots = circuit._roots()
+    roots = circuit.circuit_relation._scalars()[0]
     for target, (image, expected) in images.items():
         with any_width():
             specialised = circuit.specialise(image, target)

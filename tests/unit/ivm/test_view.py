@@ -285,7 +285,7 @@ class TestCircuitMode:
         assert new
         # every gate the apply interned is one the maintained result uses
         reachable = set()
-        for root in view.result()._roots():
+        for root in view.result().circuit_relation._scalars()[0]:
             reachable |= {gate._id for gate in root.iter_nodes()}
         assert new <= reachable
         assert view.result() == GROUPED.evaluate(db)

@@ -244,7 +244,6 @@ def test_an_untraced_boundary_opens_no_span(monkeypatch):
 
 def test_circuit_mode_runs_the_circuit_plan_it_reports():
     from repro.circuits import CircuitSemiring
-    from repro.plan import CircuitResult
     from repro.semirings import NX
 
     nat = sales_db()
@@ -256,6 +255,29 @@ def test_circuit_mode_runs_the_circuit_plan_it_reports():
     })
     result, _root, plan = analyze_query(GROUP_QUERY, db, annotations="circuit")
     assert plan.annotations == "circuit"
-    assert isinstance(result.semiring, CircuitSemiring)
-    assert CircuitResult(result, result.semiring).lower() == GROUP_QUERY.evaluate(db)
+    assert isinstance(result.circuit_relation.semiring, CircuitSemiring)
+    assert result.lower() == GROUP_QUERY.evaluate(db)
     assert "annotations: circuit" in explain_analyze(GROUP_QUERY, db, annotations="circuit")
+
+
+def test_analyzing_a_query_twice_runs_its_one_cached_plan(monkeypatch):
+    from repro.plan import compiler
+
+    db = sales_db()
+    compiled = []
+    compile_once = compiler.compile_plan
+
+    def counting(*args, **kwargs):
+        compiled.append(args)
+        return compile_once(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "compile_plan", counting)
+    _result, _root, first = analyze_query(GROUP_QUERY, db)
+    result, root, again = analyze_query(GROUP_QUERY, db)
+    assert len(compiled) == 1
+    assert again is first is GROUP_QUERY._cached_plan(db)
+    assert root.attrs["tier"] == first._last_tier
+    assert result == GROUP_QUERY.evaluate(db)
+    # a pinned tier compiles a plan of its own
+    _result, _root, pinned = analyze_query(GROUP_QUERY, db, tier="object")
+    assert len(compiled) == 2 and pinned is not first

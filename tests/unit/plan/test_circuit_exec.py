@@ -1,6 +1,11 @@
-"""Unit tests for circuit-backed planned execution (plan.circuit_exec)."""
+"""Unit tests for circuit-backed planned execution: a circuit plan's
+answer is the gate form of :class:`~repro.plan.term_result.TermResult`."""
 
+import copy
+import http.client
 import itertools
+import json
+import pickle
 
 import pytest
 
@@ -16,10 +21,16 @@ from repro.core import (
 from repro.exceptions import QueryError
 from repro.monoids import SUM
 from repro.circuits import NX_CIRCUITS
-from repro.plan import CircuitResult, explain
+from repro.plan import explain
 from repro.plan.kernels import HAVE_NUMPY
-from repro.semirings import NAT, NX
-from repro.semirings.homomorphism import valuation_hom
+from repro.plan.term_result import TermResult
+from repro.ivm import MaterializedView
+from repro.obs.metrics import ENCODED_KERNEL
+from repro.semirings import BOOL, NAT, NX, TROPICAL
+from repro.semirings.homomorphism import deletion_hom, valuation_hom
+from repro.serve import start_in_thread
+from repro.serve.schema import relation_to_json
+from repro.sql.compiler import compile_sql
 
 
 def nx_db():
@@ -46,7 +57,7 @@ class TestCircuitMode:
         db = nx_db()
         q = join_group()
         result = q.evaluate(db, engine="planned", annotations="circuit")
-        assert isinstance(result, CircuitResult)
+        assert isinstance(result, TermResult) and result.circuit_relation is not None
         assert result == q.evaluate(db)  # interpreted
         assert result == q.evaluate(db, engine="planned")  # expanded planned
         assert result.lower() is result.lower()  # memoized
@@ -73,7 +84,7 @@ class TestCircuitMode:
         first = join_group().evaluate(db, engine="planned", annotations="circuit")
         gates = NX_CIRCUITS.builder.interned_count()
         rebuilds = ENCODED_CACHE_EVENTS.values().get(("rebuild",), 0)
-        again = compile_plan(join_group(), db, annotations="circuit").execute()
+        again = compile_plan(join_group(), db, annotations="circuit").execute().circuit_relation
         assert NX_CIRCUITS.builder.interned_count() == gates
         assert ENCODED_CACHE_EVENTS.values().get(("rebuild",), 0) == rebuilds
         for tup, gate in first.circuit_relation.rows():
@@ -145,7 +156,7 @@ class TestGateIdsOnTheEncodedTier:
 
         result = join_group().evaluate(bigger_nx_db(), engine="planned", annotations="circuit")
         walked = set()
-        for root in result._roots():
+        for root in result.circuit_relation._scalars()[0]:
             walked |= {gate._id for gate in root.iter_nodes()}
 
         def no_sorting(self):
@@ -214,10 +225,10 @@ class TestGateIdsOnTheEncodedTier:
             return encode(*args)
 
         monkeypatch.setattr(enc, "encode_batch", rolled_over_first)
-        raced = CircuitResult(plan.execute(), NX_CIRCUITS)
+        raced = plan.execute()
         assert "boxed: table Emp (gate store rolled over)" in plan.explain()
         monkeypatch.setattr(enc, "encode_batch", encode)
-        again = CircuitResult(plan.execute(), NX_CIRCUITS)
+        again = plan.execute()
         assert "boxed" not in plan.explain()
         assert enc.encoded_scan(db, "Emp", db.relation("Emp"), "circuit") is not None
         assert raced == again == join_group().evaluate(db)
@@ -247,3 +258,108 @@ class TestGateIdsOnTheEncodedTier:
         batch = enc.encoded_scan(db, "Emp", db.relation("Emp"), "circuit")
         assert batch is not None and not enc._stale(batch, "circuit")
         assert len(batch) == len(db.relation("Emp"))
+
+
+def gate_lowerings():
+    return ENCODED_KERNEL.values().get(("lower", "gates"), 0)
+
+
+def weight(token):
+    return 1 + len(token) % 3
+
+
+class TestACircuitAnswerIsTheLazyRelation:
+    """A circuit plan's answer is a ``KRelation`` over ``N[X]`` that holds
+    the gates and expands them only for a read that needs the polynomials."""
+
+    def evaluate(self, db):
+        return join_group().evaluate(db, engine="planned", annotations="circuit")
+
+    def test_it_is_a_krelation_over_nx_holding_the_gates(self):
+        result = self.evaluate(bigger_nx_db())
+        assert isinstance(result, KRelation)
+        assert result.semiring is NX
+        assert result.circuit_relation.semiring is NX_CIRCUITS
+
+    def test_len_counts_the_gate_rows_without_lowering(self):
+        db = bigger_nx_db()
+        result = self.evaluate(db)
+        before = gate_lowerings()
+        size = len(result)
+        assert gate_lowerings() == before and result._lowered is None
+        assert size == len(result.lower()) == len(join_group().evaluate(db))
+        assert gate_lowerings() == before + 1
+        assert result.lower() is result.lower()
+        assert gate_lowerings() == before + 1
+
+    def test_two_evaluations_of_one_plan_compare_equal_without_lowering(self):
+        db = bigger_nx_db()
+        first, second = self.evaluate(db), self.evaluate(db)
+        before = gate_lowerings()
+        assert first == second and second == first
+        assert gate_lowerings() == before
+        assert first._lowered is None and second._lowered is None
+        # against any other relation the row maps are compared
+        assert first == join_group().evaluate(db)
+        assert gate_lowerings() == before + 1
+
+    def test_a_valuation_evaluates_the_gates_and_any_other_hom_lowers(self):
+        db = bigger_nx_db()
+        result, want = self.evaluate(db), join_group().evaluate(db)
+        before = gate_lowerings()
+        for target, image in ((NAT, weight), (BOOL, lambda t: len(t) % 2 == 0),
+                              (TROPICAL, lambda t: float(len(t)))):
+            hom = valuation_hom(NX, target, image)
+            assert result.apply_hom(hom) == want.apply_hom(hom)
+        assert gate_lowerings() == before and result._lowered is None
+        custom = valuation_hom(NX, NAT, weight, coeff_hom=lambda c: c)
+        composite = deletion_hom(NX, {"e1", "r1"}).then(valuation_hom(NX, NAT, weight))
+        for hom in (custom, composite):
+            assert result.apply_hom(hom) == want.apply_hom(hom)
+        assert gate_lowerings() == before + 1
+
+    def test_specialise_is_apply_hom_of_the_valuation_on_either_form(self):
+        db = bigger_nx_db()
+        want = join_group().evaluate(db).apply_hom(valuation_hom(NX, NAT, weight))
+        assert self.evaluate(db).specialise(weight, NAT) == want
+        if HAVE_NUMPY:  # the expanded answer is the same class there
+            assert join_group().evaluate(db, engine="planned").specialise(weight, NAT) == want
+
+    def test_a_pickle_or_copy_is_the_lowered_nx_relation(self):
+        db = bigger_nx_db()
+        result = self.evaluate(db)
+        for twin in (pickle.loads(pickle.dumps(result)), copy.copy(result)):
+            assert type(twin) is KRelation and twin.semiring is NX
+            assert twin == result.lower() == join_group().evaluate(db)
+            assert hash(twin) == hash(result)
+
+    def test_a_circuit_view_result_is_a_krelation_equal_to_evaluation(self):
+        db = bigger_nx_db(tag="view")
+        view = MaterializedView.create(db, join_group(), annotations="circuit")
+        delta = KRelation.from_rows(
+            NX, ("EmpId", "Dept", "Sal"), [((99, "d1", 30), NX.variable("view-new"))]
+        )
+        view.apply({"Emp": delta})
+        got = view.result()
+        assert isinstance(got, KRelation) and got.semiring is NX
+        assert got == self.evaluate(db) == join_group().evaluate(db)
+
+    def test_a_served_circuit_answer_is_the_lowered_results_bytes(self):
+        sql = "SELECT Dept, SUM(Sal) FROM Emp GROUP BY Dept"
+        db = bigger_nx_db()
+        query = compile_sql(sql)
+        lowered = query.evaluate(db, engine="planned", annotations="circuit").lower()
+        want = json.dumps(relation_to_json(lowered), default=str).encode()
+        assert relation_to_json(lowered) == relation_to_json(query.evaluate(db))
+        handle = start_in_thread(db)
+        conn = http.client.HTTPConnection(*handle.address, timeout=30)
+        try:
+            payload = {"sql": sql, "annotations": "circuit", "engine": "planned"}
+            conn.request("POST", "/query", json.dumps(payload))
+            response = conn.getresponse()
+            body = response.read()
+            assert response.status == 200, body
+        finally:
+            conn.close()
+            handle.close()
+        assert body.startswith(want[:-1] + b', "elapsed_ms": ')
