@@ -53,6 +53,7 @@ and each plan runs the object tier to the identical answer (see
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits.convert import NX_CIRCUITS, lifter
@@ -100,20 +101,23 @@ class EncodedColumn:
     first-seen value for that code and ``index`` the inverse
     ``value -> code`` map.  Distinct codes hold non-equal values (dict
     equality), so any per-code decision stands for every row carrying
-    the code.  ``symbolic`` is whether the dictionary holds a tensor
-    (``None`` until :meth:`has_tensor` first asks): a dictionary is never
-    grown in place (:class:`_ColumnTail` copies it first), so a column
-    gathered from this one shares the answer.
+    the code.  A dictionary is never grown in place (:class:`_ColumnTail`
+    copies it first), so ``facts``, what is decided over it as first asked
+    (:meth:`has_tensor`, each monoid's collapse check, a translation), is
+    one dict shared by every column over it.  ``numbers`` is the column
+    decoded to one NumPy array, kept once an aggregate reads it.  Entries
+    are written whole: racing readers build equal ones, either may win.
     """
 
-    __slots__ = ("codes", "values", "index", "symbolic")
+    __slots__ = ("codes", "values", "index", "facts", "numbers")
 
     def __init__(self, codes, values: List[Any], index: Dict[Any, int],
-                 symbolic: Optional[bool] = None):
+                 facts: Optional[Dict[Any, Any]] = None):
         self.codes = codes
         self.values = values
         self.index = index
-        self.symbolic = symbolic
+        self.facts = {} if facts is None else facts
+        self.numbers = None
 
     @classmethod
     def encode(cls, column: List[Any]) -> "EncodedColumn":
@@ -133,26 +137,24 @@ class EncodedColumn:
 
     def gather(self, idx) -> "EncodedColumn":
         """The column restricted to the rows in ``idx`` (dictionary shared)."""
-        return EncodedColumn(self.codes[idx], self.values, self.index, self.symbolic)
+        return EncodedColumn(self.codes[idx], self.values, self.index, self.facts)
 
     def has_tensor(self) -> bool:
         """Does the dictionary hold a symbolic aggregate value?  Decided
         once per dictionary (see the class docstring)."""
-        symbolic = self.symbolic
+        symbolic = self.facts.get("symbolic")
         if symbolic is None:
             from repro.semimodules.tensor import Tensor
 
-            symbolic = self.symbolic = any(isinstance(v, Tensor) for v in self.values)
+            symbolic = self.facts["symbolic"] = any(isinstance(v, Tensor) for v in self.values)
         return symbolic
 
     def translate_to(self, other: "EncodedColumn"):
         """Per-*distinct-value* code translation into ``other``'s dictionary
         (``-1`` = value absent there) — the join trick that replaces per-row
         value hashing with one array lookup."""
-        get = other.index.get
-        return np.fromiter(
-            (get(v, -1) for v in self.values), np.int64, len(self.values)
-        )
+        values = self.values
+        return np.fromiter(map(other.index.get, values, repeat(-1)), np.int64, len(values))
 
     def decode(self) -> List[Any]:
         """The boxed value list this column encodes."""
@@ -483,7 +485,8 @@ class _ColumnTail:
                     values.append(value)
                 append(code)
         codes = np.concatenate((node.codes, np.asarray(codes, dtype=np.int64)))
-        column = self._state = EncodedColumn(codes, values, index)
+        facts = node.facts if values is node.values else None
+        column = self._state = EncodedColumn(codes, values, index, facts)
         return column
 
 
@@ -599,7 +602,7 @@ def slice_batch(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
     cols: Dict[str, Any] = {}
     for attr in batch.schema.attributes:
         col = batch.col(attr)
-        cols[attr] = EncodedColumn(col.codes[start:stop], col.values, col.index, col.symbolic)
+        cols[attr] = EncodedColumn(col.codes[start:stop], col.values, col.index, col.facts)
     return EncodedBatch(
         batch.semiring,
         batch.schema,
@@ -646,8 +649,8 @@ def split_codes(cols: List[EncodedColumn], keys) -> List[EncodedColumn]:
     out = []
     for col in reversed(cols[1:]):
         keys, codes = np.divmod(keys, max(1, len(col.values)))
-        out.append(EncodedColumn(codes, col.values, col.index, col.symbolic))
-    out.extend(EncodedColumn(keys, c.values, c.index, c.symbolic) for c in cols[:1])
+        out.append(EncodedColumn(codes, col.values, col.index, col.facts))
+    out.extend(EncodedColumn(keys, c.values, c.index, c.facts) for c in cols[:1])
     return out[::-1]
 
 

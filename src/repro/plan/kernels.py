@@ -36,7 +36,7 @@ except ImportError:
 # the semiring layer's array kernels take NumPy from this module
 _base.accelerator = sys.modules[__name__]
 
-__all__ = ["HAVE_NUMPY", "active_backend", "direct", "np", "reduce_by_key"]
+__all__ = ["HAVE_NUMPY", "active_backend", "direct", "marks_itself", "np", "reduce_by_key"]
 
 
 def active_backend() -> str:
@@ -52,16 +52,25 @@ def direct(space: int, rows: int) -> bool:
     be addressed directly (an accumulator / slot table of ``space``
     entries) instead of sorted?  The one bound, shared by
     :func:`reduce_by_key` and the join probe.  Measured at 204 800 rows of
-    unordered keys (NumPy 2.4): the scatter costs 3.6 / 9.2 / 24 / 82 ms
-    at a space of 1x / 4x / 16x / 64x the rows against a flat ~25 ms sort,
-    so it wins until ~12x; 4x keeps a margin (already-ordered keys sort in
-    ~3 ms), and the constant lets small inputs over a shared large
-    dictionary through.
+    unordered keys (NumPy 2.4.6): the scatter costs 2.5 / 2.9 / 13 / 35 ms
+    at a space of 1x / 4x / 16x / 64x the rows against a flat ~23 ms sort,
+    so it wins past 16x; 4x keeps a margin (already-ordered keys sort in
+    ~0.2 ms), and the constant lets small inputs over a shared large
+    dictionary through.  Into 1 024 keys the ``add.at`` and the presence
+    scatter take ~0.26 ms each, a stable ``argsort`` ~15 ms.
     """
     return space <= 4 * rows + 1024
 
 
-def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any]:
+def marks_itself(values, ufunc, identity) -> bool:
+    """Do the ``ufunc`` sums of ``values`` show which keys are present (no
+    group can reduce to ``identity``)?  So for ``add`` over values all
+    ``> 0`` (``N``: one ``min`` pass checks it) and ``or`` over all ``True``."""
+    return ((ufunc is np.add or ufunc is np.logical_or) and identity == 0
+            and len(values) > 0 and values.min() > 0)
+
+
+def reduce_by_key(keys, values, ufunc, space: int, identity, present=None) -> Tuple[Any, Any]:
     """Group ``values`` by ``keys`` and reduce each group with ``ufunc``.
 
     The grouped reduction behind consolidation and grouped aggregation.
@@ -73,13 +82,16 @@ def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any]:
 
     While :func:`direct` holds the keys are addresses: one ``ufunc.at``
     scatter into a ``space``-sized accumulator, and one boolean scatter
-    marks the keys present.  Otherwise — or when ``ufunc`` offers
-    ``reduceat`` only (a :class:`~repro.semirings.base.MachineRepr` whose
-    ``+`` interns gates) — one stable ``argsort`` and one
-    ``ufunc.reduceat`` — compacting a sparse key space *is* a sort.  The
-    two are equal element for element: every machine ``+_K`` (int add
-    inside the callers' overflow bound, min, max, or) is exactly
-    associative and commutative, so the order of a group's rows is free.
+    marks the keys present — unless ``present`` knows them: ``"totals"``
+    (the sums mark them, :func:`marks_itself`) or the keys themselves, from
+    a reduction over these very ``keys`` (a ``GROUP BY``'s totals).
+    Otherwise — or when ``ufunc`` offers ``reduceat`` only (a
+    :class:`~repro.semirings.base.MachineRepr` whose ``+`` interns gates)
+    — one stable ``argsort`` and one ``ufunc.reduceat`` — compacting a
+    sparse key space *is* a sort.  The two are equal element for element:
+    every machine ``+_K`` (int add inside the callers' overflow bound,
+    min, max, or) is exactly associative and commutative, so the order of
+    a group's rows is free.
     """
     n = len(keys)
     if n == 0:
@@ -88,10 +100,13 @@ def reduce_by_key(keys, values, ufunc, space: int, identity) -> Tuple[Any, Any]:
     if scatter is not None and direct(space, n):
         reductions = np.full(space, identity, dtype=values.dtype)
         scatter(reductions, keys, values)
-        seen = np.zeros(space, dtype=bool)
-        seen[keys] = True
-        unique = np.flatnonzero(seen)
-        return unique, reductions[unique]
+        if isinstance(present, str):
+            present = np.flatnonzero(reductions)
+        elif present is None:
+            seen = np.zeros(space, dtype=bool)
+            seen[keys] = True
+            present = np.flatnonzero(seen)
+        return present, reductions[present]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = run_starts(np, sorted_keys)

@@ -346,7 +346,7 @@ def _reorder_batch(batch, order):
     cols: Dict[str, Any] = {}
     for attr in batch.schema.attributes:
         col = batch.col(attr)
-        cols[attr] = enc.EncodedColumn(col.codes[order], col.values, col.index, col.symbolic)
+        cols[attr] = enc.EncodedColumn(col.codes[order], col.values, col.index, col.facts)
     return enc.EncodedBatch(
         batch.semiring,
         batch.schema,

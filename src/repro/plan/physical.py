@@ -40,7 +40,6 @@ Operator inventory:
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import faults
@@ -320,19 +319,44 @@ def _encoded_guard_plain(batch: EncodedBatch, attrs: Iterable[str]) -> None:
             raise EncodedFallback(f"symbolic value in column {attr!r}")
 
 
-def _note_kernel(op: str, space: int, rows: int, machine=None) -> None:
+def _note_kernel(op: str, space: int, rows: int, machine=None, presence=None) -> None:
     """Count, per encoded join probe (``rows`` = build rows) or grouped
     reduction over a key space of ``space`` codes in ``machine``'s
     annotations, whether it addressed the codes directly or sorted them
     (:func:`repro.plan.kernels.direct`; a ``+`` that cannot scatter always
     sorts), and say so on the operator's span — a sort there wins the
-    attribute."""
+    attribute, as ``scatter`` wins ``presence`` (a direct reduction's)."""
     scatters = machine is None or hasattr(machine.plus, "at")
     kernel = "direct" if scatters and kernels.direct(space, rows) else "sorted"
     _metrics.ENCODED_KERNEL.inc(1, op, kernel)
-    span = _trace.current()
-    if span is not None and span.attrs.get("kernel") != "sorted":
-        span.attrs["kernel"] = kernel
+    attrs = getattr(_trace.current(), "attrs", {})
+    if attrs.get("kernel") != "sorted":
+        attrs["kernel"] = kernel
+    if presence and kernel == "direct" and attrs.get("presence") != "scatter":
+        attrs["presence"] = presence
+
+
+def _sum_by_key(op: str, keys, anns, batch: EncodedBatch, space: int):
+    """``+_K`` of ``anns`` per key, noted as ``op``; the keys present are
+    read off the sums where those show them (``kernels.marks_itself``)."""
+    machine = batch.machine
+    zero = machine.code(batch.semiring.zero)
+    present = "totals" if kernels.marks_itself(anns, machine.plus, zero) else None
+    _note_kernel(op, space, len(keys), machine, present or "scatter")
+    return reduce_by_key(keys, anns, machine.plus, space, zero, present)
+
+
+def _translation(memo: Dict[Any, Any], key, col, other, build=None):
+    """``col.translate_to(other)`` (or a union's ``build``), kept whole in
+    ``memo[key]`` while both dictionaries are the very lists it was built
+    from (none grows in place), and counted as ``memo`` or ``built``."""
+    entry = memo.get(key)
+    hit = entry is not None and entry[0] is col.values and entry[1] is other.values
+    if not hit:
+        made = col.translate_to(other) if build is None else build()
+        entry = memo[key] = (col.values, other.values, made)
+    _metrics.ENCODED_KERNEL.inc(1, "translate", "memo" if hit else "built")
+    return entry[2]
 
 
 def _same_machine(left: EncodedBatch, right: EncodedBatch) -> None:
@@ -358,10 +382,7 @@ def _consolidate_encoded(
     keys, space = enc.combine_codes(cols, keep)
     out_bound = enc.check_reduction_bound(batch, len(keys))
     anns = batch.anns if keep is None else batch.anns[keep]
-    machine = batch.machine
-    _note_kernel("consolidate", space, len(keys), machine)
-    unique, sums = reduce_by_key(keys, anns, machine.plus, space,
-                                 machine.code(batch.semiring.zero))
+    unique, sums = _sum_by_key("consolidate", keys, anns, batch, space)
     out_cols = dict(zip(out_attrs, enc.split_codes(cols, unique)))
     return EncodedBatch(
         batch.semiring,
@@ -483,7 +504,7 @@ class SelectStage:
             elif isinstance(condition, AttrEqAttr):
                 c1 = batch.col(condition.attribute1)
                 c2 = batch.col(condition.attribute2)
-                trans = c1.translate_to(c2)
+                trans = _translation(c1.facts, "translate", c1, c2)
                 m = trans[c1.codes] == c2.codes
             else:
                 raise EncodedFallback("unknown condition class")
@@ -737,7 +758,8 @@ class HashJoin(PhysicalOp):
         # cached scans over an unchanged relation.  One slot per
         # representation, so an execution stream alternating tiers (the
         # incremental engine's size-adaptive dispatch) keeps both builds.
-        self._build_cache: Dict[str, Tuple[Any, Any]] = {}
+        # ("probe", attr) -> a probe key's translation (:func:`_translation`)
+        self._build_cache: Dict[Any, Tuple[Any, ...]] = {}
 
     def _guard(self, left: ColumnarKRelation, right: ColumnarKRelation) -> None:
         if self.kind == "natural":
@@ -839,15 +861,19 @@ class HashJoin(PhysicalOp):
         array — and, while the build code space is dense enough over the
         build rows (:func:`repro.plan.kernels.direct`), the slot table
         ``key -> bucket`` the probe indexes, else ``None``.  Its one
-        trailing ``-1`` row is where the absent-key sentinel lands.
+        trailing ``-1`` row is where the absent-key sentinel lands.  A
+        build already in key order (a dimension encoded in key order) is
+        not sorted, and its order is ``None``: the identity.
         """
         cached = self._build_cache.get("encoded")
         if cached is not None and cached[0] is build:
             return cached[1]
         cols = [build.col(a) for a in keys]
         bkeys, space = enc.combine_codes(cols)
-        order = np.argsort(bkeys, kind="stable")
-        sorted_keys = bkeys[order]
+        order, sorted_keys = None, bkeys
+        if not (bkeys[1:] >= bkeys[:-1]).all():
+            order = np.argsort(bkeys, kind="stable")
+            sorted_keys = bkeys[order]
         n = len(sorted_keys)
         starts = run_starts(np, sorted_keys)
         unique = sorted_keys[starts]
@@ -875,14 +901,16 @@ class HashJoin(PhysicalOp):
         composes it with the slot lookup first, so each probe row costs
         one gather."""
         bcols, _space, slot, unique = struct[:4]
+        memo = self._build_cache
         if slot is not None and len(bcols) == 1:
-            pcol = probe.col(probe_keys[0])
+            attr = probe_keys[0]
+            pcol = probe.col(attr)
             # an absent value translates to -1: the slot table's last row
-            return slot[pcol.translate_to(bcols[0])][pcol.codes]
+            return slot[_translation(memo, ("probe", attr), pcol, bcols[0])][pcol.codes]
         pkeys = invalid = None
         for bcol, attr in zip(bcols, probe_keys):
             pcol = probe.col(attr)
-            translated = pcol.translate_to(bcol)[pcol.codes]
+            translated = _translation(memo, ("probe", attr), pcol, bcol)[pcol.codes]
             bad = translated < 0
             invalid = bad if invalid is None else invalid | bad
             if pkeys is None:
@@ -921,6 +949,7 @@ class HashJoin(PhysicalOp):
                 build, build_keys, isinstance(build_child, Scan)
             )
             _bcols, space, _slot, unique, order, starts, counts = struct
+            ordered = (lambda idx: idx) if order is None else order.__getitem__
             pos = self._encoded_probe_buckets(probe, probe_keys, struct)
             _note_kernel("join", space, len(build))
             matched = pos >= 0
@@ -930,13 +959,13 @@ class HashJoin(PhysicalOp):
                 # ``starts`` is the identity; a probe side that matched in
                 # full keeps its rows (``None``: in place, nothing gathered)
                 probe_idx = None if matched.all() else np.flatnonzero(matched)
-                build_idx = order[pos if probe_idx is None else pos[probe_idx]]
+                build_idx = ordered(pos if probe_idx is None else pos[probe_idx])
             else:
                 probe_rows = np.flatnonzero(matched)
                 buckets = pos[probe_rows]
                 cnt = counts[buckets]
                 probe_idx = np.repeat(probe_rows, cnt)
-                build_idx = order[ranges(starts[buckets], cnt)]
+                build_idx = ordered(ranges(starts[buckets], cnt))
 
         if self.build_side == "left":
             left_idx, right_idx = build_idx, probe_idx
@@ -992,11 +1021,10 @@ class UnionAll(PhysicalOp):
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp, schema: Schema, est_rows: int):
         super().__init__((left, right), schema, est_rows)
-        # attr -> (left dictionary, right dictionary, the right codes'
-        # translation, a merged column): valid while both dictionaries are
-        # the very lists — a stored version's, read by every run — so
-        # repeated runs share one merged dictionary
-        self._merged: Dict[str, Tuple[Any, Any, Any, Any]] = {}
+        # attr -> (left dictionary, right dictionary, (the right codes'
+        # translation, a merged column)), a :func:`_translation` entry, so
+        # repeated runs over a stored version share one merged dictionary
+        self._merged: Dict[str, Tuple[Any, Any, Any]] = {}
 
     def _run(self, ctx: ExecutionContext):
         left = self.children[0].execute(ctx)
@@ -1022,24 +1050,22 @@ class UnionAll(PhysicalOp):
         """Concatenate two encoded columns under one merged dictionary
         (the right side's codes are translated per distinct value); where
         the left dictionary holds every right value, it is the merged one."""
-        cached = self._merged.get(attr)
-        if cached is None or cached[0] is not lcol.values or cached[1] is not rcol.values:
-            index, values, rvalues = lcol.index, lcol.values, rcol.values
-            table = np.fromiter(map(index.get, rvalues, repeat(-1)), np.int64, len(rvalues))
+        def build():
+            table = rcol.translate_to(lcol)
             missing = np.flatnonzero(table < 0).tolist()
-            symbolic = lcol.symbolic
+            index, values, facts = lcol.index, lcol.values, lcol.facts
             if missing:
-                index, values, symbolic = dict(index), list(values), None
+                index, values, facts = dict(index), list(values), None
                 for i in missing:  # distinct in the right dictionary: each is new
-                    value = rvalues[i]
+                    value = rcol.values[i]
                     table[i] = index[value] = len(values)
                     values.append(value)
-            merged = enc.EncodedColumn(None, values, index, symbolic)
-            cached = self._merged[attr] = (lcol.values, rvalues, table, merged)
-        table, merged = cached[2:]
+            return table, enc.EncodedColumn(None, values, index, facts)
+
+        table, merged = _translation(self._merged, attr, lcol, rcol, build)
         right_codes = table[rcol.codes] if len(table) else rcol.codes
         codes = np.concatenate([lcol.codes, right_codes])
-        return enc.EncodedColumn(codes, merged.values, merged.index, merged.symbolic)
+        return enc.EncodedColumn(codes, merged.values, merged.index, merged.facts)
 
     def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
         _same_machine(left, right)
@@ -1068,53 +1094,68 @@ class UnionAll(PhysicalOp):
 # ---------------------------------------------------------------------------
 
 
-def _collapse_kernel(space, values: List[Any], bound: int):
-    """The array form of Prop. 3.9's ``sum_M k.m`` over the dictionary
-    ``values`` — ``(ufunc, value array, scales, start)``, ``start`` the
+def _collapse_kernel(space, col, bound: int):
+    """The array form of Prop. 3.9's ``sum_M k.m`` over the dictionary of
+    ``col`` — ``(ufunc, value array, scales, start)``, ``start`` the
     ufunc's identity within the array's dtype — or the reason (``str``)
     there is none: it must be bit- and type-identical to the normal form's
     fold, so ``iota`` is an isomorphism, the monoid declares a kernel and
     calls the values exact, and they are all ``int`` (times ``bound``, the
     largest annotation sum, inside int64 where ``N`` scales) or all
-    ``float``."""
+    ``float``.  Only the ``bound`` product is checked per batch: the rest
+    once per dictionary and monoid, in ``col.facts``."""
     monoid = space.monoid
     if not space.collapses:
         return "non-collapsing space"
     if monoid.collapse_kernel is None:
         return f"no kernel for {monoid.name}"
+    key = ("collapse", monoid)
+    checked = col.facts.get(key)
+    if checked is None:
+        checked = col.facts[key] = _dictionary_checks(monoid, col.values)
+    if isinstance(checked, str):
+        return checked
+    *kernel, magnitude = checked
+    return "bound" if magnitude * (bound if kernel[2] else 1) > enc._INT64_MAX else tuple(kernel)
+
+
+def _dictionary_checks(monoid, values: List[Any]):
+    """:func:`_collapse_kernel` of a dictionary, with its largest magnitude."""
     if not all(map(monoid.exact, values)):
         return "inexact values"
     name, scales = monoid.collapse_kernel
     kinds = set(map(type, values))
     if kinds == {int}:
-        if max(map(abs, values)) * (bound if scales else 1) > enc._INT64_MAX:
+        magnitude = max(map(abs, values))
+        if magnitude > enc._INT64_MAX:
             return "bound"
         far = np.iinfo(np.int64).max
     elif kinds == {float}:
-        far = np.inf
+        magnitude, far = 0, np.inf
     else:
         return "mixed values"
     ufunc = getattr(np, name)
     start = {np.minimum: far, np.maximum: -far}.get(ufunc, ufunc.identity)
-    return ufunc, np.asarray(values), scales, start
+    return ufunc, np.asarray(values), scales, start, magnitude
 
 
-def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound: int):
+def _set_agg_by_code(space, col, gkeys, groups, batch: EncodedBatch, bound: int, grouped=None):
     """``SetAgg`` of the encoded column ``col`` within each group of
     ``gkeys`` (one int64 key below ``groups`` per row of the non-empty
     ``batch``).
 
     Where :func:`_collapse_kernel` applies, each group's tensor is its
     collapsed value, reduced straight from the rows on the group key —
-    ``sum a.v`` for a scaling kernel (``N`` and SUM), else the MIN/MAX of
-    ``v`` over the rows whose annotation is not ``0_K`` — and one more
-    reduction on the group key gives the raw totals.  A space that keeps
+    ``sum a.v`` for a scaling kernel (``N`` and SUM), on the totals' keys,
+    else the MIN/MAX of ``v`` over the rows whose annotation is not
+    ``0_K`` — and the raw totals are ``grouped`` (another attribute's),
+    else one more reduction on the group key.  A space that keeps
     its entries reduces the ``(group, value-code)`` pair key instead: the
     pair sums in ascending key order, cut at the group boundaries, give
     the raw totals (re-reducing pair sums is exact: every machine ``+_K``
     is exactly associative) and, after the normal form's two filters as
     array masks, one entry dict per group.
-    Returns ``(group keys, raw totals, values, why)``: the keys in
+    Returns ``((group keys, raw totals), values, why)``: the keys in
     ascending order, the totals in the machine representation, and
     ``values`` each group's collapsed value where the kernel collapsed
     (``why`` is ``None``), else its tensor, ``why`` the reason.
@@ -1122,32 +1163,33 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     machine = batch.machine
     plus = machine.plus
     zero = machine.code(space.semiring.zero)
-    kernel = _collapse_kernel(space, col.values, bound)
+    kernel = _collapse_kernel(space, col, bound)
     if not isinstance(kernel, str):
         ufunc, operand, scales, start = kernel
-        _note_kernel("aggregate", groups, len(batch), machine)
-        ukeys, totals = reduce_by_key(gkeys, batch.anns, plus, groups, zero)
-        values, keys = operand[col.codes], gkeys
+        grouped = grouped or _sum_by_key("aggregate", gkeys, batch.anns, batch, groups)
+        ukeys = grouped[0]
+        if col.numbers is None:  # decoded once per column
+            col.numbers = operand[col.codes]
+        values, keys, present = col.numbers, gkeys, ukeys
         if scales:
             values = values * batch.anns
         else:
             live = batch.anns != batch.anns.dtype.type(zero)
-            values, keys = values[live], gkeys[live]
-        vkeys, reduced = reduce_by_key(keys, values, ufunc, groups, start)
+            values, keys, present = values[live], gkeys[live], None
+        vkeys, reduced = reduce_by_key(keys, values, ufunc, groups, start, present)
         collapsed = reduced.tolist()
         if len(vkeys) < len(ukeys):  # groups without a live row keep 0_M
             filled = [space.monoid.identity] * len(ukeys)
             for g, value in zip(np.searchsorted(ukeys, vkeys).tolist(), collapsed):
                 filled[g] = value
             collapsed = filled
-        return ukeys, totals, collapsed, None
+        return grouped, collapsed, None
 
     size = max(1, len(col.values))
     if groups * size > enc._RADIX_LIMIT:
         raise EncodedFallback("code space overflow")
     pair_keys = gkeys * size + col.codes
-    _note_kernel("aggregate", groups * size, len(batch), machine)
-    pkeys, sums = reduce_by_key(pair_keys, batch.anns, plus, groups * size, zero)
+    pkeys, sums = _sum_by_key("aggregate", pair_keys, batch.anns, batch, groups * size)
     pgroups = pkeys // size
     gstarts = run_starts(np, pgroups)
     totals = plus.reduceat(sums, gstarts)
@@ -1163,7 +1205,7 @@ def _set_agg_by_code(space, col, gkeys, groups: int, batch: EncodedBatch, bound:
     scalars, cuts = machine.decode(sums[keep]), ends.tolist()
     tensors = [space._normal(dict(zip(values[s:e], scalars[s:e])))
                for s, e in zip([0] + cuts, cuts)]
-    return pgroups[gstarts], totals, tensors, kernel
+    return (pgroups[gstarts], totals), tensors, kernel
 
 
 def _note_fold(op: str) -> None:
@@ -1352,17 +1394,17 @@ def _group_codes(batch: EncodedBatch, key_attrs: Tuple[str, ...],
     bound = enc.check_reduction_bound(batch, len(batch))
     values = {attr: ([], tensor_space(semiring, aggregations[attr])) for attr in agg_cols}
     why: Dict[str, Optional[str]] = {}
-    if agg_cols and len(batch):
-        for attr, col in agg_cols.items():
-            space = values[attr][1]
-            ukeys, totals, column, why[attr] = _set_agg_by_code(
-                space, col, gkeys, radix, batch, bound
-            )
-            values[attr] = (column, space)
+    grouped = None  # (group keys, totals): reduced once per group key
+    for attr, col in agg_cols.items() if len(batch) else ():
+        space = values[attr][1]
+        grouped, column, why[attr] = _set_agg_by_code(
+            space, col, gkeys, radix, batch, bound, grouped
+        )
+        values[attr] = (column, space)
+    if grouped is not None:
+        ukeys, totals = grouped
     elif machine.merges:
-        _note_kernel("aggregate", radix, len(batch), machine)
-        ukeys, totals = reduce_by_key(gkeys, batch.anns, machine.plus, radix,
-                                      machine.code(semiring.zero))
+        ukeys, totals = _sum_by_key("aggregate", gkeys, batch.anns, batch, radix)
     else:  # an empty batch of term rows
         ukeys = totals = np.empty(0, dtype=np.int64)
     return enc.split_codes(gcols, ukeys), totals, values, why

@@ -3,7 +3,8 @@
 Base relations are R(g, v), S(g), T(g, w).  This module draws all of it:
 the schema-aware SPJU core (:func:`spju`), a database annotated in any
 semiring the suites exercise (:func:`database`), one query head limited
-to what the semiring admits (:func:`query`), the homomorphisms out of
+to what the semiring admits (:func:`query`), one grouped reduction's
+rows (:func:`keyed_rows`), the homomorphisms out of
 ``N[X]`` the oracle specialises through (:data:`TARGETS`,
 :func:`drawn_hom`), and IVM's row and delta streams (:func:`initial_rows`,
 :func:`insert_stream`).  Suites import it as a sibling
@@ -204,6 +205,19 @@ def database(draw, semiring, pool=None):
         for name in SCHEMAS
     })
     return db, tokens
+
+
+@st.composite
+def keyed_rows(draw, semiring):
+    """``(keys, annotations, values, space)``: up to 12 rows keyed below
+    ``space`` (1–8), annotated from :data:`POOLS` or ``0_K``, each with a
+    value of 0, below or above — one grouped reduction's input."""
+    space = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(st.integers(0, space - 1),
+                                   st.sampled_from(POOLS[semiring] + [semiring.zero]),
+                                   st.sampled_from([-5, 0] + VALUES)), max_size=12))
+    keys, annotations, values = map(list, zip(*rows)) if rows else ([], [], [])
+    return keys, annotations, values, space
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def run_join(db, expect_kernel):
     before = kernel_counts()
     got = plan.execute()
     assert plan._last_tier == "encoded", plan._last_tier
-    assert counted(before) == {("join", expect_kernel): 1}
+    # a fresh plan over fresh dictionaries translates each key attribute once
+    assert counted(before) == {("join", expect_kernel): 1, ("translate", "built"): 2}
     assert got == want and got.pretty() == want.pretty()
     return got
 
@@ -266,6 +267,9 @@ KERNEL_OPS = {
     "A2": {"join": 1, "consolidate": 2},
     "A3": {"consolidate": 3},
 }
+#: each shape's one dictionary translation: the join's probe key (A1,
+#: A2) or the union's merged G dictionary (A3), built on a fresh database
+TRANSLATED = {("translate", "built"): 1}
 #: of which the boundary merge, which runs in the parent alone
 BOUNDARY_MERGES = {"A1": 0, "A2": 0, "A3": 1}
 
@@ -283,7 +287,7 @@ def kernels_of(name, db, tier):
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_the_analytic_shapes_run_direct_on_every_join_and_reduction(name):
     counts, spans = kernels_of(name, analytic_db(), "encoded")
-    assert counts == {(op, "direct"): n for op, n in KERNEL_OPS[name].items()}
+    assert counts == {**{(op, "direct"): n for op, n in KERNEL_OPS[name].items()}, **TRANSLATED}
     assert len(spans) == sum(KERNEL_OPS[name].values())
     assert {kernel for _span, kernel in spans} == {"direct"}
     text = REGISTRY.render()
@@ -309,7 +313,7 @@ def test_morsel_spans_bring_the_workers_kernels_home(name):
 def test_the_guard_fails_when_the_direct_branch_is_disabled(name, monkeypatch):
     monkeypatch.setattr(kernels, "direct", lambda space, rows: False)
     counts, spans = kernels_of(name, analytic_db(), "encoded")  # same answer
-    assert counts == {(op, "sorted"): n for op, n in KERNEL_OPS[name].items()}
+    assert counts == {**{(op, "sorted"): n for op, n in KERNEL_OPS[name].items()}, **TRANSLATED}
     assert {kernel for _span, kernel in spans} == {"sorted"}
 
 
@@ -333,7 +337,9 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
         counts = counted(before)
         assert plan._last_tier == "encoded"
         assert result == query.evaluate(db, engine="interpreted")
-        assert set(counts) == {(op, "sorted") for op in ops}
+        # the join translates its two key attributes once each
+        translated = {("translate", "built")} if "join" in ops else set()
+        assert set(counts) == {(op, "sorted") for op in ops} | translated
         assert {kernel for _span, kernel in span_kernels(root)} == {"sorted"}
 
 
@@ -348,7 +354,8 @@ def test_a_distinct_root_runs_no_boundary_merge(query, ops):
     result, root, _plan = analyze_query(query, db, tier="encoded")
     counts = counted(before)
     assert result == query.evaluate(db, engine="interpreted")
-    assert counts == {(op, "direct"): n for op, n in ops.items()}
+    translated = TRANSLATED if "join" in ops else {}
+    assert counts == {**{(op, "direct"): n for op, n in ops.items()}, **translated}
     boundary = [s for s in root.children if s.name == "plan.materialise"]
     assert [s.attrs["merge"] for s in boundary] == ["distinct"]
     assert "kernel" not in boundary[0].attrs
