@@ -158,44 +158,42 @@ def _touches_delta(op: PhysicalOp, delta_names: FrozenSet[str]) -> bool:
     return any(_touches_delta(child, delta_names) for child in op.children)
 
 
-def _prefer_cached_base_builds(
-    op: PhysicalOp, delta_names: FrozenSet[str], changed_bases: FrozenSet[str]
-) -> None:
-    """Flip hash-join build sides so *stable* base scans are the builds.
+def _mark_fresh_scans(op: PhysicalOp, names: FrozenSet[str]) -> None:
+    """Mark the scans of ``names`` :attr:`~repro.plan.physical.Scan.fresh`:
+    a Δ-table is built afresh per apply and a changed base is replaced by
+    every ``db.update``, so nothing derived from either batch can be
+    reused on the next apply (:meth:`PhysicalOp.lasts`)."""
+    if isinstance(op, Scan):
+        op.fresh = op.name in names
+    for child in op.children:
+        _mark_fresh_scans(child, names)
+
+
+def _prefer_cached_base_builds(op: PhysicalOp, delta_names: FrozenSet[str]) -> None:
+    """Flip hash-join build sides so *stable* base sides are the builds.
 
     The generic planner ranks by cardinality estimate and so builds on
     the (estimated-0) delta side — which means probing the *full* base
-    table on every apply.  For incremental maintenance the right choice
-    is the opposite whenever the non-delta side is a bare scan of a base
-    table **outside the changed set**: :class:`HashJoin` caches its
-    bucket table per build batch, and a scan of an unchanged relation
-    returns the identical batch across applies, so the O(|base|) build is
-    paid once and every subsequent apply probes with the tiny delta —
-    O(|delta|) amortised.  A base table that is itself in the changed set
-    is replaced by every ``db.update``, so flipping onto it would rebuild
-    (and pin) its buckets per apply for no amortisation win; the default
-    delta-side build is kept there.
+    side on every apply.  For incremental maintenance the right choice
+    is the opposite whenever the non-delta side lasts
+    (:meth:`PhysicalOp.lasts`: a scan of a base table **outside the
+    changed set**, or a pipeline over one): :class:`HashJoin` keeps its
+    bucket table per build batch, and such a side returns the identical
+    batch across applies, so the O(|base|) build is paid once and every
+    subsequent apply probes with the tiny delta — O(|delta|) amortised.
+    A base table that is itself in the changed set is replaced by every
+    ``db.update`` (its scan is fresh, :func:`_mark_fresh_scans`), so
+    flipping onto it would rebuild its buckets per apply for no
+    amortisation win; the default delta-side build is kept there.
     """
     for child in op.children:
-        _prefer_cached_base_builds(child, delta_names, changed_bases)
+        _prefer_cached_base_builds(child, delta_names)
     if not isinstance(op, HashJoin):
         return
     left, right = op.children
-    left_changes = _touches_delta(left, delta_names)
-    right_changes = _touches_delta(right, delta_names)
-    if (
-        left_changes
-        and not right_changes
-        and isinstance(right, Scan)
-        and right.name not in changed_bases
-    ):
+    if _touches_delta(left, delta_names) and right.lasts():
         op.build_side = "right"
-    elif (
-        right_changes
-        and not left_changes
-        and isinstance(left, Scan)
-        and left.name not in changed_bases
-    ):
+    elif _touches_delta(right, delta_names) and left.lasts():
         op.build_side = "left"
 
 
@@ -207,9 +205,12 @@ class DeltaPlan:
     their ``Δ``-names) and returns the raw columnar view delta.  The
     physical plan is compiled once and reused across applies; joins
     against unchanged base tables build (and keep) their hash tables on
-    the base scan — see :func:`_prefer_cached_base_builds` — and every
+    the base side — see :func:`_prefer_cached_base_builds` — and every
     scan reads the batch kept on the relation version it finds, so a base
     table the database's update carried forward is not encoded again.
+    The scans of the Δ-tables and of the changed bases are fresh
+    (:func:`_mark_fresh_scans`): no operator keeps anything derived from
+    them, which would only pin the previous apply's batches.
     """
 
     __slots__ = ("core", "changed", "dname", "delta_query", "plan", "schema", "semiring")
@@ -324,7 +325,7 @@ def compile_delta_plan(
                 dname(name), KRelation.empty(db.semiring, db.relation(name).schema.attributes)
             )
         plan = compile_plan(delta_query, template, annotations=annotations)
-        _prefer_cached_base_builds(
-            plan.root, frozenset(dname(n) for n in effective), effective
-        )
+        delta_names = frozenset(dname(n) for n in effective)
+        _mark_fresh_scans(plan.root, delta_names | effective)
+        _prefer_cached_base_builds(plan.root, delta_names)
     return DeltaPlan(core, effective, dname, delta_query, plan, schema, semiring)

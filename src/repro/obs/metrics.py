@@ -447,7 +447,11 @@ AGGREGATE_COLLAPSE = REGISTRY.counter(
 #: valuation homomorphism mapped a batch as arrays over the term store's
 #: runs or by the object walk, and why; under ``op="lower"``, each planned
 #: result kept as the root's arrays whose rows a reader built
-#: (``kernel="terms"``: ``N[X]`` folds; ``"arrays"``: machine scalars).
+#: (``kernel="terms"``: ``N[X]`` folds; ``"arrays"``: machine scalars);
+#: under ``op="translate"``, each dictionary translation looked up
+#: (``memo``) or made (``built``); and under ``op="pipeline"`` /
+#: ``op="probe"``, each pipeline output or join probe an operator kept
+#: over lasting batches, reused (``kept``) or made (``built``).
 ENCODED_KERNEL = REGISTRY.counter(
     "repro_encoded_kernel_total",
     "Encoded-tier join probes (op=join), duplicate merges (op=consolidate) "
@@ -460,7 +464,10 @@ ENCODED_KERNEL = REGISTRY.counter(
     "(kernel=array) or by the object walk (kernel=\"fallback: <cause>\"); "
     "planned results kept as the root's arrays whose rows a reader built "
     "(op=lower, kernel=terms for N[X] term-store runs, kernel=arrays for "
-    "machine scalars).",
+    "machine scalars); dictionary translations reused or made "
+    "(op=translate, kernel=memo|built); and pipeline outputs and join "
+    "probes kept over stored versions, reused or made (op=pipeline|probe, "
+    "kernel=kept|built).",
     ("op", "kernel"),
 )
 

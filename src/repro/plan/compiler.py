@@ -95,9 +95,11 @@ def _note_tier(tier: str) -> None:
 class PhysicalPlan:
     """A compiled, executable plan bound to a database.
 
-    Executing the same plan repeatedly reuses its hash-join build tables
-    while the underlying (immutable) relations are unchanged; scans read
-    the batches kept on those relation versions
+    Executing the same plan repeatedly reuses what its operators derived
+    from the underlying (immutable) relations alone — hash-join build
+    tables and probes, pipeline outputs
+    (:meth:`~repro.plan.physical.PhysicalOp.lasts`) — while those are
+    unchanged; scans read the batches kept on the relation versions
     (:class:`~repro.plan.physical.Scan`).
 
     ``tier`` is the compile-time execution-tier selection: ``"encoded"``

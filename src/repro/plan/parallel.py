@@ -417,6 +417,8 @@ def _exec_morsel(state, morsel_index: int, start: int, stop: int, deadline=None)
         else:
             seeded = batch
         ctx.results[id(scan)] = seeded
+        if seeded is not batch:  # a slice ends with the morsel: keep nothing of it
+            ctx.sliced.add(id(scan))
     root = state["root"]
     if state["kind"] == "group":
         pre = root.children[0].execute(ctx)

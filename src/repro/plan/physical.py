@@ -14,12 +14,15 @@ Operator inventory:
                     which is immutable, so every plan shares it.
 ``FusedPipeline``   a select/project/rename/distinct chain executed in as
                     few passes as possible; the σ→Π peephole runs both in
-                    one pass without materialising the selected rows.
+                    one pass without materialising the selected rows.  Over
+                    a batch that outlives the execution its output is kept
+                    on the node (see :meth:`PhysicalOp.lasts`).
 ``HashJoin``        natural-, equi- and cross joins.  The planner puts the
                     smaller estimated side on the build side; the built
-                    bucket table is cached on the node and reused while the
-                    build input is identical (e.g. repeated execution of a
-                    prepared plan against the same base tables).
+                    bucket table, and the encoded probe's per-row buckets,
+                    are kept on the node and reused while their inputs are
+                    identical (e.g. repeated execution of a prepared plan
+                    against the same base tables).
 ``UnionAll``        annotation-summing union; batches simply concatenate
                     (the ``+_K`` merge is deferred, see columnar.py).
 ``GroupedAggregate``  every aggregation: GROUP BY without the
@@ -40,6 +43,7 @@ Operator inventory:
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import faults
@@ -123,7 +127,9 @@ class ExecutionContext:
     kept them on the object tier.  ``runs`` is the operator, if any,
     whose groups may stay arrays (a
     :class:`~repro.plan.term_result.TermResult`): the root of a plan
-    whose result is handed over as a relation."""
+    whose result is handed over as a relation.  ``sliced`` holds the ids
+    of the scans seeded with a slice of their table (a parallel morsel's),
+    whose batches end with the execution (:meth:`PhysicalOp.lasts`)."""
 
     __slots__ = (
         "db",
@@ -135,6 +141,7 @@ class ExecutionContext:
         "boxed",
         "deadline",
         "runs",
+        "sliced",
     )
 
     def __init__(
@@ -155,6 +162,7 @@ class ExecutionContext:
         #: operator boundary — the cooperative-cancellation checkpoints.
         self.deadline = deadline
         self.runs = None
+        self.sliced: set = set()
 
 
 def _as_columnar(batch, ctx: "ExecutionContext | None" = None) -> ColumnarKRelation:
@@ -209,6 +217,17 @@ class PhysicalOp:
 
     def _run(self, ctx: ExecutionContext) -> ColumnarKRelation:
         raise NotImplementedError
+
+    def lasts(self, ctx: Optional[ExecutionContext] = None) -> bool:
+        """Does the batch this operator returns in ``ctx`` (``None``: in
+        any execution) outlive the execution?  A scan's does — it is kept
+        on the stored version — unless its table is a new relation on
+        every execution (:attr:`Scan.fresh`) or ``ctx`` seeded the scan
+        with a slice; so does that of a pipeline over a lasting batch (it
+        keeps its output).  Work derived only from lasting batches is
+        kept on the operator (:func:`_keep`); anything else would pin the
+        previous run's batch at a 100 % miss rate."""
+        return False
 
     def label(self) -> str:
         raise NotImplementedError
@@ -280,11 +299,15 @@ class Scan(PhysicalOp):
     representations to a join or re-decomposes on every switch.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "fresh")
 
     def __init__(self, name: str, schema: Schema, est_rows: int):
         super().__init__((), schema, est_rows)
         self.name = name
+        #: the table is a new relation on every execution (a delta plan's
+        #: Δ-tables and the bases its deltas change): its batch does not
+        #: last (:meth:`PhysicalOp.lasts`)
+        self.fresh = False
 
     def _run(self, ctx: ExecutionContext):
         # latency fault point: a seeded sleep lets the chaos suite drive
@@ -299,6 +322,9 @@ class Scan(PhysicalOp):
                 return batch
             ctx.boxed.append(self.name)  # its contents disqualify the tier
         return object_scan(rel, ctx.annotations)
+
+    def lasts(self, ctx: Optional[ExecutionContext] = None) -> bool:
+        return not self.fresh and (ctx is None or id(self) not in ctx.sliced)
 
     def label(self) -> str:
         return f"Scan {self.name}"
@@ -336,6 +362,34 @@ def _note_kernel(op: str, space: int, rows: int, machine=None, presence=None) ->
         attrs["presence"] = presence
 
 
+#: per counted kind of kept result, the ``kernel`` a reuse counts as and
+#: the ``kept`` attribute it puts on the operator's span
+_REUSE = {"pipeline": ("kept", "output"), "probe": ("kept", "probe"),
+          "translate": ("memo", None)}
+
+
+def _keep(cache: Dict[Any, Any], key, inputs: Tuple[Any, ...], lasts: bool, make,
+          op: Optional[str] = None):
+    """``make()``, a result derived from ``inputs`` alone, kept in
+    ``cache[key]`` while ``lasts`` (:meth:`PhysicalOp.lasts`) and reused
+    while the inputs are the identical objects: one entry per key,
+    replaced, never accumulated.  Under ``op`` (a :data:`_REUSE` kind)
+    each lasting lookup counts on ``repro_encoded_kernel_total`` as a
+    reuse or ``built``."""
+    entry = cache.get(key) if lasts else None
+    hit = entry is not None and all(map(operator.is_, entry[0], inputs))
+    if not hit:
+        entry = (inputs, make())
+        if lasts:
+            cache[key] = entry
+    if op is not None and lasts:
+        reuse, attr = _REUSE[op]
+        _metrics.ENCODED_KERNEL.inc(1, op, reuse if hit else "built")
+        if hit and attr is not None:
+            _trace.add_attrs(kept=attr)
+    return entry[1]
+
+
 def _sum_by_key(op: str, keys, anns, batch: EncodedBatch, space: int):
     """``+_K`` of ``anns`` per key, noted as ``op``; the keys present are
     read off the sums where those show them (``kernels.marks_itself``)."""
@@ -350,13 +404,8 @@ def _translation(memo: Dict[Any, Any], key, col, other, build=None):
     """``col.translate_to(other)`` (or a union's ``build``), kept whole in
     ``memo[key]`` while both dictionaries are the very lists it was built
     from (none grows in place), and counted as ``memo`` or ``built``."""
-    entry = memo.get(key)
-    hit = entry is not None and entry[0] is col.values and entry[1] is other.values
-    if not hit:
-        made = col.translate_to(other) if build is None else build()
-        entry = memo[key] = (col.values, other.values, made)
-    _metrics.ENCODED_KERNEL.inc(1, "translate", "memo" if hit else "built")
-    return entry[2]
+    make = build or (lambda: col.translate_to(other))
+    return _keep(memo, key, (col.values, other.values), True, make, "translate")
 
 
 def _same_machine(left: EncodedBatch, right: EncodedBatch) -> None:
@@ -657,19 +706,42 @@ class FusedPipeline(PhysicalOp):
     A ``SelectStage`` immediately followed by a ``ProjectStage`` runs as a
     single pass: the selected row indices feed the projection's merge
     directly, so the filtered intermediate is never materialised.
+
+    Over a child whose batch lasts (:meth:`PhysicalOp.lasts`: a scan, or a
+    pipeline over one) the output is kept, so the chain runs once per
+    stored version; a reuse re-marks the run as fallen back where the
+    kept output's did, so ``explain()`` stays truthful.
     """
 
-    __slots__ = ("stages",)
+    __slots__ = ("stages", "_kept")
 
     def __init__(self, child: PhysicalOp, stages: List[Any], schema: Schema, est_rows: int):
         super().__init__((child,), schema, est_rows)
         self.stages = list(stages)
+        # input representation -> ((input batch,), (output, whether a
+        # stage fell back to the object path)), a :func:`_keep` entry
+        self._kept: Dict[str, Tuple[Any, Any]] = {}
 
     def extended(self, stage: Any, schema: Schema, est_rows: int) -> "FusedPipeline":
         return FusedPipeline(self.children[0], self.stages + [stage], schema, est_rows)
 
+    def lasts(self, ctx: Optional[ExecutionContext] = None) -> bool:
+        return self.children[0].lasts(ctx)
+
     def _run(self, ctx: ExecutionContext):
-        batch = self.children[0].execute(ctx)
+        child = self.children[0]
+        batch = child.execute(ctx)
+        rep = "encoded" if isinstance(batch, EncodedBatch) else "object"
+        out, fell_back = _keep(self._kept, rep, (batch,), child.lasts(ctx),
+                               lambda: self._apply(batch), "pipeline")
+        if fell_back:
+            ctx.fell_back = True
+        return out
+
+    def _apply(self, batch) -> Tuple[Any, bool]:
+        """The stages over ``batch``, and whether one fell back to the
+        object path."""
+        fell_back = False
         stages = self.stages
         i = 0
         while i < len(stages):
@@ -690,14 +762,14 @@ class FusedPipeline(PhysicalOp):
                         i += 1
                     continue
                 except EncodedFallback:
-                    batch = _as_columnar(batch, ctx)
+                    batch, fell_back = batch.to_columnar(), True
             if fuse:
                 batch = stages[i + 1].apply(batch, keep=stage.keep(batch))
                 i += 2
             else:
                 batch = stage.apply(batch)
                 i += 1
-        return batch
+        return batch, fell_back
 
     def label(self) -> str:
         return "Fused[" + " → ".join(s.describe() for s in self.stages) + "]"
@@ -753,13 +825,17 @@ class HashJoin(PhysicalOp):
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
         self.build_side = build_side
-        # representation -> (build batch object, build structure); each
-        # entry is valid while its batch object is identical — true for
-        # cached scans over an unchanged relation.  One slot per
-        # representation, so an execution stream alternating tiers (the
-        # incremental engine's size-adaptive dispatch) keeps both builds.
-        # ("probe", attr) -> a probe key's translation (:func:`_translation`)
-        self._build_cache: Dict[Any, Tuple[Any, ...]] = {}
+        # :func:`_keep` entries, each valid while its inputs are the
+        # identical objects — true for lasting sides
+        # (:meth:`PhysicalOp.lasts`) over unchanged relations:
+        # representation -> ((build batch,), build structure), one slot
+        # per representation, so an execution stream alternating tiers
+        # (the incremental engine's size-adaptive dispatch) keeps both
+        # builds; "buckets" -> ((probe batch, build structure), the
+        # encoded probe's per-row buckets and matched rows), while both
+        # sides last; ("probe", attr) -> a probe key's translation
+        # (:func:`_translation`)
+        self._build_cache: Dict[Any, Tuple[Any, Any]] = {}
 
     def _guard(self, left: ColumnarKRelation, right: ColumnarKRelation) -> None:
         if self.kind == "natural":
@@ -771,12 +847,8 @@ class HashJoin(PhysicalOp):
             _require_plain_columns(left, self.left_keys, context)
             _require_plain_columns(right, self.right_keys, context)
 
-    def _buckets(
-        self, build: ColumnarKRelation, keys: Tuple[str, ...], cacheable: bool
-    ) -> Dict[Any, List[int]]:
-        cached = self._build_cache.get("object")
-        if cached is not None and cached[0] is build:
-            return cached[1]
+    @staticmethod
+    def _buckets(build: ColumnarKRelation, keys: Tuple[str, ...]) -> Dict[Any, List[int]]:
         buckets: Dict[Any, List[int]] = {}
         for i, key in enumerate(_hash_keys(build, keys)):
             bucket = buckets.get(key)
@@ -784,14 +856,6 @@ class HashJoin(PhysicalOp):
                 buckets[key] = [i]
             else:
                 bucket.append(i)
-        # only batches that outlive this execution (a scan's, kept on the
-        # relation version) can ever hit again; caching anything else would
-        # just pin the previous build batch in memory at a guaranteed 100%
-        # miss rate
-        if cacheable:
-            self._build_cache["object"] = (build, buckets)
-        else:
-            self._build_cache.pop("object", None)
         return buckets
 
     def _run(self, ctx: ExecutionContext):
@@ -799,7 +863,7 @@ class HashJoin(PhysicalOp):
         right = self.children[1].execute(ctx)
         if isinstance(left, EncodedBatch) and isinstance(right, EncodedBatch):
             try:
-                return self._run_encoded(left, right)
+                return self._run_encoded(left, right, ctx)
             except EncodedFallback:
                 pass
         left = _as_columnar(left, ctx)
@@ -813,7 +877,8 @@ class HashJoin(PhysicalOp):
             build, probe = right, left
             build_keys, probe_keys = self.right_keys, self.left_keys
             build_child = self.children[1]
-        buckets = self._buckets(build, build_keys, isinstance(build_child, Scan))
+        buckets = _keep(self._build_cache, "object", (build,), build_child.lasts(ctx),
+                        lambda: self._buckets(build, build_keys))
 
         build_idx: List[int] = []
         probe_idx: List[int] = []
@@ -851,10 +916,9 @@ class HashJoin(PhysicalOp):
 
     # -- encoded tier --------------------------------------------------------
 
-    def _encoded_buckets(
-        self, build: EncodedBatch, keys: Tuple[str, ...], cacheable: bool
-    ):
-        """The encoded build structure, cached per build batch like the
+    @staticmethod
+    def _encoded_buckets(build: EncodedBatch, keys: Tuple[str, ...]):
+        """The encoded build structure, kept per build batch like the
         object bucket table: a stable argsort of the combined build key
         codes plus per-distinct-key ``(starts, counts)`` — each probe
         match gathers its matching build rows as one slice of the order
@@ -865,9 +929,6 @@ class HashJoin(PhysicalOp):
         build already in key order (a dimension encoded in key order) is
         not sorted, and its order is ``None``: the identity.
         """
-        cached = self._build_cache.get("encoded")
-        if cached is not None and cached[0] is build:
-            return cached[1]
         cols = [build.col(a) for a in keys]
         bkeys, space = enc.combine_codes(cols)
         order, sorted_keys = None, bkeys
@@ -882,21 +943,15 @@ class HashJoin(PhysicalOp):
         if kernels.direct(space, n):
             slot = np.full(space + 1, -1, dtype=np.int64)
             slot[unique] = np.arange(len(unique), dtype=np.int64)
-        struct = (cols, space, slot, unique, order, starts, counts)
-        # same policy as the object path: only scan batches outlive the
-        # execution, so anything else would pin memory at a 100% miss rate
-        if cacheable:
-            self._build_cache["encoded"] = (build, struct)
-        else:
-            self._build_cache.pop("encoded", None)
-        return struct
+        return cols, space, slot, unique, order, starts, counts
 
     def _encoded_probe_buckets(
         self, probe: EncodedBatch, probe_keys: Tuple[str, ...], struct
     ):
         """Per probe row, the bucket of the build rows its key matches
-        (-1: none, also for a key value absent from the build dictionary).
-        The translation into the build code space runs per distinct probe
+        (-1: none, also for a key value absent from the build dictionary),
+        and the probe rows that matched (``None``: every one).  The
+        translation into the build code space runs per distinct probe
         value, never per row; over a slot table, a one-attribute key
         composes it with the slot lookup first, so each probe row costs
         one gather."""
@@ -906,26 +961,31 @@ class HashJoin(PhysicalOp):
             attr = probe_keys[0]
             pcol = probe.col(attr)
             # an absent value translates to -1: the slot table's last row
-            return slot[_translation(memo, ("probe", attr), pcol, bcols[0])][pcol.codes]
-        pkeys = invalid = None
-        for bcol, attr in zip(bcols, probe_keys):
-            pcol = probe.col(attr)
-            translated = _translation(memo, ("probe", attr), pcol, bcol)[pcol.codes]
-            bad = translated < 0
-            invalid = bad if invalid is None else invalid | bad
-            if pkeys is None:
-                pkeys = translated
+            pos = slot[_translation(memo, ("probe", attr), pcol, bcols[0])][pcol.codes]
+        else:
+            pkeys = invalid = None
+            for bcol, attr in zip(bcols, probe_keys):
+                pcol = probe.col(attr)
+                translated = _translation(memo, ("probe", attr), pcol, bcol)[pcol.codes]
+                bad = translated < 0
+                invalid = bad if invalid is None else invalid | bad
+                if pkeys is None:
+                    pkeys = translated
+                else:
+                    pkeys = pkeys * len(bcol.values) + translated
+            pkeys = np.where(invalid, np.int64(-1), pkeys)
+            if slot is not None:
+                pos = slot[pkeys]
             else:
-                pkeys = pkeys * len(bcol.values) + translated
-        pkeys = np.where(invalid, np.int64(-1), pkeys)
-        if slot is not None:
-            return slot[pkeys]
-        # -1 (absent) and every unmatched key miss the padding too
-        pos = np.searchsorted(unique, pkeys)
-        pos[np.append(unique, -2)[pos] != pkeys] = -1
-        return pos
+                # -1 (absent) and every unmatched key miss the padding too
+                pos = np.searchsorted(unique, pkeys)
+                pos[np.append(unique, -2)[pos] != pkeys] = -1
+        matched = pos >= 0
+        return pos, None if matched.all() else np.flatnonzero(matched)
 
-    def _run_encoded(self, left: EncodedBatch, right: EncodedBatch) -> EncodedBatch:
+    def _run_encoded(
+        self, left: EncodedBatch, right: EncodedBatch, ctx: ExecutionContext
+    ) -> EncodedBatch:
         semiring = left.semiring
         _same_machine(left, right)
         if self.kind != "cross":
@@ -934,34 +994,37 @@ class HashJoin(PhysicalOp):
         if self.build_side == "left":
             build, probe = left, right
             build_keys, probe_keys = self.left_keys, self.right_keys
-            build_child = self.children[0]
+            build_child, probe_child = self.children
         else:
             build, probe = right, left
             build_keys, probe_keys = self.right_keys, self.left_keys
-            build_child = self.children[1]
+            probe_child, build_child = self.children
 
         if self.kind == "cross":
             nb, npr = len(build), len(probe)
             build_idx = np.repeat(np.arange(nb, dtype=np.int64), npr)
             probe_idx = np.tile(np.arange(npr, dtype=np.int64), nb)
         else:
-            struct = self._encoded_buckets(
-                build, build_keys, isinstance(build_child, Scan)
-            )
+            cache, lasts = self._build_cache, build_child.lasts(ctx)
+            struct = _keep(cache, "encoded", (build,), lasts,
+                           lambda: self._encoded_buckets(build, build_keys))
             _bcols, space, _slot, unique, order, starts, counts = struct
             ordered = (lambda idx: idx) if order is None else order.__getitem__
-            pos = self._encoded_probe_buckets(probe, probe_keys, struct)
+            # a join of two stored versions probes once per pair of them
+            pos, matched = _keep(
+                cache, "buckets", (probe, struct), lasts and probe_child.lasts(ctx),
+                lambda: self._encoded_probe_buckets(probe, probe_keys, struct), "probe",
+            )
             _note_kernel("join", space, len(build))
-            matched = pos >= 0
             if len(unique) == len(build):
                 # one build row per key (a key join): every count is 1, so
                 # the fan-out below is ``order[starts[bucket]]`` and
                 # ``starts`` is the identity; a probe side that matched in
                 # full keeps its rows (``None``: in place, nothing gathered)
-                probe_idx = None if matched.all() else np.flatnonzero(matched)
+                probe_idx = matched
                 build_idx = ordered(pos if probe_idx is None else pos[probe_idx])
             else:
-                probe_rows = np.flatnonzero(matched)
+                probe_rows = np.arange(len(pos), dtype=np.int64) if matched is None else matched
                 buckets = pos[probe_rows]
                 cnt = counts[buckets]
                 probe_idx = np.repeat(probe_rows, cnt)
@@ -1021,7 +1084,7 @@ class UnionAll(PhysicalOp):
 
     def __init__(self, left: PhysicalOp, right: PhysicalOp, schema: Schema, est_rows: int):
         super().__init__((left, right), schema, est_rows)
-        # attr -> (left dictionary, right dictionary, (the right codes'
+        # attr -> ((left dictionary, right dictionary), (the right codes'
         # translation, a merged column)), a :func:`_translation` entry, so
         # repeated runs over a stored version share one merged dictionary
         self._merged: Dict[str, Tuple[Any, Any, Any]] = {}
@@ -1445,15 +1508,20 @@ def _aggregated_columns(batch: EncodedBatch, aggregations: Mapping[str, Any],
                         lift: bool) -> Dict[str, Any]:
     """The encoded columns ``aggregations`` folds, each ``lift``-ed into
     its monoid (AVG) or checked to lie in it (:class:`EncodedFallback`
-    otherwise)."""
+    otherwise; decided once per dictionary and monoid, in ``col.facts``)."""
     agg_cols = {}
     for attr, monoid in aggregations.items():
         col = batch.col(attr)
         if lift:
             lifted = list(map(monoid.lift, col.values))
             col = enc.EncodedColumn(col.codes, lifted, dict(zip(lifted, range(len(lifted)))))
-        elif not all(map(monoid.contains, col.values)):
-            raise EncodedFallback(f"foreign value in column {attr!r}")
+        else:
+            key = ("contains", monoid)
+            contained = col.facts.get(key)
+            if contained is None:
+                contained = col.facts[key] = all(map(monoid.contains, col.values))
+            if not contained:
+                raise EncodedFallback(f"foreign value in column {attr!r}")
         agg_cols[attr] = col
     return agg_cols
 

@@ -149,6 +149,60 @@ class TestDeltaPlans:
         for kind, entry in entries_after_first.items():
             assert join._build_cache[kind] is entry  # built once, reused
 
+    def test_a_pipeline_over_an_unchanged_base_is_the_kept_build(self):
+        from repro.plan.physical import FusedPipeline, HashJoin
+
+        db = KDatabase(
+            NAT,
+            {
+                "R": KRelation.from_rows(NAT, ("k", "v"), [((i, i), 1) for i in range(50)]),
+                "S": KRelation.from_rows(NAT, ("k", "w"), [((i, -i), 1) for i in range(50)]),
+            },
+        )
+        core = NaturalJoin(Select(Table("R"), [AttrEq("v", 3)]), Rename(Table("S"), {"w": "x"}))
+        plan = compile_delta_plan(core, db, ["R"])
+        # ρ(S) lasts across applies (its output is kept), so it is the build
+        assert "HashJoin natural on (k) build=right" in plan.explain()
+        join = plan.plan.root
+        delta_side, base_side = join.children
+        assert isinstance(join, HashJoin) and isinstance(base_side, FusedPipeline)
+        for k in (3, 4):
+            delta = {"R": KRelation.from_rows(NAT, ("k", "v"), [((k, 3), 1)])}
+            want = plan.delta_query.evaluate(plan.combined(db, delta))
+            assert plan.execute(db, delta) == want
+            if k == 3:
+                entries = dict(join._build_cache)
+                kept = dict(base_side._kept)
+        assert entries and join._build_cache == entries
+        assert kept and base_side._kept == kept
+        # the ΔR side is new on every apply: nothing derived from it is kept
+        assert delta_side._kept == {}
+
+    def test_nothing_is_kept_over_a_changed_base(self):
+        from repro.plan.physical import FusedPipeline, Scan
+
+        db = KDatabase(
+            NAT, {"R": KRelation.from_rows(NAT, ("k", "v"), [((i, i), 1) for i in range(50)])}
+        )
+        core = Rename(Table("R"), {"v": "x"})
+        plan = compile_delta_plan(NaturalJoin(core, core), db, ["R"])
+
+        def ops(op):
+            yield op
+            for child in op.children:
+                yield from ops(child)
+
+        scans = [op for op in ops(plan.plan.root) if isinstance(op, Scan)]
+        assert {op.name for op in scans} == {"R", "ΔR"}
+        assert all(op.fresh and not op.lasts() for op in scans)
+        for k in (100, 101):
+            delta = {"R": KRelation.from_rows(NAT, ("k", "v"), [((k, k), 1)])}
+            want = plan.delta_query.evaluate(plan.combined(db, delta))
+            assert plan.execute(db, delta) == want
+            db.update(delta)
+        pipelines = [op for op in ops(plan.plan.root) if isinstance(op, FusedPipeline)]
+        assert pipelines and all(op._kept == {} for op in pipelines)
+
     def test_missing_table_raises_at_compile(self):
         db = make_db()
         with pytest.raises(QueryError):

@@ -196,8 +196,10 @@ def run_join(db, expect_kernel):
     before = kernel_counts()
     got = plan.execute()
     assert plan._last_tier == "encoded", plan._last_tier
-    # a fresh plan over fresh dictionaries translates each key attribute once
-    assert counted(before) == {("join", expect_kernel): 1, ("translate", "built"): 2}
+    # a fresh plan over fresh dictionaries translates each key attribute
+    # once, and keeps the probe of the two stored versions
+    assert counted(before) == {("join", expect_kernel): 1, ("translate", "built"): 2,
+                               ("probe", "built"): 1}
     assert got == want and got.pretty() == want.pretty()
     return got
 
@@ -270,6 +272,13 @@ KERNEL_OPS = {
 #: each shape's one dictionary translation: the join's probe key (A1,
 #: A2) or the union's merged G dictionary (A3), built on a fresh database
 TRANSLATED = {("translate", "built"): 1}
+#: what each shape keeps for the next run over the same versions: a
+#: join's probe of two lasting sides, each pipeline's output over a scan
+KEPT = {
+    "A1": {("probe", "built"): 1},
+    "A2": {("probe", "built"): 1, ("pipeline", "built"): 2},
+    "A3": {("pipeline", "built"): 2},
+}
 #: of which the boundary merge, which runs in the parent alone
 BOUNDARY_MERGES = {"A1": 0, "A2": 0, "A3": 1}
 
@@ -287,7 +296,8 @@ def kernels_of(name, db, tier):
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_the_analytic_shapes_run_direct_on_every_join_and_reduction(name):
     counts, spans = kernels_of(name, analytic_db(), "encoded")
-    assert counts == {**{(op, "direct"): n for op, n in KERNEL_OPS[name].items()}, **TRANSLATED}
+    assert counts == {**{(op, "direct"): n for op, n in KERNEL_OPS[name].items()},
+                      **TRANSLATED, **KEPT[name]}
     assert len(spans) == sum(KERNEL_OPS[name].values())
     assert {kernel for _span, kernel in spans} == {"direct"}
     text = REGISTRY.render()
@@ -313,7 +323,8 @@ def test_morsel_spans_bring_the_workers_kernels_home(name):
 def test_the_guard_fails_when_the_direct_branch_is_disabled(name, monkeypatch):
     monkeypatch.setattr(kernels, "direct", lambda space, rows: False)
     counts, spans = kernels_of(name, analytic_db(), "encoded")  # same answer
-    assert counts == {**{(op, "sorted"): n for op, n in KERNEL_OPS[name].items()}, **TRANSLATED}
+    assert counts == {**{(op, "sorted"): n for op, n in KERNEL_OPS[name].items()},
+                      **TRANSLATED, **KEPT[name]}
     assert {kernel for _span, kernel in spans} == {"sorted"}
 
 
@@ -323,14 +334,14 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
     right = [((f"a{j}", j, j % 5), 1) for j in range(59)]
     db, db_z = join_db(left, right), join_db(left, right, INT)
     joined = NaturalJoin(Table("L"), Table("R"))
-    for db, query, ops in [
-        (db, joined, {"join"}),
-        (db, Project(Table("L"), ["a", "b"]), {"consolidate"}),
-        (db, GroupBy(Table("L"), ["a", "b"], {}, count_attr="n"), {"aggregate"}),
+    for db, query, ops, kept in [
+        (db, joined, {"join"}, {("probe", "built")}),
+        (db, Project(Table("L"), ["a", "b"]), {"consolidate"}, {("pipeline", "built")}),
+        (db, GroupBy(Table("L"), ["a", "b"], {}, count_attr="n"), {"aggregate"}, set()),
         # a collapsing SUM reduces on the group key alone: sparse here ...
-        (db, GroupBy(Table("L"), ["a", "b"], {"id": SUM}), {"aggregate"}),
+        (db, GroupBy(Table("L"), ["a", "b"], {"id": SUM}), {"aggregate"}, set()),
         # ... and a space that keeps its entries on the (group, value) pair
-        (db_z, GroupBy(Table("L"), ["a"], {"b": SUM}), {"aggregate"}),
+        (db_z, GroupBy(Table("L"), ["a"], {"b": SUM}), {"aggregate"}, set()),
     ]:
         before = kernel_counts()
         result, root, plan = analyze_query(query, db, tier="encoded")
@@ -339,23 +350,23 @@ def test_a_sparse_two_column_key_reports_sorted_on_join_and_reductions():
         assert result == query.evaluate(db, engine="interpreted")
         # the join translates its two key attributes once each
         translated = {("translate", "built")} if "join" in ops else set()
-        assert set(counts) == {(op, "sorted") for op in ops} | translated
+        assert set(counts) == {(op, "sorted") for op in ops} | translated | kept
         assert {kernel for _span, kernel in span_kernels(root)} == {"sorted"}
 
 
-@pytest.mark.parametrize("query,ops", [
-    (NaturalJoin(Table("Fact"), Table("Dim")), {"join": 1}),
-    (GroupBy(Table("Fact"), ["G"], {"V": SUM}, count_attr="N"), {"aggregate": 1}),
-    (Project(Table("Fact"), ["G"]), {"consolidate": 1}),
+@pytest.mark.parametrize("query,ops,kept", [
+    (NaturalJoin(Table("Fact"), Table("Dim")), {"join": 1}, {("probe", "built"): 1}),
+    (GroupBy(Table("Fact"), ["G"], {"V": SUM}, count_attr="N"), {"aggregate": 1}, {}),
+    (Project(Table("Fact"), ["G"]), {"consolidate": 1}, {("pipeline", "built"): 1}),
 ], ids=["join", "aggregate", "projection"])
-def test_a_distinct_root_runs_no_boundary_merge(query, ops):
+def test_a_distinct_root_runs_no_boundary_merge(query, ops, kept):
     db = analytic_db()
     before = kernel_counts()
     result, root, _plan = analyze_query(query, db, tier="encoded")
     counts = counted(before)
     assert result == query.evaluate(db, engine="interpreted")
     translated = TRANSLATED if "join" in ops else {}
-    assert counts == {**{(op, "direct"): n for op, n in ops.items()}, **translated}
+    assert counts == {**{(op, "direct"): n for op, n in ops.items()}, **translated, **kept}
     boundary = [s for s in root.children if s.name == "plan.materialise"]
     assert [s.attrs["merge"] for s in boundary] == ["distinct"]
     assert "kernel" not in boundary[0].attrs
