@@ -28,11 +28,9 @@ an augmented catalog — base tables plus ``Δ``-prefixed delta tables — so
 it is pushed through :func:`repro.plan.compiler.compile_plan` unchanged:
 selection pushdown applies to the delta tree, hash joins build on the
 (tiny, estimated-0) delta side, and fused select/project pipelines run per
-batch.  The tier is chosen per apply by delta size: a delta of fewer than
-:attr:`DeltaPlan.ENCODED_DELTA_MIN_ROWS` rows runs on
-:class:`~repro.plan.columnar.ColumnarKRelation` batches, a larger one on
-the encoded kernels, which read the base tables' encodings off their
-versions (:func:`repro.plan.encoded.encoded_scan`).
+batch.  A delta plan is compiled for the object tier: it runs on
+:class:`~repro.plan.columnar.ColumnarKRelation` batches whatever the
+delta's size, and encodes neither its Δ-tables nor the bases.
 
 The rewrites walk and rebuild trees through the nodes' own ``children`` /
 ``with_children``; what is written here is only what is specific to
@@ -206,8 +204,7 @@ class DeltaPlan:
     physical plan is compiled once and reused across applies; joins
     against unchanged base tables build (and keep) their hash tables on
     the base side — see :func:`_prefer_cached_base_builds` — and every
-    scan reads the batch kept on the relation version it finds, so a base
-    table the database's update carried forward is not encoded again.
+    scan reads the object batch kept on the relation version it finds.
     The scans of the Δ-tables and of the changed bases are fresh
     (:func:`_mark_fresh_scans`): no operator keeps anything derived from
     them, which would only pin the previous apply's batches.
@@ -238,44 +235,18 @@ class DeltaPlan:
         """The execution catalog of one apply: the base relations the core
         reads, from ``db``, plus the Δ-named deltas.  Built afresh per
         call; it holds the very relation versions of ``db``, so its scans
-        read their kept encodings (:mod:`repro.plan.encoded`)."""
+        read their kept batches (:func:`repro.plan.encoded.object_scan`)."""
         relations = {name: db.relation(name) for name in table_refs(self.core)}
         relations.update((self.dname(name), deltas[name]) for name in self.changed)
         return KDatabase(db.semiring, relations)
 
-    #: Below this many delta rows the delta plan runs on the object tier:
-    #: the encoded tier pays per apply for encoding the fresh Δ-tables and
-    #: for the boundary decode, and wins only once a delta's join output
-    #: is large.  Measured (median of this method over an ``Emp`` of
-    #: 40 000 rows; 2-core Xeon, CPython 3.11): a ΔEmp, which meets one
-    #: ``Dept`` row each, is faster on the object tier at every size from
-    #: 1 to 16 384 rows (2.4-4.3x on ``GB[Dept; SUM(Sal)](Emp)``, 3.9x down
-    #: to 1.3x on ``GB[Region; SUM(Sal)](Emp ⋈ Dept)``); a ΔDept joined to
-    #: ~10 ``Emp`` rows each (4 096 departments) crosses over between 256
-    #: rows (object 1.9 ms, encoded 2.0) and 384 (2.7 vs 2.6), and is 1.4x
-    #: faster encoded at 4 096.  Deltas with more matches per row cross
-    #: earlier (~40 each: between 20 and 128 rows).
-    ENCODED_DELTA_MIN_ROWS = 256
-
     def execute_batch(
         self, db: KDatabase, deltas: Mapping[str, KRelation]
     ) -> ColumnarKRelation:
-        """Run the delta plan; the result batch may carry duplicate rows.
-
-        The execution tier is chosen per apply by delta size: bulk deltas
-        run the encoded kernels (scanning the full base sides vectorized),
-        trickle deltas pin the object tier (see
-        :attr:`ENCODED_DELTA_MIN_ROWS`).
-        """
+        """Run the delta plan; the result batch may carry duplicate rows."""
         if self.delta_query is None:
             return ColumnarKRelation.empty(self.semiring, self.schema)
-        exec_db = self.combined(db, deltas)
-        tier = None
-        if self.plan.tier == "encoded":
-            total = sum(len(deltas[name]) for name in self.changed)
-            if total < self.ENCODED_DELTA_MIN_ROWS:
-                tier = "object"
-        return self.plan.execute_batch(exec_db, tier=tier)
+        return self.plan.execute_batch(self.combined(db, deltas))
 
     def execute(self, db: KDatabase, deltas: Mapping[str, KRelation]) -> KRelation:
         """Run the delta plan and consolidate into a logical relation."""
@@ -324,7 +295,7 @@ def compile_delta_plan(
             template.add(
                 dname(name), KRelation.empty(db.semiring, db.relation(name).schema.attributes)
             )
-        plan = compile_plan(delta_query, template, annotations=annotations)
+        plan = compile_plan(delta_query, template, tier="object", annotations=annotations)
         delta_names = frozenset(dname(n) for n in effective)
         _mark_fresh_scans(plan.root, delta_names | effective)
         _prefer_cached_base_builds(plan.root, delta_names)

@@ -291,7 +291,7 @@ class MaterializedView:
                 f"{self.core_schema}; recreate the view"
             )
         plan = compile_plan(self._core, db, annotations=self.annotations)
-        initial = plan.execute_raw(db)
+        initial = plan.execute_batch(db)
         if len(initial):
             head.absorb(initial)
 

@@ -609,7 +609,7 @@ SERVE_OPEN_CONNECTIONS._child(())
 
 def tier_executions() -> Dict[str, int]:
     """Cumulative per-tier plan-execution counts (which tier actually
-    served each ``execute_batch`` call)."""
+    served each plan execution)."""
     values = TIER_EXECUTIONS.values()
     return {
         tier: int(values.get((tier,), 0))

@@ -86,7 +86,7 @@ __all__ = ["PhysicalPlan", "annotation_semiring", "compile_plan"]
 
 
 def _note_tier(tier: str) -> None:
-    # which tier actually served each execute_batch call — the
+    # which tier actually served each execution — the
     # repro_tier_executions_total counter family, exported cumulatively
     # by the serving layer under /stats and /metrics
     _metrics.TIER_EXECUTIONS.inc(1, tier)
@@ -148,7 +148,7 @@ class PhysicalPlan:
         counted from them.  A circuit plan's relation is a ``TermResult``
         over ``N[X]`` holding the gate relation the plan built.
         """
-        batch = self._traced(db, None, deadline, True)
+        batch = self._traced(db, deadline, True)
         if not _trace._ACTIVE:
             return _materialise(batch, self.annotations)[0]
         with _trace.span("plan.materialise", rows_in=len(batch)) as span:
@@ -157,21 +157,20 @@ class PhysicalPlan:
                               lazy=isinstance(rel, TermResult))
         return rel
 
-    def execute_batch(self, db=None, *, tier: "str | None" = None, deadline=None):
-        """Run the plan and return the raw columnar batch.
+    def execute_batch(self, db=None, *, deadline=None):
+        """Run the plan and return the root operator's batch as the tier
+        left it: an :class:`~repro.plan.encoded.EncodedBatch` where the
+        encoded tier ran, else a
+        :class:`~repro.plan.columnar.ColumnarKRelation`.
 
         Rows may repeat with separate annotations (the ``+_K`` merge is
         deferred — see :mod:`repro.plan.columnar`); consumers that patch
         state row-by-row, such as the incremental maintenance engine
         (:mod:`repro.ivm`), absorb the batch directly instead of paying
-        for an intermediate :class:`KRelation`.  Encoded-tier results are
-        decoded at this boundary, so every consumer sees the one batch
-        representation regardless of which tier ran.
-
-        ``tier`` overrides the plan's compile-time selection for this
-        execution only — the incremental engine uses it to run tiny
-        delta batches on the object path, where array-kernel fixed costs
-        cannot pay off (see :meth:`repro.ivm.delta.DeltaPlan.execute_batch`).
+        for an intermediate :class:`KRelation`: a delta plan runs the
+        object tier, and a view's initial fold
+        (:meth:`repro.ivm.state.HeadState.absorb`) reads an encoded core
+        without decoding it.
 
         A ``"parallel"`` execution that cannot shard (see
         :mod:`repro.plan.parallel`) falls back to the serial encoded
@@ -184,34 +183,21 @@ class PhysicalPlan:
         attribute is the same string ``explain()`` prints as
         ``[last run: ...]``; operator and morsel spans nest beneath it.
         """
-        result = self.execute_raw(db, tier, deadline)
-        if isinstance(result, EncodedBatch):
-            result = result.to_columnar()
-        return result
+        return self._traced(db, deadline, False)
 
-    def execute_raw(self, db=None, tier=None, deadline=None):
-        """The root operator's batch as the tier left it — an
-        :class:`~repro.plan.encoded.EncodedBatch` when the encoded tier
-        ran — traced as ``plan.execute``.  :meth:`execute` merges it into
-        a relation and :meth:`execute_batch` decodes it; a view's initial
-        fold (:meth:`repro.ivm.state.HeadState.absorb`) reads it encoded."""
-        return self._traced(db, tier, deadline, False)
-
-    def _traced(self, db, tier, deadline, runs: bool):
+    def _traced(self, db, deadline, runs: bool):
         """:meth:`_execute_batch_impl` in a ``plan.execute`` span; with
         ``runs`` (:meth:`execute` only) a root ``GroupedAggregate`` over an
         encoded batch returns its :class:`~repro.plan.term_result.TermResult`."""
         if not _trace._ACTIVE:
-            return self._execute_batch_impl(db, tier=tier, deadline=deadline, runs=runs)
-        with _trace.span("plan.execute",
-                         tier_requested=tier if tier is not None else self.tier):
-            result = self._execute_batch_impl(db, tier=tier, deadline=deadline, runs=runs)
+            return self._execute_batch_impl(db, deadline, runs)
+        with _trace.span("plan.execute"):
+            result = self._execute_batch_impl(db, deadline, runs)
             _trace.add_attrs(tier=self._last_tier)
             return result
 
-    def _execute_batch_impl(self, db=None, *, tier: "str | None" = None,
-                            deadline=None, runs: bool = False):
-        effective = tier if tier is not None else self.tier
+    def _execute_batch_impl(self, db, deadline, runs: bool):
+        effective = self.tier
         run_db = db if db is not None else self.db
         if deadline is not None and not isinstance(deadline, Deadline):
             # a bare number of seconds is accepted at every entry point
@@ -443,8 +429,8 @@ def compile_plan(
     interpreter without NumPy runs every plan on the object tier, to the
     identical answer.  It never selects the morsel-driven parallel tier:
     measured at 0.2–1.6M rows on two cores, the serial encoded tier was
-    faster on every benchmark shape.  Pass ``"object"`` to pin
-    the boxed path (benchmark baselines, A/B tests), ``"encoded"`` to
+    faster on every benchmark shape.  Pass ``"object"`` to pin the boxed
+    path (delta plans, benchmark baselines, A/B tests), ``"encoded"`` to
     insist on the serial encoded path, or ``"parallel"`` to insist on
     sharded execution (only then is the plan analysed for sharding;
     executions that cannot shard fall back to serial encoded per query,

@@ -294,9 +294,8 @@ class Scan(PhysicalOp):
     outside the machine dtype, an unhashable value — silently decomposes
     to the boxed object batch instead, and every downstream operator
     follows the representation it receives.  The version keeps one image
-    *per representation*, so an execution stream alternating tiers (the
-    incremental engine's size-adaptive delta dispatch) never hands mixed
-    representations to a join or re-decomposes on every switch.
+    *per representation*, so an object plan (a delta plan's) and an
+    encoded plan reading one version each decompose it once.
     """
 
     __slots__ = ("name", "fresh")
@@ -828,12 +827,10 @@ class HashJoin(PhysicalOp):
         # :func:`_keep` entries, each valid while its inputs are the
         # identical objects — true for lasting sides
         # (:meth:`PhysicalOp.lasts`) over unchanged relations:
-        # representation -> ((build batch,), build structure), one slot
-        # per representation, so an execution stream alternating tiers
-        # (the incremental engine's size-adaptive dispatch) keeps both
-        # builds; "buckets" -> ((probe batch, build structure), the
-        # encoded probe's per-row buckets and matched rows), while both
-        # sides last; ("probe", attr) -> a probe key's translation
+        # representation -> ((build batch,), build structure), for the
+        # object or encoded path a run took; "buckets" -> ((probe batch,
+        # build structure), the encoded probe's per-row buckets and
+        # matched rows), while both sides last; ("probe", attr) -> a probe key's translation
         # (:func:`_translation`)
         self._build_cache: Dict[Any, Tuple[Any, Any]] = {}
 
@@ -866,18 +863,20 @@ class HashJoin(PhysicalOp):
                 return self._run_encoded(left, right, ctx)
             except EncodedFallback:
                 pass
+        build_child = self.children[0 if self.build_side == "left" else 1]
+        # a side decoded in this run is a new batch on every run
+        lasts = build_child.lasts(ctx) and not isinstance(
+            left if self.build_side == "left" else right, EncodedBatch)
         left = _as_columnar(left, ctx)
         right = _as_columnar(right, ctx)
         self._guard(left, right)
         if self.build_side == "left":
             build, probe = left, right
             build_keys, probe_keys = self.left_keys, self.right_keys
-            build_child = self.children[0]
         else:
             build, probe = right, left
             build_keys, probe_keys = self.right_keys, self.left_keys
-            build_child = self.children[1]
-        buckets = _keep(self._build_cache, "object", (build,), build_child.lasts(ctx),
+        buckets = _keep(self._build_cache, "object", (build,), lasts,
                         lambda: self._buckets(build, build_keys))
 
         build_idx: List[int] = []

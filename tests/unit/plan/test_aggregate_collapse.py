@@ -22,6 +22,7 @@ from repro.obs import explain_analyze
 from repro.obs.metrics import AGGREGATE_COLLAPSE, REGISTRY
 from repro.plan import compile_plan, parallel
 from repro.plan.encoded import _INT64_MAX
+from repro.plan.physical import _as_columnar
 from repro.semimodules.tensor import Tensor, _Unset, tensor_space
 from repro.semirings import BOOL, INT, NAT, TROPICAL
 from repro.semirings.integers import IntegerRing
@@ -43,7 +44,7 @@ def tensors(query, db, tier, attr="v"):
     which collapses every tensor and fills the caches under test."""
     plan = compile_plan(query, db, tier=tier)
     assert plan.execute() == query.evaluate(db, engine="interpreted")
-    batch = plan.execute_batch()
+    batch = _as_columnar(plan.execute_batch())
     assert plan._last_tier.startswith(tier), plan._last_tier
     rows = zip(batch.column("g"), batch.column(attr), batch.annotations)
     return {g: t for g, t, annotation in rows if not db.semiring.is_zero(annotation)}
@@ -143,7 +144,7 @@ def test_nan_is_unordered_so_min_stays_with_the_fold():
     # the fold keeps 1.5 here (nan <= 1.5 is False); np.minimum would say nan
     db = database(NAT, [(("a", math.nan), 1), (("a", 1.5), 1)])
     plan = compile_plan(GroupBy(Table("R"), ["g"], {"v": MIN}), db, tier="encoded")
-    (t,) = plan.execute_batch().column("v")
+    (t,) = _as_columnar(plan.execute_batch()).column("v")
     assert t._collapsed is _Unset and t.collapse() == recomputed(t) == 1.5
 
 

@@ -132,29 +132,24 @@ class TestTierSelection:
         plan.execute()
         assert "[last run: encoded+object fallback]" in plan.explain()
 
-    def test_delta_plans_pin_object_tier_for_tiny_deltas(self):
-        """Single-row applies must not pay encoded fixed costs; bulk
-        deltas above the threshold run encoded.  Both must maintain the
-        view exactly."""
-        from repro.ivm.delta import DeltaPlan, compile_delta_plan
+    def test_delta_plans_run_the_object_tier_at_any_size(self):
+        """A delta plan is compiled for the object tier, which runs every
+        apply: a 1-row and a 300-row delta are both exact."""
+        from repro.ivm.delta import compile_delta_plan
 
         db = bag_db(400)
         core = NaturalJoin(Table("Emp"), Table("Dept"))
         plan = compile_delta_plan(core, db, ["Emp"])
-        assert plan.plan.tier == "encoded"
-        tiny = {"Emp": KRelation.from_rows(
-            NAT, ("EmpId", "Dept", "Sal"), [((9000, "d1", 10), 1)]
-        )}
-        result = plan.execute(db, tiny)
-        assert plan.plan._last_tier == "object"
-        bulk_rows = [((9100 + i, f"d{i % 4}", 10), 1)
-                     for i in range(DeltaPlan.ENCODED_DELTA_MIN_ROWS)]
-        bulk = {"Emp": KRelation.from_rows(NAT, ("EmpId", "Dept", "Sal"), bulk_rows)}
-        plan.execute(db, bulk)
-        assert plan.plan._last_tier == "encoded"
-        assert result == core.evaluate(
-            KDatabase(NAT, {"Emp": tiny["Emp"], "Dept": db.relation("Dept")})
-        )
+        assert plan.plan.tier == "object"
+        assert "tier: object" in plan.explain()
+        for size in (1, 300):
+            rows = [((9000 + i, f"d{i % 4}", 10), 1 + i % 2) for i in range(size)]
+            delta = KRelation.from_rows(NAT, ("EmpId", "Dept", "Sal"), rows)
+            result = plan.execute(db, {"Emp": delta})
+            assert plan.plan._last_tier == "object"
+            assert result == core.evaluate(
+                KDatabase(NAT, {"Emp": delta, "Dept": db.relation("Dept")})
+            )
 
     def test_forced_object_tier_skips_encoding(self):
         db = bag_db()
@@ -357,9 +352,9 @@ class TestEncodedBatches:
 
     def test_decode_boundary_yields_native_python_scalars(self):
         db = bag_db()
-        batch = compile_plan(Table("Emp"), db).execute_batch()
-        assert not isinstance(batch, EncodedBatch)
-        assert all(type(a) is int for a in batch.annotations)
+        encoded = compile_plan(Table("Emp"), db).execute_batch()
+        assert isinstance(encoded, EncodedBatch)
+        assert all(type(a) is int for a in encoded.to_columnar().annotations)
 
 
 class TestBoundedCaches:

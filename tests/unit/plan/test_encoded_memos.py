@@ -311,6 +311,23 @@ def test_a_kept_output_that_fell_back_still_reports_the_fallback():
 
 
 @needs_numpy
+def test_a_join_keeps_no_buckets_over_a_side_it_decoded():
+    """An encoded side that meets a boxed one is decoded afresh on every
+    run, so the object join keeps no bucket table over it."""
+    big = [((i, f"g{i % 10}"), 2 ** 70 if i == 0 else 1) for i in range(201)]
+    small = [((f"g{j}", j), 1) for j in range(10)]
+    db = KDatabase(NAT, {"B": KRelation.from_rows(NAT, ("Id", "G"), big),
+                         "S": KRelation.from_rows(NAT, ("G", "W"), small)})
+    query = NaturalJoin(Table("B"), Table("S"))
+    plan = compile_plan(query, db)
+    (join,) = [op for op in operators(plan.root) if isinstance(op, HashJoin)]
+    for _run in range(2):
+        assert plan.execute() == query.evaluate(db, engine="interpreted")
+        assert plan._last_tier == "encoded+object fallback", plan._last_tier
+        assert "object" not in join._build_cache
+
+
+@needs_numpy
 @pytest.mark.parametrize("query", [A2, A3], ids=["A2", "A3"])
 def test_a_parallel_run_keeps_no_slice(query, monkeypatch):
     monkeypatch.setattr(parallel, "effective_workers", lambda: 2)

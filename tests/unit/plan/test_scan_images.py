@@ -128,9 +128,10 @@ def test_a_clone_reads_the_batch_the_root_scanned():
 
 
 @needs_numpy
-def test_bulk_view_applies_encode_only_the_delta_tables():
-    """An encoded-tier apply reads the base tables' carried encodings: per
-    apply only the two Δ tables are encoded."""
+@pytest.mark.parametrize("changed", [("R",), ("R", "S")], ids=["R", "R+S"])
+def test_bulk_view_applies_encode_nothing(changed):
+    """A delta plan runs the object tier, so a 300-row apply encodes no Δ
+    table, and the write carries each changed table's encoding forward."""
     r = KRelation.from_rows(NAT, ("A", "B"), [((i, i % 50), 1) for i in range(2000)])
     s = KRelation.from_rows(NAT, ("B", "C"), [((i % 50, i), 1) for i in range(1000)])
     db = KDatabase(NAT, {"R": r, "S": s})
@@ -144,15 +145,19 @@ def test_bulk_view_applies_encode_only_the_delta_tables():
                 NAT, ("B", "C"), [((i % 50, base + i), 1) for i in range(300)]),
         }
         before = rebuilds()
-        view.apply(deltas)
-        assert rebuilds() - before == 2
+        extends = ENCODED_CACHE_EVENTS.values().get(("extend",), 0)
+        view.apply({name: deltas[name] for name in changed})
+        assert rebuilds() == before
+        assert ENCODED_CACHE_EVENTS.values().get(("extend",), 0) - extends == len(changed)
     assert view.check()
 
 
 @needs_numpy
 def test_a_bulk_view_apply_scans_each_delta_once(monkeypatch):
-    """The Δ tables' encodings are what the write carries the base tables'
-    encodings forward by: each delta is decomposed once per apply."""
+    """The Δ tables' object batches, which the delta plan scans, are what
+    the write carries the base tables' encodings forward by: each delta
+    is decomposed once per apply.  So is each changed base: the delta
+    plan's fresh scan of its new version finds no object batch."""
     from repro.plan import encoded
 
     r = KRelation.from_rows(NAT, ("A", "B"), [((i, i % 50), 1) for i in range(2000)])
@@ -179,7 +184,8 @@ def test_a_bulk_view_apply_scans_each_delta_once(monkeypatch):
         scanned.clear()
         view.apply(deltas)
         names = {id(rel): name for name, rel in deltas.items()}
-        assert sorted(names.get(id(rel), "a base table") for rel in scanned) == ["R", "S"]
+        assert sorted(names.get(id(rel), "a base table") for rel in scanned) == \
+            ["R", "S", "a base table", "a base table"]
         assert ENCODED_CACHE_EVENTS.values().get(("extend",), 0) - extends == 2
     assert view.check()
     for name in ("R", "S"):  # the carried encodings are the from-scratch ones

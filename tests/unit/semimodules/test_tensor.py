@@ -315,9 +315,10 @@ def _by_group(db, monoid, tier):
     batch (building a relation would hash, and so collapse, every tensor)."""
     from repro.core import GroupBy, Table
     from repro.plan import compile_plan
+    from repro.plan.physical import _as_columnar
 
     plan = compile_plan(GroupBy(Table("R"), ["g"], {"v": monoid}), db, tier=tier)
-    batch = plan.execute_batch()
+    batch = _as_columnar(plan.execute_batch())
     assert plan._last_tier == tier
     return dict(zip(batch.column("g"), batch.column("v")))
 
