@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.core.relation import KRelation
 from repro.exceptions import QueryError, SchemaError, SemiringError
@@ -131,6 +131,29 @@ class KDatabase:
             self._relations = relations
             self._version += 1
 
+    def adopt(self, folded: "KDatabase", names: Iterable[str]) -> None:
+        """Take ``folded``'s versions of ``names``: the result of a delta
+        batch another catalog has already folded in.
+
+        The contract is the caller's: each named relation here is the
+        very version ``folded`` held before its :meth:`update` of the
+        batch (a served view's catalog is a clone of the published
+        relations), so the adopted catalog equals what :meth:`update`
+        would have folded here — and shares ``folded``'s versions, with
+        the encodings carried onto them, so nothing is folded or carried
+        twice.  One :attr:`version` bump, published with one reference
+        assignment under the writer lock, as :meth:`update` does.
+        """
+        names = list(names)
+        if not names:
+            return
+        with self._lock:
+            relations = dict(self._relations)
+            for name in names:
+                relations[name] = folded.relation(name)
+            self._relations = relations
+            self._version += 1
+
     def check_deltas(
         self, deltas: "Mapping[str, KRelation] | KDatabase"
     ) -> Dict[str, KRelation]:
@@ -234,17 +257,13 @@ class DatabaseSnapshot(KDatabase):
     def _lock(self):
         return self._parent._lock
 
-    def add(self, name: str, relation: KRelation) -> None:
+    def _read_only(self, *_args, **_kwargs) -> None:
         raise QueryError(
             "database snapshot is read-only: mutate the parent database "
             "(snapshots pin one published version)"
         )
 
-    def update(self, deltas) -> None:
-        raise QueryError(
-            "database snapshot is read-only: mutate the parent database "
-            "(snapshots pin one published version)"
-        )
+    add = update = adopt = _read_only
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -55,6 +55,7 @@ _MISSING = object()
 _TUP_ATTRS = attrgetter("_attrs")
 _FLATTEN_ON_READ = RELATION_FLATTENS.labels("read")
 _FLATTEN_ON_OVERLAY = RELATION_FLATTENS.labels("overlay")
+_FLATTEN_COLUMNS = RELATION_FLATTENS.labels("columns")
 
 
 def merged_rows(
@@ -91,16 +92,19 @@ def merged_rows(
     return {t: k for t, k in merged if not is_zero(k)}
 
 
+def _has_zero(semiring: Semiring, annotations: Iterable[Any]) -> bool:
+    """Is an annotation ``0_K``?  One containment test where ``is_zero``
+    is the base class's equality with ``0_K``."""
+    if type(semiring).is_zero is Semiring.is_zero:
+        return semiring.zero in annotations
+    return any(map(semiring.is_zero, annotations))
+
+
 def _without_zeros(semiring: Semiring, data: Dict[Tup, Any]) -> Dict[Tup, Any]:
     """``data`` (duplicate-free) without its ``0_K`` rows: itself when it
-    has none, found by one containment test where ``is_zero`` is the
-    base class's equality with ``0_K``."""
-    is_zero = semiring.is_zero
-    if type(semiring).is_zero is Semiring.is_zero:
-        found = semiring.zero in data.values()
-    else:
-        found = any(map(is_zero, data.values()))
-    if found:
+    has none."""
+    if _has_zero(semiring, data.values()):
+        is_zero = semiring.is_zero
         return {t: k for t, k in data.items() if not is_zero(k)}
     return data
 
@@ -136,11 +140,21 @@ class KRelation:
     base's tuple, the overlay's ``rekeyed`` map holds it, and flattening
     puts it in the row's place.
 
-    Two threads reading a fresh layered version at once may both
-    flatten: they build equal dicts, and each publishes its own with one
-    attribute store (``_flat``, before the layers are dropped), so a
-    reader sees either the layers or a complete flat map and no lock is
-    needed.
+    A bulk load (:meth:`from_rows`) whose rows are distinct and carry no
+    ``0_K`` is *column-held*: it keeps one value list per attribute and
+    the annotation list (``_held``), in the rows' order, and no row map.
+    A scan and a serialiser read those lists as they are
+    (:meth:`columns`); ``len`` is known at construction.  Every other
+    read *lowers* the version first: it builds the row map in column
+    order, one :class:`Tup` per row — exactly the map, in exactly the
+    order, the eager constructor would have built — and drops the lists.
+    A write lowers the version it writes (``union`` reads its rows).
+
+    Two threads reading a fresh layered or column-held version at once
+    may both flatten (or lower): they build equal dicts, and each
+    publishes its own with one attribute store (``_flat``, before the
+    layers or the lists are dropped), so a reader sees either the layers
+    (the lists) or a complete flat map and no lock is needed.
 
     **Images.**  A version's scan images — its object batch and its
     encodings for the planner's tiers — depend on the version alone, so
@@ -150,8 +164,8 @@ class KRelation:
     pickling ignore it.
     """
 
-    __slots__ = ("semiring", "schema", "_flat", "_base", "_overlay", "_size",
-                 "_scan_images")
+    __slots__ = ("semiring", "schema", "_flat", "_base", "_overlay", "_held",
+                 "_size", "_scan_images")
 
     def __init__(
         self,
@@ -168,30 +182,45 @@ class KRelation:
 
     @property
     def _rows(self) -> Dict[Tup, Any]:
-        """The row map as one flat dict (a layered version flattens once)."""
+        """The row map as one flat dict (a layered version flattens once,
+        a column-held one lowers once)."""
         flat = self._flat
         return flat if flat is not None else self._flatten(_FLATTEN_ON_READ)
 
     @_rows.setter
     def _rows(self, rows: Dict[Tup, Any]) -> None:
         # _flat first: a concurrent reader that then finds the layers
-        # gone reads _flat instead
+        # (or the held columns) gone reads _flat instead
         self._flat = rows
-        self._base = self._overlay = None
+        self._base = self._overlay = self._held = None
         self._size = len(rows)
 
     def _layers(self):
         """``(base, live, tombs, rekeyed)`` of a layered version, or
-        ``None`` once it is flat (then read ``_flat``)."""
+        ``None`` once it is flat (then read ``_flat``); a column-held
+        version is lowered to its flat map first."""
         if self._flat is None:
             base, overlay = self._base, self._overlay
             if base is not None and overlay is not None:
                 return (base, *overlay)
+            if self._held is not None:
+                self._lower()
         return None
+
+    def _lower(self) -> None:
+        """Build the row map of a column-held version, in column order."""
+        held = self._held
+        if held is None:  # another reader published first
+            return
+        columns, annotations = held
+        attrs = _canonical_attrs(tuple(self.schema.attributes))
+        values = zip(*map(columns.__getitem__, attrs)) if attrs else repeat((), self._size)
+        self._rows = dict(zip(map(Tup._from_sorted, repeat(attrs), values), annotations))
+        _FLATTEN_COLUMNS.inc()
 
     def _flatten(self, counter) -> Dict[Tup, Any]:
         layers = self._layers()
-        if layers is None:  # another reader published first
+        if layers is None:  # flat: another reader published first, or lowered
             return self._flat
         base, live, tombs, rekeyed = layers
         rows = dict(base)  # copies with the stored hashes
@@ -255,7 +284,7 @@ class KRelation:
                     rekeyed[tup] = tup
         rel = KRelation.__new__(KRelation)
         rel.semiring, rel.schema = semiring, schema
-        rel._flat, rel._base, rel._size = None, base, size
+        rel._flat, rel._base, rel._held, rel._size = None, base, None, size
         rel._overlay = (live, tombs, rekeyed)
         if len(live) + len(tombs) > len(base) * _OVERLAY_SHARE:
             rel._flatten(_FLATTEN_ON_OVERLAY)
@@ -297,14 +326,16 @@ class KRelation:
         """Build from positional rows: ``[((v1, v2, ...), annotation), ...]``.
 
         Column passes, not a per-row loop: the rows split into values and
-        annotations, every length is checked at once, the tuples are
-        built by one ``map``, and a duplicate-free batch becomes its row
-        map in one ``dict`` call (:func:`merged_rows` merges the rest).
+        annotations, and every length is checked at once.  A batch whose
+        rows are distinct (one ``set`` of the value tuples, which also
+        hashes every value) and free of ``0_K`` stays its columns, one
+        ``map`` each: the version is column-held (see the class
+        docstring) and builds its row map on the first read that needs
+        one.  Any other batch becomes its row map at once, duplicates
+        merged with ``+_K`` and zeros dropped (:func:`merged_rows`).
         """
         schema = Schema(attributes)
         arity = len(schema)
-        attrs = tuple(sorted(schema.attributes))
-        place = [schema.attributes.index(a) for a in attrs]
         rows = rows if isinstance(rows, list) else list(rows)
         values, annotations = zip(*rows) if rows else ((), ())
         try:
@@ -317,15 +348,46 @@ class KRelation:
             raise SchemaError(
                 f"{len(bad)} values supplied for schema {schema} of arity {arity}"
             )
+        try:
+            distinct = len(set(values)) == len(values)
+        except TypeError:  # rows given as lists (an unhashable value raises again)
+            distinct = len(set(map(tuple, values))) == len(values)
+        annotations = list(annotations)
+        if distinct and not _has_zero(semiring, annotations):
+            rel = cls.__new__(cls)
+            rel.semiring, rel.schema = semiring, schema
+            rel._flat = rel._base = rel._overlay = None
+            rel._held = ({a: list(map(itemgetter(i), values))
+                          for i, a in enumerate(schema.attributes)}, annotations)
+            rel._size = len(annotations)
+            return rel
+        attrs = _canonical_attrs(tuple(schema.attributes))
+        place = [schema.attributes.index(a) for a in attrs]
         # itemgetter builds the sorted-order tuple straight from a list row
         permute = tuple if place == sorted(place) else itemgetter(*place)
-        tups = list(map(Tup._from_sorted, repeat(attrs), map(permute, values)))
-        data = dict(zip(tups, annotations))
-        if len(data) < len(tups):
-            data = merged_rows(semiring, list(zip(tups, annotations)))
-        else:
-            data = _without_zeros(semiring, data)
-        return cls._from_clean(semiring, schema, data)
+        tups = map(Tup._from_sorted, repeat(attrs), map(permute, values))
+        return cls._from_clean(semiring, schema,
+                               merged_rows(semiring, list(zip(tups, annotations))))
+
+    def columns(self) -> Tuple[Dict[str, List[Any]], List[Any]]:
+        """The relation as columns in storage order (:meth:`rows`'s): one
+        value list per attribute, keyed in schema order, and the
+        annotation list.  A column-held version hands over the lists it
+        holds, without lowering; they are shared, so a caller must not
+        mutate them.  Any other version decomposes its row map: every
+        :class:`Tup` stores its values in sorted-attribute order, so one
+        per-relation permutation says where each column sits, and a
+        column is one C-level ``map`` over the rows."""
+        held = self._held
+        if held is not None:
+            return held
+        stored = self._rows
+        values = [tup._values for tup in stored]
+        place = {a: i for i, a in enumerate(sorted(self.schema.attributes))}
+        columns = {
+            a: list(map(itemgetter(place[a]), values)) for a in self.schema.attributes
+        }
+        return columns, list(stored.values())
 
     @classmethod
     def empty(cls, semiring: Semiring, attributes: Iterable[str]) -> "KRelation":

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import tempfile
-from operator import attrgetter
 from typing import Any, Dict
 
 from repro.core.relation import KRelation
@@ -251,7 +250,6 @@ def _value_from_jsonable(data: Any) -> Any:
 #: ``isinstance``, so a column of them is passed through without a
 #: per-value check.
 _PLAIN_VALUE_TYPES = frozenset([str, int, float, bool, type(None)])
-_TUP_VALUES = attrgetter("_values")
 
 #: Annotation types each semiring stores verbatim in a record (the
 #: types :func:`annotation_to_jsonable` and
@@ -307,16 +305,12 @@ def relation_to_jsonable(rel: KRelation) -> Any:
     semiring = rel.semiring
     if semiring.name not in SEMIRING_REGISTRY:
         raise SerializationError(f"unregistered semiring {semiring.name}")
-    attrs = rel.schema.attributes
-    rows = rel._rows
-    # a Tup stores its values in sorted-attribute order
-    stored = list(zip(*map(_TUP_VALUES, rows))) if rows else [()] * len(attrs)
-    place = {a: i for i, a in enumerate(sorted(attrs))}
+    columns, annotations = rel.columns()
     return {
         "semiring": semiring.name,
-        "schema": list(attrs),
-        "columns": [_column_to_jsonable(stored[place[a]]) for a in attrs],
-        "annotations": _annotations_to_jsonable(semiring, rows.values()),
+        "schema": list(rel.schema.attributes),
+        "columns": [_column_to_jsonable(column) for column in columns.values()],
+        "annotations": _annotations_to_jsonable(semiring, annotations),
     }
 
 

@@ -167,7 +167,11 @@ class MaterializedView:
 
     # -- maintenance --------------------------------------------------------
 
-    def apply(self, deltas: "KDatabase | Mapping[str, KRelation]") -> "MaterializedView":
+    def apply(
+        self,
+        deltas: "KDatabase | Mapping[str, KRelation]",
+        folded: Optional[KDatabase] = None,
+    ) -> "MaterializedView":
         """Maintain the view under base-table deltas, then fold them in.
 
         ``deltas`` maps base-relation names to delta relations (a
@@ -175,7 +179,12 @@ class MaterializedView:
         add: bag/provenance deltas insert; ring-annotated deltas (``Z``)
         delete by carrying additive inverses (``KRelation.negated``).  The
         base database is updated (``db.update``) after the view state is
-        patched, so view and database move in one step.
+        patched, so view and database move in one step.  Where another
+        catalog has already folded this very batch into the versions the
+        view's database holds — a served view's catalog is a clone of the
+        root's published relations — ``folded`` names it, and the view's
+        database adopts its new versions (:meth:`KDatabase.adopt`) instead
+        of folding the batch a second time.
 
         Runs under the base database's writer lock: the view transition
         (state patch + ``db.update`` + version restamp) is one atomic
@@ -202,7 +211,10 @@ class MaterializedView:
             if len(batch):
                 self._head.absorb(batch)
                 self._result_cache = None
-            self.db.update(deltas)
+            if folded is None:
+                self.db.update(deltas)
+            else:
+                self.db.adopt(folded, deltas)
             self._version = self.db.version
         return self
 

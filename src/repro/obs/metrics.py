@@ -415,17 +415,21 @@ ENCODED_CACHE_EVENTS = REGISTRY.counter(
     ("event",),
 )
 
-#: Layered relation versions (:mod:`repro.core.relation`) materialised
-#: as one dict: the overlay outgrew its share of the base (overlay), or a
-#: reader needed the whole row map (read).  A write path that reads every
-#: version it writes shows up here as one read flatten per write.
-RELATION_FLATTEN_CAUSES = ("overlay", "read")
+#: Relation versions (:mod:`repro.core.relation`) materialised as one
+#: dict: a layered version's overlay outgrew its share of the base
+#: (overlay), a reader needed a layered version's whole row map (read),
+#: or a reader needed the rows of a column-held bulk load (columns).  A
+#: write path that reads every version it writes shows up here as one
+#: read flatten per write; a columns count names the loads something
+#: read row by row.
+RELATION_FLATTEN_CAUSES = ("overlay", "read", "columns")
 
 RELATION_FLATTENS = REGISTRY.counter(
     "repro_relation_flatten_total",
-    "Layered relation versions flattened into one row map: the overlay "
-    "outgrew its share of the base (overlay) or a reader needed the whole "
-    "map (read).",
+    "Relation versions materialised as one row map: a layered version's "
+    "overlay outgrew its share of the base (overlay) or a reader needed its "
+    "whole map (read), or a reader needed the rows of a column-held bulk "
+    "load (columns).",
     ("cause",),
 )
 

@@ -116,7 +116,7 @@ class TermResult(KRelation):
                  aggs: Dict[str, Tuple[Any, TensorSpace]], totals,
                  count_attr: Optional[str] = None, emission: str = "raw"):
         self.semiring, self.schema = semiring, schema
-        self._flat = self._base = self._overlay = None
+        self._flat = self._base = self._overlay = self._held = None
         self._keys, self._aggs, self._totals = keys, aggs, totals
         self._count, self._emission = count_attr, emission
         self._lowered: Optional[KRelation] = None

@@ -267,7 +267,9 @@ def _tables(query: Any) -> FrozenSet[str]:
 def _clone(snap: KDatabase) -> KDatabase:
     """A private catalog over ``snap``'s relation versions (shared, never
     copied, encodings included: they live on the versions), so an entry's
-    apply() stream is confined and races no other entry and not the root."""
+    apply() stream is confined and races no other entry and not the root.
+    Each write's apply() adopts the root's published versions
+    (:meth:`KDatabase.adopt`), so the clone keeps sharing them."""
     return KDatabase(snap.semiring, dict(iter(snap)))
 
 
@@ -702,7 +704,9 @@ class ProvenanceServer:
                 if replaced is not None:
                     view.replace(*replaced)  # re-materialises if it reads it
                 else:
-                    view.apply(deltas)
+                    # the root folded the batch already: the view's
+                    # catalog adopts the published versions
+                    view.apply(deltas, folded=published)
                     outcomes.append("patched")
             except Exception:
                 log.exception("carrying maintained answer %r across a write failed", key)

@@ -798,3 +798,46 @@ def test_concurrent_readers_and_a_writer_keep_exact_answers(serve):
     assert kept.nbytes == sum(map(len, kept._entries.values())) == stats["bytes"]
     assert _moved(before).get("promoted", 0) >= 1
 
+
+
+def test_a_write_is_folded_once_and_every_view_catalog_adopts_it(serve):
+    """The root folds each ``/update`` once: after every write of a
+    stream, each ``/views`` entry and each promoted answer renders a
+    fresh evaluation's bytes on the published snapshot, and every entry's
+    catalog holds the snapshot's relation versions themselves, so the
+    table's encoding is carried once per write (with NumPy), not once
+    per catalog."""
+    from repro.plan.kernels import HAVE_NUMPY
+
+    handle, client = serve(two_tables())
+    named = {"totals": GROUPED, "s_rows": "SELECT g, v FROM S"}
+    for name, sql in named.items():
+        assert client.request("POST", "/views", {"name": name, "sql": sql})[0] == 201
+    promoted = [GROUPED, "SELECT g, v FROM R WHERE v > 4"]
+    server = handle.server
+    for k in range(6):
+        for sql in promoted:
+            assert client.raw("POST", "/query", {"sql": sql})[0] == 200
+        extends = obs_metrics.ENCODED_CACHE_EVENTS.values().get(("extend",), 0)
+        table = "S" if k == 3 else "R"
+        status, body = client.request("POST", "/update", {"relations": {
+            table: {"rows": _rows(([f"w{k}", k], 1), ([f"x{k}", k], 2))}}})
+        assert status == 200, body
+        if HAVE_NUMPY:
+            carried = obs_metrics.ENCODED_CACHE_EVENTS.values()[("extend",)] - extends
+            assert carried == 1, (k, carried)
+        snap = server.manager.pin()
+        for name, sql in named.items():
+            status, view = client.raw("GET", f"/views/{name}")
+            assert status == 200
+            assert view.startswith(rendered(snap, sql)[:-1] + b', "view_version": '), name
+        for sql in promoted:
+            status, answer = client.raw("POST", "/query", {"sql": sql})
+            assert answer.startswith(rendered(snap, sql)[:-1] + b', "elapsed_ms": '), sql
+        entries = [entry for entry in server._views.values()
+                   if getattr(entry, "view", None) is not None]
+        assert len(entries) >= len(named) + (len(promoted) if k else 0)
+        for entry in entries:
+            catalog = entry.view.db
+            assert catalog.names() == snap.names()
+            assert all(catalog.relation(t) is snap.relation(t) for t in snap.names())

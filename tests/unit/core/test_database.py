@@ -112,3 +112,22 @@ class TestVersionStamps:
         # nothing was folded and the version did not move
         assert db["R"] is before_r
         assert db.version == before_version
+
+    def test_adopt_takes_the_folded_versions_themselves(self):
+        """A clone that adopts what the root folded equals a clone that
+        folds the batch itself, and holds the root's very versions."""
+        root = sample_db()
+        clone = KDatabase(NAT, dict(iter(root)))
+        twin = KDatabase(NAT, dict(iter(root)))
+        delta = {"R": KRelation.from_rows(NAT, ("a",), [((1,), 1), ((7,), 3)])}
+        root.update(delta)
+        version = clone.version
+        clone.adopt(root, delta)
+        twin.update(delta)
+        assert clone.version == version + 1
+        assert clone["R"] is root["R"] and clone["R"] == twin["R"]
+        assert clone["S"] is twin["S"]
+        clone.adopt(root, {})
+        assert clone.version == version + 1
+        with pytest.raises(QueryError):
+            root.snapshot().adopt(root, delta)

@@ -262,3 +262,67 @@ def test_concurrent_first_reads_of_a_layered_version():
     if writer_errors:
         raise writer_errors[0]
     assert all(v._flat is not None and v._base is None for v in versions[1:])
+
+
+def test_concurrent_first_reads_of_a_column_held_load():
+    """Each round, four threads make the first reads of one fresh
+    column-held bulk load — ``rows()``, ``in``, ``==``, ``hash``, a scan's
+    ``from_krelation`` and the serialiser's ``columns()`` — racing to
+    lower it.  Every thread must see exactly the eager relation's rows in
+    its order: two first readers may both lower, but each publishes an
+    equal map with one attribute store, and a reader of the columns gets
+    the held lists or the lowered map's, never a half-built one."""
+    import sys
+
+    from repro.core import KRelation, Tup
+    from repro.plan.columnar import ColumnarKRelation
+    from repro.semirings import NAT
+
+    readers = 4
+    rows = [((k, f"g{k % 7}", k * 0.5), 1 + k % 3) for k in range(3_000)]
+    attrs = ("k", "g", "v")
+    want = KRelation(NAT, attrs, [(Tup(dict(zip(attrs, v))), a) for v, a in rows])
+    want_rows = list(want.rows())
+    want_columns = want.columns()
+    probe = Tup({"k": 2_999, "g": "g3", "v": 1_499.5})
+
+    def reads(rel):
+        return [
+            lambda: list(rel.rows()) == want_rows,
+            lambda: probe in rel and rel.annotation(probe) == 3,
+            lambda: rel == want,
+            lambda: hash(rel) == hash(want),
+            lambda: ColumnarKRelation.from_krelation(rel).to_krelation() == want,
+            lambda: rel.columns() == want_columns,
+        ]
+
+    rounds = 20
+    loads = [KRelation.from_rows(NAT, attrs, rows) for _ in range(rounds)]
+    assert all(rel._held is not None for rel in loads)
+    barrier = threading.Barrier(readers, timeout=60)
+    errors = []
+
+    def reader(i):
+        try:
+            for rel in loads:
+                barrier.wait()
+                checks = reads(rel)
+                for k in range(len(checks)):
+                    assert checks[(i + k) % len(checks)](), (i, (i + k) % len(checks))
+        except Exception as exc:  # pragma: no cover - the failure path
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads inside a lowering
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(readers)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    if errors:
+        raise errors[0]
+    assert all(rel._held is None and list(rel.rows()) == want_rows for rel in loads)
